@@ -25,11 +25,10 @@ Every algorithm takes any object implementing the
 
 The algorithms are generic over the bitmap algebra: a source declares the
 representation it serves via its ``bitmap_codec`` attribute (``"dense"``,
-``"wah"``, or ``"roaring"``; the legacy ``compressed`` boolean implies
-``"wah"``) and the same code paths run entirely in that domain, producing
-bit-identical results with identical operation counts (the virtual
-all-zero/all-one bitmaps are synthesized in the source's representation
-via :func:`_zeros`/:func:`_ones`).
+``"wah"``, or ``"roaring"``) and the same code paths run entirely in that
+domain, producing bit-identical results with identical operation counts
+(the virtual all-zero/all-one bitmaps are synthesized in the source's
+representation via :func:`_zeros`/:func:`_ones`).
 
 Conventions shared with the paper's cost model:
 
@@ -65,18 +64,6 @@ BITMAP_CLASSES: dict[str, type] = {
     "wah": WahBitVector,
     "roaring": RoaringBitmap,
 }
-
-
-def source_codec(source: BitmapSource) -> str:
-    """The codec name a source serves (``dense``/``wah``/``roaring``).
-
-    Sources predating per-codec selection only expose the boolean
-    ``compressed`` flag, which historically meant WAH.
-    """
-    codec = getattr(source, "bitmap_codec", None)
-    if codec is not None:
-        return codec
-    return "wah" if getattr(source, "compressed", False) else "dense"
 
 #: The six comparison operators of the paper's query class.
 OPERATORS = ("<", "<=", "=", "!=", ">=", ">")
@@ -244,12 +231,12 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
 
 def _zeros(source: BitmapSource) -> Bitmap:
     """A virtual all-zero bitmap in the source's representation."""
-    return BITMAP_CLASSES[source_codec(source)].zeros(source.nbits)
+    return BITMAP_CLASSES[source.bitmap_codec].zeros(source.nbits)
 
 
 def _ones(source: BitmapSource) -> Bitmap:
     """A virtual all-one bitmap in the source's representation."""
-    return BITMAP_CLASSES[source_codec(source)].ones(source.nbits)
+    return BITMAP_CLASSES[source.bitmap_codec].ones(source.nbits)
 
 
 def _all_rows(source: BitmapSource, stats: ExecutionStats) -> Bitmap:
@@ -793,7 +780,7 @@ def evaluate(
             op=predicate.op,
             value=predicate.value,
             encoding=source.encoding.value,
-            codec=source_codec(source),
+            codec=source.bitmap_codec,
         ):
             return func(source, predicate, stats)
     return func(source, predicate, stats)

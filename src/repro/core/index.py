@@ -231,19 +231,15 @@ class BitmapIndex:
         component: int,
         slot: int,
         stats: ExecutionStats,
-        compressed: bool = False,
-        codec: str | None = None,
+        codec: str = "dense",
     ) -> BitVector | WahBitVector | RoaringBitmap:
         """Return stored bitmap ``slot`` of ``component``, recording one scan.
 
         With ``codec="wah"`` or ``codec="roaring"`` the bitmap is served in
         that compressed representation (encoded lazily on first access and
         memoized), and the scan is charged at the compressed payload size —
-        the bytes a codec-aware storage layer would actually move.  The
-        legacy ``compressed=True`` flag is shorthand for ``codec="wah"``.
+        the bytes a codec-aware storage layer would actually move.
         """
-        if codec is None:
-            codec = "wah" if compressed else "dense"
         trace = stats.trace
         if codec != "dense":
             cls = _COMPRESSED_CLASSES[codec]

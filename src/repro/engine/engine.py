@@ -11,11 +11,14 @@ and evaluates queries — single or batched — on a thread pool.
 :class:`~repro.query.predicate.AttributePredicate`, a boolean
 :class:`~repro.query.expression.Expression` tree, or a textual expression
 string, and always returns a :class:`~repro.query.executor.QueryResult`.
-Expression evaluation routes every leaf's bitmap fetches through the same
-shared cache as the single-predicate path.  :meth:`QueryEngine.explain`
-runs a query with tracing on and returns an
-:class:`~repro.trace.ExplainReport` comparing the paper's cost-model
-prediction against the observed counters.
+Whatever its form, a query is normalized to an expression tree (a
+predicate is a one-leaf tree) and runs the one pipeline of
+:meth:`QueryEngine._execute`, every leaf's bitmap fetches routed through
+the shared cache; :meth:`QueryEngine.count` and
+:meth:`QueryEngine.group_count` are the same pipeline with a different
+last step.  :meth:`QueryEngine.explain` runs a query with tracing on and
+returns an :class:`~repro.trace.ExplainReport` comparing the paper's
+cost-model prediction against the observed counters.
 
 Query evaluation does not verify by default — the serving path must not
 pay a ground-truth scan per query; correctness is pinned by the
@@ -39,7 +42,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -70,16 +72,9 @@ from repro.errors import (
     ShmAttachError,
 )
 from repro.faults import Deadline, FaultPlan
-from repro.query.executor import (
-    AccessPath,
-    QueryResult,
-    VerificationError,
-    execute,
-)
-from repro.core.evaluation import group_counts
-from repro.query.expression import Comparison, Expression
+from repro.query.executor import AccessPath, QueryResult
+from repro.query.expression import query_mode, run_query, verify_answer
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
-from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.disk import DiskModel
@@ -140,22 +135,19 @@ class IndexSpec:
         return None
 
 
-@dataclass(frozen=True)
-class _AggregateQuery:
-    """Internal marker wrapping an expression whose *count* is wanted.
+def _label(item: tuple) -> str:
+    """How a resolved query names itself in traces and error messages."""
+    _, expression, finish, by = item
+    if finish == "rids":
+        return str(expression)
+    if finish == "count":
+        return f"count({expression})"
+    return f"group_count({expression} by {by})"
 
-    The batch plumbing (local ladder and process backend) dispatches on
-    this type to skip RID materialization entirely: the answer is read
-    off bitmap popcounts, never ``indices()``.
-    """
 
-    expression: Expression
-    by: str | None = None
-
-    def __str__(self) -> str:
-        if self.by is None:
-            return f"count({self.expression})"
-        return f"group_count({self.expression} by {self.by})"
+def _attributes(expression, by: str | None) -> list[str]:
+    """Every attribute a query reads: its leaves plus the grouping column."""
+    return sorted(expression.attributes() | ({by} if by is not None else set()))
 
 
 @dataclass
@@ -302,23 +294,17 @@ class QueryEngine:
         :meth:`~repro.storage.store.IndexStore.relation_view` (or use
         :func:`repro.open_store`) and queries read only the bitmaps they
         touch.  Leave ``None`` for pure in-memory tests.
-    io_model:
-        Deprecated alias of ``storage`` (warns once); kept for callers
-        predating the unified Storage protocol.
     io_time_scale:
         Multiplier applied to the modeled latency (e.g. ``0.1`` to run a
         benchmark 10x faster than the era model).
-    compressed:
-        Serve and operate on WAH-compressed bitmaps end-to-end: fetches
-        return :class:`~repro.bitmaps.compressed.WahBitVector`, the
-        evaluators run in the compressed domain, and the shared cache
-        holds compressed payloads (pair with ``cache_bytes`` — compressed
-        entries are far smaller, so a byte budget is the honest capacity).
-        Shorthand for ``codec="wah"``.
     codec:
         The engine's default bitmap representation: ``'dense'``,
-        ``'wah'``, or ``'roaring'``.  Overridable per attribute via
-        :attr:`IndexSpec.codec` and per query via
+        ``'wah'``, or ``'roaring'``.  With a compressed codec fetches
+        return that representation, the evaluators run in the compressed
+        domain, and the shared cache holds compressed payloads (pair
+        with ``cache_bytes`` — compressed entries are far smaller, so a
+        byte budget is the honest capacity).  Overridable per attribute
+        via :attr:`IndexSpec.codec` and per query via
         :attr:`~repro.query.options.QueryOptions.codec`.
     cache_bytes:
         Optional byte budget for the shared cache (see
@@ -358,19 +344,14 @@ class QueryEngine:
     #: Codecs the engine can serve.
     CODECS = ("dense", "wah", "roaring")
 
-    #: One-shot flag for the io_model= deprecation shim.
-    _warned_io_model = False
-
     def __init__(
         self,
         *,
         cache_capacity: int = 256,
         max_workers: int = 4,
         storage=None,
-        io_model: DiskModel | None = None,
         io_time_scale: float = 1.0,
-        compressed: bool = False,
-        codec: str | None = None,
+        codec: str = "dense",
         cache_bytes: int | None = None,
         backend: str = "threads",
         shards: int | None = None,
@@ -383,8 +364,6 @@ class QueryEngine:
             raise EngineConfigError(f"max_workers must be >= 1, got {max_workers}")
         if io_time_scale < 0:
             raise EngineConfigError("io_time_scale must be >= 0")
-        if codec is None:
-            codec = "wah" if compressed else "dense"
         if codec not in self.CODECS:
             raise EngineConfigError(
                 f"unknown codec {codec!r}; expected one of {self.CODECS}"
@@ -406,21 +385,6 @@ class QueryEngine:
         self._relations: dict[str, Relation] = {}
         self._specs: dict[str, dict[str, IndexSpec]] = {}
         self._default_relation: str | None = None
-        if io_model is not None:
-            if storage is not None:
-                raise EngineConfigError(
-                    "pass storage= or the deprecated io_model=, not both"
-                )
-            if not QueryEngine._warned_io_model:
-                QueryEngine._warned_io_model = True
-                warnings.warn(
-                    "the io_model= keyword is deprecated; pass the same "
-                    "DiskModel as storage= (any repro.storage.Storage "
-                    "backend is accepted)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            storage = io_model
         self.storage = storage
         self._io_model = storage if isinstance(storage, DiskModel) else None
         if storage is not None:
@@ -556,25 +520,14 @@ class QueryEngine:
         ``query`` is any of the unified forms: an
         :class:`~repro.query.predicate.AttributePredicate`, a boolean
         :class:`~repro.query.expression.Expression` tree, or a textual
-        expression string (parsed with the recursive-descent parser).  A
-        single comparison — whichever form it arrives in — takes the
-        single-predicate fast path; anything else is evaluated as an
-        expression tree whose leaf fetches all go through the shared
+        expression string (parsed with the recursive-descent parser).
+        All three normalize to an expression tree — a predicate is a
+        one-leaf tree — whose leaf fetches all go through the shared
         cache.  ``trace=True`` is shorthand for
         ``options=QueryOptions(trace=True)``; the recorded
         :class:`~repro.trace.QueryTrace` rides on ``result.trace``.
         """
-        options = options if options is not None else DEFAULT_OPTIONS
-        if trace and not options.trace:
-            options = options.with_(trace=True)
-        name = self._resolve(relation)
-        q = normalize_query(query)
-        if self._backend_for(options) == "processes":
-            workers = options.workers or self.max_workers
-            return self._process_batch([(name, q)], options, workers)[0]
-        if isinstance(q, AttributePredicate):
-            return self._run_one(name, q, options)
-        return self._run_expression(name, q, options)
+        return self._run(query, "rids", None, relation, options, trace)
 
     def count(
         self,
@@ -593,7 +546,7 @@ class QueryEngine:
         On the process backend each shard returns its local popcount and
         the merge is a summation.  Returns an :class:`AggregateResult`.
         """
-        return self._aggregate(query, None, relation, options, trace)
+        return self._run(query, "count", None, relation, options, trace)
 
     def group_count(
         self,
@@ -615,35 +568,29 @@ class QueryEngine:
         maps each dictionary value (including zero-count ones) to its
         count; ``result.count`` is the sum over groups.
         """
-        return self._aggregate(query, by, relation, options, trace)
+        return self._run(query, "group", by, relation, options, trace)
 
-    def _aggregate(
+    def _run(
         self,
         query,
+        finish: str,
         by: str | None,
         relation: str | None,
         options: QueryOptions | None,
         trace: bool,
-    ) -> AggregateResult:
+    ) -> QueryResult | AggregateResult:
+        """One query, one finish, on the backend the options select."""
         options = options if options is not None else DEFAULT_OPTIONS
         if trace and not options.trace:
             options = options.with_(trace=True)
         name = self._resolve(relation)
-        q = normalize_query(query)
-        if isinstance(q, AttributePredicate):
-            # Aggregates always run the expression machinery; lift the
-            # single-predicate form into an equivalent leaf.
-            q = Comparison(q.attribute, q.op, q.value)
+        item = (name, normalize_query(query), finish, by)
         if by is not None:
             self._spec_for(name, by)  # raises if ``by`` is not served
         if self._backend_for(options) == "processes":
             workers = options.workers or self.max_workers
-            result = self._process_batch(
-                [(name, _AggregateQuery(q, by))], options, workers
-            )[0]
-            assert isinstance(result, AggregateResult)
-            return result
-        return self._run_aggregate(name, q, by, options)
+            return self._process_batch([item], options, workers)[0]
+        return self._execute(item, options)
 
     def query_batch(
         self,
@@ -667,13 +614,10 @@ class QueryEngine:
         the process pool.
         """
         options = options if options is not None else DEFAULT_OPTIONS
-        resolved: list[tuple[str, AttributePredicate | Expression]] = []
+        resolved: list[tuple] = []
         for item in queries:
-            if isinstance(item, tuple) and not isinstance(item, Expression):
-                name, q = item
-                resolved.append((self._resolve(name), normalize_query(q)))
-            else:
-                resolved.append((self._resolve(relation), normalize_query(item)))
+            name, q = item if isinstance(item, tuple) else (relation, item)
+            resolved.append((self._resolve(name), normalize_query(q), "rids", None))
         if workers is None:
             workers = options.workers
         if workers is None:
@@ -690,32 +634,24 @@ class QueryEngine:
 
     def _local_batch(
         self,
-        resolved: list,
+        resolved: list[tuple],
         options: QueryOptions,
         workers: int,
     ) -> list[QueryResult | AggregateResult]:
         """Evaluate a resolved batch on the thread pool (or inline).
 
         The thread/inline execution shared by :meth:`query_batch` and
-        the process backend's degradation ladder.
+        the process backend's degradation ladder.  ``resolved`` holds
+        ``(relation_name, expression, finish, by)`` items.
         """
-        threaded = workers > 1 and len(resolved) > 1
-        label = "threads" if threaded else "inline"
-
-        def run(name: str, q) -> QueryResult | AggregateResult:
-            if isinstance(q, _AggregateQuery):
-                return self._run_aggregate(
-                    name, q.expression, q.by, options, backend=label
-                )
-            if isinstance(q, AttributePredicate):
-                return self._run_one(name, q, options, backend=label)
-            return self._run_expression(name, q, options, backend=label)
-
-        if not threaded:
-            return [run(name, q) for name, q in resolved]
-        pool = self._thread_pool(workers)
-        futures = [pool.submit(run, name, q) for name, q in resolved]
-        return [future.result() for future in futures]
+        if workers > 1 and len(resolved) > 1:
+            pool = self._thread_pool(workers)
+            futures = [
+                pool.submit(self._execute, item, options, backend="threads")
+                for item in resolved
+            ]
+            return [future.result() for future in futures]
+        return [self._execute(item, options) for item in resolved]
 
     def explain(
         self,
@@ -738,17 +674,11 @@ class QueryEngine:
         options = options.with_(trace=True)
         name = self._resolve(relation)
         q = normalize_query(query)
-        if isinstance(q, AttributePredicate):
-            result = self._run_one(name, q, options, record=False)
-            mode = "predicate"
-        else:
-            result = self._run_expression(name, q, options, record=False)
-            mode = "expression"
+        result = self._execute((name, q, "rids", None), options, record=False)
+        mode = query_mode(q)
         sources = {
             attribute: self._index_for(name, attribute)
-            for attribute in (
-                {q.attribute} if isinstance(q, AttributePredicate) else q.attributes()
-            )
+            for attribute in q.attributes()
         }
         io_model = None
         if self._io_model is not None:
@@ -1114,7 +1044,7 @@ class QueryEngine:
 
     def _process_batch(
         self,
-        resolved: list,
+        resolved: list[tuple],
         options: QueryOptions,
         workers: int,
     ) -> list[QueryResult | AggregateResult]:
@@ -1130,12 +1060,14 @@ class QueryEngine:
         degradation, and corruption lands in the metrics, and (when
         tracing) as ``fault`` events on each result's trace.  A deadline
         miss is not retried: it surfaces as
-        :class:`~repro.errors.QueryTimeoutError` immediately.
+        :class:`~repro.errors.QueryTimeoutError` immediately.  Each
+        merged shard outcome then runs the verify/record tail of
+        :meth:`_execute`, like a locally evaluated answer.
         """
         shards = options.shards or self.shards or workers
         if shards < 1:
             raise EngineConfigError(f"shards must be >= 1, got {shards}")
-        relations = {name for name, _ in resolved}
+        relations = {item[0] for item in resolved}
         blocked = sorted(
             name for name in relations if not self.breaker.allow(f"relation:{name}")
         )
@@ -1151,18 +1083,20 @@ class QueryEngine:
             if options.deadline_ms is not None
             else None
         )
-        fault_events: list[dict] = []
+        retries: list[dict] = []
         delays = self.retry_policy.delays()
-        attempt = 0
         while True:
             try:
-                metas, outcomes = self._process_batch_once(
+                outcomes = self._process_batch_once(
                     resolved, options, workers, shards, deadline
                 )
                 break
-            except QueryTimeoutError:
+            except QueryTimeoutError as exc:
                 self.metrics.record_timeout()
                 self.metrics.record_failure()
+                if options.trace:
+                    label = "; ".join(map(_label, resolved))
+                    self._attach_timeout_trace(exc, QueryTrace(label=label))
                 raise
             except _RECOVERABLE as exc:
                 reason = _recovery_reason(exc)
@@ -1177,22 +1111,21 @@ class QueryEngine:
                     log.warning(
                         "process backend gave up after %d retries (%s: %s); "
                         "serving batch on threads",
-                        attempt,
+                        len(retries),
                         reason,
                         exc,
                     )
                     return self._local_batch(resolved, options, workers)
-                attempt += 1
                 self.metrics.record_retry(reason)
-                fault_events.append(
-                    {"attempt": attempt, "reason": reason, "error": str(exc)}
+                retries.append(
+                    {"attempt": len(retries) + 1, "reason": reason, "error": str(exc)}
                 )
                 log.warning(
                     "process backend dispatch failed (%s: %s); retry %d in "
                     "%.0f ms",
                     reason,
                     exc,
-                    attempt,
+                    len(retries),
                     1e3 * delay,
                 )
                 if delay > 0:
@@ -1203,10 +1136,14 @@ class QueryEngine:
         for name in sorted(relations):
             self.breaker.record_success(f"relation:{name}")
         return [
-            self._finish_process_outcome(
-                metas[qid], outcomes[qid], options, shards, fault_events
+            self._execute(
+                item,
+                options,
+                backend="processes",
+                outcome=outcome,
+                retries=retries,
             )
-            for qid in range(len(resolved))
+            for item, outcome in zip(resolved, outcomes)
         ]
 
     def _repair_after(
@@ -1228,12 +1165,12 @@ class QueryEngine:
 
     def _process_batch_once(
         self,
-        resolved: list,
+        resolved: list[tuple],
         options: QueryOptions,
         workers: int,
         shards: int,
         deadline: Deadline | None,
-    ) -> tuple[list, dict]:
+    ) -> list[ShardQueryOutcome]:
         """One dispatch attempt of a resolved batch on the process pool."""
         executor = self._process_executor(workers)
         # Translate every query to the code domain and publish the
@@ -1242,78 +1179,26 @@ class QueryEngine:
         # counts, so items are grouped by their relation's effective
         # count and dispatched per group.
         exports: dict[tuple, ShardExport] = {}
-        metas: list[tuple] = []
-        items: list[tuple] = []
-        for qid, (name, q) in enumerate(resolved):
-            relation = self._relations[name]
-            if isinstance(q, AttributePredicate):
-                attributes = (q.attribute,)
-                codec = self._codec_for(name, q.attribute, options)
-                column = relation.column(q.attribute)
-                op, code = column.code_bounds(q.op, q.value)
-                payload = ("pred", q.attribute, op, int(code))
-                mode = "predicate"
-            elif isinstance(q, _AggregateQuery):
-                expr_attrs = tuple(sorted(q.expression.attributes()))
-                needed = set(expr_attrs)
-                if q.by is not None:
-                    needed.add(q.by)
-                attributes = tuple(sorted(needed))
-                codecs = sorted(
-                    {self._codec_for(name, a, options) for a in attributes}
-                )
-                if len(codecs) > 1:
-                    raise EngineConfigError(
-                        f"aggregate over '{q.expression}' mixes bitmap "
-                        f"codecs {codecs}; give its attributes one codec "
-                        f"(per-query options.codec overrides every spec)"
-                    )
-                codec = codecs[0]
-                code_expr = translate_expression(q.expression, relation)
-                if q.by is None:
-                    payload = ("count", expr_attrs, code_expr)
-                else:
-                    payload = (
-                        "group",
-                        expr_attrs,
-                        code_expr,
-                        q.by,
-                        relation.column(q.by).cardinality,
-                    )
-                mode = "aggregate"
-            else:
-                attributes = tuple(sorted(q.attributes()))
-                codecs = sorted(
-                    {self._codec_for(name, a, options) for a in attributes}
-                )
-                if len(codecs) > 1:
-                    raise EngineConfigError(
-                        f"expression '{q}' mixes bitmap codecs {codecs}; "
-                        f"give its attributes one codec (per-query "
-                        f"options.codec overrides every spec)"
-                    )
-                codec = codecs[0]
-                payload = ("expr", attributes, translate_expression(q, relation))
-                mode = "expression"
-            for attr in attributes:
-                export_key = (name, attr)
-                if export_key not in exports:
-                    exports[export_key] = self._export_for(
-                        name,
-                        attr,
-                        self._codec_for(name, attr, options),
-                        shards,
-                    )
-            items.append((qid, name, payload))
-            metas.append((name, mode, codec, q))
         groups: dict[int, list] = {}
-        for item in items:
-            _, name, _ = item
-            count = exports[
-                next(k for k in exports if k[0] == name)
-            ].num_shards
-            groups.setdefault(count, []).append(item)
-        outcomes: dict[int, ShardQueryOutcome] = {}
+        for qid, item in enumerate(resolved):
+            name, expression, finish, by = item
+            attributes = _attributes(expression, by)
+            codec = self._one_codec(
+                {self._codec_for(name, attr, options) for attr in attributes},
+                item,
+            )
+            for attr in attributes:
+                if (name, attr) not in exports:
+                    exports[(name, attr)] = self._export_for(
+                        name, attr, codec, shards
+                    )
+            code_expression = translate_expression(
+                expression, self._relations[name]
+            )
+            payload = (finish, tuple(attributes), code_expression, by)
+            count = exports[(name, attributes[0])].num_shards
+            groups.setdefault(count, []).append((qid, name, payload))
+        outcomes: list = [None] * len(resolved)
         for count, group_items in groups.items():
             needed = {
                 key: export
@@ -1329,421 +1214,175 @@ class QueryEngine:
             )
             for (qid, _, _), outcome in zip(group_items, group_outcomes):
                 outcomes[qid] = outcome
-        return metas, outcomes
+        return outcomes
 
-    def _finish_process_outcome(
-        self,
-        meta: tuple,
-        outcome: ShardQueryOutcome,
-        options: QueryOptions,
-        shards: int,
-        fault_events: list[dict] | None = None,
-    ) -> QueryResult | AggregateResult:
-        """Turn one merged shard outcome into a recorded QueryResult."""
-        name, mode, codec, q = meta
-        stats = outcome.stats
-        access_path = {"predicate": "bitmap", "aggregate": "aggregate"}.get(
-            mode, "expression"
-        )
-        trace = None
-        if options.trace:
-            trace = QueryTrace(label=str(q))
-            trace.event(
-                "engine.dispatch",
-                kind="plan",
-                relation=name,
-                mode=mode,
-                access_path=access_path,
-                backend="processes",
-                shards=len(outcome.shard_seconds),
-                codec=codec,
+    @staticmethod
+    def _one_codec(codecs: set[str], item: tuple) -> str:
+        """The single codec a query runs over.
+
+        Bitmaps of different representations cannot be combined; fail
+        with a configuration error instead of a downstream algebra
+        TypeError.
+        """
+        if len(codecs) > 1:
+            raise EngineConfigError(
+                f"'{_label(item)}' mixes bitmap codecs {sorted(codecs)}; "
+                f"give its attributes one codec (per-query options.codec "
+                f"overrides every spec)"
             )
-            for event in fault_events or ():
-                trace.event(
-                    "dispatch.retry",
-                    kind="fault",
-                    attempt=event["attempt"],
-                    reason=event["reason"],
-                    error=event["error"],
-                )
-            for shard, (rows, seconds, shard_stats) in enumerate(
-                zip(outcome.shard_rows, outcome.shard_seconds, outcome.shard_stats)
-            ):
-                trace.add_span(
-                    "shard.evaluate",
-                    kind="shard",
-                    seconds=seconds,
-                    shard=shard,
-                    rows=rows[1] - rows[0],
-                    scans=shard_stats.scans,
-                    bytes_read=shard_stats.bytes_read,
-                )
-            if mode == "aggregate":
-                # The pushdown is visible even on the process backend:
-                # shards returned popcounts, the merge was a summation,
-                # and no materialize phase ever ran.
-                trace.event("aggregate.pushdown", kind="phase", by=q.by)
-            trace.finish()
-            stats.trace = trace
-        if mode == "aggregate":
-            relation = self._relations[name]
-            if q.by is None:
-                total = int(outcome.aggregate)
-                groups = None
+        (codec,) = codecs
+        return codec
+
+    def _execute(
+        self,
+        item: tuple,
+        options: QueryOptions,
+        *,
+        backend: str = "inline",
+        record: bool = True,
+        outcome: ShardQueryOutcome | None = None,
+        retries: list[dict] | tuple = (),
+    ) -> QueryResult | AggregateResult:
+        """The one execution pipeline of every entry point and backend.
+
+        ``item`` is ``(relation_name, expression, finish, by)``.  The
+        stages are: resolve the cache-routed sources and their one codec
+        → ``engine.dispatch`` trace event → evaluate and finish
+        (:func:`~repro.query.expression.run_query`: ``rids``
+        materializes, ``count``/``group`` answer from popcounts under an
+        ``aggregate.pushdown`` phase) → verify → build the result →
+        ``metrics.record``, with deadline misses and failures counted on
+        the way out.  The backend is a strategy over the evaluate stage
+        only: inline and on a pool thread it runs here; on the process
+        backend the shard workers already ran the same ``run_query`` and
+        ``outcome`` carries their merged answer, stats and timings (plus
+        the dispatch ``retries`` to replay onto the trace).  Metric and
+        trace labels derive from the query's shape
+        (:func:`~repro.query.expression.query_mode`), not from the entry
+        point.  ``record=False`` keeps the run out of the serving
+        metrics (EXPLAIN).
+        """
+        name, expression, finish, by = item
+        start = time.perf_counter()
+        relation = self._relations[name]
+        mode = query_mode(expression, finish)
+        access_path = "bitmap" if mode == "predicate" else mode
+        trace = None
+        try:
+            attributes = _attributes(expression, by)
+            if outcome is None:
+                stats = ExecutionStats()
+                if options.deadline_ms is not None:
+                    stats.deadline = Deadline(options.deadline_ms)
+                sources = {
+                    attr: self._source_for(name, attr, options)
+                    for attr in attributes
+                }
+                codecs = {source.bitmap_codec for source in sources.values()}
             else:
-                dictionary = relation.column(q.by).dictionary
-                groups = {}
-                total = 0
-                for code, matched in enumerate(outcome.aggregate):
-                    key = dictionary[code]
-                    if isinstance(key, np.generic):
-                        key = key.item()
-                    groups[key] = int(matched)
-                    total += int(matched)
-            try:
-                if options.verify:
-                    self._verify_aggregate(
-                        relation, q.expression, q.by, total, groups
-                    )
-            except Exception:
+                stats = outcome.stats
+                codecs = {
+                    self._codec_for(name, attr, options) for attr in attributes
+                }
+            codec = self._one_codec(codecs, item)
+            if options.trace:
+                trace = stats.trace = QueryTrace(label=_label(item))
+                trace.event(
+                    "engine.dispatch",
+                    kind="plan",
+                    relation=name,
+                    mode=mode,
+                    access_path=access_path,
+                    backend=backend,
+                    codec=codec,
+                    attributes=attributes,
+                )
+            if outcome is None:
+                answer = run_query(
+                    relation,
+                    expression,
+                    sources,
+                    stats,
+                    finish,
+                    by,
+                    algorithm=options.algorithm,
+                )
+            else:
+                answer = outcome.answer
+                if trace is not None:
+                    self._trace_shards(trace, outcome, retries, finish, by)
+            if options.verify:
+                verify_answer(relation, expression, finish, by, answer)
+            if trace is not None:
+                trace.finish()
+        except QueryTimeoutError as exc:
+            if record:
+                self.metrics.record_timeout()
                 self.metrics.record_failure()
-                raise
+            self._attach_timeout_trace(exc, trace)
+            raise
+        except Exception:
+            if record:
+                self.metrics.record_failure()
+            raise
+        result: QueryResult | AggregateResult
+        if finish == "rids":
+            result = QueryResult(
+                rids=answer, access_path=AccessPath.BITMAP, stats=stats, trace=trace
+            )
+        else:
+            groups = None
+            if finish == "group":
+                dictionary = relation.column(by).dictionary
+                groups = dict(zip(dictionary.tolist(), answer.tolist()))
+            result = AggregateResult(
+                count=int(np.sum(answer)), groups=groups, stats=stats, trace=trace
+            )
+        if record:
             self.metrics.record(
-                outcome.latency_seconds,
+                outcome.latency_seconds
+                if outcome is not None
+                else time.perf_counter() - start,
                 stats,
                 relation=name,
-                access_path="aggregate",
+                access_path=access_path,
                 codec=codec,
-                backend="processes",
-            )
-            return AggregateResult(
-                count=total, groups=groups, stats=stats, trace=trace
-            )
-        try:
-            if options.verify:
-                relation = self._relations[name]
-                if isinstance(q, AttributePredicate):
-                    truth = relation.scan(q.attribute, q.op, q.value)
-                else:
-                    truth = np.nonzero(q.mask(relation))[0]
-                if not np.array_equal(outcome.rids, truth):
-                    raise VerificationError(
-                        f"process backend returned {len(outcome.rids)} RIDs "
-                        f"for '{q}'; the scan found {len(truth)}"
-                    )
-        except Exception:
-            self.metrics.record_failure()
-            raise
-        result = QueryResult(
-            rids=outcome.rids,
-            access_path=AccessPath.BITMAP,
-            stats=stats,
-            trace=trace,
-        )
-        self.metrics.record(
-            outcome.latency_seconds,
-            stats,
-            relation=name,
-            access_path=access_path,
-            codec=codec,
-            backend="processes",
-        )
-        return result
-
-    def _run_one(
-        self,
-        relation_name: str,
-        predicate: AttributePredicate,
-        options: QueryOptions = DEFAULT_OPTIONS,
-        record: bool = True,
-        backend: str = "inline",
-    ) -> QueryResult:
-        start = time.perf_counter()
-        trace = None
-        try:
-            source = self._source_for(relation_name, predicate.attribute, options)
-            if options.trace:
-                trace = QueryTrace(label=str(predicate))
-                trace.event(
-                    "engine.dispatch",
-                    kind="plan",
-                    relation=relation_name,
-                    mode="predicate",
-                    access_path="bitmap",
-                    compressed=source.compressed,
-                    codec=source.bitmap_codec,
-                )
-            result = execute(
-                self._relations[relation_name],
-                predicate,
-                AccessPath.BITMAP,
-                index=source,
-                options=options,
-                trace=trace,
-            )
-        except QueryTimeoutError as exc:
-            if record:
-                self.metrics.record_timeout()
-                self.metrics.record_failure()
-            self._attach_timeout_trace(exc, trace)
-            raise
-        except Exception:
-            if record:
-                self.metrics.record_failure()
-            raise
-        if record:
-            self.metrics.record(
-                time.perf_counter() - start,
-                result.stats,
-                relation=relation_name,
-                access_path=result.access_path.value,
-                codec=source.bitmap_codec,
                 backend=backend,
             )
         return result
 
-    def _run_expression(
-        self,
-        relation_name: str,
-        expression: Expression,
-        options: QueryOptions = DEFAULT_OPTIONS,
-        record: bool = True,
-        backend: str = "inline",
-    ) -> QueryResult:
-        start = time.perf_counter()
-        trace = None
-        try:
-            relation = self._relations[relation_name]
-            stats = ExecutionStats()
-            if options.deadline_ms is not None:
-                stats.deadline = Deadline(options.deadline_ms)
-            sources = {
-                attribute: self._source_for(relation_name, attribute, options)
-                for attribute in expression.attributes()
-            }
-            codecs = sorted({s.bitmap_codec for s in sources.values()})
-            if len(codecs) > 1:
-                # Bitmaps of different representations cannot be combined;
-                # fail with a configuration error instead of a downstream
-                # algebra TypeError.
-                raise EngineConfigError(
-                    f"expression '{expression}' mixes bitmap codecs "
-                    f"{codecs}; give its attributes one codec (per-query "
-                    f"options.codec overrides every spec)"
-                )
-            if options.trace:
-                trace = QueryTrace(label=str(expression))
-                stats.trace = trace
-                trace.event(
-                    "engine.dispatch",
-                    kind="plan",
-                    relation=relation_name,
-                    mode="expression",
-                    access_path="expression",
-                    compressed=any(s.compressed for s in sources.values()),
-                    codec=codecs[0] if len(codecs) == 1 else ",".join(codecs),
-                    attributes=sorted(expression.attributes()),
-                )
-            if trace is not None:
-                with trace.span("evaluate", kind="phase", mode="expression"):
-                    bitmap = expression.bitmap(relation, sources, stats)
-                with trace.span("materialize", kind="phase"):
-                    rids = bitmap.indices()
-            else:
-                bitmap = expression.bitmap(relation, sources, stats)
-                rids = bitmap.indices()
-            if options.verify:
-                truth = np.nonzero(expression.mask(relation))[0]
-                if not np.array_equal(rids, truth):
-                    raise VerificationError(
-                        f"expression '{expression}' returned {len(rids)} RIDs; "
-                        f"the scan found {len(truth)}"
-                    )
-            if trace is not None:
-                trace.finish()
-            result = QueryResult(
-                rids=rids,
-                access_path=AccessPath.BITMAP,
-                stats=stats,
-                trace=trace,
-            )
-        except QueryTimeoutError as exc:
-            if record:
-                self.metrics.record_timeout()
-                self.metrics.record_failure()
-            self._attach_timeout_trace(exc, trace)
-            raise
-        except Exception:
-            if record:
-                self.metrics.record_failure()
-            raise
-        if record:
-            self.metrics.record(
-                time.perf_counter() - start,
-                result.stats,
-                relation=relation_name,
-                access_path="expression",
-                codec=codecs[0],
-                backend=backend,
-            )
-        return result
-
-    def _run_aggregate(
-        self,
-        relation_name: str,
-        expression: Expression,
+    @staticmethod
+    def _trace_shards(
+        trace: QueryTrace,
+        outcome: ShardQueryOutcome,
+        retries,
+        finish: str,
         by: str | None,
-        options: QueryOptions = DEFAULT_OPTIONS,
-        record: bool = True,
-        backend: str = "inline",
-    ) -> AggregateResult:
-        """Evaluate an expression and answer counts from popcounts alone.
-
-        The pushdown twin of :meth:`_run_expression`: the evaluate phase
-        is identical, but instead of a ``materialize`` phase calling
-        ``bitmap.indices()`` there is an ``aggregate.pushdown`` phase
-        that popcounts the result bitmap — per grouping value ANDed with
-        the group's cached equality bitmap when ``by`` is given.  No RID
-        array is ever built.
-        """
-        start = time.perf_counter()
-        trace = None
-        try:
-            relation = self._relations[relation_name]
-            stats = ExecutionStats()
-            if options.deadline_ms is not None:
-                stats.deadline = Deadline(options.deadline_ms)
-            attributes = set(expression.attributes())
-            if by is not None:
-                attributes.add(by)
-            sources = {
-                attribute: self._source_for(relation_name, attribute, options)
-                for attribute in attributes
-            }
-            codecs = sorted({s.bitmap_codec for s in sources.values()})
-            if len(codecs) > 1:
-                raise EngineConfigError(
-                    f"aggregate over '{expression}' mixes bitmap codecs "
-                    f"{codecs}; give its attributes one codec (per-query "
-                    f"options.codec overrides every spec)"
-                )
-            if options.trace:
-                label = (
-                    f"count({expression})"
-                    if by is None
-                    else f"group_count({expression} by {by})"
-                )
-                trace = QueryTrace(label=label)
-                stats.trace = trace
-                trace.event(
-                    "engine.dispatch",
-                    kind="plan",
-                    relation=relation_name,
-                    mode="aggregate",
-                    access_path="aggregate",
-                    compressed=any(s.compressed for s in sources.values()),
-                    codec=codecs[0],
-                    attributes=sorted(attributes),
-                    by=by,
-                )
-            if trace is not None:
-                with trace.span("evaluate", kind="phase", mode="aggregate"):
-                    bitmap = expression.bitmap(relation, sources, stats)
-                with trace.span(
-                    "aggregate.pushdown", kind="phase", by=by
-                ) as span:
-                    total, groups = self._pushdown_counts(
-                        relation, bitmap, by, sources, stats, options
-                    )
-                    span.attrs.update(
-                        count=total, groups=len(groups) if groups else 0
-                    )
-            else:
-                bitmap = expression.bitmap(relation, sources, stats)
-                total, groups = self._pushdown_counts(
-                    relation, bitmap, by, sources, stats, options
-                )
-            if options.verify:
-                self._verify_aggregate(relation, expression, by, total, groups)
-            if trace is not None:
-                trace.finish()
-            result = AggregateResult(
-                count=total, groups=groups, stats=stats, trace=trace
-            )
-        except QueryTimeoutError as exc:
-            if record:
-                self.metrics.record_timeout()
-                self.metrics.record_failure()
-            self._attach_timeout_trace(exc, trace)
-            raise
-        except Exception:
-            if record:
-                self.metrics.record_failure()
-            raise
-        if record:
-            self.metrics.record(
-                time.perf_counter() - start,
-                result.stats,
-                relation=relation_name,
-                access_path="aggregate",
-                codec=codecs[0],
-                backend=backend,
-            )
-        return result
-
-    def _pushdown_counts(
-        self,
-        relation: Relation,
-        bitmap,
-        by: str | None,
-        sources: dict,
-        stats: ExecutionStats,
-        options: QueryOptions,
-    ) -> tuple[int, dict | None]:
-        """Popcount the result bitmap — total, or split per group value."""
-        if by is None:
-            return int(bitmap.count()), None
-        by_source = sources[by]
-        dictionary = relation.column(by).dictionary
-        # NULL rows of ``by`` land in no group: both group_counts paths
-        # mask through the index's nonnull vector.
-        counts = group_counts(
-            by_source, bitmap, stats, algorithm=options.algorithm
-        )
-        groups: dict = {}
-        for code, matched in enumerate(counts.tolist()):
-            key = dictionary[code]
-            if isinstance(key, np.generic):
-                key = key.item()
-            groups[key] = matched
-        return int(counts.sum()), groups
-
-    def _verify_aggregate(
-        self,
-        relation: Relation,
-        expression: Expression,
-        by: str | None,
-        total: int,
-        groups: dict | None,
     ) -> None:
-        """Opt-in ground-truth check of a pushed-down aggregate."""
-        mask = expression.mask(relation)
-        if by is None:
-            truth = int(np.count_nonzero(mask))
-            if total != truth:
-                raise VerificationError(
-                    f"count pushdown of '{expression}' returned {total}; "
-                    f"the scan found {truth}"
-                )
-            return
-        values = relation.column(by).values
-        for key, counted in (groups or {}).items():
-            truth = int(np.count_nonzero(mask & (values == key)))
-            if counted != truth:
-                raise VerificationError(
-                    f"group_count pushdown of '{expression}' returned "
-                    f"{counted} for {by}={key!r}; the scan found {truth}"
-                )
+        """Replay a process dispatch onto the parent-side trace.
+
+        The work happened in worker processes, so what the trace shows
+        is every dispatch retry, one worker-timed ``shard.evaluate``
+        span per shard, and — for an aggregate — the pushdown: shards
+        returned popcounts, the merge was a summation, and no
+        materialize phase ever ran.
+        """
+        for event in retries:
+            trace.event("dispatch.retry", kind="fault", **event)
+        for shard, (rows, seconds, shard_stats) in enumerate(
+            zip(outcome.shard_rows, outcome.shard_seconds, outcome.shard_stats)
+        ):
+            trace.add_span(
+                "shard.evaluate",
+                kind="shard",
+                seconds=seconds,
+                shard=shard,
+                rows=rows[1] - rows[0],
+                scans=shard_stats.scans,
+                bytes_read=shard_stats.bytes_read,
+            )
+        if finish != "rids":
+            trace.event("aggregate.pushdown", kind="phase", by=by)
 
     @staticmethod
     def _attach_timeout_trace(

@@ -60,7 +60,7 @@ from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
-from repro.core.evaluation import Predicate, evaluate, group_counts
+from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
 from repro.errors import (
     CorruptShardError,
@@ -82,6 +82,7 @@ from repro.query.expression import (
     Threshold,
     Xor,
     _count_op,
+    run_query,
 )
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
@@ -243,9 +244,9 @@ class CodeComparison(Expression):
     op: str
     code: int
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         return evaluate(
-            indexes[self.attribute], Predicate(self.op, self.code), stats=stats
+            indexes[self.attribute], Predicate(self.op, self.code), algorithm, stats
         )
 
     def attributes(self):
@@ -262,11 +263,11 @@ class CodeIn(Expression):
     attribute: str
     codes: tuple
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         index = indexes[self.attribute]
         acc = None
         for code in self.codes:
-            term = evaluate(index, Predicate("=", code), stats=stats)
+            term = evaluate(index, Predicate("=", code), algorithm, stats)
             if acc is None:
                 acc = term
             else:
@@ -291,10 +292,10 @@ class CodeBetween(Expression):
     low: tuple  # (op, code)
     high: tuple  # (op, code)
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         index = indexes[self.attribute]
-        lower = evaluate(index, Predicate(*self.low), stats=stats)
-        upper = evaluate(index, Predicate(*self.high), stats=stats)
+        lower = evaluate(index, Predicate(*self.low), algorithm, stats)
+        upper = evaluate(index, Predicate(*self.high), algorithm, stats)
         _count_op(stats, "and")
         return lower & upper
 
@@ -895,16 +896,15 @@ def _run_shard_task(
 
     ``manifests`` maps ``(relation, attribute)`` to the shard's
     :class:`ShardManifest`; ``items`` is a list of
-    ``(qid, relation, payload)`` where ``payload`` is one of
-    ``("pred", attribute, op, code)``, ``("expr", attributes,
-    code_expression)``, ``("count", attributes, code_expression)``, or
-    ``("group", attributes, code_expression, by, cardinality)``.
-    Returns ``(qid, result, stat_tuple, seconds)`` per item, where
-    ``result`` is the local RID array for pred/expr payloads, the
-    shard's matching-row count (``int``) for count payloads, or the
-    per-code count array (length ``cardinality``) for group payloads —
-    aggregates never materialize RIDs, and their cross-shard merge is
-    plain summation rather than the offset union.
+    ``(qid, relation, payload)`` where every ``payload`` has the one
+    shape ``(finish, attributes, code_expression, by)`` — the arguments
+    of :func:`~repro.query.expression.run_query` (``attributes`` names
+    every source the item reads, the grouping column included).
+    Returns ``(qid, answer, stat_tuple, seconds)`` per item, where
+    ``answer`` is the local RID array for a ``rids`` finish, the shard's
+    matching-row count (``int``) for ``count``, or the per-code count
+    array for ``group`` — aggregates never materialize RIDs, and their
+    cross-shard merge is plain summation rather than the offset union.
 
     ``faults`` carries plain-string directives decided *parent-side* by
     the engine's :class:`~repro.faults.FaultPlan` (the counters must not
@@ -931,42 +931,16 @@ def _run_shard_task(
         stats = ExecutionStats()
         stats.deadline = budget
         started = time.perf_counter()
-        if payload[0] == "pred":
-            _, attribute, op, code = payload
-            bitmap = evaluate(
-                sources[(relation_name, attribute)],
-                Predicate(op, code),
-                algorithm=algorithm,
-                stats=stats,
-            )
-            result = bitmap.indices()
-        elif payload[0] == "count":
-            _, attributes, expression = payload
-            leaf_sources = {
-                attribute: sources[(relation_name, attribute)]
-                for attribute in attributes
-            }
-            bitmap = expression.bitmap(None, leaf_sources, stats)
-            result = int(bitmap.count())
-        elif payload[0] == "group":
-            _, attributes, expression, by, cardinality = payload
-            leaf_sources = {
-                attribute: sources[(relation_name, attribute)]
-                for attribute in attributes
-            }
-            bitmap = expression.bitmap(None, leaf_sources, stats)
-            by_source = sources[(relation_name, by)]
-            result = group_counts(by_source, bitmap, stats, algorithm=algorithm)
-        else:
-            _, attributes, expression = payload
-            leaf_sources = {
-                attribute: sources[(relation_name, attribute)]
-                for attribute in attributes
-            }
-            bitmap = expression.bitmap(None, leaf_sources, stats)
-            result = bitmap.indices()
+        finish, attributes, expression, by = payload
+        leaf_sources = {
+            attribute: sources[(relation_name, attribute)]
+            for attribute in attributes
+        }
+        answer = run_query(
+            None, expression, leaf_sources, stats, finish, by, algorithm=algorithm
+        )
         elapsed = time.perf_counter() - started
-        out.append((qid, result, _stats_to_tuple(stats), elapsed))
+        out.append((qid, answer, _stats_to_tuple(stats), elapsed))
     return out
 
 
@@ -979,19 +953,19 @@ def _run_shard_task(
 class ShardQueryOutcome:
     """One query's merged cross-shard outcome, pre-metrics.
 
-    For aggregate payloads ``rids`` stays empty and ``aggregate``
-    carries the summed result: the total matching-row count (``int``)
-    for count payloads, the elementwise-summed per-code count array for
-    group payloads.  Shard row ranges are disjoint, so summation is the
-    exact cross-shard merge — no RID offset union is ever built.
+    ``answer`` is what :func:`~repro.query.expression.run_query` returns
+    for the item's finish, merged across shards: the offset union of the
+    local RID arrays for ``rids``; for ``count`` and ``group`` the sum of
+    the shard counts (scalar, or elementwise per code).  Shard row
+    ranges are disjoint, so summation is the exact cross-shard merge —
+    no RID offset union is ever built for an aggregate.
     """
 
-    rids: np.ndarray
+    answer: "np.ndarray | np.integer"
     stats: ExecutionStats
     shard_stats: list[ExecutionStats]
     shard_seconds: list[float]
     shard_rows: list[tuple[int, int]]
-    aggregate: "int | np.ndarray | None" = None
 
     @property
     def latency_seconds(self) -> float:
@@ -1100,7 +1074,7 @@ class ProcessShardExecutor:
                     budget,
                 )
             )
-        # per_query[qid] = list of (shard, rids, stats, seconds)
+        # per_query[qid] = list of (shard, answer, stats, seconds)
         per_query: dict[int, list] = {qid: [] for qid, _, _ in items}
         for shard, future in enumerate(futures):
             if deadline is None:
@@ -1118,8 +1092,8 @@ class ProcessShardExecutor:
                         f"shard {shard} missed the "
                         f"{deadline.deadline_ms:g} ms deadline"
                     ) from None
-            for qid, rids, stat_tuple, seconds in rows:
-                per_query[qid].append((shard, rids, stat_tuple, seconds))
+            for qid, answer, stat_tuple, seconds in rows:
+                per_query[qid].append((shard, answer, stat_tuple, seconds))
         any_export = next(iter(exports.values()))
         bounds = [
             (manifest.row_start, manifest.row_stop)
@@ -1129,28 +1103,20 @@ class ProcessShardExecutor:
         for qid, _, payload in items:
             results = sorted(per_query[qid], key=lambda row: row[0])
             shard_stats = [stats_from_tuple(t) for _, _, t, _ in results]
-            aggregate: int | np.ndarray | None = None
-            if payload[0] == "count":
-                aggregate = sum(int(value) for _, value, _, _ in results)
-                rids = np.empty(0, dtype=np.int64)
-            elif payload[0] == "group":
-                aggregate = np.sum(
-                    np.stack([counts for _, counts, _, _ in results]), axis=0
+            answers = [answer for _, answer, _, _ in results]
+            if payload[0] == "rids":
+                answer = merge_shard_rids(
+                    answers, [bounds[shard][0] for shard, _, _, _ in results]
                 )
-                rids = np.empty(0, dtype=np.int64)
             else:
-                rids = merge_shard_rids(
-                    [rids for _, rids, _, _ in results],
-                    [bounds[shard][0] for shard, _, _, _ in results],
-                )
+                answer = np.sum(answers, axis=0)
             outcomes.append(
                 ShardQueryOutcome(
-                    rids=rids,
+                    answer=answer,
                     stats=merge_shard_stats(shard_stats),
                     shard_stats=shard_stats,
                     shard_seconds=[seconds for _, _, _, seconds in results],
                     shard_rows=bounds,
-                    aggregate=aggregate,
                 )
             )
         return outcomes

@@ -89,6 +89,10 @@ class QueryTimeoutError(ReproError):
         self.trace = None
 
 
+class VerificationError(ReproError):
+    """An access path disagreed with the ground-truth scan."""
+
+
 class BufferConfigError(ReproError, ValueError):
     """A buffer assignment is not well-defined for the index it targets."""
 

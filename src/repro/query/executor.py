@@ -12,15 +12,17 @@ unmodified.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex, BitmapSource
-from repro.errors import InvalidPredicateError, ReproError
+from repro.errors import InvalidPredicateError, VerificationError
 from repro.faults import Deadline
-from repro.query.options import VERIFYING_OPTIONS, QueryOptions
+from repro.query.expression import And, run_query
+from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.projection import ProjectionIndex
 from repro.relation.relation import Relation
@@ -56,10 +58,6 @@ class QueryResult:
         return len(self.rids)
 
 
-class VerificationError(ReproError):
-    """An access path disagreed with the ground-truth scan."""
-
-
 def execute(
     relation: Relation,
     predicate: AttributePredicate,
@@ -67,8 +65,6 @@ def execute(
     index: BitmapSource | RIDListIndex | ProjectionIndex | None = None,
     *,
     options: QueryOptions | None = None,
-    trace: QueryTrace | None = None,
-    deadline=None,
 ) -> QueryResult:
     """Evaluate ``predicate`` on ``relation`` via the chosen access path.
 
@@ -80,24 +76,18 @@ def execute(
     :class:`~repro.query.options.QueryOptions`); when omitted the
     standalone executor verifies by default.  With verification on the
     result is checked against a full scan and a :class:`VerificationError`
-    raised on any disagreement.  ``trace`` threads an existing
-    :class:`~repro.trace.QueryTrace` through the evaluation (the engine
-    passes its own); with ``options.trace`` and no ``trace`` a fresh one
-    is created.  Either way the trace is attached to the returned
-    :class:`QueryResult`.  ``deadline`` threads an existing
-    :class:`~repro.faults.Deadline` through the evaluation (the engine
-    creates one from ``options.deadline_ms``); the evaluator and storage
-    seams check it and raise :class:`~repro.errors.QueryTimeoutError`
-    once the budget is gone.
+    raised on any disagreement.  With ``options.trace`` a fresh
+    :class:`~repro.trace.QueryTrace` is recorded and attached to the
+    returned :class:`QueryResult`; with ``options.deadline_ms`` the
+    evaluator and storage seams raise
+    :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
     """
     options = options if options is not None else VERIFYING_OPTIONS
-    if trace is None and options.trace:
-        trace = QueryTrace(label=str(predicate))
-    if deadline is None and options.deadline_ms is not None:
-        deadline = Deadline(options.deadline_ms)
     stats = ExecutionStats()
+    trace = QueryTrace(label=str(predicate)) if options.trace else None
     stats.trace = trace
-    stats.deadline = deadline
+    if options.deadline_ms is not None:
+        stats.deadline = Deadline(options.deadline_ms)
     column = relation.column(predicate.attribute)
 
     if access_path is AccessPath.SCAN:
@@ -159,8 +149,7 @@ def execute(
 def bitmap_index_for(
     relation: Relation,
     attribute: str,
-    compressed: bool = False,
-    codec: str | None = None,
+    codec: str = "dense",
     **kwargs,
 ) -> BitmapSource:
     """Build a bitmap index over a relation column's code domain.
@@ -168,15 +157,12 @@ def bitmap_index_for(
     Keyword arguments are forwarded to :class:`BitmapIndex` (``base``,
     ``encoding``, …).  The index is built on the column's integer codes,
     matching the dictionary translation in :func:`execute`.  With
-    ``compressed=True`` (or an explicit ``codec="wah"``/``"roaring"``) the
-    returned source serves compressed bitmaps (see
-    :meth:`BitmapIndex.as_compressed`), so :func:`execute` runs the whole
-    evaluation in the compressed domain.
+    ``codec="wah"``/``"roaring"`` the returned source serves compressed
+    bitmaps (see :meth:`BitmapIndex.as_compressed`), so the whole
+    evaluation runs in the compressed domain.
     """
     column = relation.column(attribute)
     index = BitmapIndex(column.codes, cardinality=column.cardinality, **kwargs)
-    if codec is None:
-        codec = "wah" if compressed else "dense"
     return index if codec == "dense" else index.as_compressed(codec)
 
 
@@ -192,33 +178,7 @@ def conjunctive_select(
     """
     if not predicates:
         raise InvalidPredicateError("need at least one predicate")
+    conjunction = functools.reduce(And, map(normalize_query, predicates))
     stats = ExecutionStats()
-    acc = None
-    for pred in predicates:
-        column = relation.column(pred.attribute)
-        try:
-            index = indexes[pred.attribute]
-        except KeyError:
-            raise InvalidPredicateError(
-                f"no bitmap index for attribute {pred.attribute!r}"
-            ) from None
-        op, code = column.code_bounds(pred.op, pred.value)
-        bitmap = evaluate(index, Predicate(op, code), stats=stats)
-        if acc is None:
-            acc = bitmap
-        else:
-            stats.ands += 1
-            acc = acc & bitmap
-    assert acc is not None
-    rids = acc.indices()
-    if verify:
-        mask = np.ones(relation.num_rows, dtype=bool)
-        for pred in predicates:
-            mask &= pred.matches(relation.column(pred.attribute).values)
-        truth = np.nonzero(mask)[0]
-        if not np.array_equal(rids, truth):
-            raise VerificationError(
-                f"P3 bitmap plan returned {len(rids)} RIDs; "
-                f"the scan found {len(truth)}"
-            )
+    rids = run_query(relation, conjunction, indexes, stats, verify=verify)
     return QueryResult(rids=rids, access_path=AccessPath.BITMAP, stats=stats)

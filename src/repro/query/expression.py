@@ -31,9 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
-from repro.core.evaluation import OPERATORS, Predicate, evaluate, threshold_all
+from repro.core.evaluation import (
+    OPERATORS,
+    Predicate,
+    evaluate,
+    group_counts,
+    threshold_all,
+)
 from repro.core.index import BitmapSource
-from repro.errors import InvalidPredicateError
+from repro.errors import InvalidPredicateError, VerificationError
 from repro.query.options import VERIFYING_OPTIONS, QueryOptions
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
@@ -47,8 +53,13 @@ class Expression:
         relation: Relation,
         indexes: dict[str, BitmapSource],
         stats: ExecutionStats | None = None,
+        algorithm: str = "auto",
     ) -> BitVector:
-        """Evaluate to a result bitmap through the given bitmap indexes."""
+        """Evaluate to a result bitmap through the given bitmap indexes.
+
+        ``algorithm`` names the evaluation algorithm every leaf runs
+        (see :func:`repro.core.evaluation.evaluate`).
+        """
         raise NotImplementedError
 
     def mask(self, relation: Relation) -> np.ndarray:
@@ -73,11 +84,7 @@ class Expression:
         return Not(self)
 
 
-def _index_for(
-    relation: Relation,
-    indexes: dict[str, BitmapSource],
-    attribute: str,
-) -> BitmapSource:
+def _index_for(indexes: dict[str, BitmapSource], attribute: str) -> BitmapSource:
     try:
         return indexes[attribute]
     except KeyError:
@@ -114,11 +121,11 @@ class Comparison(Expression):
         if self.op not in OPERATORS:
             raise InvalidPredicateError(f"unknown operator {self.op!r}")
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         column = relation.column(self.attribute)
         op, code = column.code_bounds(self.op, self.value)
-        index = _index_for(relation, indexes, self.attribute)
-        return evaluate(index, Predicate(op, code), stats=stats)
+        index = _index_for(indexes, self.attribute)
+        return evaluate(index, Predicate(op, code), algorithm, stats)
 
     def mask(self, relation):
         values = relation.column(self.attribute).values
@@ -150,13 +157,13 @@ class In(Expression):
         if not self.values:
             raise InvalidPredicateError("IN list must not be empty")
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         column = relation.column(self.attribute)
-        index = _index_for(relation, indexes, self.attribute)
+        index = _index_for(indexes, self.attribute)
         acc: BitVector | None = None
         for value in self.values:
             _, code = column.code_bounds("=", value)
-            term = evaluate(index, Predicate("=", code), stats=stats)
+            term = evaluate(index, Predicate("=", code), algorithm, stats)
             if acc is None:
                 acc = term
             else:
@@ -188,13 +195,13 @@ class Between(Expression):
     low: object
     high: object
 
-    def bitmap(self, relation, indexes, stats=None):
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         column = relation.column(self.attribute)
-        index = _index_for(relation, indexes, self.attribute)
+        index = _index_for(indexes, self.attribute)
         op_lo, code_lo = column.code_bounds(">=", self.low)
         op_hi, code_hi = column.code_bounds("<=", self.high)
-        lower = evaluate(index, Predicate(op_lo, code_lo), stats=stats)
-        upper = evaluate(index, Predicate(op_hi, code_hi), stats=stats)
+        lower = evaluate(index, Predicate(op_lo, code_lo), algorithm, stats)
+        upper = evaluate(index, Predicate(op_hi, code_hi), algorithm, stats)
         _count_op(stats, "and")
         return lower & upper
 
@@ -214,9 +221,9 @@ class And(Expression):
     left: Expression
     right: Expression
 
-    def bitmap(self, relation, indexes, stats=None):
-        a = self.left.bitmap(relation, indexes, stats)
-        b = self.right.bitmap(relation, indexes, stats)
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        a = self.left.bitmap(relation, indexes, stats, algorithm)
+        b = self.right.bitmap(relation, indexes, stats, algorithm)
         _count_op(stats, "and")
         return a & b
 
@@ -235,9 +242,9 @@ class Or(Expression):
     left: Expression
     right: Expression
 
-    def bitmap(self, relation, indexes, stats=None):
-        a = self.left.bitmap(relation, indexes, stats)
-        b = self.right.bitmap(relation, indexes, stats)
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        a = self.left.bitmap(relation, indexes, stats, algorithm)
+        b = self.right.bitmap(relation, indexes, stats, algorithm)
         _count_op(stats, "or")
         return a | b
 
@@ -262,9 +269,9 @@ class Xor(Expression):
     left: Expression
     right: Expression
 
-    def bitmap(self, relation, indexes, stats=None):
-        a = self.left.bitmap(relation, indexes, stats)
-        b = self.right.bitmap(relation, indexes, stats)
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        a = self.left.bitmap(relation, indexes, stats, algorithm)
+        b = self.right.bitmap(relation, indexes, stats, algorithm)
         _count_op(stats, "xor")
         return a ^ b
 
@@ -305,8 +312,10 @@ class Threshold(Expression):
                 "threshold needs at least one operand expression"
             )
 
-    def bitmap(self, relation, indexes, stats=None):
-        vectors = [e.bitmap(relation, indexes, stats) for e in self.operands]
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        vectors = [
+            e.bitmap(relation, indexes, stats, algorithm) for e in self.operands
+        ]
         counted = stats if stats is not None else ExecutionStats()
         return threshold_all(vectors, self.k, counted)
 
@@ -331,8 +340,8 @@ class Threshold(Expression):
 class Not(Expression):
     inner: Expression
 
-    def bitmap(self, relation, indexes, stats=None):
-        result = ~self.inner.bitmap(relation, indexes, stats)
+    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        result = ~self.inner.bitmap(relation, indexes, stats, algorithm)
         _count_op(stats, "not")
         return result
 
@@ -524,6 +533,117 @@ def parse_expression(text: str) -> Expression:
     return _Parser(_tokenize(text)).parse()
 
 
+def query_mode(expression: Expression, finish: str = "rids") -> str:
+    """The shape label of a query, as traces and metrics report it.
+
+    ``'aggregate'`` for a ``count``/``group`` finish, ``'predicate'``
+    for a one-leaf RID query, ``'expression'`` for every other tree.
+    """
+    if finish != "rids":
+        return "aggregate"
+    return "predicate" if isinstance(expression, Comparison) else "expression"
+
+
+def run_query(
+    relation: Relation | None,
+    expression: Expression,
+    indexes: dict[str, BitmapSource],
+    stats: ExecutionStats,
+    finish: str = "rids",
+    by: str | None = None,
+    *,
+    algorithm: str = "auto",
+    verify: bool = False,
+):
+    """The one query pipeline: evaluate, finish, verify.
+
+    Every selection is the same walk — fetch bitmaps, combine them, read
+    the answer off the result bitmap — and differs only in the last
+    step.  ``finish`` names it: ``'rids'`` materializes the sorted RID
+    array (``indices()``), ``'count'`` popcounts the bitmap, and
+    ``'group'`` returns the per-code count array of
+    :func:`~repro.core.evaluation.group_counts` over ``indexes[by]`` (no
+    RID is ever built for the two aggregates; NULL rows of ``by`` land
+    in no group).  ``algorithm`` reaches every leaf.  With ``verify``
+    the answer is cross-checked against a scan of ``relation``.
+
+    Scans and operations are charged to ``stats``; when it carries a
+    trace the phases appear as ``evaluate`` plus ``materialize`` or
+    ``aggregate.pushdown`` (plus ``verify``).  Shard workers call this
+    with ``relation=None`` and a code-domain expression.
+    """
+    trace = stats.trace
+    if trace is None:
+        bitmap = expression.bitmap(relation, indexes, stats, algorithm)
+        answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+    else:
+        mode = query_mode(expression, finish)
+        with trace.span("evaluate", kind="phase", mode=mode):
+            bitmap = expression.bitmap(relation, indexes, stats, algorithm)
+        if finish == "rids":
+            with trace.span("materialize", kind="phase"):
+                answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+        else:
+            with trace.span("aggregate.pushdown", kind="phase", by=by) as span:
+                answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+                span.attrs.update(
+                    count=int(np.sum(answer)),
+                    groups=len(answer) if finish == "group" else 0,
+                )
+    if verify:
+        if trace is None:
+            verify_answer(relation, expression, finish, by, answer)
+        else:
+            with trace.span("verify", kind="phase"):
+                verify_answer(relation, expression, finish, by, answer)
+    return answer
+
+
+def _finish(bitmap, finish, indexes, by, stats, algorithm):
+    if finish == "rids":
+        return bitmap.indices()
+    if finish == "count":
+        return int(bitmap.count())
+    return group_counts(_index_for(indexes, by), bitmap, stats, algorithm)
+
+
+def verify_answer(
+    relation: Relation,
+    expression: Expression,
+    finish: str,
+    by: str | None,
+    answer,
+) -> None:
+    """Check an answer of :func:`run_query` against a scan of ``relation``.
+
+    Raises :class:`~repro.errors.VerificationError` on any disagreement.
+    """
+    mask = expression.mask(relation)
+    if finish == "rids":
+        truth = np.nonzero(mask)[0]
+        if not np.array_equal(answer, truth):
+            raise VerificationError(
+                f"expression '{expression}' returned {len(answer)} RIDs; "
+                f"the scan found {len(truth)}"
+            )
+    elif finish == "count":
+        truth = int(np.count_nonzero(mask))
+        if answer != truth:
+            raise VerificationError(
+                f"count pushdown of '{expression}' returned {answer}; "
+                f"the scan found {truth}"
+            )
+    else:
+        column = relation.column(by)
+        for key, counted in zip(column.dictionary, answer):
+            truth = int(np.count_nonzero(mask & (column.values == key)))
+            if counted != truth:
+                raise VerificationError(
+                    f"group_count pushdown of '{expression}' returned "
+                    f"{counted} for {by}={key}; the scan found {truth}"
+                )
+
+
 def select(
     relation: Relation,
     expression: Expression | str,
@@ -541,25 +661,19 @@ def select(
     to read.
     """
     opts = options if options is not None else VERIFYING_OPTIONS
-    verify = opts.verify
-    if opts.trace:
-        if stats is None:
-            stats = ExecutionStats()
-        if stats.trace is None:
-            from repro.trace import QueryTrace
+    if stats is None:
+        stats = ExecutionStats()
+    if opts.trace and stats.trace is None:
+        from repro.trace import QueryTrace
 
-            stats.trace = QueryTrace(label=str(expression))
+        stats.trace = QueryTrace(label=str(expression))
     if isinstance(expression, str):
         expression = parse_expression(expression)
-    bitmap = expression.bitmap(relation, indexes, stats)
-    rids = bitmap.indices()
-    if verify:
-        truth = np.nonzero(expression.mask(relation))[0]
-        if not np.array_equal(rids, truth):
-            from repro.query.executor import VerificationError
-
-            raise VerificationError(
-                f"expression '{expression}' returned {len(rids)} RIDs; "
-                f"the scan found {len(truth)}"
-            )
-    return rids
+    return run_query(
+        relation,
+        expression,
+        indexes,
+        stats,
+        algorithm=opts.algorithm,
+        verify=opts.verify,
+    )

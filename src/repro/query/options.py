@@ -11,7 +11,9 @@ deprecation cycle.
 turns any of the accepted query forms — an
 :class:`~repro.query.predicate.AttributePredicate`, an
 :class:`~repro.query.expression.Expression` tree, or a textual expression
-string — into the canonical object the execution paths dispatch on.
+string — into the one canonical form every execution path runs: an
+:class:`~repro.query.expression.Expression` tree (a predicate is a
+one-leaf tree).
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ class QueryOptions:
     ----------
     verify:
         Cross-check the result against a ground-truth scan (default off —
-        the serving default; the executor's legacy call form still
-        verifies by default for backward compatibility).
+        the serving default; the standalone entry points that take no
+        ``options`` verify, see :data:`VERIFYING_OPTIONS`).
     algorithm:
-        Evaluation algorithm passed to :func:`repro.core.evaluation.evaluate`
-        (``'auto'``, ``'range_eval'``, ``'range_eval_opt'``,
-        ``'equality_eval'``, ``'interval_eval'``).
+        Evaluation algorithm every leaf of the query is evaluated with
+        by :func:`repro.core.evaluation.evaluate` (``'auto'``,
+        ``'range_eval'``, ``'range_eval_opt'``, ``'equality_eval'``,
+        ``'interval_eval'``) — the same one whether the leaf arrives as
+        a predicate, inside a connective, under ``count``/``group_count``,
+        or on any backend.  A leaf whose index encoding the algorithm
+        cannot serve raises :class:`~repro.errors.InvalidPredicateError`.
     trace:
         Record a :class:`~repro.trace.QueryTrace` of timed spans on the
         result (adds per-operation overhead; leave off on the hot path).
@@ -89,25 +95,23 @@ VERIFYING_OPTIONS = QueryOptions(verify=True)
 
 
 def normalize_query(query):
-    """Canonicalize any accepted query form.
+    """Canonicalize any accepted query form into an ``Expression``.
 
-    Strings are parsed with the recursive-descent expression parser; a
-    bare comparison collapses to an :class:`AttributePredicate` so it can
-    take the single-predicate fast path.  Predicate and expression objects
-    pass through unchanged.  Returns an
-    :class:`~repro.query.predicate.AttributePredicate` or an
-    :class:`~repro.query.expression.Expression`.
+    Strings are parsed with the recursive-descent expression parser, an
+    :class:`~repro.query.predicate.AttributePredicate` becomes the
+    equivalent :class:`~repro.query.expression.Comparison` leaf, and
+    expression trees pass through unchanged.
     """
-    # Imported here: expression.py itself uses resolve_options, so a
+    # Imported here: expression.py itself imports this module, so a
     # module-level import would be circular.
     from repro.query.expression import Comparison, Expression, parse_expression
     from repro.query.predicate import AttributePredicate
 
     if isinstance(query, str):
-        query = parse_expression(query)
-    if isinstance(query, Comparison):
-        return AttributePredicate(query.attribute, query.op, query.value)
-    if isinstance(query, (AttributePredicate, Expression)):
+        return parse_expression(query)
+    if isinstance(query, AttributePredicate):
+        return Comparison(query.attribute, query.op, query.value)
+    if isinstance(query, Expression):
         return query
     raise InvalidPredicateError(
         f"cannot interpret {query!r} as a query; expected an "

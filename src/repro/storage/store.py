@@ -686,12 +686,11 @@ class StoreBitmapSource:
         component: int,
         slot: int,
         stats,
-        compressed: bool = False,
         codec: str | None = None,
     ):
         """Materialize one stored bitmap, recording the real bytes read."""
         if codec is None:
-            codec = "wah" if compressed else self.bitmap_codec
+            codec = self.bitmap_codec
         rf = self._rfile
         if stats.deadline is not None:
             stats.deadline.check("storage")

@@ -24,7 +24,8 @@ Span kinds, by layer:
 kind      emitted by
 ========  ==============================================================
 plan      engine mode/access-path selection, optimizer plan choice
-phase     executor phases (translate, evaluate, materialize, verify)
+phase     pipeline phases (evaluate, materialize or aggregate.pushdown,
+          verify; translate in the standalone executor)
 fetch     physical bitmap reads (in-memory index, BS/CS/IS files)
 cache     shared engine-cache hits
 buffer    buffer-pool hits
@@ -211,7 +212,7 @@ def predicted_leaf_costs(
     sources: dict,
     algorithm: str = "auto",
 ) -> list[dict]:
-    """Per-leaf predicted bitmap scans for a predicate or expression tree.
+    """Per-leaf predicted bitmap scans for an expression tree.
 
     ``sources`` maps attribute names to bitmap-source-like objects exposing
     ``base``, ``cardinality``, and ``encoding`` (a
@@ -222,7 +223,6 @@ def predicted_leaf_costs(
     interval encoding) report ``scans=None``.
     """
     from repro.query.expression import Between, Comparison, In
-    from repro.query.predicate import AttributePredicate
 
     leaves: list[dict] = []
 
@@ -259,7 +259,7 @@ def predicted_leaf_costs(
         leaves.append(entry)
 
     def walk(node) -> None:
-        if isinstance(node, AttributePredicate) or isinstance(node, Comparison):
+        if isinstance(node, Comparison):
             leaf(node.attribute, node.op, node.value)
         elif isinstance(node, In):
             for value in node.values:
@@ -480,56 +480,29 @@ def explain(
     :class:`~repro.query.expression.Expression`, or a textual expression;
     ``indexes`` maps attribute names to bitmap sources.
     """
-    from repro.query.executor import AccessPath, QueryResult, execute
-    from repro.query.options import QueryOptions, normalize_query
-    from repro.query.predicate import AttributePredicate
+    from repro.query.executor import AccessPath, QueryResult
+    from repro.query.expression import query_mode, run_query
+    from repro.query.options import normalize_query
     from repro.stats import ExecutionStats
 
     q = normalize_query(query)
-    options = QueryOptions(verify=verify, algorithm=algorithm, trace=True)
-    compressed = any(
-        getattr(src, "compressed", False) for src in indexes.values()
+    trace = QueryTrace(label=str(q))
+    stats = ExecutionStats()
+    stats.trace = trace
+    rids = run_query(
+        relation, q, indexes, stats, algorithm=algorithm, verify=verify
     )
-    if isinstance(q, AttributePredicate):
-        result = execute(
-            relation,
-            q,
-            AccessPath.BITMAP,
-            index=indexes[q.attribute],
-            options=options,
-        )
-        mode = "predicate"
-    else:
-        trace = QueryTrace(label=str(q))
-        stats = ExecutionStats()
-        stats.trace = trace
-        with trace.span("evaluate", kind="phase", mode="expression"):
-            bitmap = q.bitmap(relation, indexes, stats)
-        with trace.span("materialize", kind="phase"):
-            rids = bitmap.indices()
-        if verify:
-            import numpy as np
-
-            from repro.query.executor import VerificationError
-
-            with trace.span("verify", kind="phase"):
-                truth = np.nonzero(q.mask(relation))[0]
-            if not np.array_equal(rids, truth):
-                raise VerificationError(
-                    f"expression '{q}' returned {len(rids)} RIDs; "
-                    f"the scan found {len(truth)}"
-                )
-        trace.finish()
-        result = QueryResult(
-            rids=rids, access_path=AccessPath.BITMAP, stats=stats, trace=trace
-        )
-        mode = "expression"
+    trace.finish()
     return build_explain_report(
         relation,
         q,
         indexes,
-        result,
-        mode=mode,
-        compressed=compressed,
+        QueryResult(
+            rids=rids, access_path=AccessPath.BITMAP, stats=stats, trace=trace
+        ),
+        mode=query_mode(q),
+        compressed=any(
+            getattr(src, "compressed", False) for src in indexes.values()
+        ),
         algorithm=algorithm,
     )

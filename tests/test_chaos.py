@@ -228,15 +228,25 @@ class TestDegradation:
 # ----------------------------------------------------------------------
 
 
+#: Every engine entry point runs the one pipeline, so each must honour a
+#: deadline the same way: ``(engine, options) -> result``.
+ENTRY_POINTS = {
+    "query": lambda engine, options: engine.query(QUERIES[0], options=options),
+    "count": lambda engine, options: engine.count(QUERIES[0], options=options),
+    "group_count": lambda engine, options: engine.group_count(
+        QUERIES[0], "region", options=options
+    ),
+}
+
+
 class TestDeadlines:
     @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
     def test_expired_budget_is_a_typed_error(self, relation, backend):
-        with make_engine(relation, backend=backend) as engine:
-            with pytest.raises(QueryTimeoutError):
-                engine.query(
-                    QUERIES[0], options=QueryOptions(deadline_ms=0.0)
-                )
-            assert engine.snapshot()["resilience"]["timeouts"] == 1
+        for run in ENTRY_POINTS.values():
+            with make_engine(relation, backend=backend) as engine:
+                with pytest.raises(QueryTimeoutError):
+                    run(engine, QueryOptions(deadline_ms=0.0))
+                assert engine.snapshot()["resilience"]["timeouts"] == 1
 
     def test_generous_budget_does_not_interfere(self, relation, baselines):
         with make_engine(relation) as engine:
@@ -247,16 +257,16 @@ class TestDeadlines:
             assert engine.snapshot()["resilience"]["timeouts"] == 0
 
     def test_partial_trace_attached_on_timeout(self, relation):
-        with make_engine(relation, backend="threads") as engine:
-            with pytest.raises(QueryTimeoutError) as excinfo:
-                engine.query(
-                    QUERIES[0],
-                    options=QueryOptions(deadline_ms=0.0, trace=True),
-                )
-        trace = excinfo.value.trace
-        assert trace is not None
-        events = [span["name"] for span in trace.as_dict()["spans"]]
-        assert "deadline.exceeded" in events
+        for backend in ("inline", "threads", "processes"):
+            for entry, run in ENTRY_POINTS.items():
+                with make_engine(relation, backend=backend) as engine:
+                    with pytest.raises(QueryTimeoutError) as excinfo:
+                        run(engine, QueryOptions(deadline_ms=0.0, trace=True))
+                trace = excinfo.value.trace
+                assert trace is not None
+                events = [span["name"] for span in trace.as_dict()["spans"]]
+                assert "deadline.exceeded" in events
+                assert events[-1] == "deadline.exceeded", (backend, entry)
 
     def test_timeout_not_retried(self, relation):
         # A deadline miss must fail fast, not burn the retry schedule.

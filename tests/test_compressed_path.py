@@ -93,7 +93,7 @@ class TestCompressedBitmapSource:
         rel = Relation.from_dict(
             "r", {"a": rng.integers(0, CARDINALITY, NUM_ROWS)}
         )
-        source = bitmap_index_for(rel, "a", compressed=True)
+        source = bitmap_index_for(rel, "a", codec="wah")
         assert source.compressed
         result = execute(
             rel,
@@ -256,7 +256,7 @@ class TestEngineCompressedMode:
     def test_compressed_engine_matches_dense(self, relation):
         dense = QueryEngine(cache_capacity=64)
         comp = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, compressed=True
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
         )
         for engine in (dense, comp):
             engine.register(relation)
@@ -267,7 +267,7 @@ class TestEngineCompressedMode:
 
     def test_cache_holds_compressed_payloads(self, relation):
         engine = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, compressed=True
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
         )
         engine.register(relation)
         engine.query_batch(self.queries(), workers=1)
@@ -279,7 +279,7 @@ class TestEngineCompressedMode:
 
     def test_cache_hits_on_repeat(self, relation):
         engine = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, compressed=True
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
         )
         engine.register(relation)
         engine.query_batch(self.queries(), workers=1)

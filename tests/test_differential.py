@@ -28,8 +28,10 @@ from repro.core.evaluation import (
 )
 from repro.core.evaluation import threshold_all
 from repro.core.index import BitmapIndex
-from repro.engine import QueryEngine
+from repro.engine import QueryEngine, QueryOptions
+from repro.errors import InvalidPredicateError
 from repro.query.expression import parse_expression
+from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.disk import SimulatedDisk
@@ -256,6 +258,51 @@ def test_three_way_per_evaluator(algorithm):
                 assert np.array_equal(
                     outs[codec].indices(), outs["dense"].indices()
                 ), f"{algorithm}/{codec} diverges on A {op} {v}"
+
+
+@pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
+@pytest.mark.parametrize("algorithm", ["range_eval", "range_eval_opt"])
+def test_named_algorithm_reaches_every_leaf(algorithm, backend):
+    """``QueryOptions.algorithm`` costs the same however a leaf arrives.
+
+    Regression: only the predicate-object path honoured the option; the
+    same leaf inside a connective, under ``count()``, or shipped to the
+    process workers as an expression silently ran RangeEval-Opt.
+    """
+    rng = np.random.default_rng(5)
+    relation = Relation.from_dict("wide", {"a": rng.integers(0, 100, 2048)})
+    base = Base((10, 10))
+    want = ExecutionStats()
+    evaluate(
+        BitmapIndex(relation.column("a").codes, 100, base=base),
+        Predicate("<=", 37),
+        algorithm=algorithm,
+        stats=want,
+    )
+    options = QueryOptions(algorithm=algorithm)
+    with QueryEngine(
+        cache_capacity=0, backend=backend, max_workers=2, shards=2
+    ) as engine:
+        engine.register(relation, base=base)
+        leaf = AttributePredicate("a", "<=", 37)
+        as_predicate = engine.query(leaf, options=options).stats
+        # "a != 1000" matches every row without touching the index, so
+        # the conjunction costs the leaf plus its one AND.
+        in_connective = engine.query("a <= 37 and a != 1000", options=options).stats
+        in_connective.ands -= 1
+        counted = engine.count("a <= 37", options=options).stats
+        for stats in (as_predicate, in_connective, counted):
+            assert stats.as_dict() == want.as_dict(), f"{algorithm}/{backend}"
+        # An algorithm the index encoding cannot serve is the same typed
+        # error on every path.
+        wrong = QueryOptions(algorithm="equality_eval")
+        for run in (
+            lambda: engine.query(leaf, options=wrong),
+            lambda: engine.query("a <= 37 and a != 1000", options=wrong),
+            lambda: engine.count("a <= 37", options=wrong),
+        ):
+            with pytest.raises(InvalidPredicateError, match="equality-encoded"):
+                run()
 
 
 @pytest.mark.parametrize("scheme", ["BS", "CS", "IS"])

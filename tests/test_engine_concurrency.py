@@ -9,7 +9,6 @@ queries must build each attribute's index exactly once.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -196,26 +195,6 @@ class TestMetricsAndWarm:
         stats = engine.metrics.stats
         assert stats.scans > 0
         assert stats.io_seconds > 0
-
-    def test_io_model_shim_warns_and_still_models(self, relation):
-        QueryEngine._warned_io_model = False
-        with pytest.warns(DeprecationWarning, match="io_model= keyword"):
-            engine = make_engine(
-                relation,
-                io_model=DiskModel(),
-                io_time_scale=1e-6,
-                cache_capacity=64,
-            )
-        engine.query(AttributePredicate("quantity", "<=", 20))
-        assert engine.metrics.stats.io_seconds > 0
-        # The shim warns once per process, not per construction.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            make_engine(relation, io_model=DiskModel())
-
-    def test_storage_and_io_model_are_mutually_exclusive(self, relation):
-        with pytest.raises(EngineConfigError, match="not both"):
-            QueryEngine(storage=DiskModel(), io_model=DiskModel())
 
 
 class TestConfigErrors:

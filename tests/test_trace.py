@@ -22,7 +22,7 @@ import pytest
 from repro.core.decomposition import Base
 from repro.engine.engine import QueryEngine
 from repro.query.executor import AccessPath, bitmap_index_for, execute
-from repro.query.expression import parse_expression
+from repro.query.expression import Comparison, Expression, parse_expression
 from repro.query.optimizer import Catalog, execute_plan
 from repro.query.options import QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
@@ -168,18 +168,36 @@ class TestExecutorAndOptimizerTracing:
 
 class TestUnifiedQueryAPI:
     def test_three_forms_agree_and_match_ground_truth(self, relation):
-        engine = make_engine(relation)
         text = "quantity <= 25"
-        as_string = engine.query(text)
-        as_predicate = engine.query(AttributePredicate("quantity", "<=", 25))
-        as_expression = engine.query(parse_expression(text))
         truth = np.nonzero(relation.column("quantity").values <= 25)[0]
-        for result in (as_string, as_predicate, as_expression):
-            assert np.array_equal(result.rids, truth)
+        forms = (
+            text,
+            AttributePredicate("quantity", "<=", 25),
+            parse_expression(text),
+        )
+        for codec in ("dense", "wah", "roaring"):
+            # One engine per form, so every run is equally cold.
+            results = []
+            for form in forms:
+                engine = make_engine(relation, codec=codec)
+                results.append(engine.query(form, trace=True))
+                assert list(engine.snapshot()["by_access_path"]) == ["bitmap"]
+            for result in results:
+                assert np.array_equal(result.rids, truth)
+                assert result.stats.as_dict() == results[0].stats.as_dict()
+                phases = [s.name for s in result.trace.spans_of("phase")]
+                assert phases == [
+                    s.name for s in results[0].trace.spans_of("phase")
+                ]
+                assert {"evaluate", "materialize"} <= set(phases)
 
-    def test_single_comparison_takes_predicate_fast_path(self):
-        q = normalize_query("quantity <= 25")
-        assert isinstance(q, AttributePredicate)
+    def test_normalize_query_returns_an_expression_for_every_form(self):
+        leaf = Comparison("quantity", "<=", 25)
+        for form in ("quantity <= 25", AttributePredicate("quantity", "<=", 25), leaf):
+            assert normalize_query(form) == leaf
+        tree = parse_expression("quantity <= 25 and region = 3")
+        assert normalize_query(tree) is tree
+        assert isinstance(normalize_query(tree), Expression)
 
     def test_boolean_expression_matches_ground_truth(self, relation):
         engine = make_engine(relation)
@@ -275,7 +293,7 @@ class TestExplain:
         # cost-model scan count equals the traced actual scan count —
         # identically for dense and WAH-compressed execution.
         engine = make_engine(
-            relation, cache_capacity=0, compressed=compressed
+            relation, cache_capacity=0, codec="wah" if compressed else "dense"
         )
         report = engine.explain("quantity <= 25")
         assert report.predicted_scans is not None
@@ -291,7 +309,9 @@ class TestExplain:
         relation = Relation.from_dict(
             "wide", {"a": rng.integers(0, 100, NUM_ROWS)}
         )
-        engine = QueryEngine(cache_capacity=0, compressed=compressed)
+        engine = QueryEngine(
+            cache_capacity=0, codec="wah" if compressed else "dense"
+        )
         engine.register(relation, base=Base((10, 10)))
         report = engine.explain("a <= 37")
         assert report.predicted_scans is not None
