@@ -215,7 +215,7 @@ def bench_cache_capacity(nbits: int) -> dict:
     stats = ExecutionStats()
     for slot in index.stored_slots(1):
         dense_cache.put(slot, index.fetch(1, slot, stats))
-        wah_cache.put(slot, index.fetch(1, slot, stats, codec="wah"))
+        wah_cache.put(slot, index.with_codec("wah").fetch(1, slot, stats))
     return {
         "nbits": nbits,
         "stored_bitmaps": index.num_bitmaps,

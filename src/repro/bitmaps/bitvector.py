@@ -15,10 +15,11 @@ comparisons never see garbage.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import LengthMismatchError
+from repro.errors import CorruptFileError, LengthMismatchError
 
 _WORD_BITS = 64
 
@@ -50,6 +51,9 @@ class BitVector:
     """
 
     __slots__ = ("_nbits", "_words")
+
+    #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
+    codec: ClassVar[str] = "dense"
 
     def __init__(self, nbits: int, words: np.ndarray | None = None):
         if nbits < 0:
@@ -111,45 +115,46 @@ class BitVector:
         return cls(nbits, buf.view(np.uint64))
 
     @classmethod
-    def from_words(cls, words: np.ndarray, nbits: int) -> "BitVector":
-        """Wrap an existing little-endian ``uint64`` word buffer.
+    def from_bitvector(cls, vector: "BitVector") -> "BitVector":
+        """Identity: a dense vector already is its own representation."""
+        return vector
 
-        The zero-copy deserialization path for word-aligned storage (the
-        persistent index store mmaps a file region and hands the view
-        straight in).  The buffer may be read-only **provided its unused
-        tail bits are already zero** — the serializer guarantees that; a
-        read-only buffer with garbage tail bits raises ``ValueError``
-        rather than being silently copied or mutated.
+    def to_bitvector(self) -> "BitVector":
+        """Identity (the counterpart of the compressed classes' decode)."""
+        return self
+
+    def to_payload(self) -> bytes:
+        """The stored form: the full padded word buffer (``8 * nwords`` bytes).
+
+        Unlike :meth:`to_bytes` the tail padding is kept, so
+        :meth:`from_payload` can wrap the bytes zero-copy.
         """
-        if words.dtype != np.uint64 or words.ndim != 1:
-            raise ValueError("words must be a 1-D uint64 array")
-        if len(words) != _words_needed(nbits):
-            raise ValueError(
-                f"words has {len(words)} entries; "
-                f"{_words_needed(nbits)} needed for {nbits} bits"
+        return self._words.astype("<u8", copy=False).tobytes()
+
+    @classmethod
+    def from_payload(cls, buf, nbits: int) -> "BitVector":
+        """Wrap a :meth:`to_payload` byte buffer without copying it.
+
+        ``buf`` may be a view of an mmap'd file region or shared-memory
+        segment; the vector keeps it alive and never writes to it.  The
+        wrong length for ``nbits``, or set bits beyond ``nbits``, raise
+        :class:`~repro.errors.CorruptFileError`.
+        """
+        if len(buf) != 8 * _words_needed(nbits):
+            raise CorruptFileError(
+                f"dense payload holds {len(buf)} bytes; "
+                f"{8 * _words_needed(nbits)} expected for {nbits} bits"
             )
-        if words.flags.writeable:
-            return cls(nbits, words)
+        words = np.frombuffer(buf, dtype="<u8")
         tail = nbits % _WORD_BITS
-        if nbits and tail and len(words):
-            keep = np.uint64((1 << tail) - 1)
-            if words[-1] & ~keep:
-                raise ValueError(
-                    "read-only word buffer has nonzero unused tail bits"
-                )
+        if tail and words[-1] >> np.uint64(tail):
+            raise CorruptFileError(
+                "dense payload has nonzero bits beyond its length"
+            )
         vector = cls.__new__(cls)
         vector._nbits = nbits
         vector._words = words
         return vector
-
-    def to_word_bytes(self) -> bytes:
-        """Serialize to the full padded word buffer (``8 * nwords`` bytes).
-
-        Unlike :meth:`to_bytes` the tail padding is kept, so the payload
-        can be reconstructed zero-copy with :meth:`from_words` /
-        ``np.frombuffer``.
-        """
-        return self._words.astype("<u8", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, nbits: int) -> "BitVector":
@@ -181,16 +186,6 @@ class BitVector:
     def nbytes(self) -> int:
         """Serialized size in bytes (``ceil(nbits / 8)``)."""
         return (self._nbits + 7) // 8
-
-    @property
-    def words(self) -> np.ndarray:
-        """The backing ``uint64`` word array (not a copy; tail bits zero).
-
-        Unlike :meth:`to_bytes` this is word-aligned — ``len(words) * 8``
-        bytes — which is what shared-memory publication needs so attached
-        processes can reconstruct zero-copy views at 8-byte offsets.
-        """
-        return self._words
 
     def get(self, i: int) -> bool:
         """Return bit ``i``."""

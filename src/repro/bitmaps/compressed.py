@@ -21,11 +21,13 @@ benchmark quantify when staying compressed wins.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.wah import (
+    _HEADER as _WAH_HEADER,
     wah_and,
     wah_and_many,
     wah_and_popcount,
@@ -41,13 +43,16 @@ from repro.bitmaps.wah import (
     wah_xor,
     wah_zeros,
 )
-from repro.errors import LengthMismatchError
+from repro.errors import CorruptFileError, LengthMismatchError
 
 
 class WahBitVector:
     """A WAH-compressed bitmap supporting compressed-domain algebra."""
 
     __slots__ = ("_blob", "_nbits")
+
+    #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
+    codec: ClassVar[str] = "wah"
 
     def __init__(self, blob: bytes, nbits: int):
         self._blob = blob
@@ -76,6 +81,28 @@ class WahBitVector:
         """Materialize back to the uncompressed form."""
         return BitVector.from_bytes(wah_decode(self._blob), self._nbits)
 
+    def to_payload(self) -> bytes:
+        """The stored form: the WAH blob (length header + words)."""
+        return self._blob
+
+    @classmethod
+    def from_payload(cls, buf, nbits: int) -> "WahBitVector":
+        """Adopt a :meth:`to_payload` blob (copied out of ``buf``).
+
+        Only the blob's length header is checked here, against ``nbits``
+        (:class:`~repro.errors.CorruptFileError` on a mismatch); the run
+        words are validated when an operation first parses them.
+        """
+        if len(buf) < _WAH_HEADER.size:
+            raise CorruptFileError("WAH payload shorter than its header")
+        (declared,) = _WAH_HEADER.unpack_from(buf)
+        if declared != (nbits + 7) // 8:
+            raise CorruptFileError(
+                f"WAH payload declares {declared} bytes of bits; "
+                f"{(nbits + 7) // 8} expected for {nbits} bits"
+            )
+        return cls(bytes(buf), nbits)
+
     def copy(self) -> "WahBitVector":
         """An independent handle (payloads are immutable bytes)."""
         return WahBitVector(self._blob, self._nbits)
@@ -87,11 +114,6 @@ class WahBitVector:
     @property
     def nbits(self) -> int:
         return self._nbits
-
-    @property
-    def blob(self) -> bytes:
-        """The raw WAH payload (header + words), as stored on disk."""
-        return self._blob
 
     @property
     def compressed_bytes(self) -> int:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -411,6 +412,9 @@ class RoaringBitmap:
 
     __slots__ = ("_nbits", "_keys", "_containers")
 
+    #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
+    codec: ClassVar[str] = "roaring"
+
     def __init__(self, nbits: int, keys: list[int], containers: list):
         self._nbits = nbits
         self._keys = keys
@@ -754,6 +758,25 @@ class RoaringBitmap:
                 f"roaring payload has {len(blob) - offset} trailing bytes"
             )
         return cls(nbits, keys, containers)
+
+    to_payload = serialize  #: The stored form.
+
+    @classmethod
+    def from_payload(cls, buf, nbits: int) -> "RoaringBitmap":
+        """:meth:`deserialize` a payload that must declare exactly ``nbits``.
+
+        A bitmap of another length raises
+        :class:`~repro.errors.CorruptFileError` here instead of surfacing
+        later as a length mismatch, or never.
+        """
+        if len(buf) >= _HEADER.size:
+            declared = _HEADER.unpack_from(buf)[3]
+            if declared != nbits:
+                raise CorruptFileError(
+                    f"roaring payload declares {declared} bits; "
+                    f"{nbits} expected"
+                )
+        return cls.deserialize(bytes(buf))
 
     @staticmethod
     def _read_container(blob: bytes, offset: int, kind: int, count: int, limit: int):

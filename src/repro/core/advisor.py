@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from repro.bitmaps import BITMAP_CLASSES
 from repro.core import costmodel
 from repro.core.buffering import buffered_time, optimal_assignment
 from repro.core.decomposition import Base
@@ -170,7 +171,7 @@ def recommend(
 
 
 #: Codecs :func:`recommend_codec` can return.
-CODEC_CHOICES = ("dense", "wah", "roaring")
+CODEC_CHOICES = tuple(BITMAP_CLASSES)
 
 #: Above this bit density, compression buys less than the 2x floor the
 #: crossover benchmark demands before leaving dense (its uniform 0.1 and

@@ -46,24 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.roaring import RoaringBitmap
+from repro.bitmaps import Bitmap, BitVector, bitmap_class
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError
 from repro.stats import ExecutionStats
-
-#: Any bitmap representation; the algorithms below accept and return
-#: whichever one the source serves.
-Bitmap = BitVector | WahBitVector | RoaringBitmap
-
-#: Codec name -> the bitmap class that representation uses.
-BITMAP_CLASSES: dict[str, type] = {
-    "dense": BitVector,
-    "wah": WahBitVector,
-    "roaring": RoaringBitmap,
-}
 
 #: The six comparison operators of the paper's query class.
 OPERATORS = ("<", "<=", "=", "!=", ">=", ">")
@@ -152,7 +139,7 @@ def _or_all(vectors: list, stats: ExecutionStats) -> Bitmap:
     """OR a non-empty list of bitmaps, charging ``len - 1`` operations.
 
     Compressed operands go through their codec's k-way kernel
-    (:meth:`WahBitVector.or_many` run merge,
+    (:meth:`~repro.bitmaps.compressed.WahBitVector.or_many` run merge,
     :meth:`~repro.bitmaps.roaring.RoaringBitmap.or_many` container merge —
     one pass over the operands instead of ``k - 1`` intermediate
     payloads); dense operands fold pairwise.  Either way the charged
@@ -185,7 +172,8 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
 
     Bit ``i`` of the result is set iff at least ``k`` operands set it.
     Each codec runs its native k-way kernel
-    (:meth:`WahBitVector.threshold_many` run-aligned counting,
+    (:meth:`~repro.bitmaps.compressed.WahBitVector.threshold_many`
+    run-aligned counting,
     :meth:`~repro.bitmaps.roaring.RoaringBitmap.threshold_many`
     container-wise counters, :meth:`BitVector.threshold_many` word
     counting); mixed-representation operands fall back to counting over
@@ -213,9 +201,7 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
         counts = np.zeros(vectors[0].nbits, dtype=np.int32)
         for v in vectors:
             counts += v.to_bools()
-        return cls.from_bitvector(BitVector.from_bools(counts >= k)) if (
-            cls is not BitVector
-        ) else BitVector.from_bools(counts >= k)
+        return cls.from_bitvector(BitVector.from_bools(counts >= k))
 
     if stats.trace is not None:
         with stats.trace.span(
@@ -231,12 +217,12 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
 
 def _zeros(source: BitmapSource) -> Bitmap:
     """A virtual all-zero bitmap in the source's representation."""
-    return BITMAP_CLASSES[source.bitmap_codec].zeros(source.nbits)
+    return bitmap_class(source.bitmap_codec).zeros(source.nbits)
 
 
 def _ones(source: BitmapSource) -> Bitmap:
     """A virtual all-one bitmap in the source's representation."""
-    return BITMAP_CLASSES[source.bitmap_codec].ones(source.nbits)
+    return bitmap_class(source.bitmap_codec).ones(source.nbits)
 
 
 def _all_rows(source: BitmapSource, stats: ExecutionStats) -> Bitmap:

@@ -21,9 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.roaring import RoaringBitmap
+from repro.bitmaps import Bitmap, BitVector, bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import (
     EncodingScheme,
@@ -42,37 +40,30 @@ class BitmapSource(Protocol):
     :mod:`repro.storage.schemes` (simulated disk), and the buffer pool of
     :mod:`repro.storage.buffer`.
 
-    A source's ``bitmap_codec`` attribute names the representation it
-    serves — ``"dense"`` (:class:`BitVector`), ``"wah"``
-    (:class:`~repro.bitmaps.compressed.WahBitVector`), or ``"roaring"``
-    (:class:`~repro.bitmaps.roaring.RoaringBitmap`) — for every bitmap it
-    returns, including ``nonnull``.  The evaluation algorithms are generic
-    over the three algebras and synthesize their virtual all-zero/all-one
-    bitmaps in whichever representation the source declares.  The boolean
-    ``compressed`` flag is kept for cost-model and reporting paths that
-    only care about dense vs. compressed-domain execution.
+    A source's ``bitmap_codec`` attribute is the one way it names the
+    representation it serves — a key of
+    :data:`repro.bitmaps.BITMAP_CLASSES` — for every bitmap it returns,
+    including ``nonnull``.  The evaluation algorithms are generic over
+    the :class:`~repro.bitmaps.Bitmap` protocol and synthesize their
+    virtual all-zero/all-one bitmaps in whichever representation the
+    source declares.  Sources that can serve more than one representation
+    (:class:`BitmapIndex`, the index store's) re-represent themselves with
+    ``with_codec(name)``, which is the identity for the codec they
+    already serve.
     """
 
     nbits: int
     cardinality: int
     base: Base
     encoding: EncodingScheme
-    nonnull: BitVector | WahBitVector | RoaringBitmap | None
-    compressed: bool
+    nonnull: Bitmap | None
     bitmap_codec: str
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
-    ) -> BitVector | WahBitVector | RoaringBitmap:
+    ) -> Bitmap:
         """Read stored bitmap ``slot`` of ``component`` (1-based), recording a scan."""
         ...
-
-
-#: Compressed in-memory representations an index can serve, by codec name.
-_COMPRESSED_CLASSES: dict[str, type] = {
-    "wah": WahBitVector,
-    "roaring": RoaringBitmap,
-}
 
 
 class BitmapIndex:
@@ -156,9 +147,7 @@ class BitmapIndex:
         # Lazily encoded compressed bitmaps for the compressed execution
         # modes, keyed by (codec, component, slot); invalidated by
         # maintenance.
-        self._encoded_bitmaps: dict[
-            tuple[str, int, int], WahBitVector | RoaringBitmap
-        ] = {}
+        self._encoded_bitmaps: dict[tuple[str, int, int], Bitmap] = {}
 
     # ------------------------------------------------------------------
     # Construction from arbitrary (non-consecutive) values
@@ -221,32 +210,34 @@ class BitmapIndex:
     # Bitmap source protocol
     # ------------------------------------------------------------------
 
-    #: In-memory indexes serve dense bitmaps by default; wrap with
-    #: :meth:`as_compressed` for a compressed-domain execution mode.
-    compressed = False
+    #: The index itself serves dense bitmaps; :meth:`with_codec` gives a
+    #: view serving another representation.
     bitmap_codec = "dense"
+    compressed = property(lambda self: self.bitmap_codec != "dense")
 
-    def fetch(
-        self,
-        component: int,
-        slot: int,
-        stats: ExecutionStats,
-        codec: str = "dense",
-    ) -> BitVector | WahBitVector | RoaringBitmap:
-        """Return stored bitmap ``slot`` of ``component``, recording one scan.
+    def fetch(self, component: int, slot: int, stats: ExecutionStats) -> Bitmap:
+        """Return stored bitmap ``slot`` of ``component``, recording one scan."""
+        return self._fetch_as(self.bitmap_codec, component, slot, stats)
 
-        With ``codec="wah"`` or ``codec="roaring"`` the bitmap is served in
-        that compressed representation (encoded lazily on first access and
-        memoized), and the scan is charged at the compressed payload size —
-        the bytes a codec-aware storage layer would actually move.
+    def _fetch_as(
+        self, codec: str, component: int, slot: int, stats: ExecutionStats
+    ) -> Bitmap:
+        """One stored bitmap in representation ``codec``, recording one scan.
+
+        A non-dense representation is encoded lazily on first access and
+        memoized; the scan is charged at the served payload's size — the
+        bytes a codec-aware storage layer would actually move.
         """
+        dense = self.components[component - 1].bitmap(slot)
         trace = stats.trace
-        if codec != "dense":
-            cls = _COMPRESSED_CLASSES[codec]
+        bitmap: Bitmap | None = dense
+        attrs = {"source": "index"}
+        if codec != self.bitmap_codec:
             key = (codec, component, slot)
             bitmap = self._encoded_bitmaps.get(key)
-            encoded = bitmap is None
-            if encoded:
+            attrs = {"source": f"index.{codec}", "encoded": bitmap is None}
+            if bitmap is None:
+                cls = bitmap_class(codec)
                 if trace is not None:
                     with trace.span(
                         f"{codec}.encode",
@@ -254,28 +245,10 @@ class BitmapIndex:
                         component=component,
                         slot=slot,
                     ):
-                        bitmap = cls.from_bitvector(
-                            self.components[component - 1].bitmap(slot)
-                        )
+                        bitmap = cls.from_bitvector(dense)
                 else:
-                    bitmap = cls.from_bitvector(
-                        self.components[component - 1].bitmap(slot)
-                    )
+                    bitmap = cls.from_bitvector(dense)
                 self._encoded_bitmaps[key] = bitmap
-            stats.record_scan(nbytes=bitmap.nbytes)
-            if trace is not None:
-                trace.event(
-                    "index.fetch",
-                    kind="fetch",
-                    component=component,
-                    slot=slot,
-                    nbytes=bitmap.nbytes,
-                    source=f"index.{codec}",
-                    encoded=encoded,
-                )
-            return bitmap
-        comp = self.components[component - 1]
-        bitmap = comp.bitmap(slot)
         stats.record_scan(nbytes=bitmap.nbytes)
         if trace is not None:
             trace.event(
@@ -284,20 +257,25 @@ class BitmapIndex:
                 component=component,
                 slot=slot,
                 nbytes=bitmap.nbytes,
-                source="index",
+                **attrs,
             )
         return bitmap
 
-    def as_compressed(self, codec: str = "wah") -> "CompressedBitmapSource":
-        """A :class:`BitmapSource` view serving compressed bitmaps.
+    def with_codec(self, codec: str) -> "BitmapIndex | CompressedBitmapSource":
+        """This index as a source serving ``codec`` bitmaps.
 
-        ``codec`` selects the representation (``"wah"`` or ``"roaring"``).
-        The view shares this index's storage; encoded payloads are built
-        lazily per slot and memoized on the index, so repeated queries pay
-        the encode cost once.  Maintenance operations (:meth:`append`,
-        :meth:`update`, :meth:`delete`) invalidate the memo.
+        The identity for ``"dense"``; otherwise a view sharing this
+        index's storage, whose encoded payloads are memoized on the index
+        until maintenance (:meth:`append`, :meth:`update`,
+        :meth:`delete`) invalidates them.
         """
-        return CompressedBitmapSource(self, codec=codec)
+        if codec == self.bitmap_codec:
+            return self
+        return CompressedBitmapSource(self, codec)
+
+    def as_compressed(self, codec: str = "wah") -> "BitmapIndex | CompressedBitmapSource":
+        """:meth:`with_codec`, defaulting to WAH."""
+        return self.with_codec(codec)
 
     def stored_slots(self, component: int) -> tuple[int, ...]:
         """Stored digit slots of a component (1-based component number)."""
@@ -501,26 +479,19 @@ class BitmapIndex:
 
 
 class CompressedBitmapSource:
-    """A compressed :class:`BitmapSource` view over a :class:`BitmapIndex`.
+    """A :class:`BitmapSource` view of a :class:`BitmapIndex` in another codec.
 
-    Serves every bitmap (stored slots and ``nonnull``) in the compressed
-    representation named by ``codec`` —
-    :class:`~repro.bitmaps.compressed.WahBitVector` or
-    :class:`~repro.bitmaps.roaring.RoaringBitmap` — so the evaluation
-    algorithms run entirely in the compressed domain.  Encoded payloads
-    live in the wrapped index's memo and survive across queries; the view
-    itself is a thin stateless adapter, cheap to construct per query.
+    Serves every bitmap (stored slots and ``nonnull``) in the
+    representation named by ``codec``, so the evaluation algorithms run
+    entirely in that domain.  Encoded payloads live in the wrapped
+    index's memo and survive across queries; the view itself is a thin
+    stateless adapter, cheap to construct per query.
     """
 
-    compressed = True
+    compressed = property(lambda self: self.bitmap_codec != "dense")
 
     def __init__(self, index: BitmapIndex, codec: str = "wah"):
-        if codec not in _COMPRESSED_CLASSES:
-            known = ", ".join(sorted(_COMPRESSED_CLASSES))
-            raise ValueError(
-                f"unknown compressed bitmap codec {codec!r}; expected one "
-                f"of: {known}"
-            )
+        bitmap_class(codec)  # an unknown name raises here, not at first fetch
         self._index = index
         self.bitmap_codec = codec
 
@@ -541,7 +512,7 @@ class CompressedBitmapSource:
         return self._index.encoding
 
     @property
-    def nonnull(self) -> WahBitVector | RoaringBitmap | None:
+    def nonnull(self) -> Bitmap | None:
         dense = self._index.nonnull
         if dense is None:
             return None
@@ -551,14 +522,12 @@ class CompressedBitmapSource:
         key = (self.bitmap_codec, 0, 0)
         cached = memo.get(key)
         if cached is None:
-            cached = _COMPRESSED_CLASSES[self.bitmap_codec].from_bitvector(dense)
+            cached = bitmap_class(self.bitmap_codec).from_bitvector(dense)
             memo[key] = cached
         return cached
 
-    def fetch(
-        self, component: int, slot: int, stats: ExecutionStats
-    ) -> WahBitVector | RoaringBitmap:
-        return self._index.fetch(component, slot, stats, codec=self.bitmap_codec)
+    def fetch(self, component: int, slot: int, stats: ExecutionStats) -> Bitmap:
+        return self._index._fetch_as(self.bitmap_codec, component, slot, stats)
 
     def stored_slots(self, component: int) -> tuple[int, ...]:
         return self._index.stored_slots(component)

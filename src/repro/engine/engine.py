@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bitmaps import bitmap_class
 from repro.core.decomposition import Base, integer_nth_root_ceil
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
@@ -78,6 +79,7 @@ from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.disk import DiskModel
+from repro.storage.store import StoreRelation
 from repro.trace import ExplainReport, QueryTrace, build_explain_report
 
 log = logging.getLogger("repro.engine")
@@ -177,32 +179,25 @@ class _CachedSource:
     publishes the bitmap to the shared cache.
     """
 
-    __slots__ = (
-        "_index",
-        "_cache",
-        "_prefix",
-        "_sleep",
-        "_faults",
-        "compressed",
-        "bitmap_codec",
-    )
+    __slots__ = ("_index", "_cache", "_prefix", "_sleep", "_faults")
 
     def __init__(
         self,
-        index: BitmapIndex,
+        index,
         cache: SharedBitmapCache,
         prefix: tuple,
         sleep_seconds_per_byte: tuple[float, float] | None,
-        codec: str = "dense",
         faults: FaultPlan | None = None,
     ):
-        self._index = index
+        self._index = index  # already ``with_codec`` the codec to serve
         self._cache = cache
         self._prefix = prefix
         self._sleep = sleep_seconds_per_byte
         self._faults = faults
-        self.bitmap_codec = codec
-        self.compressed = codec != "dense"
+
+    @property
+    def bitmap_codec(self) -> str:
+        return self._index.bitmap_codec
 
     @property
     def nbits(self) -> int:
@@ -222,13 +217,6 @@ class _CachedSource:
 
     @property
     def nonnull(self):
-        if self.compressed:
-            return self._index.as_compressed(self.bitmap_codec).nonnull
-        with_codec = getattr(self._index, "with_codec", None)
-        if with_codec is not None:
-            # A store-backed source may persist a compressed codec while
-            # the engine serves dense; ask for the dense representation.
-            return with_codec("dense").nonnull
         return self._index.nonnull
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
@@ -255,9 +243,7 @@ class _CachedSource:
                     codec=self.bitmap_codec,
                 )
             return bitmap
-        bitmap = self._index.fetch(
-            component, slot, stats, codec=self.bitmap_codec
-        )
+        bitmap = self._index.fetch(component, slot, stats)
         if self._sleep is not None:
             seek, per_byte = self._sleep
             wait = seek + per_byte * bitmap.nbytes
@@ -341,9 +327,6 @@ class QueryEngine:
     it (shard payloads are memory-resident by construction).
     """
 
-    #: Codecs the engine can serve.
-    CODECS = ("dense", "wah", "roaring")
-
     def __init__(
         self,
         *,
@@ -364,10 +347,7 @@ class QueryEngine:
             raise EngineConfigError(f"max_workers must be >= 1, got {max_workers}")
         if io_time_scale < 0:
             raise EngineConfigError("io_time_scale must be >= 0")
-        if codec not in self.CODECS:
-            raise EngineConfigError(
-                f"unknown codec {codec!r}; expected one of {self.CODECS}"
-            )
+        bitmap_class(codec)  # raises EngineConfigError for an unknown name
         if backend not in BACKENDS:
             raise EngineConfigError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -376,7 +356,6 @@ class QueryEngine:
             raise EngineConfigError(f"shards must be >= 1, got {shards}")
         self.max_workers = max_workers
         self.codec = codec
-        self.compressed = codec != "dense"
         self.backend = backend
         self.shards = shards
         self.cache = SharedBitmapCache(cache_capacity, byte_budget=cache_bytes)
@@ -386,6 +365,9 @@ class QueryEngine:
         self._specs: dict[str, dict[str, IndexSpec]] = {}
         self._default_relation: str | None = None
         self.storage = storage
+        # relation -> the storage generation its derived state was built at.
+        self._generation_of = getattr(storage, "generation", lambda name: None)
+        self._generations: dict[str, int | None] = {}
         self._io_model = storage if isinstance(storage, DiskModel) else None
         if storage is not None:
             # Per-miss sleep derived through the protocol: a DiskModel
@@ -492,13 +474,14 @@ class QueryEngine:
             specs[attribute] = spec
         self._relations[relation.name] = relation
         self._specs[relation.name] = specs
+        self._generations[relation.name] = self._generation_of(relation.name)
         if self._default_relation is None:
             self._default_relation = relation.name
 
     def warm(self, relation: str | None = None) -> int:
         """Eagerly build every served index; returns how many are resident."""
-        names = list(self._relations) if relation is None else [self._resolve(relation)]
-        for name in names:
+        names = list(self._relations) if relation is None else [relation]
+        for name in map(self._current, names):
             for attribute in self._specs[name]:
                 self._index_for(name, attribute)
         return len(self.registry)
@@ -583,7 +566,7 @@ class QueryEngine:
         options = options if options is not None else DEFAULT_OPTIONS
         if trace and not options.trace:
             options = options.with_(trace=True)
-        name = self._resolve(relation)
+        name = self._current(relation)
         item = (name, normalize_query(query), finish, by)
         if by is not None:
             self._spec_for(name, by)  # raises if ``by`` is not served
@@ -617,7 +600,7 @@ class QueryEngine:
         resolved: list[tuple] = []
         for item in queries:
             name, q = item if isinstance(item, tuple) else (relation, item)
-            resolved.append((self._resolve(name), normalize_query(q), "rids", None))
+            resolved.append((self._current(name), normalize_query(q), "rids", None))
         if workers is None:
             workers = options.workers
         if workers is None:
@@ -672,7 +655,7 @@ class QueryEngine:
         """
         options = options if options is not None else DEFAULT_OPTIONS
         options = options.with_(trace=True)
-        name = self._resolve(relation)
+        name = self._current(relation)
         q = normalize_query(query)
         result = self._execute((name, q, "rids", None), options, record=False)
         mode = query_mode(q)
@@ -697,7 +680,7 @@ class QueryEngine:
             sources,
             result,
             mode=mode,
-            compressed=self.compressed,
+            bitmap_codec=self.codec,
             algorithm=options.algorithm,
             io_model=io_model,
             storage_io=storage_io,
@@ -777,6 +760,11 @@ class QueryEngine:
         narrows the drop to one relation (default: all registered);
         ``attribute`` to one attribute of it.  Cached bitmaps are evicted
         per relation (the cache groups by relation, not attribute).
+
+        Mutations made *through the storage backend* (an index store's
+        ``build`` / ``append`` / ``compact`` / ``quarantine``) do not need
+        this call: the store's generation moves and the next query drops
+        the relation's derived state by itself.
         """
         names = (
             [self._resolve(relation)] if relation is not None else list(self._relations)
@@ -807,6 +795,11 @@ class QueryEngine:
             for export in closing:
                 export.close()
             self.cache.drop_group(name)
+            if attribute is None:
+                self._generations[name] = self._generation_of(name)
+                view = isinstance(self._relations[name], StoreRelation)
+                if view and self.storage.has(name):
+                    self._relations[name] = self.storage.relation_view(name)
 
     @property
     def relations(self) -> list[str]:
@@ -827,6 +820,19 @@ class QueryEngine:
                 f"relation {relation!r} is not registered; registered: {known}"
             )
         return relation
+
+    def _current(self, relation: str | None) -> str:
+        """:meth:`_resolve`, then catch up with the storage backend.
+
+        A store mutated since this engine last looked has moved to a new
+        generation; everything derived from the old one — memoized
+        sources, cached bitmaps, shard exports, the relation view — is
+        dropped here, before the query resolves any of it.
+        """
+        name = self._resolve(relation)
+        if self._generation_of(name) != self._generations[name]:
+            self.invalidate(name)
+        return name
 
     def _spec_for(self, relation_name: str, attribute: str) -> IndexSpec:
         try:
@@ -895,11 +901,7 @@ class QueryEngine:
             codec = stored
         if codec is None:
             codec = self.codec
-        if codec not in self.CODECS:
-            raise EngineConfigError(
-                f"unknown codec {codec!r}; expected one of {self.CODECS}"
-            )
-        return codec
+        return bitmap_class(codec).codec
 
     def _source_for(
         self,
@@ -921,11 +923,10 @@ class QueryEngine:
             # not collide in the shared cache.
             prefix += (codec,)
         return _CachedSource(
-            index,
+            index.with_codec(codec),
             self.cache,
             prefix,
             self._sleep,
-            codec=codec,
             faults=self.fault_plan,
         )
 

@@ -55,14 +55,13 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.roaring import RoaringBitmap
+from repro.bitmaps import bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
 from repro.errors import (
+    CorruptFileError,
     CorruptShardError,
     EngineConfigError,
     InjectedFaultError,
@@ -86,9 +85,6 @@ from repro.query.expression import (
 )
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-
-#: Codec name -> class used when publishing compressed shard payloads.
-_CODEC_CLASSES: dict[str, type] = {"wah": WahBitVector, "roaring": RoaringBitmap}
 
 #: Execution backends the engine can route a batch through.
 BACKENDS = ("inline", "threads", "processes")
@@ -487,11 +483,6 @@ class ShardedBitmapIndex:
 
     # -- inline (in-process) evaluation --------------------------------
 
-    def source_for(self, shard: int, codec: str = "dense"):
-        """Shard ``shard`` as a bitmap source serving ``codec``."""
-        index = self.indexes[shard]
-        return index if codec == "dense" else index.as_compressed(codec)
-
     def evaluate(
         self,
         predicate: Predicate,
@@ -510,7 +501,7 @@ class ShardedBitmapIndex:
         for shard in range(self.num_shards):
             stats = ExecutionStats()
             bitmap = evaluate(
-                self.source_for(shard, codec),
+                self.indexes[shard].with_codec(codec),
                 predicate,
                 algorithm=algorithm,
                 stats=stats,
@@ -564,6 +555,7 @@ def _serialize_shard(index: BitmapIndex, codec: str):
     time and a torn or bit-flipped segment surfaces as a typed
     :class:`~repro.errors.CorruptShardError` instead of wrong answers.
     """
+    cls = bitmap_class(codec)
     chunks: list[bytes] = []
     entries: dict = {}
     offset = 0
@@ -578,18 +570,12 @@ def _serialize_shard(index: BitmapIndex, codec: str):
             chunks.append(b"\x00" * pad)
             offset += pad
 
-    def encode(bitmap: BitVector) -> bytes:
-        if codec == "dense":
-            return bitmap.words.tobytes()
-        encoded = _CODEC_CLASSES[codec].from_bitvector(bitmap)
-        return encoded.blob if codec == "wah" else encoded.serialize()
-
     for i, component in enumerate(index.components, start=1):
         for slot in component.stored_slots():
-            add((i, slot), encode(component.bitmap(slot)))
+            add((i, slot), cls.from_bitvector(component.bitmap(slot)).to_payload())
     nonnull_entry = None
     if index.nonnull is not None:
-        add((0, 0), encode(index.nonnull))
+        add((0, 0), cls.from_bitvector(index.nonnull).to_payload())
         nonnull_entry = entries.pop((0, 0))
     return entries, nonnull_entry, b"".join(chunks)
 
@@ -639,11 +625,6 @@ class ShardExport:
 
     def __init__(self, sharded: ShardedBitmapIndex, codec: str):
         global _EXPORT_SWEEP_REGISTERED
-        if codec != "dense" and codec not in _CODEC_CLASSES:
-            known = ", ".join(("dense", *sorted(_CODEC_CLASSES)))
-            raise EngineConfigError(
-                f"unknown codec {codec!r}; expected one of: {known}"
-            )
         self.codec = codec
         self.version = sharded.version
         self.manifests: list[ShardManifest] = []
@@ -784,7 +765,6 @@ class _AttachedShard:
         self.base = manifest.base
         self.encoding = manifest.encoding
         self.bitmap_codec = manifest.codec
-        self.compressed = manifest.codec != "dense"
         self.row_start = manifest.row_start
         self._verify(manifest)
         self.nonnull = (
@@ -807,15 +787,14 @@ class _AttachedShard:
 
     def _load(self, entry):
         offset, length, _ = entry
-        if self.bitmap_codec == "dense":
-            words = np.frombuffer(
-                self._shm.buf, dtype=np.uint64, count=length // 8, offset=offset
+        try:
+            return bitmap_class(self.bitmap_codec).from_payload(
+                self._shm.buf[offset : offset + length], self.nbits
             )
-            return BitVector(self.nbits, words)
-        blob = bytes(self._shm.buf[offset : offset + length])
-        if self.bitmap_codec == "wah":
-            return WahBitVector(blob, self.nbits)
-        return RoaringBitmap.deserialize(blob)
+        except CorruptFileError as exc:
+            raise CorruptShardError(
+                f"segment {self._manifest.shm_name!r}: {exc}"
+            ) from exc
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
         key = (component, slot)

@@ -158,12 +158,12 @@ def bitmap_index_for(
     ``encoding``, …).  The index is built on the column's integer codes,
     matching the dictionary translation in :func:`execute`.  With
     ``codec="wah"``/``"roaring"`` the returned source serves compressed
-    bitmaps (see :meth:`BitmapIndex.as_compressed`), so the whole
+    bitmaps (see :meth:`BitmapIndex.with_codec`), so the whole
     evaluation runs in the compressed domain.
     """
     column = relation.column(attribute)
     index = BitmapIndex(column.codes, cardinality=column.cardinality, **kwargs)
-    return index if codec == "dense" else index.as_compressed(codec)
+    return index.with_codec(codec)
 
 
 def conjunctive_select(

@@ -100,10 +100,7 @@ class BufferPool:
         # Serve whatever representation the wrapped source serves; buffered
         # compressed bitmaps keep the pool's memory footprint proportional
         # to compressed (not dense) size.
-        self.compressed = getattr(source, "compressed", False)
-        self.bitmap_codec = getattr(
-            source, "bitmap_codec", "wah" if self.compressed else "dense"
-        )
+        self.bitmap_codec = source.bitmap_codec
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()

@@ -56,6 +56,76 @@ _HEADER = struct.Struct("<4sIQ")
 _QUARANTINE_DIR = ".quarantine"
 
 
+def frame(magic: bytes, payload: bytes) -> bytes:
+    """``payload`` behind a ``magic`` + CRC-32 + length header (this
+    module's bitmap files and the index store's delta sidecars)."""
+    return _HEADER.pack(magic, zlib.crc32(payload), len(payload)) + payload
+
+
+def unframe(magic: bytes, raw: bytes, path: str) -> bytes:
+    """Verify and strip a :func:`frame`; ``path`` names the file in errors.
+
+    A missing or mangled header, a payload shorter or longer than the
+    header promises (a torn file) and a CRC mismatch (a bit flip) all
+    raise :class:`~repro.errors.CorruptFileError`.
+    """
+    if len(raw) < _HEADER.size or raw[:4] != magic:
+        raise CorruptFileError(
+            f"{path}: missing or corrupt checksum frame header"
+        )
+    _, crc, length = _HEADER.unpack_from(raw)
+    payload = raw[_HEADER.size :]
+    if len(payload) != length:
+        raise CorruptFileError(
+            f"{path}: torn file — header promises {length} payload "
+            f"bytes, found {len(payload)}"
+        )
+    if zlib.crc32(payload) != crc:
+        raise CorruptFileError(f"{path}: checksum mismatch")
+    return payload
+
+
+def _fsync_dir(directory: str) -> None:
+    """Persist a rename or unlink in ``directory``; without the
+    directory fsync a power loss can forget it while keeping the data."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+
+
+def atomic_write(
+    path: str, blob: bytes, fault_plan: FaultPlan | None, ident: str
+) -> None:
+    """Create or replace ``path`` crash-atomically: temp file, fsync,
+    ``os.replace``, directory fsync.  The ``disk.write`` fault seam sits
+    before the rename, where a crash must leave the old contents intact."""
+    directory = os.path.dirname(path)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if fault_plan is not None:
+            if fault_plan.check("disk.write", ident=ident) is not None:
+                raise InjectedFaultError(
+                    f"injected write failure before rename of {ident}"
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+    _fsync_dir(directory)
+
+
 class FileSystemDisk:
     """Stores bitmap files under a root directory.
 
@@ -93,84 +163,17 @@ class FileSystemDisk:
                 raise StorageError(f"illegal path component in {path!r}")
         return os.path.join(self.root, *parts)
 
-    @staticmethod
-    def _frame(data: bytes) -> bytes:
-        return _HEADER.pack(_MAGIC, zlib.crc32(data), len(data)) + data
-
     def _unframe(self, path: str, raw: bytes) -> bytes:
-        """Verify and strip the checksum frame.
-
-        With ``checksums`` off the disk is a raw store and bytes pass
-        through untouched.  With it on, every file must carry an intact
-        frame — a missing or mangled header is indistinguishable from
-        header corruption and is reported as such (directories written
-        with ``checksums=False`` must be opened the same way).
-        """
-        if not self.checksums:
-            return raw
-        if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-            raise CorruptFileError(
-                f"{path}: missing or corrupt checksum frame header"
-            )
-        try:
-            _, crc, length = _HEADER.unpack_from(raw)
-        except struct.error as exc:  # pragma: no cover - len checked above
-            raise CorruptFileError(f"{path}: unreadable frame header") from exc
-        payload = raw[_HEADER.size :]
-        if length > len(raw):
-            # The declared payload extends past EOF — a torn or mangled
-            # header.  Reject with the typed error before any consumer
-            # slices (or mmaps) past the end of the file.
-            raise CorruptFileError(
-                f"{path}: frame header promises {length} payload bytes "
-                f"but the file holds only {len(raw) - _HEADER.size}"
-            )
-        if len(payload) != length:
-            raise CorruptFileError(
-                f"{path}: torn file — header promises {length} payload "
-                f"bytes, found {len(payload)}"
-            )
-        if zlib.crc32(payload) != crc:
-            raise CorruptFileError(f"{path}: checksum mismatch")
-        return payload
+        """Strip the frame; with ``checksums`` off the disk is a raw store
+        (a directory written that way must be opened the same way)."""
+        return unframe(_MAGIC, raw, path) if self.checksums else raw
 
     def write(self, path: str, data: bytes) -> None:
         """Atomically create or replace a file (temp + fsync + rename)."""
         full = self._resolve(path)
-        directory = os.path.dirname(full)
-        os.makedirs(directory, exist_ok=True)
-        blob = self._frame(data) if self.checksums else bytes(data)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self.fault_plan is not None:
-                spec = self.fault_plan.check("disk.write", ident=path)
-                if spec is not None:
-                    # A simulated crash after the temp write, before the
-                    # rename: the previous contents must stay intact.
-                    raise InjectedFaultError(
-                        f"injected write failure before rename of {path}"
-                    )
-            os.replace(tmp, full)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
-        try:
-            # Persist the rename itself; without the directory fsync a
-            # power loss can forget the replace while keeping the data.
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        blob = frame(_MAGIC, data) if self.checksums else bytes(data)
+        atomic_write(full, blob, self.fault_plan, path)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
 

@@ -34,10 +34,8 @@ import struct
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.compressed import WahBitVector
+from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.bitmaps.compression import Codec, get_codec
-from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme, stored_bitmap_count
 from repro.core.index import BitmapIndex
@@ -103,13 +101,6 @@ def _unframe(blob: bytes, path: str) -> tuple[bytes, int, int, str]:
     return payload, nbits, width, codec_raw.rstrip(b"\0").decode("ascii")
 
 
-#: Compressed serving representations, by codec name.
-_SERVE_CLASSES: dict[str, type] = {
-    "wah": WahBitVector,
-    "roaring": RoaringBitmap,
-}
-
-
 def _normalize_serving(compressed: bool | str) -> str:
     """Resolve a ``compressed=`` argument to a serving-codec name.
 
@@ -117,16 +108,9 @@ def _normalize_serving(compressed: bool | str) -> str:
     compressed execution mode) or an explicit codec name
     (``"dense"``/``"wah"``/``"roaring"``).
     """
-    if compressed is False:
-        return "dense"
-    if compressed is True:
-        return "wah"
-    if compressed == "dense" or compressed in _SERVE_CLASSES:
-        return compressed
-    known = ", ".join(["dense", *sorted(_SERVE_CLASSES)])
-    raise StorageError(
-        f"unknown serving codec {compressed!r}; expected one of: {known}"
-    )
+    if isinstance(compressed, bool):
+        return "wah" if compressed else "dense"
+    return bitmap_class(compressed).codec
 
 
 class StorageScheme(abc.ABC):
@@ -162,30 +146,14 @@ class StorageScheme(abc.ABC):
         self.nbits = nbits
         self.cardinality = cardinality
         self.codec = codec
-        self._nonnull = nonnull
-        self._nonnull_compressed: WahBitVector | RoaringBitmap | None = None
         self.bitmap_codec = _normalize_serving(compressed)
-        self.compressed = self.bitmap_codec != "dense"
+        #: The existence bitmap, in the representation the scheme serves.
+        self.nonnull = self._serve(nonnull) if nonnull is not None else None
         self._cache: dict[str, np.ndarray] = {}
 
-    @property
-    def nonnull(self) -> BitVector | WahBitVector | RoaringBitmap | None:
-        """The existence bitmap, in the representation the scheme serves."""
-        if self._nonnull is None:
-            return None
-        if self.compressed:
-            if self._nonnull_compressed is None:
-                self._nonnull_compressed = _SERVE_CLASSES[
-                    self.bitmap_codec
-                ].from_bitvector(self._nonnull)
-            return self._nonnull_compressed
-        return self._nonnull
-
-    def _serve(self, bitmap: BitVector) -> BitVector | WahBitVector | RoaringBitmap:
+    def _serve(self, bitmap: BitVector) -> Bitmap:
         """Convert a decoded bitmap to the representation being served."""
-        if self.compressed:
-            return _SERVE_CLASSES[self.bitmap_codec].from_bitvector(bitmap)
-        return bitmap
+        return bitmap_class(self.bitmap_codec).from_bitvector(bitmap)
 
     # ------------------------------------------------------------------
     # Writing
@@ -243,7 +211,7 @@ class StorageScheme(abc.ABC):
     @abc.abstractmethod
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
-    ) -> BitVector | WahBitVector | RoaringBitmap:
+    ) -> Bitmap:
         """Read stored bitmap ``slot`` of ``component`` from disk."""
 
     def reset_cache(self) -> None:
@@ -323,17 +291,17 @@ class BitmapLevelStorage(StorageScheme):
         return f"{self.name}/c{component}_s{slot}"
 
     def _write_payload(self, index: BitmapIndex) -> None:
-        roaring = self.codec.name == "roaring"
+        # A file codec that is also a bitmap representation writes that
+        # class's payload, at the exact bit length (the byte-stream codec
+        # API would round nbits up to a whole byte), so the
+        # compressed-serving read path can hand the payload out as-is.
+        cls = BITMAP_CLASSES.get(self.codec.name)
         for i in range(1, self.base.n + 1):
             comp = index.components[i - 1]
             for slot in comp.stored_slots():
                 bitmap = comp.bitmap(slot)
-                if roaring:
-                    # Serialize at the exact bit length (the byte-stream
-                    # codec API would round nbits up to a whole byte),
-                    # so the compressed-serving read path can hand the
-                    # payload out as-is.
-                    data = RoaringBitmap.from_bitvector(bitmap).serialize()
+                if cls is not None:
+                    data = cls.from_bitvector(bitmap).to_payload()
                 else:
                     data = self.codec.encode(bitmap.to_bytes())
                 self.disk.write(
@@ -343,7 +311,7 @@ class BitmapLevelStorage(StorageScheme):
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
-    ) -> BitVector | WahBitVector | RoaringBitmap:
+    ) -> Bitmap:
         path = self._bitmap_path(component, slot)
         trace = stats.trace
         blob = self.disk.read(path)
@@ -363,20 +331,15 @@ class BitmapLevelStorage(StorageScheme):
         payload, nbits, width, codec_name = _unframe(blob, path)
         if nbits != self.nbits or width != 1:
             raise CorruptFileError(f"{path}: unexpected geometry")
-        if self.compressed and codec_name == self.bitmap_codec:
+        if codec_name == self.bitmap_codec:
             # The stored payload already *is* the serving representation's
             # wire format: serve it as-is.  No decode, so nothing is
             # charged to ``decompressed_bytes`` — the defining economy of
             # compressed execution over codec-matched storage.
-            if codec_name == "wah":
-                return WahBitVector(payload, self.nbits)
-            bitmap = RoaringBitmap.deserialize(payload)
-            if bitmap.nbits != self.nbits:
-                raise CorruptFileError(
-                    f"{path}: roaring payload is {bitmap.nbits} bits; "
-                    f"expected {self.nbits}"
-                )
-            return bitmap
+            try:
+                return bitmap_class(codec_name).from_payload(payload, self.nbits)
+            except CorruptFileError as exc:
+                raise CorruptFileError(f"{path}: {exc}") from exc
         if trace is not None:
             with trace.span(
                 "decode", kind="decode", codec=codec_name, encoded=len(payload)
@@ -414,7 +377,7 @@ class ComponentLevelStorage(StorageScheme):
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
-    ) -> BitVector | WahBitVector | RoaringBitmap:
+    ) -> Bitmap:
         slots = self._slot_layout(component)
         try:
             column = slots.index(slot)
@@ -470,7 +433,7 @@ class IndexLevelStorage(StorageScheme):
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
-    ) -> BitVector | WahBitVector | RoaringBitmap:
+    ) -> Bitmap:
         column = self._column_of(component, slot)
         matrix = self._read_matrix(self._index_path(), self._total_width(), stats)
         stats.scans += 1

@@ -57,15 +57,12 @@ import logging
 import mmap
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.roaring import RoaringBitmap
+from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
@@ -80,6 +77,8 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.relation.column import Column
 from repro.relation.relation import Relation
+from repro.stats import ExecutionStats
+from repro.storage.fsdisk import _fsync_dir, atomic_write, frame, unframe
 
 log = logging.getLogger("repro.storage.store")
 
@@ -88,38 +87,14 @@ _VERSION = 1
 #: magic, version, flags, dict_offset, dict_length, dict_crc, header_crc.
 _HEADER = struct.Struct("<4sHHQQII")
 _DELTA_MAGIC = b"\x89RBD"
-_DELTA_HEADER = struct.Struct("<4sIQ")
 _SUFFIX = ".rbix"
 _DELTA_SUFFIX = ".rbix.delta"
 _QUARANTINE_DIR = ".quarantine"
-
-_CODECS = ("dense", "wah", "roaring")
 
 
 def _pages(nbytes: int, page_size: int) -> int:
     """Pages spanned by ``nbytes`` (the mmap-fault proxy counter)."""
     return (nbytes + page_size - 1) // page_size if nbytes else 0
-
-
-def _serialize_bitmap(bitmap, codec: str) -> bytes:
-    if codec == "dense":
-        return bitmap.to_word_bytes()
-    if codec == "wah":
-        return bitmap.blob
-    return bitmap.serialize()
-
-
-def _encode_dense(vector: BitVector, codec: str):
-    """A dense bitmap re-represented in ``codec``."""
-    if codec == "dense":
-        return vector
-    if codec == "wah":
-        return WahBitVector.from_bitvector(vector)
-    return RoaringBitmap.from_bitvector(vector)
-
-
-def _to_dense(bitmap) -> BitVector:
-    return bitmap if isinstance(bitmap, BitVector) else bitmap.to_bitvector()
 
 
 def _dictionary_to_json(arr: np.ndarray | None) -> dict | None:
@@ -207,6 +182,7 @@ class _RelationFile:
     def __init__(self, store: "IndexStore", relation: str):
         self.store = store
         self.relation = relation
+        self.generation = store.generation(relation)
         self.path = os.path.join(store.root, relation + _SUFFIX)
         try:
             self._fh = open(self.path, "rb")
@@ -322,7 +298,7 @@ class _RelationFile:
                 f"{self.path}: malformed dictionary entry for attribute "
                 f"{name!r}: {exc}"
             ) from exc
-        if codec not in _CODECS:
+        if codec not in BITMAP_CLASSES:
             raise CorruptFileError(
                 f"{self.path}: attribute {name!r} stored with unknown "
                 f"codec {codec!r}"
@@ -377,7 +353,7 @@ class _RelationFile:
                 raw = fh.read()
         except FileNotFoundError:
             return
-        payload = _unframe_delta(delta_path, raw)
+        payload = unframe(_DELTA_MAGIC, raw, delta_path)
         try:
             delta = json.loads(payload)
             base_nbits = int(delta["base_nbits"])
@@ -460,9 +436,10 @@ class _RelationFile:
     ):
         """Decode one payload entry in its stored codec, verifying its CRC.
 
-        The dense path hands the mmap pages straight to numpy
-        (zero-copy); the compressed codecs copy their (already small)
-        blobs out of the map.  Returns the bitmap and the payload length
+        A dense payload stays a zero-copy view of the mmap pages; the
+        compressed codecs copy their (already small) blobs out of the
+        map.  A payload whose own length field disagrees with the file's
+        row count is corrupt.  Returns the bitmap and the payload length
         actually read.
         """
         off, length, crc = entry
@@ -496,30 +473,8 @@ class _RelationFile:
         stats.payload_bytes_read += length
         stats.bitmaps_materialized += 1
         stats.pages_touched += _pages(length, self.store.page_size)
-        if meta.codec == "dense":
-            expected = 8 * ((self.nbits + 63) // 64)
-            if length != expected:
-                raise CorruptFileError(
-                    f"{self.path}: dense payload for {ident} holds "
-                    f"{length} bytes; {expected} expected for "
-                    f"{self.nbits} bits"
-                )
-            if faulted:
-                words = np.frombuffer(data, dtype="<u8")
-            else:
-                words = np.frombuffer(
-                    self._mm, dtype="<u8", count=length // 8, offset=start
-                )
-            try:
-                return BitVector.from_words(words, self.nbits), length
-            except ValueError as exc:
-                raise CorruptFileError(
-                    f"{self.path}: dense payload for {ident}: {exc}"
-                ) from exc
         try:
-            if meta.codec == "wah":
-                return WahBitVector(bytes(data), self.nbits), length
-            return RoaringBitmap.deserialize(bytes(data)), length
+            return bitmap_class(meta.codec).from_payload(data, self.nbits), length
         except (CorruptFileError, ValueError, struct.error) as exc:
             raise CorruptFileError(
                 f"{self.path}: undecodable {meta.codec} payload for "
@@ -560,24 +515,6 @@ class _RelationFile:
         self._fh.close()
 
 
-def _unframe_delta(path: str, raw: bytes) -> bytes:
-    """Verify and strip a delta sidecar's CRC frame."""
-    if len(raw) < _DELTA_HEADER.size or raw[:4] != _DELTA_MAGIC:
-        raise CorruptFileError(
-            f"{path}: missing or corrupt delta frame header"
-        )
-    _, crc, length = _DELTA_HEADER.unpack_from(raw)
-    payload = raw[_DELTA_HEADER.size :]
-    if len(payload) != length:
-        raise CorruptFileError(
-            f"{path}: torn delta — header promises {length} payload bytes, "
-            f"found {len(payload)}"
-        )
-    if zlib.crc32(payload) != crc:
-        raise CorruptFileError(f"{path}: delta checksum mismatch")
-    return payload
-
-
 class StoreBitmapSource:
     """A lazy :class:`~repro.core.index.BitmapSource` over one attribute.
 
@@ -602,8 +539,7 @@ class StoreBitmapSource:
         self.attribute = attribute
         self.relation = rfile.relation
         codec = serve_codec if serve_codec is not None else self._meta.codec
-        if codec not in _CODECS:
-            raise EngineConfigError(f"unknown bitmap codec {codec!r}")
+        self._cls = bitmap_class(codec)
         self.bitmap_codec = codec
 
     # -- BitmapSource surface ------------------------------------------
@@ -625,8 +561,10 @@ class StoreBitmapSource:
         return self._meta.encoding
 
     @property
-    def compressed(self) -> bool:
-        return self.bitmap_codec != "dense"
+    def version(self) -> int:
+        """The store generation this source reads (see
+        :meth:`IndexStore.generation`); stale once the store moved on."""
+        return self._rfile.generation
 
     @property
     def stored_codec(self) -> str:
@@ -642,11 +580,8 @@ class StoreBitmapSource:
             sorted(s for (c, s) in self._meta.slots if c == component)
         )
 
-    def as_compressed(self, codec: str = "wah") -> "StoreBitmapSource":
-        """A view of the same payloads serving ``codec`` bitmaps."""
-        return self.with_codec(codec)
-
     def with_codec(self, codec: str) -> "StoreBitmapSource":
+        """A view of the same payloads serving ``codec`` bitmaps."""
         if codec == self.bitmap_codec:
             return self
         return StoreBitmapSource(self._rfile, self.attribute, codec)
@@ -655,42 +590,16 @@ class StoreBitmapSource:
     def nonnull(self):
         rf = self._rfile
         meta = self._meta
-        base_part = None
+        base = None
         if meta.nonnull is not None:
-            base_part, _ = rf.materialize(
+            base, _ = rf.materialize(
                 meta, meta.nonnull, f"{self.attribute}/nonnull"
             )
-        if rf.delta_rows == 0:
-            if base_part is None:
-                return None
-            return self._represent(_to_dense(base_part))
-        delta_nn = rf.delta_index(self.attribute).nonnull
-        if base_part is None and delta_nn is None:
-            return None
-        base_bools = (
-            _to_dense(base_part).to_bools()
-            if base_part is not None
-            else np.ones(rf.nbits, dtype=bool)
-        )
-        delta_bools = (
-            delta_nn.to_bools()
-            if delta_nn is not None
-            else np.ones(rf.delta_rows, dtype=bool)
-        )
-        return self._represent(
-            BitVector.from_bools(np.concatenate([base_bools, delta_bools]))
-        )
+        delta = rf.delta_index(self.attribute).nonnull if rf.delta_rows else None
+        return self._with_delta(base, delta)
 
-    def fetch(
-        self,
-        component: int,
-        slot: int,
-        stats,
-        codec: str | None = None,
-    ):
+    def fetch(self, component: int, slot: int, stats):
         """Materialize one stored bitmap, recording the real bytes read."""
-        if codec is None:
-            codec = self.bitmap_codec
         rf = self._rfile
         if stats.deadline is not None:
             stats.deadline.check("storage")
@@ -703,17 +612,12 @@ class StoreBitmapSource:
             ) from None
         ident = f"{self.relation}/{self.attribute}/c{component}_s{slot}"
         bitmap, length = rf.materialize(self._meta, entry, ident)
-        if rf.delta_rows:
-            delta = rf.delta_index(self.attribute)
-            combined = np.concatenate(
-                [
-                    _to_dense(bitmap).to_bools(),
-                    delta.components[component - 1].bitmap(slot).to_bools(),
-                ]
-            )
-            bitmap = _encode_dense(BitVector.from_bools(combined), codec)
-        elif codec != self._meta.codec:
-            bitmap = _encode_dense(_to_dense(bitmap), codec)
+        delta = (
+            rf.delta_index(self.attribute).components[component - 1].bitmap(slot)
+            if rf.delta_rows
+            else None
+        )
+        bitmap = self._with_delta(bitmap, delta)
         stats.record_scan(nbytes=length)
         trace = stats.trace
         if trace is not None:
@@ -730,8 +634,26 @@ class StoreBitmapSource:
             )
         return bitmap
 
-    def _represent(self, vector: BitVector):
-        return _encode_dense(vector, self.bitmap_codec)
+    def _with_delta(self, base: Bitmap | None, delta: BitVector | None):
+        """A stored bitmap followed by its pending delta rows, as served.
+
+        The one place base + delta are merged (decode, concatenate,
+        re-encode), for slot and existence bitmaps alike.  For an
+        existence bitmap ``None`` means "no NULLs": a missing side counts
+        as all ones, and two missing sides stay ``None``.
+        """
+        rf, cls = self._rfile, self._cls
+        if base is None and delta is None:
+            return None
+        if rf.delta_rows:
+            head = base.to_bools() if base is not None else np.ones(rf.nbits, bool)
+            tail = (
+                delta.to_bools() if delta is not None else np.ones(rf.delta_rows, bool)
+            )
+            base = BitVector.from_bools(np.concatenate([head, tail]))
+        if type(base) is cls:
+            return base
+        return cls.from_bitvector(base.to_bitvector())
 
     def __repr__(self) -> str:
         return (
@@ -831,6 +753,7 @@ class IndexStore:
         self.page_size = page_size
         self.stats = StoreStats()
         self._files: dict[str, _RelationFile] = {}
+        self._generations: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -841,15 +764,25 @@ class IndexStore:
         self.invalidate()
 
     def invalidate(self, relation: str | None = None) -> None:
-        """Drop open file state; the next access reopens from disk."""
-        if relation is None:
-            for rfile in self._files.values():
+        """Drop open file state; the next access reopens from disk.
+
+        Sources handed out so far are stale from here on (their file is
+        closed), so this is where :meth:`generation` moves.
+        """
+        for name in [relation] if relation is not None else list(self._files):
+            self._generations[name] = self.generation(name) + 1
+            rfile = self._files.pop(name, None)
+            if rfile is not None:
                 rfile.close()
-            self._files.clear()
-            return
-        rfile = self._files.pop(relation, None)
-        if rfile is not None:
-            rfile.close()
+
+    def generation(self, relation: str) -> int:
+        """A counter bumped by everything that can change the relation's
+        files: :meth:`build`, :meth:`append`, :meth:`compact`,
+        :meth:`quarantine`.  Sources carry the one they read as
+        ``version``; the engine drops what it derived from an older one
+        before each query, so nobody has to remember ``engine.invalidate()``.
+        """
+        return self._generations.get(relation, 0)
 
     def __enter__(self) -> "IndexStore":
         return self
@@ -964,14 +897,10 @@ class IndexStore:
             return option
 
         payload_attrs: dict[str, dict] = {}
-        summary: dict[str, dict] = {}
         for attr in attributes:
             column = relation.column(attr)
             attr_codec = per_attr(codec, attr, "codec")
-            if attr_codec not in _CODECS:
-                raise EngineConfigError(
-                    f"unknown bitmap codec {attr_codec!r}"
-                )
+            cls = bitmap_class(attr_codec)
             index = BitmapIndex(
                 column.codes,
                 column.cardinality,
@@ -979,11 +908,13 @@ class IndexStore:
                 encoding=per_attr(encoding, attr, "encoding"),
                 keep_values=False,
             )
-            bitmaps = {}
-            for comp in range(1, index.base.n + 1):
-                for slot in index.stored_slots(comp):
-                    dense = index.components[comp - 1].bitmap(slot)
-                    bitmaps[(comp, slot)] = _encode_dense(dense, attr_codec)
+            bitmaps = {
+                (comp, slot): cls.from_bitvector(
+                    index.components[comp - 1].bitmap(slot)
+                )
+                for comp in range(1, index.base.n + 1)
+                for slot in index.stored_slots(comp)
+            }
             payload_attrs[attr] = {
                 "cardinality": column.cardinality,
                 "base": index.base,
@@ -994,15 +925,17 @@ class IndexStore:
                 "bitmaps": bitmaps,
                 "nonnull": index.nonnull,
             }
-            summary[attr] = {
-                "codec": attr_codec,
-                "num_bitmaps": len(bitmaps),
-                "payload_bytes": sum(
-                    len(_serialize_bitmap(b, attr_codec))
-                    for b in bitmaps.values()
-                ),
+        blob, payload_bytes = _pack_relation_file(
+            relation.name, relation.num_rows, payload_attrs
+        )
+        summary = {
+            attr: {
+                "codec": spec["codec"],
+                "num_bitmaps": len(spec["bitmaps"]),
+                "payload_bytes": payload_bytes[attr],
             }
-        blob = _pack_relation_file(relation.name, relation.num_rows, payload_attrs)
+            for attr, spec in payload_attrs.items()
+        }
         self._atomic_write(
             self._main_path(relation.name), blob, relation.name + _SUFFIX
         )
@@ -1113,12 +1046,10 @@ class IndexStore:
             },
             separators=(",", ":"),
         ).encode("utf-8")
-        blob = (
-            _DELTA_HEADER.pack(_DELTA_MAGIC, zlib.crc32(payload), len(payload))
-            + payload
-        )
         self._atomic_write(
-            self._delta_path(relation), blob, relation + _DELTA_SUFFIX
+            self._delta_path(relation),
+            frame(_DELTA_MAGIC, payload),
+            relation + _DELTA_SUFFIX,
         )
         total = rfile.nbits + total_delta
         self.invalidate(relation)
@@ -1144,41 +1075,11 @@ class IndexStore:
             return {"relation": relation, "compacted": False, "rows": rfile.nbits}
         new_nbits = rfile.nbits + rfile.delta_rows
         payload_attrs: dict[str, dict] = {}
+        stats = ExecutionStats()
         for attr, meta in rfile.attrs.items():
-            delta = rfile.delta_index(attr)
-            bitmaps = {}
-            for (comp, slot), entry in sorted(meta.slots.items()):
-                base_bits, _ = rfile.materialize(
-                    meta, entry, f"{relation}/{attr}/c{comp}_s{slot}"
-                )
-                combined = np.concatenate(
-                    [
-                        _to_dense(base_bits).to_bools(),
-                        delta.components[comp - 1].bitmap(slot).to_bools(),
-                    ]
-                )
-                bitmaps[(comp, slot)] = _encode_dense(
-                    BitVector.from_bools(combined), meta.codec
-                )
-            nonnull = None
-            base_nn = (
-                rfile.materialize(meta, meta.nonnull, f"{attr}/nonnull")[0]
-                if meta.nonnull is not None
-                else None
-            )
-            if base_nn is not None or delta.nonnull is not None:
-                nonnull = BitVector.from_bools(
-                    np.concatenate(
-                        [
-                            _to_dense(base_nn).to_bools()
-                            if base_nn is not None
-                            else np.ones(rfile.nbits, dtype=bool),
-                            delta.nonnull.to_bools()
-                            if delta.nonnull is not None
-                            else np.ones(rfile.delta_rows, dtype=bool),
-                        ]
-                    )
-                )
+            # What a reader is served while the delta is pending — base
+            # and delta merged, in the stored codec — is what gets written.
+            source = StoreBitmapSource(rfile, attr)
             payload_attrs[attr] = {
                 "cardinality": meta.cardinality,
                 "base": meta.base,
@@ -1186,11 +1087,13 @@ class IndexStore:
                 "codec": meta.codec,
                 "value_size_bytes": meta.value_size_bytes,
                 "dictionary": meta.dictionary,
-                "bitmaps": bitmaps,
-                "nonnull": nonnull,
+                "bitmaps": {
+                    key: source.fetch(*key, stats) for key in sorted(meta.slots)
+                },
+                "nonnull": source.with_codec("dense").nonnull,
             }
         folded = rfile.delta_rows
-        blob = _pack_relation_file(relation, new_nbits, payload_attrs)
+        blob, _ = _pack_relation_file(relation, new_nbits, payload_attrs)
         self._atomic_write(
             self._main_path(relation), blob, relation + _SUFFIX
         )
@@ -1201,7 +1104,7 @@ class IndexStore:
             os.unlink(self._delta_path(relation))
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-        self._fsync_dir()
+        _fsync_dir(self.root)
         self.invalidate(relation)
         self.stats.compactions += 1
         return {
@@ -1338,39 +1241,8 @@ class IndexStore:
         return rfile
 
     def _atomic_write(self, path: str, blob: bytes, ident: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self.fault_plan is not None:
-                spec = self.fault_plan.check("disk.write", ident=ident)
-                if spec is not None:
-                    # Simulated crash after the temp write, before the
-                    # rename: the previous contents must stay intact.
-                    raise InjectedFaultError(
-                        f"injected write failure before rename of {ident}"
-                    )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
-        self._fsync_dir()
+        atomic_write(path, blob, self.fault_plan, ident)
         self.stats.bytes_written += len(blob)
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
 
     def __repr__(self) -> str:
         return f"IndexStore({self.root!r}, relations={self.relations()})"
@@ -1413,14 +1285,17 @@ def _ranks_for(meta: _AttrMeta, values, mask: np.ndarray | None) -> np.ndarray:
     return ranks
 
 
-def _pack_relation_file(name: str, nbits: int, attrs: dict[str, dict]) -> bytes:
+def _pack_relation_file(
+    name: str, nbits: int, attrs: dict[str, dict]
+) -> tuple[bytes, dict[str, int]]:
     """Assemble one complete ``.rbix`` file image.
 
     ``attrs[attr]`` carries ``cardinality``, ``base`` (:class:`Base`),
     ``encoding`` (:class:`EncodingScheme`), ``codec``,
     ``value_size_bytes``, ``dictionary`` (array or ``None``),
     ``bitmaps`` (``{(component, slot): bitmap}`` in the codec's type),
-    and ``nonnull`` (dense :class:`BitVector` or ``None``).
+    and ``nonnull`` (dense :class:`BitVector` or ``None``).  Returns the
+    image and, per attribute, the bytes its slot payloads take in it.
     """
     chunks: list[bytes] = []
     offset = 0
@@ -1433,23 +1308,22 @@ def _pack_relation_file(name: str, nbits: int, attrs: dict[str, dict]) -> bytes:
         return entry
 
     meta_attrs: dict[str, dict] = {}
+    payload_bytes: dict[str, int] = {}
     for attr, spec in attrs.items():
         base: Base = spec["base"]
         components: list[dict] = [
             {"base": base.component(i), "slots": {}}
             for i in range(1, base.n + 1)
         ]
+        cls = bitmap_class(spec["codec"])
+        start = offset
         for (comp, slot), bitmap in sorted(spec["bitmaps"].items()):
-            entry = add(_serialize_bitmap(bitmap, spec["codec"]))
+            entry = add(bitmap.to_payload())
             components[comp - 1]["slots"][str(slot)] = list(entry)
+        payload_bytes[attr] = offset - start
         nonnull = spec.get("nonnull")
         nonnull_entry = (
-            list(add(_serialize_bitmap(
-                _encode_dense(nonnull, spec["codec"])
-                if isinstance(nonnull, BitVector)
-                else nonnull,
-                spec["codec"],
-            )))
+            list(add(cls.from_bitvector(nonnull).to_payload()))
             if nonnull is not None
             else None
         )
@@ -1477,4 +1351,4 @@ def _pack_relation_file(name: str, nbits: int, attrs: dict[str, dict]) -> bytes:
         0,
     )[: _HEADER.size - 4]
     header = header_wo_crc + struct.pack("<I", zlib.crc32(header_wo_crc))
-    return header + dictionary + b"".join(chunks)
+    return header + dictionary + b"".join(chunks), payload_bytes

@@ -307,7 +307,7 @@ class ExplainReport:
     relation: str
     mode: str  # "predicate" | "expression"
     access_path: str
-    compressed: bool
+    bitmap_codec: str
     rows: int
     predicted_scans: int | None
     predicted_leaves: list[dict]
@@ -317,6 +317,8 @@ class ExplainReport:
     io_model: dict | None = None
     storage_io: dict | None = None
     plan: str | None = None
+
+    compressed = property(lambda self: self.bitmap_codec != "dense")
 
     @property
     def effective_fetches(self) -> int:
@@ -420,7 +422,7 @@ def build_explain_report(
     result: "QueryResult",
     *,
     mode: str,
-    compressed: bool = False,
+    bitmap_codec: str = "dense",
     algorithm: str = "auto",
     io_model: dict | None = None,
     storage_io: dict | None = None,
@@ -451,7 +453,7 @@ def build_explain_report(
         relation=relation.name,
         mode=mode,
         access_path=result.access_path.value,
-        compressed=compressed,
+        bitmap_codec=bitmap_codec,
         rows=result.count,
         predicted_scans=predicted,
         predicted_leaves=leaves,
@@ -501,8 +503,6 @@ def explain(
             rids=rids, access_path=AccessPath.BITMAP, stats=stats, trace=trace
         ),
         mode=query_mode(q),
-        compressed=any(
-            getattr(src, "compressed", False) for src in indexes.values()
-        ),
+        bitmap_codec=indexes[min(q.attributes())].bitmap_codec,
         algorithm=algorithm,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base, integer_nth_root_ceil
@@ -28,12 +29,14 @@ from repro.core.evaluation import (
 )
 from repro.core.evaluation import threshold_all
 from repro.core.index import BitmapIndex
-from repro.engine import QueryEngine, QueryOptions
-from repro.errors import InvalidPredicateError
+from repro.engine import IndexSpec, QueryEngine, QueryOptions
+from repro.engine.sharding import ShardedBitmapIndex, ShardExport
+from repro.errors import CorruptFileError, EngineConfigError, InvalidPredicateError
 from repro.query.expression import parse_expression
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage import IndexStore
 from repro.storage.disk import SimulatedDisk
 from repro.storage.schemes import open_scheme, write_index
 from repro.workloads.generators import clustered_values, uniform_values, zipf_values
@@ -579,3 +582,88 @@ def test_aggregates_track_maintained_values():
     keep[[3, 250, 410]] = False
     region, qty = region[keep], qty[keep]
     check()
+
+
+# ----------------------------------------------------------------------
+# One Bitmap protocol, one registry
+# ----------------------------------------------------------------------
+
+
+def _conformance_vectors():
+    rng = np.random.default_rng(424242)
+    yield BitVector.zeros(0)
+    yield BitVector.ones(77)
+    yield BitVector.from_bools(rng.random(1000) < 0.3)  # short runs
+    yield BitVector.from_bools(np.repeat(rng.random(40) < 0.5, 5000))  # long runs
+    yield BitVector.from_indices(200_000, [0, 65_535, 65_536, 199_999])
+
+
+@pytest.mark.parametrize("codec,cls", list(BITMAP_CLASSES.items()))
+class TestBitmapConformance:
+    """Every registered representation answers the same five names."""
+
+    def test_registry_and_protocol(self, codec, cls):
+        assert cls.codec == codec
+        assert bitmap_class(cls.codec) is cls
+        assert isinstance(cls.zeros(10), Bitmap)
+
+    def test_conversions_and_payload_round_trip(self, codec, cls):
+        for vector in _conformance_vectors():
+            bitmap = cls.from_bitvector(vector)
+            assert isinstance(bitmap, cls)
+            assert bitmap.to_bitvector() == vector
+            assert cls.from_payload(bitmap.to_payload(), vector.nbits) == bitmap
+            assert np.array_equal(bitmap.indices(), vector.indices())
+        assert BitVector.from_bitvector(vector) is vector
+        assert vector.to_bitvector() is vector
+
+    def test_dense_payload_is_zero_copy(self, codec, cls):
+        buf = bytearray(cls.from_bitvector(BitVector.ones(130)).to_payload())
+        bitmap = cls.from_payload(memoryview(buf), 130)
+        for i in range(len(buf)):
+            buf[i] = 0
+        # A dense vector is a view of the caller's buffer, which was just
+        # zeroed; the compressed classes copied theirs out.
+        assert bitmap.count() == (0 if cls is BitVector else 130)
+
+    def test_payload_of_another_length_is_corrupt(self, codec, cls):
+        payload = cls.from_bitvector(BitVector.ones(200)).to_payload()
+        for nbits in (100, 2000):
+            with pytest.raises(CorruptFileError):
+                cls.from_payload(payload, nbits)
+        for damaged in (payload[: len(payload) // 2], payload + payload):
+            with pytest.raises(CorruptFileError):
+                # Lazily validated run words surface on first use.
+                cls.from_payload(damaged, 200).count()
+
+
+def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):
+    rng = np.random.default_rng(5)
+    relation = Relation.from_dict("t", {"a": rng.integers(0, 9, 300)})
+    index = BitmapIndex(relation.column("a").codes, 9)
+    disk = SimulatedDisk()
+    write_index(disk, "idx", index, scheme="BS")
+    engine = QueryEngine(backend="inline")
+    engine.register(relation)
+    spec_engine = QueryEngine(backend="inline")
+    spec_engine.register(relation, overrides={"a": IndexSpec(codec="lz4")})
+    doors = {
+        "QueryEngine(codec=)": lambda: QueryEngine(codec="lz4"),
+        "QueryOptions(codec=)": lambda: engine.query(
+            "a = 3", options=QueryOptions(codec="lz4")
+        ),
+        "IndexSpec(codec=)": lambda: spec_engine.count("a = 3"),
+        "IndexStore.build(codec=)": lambda: IndexStore(str(tmp_path)).build(
+            relation, codec="lz4"
+        ),
+        "BitmapIndex.with_codec": lambda: index.with_codec("lz4"),
+        "BitmapIndex.as_compressed": lambda: index.as_compressed("lz4"),
+        "open_scheme(compressed=)": lambda: open_scheme(disk, "idx", compressed="lz4"),
+        "ShardExport": lambda: ShardExport(
+            ShardedBitmapIndex(index._values, 9, shards=2), "lz4"
+        ),
+    }
+    for door, call in doors.items():
+        with pytest.raises(EngineConfigError, match="lz4"):
+            call()
+        assert issubclass(EngineConfigError, ValueError), door

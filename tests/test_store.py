@@ -9,6 +9,7 @@ detection for every region of the format — a damaged store must raise
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
+from repro.engine.sharding import ShardedBitmapIndex, ShardExport
 from repro.errors import (
     BufferConfigError,
     CorruptFileError,
@@ -28,6 +30,7 @@ from repro.errors import (
     ValueOutOfRangeError,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.query.expression import And, Comparison
 from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -36,7 +39,7 @@ from repro.storage import IndexStore, Storage
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel
 from repro.storage.fsdisk import FileSystemDisk
-from repro.storage.store import _HEADER, _MAGIC
+from repro.storage.store import _HEADER, _MAGIC, _pack_relation_file
 
 NUM_ROWS = 600
 REGIONS = np.array(["east", "north", "south", "west"])
@@ -76,7 +79,7 @@ def all_slot_bools(source, reference: BitmapIndex) -> None:
     stats = ExecutionStats()
     for comp in range(1, reference.base.n + 1):
         for slot in reference.stored_slots(comp):
-            stored = source.fetch(comp, slot, stats, codec="dense")
+            stored = source.with_codec("dense").fetch(comp, slot, stats)
             expected = reference.components[comp - 1].bitmap(slot)
             assert np.array_equal(stored.to_bools(), expected.to_bools()), (
                 f"component {comp} slot {slot} diverged"
@@ -440,6 +443,46 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptFileError, match="checksum"):
             source.fetch(1, 1, ExecutionStats())
 
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_payload_of_another_bit_length_is_corrupt(self, store_dir, codec):
+        # A well-formed, CRC-clean file whose payloads were built at 200
+        # rows under a dictionary that says 100: only the payload's own
+        # length field can tell.
+        values = np.arange(200) % 5
+        index = BitmapIndex(values, 5, encoding=EncodingScheme.EQUALITY)
+        cls = repro.bitmaps.bitmap_class(codec)
+        image, _ = _pack_relation_file(
+            "sales",
+            100,
+            {
+                "a": {
+                    "cardinality": 5,
+                    "base": index.base,
+                    "encoding": index.encoding,
+                    "codec": codec,
+                    "value_size_bytes": 8,
+                    "dictionary": None,
+                    "bitmaps": {
+                        (1, slot): cls.from_bitvector(index.components[0].bitmap(slot))
+                        for slot in index.stored_slots(1)
+                    },
+                    "nonnull": None,
+                }
+            },
+        )
+        os.makedirs(store_dir)
+        with open(os.path.join(store_dir, "sales.rbix"), "wb") as handle:
+            handle.write(image)
+        with IndexStore(store_dir) as store:
+            assert store.verify("sales") == []  # every checksum holds
+            source = store.bitmap_source("sales", "a")
+            with pytest.raises(CorruptFileError, match="payload"):
+                source.fetch(1, 2, ExecutionStats())
+        engine = repro.open_store(store_dir)
+        with pytest.raises(CorruptFileError):
+            engine.query("a = 2")
+        engine.close()
+
     def test_scrub_quarantines_corrupt_relations(self, store_dir, relation):
         path = self.build(store_dir, relation)
         flip_byte(path, os.path.getsize(path) - 1)
@@ -512,3 +555,180 @@ class TestEngineIntegration:
         engine.query(AttributePredicate("quantity", "<=", 3))
         engine.close()
         assert engine.storage._files == {}
+
+
+class TestNoInvalidateNeeded:
+    """A store mutation never needs ``engine.invalidate()`` for correctness.
+
+    The regression: after ``engine.storage.append(...)`` the engine kept
+    answering from the memoized source and the cached bitmaps of the old
+    generation — stale RIDs with no error, a ``LengthMismatchError`` on
+    range-encoded columns, ``mmap closed or invalid`` after a compact.
+    """
+
+    TEXT = And(Comparison("quantity", "<=", 13), Comparison("region", "=", "west"))
+
+    @staticmethod
+    def truth(relation: Relation) -> np.ndarray:
+        quantity = relation.column("quantity").values
+        region = relation.column("region").values
+        return (quantity <= 13) & (region == "west")
+
+    def check(self, engine, relation: Relation, finish: str) -> None:
+        mask = self.truth(relation)
+        if finish == "query":
+            np.testing.assert_array_equal(
+                engine.query(self.TEXT).rids, np.nonzero(mask)[0]
+            )
+        elif finish == "count":
+            assert engine.count(self.TEXT).count == int(mask.sum())
+        else:
+            region = relation.column("region").values
+            groups = engine.group_count(self.TEXT, "region").groups
+            assert groups == {
+                name: int((mask & (region == name)).sum()) for name in REGIONS
+            }
+
+    @pytest.mark.parametrize("finish", ["query", "count", "group_count"])
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    @pytest.mark.parametrize("mutation", ["append", "compact", "rebuild"])
+    def test_answers_follow_the_store(self, store_dir, mutation, codec, finish):
+        before, tail = make_relation(500, seed=11), make_relation(100, seed=12)
+        with IndexStore(store_dir) as store:
+            store.build(
+                before,
+                codec=codec,
+                encoding={
+                    "quantity": EncodingScheme.RANGE,
+                    "region": EncodingScheme.EQUALITY,
+                },
+            )
+        engine = repro.open_store(store_dir)
+        self.check(engine, before, finish)  # memoize sources, fill the cache
+        version = engine.storage.bitmap_source("sales", "region").version
+        if mutation == "rebuild":
+            after = make_relation(700, seed=13)
+            engine.storage.build(after, codec=codec)
+        else:
+            after = Relation.from_dict(
+                "sales",
+                {
+                    name: np.concatenate(
+                        [before.column(name).values, tail.column(name).values]
+                    )
+                    for name in ("quantity", "region")
+                },
+            )
+            engine.storage.append(
+                "sales", {name: tail.column(name).values for name in after.columns}
+            )
+            if mutation == "compact":
+                self.check(engine, after, finish)  # serve base + delta first
+                engine.storage.compact("sales")
+        assert engine.storage.bitmap_source("sales", "region").version > version
+        self.check(engine, after, finish)
+        engine.close()
+
+    def test_explicit_invalidate_still_works(self, store_dir, relation):
+        with IndexStore(store_dir) as store:
+            store.build(relation)
+        engine = repro.open_store(store_dir)
+        self.check(engine, relation, "count")
+        engine.invalidate("sales")
+        engine.invalidate()
+        self.check(engine, relation, "query")
+        engine.close()
+
+
+class TestFormatPin:
+    """Stored bytes are part of the contract: SHA-256 of each format, taken
+    at the commit before the bitmap classes grew ``to_payload``."""
+
+    PINS = {
+        "dense": {
+            "rbix": "47db6ffcad94f1cfa86a9569a2030d9931b57a7309aa696f891d83937819190b",
+            "compacted": "eb035837124c1698eddd51199c721da23af040ceb693ffcd68b881bfd3159ad6",
+            "segment": "1ed84a5e0c873557df790ee32679454fd177a9f4ebe3097c6dad737afd848971",
+        },
+        "wah": {
+            "rbix": "465c913c0d54f2017f403a4e618a6c3acf313c0af3ddab7314a5da795d154a7a",
+            "compacted": "c7371cc1104535be84f1359accd3fe696e099154a4a0138aa5615043a45f5f55",
+            "segment": "5b70955085cbee9b87ba849a3830b70fe7a19dbf503605c66b3cd49b0db0a874",
+        },
+        "roaring": {
+            "rbix": "b7c99f6db39e26eb21b56de56c1dd4bd3eebd3a50075ffdca351157085e97341",
+            "compacted": "7136cc1261c902bfd6c60d858ab99095a061c019529150556133950d1c9e9054",
+            "segment": "0bef42c13a0f44d55db9f32e308058158d860adba5c2d6d948a3b26753557275",
+        },
+    }
+    DELTA = "a9e1b5935790e877adcd168f85a63d45f8d81623f838e482e8585052c196bb7c"
+    RBF = "76fc23c89568d4634df6d9be38e1832ea33c9965d5fc1e7204b67a498821da65"
+
+    @staticmethod
+    def sha(path_or_bytes) -> str:
+        if isinstance(path_or_bytes, str):
+            with open(path_or_bytes, "rb") as handle:
+                path_or_bytes = handle.read()
+        return hashlib.sha256(bytes(path_or_bytes)).hexdigest()
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_store_and_shard_bytes(self, store_dir, codec):
+        rng = np.random.default_rng(1998)
+        nulls_rng = np.random.default_rng(7)
+        relation = Relation.from_dict(
+            "pins",
+            {
+                "quantity": rng.integers(0, 40, 1000),
+                "region": REGIONS[rng.integers(0, 4, 1000)],
+            },
+        )
+        main = os.path.join(store_dir, "pins.rbix")
+        with IndexStore(store_dir) as store:
+            store.build(
+                relation,
+                codec=codec,
+                base={"quantity": Base((8, 5)), "region": None},
+                encoding={
+                    "quantity": EncodingScheme.RANGE,
+                    "region": EncodingScheme.EQUALITY,
+                },
+            )
+            assert self.sha(main) == self.PINS[codec]["rbix"]
+            store.append(
+                "pins",
+                {
+                    "quantity": rng.integers(0, 40, 50),
+                    "region": REGIONS[rng.integers(0, 4, 50)],
+                },
+                nulls={"quantity": nulls_rng.random(50) < 0.1},
+            )
+            assert self.sha(main + ".delta") == self.DELTA
+            store.compact("pins")
+            assert self.sha(main) == self.PINS[codec]["compacted"]
+        column = relation.column("quantity")
+        sharded = ShardedBitmapIndex(
+            column.codes,
+            cardinality=column.cardinality,
+            shards=2,
+            base=Base((8, 5)),
+            encoding=EncodingScheme.RANGE,
+            keep_values=False,
+        )
+        sharded.delete(3)  # publishes an existence bitmap too
+        export = ShardExport(sharded, codec)
+        try:
+            manifest = export.manifests[0]
+            entries = [*manifest.entries.values(), manifest.nonnull]
+            end = max(offset + length for offset, length, _ in entries)
+            image = (
+                bytes(export._segments[0].buf[:end])
+                + repr(sorted(manifest.entries.items())).encode()
+                + repr(manifest.nonnull).encode()
+            )
+            assert self.sha(image) == self.PINS[codec]["segment"]
+        finally:
+            export.close()
+
+    def test_filesystem_disk_frame_bytes(self, tmp_path):
+        FileSystemDisk(str(tmp_path)).write("idx/c1_s0", bytes(range(256)) * 3)
+        assert self.sha(str(tmp_path / "idx" / "c1_s0")) == self.RBF
