@@ -1,18 +1,23 @@
 """Compressed bitvectors: logical algebra without decompression.
 
-:class:`WahBitVector` keeps a bitmap in WAH-encoded form and implements
-the same logical operators as :class:`~repro.bitmaps.bitvector.BitVector`
-by operating run-by-run on the compressed payloads
-(:func:`repro.bitmaps.wah.wah_and` and friends).  On run-structured
-bitmaps this makes an AND cost proportional to the number of *runs*
-rather than the number of bits — the property that made word-aligned
-codecs the standard for bitmap indexes after the paper.
+:class:`WahBitVector` holds a bitmap as a parsed WAH *run list*
+(:mod:`repro.bitmaps.wah`: ``uint32`` group values plus cumulative run
+ends, or one value per 31-bit group once the bitmap is literal-heavy) and
+implements the same logical operators as
+:class:`~repro.bitmaps.bitvector.BitVector` on those arrays.  On
+run-structured bitmaps an AND costs time proportional to the number of
+*runs* rather than the number of bits — the property that made
+word-aligned codecs the standard for bitmap indexes after the paper — and
+on incompressible ones it is a word-parallel pass over the groups.  The
+byte payload of the WAH format exists only at the boundary:
+:meth:`WahBitVector.from_payload` parses and validates it once,
+:meth:`WahBitVector.to_payload` encodes it; no kernel touches bytes.
 
 The class mirrors enough of the :class:`BitVector` surface — ``zeros`` /
 ``ones`` constructors, ``count``, ``indices``, ``to_bools``, ``copy``,
 ``nbytes`` — that the evaluation algorithms of
 :mod:`repro.core.evaluation` run unmodified over either representation;
-only the final ``indices()``/``to_bools()`` materialization decodes.
+only the final ``indices()``/``to_bools()`` materialization unpacks bits.
 The two vector types interconvert losslessly; the
 ``ablation_compressed_ops`` experiment and ``bench_compressed_path``
 benchmark quantify when staying compressed wins.
@@ -27,35 +32,43 @@ import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.wah import (
-    _HEADER as _WAH_HEADER,
-    wah_and,
-    wah_and_many,
-    wah_and_popcount,
-    wah_decode,
-    wah_encode,
-    wah_not,
-    wah_ones,
-    wah_or,
-    wah_or_many,
-    wah_popcount,
-    wah_threshold_many,
+    Runs,
+    _and_popcount,
+    _bits_from_groups,
+    _canonical,
+    _combine,
+    _encode_runs,
+    _expand,
+    _expected_groups,
+    _groups_from_bytes,
+    _not,
+    _ones_runs,
+    _parse_runs,
+    _popcount,
+    _set_bits,
+    _threshold,
     wah_word_count,
-    wah_xor,
-    wah_zeros,
 )
 from repro.errors import CorruptFileError, LengthMismatchError
+
+
+def _groups_for(nbits: int) -> int:
+    """31-bit groups of a vector of ``nbits`` bits (byte-padded first)."""
+    return _expected_groups((nbits + 7) // 8)
 
 
 class WahBitVector:
     """A WAH-compressed bitmap supporting compressed-domain algebra."""
 
-    __slots__ = ("_blob", "_nbits")
+    __slots__ = ("_runs", "_nbits")
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "wah"
 
-    def __init__(self, blob: bytes, nbits: int):
-        self._blob = blob
+    def __init__(self, runs: Runs, nbits: int):
+        #: Canonical ``(values, ends)`` from :mod:`repro.bitmaps.wah`; the
+        #: arrays are never written to, so vectors may share them.
+        self._runs = runs
         self._nbits = nbits
 
     # ------------------------------------------------------------------
@@ -65,47 +78,48 @@ class WahBitVector:
     @classmethod
     def zeros(cls, nbits: int) -> "WahBitVector":
         """The all-zero compressed vector of ``nbits`` bits (one fill run)."""
-        return cls(wah_zeros(nbits), nbits)
+        return cls(_ones_runs(0, _groups_for(nbits)), nbits)
 
     @classmethod
     def ones(cls, nbits: int) -> "WahBitVector":
         """The all-one compressed vector of ``nbits`` bits (at most 3 runs)."""
-        return cls(wah_ones(nbits), nbits)
+        return cls(_ones_runs(nbits, _groups_for(nbits)), nbits)
 
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "WahBitVector":
         """Compress an uncompressed vector."""
-        return cls(wah_encode(vector.to_bytes()), vector.nbits)
+        groups = _groups_from_bytes(vector.to_bytes())
+        return cls(_canonical((groups, None), len(groups)), vector.nbits)
 
     def to_bitvector(self) -> BitVector:
         """Materialize back to the uncompressed form."""
-        return BitVector.from_bytes(wah_decode(self._blob), self._nbits)
+        return BitVector.from_bools(self.to_bools())
 
     def to_payload(self) -> bytes:
-        """The stored form: the WAH blob (length header + words)."""
-        return self._blob
+        """The stored form: the canonical WAH blob (length header + words)."""
+        return _encode_runs(self._runs, (self._nbits + 7) // 8)
 
     @classmethod
     def from_payload(cls, buf, nbits: int) -> "WahBitVector":
-        """Adopt a :meth:`to_payload` blob (copied out of ``buf``).
+        """Parse a :meth:`to_payload` blob (nothing of ``buf`` is kept).
 
-        Only the blob's length header is checked here, against ``nbits``
-        (:class:`~repro.errors.CorruptFileError` on a mismatch); the run
-        words are validated when an operation first parses them.
+        The whole payload is validated here, so corruption surfaces at
+        the fetch and never mid-query: a length header that disagrees
+        with ``nbits``, a body that is not word-aligned, or run words
+        that decode to too few or too many groups each raise
+        :class:`~repro.errors.CorruptFileError`.
         """
-        if len(buf) < _WAH_HEADER.size:
-            raise CorruptFileError("WAH payload shorter than its header")
-        (declared,) = _WAH_HEADER.unpack_from(buf)
+        declared, runs = _parse_runs(buf)
         if declared != (nbits + 7) // 8:
             raise CorruptFileError(
                 f"WAH payload declares {declared} bytes of bits; "
                 f"{(nbits + 7) // 8} expected for {nbits} bits"
             )
-        return cls(bytes(buf), nbits)
+        return cls(runs, nbits)
 
     def copy(self) -> "WahBitVector":
-        """An independent handle (payloads are immutable bytes)."""
-        return WahBitVector(self._blob, self._nbits)
+        """An independent handle (the run arrays are never mutated)."""
+        return WahBitVector(self._runs, self._nbits)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -117,48 +131,49 @@ class WahBitVector:
 
     @property
     def compressed_bytes(self) -> int:
-        """Size of the compressed payload."""
-        return len(self._blob)
+        """Size of the encoded payload (:meth:`to_payload`)."""
+        return len(self.to_payload())
 
     @property
     def nbytes(self) -> int:
-        """In-memory footprint in bytes (the compressed payload size).
+        """In-memory footprint: the bytes of the resident run arrays.
 
-        Mirrors :attr:`BitVector.nbytes` so byte-budget caches can size
-        entries of either representation uniformly.
+        Fixed for the object's life, so byte-budget caches can add it on
+        ``put`` and subtract it on eviction.  4 bytes per group in the
+        per-group form, 12 per run otherwise.
         """
-        return len(self._blob)
+        values, ends = self._runs
+        return values.nbytes + (0 if ends is None else ends.nbytes)
 
     @property
     def num_words(self) -> int:
-        """32-bit WAH words in the payload (the run count bound)."""
-        return wah_word_count(self._blob)
+        """32-bit WAH words in the encoded payload (the run count bound)."""
+        return wah_word_count(self.to_payload())
 
     def count(self) -> int:
         """Population count, computed on the compressed form."""
-        return wah_popcount(self._blob)
+        return _popcount(self._runs)
 
     def and_count(self, other: "WahBitVector") -> int:
         """``(self & other).count()`` without materializing the AND.
 
-        The aggregate-pushdown primitive: one fused run merge
-        (:func:`repro.bitmaps.wah.wah_and_popcount`) — no result payload
-        is encoded, so intersect-and-count stays cheap even when the
-        intersection itself is incompressible.
+        The aggregate-pushdown primitive: the operands are aligned and
+        popcounted, but no result vector is built.
         """
-        self._check(other)
-        return wah_and_popcount(self._blob, other._blob)
+        (left, right), ngroups = self._operands((self, other))
+        return _and_popcount(left, right, ngroups)
 
     def any(self) -> bool:
         return self.count() > 0
 
     def to_bools(self) -> np.ndarray:
         """Decode to a boolean numpy array of length ``nbits``."""
-        return self.to_bitvector().to_bools()
+        bits = _bits_from_groups(_expand(self._runs))
+        return bits[: self._nbits].view(bool)
 
     def indices(self) -> np.ndarray:
-        """Sorted array of set-bit positions (decodes once)."""
-        return self.to_bitvector().indices()
+        """Sorted array of set-bit positions (unpacks non-zero groups only)."""
+        return _set_bits(self._runs)
 
     # ------------------------------------------------------------------
     # Compressed-domain algebra
@@ -175,71 +190,73 @@ class WahBitVector:
                 f"{other._nbits} bits"
             )
 
+    @staticmethod
+    def _operands(vectors: Sequence["WahBitVector"]) -> tuple[list[Runs], int]:
+        """The run lists of compatible vectors, and their group count."""
+        first = vectors[0]
+        for other in vectors[1:]:
+            first._check(other)
+        return [v._runs for v in vectors], _groups_for(first._nbits)
+
+    @classmethod
+    def _fold(cls, vectors: Sequence["WahBitVector"], op) -> "WahBitVector":
+        operands, ngroups = cls._operands(vectors)
+        return cls(_combine(operands, op, ngroups), vectors[0]._nbits)
+
     def __and__(self, other: "WahBitVector") -> "WahBitVector":
-        self._check(other)
-        return WahBitVector(wah_and(self._blob, other._blob), self._nbits)
+        return self._fold((self, other), np.bitwise_and)
 
     def __or__(self, other: "WahBitVector") -> "WahBitVector":
-        self._check(other)
-        return WahBitVector(wah_or(self._blob, other._blob), self._nbits)
+        return self._fold((self, other), np.bitwise_or)
 
     def __xor__(self, other: "WahBitVector") -> "WahBitVector":
-        self._check(other)
-        return WahBitVector(wah_xor(self._blob, other._blob), self._nbits)
+        return self._fold((self, other), np.bitwise_xor)
 
     def __invert__(self) -> "WahBitVector":
-        return WahBitVector(wah_not(self._blob, self._nbits), self._nbits)
+        runs = _not(self._runs, self._nbits, _groups_for(self._nbits))
+        return WahBitVector(runs, self._nbits)
 
     @classmethod
     def or_many(cls, vectors: Sequence["WahBitVector"]) -> "WahBitVector":
-        """OR k vectors in one multi-way run merge (k-way aggregation).
+        """OR k vectors in one multi-way alignment (k-way aggregation).
 
-        Equivalent to folding ``|`` pairwise, but each payload is parsed
-        once and the merged run boundaries walked once, so wide ORs (the
-        ``digit < v`` side of equality-encoded evaluation) cost one pass
-        over the total runs instead of k - 1 intermediate payloads.
+        Equivalent to folding ``|`` pairwise, but the operands are aligned
+        once, so wide ORs (the ``digit < v`` side of equality-encoded
+        evaluation) build no k - 1 intermediate vectors.
         """
-        first = vectors[0]
-        for other in vectors[1:]:
-            first._check(other)
-        return cls(wah_or_many([v._blob for v in vectors]), first._nbits)
+        return cls._fold(vectors, np.bitwise_or)
 
     @classmethod
     def and_many(cls, vectors: Sequence["WahBitVector"]) -> "WahBitVector":
-        """AND k vectors in one multi-way run merge (see :meth:`or_many`)."""
-        first = vectors[0]
-        for other in vectors[1:]:
-            first._check(other)
-        return cls(wah_and_many([v._blob for v in vectors]), first._nbits)
+        """AND k vectors in one multi-way alignment (see :meth:`or_many`)."""
+        return cls._fold(vectors, np.bitwise_and)
 
     @classmethod
     def threshold_many(
         cls, vectors: Sequence["WahBitVector"], k: int
     ) -> "WahBitVector":
-        """k-of-N threshold in one multi-way run merge.
+        """k-of-N threshold in one multi-way alignment.
 
         Bit ``i`` of the result is set iff at least ``k`` operands have
         bit ``i`` set; ``k <= 0`` clamps to all-ones and ``k > N`` to
         all-zeros over the true bit length.  Runs entirely in the
-        compressed domain (:func:`repro.bitmaps.wah.wah_threshold_many`).
+        compressed domain (bit-sliced counters over aligned run values).
         """
-        first = vectors[0]
-        for other in vectors[1:]:
-            first._check(other)
+        operands, ngroups = cls._operands(vectors)
+        nbits = vectors[0]._nbits
         if k <= 0:
-            return cls.ones(first._nbits)
+            return cls.ones(nbits)
         if k > len(vectors):
-            return cls.zeros(first._nbits)
-        return cls(
-            wah_threshold_many([v._blob for v in vectors], k), first._nbits
-        )
+            return cls.zeros(nbits)
+        return cls(_threshold(operands, k, ngroups), nbits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WahBitVector):
             return NotImplemented
-        return self._nbits == other._nbits and (
-            self._blob == other._blob
-            or self.to_bitvector() == other.to_bitvector()
+        # Payloads are canonical: equal bitmaps encode to equal bytes.
+        return (
+            self._nbits == other._nbits
+            and self.to_payload() == other.to_payload()
         )
 
     def __hash__(self):  # pragma: no cover - parity with BitVector

@@ -22,31 +22,44 @@ The input bitstream is read little-endian within each byte and padded with
 zero bits up to a multiple of 31.
 
 A zero-length fill word (``0x80000000`` / ``0xC0000000``) contributes no
-groups; the encoder never emits one, but every consumer here — the decoder,
-the streaming :class:`_RunReader`, and the vectorized run-merge — accepts
-and skips it, so all access paths agree on which payloads are valid.  A
-body whose groups fall short of, or overrun, the 31-bit-padded declared
-length is rejected with :class:`~repro.errors.CorruptFileError` in both
-directions.
+groups; the encoder never emits one, but the one parser here
+(:func:`_parse_runs`) accepts and skips it.  A body whose groups fall short
+of, or overrun, the 31-bit-padded declared length is rejected with
+:class:`~repro.errors.CorruptFileError` in both directions.
+
+Run lists
+---------
+Everything between the parser and the encoder works on a *run list*
+``(values, ends)``: ``values`` are 31-bit group values as ``uint32`` and
+``ends`` the cumulative group count after each run, where only a fill
+(all-zero or all-one group) may span more than one group.  ``ends is None``
+means one value per group.  :func:`_canonical` picks the form from the run
+count alone — per-group once a bitmap has at least half as many runs as
+groups, so an incompressible bitmap costs 4 bytes a group and its algebra
+is plain word-parallel numpy; otherwise runs with equal adjacent fills
+merged, so a run-structured bitmap stays O(runs).  This is what
+:class:`~repro.bitmaps.compressed.WahBitVector` holds in memory; the byte
+payload exists only at its ``to_payload`` / ``from_payload`` boundary.
 
 Compressed-domain algebra
 -------------------------
-AND/OR/XOR/NOT and popcount run directly on the compressed form, run by
-run, without materializing the bitmap — the defining advantage of
-word-aligned codecs over deflate.  The binary and k-way operations are
-vectorized: each payload is parsed once into a run list ``(values,
-lengths)``, the run boundaries of all operands are merged in one sorted
-pass (the array form of Kaser & Lemire's heap-of-run-readers — the sorted
-union of boundary positions is exactly the order in which a heap of
-readers would surface them), the operator is applied to aligned run
-values with one numpy expression, and the result run list is re-encoded
-without ever expanding to individual bits.  Cost is proportional to the
-total number of *runs* across the operands, not the number of rows.
+AND/OR/XOR/NOT, k-of-N threshold and popcount run on run lists without
+materializing bits.  :func:`_align` brings the operands onto common
+segments: when they hold at least half as many runs as there are groups
+they are expanded to one value per group (``np.repeat``; a no-op for
+per-group operands); otherwise the run boundaries of all operands are
+merged in one sorted pass (the array form of Kaser & Lemire's
+heap-of-run-readers — the sorted union of boundary positions is exactly
+the order in which a heap of readers would surface them) and each operand
+is sampled at the merged boundaries.  The operator then applies to aligned
+``uint32`` values in one numpy expression.  The ``wah_*`` functions are the
+same kernels behind a parse and an encode.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -59,24 +72,8 @@ _FILL_VALUE_FLAG = 1 << 30
 _MAX_RUN = (1 << 30) - 1
 _HEADER = struct.Struct("<Q")
 
-_POWERS = (np.uint32(1) << np.arange(_GROUP_BITS, dtype=np.uint32)).astype(np.uint32)
-
-
-def _bits_from_bytes(data: bytes) -> np.ndarray:
-    """Unpack ``data`` into a little-endian-bit array of 0/1 ``uint8``."""
-    if not data:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-
-
-def _groups_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Chunk a 0/1 bit array into ``uint32`` groups of 31 bits."""
-    ngroups = (len(bits) + _GROUP_BITS - 1) // _GROUP_BITS
-    padded = np.zeros(ngroups * _GROUP_BITS, dtype=np.uint32)
-    padded[: len(bits)] = bits
-    return (padded.reshape(ngroups, _GROUP_BITS) * _POWERS).sum(
-        axis=1, dtype=np.uint64
-    ).astype(np.uint32)
+#: A run list ``(values, ends)``; see the module docstring.
+Runs = tuple[np.ndarray, np.ndarray | None]
 
 
 def _expected_groups(orig_len: int) -> int:
@@ -84,79 +81,114 @@ def _expected_groups(orig_len: int) -> int:
     return (orig_len * 8 + _GROUP_BITS - 1) // _GROUP_BITS
 
 
-def wah_encode(data: bytes) -> bytes:
-    """Compress ``data`` into the WAH format described in the module docs.
-
-    Vectorized: groups are classified once, run boundaries found with one
-    diff, and literal stretches are emitted as array slices, so encoding
-    cost scales with the number of *runs* plus O(n) numpy passes rather
-    than a Python-level loop over every word.
-    """
-    bits = _bits_from_bytes(data)
-    groups = _groups_from_bits(bits)
-    n = len(groups)
-    if n == 0:
-        return _HEADER.pack(len(data))
-
-    # 0 = literal, 1 = zero fill, 2 = one fill.
-    classes = np.zeros(n, dtype=np.uint8)
-    classes[groups == 0] = 1
-    classes[groups == _LITERAL_MASK] = 2
-    boundaries = np.flatnonzero(np.diff(classes)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-
-    chunks: list[np.ndarray] = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        cls = classes[start]
-        if cls == 0:
-            chunks.append(groups[start:end])
-        else:
-            run = end - start
-            fill_word = _FILL_FLAG | (_FILL_VALUE_FLAG if cls == 2 else 0)
-            full, rest = divmod(run, _MAX_RUN)
-            words = np.full(full + (1 if rest else 0),
-                            fill_word | _MAX_RUN, dtype=np.uint32)
-            if rest:
-                words[-1] = fill_word | rest
-            chunks.append(words)
-    body = np.concatenate(chunks).astype(np.uint32).tobytes()
-    return _HEADER.pack(len(data)) + body
-
-
 # ----------------------------------------------------------------------
-# Run-list parsing (shared by decode and the compressed-domain ops)
+# Bits <-> groups
 # ----------------------------------------------------------------------
 
 
-def _parse_runs(blob: bytes) -> tuple[int, np.ndarray, np.ndarray]:
-    """Parse a payload into ``(orig_len, values, lengths)`` run arrays.
+def _groups_from_bytes(data) -> np.ndarray:
+    """Chunk a little-endian bitstream into ``uint32`` groups of 31 bits."""
+    nrows = -(-len(data) // _GROUP_BITS)  # 31 bytes hold exactly 8 groups
+    flat = np.zeros(nrows * _GROUP_BITS, dtype=np.uint8)
+    flat[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    rows = np.zeros((nrows, 40), dtype=np.uint8)
+    rows[:, :_GROUP_BITS] = flat.reshape(nrows, _GROUP_BITS)
+    words = rows.view(np.uint64)  # 4 words of bits and a zero one per row
+    first_bit = _GROUP_BITS * np.arange(8)
+    word, shift = first_bit >> 6, (first_bit & 63).astype(np.uint64)
+    # A group straddling two words takes its high bits from the next one
+    # (shifted in two steps, as a shift by 64 is undefined).
+    groups = (words[:, word] >> shift) | (
+        (words[:, word + 1] << np.uint64(1)) << (np.uint64(63) - shift)
+    )
+    groups = (groups & np.uint64(_LITERAL_MASK)).astype(np.uint32)
+    return groups.reshape(-1)[: _expected_groups(len(data))]
 
-    ``values`` are 31-bit group values (fills appear once with their run
-    length; literals have length 1); zero-length fill words are skipped.
-    The total group count is validated against the declared byte length in
-    both directions: too few groups and too many groups each raise
-    :class:`CorruptFileError`.
+
+def _bits_from_groups(groups: np.ndarray) -> np.ndarray:
+    """Unpack ``uint32`` groups into 31 little-endian 0/1 ``uint8`` each."""
+    octets = groups.view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    return bits[:, :_GROUP_BITS].reshape(-1)
+
+
+def _set_bits(runs: Runs) -> np.ndarray:
+    """Sorted positions of the set bits."""
+    octets = _expand(runs).view(np.uint8)
+    flat = np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
+    return flat - (flat >> 5)  # 32 unpacked bits a group, 31 of them real
+
+
+# ----------------------------------------------------------------------
+# Run lists: canonical form, parse, encode
+# ----------------------------------------------------------------------
+
+
+def _expand(runs: Runs) -> np.ndarray:
+    """One value per group."""
+    values, ends = runs
+    return values if ends is None else np.repeat(values, np.diff(ends, prepend=0))
+
+
+def _is_fill(values: np.ndarray) -> np.ndarray:
+    return (values == 0) | (values == _LITERAL_MASK)
+
+
+def _fill_joins(values: np.ndarray) -> np.ndarray:
+    """``joins[i]``: runs ``i`` and ``i + 1`` are one fill split in two."""
+    return (values[:-1] == values[1:]) & _is_fill(values[:-1])
+
+
+def _coalesce(runs: Runs) -> tuple[np.ndarray, np.ndarray]:
+    """The run form with equal adjacent fills merged."""
+    values, ends = runs
+    if ends is None:
+        ends = np.arange(1, len(values) + 1, dtype=np.int64)
+    joins = _fill_joins(values)
+    if not joins.any():
+        return values, ends
+    keep = np.append(~joins, True)
+    return values[keep], ends[keep]
+
+
+def _canonical(runs: Runs, ngroups: int) -> Runs:
+    """The one in-memory form of a bitmap; the run count alone decides it."""
+    values, ends = runs
+    if ends is None:
+        if 2 * (ngroups - np.count_nonzero(_fill_joins(values))) >= ngroups:
+            return values, None
+        return _coalesce(runs)
+    runs = _coalesce(runs)
+    if 2 * len(runs[0]) >= ngroups:
+        return _expand(runs), None
+    return runs
+
+
+def _parse_runs(blob) -> tuple[int, Runs]:
+    """Parse and validate a payload into ``(orig_len, canonical run list)``.
+
+    Zero-length fill words are skipped.  The total group count is checked
+    against the declared byte length in both directions: too few groups
+    and too many groups each raise :class:`CorruptFileError`.  The arrays
+    returned never alias ``blob``.
     """
     if len(blob) < _HEADER.size:
         raise CorruptFileError("WAH payload shorter than its header")
     (orig_len,) = _HEADER.unpack_from(blob)
-    body = blob[_HEADER.size :]
-    if len(body) % 4:
+    if (len(blob) - _HEADER.size) % 4:
         raise CorruptFileError("WAH body is not word-aligned")
-    words = np.frombuffer(body, dtype=np.uint32)
+    words = np.frombuffer(blob, dtype=np.uint32, offset=_HEADER.size)
 
-    is_fill = (words & np.uint32(_FILL_FLAG)) != 0
-    lengths = np.where(is_fill, words & np.uint32(_MAX_RUN), 1).astype(np.int64)
-    fill_values = np.where(
-        (words & np.uint32(_FILL_VALUE_FLAG)) != 0,
-        np.uint32(_LITERAL_MASK),
-        np.uint32(0),
+    values = words & np.uint32(_LITERAL_MASK)
+    lengths = np.ones(len(words), dtype=np.int64)
+    fills = np.flatnonzero(words & np.uint32(_FILL_FLAG))
+    fill_words = words[fills]
+    lengths[fills] = fill_words & np.uint32(_MAX_RUN)
+    values[fills] = np.where(
+        fill_words & np.uint32(_FILL_VALUE_FLAG), np.uint32(_LITERAL_MASK), 0
     )
-    values = np.where(is_fill, fill_values, words & np.uint32(_LITERAL_MASK))
-    nonzero = lengths > 0
-    if not nonzero.all():
-        values, lengths = values[nonzero], lengths[nonzero]
+    if not lengths.all():
+        values, lengths = values[lengths > 0], lengths[lengths > 0]
 
     total = int(lengths.sum())
     expected = _expected_groups(orig_len)
@@ -167,20 +199,53 @@ def _parse_runs(blob: bytes) -> tuple[int, np.ndarray, np.ndarray]:
             "WAH payload decodes to more groups than the padded declared "
             "length allows"
         )
-    return orig_len, values, lengths
+    return orig_len, _canonical((values, np.cumsum(lengths)), expected)
+
+
+def _parse_all(payloads: Sequence[bytes]) -> tuple[int, list[Runs]]:
+    """Parse operands of one operation; they must declare one length."""
+    if not payloads:
+        raise ValueError("a WAH operation needs at least one payload")
+    parsed = [_parse_runs(p) for p in payloads]
+    orig_len = parsed[0][0]
+    for other_len, _ in parsed[1:]:
+        if other_len != orig_len:
+            raise CorruptFileError(
+                f"compressed operands differ in length: "
+                f"{orig_len} vs {other_len} bytes"
+            )
+    return orig_len, [runs for _, runs in parsed]
+
+
+def _encode_runs(runs: Runs, orig_len: int) -> bytes:
+    """The canonical payload of a run list: one word per coalesced run."""
+    values, ends = _coalesce(runs)
+    lengths = np.diff(ends, prepend=0)
+    is_fill = _is_fill(values)
+    flags = np.uint32(_FILL_FLAG) | (values & np.uint32(_FILL_VALUE_FLAG))
+    if len(lengths) and lengths.max() > _MAX_RUN:
+        # A fill longer than 2^30 - 1 groups (> 33 Gbit) spans several
+        # words: full-length ones first, the remainder last.
+        counts = -(-lengths // _MAX_RUN)
+        rest = lengths - (counts - 1) * _MAX_RUN
+        values, flags = np.repeat(values, counts), np.repeat(flags, counts)
+        is_fill = np.repeat(is_fill, counts)
+        lengths = np.full(len(values), _MAX_RUN)
+        lengths[np.cumsum(counts) - 1] = rest
+    words = np.where(is_fill, flags | lengths.astype(np.uint32), values)
+    return _HEADER.pack(orig_len) + words.tobytes()
+
+
+def wah_encode(data: bytes) -> bytes:
+    """Compress ``data`` into the WAH format described in the module docs."""
+    return _encode_runs((_groups_from_bytes(data), None), len(data))
 
 
 def wah_decode(blob: bytes) -> bytes:
     """Inverse of :func:`wah_encode`."""
-    orig_len, values, lengths = _parse_runs(blob)
-    groups = (
-        np.repeat(values, lengths) if len(values) else np.zeros(0, np.uint32)
-    )
-    bits = (
-        (groups[:, None] >> np.arange(_GROUP_BITS, dtype=np.uint32)) & np.uint32(1)
-    ).astype(np.uint8)
-    flat = bits.reshape(-1)[: orig_len * 8]
-    return np.packbits(flat, bitorder="little").tobytes()
+    orig_len, runs = _parse_runs(blob)
+    bits = _bits_from_groups(_expand(runs))[: orig_len * 8]
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def wah_word_count(blob: bytes) -> int:
@@ -189,273 +254,142 @@ def wah_word_count(blob: bytes) -> int:
 
 
 # ----------------------------------------------------------------------
-# Compressed-domain logical operations
+# Run-level kernels
 # ----------------------------------------------------------------------
 
 
-class _RunReader:
-    """Streams an encoded payload as (is_fill, value, groups) runs.
+def _align(
+    operands: Sequence[Runs], ngroups: int
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Sample k run lists on common segments: ``(aligned values, ends)``.
 
-    Zero-length fill words are skipped during advancement, matching the
-    decoder: a payload :func:`wah_decode` accepts streams identically here.
+    With at least half as many runs as groups the segments are the groups
+    themselves.  Otherwise they are the merged, deduplicated run
+    boundaries; every merged segment is covered by exactly one run of each
+    operand, located with one ``searchsorted`` per operand.
     """
-
-    __slots__ = ("_words", "_pos", "is_fill", "value", "remaining", "orig_len")
-
-    def __init__(self, blob: bytes):
-        if len(blob) < _HEADER.size:
-            raise CorruptFileError("WAH payload shorter than its header")
-        (self.orig_len,) = _HEADER.unpack_from(blob)
-        body = blob[_HEADER.size :]
-        if len(body) % 4:
-            raise CorruptFileError("WAH body is not word-aligned")
-        self._words = np.frombuffer(body, dtype=np.uint32).tolist()
-        self._pos = 0
-        self.is_fill = False
-        self.value = 0
-        self.remaining = 0
-        self._advance()
-
-    def _advance(self) -> None:
-        while self._pos < len(self._words):
-            word = self._words[self._pos]
-            self._pos += 1
-            if word & _FILL_FLAG:
-                run = word & _MAX_RUN
-                if run == 0:
-                    continue  # zero-length fill: no groups, keep scanning
-                self.is_fill = True
-                self.value = _LITERAL_MASK if word & _FILL_VALUE_FLAG else 0
-                self.remaining = run
-                return
-            self.is_fill = False
-            self.value = word & _LITERAL_MASK
-            self.remaining = 1
-            return
-        self.remaining = 0
-
-    def consume(self, groups: int) -> None:
-        """Advance past ``groups`` groups of the current run."""
-        self.remaining -= groups
-        if self.remaining == 0:
-            self._advance()
-
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining == 0
+    if 2 * sum(len(values) for values, _ in operands) >= ngroups:
+        return [_expand(runs) for runs in operands], None
+    merged = np.concatenate([ends for _, ends in operands])
+    merged.sort()
+    merged = merged[np.append(merged[1:] != merged[:-1], True)]
+    return [
+        values[np.searchsorted(ends, merged, side="left")]
+        for values, ends in operands
+    ], merged
 
 
-class _RunWriter:
-    """Builds an encoded payload, merging adjacent compatible runs."""
-
-    __slots__ = ("_words", "_fill_value", "_fill_run")
-
-    def __init__(self):
-        self._words: list[int] = []
-        self._fill_value = -1
-        self._fill_run = 0
-
-    def _flush_fill(self) -> None:
-        run = self._fill_run
-        fill_word = _FILL_FLAG | (
-            _FILL_VALUE_FLAG if self._fill_value == _LITERAL_MASK else 0
-        )
-        while run > 0:
-            chunk = min(run, _MAX_RUN)
-            self._words.append(fill_word | chunk)
-            run -= chunk
-        self._fill_run = 0
-        self._fill_value = -1
-
-    def emit(self, value: int, groups: int = 1) -> None:
-        """Append ``groups`` groups of 31-bit ``value``."""
-        if value == 0 or value == _LITERAL_MASK:
-            if self._fill_value != value and self._fill_run:
-                self._flush_fill()
-            self._fill_value = value
-            self._fill_run += groups
-            return
-        if self._fill_run:
-            self._flush_fill()
-        self._words.extend([value] * groups)
-
-    def payload(self, orig_len: int) -> bytes:
-        if self._fill_run:
-            self._flush_fill()
-        body = np.asarray(self._words, dtype=np.uint32).tobytes()
-        return _HEADER.pack(orig_len) + body
+def _combine(operands: Sequence[Runs], op: Callable, ngroups: int) -> Runs:
+    """Fold ``op`` over k run lists."""
+    aligned, ends = _align(operands, ngroups)
+    acc = aligned[0]
+    for other in aligned[1:]:
+        acc = op(acc, other)
+    return _canonical((acc, ends), ngroups)
 
 
-def _encode_runs(values: np.ndarray, lengths: np.ndarray, orig_len: int) -> bytes:
-    """Re-encode an aligned run list into a payload, fully vectorized.
+def _threshold(operands: Sequence[Runs], k: int, ngroups: int) -> Runs:
+    """Groups whose bit ``i`` is set in at least ``k`` of ``1 <= k <= N`` operands.
 
-    ``values``/``lengths`` come out of the run-merge: any run of length
-    greater than 1 is a fill (its value is 0 or all-ones), so literal words
-    can be copied straight from ``values`` while fill stretches collapse to
-    single words.
+    Bit-sliced ripple counters over the aligned values (slice ``j`` holds
+    bit ``j`` of every position's count), then a word-wise ``count >= k``
+    comparator — the same kernel as ``BitVector.threshold_many``.
     """
-    n = len(values)
-    if n == 0:
-        return _HEADER.pack(orig_len)
+    aligned, ends = _align(operands, ngroups)
+    slices = [np.zeros_like(aligned[0]) for _ in range(len(aligned).bit_length())]
+    for carry in aligned:
+        for index, current in enumerate(slices):
+            slices[index] = current ^ carry
+            carry = current & carry
+    gt = np.zeros_like(aligned[0])
+    eq = np.full_like(aligned[0], _LITERAL_MASK)
+    for index in reversed(range(len(slices))):
+        current = slices[index]
+        if (k >> index) & 1:
+            eq = eq & current
+        else:
+            gt = gt | (eq & current)
+            eq = eq & ~current
+    return _canonical((gt | eq, ends), ngroups)
 
-    # 0 = literal, 1 = zero fill, 2 = one fill (same classes as the encoder).
-    classes = np.zeros(n, dtype=np.uint8)
-    classes[values == 0] = 1
-    classes[values == _LITERAL_MASK] = 2
-    change = np.flatnonzero(np.diff(classes)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    stretch_cls = classes[starts]
-    stretch_sizes = ends - starts
-    fill_totals = np.add.reduceat(lengths, starts)
 
-    is_fill_stretch = stretch_cls != 0
-    fill_words_needed = np.where(
-        is_fill_stretch, (fill_totals + _MAX_RUN - 1) // _MAX_RUN, 0
+def _popcount(runs: Runs) -> int:
+    """Set bits: each run's group popcount times its length."""
+    values, ends = runs
+    counts = np.bitwise_count(values)
+    if ends is None:
+        return int(counts.sum(dtype=np.int64))
+    return int(counts.astype(np.int64) @ np.diff(ends, prepend=0))
+
+
+def _and_popcount(a: Runs, b: Runs, ngroups: int) -> int:
+    """Popcount of ``a AND b``; no result run list is canonicalized."""
+    (left, right), ends = _align([a, b], ngroups)
+    return _popcount((left & right, ends))
+
+
+def _ones_runs(valid_bits: int, ngroups: int) -> Runs:
+    """Run list with the first ``valid_bits`` bits set over ``ngroups`` groups."""
+    full, tail = divmod(valid_bits, _GROUP_BITS)
+    values, ends = [], [0]
+    for value, end in (
+        (_LITERAL_MASK, full),
+        ((1 << tail) - 1, full + (tail > 0)),
+        (0, ngroups),
+    ):
+        if min(end, ngroups) > ends[-1]:
+            values.append(value)
+            ends.append(min(end, ngroups))
+    return _canonical(
+        (np.asarray(values, dtype=np.uint32), np.asarray(ends[1:], dtype=np.int64)),
+        ngroups,
     )
-    out_counts = np.where(is_fill_stretch, fill_words_needed, stretch_sizes)
-    offsets = np.concatenate(([0], np.cumsum(out_counts)))
-    out = np.empty(offsets[-1], dtype=np.uint32)
-
-    fill_stretches = np.flatnonzero(is_fill_stretch)
-    simple = fill_stretches[fill_words_needed[fill_stretches] == 1]
-    if len(simple):
-        fill_word = np.where(
-            stretch_cls[simple] == 2,
-            np.uint32(_FILL_FLAG | _FILL_VALUE_FLAG),
-            np.uint32(_FILL_FLAG),
-        )
-        out[offsets[simple]] = fill_word | fill_totals[simple].astype(np.uint32)
-    for s in fill_stretches[fill_words_needed[fill_stretches] > 1].tolist():
-        # Runs longer than 2^30 - 1 groups (> 33 Gbit) need chunking.
-        fill_word = _FILL_FLAG | (_FILL_VALUE_FLAG if stretch_cls[s] == 2 else 0)
-        run = int(fill_totals[s])
-        pos = int(offsets[s])
-        while run > 0:
-            chunk = min(run, _MAX_RUN)
-            out[pos] = fill_word | chunk
-            pos += 1
-            run -= chunk
-
-    literal_runs = classes == 0
-    if literal_runs.any():
-        run_index = np.arange(n)
-        stretch_of = np.searchsorted(starts, run_index, side="right") - 1
-        dest = offsets[stretch_of] + (run_index - starts[stretch_of])
-        out[dest[literal_runs]] = values[literal_runs]
-
-    return _HEADER.pack(orig_len) + out.tobytes()
 
 
-def _merge_runs(
-    parsed: list[tuple[int, np.ndarray, np.ndarray]], op
-) -> bytes:
-    """Apply ``op`` across k parsed run lists via one sorted boundary merge.
-
-    The merged, deduplicated boundary array is the order a heap of run
-    readers would pop run endings in; every merged segment is covered by
-    exactly one run of each operand, located with one ``searchsorted`` per
-    operand, so the operator applies to aligned ``uint32`` run values in a
-    single vectorized expression.
-    """
-    orig_len = parsed[0][0]
-    ends = [np.cumsum(lengths) for _, _, lengths in parsed]
-    for other_len, _, _ in parsed[1:]:
-        if other_len != orig_len:
-            raise CorruptFileError(
-                f"compressed operands differ in length: "
-                f"{orig_len} vs {other_len} bytes"
-            )
-    # _parse_runs already pinned every operand to the same padded group
-    # count, so the final boundaries coincide by construction.
-    if len(parsed) == 1:
-        merged = ends[0]
-    else:
-        merged = np.concatenate(ends)
-        merged.sort()
-        if len(merged):
-            keep = np.empty(len(merged), dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            merged = merged[keep]
-    if len(merged) == 0:
-        return _HEADER.pack(orig_len)
-    acc = parsed[0][1][np.searchsorted(ends[0], merged, side="left")]
-    for (_, values, _), end in zip(parsed[1:], ends[1:]):
-        acc = op(acc, values[np.searchsorted(end, merged, side="left")])
-    lengths = np.diff(merged, prepend=0)
-    return _encode_runs(acc & np.uint32(_LITERAL_MASK), lengths, orig_len)
+def _not(runs: Runs, valid_bits: int, ngroups: int) -> Runs:
+    """Complement, keeping every bit from ``valid_bits`` on at zero."""
+    values, ends = runs
+    inverted = (values ^ np.uint32(_LITERAL_MASK), ends)
+    return _combine(
+        [inverted, _ones_runs(valid_bits, ngroups)], np.bitwise_and, ngroups
+    )
 
 
-def _binary_op(a: bytes, b: bytes, op) -> bytes:
-    return _merge_runs([_parse_runs(a), _parse_runs(b)], op)
+# ----------------------------------------------------------------------
+# The same kernels on encoded payloads: parse -> kernel -> encode
+# ----------------------------------------------------------------------
+
+
+def _payload_op(payloads: Sequence[bytes], op: Callable) -> bytes:
+    orig_len, operands = _parse_all(payloads)
+    return _encode_runs(
+        _combine(operands, op, _expected_groups(orig_len)), orig_len
+    )
 
 
 def wah_and(a: bytes, b: bytes) -> bytes:
     """AND two encoded payloads without decompressing."""
-    return _binary_op(a, b, np.bitwise_and)
+    return _payload_op([a, b], np.bitwise_and)
 
 
 def wah_or(a: bytes, b: bytes) -> bytes:
     """OR two encoded payloads without decompressing."""
-    return _binary_op(a, b, np.bitwise_or)
-
-
-def wah_and_popcount(a: bytes, b: bytes) -> int:
-    """Popcount of ``a AND b`` without materializing the result payload.
-
-    The aggregate-pushdown kernel: same sorted boundary merge as
-    :func:`wah_and`, but the aligned run values are popcounted and
-    dotted with the segment lengths directly — no result runs are
-    re-encoded, so counting an intersection costs a parse and one
-    vectorized pass regardless of how incompressible the result is.
-    """
-    len_a, values_a, lengths_a = _parse_runs(a)
-    len_b, values_b, lengths_b = _parse_runs(b)
-    if len_a != len_b:
-        raise CorruptFileError(
-            f"compressed operands differ in length: {len_a} vs {len_b} bytes"
-        )
-    ends_a, ends_b = np.cumsum(lengths_a), np.cumsum(lengths_b)
-    merged = np.concatenate((ends_a, ends_b))
-    merged.sort()
-    if len(merged):
-        keep = np.empty(len(merged), dtype=bool)
-        keep[0] = True
-        np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-        merged = merged[keep]
-    if len(merged) == 0:
-        return 0
-    aligned = values_a[np.searchsorted(ends_a, merged, side="left")] & values_b[
-        np.searchsorted(ends_b, merged, side="left")
-    ]
-    lengths = np.diff(merged, prepend=0)
-    return int(np.bitwise_count(aligned).astype(np.int64) @ lengths)
+    return _payload_op([a, b], np.bitwise_or)
 
 
 def wah_xor(a: bytes, b: bytes) -> bytes:
     """XOR two encoded payloads without decompressing."""
-    return _binary_op(a, b, np.bitwise_xor)
+    return _payload_op([a, b], np.bitwise_xor)
 
 
 def wah_and_many(payloads: list[bytes]) -> bytes:
-    """AND k encoded payloads in one multi-way run merge.
-
-    Equivalent to folding :func:`wah_and` pairwise but parses each operand
-    once and walks the merged run boundaries once, so cost is proportional
-    to the total run count across all operands instead of re-materializing
-    k - 1 intermediate payloads.
-    """
-    if not payloads:
-        raise ValueError("wah_and_many needs at least one payload")
-    return _merge_runs([_parse_runs(p) for p in payloads], np.bitwise_and)
+    """AND k encoded payloads in one multi-way alignment (no k - 1 intermediates)."""
+    return _payload_op(payloads, np.bitwise_and)
 
 
 def wah_or_many(payloads: list[bytes]) -> bytes:
-    """OR k encoded payloads in one multi-way run merge (see wah_and_many)."""
-    if not payloads:
-        raise ValueError("wah_or_many needs at least one payload")
-    return _merge_runs([_parse_runs(p) for p in payloads], np.bitwise_or)
+    """OR k encoded payloads in one multi-way alignment (see wah_and_many)."""
+    return _payload_op(payloads, np.bitwise_or)
 
 
 def wah_threshold_many(payloads: list[bytes], k: int) -> bytes:
@@ -464,58 +398,24 @@ def wah_threshold_many(payloads: list[bytes], k: int) -> bytes:
     Returns the payload whose bit ``i`` is set iff at least ``k`` of the
     operands have bit ``i`` set — ``k == 1`` is the N-way OR, ``k == N``
     the N-way AND, and intermediate ``k`` the symmetric threshold that
-    neither fold can express.  The run boundaries of all operands are
-    merged in one sorted pass (exactly like :func:`wah_and_many`); within
-    each merged segment the per-bit-position counts across operands are
-    accumulated with one vectorized shift-and-mask per operand, then
-    compared against ``k`` — no bitmap is ever expanded to row
-    granularity, so cost stays proportional to total run count.
-
-    ``k <= 0`` yields the all-ones payload over the declared byte length
-    (every row trivially matches at least zero operands) and ``k > N``
+    neither fold can express.  ``k <= 0`` yields the all-ones payload over
+    the declared byte length (every row trivially matches at least zero
+    operands; the caller masks padding via its own nbits) and ``k > N``
     the all-zero payload.
     """
-    if not payloads:
-        raise ValueError("wah_threshold_many needs at least one payload")
-    parsed = [_parse_runs(p) for p in payloads]
-    orig_len = parsed[0][0]
-    for other_len, _, _ in parsed[1:]:
-        if other_len != orig_len:
-            raise CorruptFileError(
-                f"compressed operands differ in length: "
-                f"{orig_len} vs {other_len} bytes"
-            )
-    if k <= 0:
-        # Trivially true for every bit position, padding included — the
-        # caller masks padding via its own nbits; match wah_ones semantics
-        # over the byte length.
-        return wah_ones(orig_len * 8)
-    if k > len(payloads):
-        return wah_zeros(orig_len * 8)
-    ends = [np.cumsum(lengths) for _, _, lengths in parsed]
-    if len(parsed) == 1:
-        merged = ends[0]
+    orig_len, operands = _parse_all(payloads)
+    ngroups = _expected_groups(orig_len)
+    if 0 < k <= len(operands):
+        runs = _threshold(operands, k, ngroups)
     else:
-        merged = np.concatenate(ends)
-        merged.sort()
-        if len(merged):
-            keep = np.empty(len(merged), dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            merged = merged[keep]
-    if len(merged) == 0:
-        return _HEADER.pack(orig_len)
-    # counts[s, b] = how many operands have bit b set in merged segment s.
-    shifts = np.arange(_GROUP_BITS, dtype=np.uint32)
-    counts = np.zeros((len(merged), _GROUP_BITS), dtype=np.int32)
-    for (_, values, _), end in zip(parsed, ends):
-        aligned = values[np.searchsorted(end, merged, side="left")]
-        counts += ((aligned[:, None] >> shifts) & np.uint32(1)).astype(np.int32)
-    result = ((counts >= k) * _POWERS).sum(axis=1, dtype=np.uint64).astype(
-        np.uint32
-    )
-    lengths = np.diff(merged, prepend=0)
-    return _encode_runs(result, lengths, orig_len)
+        runs = _ones_runs(orig_len * 8 if k <= 0 else 0, ngroups)
+    return _encode_runs(runs, orig_len)
+
+
+def wah_and_popcount(a: bytes, b: bytes) -> int:
+    """Popcount of ``a AND b`` without materializing the result payload."""
+    orig_len, (runs_a, runs_b) = _parse_all([a, b])
+    return _and_popcount(runs_a, runs_b, _expected_groups(orig_len))
 
 
 def wah_not(blob: bytes, nbits: int | None = None) -> bytes:
@@ -525,67 +425,23 @@ def wah_not(blob: bytes, nbits: int | None = None) -> bytes:
     it, complementing is exact to byte granularity (bits past the final
     byte stay zero either way).
     """
-    orig_len, values, lengths = _parse_runs(blob)
-    inverted = (values ^ np.uint32(_LITERAL_MASK), lengths)
-    # Mask padding back to zero by merging with the all-ones run list of
-    # the true length (cheap: it is at most three runs).
+    orig_len, runs = _parse_runs(blob)
     valid_bits = nbits if nbits is not None else orig_len * 8
-    total_groups = _expected_groups(orig_len)
-    mask_values, mask_lengths = _ones_runs(valid_bits, total_groups)
-    return _merge_runs(
-        [(orig_len, *inverted), (orig_len, mask_values, mask_lengths)],
-        np.bitwise_and,
-    )
-
-
-def _ones_runs(valid_bits: int, total_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run list with the first ``valid_bits`` bits set over ``total_groups``."""
-    full, tail = divmod(valid_bits, _GROUP_BITS)
-    full = min(full, total_groups)
-    values, lengths = [], []
-    if full:
-        values.append(_LITERAL_MASK)
-        lengths.append(full)
-    emitted = full
-    if tail and emitted < total_groups:
-        values.append((1 << tail) - 1)
-        lengths.append(1)
-        emitted += 1
-    if emitted < total_groups:
-        values.append(0)
-        lengths.append(total_groups - emitted)
-    return np.asarray(values, dtype=np.uint32), np.asarray(lengths, dtype=np.int64)
+    return _encode_runs(_not(runs, valid_bits, _expected_groups(orig_len)), orig_len)
 
 
 def wah_zeros(nbits: int) -> bytes:
     """The encoded all-zero bitmap of ``nbits`` bits."""
     orig_len = (nbits + 7) // 8
-    writer = _RunWriter()
-    total_groups = _expected_groups(orig_len)
-    if total_groups:
-        writer.emit(0, total_groups)
-    return writer.payload(orig_len)
+    return _encode_runs(_ones_runs(0, _expected_groups(orig_len)), orig_len)
 
 
 def wah_ones(nbits: int) -> bytes:
     """The encoded bitmap with the first ``nbits`` bits set."""
     orig_len = (nbits + 7) // 8
-    writer = _RunWriter()
-    values, lengths = _ones_runs(nbits, _expected_groups(orig_len))
-    for value, length in zip(values.tolist(), lengths.tolist()):
-        writer.emit(value, length)
-    return writer.payload(orig_len)
+    return _encode_runs(_ones_runs(nbits, _expected_groups(orig_len)), orig_len)
 
 
 def wah_popcount(blob: bytes) -> int:
-    """Set-bit count of an encoded payload, computed run-by-run.
-
-    One vectorized pass over the parsed runs: each run contributes its
-    group value's popcount times its length, so cost is proportional to
-    the number of runs (not bits), and literal-heavy payloads popcount
-    at numpy speed instead of a word-at-a-time Python loop.
-    """
-    _, values, lengths = _parse_runs(blob)
-    if len(values) == 0:
-        return 0
-    return int(np.bitwise_count(values).astype(np.int64) @ lengths)
+    """Set-bit count of an encoded payload, computed run-by-run."""
+    return _popcount(_parse_runs(blob)[1])

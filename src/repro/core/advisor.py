@@ -301,8 +301,8 @@ def recommend_codec(
     return CodecChoice(
         codec="roaring",
         rationale=(
-            f"uniform scatter at density {density:g}: array/bitmap "
-            f"containers beat WAH's word-at-a-time loop"
+            f"uniform scatter at density {density:g}: no runs for WAH "
+            f"to exploit; array/bitmap containers stay compact"
         ),
         source="builtin",
     )

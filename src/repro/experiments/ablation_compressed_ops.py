@@ -5,15 +5,15 @@ access (zlib can do nothing else).  Word-aligned codecs changed that
 economics: AND/OR run directly on the WAH runs.  This ablation measures,
 per value distribution, the wall time of
 
-- ``compressed``: ``wah_and`` on the compressed payloads;
+- ``compressed``: ``WahBitVector.__and__`` on the parsed run lists;
 - ``decode+op``: WAH-decode both operands, then one uncompressed AND;
 - ``uncompressed``: the plain in-memory AND (the lower bound).
 
 Expected shape: on run-structured bitmaps the compressed-domain AND works
 on a handful of runs and beats full decode by a wide margin; on random
-bitmaps every group is a literal, so staying compressed saves nothing
-(in this pure-Python substrate it is slower than numpy's word AND —
-noted, as with the codec ablation, as an implementation bias).
+bitmaps every group is a literal, so staying compressed saves no space
+and the AND is a word-parallel pass over 32-bit group values (a few
+times numpy's 64-bit word AND, which carries no canonical-form check).
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ def run(
         f"faster than decode+op"
     )
     result.note(
-        "uniform bitmaps are all literals: staying compressed saves "
-        "nothing there (and this pure-Python run loop is slower than "
-        "numpy's uncompressed AND — an implementation bias, as with the "
-        "codec ablation)"
+        "uniform bitmaps are all literals: staying compressed saves no "
+        "space there, and the AND is a word-parallel pass over the group "
+        "values plus a canonical-form check"
     )
     return result

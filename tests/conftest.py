@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitmaps.bitvector import BitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
@@ -28,6 +29,19 @@ def paper_values() -> np.ndarray:
 def paper_index(paper_values) -> BitmapIndex:
     """The base-<3,3> range-encoded index of the paper's Figure 4(c)."""
     return BitmapIndex(paper_values, cardinality=9, base=Base((3, 3)))
+
+
+def shaped_vector(nbits: int, shape: str, seed: int) -> BitVector:
+    """A seeded vector that is ``"literal"``-heavy (independent random
+    bits) or ``"fill"``-heavy (runs of 40 to 5,000 equal bits) — the two
+    shapes a compressed class may hold differently."""
+    generator = np.random.default_rng(seed)
+    if shape == "literal":
+        density = generator.choice([0.05, 0.5, 0.95])
+        return BitVector.from_bools(generator.random(nbits) < density)
+    run = int(generator.integers(40, 5000))
+    flips = generator.random(nbits // run + 1) < 0.5
+    return BitVector.from_bools(np.repeat(flips, run)[:nbits])
 
 
 def make_index(

@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitmaps import compressed, wah
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
+from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex, BitmapSource, CompressedBitmapSource
@@ -88,6 +90,34 @@ class TestCompressedBitmapSource:
         assert rid in evaluate(source, pred).indices()
         index.delete(rid)
         assert rid not in evaluate(source, pred).indices()
+
+    def test_evaluation_never_parses_or_encodes_a_payload(self, rng, monkeypatch):
+        # The mechanism: vectors live as parsed runs, so a query over
+        # already-constructed vectors does no byte-level work at all.
+        values = rng.integers(0, 1000, NUM_ROWS)
+        index = BitmapIndex(values, 1000, base=Base((10, 10, 10)))
+        source = index.as_compressed()
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for module in (wah, compressed):
+            for name in ("_parse_runs", "_encode_runs"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for op, value in (("<=", 457), (">", 99), ("=", 500), ("!=", 7)):
+            got = evaluate(source, Predicate(op, value), "range_eval_opt")
+            want = evaluate(index, Predicate(op, value), "range_eval_opt")
+            assert isinstance(got, WahBitVector)
+            assert np.array_equal(got.indices(), want.indices())
+            assert got.count() == want.count()
+        assert calls == []
+        got.to_payload()
+        assert calls == ["_encode_runs"]  # the wrappers do count
 
     def test_executor_runs_compressed(self, rng):
         rel = Relation.from_dict(
@@ -218,6 +248,42 @@ class TestByteBudgetCache:
         assert len(dense_cache) == 4
         assert len(wah_cache) >= 4 * len(dense_cache)
         assert wah_cache.bytes_cached <= budget
+
+    def test_wah_nbytes_is_resident_size_and_never_changes(self, rng):
+        """Evicting everything returns ``bytes_cached`` to zero: the size
+        a vector reports on ``put`` is the size it reports on eviction,
+        whatever was done with it in between."""
+        nbits = 100_000
+        literal = [
+            WahBitVector.from_bitvector(BitVector.from_bools(rng.random(nbits) < d))
+            for d in (0.1, 0.5, 0.9)
+        ]
+        filled = [
+            WahBitVector.from_bitvector(
+                BitVector.from_bools(np.arange(nbits) // 9_000 % 2 == k)
+            )
+            for k in (0, 1)
+        ]
+        # One value per 31-bit group vs a handful of (value, end) runs.
+        assert all(v.nbytes == 4 * -(-nbits // 31) for v in literal)
+        assert all(v.nbytes < 400 for v in filled)
+        cache = SharedBitmapCache(capacity=None, byte_budget=10**6)
+        vectors = literal + filled
+        for key, vector in enumerate(vectors):
+            cache.put(key, vector)
+        sizes = [v.nbytes for v in vectors]
+        assert cache.bytes_cached == sum(sizes)
+        for a in vectors:
+            for b in vectors:
+                _ = (a & b, a | b, a ^ b, a.and_count(b))
+            _ = ((~a).count(), a.indices(), a.to_payload(), a.compressed_bytes)
+        WahBitVector.threshold_many(vectors, 2)
+        assert [v.nbytes for v in vectors] == sizes
+        cache.put(0, vectors[-1])  # a refresh subtracts the old entry's size
+        assert cache.bytes_cached == sum(sizes) - sizes[0] + sizes[-1]
+        for key in range(len(vectors)):
+            assert cache.drop_group(str(key)) == 1
+        assert len(cache) == 0 and cache.bytes_cached == 0
 
     def test_config_validation(self):
         with pytest.raises(BufferConfigError):

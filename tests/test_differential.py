@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import shaped_vector
 from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import RoaringBitmap
@@ -633,8 +636,46 @@ class TestBitmapConformance:
                 cls.from_payload(payload, nbits)
         for damaged in (payload[: len(payload) // 2], payload + payload):
             with pytest.raises(CorruptFileError):
-                # Lazily validated run words surface on first use.
-                cls.from_payload(damaged, 200).count()
+                cls.from_payload(damaged, 200)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nbits=st.sampled_from([0, 1, 30, 31, 32, 62, 1000, 65_537]),
+        shapes=st.tuples(*[st.sampled_from(["literal", "fill"])] * 3),
+        seed=st.integers(0, 2**31),
+    )
+    def test_every_kernel_matches_the_dense_oracle_whatever_the_operand_shape(
+        self, codec, cls, nbits, shapes, seed
+    ):
+        # Literal-heavy, fill-heavy and mixed operands: a compressed class
+        # may hold each differently and must answer the same.
+        x, y, z = (
+            shaped_vector(nbits, shape, seed + i) for i, shape in enumerate(shapes)
+        )
+        a, b, c = (cls.from_bitvector(v) for v in (x, y, z))
+        cases = [
+            (a & b, x & y),
+            (a | b, x | y),
+            (a ^ b, x ^ y),
+            (~a, ~x),
+            (cls.threshold_many([a, b, c], 2), BitVector.threshold_many([x, y, z], 2)),
+            (((a | b) & ~c) ^ a, ((x | y) & ~z) ^ x),  # a chain of results
+        ]
+        if hasattr(cls, "and_many"):
+            cases += [
+                (cls.and_many([a, b, c]), x & y & z),
+                (cls.or_many([a, b, c]), x | y | z),
+            ]
+        for got, want in cases:
+            assert isinstance(got, cls)
+            assert got.to_bitvector() == want
+            assert got.count() == want.count()
+            assert np.array_equal(got.indices(), want.indices())
+            assert np.array_equal(got.to_bools(), want.to_bools())
+            # However it was computed, a result is stored as if built fresh.
+            assert got.to_payload() == cls.from_bitvector(want).to_payload()
+        assert a.and_count(b) == (x & y).count()
+        assert a.and_count(c) == (x & z).count()
 
 
 def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):

@@ -443,17 +443,24 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptFileError, match="checksum"):
             source.fetch(1, 1, ExecutionStats())
 
-    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
-    def test_payload_of_another_bit_length_is_corrupt(self, store_dir, codec):
-        # A well-formed, CRC-clean file whose payloads were built at 200
-        # rows under a dictionary that says 100: only the payload's own
-        # length field can tell.
+    @staticmethod
+    def write_equality_file(store_dir, declared_rows, codec, payload_of):
+        """A CRC-clean ``sales.rbix`` over ``arange(200) % 5`` whose slot
+        payloads are whatever ``payload_of(bitmap)`` returns."""
         values = np.arange(200) % 5
         index = BitmapIndex(values, 5, encoding=EncodingScheme.EQUALITY)
         cls = repro.bitmaps.bitmap_class(codec)
+
+        class Stored:
+            def __init__(self, bitmap):
+                self.bitmap = bitmap
+
+            def to_payload(self):
+                return payload_of(self.bitmap)
+
         image, _ = _pack_relation_file(
             "sales",
-            100,
+            declared_rows,
             {
                 "a": {
                     "cardinality": 5,
@@ -463,7 +470,9 @@ class TestCorruptionDetection:
                     "value_size_bytes": 8,
                     "dictionary": None,
                     "bitmaps": {
-                        (1, slot): cls.from_bitvector(index.components[0].bitmap(slot))
+                        (1, slot): Stored(
+                            cls.from_bitvector(index.components[0].bitmap(slot))
+                        )
                         for slot in index.stored_slots(1)
                     },
                     "nonnull": None,
@@ -473,6 +482,13 @@ class TestCorruptionDetection:
         os.makedirs(store_dir)
         with open(os.path.join(store_dir, "sales.rbix"), "wb") as handle:
             handle.write(image)
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_payload_of_another_bit_length_is_corrupt(self, store_dir, codec):
+        # A well-formed, CRC-clean file whose payloads were built at 200
+        # rows under a dictionary that says 100: only the payload's own
+        # length field can tell.
+        self.write_equality_file(store_dir, 100, codec, lambda b: b.to_payload())
         with IndexStore(store_dir) as store:
             assert store.verify("sales") == []  # every checksum holds
             source = store.bitmap_source("sales", "a")
@@ -482,6 +498,40 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptFileError):
             engine.query("a = 2")
         engine.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p + b"\x00",  # body not word-aligned
+            lambda p: p[:-4],  # decodes to too few groups
+            lambda p: p + p[-4:],  # decodes to too many groups
+            lambda p: p[:5],  # shorter than its own header
+        ],
+        ids=["unaligned", "too_few_groups", "too_many_groups", "no_header"],
+    )
+    def test_damaged_wah_run_words_are_corrupt_at_the_fetch(self, store_dir, damage):
+        # CRC-clean and the right declared length, but the run words are
+        # wrong: the fetch itself must say so, not the first operation on
+        # a bitmap that was handed out and cached.
+        self.write_equality_file(
+            store_dir, 200, "wah", lambda b: damage(b.to_payload())
+        )
+        with IndexStore(store_dir) as store:
+            assert store.verify("sales") == []
+            source = store.bitmap_source("sales", "a")
+            with pytest.raises(CorruptFileError, match="payload"):
+                source.fetch(1, 2, ExecutionStats())
+
+    def test_zero_length_fill_words_are_still_accepted_at_the_fetch(self, store_dir):
+        def with_empty_fills(bitmap):
+            payload = bitmap.to_payload()
+            return payload[:8] + b"\x00\x00\x00\x80" + payload[8:] + b"\x00\x00\x00\xc0"
+
+        self.write_equality_file(store_dir, 200, "wah", with_empty_fills)
+        with IndexStore(store_dir) as store:
+            source = store.bitmap_source("sales", "a")
+            fetched = source.fetch(1, 2, ExecutionStats())
+        assert fetched.indices().tolist() == list(range(2, 200, 5))
 
     def test_scrub_quarantines_corrupt_relations(self, store_dir, relation):
         path = self.build(store_dir, relation)

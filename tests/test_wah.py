@@ -13,9 +13,12 @@ from repro.bitmaps.wah import (
     wah_and,
     wah_decode,
     wah_encode,
+    wah_not,
+    wah_ones,
     wah_or,
     wah_popcount,
     wah_word_count,
+    wah_zeros,
 )
 from repro.errors import CorruptFileError
 
@@ -89,6 +92,20 @@ class TestRoundTrip:
         encoded = wah_encode(data)
         # Worst case: one 32-bit word per 31 input bits plus the header.
         assert len(encoded) <= len(data) * 32 // 31 + 16
+
+    def test_a_fill_too_long_for_one_word_spans_several(self):
+        # 2^31 + 8 groups (66 Gbit): nothing here is ever sized by bits.
+        max_run = (1 << 30) - 1
+        nbits = 31 * (2 * max_run + 10)
+        zeros, ones = wah_zeros(nbits), wah_ones(nbits)
+        assert zeros == _payload(
+            nbits // 8, [ZERO_FILL | max_run] * 2 + [ZERO_FILL | 10]
+        )
+        assert ones == _payload(
+            nbits // 8, [ONE_FILL_FLAG | max_run] * 2 + [ONE_FILL_FLAG | 10]
+        )
+        assert wah_popcount(ones) == nbits and wah_popcount(zeros) == 0
+        assert wah_and(ones, zeros) == zeros and wah_not(zeros) == ones
 
 
 class TestCorruption:
