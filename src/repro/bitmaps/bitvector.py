@@ -14,7 +14,7 @@ comparisons never see garbage.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import ClassVar
 
 import numpy as np
@@ -23,14 +23,50 @@ from repro.errors import CorruptFileError, LengthMismatchError
 
 _WORD_BITS = 64
 
-# ``np.bitwise_count`` exists from numpy 2.0; fall back to unpackbits-based
-# popcount on older versions.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
 
 def _words_needed(nbits: int) -> int:
     """Number of 64-bit words required to hold ``nbits`` bits."""
     return (nbits + _WORD_BITS - 1) // _WORD_BITS
+
+
+def _count_bits(words: np.ndarray, axis: int | None = None):
+    """Set bits of an unsigned array: of all of it, or summed along ``axis``.
+
+    The one popcount of the three bitmap classes (``np.bitwise_count`` is
+    why the package needs numpy 2.0).
+    """
+    return np.bitwise_count(words).sum(axis=axis, dtype=np.int64)
+
+
+def _ripple_threshold(operands: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Bit ``i`` of element ``j`` is set iff at least ``k`` of the ``N``
+    equally shaped unsigned ``operands`` set it, for ``1 <= k <= N``.
+
+    Bit-sliced ripple counters on packed words: slice ``s`` holds bit ``s``
+    of every position's occurrence count, and each operand is added with
+    one AND/XOR carry chain, never unpacking a bit.  ``count >= k`` is then
+    a word-wise magnitude comparator against the constant ``k``: walk the
+    slices from the most significant down, tracking positions already
+    strictly greater (``gt``) and positions still tied with ``k``'s bits
+    (``eq``).  ``O(N log N)`` word passes in all.  A bit no operand sets
+    counts zero, which is below any valid ``k``, so padding stays clear.
+    """
+    first = operands[0]
+    slices = [np.zeros_like(first) for _ in range(len(operands).bit_length())]
+    for carry in operands:
+        for index, current in enumerate(slices):
+            slices[index] = current ^ carry
+            carry = current & carry
+    gt = np.zeros_like(first)
+    eq = ~gt
+    for index in reversed(range(len(slices))):
+        current = slices[index]
+        if (k >> index) & 1:
+            eq = eq & current
+        else:
+            gt = gt | (eq & current)
+            eq = eq & ~current
+    return gt | eq
 
 
 class BitVector:
@@ -207,18 +243,12 @@ class BitVector:
 
     def count(self) -> int:
         """Population count: the number of set bits (the "foundset" size)."""
-        if _HAS_BITWISE_COUNT:
-            return int(np.bitwise_count(self._words).sum())
-        as_bytes = self._words.view(np.uint8)
-        return int(np.unpackbits(as_bytes).sum())
+        return int(_count_bits(self._words))
 
     def and_count(self, other: "BitVector") -> int:
         """``(self & other).count()`` without allocating the AND."""
         self._check_compatible(other)
-        words = self._words & other._words
-        if _HAS_BITWISE_COUNT:
-            return int(np.bitwise_count(words).sum())
-        return int(np.unpackbits(words.view(np.uint8)).sum())
+        return int(_count_bits(self._words & other._words))
 
     def any(self) -> bool:
         """``True`` if at least one bit is set."""
@@ -283,13 +313,7 @@ class BitVector:
         ``k == 1`` is the N-way OR and ``k == N`` the N-way AND; ``k <= 0``
         clamps to all-ones and ``k > N`` to all-zeros.
 
-        Runs entirely on packed words with bit-sliced ripple counters:
-        slice ``j`` holds bit ``j`` of each position's occurrence count,
-        and each operand is added with one AND/XOR carry chain — never
-        unpacking a single bit.  The final ``count >= k`` comparison is a
-        word-wise magnitude comparator against the constant ``k``, so the
-        whole kernel is ``O(N log N)`` word passes instead of the 8x
-        memory blow-up of unpack-and-sum.
+        Runs entirely on packed words (:func:`_ripple_threshold`).
         """
         vectors = list(vectors)
         first = vectors[0]
@@ -299,30 +323,7 @@ class BitVector:
             return cls.ones(first._nbits)
         if k > len(vectors):
             return cls.zeros(first._nbits)
-        slices = [
-            np.zeros_like(first._words)
-            for _ in range(len(vectors).bit_length())
-        ]
-        for vector in vectors:
-            carry = vector._words
-            for index, current in enumerate(slices):
-                slices[index] = current ^ carry
-                carry = current & carry
-        # Word-wise (count >= k): walk the counter slices from the most
-        # significant down, tracking positions already strictly greater
-        # (gt) and positions still tied with k's bits (eq).
-        gt = np.zeros_like(first._words)
-        eq = np.full_like(first._words, np.uint64(0xFFFFFFFFFFFFFFFF))
-        for index in reversed(range(len(slices))):
-            current = slices[index]
-            if (k >> index) & 1:
-                eq = eq & current
-            else:
-                gt = gt | (eq & current)
-                eq = eq & ~current
-        # Tail bits beyond nbits stay clear: every operand's tail is zero,
-        # so their counter reads zero and zero < k for any valid k.
-        return cls(first._nbits, gt | eq)
+        return cls(first._nbits, _ripple_threshold([v._words for v in vectors], k))
 
     # ------------------------------------------------------------------
     # Comparison / repr

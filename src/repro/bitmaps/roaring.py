@@ -5,20 +5,68 @@ Roaring bitmaps") partitions the row space into 2^16-row *chunks* and
 stores each non-empty chunk in whichever of three container shapes is
 smallest for its contents:
 
-- **array** — a sorted ``uint16`` array of the set positions; used while
-  the chunk holds at most :data:`ARRAY_MAX` (4096) rows, at which point
-  the array (2 bytes/row) would outgrow the bitmap container.
+- **array** — the sorted ``uint16`` set positions; used while the chunk
+  holds at most :data:`ARRAY_MAX` (4096) rows, at which point the array
+  (2 bytes/row) would outgrow the bitmap container.
 - **bitmap** — a packed 1024-word (8 KiB) ``uint64`` bit array; used for
   dense chunks beyond the array threshold.
-- **run** — sorted, coalesced ``(start, length)`` intervals; used
+- **run** — sorted, coalesced ``(start, length - 1)`` intervals; used
   whenever the chunk's set bits form few enough runs that 4 bytes/run
   beats both alternatives.
 
-Container selection is re-evaluated after every operation
-(:func:`_seal_array` / :func:`_seal_words` / :func:`_seal_runs`), so a
-chunk crossing the 4096-row boundary flips representation automatically
-and run-structured results collapse to run containers without an explicit
-``runOptimize`` pass.
+In memory
+---------
+A :class:`RoaringBitmap` holds no per-chunk Python objects.  Three
+parallel arrays describe its containers in key order — ``keys``
+(``uint16``), ``kinds`` (``uint8``) and ``sizes`` (``int32``: values of an
+array container, runs of a run container, 1 for a bitmap container) — and
+three *pools* hold every container of one kind back to back, again in key
+order: ``array`` (``uint16[Σ]``), ``runs`` (``uint16[Σ, 2]``, the
+serialized layout) and ``words`` (``uint64[nb, 1024]``).  Nothing is
+cached beside them, so :attr:`RoaringBitmap.nbytes` is the resident size
+and never changes.
+
+Kernels
+-------
+Every binary and k-way operator is one call of :func:`_evaluate`, which
+aligns the chunk keys of its operands once and then runs at most one numpy
+pipeline per *route*, over all the chunks on that route together — never
+one Python iteration per chunk.  A chunk's route follows from how many
+operands hold it and from their container kinds and sizes:
+
+- *through*: held by one operand only; its container is sliced out of
+  that operand's pools as it is (or dropped, for AND-like operators).
+- *rows*: some operand holds a bitmap container.  Every operand is
+  rendered into an ``(m, 1024)`` word matrix (:meth:`RoaringBitmap._render`:
+  bitmap rows gathered, array rows by one scatter, run rows from toggle
+  bits and a prefix XOR — O(runs + words), never 65,536 wide) and the
+  operator is one 2-D ufunc, or the shared bit-sliced ripple adder and
+  ``>= k`` comparator for a threshold.
+- *probe*: an array container under AND / ANDNOT stays O(array): its
+  values are looked up in the other operand's container, by one gather
+  of bits (bitmap) or one binary search each (array, run).
+- *sweep*: array and run containers only, a run among them.  One sorted
+  pass over the interval boundaries of all operands in a global position
+  space (the chunk key rides in the high bits; an array value is a unit
+  run) keeps the spans whose coverage the operator's truth table accepts
+  (:func:`_sweep`) — O(boundaries), whatever the chunk count.
+- *tally*: array containers only, adding up to at most :data:`ARRAY_MAX`
+  values (more take the *rows* route, as in Chambi et al.'s array union).
+  The same sorted pass over the values themselves (:func:`_tally`).
+
+NOT (one operand) flips the word rows of its array and bitmap containers
+and takes the gaps between the runs of every other chunk.
+
+Container selection is re-evaluated for every result in one batch
+(``seal`` of :class:`_Rows`, :class:`_Spans`, :class:`_Values`):
+cardinality and run count of all result chunks at once, the
+smallest-representation rule (:func:`_pick_kinds`) as one vectorized
+expression, and one conversion per (form, kind) for the chunks whose form
+is not already their kind.  So a chunk crossing the 4096-row boundary
+flips representation automatically, run-structured results collapse to
+run containers without an explicit ``runOptimize`` pass, and a result is
+byte for byte what :meth:`RoaringBitmap.from_bitvector` of the same bits
+would be.
 
 Where WAH's run-length words lose on uniform-random (short-run) data —
 every 31-bit group becomes a literal word and the codec degenerates to a
@@ -27,17 +75,11 @@ containers keep both the space and the AND/OR cost proportional to the
 number of *set bits*, which is exactly the regime the
 ``bench_codec_crossover`` benchmark maps against WAH and dense execution.
 
-:class:`RoaringBitmap` mirrors the algebra surface of
-:class:`~repro.bitmaps.bitvector.BitVector` and
-:class:`~repro.bitmaps.compressed.WahBitVector` (``zeros`` / ``ones``,
-``count``, ``indices``, ``to_bools``, ``copy``, ``nbytes``, the four
-logical operators, and k-way ``and_many`` / ``or_many``), so the
-evaluation algorithms of :mod:`repro.core.evaluation`, the storage
-schemes, and the query engine serve it unchanged as a third backend.
-
-The serialized form (:meth:`RoaringBitmap.serialize` /
-:meth:`RoaringBitmap.deserialize`) is self-describing and validated on
-read: truncated, overlong, or internally inconsistent payloads raise
+:class:`RoaringBitmap` mirrors the algebra surface of ``BitVector`` and
+``WahBitVector``, so the evaluation algorithms, the storage schemes and
+the query engine serve it unchanged as a third backend.  The serialized
+form is self-describing and validated on read: truncated, overlong, or
+internally inconsistent payloads raise
 :class:`~repro.errors.CorruptFileError` rather than crashing or decoding
 to a wrong answer.
 """
@@ -45,12 +87,13 @@ to a wrong answer.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
-from typing import ClassVar
+from collections.abc import Callable, Iterator, Sequence
+from functools import reduce
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
+from repro.bitmaps.bitvector import BitVector, _count_bits, _ripple_threshold
 from repro.errors import CorruptFileError, LengthMismatchError
 
 #: Rows per chunk (the Roaring partition unit).
@@ -66,335 +109,300 @@ BITMAP_NBYTES = BITMAP_WORDS * 8
 #: Container kind tags (also the on-disk ``kind`` byte).
 ARRAY, BITMAP, RUN = 0, 1, 2
 
-_KIND_NAMES = {ARRAY: "array", BITMAP: "bitmap", RUN: "run"}
+_KIND_NAMES = np.array(["array", "bitmap", "run"])
+#: Pool bytes per unit of ``sizes``, by kind.
+_UNIT_NBYTES = np.array([2, BITMAP_NBYTES, 4])
+#: In place of a kind: a sealed row that turned out empty.
+_NOTHING = 3
 
 # header: magic(4) version(B) reserved(B) nbits(Q) ncontainers(I)
 _HEADER = struct.Struct("<4sBBQI")
 # per container: key(H) kind(B) count(I)
 _CONTAINER_HEADER = struct.Struct("<HBI")
+_CONTAINER_DTYPE = np.dtype([("key", "<u2"), ("kind", "u1"), ("count", "<u4")])
 _MAGIC = b"ROAR"
 _VERSION = 1
 
-_ONE = np.uint64(1)
-_SIX3 = np.uint64(63)
+_ONE, _SIX3 = np.uint64(1), np.uint64(63)
+_LOW = CHUNK_SIZE - 1
+#: 2^0 .. 2^31 as doubles (see :func:`_bit_rows`).
+_BIT_WEIGHTS = np.ldexp(1.0, np.arange(32))
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+#: The empty pools (shared: no array of a bitmap is ever written to).
+_NO_ARRAY = np.zeros(0, dtype=np.uint16)
+_NO_RUNS = np.zeros((0, 2), dtype=np.uint16)
+_NO_WORDS = np.zeros((0, BITMAP_WORDS), dtype=np.uint64)
 
+#: Inside a sweep a position is ``(key << _SPAN) | low`` as ``int64``: one
+#: bit more than a chunk needs, so that the exclusive end of a run reaching
+#: its chunk's last row (``low == 65536``) is below the next chunk's first
+#: position and no span ever crosses a chunk.
+_SPAN = 17
+_SPAN_LOW = (1 << _SPAN) - 1
 
-def _popcount_words(words: np.ndarray) -> int:
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum())
-    return int(np.unpackbits(words.view(np.uint8)).sum())
-
-
-def _words_to_indices(words: np.ndarray) -> np.ndarray:
-    """Positions of set bits in a 1024-word chunk, as int64."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits)
-
-
-def _indices_to_words(values: np.ndarray) -> np.ndarray:
-    """Pack sorted in-chunk positions into a 1024-word bitmap."""
-    bools = np.zeros(CHUNK_SIZE, dtype=bool)
-    bools[values] = True
-    return np.packbits(bools, bitorder="little").view(np.uint64)
-
-
-def _runs_to_words(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Pack coalesced runs into a 1024-word bitmap (delta + cumsum)."""
-    delta = np.zeros(CHUNK_SIZE + 1, dtype=np.int32)
-    delta[starts] = 1
-    # Coalesced runs guarantee start[k+1] > start[k] + length[k], so the
-    # decrement positions never collide with an increment.
-    delta[starts + lengths] -= 1
-    bools = np.cumsum(delta[:CHUNK_SIZE]).astype(bool)
-    return np.packbits(bools, bitorder="little").view(np.uint64)
-
-
-def _runs_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Expand runs to the sorted positions they cover (vectorized)."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    step = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    step[0] = starts[0]
-    step[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(step)
-
-
-def _shift_up(words: np.ndarray) -> np.ndarray:
-    """Each bit moved one position higher (bit i gets old bit i-1)."""
-    out = words << _ONE
-    out[1:] |= words[:-1] >> _SIX3
-    return out
-
-
-def _shift_down(words: np.ndarray) -> np.ndarray:
-    """Each bit moved one position lower (bit i gets old bit i+1)."""
-    out = words >> _ONE
-    out[:-1] |= words[1:] << _SIX3
-    return out
+#: Routes of a chunk that several operands hold (see the module docstring),
+#: looked up by the OR of ``1 << kind`` over its holders.
+_DROPPED, _ROWS, _SWEEP, _TALLY = 0, 1, 2, 3
+_KIND_FLAGS = np.array([1, 2, 4], dtype=np.uint8)
+_ROUTES = np.array([_DROPPED, _TALLY, _ROWS, _ROWS, _SWEEP, _SWEEP, _ROWS, _ROWS], np.uint8)
 
 
 # ----------------------------------------------------------------------
-# Container construction: pick the smallest representation
+# Bits, words and spans
 # ----------------------------------------------------------------------
-#
-# A container is a ``(kind, data)`` pair: ARRAY data is a sorted uint16
-# array; BITMAP data is a 1024-entry uint64 array (owned, never a view
-# into shared storage); RUN data is an ``(starts, lengths)`` pair of
-# int64 arrays describing sorted, coalesced, non-empty intervals.
 
 
-def _run_bytes(nruns: int) -> int:
-    return 4 * nruns
+def _num_chunks(nbits: int) -> int:
+    return (nbits + CHUNK_SIZE - 1) // CHUNK_SIZE
 
 
-def _pick_kind(cardinality: int, nruns: int) -> int:
-    """The smallest representation for a chunk's statistics."""
-    array_ok = cardinality <= ARRAY_MAX
-    threshold = min(2 * cardinality, BITMAP_NBYTES) if array_ok else BITMAP_NBYTES
-    if _run_bytes(nruns) < threshold:
-        return RUN
-    return ARRAY if array_ok else BITMAP
+def _require(holds, problem: str) -> None:
+    """An invariant of a payload being read: corrupt unless it ``holds``."""
+    if not holds:
+        raise CorruptFileError(f"roaring {problem}")
 
 
-def _seal_array(values: np.ndarray):
-    """Seal sorted unique in-chunk positions into the best container."""
-    card = len(values)
-    if card == 0:
-        return None
-    boundaries = np.flatnonzero(np.diff(values) != 1)
-    nruns = len(boundaries) + 1
-    kind = _pick_kind(card, nruns)
-    if kind == RUN:
-        starts = values[np.concatenate(([0], boundaries + 1))].astype(np.int64)
-        ends = values[np.concatenate((boundaries, [card - 1]))].astype(np.int64)
-        return (RUN, (starts, ends - starts + 1))
-    if kind == ARRAY:
-        return (ARRAY, values.astype(np.uint16))
-    return (BITMAP, _indices_to_words(values))
+def _ranges(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(o, o + n)`` for every ``(o, n)``, concatenated: the gather
+    index of pool segments, and equally the positions runs cover."""
+    ends = lengths.cumsum(dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return (offsets - ends + lengths).repeat(lengths) + np.arange(total)
 
 
-def _seal_words(words: np.ndarray):
-    """Seal a 1024-word chunk bitmap into the best container.
+def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal adjacent values: where each starts, and its length."""
+    change = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    first = change.nonzero()[0]
+    return first, np.append(first[1:], len(values)) - first
 
-    Takes ownership of ``words``; pass a copy when the array aliases
-    shared storage.
+
+def _bit_positions(rows: np.ndarray, sparse: bool) -> np.ndarray:
+    """Set bits of contiguous word rows, as ``(row << 16) | low``, ascending.
+    ``sparse`` rows (what a seal converts: at most 4096 values, or run
+    heads, to a row) are cut down to their non-zero bytes first."""
+    octets = rows.view(np.uint8).reshape(-1)
+    if not sparse:
+        return np.unpackbits(octets, bitorder="little").view(bool).nonzero()[0]
+    used = (octets != 0).nonzero()[0]
+    bits = np.unpackbits(octets[used], bitorder="little").view(bool).nonzero()[0]
+    return (used[bits >> 3] << 3) | (bits & 7)
+
+
+def _bit_rows(row: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
+    """An ``(m, 1024)`` matrix with bit ``low[i]`` of row ``row[i]`` set, for
+    distinct bits in any order; a ``low`` of 65,536 falls off its row.
+
+    One weighted ``bincount`` per 32-bit half word: the bits of a half are
+    distinct powers of two, so their sum, exact in a double, is their OR.
+    Each row has a 2049th half for what falls off.
     """
-    card = _popcount_words(words)
-    if card == 0:
-        return None
-    starts_mask = words & ~_shift_up(words)
-    nruns = _popcount_words(starts_mask)
-    kind = _pick_kind(card, nruns)
-    if kind == RUN:
-        ends_mask = words & ~_shift_down(words)
-        starts = _words_to_indices(starts_mask)
-        ends = _words_to_indices(ends_mask)
-        return (RUN, (starts, ends - starts + 1))
-    if kind == ARRAY:
-        return (ARRAY, _words_to_indices(words).astype(np.uint16))
-    return (BITMAP, words)
+    halves = np.bincount(
+        row * 2049 + (low >> 5), weights=_BIT_WEIGHTS[low & 31], minlength=m * 2049
+    )
+    halves = halves.reshape(m, 2049)[:, :2048].astype(np.uint32)
+    return halves.view(np.uint64)  # little-endian: low half first
 
 
-def _seal_runs(starts: np.ndarray, lengths: np.ndarray):
-    """Seal sorted coalesced runs into the best container."""
-    nruns = len(starts)
-    if nruns == 0:
-        return None
-    card = int(lengths.sum())
-    kind = _pick_kind(card, nruns)
-    if kind == RUN:
-        return (RUN, (starts, lengths))
-    if kind == ARRAY:
-        return (ARRAY, _runs_to_indices(starts, lengths).astype(np.uint16))
-    return (BITMAP, _runs_to_words(starts, lengths))
+def _span_rows(row: np.ndarray, low: np.ndarray, high: np.ndarray, m: int):
+    """An ``(m, 1024)`` matrix whose row ``row[i]`` has bits ``[low[i], high[i])``
+    set, for spans that are disjoint and not adjacent within a row.
+
+    Each span toggles its first bit and the bit after its last; a prefix
+    XOR over the row then fills the spans in: within a word by six
+    shift-XORs, across words by the parity of the toggles before the word.
+    """
+    rows = _bit_rows(np.concatenate((row, row)), np.concatenate((low, high)), m)
+    parity = np.bitwise_count(rows) & 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        rows ^= rows << np.uint64(shift)
+    carried = np.bitwise_xor.accumulate(parity, axis=1) ^ parity
+    rows ^= carried * np.uint64(0xFFFFFFFFFFFFFFFF)
+    return rows
 
 
-# ----------------------------------------------------------------------
-# Container accessors
-# ----------------------------------------------------------------------
+def _sweep(
+    operands: Sequence[tuple[np.ndarray, np.ndarray]], truth: np.ndarray
+) -> "_Spans":
+    """Combine interval lists in one sorted pass over their boundaries.
+
+    Each operand is ``(starts, ends)``: disjoint ``[start, end)`` spans in
+    any order.  A start raises the coverage of the positions from it on by
+    one and an end lowers it (an operand handed in as ``(ends, starts)``
+    counts minus one where it holds); the result is the maximal spans over
+    which ``truth[coverage]`` holds.  Every boundary is one event, the
+    position with an is-an-end bit below it, so sorting plain integers is
+    the whole merge: the array form of a heap of run readers, the sorted
+    events being the order the heap would surface them.
+    """
+    events = np.concatenate(
+        [s << 1 for s, _ in operands] + [(e << 1) | 1 for _, e in operands]
+    )
+    events.sort(kind="stable")  # the pieces are ascending already
+    points = events >> 1
+    # After the last event at a point: the coverage of [point, next point).
+    last = np.append((points[1:] != points[:-1]).nonzero()[0], len(points) - 1)
+    held = truth[last + 1 - 2 * (events & 1).cumsum()[last]]
+    # Coverage ends at zero, which no truth table accepts, so the changes
+    # of ``held`` alternate: span start, span end, span start, ...
+    changes = _groups(held)[0]
+    edges = points[last[changes if held[0] else changes[1:]]]
+    return _Spans(edges[0::2], edges[1::2])
 
 
-def _container_count(container) -> int:
-    kind, data = container
-    if kind == ARRAY:
-        return len(data)
-    if kind == BITMAP:
-        return _popcount_words(data)
-    return int(data[1].sum())
-
-
-def _container_indices(container) -> np.ndarray:
-    """Sorted in-chunk positions of a container, as int64."""
-    kind, data = container
-    if kind == ARRAY:
-        return data.astype(np.int64)
-    if kind == BITMAP:
-        return _words_to_indices(data)
-    return _runs_to_indices(*data)
-
-
-def _container_words(container) -> np.ndarray:
-    """The container as a fresh (owned) 1024-word bitmap."""
-    kind, data = container
-    if kind == ARRAY:
-        return _indices_to_words(data.astype(np.int64))
-    if kind == BITMAP:
-        return data.copy()
-    return _runs_to_words(*data)
-
-
-def _member_mask(values: np.ndarray, container) -> np.ndarray:
-    """Boolean mask: which sorted int64 ``values`` are in ``container``."""
-    kind, data = container
-    if kind == ARRAY:
-        other = data.astype(np.int64)
-        pos = np.searchsorted(other, values)
-        pos[pos >= len(other)] = len(other) - 1
-        return other[pos] == values
-    if kind == BITMAP:
-        return ((data[values >> 6] >> (values & 63).astype(np.uint64)) & _ONE) == 1
-    starts, lengths = data
-    pos = np.searchsorted(starts, values, side="right") - 1
-    valid = pos >= 0
-    pos[~valid] = 0
-    return valid & (values < starts[pos] + lengths[pos])
+def _tally(operands: Sequence[np.ndarray], truth: np.ndarray) -> "_Values":
+    """Combine ascending lists of positions ``(key << 16) | low``: those
+    that as many lists hold as ``truth`` accepts — the sorted-array form
+    of ScanCount."""
+    points = np.concatenate(operands)
+    points.sort()
+    first, coverage = _groups(points)
+    return _Values.of(points[first[truth[coverage].nonzero()[0]]])
 
 
 # ----------------------------------------------------------------------
-# Container algebra
+# Results before sealing, in the layout of one container kind each: word
+# rows, spans, values.  ``seal`` computes every chunk's cardinality and run
+# count, applies the one rule and converts only the chunks whose kind is
+# not their form's; ``count`` is the cardinality without any of it.
 # ----------------------------------------------------------------------
 
 
-def _and_runs(a, b):
-    """Intersect two coalesced run lists with a two-pointer sweep."""
-    (sa, la), (sb, lb) = a, b
-    starts: list[int] = []
-    lengths: list[int] = []
-    i = j = 0
-    while i < len(sa) and j < len(sb):
-        lo = max(sa[i], sb[j])
-        hi = min(sa[i] + la[i], sb[j] + lb[j])
-        if lo < hi:
-            starts.append(int(lo))
-            lengths.append(int(hi - lo))
-        if sa[i] + la[i] <= sb[j] + lb[j]:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+def _pick_kinds(cardinality: np.ndarray, nruns: np.ndarray) -> np.ndarray:
+    """The smallest representation for each chunk's statistics: runs (4
+    bytes each) when they beat both the array (2 bytes a row, up to
+    :data:`ARRAY_MAX` rows) and the 8 KiB bitmap; ties go against runs."""
+    fewer_runs = 2 * nruns < np.minimum(cardinality, ARRAY_MAX)
+    return np.where(fewer_runs, RUN, cardinality > ARRAY_MAX).astype(np.uint8)
 
 
-def _or_runs(a, b):
-    """Union two coalesced run lists with a merge sweep."""
-    (sa, la), (sb, lb) = a, b
-    order = np.argsort(np.concatenate((sa, sb)), kind="stable")
-    all_starts = np.concatenate((sa, sb))[order]
-    all_ends = np.concatenate((sa + la, sb + lb))[order]
-    starts: list[int] = []
-    lengths: list[int] = []
-    cur_start = int(all_starts[0])
-    cur_end = int(all_ends[0])
-    for s, e in zip(all_starts[1:].tolist(), all_ends[1:].tolist()):
-        if s > cur_end:  # gap: runs must stay coalesced (end + 1 adjacency merges)
-            starts.append(cur_start)
-            lengths.append(cur_end - cur_start)
-            cur_start, cur_end = s, e
-        elif e > cur_end:
-            cur_end = e
-    starts.append(cur_start)
-    lengths.append(cur_end - cur_start)
-    return np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+def _sizes(kinds: np.ndarray, cardinality: np.ndarray, nruns: np.ndarray) -> np.ndarray:
+    sizes = np.where(kinds == ARRAY, cardinality, np.where(kinds == RUN, nruns, 1))
+    return sizes.astype(np.int32)
 
 
-def _container_and(a, b):
-    ka, kb = a[0], b[0]
-    if ka == ARRAY and kb == ARRAY:
-        return _seal_array(
-            np.intersect1d(a[1], b[1], assume_unique=True).astype(np.int64)
-        )
-    if ka == BITMAP and kb == BITMAP:
-        return _seal_words(a[1] & b[1])
-    if ka == RUN and kb == RUN:
-        return _seal_runs(*_and_runs(a[1], b[1]))
-    if ka == ARRAY or kb == ARRAY:
-        arr, other = (a, b) if ka == ARRAY else (b, a)
-        values = arr[1].astype(np.int64)
-        return _seal_array(values[_member_mask(values, other)])
-    # bitmap x run
-    return _seal_words(_container_words(a) & _container_words(b))
+class _Rows(NamedTuple):
+    """One 1024-word row per key; all-zero rows vanish when sealed."""
+
+    keys: np.ndarray
+    rows: np.ndarray  #: given up by the caller: a sealed bitmap may keep it
+
+    def count(self) -> int:
+        return int(_count_bits(self.rows))
+
+    def seal(self, nbits: int) -> "RoaringBitmap":
+        keys, rows = self
+        cardinality = _count_bits(rows, axis=1)
+        before = rows << _ONE
+        before[:, 1:] |= rows[:, :-1] >> _SIX3
+        heads = rows & ~before  # the first bit of every run
+        nruns = _count_bits(heads, axis=1)
+        kinds = _pick_kinds(cardinality, nruns)
+        kinds[cardinality == 0] = _NOTHING
+        held = np.bincount(kinds, minlength=4).tolist()
+        array, runs, words = _NO_ARRAY, _NO_RUNS, _NO_WORDS
+        if held[ARRAY]:
+            array = (_bit_positions(rows[kinds == ARRAY], True) & _LOW).astype(np.uint16)
+        if held[BITMAP]:
+            words = rows if held[BITMAP] == len(keys) else rows[kinds == BITMAP]
+        if held[RUN]:
+            body = rows[kinds == RUN]
+            after = body >> _ONE
+            after[:, :-1] |= body[:, 1:] << _SIX3
+            first = _bit_positions(heads[kinds == RUN], True)
+            last = _bit_positions(body & ~after, True)  # the k-th end pairs the k-th start
+            runs = np.empty((len(first), 2), dtype=np.uint16)
+            runs[:, 0], runs[:, 1] = first & _LOW, last - first
+        sizes = _sizes(kinds, cardinality, nruns)
+        if held[_NOTHING]:
+            live = kinds != _NOTHING
+            keys, kinds, sizes = keys[live], kinds[live], sizes[live]
+        return RoaringBitmap(nbits, keys, kinds, sizes, array, runs, words)
 
 
-def _container_and_count(a, b) -> int:
-    """Cardinality of the container intersection without sealing it."""
-    ka, kb = a[0], b[0]
-    if ka == ARRAY and kb == ARRAY:
-        return int(np.intersect1d(a[1], b[1], assume_unique=True).size)
-    if ka == ARRAY or kb == ARRAY:
-        arr, other = (a, b) if ka == ARRAY else (b, a)
-        return int(_member_mask(arr[1].astype(np.int64), other).sum())
-    if ka == RUN and kb == RUN:
-        return int(_and_runs(a[1], b[1])[1].sum())
-    return int(_popcount_words(_container_words(a) & _container_words(b)))
+class _Spans(NamedTuple):
+    """Ascending sweep-space ``[start, end)`` spans, coalesced and each
+    inside one chunk."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def count(self) -> int:
+        return int((self.ends - self.starts).sum())
+
+    def seal(self, nbits: int) -> "RoaringBitmap":
+        starts, ends = self
+        key = starts >> _SPAN
+        first, nruns = _groups(key)  # a chunk's first span, and how many it has
+        lengths = ends - starts
+        cardinality = np.add.reduceat(lengths, first) if len(first) else lengths
+        kinds = _pick_kinds(cardinality, nruns)
+        held = np.bincount(kinds, minlength=3).tolist()
+        low = starts & _SPAN_LOW
+        array, runs, words = _NO_ARRAY, _NO_RUNS, _NO_WORDS
+
+        def of(kind: int):  # the spans of the chunks of that kind (all chunks: as is)
+            if held[kind] == len(kinds):
+                return slice(None)
+            return (kinds.repeat(nruns) == kind).nonzero()[0]
+
+        if held[ARRAY]:
+            mine = of(ARRAY)
+            array = _ranges(low[mine], lengths[mine]).astype(np.uint16)
+        if held[BITMAP]:
+            mine = of(BITMAP)
+            row = ((kinds == BITMAP).cumsum() - 1).repeat(nruns)[mine]
+            words = _span_rows(row, low[mine], (low + lengths)[mine], held[BITMAP])
+        if held[RUN]:
+            mine = of(RUN)
+            runs = np.empty((len(low[mine]), 2), dtype=np.uint16)
+            runs[:, 0], runs[:, 1] = low[mine], lengths[mine] - 1
+        sizes = _sizes(kinds, cardinality, nruns)
+        return RoaringBitmap(nbits, key[first].astype(np.uint16), kinds, sizes, array, runs, words)
 
 
-def _container_or(a, b):
-    ka, kb = a[0], b[0]
-    if ka == ARRAY and kb == ARRAY:
-        return _seal_array(np.union1d(a[1], b[1]).astype(np.int64))
-    if ka == RUN and kb == RUN:
-        return _seal_runs(*_or_runs(a[1], b[1]))
-    return _seal_words(_container_words(a) | _container_words(b))
+class _Values(NamedTuple):
+    """Per key, ``sizes`` ascending ``uint16`` values, back to back; keys
+    without values vanish when sealed."""
 
+    keys: np.ndarray
+    sizes: np.ndarray
+    values: np.ndarray
 
-def _container_xor(a, b):
-    if a[0] == ARRAY and b[0] == ARRAY:
-        return _seal_array(
-            np.setxor1d(a[1], b[1], assume_unique=True).astype(np.int64)
-        )
-    return _seal_words(_container_words(a) ^ _container_words(b))
+    @classmethod
+    def of(cls, positions: np.ndarray) -> "_Values":
+        """From ascending distinct positions ``(key << 16) | low``."""
+        first, sizes = _groups(positions >> 16)
+        keys = (positions[first] >> 16).astype(np.uint16)
+        return cls(keys, sizes, positions.astype(np.uint16))
 
+    def positions(self) -> np.ndarray:
+        return (self.keys.astype(np.uint32) << 16).repeat(self.sizes) | self.values
 
-def _container_andnot(a, b):
-    ka, kb = a[0], b[0]
-    if ka == ARRAY and kb == ARRAY:
-        return _seal_array(
-            np.setdiff1d(a[1], b[1], assume_unique=True).astype(np.int64)
-        )
-    if ka == ARRAY:
-        values = a[1].astype(np.int64)
-        return _seal_array(values[~_member_mask(values, b)])
-    return _seal_words(_container_words(a) & ~_container_words(b))
+    def count(self) -> int:
+        return len(self.values)
 
-
-def _complement_container(container, limit: int):
-    """The complement of a container within ``[0, limit)``."""
-    if container is None:
-        if limit == 0:
-            return None
-        return _seal_runs(
-            np.asarray([0], dtype=np.int64), np.asarray([limit], dtype=np.int64)
-        )
-    kind, data = container
-    if kind == RUN:
-        starts, lengths = data
-        ends = starts + lengths
-        gap_starts = np.concatenate(([0], ends))
-        gap_ends = np.concatenate((starts, [limit]))
-        keep = gap_starts < gap_ends
-        return _seal_runs(gap_starts[keep], (gap_ends - gap_starts)[keep])
-    words = ~_container_words(container)
-    if limit < CHUNK_SIZE:
-        full, tail = divmod(limit, 64)
-        words[full + 1 :] = 0
-        if tail:
-            words[full] &= np.uint64((1 << tail) - 1)
-        else:
-            words[full:] = 0
-    return _seal_words(words)
+    def seal(self, nbits: int) -> "RoaringBitmap":
+        keys, sizes, values = self
+        if not sizes.all():
+            keys, sizes = keys[sizes > 0], sizes[sizes > 0]
+        ends = sizes.cumsum()
+        # A value starts a run unless it is its predecessor plus one; the
+        # first of a chunk always does (the uint16 difference may wrap).
+        heads = np.ones(len(values), dtype=bool)
+        np.not_equal(values[1:] - values[:-1], 1, out=heads[1:])
+        heads[ends[:-1]] = True
+        nruns = np.searchsorted(heads.nonzero()[0], ends)  # up to each chunk's end
+        nruns[1:] -= nruns[:-1].copy()
+        kinds = _pick_kinds(sizes, nruns)
+        if not kinds.any():  # array containers all: the values are their pool
+            return RoaringBitmap(
+                nbits, keys, kinds, sizes.astype(np.int32), values, _NO_RUNS, _NO_WORDS
+            )
+        # Some chunk is better off as runs or a bitmap: seal them as rows.
+        row = np.arange(len(keys)).repeat(sizes)
+        return _Rows(keys, _bit_rows(row, values, len(keys))).seal(nbits)
 
 
 # ----------------------------------------------------------------------
@@ -405,20 +413,24 @@ def _complement_container(container, limit: int):
 class RoaringBitmap:
     """A Roaring-compressed bitmap supporting compressed-domain algebra.
 
-    Instances are immutable by convention: every operator returns a new
-    bitmap and containers are never mutated in place, matching the
-    aliasing contract of :class:`BitVector` and :class:`WahBitVector`.
+    Instances are immutable: every operator returns a new bitmap and the
+    arrays of an instance are never written to, so bitmaps may share them
+    — the aliasing contract of :class:`BitVector` and :class:`WahBitVector`.
     """
 
-    __slots__ = ("_nbits", "_keys", "_containers")
+    __slots__ = ("_nbits", "_keys", "_kinds", "_sizes", "_array", "_runs", "_words")
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "roaring"
 
-    def __init__(self, nbits: int, keys: list[int], containers: list):
+    def __init__(self, nbits: int, keys, kinds, sizes, array, runs, words):
         self._nbits = nbits
-        self._keys = keys
-        self._containers = containers
+        self._keys: np.ndarray = keys  #: uint16[n], ascending
+        self._kinds: np.ndarray = kinds  #: uint8[n]
+        self._sizes: np.ndarray = sizes  #: int32[n]: values, runs, or 1
+        self._array: np.ndarray = array  #: uint16[Σ]
+        self._runs: np.ndarray = runs  #: uint16[Σ, 2]: start, length - 1
+        self._words: np.ndarray = words  #: uint64[nb, 1024]
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -429,25 +441,20 @@ class RoaringBitmap:
         """The all-zero bitmap of ``nbits`` bits (no containers at all)."""
         if nbits < 0:
             raise ValueError(f"nbits must be non-negative, got {nbits}")
-        return cls(nbits, [], [])
+        none = _NO_ARRAY  # keys; and as kinds, sizes
+        return cls(
+            nbits, none, none.astype(np.uint8), none.astype(np.int32), none, _NO_RUNS, _NO_WORDS
+        )
 
     @classmethod
     def ones(cls, nbits: int) -> "RoaringBitmap":
         """The all-one bitmap of ``nbits`` bits (one run per chunk)."""
         if nbits < 0:
             raise ValueError(f"nbits must be non-negative, got {nbits}")
-        keys: list[int] = []
-        containers: list = []
-        for key in range(_num_chunks(nbits)):
-            limit = _chunk_limit(nbits, key)
-            keys.append(key)
-            containers.append(
-                _seal_runs(
-                    np.asarray([0], dtype=np.int64),
-                    np.asarray([limit], dtype=np.int64),
-                )
-            )
-        return cls(nbits, keys, containers)
+        starts = np.arange(_num_chunks(nbits), dtype=np.int64) << _SPAN
+        ends = starts + CHUNK_SIZE
+        ends[-1:] -= -nbits % CHUNK_SIZE
+        return _Spans(starts, ends).seal(nbits)
 
     @classmethod
     def from_indices(cls, nbits: int, indices) -> "RoaringBitmap":
@@ -455,15 +462,7 @@ class RoaringBitmap:
         values = np.unique(np.asarray(indices, dtype=np.int64))
         if values.size and (values[0] < 0 or values[-1] >= nbits):
             raise IndexError("bit index out of range")
-        keys: list[int] = []
-        containers: list = []
-        if values.size:
-            chunk_of = values >> 16
-            cut = np.flatnonzero(np.diff(chunk_of)) + 1
-            for part in np.split(values, cut):
-                keys.append(int(part[0] >> 16))
-                containers.append(_seal_array(part & 0xFFFF))
-        return cls(nbits, keys, containers)
+        return _Values.of(values).seal(nbits)
 
     @classmethod
     def from_bools(cls, bools: np.ndarray) -> "RoaringBitmap":
@@ -472,35 +471,24 @@ class RoaringBitmap:
 
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "RoaringBitmap":
-        """Compress an uncompressed vector, chunk by chunk."""
-        nbits = vector.nbits
-        raw = vector.to_bytes()
-        nchunks = _num_chunks(nbits)
-        buf = np.zeros(nchunks * BITMAP_NBYTES, dtype=np.uint8)
-        buf[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        words = buf.view(np.uint64).reshape(nchunks, BITMAP_WORDS)
-        keys: list[int] = []
-        containers: list = []
-        for key in range(nchunks):
-            container = _seal_words(words[key].copy())
-            if container is not None:
-                keys.append(key)
-                containers.append(container)
-        return cls(nbits, keys, containers)
+        """Compress an uncompressed vector: pad to whole chunks, seal."""
+        nchunks = _num_chunks(vector.nbits)
+        source = np.frombuffer(vector.to_payload(), dtype="<u8")
+        words = np.zeros(nchunks * BITMAP_WORDS, dtype=np.uint64)
+        words[: len(source)] = source
+        keys = np.arange(nchunks, dtype=np.uint16)
+        return _Rows(keys, words.reshape(nchunks, BITMAP_WORDS)).seal(vector.nbits)
 
     def to_bitvector(self) -> BitVector:
         """Materialize back to the uncompressed form."""
         nchunks = _num_chunks(self._nbits)
-        words = np.zeros(nchunks * BITMAP_WORDS, dtype=np.uint64)
-        for key, container in zip(self._keys, self._containers):
-            base = key * BITMAP_WORDS
-            words[base : base + BITMAP_WORDS] = _container_words(container)
+        rows = self._render(np.ones(len(self._keys), dtype=bool), np.arange(nchunks), nchunks)
         nwords = (self._nbits + 63) // 64
-        return BitVector(self._nbits, words[:nwords].copy())
+        return BitVector(self._nbits, rows.reshape(-1)[:nwords].copy())
 
     def copy(self) -> "RoaringBitmap":
-        """An independent handle (containers are immutable by convention)."""
-        return RoaringBitmap(self._nbits, list(self._keys), list(self._containers))
+        """An independent handle (the arrays are never mutated)."""
+        return RoaringBitmap(self._nbits, *self._fields())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -513,56 +501,39 @@ class RoaringBitmap:
     @property
     def num_containers(self) -> int:
         """Resident containers (non-empty 2^16-row chunks)."""
-        return len(self._containers)
+        return len(self._keys)
 
     def container_kinds(self) -> list[tuple[int, str]]:
         """``(chunk_key, kind_name)`` per container — for tests and tuning."""
-        return [
-            (key, _KIND_NAMES[container[0]])
-            for key, container in zip(self._keys, self._containers)
-        ]
+        return list(zip(self._keys.tolist(), _KIND_NAMES[self._kinds].tolist()))
 
     @property
     def nbytes(self) -> int:
-        """In-memory footprint in bytes: actual container storage.
+        """In-memory footprint in bytes: the resident arrays, exactly.
 
-        This is the accounting hook byte-budget caches rely on
-        (:class:`~repro.engine.cache.SharedBitmapCache` sizes entries via
-        ``nbytes`` for every bitmap representation): the sum of each
-        container's backing-array bytes plus a small fixed per-container
-        and per-bitmap bookkeeping overhead.
+        The accounting hook of byte-budget caches
+        (:class:`~repro.engine.cache.SharedBitmapCache`): the three
+        container arrays and the three pools, plus the fixed header of the
+        stored form as the per-bitmap allowance — which makes it the length
+        of :meth:`serialize`, constant for the object's life.
         """
-        total = _HEADER.size
-        for kind, data in self._containers:
-            total += _CONTAINER_HEADER.size
-            if kind == RUN:
-                total += data[0].nbytes + data[1].nbytes
-            else:
-                total += data.nbytes
-        return total
+        return _HEADER.size + sum(field.nbytes for field in self._fields())
 
     def count(self) -> int:
-        """Population count, summed container by container."""
-        return sum(_container_count(c) for c in self._containers)
+        """Population count: array sizes, run lengths and word popcounts."""
+        lengths = int(self._runs[:, 1].sum(dtype=np.int64)) + len(self._runs)
+        return len(self._array) + lengths + int(_count_bits(self._words))
 
     def and_count(self, other: "RoaringBitmap") -> int:
-        """``(self & other).count()`` without sealing result containers.
-
-        The aggregate-pushdown primitive: intersects chunk pairs with the
-        same kind-specialized paths as ``&`` but counts in place — no
-        result container is classified, copied, or sealed.
+        """``(self & other).count()`` without sealing result containers: the
+        aggregate-pushdown primitive.  The same routes as ``&``, but what
+        they leave is counted in place — nothing is classified or converted.
         """
         self._check(other)
-        mine = dict(zip(self._keys, self._containers))
-        total = 0
-        for key, theirs in zip(other._keys, other._containers):
-            ours = mine.get(key)
-            if ours is not None:
-                total += _container_and_count(ours, theirs)
-        return total
+        return sum(left.count() for left in _evaluate((self, other), _AND)[1])
 
     def any(self) -> bool:
-        return bool(self._containers)
+        return bool(len(self._keys))
 
     def to_bools(self) -> np.ndarray:
         """Decode to a boolean numpy array of length ``nbits``."""
@@ -570,18 +541,142 @@ class RoaringBitmap:
 
     def indices(self) -> np.ndarray:
         """Sorted array of set-bit positions (the RID list)."""
-        if not self._containers:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(
-            [
-                (key << 16) + _container_indices(container)
-                for key, container in zip(self._keys, self._containers)
-            ]
-        )
+        base = self._keys.astype(np.int64) << 16
+        pieces = []
+        if len(self._array):
+            mine = self._kinds == ARRAY
+            pieces.append(base[mine].repeat(self._sizes[mine]) | self._array)
+        if len(self._words):
+            flat = _bit_positions(self._words, False)
+            # Row r of the pool is chunk key[r], not chunk r.
+            shift = base[self._kinds == BITMAP] - (np.arange(len(self._words)) << 16)
+            if shift.any():
+                flat += shift.repeat(_count_bits(self._words, axis=1))
+            pieces.append(flat)
+        if len(self._runs):
+            mine = self._kinds == RUN
+            starts = base[mine].repeat(self._sizes[mine]) + self._runs[:, 0]
+            pieces.append(_ranges(starts, self._runs[:, 1].astype(np.int64) + 1))
+        if len(pieces) == 1:
+            return pieces[0]
+        out = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+        out.sort(kind="stable")  # a merge of the ascending pieces
+        return out
 
     def iter_indices(self) -> Iterator[int]:
         """Iterate over set-bit positions in increasing order."""
         return iter(self.indices().tolist())
+
+    # ------------------------------------------------------------------
+    # Containers by index
+    # ------------------------------------------------------------------
+
+    def _fields(self) -> tuple[np.ndarray, ...]:
+        return self._keys, self._kinds, self._sizes, self._array, self._runs, self._words
+
+    def _pool(self, kind: int, index: np.ndarray, ascending: bool = True) -> np.ndarray:
+        """Containers ``index``, all of one ``kind``, as a pool of that
+        kind: a slice of the pool itself when they lie side by side in it."""
+        pool = (self._array, self._words, self._runs)[kind]
+        if not len(index) or (ascending and len(index) == len(self._kinds)):
+            return pool[: len(pool) if len(index) else 0]
+        # Where each of them starts in the pool: after those of its kind before it.
+        sizes = self._sizes[index]
+        at = np.where(self._kinds == kind, self._sizes, 0).cumsum()[index] - sizes
+        first, total = int(at[0]), int(sizes.sum())
+        if int(at[-1] + sizes[-1]) - first == total and (
+            ascending or bool((index[1:] > index[:-1]).all())
+        ):
+            return pool[first : first + total]
+        return pool[at] if kind == BITMAP else pool[_ranges(at, sizes)]
+
+    def _take(self, index: np.ndarray, ascending: bool = True) -> tuple[np.ndarray, ...]:
+        """The fields of containers ``index``, in that order."""
+        kinds = self._kinds[index]
+        array, words, runs = (
+            self._pool(kind, index[(kinds == kind).nonzero()[0]], ascending)
+            for kind in (ARRAY, BITMAP, RUN)
+        )
+        return self._keys[index], kinds, self._sizes[index], array, runs, words
+
+    def _render(self, mask: np.ndarray, rank: np.ndarray, m: int) -> np.ndarray:
+        """The containers under ``mask`` as rows of an ``(m, 1024)`` word
+        matrix, chunk ``key`` in row ``rank[key]``, other rows zero.  May be
+        the ``words`` pool itself: read-only."""
+        if len(self._words) == len(self._keys) == m and mask.all():
+            return self._words  # bitmap containers only, one per row, in order
+        index = mask.nonzero()[0]
+        kinds, dest = self._kinds[index], rank[self._keys[index]]
+        if len(self._array):
+            mine = (kinds == ARRAY).nonzero()[0]
+            row = dest[mine].repeat(self._sizes[index[mine]])
+            rows = _bit_rows(row, self._pool(ARRAY, index[mine]), m)
+        else:
+            rows = np.zeros((m, BITMAP_WORDS), dtype=np.uint64)
+        if len(self._words):
+            mine = (kinds == BITMAP).nonzero()[0]
+            rows[dest[mine]] = self._pool(BITMAP, index[mine])
+        if len(self._runs):
+            mine = (kinds == RUN).nonzero()[0]
+            row = np.arange(len(mine)).repeat(self._sizes[index[mine]])
+            runs = self._pool(RUN, index[mine]).astype(np.int64)
+            rows[dest[mine]] = _span_rows(
+                row, runs[:, 0], runs[:, 0] + runs[:, 1] + 1, len(mine)
+            )
+        return rows
+
+    def _values(self, index: np.ndarray, span: int = 16) -> np.ndarray:
+        """Array containers ``index`` as ascending positions
+        ``(key << span) | low``."""
+        base = self._keys[index].astype(np.uint32 if span == 16 else np.int64) << span
+        return base.repeat(self._sizes[index]) | self._pool(ARRAY, index)
+
+    def _spans(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The array and run containers under ``mask`` as sweep-space spans
+        (an array value is a unit span), ascending within each kind."""
+        index = mask.nonzero()[0]
+        mine = index[self._kinds[index] == RUN]
+        runs = self._pool(RUN, mine)
+        base = self._keys[mine].astype(np.int64) << _SPAN
+        starts = base.repeat(self._sizes[mine]) + runs[:, 0]
+        ends = starts + runs[:, 1] + 1
+        if len(mine) < len(index):
+            values = self._values(index[self._kinds[index] == ARRAY], _SPAN)
+            starts, ends = np.concatenate((values, starts)), np.concatenate((values + 1, ends))
+        return starts, ends
+
+    def _probe(self, mask: np.ndarray, other: "RoaringBitmap", other_mask: np.ndarray):
+        """Look the values of the array containers under ``mask`` up in the
+        containers ``other`` holds for the same chunks, under ``other_mask``:
+        the keys, each container's end among the values, the values, and
+        which of them ``other`` holds."""
+        index, held = mask.nonzero()[0], other_mask.nonzero()[0]
+        sizes, array = self._sizes[index], self._pool(ARRAY, index)
+        kinds = other._kinds[held]
+        if (kinds == BITMAP).any():
+            # One gather of a byte per value, and its bit — for every value:
+            # those of the other chunks read row 0 and are looked up again.
+            row = ((other._kinds == BITMAP).cumsum() - 1)[held] * (kinds == BITMAP)
+            octets = other._words.view(np.uint8).reshape(-1)
+            octet = octets.take((row << 13).astype(np.int32).repeat(sizes) | (array >> 3))
+            hit = ((octet >> (array & 7).astype(np.uint8)) & 1).view(bool)
+        else:
+            hit = np.zeros(len(array), dtype=bool)
+        for kind in (ARRAY, RUN):  # one binary search per value of their chunks
+            theirs = kinds == kind
+            if not theirs.any():
+                continue
+            mine = slice(None) if theirs.all() else theirs.repeat(sizes).nonzero()[0]
+            wide = held[theirs]
+            pool = other._pool(kind, wide)
+            # Positions count the chunks of this kind: (n-th chunk, low).
+            nth = np.arange(len(wide), dtype=np.int64) << _SPAN
+            starts = nth.repeat(other._sizes[wide]) + (pool if kind == ARRAY else pool[:, 0])
+            last = starts if kind == ARRAY else starts + pool[:, 1]
+            values = nth.repeat(sizes[theirs]) | array[mine]
+            at = np.searchsorted(starts, values, side="right") - 1
+            hit[mine] = (at >= 0) & (values <= last[at])
+        return self._keys[index], sizes.cumsum(), array, hit
 
     # ------------------------------------------------------------------
     # Algebra
@@ -589,95 +684,114 @@ class RoaringBitmap:
 
     def _check(self, other: "RoaringBitmap") -> None:
         if not isinstance(other, RoaringBitmap):
-            raise TypeError(
-                f"expected RoaringBitmap, got {type(other).__name__}"
-            )
+            raise TypeError(f"expected RoaringBitmap, got {type(other).__name__}")
         if self._nbits != other._nbits:
             raise LengthMismatchError(
-                f"cannot combine vectors of {self._nbits} and "
-                f"{other._nbits} bits"
+                f"cannot combine vectors of {self._nbits} and {other._nbits} bits"
             )
 
     def __and__(self, other: "RoaringBitmap") -> "RoaringBitmap":
         self._check(other)
-        keys: list[int] = []
-        containers: list = []
-        mine = dict(zip(self._keys, self._containers))
-        for key, theirs in zip(other._keys, other._containers):
-            ours = mine.get(key)
-            if ours is None:
-                continue
-            merged = _container_and(ours, theirs)
-            if merged is not None:
-                keys.append(key)
-                containers.append(merged)
-        return RoaringBitmap(self._nbits, keys, containers)
+        return _combine((self, other), _AND)
 
     def __or__(self, other: "RoaringBitmap") -> "RoaringBitmap":
         self._check(other)
-        return self._merge_union(other, _container_or)
+        return _combine((self, other), _OR)
 
     def __xor__(self, other: "RoaringBitmap") -> "RoaringBitmap":
         self._check(other)
-        return self._merge_union(other, _container_xor)
-
-    def _merge_union(self, other: "RoaringBitmap", op) -> "RoaringBitmap":
-        """Key-union merge for operators where one-sided chunks survive."""
-        mine = dict(zip(self._keys, self._containers))
-        theirs = dict(zip(other._keys, other._containers))
-        keys: list[int] = []
-        containers: list = []
-        for key in sorted(mine.keys() | theirs.keys()):
-            a, b = mine.get(key), theirs.get(key)
-            merged = op(a, b) if a is not None and b is not None else (a or b)
-            if merged is not None:
-                keys.append(key)
-                containers.append(merged)
-        return RoaringBitmap(self._nbits, keys, containers)
+        return _combine((self, other), _XOR)
 
     def andnot(self, other: "RoaringBitmap") -> "RoaringBitmap":
         """``self AND NOT other`` as a single container-level operation."""
         self._check(other)
-        theirs = dict(zip(other._keys, other._containers))
-        keys: list[int] = []
-        containers: list = []
-        for key, ours in zip(self._keys, self._containers):
-            b = theirs.get(key)
-            merged = ours if b is None else _container_andnot(ours, b)
-            if merged is not None:
-                keys.append(key)
-                containers.append(merged)
-        return RoaringBitmap(self._nbits, keys, containers)
+        return _combine((self, other), _ANDNOT)
 
     def __invert__(self) -> "RoaringBitmap":
-        mine = dict(zip(self._keys, self._containers))
-        keys: list[int] = []
-        containers: list = []
-        for key in range(_num_chunks(self._nbits)):
-            flipped = _complement_container(
-                mine.get(key), _chunk_limit(self._nbits, key)
-            )
-            if flipped is not None:
-                keys.append(key)
-                containers.append(flipped)
-        return RoaringBitmap(self._nbits, keys, containers)
+        nbits, nchunks = self._nbits, _num_chunks(self._nbits)
+        limit = np.full(nchunks, CHUNK_SIZE)
+        limit[-1:] -= -nbits % CHUNK_SIZE
+        parts = []
+        flat = self._kinds != RUN
+        if flat.any():
+            # Array and bitmap containers: as word rows, every word flipped.
+            keys = self._keys[flat]
+            rank = np.zeros(nchunks, dtype=np.intp)
+            rank[keys] = np.arange(len(keys))
+            rows = ~self._render(flat, rank, len(keys))
+            if keys[-1] == nchunks - 1 and limit[-1] < CHUNK_SIZE:
+                full, rest = divmod(int(limit[-1]), 64)
+                rows[-1, full] &= np.uint64((1 << rest) - 1)
+                rows[-1, full + 1 :] = 0
+            parts.append(_Rows(keys, rows).seal(nbits))
+            limit[keys] = 0
+        # Every other chunk, held or not: the gaps between its runs.  Two
+        # empty spans fence each chunk in, [base, base) and [base + limit,
+        # next base), so that one ascending pass finds all the gaps; the
+        # first sorts before a run starting at the base (stable).
+        base = np.arange(nchunks, dtype=np.int64) << _SPAN
+        starts, ends = self._spans(~flat)
+        starts = np.concatenate((base, base + limit, starts))
+        ends = np.concatenate((base, base + (1 << _SPAN), ends))
+        order = starts.argsort(kind="stable")
+        gap_starts, gap_ends = ends[order][:-1], starts[order][1:]
+        gaps = (gap_ends > gap_starts).nonzero()[0]
+        parts.append(_Spans(gap_starts[gaps], gap_ends[gaps]).seal(nbits))
+        return _assemble(nbits, parts)
+
+    @classmethod
+    def _k_of_n(cls, vectors: Sequence["RoaringBitmap"], k: int, fold: Callable):
+        """Rows set in at least ``k`` of the vectors; ``fold``: the same over word rows."""
+        first = vectors[0]
+        for other in vectors[1:]:
+            first._check(other)
+        if k <= 0:
+            return cls.ones(first._nbits)
+        if k > len(vectors):
+            return cls.zeros(first._nbits)
+        if len(vectors) == 1:
+            return first.copy()
+        held_by = np.arange(len(vectors) + 1)
+        solo = (k == 1,) * len(vectors)
+        return _combine(vectors, _Operator(held_by >= k, held_by >= max(k, 2), solo, fold))
 
     @classmethod
     def or_many(cls, vectors: Sequence["RoaringBitmap"]) -> "RoaringBitmap":
-        """OR k bitmaps in one k-way container merge (see :func:`roaring_or_many`)."""
-        return roaring_or_many(vectors)
+        """OR k bitmaps in one k-way evaluation.
+
+        Equivalent to folding ``|`` pairwise, but the operands are aligned
+        once and every chunk accumulates all its operands at once: no
+        intermediate containers are sealed and re-opened per operand.
+        """
+        if not vectors:
+            raise ValueError("roaring_or_many needs at least one vector")
+        return cls._k_of_n(vectors, 1, lambda rows: reduce(np.bitwise_or, rows))
 
     @classmethod
     def and_many(cls, vectors: Sequence["RoaringBitmap"]) -> "RoaringBitmap":
-        """AND k bitmaps in one k-way container merge (see :func:`roaring_and_many`)."""
-        return roaring_and_many(vectors)
+        """AND k bitmaps in one k-way evaluation (see :meth:`or_many`); chunks
+        missing from any operand vanish without their containers being touched."""
+        if not vectors:
+            raise ValueError("roaring_and_many needs at least one vector")
+        return cls._k_of_n(vectors, len(vectors), lambda rows: reduce(np.bitwise_and, rows))
 
     @classmethod
-    def threshold_many(
-        cls, vectors: Sequence["RoaringBitmap"], k: int
-    ) -> "RoaringBitmap":
-        """k-of-N threshold over containers (see :func:`roaring_threshold_many`)."""
-        return roaring_threshold_many(vectors, k)
+    def threshold_many(cls, vectors: Sequence["RoaringBitmap"], k: int) -> "RoaringBitmap":
+        """k-of-N threshold: bit ``i`` set iff at least ``k`` operands set it.
+
+        ``k == 1`` is the k-way OR and ``k == N`` the k-way AND; ``k <= 0``
+        clamps to the all-ones bitmap and ``k > N`` to all-zeros.  Chunks
+        held by fewer than ``k`` operands are skipped without their
+        containers being touched; chunks of array and run containers only
+        count coverage at values and run boundaries (:func:`_tally`,
+        :func:`_sweep`); the others add their word rows up in bit-sliced
+        counters (:func:`~repro.bitmaps.bitvector._ripple_threshold`) —
+        Kaser & Lemire's observation that no one threshold algorithm wins
+        everywhere, decided per chunk by the container kinds.
+        """
+        if not vectors:
+            raise ValueError("roaring_threshold_many needs at least one vector")
+        return cls._k_of_n(vectors, k, lambda rows: _ripple_threshold(rows, k))
 
     # ------------------------------------------------------------------
     # Serialization
@@ -685,186 +799,152 @@ class RoaringBitmap:
 
     def serialize(self) -> bytes:
         """The bitmap as a self-describing, validated byte payload."""
-        parts = [
-            _HEADER.pack(_MAGIC, _VERSION, 0, self._nbits, len(self._containers))
+        heads = np.zeros(len(self._keys), dtype=_CONTAINER_DTYPE)
+        heads["key"], heads["kind"], heads["count"] = self._keys, self._kinds, self._sizes
+        heads["count"][self._kinds == BITMAP] = _count_bits(self._words, axis=1)
+        head = memoryview(heads.tobytes())
+        pools = [
+            memoryview(pool.astype(stored, copy=False).tobytes())
+            for pool, stored in ((self._array, "<u2"), (self._words, "<u8"), (self._runs, "<u2"))
         ]
-        for key, (kind, data) in zip(self._keys, self._containers):
-            if kind == ARRAY:
-                count = len(data)
-                payload = data.astype("<u2").tobytes()
-            elif kind == BITMAP:
-                count = _popcount_words(data)
-                payload = data.astype("<u8").tobytes()
-            else:
-                starts, lengths = data
-                count = len(starts)
-                pairs = np.empty((count, 2), dtype="<u2")
-                pairs[:, 0] = starts
-                pairs[:, 1] = lengths - 1  # length is stored minus one
-                payload = pairs.tobytes()
-            parts.append(_CONTAINER_HEADER.pack(key, kind, count))
-            parts.append(payload)
+        widths = (self._sizes * _UNIT_NBYTES[self._kinds]).tolist()
+        parts = [_HEADER.pack(_MAGIC, _VERSION, 0, self._nbits, len(widths))]
+        cursor = [0, 0, 0]
+        # Records alternate and vary in length: one slice pair per container.
+        for i, (kind, width) in enumerate(zip(self._kinds.tolist(), widths)):
+            parts.append(head[i * heads.itemsize : (i + 1) * heads.itemsize])
+            parts.append(pools[kind][cursor[kind] : cursor[kind] + width])
+            cursor[kind] += width
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, blob: bytes) -> "RoaringBitmap":
+    def deserialize(cls, blob) -> "RoaringBitmap":
         """Inverse of :meth:`serialize`; validates every structural invariant.
 
-        Raises :class:`~repro.errors.CorruptFileError` on truncated,
-        overlong, or internally inconsistent payloads — a corrupt stored
-        bitmap must never decode to a silently wrong answer.
+        Raises :class:`~repro.errors.CorruptFileError` on truncated, overlong,
+        or internally inconsistent payloads — a corrupt stored bitmap must
+        never decode to a silently wrong answer.  ``blob`` may be any
+        bytes-like buffer; nothing of it is kept.
         """
-        if len(blob) < _HEADER.size:
-            raise CorruptFileError("roaring payload shorter than its header")
+        blob = memoryview(blob)
+        size = len(blob)
+        _require(size >= _HEADER.size, "payload shorter than its header")
         magic, version, _, nbits, ncontainers = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise CorruptFileError(f"roaring payload has bad magic {magic!r}")
-        if version != _VERSION:
-            raise CorruptFileError(
-                f"unsupported roaring payload version {version}"
-            )
+        _require(magic == _MAGIC, f"payload has bad magic {magic!r}")
+        _require(version == _VERSION, f"payload has unsupported version {version}")
         nchunks = _num_chunks(nbits)
-        if ncontainers > nchunks:
-            raise CorruptFileError(
-                f"roaring payload declares {ncontainers} containers for "
-                f"{nbits} bits ({nchunks} chunks)"
-            )
+        _require(
+            ncontainers <= nchunks,
+            f"payload declares {ncontainers} containers for {nbits} bits ({nchunks} chunks)",
+        )
+        # The one walk: container headers sit at data-dependent offsets.
+        # Each body is sliced, uncopied, onto the list of its kind.
+        heads = []
+        bodies: tuple[list, list, list] = ([], [], [])
         offset = _HEADER.size
-        keys: list[int] = []
-        containers: list = []
-        prev_key = -1
         for _ in range(ncontainers):
-            if len(blob) < offset + _CONTAINER_HEADER.size:
-                raise CorruptFileError("roaring container header truncated")
+            _require(size >= offset + _CONTAINER_HEADER.size, "container header truncated")
             key, kind, count = _CONTAINER_HEADER.unpack_from(blob, offset)
             offset += _CONTAINER_HEADER.size
-            if key <= prev_key:
-                raise CorruptFileError(
-                    f"roaring container keys not strictly increasing at {key}"
-                )
-            if key >= nchunks:
-                raise CorruptFileError(
-                    f"roaring container key {key} out of range for {nbits} bits"
-                )
-            prev_key = key
-            limit = _chunk_limit(nbits, key)
-            container, offset = cls._read_container(
-                blob, offset, kind, count, limit
+            _require(kind <= RUN, f"payload has unknown container kind {kind}")
+            _require(count > 0, "payload contains an empty container")
+            width = BITMAP_NBYTES if kind == BITMAP else int(_UNIT_NBYTES[kind]) * count
+            _require(size >= offset + width, f"{_KIND_NAMES[kind]} container truncated")
+            heads.append((key, kind, count))
+            bodies[kind].append(blob[offset : offset + width])
+            offset += width
+        _require(offset == size, f"payload has {size - offset} trailing bytes")
+        keys, kinds, counts = np.array(heads, dtype=np.int64).reshape(-1, 3).T
+        _require(not (keys[1:] <= keys[:-1]).any(), "container keys not strictly increasing")
+        _require(
+            not (keys[-1:] >= nchunks).any(),
+            f"container key {keys[-1:]} out of range for {nbits} bits",
+        )
+        # One copy: each kind's bodies, joined, are that kind's pool.
+        array, words, runs = (
+            np.frombuffer(b"".join(bodies[kind]), dtype=stored).astype(native, copy=False)
+            for kind, stored, native in (
+                (ARRAY, "<u2", np.uint16), (BITMAP, "<u8", np.uint64), (RUN, "<u2", np.uint16),
             )
-            keys.append(key)
-            containers.append(container)
-        if offset != len(blob):
-            raise CorruptFileError(
-                f"roaring payload has {len(blob) - offset} trailing bytes"
+        )  # fmt: skip
+        sizes = np.where(kinds == BITMAP, 1, counts).astype(np.int32)
+        bitmap = cls(
+            nbits, keys.astype(np.uint16), kinds.astype(np.uint8), sizes,
+            array, runs.reshape(-1, 2), words.reshape(-1, BITMAP_WORDS),
+        )  # fmt: skip
+        bitmap._validate(counts[kinds == BITMAP])
+        return bitmap
+
+    def _validate(self, cardinalities: np.ndarray) -> None:
+        """The per-container invariants of a payload just read, in batch."""
+        keys = self._keys.astype(np.int64)
+        limit = np.minimum(CHUNK_SIZE, self._nbits - (keys << 16))
+        if len(self._array):
+            # Ascending keys: one comparison covers every array at once.
+            mine = self._kinds == ARRAY
+            values = (keys[mine] << _SPAN).repeat(self._sizes[mine]) | self._array
+            _require(
+                not (values[1:] <= values[:-1]).any(),
+                "array container not sorted strictly increasing",
             )
-        return cls(nbits, keys, containers)
+            _require(
+                not (self._array >= limit[mine].repeat(self._sizes[mine])).any(),
+                "array container exceeds the bitmap length",
+            )
+        if len(self._words):
+            _require(
+                not (_count_bits(self._words, axis=1) != cardinalities).any(),
+                "bitmap container cardinality mismatch",
+            )
+            # Only the last chunk can be short of 65,536 rows.
+            if self._kinds[-1] == BITMAP and limit[-1] < CHUNK_SIZE:
+                tail = self._words[-1, limit[-1] >> 6 :]
+                _require(
+                    not (tail[0] >> np.uint64(limit[-1] & 63) or tail[1:].any()),
+                    "bitmap container exceeds the bitmap length",
+                )
+        if len(self._runs):
+            mine = self._kinds == RUN
+            starts = (keys[mine] << _SPAN).repeat(self._sizes[mine]) + self._runs[:, 0]
+            ends = starts + self._runs[:, 1] + 1
+            _require(
+                not (starts[1:] <= ends[:-1]).any(),
+                "run container runs overlap or are not coalesced",
+            )
+            _require(
+                not ((ends & _SPAN_LOW) > limit[mine].repeat(self._sizes[mine])).any(),
+                "run container exceeds the bitmap length",
+            )
 
     to_payload = serialize  #: The stored form.
 
     @classmethod
     def from_payload(cls, buf, nbits: int) -> "RoaringBitmap":
-        """:meth:`deserialize` a payload that must declare exactly ``nbits``.
-
-        A bitmap of another length raises
-        :class:`~repro.errors.CorruptFileError` here instead of surfacing
-        later as a length mismatch, or never.
-        """
+        """:meth:`deserialize` a payload that must declare exactly ``nbits``: a
+        bitmap of another length is a :class:`~repro.errors.CorruptFileError`
+        here instead of surfacing later as a length mismatch, or never."""
         if len(buf) >= _HEADER.size:
             declared = _HEADER.unpack_from(buf)[3]
-            if declared != nbits:
-                raise CorruptFileError(
-                    f"roaring payload declares {declared} bits; "
-                    f"{nbits} expected"
-                )
-        return cls.deserialize(bytes(buf))
-
-    @staticmethod
-    def _read_container(blob: bytes, offset: int, kind: int, count: int, limit: int):
-        if count == 0:
-            raise CorruptFileError("roaring payload contains an empty container")
-        if kind == ARRAY:
-            size = 2 * count
-            if len(blob) < offset + size:
-                raise CorruptFileError("roaring array container truncated")
-            values = np.frombuffer(blob, dtype="<u2", count=count, offset=offset)
-            inorder = values[:-1] < values[1:]
-            if not bool(inorder.all()):
-                raise CorruptFileError(
-                    "roaring array container not sorted strictly increasing"
-                )
-            if int(values[-1]) >= limit:
-                raise CorruptFileError(
-                    "roaring array container exceeds the bitmap length"
-                )
-            return (ARRAY, values.astype(np.uint16)), offset + size
-        if kind == BITMAP:
-            if len(blob) < offset + BITMAP_NBYTES:
-                raise CorruptFileError("roaring bitmap container truncated")
-            words = np.frombuffer(
-                blob, dtype="<u8", count=BITMAP_WORDS, offset=offset
-            ).astype(np.uint64)
-            if _popcount_words(words) != count:
-                raise CorruptFileError(
-                    "roaring bitmap container cardinality mismatch"
-                )
-            if limit < CHUNK_SIZE:
-                tail = _words_to_indices(words)
-                if len(tail) and int(tail[-1]) >= limit:
-                    raise CorruptFileError(
-                        "roaring bitmap container exceeds the bitmap length"
-                    )
-            return (BITMAP, words), offset + BITMAP_NBYTES
-        if kind == RUN:
-            size = 4 * count
-            if len(blob) < offset + size:
-                raise CorruptFileError("roaring run container truncated")
-            pairs = np.frombuffer(blob, dtype="<u2", count=2 * count, offset=offset)
-            starts = pairs[0::2].astype(np.int64)
-            lengths = pairs[1::2].astype(np.int64) + 1
-            ends = starts + lengths
-            if len(starts) > 1 and not bool((starts[1:] > ends[:-1]).all()):
-                raise CorruptFileError(
-                    "roaring run container runs overlap or are not coalesced"
-                )
-            if int(ends[-1]) > limit:
-                raise CorruptFileError(
-                    "roaring run container exceeds the bitmap length"
-                )
-            return (RUN, (starts, lengths)), offset + size
-        raise CorruptFileError(f"unknown roaring container kind {kind}")
-
-    # ------------------------------------------------------------------
-    # Comparison / repr
-    # ------------------------------------------------------------------
+            _require(declared == nbits, f"payload declares {declared} bits; {nbits} expected")
+        return cls.deserialize(buf)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoaringBitmap):
             return NotImplemented
-        if self._nbits != other._nbits:
-            return False
-        if self._keys != other._keys:
-            return False
-        for a, b in zip(self._containers, other._containers):
-            if a[0] == b[0]:
-                if a[0] == RUN:
-                    if not (
-                        np.array_equal(a[1][0], b[1][0])
-                        and np.array_equal(a[1][1], b[1][1])
-                    ):
-                        return False
-                elif not np.array_equal(a[1], b[1]):
-                    return False
-            elif not np.array_equal(_container_indices(a), _container_indices(b)):
-                return False
-        return True
+        # By content: a deserialized container need not be of the kind a
+        # sealed one would be.
+        return (
+            self._nbits == other._nbits
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self.indices(), other.indices())
+        )
 
     def __hash__(self):  # pragma: no cover - parity with BitVector
         raise TypeError("RoaringBitmap is unhashable")
 
     def __repr__(self) -> str:
-        kinds = [kind for _, kind in self.container_kinds()]
-        summary = {name: kinds.count(name) for name in ("array", "bitmap", "run")}
-        parts = ", ".join(f"{v} {k}" for k, v in summary.items() if v)
+        held = np.bincount(self._kinds, minlength=3).tolist()
+        parts = ", ".join(f"{n} {name}" for name, n in zip(_KIND_NAMES, held) if n)
         return (
             f"RoaringBitmap({self._nbits} bits, {self.count()} set, "
             f"containers: {parts or 'none'})"
@@ -872,220 +952,140 @@ class RoaringBitmap:
 
 
 # ----------------------------------------------------------------------
-# k-way kernels
+# The kernel
 # ----------------------------------------------------------------------
 
 
-def roaring_or_many(vectors: Sequence[RoaringBitmap]) -> RoaringBitmap:
-    """OR k bitmaps in one pass over each chunk's containers.
+class _Operator(NamedTuple):
+    #: By coverage (how many operands hold a row; less one for ``minus``):
+    #: is the row in the result.  Index -1 is the last entry.
+    truth: np.ndarray
+    #: By the number of operands holding a chunk: can it hold result rows.
+    shared: np.ndarray
+    #: Per operand: does a chunk that only it holds pass through.
+    solo: tuple[bool, ...]
+    #: The operator over the operands' rendered word rows.
+    fold: Callable
+    #: The operand whose rows count minus one, if any.
+    minus: int | None = None
+    #: The operands whose array containers may probe the other's container:
+    #: the result holds nothing else of that chunk.
+    probes: tuple[int, ...] = ()
 
-    Equivalent to folding ``|`` pairwise, but each chunk accumulates all
-    its operands at once: sparse chunks concatenate their arrays and
-    deduplicate once, dense chunks fold into a single 1024-word buffer —
-    no intermediate containers are sealed and re-opened per operand.
+
+_TWO = np.array([False, False, True])
+_AND = _Operator(_TWO, _TWO, (False, False), lambda rows: rows[0] & rows[1], None, (0, 1))
+_OR = _Operator(np.array([False, True, True]), _TWO, (True, True), lambda rows: rows[0] | rows[1])
+_XOR = _Operator(np.array([False, True, False]), _TWO, (True, True), lambda rows: rows[0] ^ rows[1])
+_ANDNOT = _Operator(
+    np.array([False, True, False]), _TWO, (True, False), lambda rows: rows[0] & ~rows[1], 1, (0,)
+)
+
+
+def _evaluate(vectors: Sequence[RoaringBitmap], op: _Operator):
+    """Route every chunk of the operands and run each route once.
+
+    Returns the *through* containers (a list of bitmaps, one per operand
+    that has some) and what the other routes left, unsealed (a list of
+    :class:`_Rows`, :class:`_Spans` and :class:`_Values`).  The module
+    docstring describes the routes.
     """
-    if not vectors:
-        raise ValueError("roaring_or_many needs at least one vector")
-    first = vectors[0]
-    for other in vectors[1:]:
-        first._check(other)
-    if len(vectors) == 1:
-        return first.copy()
-    per_chunk: dict[int, list] = {}
-    for vector in vectors:
-        for key, container in zip(vector._keys, vector._containers):
-            per_chunk.setdefault(key, []).append(container)
-    keys: list[int] = []
-    containers: list = []
-    for key in sorted(per_chunk):
-        group = per_chunk[key]
-        if len(group) == 1:
-            merged = group[0]
-        elif all(kind == ARRAY for kind, _ in group):
-            merged = _seal_array(
-                np.unique(np.concatenate([data for _, data in group])).astype(
-                    np.int64
+    # Direct addressing by chunk key: flags[i, key] says what operand i holds.
+    nbits = vectors[0]._nbits
+    flags = np.zeros((len(vectors), _num_chunks(nbits)), dtype=np.uint8)
+    for mine, v in zip(flags, vectors):
+        mine[v._keys] = _KIND_FLAGS[v._kinds]
+    holders = (flags != 0).sum(axis=0)
+    route = _ROUTES[np.bitwise_or.reduce(flags, axis=0)] * op.shared[holders]
+    left: list = []
+    # The operand with more in its array containers probes first: what it
+    # takes the other need not look at.
+    for side in sorted(op.probes, key=lambda side: -len(vectors[side]._array)):
+        lean, wide = vectors[side], vectors[1 - side]
+        if len(lean._array):
+            # Under AND two arrays are tallied: neither is the one to probe.
+            theirs = flags[1 - side] > (1 if op.minus is None else 0)
+            probing = (flags[side] == 1) & theirs & (route != _DROPPED)
+            if probing.any():
+                route[probing] = _DROPPED
+                keys, ends, values, hit = lean._probe(
+                    probing[lean._keys], wide, probing[wide._keys]
                 )
-            )
-        else:
-            words = _container_words(group[0])
-            for container in group[1:]:
-                if container[0] == BITMAP:
-                    words |= container[1]
-                else:
-                    words |= _container_words(container)
-            merged = _seal_words(words)
-        if merged is not None:
-            keys.append(key)
-            containers.append(merged)
-    return RoaringBitmap(first.nbits, keys, containers)
-
-
-def roaring_and_many(vectors: Sequence[RoaringBitmap]) -> RoaringBitmap:
-    """AND k bitmaps chunk by chunk, cheapest containers first.
-
-    Chunks missing from any operand vanish without touching the others;
-    surviving chunks fold in ascending-cardinality order so the running
-    intersection shrinks as fast as possible and can short-circuit to
-    empty.
-    """
-    if not vectors:
-        raise ValueError("roaring_and_many needs at least one vector")
-    first = vectors[0]
-    for other in vectors[1:]:
-        first._check(other)
-    if len(vectors) == 1:
-        return first.copy()
-    common = set(vectors[0]._keys)
-    for vector in vectors[1:]:
-        common &= set(vector._keys)
-        if not common:
-            return RoaringBitmap(first.nbits, [], [])
-    maps = [dict(zip(v._keys, v._containers)) for v in vectors]
-    keys: list[int] = []
-    containers: list = []
-    for key in sorted(common):
-        group = sorted(
-            (m[key] for m in maps), key=_container_count
+                # Both hold the chunk: AND keeps its hits, ANDNOT its misses.
+                keep = (hit if op.minus is None else ~hit).nonzero()[0]
+                sizes = np.searchsorted(keep, ends)
+                sizes[1:] -= sizes[:-1].copy()
+                left.append(_Values(keys, sizes, values[keep]))
+    taken = np.bincount(route, minlength=4).tolist()
+    if taken[_TALLY]:
+        # Arrays whose result may outgrow an array container (every value
+        # of it is in at least ``argmax(truth)`` of them) are better set in
+        # a bitmap and counted there (Chambi et al., array union).
+        total = np.zeros(len(route), dtype=np.int64)
+        for v in vectors:
+            total[v._keys] += v._sizes
+        route[(route == _TALLY) & (total > ARRAY_MAX * op.truth.argmax())] = _ROWS
+        taken = np.bincount(route, minlength=4).tolist()
+    if taken[_TALLY]:
+        chosen = route == _TALLY
+        left.append(
+            _tally([v._values(chosen[v._keys].nonzero()[0]) for v in vectors], op.truth)
         )
-        acc = group[0]
-        for container in group[1:]:
-            acc = _container_and(acc, container)
-            if acc is None:
-                break
-        if acc is not None:
-            keys.append(key)
-            containers.append(acc)
-    return RoaringBitmap(first.nbits, keys, containers)
+    if taken[_SWEEP]:
+        chosen = route == _SWEEP
+        operands = [v._spans(chosen[v._keys]) for v in vectors]
+        if op.minus is not None:  # its spans count minus one: ends open, starts close
+            starts, ends = operands[op.minus]
+            operands[op.minus] = ends, starts
+        left.append(_sweep(operands, op.truth))
+    if taken[_ROWS]:
+        chosen = route == _ROWS
+        rank = chosen.cumsum() - 1
+        rows = op.fold([v._render(chosen[v._keys], rank, taken[_ROWS]) for v in vectors])
+        left.append(_Rows(chosen.nonzero()[0].astype(np.uint16), rows))
+    passed = []
+    alone = holders == 1
+    if alone.any():
+        for v, solo in zip(vectors, op.solo):
+            mine = alone[v._keys]
+            if solo and mine.any():
+                fields = v._fields() if mine.all() else v._take(mine.nonzero()[0])
+                passed.append(RoaringBitmap(nbits, *fields))
+    return passed, left
 
 
-def roaring_threshold_many(
-    vectors: Sequence[RoaringBitmap], k: int
-) -> RoaringBitmap:
-    """k-of-N threshold: bit ``i`` set iff at least ``k`` operands set it.
-
-    ``k == 1`` is the k-way OR and ``k == N`` the k-way AND; intermediate
-    ``k`` is the symmetric threshold neither fold expresses.  Works
-    container-wise (Kaser & Lemire's per-chunk counter approach): each
-    chunk accumulates a per-position occurrence counter fed directly from
-    whatever container shapes its operands use — arrays bump their listed
-    positions, run containers add a delta/cumsum staircase, bitmap
-    containers unpack once — and chunks present in fewer than ``k``
-    operands are skipped without touching their containers at all.
-
-    ``k <= 0`` clamps to the all-ones bitmap and ``k > N`` to all-zeros.
-    """
-    if not vectors:
-        raise ValueError("roaring_threshold_many needs at least one vector")
-    first = vectors[0]
-    for other in vectors[1:]:
-        first._check(other)
-    if k <= 0:
-        return RoaringBitmap.ones(first.nbits)
-    if k > len(vectors):
-        return RoaringBitmap.zeros(first.nbits)
-    if len(vectors) == 1:
-        return first.copy()
-    per_chunk: dict[int, list] = {}
-    for vector in vectors:
-        for key, container in zip(vector._keys, vector._containers):
-            per_chunk.setdefault(key, []).append(container)
-    keys: list[int] = []
-    containers: list = []
-    for key in sorted(per_chunk):
-        group = per_chunk[key]
-        if len(group) < k:
-            continue  # fewer operands touch this chunk than the threshold
-        if all(kind != BITMAP for kind, _ in group):
-            # Run/array-only chunk: count coverage at run boundaries
-            # instead of per position — O(total runs), never 65536-wide.
-            merged = _threshold_boundary_merge(group, k)
-        else:
-            counts = np.zeros(CHUNK_SIZE, dtype=np.int32)
-            for kind, data in group:
-                if kind == ARRAY:
-                    # Array positions are unique, so fancy-index += is exact.
-                    counts[data.astype(np.int64)] += 1
-                elif kind == BITMAP:
-                    counts += np.unpackbits(
-                        data.view(np.uint8), bitorder="little"
-                    )
-                else:
-                    starts, lengths = data
-                    delta = np.zeros(CHUNK_SIZE + 1, dtype=np.int32)
-                    delta[starts] = 1
-                    delta[starts + lengths] -= 1
-                    counts += np.cumsum(delta[:CHUNK_SIZE])
-            merged = _seal_words(
-                np.packbits(counts >= k, bitorder="little").view(np.uint64)
-            )
-        if merged is not None:
-            keys.append(key)
-            containers.append(merged)
-    return RoaringBitmap(first.nbits, keys, containers)
+def _combine(vectors: Sequence[RoaringBitmap], op: _Operator) -> RoaringBitmap:
+    """Evaluate, seal what each route left, and put the chunks in key order."""
+    nbits = vectors[0]._nbits
+    passed, left = _evaluate(vectors, op)
+    values = [form for form in left if isinstance(form, _Values)]
+    if len(values) > 1:  # probed and tallied: one list of values, one seal
+        merged = np.concatenate([form.positions() for form in values])
+        merged.sort()
+        left = [f for f in left if not isinstance(f, _Values)] + [_Values.of(merged)]
+    return _assemble(nbits, passed + [form.seal(nbits) for form in left])
 
 
-def _threshold_boundary_merge(group, k: int):
-    """k-of-N over one chunk's run/array containers, at run granularity.
-
-    Every operand contributes +1 at each interval start and -1 one past
-    its end (array positions are length-1 intervals); sorting the
-    boundary events and prefix-summing the deltas gives the coverage
-    depth between consecutive boundaries, and the ``depth >= k`` spans
-    are exactly the result's runs.  The whole chunk costs one sort of the
-    event list — proportional to the operands' run counts, not to
-    CHUNK_SIZE.
-    """
-    starts_parts = []
-    ends_parts = []
-    for kind, data in group:
-        if kind == ARRAY:
-            positions = data.astype(np.int64)
-            starts_parts.append(positions)
-            ends_parts.append(positions + 1)
-        else:
-            run_starts, run_lengths = data
-            starts_parts.append(run_starts.astype(np.int64))
-            ends_parts.append((run_starts + run_lengths).astype(np.int64))
-    starts = np.concatenate(starts_parts)
-    ends = np.concatenate(ends_parts)
-    points = np.concatenate((starts, ends))
-    deltas = np.concatenate(
-        (
-            np.ones(len(starts), dtype=np.int64),
-            np.full(len(ends), -1, dtype=np.int64),
-        )
+def _assemble(nbits: int, parts: list[RoaringBitmap]) -> RoaringBitmap:
+    """One bitmap of bitmaps with disjoint key sets."""
+    parts = [part for part in parts if len(part._keys)]
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return RoaringBitmap.zeros(nbits)
+    # Concatenate the fields, then reorder the containers by key (a pool
+    # only one part has anything in stays as it is).
+    stacked = RoaringBitmap(
+        nbits,
+        *(
+            held[0] if len(held) == 1 else np.concatenate(held or field[:1])
+            for field in zip(*(part._fields() for part in parts))
+            for held in [[each for each in field if len(each)]]
+        ),
     )
-    order = np.argsort(points, kind="stable")
-    points = points[order]
-    coverage = np.cumsum(deltas[order])
-    # Keep the last event at each distinct boundary: its running sum is
-    # the coverage depth on [points[i], points[i + 1]).
-    last = np.empty(len(points), dtype=bool)
-    last[:-1] = points[1:] != points[:-1]
-    last[-1] = True
-    points = points[last]
-    coverage = coverage[last]
-    above = coverage >= k
-    # Coverage always falls back to zero at the final boundary (every +1
-    # has its -1), so each rising edge pairs with a later falling edge.
-    previous = np.empty(len(above), dtype=bool)
-    previous[0] = False
-    previous[1:] = above[:-1]
-    run_starts = points[above & ~previous]
-    run_ends = points[previous & ~above]
-    return _seal_runs(run_starts, run_ends - run_starts)
+    return RoaringBitmap(nbits, *stacked._take(stacked._keys.argsort(), ascending=False))
 
 
-# ----------------------------------------------------------------------
-# Helpers
-# ----------------------------------------------------------------------
-
-
-def _num_chunks(nbits: int) -> int:
-    return (nbits + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-
-def _chunk_limit(nbits: int, key: int) -> int:
-    """Valid positions in chunk ``key`` of an ``nbits``-bit bitmap."""
-    return min(CHUNK_SIZE, nbits - key * CHUNK_SIZE)
+#: The k-way kernels by their historical module-level names.
+roaring_and_many = RoaringBitmap.and_many
+roaring_or_many = RoaringBitmap.or_many

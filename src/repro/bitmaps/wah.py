@@ -63,6 +63,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro.bitmaps.bitvector import _count_bits, _ripple_threshold
 from repro.errors import CorruptFileError
 
 _GROUP_BITS = 31
@@ -291,35 +292,20 @@ def _combine(operands: Sequence[Runs], op: Callable, ngroups: int) -> Runs:
 def _threshold(operands: Sequence[Runs], k: int, ngroups: int) -> Runs:
     """Groups whose bit ``i`` is set in at least ``k`` of ``1 <= k <= N`` operands.
 
-    Bit-sliced ripple counters over the aligned values (slice ``j`` holds
-    bit ``j`` of every position's count), then a word-wise ``count >= k``
-    comparator — the same kernel as ``BitVector.threshold_many``.
+    The aligned values go through the shared bit-sliced counter and
+    comparator (:func:`~repro.bitmaps.bitvector._ripple_threshold`); bit 31
+    of a group value is set in no operand, so it stays clear.
     """
     aligned, ends = _align(operands, ngroups)
-    slices = [np.zeros_like(aligned[0]) for _ in range(len(aligned).bit_length())]
-    for carry in aligned:
-        for index, current in enumerate(slices):
-            slices[index] = current ^ carry
-            carry = current & carry
-    gt = np.zeros_like(aligned[0])
-    eq = np.full_like(aligned[0], _LITERAL_MASK)
-    for index in reversed(range(len(slices))):
-        current = slices[index]
-        if (k >> index) & 1:
-            eq = eq & current
-        else:
-            gt = gt | (eq & current)
-            eq = eq & ~current
-    return _canonical((gt | eq, ends), ngroups)
+    return _canonical((_ripple_threshold(aligned, k), ends), ngroups)
 
 
 def _popcount(runs: Runs) -> int:
     """Set bits: each run's group popcount times its length."""
     values, ends = runs
-    counts = np.bitwise_count(values)
     if ends is None:
-        return int(counts.sum(dtype=np.int64))
-    return int(counts.astype(np.int64) @ np.diff(ends, prepend=0))
+        return int(_count_bits(values))
+    return int(np.bitwise_count(values).astype(np.int64) @ np.diff(ends, prepend=0))
 
 
 def _and_popcount(a: Runs, b: Runs, ngroups: int) -> int:

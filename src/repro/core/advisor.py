@@ -173,14 +173,25 @@ def recommend(
 #: Codecs :func:`recommend_codec` can return.
 CODEC_CHOICES = tuple(BITMAP_CLASSES)
 
-#: Above this bit density, compression buys less than the 2x floor the
-#: crossover benchmark demands before leaving dense (its uniform 0.1 and
-#: 0.5 cells both sit under a 1.0 compression ratio).
+#: From this bit density on, bits scattered in runs shorter than
+#: :data:`_DENSE_RUN` compress less than the 2x floor the crossover
+#: benchmark demands before leaving dense (its uniform 0.1 and 0.5 cells
+#: both sit under a 1.0 compression ratio).
 _DENSE_DENSITY = 0.05
+_DENSE_RUN = 8
 
-#: Set-bit runs at least this long put WAH in its run-coded regime, where
-#: payloads are smallest and op cost is proportional to runs.
-_WAH_RUN = 256
+#: Run starts per row (``density / run``) on the committed 1M-row map.
+#: Below the first a bitmap holds so few runs (under ~20 per 65,536-row
+#: chunk) that both compressed codecs cost their fixed overhead per
+#: operation, and WAH's is lower.  From the second on at least half of
+#: WAH's 31-bit groups are literals, which it combines word-parallel — the
+#: cheaper way once the bitmap is dense enough (:data:`_DENSE_DENSITY`)
+#: that Roaring would hold it as many runs; a sparse one Roaring holds as
+#: arrays, at a cost that follows the set bits.  In between WAH merges run
+#: boundaries one by one while Roaring sweeps all its containers' runs in
+#: one pass.
+_FEW_RUN_STARTS = 3e-4
+_LITERAL_RUN_STARTS = 5e-3
 
 
 @dataclass(frozen=True)
@@ -280,29 +291,41 @@ def recommend_codec(
             source="crossover_map",
         )
 
-    if run >= _WAH_RUN:
-        return CodecChoice(
-            codec="wah",
-            rationale=(
-                f"runs average {run:.0f} bits: word-aligned run-length "
-                f"coding gives the smallest payloads and run-proportional ops"
-            ),
-            source="builtin",
-        )
-    if density >= _DENSE_DENSITY:
+    if density >= _DENSE_DENSITY and run < _DENSE_RUN:
         return CodecChoice(
             codec="dense",
             rationale=(
-                f"density {density:g} with short runs compresses under "
-                f"2x; dense word-parallel ops are fastest"
+                f"density {density:g} in runs of {run:.1f} bits compresses "
+                f"under 2x; dense word-parallel ops are fastest"
+            ),
+            source="builtin",
+        )
+    starts = density / run
+    if starts < _FEW_RUN_STARTS:
+        return CodecChoice(
+            codec="wah",
+            rationale=(
+                f"a run starts every {1 / starts:.0f} rows: so few runs that "
+                f"the lower fixed cost per operation decides"
+            ),
+            source="builtin",
+        )
+    if starts >= _LITERAL_RUN_STARTS and density >= _DENSE_DENSITY:
+        return CodecChoice(
+            codec="wah",
+            rationale=(
+                f"a run starts every {1 / starts:.0f} rows at density "
+                f"{density:g}: WAH combines its literal words in parallel, "
+                f"Roaring would merge that many runs"
             ),
             source="builtin",
         )
     return CodecChoice(
         codec="roaring",
         rationale=(
-            f"uniform scatter at density {density:g}: no runs for WAH "
-            f"to exploit; array/bitmap containers stay compact"
+            f"a run starts every {1 / starts:.0f} rows at density {density:g}: "
+            f"too many for WAH's run-by-run merge; Roaring sweeps its "
+            f"containers' runs in one pass and keeps scattered bits in arrays"
         ),
         source="builtin",
     )

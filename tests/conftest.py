@@ -33,11 +33,29 @@ def paper_index(paper_values) -> BitmapIndex:
 
 def shaped_vector(nbits: int, shape: str, seed: int) -> BitVector:
     """A seeded vector that is ``"literal"``-heavy (independent random
-    bits) or ``"fill"``-heavy (runs of 40 to 5,000 equal bits) — the two
-    shapes a compressed class may hold differently."""
+    bits), ``"fill"``-heavy (runs of 40 to 5,000 equal bits), ``"sparse"``
+    (one bit in 30 to 1,000) or ``"patchy"`` (each 65,536-row chunk one of
+    those, or wholly empty, or wholly full) — the shapes a compressed class
+    may hold differently: WAH literal and fill words; Roaring bitmap, run
+    and array containers, and chunks it holds nothing for."""
     generator = np.random.default_rng(seed)
+    if shape == "patchy":
+        chunk = 1 << 16
+        pieces = []
+        for start in range(0, nbits, chunk):
+            size = min(chunk, nbits - start)
+            kind = generator.choice(["literal", "fill", "sparse", "empty", "full"])
+            if kind in ("empty", "full"):
+                pieces.append(np.full(size, kind == "full"))
+            else:
+                sub_seed = int(generator.integers(2**31))
+                pieces.append(shaped_vector(size, kind, sub_seed).to_bools())
+        return BitVector.from_bools(np.concatenate(pieces) if pieces else np.zeros(0, bool))
     if shape == "literal":
         density = generator.choice([0.05, 0.5, 0.95])
+        return BitVector.from_bools(generator.random(nbits) < density)
+    if shape == "sparse":
+        density = generator.choice([0.001, 0.01, 0.03])
         return BitVector.from_bools(generator.random(nbits) < density)
     run = int(generator.integers(40, 5000))
     flips = generator.random(nbits // run + 1) < 0.5

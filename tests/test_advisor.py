@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import costmodel
-from repro.core.advisor import IndexDesign, recommend
+from repro.core.advisor import (
+    IndexDesign,
+    load_crossover_map,
+    recommend,
+    recommend_codec,
+)
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.optimize import knee_base
@@ -112,3 +119,39 @@ class TestCli:
 
         assert main(["1000", "--budget", "3", "--objective", "time"]) == 2
         assert "error" in capsys.readouterr().out
+
+
+class TestCodecRule:
+    MAP = os.path.join(
+        os.path.dirname(__file__), "..", "benchmarks", "results",
+        "BENCH_codec_crossover.json",
+    )  # fmt: skip
+
+    def test_builtin_rule_matches_committed_map(self):
+        """The built-in rule and the map it was distilled from agree on
+        every committed cell that is decided: dense (compression under the
+        floor), or a compressed codec at least 1.5x faster than the other."""
+        cells = load_crossover_map(self.MAP)
+        assert not any(cell["nbits"] < 1_000_000 for cell in cells), "a quick-size map"
+        decided = [
+            cell
+            for cell in cells
+            if cell["winner"] == "dense"
+            or max(cell["wah_ms"], cell["roaring_ms"])
+            >= 1.5 * min(cell["wah_ms"], cell["roaring_ms"])
+        ]
+        assert len(decided) >= len(cells) // 2
+        assert {cell["winner"] for cell in decided} == {"dense", "wah", "roaring"}
+        for cell in decided:
+            choice = recommend_codec(cell["density"], cell["cluster_run"])
+            assert choice.source == "builtin"
+            assert choice.codec == cell["winner"], (cell, str(choice))
+            # and the map, asked about its own cell, answers with it
+            by_map = recommend_codec(cell["density"], cell["cluster_run"], cells)
+            assert by_map.codec == cell["winner"] and by_map.source == "crossover_map"
+
+    def test_bad_arguments(self):
+        with pytest.raises(OptimizationError):
+            recommend_codec(0.0)
+        with pytest.raises(OptimizationError):
+            recommend_codec(0.5, clustering=0.5)

@@ -13,6 +13,7 @@ import pytest
 from repro.bitmaps import compressed, wah
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
+from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
@@ -252,38 +253,46 @@ class TestByteBudgetCache:
     def test_wah_nbytes_is_resident_size_and_never_changes(self, rng):
         """Evicting everything returns ``bytes_cached`` to zero: the size
         a vector reports on ``put`` is the size it reports on eviction,
-        whatever was done with it in between."""
+        whatever was done with it in between.  Roaring bitmaps of all three
+        container kinds are held to the same."""
         nbits = 100_000
-        literal = [
-            WahBitVector.from_bitvector(BitVector.from_bools(rng.random(nbits) < d))
-            for d in (0.1, 0.5, 0.9)
+        scattered = [BitVector.from_bools(rng.random(nbits) < d) for d in (0.1, 0.5, 0.9)]
+        striped = [
+            BitVector.from_bools(np.arange(nbits) // 9_000 % 2 == k) for k in (0, 1)
         ]
-        filled = [
-            WahBitVector.from_bitvector(
-                BitVector.from_bools(np.arange(nbits) // 9_000 % 2 == k)
-            )
-            for k in (0, 1)
-        ]
+        sparse = [BitVector.from_bools(rng.random(nbits) < d) for d in (0.001, 0.02)]
+        literal = [WahBitVector.from_bitvector(v) for v in scattered]
+        filled = [WahBitVector.from_bitvector(v) for v in striped]
         # One value per 31-bit group vs a handful of (value, end) runs.
         assert all(v.nbytes == 4 * -(-nbits // 31) for v in literal)
         assert all(v.nbytes < 400 for v in filled)
-        cache = SharedBitmapCache(capacity=None, byte_budget=10**6)
-        vectors = literal + filled
-        for key, vector in enumerate(vectors):
-            cache.put(key, vector)
-        sizes = [v.nbytes for v in vectors]
-        assert cache.bytes_cached == sum(sizes)
-        for a in vectors:
-            for b in vectors:
-                _ = (a & b, a | b, a ^ b, a.and_count(b))
-            _ = ((~a).count(), a.indices(), a.to_payload(), a.compressed_bytes)
-        WahBitVector.threshold_many(vectors, 2)
-        assert [v.nbytes for v in vectors] == sizes
-        cache.put(0, vectors[-1])  # a refresh subtracts the old entry's size
-        assert cache.bytes_cached == sum(sizes) - sizes[0] + sizes[-1]
-        for key in range(len(vectors)):
-            assert cache.drop_group(str(key)) == 1
-        assert len(cache) == 0 and cache.bytes_cached == 0
+        roaring = [RoaringBitmap.from_bitvector(v) for v in scattered + striped + sparse]
+        kinds = {kind for v in roaring for _, kind in v.container_kinds()}
+        assert kinds == {"array", "bitmap", "run"}
+        # The three container arrays and the three pools, exactly: what
+        # the payload stores, with runs at 4 bytes each.
+        assert all(v.nbytes == len(v.to_payload()) for v in roaring)
+        for vectors in (literal + filled, roaring):
+            cls = type(vectors[0])
+            cache = SharedBitmapCache(capacity=None, byte_budget=10**6)
+            for key, vector in enumerate(vectors):
+                cache.put(key, vector)
+            sizes = [v.nbytes for v in vectors]
+            assert cache.bytes_cached == sum(sizes)
+            for a in vectors:
+                for b in vectors:
+                    _ = (a & b, a | b, a ^ b, a.and_count(b))
+                    _ = a.andnot(b) if cls is RoaringBitmap else a.compressed_bytes
+                _ = ((~a).count(), a.indices(), a.to_payload(), a.to_bitvector())
+            cls.threshold_many(vectors, 2)
+            cls.and_many(vectors[:3])
+            cls.or_many(vectors[:3])
+            assert [v.nbytes for v in vectors] == sizes
+            cache.put(0, vectors[-1])  # a refresh subtracts the old entry's size
+            assert cache.bytes_cached == sum(sizes) - sizes[0] + sizes[-1]
+            for key in range(len(vectors)):
+                assert cache.drop_group(str(key)) == 1
+            assert len(cache) == 0 and cache.bytes_cached == 0
 
     def test_config_validation(self):
         with pytest.raises(BufferConfigError):

@@ -640,15 +640,18 @@ class TestBitmapConformance:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        nbits=st.sampled_from([0, 1, 30, 31, 32, 62, 1000, 65_537]),
-        shapes=st.tuples(*[st.sampled_from(["literal", "fill"])] * 3),
+        # Up to four 65,536-row chunks: an exact multiple, a partial tail.
+        nbits=st.sampled_from([0, 1, 30, 31, 32, 62, 1000, 65_537, 131_072, 200_000]),
+        shapes=st.tuples(*[st.sampled_from(["literal", "fill", "sparse", "patchy"])] * 3),
         seed=st.integers(0, 2**31),
     )
     def test_every_kernel_matches_the_dense_oracle_whatever_the_operand_shape(
         self, codec, cls, nbits, shapes, seed
     ):
-        # Literal-heavy, fill-heavy and mixed operands: a compressed class
-        # may hold each differently and must answer the same.
+        # Literal-heavy, fill-heavy, sparse and chunk-wise mixed operands
+        # (with chunks wholly absent and wholly full): a compressed class
+        # may hold each differently — for Roaring, all 3 x 3 pairs of
+        # container kinds meet — and must answer the same.
         x, y, z = (
             shaped_vector(nbits, shape, seed + i) for i, shape in enumerate(shapes)
         )
@@ -666,6 +669,8 @@ class TestBitmapConformance:
                 (cls.and_many([a, b, c]), x & y & z),
                 (cls.or_many([a, b, c]), x | y | z),
             ]
+        if hasattr(cls, "andnot"):
+            cases += [(a.andnot(b), x.andnot(y)), (c.andnot(a), z.andnot(x))]
         for got, want in cases:
             assert isinstance(got, cls)
             assert got.to_bitvector() == want

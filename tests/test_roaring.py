@@ -15,6 +15,7 @@ Three layers, mirroring the WAH suite in ``test_wah.py``:
 from __future__ import annotations
 
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +311,118 @@ class TestAlgebra:
         assert roaring_and_many(vectors) == acc_and
         assert RoaringBitmap.or_many(vectors) == acc_or
         assert RoaringBitmap.and_many(vectors) == acc_and
+
+    @staticmethod
+    def _chunk(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` bits that a chunk of exactly that container kind holds."""
+        if kind == "array":
+            return rng.random(size) < 0.02
+        if kind == "bitmap":
+            return rng.random(size) < 0.4
+        if kind == "run":
+            return np.arange(size) // 700 % 2 == rng.integers(2)
+        return np.full(size, kind == "full")  # "none": nothing held
+
+    def _operand(self, kinds: list[str], seed: int, tail: int = 0):
+        """A bitmap with one chunk per entry of ``kinds`` (the last one cut
+        to ``tail`` rows if given), and its dense oracle."""
+        rng = np.random.default_rng(seed)
+        sizes = [CHUNK_SIZE] * (len(kinds) - 1) + [tail or CHUNK_SIZE]
+        bools = np.concatenate([self._chunk(k, n, rng) for k, n in zip(kinds, sizes)])
+        bitmap = RoaringBitmap.from_bools(bools)
+        want = [
+            (key, "run" if kind == "full" else kind)
+            for key, kind in enumerate(kinds)
+            if kind != "none"
+        ]
+        assert bitmap.container_kinds() == want
+        return bitmap, BitVector.from_bools(bools)
+
+    def test_every_kind_pair_in_every_op(self):
+        # Chunk by chunk: all 3 x 3 pairs of container kinds, a chunk only
+        # one side holds (each way round), a full chunk against each kind,
+        # and a partial last chunk.
+        kinds_a = ["array"] * 3 + ["bitmap"] * 3 + ["run"] * 3
+        kinds_b = ["array", "bitmap", "run"] * 3
+        kinds_a += ["none", "array", "full", "full", "full", "none", "bitmap"]
+        kinds_b += ["run", "none", "array", "bitmap", "run", "none", "array"]
+        kinds_c = kinds_b[1:] + kinds_b[:1]
+        a, x = self._operand(kinds_a, 1, tail=40_000)
+        b, y = self._operand(kinds_b, 2, tail=40_000)
+        c, z = self._operand(kinds_c, 3, tail=40_000)
+        cases = {
+            "and": (a & b, x & y),
+            "or": (a | b, x | y),
+            "xor": (a ^ b, x ^ y),
+            "andnot": (a.andnot(b), x.andnot(y)),
+            "andnot'": (b.andnot(a), y.andnot(x)),
+            "not": (~a, ~x),
+            "not'": (~b, ~y),
+            "and_many": (RoaringBitmap.and_many([a, b, c]), x & y & z),
+            "or_many": (RoaringBitmap.or_many([a, b, c]), x | y | z),
+            **{
+                f"threshold {k}": (
+                    RoaringBitmap.threshold_many([a, b, c], k),
+                    BitVector.threshold_many([x, y, z], k),
+                )
+                for k in range(5)
+            },
+        }
+        for name, (got, want) in cases.items():
+            assert got.to_bitvector() == want, name
+            assert got.count() == want.count(), name
+            assert np.array_equal(got.indices(), want.indices()), name
+            # Sealed as if built fresh: same kinds, same bytes.
+            assert got.serialize() == RoaringBitmap.from_bitvector(want).serialize(), name
+            assert got.nbytes == len(got.serialize()), name
+        assert a.and_count(b) == (x & y).count()
+        assert b.and_count(c) == (y & z).count()
+
+    def test_no_python_loop_over_chunks(self):
+        """The mechanism: an operator makes as many calls from
+        ``roaring.py`` over 64-chunk operands as over 8-chunk operands of
+        the same kind mix (a 4-chunk mix, twice and 16 times over, so that
+        the chunks of the routes interleave in both) — nothing in it
+        iterates per chunk."""
+
+        def calls(fn) -> int:
+            made = 0
+
+            def profile(frame, event, arg):
+                nonlocal made
+                here = frame.f_code.co_filename.endswith("bitmaps/roaring.py")
+                made += here and event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                fn()
+            finally:
+                sys.setprofile(None)
+            return made
+
+        def operands(repeat: int):
+            return [
+                self._operand(kinds * repeat, seed)[0]
+                for seed, kinds in enumerate(
+                    (
+                        ["array", "bitmap", "run", "none"],
+                        ["bitmap", "run", "array", "array"],
+                        ["run", "none", "bitmap", "array"],
+                    )
+                )
+            ]
+
+        kernels = {
+            "and": lambda a, b, c: a & b,
+            "or": lambda a, b, c: a | b,
+            "not": lambda a, b, c: ~a,
+            "threshold": lambda a, b, c: RoaringBitmap.threshold_many([a, b, c], 2),
+            "indices": lambda a, b, c: a.indices(),
+        }
+        few, many = operands(2), operands(16)
+        assert many[0].num_containers == 8 * few[0].num_containers == 48
+        for name, kernel in kernels.items():
+            assert calls(lambda: kernel(*many)) == calls(lambda: kernel(*few)) > 0, name
 
     def test_length_mismatch_rejected(self):
         a = RoaringBitmap.zeros(100)
