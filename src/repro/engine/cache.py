@@ -1,11 +1,12 @@
 """A shared, lock-protected LRU cache of decoded bitmaps.
 
-:class:`SharedBitmapCache` generalizes the per-index LRU policy of
-:class:`repro.storage.buffer.BufferPool` to the engine setting: one cache
-serves every index the :class:`~repro.engine.engine.QueryEngine` holds, so
-hot bitmaps compete for the same ``capacity`` slots regardless of which
-relation or attribute they belong to.  Keys are opaque hashable tuples
-(the engine uses ``(relation, attribute, component, slot)``).
+:class:`SharedBitmapCache` is the one LRU of the repo.  In the engine
+setting one cache serves every index the
+:class:`~repro.engine.engine.QueryEngine` holds, so hot bitmaps compete
+for the same ``capacity`` slots regardless of which relation or attribute
+they belong to; a :class:`repro.storage.buffer.BufferPool` holds its own
+for the one index it fronts.  Keys are opaque hashable tuples (the engine
+uses ``(relation, attribute, component, slot)``, a pool ``(component, slot)``).
 
 Capacity is two-dimensional: an entry-count limit (``capacity``) and an
 optional **byte budget** (``byte_budget``).  The byte budget exists for
@@ -29,8 +30,7 @@ engine.  The invariant tests rely on is::
     hits + misses == number of get() calls
 
 A ``capacity`` of 0 disables caching entirely: every ``get`` is a miss and
-``put`` is a no-op, matching the zero-capacity semantics of
-:class:`~repro.storage.buffer.BufferPool`.
+``put`` is a no-op.
 """
 
 from __future__ import annotations

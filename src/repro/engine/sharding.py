@@ -16,13 +16,14 @@ The design rests on three invariants:
    column's cardinality, so a code-domain predicate translated once by
    the parent is valid verbatim on every shard.
 2. **Bitmap payloads live in shared memory, not in pickles.**  A
-   :class:`ShardExport` serializes every stored bitmap of a shard into
-   one :class:`multiprocessing.shared_memory.SharedMemory` block — raw
-   64-bit words for the dense codec (workers reconstruct
-   :class:`~repro.bitmaps.bitvector.BitVector` views zero-copy), the
-   serialized blob for WAH/Roaring (workers decode once and memoize).
-   Per query, only the tiny code-domain payload and the result RIDs
-   cross the process boundary.
+   :class:`ShardExport` writes each shard into one
+   :class:`multiprocessing.shared_memory.SharedMemory` block as an
+   ``.rbix`` image — written by the index store's writer and served by
+   its reader (:mod:`repro.storage.store`), so a segment and a store
+   file share one layout and one set of integrity checks.  Dense bitmaps
+   are zero-copy views of the block; WAH/Roaring blobs are decoded once
+   per worker and memoized.  Per query, only the tiny code-domain
+   payload and the result RIDs cross the process boundary.
 3. **Per-shard evaluation is the same algorithm on the same fetch
    pattern.**  The evaluation algorithms' fetch sequences depend only on
    the predicate, base, and encoding — never on the data — so every
@@ -47,7 +48,6 @@ import os
 import secrets
 import time
 import weakref
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -55,7 +55,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.bitmaps import bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
@@ -85,6 +84,13 @@ from repro.query.expression import (
 )
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage.store import (
+    StoreBitmapSource,
+    _index_attr_spec,
+    _pack_relation_file,
+    _payload_start,
+    _RelationImage,
+)
 
 #: Execution backends the engine can route a batch through.
 BACKENDS = ("inline", "threads", "processes")
@@ -523,61 +529,25 @@ class ShardedBitmapIndex:
 # Shared-memory publication
 # ----------------------------------------------------------------------
 
-_ALIGN = 8  # uint64 views require 8-byte aligned offsets
+#: The relation and attribute name every image is published under: a
+#: segment holds one shard of one attribute, and which one is up to
+#: whoever keys the manifests.
+_IMAGE_NAME = "shard"
 
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """Everything a worker needs to serve one published shard.
+    """What a worker needs to find one published shard.
 
-    Pickled once per task dispatch (a few hundred bytes — names,
-    offsets, and the base/encoding metadata); the bitmap payloads
-    themselves stay in the named shared-memory block.
+    Pickled once per task dispatch (~150 bytes whatever the number of
+    stored bitmaps); codec, base, encoding and the checksummed payload
+    table are read from the ``.rbix`` image at ``image_offset``.
     """
 
     shm_name: str
-    codec: str
-    nbits: int
+    image_offset: int
     row_start: int
     row_stop: int
-    cardinality: int
-    base: Base
-    encoding: EncodingScheme
-    entries: dict  # (component, slot) -> (offset, length, crc32)
-    nonnull: tuple | None  # (offset, length, crc32) when tracking nulls
-
-
-def _serialize_shard(index: BitmapIndex, codec: str):
-    """Flatten a shard index's stored bitmaps into one aligned buffer.
-
-    Every entry records the CRC-32 of its payload bytes alongside the
-    offset and length, so workers can verify a publication at attach
-    time and a torn or bit-flipped segment surfaces as a typed
-    :class:`~repro.errors.CorruptShardError` instead of wrong answers.
-    """
-    cls = bitmap_class(codec)
-    chunks: list[bytes] = []
-    entries: dict = {}
-    offset = 0
-
-    def add(key, data: bytes):
-        nonlocal offset
-        entries[key] = (offset, len(data), zlib.crc32(data))
-        chunks.append(data)
-        offset += len(data)
-        pad = (-len(data)) % _ALIGN
-        if pad:
-            chunks.append(b"\x00" * pad)
-            offset += pad
-
-    for i, component in enumerate(index.components, start=1):
-        for slot in component.stored_slots():
-            add((i, slot), cls.from_bitvector(component.bitmap(slot)).to_payload())
-    nonnull_entry = None
-    if index.nonnull is not None:
-        add((0, 0), cls.from_bitvector(index.nonnull).to_payload())
-        nonnull_entry = entries.pop((0, 0))
-    return entries, nonnull_entry, b"".join(chunks)
 
 
 #: Live exports, swept at interpreter exit so a crashing parent leaves
@@ -631,23 +601,19 @@ class ShardExport:
         self._segments: list = []
         try:
             for (start, stop), index in zip(sharded.bounds, sharded.indexes):
-                entries, nonnull_entry, payload = _serialize_shard(index, codec)
-                segment = _create_segment(max(1, len(payload)))
-                segment.buf[: len(payload)] = payload
+                spec = _index_attr_spec(index, codec)
+                image, _ = _pack_relation_file(
+                    _IMAGE_NAME, index.nbits, {_IMAGE_NAME: spec}
+                )
+                # Start the image where its payload region lands on an
+                # 8-byte boundary: dense payload lengths are multiples of
+                # 8, so every dense bitmap is then an aligned uint64 view.
+                offset = -_payload_start(image) % 8
+                segment = _create_segment(offset + len(image))
+                segment.buf[offset : offset + len(image)] = image
                 self._segments.append(segment)
                 self.manifests.append(
-                    ShardManifest(
-                        shm_name=segment.name,
-                        codec=codec,
-                        nbits=index.nbits,
-                        row_start=start,
-                        row_stop=stop,
-                        cardinality=sharded.cardinality,
-                        base=index.base,
-                        encoding=index.encoding,
-                        entries=entries,
-                        nonnull=nonnull_entry,
-                    )
+                    ShardManifest(segment.name, offset, start, stop)
                 )
         except Exception:
             self.close()
@@ -667,24 +633,17 @@ class ShardExport:
         return sum(segment.size for segment in self._segments)
 
     def corrupt_byte(self, shard: int, offset: int | None = None) -> int:
-        """Flip one payload byte of a shard's segment (fault injection).
+        """Flip one byte of a shard's segment (fault injection).
 
-        With ``offset=None`` the first byte of the shard's first entry is
-        flipped, which the CRC at attach time is guaranteed to catch.
-        Returns the offset flipped.  Test/chaos helper — never called on
-        the serving path.
+        With ``offset=None`` the image's first payload byte is flipped;
+        like every byte of the image it is under a checksum verified at
+        attach.  Returns the offset flipped.  Test/chaos helper — never
+        called on the serving path.
         """
         segment = self._segments[shard]
         if offset is None:
-            manifest = self.manifests[shard]
-            entry = (
-                min(manifest.entries.values())
-                if manifest.entries
-                else manifest.nonnull
-            )
-            if entry is None:
-                raise EngineConfigError("shard publishes no bitmap entries")
-            offset = entry[0]
+            image_offset = self.manifests[shard].image_offset
+            offset = image_offset + _payload_start(segment.buf, image_offset)
         segment.buf[offset] ^= 0xFF
         return offset
 
@@ -729,20 +688,20 @@ _CLEANUP_REGISTERED = False
 class _AttachedShard:
     """A worker-side bitmap source over one published shard.
 
-    Implements the :class:`~repro.core.index.BitmapSource` protocol.
-    Dense bitmaps are zero-copy ``uint64`` views into the shared block;
-    WAH/Roaring payloads are reconstructed from their serialized form on
-    first fetch and memoized.  Every fetch charges one scan at the
-    payload size, mirroring :meth:`BitmapIndex.fetch`.
+    Implements the :class:`~repro.core.index.BitmapSource` protocol by
+    serving the segment's image through the index store's reader and
+    memoizing what it decodes: dense bitmaps are zero-copy ``uint64``
+    views into the shared block, WAH/Roaring payloads are decoded on
+    first fetch.  Every fetch charges one scan, mirroring
+    :meth:`BitmapIndex.fetch`.
 
     A failed attach (the segment vanished — publisher died or was swept)
-    raises :class:`~repro.errors.ShmAttachError`; *every* payload is
-    CRC-verified against its manifest at attach time, and a mismatch
-    raises :class:`~repro.errors.CorruptShardError` — a torn or
-    bit-flipped publication becomes a typed error before any query is
-    served from it, never a wrong answer.  Verification reads each
-    entry's bytes once per worker; dense entries still serve zero-copy
-    views afterwards.
+    raises :class:`~repro.errors.ShmAttachError`.  The reader checks the
+    header and dictionary CRCs as it parses, and *every* payload CRC is
+    verified here, once per worker, before any query is served — so any
+    damaged byte of a torn or bit-flipped publication raises
+    :class:`~repro.errors.CorruptShardError` at attach, never a wrong
+    answer.
     """
 
     def __init__(self, manifest: ShardManifest):
@@ -758,59 +717,52 @@ class _AttachedShard:
                 f"shared-memory segment {manifest.shm_name!r} is gone; "
                 f"the publication must be rebuilt"
             ) from None
-        self._manifest = manifest
         self._bitmaps: dict = {}
-        self.nbits = manifest.nbits
-        self.cardinality = manifest.cardinality
-        self.base = manifest.base
-        self.encoding = manifest.encoding
-        self.bitmap_codec = manifest.codec
-        self.row_start = manifest.row_start
-        self._verify(manifest)
-        self.nonnull = (
-            self._load(manifest.nonnull) if manifest.nonnull is not None else None
-        )
-
-    def _verify(self, manifest: ShardManifest) -> None:
-        """CRC-check every published entry against the manifest."""
-        entries = list(manifest.entries.values())
-        if manifest.nonnull is not None:
-            entries.append(manifest.nonnull)
-        for offset, length, crc in entries:
-            payload = bytes(self._shm.buf[offset : offset + length])
-            if zlib.crc32(payload) != crc:
-                self._shm.close()
-                raise CorruptShardError(
-                    f"segment {manifest.shm_name!r}: checksum mismatch at "
-                    f"offset {offset} (+{length} bytes)"
-                )
-
-    def _load(self, entry):
-        offset, length, _ = entry
+        self._image = None
         try:
-            return bitmap_class(self.bitmap_codec).from_payload(
-                self._shm.buf[offset : offset + length], self.nbits
+            self._image = _RelationImage(
+                self._shm.buf[manifest.image_offset :],
+                _IMAGE_NAME,
+                f"segment {manifest.shm_name!r}",
             )
+            problems = self._image.verify_payloads()
+            if problems:
+                raise CorruptFileError(problems[0])
+            source = StoreBitmapSource(self._image, _IMAGE_NAME)
+            self.nonnull = source.nonnull
         except CorruptFileError as exc:
-            raise CorruptShardError(
-                f"segment {self._manifest.shm_name!r}: {exc}"
-            ) from exc
+            self.release()
+            raise CorruptShardError(str(exc)) from exc
+        self._source = source
+        self.nbits = source.nbits
+        self.cardinality = source.cardinality
+        self.base = source.base
+        self.encoding = source.encoding
+        self.bitmap_codec = source.bitmap_codec
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
         key = (component, slot)
         bitmap = self._bitmaps.get(key)
         if bitmap is None:
-            bitmap = self._load(self._manifest.entries[key])
+            # The store's source charges the scan of a first fetch.
+            try:
+                bitmap = self._source.fetch(component, slot, stats)
+            except CorruptFileError as exc:
+                raise CorruptShardError(str(exc)) from exc
             self._bitmaps[key] = bitmap
-        # Memoized or not, a fetch is one logical scan of the stored
-        # bitmap — the same charging rule as BitmapIndex.fetch.
-        stats.record_scan(nbytes=bitmap.nbytes)
+        else:
+            # Memoized or not, a fetch is one logical scan of the stored
+            # bitmap — the same charging rule as BitmapIndex.fetch.
+            stats.record_scan(nbytes=bitmap.nbytes)
         return bitmap
 
     def release(self) -> None:
-        """Drop payload views so the shared block can close cleanly."""
+        """Drop payload views, then the reader's, so the shared block can
+        close cleanly (it raises ``BufferError`` while a slice is alive)."""
         self._bitmaps.clear()
         self.nonnull = None
+        if self._image is not None:
+            self._image.close()
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - stray external views
@@ -1036,7 +988,7 @@ class ProcessShardExecutor:
                 if spec is not None:
                     if spec.kind == "corrupt":
                         # Flip a payload byte in the real segment: the
-                        # worker's CRC check must catch it at attach.
+                        # worker's CRC checks must catch it at attach.
                         next(iter(exports.values())).corrupt_byte(shard)
                     else:
                         faults.append("attach-error")

@@ -75,7 +75,7 @@ def run(
         base = space_optimal_base(cardinality, n)
         index = bitmap_index_for(relation, spec.attribute, base=base)
         for scheme_name in schemes:
-            disk = SimulatedDisk(disk_model)
+            disk = SimulatedDisk()
             scheme = write_index(disk, "x", index, scheme_name)
             totals, count, cpu_seconds = aggregate_costs(
                 scheme,

@@ -22,7 +22,7 @@ seam              kinds
 ``shm.attach``    ``error`` (worker raises
                   :class:`~repro.errors.ShmAttachError`), ``corrupt``
                   (one published payload byte flipped, caught by the
-                  manifest checksum)
+                  image's own checksums when the worker attaches)
 ``worker.execute``  ``crash`` (worker process exits hard, breaking the
                   pool), ``error`` (worker raises
                   :class:`~repro.errors.InjectedFaultError`)
@@ -33,7 +33,7 @@ Injection *sites* consult the plan by calling :meth:`FaultPlan.check`
 with their seam name and a call identifier (a file path, a shard label,
 a cache key); a returned spec means "fire this fault now".  Sites that
 never see a plan pay one ``is None`` test — the no-fault hot path is
-untouched.
+untouched.  Every ``disk.read`` site is one call of :func:`read_fault`.
 
 :class:`Deadline` is the cooperative-cancellation companion: a
 wall-clock budget created from ``QueryOptions(deadline_ms=...)`` and
@@ -50,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import EngineConfigError, QueryTimeoutError
+from repro.errors import EngineConfigError, InjectedFaultError, QueryTimeoutError
 
 #: Seam name -> the fault kinds an injector there may request.
 SEAM_KINDS: dict[str, tuple[str, ...]] = {
@@ -201,6 +201,31 @@ class FaultPlan:
             f"FaultPlan(specs={len(self.specs)}, seed={self.seed}, "
             f"fired={len(self.injections)})"
         )
+
+
+def read_fault(plan: FaultPlan | None, ident: str, data):
+    """The ``disk.read`` seam: ``data`` as a possibly faulted read returns it.
+
+    A clean read returns ``data`` itself, so a site can tell one by
+    identity.  ``error`` raises :class:`~repro.errors.InjectedFaultError`,
+    ``torn`` returns the first half, ``corrupt`` a copy with one seeded
+    byte flipped (an empty read has none to flip); catching the damage is
+    the caller's integrity check's job.
+    """
+    if plan is None:
+        return data
+    spec = plan.check("disk.read", ident=ident)
+    if spec is None:
+        return data
+    if spec.kind == "error":
+        raise InjectedFaultError(f"injected read error on {ident}")
+    if spec.kind == "torn":
+        return bytes(data[: len(data) // 2])
+    if not len(data):
+        return data
+    mutated = bytearray(data)
+    mutated[plan.byte_offset(len(mutated))] ^= 0xFF
+    return bytes(mutated)
 
 
 @dataclass

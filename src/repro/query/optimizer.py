@@ -17,16 +17,17 @@ optimizer's view of a bitmap index is exactly the paper's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import costmodel
-from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError
 from repro.query.executor import QueryResult, VerificationError
-from repro.query.options import VERIFYING_OPTIONS, QueryOptions
+from repro.query.expression import And, run_query
+from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.histogram import EquiDepthHistogram
 from repro.relation.relation import Relation
@@ -300,25 +301,23 @@ def execute_plan(
         best = next(
             p for p in predicates if p.attribute == choice.driving_attribute
         )
-        rids = _single_index_rids(relation, best, catalog, stats)
+        if best.attribute in catalog.bitmap_indexes:
+            rids = _bitmap_rids(
+                relation, [best], catalog, stats, options.algorithm
+            )
+        else:
+            index = catalog.rid_indexes[best.attribute]
+            stats.bytes_read += index.bytes_for(best.op, best.value)
+            rids = index.lookup(best.op, best.value)
         rest = [p for p in predicates if p is not best]
         for predicate in rest:
             column_values = relation.column(predicate.attribute).values[rids]
             rids = rids[predicate.matches(column_values)]
         stats.bytes_read += len(rids) * relation.row_bytes
     elif choice.plan == PLAN_BITMAP_MERGE:
-        acc = None
-        for predicate in predicates:
-            column = relation.column(predicate.attribute)
-            op, code = column.code_bounds(predicate.op, predicate.value)
-            bitmap = evaluate(
-                catalog.bitmap_indexes[predicate.attribute],
-                Predicate(op, code),
-                stats=stats,
-            )
-            acc = bitmap if acc is None else acc & bitmap
-        assert acc is not None
-        rids = acc.indices()
+        rids = _bitmap_rids(
+            relation, predicates, catalog, stats, options.algorithm
+        )
     elif choice.plan == PLAN_RIDLIST_MERGE:
         rids = None
         for predicate in predicates:
@@ -363,21 +362,18 @@ def _scan_all(
     return np.nonzero(mask)[0]
 
 
-def _single_index_rids(
+def _bitmap_rids(
     relation: Relation,
-    predicate: AttributePredicate,
+    predicates: list[AttributePredicate],
     catalog: Catalog,
     stats: ExecutionStats,
+    algorithm: str,
 ) -> np.ndarray:
-    if predicate.attribute in catalog.bitmap_indexes:
-        column = relation.column(predicate.attribute)
-        op, code = column.code_bounds(predicate.op, predicate.value)
-        bitmap = evaluate(
-            catalog.bitmap_indexes[predicate.attribute],
-            Predicate(op, code),
-            stats=stats,
-        )
-        return bitmap.indices()
-    index = catalog.rid_indexes[predicate.attribute]
-    stats.bytes_read += index.bytes_for(predicate.op, predicate.value)
-    return index.lookup(predicate.op, predicate.value)
+    """The predicates folded with ``And`` (as
+    :func:`~repro.query.executor.conjunctive_select` folds them) and run
+    through the one query pipeline, so merge ANDs are charged and
+    ``algorithm`` reaches every leaf."""
+    conjunction = functools.reduce(And, map(normalize_query, predicates))
+    return run_query(
+        relation, conjunction, catalog.bitmap_indexes, stats, algorithm=algorithm
+    )

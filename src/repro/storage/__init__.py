@@ -24,9 +24,9 @@ buffer pool) depends on.  Three very different backends implement it:
 
 - :class:`~repro.storage.disk.DiskModel` — a pure latency model; holds no
   bytes, charges modeled read waits (the paper's era-modeled disk).
-- :class:`~repro.storage.fsdisk.FileSystemDisk` /
-  :class:`~repro.storage.disk.SimulatedDisk` — CRC-framed byte stores for
-  the Section 9 scheme files.
+- :class:`~repro.storage.fsdisk.FileSystemDisk` — a CRC-framed byte store
+  for the Section 9 scheme files (:class:`~repro.storage.disk.SimulatedDisk`,
+  its in-memory twin, serves those files only and is no ``Storage``).
 - :class:`~repro.storage.store.IndexStore` — the persistent, mmap-backed
   index format with lazy bitmap loading and real I/O counters.
 
@@ -48,10 +48,9 @@ class Storage(Protocol):
     """The unified storage surface the serving layer depends on.
 
     Implemented by :class:`~repro.storage.disk.DiskModel` (latency model,
-    no payloads), :class:`~repro.storage.disk.SimulatedDisk` and
-    :class:`~repro.storage.fsdisk.FileSystemDisk` (byte stores), and
-    :class:`~repro.storage.store.IndexStore` (persistent index files with
-    lazy mmap loading).
+    no payloads), :class:`~repro.storage.fsdisk.FileSystemDisk` (a byte
+    store), and :class:`~repro.storage.store.IndexStore` (persistent
+    index files with lazy mmap loading).
     """
 
     def read_seconds(self, files_opened: int, bytes_read: int) -> float:

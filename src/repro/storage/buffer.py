@@ -12,17 +12,20 @@ policies:
 - ``'lru'`` — a classical least-recently-used pool of ``capacity``
   bitmaps, provided as an ablation against the paper's pinned-optimal
   policy.
+
+Either way the resident bitmaps live in a
+:class:`~repro.engine.cache.SharedBitmapCache`, the engine's cache class
+(one LRU, one lock, one set of counters); the policies differ only in
+admission — LRU admits every miss, pinned is filled once at preload.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 from repro.bitmaps.bitvector import BitVector
 from repro.core.buffering import BufferAssignment, optimal_assignment
 from repro.core.encoding import EncodingScheme, stored_bitmap_count
 from repro.core.index import BitmapSource
+from repro.engine.cache import SharedBitmapCache
 from repro.errors import BufferConfigError
 from repro.stats import ExecutionStats
 
@@ -59,7 +62,7 @@ class BufferPool:
     An LRU ``capacity`` of 0 means *no caching*: every fetch is a recorded
     miss passed straight to the source and nothing is ever stored.  The
     pool is thread-safe — the LRU order and the hit/miss counters mutate
-    under an internal lock, so it can back a shared engine-level cache.
+    under the lock of :attr:`cache`.
     """
 
     def __init__(
@@ -101,9 +104,6 @@ class BufferPool:
         # compressed bitmaps keep the pool's memory footprint proportional
         # to compressed (not dense) size.
         self.bitmap_codec = source.bitmap_codec
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
 
         if policy == "pinned":
             if assignment is None:
@@ -117,14 +117,14 @@ class BufferPool:
                     "assignment base does not match the source index"
                 )
             self.assignment = assignment
-            self._pinned: dict[tuple[int, int], BitVector] = {}
+            self.cache = SharedBitmapCache(assignment.total)
             self._load_pinned()
         else:
             if capacity is None or capacity < 0:
                 raise BufferConfigError("lru policy needs a capacity >= 0")
             self.assignment = None
             self.capacity = capacity
-            self._lru: OrderedDict[tuple[int, int], BitVector] = OrderedDict()
+            self.cache = SharedBitmapCache(capacity)
 
     # ------------------------------------------------------------------
 
@@ -143,10 +143,8 @@ class BufferPool:
         for i in range(1, self.base.n + 1):
             f_i = self.assignment.counts[i - 1]
             for slot in sorted(_pinned_slots(self._stored_slots(i), f_i)):
-                self._pinned[(i, slot)] = self.source.fetch(i, slot, loader)
-        reset = getattr(self.source, "reset_cache", None)
-        if callable(reset):
-            reset()
+                self.cache.put((i, slot), self.source.fetch(i, slot, loader))
+        self.reset_cache()
 
     # ------------------------------------------------------------------
     # Bitmap-source protocol
@@ -156,57 +154,24 @@ class BufferPool:
         self, component: int, slot: int, stats: ExecutionStats
     ) -> BitVector:
         key = (component, slot)
-        if self.policy == "pinned":
-            # The pinned map is read-only after preload; only the counters
-            # need the lock.
-            bitmap = self._pinned.get(key)
-            if bitmap is not None:
-                with self._lock:
-                    self.hits += 1
-                stats.buffer_hits += 1
-                if stats.trace is not None:
-                    stats.trace.event(
-                        "buffer.hit",
-                        kind="buffer",
-                        component=component,
-                        slot=slot,
-                        policy="pinned",
-                    )
-                return bitmap
-            with self._lock:
-                self.misses += 1
-            return self.source.fetch(component, slot, stats)
-
-        if self.capacity == 0:
-            # No caching: every fetch is a miss passed through to the source.
-            with self._lock:
-                self.misses += 1
-            return self.source.fetch(component, slot, stats)
-
-        with self._lock:
-            bitmap = self._lru.get(key)
-            if bitmap is not None:
-                self._lru.move_to_end(key)
-                self.hits += 1
-                stats.buffer_hits += 1
-                if stats.trace is not None:
-                    stats.trace.event(
-                        "buffer.hit",
-                        kind="buffer",
-                        component=component,
-                        slot=slot,
-                        policy="lru",
-                    )
-                return bitmap
-            self.misses += 1
-        # Fetch outside the lock so slow source reads don't serialize the
-        # pool; a racing double-fetch of the same key is harmless.
+        bitmap = self.cache.get(key)
+        if bitmap is not None:
+            stats.buffer_hits += 1
+            if stats.trace is not None:
+                stats.trace.event(
+                    "buffer.hit",
+                    kind="buffer",
+                    component=component,
+                    slot=slot,
+                    policy=self.policy,
+                )
+            return bitmap
+        # Fetch outside the cache's lock so slow source reads don't serialize
+        # the pool; a racing double-fetch of the same key is harmless.
         bitmap = self.source.fetch(component, slot, stats)
-        with self._lock:
-            self._lru[key] = bitmap
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.capacity:
-                self._lru.popitem(last=False)
+        if self.policy == "lru":
+            # A pinned pool is closed to admission after preload.
+            self.cache.put(key, bitmap)
         return bitmap
 
     def reset_cache(self) -> None:
@@ -216,7 +181,14 @@ class BufferPool:
             reset()
 
     @property
+    def hits(self) -> int:
+        return self.cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self.cache.misses
+
+    @property
     def hit_rate(self) -> float:
         """Fraction of fetches served from the buffer so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self.cache.hit_rate

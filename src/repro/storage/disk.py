@@ -19,12 +19,9 @@ exercise the storage layer's integrity checks on either disk backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.errors import FileMissingError, InjectedFaultError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults import FaultPlan
+from repro.errors import FileMissingError
+from repro.faults import FaultPlan, read_fault
 
 
 @dataclass(frozen=True)
@@ -99,14 +96,8 @@ class DiskStats:
 class SimulatedDisk:
     """A dictionary-of-files disk with exact transfer accounting."""
 
-    def __init__(
-        self,
-        model: DiskModel | None = None,
-        *,
-        fault_plan: "FaultPlan | None" = None,
-    ):
+    def __init__(self, *, fault_plan: FaultPlan | None = None):
         self._files: dict[str, bytes] = {}
-        self.model = model if model is not None else DiskModel()
         self.stats = DiskStats()
         self.fault_plan = fault_plan
 
@@ -126,18 +117,7 @@ class SimulatedDisk:
             data = self._files[path]
         except KeyError:
             raise FileMissingError(f"no such bitmap file: {path}") from None
-        if self.fault_plan is not None:
-            spec = self.fault_plan.check("disk.read", ident=path)
-            if spec is not None:
-                if spec.kind == "error":
-                    raise InjectedFaultError(f"injected read error on {path}")
-                if spec.kind == "torn":
-                    data = data[: len(data) // 2]
-                elif spec.kind == "corrupt" and data:
-                    mutated = bytearray(data)
-                    offset = self.fault_plan.byte_offset(len(mutated))
-                    mutated[offset] ^= 0xFF
-                    data = bytes(mutated)
+        data = read_fault(self.fault_plan, path, data)
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
         return data
@@ -189,30 +169,3 @@ class SimulatedDisk:
         mutated = bytearray(data)
         mutated[offset] ^= xor_with
         self._files[path] = bytes(mutated)
-
-    # ------------------------------------------------------------------
-
-    def estimated_read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """Apply this disk's :class:`DiskModel` to an IO volume."""
-        return self.model.seconds(files_opened, bytes_read)
-
-    # ------------------------------------------------------------------
-    # Storage protocol (see repro.storage.Storage)
-    # ------------------------------------------------------------------
-
-    def read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """A simulated disk moves no real bytes, so reads are modeled."""
-        return self.model.seconds(files_opened, bytes_read)
-
-    def bitmap_source(self, relation: str, attribute: str):
-        """Scheme files are opened via ``open_scheme``, not per attribute."""
-        return None
-
-    def io_snapshot(self) -> dict:
-        return {
-            "backend": "simulated",
-            "reads": self.stats.reads,
-            "writes": self.stats.writes,
-            "bytes_read": self.stats.bytes_read,
-            "bytes_written": self.stats.bytes_written,
-        }

@@ -45,8 +45,8 @@ from repro.errors import (
     InjectedFaultError,
     StorageError,
 )
-from repro.faults import FaultPlan
-from repro.storage.disk import DiskModel, DiskStats
+from repro.faults import FaultPlan, read_fault
+from repro.storage.disk import DiskStats
 
 log = logging.getLogger("repro.storage.fsdisk")
 
@@ -126,6 +126,22 @@ def atomic_write(
     _fsync_dir(directory)
 
 
+def to_quarantine(root: str, path: str, name: str) -> str:
+    """Move ``path`` into ``<root>/.quarantine/`` as ``name`` (``name.1``,
+    ``name.2``… when taken), for this module's bitmap files and the index
+    store's relation files.  Returns the sheltered filesystem path."""
+    shelter = os.path.join(root, _QUARANTINE_DIR)
+    os.makedirs(shelter, exist_ok=True)
+    target = os.path.join(shelter, name)
+    suffix = 0
+    while os.path.exists(target):
+        suffix += 1
+        target = os.path.join(shelter, f"{name}.{suffix}")
+    os.replace(path, target)
+    log.warning("quarantined corrupt file %s -> %s", path, target)
+    return target
+
+
 class FileSystemDisk:
     """Stores bitmap files under a root directory.
 
@@ -142,14 +158,12 @@ class FileSystemDisk:
     def __init__(
         self,
         root: str,
-        model: DiskModel | None = None,
         *,
         checksums: bool = True,
         fault_plan: FaultPlan | None = None,
     ):
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self.model = model if model is not None else DiskModel()
         self.stats = DiskStats()
         self.checksums = checksums
         self.fault_plan = fault_plan
@@ -184,19 +198,7 @@ class FileSystemDisk:
                 raw = handle.read()
         except FileNotFoundError:
             raise FileMissingError(f"no such bitmap file: {path}") from None
-        if self.fault_plan is not None:
-            spec = self.fault_plan.check("disk.read", ident=path)
-            if spec is not None:
-                if spec.kind == "error":
-                    raise InjectedFaultError(f"injected read error on {path}")
-                if spec.kind == "torn":
-                    raw = raw[: len(raw) // 2]
-                elif spec.kind == "corrupt" and raw:
-                    mutated = bytearray(raw)
-                    offset = self.fault_plan.byte_offset(len(mutated))
-                    mutated[offset] ^= 0xFF
-                    raw = bytes(mutated)
-        data = self._unframe(path, raw)
+        data = self._unframe(path, read_fault(self.fault_plan, path, raw))
         self.stats.reads += 1
         self.stats.bytes_read += len(data)
         return data
@@ -270,18 +272,7 @@ class FileSystemDisk:
         full = self._resolve(path)
         if not os.path.isfile(full):
             raise FileMissingError(f"no such bitmap file: {path}")
-        shelter = os.path.join(self.root, _QUARANTINE_DIR)
-        os.makedirs(shelter, exist_ok=True)
-        target = os.path.join(shelter, path.replace("/", "__"))
-        suffix = 0
-        while os.path.exists(target):
-            suffix += 1
-            target = os.path.join(
-                shelter, f"{path.replace('/', '__')}.{suffix}"
-            )
-        os.replace(full, target)
-        log.warning("quarantined corrupt bitmap file %s -> %s", path, target)
-        return target
+        return to_quarantine(self.root, full, path.replace("/", "__"))
 
     def scrub(self, prefix: str = "", quarantine: bool = True) -> list[str]:
         """Verify every file under ``prefix``; returns the corrupt ones.
@@ -324,11 +315,6 @@ class FileSystemDisk:
             byte = handle.read(1)[0]
             handle.seek(offset)
             handle.write(bytes([byte ^ xor_with]))
-
-    # ------------------------------------------------------------------
-
-    def estimated_read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        return self.model.seconds(files_opened, bytes_read)
 
     # ------------------------------------------------------------------
     # Storage protocol (see repro.storage.Storage)

@@ -31,6 +31,12 @@ is independently checksummed: the header over itself, the dictionary by
 the header, and each payload by its dictionary entry (verified on first
 materialization).
 
+The layout does not depend on what holds the bytes: the process backend
+publishes each shard as the same image from the same writer
+(:class:`~repro.engine.sharding.ShardExport`) and serves it with the same
+reader.  A file's image starts at 0; a segment's at the offset (< 8) that
+puts the payload region, and so every dense payload, on an 8-byte boundary.
+
 Incremental appends go to a CRC-framed JSON *delta sidecar*
 (``<relation>.rbix.delta``) holding the appended rank rows; reads serve
 base + delta merged, and an explicit :meth:`IndexStore.compact` folds the
@@ -58,7 +64,7 @@ import mmap
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,15 +76,14 @@ from repro.errors import (
     CorruptFileError,
     EngineConfigError,
     FileMissingError,
-    InjectedFaultError,
     StorageError,
     ValueOutOfRangeError,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, read_fault
 from repro.relation.column import Column
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage.fsdisk import _fsync_dir, atomic_write, frame, unframe
+from repro.storage.fsdisk import _fsync_dir, atomic_write, frame, to_quarantine, unframe
 
 log = logging.getLogger("repro.storage.store")
 
@@ -89,7 +94,12 @@ _HEADER = struct.Struct("<4sHHQQII")
 _DELTA_MAGIC = b"\x89RBD"
 _SUFFIX = ".rbix"
 _DELTA_SUFFIX = ".rbix.delta"
-_QUARANTINE_DIR = ".quarantine"
+
+
+def _payload_start(buf, offset: int = 0) -> int:
+    """Where the payload region of the image at ``buf[offset:]`` starts."""
+    _, _, _, dict_off, dict_len, _, _ = _HEADER.unpack_from(buf, offset)
+    return dict_off + dict_len
 
 
 def _pages(nbytes: int, page_size: int) -> int:
@@ -147,17 +157,7 @@ class StoreStats:
     bytes_written: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "opens": self.opens,
-            "dict_bytes": self.dict_bytes,
-            "payload_bytes_read": self.payload_bytes_read,
-            "bitmaps_materialized": self.bitmaps_materialized,
-            "delta_bitmaps": self.delta_bitmaps,
-            "pages_touched": self.pages_touched,
-            "appends": self.appends,
-            "compactions": self.compactions,
-            "bytes_written": self.bytes_written,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -176,47 +176,48 @@ class _AttrMeta:
     nonnull: tuple[int, int, int] | None
 
 
-class _RelationFile:
-    """One opened ``.rbix`` file: mmap + parsed dictionary + delta."""
+class _RelationImage:
+    """One ``.rbix`` image served from a buffer: parsed dictionary, lazy
+    CRC-checked payloads.
 
-    def __init__(self, store: "IndexStore", relation: str):
-        self.store = store
+    The buffer is the mmap of a store file (:class:`_RelationFile`) or
+    the part of a shared-memory segment a shard was published into
+    (:mod:`repro.engine.sharding`); every check of the format lives here
+    and so covers both.  The image owns ``buf`` and releases it in
+    :meth:`close`; ``path`` names it in errors.
+    """
+
+    #: What only a store file has, and :class:`_RelationFile` sets: a delta
+    #: sidecar, a store generation, the store's page size and fault plan.
+    delta_rows = 0
+    generation = 0
+    page_size = 4096
+    fault_plan: FaultPlan | None = None
+
+    def __init__(
+        self, buf: memoryview, relation: str, path: str, stats: StoreStats | None = None
+    ):
+        self._buf = buf
+        self.size = len(buf)
         self.relation = relation
-        self.generation = store.generation(relation)
-        self.path = os.path.join(store.root, relation + _SUFFIX)
-        try:
-            self._fh = open(self.path, "rb")
-        except FileNotFoundError:
-            raise FileMissingError(
-                f"no stored index for relation {relation!r}"
-            ) from None
-        try:
-            self.size = os.fstat(self._fh.fileno()).st_size
-            if self.size < _HEADER.size:
-                raise CorruptFileError(
-                    f"{self.path}: {self.size} bytes is too small to hold "
-                    f"an index header"
-                )
-            self._mm = mmap.mmap(
-                self._fh.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except BaseException:
-            self._fh.close()
-            raise
+        self.path = path
+        self.stats = stats if stats is not None else StoreStats()
+        self._verified: set[tuple[int, int]] = set()
         try:
             self._parse_header_and_dictionary()
-            self._load_delta()
         except BaseException:
             self.close()
             raise
-        self._delta_indexes: dict[str, BitmapIndex] = {}
-        self._verified: set[tuple[int, int]] = set()
-        store.stats.opens += 1
 
     # ------------------------------------------------------------------
 
     def _parse_header_and_dictionary(self) -> None:
-        head = bytes(self._mm[: _HEADER.size])
+        if self.size < _HEADER.size:
+            raise CorruptFileError(
+                f"{self.path}: {self.size} bytes is too small to hold "
+                f"an index header"
+            )
+        head = bytes(self._buf[: _HEADER.size])
         magic, version, _flags, dict_off, dict_len, dict_crc, header_crc = (
             _HEADER.unpack(head)
         )
@@ -235,7 +236,7 @@ class _RelationFile:
                 f"{self.path}: dictionary region [{dict_off}, "
                 f"{dict_off + dict_len}) extends past EOF at {self.size}"
             )
-        dict_bytes = bytes(self._mm[dict_off : dict_off + dict_len])
+        dict_bytes = bytes(self._buf[dict_off : dict_off + dict_len])
         if zlib.crc32(dict_bytes) != dict_crc:
             raise CorruptFileError(
                 f"{self.path}: dictionary checksum mismatch"
@@ -263,9 +264,9 @@ class _RelationFile:
         self.attrs: dict[str, _AttrMeta] = {}
         for name, m in attr_metas.items():
             self.attrs[name] = self._parse_attr(name, m, payload_room)
-        self.store.stats.dict_bytes += _HEADER.size + dict_len
-        self.store.stats.pages_touched += _pages(
-            _HEADER.size + dict_len, self.store.page_size
+        self.stats.dict_bytes += _HEADER.size + dict_len
+        self.stats.pages_touched += _pages(
+            _HEADER.size + dict_len, self.page_size
         )
 
     def _parse_attr(self, name: str, m: dict, payload_room: int) -> _AttrMeta:
@@ -336,6 +337,106 @@ class _RelationFile:
             slots=slots,
             nonnull=entry(nonnull, f"{name}/nonnull") if nonnull else None,
         )
+
+    # ------------------------------------------------------------------
+    # Payload materialization
+    # ------------------------------------------------------------------
+
+    def materialize(
+        self, meta: _AttrMeta, entry: tuple[int, int, int], ident: str
+    ):
+        """Decode one payload entry in its stored codec, verifying its CRC.
+
+        A dense payload stays a zero-copy view of the buffer (mmap pages
+        or segment); the compressed codecs copy their (already small)
+        blobs out of it.  A payload whose own length field disagrees with
+        the image's row count is corrupt.  Returns the bitmap and the payload length
+        actually read.
+        """
+        off, length, crc = entry
+        start = self.payload_start + off
+        view = self._buf[start : start + length]
+        data = read_fault(self.fault_plan, ident, view)
+        key = (start, length)
+        # A faulted read comes back as another object and is re-verified
+        # even if its entry was verified before.
+        if data is not view or key not in self._verified:
+            if zlib.crc32(data) != crc:
+                raise CorruptFileError(
+                    f"{self.path}: payload checksum mismatch for {ident}"
+                )
+            self._verified.add(key)
+        stats = self.stats
+        stats.payload_bytes_read += length
+        stats.bitmaps_materialized += 1
+        stats.pages_touched += _pages(length, self.page_size)
+        try:
+            return bitmap_class(meta.codec).from_payload(data, self.nbits), length
+        except (CorruptFileError, ValueError, struct.error) as exc:
+            raise CorruptFileError(
+                f"{self.path}: undecodable {meta.codec} payload for "
+                f"{ident}: {exc}"
+            ) from exc
+
+    def verify_payloads(self) -> list[str]:
+        """CRC-check every payload entry; returns problem descriptions.
+        A clean entry counts as verified: materializing it later does not
+        compute its checksum again."""
+        problems = []
+        for name, meta in self.attrs.items():
+            entries = dict(meta.slots)
+            if meta.nonnull is not None:
+                entries[(0, 0)] = meta.nonnull
+            for (comp, slot), entry in sorted(entries.items()):
+                off, length, crc = entry
+                start = self.payload_start + off
+                if zlib.crc32(self._buf[start : start + length]) == crc:
+                    self._verified.add((start, length))
+                else:
+                    what = "nonnull" if comp == 0 else f"c{comp}_s{slot}"
+                    problems.append(
+                        f"{self.path}: payload checksum mismatch for {name}/{what}"
+                    )
+        return problems
+
+    def close(self) -> None:
+        """Release the buffer view (bitmaps served zero-copy keep their own)."""
+        self._buf.release()
+
+
+class _RelationFile(_RelationImage):
+    """One opened ``.rbix`` file: the image over an mmap, plus what only
+    a file has — the delta sidecar and the store generation it was read at."""
+
+    def __init__(self, store: "IndexStore", relation: str):
+        self.store = store
+        self.generation = store.generation(relation)
+        self.page_size = store.page_size
+        self.fault_plan = store.fault_plan
+        path = os.path.join(store.root, relation + _SUFFIX)
+        try:
+            self._fh = open(path, "rb")
+        except FileNotFoundError:
+            raise FileMissingError(
+                f"no stored index for relation {relation!r}"
+            ) from None
+        try:
+            if not os.fstat(self._fh.fileno()).st_size:  # and mmap refuses it
+                raise CorruptFileError(
+                    f"{path}: an empty file is too small to hold an index header"
+                )
+            self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except BaseException:
+            self._fh.close()
+            raise
+        try:
+            super().__init__(memoryview(self._mm), relation, path, store.stats)
+            self._load_delta()
+        except BaseException:
+            self.close()
+            raise
+        self._delta_indexes: dict[str, BitmapIndex] = {}
+        store.stats.opens += 1
 
     # ------------------------------------------------------------------
     # Delta sidecar
@@ -427,83 +528,8 @@ class _RelationFile:
             self.store.stats.delta_bitmaps += idx.num_bitmaps
         return idx
 
-    # ------------------------------------------------------------------
-    # Payload materialization
-    # ------------------------------------------------------------------
-
-    def materialize(
-        self, meta: _AttrMeta, entry: tuple[int, int, int], ident: str
-    ):
-        """Decode one payload entry in its stored codec, verifying its CRC.
-
-        A dense payload stays a zero-copy view of the mmap pages; the
-        compressed codecs copy their (already small) blobs out of the
-        map.  A payload whose own length field disagrees with the file's
-        row count is corrupt.  Returns the bitmap and the payload length
-        actually read.
-        """
-        off, length, crc = entry
-        start = self.payload_start + off
-        data: bytes | memoryview = memoryview(self._mm)[start : start + length]
-        plan = self.store.fault_plan
-        faulted = False
-        if plan is not None:
-            spec = plan.check("disk.read", ident=ident)
-            if spec is not None:
-                if spec.kind == "error":
-                    raise InjectedFaultError(
-                        f"injected read error on {ident}"
-                    )
-                if spec.kind == "torn":
-                    data = bytes(data[: length // 2])
-                    faulted = True
-                elif spec.kind == "corrupt" and length:
-                    mutated = bytearray(data)
-                    mutated[plan.byte_offset(length)] ^= 0xFF
-                    data = bytes(mutated)
-                    faulted = True
-        key = (start, length)
-        if faulted or key not in self._verified:
-            if zlib.crc32(data) != crc:
-                raise CorruptFileError(
-                    f"{self.path}: payload checksum mismatch for {ident}"
-                )
-            self._verified.add(key)
-        stats = self.store.stats
-        stats.payload_bytes_read += length
-        stats.bitmaps_materialized += 1
-        stats.pages_touched += _pages(length, self.store.page_size)
-        try:
-            return bitmap_class(meta.codec).from_payload(data, self.nbits), length
-        except (CorruptFileError, ValueError, struct.error) as exc:
-            raise CorruptFileError(
-                f"{self.path}: undecodable {meta.codec} payload for "
-                f"{ident}: {exc}"
-            ) from exc
-
-    def verify_payloads(self) -> list[str]:
-        """CRC-check every payload entry; returns problem descriptions."""
-        problems = []
-        for name, meta in self.attrs.items():
-            entries = dict(meta.slots)
-            if meta.nonnull is not None:
-                entries[(0, 0)] = meta.nonnull
-            for (comp, slot), entry in sorted(entries.items()):
-                off, length, crc = entry
-                start = self.payload_start + off
-                view = memoryview(self._mm)[start : start + length]
-                if zlib.crc32(view) != crc:
-                    ident = (
-                        f"{name}/nonnull"
-                        if comp == 0
-                        else f"{name}/c{comp}_s{slot}"
-                    )
-                    problems.append(
-                        f"{self.path}: payload checksum mismatch for {ident}"
-                    )
-        return problems
-
     def close(self) -> None:
+        super().close()
         try:
             self._mm.close()
         except BufferError:  # pragma: no cover - live zero-copy views
@@ -530,7 +556,7 @@ class StoreBitmapSource:
 
     def __init__(
         self,
-        rfile: _RelationFile,
+        rfile: _RelationImage,
         attribute: str,
         serve_codec: str | None = None,
     ):
@@ -900,7 +926,6 @@ class IndexStore:
         for attr in attributes:
             column = relation.column(attr)
             attr_codec = per_attr(codec, attr, "codec")
-            cls = bitmap_class(attr_codec)
             index = BitmapIndex(
                 column.codes,
                 column.cardinality,
@@ -908,23 +933,9 @@ class IndexStore:
                 encoding=per_attr(encoding, attr, "encoding"),
                 keep_values=False,
             )
-            bitmaps = {
-                (comp, slot): cls.from_bitvector(
-                    index.components[comp - 1].bitmap(slot)
-                )
-                for comp in range(1, index.base.n + 1)
-                for slot in index.stored_slots(comp)
-            }
-            payload_attrs[attr] = {
-                "cardinality": column.cardinality,
-                "base": index.base,
-                "encoding": index.encoding,
-                "codec": attr_codec,
-                "value_size_bytes": column.value_size_bytes,
-                "dictionary": column.dictionary,
-                "bitmaps": bitmaps,
-                "nonnull": index.nonnull,
-            }
+            payload_attrs[attr] = _index_attr_spec(
+                index, attr_codec, column.value_size_bytes, column.dictionary
+            )
         blob, payload_bytes = _pack_relation_file(
             relation.name, relation.num_rows, payload_attrs
         )
@@ -1153,9 +1164,7 @@ class IndexStore:
         """
         try:
             rfile = _RelationFile(self, relation)
-        except FileMissingError:
-            raise
-        except CorruptFileError as exc:
+        except CorruptFileError as exc:  # a missing file is not one: it raises
             return [str(exc)]
         try:
             return rfile.verify_payloads()
@@ -1168,23 +1177,12 @@ class IndexStore:
         The live paths stop existing — a rebuild can rewrite them — while
         the bad bytes survive.  Returns the sheltered filesystem paths.
         """
-        shelter = os.path.join(self.root, _QUARANTINE_DIR)
-        os.makedirs(shelter, exist_ok=True)
         self.invalidate(relation)
-        moved = []
-        for path in (self._main_path(relation), self._delta_path(relation)):
-            if not os.path.isfile(path):
-                continue
-            target = os.path.join(shelter, os.path.basename(path))
-            suffix = 0
-            while os.path.exists(target):
-                suffix += 1
-                target = os.path.join(
-                    shelter, f"{os.path.basename(path)}.{suffix}"
-                )
-            os.replace(path, target)
-            log.warning("quarantined corrupt index file %s -> %s", path, target)
-            moved.append(target)
+        moved = [
+            to_quarantine(self.root, path, os.path.basename(path))
+            for path in (self._main_path(relation), self._delta_path(relation))
+            if os.path.isfile(path)
+        ]
         if not moved:
             raise FileMissingError(
                 f"no stored index for relation {relation!r}"
@@ -1283,6 +1281,33 @@ def _ranks_for(meta: _AttrMeta, values, mask: np.ndarray | None) -> np.ndarray:
     if mask is not None:
         ranks[mask] = 0
     return ranks
+
+
+def _index_attr_spec(
+    index: BitmapIndex,
+    codec: str,
+    value_size_bytes: int = 8,
+    dictionary: np.ndarray | None = None,
+) -> dict:
+    """One in-memory index as an attribute of :func:`_pack_relation_file`,
+    its stored bitmaps converted to ``codec``."""
+    cls = bitmap_class(codec)
+    return {
+        "cardinality": int(index.cardinality),
+        "base": index.base,
+        "encoding": index.encoding,
+        "codec": codec,
+        "value_size_bytes": value_size_bytes,
+        "dictionary": dictionary,
+        "bitmaps": {
+            (comp, slot): cls.from_bitvector(
+                index.components[comp - 1].bitmap(slot)
+            )
+            for comp in range(1, index.base.n + 1)
+            for slot in index.stored_slots(comp)
+        },
+        "nonnull": index.nonnull,
+    }
 
 
 def _pack_relation_file(

@@ -133,7 +133,7 @@ class TestLRUPolicy:
             assert got == index.naive_eval(predicate.op, predicate.value)
             assert stats.buffer_hits == 0
             fetches += stats.scans
-        assert len(pool._lru) == 0
+        assert len(pool.cache) == 0
         assert pool.hits == 0
         assert pool.misses == fetches
         assert pool.hit_rate == 0.0
@@ -162,7 +162,7 @@ class TestLRUPolicy:
         with ThreadPoolExecutor(max_workers=8) as executor:
             total = sum(executor.map(storm, range(8)))
         assert pool.hits + pool.misses == total
-        assert len(pool._lru) <= 3
+        assert len(pool.cache) <= 3
 
     def test_repeated_workload_hits_grow(self, index):
         pool = BufferPool(index, capacity=20, policy="lru")

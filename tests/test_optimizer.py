@@ -7,20 +7,24 @@ import pytest
 
 from repro.core.decomposition import Base
 from repro.errors import InvalidPredicateError
-from repro.query.executor import bitmap_index_for
+from repro.query.executor import bitmap_index_for, conjunctive_select
+from repro.query.expression import And, Comparison, run_query
 from repro.query.optimizer import (
     PLAN_BITMAP_MERGE,
     PLAN_FULL_SCAN,
     PLAN_INDEX_PLUS_SCAN,
     PLAN_RIDLIST_MERGE,
     Catalog,
+    PlanChoice,
     choose_plan,
     estimate_selectivity,
     execute_plan,
 )
+from repro.query.options import QueryOptions
 from repro.query.predicate import parse_predicate
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
+from repro.stats import ExecutionStats
 
 
 @pytest.fixture
@@ -183,3 +187,75 @@ class TestExecution:
             assert result.stats.scans >= 1
         else:
             assert result.stats.bytes_read > 0
+
+
+class TestBitmapPlansUseTheQueryPipeline:
+    """P3/bitmap and P2's driving index run through ``run_query``: the
+    merge ANDs are charged and ``QueryOptions.algorithm`` reaches every
+    leaf, exactly as for ``conjunctive_select`` (the other P3)."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        relation = Relation.from_dict(
+            "facts",
+            {"a": rng.integers(0, 50, 2000), "b": rng.integers(0, 8, 2000)},
+        )
+        indexes = {
+            "a": bitmap_index_for(relation, "a", base=Base((8, 7))),
+            "b": bitmap_index_for(relation, "b"),
+        }
+        predicates = [parse_predicate("a <= 20"), parse_predicate("b > 3")]
+        return relation, indexes, predicates
+
+    @pytest.mark.parametrize("algorithm", ["auto", "range_eval"])
+    def test_forced_bitmap_merge_counts_like_run_query(self, setup, algorithm):
+        relation, indexes, predicates = setup
+        expected = ExecutionStats()
+        conjunction = And(*(Comparison(p.attribute, p.op, p.value) for p in predicates))
+        rids = run_query(relation, conjunction, indexes, expected, algorithm=algorithm)
+        forced = PlanChoice(PLAN_BITMAP_MERGE, 0, {PLAN_BITMAP_MERGE: 0})
+        result, _ = execute_plan(
+            relation,
+            predicates,
+            Catalog(bitmap_indexes=indexes),
+            choice=forced,
+            options=QueryOptions(algorithm=algorithm, verify=True),
+        )
+        assert np.array_equal(result.rids, rids)
+        assert result.stats.scans == expected.scans
+        assert result.stats.ands == expected.ands
+        assert result.stats.ops == expected.ops
+
+    def test_the_two_p3_plans_agree_and_algorithm_matters(self, setup):
+        relation, indexes, predicates = setup
+        catalog = Catalog(bitmap_indexes=indexes)
+        forced = PlanChoice(PLAN_BITMAP_MERGE, 0, {PLAN_BITMAP_MERGE: 0})
+        auto, _ = execute_plan(relation, predicates, catalog, choice=forced)
+        other_p3 = conjunctive_select(relation, predicates, indexes)
+        assert (auto.stats.scans, auto.stats.ands) == (3, 2)
+        assert (other_p3.stats.scans, other_p3.stats.ands) == (3, 2)
+        plain, _ = execute_plan(
+            relation,
+            predicates,
+            catalog,
+            choice=forced,
+            options=QueryOptions(algorithm="range_eval", verify=True),
+        )
+        assert (plain.stats.scans, plain.stats.ands) == (5, 7)
+
+    def test_driving_index_of_p2_honours_algorithm(self, setup):
+        relation, indexes, predicates = setup
+        forced = PlanChoice(
+            PLAN_INDEX_PLUS_SCAN, 0, {PLAN_INDEX_PLUS_SCAN: 0}, driving_attribute="a"
+        )
+        scans = {}
+        for algorithm in ("auto", "range_eval"):
+            result, _ = execute_plan(
+                relation,
+                predicates,
+                Catalog(bitmap_indexes={"a": indexes["a"]}),
+                choice=forced,
+                options=QueryOptions(algorithm=algorithm, verify=True),
+            )
+            scans[algorithm] = result.stats.scans
+        assert scans == {"auto": 2, "range_eval": 3}

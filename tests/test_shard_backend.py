@@ -15,6 +15,9 @@ the invariant that holds under any cache configuration.
 
 from __future__ import annotations
 
+import pickle
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -22,12 +25,25 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
-from repro.engine import QueryEngine, QueryOptions, ShardedBitmapIndex, shard_bounds
-from repro.engine.sharding import merge_shard_rids, translate_expression
-from repro.errors import EngineConfigError
+from repro.engine import (
+    QueryEngine,
+    QueryOptions,
+    ShardedBitmapIndex,
+    ShardExport,
+    shard_bounds,
+)
+from repro.engine.sharding import (
+    _IMAGE_NAME,
+    ShardManifest,
+    _AttachedShard,
+    merge_shard_rids,
+    translate_expression,
+)
+from repro.errors import CorruptShardError, EngineConfigError, ShmAttachError
 from repro.query.expression import parse_expression
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage.store import _HEADER, _index_attr_spec, _pack_relation_file
 
 CODECS = ("dense", "wah", "roaring")
 SHARD_COUNTS = (1, 2, 7)  # 7 does not divide the test row counts
@@ -150,6 +166,119 @@ class TestShardedIndexDifferential:
         single = BitmapIndex(values, cardinality=60, nulls=nulls)
         sharded = ShardedBitmapIndex(values, cardinality=60, shards=4, nulls=nulls)
         self._assert_equivalent(single, sharded, "dense")
+
+
+# ----------------------------------------------------------------------
+# Publication: a segment is an ``.rbix`` image, read by the store's reader
+# ----------------------------------------------------------------------
+
+
+class TestSegmentImage:
+    @pytest.fixture
+    def export(self):
+        rng = np.random.default_rng(23)
+        sharded = ShardedBitmapIndex(
+            rng.integers(0, 60, 900), 60, shards=2, base=Base((8, 8))
+        )
+        sharded.delete(3)  # publishes an existence bitmap too
+        export = ShardExport(sharded, "dense")
+        yield export
+        export.close()
+
+    @staticmethod
+    def image_regions(export, shard=0):
+        """Offsets into the segment: image start, dictionary start/length, end."""
+        start = export.manifests[shard].image_offset
+        _, _, _, dict_offset, dict_length, _, _ = _HEADER.unpack_from(
+            export._segments[shard].buf, start
+        )
+        return start, start + dict_offset, dict_length, export._segments[shard].size
+
+    @pytest.mark.parametrize(
+        "region", ["magic", "header", "dictionary", "last_payload"]
+    )
+    def test_any_damaged_byte_is_corrupt_at_attach(self, export, region):
+        # The reader's checks reach segments: header and dictionary CRCs
+        # as it parses, every payload CRC before any fetch is served.
+        start, dict_start, dict_length, end = self.image_regions(export)
+        offset = {
+            "magic": start,
+            "header": start + 9,  # inside dict_offset
+            "dictionary": dict_start + dict_length // 2,
+            "last_payload": end - 1,
+        }[region]
+        export.corrupt_byte(0, offset)
+        with pytest.raises(CorruptShardError):
+            _AttachedShard(export.manifests[0])
+        # The other shard is untouched and still attaches and serves.
+        shard = _AttachedShard(export.manifests[1])
+        try:
+            assert shard.fetch(1, 0, ExecutionStats()).nbits == shard.nbits
+        finally:
+            shard.release()
+
+    def test_default_corruption_flips_the_first_payload_byte(self, export):
+        start, dict_start, dict_length, _ = self.image_regions(export, 1)
+        assert export.corrupt_byte(1) == dict_start + dict_length
+        with pytest.raises(CorruptShardError, match="checksum"):
+            _AttachedShard(export.manifests[1])
+
+    def test_vanished_segment_is_an_attach_error(self, export):
+        manifest = export.manifests[0]
+        export.close()
+        with pytest.raises(ShmAttachError):
+            _AttachedShard(manifest)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_row_count_mismatch_is_corrupt_at_the_fetch(self, codec):
+        # CRC-clean, but the dictionary declares 100 rows over payloads
+        # built for 200: only decoding a payload can tell.
+        index = BitmapIndex(np.arange(200) % 5, 5)
+        image, _ = _pack_relation_file(
+            _IMAGE_NAME, 100, {_IMAGE_NAME: _index_attr_spec(index, codec)}
+        )
+        segment = shared_memory.SharedMemory(create=True, size=len(image))
+        try:
+            segment.buf[: len(image)] = image
+            shard = _AttachedShard(ShardManifest(segment.name, 0, 0, 100))
+            try:
+                with pytest.raises(CorruptShardError, match="payload"):
+                    shard.fetch(1, 2, ExecutionStats())
+            finally:
+                shard.release()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    @pytest.mark.parametrize(
+        "cardinality, base, slots", [(50, Base((50,)), 49), (1000, Base((32, 32)), 62)]
+    )
+    def test_manifest_does_not_grow_with_the_slot_count(self, cardinality, base, slots):
+        rng = np.random.default_rng(1)
+        sharded = ShardedBitmapIndex(
+            rng.integers(0, cardinality, 400), cardinality, shards=1, base=base
+        )
+        assert sharded.indexes[0].num_bitmaps == slots
+        export = ShardExport(sharded, "wah")
+        try:
+            assert len(pickle.dumps(export.manifests[0])) < 256
+        finally:
+            export.close()
+
+    def test_dense_bitmaps_are_aligned_zero_copy_views(self, export):
+        # <8,8> over C=60 gives a dictionary whose payload region would
+        # start off an 8-byte boundary; the image's offset corrects it.
+        manifest = export.manifests[0]
+        assert manifest.image_offset != 0
+        shard = _AttachedShard(manifest)
+        try:
+            for bitmap in (shard.fetch(1, 0, ExecutionStats()), shard.nonnull):
+                words = bitmap._words
+                assert words.flags.aligned and not words.flags.owndata
+                assert words.ctypes.data % 8 == 0
+                del words, bitmap
+        finally:
+            shard.release()
 
 
 # ----------------------------------------------------------------------

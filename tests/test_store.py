@@ -18,8 +18,14 @@ import pytest
 import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
+from repro.core.evaluation import evaluate
 from repro.core.index import BitmapIndex
-from repro.engine.sharding import ShardedBitmapIndex, ShardExport
+from repro.engine.cache import SharedBitmapCache
+from repro.engine.sharding import (
+    _IMAGE_NAME,
+    ShardedBitmapIndex,
+    ShardExport,
+)
 from repro.errors import (
     BufferConfigError,
     CorruptFileError,
@@ -29,7 +35,7 @@ from repro.errors import (
     StorageError,
     ValueOutOfRangeError,
 )
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, read_fault
 from repro.query.expression import And, Comparison
 from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
@@ -40,6 +46,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel
 from repro.storage.fsdisk import FileSystemDisk
 from repro.storage.store import _HEADER, _MAGIC, _pack_relation_file
+from repro.workloads import full_query_space
 
 NUM_ROWS = 600
 REGIONS = np.array(["east", "north", "south", "west"])
@@ -54,6 +61,13 @@ def make_relation(num_rows: int = NUM_ROWS, seed: int = 11) -> Relation:
             "region": REGIONS[rng.integers(0, 4, num_rows)],
         },
     )
+
+
+def segment_image(export: ShardExport, shard: int = 0) -> bytes:
+    """The ``.rbix`` image one shard was published as, header through last
+    payload (the segment is created at exactly the image's end)."""
+    start = export.manifests[shard].image_offset
+    return bytes(export._segments[shard].buf[start:])
 
 
 @pytest.fixture
@@ -194,6 +208,23 @@ class TestStorageProtocol:
                 store, capacity=4, policy="lru",
                 relation="sales", attribute="discount",
             )
+
+
+    def test_pinned_pool_is_a_cache_closed_to_admission(self, store_dir, relation):
+        with IndexStore(store_dir) as store:
+            store.build(relation, base=Base((8, 5)))
+        store = IndexStore(store_dir)
+        pool = BufferPool(store, capacity=5, relation="sales", attribute="quantity")
+        assert isinstance(pool.cache, SharedBitmapCache)
+        assert len(pool.cache) == pool.assignment.total == 5
+        for predicate in full_query_space(pool.cardinality):
+            evaluate(pool, predicate, stats=ExecutionStats())
+        # Misses went to the store and were not admitted: admitting one
+        # into a full cache would have evicted another.
+        assert pool.misses > 0 and pool.hits > 0
+        assert len(pool.cache) == 5
+        assert pool.cache.evictions == 0
+        store.close()
 
 
 class TestLazyLoading:
@@ -442,6 +473,42 @@ class TestCorruptionDetection:
         source = store.bitmap_source("sales", "quantity")
         with pytest.raises(CorruptFileError, match="checksum"):
             source.fetch(1, 1, ExecutionStats())
+
+    def test_faulted_read_of_a_verified_entry_is_verified_again(
+        self, store_dir, relation
+    ):
+        self.build(store_dir, relation)
+        plan = FaultPlan([FaultSpec("disk.read", "corrupt", nth=2)])
+        store = IndexStore(store_dir, fault_plan=plan)
+        source = store.bitmap_source("sales", "quantity")
+        source.fetch(1, 1, ExecutionStats())  # clean: its CRC is now remembered
+        with pytest.raises(CorruptFileError, match="checksum"):
+            source.fetch(1, 1, ExecutionStats())
+        source.fetch(1, 1, ExecutionStats())  # the fault is spent
+
+    @pytest.mark.parametrize("kind", ["error", "torn", "corrupt", None])
+    def test_read_fault_applies_each_kind(self, kind):
+        # The one disk.read block both disks and the store call.
+        data = bytes(range(64))
+        plan = FaultPlan([FaultSpec("disk.read", kind)] if kind else [], seed=5)
+        if kind == "error":
+            with pytest.raises(InjectedFaultError, match="some/file"):
+                read_fault(plan, "some/file", data)
+        elif kind == "torn":
+            assert read_fault(plan, "some/file", data) == data[:32]
+        elif kind == "corrupt":
+            mutated = read_fault(plan, "some/file", data)
+            flipped = [i for i in range(64) if mutated[i] != data[i]]
+            assert len(mutated) == 64 and len(flipped) == 1
+            assert mutated[flipped[0]] == data[flipped[0]] ^ 0xFF
+            plan.reset()  # same seed, same byte
+            assert read_fault(plan, "some/file", data) == mutated
+            empty = FaultPlan([FaultSpec("disk.read", "corrupt")])
+            assert read_fault(empty, "some/file", b"") == b""  # no byte to flip
+        # No plan, no armed spec, a spent spec: the same object comes back.
+        assert read_fault(plan, "some/file", data) is data
+        assert read_fault(None, "some/file", data) is data
+        assert len(plan.injections) == (1 if kind else 0)
 
     @staticmethod
     def write_equality_file(store_dir, declared_rows, codec, payload_of):
@@ -692,23 +759,25 @@ class TestNoInvalidateNeeded:
 
 class TestFormatPin:
     """Stored bytes are part of the contract: SHA-256 of each format, taken
-    at the commit before the bitmap classes grew ``to_payload``."""
+    at the commit before the bitmap classes grew ``to_payload``.  The
+    ``segment`` pins are of the ``.rbix`` image a shard is published as,
+    taken when segments stopped having a layout of their own."""
 
     PINS = {
         "dense": {
             "rbix": "47db6ffcad94f1cfa86a9569a2030d9931b57a7309aa696f891d83937819190b",
             "compacted": "eb035837124c1698eddd51199c721da23af040ceb693ffcd68b881bfd3159ad6",
-            "segment": "1ed84a5e0c873557df790ee32679454fd177a9f4ebe3097c6dad737afd848971",
+            "segment": "8ce4d7923046644a09f81894dd3d1caa17839ff7ea90dbc3d6aad192d10ce6fc",
         },
         "wah": {
             "rbix": "465c913c0d54f2017f403a4e618a6c3acf313c0af3ddab7314a5da795d154a7a",
             "compacted": "c7371cc1104535be84f1359accd3fe696e099154a4a0138aa5615043a45f5f55",
-            "segment": "5b70955085cbee9b87ba849a3830b70fe7a19dbf503605c66b3cd49b0db0a874",
+            "segment": "a3034470ac894d46b3174f4a2f34f0d08f02e9b936ca8c04f857f452018ec793",
         },
         "roaring": {
             "rbix": "b7c99f6db39e26eb21b56de56c1dd4bd3eebd3a50075ffdca351157085e97341",
             "compacted": "7136cc1261c902bfd6c60d858ab99095a061c019529150556133950d1c9e9054",
-            "segment": "0bef42c13a0f44d55db9f32e308058158d860adba5c2d6d948a3b26753557275",
+            "segment": "26a6b63783621f19c6110395a5f789b923e815d2424bfacd73a33bb82017f14b",
         },
     }
     DELTA = "a9e1b5935790e877adcd168f85a63d45f8d81623f838e482e8585052c196bb7c"
@@ -767,17 +836,38 @@ class TestFormatPin:
         sharded.delete(3)  # publishes an existence bitmap too
         export = ShardExport(sharded, codec)
         try:
-            manifest = export.manifests[0]
-            entries = [*manifest.entries.values(), manifest.nonnull]
-            end = max(offset + length for offset, length, _ in entries)
-            image = (
-                bytes(export._segments[0].buf[:end])
-                + repr(sorted(manifest.entries.items())).encode()
-                + repr(manifest.nonnull).encode()
-            )
-            assert self.sha(image) == self.PINS[codec]["segment"]
+            assert self.sha(segment_image(export)) == self.PINS[codec]["segment"]
         finally:
             export.close()
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_a_published_segment_is_an_rbix_file(self, store_dir, codec):
+        # One format, asserted and not only pinned: the bytes a worker
+        # attaches to open as a store file and serve the shard's bitmaps.
+        rng = np.random.default_rng(3)
+        nulls = rng.random(500) < 0.1
+        sharded = ShardedBitmapIndex(
+            rng.integers(0, 40, 500), 40, shards=2, base=Base((8, 5)), nulls=nulls
+        )
+        export = ShardExport(sharded, codec)
+        try:
+            images = [segment_image(export, shard) for shard in range(2)]
+        finally:
+            export.close()
+        os.makedirs(store_dir)
+        for image, index in zip(images, sharded.indexes):
+            with open(os.path.join(store_dir, f"{_IMAGE_NAME}.rbix"), "wb") as fh:
+                fh.write(image)
+            with IndexStore(store_dir) as store:
+                assert store.verify(_IMAGE_NAME) == []
+                assert store.attributes(_IMAGE_NAME) == [_IMAGE_NAME]
+                source = store.bitmap_source(_IMAGE_NAME, _IMAGE_NAME)
+                assert source.stored_codec == codec
+                assert (source.nbits, source.base) == (index.nbits, index.base)
+                all_slot_bools(source, index)
+                assert np.array_equal(
+                    source.nonnull.to_bools(), index.nonnull.to_bools()
+                )
 
     def test_filesystem_disk_frame_bytes(self, tmp_path):
         FileSystemDisk(str(tmp_path)).write("idx/c1_s0", bytes(range(256)) * 3)
