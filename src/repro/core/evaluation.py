@@ -18,10 +18,22 @@ Three algorithms from the paper (Section 3 and Figure 6):
   whichever side of the component needs fewer bitmap reads, and the
   ``digit = v_i`` bitmap is reused from the complement scan when possible.
 
+Figure 6 gives every predicate one shape, so the reduction is written
+once (:func:`_reduce`): clamp constants outside the domain, rewrite the
+six operators to ``A <= v`` or ``A = v`` plus at most one ``NOT``, mask
+with ``B_nn``.  :func:`range_eval_opt`, :func:`equality_eval` and
+:func:`interval_eval` differ only in the two builders they hand it —
+how their encoding assembles ``A <= v`` and ``A = v`` from stored
+bitmaps.  :func:`range_eval` keeps its own body: it is the baseline the
+paper improves on.
+
 Every algorithm takes any object implementing the
 :class:`~repro.core.index.BitmapSource` protocol and an
 :class:`~repro.stats.ExecutionStats` to which it charges bitmap scans
-(via ``source.fetch``) and logical operations.
+(via ``source.fetch``) and logical operations.  The counted operations
+(:func:`and_`, :func:`or_`, :func:`xor_`, :func:`not_`, the k-way
+:func:`threshold_all`) are the one place an operation is charged, timed
+and run; the expression tree's connectives call them too.
 
 The algorithms are generic over the bitmap algebra: a source declares the
 representation it serves via its ``bitmap_codec`` attribute (``"dense"``,
@@ -42,7 +54,9 @@ Conventions shared with the paper's cost model:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +66,17 @@ from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError
 from repro.stats import ExecutionStats
 
-#: The six comparison operators of the paper's query class.
-OPERATORS = ("<", "<=", "=", "!=", ">=", ">")
+#: The six comparison operators of the paper's query class, each with the
+#: function applying it to a column (``COMPARE[op](values, constant)``).
+COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+OPERATORS = tuple(COMPARE)
 RANGE_OPERATORS = ("<", "<=", ">=", ">")
 EQUALITY_OPERATORS = ("=", "!=")
 
@@ -81,18 +104,7 @@ class Predicate:
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of rows satisfying the predicate (ground truth)."""
-        v = np.asarray(values)
-        if self.op == "<":
-            return v < self.value
-        if self.op == "<=":
-            return v <= self.value
-        if self.op == "=":
-            return v == self.value
-        if self.op == "!=":
-            return v != self.value
-        if self.op == ">=":
-            return v >= self.value
-        return v > self.value
+        return COMPARE[self.op](np.asarray(values), self.value)
 
     def __str__(self) -> str:
         return f"A {self.op} {self.value}"
@@ -101,9 +113,15 @@ class Predicate:
 # ----------------------------------------------------------------------
 # Counted logical operations
 # ----------------------------------------------------------------------
+#
+# Charge, time, run.  These four and :func:`evaluate` run several times a
+# query, so they keep a guard on ``stats.trace`` where every other site
+# says ``with stats.span(...)``: untraced, the guard is one attribute
+# read, the shared null context a call plus a ``with``.
 
 
-def _and(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+def and_(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+    """``a AND b``: one operation on ``stats``, one ``op`` span when traced."""
     stats.ands += 1
     if stats.trace is not None:
         with stats.trace.span("and", kind="op", nbits=a.nbits):
@@ -111,7 +129,8 @@ def _and(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
     return a & b
 
 
-def _or(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+def or_(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+    """``a OR b``: one operation on ``stats``, one ``op`` span when traced."""
     stats.ors += 1
     if stats.trace is not None:
         with stats.trace.span("or", kind="op", nbits=a.nbits):
@@ -119,7 +138,8 @@ def _or(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
     return a | b
 
 
-def _xor(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+def xor_(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
+    """``a XOR b``: one operation on ``stats``, one ``op`` span when traced."""
     stats.xors += 1
     if stats.trace is not None:
         with stats.trace.span("xor", kind="op", nbits=a.nbits):
@@ -127,7 +147,8 @@ def _xor(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
     return a ^ b
 
 
-def _not(a: Bitmap, stats: ExecutionStats) -> Bitmap:
+def not_(a: Bitmap, stats: ExecutionStats) -> Bitmap:
+    """``NOT a``: one operation on ``stats``, one ``op`` span when traced."""
     stats.nots += 1
     if stats.trace is not None:
         with stats.trace.span("not", kind="op", nbits=a.nbits):
@@ -149,8 +170,9 @@ def _or_all(vectors: list, stats: ExecutionStats) -> Bitmap:
     if len(vectors) == 1:
         return vectors[0]
     stats.ors += len(vectors) - 1
-
-    def merge() -> Bitmap:
+    with stats.span(
+        "or_many", kind="op", nbits=vectors[0].nbits, count=len(vectors) - 1
+    ):
         cls = type(vectors[0])
         if cls is not BitVector and all(type(v) is cls for v in vectors):
             return cls.or_many(vectors)
@@ -158,13 +180,6 @@ def _or_all(vectors: list, stats: ExecutionStats) -> Bitmap:
         for v in vectors[1:]:
             acc = acc | v
         return acc
-
-    if stats.trace is not None:
-        with stats.trace.span(
-            "or_many", kind="op", nbits=vectors[0].nbits, count=len(vectors) - 1
-        ):
-            return merge()
-    return merge()
 
 
 def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
@@ -194,25 +209,15 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
     if len(vectors) == 1:
         return vectors[0]
     stats.ors += len(vectors) - 1
-
-    def merge() -> Bitmap:
+    with stats.span(
+        "threshold", kind="op", nbits=vectors[0].nbits, k=k, count=len(vectors) - 1
+    ):
         if all(type(v) is cls for v in vectors):
             return cls.threshold_many(vectors, k)
         counts = np.zeros(vectors[0].nbits, dtype=np.int32)
         for v in vectors:
             counts += v.to_bools()
         return cls.from_bitvector(BitVector.from_bools(counts >= k))
-
-    if stats.trace is not None:
-        with stats.trace.span(
-            "threshold",
-            kind="op",
-            nbits=vectors[0].nbits,
-            k=k,
-            count=len(vectors) - 1,
-        ):
-            return merge()
-    return merge()
 
 
 def _zeros(source: BitmapSource) -> Bitmap:
@@ -237,7 +242,7 @@ def _mask_nn(
 ) -> Bitmap:
     """AND the result with ``B_nn`` when the index tracks nulls."""
     if source.nonnull is not None:
-        return _and(result, source.nonnull, stats)
+        return and_(result, source.nonnull, stats)
     return result
 
 
@@ -259,6 +264,54 @@ def _clamp_trivial(
 
 
 # ----------------------------------------------------------------------
+# The Figure 6 reduction, shared by the three evaluators that use it
+# ----------------------------------------------------------------------
+
+
+def _reduce(
+    source: BitmapSource,
+    predicate: Predicate,
+    stats: ExecutionStats | None,
+    encoding: EncodingScheme,
+    le_bitmap: Callable[[BitmapSource, int, ExecutionStats], Bitmap],
+    eq_bitmap: Callable[[BitmapSource, int, ExecutionStats], Bitmap],
+) -> Bitmap:
+    """Evaluate ``predicate`` as ``A <= v`` or ``A = v`` plus at most one NOT.
+
+    ``le_bitmap(source, v, stats)`` builds ``A <= v`` for ``0 <= v < C-1``
+    and ``eq_bitmap(source, v, stats)`` builds ``A = v`` for ``0 <= v < C``
+    on an ``encoding``-encoded source; everything else an evaluator does
+    — the out-of-domain clamp, ``<``/``>=`` to ``v-1``, the two
+    whole-domain short-circuits, the complement, the ``B_nn`` mask — is
+    the same for all three and lives here.
+    """
+    stats = stats if stats is not None else ExecutionStats()
+    _require_encoding(source, encoding)
+    trivial = _clamp_trivial(source, predicate, stats)
+    if trivial is not None:
+        return trivial
+
+    op, v = predicate.op, predicate.value
+    complement = op in (">", ">=", "!=")
+    if op in ("<", ">="):
+        v -= 1
+
+    if predicate.is_range:
+        if v < 0:
+            return _all_rows(source, stats) if complement else _zeros(source)
+        if v >= source.cardinality - 1:
+            # A <= v is everything (within the domain).
+            return _zeros(source) if complement else _all_rows(source, stats)
+        result = le_bitmap(source, v, stats)
+    else:
+        result = eq_bitmap(source, v, stats)
+
+    if complement:
+        result = not_(result, stats)
+    return _mask_nn(result, source, stats)
+
+
+# ----------------------------------------------------------------------
 # Algorithm RangeEval-Opt (the paper's contribution)
 # ----------------------------------------------------------------------
 
@@ -272,35 +325,14 @@ def range_eval_opt(
 
     Returns the result bitmap; scans/ops are recorded on ``stats``.
     """
-    stats = stats if stats is not None else ExecutionStats()
-    _require_encoding(source, EncodingScheme.RANGE)
-    trivial = _clamp_trivial(source, predicate, stats)
-    if trivial is not None:
-        return trivial
-
-    op, v = predicate.op, predicate.value
-    complement = op in (">", ">=", "!=")
-    if op in ("<", ">="):
-        v -= 1
-
-    if predicate.is_range:
-        if v < 0:
-            result = _zeros(source)
-            if complement:
-                result = _all_rows(source, stats)
-            return result
-        if v >= source.cardinality - 1:
-            # A <= v is everything (within the domain).
-            if complement:
-                return _zeros(source)
-            return _all_rows(source, stats)
-        result = _le_bitmap_opt(source, v, stats)
-    else:
-        result = _eq_bitmap_range_encoded(source, v, stats)
-
-    if complement:
-        result = _not(result, stats)
-    return _mask_nn(result, source, stats)
+    return _reduce(
+        source,
+        predicate,
+        stats,
+        EncodingScheme.RANGE,
+        _le_bitmap_opt,
+        _eq_bitmap_range_encoded,
+    )
 
 
 def _le_bitmap_opt(
@@ -318,9 +350,9 @@ def _le_bitmap_opt(
         vi = digits[i - 1]
         bi = base.component(i)
         if vi != bi - 1:
-            acc = _and(acc, source.fetch(i, vi, stats), stats)
+            acc = and_(acc, source.fetch(i, vi, stats), stats)
         if vi != 0:
-            acc = _or(acc, source.fetch(i, vi - 1, stats), stats)
+            acc = or_(acc, source.fetch(i, vi - 1, stats), stats)
     return acc
 
 
@@ -337,14 +369,14 @@ def _eq_bitmap_range_encoded(
         if vi == 0:
             term = source.fetch(i, 0, stats)
         elif vi == bi - 1:
-            term = _not(source.fetch(i, bi - 2, stats), stats)
+            term = not_(source.fetch(i, bi - 2, stats), stats)
         else:
-            term = _xor(
+            term = xor_(
                 source.fetch(i, vi, stats),
                 source.fetch(i, vi - 1, stats),
                 stats,
             )
-        acc = term if acc is None else _and(acc, term, stats)
+        acc = term if acc is None else and_(acc, term, stats)
     assert acc is not None
     return acc
 
@@ -398,36 +430,36 @@ def range_eval(
         cache.clear()
         if vi > 0:
             if need_lt:
-                b_lt = _or(b_lt, _and(b_eq, fetch(i, vi - 1), stats), stats)
+                b_lt = or_(b_lt, and_(b_eq, fetch(i, vi - 1), stats), stats)
             if vi < bi - 1:
                 if need_gt:
-                    b_gt = _or(
-                        b_gt, _and(b_eq, _not(fetch(i, vi), stats), stats), stats
+                    b_gt = or_(
+                        b_gt, and_(b_eq, not_(fetch(i, vi), stats), stats), stats
                     )
-                b_eq = _and(
-                    b_eq, _xor(fetch(i, vi), fetch(i, vi - 1), stats), stats
+                b_eq = and_(
+                    b_eq, xor_(fetch(i, vi), fetch(i, vi - 1), stats), stats
                 )
             else:
-                b_eq = _and(b_eq, _not(fetch(i, bi - 2), stats), stats)
+                b_eq = and_(b_eq, not_(fetch(i, bi - 2), stats), stats)
         else:
             if need_gt:
-                b_gt = _or(
-                    b_gt, _and(b_eq, _not(fetch(i, 0), stats), stats), stats
+                b_gt = or_(
+                    b_gt, and_(b_eq, not_(fetch(i, 0), stats), stats), stats
                 )
-            b_eq = _and(b_eq, fetch(i, 0), stats)
+            b_eq = and_(b_eq, fetch(i, 0), stats)
 
     if op == "<":
         return b_lt
     if op == "<=":
-        return _or(b_lt, b_eq, stats)
+        return or_(b_lt, b_eq, stats)
     if op == ">":
         return b_gt
     if op == ">=":
-        return _or(b_gt, b_eq, stats)
+        return or_(b_gt, b_eq, stats)
     if op == "=":
         return b_eq
     # op == "!=": B_NE = NOT B_EQ AND B_nn
-    return _mask_nn(_not(b_eq, stats), source, stats)
+    return _mask_nn(not_(b_eq, stats), source, stats)
 
 
 # ----------------------------------------------------------------------
@@ -450,33 +482,14 @@ def equality_eval(
     "between two and half the number of bitmaps in that component" cost
     statement presumes).
     """
-    stats = stats if stats is not None else ExecutionStats()
-    _require_encoding(source, EncodingScheme.EQUALITY)
-    trivial = _clamp_trivial(source, predicate, stats)
-    if trivial is not None:
-        return trivial
-
-    op, v = predicate.op, predicate.value
-    complement = op in (">", ">=", "!=")
-    if op in ("<", ">="):
-        v -= 1
-
-    if predicate.is_range:
-        if v < 0:
-            return (
-                _all_rows(source, stats) if complement else _zeros(source)
-            )
-        if v >= source.cardinality - 1:
-            return (
-                _zeros(source) if complement else _all_rows(source, stats)
-            )
-        result = _le_bitmap_equality(source, v, stats)
-    else:
-        result = _eq_bitmap_equality(source, v, stats)
-
-    if complement:
-        result = _not(result, stats)
-    return _mask_nn(result, source, stats)
+    return _reduce(
+        source,
+        predicate,
+        stats,
+        EncodingScheme.EQUALITY,
+        _le_bitmap_equality,
+        _eq_bitmap_equality,
+    )
 
 
 def _fetch_eq(
@@ -485,7 +498,7 @@ def _fetch_eq(
     """``digit_i == j`` on an equality-encoded component (complement trick)."""
     bi = source.base.component(i)
     if bi == 2 and j == 0:
-        return _not(source.fetch(i, 1, stats), stats)
+        return not_(source.fetch(i, 1, stats), stats)
     return source.fetch(i, j, stats)
 
 
@@ -497,7 +510,7 @@ def _eq_bitmap_equality(
     acc: Bitmap | None = None
     for i in range(1, base.n + 1):
         term = _fetch_eq(source, i, digits[i - 1], stats)
-        acc = term if acc is None else _and(acc, term, stats)
+        acc = term if acc is None else and_(acc, term, stats)
     assert acc is not None
     return acc
 
@@ -536,7 +549,7 @@ def _le_bitmap_equality(
     elif v1 + 1 <= b1 - 1 - v1:
         acc = _or_slots(source, 1, range(0, v1 + 1), stats)
     else:
-        acc = _not(_or_slots(source, 1, range(v1 + 1, b1), stats), stats)
+        acc = not_(_or_slots(source, 1, range(v1 + 1, b1), stats), stats)
 
     # Components 2..n: LE_i = LT_i OR (EQ_i AND LE_{i-1}).
     for i in range(2, base.n + 1):
@@ -545,20 +558,20 @@ def _le_bitmap_equality(
         if bi == 2:
             stored = source.fetch(i, 1, stats)
             if vi == 0:
-                eq = _not(stored, stats)
-                acc = _and(eq, acc, stats)
+                eq = not_(stored, stats)
+                acc = and_(eq, acc, stats)
             else:
-                lt = _not(stored, stats)
-                acc = _or(lt, _and(stored, acc, stats), stats)
+                lt = not_(stored, stats)
+                acc = or_(lt, and_(stored, acc, stats), stats)
             continue
         if vi == 0:
             eq = source.fetch(i, 0, stats)
-            acc = _and(eq, acc, stats)
+            acc = and_(eq, acc, stats)
         elif vi + 1 <= bi - vi:
             # Direct side: LT from slots [0, vi), EQ scanned separately.
             lt = _or_slots(source, i, range(0, vi), stats)
             eq = source.fetch(i, vi, stats)
-            acc = _or(lt, _and(eq, acc, stats), stats)
+            acc = or_(lt, and_(eq, acc, stats), stats)
         else:
             # Complement side: GE from slots [vi, bi); the slot-vi scan is
             # reused as EQ, saving one read.
@@ -567,8 +580,8 @@ def _le_bitmap_equality(
                 [eq] + [source.fetch(i, j, stats) for j in range(vi + 1, bi)],
                 stats,
             )
-            lt = _not(ge, stats)
-            acc = _or(lt, _and(eq, acc, stats), stats)
+            lt = not_(ge, stats)
+            acc = or_(lt, and_(eq, acc, stats), stats)
     return acc
 
 
@@ -596,33 +609,14 @@ def interval_eval(
     the equality evaluator; bitmaps a component needs for both its ``<``
     and ``=`` parts are fetched once.
     """
-    stats = stats if stats is not None else ExecutionStats()
-    _require_encoding(source, EncodingScheme.INTERVAL)
-    trivial = _clamp_trivial(source, predicate, stats)
-    if trivial is not None:
-        return trivial
-
-    op, v = predicate.op, predicate.value
-    complement = op in (">", ">=", "!=")
-    if op in ("<", ">="):
-        v -= 1
-
-    if predicate.is_range:
-        if v < 0:
-            return (
-                _all_rows(source, stats) if complement else _zeros(source)
-            )
-        if v >= source.cardinality - 1:
-            return (
-                _zeros(source) if complement else _all_rows(source, stats)
-            )
-        result = _le_bitmap_interval(source, v, stats)
-    else:
-        result = _eq_bitmap_interval(source, v, stats)
-
-    if complement:
-        result = _not(result, stats)
-    return _mask_nn(result, source, stats)
+    return _reduce(
+        source,
+        predicate,
+        stats,
+        EncodingScheme.INTERVAL,
+        _le_bitmap_interval,
+        _eq_bitmap_interval,
+    )
 
 
 class _ComponentFetcher:
@@ -650,10 +644,10 @@ def _interval_le(
     if v >= b - 1:
         return None
     if v <= m - 2:
-        return _and(fetch(0), _not(fetch(v + 1), stats), stats)
+        return and_(fetch(0), not_(fetch(v + 1), stats), stats)
     if v == m - 1:
         return fetch(0)
-    return _or(fetch(0), fetch(v - m + 1), stats)
+    return or_(fetch(0), fetch(v - m + 1), stats)
 
 
 def _interval_eq(
@@ -662,17 +656,17 @@ def _interval_eq(
     """``digit = v`` on one interval-encoded component."""
     m = (b + 1) // 2
     if m == 1:  # b == 2: I^0 marks digit 0
-        return fetch(0) if v == 0 else _not(fetch(0), stats)
+        return fetch(0) if v == 0 else not_(fetch(0), stats)
     if v <= m - 2:
-        return _and(fetch(v), _not(fetch(v + 1), stats), stats)
+        return and_(fetch(v), not_(fetch(v + 1), stats), stats)
     if v == m - 1:
-        return _and(fetch(0), fetch(m - 1), stats)
+        return and_(fetch(0), fetch(m - 1), stats)
     if v <= 2 * m - 2:
-        return _and(fetch(v - m + 1), _not(fetch(v - m), stats), stats)
+        return and_(fetch(v - m + 1), not_(fetch(v - m), stats), stats)
     # v == 2m - 1 == b - 1 (even b): the complement of digit <= b - 2.
     below = _interval_le(b, b - 2, fetch, stats)
     assert below is not None
-    return _not(below, stats)
+    return not_(below, stats)
 
 
 def _eq_bitmap_interval(
@@ -684,7 +678,7 @@ def _eq_bitmap_interval(
     for i in range(1, base.n + 1):
         fetch = _ComponentFetcher(source, i, stats)
         term = _interval_eq(base.component(i), digits[i - 1], fetch, stats)
-        acc = term if acc is None else _and(acc, term, stats)
+        acc = term if acc is None else and_(acc, term, stats)
     assert acc is not None
     return acc
 
@@ -706,11 +700,11 @@ def _le_bitmap_interval(
         fetch = _ComponentFetcher(source, i, stats)
         eq = _interval_eq(bi, vi, fetch, stats)
         if vi == 0:
-            acc = _and(eq, acc, stats)
+            acc = and_(eq, acc, stats)
         else:
             lt = _interval_le(bi, vi - 1, fetch, stats)
             assert lt is not None  # vi - 1 < b - 1
-            acc = _or(lt, _and(eq, acc, stats), stats)
+            acc = or_(lt, and_(eq, acc, stats), stats)
     return acc
 
 
@@ -816,7 +810,7 @@ def group_counts(
     ):
         masked = bitmap
         if source.nonnull is not None:
-            masked = _and(bitmap, source.nonnull, stats)
+            masked = and_(bitmap, source.nonnull, stats)
         previous = 0
         for code in range(cardinality - 1):
             stats.ands += 1

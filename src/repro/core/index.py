@@ -237,17 +237,10 @@ class BitmapIndex:
             bitmap = self._encoded_bitmaps.get(key)
             attrs = {"source": f"index.{codec}", "encoded": bitmap is None}
             if bitmap is None:
-                cls = bitmap_class(codec)
-                if trace is not None:
-                    with trace.span(
-                        f"{codec}.encode",
-                        kind="decode",
-                        component=component,
-                        slot=slot,
-                    ):
-                        bitmap = cls.from_bitvector(dense)
-                else:
-                    bitmap = cls.from_bitvector(dense)
+                with stats.span(
+                    f"{codec}.encode", kind="decode", component=component, slot=slot
+                ):
+                    bitmap = bitmap_class(codec).from_bitvector(dense)
                 self._encoded_bitmaps[key] = bitmap
         stats.record_scan(nbytes=bitmap.nbytes)
         if trace is not None:
@@ -451,21 +444,12 @@ class BitmapIndex:
             raise RuntimeError(
                 "index was built with keep_values=False; naive_eval unavailable"
             )
-        v = self._values
-        if op == "<":
-            mask = v < value
-        elif op == "<=":
-            mask = v <= value
-        elif op == "=":
-            mask = v == value
-        elif op == "!=":
-            mask = v != value
-        elif op == ">=":
-            mask = v >= value
-        elif op == ">":
-            mask = v > value
-        else:
+        # Imported here: evaluation.py itself imports this module.
+        from repro.core.evaluation import COMPARE
+
+        if op not in COMPARE:
             raise ValueOutOfRangeError(f"unknown operator {op!r}")
+        mask = COMPARE[op](self._values, value)
         if self._nulls is not None:
             mask = mask & ~self._nulls
         return BitVector.from_bools(mask)

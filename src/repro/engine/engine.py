@@ -249,12 +249,7 @@ class _CachedSource:
             wait = seek + per_byte * bitmap.nbytes
             stats.io_seconds += wait
             if wait > 0:
-                if stats.trace is not None:
-                    with stats.trace.span(
-                        "io.wait", kind="io", component=component, slot=slot
-                    ):
-                        time.sleep(wait)
-                else:
+                with stats.span("io.wait", kind="io", component=component, slot=slot):
                     time.sleep(wait)
         self._cache.put(key, bitmap)
         return bitmap

@@ -50,7 +50,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -69,19 +69,7 @@ from repro.errors import (
     ValueOutOfRangeError,
 )
 from repro.faults import Deadline, FaultPlan
-from repro.query.expression import (
-    And,
-    Between,
-    Comparison,
-    Expression,
-    In,
-    Not,
-    Or,
-    Threshold,
-    Xor,
-    _count_op,
-    run_query,
-)
+from repro.query.expression import COMPLEMENT, Comparison, Expression, run_query
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.store import (
@@ -233,9 +221,9 @@ def merge_shard_stats(per_shard: list[ExecutionStats]) -> ExecutionStats:
 # Workers never see column dictionaries: the parent translates every
 # value-domain leaf to the code domain once, using the same
 # ``Column.code_bounds`` call the inline path uses, so per-shard
-# evaluation is bit-identical by construction.  The leaf classes below
-# mirror the op-count behavior of their value-domain counterparts
-# exactly (same evaluate() calls, same connective charges).
+# evaluation is bit-identical by construction.  There is one code-domain
+# leaf: ``IN`` and ``BETWEEN`` cross as the OR / AND of comparisons they
+# stand for (same evaluate() calls, same connective charges).
 
 
 @dataclass(frozen=True)
@@ -251,64 +239,11 @@ class CodeComparison(Expression):
             indexes[self.attribute], Predicate(self.op, self.code), algorithm, stats
         )
 
-    def attributes(self):
-        return {self.attribute}
+    def negated(self):
+        return replace(self, op=COMPLEMENT[self.op])
 
     def __str__(self):
         return f"{self.attribute} {self.op} #{self.code}"
-
-
-@dataclass(frozen=True)
-class CodeIn(Expression):
-    """A pre-translated ``IN`` list: an OR of code-equality bitmaps."""
-
-    attribute: str
-    codes: tuple
-
-    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
-        index = indexes[self.attribute]
-        acc = None
-        for code in self.codes:
-            term = evaluate(index, Predicate("=", code), algorithm, stats)
-            if acc is None:
-                acc = term
-            else:
-                _count_op(stats, "or")
-                acc = acc | term
-        assert acc is not None
-        return acc
-
-    def attributes(self):
-        return {self.attribute}
-
-    def __str__(self):
-        inner = ", ".join(f"#{c}" for c in self.codes)
-        return f"{self.attribute} in ({inner})"
-
-
-@dataclass(frozen=True)
-class CodeBetween(Expression):
-    """A pre-translated ``BETWEEN``: two code-range predicates, ANDed."""
-
-    attribute: str
-    low: tuple  # (op, code)
-    high: tuple  # (op, code)
-
-    def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
-        index = indexes[self.attribute]
-        lower = evaluate(index, Predicate(*self.low), algorithm, stats)
-        upper = evaluate(index, Predicate(*self.high), algorithm, stats)
-        _count_op(stats, "and")
-        return lower & upper
-
-    def attributes(self):
-        return {self.attribute}
-
-    def __str__(self):
-        return (
-            f"{self.attribute} between {self.low[0]}#{self.low[1]} "
-            f"and {self.high[0]}#{self.high[1]}"
-        )
 
 
 def translate_expression(expression: Expression, relation: Relation) -> Expression:
@@ -316,57 +251,18 @@ def translate_expression(expression: Expression, relation: Relation) -> Expressi
 
     Each leaf's actual-value constant is translated through its column's
     sorted dictionary (``Column.code_bounds`` — the same call the inline
-    evaluator makes), producing a tree of :class:`CodeComparison` /
-    :class:`CodeIn` / :class:`CodeBetween` leaves that evaluates without
-    any column data.  Connectives are rebuilt unchanged, so the
-    operation counts charged by the translated tree match the original's
-    exactly.
+    evaluator makes), producing a tree of :class:`CodeComparison` leaves
+    that evaluates without any column data.  Connectives are rebuilt
+    unchanged, so the operation counts charged by the translated tree
+    match the original's exactly.
     """
-    if isinstance(expression, Comparison):
-        column = relation.column(expression.attribute)
-        op, code = column.code_bounds(expression.op, expression.value)
-        return CodeComparison(expression.attribute, op, int(code))
-    if isinstance(expression, In):
-        column = relation.column(expression.attribute)
-        codes = tuple(
-            int(column.code_bounds("=", value)[1]) for value in expression.values
-        )
-        return CodeIn(expression.attribute, codes)
-    if isinstance(expression, Between):
-        column = relation.column(expression.attribute)
-        op_lo, code_lo = column.code_bounds(">=", expression.low)
-        op_hi, code_hi = column.code_bounds("<=", expression.high)
-        return CodeBetween(
-            expression.attribute, (op_lo, int(code_lo)), (op_hi, int(code_hi))
-        )
-    if isinstance(expression, And):
-        return And(
-            translate_expression(expression.left, relation),
-            translate_expression(expression.right, relation),
-        )
-    if isinstance(expression, Or):
-        return Or(
-            translate_expression(expression.left, relation),
-            translate_expression(expression.right, relation),
-        )
-    if isinstance(expression, Xor):
-        return Xor(
-            translate_expression(expression.left, relation),
-            translate_expression(expression.right, relation),
-        )
-    if isinstance(expression, Threshold):
-        return Threshold(
-            expression.k,
-            tuple(
-                translate_expression(operand, relation)
-                for operand in expression.operands
-            ),
-        )
-    if isinstance(expression, Not):
-        return Not(translate_expression(expression.inner, relation))
-    raise EngineConfigError(
-        f"cannot translate query node {expression!r} for sharded execution"
-    )
+
+    def to_code(leaf: Comparison) -> CodeComparison:
+        column = relation.column(leaf.attribute)
+        op, code = column.code_bounds(leaf.op, leaf.value)
+        return CodeComparison(leaf.attribute, op, int(code))
+
+    return expression.map_leaves(to_code)
 
 
 # ----------------------------------------------------------------------

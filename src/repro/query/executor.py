@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex, BitmapSource
 from repro.errors import InvalidPredicateError, VerificationError
-from repro.faults import Deadline
 from repro.query.expression import And, run_query
 from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
@@ -83,11 +82,8 @@ def execute(
     :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
     """
     options = options if options is not None else VERIFYING_OPTIONS
-    stats = ExecutionStats()
-    trace = QueryTrace(label=str(predicate)) if options.trace else None
-    stats.trace = trace
-    if options.deadline_ms is not None:
-        stats.deadline = Deadline(options.deadline_ms)
+    stats = options.new_stats(predicate)
+    trace = stats.trace
     column = relation.column(predicate.attribute)
 
     if access_path is AccessPath.SCAN:
@@ -96,18 +92,12 @@ def execute(
     elif access_path is AccessPath.BITMAP:
         if index is None:
             raise InvalidPredicateError("bitmap access path needs an index")
-        if trace is not None:
-            with trace.span("translate", kind="phase", attribute=predicate.attribute):
-                op, code = column.code_bounds(predicate.op, predicate.value)
-        else:
+        with stats.span("translate", kind="phase", attribute=predicate.attribute):
             op, code = column.code_bounds(predicate.op, predicate.value)
         result = evaluate(
             index, Predicate(op, code), algorithm=options.algorithm, stats=stats
         )
-        if trace is not None:
-            with trace.span("materialize", kind="phase"):
-                rids = result.indices()
-        else:
+        with stats.span("materialize", kind="phase"):
             rids = result.indices()
     elif access_path is AccessPath.RID_LIST:
         if not isinstance(index, RIDListIndex):
@@ -129,12 +119,7 @@ def execute(
     # RIDListIndex.lookup sorts internally), so no re-sort is needed here —
     # at 1M rows a redundant np.sort costs more than the evaluation itself.
     if options.verify:
-        if trace is not None:
-            with trace.span("verify", kind="phase"):
-                truth = relation.scan(
-                    predicate.attribute, predicate.op, predicate.value
-                )
-        else:
+        with stats.span("verify", kind="phase"):
             truth = relation.scan(predicate.attribute, predicate.op, predicate.value)
         if not np.array_equal(rids, truth):
             raise VerificationError(

@@ -21,22 +21,41 @@ range predicates — both evaluated entirely inside the index.
 "beyond unions and intersections" — evaluates through each codec's
 native compressed-domain counting kernel
 (:func:`repro.core.evaluation.threshold_all`).
+
+This module is the one place that knows how a tree is walked.  There is
+one leaf, :class:`Comparison` (``IN`` and ``BETWEEN`` evaluate as the
+``OR``/``AND`` of leaves they stand for), and a node names its operands
+once, in :meth:`Expression.children`; :meth:`~Expression.leaves`,
+:meth:`~Expression.map_leaves` and :meth:`~Expression.attributes` are
+written over that, so EXPLAIN's per-leaf prediction and the process
+backend's code-domain translation are callers, not copies of the walk.
+Connectives run through the counted operations of
+:mod:`repro.core.evaluation` — the one place an operation is charged,
+timed and run.  ``NOT`` over an index that tracks NULLs evaluates the De
+Morgan dual (:meth:`Expression.negated`): a NULL satisfies no predicate,
+negated or not.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
 from repro.core.evaluation import (
+    COMPARE,
     OPERATORS,
     Predicate,
+    and_,
     evaluate,
     group_counts,
+    not_,
+    or_,
     threshold_all,
+    xor_,
 )
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError, VerificationError
@@ -46,7 +65,13 @@ from repro.stats import ExecutionStats
 
 
 class Expression:
-    """Base class of the boolean expression tree."""
+    """Base class of the boolean expression tree.
+
+    A node says what it combines (:meth:`children`) and how
+    (:meth:`bitmap`, :meth:`mask`, :meth:`negated`); every walk that only
+    needs the shape — :meth:`leaves`, :meth:`map_leaves`,
+    :meth:`attributes` — is written here, once.
+    """
 
     def bitmap(
         self,
@@ -66,9 +91,45 @@ class Expression:
         """Ground-truth boolean mask over the relation (no indexes)."""
         raise NotImplementedError
 
+    def negated(self) -> "Expression":
+        """The rows this expression is *false* on, as an expression.
+
+        Not the bitmap complement: a row whose attribute is NULL makes a
+        comparison neither true nor false, so the negation is pushed down
+        to the leaves (De Morgan), which mask with ``B_nn`` themselves.
+        """
+        raise NotImplementedError
+
+    def children(self) -> tuple["Expression", ...]:
+        """The sub-expressions this node combines, left to right."""
+        return ()
+
+    def _over(self, children):
+        """This node over other operands (how :meth:`map_leaves` rebuilds)."""
+        return type(self)(*children)
+
+    def leaves(self) -> list[Any]:
+        """The comparisons the tree evaluates, left to right.
+
+        A leaf is a node without children — a :class:`Comparison`, or the
+        code-domain leaf of a translated tree; ``IN`` and ``BETWEEN``
+        count as the comparisons they stand for.
+        """
+        nodes = self.children()
+        if not nodes:
+            return [self]
+        return [leaf for node in nodes for leaf in node.leaves()]
+
+    def map_leaves(self, fn: Callable[[Any], "Expression"]) -> "Expression":
+        """The same tree with every leaf replaced by ``fn(leaf)``."""
+        nodes = self.children()
+        if not nodes:
+            return fn(self)
+        return self._over(tuple(node.map_leaves(fn) for node in nodes))
+
     def attributes(self) -> set[str]:
         """Attribute names the expression references."""
-        raise NotImplementedError
+        return {leaf.attribute for leaf in self.leaves()}
 
     # Convenience combinators so expressions compose in Python too.
     def __and__(self, other: "Expression") -> "Expression":
@@ -93,20 +154,8 @@ def _index_for(indexes: dict[str, BitmapSource], attribute: str) -> BitmapSource
         ) from None
 
 
-def _count_op(stats: ExecutionStats | None, op: str) -> None:
-    """Charge one connective to ``stats`` and its trace (when present)."""
-    if stats is None:
-        return
-    if op == "and":
-        stats.ands += 1
-    elif op == "or":
-        stats.ors += 1
-    elif op == "xor":
-        stats.xors += 1
-    else:
-        stats.nots += 1
-    if stats.trace is not None:
-        stats.trace.event(op, kind="op", layer="expression")
+#: ``NOT (A op v)`` is ``A COMPLEMENT[op] v`` on every row where A is known.
+COMPLEMENT = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 
 @dataclass(frozen=True)
@@ -128,19 +177,10 @@ class Comparison(Expression):
         return evaluate(index, Predicate(op, code), algorithm, stats)
 
     def mask(self, relation):
-        values = relation.column(self.attribute).values
-        ops = {
-            "<": values < self.value,
-            "<=": values <= self.value,
-            "=": values == self.value,
-            "!=": values != self.value,
-            ">=": values >= self.value,
-            ">": values > self.value,
-        }
-        return ops[self.op]
+        return COMPARE[self.op](relation.column(self.attribute).values, self.value)
 
-    def attributes(self):
-        return {self.attribute}
+    def negated(self):
+        return replace(self, op=COMPLEMENT[self.op])
 
     def __str__(self):
         return f"{self.attribute} {self.op} {self.value}"
@@ -157,20 +197,16 @@ class In(Expression):
         if not self.values:
             raise InvalidPredicateError("IN list must not be empty")
 
+    def children(self):
+        """The OR of ``=`` leaves the list stands for."""
+        terms = [Comparison(self.attribute, "=", value) for value in self.values]
+        return (_balanced_or(terms),)
+
+    def _over(self, children):
+        return children[0]
+
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
-        column = relation.column(self.attribute)
-        index = _index_for(indexes, self.attribute)
-        acc: BitVector | None = None
-        for value in self.values:
-            _, code = column.code_bounds("=", value)
-            term = evaluate(index, Predicate("=", code), algorithm, stats)
-            if acc is None:
-                acc = term
-            else:
-                _count_op(stats, "or")
-                acc = acc | term
-        assert acc is not None
-        return acc
+        return self.children()[0].bitmap(relation, indexes, stats, algorithm)
 
     def mask(self, relation):
         values = relation.column(self.attribute).values
@@ -179,12 +215,25 @@ class In(Expression):
             out |= values == value
         return out
 
-    def attributes(self):
-        return {self.attribute}
+    def negated(self):
+        return self.children()[0].negated()
 
     def __str__(self):
         inner = ", ".join(str(v) for v in self.values)
         return f"{self.attribute} in ({inner})"
+
+
+def _balanced_or(terms: list[Expression]) -> Expression:
+    """``terms`` ORed left to right as a tree of depth ``log2 len(terms)``.
+
+    One OR per term but the first, however they nest; a left-deep chain
+    would put a long ``IN`` list past the interpreter's recursion limit
+    (walking, negating and pickling a tree all recurse).
+    """
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return Or(_balanced_or(terms[:half]), _balanced_or(terms[half:]))
 
 
 @dataclass(frozen=True)
@@ -195,91 +244,94 @@ class Between(Expression):
     low: object
     high: object
 
+    def children(self):
+        """The AND of a ``>=`` and a ``<=`` leaf the range stands for."""
+        lower = Comparison(self.attribute, ">=", self.low)
+        return (And(lower, Comparison(self.attribute, "<=", self.high)),)
+
+    def _over(self, children):
+        return children[0]
+
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
-        column = relation.column(self.attribute)
-        index = _index_for(indexes, self.attribute)
-        op_lo, code_lo = column.code_bounds(">=", self.low)
-        op_hi, code_hi = column.code_bounds("<=", self.high)
-        lower = evaluate(index, Predicate(op_lo, code_lo), algorithm, stats)
-        upper = evaluate(index, Predicate(op_hi, code_hi), algorithm, stats)
-        _count_op(stats, "and")
-        return lower & upper
+        return self.children()[0].bitmap(relation, indexes, stats, algorithm)
 
     def mask(self, relation):
         values = relation.column(self.attribute).values
         return (values >= self.low) & (values <= self.high)
 
-    def attributes(self):
-        return {self.attribute}
+    def negated(self):
+        return self.children()[0].negated()
 
     def __str__(self):
         return f"{self.attribute} between {self.low} and {self.high}"
 
 
 @dataclass(frozen=True)
-class And(Expression):
+class _Binary(Expression):
+    """A connective of two sub-expressions."""
+
     left: Expression
     right: Expression
 
+    def children(self):
+        return (self.left, self.right)
+
+
+@dataclass(frozen=True)
+class And(_Binary):
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        stats = stats if stats is not None else ExecutionStats()
         a = self.left.bitmap(relation, indexes, stats, algorithm)
         b = self.right.bitmap(relation, indexes, stats, algorithm)
-        _count_op(stats, "and")
-        return a & b
+        return and_(a, b, stats)
 
     def mask(self, relation):
         return self.left.mask(relation) & self.right.mask(relation)
 
-    def attributes(self):
-        return self.left.attributes() | self.right.attributes()
+    def negated(self):
+        return Or(self.left.negated(), self.right.negated())
 
     def __str__(self):
         return f"({self.left} and {self.right})"
 
 
 @dataclass(frozen=True)
-class Or(Expression):
-    left: Expression
-    right: Expression
-
+class Or(_Binary):
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        stats = stats if stats is not None else ExecutionStats()
         a = self.left.bitmap(relation, indexes, stats, algorithm)
         b = self.right.bitmap(relation, indexes, stats, algorithm)
-        _count_op(stats, "or")
-        return a | b
+        return or_(a, b, stats)
 
     def mask(self, relation):
         return self.left.mask(relation) | self.right.mask(relation)
 
-    def attributes(self):
-        return self.left.attributes() | self.right.attributes()
+    def negated(self):
+        return And(self.left.negated(), self.right.negated())
 
     def __str__(self):
         return f"({self.left} or {self.right})"
 
 
 @dataclass(frozen=True)
-class Xor(Expression):
+class Xor(_Binary):
     """Symmetric difference: rows matching exactly one side.
 
     Evaluates as one compressed-domain XOR per codec — equivalent to
     ``(left OR right) ANDNOT (left AND right)`` but a single operation.
     """
 
-    left: Expression
-    right: Expression
-
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
+        stats = stats if stats is not None else ExecutionStats()
         a = self.left.bitmap(relation, indexes, stats, algorithm)
         b = self.right.bitmap(relation, indexes, stats, algorithm)
-        _count_op(stats, "xor")
-        return a ^ b
+        return xor_(a, b, stats)
 
     def mask(self, relation):
         return self.left.mask(relation) ^ self.right.mask(relation)
 
-    def attributes(self):
-        return self.left.attributes() | self.right.attributes()
+    def negated(self):
+        return Xor(self.left.negated(), self.right)
 
     def __str__(self):
         return f"({self.left} xor {self.right})"
@@ -312,6 +364,12 @@ class Threshold(Expression):
                 "threshold needs at least one operand expression"
             )
 
+    def children(self):
+        return self.operands
+
+    def _over(self, children):
+        return Threshold(self.k, children)
+
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         vectors = [
             e.bitmap(relation, indexes, stats, algorithm) for e in self.operands
@@ -325,11 +383,12 @@ class Threshold(Expression):
             counts += operand.mask(relation)
         return counts >= self.k
 
-    def attributes(self):
-        out: set[str] = set()
-        for operand in self.operands:
-            out |= operand.attributes()
-        return out
+    def negated(self):
+        # Fewer than k of N hold iff at least N - k + 1 are false.
+        return Threshold(
+            len(self.operands) - self.k + 1,
+            tuple(operand.negated() for operand in self.operands),
+        )
 
     def __str__(self):
         inner = ", ".join(str(e) for e in self.operands)
@@ -340,16 +399,23 @@ class Threshold(Expression):
 class Not(Expression):
     inner: Expression
 
+    def children(self):
+        return (self.inner,)
+
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
-        result = ~self.inner.bitmap(relation, indexes, stats, algorithm)
-        _count_op(stats, "not")
-        return result
+        stats = stats if stats is not None else ExecutionStats()
+        sources = (indexes.get(name) for name in self.attributes())
+        if any(s is not None and s.nonnull is not None for s in sources):
+            # A NULL satisfies no predicate, negated or not, and the
+            # complement would bring back the rows the leaves masked out.
+            return self.inner.negated().bitmap(relation, indexes, stats, algorithm)
+        return not_(self.inner.bitmap(relation, indexes, stats, algorithm), stats)
 
     def mask(self, relation):
         return ~self.inner.mask(relation)
 
-    def attributes(self):
-        return self.inner.attributes()
+    def negated(self):
+        return self.inner
 
     def __str__(self):
         return f"(not {self.inner})"
@@ -572,30 +638,23 @@ def run_query(
     ``aggregate.pushdown`` (plus ``verify``).  Shard workers call this
     with ``relation=None`` and a code-domain expression.
     """
-    trace = stats.trace
-    if trace is None:
+    mode = query_mode(expression, finish)
+    with stats.span("evaluate", kind="phase", mode=mode):
         bitmap = expression.bitmap(relation, indexes, stats, algorithm)
-        answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+    if finish == "rids":
+        with stats.span("materialize", kind="phase"):
+            answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
     else:
-        mode = query_mode(expression, finish)
-        with trace.span("evaluate", kind="phase", mode=mode):
-            bitmap = expression.bitmap(relation, indexes, stats, algorithm)
-        if finish == "rids":
-            with trace.span("materialize", kind="phase"):
-                answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
-        else:
-            with trace.span("aggregate.pushdown", kind="phase", by=by) as span:
-                answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+        with stats.span("aggregate.pushdown", kind="phase", by=by) as span:
+            answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
+            if span is not None:
                 span.attrs.update(
                     count=int(np.sum(answer)),
                     groups=len(answer) if finish == "group" else 0,
                 )
     if verify:
-        if trace is None:
+        with stats.span("verify", kind="phase"):
             verify_answer(relation, expression, finish, by, answer)
-        else:
-            with trace.span("verify", kind="phase"):
-                verify_answer(relation, expression, finish, by, answer)
     return answer
 
 
@@ -658,15 +717,11 @@ def select(
     point verifies against a scan by default.  With ``options.trace`` a
     fresh :class:`~repro.trace.QueryTrace` is attached to ``stats``
     (creating the stats object if needed) and left there for the caller
-    to read.
+    to read; with ``options.deadline_ms`` the evaluator and storage seams
+    raise :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
     """
     opts = options if options is not None else VERIFYING_OPTIONS
-    if stats is None:
-        stats = ExecutionStats()
-    if opts.trace and stats.trace is None:
-        from repro.trace import QueryTrace
-
-        stats.trace = QueryTrace(label=str(expression))
+    stats = opts.new_stats(expression, stats)
     if isinstance(expression, str):
         expression = parse_expression(expression)
     return run_query(

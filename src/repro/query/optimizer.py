@@ -266,22 +266,15 @@ def execute_plan(
     Tuning flags live in ``options``; when omitted the plan executor
     verifies against a scan by default.  With ``options.trace`` the plan
     decision is recorded as a ``plan.choose`` span (with every
-    alternative's cost estimate) and the trace rides on the result.
+    alternative's cost estimate) and the trace rides on the result; with
+    ``options.deadline_ms`` a plan that evaluates through a bitmap index
+    raises :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
     """
     options = options if options is not None else VERIFYING_OPTIONS
-    stats = ExecutionStats()
-    trace = None
-    if options.trace:
-        from repro.trace import QueryTrace
-
-        label = " and ".join(str(p) for p in predicates)
-        trace = QueryTrace(label=label)
-        stats.trace = trace
+    stats = options.new_stats(" and ".join(str(p) for p in predicates))
+    trace = stats.trace
     if choice is None:
-        if trace is not None:
-            with trace.span("plan.choose", kind="plan"):
-                choice = choose_plan(relation, predicates, catalog)
-        else:
+        with stats.span("plan.choose", kind="plan"):
             choice = choose_plan(relation, predicates, catalog)
     if trace is not None:
         trace.event(
@@ -331,10 +324,7 @@ def execute_plan(
 
     rids = np.sort(np.asarray(rids))
     if options.verify:
-        if trace is not None:
-            with trace.span("verify", kind="phase"):
-                truth = _scan_all(relation, predicates)
-        else:
+        with stats.span("verify", kind="phase"):
             truth = _scan_all(relation, predicates)
         if not np.array_equal(rids, truth):
             raise VerificationError(

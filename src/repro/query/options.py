@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import InvalidPredicateError
+from repro.faults import Deadline
+from repro.stats import ExecutionStats
+from repro.trace import QueryTrace
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,27 @@ class QueryOptions:
     def with_(self, **overrides) -> "QueryOptions":
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
+
+    def new_stats(
+        self, label: object, stats: ExecutionStats | None = None
+    ) -> ExecutionStats:
+        """The per-query record these options ask for.
+
+        Counters, plus a :class:`~repro.trace.QueryTrace` labelled
+        ``label`` when ``trace`` is set and a running
+        :class:`~repro.faults.Deadline` when ``deadline_ms`` is — built
+        here so no entry point can forget one.  A caller's own ``stats``
+        is completed in place of a fresh object: a trace it already
+        carries is kept, the budget is always this query's (so one left
+        by an earlier query cannot expire a later one).
+        """
+        stats = stats if stats is not None else ExecutionStats()
+        if self.trace and stats.trace is None:
+            stats.trace = QueryTrace(label=str(label))
+        stats.deadline = (
+            Deadline(self.deadline_ms) if self.deadline_ms is not None else None
+        )
+        return stats
 
 
 #: Shared default instance (options are immutable, so one is enough).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.evaluation import OPERATORS
+from repro.core.evaluation import COMPARE, OPERATORS
 from repro.errors import InvalidPredicateError
 
 #: Parse operators longest-first so "<=" is not read as "<".
@@ -36,18 +36,7 @@ class AttributePredicate:
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask over a value column (ground truth)."""
-        v = np.asarray(values)
-        if self.op == "<":
-            return v < self.value
-        if self.op == "<=":
-            return v <= self.value
-        if self.op == "=":
-            return v == self.value
-        if self.op == "!=":
-            return v != self.value
-        if self.op == ">=":
-            return v >= self.value
-        return v > self.value
+        return COMPARE[self.op](np.asarray(values), self.value)
 
     def __str__(self) -> str:
         return f"{self.attribute} {self.op} {self.value}"

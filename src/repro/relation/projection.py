@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from repro.core.evaluation import COMPARE
 from repro.errors import ValueOutOfRangeError
 
 
@@ -45,20 +46,9 @@ class ProjectionIndex:
 
     def lookup(self, op: str, value) -> np.ndarray:
         """Scan the projection for matching RIDs."""
-        v = self.values
-        ops = {
-            "<": v < value,
-            "<=": v <= value,
-            "=": v == value,
-            "!=": v != value,
-            ">=": v >= value,
-            ">": v > value,
-        }
-        try:
-            mask = ops[op]
-        except KeyError:
-            raise ValueOutOfRangeError(f"unknown operator {op!r}") from None
-        return np.nonzero(mask)[0]
+        if op not in COMPARE:
+            raise ValueOutOfRangeError(f"unknown operator {op!r}")
+        return np.nonzero(COMPARE[op](self.values, value))[0]
 
     def binary_rows(self) -> np.ndarray:
         """Row-wise binary encoding — the IS layout of a base-2 index.

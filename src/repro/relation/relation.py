@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.evaluation import COMPARE
 from repro.errors import ValueOutOfRangeError
 from repro.relation.column import Column
 
@@ -59,23 +60,9 @@ class Relation:
 
     def scan(self, attribute: str, op: str, value) -> np.ndarray:
         """Full-scan evaluation of ``attribute op value``: matching RIDs."""
-        col = self.column(attribute)
-        v = col.values
-        if op == "<":
-            mask = v < value
-        elif op == "<=":
-            mask = v <= value
-        elif op == "=":
-            mask = v == value
-        elif op == "!=":
-            mask = v != value
-        elif op == ">=":
-            mask = v >= value
-        elif op == ">":
-            mask = v > value
-        else:
+        if op not in COMPARE:
             raise ValueOutOfRangeError(f"unknown operator {op!r}")
-        return np.nonzero(mask)[0]
+        return np.nonzero(COMPARE[op](self.column(attribute).values, value))[0]
 
     def __repr__(self) -> str:
         cols = ", ".join(sorted(self.columns))

@@ -9,12 +9,16 @@ evaluation; experiments aggregate over many.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults import Deadline
-    from repro.trace import QueryTrace
+    from repro.trace import QueryTrace, Span
+
+#: What :meth:`ExecutionStats.span` hands every untraced caller.
+_NO_SPAN: AbstractContextManager[None] = nullcontext()
 
 
 @dataclass
@@ -40,9 +44,10 @@ class ExecutionStats:
     trace:
         Optional :class:`~repro.trace.QueryTrace` receiving per-event
         spans from every layer the stats object passes through.  ``None``
-        (the default) is the untraced hot path: each instrumentation site
-        is gated on one attribute read.  The trace rides along one query
-        and is never merged or copied with the counters.
+        (the default) is the untraced hot path: :meth:`span` hands out a
+        shared no-op context and each event site is gated on one
+        attribute read.  The trace rides along one query and is never
+        merged or copied with the counters.
     deadline:
         Optional :class:`~repro.faults.Deadline` threaded the same way as
         ``trace``: ``None`` on the unbudgeted hot path, a cooperative
@@ -70,6 +75,19 @@ class ExecutionStats:
     def ops(self) -> int:
         """Total bitmap operations (AND + OR + XOR + NOT)."""
         return self.ands + self.ors + self.xors + self.nots
+
+    def span(
+        self, name: str, kind: str = "phase", **attrs
+    ) -> "AbstractContextManager[Span | None]":
+        """Time a block on the trace; one shared no-op context when untraced.
+
+        Lets a call site say ``with stats.span(...)`` once instead of
+        writing its statement in a traced and an untraced arm.  The block
+        receives the :class:`~repro.trace.Span` (``None`` untraced).
+        """
+        if self.trace is not None:
+            return self.trace.span(name, kind, **attrs)
+        return _NO_SPAN
 
     def record_scan(self, nbytes: int = 0) -> None:
         """Record one physical bitmap read of ``nbytes`` bytes."""

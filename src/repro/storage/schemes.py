@@ -243,6 +243,17 @@ class StorageScheme(abc.ABC):
             return (1,)
         return tuple(range(stored_bitmap_count(b, self.encoding)))
 
+    def _decode(self, codec_name: str, payload: bytes, stats: ExecutionStats) -> bytes:
+        """Inflate a file payload, charging ``decompressed_bytes``."""
+        with stats.span(
+            "decode", kind="decode", codec=codec_name, encoded=len(payload)
+        ) as span:
+            raw = get_codec(codec_name).decode(payload)
+            if span is not None:
+                span.attrs["decoded"] = len(raw)
+        stats.decompressed_bytes += len(raw)
+        return raw
+
     def _read_matrix(
         self, path: str, width: int, stats: ExecutionStats
     ) -> np.ndarray:
@@ -268,15 +279,7 @@ class StorageScheme(abc.ABC):
                 f"{path}: geometry {nbits}x{file_width} does not match the "
                 f"manifest ({self.nbits}x{width})"
             )
-        if trace is not None:
-            with trace.span(
-                "decode", kind="decode", codec=codec_name, encoded=len(payload)
-            ) as span:
-                raw = get_codec(codec_name).decode(payload)
-                span.attrs["decoded"] = len(raw)
-        else:
-            raw = get_codec(codec_name).decode(payload)
-        stats.decompressed_bytes += len(raw)
+        raw = self._decode(codec_name, payload, stats)
         matrix = _unpack_matrix(raw, nbits, width)
         self._cache[path] = matrix
         return matrix
@@ -340,15 +343,7 @@ class BitmapLevelStorage(StorageScheme):
                 return bitmap_class(codec_name).from_payload(payload, self.nbits)
             except CorruptFileError as exc:
                 raise CorruptFileError(f"{path}: {exc}") from exc
-        if trace is not None:
-            with trace.span(
-                "decode", kind="decode", codec=codec_name, encoded=len(payload)
-            ) as span:
-                raw = get_codec(codec_name).decode(payload)
-                span.attrs["decoded"] = len(raw)
-        else:
-            raw = get_codec(codec_name).decode(payload)
-        stats.decompressed_bytes += len(raw)
+        raw = self._decode(codec_name, payload, stats)
         if len(raw) != (self.nbits + 7) // 8:
             raise CorruptFileError(f"{path}: bitmap payload length mismatch")
         return self._serve(BitVector.from_bytes(raw, self.nbits))

@@ -222,21 +222,20 @@ def predicted_leaf_costs(
     evaluator will run.  Leaves without an arithmetic cost mirror (the
     interval encoding) report ``scans=None``.
     """
-    from repro.query.expression import Between, Comparison, In
+    from repro.core.costmodel import scans_for_predicate
 
-    leaves: list[dict] = []
-
-    def leaf(attribute: str, op: str, value) -> None:
-        column = relation.column(attribute)
-        source = sources.get(attribute)
+    costs: list[dict] = []
+    for leaf in query.leaves():
+        column = relation.column(leaf.attribute)
+        source = sources.get(leaf.attribute)
         if source is None:
             raise InvalidPredicateError(
-                f"no bitmap source for attribute {attribute!r}"
+                f"no bitmap source for attribute {leaf.attribute!r}"
             )
-        code_op, code = column.code_bounds(op, value)
+        code_op, code = column.code_bounds(leaf.op, leaf.value)
         entry = {
-            "predicate": f"{attribute} {op} {value}",
-            "attribute": attribute,
+            "predicate": str(leaf),
+            "attribute": leaf.attribute,
             "code_op": code_op,
             "code": int(code),
             "base": str(source.base),
@@ -244,8 +243,6 @@ def predicted_leaf_costs(
             "scans": None,
         }
         try:
-            from repro.core.costmodel import scans_for_predicate
-
             entry["scans"] = scans_for_predicate(
                 source.base,
                 source.cardinality,
@@ -256,32 +253,8 @@ def predicted_leaf_costs(
             )
         except InvalidPredicateError:
             pass  # no arithmetic mirror (interval encoding)
-        leaves.append(entry)
-
-    def walk(node) -> None:
-        if isinstance(node, Comparison):
-            leaf(node.attribute, node.op, node.value)
-        elif isinstance(node, In):
-            for value in node.values:
-                leaf(node.attribute, "=", value)
-        elif isinstance(node, Between):
-            leaf(node.attribute, ">=", node.low)
-            leaf(node.attribute, "<=", node.high)
-        elif hasattr(node, "left") and hasattr(node, "right"):  # And / Or / Xor
-            walk(node.left)
-            walk(node.right)
-        elif hasattr(node, "inner"):  # Not
-            walk(node.inner)
-        elif hasattr(node, "operands"):  # Threshold
-            for operand in node.operands:
-                walk(operand)
-        else:
-            raise InvalidPredicateError(
-                f"cannot predict cost for query node {node!r}"
-            )
-
-    walk(query)
-    return leaves
+        costs.append(entry)
+    return costs
 
 
 # ----------------------------------------------------------------------
@@ -484,13 +457,11 @@ def explain(
     """
     from repro.query.executor import AccessPath, QueryResult
     from repro.query.expression import query_mode, run_query
-    from repro.query.options import normalize_query
-    from repro.stats import ExecutionStats
+    from repro.query.options import QueryOptions, normalize_query
 
     q = normalize_query(query)
-    trace = QueryTrace(label=str(q))
-    stats = ExecutionStats()
-    stats.trace = trace
+    stats = QueryOptions(trace=True).new_stats(q)
+    trace = stats.trace
     rids = run_query(
         relation, q, indexes, stats, algorithm=algorithm, verify=verify
     )

@@ -8,6 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decomposition import Base
+from repro.core.index import BitmapIndex
+from repro.engine.sharding import (
+    ShardedBitmapIndex,
+    merge_shard_rids,
+    translate_expression,
+)
 from repro.errors import InvalidPredicateError
 from repro.query.executor import VerificationError, bitmap_index_for
 from repro.query.expression import (
@@ -17,6 +23,7 @@ from repro.query.expression import (
     In,
     Not,
     Or,
+    Threshold,
     parse_expression,
     select,
 )
@@ -299,3 +306,154 @@ def test_random_expressions_match_ground_truth(expr):
     rids = select(relation, expr, indexes, options=QueryOptions(verify=False))
     truth = np.nonzero(expr.mask(relation))[0]
     assert np.array_equal(rids, truth)
+
+
+# ----------------------------------------------------------------------
+# NOT over NULLs: a NULL satisfies no predicate, negated or not
+# ----------------------------------------------------------------------
+
+CODECS = ("dense", "wah", "roaring")
+
+#: ``not`` trees beside their hand-written De Morgan duals.
+NOT_DUALS = [
+    ("not (a > 4 and b != 1)", "a <= 4 or b = 1"),
+    ("not (a <= 4 or b = 1)", "a > 4 and b != 1"),
+    ("not a in (1, 2, 3)", "a != 1 and a != 2 and a != 3"),
+    ("not a between 2 and 5", "a < 2 or a > 5"),
+    (
+        "not atleast(2, a <= 4, b = 1, a = 9)",
+        "atleast(2, a > 4, b != 1, a != 9)",
+    ),
+    ("not not a <= 4", "a <= 4"),
+]
+
+
+def kleene(expr, relation, known) -> tuple[np.ndarray, np.ndarray]:
+    """``(true, false)`` row masks of ``expr`` under three-valued logic.
+
+    ``known[attribute]`` marks the non-NULL rows; a comparison is neither
+    true nor false on the others.
+    """
+    if isinstance(expr, (Comparison, In, Between)):
+        hit = expr.mask(relation)
+        return hit & known[expr.attribute], ~hit & known[expr.attribute]
+    if isinstance(expr, Not):
+        true, false = kleene(expr.inner, relation, known)
+        return false, true
+    if isinstance(expr, Threshold):
+        trues, falses = zip(*(kleene(e, relation, known) for e in expr.operands))
+        return (
+            np.sum(trues, axis=0) >= expr.k,
+            np.sum(falses, axis=0) >= len(expr.operands) - expr.k + 1,
+        )
+    (lt, lf), (rt, rf) = (kleene(e, relation, known) for e in (expr.left, expr.right))
+    if isinstance(expr, And):
+        return lt & rt, lf | rf
+    assert isinstance(expr, Or)
+    return lt | rt, lf & rf
+
+
+class TestNotOverNulls:
+    @pytest.fixture
+    def nullable(self):
+        rng = np.random.default_rng(5)
+        relation = Relation.from_dict(
+            "t", {"a": rng.integers(0, 10, 400), "b": rng.integers(0, 4, 400)}
+        )
+        known = {"a": rng.random(400) >= 0.15, "b": rng.random(400) >= 0.15}
+        indexes = {
+            name: BitmapIndex(
+                relation.column(name).codes,
+                relation.column(name).cardinality,
+                nulls=~known[name],
+            )
+            for name in known
+        }
+        return relation, known, indexes
+
+    @staticmethod
+    def rids(text, relation, indexes, codec):
+        sources = {name: index.with_codec(codec) for name, index in indexes.items()}
+        # The scan knows no NULLs, so the verifying default would object.
+        return select(relation, text, sources, options=QueryOptions()).tolist()
+
+    def test_the_rows_a_leaf_masked_out_stay_out(self):
+        nulls = np.zeros(10, dtype=bool)
+        nulls[[2, 7]] = True
+        relation = Relation.from_dict("t", {"a": np.arange(10)})
+        indexes = {"a": BitmapIndex(np.arange(10), 10, nulls=nulls)}
+        for codec in CODECS:
+            assert self.rids("a > 4", relation, indexes, codec) == [5, 6, 8, 9]
+            assert self.rids("not a <= 4", relation, indexes, codec) == [5, 6, 8, 9]
+            assert self.rids("not a = 3", relation, indexes, codec) == self.rids(
+                "a != 3", relation, indexes, codec
+            )
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_not_of_a_comparison_is_the_complementary_operator(self, nullable, codec):
+        relation, _, indexes = nullable
+        pairs = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
+        for attribute, value in (("a", 4), ("a", 0), ("a", 11), ("b", 1)):
+            for op, complement in pairs.items():
+                assert self.rids(
+                    f"not {attribute} {op} {value}", relation, indexes, codec
+                ) == self.rids(
+                    f"{attribute} {complement} {value}", relation, indexes, codec
+                ), (attribute, op, value)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("text,dual", NOT_DUALS)
+    def test_not_equals_its_dual_and_the_oracle(self, nullable, codec, text, dual):
+        relation, known, indexes = nullable
+        true, _ = kleene(parse_expression(text), relation, known)
+        answer = self.rids(text, relation, indexes, codec)
+        assert answer == np.nonzero(true)[0].tolist()
+        assert answer == self.rids(dual, relation, indexes, codec)
+
+    def test_not_charges_what_its_dual_charges(self, nullable):
+        relation, _, indexes = nullable
+        for text, dual in NOT_DUALS[:2]:
+            charged = []
+            for query in (text, dual):
+                stats = ExecutionStats()
+                select(relation, query, indexes, stats, options=QueryOptions())
+                charged.append(stats.as_dict())
+            assert charged[0] == charged[1]
+
+    def test_without_nulls_not_is_one_counted_complement(self, relation, indexes):
+        stats, inner = ExecutionStats(), ExecutionStats()
+        select(relation, "not a <= 12", indexes, stats)
+        select(relation, "a <= 12", indexes, inner)
+        assert stats.nots == inner.nots + 1
+        assert (stats.scans, stats.ands) == (inner.scans, inner.ands)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_translated_not_over_the_shards_of_a_nullable_index(self, nullable, codec):
+        relation, known, _ = nullable
+        sharded = {
+            name: ShardedBitmapIndex(
+                relation.column(name).codes,
+                relation.column(name).cardinality,
+                shards=3,
+                nulls=~known[name],
+            )
+            for name in known
+        }
+        for text, _ in NOT_DUALS:
+            expr = parse_expression(text)
+            translated = translate_expression(expr, relation)
+            rid_lists = [
+                translated.bitmap(
+                    None,
+                    {
+                        name: index.indexes[shard].with_codec(codec)
+                        for name, index in sharded.items()
+                    },
+                ).indices()
+                for shard in range(3)
+            ]
+            starts = [start for start, _ in sharded["a"].bounds]
+            true, _ = kleene(expr, relation, known)
+            assert np.array_equal(
+                merge_shard_rids(rid_lists, starts), np.nonzero(true)[0]
+            ), text

@@ -20,6 +20,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
@@ -40,7 +42,17 @@ from repro.engine.sharding import (
     translate_expression,
 )
 from repro.errors import CorruptShardError, EngineConfigError, ShmAttachError
-from repro.query.expression import parse_expression
+from repro.query.expression import (
+    And,
+    Between,
+    Comparison,
+    In,
+    Not,
+    Or,
+    Threshold,
+    Xor,
+    parse_expression,
+)
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.store import _HEADER, _index_attr_spec, _pack_relation_file
@@ -428,28 +440,71 @@ class TestEngineBackendDifferential:
             assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))
 
 
+def _leaves():
+    """Leaves with constants inside, at the ends of and outside each domain."""
+    constants = {"quantity": (-3, 0, 1, 25, 49, 50, 60), "region": (-1, 0, 3, 7, 8)}
+    ops = st.sampled_from(("<", "<=", "=", "!=", ">=", ">"))
+    per_attribute = []
+    for attribute, values in constants.items():
+        value = st.sampled_from(values)
+        per_attribute += [
+            st.builds(Comparison, st.just(attribute), ops, value),
+            st.builds(
+                In, st.just(attribute), st.lists(value, min_size=1, max_size=3).map(tuple)
+            ),
+            st.builds(Between, st.just(attribute), value, value),
+        ]
+    return st.one_of(per_attribute)
+
+
+def _trees(depth: int):
+    if depth == 0:
+        return _leaves()
+    sub = _trees(depth - 1)
+    return st.one_of(
+        sub,
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Xor, sub, sub),
+        st.builds(Not, sub),
+        st.builds(
+            Threshold,
+            st.integers(0, 4),
+            st.lists(sub, min_size=1, max_size=3).map(tuple),
+        ),
+    )
+
+
 class TestCodeDomainTranslation:
-    def test_translated_tree_needs_no_relation(self, relation):
-        expr = parse_expression(
+    @pytest.fixture(scope="class")
+    def indexes(self, relation):
+        return {
+            name: BitmapIndex(
+                relation.column(name).codes,
+                cardinality=relation.column(name).cardinality,
+            )
+            for name in ("quantity", "region")
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(expr=_trees(3))
+    @example(
+        expr=parse_expression(
             "quantity between 5 and 40 and (region = 1 or not region > 5)"
         )
-        translated = translate_expression(expr, relation)
-        index_q = BitmapIndex(
-            relation.column("quantity").codes,
-            cardinality=relation.column("quantity").cardinality,
-        )
-        index_r = BitmapIndex(
-            relation.column("region").codes,
-            cardinality=relation.column("region").cardinality,
-        )
-        stats_t = ExecutionStats()
-        stats_o = ExecutionStats()
-        translated_bitmap = translated.bitmap(
-            None, {"quantity": index_q, "region": index_r}, stats_t
-        )
-        original_bitmap = expr.bitmap(
-            relation, {"quantity": index_q, "region": index_r}, stats_o
-        )
-        assert np.array_equal(translated_bitmap.indices(), original_bitmap.indices())
-        assert stats_t.ops == stats_o.ops
-        assert stats_t.scans == stats_o.scans
+    )
+    def test_translated_tree_needs_no_relation(self, relation, indexes, expr):
+        translated = pickle.loads(pickle.dumps(translate_expression(expr, relation)))
+        for codec in CODECS:
+            sources = {name: index.with_codec(codec) for name, index in indexes.items()}
+            stats_t = ExecutionStats()
+            stats_o = ExecutionStats()
+            translated_bitmap = translated.bitmap(None, sources, stats_t)
+            original_bitmap = expr.bitmap(relation, sources, stats_o)
+            assert np.array_equal(
+                translated_bitmap.indices(), original_bitmap.indices()
+            )
+            assert np.array_equal(
+                original_bitmap.indices(), np.nonzero(expr.mask(relation))[0]
+            )
+            assert stats_t.as_dict() == stats_o.as_dict()

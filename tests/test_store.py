@@ -396,6 +396,35 @@ class TestAppendCompact:
         assert second["sales"]["compacted"] is False
         assert second["sales"]["rows"] == NUM_ROWS + 1
 
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_not_keeps_null_rows_out(self, store_dir, codec):
+        # A NULL satisfies no predicate, negated or not: NOT must not bring
+        # back the row the leaf masked out — over base + pending delta, and
+        # after compaction — and with two attributes it equals its De
+        # Morgan dual (row 11 has a NULL ``a`` and ``b = 1``: it stays in).
+        relation = Relation.from_dict(
+            "t", {"a": np.arange(10) % 5, "b": np.arange(10) % 2}
+        )
+        with IndexStore(store_dir) as store:
+            store.build(relation, codec=codec)
+            store.append(
+                "t",
+                {"a": np.array([1, 0, 4]), "b": np.array([0, 1, 0])},
+                nulls={"a": np.array([False, True, False])},
+            )
+        engine = repro.open_store(store_dir)
+        for compacted in (False, True):
+            if compacted:
+                engine.storage.compact("t")
+            assert engine.storage.delta_rows("t") == (0 if compacted else 3)
+            assert engine.query("a > 2").rids.tolist() == [3, 4, 8, 9, 12]
+            assert engine.query("not a <= 2").rids.tolist() == [3, 4, 8, 9, 12]
+            assert engine.count("not a <= 2").count == 5
+            dual = engine.query("a <= 2 or b = 1").rids.tolist()
+            assert 11 in dual
+            assert engine.query("not (a > 2 and b != 1)").rids.tolist() == dual
+        engine.close()
+
 
 class TestCorruptionDetection:
     """Each region of the format detects damage with a typed error."""

@@ -21,15 +21,27 @@ import pytest
 
 from repro.core.decomposition import Base
 from repro.engine.engine import QueryEngine
+from repro.errors import QueryTimeoutError
 from repro.query.executor import AccessPath, bitmap_index_for, execute
-from repro.query.expression import Comparison, Expression, parse_expression
-from repro.query.optimizer import Catalog, execute_plan
+from repro.query.expression import Comparison, Expression, parse_expression, select
+from repro.query.optimizer import (
+    PLAN_BITMAP_MERGE,
+    Catalog,
+    PlanChoice,
+    execute_plan,
+)
 from repro.query.options import QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
+from repro.stats import ExecutionStats
 from repro.trace import QueryTrace, explain
 
 NUM_ROWS = 2000
+
+EIGHT_LEAF_QUERY = (
+    "quantity between 10 and 30 and region in (1, 2, 5) "
+    "and not atleast(2, quantity < 5, region = 3, quantity >= 40)"
+)
 
 
 @pytest.fixture
@@ -86,6 +98,29 @@ class TestQueryTrace:
         assert trace is not None
         assert trace.count("op") == result.stats.ops
         assert trace.count("fetch") == result.stats.scans
+
+    @pytest.mark.parametrize("codec", ["dense", "wah"])
+    def test_connectives_are_timed_op_spans_like_any_operation(self, relation, codec):
+        # One counted operation: a connective of the tree and an operation
+        # inside an evaluator are charged and timed by the same functions,
+        # so the op spans account for every charged operation (a k-way
+        # merge is one span charging ``count``) and none is a marker event.
+        engine = make_engine(relation, cache_capacity=0, codec=codec)
+        result = engine.query(EIGHT_LEAF_QUERY, trace=True)
+        ops = result.trace.spans_of("op")
+        assert sum(s.attrs.get("count", 1) for s in ops) == result.stats.ops
+        assert result.trace.count("op") == result.stats.ops - 1  # atleast: 2 ORs
+        assert result.trace.count("fetch") == result.stats.scans
+        assert not [s for s in ops if "layer" in s.attrs]
+        assert all(s.attrs["nbits"] == NUM_ROWS for s in ops)
+
+    def test_untraced_span_is_one_shared_null_context(self):
+        stats = ExecutionStats()
+        first = stats.span("evaluate", kind="phase", mode="predicate")
+        assert first is ExecutionStats().span("decode", kind="decode")
+        with first as span:
+            assert span is None
+        assert stats.trace is None
 
     def test_trace_does_not_change_counters(self, relation):
         plain = make_engine(relation, cache_capacity=0)
@@ -159,6 +194,40 @@ class TestExecutorAndOptimizerTracing:
         assert len(selected) == 1
         assert selected[0].attrs["plan"] == choice.plan
         assert selected[0].attrs["alternatives"] == choice.alternatives
+
+    def test_deadline_reaches_every_standalone_entry_point(self, relation):
+        # One per-query record for the four doors (QueryOptions.new_stats):
+        # a spent budget stops each at the evaluator seam, not just execute.
+        indexes = {
+            "quantity": bitmap_index_for(relation, "quantity"),
+            "region": bitmap_index_for(relation, "region"),
+        }
+        predicate = AttributePredicate("quantity", "<=", 10)
+        spent = QueryOptions(deadline_ms=0)
+        doors = {
+            "execute": lambda o: execute(
+                relation, predicate, AccessPath.BITMAP, indexes["quantity"], options=o
+            ),
+            "select": lambda o: select(relation, "quantity <= 10", indexes, options=o),
+            "execute_plan": lambda o: execute_plan(
+                relation,
+                [predicate],
+                Catalog(bitmap_indexes=indexes),
+                PlanChoice(PLAN_BITMAP_MERGE, 0, {}),
+                options=o,
+            ),
+        }
+        for door in doors.values():
+            with pytest.raises(QueryTimeoutError, match="evaluate"):
+                door(spent)
+            door(QueryOptions(deadline_ms=60_000.0, trace=True))  # in budget
+        # The budget is each query's own: one left on a caller's stats by
+        # an earlier query does not expire a later one.
+        stats = ExecutionStats()
+        with pytest.raises(QueryTimeoutError):
+            select(relation, "quantity <= 10", indexes, stats, options=spent)
+        select(relation, "quantity <= 10", indexes, stats)
+        assert stats.deadline is None and stats.scans == 1
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +406,36 @@ class TestExplain:
             leaf["scans"] for leaf in report.predicted_leaves
         )
         assert report.effective_fetches == report.predicted_scans
+
+    def test_predicted_leaves_follow_the_tree_left_to_right(self, relation):
+        # Order and fields as recorded before the leaf walk became
+        # Expression.leaves(): BETWEEN and IN count as the comparisons
+        # they stand for, NOT and ATLEAST pass their operands through.
+        engine = make_engine(relation, cache_capacity=0)
+        report = engine.explain(EIGHT_LEAF_QUERY)
+        expected = [
+            ("quantity >= 10", ">=", 10, 1),
+            ("quantity <= 30", "<=", 30, 1),
+            ("region = 1", "=", 1, 2),
+            ("region = 2", "=", 2, 2),
+            ("region = 5", "=", 5, 2),
+            ("quantity < 5", "<", 5, 1),
+            ("region = 3", "=", 3, 2),
+            ("quantity >= 40", ">=", 40, 1),
+        ]
+        assert report.predicted_leaves == [
+            {
+                "predicate": text,
+                "attribute": text.split()[0],
+                "code_op": op,
+                "code": code,
+                "base": "Base(<50>)" if text.startswith("quantity") else "Base(<8>)",
+                "encoding": "range",
+                "scans": scans,
+            }
+            for text, op, code, scans in expected
+        ]
+        assert report.matches_prediction
 
     def test_report_format_mentions_prediction_and_verdict(self, relation):
         engine = make_engine(relation, cache_capacity=0)
