@@ -174,8 +174,10 @@ def time_range_buffered(base: Base, buffered: tuple[int, ...]) -> float:
 
 
 def _digit_matrix(base: Base, cardinality: int) -> list[np.ndarray]:
-    """Digit arrays of every value in ``[0, cardinality)``."""
-    return base.digit_arrays(np.arange(cardinality, dtype=np.int64))
+    """Digit arrays of every value in ``[0, cardinality)``, widened: the
+    scan formulas below do arithmetic on them."""
+    digits = base.digit_arrays(np.arange(cardinality, dtype=np.int64))
+    return [d.astype(np.int64) for d in digits]
 
 
 def _le_scans_range_opt(base: Base, digits: list[np.ndarray]) -> np.ndarray:

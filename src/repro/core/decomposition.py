@@ -164,7 +164,9 @@ class Base:
         """Vectorized :meth:`digits` for a whole column.
 
         Returns a list of ``n`` integer arrays; entry ``i`` (0-based) holds
-        digit ``v_{i+1}`` (component ``i + 1``) for every input value.
+        digit ``v_{i+1}`` (component ``i + 1``) for every input value, in
+        the smallest unsigned dtype that holds ``b_{i+1} - 1`` — the
+        encoders compare each digit array once per stored bitmap.
         """
         values = np.asarray(values)
         if values.size and (values.min() < 0 or values.max() >= self.capacity):
@@ -172,11 +174,12 @@ class Base:
                 f"values outside [0, {self.capacity}) for base {self}"
             )
         out = []
-        rest = values.astype(np.int64, copy=True)
-        for i in range(1, self.n + 1):
-            b = self.component(i)
-            out.append(rest % b)
-            rest //= b
+        rest = values.astype(np.min_scalar_type(min(self.capacity, 2**63) - 1))
+        for b in self._bases[:0:-1]:
+            rest, digit = np.divmod(rest, b)
+            out.append(digit.astype(np.min_scalar_type(b - 1)))
+        # values < capacity, so what is left is the most significant digit.
+        out.append(rest.astype(np.min_scalar_type(self._bases[0] - 1)))
         return out
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ pool can all serve the evaluation algorithms interchangeably.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -54,12 +55,31 @@ class _Component:
         self.nbits = nbits
         self._bitmaps = bitmaps
 
+    @classmethod
+    def build(cls, digits: np.ndarray, base: int) -> "_Component":
+        """Encode a digit column of values in ``[0, base)``: one comparison
+        pass over it per stored slot."""
+        digits = np.asarray(digits)
+        _check_digits(digits, base)
+        component = cls(base, len(digits), {})
+        component._bitmaps = {
+            j: BitVector.from_bools(component.membership(digits, j))
+            for j in cls.slots(base)
+        }
+        return component
+
+    @staticmethod
+    def slots(base: int) -> Sequence[int]:
+        """Digit slots a component of ``base`` physically stores, increasing."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
-    def membership(self, digit: int, slot: int) -> bool:
-        """Whether a row with this digit belongs in stored bitmap ``slot``."""
+    def membership(self, digit, slot: int):
+        """Whether a row with this digit belongs in stored bitmap ``slot``
+        (elementwise for a digit column)."""
         raise NotImplementedError
 
     def set_row(self, rid: int, digit: int) -> int:
@@ -81,14 +101,10 @@ class _Component:
         digits = np.asarray(digits)
         _check_digits(digits, self.base)
         for slot, bitmap in list(self._bitmaps.items()):
-            new_bits = self._slot_bools(digits, slot)
+            new_bits = self.membership(digits, slot)
             combined = np.concatenate((bitmap.to_bools(), new_bits))
             self._bitmaps[slot] = BitVector.from_bools(combined)
         self.nbits += len(digits)
-
-    def _slot_bools(self, digits: np.ndarray, slot: int) -> np.ndarray:
-        """Vectorized :meth:`membership` for a digit column."""
-        raise NotImplementedError
 
     @property
     def num_stored(self) -> int:
@@ -118,26 +134,13 @@ class EqualityEncodedComponent(_Component):
 
     encoding = EncodingScheme.EQUALITY
 
-    @classmethod
-    def build(cls, digits: np.ndarray, base: int) -> "EqualityEncodedComponent":
-        """Encode a digit column of values in ``[0, base)``."""
-        digits = np.asarray(digits)
-        _check_digits(digits, base)
-        nbits = len(digits)
-        bitmaps: dict[int, BitVector] = {}
-        if base == 2:
-            # Complement trick: store only B^1; B^0 = NOT B^1.
-            bitmaps[1] = BitVector.from_bools(digits == 1)
-        else:
-            for j in range(base):
-                bitmaps[j] = BitVector.from_bools(digits == j)
-        return cls(base, nbits, bitmaps)
+    @staticmethod
+    def slots(base: int) -> Sequence[int]:
+        # Complement trick: base 2 stores only B^1; B^0 = NOT B^1.
+        return range(base) if base > 2 else (1,)
 
-    def membership(self, digit: int, slot: int) -> bool:
+    def membership(self, digit, slot: int):
         return digit == slot
-
-    def _slot_bools(self, digits: np.ndarray, slot: int) -> np.ndarray:
-        return digits == slot
 
 
 class RangeEncodedComponent(_Component):
@@ -145,26 +148,13 @@ class RangeEncodedComponent(_Component):
 
     encoding = EncodingScheme.RANGE
 
-    @classmethod
-    def build(cls, digits: np.ndarray, base: int) -> "RangeEncodedComponent":
-        """Encode a digit column of values in ``[0, base)``.
+    @staticmethod
+    def slots(base: int) -> Sequence[int]:
+        # Slot ``base - 1`` would be all ones and is virtual.
+        return range(base - 1)
 
-        Slots ``0 .. base - 2`` are stored; slot ``base - 1`` would be all
-        ones and is virtual.
-        """
-        digits = np.asarray(digits)
-        _check_digits(digits, base)
-        nbits = len(digits)
-        bitmaps = {
-            j: BitVector.from_bools(digits <= j) for j in range(base - 1)
-        }
-        return cls(base, nbits, bitmaps)
-
-    def membership(self, digit: int, slot: int) -> bool:
+    def membership(self, digit, slot: int):
         return digit <= slot
-
-    def _slot_bools(self, digits: np.ndarray, slot: int) -> np.ndarray:
-        return digits <= slot
 
 
 class IntervalEncodedComponent(_Component):
@@ -178,26 +168,12 @@ class IntervalEncodedComponent(_Component):
 
     encoding = EncodingScheme.INTERVAL
 
-    @classmethod
-    def build(cls, digits: np.ndarray, base: int) -> "IntervalEncodedComponent":
-        """Encode a digit column of values in ``[0, base)``."""
-        digits = np.asarray(digits)
-        _check_digits(digits, base)
-        nbits = len(digits)
-        m = interval_window(base)
-        bitmaps = {
-            j: BitVector.from_bools((digits >= j) & (digits <= j + m - 1))
-            for j in range(m)
-        }
-        return cls(base, nbits, bitmaps)
+    @staticmethod
+    def slots(base: int) -> Sequence[int]:
+        return range(interval_window(base))
 
-    def membership(self, digit: int, slot: int) -> bool:
-        m = interval_window(self.base)
-        return slot <= digit <= slot + m - 1
-
-    def _slot_bools(self, digits: np.ndarray, slot: int) -> np.ndarray:
-        m = interval_window(self.base)
-        return (digits >= slot) & (digits <= slot + m - 1)
+    def membership(self, digit, slot: int):
+        return (digit >= slot) & (digit < slot + interval_window(self.base))
 
 
 def interval_window(base: int) -> int:
@@ -205,28 +181,23 @@ def interval_window(base: int) -> int:
     return (base + 1) // 2
 
 
+def _component_class(encoding: EncodingScheme) -> type[_Component]:
+    for cls in (EqualityEncodedComponent, RangeEncodedComponent, IntervalEncodedComponent):
+        if cls.encoding is encoding:
+            return cls
+    raise ValueError(f"unknown encoding {encoding!r}")
+
+
 def build_component(
     digits: np.ndarray, base: int, encoding: EncodingScheme
 ) -> _Component:
     """Build a component of the requested encoding from a digit column."""
-    if encoding is EncodingScheme.EQUALITY:
-        return EqualityEncodedComponent.build(digits, base)
-    if encoding is EncodingScheme.RANGE:
-        return RangeEncodedComponent.build(digits, base)
-    if encoding is EncodingScheme.INTERVAL:
-        return IntervalEncodedComponent.build(digits, base)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    return _component_class(encoding).build(digits, base)
 
 
 def stored_bitmap_count(base: int, encoding: EncodingScheme) -> int:
     """Stored bitmaps of one component (Theorem 5.1's per-component space)."""
-    if encoding is EncodingScheme.EQUALITY:
-        return base if base > 2 else 1
-    if encoding is EncodingScheme.RANGE:
-        return base - 1
-    if encoding is EncodingScheme.INTERVAL:
-        return interval_window(base)
-    raise ValueError(f"unknown encoding {encoding!r}")
+    return len(_component_class(encoding).slots(base))
 
 
 def _check_digits(digits: np.ndarray, base: int) -> None:

@@ -66,6 +66,53 @@ class BitmapSource(Protocol):
         ...
 
 
+def rank_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` and every value's rank among them — the
+    paper's lookup table (Section 2); equal to
+    ``np.unique(values, return_inverse=True)`` in values and dtypes.
+
+    An integer column spanning at most ``max(65536, 2 * rows)`` values is
+    ranked by counting, not sorting: counting's table is then at most
+    twice the column (or 512 KB).  The ranks of values that already are
+    ``0 .. C-1`` — the paper's assumption — are the input itself.
+    """
+    span = None
+    if values.dtype.kind in "iu" and values.ndim == 1 and values.size:
+        low = values.min()
+        span = int(values.max()) - int(low) + 1
+    if span is None or span > max(65536, 2 * values.size):
+        return np.unique(values, return_inverse=True)
+    offsets = values
+    if low != 0 or values.dtype != np.intp:
+        # Wrapping arithmetic is exact here whatever the dtype: the true
+        # offsets fit intp, though ``values - low`` may not fit its own.
+        offsets = np.subtract(values, low, dtype=np.intp, casting="unsafe")
+    present = np.bincount(offsets, minlength=span) > 0
+    dictionary = np.flatnonzero(present).astype(values.dtype) + low
+    if len(dictionary) == span:
+        return dictionary, offsets
+    return dictionary, (np.cumsum(present) - 1)[offsets]
+
+
+def _checked_ranks(values, nulls, cardinality: int):
+    """``values`` as 1-D int64 ranks, ``nulls`` as a mask of their shape (or
+    ``None``), and the ranks to encode: NULL rows as 0, all in ``[0, C)``."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.ndim != 1:
+        raise ValueOutOfRangeError("values must be a 1-D array")
+    encode_values = values
+    if nulls is not None:
+        nulls = np.asarray(nulls, dtype=bool)
+        if nulls.shape != values.shape:
+            raise ValueOutOfRangeError("nulls mask must match values shape")
+        encode_values = np.where(nulls, 0, values)
+    if encode_values.size and (
+        encode_values.min() < 0 or encode_values.max() >= cardinality
+    ):
+        raise ValueOutOfRangeError(f"values outside [0, {cardinality})")
+    return values, nulls, encode_values
+
+
 class BitmapIndex:
     """An n-component bitmap index over an integer column in ``[0, C)``.
 
@@ -99,9 +146,6 @@ class BitmapIndex:
         nulls: np.ndarray | None = None,
         keep_values: bool = True,
     ):
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ValueOutOfRangeError("values must be a 1-D array")
         if cardinality < 2:
             raise InvalidBaseError("attribute cardinality must be at least 2")
         if base is None:
@@ -111,22 +155,10 @@ class BitmapIndex:
                 f"base {base} (capacity {base.capacity}) cannot represent "
                 f"cardinality {cardinality}"
             )
-        encode_values = values
-        if nulls is not None:
-            nulls = np.asarray(nulls, dtype=bool)
-            if nulls.shape != values.shape:
-                raise ValueOutOfRangeError("nulls mask must match values shape")
-            encode_values = np.where(nulls, 0, values)
-            self.nonnull: BitVector | None = BitVector.from_bools(~nulls)
-        else:
-            self.nonnull = None
-        if encode_values.size and (
-            encode_values.min() < 0 or encode_values.max() >= cardinality
-        ):
-            raise ValueOutOfRangeError(
-                f"values outside [0, {cardinality})"
-            )
-
+        values, nulls, encode_values = _checked_ranks(values, nulls, cardinality)
+        self.nonnull: BitVector | None = (
+            BitVector.from_bools(~nulls) if nulls is not None else None
+        )
         self.nbits = len(values)
         self.cardinality = cardinality
         self.base = base
@@ -175,7 +207,7 @@ class BitmapIndex:
             effective = np.where(nulls, fill, column)
         else:
             effective = column
-        dictionary, ranks = np.unique(effective, return_inverse=True)
+        dictionary, ranks = rank_values(effective)
         if len(dictionary) < 2:
             raise InvalidBaseError(
                 "column has fewer than 2 distinct values; a bitmap index "
@@ -332,18 +364,7 @@ class BitmapIndex:
         rewrite).  Values are ranks in ``[0, C)``; growing the value
         dictionary of a :meth:`for_column` index is not supported.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ValueOutOfRangeError("values must be a 1-D array")
-        if nulls is not None:
-            nulls = np.asarray(nulls, dtype=bool)
-            if nulls.shape != values.shape:
-                raise ValueOutOfRangeError("nulls mask must match values shape")
-        encode_values = values if nulls is None else np.where(nulls, 0, values)
-        if encode_values.size and (
-            encode_values.min() < 0 or encode_values.max() >= self.cardinality
-        ):
-            raise ValueOutOfRangeError(f"values outside [0, {self.cardinality})")
+        values, nulls, encode_values = _checked_ranks(values, nulls, self.cardinality)
         self._encoded_bitmaps.clear()
         self.version += 1
 

@@ -69,8 +69,9 @@ def run(
         if best_time > previous_best + 1e-12:
             monotone = False
         previous_best = best_time
+    shape = "monotonically non-increasing" if monotone else "NOT monotone"
     result.note(
-        f"minimum achievable time is {'monotonically non-increasing' if monotone else 'NOT monotone'} "
+        f"minimum achievable time is {shape} "
         f"in m (paper: the tradeoff improves as m increases)"
     )
     result.note(

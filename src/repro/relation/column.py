@@ -10,8 +10,11 @@ table", Section 2).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.core.index import rank_values
 from repro.errors import ValueOutOfRangeError
 
 
@@ -40,10 +43,18 @@ class Column:
             raise ValueOutOfRangeError("column values must be 1-D")
         self.name = name
         self.values = values
-        self.dictionary, self.codes = np.unique(values, return_inverse=True)
         self.value_size_bytes = (
             value_size_bytes if value_size_bytes is not None else values.dtype.itemsize
         )
+
+    @functools.cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        # On first use: the index build pays (and times) the ranking, and
+        # a column that is only ever scanned never does.
+        return rank_values(self.values)
+
+    dictionary = property(lambda self: self._ranked[0], doc="Sorted distinct values.")
+    codes = property(lambda self: self._ranked[1], doc="Each row's rank (read-only).")
 
     @property
     def num_rows(self) -> int:

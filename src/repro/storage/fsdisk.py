@@ -99,16 +99,25 @@ def _fsync_dir(directory: str) -> None:
 
 
 def atomic_write(
-    path: str, blob: bytes, fault_plan: FaultPlan | None, ident: str
+    path: str,
+    chunks: list[bytes],
+    fault_plan: FaultPlan | None,
+    ident: str,
+    superseded: str | None = None,
 ) -> None:
-    """Create or replace ``path`` crash-atomically: temp file, fsync,
-    ``os.replace``, directory fsync.  The ``disk.write`` fault seam sits
-    before the rename, where a crash must leave the old contents intact."""
+    """Create or replace ``path`` with ``chunks`` end to end,
+    crash-atomically: temp file, fsync, ``os.replace``, directory fsync.
+    The ``disk.write`` fault seam sits before the rename, where a crash
+    must leave the old contents intact.  ``superseded`` names a file that
+    means something only beside the *old* contents: it is unlinked,
+    durably, once the new contents are safe in the temp file and before
+    they show — a crash leaves old contents (with or without it) or new
+    contents without it, a failed write leaves both files as they were."""
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         if fault_plan is not None:
@@ -116,6 +125,9 @@ def atomic_write(
                 raise InjectedFaultError(
                     f"injected write failure before rename of {ident}"
                 )
+        if superseded is not None and os.path.exists(superseded):
+            os.unlink(superseded)
+            _fsync_dir(directory)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -187,7 +199,7 @@ class FileSystemDisk:
         full = self._resolve(path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         blob = frame(_MAGIC, data) if self.checksums else bytes(data)
-        atomic_write(full, blob, self.fault_plan, path)
+        atomic_write(full, [blob], self.fault_plan, path)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
 

@@ -45,7 +45,8 @@ delta into a rewritten base file.  All writes are crash-atomic (temp file
 :class:`~repro.storage.fsdisk.FileSystemDisk`; the delta records the base
 file's row count so a sidecar orphaned by a crash *between* compaction's
 rename and its delta unlink is detected as stale and ignored instead of
-being applied twice.
+being applied twice.  A rebuild can keep the row count, so
+:meth:`IndexStore.build` unlinks the sidecar *before* its rename instead.
 
 :class:`IndexStore` implements the :class:`repro.storage.Storage`
 protocol: ``read_seconds`` is ``0.0`` (real I/O pays real wall-clock
@@ -63,6 +64,7 @@ import logging
 import mmap
 import os
 import struct
+import time
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -706,8 +708,7 @@ class StoredColumn(Column):
     ):
         self.name = name
         self.values = None
-        self.dictionary = dictionary
-        self.codes = None
+        self._ranked = (dictionary, None)
         self.value_size_bytes = value_size_bytes
         self._stored_rows = num_rows
 
@@ -905,7 +906,11 @@ class IndexStore:
         may be dicts keyed by attribute name for per-attribute choices.
         Replaces any existing file for the relation atomically (and
         discards a pending delta — the new file supersedes it).  Returns
-        a summary dict (per-attribute bitmap counts and payload bytes).
+        a summary dict: per-attribute bitmap counts and payload bytes, and
+        under ``"seconds"`` where the call's wall time went — ``dictionary``
+        (ranking the values), ``digits`` (decomposition and the per-digit
+        bitmaps), ``encode`` (conversion to ``codec``), ``pack`` (payloads,
+        CRCs, the file's dictionary) and ``write`` (temp file to rename).
         """
         if attributes is None:
             attributes = list(relation.columns)
@@ -922,23 +927,35 @@ class IndexStore:
                     ) from None
             return option
 
+        seconds = dict.fromkeys(("dictionary", "digits", "encode", "pack", "write"), 0.0)
+        laps = [time.perf_counter()]
+
+        def lap(stage: str) -> None:
+            laps.append(time.perf_counter())
+            seconds[stage] += laps[-1] - laps[-2]
+
         payload_attrs: dict[str, dict] = {}
         for attr in attributes:
             column = relation.column(attr)
             attr_codec = per_attr(codec, attr, "codec")
+            codes, cardinality = column.codes, column.cardinality
+            lap("dictionary")
             index = BitmapIndex(
-                column.codes,
-                column.cardinality,
+                codes,
+                cardinality,
                 base=per_attr(base, attr, "base"),
                 encoding=per_attr(encoding, attr, "encoding"),
                 keep_values=False,
             )
+            lap("digits")
             payload_attrs[attr] = _index_attr_spec(
                 index, attr_codec, column.value_size_bytes, column.dictionary
             )
-        blob, payload_bytes = _pack_relation_file(
+            lap("encode")
+        chunks, payload_bytes = _relation_chunks(
             relation.name, relation.num_rows, payload_attrs
         )
+        lap("pack")
         summary = {
             attr: {
                 "codec": spec["codec"],
@@ -947,18 +964,23 @@ class IndexStore:
             }
             for attr, spec in payload_attrs.items()
         }
-        self._atomic_write(
-            self._main_path(relation.name), blob, relation.name + _SUFFIX
+        # A pending delta must never meet the new file: a rebuild of the
+        # same rows keeps the row count, which is all that tells a stale
+        # sidecar from a live one.
+        file_bytes = self._atomic_write(
+            self._main_path(relation.name),
+            chunks,
+            relation.name + _SUFFIX,
+            superseded=self._delta_path(relation.name),
         )
-        delta = self._delta_path(relation.name)
-        if os.path.exists(delta):
-            os.unlink(delta)
         self.invalidate(relation.name)
+        lap("write")
         return {
             "relation": relation.name,
             "rows": relation.num_rows,
-            "file_bytes": len(blob),
+            "file_bytes": file_bytes,
             "attributes": summary,
+            "seconds": seconds,
         }
 
     # ------------------------------------------------------------------
@@ -1059,7 +1081,7 @@ class IndexStore:
         ).encode("utf-8")
         self._atomic_write(
             self._delta_path(relation),
-            frame(_DELTA_MAGIC, payload),
+            [frame(_DELTA_MAGIC, payload)],
             relation + _DELTA_SUFFIX,
         )
         total = rfile.nbits + total_delta
@@ -1104,9 +1126,9 @@ class IndexStore:
                 "nonnull": source.with_codec("dense").nonnull,
             }
         folded = rfile.delta_rows
-        blob, _ = _pack_relation_file(relation, new_nbits, payload_attrs)
-        self._atomic_write(
-            self._main_path(relation), blob, relation + _SUFFIX
+        chunks, _ = _relation_chunks(relation, new_nbits, payload_attrs)
+        file_bytes = self._atomic_write(
+            self._main_path(relation), chunks, relation + _SUFFIX
         )
         # Crash window: the new base is live but the delta still exists.
         # Its recorded base_nbits no longer matches, so reopens ignore it
@@ -1123,7 +1145,7 @@ class IndexStore:
             "compacted": True,
             "rows": new_nbits,
             "delta_rows_folded": folded,
-            "file_bytes": len(blob),
+            "file_bytes": file_bytes,
         }
 
     # ------------------------------------------------------------------
@@ -1238,9 +1260,13 @@ class IndexStore:
             self._files[relation] = rfile
         return rfile
 
-    def _atomic_write(self, path: str, blob: bytes, ident: str) -> None:
-        atomic_write(path, blob, self.fault_plan, ident)
-        self.stats.bytes_written += len(blob)
+    def _atomic_write(
+        self, path: str, chunks: list[bytes], ident: str, superseded: str | None = None
+    ) -> int:
+        atomic_write(path, chunks, self.fault_plan, ident, superseded)
+        nbytes = sum(map(len, chunks))
+        self.stats.bytes_written += nbytes
+        return nbytes
 
     def __repr__(self) -> str:
         return f"IndexStore({self.root!r}, relations={self.relations()})"
@@ -1313,6 +1339,15 @@ def _index_attr_spec(
 def _pack_relation_file(
     name: str, nbits: int, attrs: dict[str, dict]
 ) -> tuple[bytes, dict[str, int]]:
+    """:func:`_relation_chunks` joined into one buffer, for an image that
+    is copied somewhere whole (a shared-memory segment)."""
+    chunks, payload_bytes = _relation_chunks(name, nbits, attrs)
+    return b"".join(chunks), payload_bytes
+
+
+def _relation_chunks(
+    name: str, nbits: int, attrs: dict[str, dict]
+) -> tuple[list[bytes], dict[str, int]]:
     """Assemble one complete ``.rbix`` file image.
 
     ``attrs[attr]`` carries ``cardinality``, ``base`` (:class:`Base`),
@@ -1320,7 +1355,9 @@ def _pack_relation_file(
     ``value_size_bytes``, ``dictionary`` (array or ``None``),
     ``bitmaps`` (``{(component, slot): bitmap}`` in the codec's type),
     and ``nonnull`` (dense :class:`BitVector` or ``None``).  Returns the
-    image and, per attribute, the bytes its slot payloads take in it.
+    image as header, dictionary and one chunk per payload — nothing here
+    copies a payload — and, per attribute, the bytes its slot payloads
+    take in the image.
     """
     chunks: list[bytes] = []
     offset = 0
@@ -1376,4 +1413,4 @@ def _pack_relation_file(
         0,
     )[: _HEADER.size - 4]
     header = header_wo_crc + struct.pack("<I", zlib.crc32(header_wo_crc))
-    return header + dictionary + b"".join(chunks), payload_bytes
+    return [header, dictionary, *chunks], payload_bytes

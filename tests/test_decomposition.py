@@ -123,6 +123,23 @@ class TestDigits:
             for i in range(base.n):
                 assert arrays[i][row] == expected[i]
 
+    @pytest.mark.parametrize("b", [2, 3, 255, 256, 257, 1000])
+    def test_digit_arrays_matches_scalar_at_every_digit_width(self, rng, b):
+        # b sits at each position; its digits are stored in the smallest
+        # unsigned dtype holding b - 1 (the uint8 / uint16 edge included).
+        for base in (Base((b,)), Base((b, 3)), Base((2, b, 5))):
+            edges = [0, b - 1, min(b, base.capacity - 1), base.capacity - 1]
+            values = np.append(rng.integers(0, base.capacity, 300), edges)
+            arrays = base.digit_arrays(values)
+            assert [a.dtype for a in arrays] == [
+                np.min_scalar_type(x - 1) for x in reversed(base.bases)
+            ]
+            scalar = [base.digits(int(v)) for v in values]
+            assert [tuple(int(a[row]) for a in arrays) for row in range(len(values))] == scalar
+            for bad in (-1, base.capacity):
+                with pytest.raises(ValueOutOfRangeError):
+                    base.digit_arrays(np.append(values, bad))
+
     def test_digit_arrays_validates_range(self):
         base = Base((3, 3))
         with pytest.raises(ValueOutOfRangeError):

@@ -12,6 +12,8 @@ deterministic.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base, integer_nth_root_ceil
-from repro.core.encoding import EncodingScheme
+from repro.core.encoding import EncodingScheme, interval_window
 from repro.core.evaluation import (
     OPERATORS,
     Predicate,
@@ -41,6 +43,12 @@ from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.disk import SimulatedDisk
+from repro.storage.store import (
+    _HEADER,
+    _index_attr_spec,
+    _pack_relation_file,
+    _payload_start,
+)
 from repro.storage.schemes import open_scheme, write_index
 from repro.workloads.generators import clustered_values, uniform_values, zipf_values
 
@@ -681,6 +689,51 @@ class TestBitmapConformance:
             assert got.to_payload() == cls.from_bitvector(want).to_payload()
         assert a.and_count(b) == (x & y).count()
         assert a.and_count(c) == (x & z).count()
+
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    @pytest.mark.parametrize("bases", [(2, 2, 2), (10, 10), (257,)])
+    @pytest.mark.parametrize("encoding", list(EncodingScheme))
+    def test_packed_payloads_match_int64_digit_bitmaps(
+        self, codec, cls, encoding, bases, with_nulls
+    ):
+        # The build compares narrow digit arrays; the reference below is
+        # the definition: int64 digits by ``%`` and ``//``, one
+        # ``from_bools`` per stored slot, read back out of the packed image.
+        rng = np.random.default_rng(sum(bases))
+        base = Base(bases)
+        values = rng.integers(0, base.capacity, 3000)
+        nulls = rng.random(3000) < 0.1 if with_nulls else None
+        index = BitmapIndex(values, base.capacity, base, encoding, nulls=nulls)
+        image, _ = _pack_relation_file("t", 3000, {"a": _index_attr_spec(index, codec)})
+        meta = json.loads(image[_HEADER.size : _payload_start(image)])["attributes"]["a"]
+
+        def packed(entry):
+            start = _payload_start(image) + entry[0]
+            return image[start : start + entry[1]]
+
+        def fresh(bools):
+            return cls.from_bitvector(BitVector.from_bools(bools)).to_payload()
+
+        rest = np.where(nulls, 0, values) if with_nulls else values.astype(np.int64)
+        for b, component in zip(reversed(bases), meta["components"]):
+            digits, rest = rest % b, rest // b
+            window = interval_window(b)
+            want = {
+                EncodingScheme.RANGE: {j: digits <= j for j in range(b - 1)},
+                EncodingScheme.EQUALITY: {
+                    j: digits == j for j in range(1 if b == 2 else 0, b)
+                },
+                EncodingScheme.INTERVAL: {
+                    j: (digits >= j) & (digits < j + window) for j in range(window)
+                },
+            }[encoding]
+            assert sorted(component["slots"], key=int) == [str(j) for j in want]
+            for j, bools in want.items():
+                assert packed(component["slots"][str(j)]) == fresh(bools), (b, j)
+        if with_nulls:
+            assert packed(meta["nonnull"]) == fresh(~nulls)
+        else:
+            assert meta["nonnull"] is None
 
 
 def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):

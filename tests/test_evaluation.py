@@ -176,24 +176,30 @@ class TestDispatch:
 #: base-<3,4> index (C = 12) that tracks NULLs, per encoding and operator,
 #: as charged before the three evaluators shared one Figure 6 reduction.
 PINNED_COUNTS = {
-    ("equality", "<"): "00000 00000 22000 32100 22001 12000 32100 42200 32101 22100 22101 32201 22102 00000",
-    ("equality", "<="): "00000 22000 32100 22001 12000 32100 42200 32101 22100 22101 32201 22102 00000 00000",
-    ("equality", "="): "00000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 00000",
-    ("equality", "!="): "00000 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 00000",
-    ("equality", ">="): "00000 00000 22001 32101 22002 12001 32101 42201 32102 22101 22102 32202 22103 00000",
-    ("equality", ">"): "00000 22001 32101 22002 12001 32101 42201 32102 22101 22102 32202 22103 00000 00000",
-    ("range", "<"): "00000 00000 22000 22000 22000 12000 32100 32100 32100 22100 21100 21100 21100 00000",
-    ("range", "<="): "00000 22000 22000 22000 12000 32100 32100 32100 22100 21100 21100 21100 00000 00000",
-    ("range", "="): "00000 22000 32010 32010 22001 32010 42020 42020 32011 22001 32011 32011 22002 00000",
-    ("range", "!="): "00000 22001 32011 32011 22002 32011 42021 42021 32012 22002 32012 32012 22003 00000",
-    ("range", ">="): "00000 00000 22001 22001 22001 12001 32101 32101 32101 22101 21101 21101 21101 00000",
-    ("range", ">"): "00000 22001 22001 22001 12001 32101 32101 32101 22101 21101 21101 21101 00000 00000",
-    ("interval", "<"): "00000 00000 44002 33001 43101 23001 45102 34101 44201 24101 44102 33101 43201 00000",
-    ("interval", "<="): "00000 44002 33001 43101 23001 45102 34101 44201 24101 44102 33101 43201 00000 00000",
-    ("interval", "="): "00000 44002 44001 44002 43102 44001 44000 44001 43101 44002 44001 44002 43102 00000",
-    ("interval", "!="): "00000 44003 44002 44003 43103 44002 44001 44002 43102 44003 44002 44003 43103 00000",
-    ("interval", ">="): "00000 00000 44003 33002 43102 23002 45103 34102 44202 24102 44103 33102 43202 00000",
-    ("interval", ">"): "00000 44003 33002 43102 23002 45103 34102 44202 24102 44103 33102 43202 00000 00000",
+    "equality": {
+        "<": "00000 00000 22000 32100 22001 12000 32100 42200 32101 22100 22101 32201 22102 00000",
+        "<=": "00000 22000 32100 22001 12000 32100 42200 32101 22100 22101 32201 22102 00000 00000",
+        "=": "00000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 22000 00000",
+        "!=": "00000 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 22001 00000",
+        ">=": "00000 00000 22001 32101 22002 12001 32101 42201 32102 22101 22102 32202 22103 00000",
+        ">": "00000 22001 32101 22002 12001 32101 42201 32102 22101 22102 32202 22103 00000 00000",
+    },
+    "range": {
+        "<": "00000 00000 22000 22000 22000 12000 32100 32100 32100 22100 21100 21100 21100 00000",
+        "<=": "00000 22000 22000 22000 12000 32100 32100 32100 22100 21100 21100 21100 00000 00000",
+        "=": "00000 22000 32010 32010 22001 32010 42020 42020 32011 22001 32011 32011 22002 00000",
+        "!=": "00000 22001 32011 32011 22002 32011 42021 42021 32012 22002 32012 32012 22003 00000",
+        ">=": "00000 00000 22001 22001 22001 12001 32101 32101 32101 22101 21101 21101 21101 00000",
+        ">": "00000 22001 22001 22001 12001 32101 32101 32101 22101 21101 21101 21101 00000 00000",
+    },
+    "interval": {
+        "<": "00000 00000 44002 33001 43101 23001 45102 34101 44201 24101 44102 33101 43201 00000",
+        "<=": "00000 44002 33001 43101 23001 45102 34101 44201 24101 44102 33101 43201 00000 00000",
+        "=": "00000 44002 44001 44002 43102 44001 44000 44001 43101 44002 44001 44002 43102 00000",
+        "!=": "00000 44003 44002 44003 43103 44002 44001 44002 43102 44003 44002 44003 43103 00000",
+        ">=": "00000 00000 44003 33002 43102 23002 45103 34102 44202 24102 44103 33102 43202 00000",
+        ">": "00000 44003 33002 43102 23002 45103 34102 44202 24102 44103 33102 43202 00000 00000",
+    },
 }  # fmt: skip
 
 
@@ -205,7 +211,7 @@ class TestPinnedCounts:
         values = np.random.default_rng(3).integers(0, 12, 60)
         index = BitmapIndex(values, 12, Base((3, 4)), encoding, nulls=nulls)
         for op in OPERATORS:
-            pinned = PINNED_COUNTS[encoding.value, op].split()
+            pinned = PINNED_COUNTS[encoding.value][op].split()
             for v, expected in zip(range(-1, 13), pinned, strict=True):
                 stats = ExecutionStats()
                 got = evaluate(index, Predicate(op, v), stats=stats)

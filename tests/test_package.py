@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,78 @@ class TestBenchmarkLayerWrappers:
             if name not in owner.__dict__
         }
         assert missing == self.INHERITED
+
+
+class TestLint:
+    """The two rules of CI's ``ruff check`` that break most often — an
+    unused import (F401) and a line over ``[tool.ruff] line-length`` (E501)
+    — checked with the standard library, for a container without ruff."""
+
+    ROOT = Path(__file__).parents[1]
+    #: Files whose findings stand: ``benchmarks/e2e`` is frozen by
+    #: ``BENCHMARK.json`` (none today).
+    ALLOWED: set[str] = set()
+
+    @staticmethod
+    def unused_imports(tree: ast.Module, lines: list[str]) -> list[tuple[int, str]]:
+        bound: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if alias.asname != alias.name and name != "*":  # `x as x` re-exports
+                        bound[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # Quoted annotations and ``__all__`` entries name their imports in strings.
+        quoting = [
+            getattr(node, field, None)
+            for node in ast.walk(tree)
+            for field in ("annotation", "returns")
+        ] + [
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            and "__all__" in ast.unparse(getattr(node, "target", None) or node.targets)
+        ]
+        for node in filter(None, quoting):
+            for leaf in ast.walk(node):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    used.update(re.findall(r"[A-Za-z_]\w*", leaf.value))
+        return [
+            (lineno, name)
+            for name, lineno in bound.items()
+            if name not in used and "# noqa" not in lines[lineno - 1]
+        ]
+
+    def test_no_unused_import_and_no_overlong_line(self):
+        limit = int(
+            re.search(
+                r"^\[tool\.ruff\]\nline-length = (\d+)$",
+                (self.ROOT / "pyproject.toml").read_text(),
+                re.MULTILINE,
+            ).group(1)
+        )
+        findings = []
+        for top in ("src", "tests", "benchmarks"):
+            for path in sorted((self.ROOT / top).rglob("*.py")):
+                name = str(path.relative_to(self.ROOT))
+                lines = path.read_text().splitlines()
+                found = [
+                    f"{name}:{lineno}: {len(line)} > {limit} characters"
+                    for lineno, line in enumerate(lines, 1)
+                    if len(line) > limit and "# noqa" not in line
+                ]
+                found += [
+                    f"{name}:{lineno}: `{unused}` imported but unused"
+                    for lineno, unused in self.unused_imports(
+                        ast.parse("\n".join(lines)), lines
+                    )
+                ]
+                if name not in self.ALLOWED:
+                    findings += found
+        assert findings == []
 
 
 class TestErrorHierarchy:

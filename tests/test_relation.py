@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.index import rank_values
 from repro.errors import ValueOutOfRangeError
 from repro.relation.column import Column
 from repro.relation.relation import Relation
@@ -83,6 +84,69 @@ class TestColumn:
         expected = ops[op](arr, probe)
         translated = ops[code_op](col.codes, code)
         assert np.array_equal(expected, translated)
+
+
+INT_DTYPES = [np.dtype(kind + size) for kind in "iu" for size in "1248"]
+
+
+@st.composite
+def integer_columns(draw):
+    """An integer column of any dtype whose span is exactly the drawn one,
+    anchored at the dtype's lowest value, around zero or at its highest."""
+    info = np.iinfo(draw(st.sampled_from(INT_DTYPES)))
+    rows = draw(st.sampled_from([1, 2, 50, 40_000]))
+    span = draw(
+        # Either side of max(65536, 2 * rows) at 50 and at 40,000 rows.
+        st.sampled_from([1, 2, 200, 65_535, 65_536, 65_537, 80_000, 80_001, 2**40])
+    )
+    span = min(span, info.max - info.min + 1) if rows > 1 else 1
+    low = draw(
+        st.sampled_from([info.min, max(info.min, -(span // 2)), info.max - span + 1])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    offsets = rng.integers(0, draw(st.sampled_from([1, 7, span])), rows)
+    offsets[0], offsets[-1] = 0, span - 1
+    return (offsets.astype(object) + low).astype(info.dtype)
+
+
+other_columns = st.one_of(
+    st.sampled_from(INT_DTYPES + [np.dtype(float), np.dtype(bool), np.dtype("U3")]).map(
+        lambda dtype: np.empty(0, dtype)
+    ),
+    st.lists(st.booleans(), max_size=20).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.floats(allow_nan=True, width=32), max_size=20).map(np.array),
+    st.lists(st.text("abc", max_size=3), min_size=1, max_size=20).map(np.array),
+)
+
+
+class TestRankValues:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.one_of(integer_columns(), other_columns))
+    def test_equals_numpy_unique_in_values_and_dtypes(self, values):
+        want = np.unique(values, return_inverse=True)
+        got = rank_values(values)
+        for ours, theirs in zip(got, want, strict=True):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs, equal_nan=values.dtype.kind == "f")
+
+    def test_sorts_only_past_the_span_rule(self, monkeypatch):
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *args, **kw: sorts.append(1) or unique(*args, **kw)
+        )
+        for rows, span, sorted_ in [
+            (10, 65_536, False),
+            (10, 65_537, True),
+            (40_000, 80_000, False),
+            (40_000, 80_001, True),
+        ]:
+            values = np.full(rows, -5, dtype=np.int32)
+            values[-1] += span - 1
+            del sorts[:]
+            dictionary, codes = rank_values(values)
+            assert bool(sorts) == sorted_
+            assert dictionary.tolist() == [-5, span - 6] and codes[-1] == 1
 
 
 class TestRelation:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ class TestRoundTrip:
         assert store.bitmap_source("orders", "region") is None
         assert store.total_bytes() == store.total_bytes("sales") > 0
         store.close()
+
+    def test_build_summary_says_where_the_time_went(self, store_dir):
+        relation = make_relation(50_000)
+        with IndexStore(store_dir) as store:
+            start = time.perf_counter()
+            summary = store.build(relation)
+            wall = time.perf_counter() - start
+        seconds = summary["seconds"]
+        assert list(seconds) == ["dictionary", "digits", "encode", "pack", "write"]
+        assert all(spent > 0 for spent in seconds.values())
+        assert 0.9 * wall <= sum(seconds.values()) <= wall
 
     def test_illegal_relation_names_rejected(self, store_dir):
         store = IndexStore(store_dir)
@@ -381,6 +393,60 @@ class TestAppendCompact:
             )
             # The failed append left nothing behind; retrying succeeds.
             assert store.append("sales", rows) == NUM_ROWS + 2
+
+    @pytest.mark.parametrize("steps_survived", [0, 1, 2, "write fails"])
+    def test_interrupted_rebuild_never_pairs_new_base_with_old_delta(
+        self, store_dir, monkeypatch, steps_survived
+    ):
+        """A delta indexes the base it was appended to.  A rebuild of the
+        same rows under another dictionary keeps the row count — all the
+        sidecar records of its base — so the old delta beside the new base
+        would be applied: old ranks read through the new dictionary.  Kill
+        ``build`` before, between and after its two directory steps (the
+        base rename and the delta unlink, in whichever order they come)."""
+
+        class Killed(BaseException):
+            pass
+
+        rows = np.arange(1000) % 10
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("t", {"a": rows}))
+            store.append("t", {"a": np.array([3, 3, 3])})
+        targets = [os.path.join(store_dir, "t.rbix" + end) for end in ("", ".delta")]
+        done = []
+
+        def killable(real):
+            def step(*paths):
+                if paths[-1] in targets:
+                    if len(done) == steps_survived:
+                        raise Killed
+                    done.append(paths[-1])
+                return real(*paths)
+
+            return step
+
+        monkeypatch.setattr(os, "replace", killable(os.replace))
+        monkeypatch.setattr(os, "unlink", killable(os.unlink))
+        plan = FaultPlan([FaultSpec("disk.write", "error", match=".rbix")])
+        store = IndexStore(
+            store_dir, fault_plan=plan if steps_survived == "write fails" else None
+        )
+        try:
+            store.build(Relation.from_dict("t", {"a": rows + 100}))
+        except (Killed, InjectedFaultError):
+            pass
+        monkeypatch.undo()
+        assert len(done) == (steps_survived if steps_survived != "write fails" else 0)
+        engine = repro.open_store(store_dir)
+        served = engine.count("a = 3").count, engine.count("a = 103").count
+        engine.close()
+        old_base_and_delta, old_base, new_base = (103, 0), (100, 0), (0, 100)
+        if steps_survived in (0, "write fails"):
+            assert served == old_base_and_delta
+        elif steps_survived == 1:
+            assert served in (old_base, new_base)
+        else:
+            assert served == new_base
 
     def test_compact_is_idempotent(self, store_dir, relation):
         with IndexStore(store_dir) as store:
