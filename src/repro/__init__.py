@@ -49,7 +49,7 @@ from repro.faults import Deadline, FaultPlan, FaultSpec
 from repro.query.expression import Threshold, Xor, parse_expression
 from repro.query.options import QueryOptions
 from repro.stats import ExecutionStats
-from repro.storage import IndexStore, Storage
+from repro.storage import IndexStore
 from repro.table import Table
 from repro.trace import ExplainReport, QueryTrace, explain
 
@@ -61,7 +61,7 @@ def open_store(path: str, **engine_opts) -> QueryEngine:
 
     The one-call persistence entry point: opens (or creates) the
     :class:`~repro.storage.store.IndexStore` at ``path``, constructs a
-    :class:`QueryEngine` with it as the storage backend (extra keyword
+    :class:`QueryEngine` served from it (extra keyword
     arguments go to the engine), and registers every stored relation —
     so a prior session's ``engine.storage.build(relation)`` is queryable
     with nothing but the directory:
@@ -103,7 +103,6 @@ __all__ = [
     "ReproError",
     "RetryPolicy",
     "SharedBitmapCache",
-    "Storage",
     "Table",
     "TableDesign",
     "Threshold",

@@ -129,6 +129,15 @@ def and_(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
     return a & b
 
 
+def and_count(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> int:
+    """``count(a AND b)`` without the intermediate: charged and traced as one AND."""
+    stats.ands += 1
+    if stats.trace is not None:
+        with stats.trace.span("and", kind="op", nbits=a.nbits):
+            return int(a.and_count(b))
+    return int(a.and_count(b))
+
+
 def or_(a: Bitmap, b: Bitmap, stats: ExecutionStats) -> Bitmap:
     """``a OR b``: one operation on ``stats``, one ``op`` span when traced."""
     stats.ors += 1
@@ -813,14 +822,12 @@ def group_counts(
             masked = and_(bitmap, source.nonnull, stats)
         previous = 0
         for code in range(cardinality - 1):
-            stats.ands += 1
-            cumulative = int(masked.and_count(source.fetch(1, code, stats)))
+            cumulative = and_count(masked, source.fetch(1, code, stats), stats)
             counts[code] = cumulative - previous
             previous = cumulative
         counts[cardinality - 1] = int(masked.count()) - previous
         return counts
     for code in range(cardinality):
         member = evaluate(source, Predicate("=", code), algorithm=algorithm, stats=stats)
-        stats.ands += 1
-        counts[code] = int(bitmap.and_count(member))
+        counts[code] = and_count(bitmap, member, stats)
     return counts

@@ -29,8 +29,8 @@ Execution backends: batches run on one of three pluggable backends
 (``QueryEngine(backend=...)`` or per call via
 :attr:`~repro.query.options.QueryOptions.backend`).  ``inline`` evaluates
 sequentially on the calling thread; ``threads`` uses a persistent
-thread pool — enough when workers overlap modeled I/O waits or numpy
-releases the GIL, but CPU-bound batches serialize on the interpreter;
+thread pool — enough when numpy releases the GIL, but CPU-bound batches
+serialize on the interpreter;
 ``processes`` escapes the GIL entirely by partitioning each relation into
 row-range shards (:mod:`repro.engine.sharding`), publishing the shard
 bitmaps to shared memory once, and evaluating every batch across a
@@ -78,8 +78,7 @@ from repro.query.expression import query_mode, run_query, verify_answer
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage.disk import DiskModel
-from repro.storage.store import StoreRelation
+from repro.storage.store import IndexStore, StoreRelation
 from repro.trace import ExplainReport, QueryTrace, build_explain_report
 
 log = logging.getLogger("repro.engine")
@@ -179,20 +178,18 @@ class _CachedSource:
     publishes the bitmap to the shared cache.
     """
 
-    __slots__ = ("_index", "_cache", "_prefix", "_sleep", "_faults")
+    __slots__ = ("_index", "_cache", "_prefix", "_faults")
 
     def __init__(
         self,
         index,
         cache: SharedBitmapCache,
         prefix: tuple,
-        sleep_seconds_per_byte: tuple[float, float] | None,
         faults: FaultPlan | None = None,
     ):
         self._index = index  # already ``with_codec`` the codec to serve
         self._cache = cache
         self._prefix = prefix
-        self._sleep = sleep_seconds_per_byte
         self._faults = faults
 
     @property
@@ -244,13 +241,6 @@ class _CachedSource:
                 )
             return bitmap
         bitmap = self._index.fetch(component, slot, stats)
-        if self._sleep is not None:
-            seek, per_byte = self._sleep
-            wait = seek + per_byte * bitmap.nbytes
-            stats.io_seconds += wait
-            if wait > 0:
-                with stats.span("io.wait", kind="io", component=component, slot=slot):
-                    time.sleep(wait)
         self._cache.put(key, bitmap)
         return bitmap
 
@@ -265,19 +255,12 @@ class QueryEngine:
     max_workers:
         Default thread-pool width for :meth:`query_batch`.
     storage:
-        Optional backend implementing the :class:`repro.storage.Storage`
-        protocol.  A :class:`~repro.storage.disk.DiskModel` makes every
-        cache miss sleep the modeled read latency (scaled by
-        ``io_time_scale``), so the engine behaves like a disk-backed
-        server rather than a pure in-memory structure.  An
-        :class:`~repro.storage.store.IndexStore` serves persisted indexes
-        straight off its mmap-backed files — register the store's
+        An :class:`~repro.storage.store.IndexStore` to serve persisted
+        indexes straight off its mmap-backed files — register the store's
         :meth:`~repro.storage.store.IndexStore.relation_view` (or use
         :func:`repro.open_store`) and queries read only the bitmaps they
-        touch.  Leave ``None`` for pure in-memory tests.
-    io_time_scale:
-        Multiplier applied to the modeled latency (e.g. ``0.1`` to run a
-        benchmark 10x faster than the era model).
+        touch.  ``None`` (the default) builds every index in memory from
+        the registered relations' columns.
     codec:
         The engine's default bitmap representation: ``'dense'``,
         ``'wah'``, or ``'roaring'``.  With a compressed codec fetches
@@ -297,9 +280,6 @@ class QueryEngine:
     shards:
         Default row-range shard count for the process backend (``None``
         = match the worker count of each batch).
-    start_method:
-        Multiprocessing start method for the process backend (``None`` =
-        ``'fork'`` where available, else ``'spawn'``).
     retry:
         :class:`~repro.engine.resilience.RetryPolicy` governing process-
         backend recovery (``None`` = the default policy: 2 retries,
@@ -318,8 +298,8 @@ class QueryEngine:
     the engine's lifetime; call :meth:`close` — or use the engine as a
     context manager — to shut them down and unlink shared-memory
     publications.  The process backend evaluates bitmaps in worker
-    processes, so the shared cache and modeled I/O waits do not apply to
-    it (shard payloads are memory-resident by construction).
+    processes, so the shared cache does not apply to it (shard payloads
+    are memory-resident by construction).
     """
 
     def __init__(
@@ -327,21 +307,21 @@ class QueryEngine:
         *,
         cache_capacity: int = 256,
         max_workers: int = 4,
-        storage=None,
-        io_time_scale: float = 1.0,
+        storage: IndexStore | None = None,
         codec: str = "dense",
         cache_bytes: int | None = None,
         backend: str = "threads",
         shards: int | None = None,
-        start_method: str | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if max_workers < 1:
             raise EngineConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if io_time_scale < 0:
-            raise EngineConfigError("io_time_scale must be >= 0")
+        if storage is not None and not isinstance(storage, IndexStore):
+            raise EngineConfigError(
+                f"storage must be an IndexStore or None, got {type(storage).__name__}"
+            )
         bitmap_class(codec)  # raises EngineConfigError for an unknown name
         if backend not in BACKENDS:
             raise EngineConfigError(
@@ -360,23 +340,12 @@ class QueryEngine:
         self._specs: dict[str, dict[str, IndexSpec]] = {}
         self._default_relation: str | None = None
         self.storage = storage
-        # relation -> the storage generation its derived state was built at.
-        self._generation_of = getattr(storage, "generation", lambda name: None)
+        # relation -> the store generation its derived state was built at
+        # (None throughout when serving from memory).
         self._generations: dict[str, int | None] = {}
-        self._io_model = storage if isinstance(storage, DiskModel) else None
-        if storage is not None:
-            # Per-miss sleep derived through the protocol: a DiskModel
-            # yields its seek/bandwidth figures; real-I/O backends return
-            # 0.0 (their reads pay actual wall-clock time) so no sleep.
-            seek = storage.read_seconds(1, 0) * io_time_scale
-            per_byte = storage.read_seconds(0, 1) * io_time_scale
-            self._sleep = (seek, per_byte) if (seek or per_byte) else None
-        else:
-            self._sleep = None
         self.retry_policy = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.fault_plan = fault_plan
-        self._start_method = start_method
         self._pool_lock = threading.Lock()
         self._thread_pools: dict[int, ThreadPoolExecutor] = {}
         self._process_executors: dict[int, ProcessShardExecutor] = {}
@@ -413,11 +382,10 @@ class QueryEngine:
             executor.shutdown(wait=wait)
         for export in exports:
             export.close()
-        # Release storage handles (an IndexStore holds open mmaps); the
-        # backend reopens lazily, so closing here is always safe.
-        storage_close = getattr(self.storage, "close", None)
-        if storage_close is not None:
-            storage_close()
+        # The store holds open mmaps and reopens lazily, so closing here
+        # is always safe.
+        if self.storage is not None:
+            self.storage.close()
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -469,7 +437,7 @@ class QueryEngine:
             specs[attribute] = spec
         self._relations[relation.name] = relation
         self._specs[relation.name] = specs
-        self._generations[relation.name] = self._generation_of(relation.name)
+        self._generations[relation.name] = self._generation(relation.name)
         if self._default_relation is None:
             self._default_relation = relation.name
 
@@ -658,17 +626,9 @@ class QueryEngine:
             attribute: self._index_for(name, attribute)
             for attribute in q.attributes()
         }
-        io_model = None
-        if self._io_model is not None:
-            io_model = dict(self._io_model.as_dict())
-            io_model["io_seconds"] = result.stats.io_seconds
-            io_model["description"] = "modeled cache-miss read waits"
-        storage_io = None
-        if self.storage is not None and self._io_model is None:
-            # Real-I/O backends: report their cumulative counters (bytes
-            # actually read, bitmaps materialized, page touches) next to
-            # the cost model's predictions.
-            storage_io = dict(self.storage.io_snapshot())
+        # The store's cumulative counters (bytes actually read, bitmaps
+        # materialized, page touches) next to the cost model's predictions.
+        storage_io = self.storage.io_snapshot() if self.storage is not None else None
         return build_explain_report(
             self._relations[name],
             q,
@@ -677,7 +637,6 @@ class QueryEngine:
             mode=mode,
             bitmap_codec=self.codec,
             algorithm=options.algorithm,
-            io_model=io_model,
             storage_io=storage_io,
             plan=f"cached-bitmap/{mode}",
         )
@@ -756,7 +715,7 @@ class QueryEngine:
         ``attribute`` to one attribute of it.  Cached bitmaps are evicted
         per relation (the cache groups by relation, not attribute).
 
-        Mutations made *through the storage backend* (an index store's
+        Mutations made *through the index store* (its
         ``build`` / ``append`` / ``compact`` / ``quarantine``) do not need
         this call: the store's generation moves and the next query drops
         the relation's derived state by itself.
@@ -791,7 +750,7 @@ class QueryEngine:
                 export.close()
             self.cache.drop_group(name)
             if attribute is None:
-                self._generations[name] = self._generation_of(name)
+                self._generations[name] = self._generation(name)
                 view = isinstance(self._relations[name], StoreRelation)
                 if view and self.storage.has(name):
                     self._relations[name] = self.storage.relation_view(name)
@@ -816,8 +775,11 @@ class QueryEngine:
             )
         return relation
 
+    def _generation(self, name: str) -> int | None:
+        return self.storage.generation(name) if self.storage is not None else None
+
     def _current(self, relation: str | None) -> str:
-        """:meth:`_resolve`, then catch up with the storage backend.
+        """:meth:`_resolve`, then catch up with the index store.
 
         A store mutated since this engine last looked has moved to a new
         generation; everything derived from the old one — memoized
@@ -825,7 +787,7 @@ class QueryEngine:
         dropped here, before the query resolves any of it.
         """
         name = self._resolve(relation)
-        if self._generation_of(name) != self._generations[name]:
+        if self._generation(name) != self._generations[name]:
             self.invalidate(name)
         return name
 
@@ -842,11 +804,10 @@ class QueryEngine:
     def _index_for(self, relation_name: str, attribute: str):
         """The bitmap source of one attribute: persisted or built in memory.
 
-        A :class:`~repro.storage.Storage` backend that can serve the
-        attribute itself (an :class:`~repro.storage.store.IndexStore`)
-        wins — its lazy source is registered in place of an in-memory
-        index, so only touched payloads are ever read.  Otherwise the
-        index is built from the relation's raw column codes.
+        A store that holds the attribute wins — its lazy source is
+        registered in place of an in-memory index, so only touched
+        payloads are ever read.  Otherwise the index is built from the
+        relation's raw column codes.
         """
         spec = self._spec_for(relation_name, attribute)
         relation = self._relations[relation_name]
@@ -861,8 +822,8 @@ class QueryEngine:
             if column.codes is None:
                 raise EngineConfigError(
                     f"attribute {attribute!r} of relation {relation_name!r} "
-                    f"has no raw values to index and the storage backend "
-                    f"holds no persisted bitmaps for it"
+                    f"has no raw values to index and the store holds no "
+                    f"persisted bitmaps for it"
                 )
             return BitmapIndex(
                 column.codes,
@@ -921,7 +882,6 @@ class QueryEngine:
             index.with_codec(codec),
             self.cache,
             prefix,
-            self._sleep,
             faults=self.fault_plan,
         )
 
@@ -961,9 +921,7 @@ class QueryEngine:
                 # Reclaim segments a previous (crashed) publisher left in
                 # /dev/shm before committing new ones of our own.
                 sweep_orphan_segments()
-                executor = ProcessShardExecutor(
-                    workers, start_method=self._start_method
-                )
+                executor = ProcessShardExecutor(workers)
                 self._process_executors[workers] = executor
             return executor
 

@@ -209,7 +209,6 @@ def merge_shard_stats(per_shard: list[ExecutionStats]) -> ExecutionStats:
     merged.files_opened = first.files_opened
     merged.bytes_read = sum(s.bytes_read for s in per_shard)
     merged.decompressed_bytes = sum(s.decompressed_bytes for s in per_shard)
-    merged.io_seconds = sum(s.io_seconds for s in per_shard)
     merged.cpu_seconds = sum(s.cpu_seconds for s in per_shard)
     return merged
 
@@ -809,24 +808,18 @@ class ProcessShardExecutor:
     through the task pickles.
     """
 
-    def __init__(self, max_workers: int, start_method: str | None = None):
+    def __init__(self, max_workers: int):
         if max_workers < 1:
             raise EngineConfigError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        if start_method not in methods:
-            raise EngineConfigError(
-                f"start method {start_method!r} unavailable; "
-                f"this platform offers: {', '.join(methods)}"
-            )
         self.max_workers = max_workers
-        self.start_method = start_method
+        self.start_method = (
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers,
-            mp_context=multiprocessing.get_context(start_method),
+            mp_context=multiprocessing.get_context(self.start_method),
         )
 
     def run_batch(

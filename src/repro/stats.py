@@ -66,7 +66,6 @@ class ExecutionStats:
     decompressed_bytes: int = 0
     files_opened: int = 0
     buffer_hits: int = 0
-    io_seconds: float = field(default=0.0, repr=False)
     cpu_seconds: float = field(default=0.0, repr=False)
     trace: "QueryTrace | None" = field(default=None, repr=False, compare=False)
     deadline: "Deadline | None" = field(default=None, repr=False, compare=False)
@@ -105,7 +104,6 @@ class ExecutionStats:
         self.decompressed_bytes += other.decompressed_bytes
         self.files_opened += other.files_opened
         self.buffer_hits += other.buffer_hits
-        self.io_seconds += other.io_seconds
         self.cpu_seconds += other.cpu_seconds
 
     def as_dict(self) -> dict:
@@ -125,7 +123,6 @@ class ExecutionStats:
             "decompressed_bytes": self.decompressed_bytes,
             "files_opened": self.files_opened,
             "buffer_hits": self.buffer_hits,
-            "io_seconds": self.io_seconds,
             "cpu_seconds": self.cpu_seconds,
         }
 

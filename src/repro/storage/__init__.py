@@ -17,69 +17,21 @@ unchanged against physical storage with real byte accounting.
 Section 10's bitmap buffering is provided by
 :class:`repro.storage.buffer.BufferPool`.
 
-The Storage protocol
---------------------
-:class:`Storage` is the one surface the serving layer (the engine, the
-buffer pool) depends on.  Three very different backends implement it:
-
-- :class:`~repro.storage.disk.DiskModel` — a pure latency model; holds no
-  bytes, charges modeled read waits (the paper's era-modeled disk).
-- :class:`~repro.storage.fsdisk.FileSystemDisk` — a CRC-framed byte store
-  for the Section 9 scheme files (:class:`~repro.storage.disk.SimulatedDisk`,
-  its in-memory twin, serves those files only and is no ``Storage``).
-- :class:`~repro.storage.store.IndexStore` — the persistent, mmap-backed
-  index format with lazy bitmap loading and real I/O counters.
-
-The protocol asks three questions: *how long would this read take beyond
-the wall clock?* (:meth:`Storage.read_seconds` — nonzero only for modeled
-backends), *can you serve this attribute's bitmaps yourself?*
-(:meth:`Storage.bitmap_source` — ``None`` for backends holding no index
-payloads), and *what I/O happened so far?* (:meth:`Storage.io_snapshot`,
-wired into EXPLAIN).
+What serves queries
+-------------------
+The engine is served from an :class:`~repro.storage.store.IndexStore` —
+the persistent, mmap-backed index format with lazy bitmap loading and real
+I/O counters — or from memory.  :class:`~repro.storage.disk.DiskModel`
+(the paper's era latency model) prices the Section 9 experiments, and the
+two byte stores (:class:`~repro.storage.disk.SimulatedDisk`,
+:class:`~repro.storage.fsdisk.FileSystemDisk`) hold the scheme files and
+saved tables; none of the three is on the serving path.
 """
 
-from typing import Protocol, runtime_checkable
-
+from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskModel, SimulatedDisk
-
-
-@runtime_checkable
-class Storage(Protocol):
-    """The unified storage surface the serving layer depends on.
-
-    Implemented by :class:`~repro.storage.disk.DiskModel` (latency model,
-    no payloads), :class:`~repro.storage.fsdisk.FileSystemDisk` (a byte
-    store), and :class:`~repro.storage.store.IndexStore` (persistent
-    index files with lazy mmap loading).
-    """
-
-    def read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """Modeled extra latency for one read.
-
-        Backends that really move bytes (the filesystem disk, the index
-        store) return ``0.0`` — their reads take the time they take; the
-        pure :class:`DiskModel` returns the era-modeled seek + transfer
-        estimate, which the engine sleeps on every cache miss.
-        """
-        ...
-
-    def bitmap_source(self, relation: str, attribute: str):
-        """A persisted lazy bitmap source for one attribute, or ``None``.
-
-        ``None`` means this backend holds no index payloads for the
-        attribute and the caller must build (or already hold) the bitmaps
-        in memory.  A returned object implements the
-        :class:`~repro.core.index.BitmapSource` protocol.
-        """
-        ...
-
-    def io_snapshot(self) -> dict:
-        """Point-in-time I/O counters (or model parameters) for EXPLAIN."""
-        ...
-
-
-from repro.storage.fsdisk import FileSystemDisk  # noqa: E402
-from repro.storage.schemes import (  # noqa: E402
+from repro.storage.fsdisk import FileSystemDisk
+from repro.storage.schemes import (
     BitmapLevelStorage,
     ComponentLevelStorage,
     IndexLevelStorage,
@@ -87,8 +39,7 @@ from repro.storage.schemes import (  # noqa: E402
     open_scheme,
     write_index,
 )
-from repro.storage.buffer import BufferPool  # noqa: E402
-from repro.storage.store import IndexStore, StoreRelation  # noqa: E402
+from repro.storage.store import IndexStore, StoreRelation
 
 __all__ = [
     "BitmapLevelStorage",
@@ -99,7 +50,6 @@ __all__ = [
     "IndexLevelStorage",
     "IndexStore",
     "SimulatedDisk",
-    "Storage",
     "StorageScheme",
     "StoreRelation",
     "open_scheme",

@@ -46,10 +46,9 @@ class BufferPool:
     Parameters
     ----------
     source:
-        The underlying index / storage scheme, or any
-        :class:`repro.storage.Storage` backend — in that case
-        ``relation`` and ``attribute`` name the persisted index the pool
-        fronts (resolved via ``Storage.bitmap_source``).
+        The underlying bitmap source: an index, a storage scheme, or one
+        attribute of an index store (``store.bitmap_source(relation,
+        attribute)``).
     assignment:
         Pinned-policy buffer assignment; defaults to the Theorem 10.1
         optimal assignment for ``capacity`` bitmaps.
@@ -71,28 +70,14 @@ class BufferPool:
         assignment: BufferAssignment | None = None,
         capacity: int | None = None,
         policy: str = "pinned",
-        *,
-        relation: str | None = None,
-        attribute: str | None = None,
     ):
         if policy not in ("pinned", "lru"):
             raise BufferConfigError(f"unknown buffer policy {policy!r}")
-        if hasattr(source, "bitmap_source") and not hasattr(source, "fetch"):
-            # A Storage backend rather than a bitmap source: resolve the
-            # named persisted index (duck-typed to avoid a circular
-            # import of the protocol).
-            if relation is None or attribute is None:
-                raise BufferConfigError(
-                    "a Storage backend needs relation= and attribute= to "
-                    "name the persisted index the pool should front"
-                )
-            resolved = source.bitmap_source(relation, attribute)
-            if resolved is None:
-                raise BufferConfigError(
-                    f"storage backend holds no bitmaps for "
-                    f"{relation}.{attribute}"
-                )
-            source = resolved
+        if not callable(getattr(source, "fetch", None)):
+            raise BufferConfigError(
+                f"{type(source).__name__} is not a bitmap source; to front an "
+                f"index store pass store.bitmap_source(relation, attribute)"
+            )
         self.source = source
         self.policy = policy
         self.base = source.base

@@ -49,38 +49,9 @@ class DiskModel:
             + bytes_read / self.bandwidth_bytes_per_second
         )
 
-    # ------------------------------------------------------------------
-    # Storage protocol (see repro.storage.Storage)
-    # ------------------------------------------------------------------
-    #
-    # A DiskModel is the degenerate storage backend: it holds no bytes,
-    # serves no bitmaps, and exists purely to charge modeled latency.
-
-    def read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """Modeled latency of one read (alias of :meth:`seconds`)."""
-        return self.seconds(files_opened, bytes_read)
-
-    def bitmap_source(self, relation: str, attribute: str):
-        """A latency model holds no index payloads."""
-        return None
-
-    def io_snapshot(self) -> dict:
-        """The model's parameters (a latency model has no counters)."""
-        out = self.as_dict()
-        out["backend"] = "model"
-        return out
-
     def decompress_seconds(self, decompressed_bytes: int) -> float:
         """Era-modeled CPU seconds to inflate ``decompressed_bytes``."""
         return decompressed_bytes / self.inflate_bytes_per_second
-
-    def as_dict(self) -> dict:
-        """The model's parameters as a plain dict (for EXPLAIN reports)."""
-        return {
-            "seek_seconds": self.seek_seconds,
-            "bandwidth_bytes_per_second": self.bandwidth_bytes_per_second,
-            "inflate_bytes_per_second": self.inflate_bytes_per_second,
-        }
 
 
 @dataclass

@@ -327,25 +327,3 @@ class FileSystemDisk:
             byte = handle.read(1)[0]
             handle.seek(offset)
             handle.write(bytes([byte ^ xor_with]))
-
-    # ------------------------------------------------------------------
-    # Storage protocol (see repro.storage.Storage)
-    # ------------------------------------------------------------------
-
-    def read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """A real disk pays real wall-clock time; nothing is modeled."""
-        return 0.0
-
-    def bitmap_source(self, relation: str, attribute: str):
-        """Scheme files are opened via ``open_scheme``, not per attribute."""
-        return None
-
-    def io_snapshot(self) -> dict:
-        return {
-            "backend": "filesystem",
-            "root": self.root,
-            "reads": self.stats.reads,
-            "writes": self.stats.writes,
-            "bytes_read": self.stats.bytes_read,
-            "bytes_written": self.stats.bytes_written,
-        }

@@ -48,9 +48,8 @@ rename and its delta unlink is detected as stale and ignored instead of
 being applied twice.  A rebuild can keep the row count, so
 :meth:`IndexStore.build` unlinks the sidecar *before* its rename instead.
 
-:class:`IndexStore` implements the :class:`repro.storage.Storage`
-protocol: ``read_seconds`` is ``0.0`` (real I/O pays real wall-clock
-time), ``bitmap_source`` hands out lazy per-attribute
+A :class:`~repro.engine.QueryEngine` is served from an
+:class:`IndexStore`: ``bitmap_source`` hands out lazy per-attribute
 :class:`StoreBitmapSource` views, and ``io_snapshot`` exposes the real
 counters (dictionary bytes parsed, payload bytes read, bitmaps
 materialized, a page-touch proxy for mmap faults) that EXPLAIN reports
@@ -96,6 +95,8 @@ _HEADER = struct.Struct("<4sHHQQII")
 _DELTA_MAGIC = b"\x89RBD"
 _SUFFIX = ".rbix"
 _DELTA_SUFFIX = ".rbix.delta"
+#: Page granularity of the ``pages_touched`` counter.
+_PAGE_SIZE = 4096
 
 
 def _payload_start(buf, offset: int = 0) -> int:
@@ -104,9 +105,9 @@ def _payload_start(buf, offset: int = 0) -> int:
     return dict_off + dict_len
 
 
-def _pages(nbytes: int, page_size: int) -> int:
+def _pages(nbytes: int) -> int:
     """Pages spanned by ``nbytes`` (the mmap-fault proxy counter)."""
-    return (nbytes + page_size - 1) // page_size if nbytes else 0
+    return (nbytes + _PAGE_SIZE - 1) // _PAGE_SIZE if nbytes else 0
 
 
 def _dictionary_to_json(arr: np.ndarray | None) -> dict | None:
@@ -190,10 +191,9 @@ class _RelationImage:
     """
 
     #: What only a store file has, and :class:`_RelationFile` sets: a delta
-    #: sidecar, a store generation, the store's page size and fault plan.
+    #: sidecar, a store generation, the store's fault plan.
     delta_rows = 0
     generation = 0
-    page_size = 4096
     fault_plan: FaultPlan | None = None
 
     def __init__(
@@ -267,9 +267,7 @@ class _RelationImage:
         for name, m in attr_metas.items():
             self.attrs[name] = self._parse_attr(name, m, payload_room)
         self.stats.dict_bytes += _HEADER.size + dict_len
-        self.stats.pages_touched += _pages(
-            _HEADER.size + dict_len, self.page_size
-        )
+        self.stats.pages_touched += _pages(_HEADER.size + dict_len)
 
     def _parse_attr(self, name: str, m: dict, payload_room: int) -> _AttrMeta:
         def entry(raw, what: str) -> tuple[int, int, int]:
@@ -371,7 +369,7 @@ class _RelationImage:
         stats = self.stats
         stats.payload_bytes_read += length
         stats.bitmaps_materialized += 1
-        stats.pages_touched += _pages(length, self.page_size)
+        stats.pages_touched += _pages(length)
         try:
             return bitmap_class(meta.codec).from_payload(data, self.nbits), length
         except (CorruptFileError, ValueError, struct.error) as exc:
@@ -413,7 +411,6 @@ class _RelationFile(_RelationImage):
     def __init__(self, store: "IndexStore", relation: str):
         self.store = store
         self.generation = store.generation(relation)
-        self.page_size = store.page_size
         self.fault_plan = store.fault_plan
         path = os.path.join(store.root, relation + _SUFFIX)
         try:
@@ -750,8 +747,7 @@ class IndexStore:
     """A directory of persistent, mmap-backed bitmap index files.
 
     One ``.rbix`` file per relation; see the module docstring for the
-    format.  Implements the :class:`repro.storage.Storage` protocol, so
-    a :class:`~repro.engine.QueryEngine` constructed with
+    format.  A :class:`~repro.engine.QueryEngine` constructed with
     ``storage=IndexStore(...)`` serves queries straight off the files.
 
     Parameters
@@ -763,21 +759,12 @@ class IndexStore:
         ``disk.read`` seam per payload materialization and ``disk.write``
         before every atomic rename, so chaos tests can inject torn reads,
         bit flips, and mid-write crashes.
-    page_size:
-        Page granularity of the ``pages_touched`` counter.
     """
 
-    def __init__(
-        self,
-        root: str,
-        *,
-        fault_plan: FaultPlan | None = None,
-        page_size: int = 4096,
-    ):
+    def __init__(self, root: str, *, fault_plan: FaultPlan | None = None):
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.fault_plan = fault_plan
-        self.page_size = page_size
         self.stats = StoreStats()
         self._files: dict[str, _RelationFile] = {}
         self._generations: dict[str, int] = {}
@@ -857,12 +844,8 @@ class IndexStore:
         return total
 
     # ------------------------------------------------------------------
-    # Storage protocol (see repro.storage.Storage)
+    # What the engine reads
     # ------------------------------------------------------------------
-
-    def read_seconds(self, files_opened: int, bytes_read: int) -> float:
-        """Real I/O pays real wall-clock time; nothing is modeled."""
-        return 0.0
 
     def bitmap_source(
         self, relation: str, attribute: str

@@ -277,29 +277,29 @@ class Table:
     # ------------------------------------------------------------------
 
     def save(self, disk, prefix: str) -> None:
-        """Persist columns and bitmap indexes under ``prefix`` on a disk.
+        """Persist columns and index designs under ``prefix`` on a disk.
 
         Works with both :class:`~repro.storage.disk.SimulatedDisk` and
-        :class:`~repro.storage.fsdisk.FileSystemDisk`.
+        :class:`~repro.storage.fsdisk.FileSystemDisk`.  Of an index only
+        its design (base + encoding) is written, to the ``{prefix}/table``
+        manifest: :meth:`load` rebuilds the bitmaps from the columns.
         """
         from io import BytesIO
-
-        from repro.storage.schemes import write_index
 
         for cname, column in self.relation.columns.items():
             buffer = BytesIO()
             np.save(buffer, column.values, allow_pickle=False)
             disk.write(f"{prefix}/columns/{cname}.npy", buffer.getvalue())
-        for attribute, index in self.catalog.bitmap_indexes.items():
-            if not isinstance(index, BitmapIndex):
-                raise TableError(
-                    f"cannot persist non-materialized index on {attribute!r}"
-                )
-            write_index(disk, f"{prefix}/indexes/{attribute}", index, "cBS")
         manifest = {
             "name": self.name,
             "columns": sorted(self.relation.columns),
-            "indexed": sorted(self.catalog.bitmap_indexes),
+            "indexed": {
+                attribute: {
+                    "base": list(index.base.bases),
+                    "encoding": index.encoding.value,
+                }
+                for attribute, index in self.catalog.bitmap_indexes.items()
+            },
         }
         disk.write(
             f"{prefix}/table", json.dumps(manifest, sort_keys=True).encode()
@@ -310,28 +310,34 @@ class Table:
         """Inverse of :meth:`save`.
 
         Bitmap indexes are rebuilt from the persisted column data against
-        the persisted index design (base + encoding), which both
-        revalidates the stored bitmaps' geometry and keeps the in-memory
-        index queryable without a disk round-trip per bitmap.
+        the persisted index design (base + encoding), which keeps the
+        in-memory index queryable without a disk round-trip per bitmap.
         """
         from io import BytesIO
-
-        from repro.storage.schemes import open_scheme
 
         try:
             manifest = json.loads(disk.read(f"{prefix}/table"))
         except ValueError as exc:
             raise TableError(f"{prefix}/table is not valid JSON") from exc
+        try:
+            designs = {
+                attribute: (
+                    Base(tuple(design["base"])),
+                    EncodingScheme(design["encoding"]),
+                )
+                for attribute, design in manifest["indexed"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TableError(
+                f"{prefix}/table has a missing or malformed index design: {exc!r}"
+            ) from exc
         data = {}
         for cname in manifest["columns"]:
             raw = disk.read(f"{prefix}/columns/{cname}.npy")
             data[cname] = np.load(BytesIO(raw), allow_pickle=False)
         table = cls(manifest["name"], data)
-        for attribute in manifest["indexed"]:
-            stored = open_scheme(disk, f"{prefix}/indexes/{attribute}")
-            table.create_index(
-                attribute, base=stored.base, encoding=stored.encoding
-            )
+        for attribute, (base, encoding) in designs.items():
+            table.create_index(attribute, base=base, encoding=encoding)
         return table
 
     def __repr__(self) -> str:

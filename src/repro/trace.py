@@ -31,7 +31,6 @@ cache     shared engine-cache hits
 buffer    buffer-pool hits
 op        logical bitmap operations (and/or/xor/not, k-way merges)
 decode    codec decompression on the read path
-io        modeled disk waits on engine cache misses
 shard     per-shard evaluation on the process backend (worker-timed)
 fault     resilience events: dispatch retries, backend degradations,
           deadline expiry (``dispatch.retry``, ``deadline.exceeded``)
@@ -287,7 +286,6 @@ class ExplainReport:
     actual: dict
     divergences: list[str]
     trace: QueryTrace | None = None
-    io_model: dict | None = None
     storage_io: dict | None = None
     plan: str | None = None
 
@@ -318,7 +316,6 @@ class ExplainReport:
             "actual": dict(self.actual),
             "effective_fetches": self.effective_fetches,
             "divergences": list(self.divergences),
-            "io_model": self.io_model,
             "storage_io": self.storage_io,
             "plan": self.plan,
         }
@@ -356,17 +353,11 @@ class ExplainReport:
         )
         if a.get("decompressed_bytes"):
             lines.append(f"  decode: {a['decompressed_bytes']} bytes inflated")
-        if self.io_model is not None:
-            lines.append(
-                f"  modeled I/O: {self.io_model.get('io_seconds', 0.0):.6f} s "
-                f"({self.io_model.get('description', '')})"
-            )
         if self.storage_io is not None:
             s = self.storage_io
             lines.append(
                 f"  storage I/O ({s.get('backend', '?')}, cumulative): "
-                f"{s.get('payload_bytes_read', s.get('bytes_read', 0))} "
-                f"payload bytes read, "
+                f"{s.get('payload_bytes_read', 0)} payload bytes read, "
                 f"{s.get('bitmaps_materialized', 0)} bitmaps materialized, "
                 f"{s.get('dict_bytes', 0)} dictionary bytes, "
                 f"{s.get('pages_touched', 0)} pages touched"
@@ -397,7 +388,6 @@ def build_explain_report(
     mode: str,
     bitmap_codec: str = "dense",
     algorithm: str = "auto",
-    io_model: dict | None = None,
     storage_io: dict | None = None,
     plan: str | None = None,
 ) -> ExplainReport:
@@ -433,7 +423,6 @@ def build_explain_report(
         actual=actual,
         divergences=divergences,
         trace=result.trace,
-        io_model=io_model,
         storage_io=storage_io,
         plan=plan,
     )

@@ -20,7 +20,6 @@ from repro.engine import IndexSpec, QueryEngine
 from repro.errors import EngineConfigError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
-from repro.storage.disk import DiskModel
 
 NUM_ROWS = 8_000
 OPS = ("<", "<=", "=", "!=", ">=", ">")
@@ -187,21 +186,16 @@ class TestMetricsAndWarm:
         assert len(engine.cache) == 0
         assert engine.metrics.queries == 0
 
-    def test_storage_model_records_modeled_wait(self, relation):
-        engine = make_engine(
-            relation, storage=DiskModel(), io_time_scale=1e-6, cache_capacity=64
-        )
-        engine.query(AttributePredicate("quantity", "<=", 20))
-        stats = engine.metrics.stats
-        assert stats.scans > 0
-        assert stats.io_seconds > 0
-
 
 class TestConfigErrors:
     def test_unregistered_relation_rejected(self, relation):
         engine = make_engine(relation)
         with pytest.raises(EngineConfigError):
             engine.query(AttributePredicate("quantity", "=", 1), relation="orders")
+
+    def test_storage_is_an_index_store_or_none(self):
+        with pytest.raises(EngineConfigError, match="IndexStore or None"):
+            QueryEngine(storage=object())
 
     def test_no_relation_registered(self):
         with pytest.raises(EngineConfigError):

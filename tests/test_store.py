@@ -42,9 +42,8 @@ from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage import IndexStore, Storage
+from repro.storage import IndexStore
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskModel
 from repro.storage.fsdisk import FileSystemDisk
 from repro.storage.store import _HEADER, _MAGIC, _pack_relation_file
 from repro.workloads import full_query_space
@@ -181,16 +180,6 @@ class TestRoundTrip:
 
 
 class TestStorageProtocol:
-    def test_backends_conform(self, store_dir, tmp_path):
-        assert isinstance(IndexStore(store_dir), Storage)
-        assert isinstance(DiskModel(), Storage)
-        assert isinstance(FileSystemDisk(str(tmp_path / "fs")), Storage)
-
-    def test_real_io_backends_model_no_wait(self, store_dir):
-        store = IndexStore(store_dir)
-        assert store.read_seconds(3, 4096) == 0.0
-        assert DiskModel().read_seconds(3, 4096) > 0.0
-
     def test_io_snapshot_shape(self, store_dir, relation):
         store = IndexStore(store_dir)
         store.build(relation)
@@ -206,27 +195,23 @@ class TestStorageProtocol:
             store.build(relation)
         store = IndexStore(store_dir)
         pool = BufferPool(
-            store, capacity=4, policy="lru", relation="sales", attribute="quantity"
+            store.bitmap_source("sales", "quantity"), capacity=4, policy="lru"
         )
         stats = ExecutionStats()
         first = pool.fetch(1, 1, stats)
         again = pool.fetch(1, 1, stats)
         assert np.array_equal(first.to_bools(), again.to_bools())
         assert pool.hits == 1
-        with pytest.raises(BufferConfigError, match="relation= and attribute="):
-            BufferPool(store, capacity=4, policy="lru")
-        with pytest.raises(BufferConfigError, match="holds no bitmaps"):
-            BufferPool(
-                store, capacity=4, policy="lru",
-                relation="sales", attribute="discount",
-            )
 
+    def test_buffer_pool_rejects_a_store(self, store_dir):
+        with pytest.raises(BufferConfigError, match=r"store\.bitmap_source\(relation"):
+            BufferPool(IndexStore(store_dir), capacity=4, policy="lru")
 
     def test_pinned_pool_is_a_cache_closed_to_admission(self, store_dir, relation):
         with IndexStore(store_dir) as store:
             store.build(relation, base=Base((8, 5)))
         store = IndexStore(store_dir)
-        pool = BufferPool(store, capacity=5, relation="sales", attribute="quantity")
+        pool = BufferPool(store.bitmap_source("sales", "quantity"), capacity=5)
         assert isinstance(pool.cache, SharedBitmapCache)
         assert len(pool.cache) == pool.assignment.total == 5
         for predicate in full_query_space(pool.cardinality):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import json
 
 import numpy as np
 import pytest
@@ -174,10 +175,26 @@ class TestPersistence:
 
     def test_load_bad_manifest(self, table):
         disk = SimulatedDisk()
+        table.create_index("region")
         table.save(disk, "t")
-        disk.write("t/table", b"{broken")
-        with pytest.raises(TableError):
-            Table.load(disk, "t")
+        manifest = json.loads(disk.read("t/table"))
+        assert set(manifest["indexed"]["region"]) == {"base", "encoding"}
+        assert disk.list_files("t/indexes") == []
+        base = manifest["indexed"]["region"]["base"]
+        broken = [b"{broken"] + [
+            json.dumps(doc).encode()
+            for doc in (
+                {k: v for k, v in manifest.items() if k != "indexed"},
+                dict(manifest, indexed=["region"]),  # names without designs
+                dict(manifest, indexed={"region": {"encoding": "range"}}),
+                dict(manifest, indexed={"region": {"base": [1], "encoding": "range"}}),
+                dict(manifest, indexed={"region": {"base": base, "encoding": "?"}}),
+            )
+        ]
+        for raw in broken:
+            disk.write("t/table", raw)
+            with pytest.raises(TableError):
+                Table.load(disk, "t")
 
 
 def test_module_doctest():

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.decomposition import Base
-from repro.engine.engine import QueryEngine
+from repro.core.encoding import EncodingScheme
+from repro.engine.engine import IndexSpec, QueryEngine
 from repro.errors import QueryTimeoutError
 from repro.query.executor import AccessPath, bitmap_index_for, execute
 from repro.query.expression import Comparison, Expression, parse_expression, select
@@ -113,6 +114,18 @@ class TestQueryTrace:
         assert result.trace.count("fetch") == result.stats.scans
         assert not [s for s in ops if "layer" in s.attrs]
         assert all(s.attrs["nbits"] == NUM_ROWS for s in ops)
+
+    @pytest.mark.parametrize("encoding", [EncodingScheme.RANGE, EncodingScheme.EQUALITY])
+    def test_group_counts_charges_its_ands_as_op_spans(self, relation, encoding):
+        # ``group_counts`` has a route for a one-component range-encoded
+        # grouping column (running differences of fused intersect-popcounts)
+        # and one for every other shape; each charges one AND per popcount.
+        engine = QueryEngine(cache_capacity=0)
+        engine.register(relation, overrides={"region": IndexSpec(encoding=encoding)})
+        result = engine.group_count("quantity <= 25", "region", trace=True)
+        ands = [s for s in result.trace.spans_of("op") if s.name == "and"]
+        assert len(ands) == result.stats.ands >= 7
+        assert result.trace.count("op") == result.stats.ops
 
     def test_untraced_span_is_one_shared_null_context(self):
         stats = ExecutionStats()
