@@ -39,7 +39,11 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 
+from repro.core.decomposition import Base
+from repro.core.encoding import EncodingScheme
 from repro.errors import BufferConfigError
+from repro.faults import FaultPlan
+from repro.stats import ExecutionStats
 
 
 class SharedBitmapCache:
@@ -210,3 +214,79 @@ class SharedBitmapCache:
             f"bytes={self.bytes_cached}, hits={self.hits}, "
             f"misses={self.misses})"
         )
+
+
+class CachedSource:
+    """Bitmap-source adapter routing one index's fetches through the cache.
+
+    Implements the :class:`~repro.core.index.BitmapSource` protocol.  A hit
+    costs no scan (it is charged as a ``buffer_hit``); a miss fetches from
+    the wrapped index (which records the scan on the per-query stats) and
+    publishes the bitmap to the shared cache.
+    """
+
+    __slots__ = ("_index", "_cache", "_prefix", "_faults")
+
+    def __init__(
+        self,
+        index,
+        cache: SharedBitmapCache,
+        prefix: tuple,
+        faults: FaultPlan | None = None,
+    ):
+        self._index = index  # already ``with_codec`` the codec to serve
+        self._cache = cache
+        self._prefix = prefix
+        self._faults = faults
+
+    @property
+    def bitmap_codec(self) -> str:
+        return self._index.bitmap_codec
+
+    @property
+    def nbits(self) -> int:
+        return self._index.nbits
+
+    @property
+    def cardinality(self) -> int:
+        return self._index.cardinality
+
+    @property
+    def base(self) -> Base:
+        return self._index.base
+
+    @property
+    def encoding(self) -> EncodingScheme:
+        return self._index.encoding
+
+    @property
+    def nonnull(self):
+        return self._index.nonnull
+
+    def fetch(self, component: int, slot: int, stats: ExecutionStats):
+        if stats.deadline is not None:
+            stats.deadline.check("fetch")
+        key = self._prefix + (component, slot)
+        bitmap = self._cache.get(key)
+        if bitmap is not None and self._faults is not None:
+            spec = self._faults.check(
+                "cache.get", ident="/".join(str(part) for part in key)
+            )
+            if spec is not None:
+                bitmap = None  # forced miss: refetch from the index
+        if bitmap is not None:
+            stats.buffer_hits += 1
+            if stats.trace is not None:
+                stats.trace.event(
+                    "cache.hit",
+                    kind="cache",
+                    component=component,
+                    slot=slot,
+                    relation=self._prefix[0],
+                    attribute=self._prefix[1],
+                    codec=self.bitmap_codec,
+                )
+            return bitmap
+        bitmap = self._index.fetch(component, slot, stats)
+        self._cache.put(key, bitmap)
+        return bitmap

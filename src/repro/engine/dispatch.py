@@ -1,0 +1,366 @@
+"""The process backend's dispatch policy: publish, retry, repair, degrade.
+
+:class:`~repro.engine.sharding.ProcessShardExecutor` runs one batch on one
+pool; everything around that call which exists only because of
+``backend="processes"`` lives here, behind one object the engine owns:
+
+- **what is derived from a relation** — the row-range
+  :class:`~repro.engine.sharding.ShardedBitmapIndex` of each attribute
+  (memoized in the engine's :class:`~repro.engine.registry.IndexRegistry`
+  under ``(relation, attribute, "shards", n)``) and its shared-memory
+  :class:`~repro.engine.sharding.ShardExport` — and the one way to drop it
+  (:meth:`ProcessDispatch.drop`);
+- **how a failed dispatch is retried, repaired and degraded** — the
+  breaker gate, the backoff loop, and :data:`RECOVERY`, the one table from
+  exception type to metrics reason and repair action.
+"""
+
+from __future__ import annotations
+
+import logging
+import threading
+import time
+from collections.abc import Callable
+from concurrent.futures.process import BrokenProcessPool
+from typing import NamedTuple, Protocol
+
+from repro.engine.metrics import EngineMetrics
+from repro.engine.registry import IndexRegistry, IndexSpec
+from repro.engine.resilience import CircuitBreaker, RetryPolicy
+from repro.engine.sharding import (
+    ProcessShardExecutor,
+    ShardedBitmapIndex,
+    ShardExport,
+    ShardQueryOutcome,
+    sweep_orphan_segments,
+    translate_expression,
+)
+from repro.errors import (
+    CorruptShardError,
+    EngineConfigError,
+    InjectedFaultError,
+    ShmAttachError,
+)
+from repro.faults import Deadline, FaultPlan
+from repro.query.expression import Expression
+from repro.query.options import QueryOptions
+from repro.relation.relation import Relation
+from repro.trace import QueryTrace
+
+# The ladder logs where it always has: under the engine's logger.
+log = logging.getLogger("repro.engine")
+
+
+class DispatchItem(NamedTuple):
+    """One resolved query as the engine hands it to the dispatch.
+
+    ``specs`` maps exactly the attributes the query reads (its leaves
+    plus the grouping column) to their index specs; ``codec`` is the one
+    bitmap codec all of them are served in.
+    """
+
+    relation: Relation
+    specs: dict[str, IndexSpec]
+    codec: str
+    expression: Expression
+    finish: str
+    by: str | None
+
+
+class DispatchKnobs(Protocol):
+    """The engine's public attributes the dispatch reads, live on each use
+    (so reassigning one on the engine takes effect on this backend too)."""
+
+    registry: IndexRegistry
+    metrics: EngineMetrics
+    retry_policy: RetryPolicy
+    breaker: CircuitBreaker
+    fault_plan: FaultPlan | None
+    shards: int | None
+
+
+class ProcessDispatch:
+    """Owns the process backend's pools, publications and failure policy.
+
+    The engine calls :meth:`run`, :meth:`drop` and :meth:`close` (and
+    :meth:`replay`, to show a finished dispatch on a trace); everything
+    the dispatch needs of a query arrives in its :class:`DispatchItem`.
+    """
+
+    def __init__(self, knobs: DispatchKnobs):
+        self._knobs = knobs
+        self._lock = threading.Lock()
+        self._executors: dict[int, ProcessShardExecutor] = {}
+        #: (relation, attribute, codec, shards) -> the live publication.
+        self.exports: dict[tuple, ShardExport] = {}
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # The surface
+    # ------------------------------------------------------------------
+
+    def run(
+        self, items: list[DispatchItem], options: QueryOptions, workers: int
+    ) -> list[ShardQueryOutcome] | None:
+        """Evaluate a resolved batch across shards on the process pool.
+
+        Returns one merged outcome per item, or ``None`` when the batch
+        should be served locally instead: a relation's circuit breaker is
+        open (the pool is not touched), or every retry was spent.  A
+        recoverable failure (:data:`RECOVERY`) is repaired and retried
+        under the :class:`~repro.engine.resilience.RetryPolicy`; every
+        retry, degradation and corruption lands in the metrics, and the
+        retries ride on the outcomes for :meth:`replay`.  Anything else —
+        a deadline miss included — propagates.
+        """
+        shards = options.shards or self._knobs.shards or workers
+        relations = sorted({item.relation.name for item in items})
+        breaker = self._knobs.breaker
+        blocked = [name for name in relations if not breaker.allow(f"relation:{name}")]
+        if blocked:
+            self._knobs.metrics.record_degradation("processes", "threads", "breaker-open")
+            log.warning(
+                "process backend breaker open for %s; serving batch on threads",
+                ", ".join(blocked),
+            )
+            return None
+        deadline = Deadline(options.deadline_ms) if options.deadline_ms is not None else None
+        retries: list[dict] = []
+        delays = self._knobs.retry_policy.delays()
+        while True:
+            try:
+                outcomes = self._once(items, options, workers, shards, deadline)
+                break
+            except tuple(RECOVERY) as exc:
+                reason, repair = next(
+                    entry for kind, entry in RECOVERY.items() if isinstance(exc, kind)
+                )
+                if repair is not None:
+                    repair(self, workers, relations)
+                delay = next(delays, None)
+                if delay is None:
+                    for name in relations:
+                        self._knobs.breaker.record_failure(f"relation:{name}")
+                    self._knobs.metrics.record_degradation(
+                        "processes", "threads", "retries-exhausted"
+                    )
+                    log.warning(
+                        "process backend gave up after %d retries (%s: %s); "
+                        "serving batch on threads",
+                        len(retries),
+                        reason,
+                        exc,
+                    )
+                    return None
+                self._knobs.metrics.record_retry(reason)
+                retries.append(
+                    {"attempt": len(retries) + 1, "reason": reason, "error": str(exc)}
+                )
+                log.warning(
+                    "process backend dispatch failed (%s: %s); retry %d in %.0f ms",
+                    reason,
+                    exc,
+                    len(retries),
+                    1e3 * delay,
+                )
+                if delay > 0:
+                    time.sleep(delay)
+        for name in relations:
+            self._knobs.breaker.record_success(f"relation:{name}")
+        for outcome in outcomes:
+            outcome.retries = retries
+        return outcomes
+
+    def drop(self, relation: str, attribute: str | None = None) -> None:
+        """Forget what was derived from a relation (or one attribute).
+
+        Pops the sharded indexes from the registry and unlinks their
+        publications; the next dispatch rebuilds both from the relation's
+        column codes.  Called when the data changed (``invalidate``).
+        """
+
+        def derived(key: tuple) -> bool:
+            return key[0] == relation and (attribute is None or key[1] == attribute)
+
+        for key in self._knobs.registry.keys():
+            if isinstance(key, tuple) and key[2:3] == ("shards",) and derived(key):
+                self._knobs.registry.pop(key)
+        self._unpublish(derived)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the pools down and unlink every publication (idempotent)."""
+        with self._lock:
+            self._closed = True
+            executors = list(self._executors.values())
+            self._executors.clear()
+        for executor in executors:
+            executor.shutdown(wait=wait)
+        self._unpublish(lambda key: True)
+
+    @staticmethod
+    def replay(
+        trace: QueryTrace, outcome: ShardQueryOutcome, item: DispatchItem
+    ) -> None:
+        """Show one item's finished dispatch on its parent-side trace.
+
+        The work happened in worker processes, so what the trace shows
+        is every dispatch retry, one worker-timed ``shard.evaluate``
+        span per shard, and — for an aggregate — the pushdown: shards
+        returned popcounts, the merge was a summation, and no
+        materialize phase ever ran.
+        """
+        for event in outcome.retries:
+            trace.event("dispatch.retry", kind="fault", **event)
+        for shard, (rows, seconds, shard_stats) in enumerate(
+            zip(outcome.shard_rows, outcome.shard_seconds, outcome.shard_stats)
+        ):
+            trace.add_span(
+                "shard.evaluate",
+                kind="shard",
+                seconds=seconds,
+                shard=shard,
+                rows=rows[1] - rows[0],
+                scans=shard_stats.scans,
+                bytes_read=shard_stats.bytes_read,
+            )
+        if item.finish != "rids":
+            trace.event("aggregate.pushdown", kind="phase", by=item.by)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _rebuild_pool(self, workers: int, relations: list[str]) -> None:
+        """Tear a broken executor down (the next attempt builds a fresh
+        one) and sweep the segments its dead workers may have orphaned."""
+        with self._lock:
+            executor = self._executors.pop(workers, None)
+        if executor is not None:
+            executor.shutdown(wait=False)
+        sweep_orphan_segments()
+
+    def _unpublish(self, doomed: Callable[[tuple], bool]) -> None:
+        """Unlink the publications whose key ``doomed`` selects.
+
+        The sharded indexes survive in the registry — in-place
+        maintenance included — so the next dispatch re-exports from them.
+        """
+        with self._lock:
+            closing = [self.exports.pop(key) for key in list(self.exports) if doomed(key)]
+        for export in closing:
+            export.close()
+
+    def _republish(self, workers: int, relations: list[str]) -> None:
+        """Unlink a torn publication; the next attempt re-exports it."""
+        self._unpublish(lambda key: key[0] in relations)
+
+    def _republish_corrupt(self, workers: int, relations: list[str]) -> None:
+        self._knobs.metrics.record_corruption("shm")
+        self._republish(workers, relations)
+
+    def _executor(self, workers: int) -> ProcessShardExecutor:
+        """The persistent process executor of the requested width (lazy)."""
+        with self._lock:
+            if self._closed:
+                raise EngineConfigError("engine is closed")
+            executor = self._executors.get(workers)
+            if executor is None:
+                # Reclaim segments a previous (crashed) publisher left in
+                # /dev/shm before committing new ones of our own.
+                sweep_orphan_segments()
+                executor = self._executors[workers] = ProcessShardExecutor(workers)
+            return executor
+
+    def _export_for(self, item: DispatchItem, attribute: str, shards: int) -> ShardExport:
+        """The current shared-memory publication of one attribute's shards.
+
+        The sharded index is built once per ``(relation, attribute,
+        shards)``; it is re-exported (and the stale blocks unlinked) when
+        maintenance has bumped its version since the last publication.
+        """
+        relation, spec = item.relation, item.specs[attribute]
+
+        def build() -> ShardedBitmapIndex:
+            column = relation.column(attribute)
+            if column.codes is None:
+                raise EngineConfigError(
+                    f"the process backend shards raw column codes, which "
+                    f"store-backed relation {relation.name!r} does not "
+                    f"carry; use the inline or thread backend"
+                )
+            return ShardedBitmapIndex(
+                column.codes,
+                cardinality=column.cardinality,
+                shards=shards,
+                base=spec.resolve_base(column.cardinality),
+                encoding=spec.encoding,
+                keep_values=False,
+            )
+
+        sharded = self._knobs.registry.get_or_build(
+            (relation.name, attribute, "shards", shards), build
+        )
+        key = (relation.name, attribute, item.codec, shards)
+        with self._lock:
+            export = self.exports.get(key)
+            if export is not None and export.version == sharded.version:
+                return export
+            stale = export
+            export = self.exports[key] = ShardExport(sharded, item.codec)
+        if stale is not None:
+            stale.close()
+        return export
+
+    def _once(
+        self,
+        items: list[DispatchItem],
+        options: QueryOptions,
+        workers: int,
+        shards: int,
+        deadline: Deadline | None,
+    ) -> list[ShardQueryOutcome]:
+        """One dispatch attempt of a resolved batch on the process pool."""
+        executor = self._executor(workers)
+        # Translate every query to the code domain and publish the
+        # sharded indexes its attributes need.  Relations of different
+        # sizes may clamp to different effective shard counts, so items
+        # are grouped by their relation's effective count and dispatched
+        # per group.
+        exports: dict[tuple, ShardExport] = {}
+        groups: dict[int, list] = {}
+        for qid, item in enumerate(items):
+            name = item.relation.name
+            attributes = sorted(item.specs)
+            for attribute in attributes:
+                if (name, attribute) not in exports:
+                    exports[(name, attribute)] = self._export_for(item, attribute, shards)
+            code_expression = translate_expression(item.expression, item.relation)
+            payload = (item.finish, tuple(attributes), code_expression, item.by)
+            count = exports[(name, attributes[0])].num_shards
+            groups.setdefault(count, []).append((qid, name, payload))
+        outcomes: list = [None] * len(items)
+        for count, group_items in groups.items():
+            needed = {key: exp for key, exp in exports.items() if exp.num_shards == count}
+            group_outcomes = executor.run_batch(
+                needed,
+                group_items,
+                algorithm=options.algorithm,
+                fault_plan=self._knobs.fault_plan,
+                deadline=deadline,
+            )
+            for (qid, _, _), outcome in zip(group_items, group_outcomes):
+                outcomes[qid] = outcome
+        return outcomes
+
+
+#: What a failed dispatch can recover from — the one table of it:
+#: exception type -> (metrics reason, repair action).  A deadline miss is
+#: deliberately absent: retrying cannot un-spend a wall-clock budget.  No
+#: two entries are related by inheritance, so order does not matter.
+RECOVERY = {
+    BrokenProcessPool: ("pool-broken", ProcessDispatch._rebuild_pool),
+    ShmAttachError: ("shm-attach", ProcessDispatch._republish),
+    CorruptShardError: ("shard-corrupt", ProcessDispatch._republish_corrupt),
+    InjectedFaultError: ("injected", None),  # nothing broke: just retry
+    OSError: ("os-error", ProcessDispatch._rebuild_pool),
+}

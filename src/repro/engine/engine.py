@@ -31,47 +31,36 @@ Execution backends: batches run on one of three pluggable backends
 sequentially on the calling thread; ``threads`` uses a persistent
 thread pool — enough when numpy releases the GIL, but CPU-bound batches
 serialize on the interpreter;
-``processes`` escapes the GIL entirely by partitioning each relation into
-row-range shards (:mod:`repro.engine.sharding`), publishing the shard
-bitmaps to shared memory once, and evaluating every batch across a
-persistent process pool, merging per-shard RIDs by offset concatenation.
+``processes`` escapes the GIL by evaluating every batch across row-range
+shards on a process pool.  Everything that exists only for that backend —
+publication, retry, repair, degradation — is
+:class:`~repro.engine.dispatch.ProcessDispatch`'s
+(:mod:`repro.engine.dispatch`); this module hands it resolved queries and
+runs the answers through the same tail as a locally evaluated one.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bitmaps import bitmap_class
-from repro.core.decomposition import Base, integer_nth_root_ceil
+from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
-from repro.engine.cache import SharedBitmapCache
-from repro.engine.metrics import EngineMetrics
-from repro.engine.registry import IndexRegistry
+from repro.engine.cache import CachedSource, SharedBitmapCache
+from repro.engine.dispatch import DispatchItem, ProcessDispatch
+from repro.engine.metrics import EngineMetrics, prom_family
+from repro.engine.registry import IndexRegistry, IndexSpec
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
-from repro.engine.sharding import (
-    BACKENDS,
-    ProcessShardExecutor,
-    ShardedBitmapIndex,
-    ShardExport,
-    ShardQueryOutcome,
-    sweep_orphan_segments,
-    translate_expression,
-)
-from repro.errors import (
-    CorruptShardError,
-    EngineConfigError,
-    InjectedFaultError,
-    QueryTimeoutError,
-    ShmAttachError,
-)
+from repro.engine.sharding import BACKENDS
+from repro.errors import EngineConfigError, QueryTimeoutError
 from repro.faults import Deadline, FaultPlan
 from repro.query.executor import AccessPath, QueryResult
 from repro.query.expression import query_mode, run_query, verify_answer
@@ -80,60 +69,6 @@ from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage.store import IndexStore, StoreRelation
 from repro.trace import ExplainReport, QueryTrace, build_explain_report
-
-log = logging.getLogger("repro.engine")
-
-#: Errors the process backend treats as *recoverable*: retry with
-#: backoff, then degrade.  A deadline miss is deliberately absent —
-#: retrying cannot un-spend a wall-clock budget.
-_RECOVERABLE = (
-    BrokenProcessPool,
-    ShmAttachError,
-    CorruptShardError,
-    InjectedFaultError,
-    OSError,
-)
-
-
-def _recovery_reason(exc: BaseException) -> str:
-    """Metrics label for one recoverable dispatch failure."""
-    if isinstance(exc, BrokenProcessPool):
-        return "pool-broken"
-    if isinstance(exc, ShmAttachError):
-        return "shm-attach"
-    if isinstance(exc, CorruptShardError):
-        return "shard-corrupt"
-    if isinstance(exc, InjectedFaultError):
-        return "injected"
-    return "os-error"
-
-
-@dataclass(frozen=True)
-class IndexSpec:
-    """How to build the bitmap index of one registered attribute.
-
-    ``base`` pins an exact decomposition (it must cover the attribute's
-    cardinality).  ``components`` instead asks for the smallest uniform
-    ``n``-component base for whatever the cardinality turns out to be —
-    the right knob when one registration covers attributes of different
-    cardinalities.  With neither, the single-component base ``<C>`` is
-    used (the index default).  ``codec`` selects this attribute's bitmap
-    representation (``'dense'``/``'wah'``/``'roaring'``); ``None`` defers
-    to the engine's default.
-    """
-
-    base: Base | None = None
-    encoding: EncodingScheme = EncodingScheme.RANGE
-    components: int | None = None
-    codec: str | None = None
-
-    def resolve_base(self, cardinality: int) -> Base | None:
-        if self.base is not None:
-            return self.base
-        if self.components is not None:
-            b = integer_nth_root_ceil(cardinality, self.components)
-            return Base.uniform(max(b, 2), cardinality)
-        return None
 
 
 def _label(item: tuple) -> str:
@@ -149,6 +84,22 @@ def _label(item: tuple) -> str:
 def _attributes(expression, by: str | None) -> list[str]:
     """Every attribute a query reads: its leaves plus the grouping column."""
     return sorted(expression.attributes() | ({by} if by is not None else set()))
+
+
+def _one_codec(codecs: set[str], item: tuple) -> str:
+    """The single codec a query runs over.
+
+    Bitmaps of different representations cannot be combined; fail with a
+    configuration error instead of a downstream algebra TypeError.
+    """
+    if len(codecs) > 1:
+        raise EngineConfigError(
+            f"'{_label(item)}' mixes bitmap codecs {sorted(codecs)}; "
+            f"give its attributes one codec (per-query options.codec "
+            f"overrides every spec)"
+        )
+    (codec,) = codecs
+    return codec
 
 
 @dataclass
@@ -167,82 +118,6 @@ class AggregateResult:
     groups: dict | None
     stats: ExecutionStats
     trace: QueryTrace | None = None
-
-
-class _CachedSource:
-    """Bitmap-source adapter routing one index's fetches through the cache.
-
-    Implements the :class:`~repro.core.index.BitmapSource` protocol.  A hit
-    costs no scan (it is charged as a ``buffer_hit``); a miss fetches from
-    the wrapped index (which records the scan on the per-query stats) and
-    publishes the bitmap to the shared cache.
-    """
-
-    __slots__ = ("_index", "_cache", "_prefix", "_faults")
-
-    def __init__(
-        self,
-        index,
-        cache: SharedBitmapCache,
-        prefix: tuple,
-        faults: FaultPlan | None = None,
-    ):
-        self._index = index  # already ``with_codec`` the codec to serve
-        self._cache = cache
-        self._prefix = prefix
-        self._faults = faults
-
-    @property
-    def bitmap_codec(self) -> str:
-        return self._index.bitmap_codec
-
-    @property
-    def nbits(self) -> int:
-        return self._index.nbits
-
-    @property
-    def cardinality(self) -> int:
-        return self._index.cardinality
-
-    @property
-    def base(self) -> Base:
-        return self._index.base
-
-    @property
-    def encoding(self) -> EncodingScheme:
-        return self._index.encoding
-
-    @property
-    def nonnull(self):
-        return self._index.nonnull
-
-    def fetch(self, component: int, slot: int, stats: ExecutionStats):
-        if stats.deadline is not None:
-            stats.deadline.check("fetch")
-        key = self._prefix + (component, slot)
-        bitmap = self._cache.get(key)
-        if bitmap is not None and self._faults is not None:
-            spec = self._faults.check(
-                "cache.get", ident="/".join(str(part) for part in key)
-            )
-            if spec is not None:
-                bitmap = None  # forced miss: refetch from the index
-        if bitmap is not None:
-            stats.buffer_hits += 1
-            if stats.trace is not None:
-                stats.trace.event(
-                    "cache.hit",
-                    kind="cache",
-                    component=component,
-                    slot=slot,
-                    relation=self._prefix[0],
-                    attribute=self._prefix[1],
-                    codec=self.bitmap_codec,
-                )
-            return bitmap
-        bitmap = self._index.fetch(component, slot, stats)
-        self._cache.put(key, bitmap)
-        return bitmap
 
 
 class QueryEngine:
@@ -348,9 +223,7 @@ class QueryEngine:
         self.fault_plan = fault_plan
         self._pool_lock = threading.Lock()
         self._thread_pools: dict[int, ThreadPoolExecutor] = {}
-        self._process_executors: dict[int, ProcessShardExecutor] = {}
-        self._export_lock = threading.Lock()
-        self._exports: dict[tuple, ShardExport] = {}
+        self._dispatch = ProcessDispatch(self)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -369,19 +242,11 @@ class QueryEngine:
             self._closed = True
             thread_pools = list(self._thread_pools.values())
             self._thread_pools.clear()
-            process_executors = list(self._process_executors.values())
-            self._process_executors.clear()
-        with self._export_lock:
-            exports = list(self._exports.values())
-            self._exports.clear()
-        if already and not (thread_pools or process_executors or exports):
-            return
         for pool in thread_pools:
             pool.shutdown(wait=wait)
-        for executor in process_executors:
-            executor.shutdown(wait=wait)
-        for export in exports:
-            export.close()
+        self._dispatch.close(wait)
+        if already:
+            return
         # The store holds open mmaps and reopens lazily, so closing here
         # is always safe.
         if self.storage is not None:
@@ -620,8 +485,13 @@ class QueryEngine:
         options = options.with_(trace=True)
         name = self._current(relation)
         q = normalize_query(query)
-        result = self._execute((name, q, "rids", None), options, record=False)
+        item = (name, q, "rids", None)
+        result = self._execute(item, options, record=False)
         mode = query_mode(q)
+        # The codec the run was served in, resolved as ``_execute`` does.
+        codec = _one_codec(
+            {self._source_for(name, a, options).bitmap_codec for a in q.attributes()}, item
+        )
         sources = {
             attribute: self._index_for(name, attribute)
             for attribute in q.attributes()
@@ -635,7 +505,7 @@ class QueryEngine:
             sources,
             result,
             mode=mode,
-            bitmap_codec=self.codec,
+            bitmap_codec=codec,
             algorithm=options.algorithm,
             storage_io=storage_io,
             plan=f"cached-bitmap/{mode}",
@@ -671,28 +541,15 @@ class QueryEngine:
             ("registry_indexes", "Bitmap indexes resident.", registry["indexes"]),
         ):
             kind = "counter" if name.endswith("_total") else "gauge"
-            lines += [
-                f"# HELP repro_{name} {help_text}",
-                f"# TYPE repro_{name} {kind}",
-                f"repro_{name} {value}",
-            ]
-        lines += [
-            "# HELP repro_relation_cache_hits_total Shared-cache hits per relation.",
-            "# TYPE repro_relation_cache_hits_total counter",
-        ]
-        for group, counters in cache.get("groups", {}).items():
-            lines.append(
-                f'repro_relation_cache_hits_total{{relation="{group}"}} '
-                f"{counters['hits']}"
-            )
-        lines += [
-            "# HELP repro_relation_cache_misses_total Shared-cache misses per relation.",
-            "# TYPE repro_relation_cache_misses_total counter",
-        ]
-        for group, counters in cache.get("groups", {}).items():
-            lines.append(
-                f'repro_relation_cache_misses_total{{relation="{group}"}} '
-                f"{counters['misses']}"
+            lines += prom_family(f"repro_{name}", help_text, [({}, value)], kind)
+        for outcome in ("hits", "misses"):
+            lines += prom_family(
+                f"repro_relation_cache_{outcome}_total",
+                f"Shared-cache {outcome} per relation.",
+                [
+                    ({"relation": group}, counters[outcome])
+                    for group, counters in cache.get("groups", {}).items()
+                ],
             )
         return "\n".join(lines) + "\n"
 
@@ -731,23 +588,7 @@ class QueryEngine:
             )
             for attr in attributes:
                 self.registry.pop((name, attr))
-                for key in self.registry.keys():
-                    if (
-                        isinstance(key, tuple)
-                        and len(key) == 4
-                        and key[:3] == (name, attr, "shards")
-                    ):
-                        self.registry.pop(key)
-            with self._export_lock:
-                doomed = [
-                    key
-                    for key in self._exports
-                    if key[0] == name
-                    and (attribute is None or key[1] == attribute)
-                ]
-                closing = [self._exports.pop(key) for key in doomed]
-            for export in closing:
-                export.close()
+            self._dispatch.drop(name, attribute)
             self.cache.drop_group(name)
             if attribute is None:
                 self._generations[name] = self._generation(name)
@@ -864,7 +705,7 @@ class QueryEngine:
         relation_name: str,
         attribute: str,
         options: QueryOptions = DEFAULT_OPTIONS,
-    ) -> _CachedSource:
+    ) -> CachedSource:
         """The cache-routed bitmap source of one served attribute."""
         index = self._index_for(relation_name, attribute)
         codec = self._codec_for(
@@ -878,7 +719,7 @@ class QueryEngine:
             # Entries of different representations for the same slot must
             # not collide in the shared cache.
             prefix += (codec,)
-        return _CachedSource(
+        return CachedSource(
             index.with_codec(codec),
             self.cache,
             prefix,
@@ -886,7 +727,7 @@ class QueryEngine:
         )
 
     # ------------------------------------------------------------------
-    # Worker pools and the process backend
+    # Backends
     # ------------------------------------------------------------------
 
     def _backend_for(self, options: QueryOptions) -> str:
@@ -911,374 +752,151 @@ class QueryEngine:
                 self._thread_pools[workers] = pool
             return pool
 
-    def _process_executor(self, workers: int) -> ProcessShardExecutor:
-        """The persistent process executor of the requested width (lazy)."""
-        with self._pool_lock:
-            if self._closed:
-                raise EngineConfigError("engine is closed")
-            executor = self._process_executors.get(workers)
-            if executor is None:
-                # Reclaim segments a previous (crashed) publisher left in
-                # /dev/shm before committing new ones of our own.
-                sweep_orphan_segments()
-                executor = ProcessShardExecutor(workers)
-                self._process_executors[workers] = executor
-            return executor
-
-    def _discard_process_executor(self, workers: int) -> None:
-        """Tear down a broken process executor so the next dispatch
-        rebuilds it from scratch."""
-        with self._pool_lock:
-            executor = self._process_executors.pop(workers, None)
-        if executor is not None:
-            executor.shutdown(wait=False)
-
-    def _drop_exports(self, relations: set[str]) -> None:
-        """Unlink the shard publications of the given relations.
-
-        The sharded indexes themselves survive in the registry, so the
-        next dispatch re-exports from source — the rebuild path for a
-        torn or corrupt publication.
-        """
-        with self._export_lock:
-            doomed = [key for key in self._exports if key[0] in relations]
-            closing = [self._exports.pop(key) for key in doomed]
-        for export in closing:
-            export.close()
-
-    def _sharded_index_for(
-        self, relation_name: str, attribute: str, shards: int
-    ) -> ShardedBitmapIndex:
-        """The row-range-sharded index of one attribute (built once)."""
-        spec = self._spec_for(relation_name, attribute)
-        relation = self._relations[relation_name]
-
-        def build() -> ShardedBitmapIndex:
-            column = relation.column(attribute)
-            if column.codes is None:
-                raise EngineConfigError(
-                    f"the process backend shards raw column codes, which "
-                    f"store-backed relation {relation_name!r} does not "
-                    f"carry; use the inline or thread backend"
-                )
-            return ShardedBitmapIndex(
-                column.codes,
-                cardinality=column.cardinality,
-                shards=shards,
-                base=spec.resolve_base(column.cardinality),
-                encoding=spec.encoding,
-                keep_values=False,
-            )
-
-        return self.registry.get_or_build(
-            (relation_name, attribute, "shards", shards), build
-        )
-
-    def _export_for(
-        self, relation_name: str, attribute: str, codec: str, shards: int
-    ) -> ShardExport:
-        """The current shared-memory publication of one sharded index.
-
-        Re-exports (and unlinks the stale blocks) when maintenance has
-        bumped the sharded index's version since the last publication.
-        """
-        sharded = self._sharded_index_for(relation_name, attribute, shards)
-        key = (relation_name, attribute, codec, shards)
-        stale = None
-        with self._export_lock:
-            export = self._exports.get(key)
-            if export is not None and export.version == sharded.version:
-                return export
-            stale = export
-            export = ShardExport(sharded, codec)
-            self._exports[key] = export
-        if stale is not None:
-            stale.close()
-        return export
-
     def _process_batch(
-        self,
-        resolved: list[tuple],
-        options: QueryOptions,
-        workers: int,
+        self, resolved: list[tuple], options: QueryOptions, workers: int
     ) -> list[QueryResult | AggregateResult]:
         """Evaluate a resolved batch on the sharded process backend.
 
-        The resilient wrapper around :meth:`_process_batch_once`: a
-        relation whose circuit breaker is open skips the pool entirely;
-        recoverable dispatch failures (broken pool, vanished or corrupt
-        shm publication, injected faults) are repaired — pool rebuilt,
-        orphan segments swept, publications re-exported from source —
-        and retried under the engine's :class:`RetryPolicy`; exhausted
-        retries degrade the batch to the thread backend.  Every retry,
-        degradation, and corruption lands in the metrics, and (when
-        tracing) as ``fault`` events on each result's trace.  A deadline
-        miss is not retried: it surfaces as
-        :class:`~repro.errors.QueryTimeoutError` immediately.  Each
-        merged shard outcome then runs the verify/record tail of
-        :meth:`_execute`, like a locally evaluated answer.
+        :meth:`ProcessDispatch.run <repro.engine.dispatch.ProcessDispatch.run>`
+        owns publication and the retry / repair / degrade ladder; ``None``
+        back means "serve this batch locally" (breaker open, or retries
+        spent).  A deadline miss is not retried: it surfaces as
+        :class:`~repro.errors.QueryTimeoutError` immediately.
         """
-        shards = options.shards or self.shards or workers
-        if shards < 1:
-            raise EngineConfigError(f"shards must be >= 1, got {shards}")
-        relations = {item[0] for item in resolved}
-        blocked = sorted(
-            name for name in relations if not self.breaker.allow(f"relation:{name}")
-        )
-        if blocked:
-            self.metrics.record_degradation("processes", "threads", "breaker-open")
-            log.warning(
-                "process backend breaker open for %s; serving batch on threads",
-                ", ".join(blocked),
-            )
+        if options.shards is not None and options.shards < 1:
+            raise EngineConfigError(f"shards must be >= 1, got {options.shards}")
+        trace = QueryTrace(label="; ".join(map(_label, resolved))) if options.trace else None
+        with self._accounted(lambda: trace):
+            items = [self._dispatch_item(item, options) for item in resolved]
+            outcomes = self._dispatch.run(items, options, workers)
+        if outcomes is None:
             return self._local_batch(resolved, options, workers)
-        deadline = (
-            Deadline(options.deadline_ms)
-            if options.deadline_ms is not None
-            else None
-        )
-        retries: list[dict] = []
-        delays = self.retry_policy.delays()
-        while True:
-            try:
-                outcomes = self._process_batch_once(
-                    resolved, options, workers, shards, deadline
-                )
-                break
-            except QueryTimeoutError as exc:
-                self.metrics.record_timeout()
-                self.metrics.record_failure()
+        results = []
+        for item, shipped, outcome in zip(resolved, items, outcomes):
+            # A merged shard outcome enters the shared tail directly; its
+            # trace opens here and replays what the dispatch did.
+            stats, codec, seconds = outcome.stats, shipped.codec, outcome.latency_seconds
+            with self._accounted(lambda: stats.trace):
+                self._open_trace(item, options, stats, "processes", codec)
                 if options.trace:
-                    label = "; ".join(map(_label, resolved))
-                    self._attach_timeout_trace(exc, QueryTrace(label=label))
-                raise
-            except _RECOVERABLE as exc:
-                reason = _recovery_reason(exc)
-                self._repair_after(exc, workers, relations)
-                delay = next(delays, None)
-                if delay is None:
-                    for name in sorted(relations):
-                        self.breaker.record_failure(f"relation:{name}")
-                    self.metrics.record_degradation(
-                        "processes", "threads", "retries-exhausted"
+                    self._dispatch.replay(stats.trace, outcome, shipped)
+                results.append(
+                    self._finish(
+                        item, options, stats, outcome.answer, lambda: seconds, "processes", codec
                     )
-                    log.warning(
-                        "process backend gave up after %d retries (%s: %s); "
-                        "serving batch on threads",
-                        len(retries),
-                        reason,
-                        exc,
-                    )
-                    return self._local_batch(resolved, options, workers)
-                self.metrics.record_retry(reason)
-                retries.append(
-                    {"attempt": len(retries) + 1, "reason": reason, "error": str(exc)}
                 )
-                log.warning(
-                    "process backend dispatch failed (%s: %s); retry %d in "
-                    "%.0f ms",
-                    reason,
-                    exc,
-                    len(retries),
-                    1e3 * delay,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-            except Exception:
-                self.metrics.record_failure()
-                raise
-        for name in sorted(relations):
-            self.breaker.record_success(f"relation:{name}")
-        return [
-            self._execute(
-                item,
-                options,
-                backend="processes",
-                outcome=outcome,
-                retries=retries,
-            )
-            for item, outcome in zip(resolved, outcomes)
-        ]
+        return results
 
-    def _repair_after(
-        self, exc: BaseException, workers: int, relations: set[str]
-    ) -> None:
-        """Fix what one recoverable dispatch failure broke.
+    def _dispatch_item(self, item: tuple, options: QueryOptions) -> DispatchItem:
+        """What the process dispatch needs of one query, resolved here so it
+        never reaches back into the engine's relations or specs."""
+        name, expression, finish, by = item
+        attributes = _attributes(expression, by)
+        codec = _one_codec({self._codec_for(name, attr, options) for attr in attributes}, item)
+        specs = {attr: self._spec_for(name, attr) for attr in attributes}
+        return DispatchItem(self._relations[name], specs, codec, expression, finish, by)
 
-        A broken pool (or raw OSError) is torn down and orphaned shm
-        segments swept; a vanished or corrupt publication is dropped so
-        the retry re-exports from the in-memory sharded index.
-        """
-        if isinstance(exc, (BrokenProcessPool, OSError)):
-            self._discard_process_executor(workers)
-            sweep_orphan_segments()
-        if isinstance(exc, (ShmAttachError, CorruptShardError)):
-            if isinstance(exc, CorruptShardError):
-                self.metrics.record_corruption("shm")
-            self._drop_exports(relations)
-
-    def _process_batch_once(
-        self,
-        resolved: list[tuple],
-        options: QueryOptions,
-        workers: int,
-        shards: int,
-        deadline: Deadline | None,
-    ) -> list[ShardQueryOutcome]:
-        """One dispatch attempt of a resolved batch on the process pool."""
-        executor = self._process_executor(workers)
-        # Translate every query to the code domain and publish the
-        # sharded indexes its attributes need.  Relations of
-        # different sizes may clamp to different effective shard
-        # counts, so items are grouped by their relation's effective
-        # count and dispatched per group.
-        exports: dict[tuple, ShardExport] = {}
-        groups: dict[int, list] = {}
-        for qid, item in enumerate(resolved):
-            name, expression, finish, by = item
-            attributes = _attributes(expression, by)
-            codec = self._one_codec(
-                {self._codec_for(name, attr, options) for attr in attributes},
-                item,
-            )
-            for attr in attributes:
-                if (name, attr) not in exports:
-                    exports[(name, attr)] = self._export_for(
-                        name, attr, codec, shards
-                    )
-            code_expression = translate_expression(
-                expression, self._relations[name]
-            )
-            payload = (finish, tuple(attributes), code_expression, by)
-            count = exports[(name, attributes[0])].num_shards
-            groups.setdefault(count, []).append((qid, name, payload))
-        outcomes: list = [None] * len(resolved)
-        for count, group_items in groups.items():
-            needed = {
-                key: export
-                for key, export in exports.items()
-                if export.num_shards == count
-            }
-            group_outcomes = executor.run_batch(
-                needed,
-                group_items,
-                algorithm=options.algorithm,
-                fault_plan=self.fault_plan,
-                deadline=deadline,
-            )
-            for (qid, _, _), outcome in zip(group_items, group_outcomes):
-                outcomes[qid] = outcome
-        return outcomes
-
-    @staticmethod
-    def _one_codec(codecs: set[str], item: tuple) -> str:
-        """The single codec a query runs over.
-
-        Bitmaps of different representations cannot be combined; fail
-        with a configuration error instead of a downstream algebra
-        TypeError.
-        """
-        if len(codecs) > 1:
-            raise EngineConfigError(
-                f"'{_label(item)}' mixes bitmap codecs {sorted(codecs)}; "
-                f"give its attributes one codec (per-query options.codec "
-                f"overrides every spec)"
-            )
-        (codec,) = codecs
-        return codec
+    # ------------------------------------------------------------------
+    # The one execution pipeline
+    # ------------------------------------------------------------------
 
     def _execute(
-        self,
-        item: tuple,
-        options: QueryOptions,
-        *,
-        backend: str = "inline",
-        record: bool = True,
-        outcome: ShardQueryOutcome | None = None,
-        retries: list[dict] | tuple = (),
+        self, item: tuple, options: QueryOptions, *, backend: str = "inline", record: bool = True
     ) -> QueryResult | AggregateResult:
-        """The one execution pipeline of every entry point and backend.
+        """Evaluate one query here — inline or on a pool thread.
 
-        ``item`` is ``(relation_name, expression, finish, by)``.  The
-        stages are: resolve the cache-routed sources and their one codec
-        → ``engine.dispatch`` trace event → evaluate and finish
-        (:func:`~repro.query.expression.run_query`: ``rids``
-        materializes, ``count``/``group`` answer from popcounts under an
-        ``aggregate.pushdown`` phase) → verify → build the result →
-        ``metrics.record``, with deadline misses and failures counted on
-        the way out.  The backend is a strategy over the evaluate stage
-        only: inline and on a pool thread it runs here; on the process
-        backend the shard workers already ran the same ``run_query`` and
-        ``outcome`` carries their merged answer, stats and timings (plus
-        the dispatch ``retries`` to replay onto the trace).  Metric and
-        trace labels derive from the query's shape
-        (:func:`~repro.query.expression.query_mode`), not from the entry
-        point.  ``record=False`` keeps the run out of the serving
-        metrics (EXPLAIN).
+        ``item`` is ``(relation_name, expression, finish, by)``.  Resolve
+        the cache-routed sources and their one codec → ``engine.dispatch``
+        trace event → evaluate and finish
+        (:func:`~repro.query.expression.run_query`: ``rids`` materializes,
+        ``count``/``group`` answer from popcounts under an
+        ``aggregate.pushdown`` phase) → the shared tail, :meth:`_finish`.
+        The backend is a strategy over this stage only: on the process
+        backend the shard workers ran the same ``run_query`` and their
+        merged outcome enters :meth:`_finish` directly.  ``record=False``
+        keeps the run out of the serving metrics (EXPLAIN).
         """
         name, expression, finish, by = item
         start = time.perf_counter()
-        relation = self._relations[name]
+        stats = ExecutionStats()
+        with self._accounted(lambda: stats.trace, record):
+            if options.deadline_ms is not None:
+                stats.deadline = Deadline(options.deadline_ms)
+            sources = {
+                attr: self._source_for(name, attr, options)
+                for attr in _attributes(expression, by)
+            }
+            codec = _one_codec({source.bitmap_codec for source in sources.values()}, item)
+            self._open_trace(item, options, stats, backend, codec)
+            answer = run_query(
+                self._relations[name],
+                expression,
+                sources,
+                stats,
+                finish,
+                by,
+                algorithm=options.algorithm,
+            )
+            return self._finish(
+                item,
+                options,
+                stats,
+                answer,
+                lambda: time.perf_counter() - start,
+                backend,
+                codec,
+                record,
+            )
+
+    @staticmethod
+    def _open_trace(
+        item: tuple, options: QueryOptions, stats: ExecutionStats, backend: str, codec: str
+    ) -> None:
+        """Start the query's trace (when asked for) with ``engine.dispatch``.
+
+        Its labels derive from the query's shape
+        (:func:`~repro.query.expression.query_mode`), not the entry point.
+        """
+        if not options.trace:
+            return
+        name, expression, finish, by = item
         mode = query_mode(expression, finish)
-        access_path = "bitmap" if mode == "predicate" else mode
-        trace = None
-        try:
-            attributes = _attributes(expression, by)
-            if outcome is None:
-                stats = ExecutionStats()
-                if options.deadline_ms is not None:
-                    stats.deadline = Deadline(options.deadline_ms)
-                sources = {
-                    attr: self._source_for(name, attr, options)
-                    for attr in attributes
-                }
-                codecs = {source.bitmap_codec for source in sources.values()}
-            else:
-                stats = outcome.stats
-                codecs = {
-                    self._codec_for(name, attr, options) for attr in attributes
-                }
-            codec = self._one_codec(codecs, item)
-            if options.trace:
-                trace = stats.trace = QueryTrace(label=_label(item))
-                trace.event(
-                    "engine.dispatch",
-                    kind="plan",
-                    relation=name,
-                    mode=mode,
-                    access_path=access_path,
-                    backend=backend,
-                    codec=codec,
-                    attributes=attributes,
-                )
-            if outcome is None:
-                answer = run_query(
-                    relation,
-                    expression,
-                    sources,
-                    stats,
-                    finish,
-                    by,
-                    algorithm=options.algorithm,
-                )
-            else:
-                answer = outcome.answer
-                if trace is not None:
-                    self._trace_shards(trace, outcome, retries, finish, by)
-            if options.verify:
-                verify_answer(relation, expression, finish, by, answer)
-            if trace is not None:
-                trace.finish()
-        except QueryTimeoutError as exc:
-            if record:
-                self.metrics.record_timeout()
-                self.metrics.record_failure()
-            self._attach_timeout_trace(exc, trace)
-            raise
-        except Exception:
-            if record:
-                self.metrics.record_failure()
-            raise
+        stats.trace = QueryTrace(label=_label(item))
+        stats.trace.event(
+            "engine.dispatch",
+            kind="plan",
+            relation=name,
+            mode=mode,
+            access_path="bitmap" if mode == "predicate" else mode,
+            backend=backend,
+            codec=codec,
+            attributes=_attributes(expression, by),
+        )
+
+    def _finish(
+        self,
+        item: tuple,
+        options: QueryOptions,
+        stats: ExecutionStats,
+        answer,
+        elapsed: Callable[[], float],
+        backend: str,
+        codec: str,
+        record: bool = True,
+    ) -> QueryResult | AggregateResult:
+        """The shared tail of every backend: verify → result → record.
+
+        ``answer`` is what ``run_query`` returned for the item's finish —
+        here, or merged across shard workers; ``elapsed`` reads the
+        latency to record once the answer is verified and wrapped.
+        """
+        name, expression, finish, by = item
+        relation = self._relations[name]
+        if options.verify:
+            verify_answer(relation, expression, finish, by, answer)
+        trace = stats.trace
+        if trace is not None:
+            trace.finish()
         result: QueryResult | AggregateResult
         if finish == "rids":
             result = QueryResult(
@@ -1293,57 +911,38 @@ class QueryEngine:
                 count=int(np.sum(answer)), groups=groups, stats=stats, trace=trace
             )
         if record:
+            mode = query_mode(expression, finish)
             self.metrics.record(
-                outcome.latency_seconds
-                if outcome is not None
-                else time.perf_counter() - start,
+                elapsed(),
                 stats,
                 relation=name,
-                access_path=access_path,
+                access_path="bitmap" if mode == "predicate" else mode,
                 codec=codec,
                 backend=backend,
             )
         return result
 
-    @staticmethod
-    def _trace_shards(
-        trace: QueryTrace,
-        outcome: ShardQueryOutcome,
-        retries,
-        finish: str,
-        by: str | None,
-    ) -> None:
-        """Replay a process dispatch onto the parent-side trace.
+    @contextmanager
+    def _accounted(self, trace_of: Callable[[], QueryTrace | None], record: bool = True):
+        """Count a deadline miss or a failure on the way out of a stage.
 
-        The work happened in worker processes, so what the trace shows
-        is every dispatch retry, one worker-timed ``shard.evaluate``
-        span per shard, and — for an aggregate — the pushdown: shards
-        returned popcounts, the merge was a summation, and no
-        materialize phase ever ran.
+        A deadline error also leaves with the partial trace the stage has
+        by then (``trace_of()``; diagnosis aid), closed by
+        ``deadline.exceeded``.
         """
-        for event in retries:
-            trace.event("dispatch.retry", kind="fault", **event)
-        for shard, (rows, seconds, shard_stats) in enumerate(
-            zip(outcome.shard_rows, outcome.shard_seconds, outcome.shard_stats)
-        ):
-            trace.add_span(
-                "shard.evaluate",
-                kind="shard",
-                seconds=seconds,
-                shard=shard,
-                rows=rows[1] - rows[0],
-                scans=shard_stats.scans,
-                bytes_read=shard_stats.bytes_read,
-            )
-        if finish != "rids":
-            trace.event("aggregate.pushdown", kind="phase", by=by)
-
-    @staticmethod
-    def _attach_timeout_trace(
-        exc: QueryTimeoutError, trace: QueryTrace | None
-    ) -> None:
-        """Hand the partial trace to a deadline error (diagnosis aid)."""
-        if trace is not None and exc.trace is None:
-            trace.event("deadline.exceeded", kind="fault", error=str(exc))
-            trace.finish()
-            exc.trace = trace
+        try:
+            yield
+        except QueryTimeoutError as exc:
+            if record:
+                self.metrics.record_timeout()
+                self.metrics.record_failure()
+            trace = trace_of()
+            if trace is not None and exc.trace is None:
+                trace.event("deadline.exceeded", kind="fault", error=str(exc))
+                trace.finish()
+                exc.trace = trace
+            raise
+        except Exception:
+            if record:
+                self.metrics.record_failure()
+            raise

@@ -95,42 +95,60 @@ class LatencyReservoir:
         return [percentile(ordered, f) for f in fractions]
 
 
+#: The labels a query is broken down by (``snapshot()["by_<label>"]``)
+#: and the counters each breakdown and the global totals publish.
+BREAKDOWNS = ("relation", "access_path", "codec", "backend")
+_PUBLISHED = {
+    "scans": "Bitmap scans (the paper's I/O cost metric).",
+    "ops": "Bitmap boolean operations (the paper's CPU cost metric).",
+    "bytes_read": "Bytes read by all access paths.",
+    "buffer_hits": "Bitmap fetches served by a buffer or cache.",
+}
+
+
 class _GroupAggregate:
     """Per-label aggregate (one relation, or one access path)."""
 
-    __slots__ = ("queries", "latency_total", "scans", "ops", "bytes_read", "buffer_hits")
+    __slots__ = ("queries", "latency_total", "stats")
 
     def __init__(self):
         self.queries = 0
         self.latency_total = 0.0
-        self.scans = 0
-        self.ops = 0
-        self.bytes_read = 0
-        self.buffer_hits = 0
+        self.stats = ExecutionStats()
 
     def record(self, latency_seconds: float, stats: ExecutionStats) -> None:
         self.queries += 1
         self.latency_total += latency_seconds
-        self.scans += stats.scans
-        self.ops += stats.ops
-        self.bytes_read += stats.bytes_read
-        self.buffer_hits += stats.buffer_hits
+        self.stats.merge(stats)
 
     def as_dict(self) -> dict:
+        totals = self.stats.as_dict()
         return {
             "queries": self.queries,
             "latency_ms_mean": (
                 1e3 * self.latency_total / self.queries if self.queries else 0.0
             ),
-            "scans": self.scans,
-            "ops": self.ops,
-            "bytes_read": self.bytes_read,
-            "buffer_hits": self.buffer_hits,
+            **{name: totals[name] for name in _PUBLISHED},
         }
 
 
 def _prom_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def prom_family(name: str, help_text: str, samples, kind: str = "counter") -> list[str]:
+    """One metric family in the Prometheus text exposition format.
+
+    The HELP and TYPE lines, then one sample line per ``(labels, value)``
+    pair; ``labels`` is a dict (empty for the unlabeled sample).
+    """
+    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+    for labels, value in samples:
+        rendered = ",".join(
+            f'{key}="{_prom_label(text)}"' for key, text in labels.items()
+        )
+        lines.append(f"{name}{{{rendered}}} {value}" if labels else f"{name} {value}")
+    return lines
 
 
 class EngineMetrics:
@@ -140,10 +158,9 @@ class EngineMetrics:
         self._lock = threading.Lock()
         self._latencies = LatencyReservoir(reservoir_size)
         self._stats = ExecutionStats()
-        self._by_relation: dict[str, _GroupAggregate] = {}
-        self._by_access_path: dict[str, _GroupAggregate] = {}
-        self._by_codec: dict[str, _GroupAggregate] = {}
-        self._by_backend: dict[str, _GroupAggregate] = {}
+        self._by: dict[str, dict[str, _GroupAggregate]] = {
+            label: {} for label in BREAKDOWNS
+        }
         self.queries = 0
         self.failures = 0
         self.timeouts = 0
@@ -171,26 +188,13 @@ class EngineMetrics:
             self.queries += 1
             self._latencies.add(latency_seconds)
             self._stats.merge(stats)
-            if relation is not None:
-                group = self._by_relation.get(relation)
-                if group is None:
-                    group = self._by_relation[relation] = _GroupAggregate()
-                group.record(latency_seconds, stats)
-            if access_path is not None:
-                group = self._by_access_path.get(access_path)
-                if group is None:
-                    group = self._by_access_path[access_path] = _GroupAggregate()
-                group.record(latency_seconds, stats)
-            if codec is not None:
-                group = self._by_codec.get(codec)
-                if group is None:
-                    group = self._by_codec[codec] = _GroupAggregate()
-                group.record(latency_seconds, stats)
-            if backend is not None:
-                group = self._by_backend.get(backend)
-                if group is None:
-                    group = self._by_backend[backend] = _GroupAggregate()
-                group.record(latency_seconds, stats)
+            for label, value in zip(BREAKDOWNS, (relation, access_path, codec, backend)):
+                if value is not None:
+                    groups = self._by[label]
+                    group = groups.get(value)
+                    if group is None:
+                        group = groups[value] = _GroupAggregate()
+                    group.record(latency_seconds, stats)
 
     def record_failure(self) -> None:
         """Count a query that raised instead of completing."""
@@ -229,10 +233,8 @@ class EngineMetrics:
         with self._lock:
             self._latencies.clear()
             self._stats = ExecutionStats()
-            self._by_relation.clear()
-            self._by_access_path.clear()
-            self._by_codec.clear()
-            self._by_backend.clear()
+            for groups in self._by.values():
+                groups.clear()
             self.queries = 0
             self.failures = 0
             self.timeouts = 0
@@ -278,21 +280,11 @@ class EngineMetrics:
                     "corruptions": dict(sorted(self._corruptions.items())),
                 },
                 "stats": self._stats.copy().as_dict(),
-                "by_relation": {
-                    name: group.as_dict()
-                    for name, group in sorted(self._by_relation.items())
-                },
-                "by_access_path": {
-                    name: group.as_dict()
-                    for name, group in sorted(self._by_access_path.items())
-                },
-                "by_codec": {
-                    name: group.as_dict()
-                    for name, group in sorted(self._by_codec.items())
-                },
-                "by_backend": {
-                    name: group.as_dict()
-                    for name, group in sorted(self._by_backend.items())
+                **{
+                    f"by_{label}": {
+                        name: group.as_dict() for name, group in sorted(groups.items())
+                    }
+                    for label, groups in self._by.items()
                 },
             }
         return out
@@ -306,78 +298,58 @@ class EngineMetrics:
         family mixes labeled and unlabeled samples.
         """
         snap = self.snapshot()
-        stats = snap["stats"]
-        lines = [
-            "# HELP repro_queries_total Queries completed by the engine.",
-            "# TYPE repro_queries_total counter",
-            f"repro_queries_total {snap['queries']}",
-            "# HELP repro_query_failures_total Queries that raised.",
-            "# TYPE repro_query_failures_total counter",
-            f"repro_query_failures_total {snap['failures']}",
-            "# HELP repro_timeouts_total Queries that exceeded their deadline.",
-            "# TYPE repro_timeouts_total counter",
-            f"repro_timeouts_total {snap['resilience']['timeouts']}",
+        resilience = snap["resilience"]
+        families = [
+            ("queries", "Queries completed by the engine.", [({}, snap["queries"])]),
+            ("query_failures", "Queries that raised.", [({}, snap["failures"])]),
+            (
+                "timeouts",
+                "Queries that exceeded their deadline.",
+                [({}, resilience["timeouts"])],
+            ),
+            (
+                "retries",
+                "Recovery retries by trigger.",
+                [({"reason": r}, n) for r, n in resilience["retries"].items()],
+            ),
+            (
+                "degradations",
+                "Backend downgrades by route.",
+                [
+                    ({k: e[k] for k in ("source", "target", "reason")}, e["count"])
+                    for e in resilience["degradations"]
+                ],
+            ),
+            (
+                "corruptions",
+                "Corruptions detected by site.",
+                [({"site": s}, n) for s, n in resilience["corruptions"].items()],
+            ),
         ]
-        lines += [
-            "# HELP repro_retries_total Recovery retries by trigger.",
-            "# TYPE repro_retries_total counter",
-        ]
-        for reason, count in snap["resilience"]["retries"].items():
-            lines.append(
-                f'repro_retries_total{{reason="{_prom_label(reason)}"}} {count}'
+        lines: list[str] = []
+        for name, help_text, samples in families:
+            lines += prom_family(f"repro_{name}_total", help_text, samples)
+        lines += prom_family(
+            "repro_query_latency_ms",
+            "Query latency percentiles (milliseconds).",
+            [
+                ({"quantile": key}, f"{snap['latency_ms'][key]:.6f}")
+                for key in ("p50", "p95", "p99", "mean", "max")
+            ],
+            kind="gauge",
+        )
+        for name, help_text in _PUBLISHED.items():
+            lines += prom_family(
+                f"repro_{name}_total", help_text, [({}, snap["stats"][name])]
             )
-        lines += [
-            "# HELP repro_degradations_total Backend downgrades by route.",
-            "# TYPE repro_degradations_total counter",
-        ]
-        for entry in snap["resilience"]["degradations"]:
-            lines.append(
-                f'repro_degradations_total{{source="{_prom_label(entry["source"])}"'
-                f',target="{_prom_label(entry["target"])}"'
-                f',reason="{_prom_label(entry["reason"])}"}} {entry["count"]}'
-            )
-        lines += [
-            "# HELP repro_corruptions_total Corruptions detected by site.",
-            "# TYPE repro_corruptions_total counter",
-        ]
-        for site, count in snap["resilience"]["corruptions"].items():
-            lines.append(
-                f'repro_corruptions_total{{site="{_prom_label(site)}"}} {count}'
-            )
-        lines += [
-            "# HELP repro_query_latency_ms Query latency percentiles (milliseconds).",
-            "# TYPE repro_query_latency_ms gauge",
-        ]
-        for key in ("p50", "p95", "p99", "mean", "max"):
-            lines.append(
-                f'repro_query_latency_ms{{quantile="{key}"}} '
-                f"{snap['latency_ms'][key]:.6f}"
-            )
-        for name, help_text in (
-            ("scans", "Bitmap scans (the paper's I/O cost metric)."),
-            ("ops", "Bitmap boolean operations (the paper's CPU cost metric)."),
-            ("bytes_read", "Bytes read by all access paths."),
-            ("buffer_hits", "Bitmap fetches served by a buffer or cache."),
-        ):
-            lines += [
-                f"# HELP repro_{name}_total {help_text}",
-                f"# TYPE repro_{name}_total counter",
-                f"repro_{name}_total {stats[name]}",
-            ]
-        for family, label, groups in (
-            ("repro_relation", "relation", snap["by_relation"]),
-            ("repro_access_path", "access_path", snap["by_access_path"]),
-            ("repro_codec", "codec", snap["by_codec"]),
-            ("repro_backend", "backend", snap["by_backend"]),
-        ):
-            for metric in ("queries", "scans", "ops", "bytes_read", "buffer_hits"):
-                lines += [
-                    f"# HELP {family}_{metric}_total Per-{label} {metric}.",
-                    f"# TYPE {family}_{metric}_total counter",
-                ]
-                for name, group in groups.items():
-                    lines.append(
-                        f'{family}_{metric}_total{{{label}="{_prom_label(name)}"}} '
-                        f"{group[metric]}"
-                    )
+        for label in BREAKDOWNS:
+            for metric in ("queries", *_PUBLISHED):
+                lines += prom_family(
+                    f"repro_{label}_{metric}_total",
+                    f"Per-{label} {metric}.",
+                    [
+                        ({label: name}, group[metric])
+                        for name, group in snap[f"by_{label}"].items()
+                    ],
+                )
         return "\n".join(lines) + "\n"

@@ -13,6 +13,38 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Hashable
+from dataclasses import dataclass
+
+from repro.core.decomposition import Base, integer_nth_root_ceil
+from repro.core.encoding import EncodingScheme
+
+
+@dataclass(frozen=True)
+class IndexSpec:
+    """How to build the bitmap index of one registered attribute.
+
+    ``base`` pins an exact decomposition (it must cover the attribute's
+    cardinality).  ``components`` instead asks for the smallest uniform
+    ``n``-component base for whatever the cardinality turns out to be —
+    the right knob when one registration covers attributes of different
+    cardinalities.  With neither, the single-component base ``<C>`` is
+    used (the index default).  ``codec`` selects this attribute's bitmap
+    representation (``'dense'``/``'wah'``/``'roaring'``); ``None`` defers
+    to the engine's default.
+    """
+
+    base: Base | None = None
+    encoding: EncodingScheme = EncodingScheme.RANGE
+    components: int | None = None
+    codec: str | None = None
+
+    def resolve_base(self, cardinality: int) -> Base | None:
+        if self.base is not None:
+            return self.base
+        if self.components is not None:
+            b = integer_nth_root_ceil(cardinality, self.components)
+            return Base.uniform(max(b, 2), cardinality)
+        return None
 
 
 class IndexRegistry:

@@ -71,7 +71,7 @@ from repro.errors import (
 from repro.faults import Deadline, FaultPlan
 from repro.query.expression import COMPLEMENT, Comparison, Expression, run_query
 from repro.relation.relation import Relation
-from repro.stats import ExecutionStats
+from repro.stats import COUNTERS, PHYSICAL_COUNTERS, ExecutionStats
 from repro.storage.store import (
     StoreBitmapSource,
     _index_attr_spec,
@@ -192,24 +192,16 @@ def merge_shard_stats(per_shard: list[ExecutionStats]) -> ExecutionStats:
     and encoding, so the fetch/op pattern — scans, ANDs/ORs/XORs/NOTs,
     buffer hits — is identical across shards; the logical count (one
     scan per stored bitmap touched, as the paper's cost model counts) is
-    any single shard's value, and we take shard 0's.  Byte-level and
-    time counters are *physical* and sum across shards: the shard
-    payloads of one logical bitmap together cover all ``N`` rows.
+    any single shard's value, and we take shard 0's.  Byte-level
+    counters are *physical* (:data:`~repro.stats.PHYSICAL_COUNTERS`) and
+    sum across shards: the shard payloads of one logical bitmap together
+    cover all ``N`` rows.
     """
     if not per_shard:
         return ExecutionStats()
-    first = per_shard[0]
-    merged = ExecutionStats()
-    merged.scans = first.scans
-    merged.ands = first.ands
-    merged.ors = first.ors
-    merged.xors = first.xors
-    merged.nots = first.nots
-    merged.buffer_hits = first.buffer_hits
-    merged.files_opened = first.files_opened
-    merged.bytes_read = sum(s.bytes_read for s in per_shard)
-    merged.decompressed_bytes = sum(s.decompressed_bytes for s in per_shard)
-    merged.cpu_seconds = sum(s.cpu_seconds for s in per_shard)
+    merged = per_shard[0].copy()
+    for name in PHYSICAL_COUNTERS:
+        setattr(merged, name, sum(getattr(stats, name) for stats in per_shard))
     return merged
 
 
@@ -685,32 +677,6 @@ def _attach(manifest: ShardManifest) -> _AttachedShard:
     return shard
 
 
-#: Stats counters a worker reports back per query per shard.
-_STAT_FIELDS = (
-    "scans",
-    "ands",
-    "ors",
-    "xors",
-    "nots",
-    "bytes_read",
-    "decompressed_bytes",
-    "files_opened",
-    "buffer_hits",
-)
-
-
-def _stats_to_tuple(stats: ExecutionStats) -> tuple:
-    return tuple(getattr(stats, name) for name in _STAT_FIELDS)
-
-
-def stats_from_tuple(values: tuple) -> ExecutionStats:
-    """Rebuild an :class:`ExecutionStats` from a worker's counter tuple."""
-    stats = ExecutionStats()
-    for name, value in zip(_STAT_FIELDS, values):
-        setattr(stats, name, value)
-    return stats
-
-
 def _run_shard_task(
     manifests: dict,
     items: list,
@@ -766,7 +732,8 @@ def _run_shard_task(
             None, expression, leaf_sources, stats, finish, by, algorithm=algorithm
         )
         elapsed = time.perf_counter() - started
-        out.append((qid, answer, _stats_to_tuple(stats), elapsed))
+        counters = tuple(getattr(stats, name) for name in COUNTERS)
+        out.append((qid, answer, counters, elapsed))
     return out
 
 
@@ -784,7 +751,9 @@ class ShardQueryOutcome:
     local RID arrays for ``rids``; for ``count`` and ``group`` the sum of
     the shard counts (scalar, or elementwise per code).  Shard row
     ranges are disjoint, so summation is the exact cross-shard merge —
-    no RID offset union is ever built for an aggregate.
+    no RID offset union is ever built for an aggregate.  ``retries``
+    records the failed dispatch attempts that preceded this one (filled
+    in by :class:`~repro.engine.dispatch.ProcessDispatch`).
     """
 
     answer: "np.ndarray | np.integer"
@@ -792,6 +761,7 @@ class ShardQueryOutcome:
     shard_stats: list[ExecutionStats]
     shard_seconds: list[float]
     shard_rows: list[tuple[int, int]]
+    retries: list[dict] = field(default_factory=list)
 
     @property
     def latency_seconds(self) -> float:
@@ -922,7 +892,10 @@ class ProcessShardExecutor:
         outcomes = []
         for qid, _, payload in items:
             results = sorted(per_query[qid], key=lambda row: row[0])
-            shard_stats = [stats_from_tuple(t) for _, _, t, _ in results]
+            shard_stats = [
+                ExecutionStats(**dict(zip(COUNTERS, counters)))
+                for _, _, counters, _ in results
+            ]
             answers = [answer for _, answer, _, _ in results]
             if payload[0] == "rids":
                 answer = merge_shard_rids(

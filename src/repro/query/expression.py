@@ -160,7 +160,12 @@ COMPLEMENT = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 @dataclass(frozen=True)
 class Comparison(Expression):
-    """A leaf ``attribute op value``."""
+    """A leaf ``attribute op value`` — also the selection predicate of the
+    single-predicate entry points (``AttributePredicate`` is this class).
+
+    The value may be any orderable type: evaluation translates it to the
+    rank domain through the column dictionary before touching an index.
+    """
 
     attribute: str
     op: str
@@ -168,7 +173,9 @@ class Comparison(Expression):
 
     def __post_init__(self):
         if self.op not in OPERATORS:
-            raise InvalidPredicateError(f"unknown operator {self.op!r}")
+            raise InvalidPredicateError(
+                f"unknown operator {self.op!r}; expected one of {OPERATORS}"
+            )
 
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         column = relation.column(self.attribute)
@@ -176,8 +183,12 @@ class Comparison(Expression):
         index = _index_for(indexes, self.attribute)
         return evaluate(index, Predicate(op, code), algorithm, stats)
 
+    def matches(self, values: np.ndarray) -> np.ndarray:
+        """Boolean mask over a value column (ground truth)."""
+        return COMPARE[self.op](np.asarray(values), self.value)
+
     def mask(self, relation):
-        return COMPARE[self.op](relation.column(self.attribute).values, self.value)
+        return self.matches(relation.column(self.attribute).values)
 
     def negated(self):
         return replace(self, op=COMPLEMENT[self.op])

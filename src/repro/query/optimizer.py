@@ -25,8 +25,18 @@ import numpy as np
 from repro.core import costmodel
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError
-from repro.query.executor import QueryResult, VerificationError
-from repro.query.expression import And, run_query
+from repro.query.executor import AccessPath, QueryResult, VerificationError
+from repro.query.expression import (
+    And,
+    Between,
+    Comparison,
+    In,
+    Not,
+    Or,
+    Threshold,
+    Xor,
+    run_query,
+)
 from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.histogram import EquiDepthHistogram
@@ -121,33 +131,17 @@ def estimate_expression_selectivity(
     count distribution.  Leaves defer to :func:`estimate_selectivity`
     (histogram-refined when the catalog has one).
     """
-    from repro.query.expression import (
-        And,
-        Between,
-        Comparison,
-        In,
-        Not,
-        Or,
-        Threshold,
-        Xor,
-    )
-
-    def leaf(attribute: str, op: str, value) -> float:
-        return estimate_selectivity(
-            relation, AttributePredicate(attribute, op, value), catalog
-        )
 
     def walk(node) -> float:
         if isinstance(node, Comparison):
-            return leaf(node.attribute, node.op, node.value)
+            return estimate_selectivity(relation, node, catalog)
         if isinstance(node, In):
-            union = sum(leaf(node.attribute, "=", v) for v in node.values)
-            return min(union, 1.0)
+            # The values are distinct points of one column: their union adds.
+            return min(sum(walk(leaf) for leaf in node.leaves()), 1.0)
         if isinstance(node, Between):
-            s = leaf(node.attribute, ">=", node.low) + leaf(
-                node.attribute, "<=", node.high
-            )
-            return min(max(s - 1.0, 0.0), 1.0)
+            # Both bounds cut the same column: |A and B| = |A| + |B| - |A or B|.
+            lower, upper = node.leaves()
+            return min(max(walk(lower) + walk(upper) - 1.0, 0.0), 1.0)
         if isinstance(node, And):
             return walk(node.left) * walk(node.right)
         if isinstance(node, Or):
@@ -287,6 +281,7 @@ def execute_plan(
         )
 
     if choice.plan == PLAN_FULL_SCAN:
+        access_path = AccessPath.SCAN
         rids = _scan_all(relation, predicates)
         stats.bytes_read += relation.num_rows * relation.row_bytes
     elif choice.plan == PLAN_INDEX_PLUS_SCAN:
@@ -295,10 +290,12 @@ def execute_plan(
             p for p in predicates if p.attribute == choice.driving_attribute
         )
         if best.attribute in catalog.bitmap_indexes:
+            access_path = AccessPath.BITMAP
             rids = _bitmap_rids(
                 relation, [best], catalog, stats, options.algorithm
             )
         else:
+            access_path = AccessPath.RID_LIST
             index = catalog.rid_indexes[best.attribute]
             stats.bytes_read += index.bytes_for(best.op, best.value)
             rids = index.lookup(best.op, best.value)
@@ -308,10 +305,12 @@ def execute_plan(
             rids = rids[predicate.matches(column_values)]
         stats.bytes_read += len(rids) * relation.row_bytes
     elif choice.plan == PLAN_BITMAP_MERGE:
+        access_path = AccessPath.BITMAP
         rids = _bitmap_rids(
             relation, predicates, catalog, stats, options.algorithm
         )
     elif choice.plan == PLAN_RIDLIST_MERGE:
+        access_path = AccessPath.RID_LIST
         rids = None
         for predicate in predicates:
             index = catalog.rid_indexes[predicate.attribute]
@@ -331,14 +330,10 @@ def execute_plan(
                 f"plan {choice.plan} returned {len(rids)} RIDs; the scan "
                 f"found {len(truth)}"
             )
-    from repro.query.executor import AccessPath
-
     if trace is not None:
         trace.finish()
     return (
-        QueryResult(
-            rids=rids, access_path=AccessPath.SCAN, stats=stats, trace=trace
-        ),
+        QueryResult(rids=rids, access_path=access_path, stats=stats, trace=trace),
         choice,
     )
 

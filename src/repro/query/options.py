@@ -121,20 +121,18 @@ VERIFYING_OPTIONS = QueryOptions(verify=True)
 def normalize_query(query):
     """Canonicalize any accepted query form into an ``Expression``.
 
-    Strings are parsed with the recursive-descent expression parser, an
-    :class:`~repro.query.predicate.AttributePredicate` becomes the
-    equivalent :class:`~repro.query.expression.Comparison` leaf, and
-    expression trees pass through unchanged.
+    Strings are parsed with the recursive-descent expression parser;
+    expression trees — an
+    :class:`~repro.query.predicate.AttributePredicate` is the one-leaf
+    tree, a :class:`~repro.query.expression.Comparison` — pass through
+    unchanged.
     """
     # Imported here: expression.py itself imports this module, so a
     # module-level import would be circular.
-    from repro.query.expression import Comparison, Expression, parse_expression
-    from repro.query.predicate import AttributePredicate
+    from repro.query.expression import Expression, parse_expression
 
     if isinstance(query, str):
         return parse_expression(query)
-    if isinstance(query, AttributePredicate):
-        return Comparison(query.attribute, query.op, query.value)
     if isinstance(query, Expression):
         return query
     raise InvalidPredicateError(

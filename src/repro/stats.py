@@ -10,7 +10,7 @@ evaluation; experiments aggregate over many.
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -19,6 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: What :meth:`ExecutionStats.span` hands every untraced caller.
 _NO_SPAN: AbstractContextManager[None] = nullcontext()
+
+
+def _counter(physical: bool = False) -> int:
+    """Declare one counter field of :class:`ExecutionStats`.
+
+    The fields declared through this are *the* list of a query's
+    counters (:data:`COUNTERS`); merging, the dict form, a shard worker's
+    report and the cross-shard fold all derive from it.  A ``physical``
+    counter measures bytes moved, so the shards of one query sum it; the
+    rest are logical — every shard runs the same fetch/op pattern.
+    """
+    return field(default=0, metadata={"physical": physical})
 
 
 @dataclass
@@ -57,16 +69,15 @@ class ExecutionStats:
         trace, it rides along one query and is never merged or copied.
     """
 
-    scans: int = 0
-    ands: int = 0
-    ors: int = 0
-    xors: int = 0
-    nots: int = 0
-    bytes_read: int = 0
-    decompressed_bytes: int = 0
-    files_opened: int = 0
-    buffer_hits: int = 0
-    cpu_seconds: float = field(default=0.0, repr=False)
+    scans: int = _counter()
+    ands: int = _counter()
+    ors: int = _counter()
+    xors: int = _counter()
+    nots: int = _counter()
+    bytes_read: int = _counter(physical=True)
+    decompressed_bytes: int = _counter(physical=True)
+    files_opened: int = _counter()
+    buffer_hits: int = _counter()
     trace: "QueryTrace | None" = field(default=None, repr=False, compare=False)
     deadline: "Deadline | None" = field(default=None, repr=False, compare=False)
 
@@ -95,16 +106,9 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> None:
         """Accumulate ``other`` into this object (for aggregation)."""
-        self.scans += other.scans
-        self.ands += other.ands
-        self.ors += other.ors
-        self.xors += other.xors
-        self.nots += other.nots
-        self.bytes_read += other.bytes_read
-        self.decompressed_bytes += other.decompressed_bytes
-        self.files_opened += other.files_opened
-        self.buffer_hits += other.buffer_hits
-        self.cpu_seconds += other.cpu_seconds
+        mine, theirs = vars(self), vars(other)
+        for name in COUNTERS:
+            mine[name] += theirs[name]
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (stable keys, JSON-serializable).
@@ -112,22 +116,20 @@ class ExecutionStats:
         Used by the engine's ``snapshot()`` and the benchmark result files;
         the derived ``ops`` total is included for convenience.
         """
-        return {
-            "scans": self.scans,
-            "ands": self.ands,
-            "ors": self.ors,
-            "xors": self.xors,
-            "nots": self.nots,
-            "ops": self.ops,
-            "bytes_read": self.bytes_read,
-            "decompressed_bytes": self.decompressed_bytes,
-            "files_opened": self.files_opened,
-            "buffer_hits": self.buffer_hits,
-            "cpu_seconds": self.cpu_seconds,
-        }
+        pairs = [(name, getattr(self, name)) for name in COUNTERS]
+        # The total sits right after the four operation counters it sums.
+        pairs.insert(COUNTERS.index("nots") + 1, ("ops", self.ops))
+        return dict(pairs)
 
     def copy(self) -> "ExecutionStats":
         """An independent copy of the current counter values."""
         out = ExecutionStats()
         out.merge(self)
         return out
+
+
+#: Every counter of a query, in declaration order, and the physical ones.
+COUNTERS = tuple(f.name for f in fields(ExecutionStats) if "physical" in f.metadata)
+PHYSICAL_COUNTERS = tuple(
+    f.name for f in fields(ExecutionStats) if f.metadata.get("physical")
+)

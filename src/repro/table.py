@@ -53,7 +53,6 @@ from repro.query.expression import (
 )
 from repro.query.optimizer import Catalog, choose_plan, execute_plan
 from repro.query.options import QueryOptions
-from repro.query.predicate import AttributePredicate
 from repro.relation.histogram import EquiDepthHistogram
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
@@ -180,12 +179,8 @@ class Table:
         if isinstance(expression, str):
             expression = parse_expression(expression)
 
-        conjuncts = _flatten_conjunction(expression)
-        if conjuncts is not None:
-            predicates = [
-                AttributePredicate(c.attribute, c.op, c.value)
-                for c in conjuncts
-            ]
+        predicates = _flatten_conjunction(expression)
+        if predicates is not None:
             result, _ = execute_plan(
                 self.relation,
                 predicates,
@@ -216,12 +211,8 @@ class Table:
         """A one-line description of how ``select`` would run."""
         if isinstance(expression, str):
             expression = parse_expression(expression)
-        conjuncts = _flatten_conjunction(expression)
-        if conjuncts is not None:
-            predicates = [
-                AttributePredicate(c.attribute, c.op, c.value)
-                for c in conjuncts
-            ]
+        predicates = _flatten_conjunction(expression)
+        if predicates is not None:
             return str(choose_plan(self.relation, predicates, self.catalog))
         covered = all(
             attr in self.catalog.bitmap_indexes

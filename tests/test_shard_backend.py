@@ -379,7 +379,7 @@ class TestEngineBackendDifferential:
             options = QueryOptions(backend="processes", shards=4)
             engine.query_batch(QUERIES, options=options)  # build + publish
             inline_index = engine._index_for("orders", "quantity")
-            sharded_index = engine._sharded_index_for("orders", "quantity", 4)
+            sharded_index = engine.registry.peek(("orders", "quantity", "shards", 4))
             for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 17)):
                 inline_index.update(rid, value)
                 sharded_index.update(rid, value)
@@ -427,11 +427,11 @@ class TestEngineBackendDifferential:
     def test_invalidate_drops_publications_and_indexes(self, relation):
         with make_engine(relation) as engine:
             engine.query_batch(QUERIES, options=QueryOptions(backend="processes", shards=2))
-            assert engine._exports
+            assert engine._dispatch.exports
             sharded_key = ("orders", "quantity", "shards", 2)
             assert sharded_key in engine.registry
             engine.invalidate("orders")
-            assert not engine._exports
+            assert not engine._dispatch.exports
             assert sharded_key not in engine.registry
             # And the engine still answers afterwards (rebuild path).
             result = engine.query(

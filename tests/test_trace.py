@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine.engine import IndexSpec, QueryEngine
@@ -35,6 +36,7 @@ from repro.query.options import QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage.store import IndexStore
 from repro.trace import QueryTrace, explain
 
 NUM_ROWS = 2000
@@ -399,6 +401,24 @@ class TestExplain:
         assert report.predicted_scans is not None
         assert report.predicted_scans > 1  # multi-component range scan
         assert report.actual["scans"] == report.predicted_scans
+
+    def test_report_names_the_codec_the_query_ran_over(self, relation, tmp_path):
+        # Not the engine default ("dense" in both engines below): the
+        # codec the run resolved, as its dispatch span and metrics say.
+        store = IndexStore(str(tmp_path))
+        store.build(relation, codec="wah")
+        store.close()
+        with repro.open_store(str(tmp_path)) as served, make_engine(relation) as memory:
+            for engine, options, codec in (
+                (served, None, "wah"),
+                (memory, QueryOptions(codec="roaring"), "roaring"),
+            ):
+                report = engine.explain("quantity <= 25", options=options)
+                (dispatch,) = report.trace.spans_of("plan")
+                assert dispatch.attrs["codec"] == codec
+                assert report.bitmap_codec == codec
+                assert report.compressed
+                assert report.matches_prediction
 
     def test_warm_cache_invariant_scans_plus_hits(self, relation):
         engine = make_engine(relation, cache_capacity=256)
