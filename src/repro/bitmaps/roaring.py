@@ -156,10 +156,14 @@ def _num_chunks(nbits: int) -> int:
     return (nbits + CHUNK_SIZE - 1) // CHUNK_SIZE
 
 
-def _require(holds, problem: str) -> None:
-    """An invariant of a payload being read: corrupt unless it ``holds``."""
+def _require(holds, problem: str, *args) -> None:
+    """An invariant of a payload being read: corrupt unless it ``holds``.
+
+    ``problem`` is formatted with ``args`` only when the check fails, so a
+    passing check pays for no message (reads run these per container).
+    """
     if not holds:
-        raise CorruptFileError(f"roaring {problem}")
+        raise CorruptFileError("roaring " + problem.format(*args))
 
 
 def _ranges(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -830,12 +834,15 @@ class RoaringBitmap:
         size = len(blob)
         _require(size >= _HEADER.size, "payload shorter than its header")
         magic, version, _, nbits, ncontainers = _HEADER.unpack_from(blob)
-        _require(magic == _MAGIC, f"payload has bad magic {magic!r}")
-        _require(version == _VERSION, f"payload has unsupported version {version}")
+        _require(magic == _MAGIC, "payload has bad magic {!r}", magic)
+        _require(version == _VERSION, "payload has unsupported version {}", version)
         nchunks = _num_chunks(nbits)
         _require(
             ncontainers <= nchunks,
-            f"payload declares {ncontainers} containers for {nbits} bits ({nchunks} chunks)",
+            "payload declares {} containers for {} bits ({} chunks)",
+            ncontainers,
+            nbits,
+            nchunks,
         )
         # The one walk: container headers sit at data-dependent offsets.
         # Each body is sliced, uncopied, onto the list of its kind.
@@ -846,19 +853,22 @@ class RoaringBitmap:
             _require(size >= offset + _CONTAINER_HEADER.size, "container header truncated")
             key, kind, count = _CONTAINER_HEADER.unpack_from(blob, offset)
             offset += _CONTAINER_HEADER.size
-            _require(kind <= RUN, f"payload has unknown container kind {kind}")
+            _require(kind <= RUN, "payload has unknown container kind {}", kind)
             _require(count > 0, "payload contains an empty container")
             width = BITMAP_NBYTES if kind == BITMAP else int(_UNIT_NBYTES[kind]) * count
-            _require(size >= offset + width, f"{_KIND_NAMES[kind]} container truncated")
+            if size < offset + width:  # naming the kind costs a numpy lookup
+                _require(False, "{} container truncated", _KIND_NAMES[kind])
             heads.append((key, kind, count))
             bodies[kind].append(blob[offset : offset + width])
             offset += width
-        _require(offset == size, f"payload has {size - offset} trailing bytes")
+        _require(offset == size, "payload has {} trailing bytes", size - offset)
         keys, kinds, counts = np.array(heads, dtype=np.int64).reshape(-1, 3).T
         _require(not (keys[1:] <= keys[:-1]).any(), "container keys not strictly increasing")
         _require(
             not (keys[-1:] >= nchunks).any(),
-            f"container key {keys[-1:]} out of range for {nbits} bits",
+            "container key {} out of range for {} bits",
+            keys[-1:],
+            nbits,
         )
         # One copy: each kind's bodies, joined, are that kind's pool.
         array, words, runs = (
@@ -925,7 +935,7 @@ class RoaringBitmap:
         here instead of surfacing later as a length mismatch, or never."""
         if len(buf) >= _HEADER.size:
             declared = _HEADER.unpack_from(buf)[3]
-            _require(declared == nbits, f"payload declares {declared} bits; {nbits} expected")
+            _require(declared == nbits, "payload declares {} bits; {} expected", declared, nbits)
         return cls.deserialize(buf)
 
     def __eq__(self, other: object) -> bool:

@@ -435,12 +435,9 @@ class BitmapIndex:
     def track_nulls(self) -> bool:
         """Materialize the existence bitmap ``B_nn`` (all rows valid).
 
-        A no-op when the index already tracks nulls.  Sharded execution
-        uses this to keep null tracking uniform across shards: the
-        evaluators add a ``B_nn`` mask AND only when ``nonnull`` is
-        present, so one shard materializing it (e.g. on a delete) must
-        drag the others along or per-shard operation counts diverge.
-        Returns ``True`` when the bitmap was materialized by this call.
+        A no-op when the index already tracks nulls (the first NULL
+        append and the first delete call it).  Returns ``True`` when the
+        bitmap was materialized by this call.
         """
         if self.nonnull is not None:
             return False

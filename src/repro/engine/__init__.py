@@ -12,7 +12,6 @@ from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
     BACKENDS,
     ProcessShardExecutor,
-    ShardedBitmapIndex,
     ShardExport,
     merge_shard_rids,
     shard_bounds,
@@ -36,7 +35,6 @@ __all__ = [
     "QueryTrace",
     "RetryPolicy",
     "ShardExport",
-    "ShardedBitmapIndex",
     "SharedBitmapCache",
     "explain",
     "merge_shard_rids",

@@ -4,11 +4,11 @@
 pool; everything around that call which exists only because of
 ``backend="processes"`` lives here, behind one object the engine owns:
 
-- **what is derived from a relation** — the row-range
-  :class:`~repro.engine.sharding.ShardedBitmapIndex` of each attribute
-  (memoized in the engine's :class:`~repro.engine.registry.IndexRegistry`
-  under ``(relation, attribute, "shards", n)``) and its shared-memory
-  :class:`~repro.engine.sharding.ShardExport` — and the one way to drop it
+- **what is published of a relation** — each attribute's shared-memory
+  :class:`~repro.engine.sharding.ShardExport`, the row-range cut of the
+  very bitmap source the inline path serves (so nothing is rebuilt for
+  this backend, and maintenance, NULL tracking and a store's pending delta
+  reach it unchanged) — and the one way to drop it
   (:meth:`ProcessDispatch.drop`);
 - **how a failed dispatch is retried, repaired and degraded** — the
   breaker gate, the backoff loop, and :data:`RECOVERY`, the one table from
@@ -24,14 +24,14 @@ from collections.abc import Callable
 from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple, Protocol
 
+from repro.core.index import BitmapIndex
 from repro.engine.metrics import EngineMetrics
-from repro.engine.registry import IndexRegistry, IndexSpec
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
     ProcessShardExecutor,
-    ShardedBitmapIndex,
     ShardExport,
     ShardQueryOutcome,
+    shard_bounds,
     sweep_orphan_segments,
     translate_expression,
 )
@@ -45,6 +45,7 @@ from repro.faults import Deadline, FaultPlan
 from repro.query.expression import Expression
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
+from repro.storage.store import StoreBitmapSource
 from repro.trace import QueryTrace
 
 # The ladder logs where it always has: under the engine's logger.
@@ -54,13 +55,13 @@ log = logging.getLogger("repro.engine")
 class DispatchItem(NamedTuple):
     """One resolved query as the engine hands it to the dispatch.
 
-    ``specs`` maps exactly the attributes the query reads (its leaves
-    plus the grouping column) to their index specs; ``codec`` is the one
-    bitmap codec all of them are served in.
+    ``sources`` maps exactly the attributes the query reads (its leaves
+    plus the grouping column) to the bitmap sources the inline path serves
+    them from; ``codec`` is the one bitmap codec all of them are served in.
     """
 
     relation: Relation
-    specs: dict[str, IndexSpec]
+    sources: dict[str, BitmapIndex | StoreBitmapSource]
     codec: str
     expression: Expression
     finish: str
@@ -71,7 +72,6 @@ class DispatchKnobs(Protocol):
     """The engine's public attributes the dispatch reads, live on each use
     (so reassigning one on the engine takes effect on this backend too)."""
 
-    registry: IndexRegistry
     metrics: EngineMetrics
     retry_policy: RetryPolicy
     breaker: CircuitBreaker
@@ -172,20 +172,14 @@ class ProcessDispatch:
         return outcomes
 
     def drop(self, relation: str, attribute: str | None = None) -> None:
-        """Forget what was derived from a relation (or one attribute).
+        """Unlink a relation's publications (or one attribute's).
 
-        Pops the sharded indexes from the registry and unlinks their
-        publications; the next dispatch rebuilds both from the relation's
-        column codes.  Called when the data changed (``invalidate``).
+        Called when the data changed (``invalidate``); the next dispatch
+        cuts them again from whatever source the engine then serves.
         """
-
-        def derived(key: tuple) -> bool:
-            return key[0] == relation and (attribute is None or key[1] == attribute)
-
-        for key in self._knobs.registry.keys():
-            if isinstance(key, tuple) and key[2:3] == ("shards",) and derived(key):
-                self._knobs.registry.pop(key)
-        self._unpublish(derived)
+        self._unpublish(
+            lambda key: key[0] == relation and (attribute is None or key[1] == attribute)
+        )
 
     def close(self, wait: bool = True) -> None:
         """Shut the pools down and unlink every publication (idempotent)."""
@@ -240,11 +234,9 @@ class ProcessDispatch:
         sweep_orphan_segments()
 
     def _unpublish(self, doomed: Callable[[tuple], bool]) -> None:
-        """Unlink the publications whose key ``doomed`` selects.
-
-        The sharded indexes survive in the registry — in-place
-        maintenance included — so the next dispatch re-exports from them.
-        """
+        """Unlink the publications whose key ``doomed`` selects; the next
+        dispatch re-cuts them from the engine's sources, which a repair
+        never touches — in-place maintenance survives it."""
         with self._lock:
             closing = [self.exports.pop(key) for key in list(self.exports) if doomed(key)]
         for export in closing:
@@ -274,39 +266,20 @@ class ProcessDispatch:
     def _export_for(self, item: DispatchItem, attribute: str, shards: int) -> ShardExport:
         """The current shared-memory publication of one attribute's shards.
 
-        The sharded index is built once per ``(relation, attribute,
-        shards)``; it is re-exported (and the stale blocks unlinked) when
-        maintenance has bumped its version since the last publication.
+        Cut from the source the inline path serves, and cut again (the
+        stale blocks unlinked) once that source is replaced or its
+        version has moved since the last publication.
         """
-        relation, spec = item.relation, item.specs[attribute]
-
-        def build() -> ShardedBitmapIndex:
-            column = relation.column(attribute)
-            if column.codes is None:
-                raise EngineConfigError(
-                    f"the process backend shards raw column codes, which "
-                    f"store-backed relation {relation.name!r} does not "
-                    f"carry; use the inline or thread backend"
-                )
-            return ShardedBitmapIndex(
-                column.codes,
-                cardinality=column.cardinality,
-                shards=shards,
-                base=spec.resolve_base(column.cardinality),
-                encoding=spec.encoding,
-                keep_values=False,
-            )
-
-        sharded = self._knobs.registry.get_or_build(
-            (relation.name, attribute, "shards", shards), build
-        )
-        key = (relation.name, attribute, item.codec, shards)
+        source = item.sources[attribute]
+        key = (item.relation.name, attribute, item.codec, shards)
         with self._lock:
             export = self.exports.get(key)
-            if export is not None and export.version == sharded.version:
+            if export is not None and export.serves(source):
                 return export
             stale = export
-            export = self.exports[key] = ShardExport(sharded, item.codec)
+            export = self.exports[key] = ShardExport(
+                source, shard_bounds(source.nbits, shards), item.codec
+            )
         if stale is not None:
             stale.close()
         return export
@@ -321,26 +294,26 @@ class ProcessDispatch:
     ) -> list[ShardQueryOutcome]:
         """One dispatch attempt of a resolved batch on the process pool."""
         executor = self._executor(workers)
-        # Translate every query to the code domain and publish the
-        # sharded indexes its attributes need.  Relations of different
-        # sizes may clamp to different effective shard counts, so items
-        # are grouped by their relation's effective count and dispatched
-        # per group.
+        # Translate every query to the code domain and publish the shards
+        # its attributes need.  Relations of different sizes split into
+        # different row ranges (and may clamp to different shard counts),
+        # and a shard's RIDs are offset by its own range, so items are
+        # grouped by their relation's row ranges and dispatched per group.
         exports: dict[tuple, ShardExport] = {}
-        groups: dict[int, list] = {}
+        groups: dict[tuple, list] = {}
         for qid, item in enumerate(items):
             name = item.relation.name
-            attributes = sorted(item.specs)
+            attributes = sorted(item.sources)
             for attribute in attributes:
                 if (name, attribute) not in exports:
                     exports[(name, attribute)] = self._export_for(item, attribute, shards)
             code_expression = translate_expression(item.expression, item.relation)
             payload = (item.finish, tuple(attributes), code_expression, item.by)
-            count = exports[(name, attributes[0])].num_shards
-            groups.setdefault(count, []).append((qid, name, payload))
+            bounds = exports[(name, attributes[0])].bounds
+            groups.setdefault(bounds, []).append((qid, name, payload))
         outcomes: list = [None] * len(items)
-        for count, group_items in groups.items():
-            needed = {key: exp for key, exp in exports.items() if exp.num_shards == count}
+        for bounds, group_items in groups.items():
+            needed = {key: exp for key, exp in exports.items() if exp.bounds == bounds}
             group_outcomes = executor.run_batch(
                 needed,
                 group_items,

@@ -53,7 +53,6 @@ import numpy as np
 from repro.bitmaps import bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
-from repro.core.index import BitmapIndex
 from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.engine.dispatch import DispatchItem, ProcessDispatch
 from repro.engine.metrics import EngineMetrics, prom_family
@@ -62,7 +61,7 @@ from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EngineConfigError, QueryTimeoutError
 from repro.faults import Deadline, FaultPlan
-from repro.query.executor import AccessPath, QueryResult
+from repro.query.executor import AccessPath, QueryResult, bitmap_index_for
 from repro.query.expression import query_mode, run_query, verify_answer
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
@@ -659,17 +658,16 @@ class QueryEngine:
                 source = storage.bitmap_source(relation_name, attribute)
                 if source is not None:
                     return source
-            column = relation.column(attribute)
-            if column.codes is None:
+            if isinstance(relation, StoreRelation):
                 raise EngineConfigError(
                     f"attribute {attribute!r} of relation {relation_name!r} "
                     f"has no raw values to index and the store holds no "
                     f"persisted bitmaps for it"
                 )
-            return BitmapIndex(
-                column.codes,
-                cardinality=column.cardinality,
-                base=spec.resolve_base(column.cardinality),
+            return bitmap_index_for(
+                relation,
+                attribute,
+                base=spec.resolve_base(relation.column(attribute).cardinality),
                 encoding=spec.encoding,
                 keep_values=False,
             )
@@ -677,13 +675,9 @@ class QueryEngine:
         return self.registry.get_or_build((relation_name, attribute), build)
 
     def _codec_for(
-        self,
-        relation_name: str,
-        attribute: str,
-        options: QueryOptions,
-        stored: str | None = None,
+        self, relation_name: str, attribute: str, options: QueryOptions, index
     ) -> str:
-        """Resolve the serving codec.
+        """Resolve the codec ``index``, the attribute's source, is served in.
 
         Precedence: query override > index spec > the codec the bitmaps
         are persisted in (store-backed sources only — serving the stored
@@ -695,7 +689,7 @@ class QueryEngine:
             spec = self._specs.get(relation_name, {}).get(attribute)
             codec = spec.codec if spec is not None else None
         if codec is None:
-            codec = stored
+            codec = getattr(index, "stored_codec", None)
         if codec is None:
             codec = self.codec
         return bitmap_class(codec).codec
@@ -708,12 +702,7 @@ class QueryEngine:
     ) -> CachedSource:
         """The cache-routed bitmap source of one served attribute."""
         index = self._index_for(relation_name, attribute)
-        codec = self._codec_for(
-            relation_name,
-            attribute,
-            options,
-            stored=getattr(index, "stored_codec", None),
-        )
+        codec = self._codec_for(relation_name, attribute, options, index)
         prefix = (relation_name, attribute)
         if codec != "dense":
             # Entries of different representations for the same slot must
@@ -789,12 +778,15 @@ class QueryEngine:
 
     def _dispatch_item(self, item: tuple, options: QueryOptions) -> DispatchItem:
         """What the process dispatch needs of one query, resolved here so it
-        never reaches back into the engine's relations or specs."""
+        never reaches back into the engine: the sources inline serves the
+        query's attributes from, and the one codec it serves them in."""
         name, expression, finish, by = item
-        attributes = _attributes(expression, by)
-        codec = _one_codec({self._codec_for(name, attr, options) for attr in attributes}, item)
-        specs = {attr: self._spec_for(name, attr) for attr in attributes}
-        return DispatchItem(self._relations[name], specs, codec, expression, finish, by)
+        sources = {attr: self._index_for(name, attr) for attr in _attributes(expression, by)}
+        codec = _one_codec(
+            {self._codec_for(name, attr, options, index) for attr, index in sources.items()},
+            item,
+        )
+        return DispatchItem(self._relations[name], sources, codec, expression, finish, by)
 
     # ------------------------------------------------------------------
     # The one execution pipeline

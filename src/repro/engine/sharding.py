@@ -4,17 +4,20 @@ The thread-pool engine scales when workers overlap I/O waits, but on pure
 CPU work the interpreter serializes the Python layer of every bitmap
 operation: the GIL bounds CPU-bound batch throughput near 1x regardless
 of worker count.  This module is the execution backend that escapes the
-GIL: each registered relation is partitioned into contiguous **row-range
-shards**, each shard gets its own :class:`~repro.core.index.BitmapIndex`
-over the same global code domain, and batches are evaluated by a pool of
-worker *processes*.
+GIL: the bitmaps each attribute is served from are cut into contiguous
+**row-range shards**, and batches are evaluated by a pool of worker
+*processes*.
 
 The design rests on three invariants:
 
-1. **Shards share the global dictionary.**  Shard ``i`` indexes rows
-   ``[start_i, stop_i)`` of the full column's *code* array with the full
-   column's cardinality, so a code-domain predicate translated once by
-   the parent is valid verbatim on every shard.
+1. **A shard is a row range of the source inline serves.**  Shard ``i``
+   is rows ``[start_i, stop_i)`` of every stored bitmap of the one
+   :class:`~repro.core.index.BitmapSource` the engine serves the
+   attribute from — an in-memory index, maintenance included, or an
+   index store's source, pending delta included — and of its existence
+   bitmap when it has one.  Every shard so shares that source's code
+   domain, base and encoding, and a code-domain predicate translated
+   once by the parent is valid verbatim on every shard.
 2. **Bitmap payloads live in shared memory, not in pickles.**  A
    :class:`ShardExport` writes each shard into one
    :class:`multiprocessing.shared_memory.SharedMemory` block as an
@@ -26,7 +29,8 @@ The design rests on three invariants:
    payload and the result RIDs cross the process boundary.
 3. **Per-shard evaluation is the same algorithm on the same fetch
    pattern.**  The evaluation algorithms' fetch sequences depend only on
-   the predicate, base, and encoding — never on the data — so every
+   the predicate, base, and encoding — never on the data — and every
+   shard has an existence bitmap exactly when the source does, so every
    shard charges identical scan/op counts, and the *logical* cost of a
    sharded query (one scan per stored bitmap touched, as the paper
    counts it) equals any single shard's counters while ``bytes_read``
@@ -55,8 +59,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.decomposition import Base
-from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
 from repro.errors import (
@@ -257,162 +259,6 @@ def translate_expression(expression: Expression, relation: Relation) -> Expressi
 
 
 # ----------------------------------------------------------------------
-# The sharded index
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ShardedResult:
-    """Merged result of evaluating one query across every shard."""
-
-    rids: np.ndarray
-    stats: ExecutionStats
-    shard_stats: list[ExecutionStats] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.rids)
-
-
-class ShardedBitmapIndex:
-    """Row-range shards of one attribute, each its own :class:`BitmapIndex`.
-
-    Built from the full column's *codes* with the full cardinality, so
-    every shard lives in the same code domain and a translated predicate
-    applies verbatim to all of them.  Maintenance routes to the owning
-    shard (appends extend the last shard); any operation bumps the
-    underlying indexes' versions, which invalidates shared-memory
-    publications derived from this index.
-    """
-
-    def __init__(
-        self,
-        values: np.ndarray,
-        cardinality: int,
-        shards: int,
-        base: Base | None = None,
-        encoding: EncodingScheme = EncodingScheme.RANGE,
-        nulls: np.ndarray | None = None,
-        keep_values: bool = True,
-    ):
-        values = np.asarray(values, dtype=np.int64)
-        if nulls is not None:
-            nulls = np.asarray(nulls, dtype=bool)
-        self.bounds = list(shard_bounds(len(values), shards))
-        self.cardinality = cardinality
-        self.encoding = encoding
-        self.indexes = [
-            BitmapIndex(
-                values[start:stop],
-                cardinality=cardinality,
-                base=base,
-                encoding=encoding,
-                nulls=nulls[start:stop] if nulls is not None else None,
-                keep_values=keep_values,
-            )
-            for start, stop in self.bounds
-        ]
-        self.base = self.indexes[0].base
-        if nulls is not None:
-            self._track_nulls_everywhere()
-
-    # -- structure ------------------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.indexes)
-
-    @property
-    def nbits(self) -> int:
-        return self.bounds[-1][1] if self.bounds else 0
-
-    @property
-    def version(self) -> int:
-        """Sum of shard index versions; changes on any maintenance."""
-        return sum(index.version for index in self.indexes)
-
-    def _locate(self, rid: int) -> int:
-        if not 0 <= rid < self.nbits:
-            raise ValueOutOfRangeError(
-                f"rid {rid} out of range for {self.nbits} records"
-            )
-        starts = [start for start, _ in self.bounds]
-        shard = int(np.searchsorted(starts, rid, side="right")) - 1
-        return shard
-
-    def _track_nulls_everywhere(self) -> None:
-        """Materialize the existence bitmap on every shard.
-
-        Per-shard evaluation must charge identical op counts (the merge
-        contract of :func:`merge_shard_stats`), so the ``B_nn`` mask AND
-        either happens on all shards or on none.
-        """
-        if any(index.nonnull is not None for index in self.indexes):
-            for index in self.indexes:
-                index.track_nulls()
-
-    # -- maintenance ----------------------------------------------------
-
-    def append(self, values: np.ndarray, nulls: np.ndarray | None = None) -> int:
-        """Append rows to the last shard; returns bitmaps rewritten."""
-        values = np.asarray(values, dtype=np.int64)
-        touched = self.indexes[-1].append(values, nulls=nulls)
-        start, stop = self.bounds[-1]
-        self.bounds[-1] = (start, stop + len(values))
-        self._track_nulls_everywhere()
-        return touched
-
-    def update(self, rid: int, value: int) -> int:
-        """Update one row in its owning shard; returns bitmaps touched."""
-        shard = self._locate(rid)
-        return self.indexes[shard].update(rid - self.bounds[shard][0], value)
-
-    def delete(self, rid: int) -> int:
-        """Logically delete one row; returns bitmaps touched."""
-        shard = self._locate(rid)
-        touched = self.indexes[shard].delete(rid - self.bounds[shard][0])
-        self._track_nulls_everywhere()
-        return touched
-
-    # -- inline (in-process) evaluation --------------------------------
-
-    def evaluate(
-        self,
-        predicate: Predicate,
-        algorithm: str = "auto",
-        codec: str = "dense",
-    ) -> ShardedResult:
-        """Evaluate a code-domain predicate over every shard, merged.
-
-        The in-process reference path of the sharded backend: identical
-        merge semantics to process execution, used by the differential
-        suite and as the ground truth the process path is checked
-        against.
-        """
-        shard_stats: list[ExecutionStats] = []
-        rid_lists: list[np.ndarray] = []
-        for shard in range(self.num_shards):
-            stats = ExecutionStats()
-            bitmap = evaluate(
-                self.indexes[shard].with_codec(codec),
-                predicate,
-                algorithm=algorithm,
-                stats=stats,
-            )
-            rid_lists.append(bitmap.indices())
-            shard_stats.append(stats)
-        rids = merge_shard_rids(rid_lists, [start for start, _ in self.bounds])
-        return ShardedResult(rids, merge_shard_stats(shard_stats), shard_stats)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedBitmapIndex(N={self.nbits}, C={self.cardinality}, "
-            f"shards={self.num_shards}, base={self.base}, "
-            f"encoding={self.encoding})"
-        )
-
-
-# ----------------------------------------------------------------------
 # Shared-memory publication
 # ----------------------------------------------------------------------
 
@@ -467,30 +313,40 @@ def _create_segment(size: int) -> shared_memory.SharedMemory:
 
 
 class ShardExport:
-    """Owner-side handle of one sharded index published to shared memory.
+    """Owner-side handle of one attribute's shards in shared memory.
 
     One :class:`~multiprocessing.shared_memory.SharedMemory` block per
-    shard, holding every stored bitmap in the requested codec.  Segments
-    carry recognizable names (``repro-shm-<pid>-<nonce>``) so
-    :func:`sweep_orphan_segments` can reclaim them if this process dies
-    without cleanup; live exports are also swept by an ``atexit`` hook.
-    The export pins the source index's
-    :attr:`~ShardedBitmapIndex.version`; the publisher re-exports when
-    maintenance has bumped it.  Call :meth:`close` (or let the engine's
-    ``close()``) to unlink the blocks.
+    ``(start, stop)`` of ``bounds``, holding that row range of every
+    stored bitmap of ``source`` (and of its existence bitmap, when it has
+    one) in ``codec`` — cut once, here, so workers only ever read their
+    own rows.  Segments carry recognizable names
+    (``repro-shm-<pid>-<nonce>``) so :func:`sweep_orphan_segments` can
+    reclaim them if this process dies without cleanup; live exports are
+    also swept by an ``atexit`` hook.  The export pins the source and its
+    ``version``; the publisher re-exports once :meth:`serves` turns false
+    (in-place maintenance, or a store append or compaction, moved it).
+    Call :meth:`close` (or let the engine's ``close()``) to unlink the
+    blocks.
     """
 
-    def __init__(self, sharded: ShardedBitmapIndex, codec: str):
+    def __init__(
+        self,
+        source: BitmapIndex | StoreBitmapSource,
+        bounds: tuple[tuple[int, int], ...],
+        codec: str,
+    ):
         global _EXPORT_SWEEP_REGISTERED
         self.codec = codec
-        self.version = sharded.version
+        self.bounds = tuple(bounds)
+        self._source = source
+        self.version = source.version
         self.manifests: list[ShardManifest] = []
         self._segments: list = []
         try:
-            for (start, stop), index in zip(sharded.bounds, sharded.indexes):
-                spec = _index_attr_spec(index, codec)
+            for start, stop in self.bounds:
+                spec = _index_attr_spec(source, codec, rows=(start, stop))
                 image, _ = _pack_relation_file(
-                    _IMAGE_NAME, index.nbits, {_IMAGE_NAME: spec}
+                    _IMAGE_NAME, stop - start, {_IMAGE_NAME: spec}
                 )
                 # Start the image where its payload region lands on an
                 # 8-byte boundary: dense payload lengths are multiples of
@@ -513,6 +369,10 @@ class ShardExport:
     @property
     def num_shards(self) -> int:
         return len(self.manifests)
+
+    def serves(self, source) -> bool:
+        """Whether this publication is still a cut of ``source`` as it is."""
+        return self._source is source and self.version == source.version
 
     @property
     def nbytes(self) -> int:

@@ -32,7 +32,8 @@ the header, and each payload by its dictionary entry (verified on first
 materialization).
 
 The layout does not depend on what holds the bytes: the process backend
-publishes each shard as the same image from the same writer
+publishes each shard — a row range of the source the engine serves — as
+the same image from the same writer
 (:class:`~repro.engine.sharding.ShardExport`) and serves it with the same
 reader.  A file's image starts at 0; a segment's at the offset (< 8) that
 puts the payload region, and so every dense payload, on an 8-byte boundary.
@@ -1090,24 +1091,14 @@ class IndexStore:
         if rfile.delta_rows == 0:
             return {"relation": relation, "compacted": False, "rows": rfile.nbits}
         new_nbits = rfile.nbits + rfile.delta_rows
-        payload_attrs: dict[str, dict] = {}
-        stats = ExecutionStats()
-        for attr, meta in rfile.attrs.items():
-            # What a reader is served while the delta is pending — base
-            # and delta merged, in the stored codec — is what gets written.
-            source = StoreBitmapSource(rfile, attr)
-            payload_attrs[attr] = {
-                "cardinality": meta.cardinality,
-                "base": meta.base,
-                "encoding": meta.encoding,
-                "codec": meta.codec,
-                "value_size_bytes": meta.value_size_bytes,
-                "dictionary": meta.dictionary,
-                "bitmaps": {
-                    key: source.fetch(*key, stats) for key in sorted(meta.slots)
-                },
-                "nonnull": source.with_codec("dense").nonnull,
-            }
+        # What a reader is served while the delta is pending — base and
+        # delta merged, in the stored codec — is what gets written.
+        payload_attrs = {
+            attr: _index_attr_spec(
+                StoreBitmapSource(rfile, attr), meta.codec, meta.value_size_bytes, meta.dictionary
+            )
+            for attr, meta in rfile.attrs.items()
+        }
         folded = rfile.delta_rows
         chunks, _ = _relation_chunks(relation, new_nbits, payload_attrs)
         file_bytes = self._atomic_write(
@@ -1293,29 +1284,43 @@ def _ranks_for(meta: _AttrMeta, values, mask: np.ndarray | None) -> np.ndarray:
 
 
 def _index_attr_spec(
-    index: BitmapIndex,
+    source: BitmapIndex | StoreBitmapSource,
     codec: str,
     value_size_bytes: int = 8,
     dictionary: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> dict:
-    """One in-memory index as an attribute of :func:`_pack_relation_file`,
-    its stored bitmaps converted to ``codec``."""
+    """One bitmap source as an attribute of :func:`_relation_chunks`.
+
+    Every stored bitmap of ``source`` — an in-memory index, or a store's
+    source serving base and delta merged — and its existence bitmap, in
+    ``codec``; with ``rows=(start, stop)``, only that row range of each.
+    The one way an image attribute is built: a store file, a compaction
+    and a shard publication all come through here.
+    """
     cls = bitmap_class(codec)
+    stats = ExecutionStats()
+
+    def served(bitmap: Bitmap) -> Bitmap:
+        if rows is not None:
+            bitmap = BitVector.from_bools(bitmap.to_bools()[rows[0] : rows[1]])
+        return bitmap if type(bitmap) is cls else cls.from_bitvector(bitmap.to_bitvector())
+
+    bitmaps = {
+        (comp, slot): served(source.fetch(comp, slot, stats))
+        for comp in range(1, source.base.n + 1)
+        for slot in source.stored_slots(comp)
+    }
+    nonnull = source.nonnull
     return {
-        "cardinality": int(index.cardinality),
-        "base": index.base,
-        "encoding": index.encoding,
+        "cardinality": int(source.cardinality),
+        "base": source.base,
+        "encoding": source.encoding,
         "codec": codec,
         "value_size_bytes": value_size_bytes,
         "dictionary": dictionary,
-        "bitmaps": {
-            (comp, slot): cls.from_bitvector(
-                index.components[comp - 1].bitmap(slot)
-            )
-            for comp in range(1, index.base.n + 1)
-            for slot in index.stored_slots(comp)
-        },
-        "nonnull": index.nonnull,
+        "bitmaps": bitmaps,
+        "nonnull": served(nonnull) if nonnull is not None else None,
     }
 
 
@@ -1337,7 +1342,7 @@ def _relation_chunks(
     ``encoding`` (:class:`EncodingScheme`), ``codec``,
     ``value_size_bytes``, ``dictionary`` (array or ``None``),
     ``bitmaps`` (``{(component, slot): bitmap}`` in the codec's type),
-    and ``nonnull`` (dense :class:`BitVector` or ``None``).  Returns the
+    and ``nonnull`` (in the codec's type too, or ``None``).  Returns the
     image as header, dictionary and one chunk per payload — nothing here
     copies a payload — and, per attribute, the bytes its slot payloads
     take in the image.
@@ -1360,18 +1365,13 @@ def _relation_chunks(
             {"base": base.component(i), "slots": {}}
             for i in range(1, base.n + 1)
         ]
-        cls = bitmap_class(spec["codec"])
         start = offset
         for (comp, slot), bitmap in sorted(spec["bitmaps"].items()):
             entry = add(bitmap.to_payload())
             components[comp - 1]["slots"][str(slot)] = list(entry)
         payload_bytes[attr] = offset - start
         nonnull = spec.get("nonnull")
-        nonnull_entry = (
-            list(add(cls.from_bitvector(nonnull).to_payload()))
-            if nonnull is not None
-            else None
-        )
+        nonnull_entry = list(add(nonnull.to_payload())) if nonnull is not None else None
         meta_attrs[attr] = {
             "cardinality": spec["cardinality"],
             "base": list(base.bases),

@@ -35,7 +35,7 @@ from repro.core.evaluation import (
 from repro.core.evaluation import threshold_all
 from repro.core.index import BitmapIndex
 from repro.engine import IndexSpec, QueryEngine, QueryOptions
-from repro.engine.sharding import ShardedBitmapIndex, ShardExport
+from repro.engine.sharding import ShardExport, shard_bounds
 from repro.errors import CorruptFileError, EngineConfigError, InvalidPredicateError
 from repro.query.expression import parse_expression
 from repro.query.predicate import AttributePredicate
@@ -758,9 +758,7 @@ def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):
         "BitmapIndex.with_codec": lambda: index.with_codec("lz4"),
         "BitmapIndex.as_compressed": lambda: index.as_compressed("lz4"),
         "open_scheme(compressed=)": lambda: open_scheme(disk, "idx", compressed="lz4"),
-        "ShardExport": lambda: ShardExport(
-            ShardedBitmapIndex(index._values, 9, shards=2), "lz4"
-        ),
+        "ShardExport": lambda: ShardExport(index, shard_bounds(index.nbits, 2), "lz4"),
     }
     for door, call in doors.items():
         with pytest.raises(EngineConfigError, match="lz4"):

@@ -1,10 +1,10 @@
 """The process dispatch's repair path keeps what it does not own.
 
 A torn or corrupt shared-memory publication is repaired by unlinking the
-*export* only: the :class:`~repro.engine.sharding.ShardedBitmapIndex` in
-the registry — in-place maintenance included — survives, and the retry
-re-exports from it.  So a recovered query stays bit-identical to a
-fault-free one even when the index has drifted from the column codes.
+*export* only: the index in the registry — in-place maintenance
+included — survives, and the retry cuts the shards from it again.  So a
+recovered query stays bit-identical to a fault-free one even when the
+index has drifted from the column codes.
 """
 
 from __future__ import annotations
@@ -42,14 +42,10 @@ def test_shm_fault_after_maintenance_matches_inline(relation, kind, reason):
     with QueryEngine(max_workers=2, cache_capacity=0, retry=retry) as engine:
         engine.register(relation)
         engine.query_batch(QUERIES, options=PROCESSES)  # build + publish
-        sharded_key = ("orders", "quantity", "shards", 2)
-        sharded = engine.registry.peek(sharded_key)
-        inline_index = engine._index_for("orders", "quantity")
+        index = engine.registry.peek(("orders", "quantity"))
         for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 3)):
-            inline_index.update(rid, value)
-            sharded.update(rid, value)
-        inline_index.delete(5)
-        sharded.delete(5)
+            index.update(rid, value)
+        index.delete(5)
         # Arm the fault only now, so it hits the post-maintenance
         # publication (the dispatch reads the engine's knobs live).
         plan = engine.fault_plan = FaultPlan([FaultSpec("shm.attach", kind, nth=1)])
@@ -59,7 +55,7 @@ def test_shm_fault_after_maintenance_matches_inline(relation, kind, reason):
         inline = engine.query_batch(QUERIES, options=INLINE)
         for query, a, b in zip(QUERIES, inline, process):
             assert np.array_equal(a.rids, b.rids), query
-        assert engine.registry.peek(sharded_key) is sharded  # repaired, not rebuilt
+        assert engine.registry.peek(("orders", "quantity")) is index  # repaired, not rebuilt
         resilience = engine.snapshot()["resilience"]
         assert resilience["retries"].get(reason, 0) >= 1, resilience
         assert resilience["degradations"] == []

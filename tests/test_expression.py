@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from repro.core.decomposition import Base
 from repro.core.index import BitmapIndex
 from repro.engine.sharding import (
-    ShardedBitmapIndex,
+    ShardExport,
+    _AttachedShard,
     merge_shard_rids,
+    shard_bounds,
     translate_expression,
 )
 from repro.errors import InvalidPredicateError
@@ -429,31 +431,26 @@ class TestNotOverNulls:
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_translated_not_over_the_shards_of_a_nullable_index(self, nullable, codec):
-        relation, known, _ = nullable
-        sharded = {
-            name: ShardedBitmapIndex(
-                relation.column(name).codes,
-                relation.column(name).cardinality,
-                shards=3,
-                nulls=~known[name],
-            )
-            for name in known
-        }
-        for text, _ in NOT_DUALS:
-            expr = parse_expression(text)
-            translated = translate_expression(expr, relation)
-            rid_lists = [
-                translated.bitmap(
-                    None,
-                    {
-                        name: index.indexes[shard].with_codec(codec)
-                        for name, index in sharded.items()
-                    },
-                ).indices()
-                for shard in range(3)
-            ]
-            starts = [start for start, _ in sharded["a"].bounds]
-            true, _ = kleene(expr, relation, known)
-            assert np.array_equal(
-                merge_shard_rids(rid_lists, starts), np.nonzero(true)[0]
-            ), text
+        relation, known, indexes = nullable
+        bounds = shard_bounds(relation.num_rows, 3)
+        exports = {name: ShardExport(index, bounds, codec) for name, index in indexes.items()}
+        shards = [
+            {name: _AttachedShard(export.manifests[shard]) for name, export in exports.items()}
+            for shard in range(3)
+        ]
+        try:
+            for text, _ in NOT_DUALS:
+                expr = parse_expression(text)
+                translated = translate_expression(expr, relation)
+                rid_lists = [translated.bitmap(None, sources).indices() for sources in shards]
+                true, _ = kleene(expr, relation, known)
+                assert np.array_equal(
+                    merge_shard_rids(rid_lists, [start for start, _ in bounds]),
+                    np.nonzero(true)[0],
+                ), text
+        finally:
+            for sources in shards:
+                for shard in sources.values():
+                    shard.release()
+            for export in exports.values():
+                export.close()

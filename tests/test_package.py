@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import doctest
+import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
@@ -17,8 +19,18 @@ from repro.stats import ExecutionStats
 
 class TestExports:
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        # Every module's ``__all__``, so a name removed from a module cannot
+        # linger in the export list of the package that re-exported it.
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")
+        ]
+        exporting = [module for module in modules if hasattr(module, "__all__")]
+        assert len(exporting) > 1, "the walk found no submodule exports"
+        for module in exporting:
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_version(self):
         assert repro.__version__.count(".") == 2

@@ -104,7 +104,7 @@ def integer_columns(draw):
         st.sampled_from([info.min, max(info.min, -(span // 2)), info.max - span + 1])
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    offsets = rng.integers(0, draw(st.sampled_from([1, 7, span])), rows)
+    offsets = rng.integers(0, draw(st.sampled_from([1, min(7, span), span])), rows)
     offsets[0], offsets[-1] = 0, span - 1
     return (offsets.astype(object) + low).astype(info.dtype)
 

@@ -4,7 +4,9 @@ The contract under test: for every codec (dense/WAH/Roaring) and every
 shard count — including one that does not divide the row count — the
 process backend returns **bit-identical RIDs**, identical popcounts, and
 identical metrics-visible scan and operation counts to the inline
-backend, before and after append/update/delete maintenance.
+backend, before and after append/update/delete maintenance, with NULLs,
+and over an index store's files — because every shard is a row range of
+the very bitmap source the inline backend serves.
 
 Scan-count parity is exact against an *uncached* inline engine: the
 shard workers charge one scan per fetch (the ``BitmapIndex.fetch``
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
@@ -30,7 +33,6 @@ from repro.core.index import BitmapIndex
 from repro.engine import (
     QueryEngine,
     QueryOptions,
-    ShardedBitmapIndex,
     ShardExport,
     shard_bounds,
 )
@@ -39,6 +41,7 @@ from repro.engine.sharding import (
     ShardManifest,
     _AttachedShard,
     merge_shard_rids,
+    merge_shard_stats,
     translate_expression,
 )
 from repro.errors import CorruptShardError, EngineConfigError, ShmAttachError
@@ -55,6 +58,7 @@ from repro.query.expression import (
 )
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage import IndexStore
 from repro.storage.store import _HEADER, _index_attr_spec, _pack_relation_file
 
 CODECS = ("dense", "wah", "roaring")
@@ -98,7 +102,7 @@ class TestShardBounds:
 
 
 # ----------------------------------------------------------------------
-# ShardedBitmapIndex vs a single BitmapIndex (unit-level differential)
+# Shards cut from one BitmapIndex vs that index (unit-level differential)
 # ----------------------------------------------------------------------
 
 
@@ -109,75 +113,81 @@ def _predicate_sweep(cardinality: int):
             yield Predicate(op, code)
 
 
+def _shard_rids(shard: _AttachedShard, predicate: Predicate, stats: ExecutionStats):
+    # A function of its own, so the result bitmap (which may be a view of
+    # the segment) is gone before the shard is released.
+    return evaluate(shard, predicate, stats=stats).indices()
+
+
 class TestShardedIndexDifferential:
     @pytest.fixture(scope="class")
     def values(self) -> np.ndarray:
         rng = np.random.default_rng(11)
         return rng.integers(0, 60, NUM_ROWS)
 
-    def _assert_equivalent(self, single: BitmapIndex, sharded, codec: str):
-        source = single if codec == "dense" else single.as_compressed(codec)
-        for predicate in _predicate_sweep(single.cardinality):
-            stats = ExecutionStats()
-            bitmap = evaluate(source, predicate, stats=stats)
-            result = sharded.evaluate(predicate, codec=codec)
-            assert np.array_equal(bitmap.indices(), result.rids), predicate
-            assert bitmap.count() == result.count, predicate
-            assert result.stats.scans == stats.scans, predicate
-            assert result.stats.ops == stats.ops, predicate
-            # Per-shard logical counts are identical (data-independent
-            # fetch patterns) — the premise of the stats merge rule.
-            assert len({s.scans for s in result.shard_stats}) == 1
-            assert len({s.ops for s in result.shard_stats}) == 1
+    def _assert_equivalent(self, single: BitmapIndex, codec: str, shards: int):
+        export = ShardExport(single, shard_bounds(single.nbits, shards), codec)
+        attached = [_AttachedShard(manifest) for manifest in export.manifests]
+        try:
+            # NULL tracking reaches every shard or none — the premise of
+            # identical per-shard operation counts.
+            assert {shard.nonnull is None for shard in attached} == {single.nonnull is None}
+            source = single.with_codec(codec)
+            for predicate in _predicate_sweep(single.cardinality):
+                stats = ExecutionStats()
+                bitmap = evaluate(source, predicate, stats=stats)
+                shard_stats = [ExecutionStats() for _ in attached]
+                rids = merge_shard_rids(
+                    [
+                        _shard_rids(shard, predicate, s)
+                        for shard, s in zip(attached, shard_stats)
+                    ],
+                    [start for start, _ in export.bounds],
+                )
+                merged = merge_shard_stats(shard_stats)
+                assert np.array_equal(bitmap.indices(), rids), predicate
+                assert merged.scans == stats.scans, predicate
+                assert merged.ops == stats.ops, predicate
+                # Per-shard logical counts are identical (data-independent
+                # fetch patterns) — the premise of the stats merge rule.
+                assert len({s.scans for s in shard_stats}) == 1
+                assert len({s.ops for s in shard_stats}) == 1
+        finally:
+            for shard in attached:
+                shard.release()
+            export.close()
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_matches_single_index(self, values, codec, shards):
-        base = Base((8, 8))
-        single = BitmapIndex(values, cardinality=60, base=base)
-        sharded = ShardedBitmapIndex(values, cardinality=60, shards=shards, base=base)
-        assert sharded.nbits == single.nbits
-        self._assert_equivalent(single, sharded, codec)
+        single = BitmapIndex(values, cardinality=60, base=Base((8, 8)))
+        self._assert_equivalent(single, codec, shards)
 
     @pytest.mark.parametrize("encoding", [EncodingScheme.EQUALITY, EncodingScheme.RANGE])
     def test_matches_across_encodings(self, values, encoding):
         single = BitmapIndex(values, cardinality=60, encoding=encoding)
-        sharded = ShardedBitmapIndex(
-            values, cardinality=60, shards=3, encoding=encoding
-        )
-        self._assert_equivalent(single, sharded, "dense")
+        self._assert_equivalent(single, "dense", 3)
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_matches_after_maintenance(self, values, codec, shards):
-        base = Base((8, 8))
-        single = BitmapIndex(values, cardinality=60, base=base)
-        sharded = ShardedBitmapIndex(values, cardinality=60, shards=shards, base=base)
-        version = sharded.version
-
-        appended = np.array([0, 17, 59, 30, 5])
-        single.append(appended)
-        sharded.append(appended)
+        single = BitmapIndex(values, cardinality=60, base=Base((8, 8)))
+        export = ShardExport(single, shard_bounds(single.nbits, shards), codec)
+        export.close()
+        single.append(np.array([0, 17, 59, 30, 5]))
         for rid, value in ((0, 59), (NUM_ROWS - 1, 0), (NUM_ROWS // 2, 7)):
             single.update(rid, value)
-            sharded.update(rid, value)
         for rid in (3, NUM_ROWS - 2, NUM_ROWS + 2):
             single.delete(rid)
-            sharded.delete(rid)
-
-        assert sharded.version > version  # publications must re-export
-        assert sharded.nbits == single.nbits == NUM_ROWS + 5
-        # Deletes materialize B_nn; shards must track it uniformly or
-        # per-shard op counts diverge.
-        assert all(index.nonnull is not None for index in sharded.indexes)
-        self._assert_equivalent(single, sharded, codec)
+        assert not export.serves(single)  # the publisher must re-cut
+        assert single.nbits == NUM_ROWS + 5
+        self._assert_equivalent(single, codec, shards)
 
     def test_nulls_at_construction(self, values):
         rng = np.random.default_rng(5)
         nulls = rng.random(NUM_ROWS) < 0.1
         single = BitmapIndex(values, cardinality=60, nulls=nulls)
-        sharded = ShardedBitmapIndex(values, cardinality=60, shards=4, nulls=nulls)
-        self._assert_equivalent(single, sharded, "dense")
+        self._assert_equivalent(single, "dense", 4)
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +199,9 @@ class TestSegmentImage:
     @pytest.fixture
     def export(self):
         rng = np.random.default_rng(23)
-        sharded = ShardedBitmapIndex(
-            rng.integers(0, 60, 900), 60, shards=2, base=Base((8, 8))
-        )
-        sharded.delete(3)  # publishes an existence bitmap too
-        export = ShardExport(sharded, "dense")
+        index = BitmapIndex(rng.integers(0, 60, 900), 60, base=Base((8, 8)))
+        index.delete(3)  # publishes an existence bitmap too
+        export = ShardExport(index, shard_bounds(index.nbits, 2), "dense")
         yield export
         export.close()
 
@@ -267,11 +275,9 @@ class TestSegmentImage:
     )
     def test_manifest_does_not_grow_with_the_slot_count(self, cardinality, base, slots):
         rng = np.random.default_rng(1)
-        sharded = ShardedBitmapIndex(
-            rng.integers(0, cardinality, 400), cardinality, shards=1, base=base
-        )
-        assert sharded.indexes[0].num_bitmaps == slots
-        export = ShardExport(sharded, "wah")
+        index = BitmapIndex(rng.integers(0, cardinality, 400), cardinality, base=base)
+        assert index.num_bitmaps == slots
+        export = ShardExport(index, shard_bounds(index.nbits, 1), "wah")
         try:
             assert len(pickle.dumps(export.manifests[0])) < 256
         finally:
@@ -330,6 +336,26 @@ def make_engine(relation: Relation, **kwargs) -> QueryEngine:
     return engine
 
 
+def assert_processes_match_inline(engine: QueryEngine, shards: int) -> None:
+    """Every query of :data:`QUERIES`, answered on both backends, agrees:
+    RIDs, ``count``, ``group_count`` groups, and the scans and operations
+    charged.  Scan parity is exact only with the shared cache off."""
+    answers = {}
+    for backend in ("inline", "processes"):
+        options = QueryOptions(backend=backend, shards=shards)
+        answers[backend] = [
+            *engine.query_batch(QUERIES, options=options),
+            *(engine.count(query, options=options) for query in QUERIES),
+            *(engine.group_count(query, "region", options=options) for query in QUERIES),
+        ]
+    for label, a, b in zip(QUERIES * 3, answers["inline"], answers["processes"]):
+        if hasattr(a, "rids"):
+            assert np.array_equal(a.rids, b.rids), label
+        assert a.count == b.count, label
+        assert getattr(a, "groups", None) == getattr(b, "groups", None), label
+        assert (a.stats.scans, a.stats.ops) == (b.stats.scans, b.stats.ops), label
+
+
 class TestEngineBackendDifferential:
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -378,13 +404,12 @@ class TestEngineBackendDifferential:
         with make_engine(relation, cache_capacity=0) as engine:
             options = QueryOptions(backend="processes", shards=4)
             engine.query_batch(QUERIES, options=options)  # build + publish
-            inline_index = engine._index_for("orders", "quantity")
-            sharded_index = engine.registry.peek(("orders", "quantity", "shards", 4))
+            indexes = [engine._index_for("orders", name) for name in ("quantity", "region")]
+            for index in indexes:
+                index.append(np.array([0, 7, 3]))  # the re-cut shards cover these too
             for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 17)):
-                inline_index.update(rid, value)
-                sharded_index.update(rid, value)
-            inline_index.delete(5)
-            sharded_index.delete(5)
+                indexes[0].update(rid, value)
+            indexes[0].delete(5)
             # The version bump must invalidate the shared-memory
             # publication, so the next batch re-exports and agrees.
             inline = engine.query_batch(QUERIES, options=QueryOptions(backend="inline"))
@@ -393,6 +418,81 @@ class TestEngineBackendDifferential:
                 assert np.array_equal(a.rids, b.rids), query
                 assert a.stats.scans == b.stats.scans, query
                 assert a.stats.ops == b.stats.ops, query
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_in_place_maintenance(self, relation, codec, shards):
+        # No invalidate(): the shards are cut from the index inline serves,
+        # and its version bump alone makes the next batch re-export.
+        with make_engine(relation, codec=codec, cache_capacity=0) as engine:
+            assert_processes_match_inline(engine, shards)  # build + publish
+            for attribute, cardinality in (("quantity", 50), ("region", 8)):
+                index = engine.registry.peek(("orders", attribute))
+                for rid in (0, 17, NUM_ROWS // 2, NUM_ROWS - 1):
+                    index.update(rid, (rid + 3) % cardinality)
+                index.delete(5)
+            assert_processes_match_inline(engine, shards)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_null_tracking_index(self, relation, codec, shards):
+        column = relation.column("region")
+        nulls = np.random.default_rng(4).random(NUM_ROWS) < 0.15
+        with make_engine(relation, codec=codec, cache_capacity=0) as engine:
+            engine.registry.get_or_build(
+                ("orders", "region"),
+                lambda: BitmapIndex(
+                    column.codes,
+                    cardinality=column.cardinality,
+                    encoding=EncodingScheme.EQUALITY,
+                    nulls=nulls,
+                    keep_values=False,
+                ),
+            )
+            inline = engine.count("region != 2", options=QueryOptions(backend="inline"))
+            assert inline.count == int(((column.values != 2) & ~nulls).sum())
+            assert_processes_match_inline(engine, shards)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_store_append_and_compact(self, relation, tmp_path, codec, shards):
+        root = str(tmp_path / "indexes")
+        with IndexStore(root) as store:
+            store.build(
+                relation,
+                codec=codec,
+                encoding={
+                    "quantity": EncodingScheme.RANGE,
+                    "region": EncodingScheme.EQUALITY,
+                },
+            )
+        rng = np.random.default_rng(8)
+        with repro.open_store(root, cache_capacity=0) as engine:
+            assert_processes_match_inline(engine, shards)
+            # No invalidate() after either: the store's generation moves.
+            engine.storage.append(
+                "orders",
+                {"quantity": rng.integers(0, 50, 40), "region": rng.integers(0, 8, 40)},
+                nulls={"quantity": rng.random(40) < 0.2},
+            )
+            assert_processes_match_inline(engine, shards)
+            engine.storage.compact("orders")
+            assert_processes_match_inline(engine, shards)
+
+    def test_relations_of_two_sizes_in_a_batch(self, relation):
+        # Same shard count, different row ranges: each relation's shard
+        # RIDs must be offset by its own ranges, not the other's.
+        rng = np.random.default_rng(3)
+        small = Relation.from_dict("small", {"quantity": rng.integers(0, 50, NUM_ROWS // 3)})
+        with make_engine(relation, cache_capacity=0) as engine:
+            engine.register(small)
+            batch = [("orders", "quantity <= 20"), ("small", "quantity <= 20")]
+            inline = engine.query_batch(batch, options=QueryOptions(backend="inline"))
+            process = engine.query_batch(
+                batch, options=QueryOptions(backend="processes", shards=2, verify=True)
+            )
+            for (name, query), a, b in zip(batch, inline, process):
+                assert np.array_equal(a.rids, b.rids), name
 
     def test_worker_counts_do_not_change_results(self, relation):
         with make_engine(relation, cache_capacity=0) as engine:
@@ -428,11 +528,10 @@ class TestEngineBackendDifferential:
         with make_engine(relation) as engine:
             engine.query_batch(QUERIES, options=QueryOptions(backend="processes", shards=2))
             assert engine._dispatch.exports
-            sharded_key = ("orders", "quantity", "shards", 2)
-            assert sharded_key in engine.registry
+            assert ("orders", "quantity") in engine.registry
             engine.invalidate("orders")
             assert not engine._dispatch.exports
-            assert sharded_key not in engine.registry
+            assert ("orders", "quantity") not in engine.registry
             # And the engine still answers afterwards (rebuild path).
             result = engine.query(
                 "quantity <= 25", options=QueryOptions(backend="processes", shards=2)

@@ -22,15 +22,10 @@ from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import evaluate
 from repro.core.index import BitmapIndex
 from repro.engine.cache import SharedBitmapCache
-from repro.engine.sharding import (
-    _IMAGE_NAME,
-    ShardedBitmapIndex,
-    ShardExport,
-)
+from repro.engine.sharding import _IMAGE_NAME, ShardExport, shard_bounds
 from repro.errors import (
     BufferConfigError,
     CorruptFileError,
-    EngineConfigError,
     FileMissingError,
     InjectedFaultError,
     StorageError,
@@ -38,7 +33,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, FaultSpec, read_fault
 from repro.query.expression import And, Comparison
-from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
@@ -732,19 +726,6 @@ class TestEngineIntegration:
         assert report.as_dict()["storage_io"]["backend"] == "store"
         engine.close()
 
-    def test_process_backend_rejected_for_stored_relations(
-        self, store_dir, relation
-    ):
-        with IndexStore(store_dir) as store:
-            store.build(relation)
-        engine = repro.open_store(store_dir)
-        with pytest.raises(EngineConfigError, match="process"):
-            engine.query(
-                AttributePredicate("quantity", "<=", 3),
-                options=QueryOptions(backend="processes", shards=2),
-            )
-        engine.close()
-
     def test_engine_close_releases_store(self, store_dir, relation):
         with IndexStore(store_dir) as store:
             store.build(relation)
@@ -905,16 +886,17 @@ class TestFormatPin:
             store.compact("pins")
             assert self.sha(main) == self.PINS[codec]["compacted"]
         column = relation.column("quantity")
-        sharded = ShardedBitmapIndex(
+        index = BitmapIndex(
             column.codes,
             cardinality=column.cardinality,
-            shards=2,
             base=Base((8, 5)),
             encoding=EncodingScheme.RANGE,
             keep_values=False,
         )
-        sharded.delete(3)  # publishes an existence bitmap too
-        export = ShardExport(sharded, codec)
+        index.delete(3)  # publishes an existence bitmap too
+        # Shard 0 of the cut, byte-identical to the per-shard build it
+        # replaced: an index over rows [0, 500) alone.
+        export = ShardExport(index, shard_bounds(index.nbits, 2), codec)
         try:
             assert self.sha(segment_image(export)) == self.PINS[codec]["segment"]
         finally:
@@ -925,17 +907,17 @@ class TestFormatPin:
         # One format, asserted and not only pinned: the bytes a worker
         # attaches to open as a store file and serve the shard's bitmaps.
         rng = np.random.default_rng(3)
-        nulls = rng.random(500) < 0.1
-        sharded = ShardedBitmapIndex(
-            rng.integers(0, 40, 500), 40, shards=2, base=Base((8, 5)), nulls=nulls
-        )
-        export = ShardExport(sharded, codec)
+        values, nulls = rng.integers(0, 40, 500), rng.random(500) < 0.1
+        bounds = shard_bounds(500, 2)
+        export = ShardExport(BitmapIndex(values, 40, Base((8, 5)), nulls=nulls), bounds, codec)
         try:
             images = [segment_image(export, shard) for shard in range(2)]
         finally:
             export.close()
         os.makedirs(store_dir)
-        for image, index in zip(images, sharded.indexes):
+        for image, (start, stop) in zip(images, bounds):
+            # A shard serves what an index of its rows alone would.
+            index = BitmapIndex(values[start:stop], 40, Base((8, 5)), nulls=nulls[start:stop])
             with open(os.path.join(store_dir, f"{_IMAGE_NAME}.rbix"), "wb") as fh:
                 fh.write(image)
             with IndexStore(store_dir) as store:
