@@ -44,8 +44,8 @@ from repro.core.evaluation import OPERATORS, Predicate, evaluate
 from repro.core.index import BitmapIndex
 from repro.engine.cache import SharedBitmapCache
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESULT_FILE = os.path.join(RESULTS_DIR, "BENCH_compressed_path.json")
@@ -175,7 +175,7 @@ def bench_query_eval(nbits: int) -> dict:
     disk = SimulatedDisk()
     write_index(disk, "bench", index, scheme="BS", codec="wah")
     dense_reader = open_scheme(disk, "bench")
-    comp_reader = open_scheme(disk, "bench", compressed=True)
+    comp_reader = open_scheme(disk, "bench", compressed="wah")
     predicates = [Predicate(op, v) for op in OPERATORS for v in (10, 50, 90)]
     for predicate in predicates:
         dense_result = evaluate(dense_reader, predicate, stats=ExecutionStats())

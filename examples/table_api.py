@@ -9,10 +9,12 @@ Run:  python examples/table_api.py
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 
 from repro import Table
-from repro.storage.disk import SimulatedDisk
 
 NUM_ROWS = 25_000
 
@@ -59,14 +61,16 @@ def main() -> None:
                   f"   AVG = {table.aggregate('total', 'avg', where=text):,.0f}")
         print()
 
-    # Persist and reload.
-    disk = SimulatedDisk()
-    table.save(disk, "orders_v1")
-    restored = Table.load(disk, "orders_v1")
+    # Persist to one checksummed file and reload.
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "orders_v1.rbt")
+        table.save(path)
+        restored = Table.load(path)
+        size = os.path.getsize(path)
     same = np.array_equal(
         table.select(queries[0]), restored.select(queries[0])
     )
-    print(f"persisted {disk.stats.bytes_written:,} bytes; reload "
+    print(f"persisted {size:,} bytes; reload "
           f"returns identical results: {same}")
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from repro import evaluate
 from repro.core.optimize import knee_base
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import write_index
 from repro.query.executor import bitmap_index_for
 from repro.stats import ExecutionStats
-from repro.storage import SimulatedDisk, write_index
 from repro.workloads import dataset1, restricted_query_space
 
 NUM_ROWS = 30_000

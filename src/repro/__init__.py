@@ -23,7 +23,7 @@ Quickstart
 [0, 1, 2, 3, 5, 6, 7]
 """
 
-from repro.bitmaps import BitVector, get_codec
+from repro.bitmaps import BitVector
 from repro.core import (
     Base,
     BitmapIndex,
@@ -111,7 +111,6 @@ __all__ = [
     "equality_eval",
     "evaluate",
     "explain",
-    "get_codec",
     "open_store",
     "parse_expression",
     "range_eval",

@@ -16,8 +16,9 @@ Besides the shared algebra every class answers the same five names:
 shared-memory shard segments and BS scheme files; a payload whose own
 length field disagrees with ``nbits`` is rejected).
 
-:mod:`repro.bitmaps.compression` is a different decision: the Section 9
-*byte-stream* codecs that compress whole scheme files.
+The Section 9 *byte-stream* codecs that compress whole scheme files
+(zlib among them) are a different decision and live with that experiment,
+in :mod:`repro.experiments.compression`.
 """
 
 from typing import ClassVar, Protocol, runtime_checkable
@@ -26,15 +27,6 @@ import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.compression import (
-    Codec,
-    NullCodec,
-    RoaringCodec,
-    WahCodec,
-    ZlibCodec,
-    get_codec,
-    register_codec,
-)
 from repro.bitmaps.roaring import RoaringBitmap, roaring_and_many, roaring_or_many
 from repro.errors import EngineConfigError
 
@@ -105,16 +97,9 @@ __all__ = [
     "BITMAP_CLASSES",
     "Bitmap",
     "BitVector",
-    "Codec",
-    "NullCodec",
     "RoaringBitmap",
-    "RoaringCodec",
     "WahBitVector",
-    "WahCodec",
-    "ZlibCodec",
     "bitmap_class",
-    "get_codec",
-    "register_codec",
     "roaring_and_many",
     "roaring_or_many",
 ]

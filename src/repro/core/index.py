@@ -37,7 +37,7 @@ class BitmapSource(Protocol):
     """What the evaluation algorithms need from an index-like object.
 
     Implemented by :class:`BitmapIndex` (in memory), the storage schemes of
-    :mod:`repro.storage.schemes` (simulated disk), and the buffer pool of
+    :mod:`repro.experiments.schemes` (simulated disk), and the buffer pool of
     :mod:`repro.storage.buffer`.
 
     A source's ``bitmap_codec`` attribute is the one way it names the

@@ -16,12 +16,12 @@ import time
 
 import numpy as np
 
-from repro.bitmaps.compression import get_codec
 from repro.core.index import BitmapIndex
 from repro.core.optimize import knee_base
+from repro.experiments.compression import get_codec
+from repro.experiments.disk import SimulatedDisk
 from repro.experiments.harness import ExperimentResult
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import write_index
+from repro.experiments.schemes import _unframe, write_index
 from repro.workloads.generators import (
     clustered_values,
     uniform_values,
@@ -35,8 +35,6 @@ def _decode_seconds(scheme, disk: SimulatedDisk) -> float:
     """Wall time to decode every bitmap file of a scheme once."""
     codec = get_codec(scheme.codec.name)
     start = time.perf_counter()
-    from repro.storage.schemes import _unframe  # file framing helper
-
     for path in scheme.data_files():
         payload, _, _, _ = _unframe(disk.read(path), path)
         codec.decode(payload)

@@ -1,8 +1,8 @@
-"""Pluggable bitmap codecs.
+"""Byte-stream codecs for the Section 9 scheme files.
 
 The paper's Section 9 compresses bitmap files with zlib's deflate.  The
-storage layer treats compression as a strategy object so experiments can
-swap codecs; three are provided:
+storage schemes of :mod:`repro.experiments.schemes` treat compression as
+a strategy object so experiments can swap codecs; four are provided:
 
 - :class:`ZlibCodec` — the paper's choice (stdlib ``zlib``, deflate).
 - :class:`WahCodec` — a from-scratch Word-Aligned Hybrid codec
@@ -112,18 +112,18 @@ class RoaringCodec:
         return RoaringBitmap.deserialize(blob).to_bitvector().to_bytes()
 
 
-_REGISTRY: dict[str, Codec] = {}
-
-
-def register_codec(codec: Codec) -> None:
-    """Register ``codec`` under ``codec.name`` for :func:`get_codec` lookup."""
-    _REGISTRY[codec.name] = codec
+_REGISTRY: dict[str, Codec] = {
+    "none": NullCodec(),
+    "zlib": ZlibCodec(),
+    "wah": WahCodec(),
+    "roaring": RoaringCodec(),
+}
 
 
 def get_codec(name: str | Codec | None) -> Codec:
     """Resolve a codec by name.
 
-    Accepts an existing codec instance (returned unchanged), a registered
+    Accepts an existing codec instance (returned unchanged), a known
     name, or ``None`` (the identity codec).
     """
     if name is None:
@@ -135,9 +135,3 @@ def get_codec(name: str | Codec | None) -> Codec:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown codec {name!r}; known codecs: {known}") from None
-
-
-register_codec(NullCodec())
-register_codec(ZlibCodec())
-register_codec(WahCodec())
-register_codec(RoaringCodec())

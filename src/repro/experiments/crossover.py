@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
+from repro.experiments.disk import SimulatedDisk
 from repro.experiments.harness import ExperimentResult
+from repro.experiments.schemes import write_index
 from repro.query.plans import ridlist_crossover_selectivity
 from repro.relation.rid_index import RIDListIndex
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import write_index
 from repro.workloads.generators import uniform_values
 
 

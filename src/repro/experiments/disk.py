@@ -13,7 +13,7 @@ The disk also supports *failure injection*: the direct helpers
 (truncation, byte corruption) and, via an optional
 :class:`repro.faults.FaultPlan`, deterministic read faults at the
 ``disk.read`` seam — so the test suite and the chaos harness can
-exercise the storage layer's integrity checks on either disk backend.
+exercise the storage schemes' integrity checks.
 """
 
 from __future__ import annotations

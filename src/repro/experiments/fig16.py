@@ -20,11 +20,11 @@ DESIGN.md on the timing substitution).
 from __future__ import annotations
 
 from repro.core.optimize import max_components, space_optimal_base
+from repro.experiments.disk import DiskModel, SimulatedDisk
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.measure import aggregate_costs
+from repro.experiments.schemes import write_index
 from repro.query.executor import bitmap_index_for
-from repro.storage.disk import DiskModel, SimulatedDisk
-from repro.storage.schemes import write_index
 from repro.workloads.queries import restricted_query_space
 from repro.workloads.tpcd import dataset1, dataset2
 

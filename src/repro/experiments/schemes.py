@@ -35,13 +35,13 @@ import struct
 import numpy as np
 
 from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
-from repro.bitmaps.compression import Codec, get_codec
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme, stored_bitmap_count
 from repro.core.index import BitmapIndex
 from repro.errors import CorruptFileError, StorageError
+from repro.experiments.compression import Codec, get_codec
+from repro.experiments.disk import SimulatedDisk
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
 
 _MAGIC = b"RBF1"
 # magic(4) version(B) reserved(B) nbits(Q) width(I) payload_len(Q) codec(10s)
@@ -101,22 +101,11 @@ def _unframe(blob: bytes, path: str) -> tuple[bytes, int, int, str]:
     return payload, nbits, width, codec_raw.rstrip(b"\0").decode("ascii")
 
 
-def _normalize_serving(compressed: bool | str) -> str:
-    """Resolve a ``compressed=`` argument to a serving-codec name.
-
-    Accepts the legacy booleans (``True`` means WAH, the original
-    compressed execution mode) or an explicit codec name
-    (``"dense"``/``"wah"``/``"roaring"``).
-    """
-    if isinstance(compressed, bool):
-        return "wah" if compressed else "dense"
-    return bitmap_class(compressed).codec
-
-
 class StorageScheme(abc.ABC):
     """Common machinery of the three physical organizations.
 
-    With ``compressed=True`` (or a codec name, ``"wah"``/``"roaring"``)
+    With ``compressed="wah"`` or ``"roaring"`` (a serving-codec name;
+    ``"dense"``, the default, serves uncompressed bitmaps)
     the scheme serves compressed bitmaps — the compressed execution modes
     of :mod:`repro.core.evaluation`.  When the file codec matches the
     serving codec, :class:`BitmapLevelStorage` hands the stored payload
@@ -137,7 +126,7 @@ class StorageScheme(abc.ABC):
         cardinality: int,
         codec: Codec,
         nonnull: BitVector | None = None,
-        compressed: bool | str = False,
+        compressed: str = "dense",
     ):
         self.disk = disk
         self.name = name
@@ -146,7 +135,7 @@ class StorageScheme(abc.ABC):
         self.nbits = nbits
         self.cardinality = cardinality
         self.codec = codec
-        self.bitmap_codec = _normalize_serving(compressed)
+        self.bitmap_codec = bitmap_class(compressed).codec
         #: The existence bitmap, in the representation the scheme serves.
         self.nonnull = self._serve(nonnull) if nonnull is not None else None
         self._cache: dict[str, np.ndarray] = {}
@@ -481,11 +470,11 @@ def write_index(
 
 
 def open_scheme(
-    disk: SimulatedDisk, name: str, compressed: bool | str = False
+    disk: SimulatedDisk, name: str, compressed: str = "dense"
 ) -> StorageScheme:
     """Re-open a previously written index from its manifest.
 
-    ``compressed=True`` (or ``compressed="wah"``/``"roaring"``) opens the
+    ``compressed="wah"`` or ``"roaring"`` opens the
     scheme in compressed-serving mode: every fetched bitmap is a
     :class:`~repro.bitmaps.compressed.WahBitVector` or
     :class:`~repro.bitmaps.roaring.RoaringBitmap` (for a BS index whose

@@ -13,11 +13,11 @@ An optional WAH column extends the study with the bitmap-specific codec.
 from __future__ import annotations
 
 from repro.core.optimize import max_components, space_optimal_base
+from repro.experiments.disk import SimulatedDisk
 from repro.experiments.harness import ExperimentResult
+from repro.experiments.schemes import write_index
 from repro.query.executor import bitmap_index_for
 from repro.relation.relation import Relation
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import write_index
 from repro.workloads.tpcd import dataset1, dataset2
 
 

@@ -42,8 +42,8 @@ Incremental appends go to a CRC-framed JSON *delta sidecar*
 (``<relation>.rbix.delta``) holding the appended rank rows; reads serve
 base + delta merged, and an explicit :meth:`IndexStore.compact` folds the
 delta into a rewritten base file.  All writes are crash-atomic (temp file
-+ fsync + ``os.replace`` + directory fsync), reusing the discipline of
-:class:`~repro.storage.fsdisk.FileSystemDisk`; the delta records the base
++ fsync + ``os.replace`` + directory fsync, through
+:func:`~repro.storage.fsdisk.atomic_write`); the delta records the base
 file's row count so a sidecar orphaned by a crash *between* compaction's
 rename and its delta unlink is detected as stale and ignored instead of
 being applied twice.  A rebuild can keep the row count, so

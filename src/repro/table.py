@@ -14,8 +14,8 @@ built from:
   comparisons go through the P1/P2/P3 optimizer, general expressions
   through bitmap algebra;
 - ``aggregate`` computes SUM/COUNT/AVG/MIN/MAX through bit slices;
-- ``save``/``load`` persist everything to any disk backend (simulated or
-  real filesystem).
+- ``save``/``load`` persist columns and index designs as one checksummed,
+  crash-atomically written file.
 
 Example
 -------
@@ -35,6 +35,8 @@ Example
 from __future__ import annotations
 
 import json
+import os
+from io import BytesIO
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
 from repro.core.multi import AttributeSpec, allocate_budget
-from repro.errors import ReproError
+from repro.errors import FileMissingError, ReproError
 from repro.query.expression import (
     And,
     Comparison,
@@ -57,6 +59,11 @@ from repro.relation.histogram import EquiDepthHistogram
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
 from repro.stats import ExecutionStats
+from repro.storage.fsdisk import atomic_write, frame, unframe
+
+
+#: Magic of a saved table file's frame.
+_MAGIC = b"\x89RBT"
 
 
 class TableError(ReproError):
@@ -267,23 +274,20 @@ class Table:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, disk, prefix: str) -> None:
-        """Persist columns and index designs under ``prefix`` on a disk.
+    def save(self, path: str) -> None:
+        """Persist columns and index designs to the one file ``path``.
 
-        Works with both :class:`~repro.storage.disk.SimulatedDisk` and
-        :class:`~repro.storage.fsdisk.FileSystemDisk`.  Of an index only
-        its design (base + encoding) is written, to the ``{prefix}/table``
-        manifest: :meth:`load` rebuilds the bitmaps from the columns.
+        The file is one CRC frame (:func:`~repro.storage.fsdisk.frame`,
+        magic ``\\x89RBT``) written crash-atomically: a JSON manifest line
+        (name, column names, each index's base and encoding), then every
+        column as ``.npy`` bytes in manifest order.  Of an index only its
+        design is written: :meth:`load` rebuilds the bitmaps from the
+        columns.  Missing parent directories are created.
         """
-        from io import BytesIO
-
-        for cname, column in self.relation.columns.items():
-            buffer = BytesIO()
-            np.save(buffer, column.values, allow_pickle=False)
-            disk.write(f"{prefix}/columns/{cname}.npy", buffer.getvalue())
+        columns = sorted(self.relation.columns)
         manifest = {
             "name": self.name,
-            "columns": sorted(self.relation.columns),
+            "columns": columns,
             "indexed": {
                 attribute: {
                     "base": list(index.base.bases),
@@ -292,43 +296,48 @@ class Table:
                 for attribute, index in self.catalog.bitmap_indexes.items()
             },
         }
-        disk.write(
-            f"{prefix}/table", json.dumps(manifest, sort_keys=True).encode()
-        )
+        stream = BytesIO()
+        stream.write(json.dumps(manifest, sort_keys=True).encode() + b"\n")
+        for cname in columns:
+            np.save(stream, self.relation.column(cname).values, allow_pickle=False)
+        target = os.path.abspath(path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        atomic_write(target, [frame(_MAGIC, stream.getvalue())], None, path)
 
     @classmethod
-    def load(cls, disk, prefix: str) -> "Table":
+    def load(cls, path: str) -> "Table":
         """Inverse of :meth:`save`.
 
-        Bitmap indexes are rebuilt from the persisted column data against
-        the persisted index design (base + encoding), which keeps the
-        in-memory index queryable without a disk round-trip per bitmap.
+        Bitmap indexes are rebuilt from the persisted columns against the
+        persisted design (base + encoding).  A missing file raises
+        :class:`~repro.errors.FileMissingError`, a torn or bit-flipped one
+        :class:`~repro.errors.CorruptFileError`, and an intact frame
+        around a malformed manifest or column :class:`TableError`.
         """
-        from io import BytesIO
-
         try:
-            manifest = json.loads(disk.read(f"{prefix}/table"))
-        except ValueError as exc:
-            raise TableError(f"{prefix}/table is not valid JSON") from exc
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            raise FileMissingError(f"no such table file: {path}") from None
+        head, _, body = unframe(_MAGIC, raw, path).partition(b"\n")
         try:
-            designs = {
-                attribute: (
-                    Base(tuple(design["base"])),
-                    EncodingScheme(design["encoding"]),
-                )
-                for attribute, design in manifest["indexed"].items()
+            manifest = json.loads(head)
+            stream = BytesIO(body)
+            data = {
+                cname: np.load(stream, allow_pickle=False)
+                for cname in manifest["columns"]
             }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise TableError(
-                f"{prefix}/table has a missing or malformed index design: {exc!r}"
-            ) from exc
-        data = {}
-        for cname in manifest["columns"]:
-            raw = disk.read(f"{prefix}/columns/{cname}.npy")
-            data[cname] = np.load(BytesIO(raw), allow_pickle=False)
-        table = cls(manifest["name"], data)
-        for attribute, (base, encoding) in designs.items():
-            table.create_index(attribute, base=base, encoding=encoding)
+            if stream.tell() != len(body):
+                raise ValueError(f"{len(body) - stream.tell()} bytes after the last column")
+            table = cls(manifest["name"], data)
+            for attribute, design in manifest["indexed"].items():
+                table.create_index(
+                    attribute,
+                    base=Base(tuple(design["base"])),
+                    encoding=EncodingScheme(design["encoding"]),
+                )
+        except (AttributeError, EOFError, KeyError, TypeError, ValueError) as exc:
+            raise TableError(f"{path}: malformed table file: {exc!r}") from exc
         return table
 
     def __repr__(self) -> str:

@@ -11,8 +11,8 @@ from repro.core.evaluation import Predicate, evaluate
 from repro.errors import BufferConfigError
 from repro.stats import ExecutionStats
 from repro.storage.buffer import BufferPool, _pinned_slots
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import write_index
 from repro.workloads.queries import full_query_space
 
 from conftest import make_index

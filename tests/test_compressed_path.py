@@ -26,8 +26,8 @@ from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 
 NUM_ROWS = 3000
 CARDINALITY = 24
@@ -149,7 +149,7 @@ class TestCompressedStorageServing:
         values, index = clustered_index
         disk = SimulatedDisk()
         write_index(disk, "t", index, scheme=scheme, codec=codec)
-        reader = open_scheme(disk, "t", compressed=True)
+        reader = open_scheme(disk, "t", compressed="wah")
         stats = ExecutionStats()
         result = evaluate(reader, Predicate("<=", 10), stats=stats)
         assert isinstance(result, WahBitVector)
@@ -159,7 +159,7 @@ class TestCompressedStorageServing:
         values, index = clustered_index
         disk = SimulatedDisk()
         write_index(disk, "t", index, scheme="BS", codec="wah")
-        reader = open_scheme(disk, "t", compressed=True)
+        reader = open_scheme(disk, "t", compressed="wah")
         stats = ExecutionStats()
         bitmap = reader.fetch(1, 3, stats)
         assert isinstance(bitmap, WahBitVector)
@@ -183,7 +183,7 @@ class TestCompressedStorageServing:
         index = BitmapIndex(values, CARDINALITY, nulls=nulls)
         disk = SimulatedDisk()
         write_index(disk, "t", index, scheme="BS", codec="wah")
-        reader = open_scheme(disk, "t", compressed=True)
+        reader = open_scheme(disk, "t", compressed="wah")
         assert isinstance(reader.nonnull, WahBitVector)
         result = evaluate(reader, Predicate("!=", 3))
         expected = (values != 3) & ~nulls

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmaps.compression import (
-    NullCodec,
-    WahCodec,
-    ZlibCodec,
-    get_codec,
-    register_codec,
-)
 from repro.errors import CorruptFileError
+from repro.experiments.compression import NullCodec, WahCodec, ZlibCodec, get_codec
 
 
 class TestRegistry:
@@ -33,19 +27,6 @@ class TestRegistry:
     def test_unknown_name_raises_with_known_list(self):
         with pytest.raises(KeyError, match="zlib"):
             get_codec("snappy")
-
-    def test_register_custom_codec(self):
-        class Reversing:
-            name = "reversing"
-
-            def encode(self, data: bytes) -> bytes:
-                return data[::-1]
-
-            def decode(self, blob: bytes) -> bytes:
-                return blob[::-1]
-
-        register_codec(Reversing())
-        assert get_codec("reversing").decode(b"cba") == b"abc"
 
 
 class TestZlib:

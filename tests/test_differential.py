@@ -42,14 +42,14 @@ from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
-from repro.storage.disk import SimulatedDisk
+from repro.experiments.disk import SimulatedDisk
 from repro.storage.store import (
     _HEADER,
     _index_attr_spec,
     _pack_relation_file,
     _payload_start,
 )
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.schemes import open_scheme, write_index
 from repro.workloads.generators import clustered_values, uniform_values, zipf_values
 
 NUM_ROWS = 400

@@ -14,9 +14,9 @@ import pytest
 from repro import Table
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 from repro.storage.buffer import BufferPool
-from repro.storage.fsdisk import FileSystemDisk
-from repro.storage.schemes import open_scheme, write_index
 from repro.workloads.generators import zipf_values
 from repro.workloads.tpcd import lineitem_relation
 
@@ -60,9 +60,9 @@ def test_warehouse_lifecycle(tmp_path):
     )
 
     # --- persist and reload from a real directory ----------------------
-    disk = FileSystemDisk(str(tmp_path / "db"))
-    table.save(disk, "warehouse_v1")
-    restored = Table.load(disk, "warehouse_v1")
+    path = str(tmp_path / "warehouse_v1.rbt")
+    table.save(path)
+    restored = Table.load(path)
     for text in queries:
         assert np.array_equal(restored.select(text), before[text]), text
 
@@ -77,12 +77,12 @@ def test_warehouse_lifecycle(tmp_path):
             assert evaluate(index, Predicate(op, v)) == index.naive_eval(op, v)
 
 
-def test_storage_and_buffering_stack(tmp_path):
+def test_storage_and_buffering_stack():
     """Index -> compressed disk files -> buffer pool -> evaluation."""
     relation = lineitem_relation(4000, seed=3)
     column = relation.column("quantity")
     index = BitmapIndex(column.codes, column.cardinality)
-    disk = FileSystemDisk(str(tmp_path / "store"))
+    disk = SimulatedDisk()
     write_index(disk, "qty", index, "cBS")
 
     reopened = open_scheme(disk, "qty")
@@ -117,6 +117,6 @@ def test_randomized_stack_consistency(seed, tmp_path):
     table.create_index("b")
     text = "a <= 7 or (b = 2 and not a = 3)"
     expected = table.select(text)
-    disk = FileSystemDisk(str(tmp_path / f"db{seed}"))
-    table.save(disk, "t")
-    assert np.array_equal(Table.load(disk, "t").select(text), expected)
+    path = str(tmp_path / f"t{seed}.rbt")
+    table.save(path)
+    assert np.array_equal(Table.load(path).select(text), expected)

@@ -19,8 +19,8 @@ from repro.core.evaluation import OPERATORS, Predicate, evaluate, interval_eval
 from repro.core.index import BitmapIndex
 from repro.errors import InvalidPredicateError
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 
 CARDINALITY = 37
 BASES = [Base((37,)), Base((7, 6)), Base((4, 3, 4)), Base.binary(37), Base((2, 19))]

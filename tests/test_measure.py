@@ -7,8 +7,8 @@ import pytest
 from repro.core.decomposition import Base
 from repro.core.evaluation import Predicate
 from repro.experiments.measure import aggregate_costs, average_scans_and_ops
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import write_index
 from repro.workloads.queries import full_query_space
 
 from conftest import make_index

@@ -6,8 +6,12 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,36 @@ class TestExports:
 
         results = doctest.testmod(predicate, verbose=False)
         assert results.failed == 0
+
+
+class TestImportGraph:
+    """The Section 9 BS/CS/IS study — its simulated disk, schemes and zlib
+    codecs — is a reproduced experiment under ``repro.experiments``; the
+    serving path must not pull it back in."""
+
+    SECTION_9 = ("SimulatedDisk", "FileSystemDisk", "StorageScheme", "ZlibCodec")
+    #: Run in a fresh interpreter: the loaded modules that are experiments
+    #: or define one of the names given as arguments.
+    PROBE = """
+import json, sys
+import repro
+print(json.dumps(sorted(
+    name for name, module in dict(sys.modules).items()
+    if name.startswith("repro.experiments") or set(sys.argv[1:]) & set(vars(module))
+)))
+"""
+
+    def test_import_repro_loads_no_section_9_code(self):
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *self.SECTION_9],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(out.stdout) == []
 
 
 class TestBenchmarkLayerWrappers:

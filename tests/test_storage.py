@@ -12,8 +12,8 @@ from repro.core.index import BitmapIndex
 from repro.errors import CorruptFileError, FileMissingError, StorageError
 from repro.relation.projection import ProjectionIndex
 from repro.stats import ExecutionStats
-from repro.storage.disk import DiskModel, SimulatedDisk
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.disk import DiskModel, SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 
 from conftest import make_index
 
@@ -212,7 +212,7 @@ class TestSchemeShapes:
         assert is_.file_count == 1
 
     def test_uncompressed_sizes_match_bit_volume(self, index):
-        from repro.storage.schemes import HEADER_SIZE
+        from repro.experiments.schemes import HEADER_SIZE
 
         disk = SimulatedDisk()
         bs = write_index(disk, "bs", index, "BS")

@@ -16,8 +16,8 @@ from repro.core.evaluation import OPERATORS, Predicate, evaluate
 from repro.core.index import BitmapIndex
 from repro.stats import ExecutionStats
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.storage.schemes import open_scheme, write_index
+from repro.experiments.disk import SimulatedDisk
+from repro.experiments.schemes import open_scheme, write_index
 
 CARDINALITY = 24
 ENCODINGS = list(EncodingScheme)

@@ -38,7 +38,6 @@ from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.buffer import BufferPool
-from repro.storage.fsdisk import FileSystemDisk
 from repro.storage.store import _HEADER, _MAGIC, _pack_relation_file
 from repro.workloads import full_query_space
 
@@ -842,7 +841,7 @@ class TestFormatPin:
         },
     }
     DELTA = "a9e1b5935790e877adcd168f85a63d45f8d81623f838e482e8585052c196bb7c"
-    RBF = "76fc23c89568d4634df6d9be38e1832ea33c9965d5fc1e7204b67a498821da65"
+    TABLE = "8474f4e7101fea508d2aa83c23889630128548c18c67feb9840a5fcfa60393c2"
 
     @staticmethod
     def sha(path_or_bytes) -> str:
@@ -931,6 +930,10 @@ class TestFormatPin:
                     source.nonnull.to_bools(), index.nonnull.to_bools()
                 )
 
-    def test_filesystem_disk_frame_bytes(self, tmp_path):
-        FileSystemDisk(str(tmp_path)).write("idx/c1_s0", bytes(range(256)) * 3)
-        assert self.sha(str(tmp_path / "idx" / "c1_s0")) == self.RBF
+    def test_saved_table_bytes(self, tmp_path):
+        rows = np.arange(100)
+        table = repro.Table("pins", {"quantity": rows % 40, "region": REGIONS[rows % 4]})
+        table.create_index("quantity", base=Base((8, 5)))
+        table.create_index("region", encoding=EncodingScheme.EQUALITY)
+        table.save(str(tmp_path / "pins.rbt"))
+        assert self.sha(str(tmp_path / "pins.rbt")) == self.TABLE

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,11 +12,17 @@ import pytest
 import repro.table as table_module
 from repro.core.decomposition import Base
 from repro.core.optimize import knee_base
-from repro.errors import OptimizationError
+from repro.errors import (
+    CorruptFileError,
+    FileMissingError,
+    InjectedFaultError,
+    OptimizationError,
+    ReproError,
+)
+from repro.faults import FaultPlan, FaultSpec
 from repro.stats import ExecutionStats
-from repro.storage.disk import SimulatedDisk
-from repro.storage.fsdisk import FileSystemDisk
-from repro.table import Table, TableError
+from repro.storage.fsdisk import atomic_write, frame, to_quarantine, unframe
+from repro.table import _MAGIC, Table, TableError
 
 
 @pytest.fixture
@@ -153,18 +160,45 @@ class TestAggregate:
             table.aggregate("x", "sum")
 
 
+def rewrite(path: str, edit) -> None:
+    """Re-frame the table file at ``path`` with ``edit(manifest, body)``'s
+    manifest and body: damage behind an intact checksum."""
+    with open(path, "rb") as handle:
+        head, _, body = unframe(_MAGIC, handle.read(), path).partition(b"\n")
+    manifest, body = edit(json.loads(head), body)
+    with open(path, "wb") as handle:
+        handle.write(frame(_MAGIC, json.dumps(manifest).encode() + b"\n" + body))
+
+
+def cut(path: str, nbytes: int) -> None:
+    with open(path, "rb+") as handle:
+        handle.truncate(nbytes)
+
+
+def flip(path: str, offset: int) -> None:
+    with open(path, "rb+") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
+def without(key: str):
+    return lambda path: rewrite(
+        path, lambda manifest, body: ({k: v for k, v in manifest.items() if k != key}, body)
+    )
+
+
 class TestPersistence:
-    @pytest.mark.parametrize("disk_kind", ["simulated", "filesystem"])
-    def test_save_load_round_trip(self, table, tmp_path, disk_kind):
+    @pytest.fixture
+    def path(self, tmp_path) -> str:
+        return str(tmp_path / "sales.rbt")
+
+    def test_save_load_round_trip(self, table, path):
         table.create_index("region")
         table.create_index("channel", base=Base((4,)))
-        disk = (
-            SimulatedDisk()
-            if disk_kind == "simulated"
-            else FileSystemDisk(str(tmp_path / "db"))
-        )
-        table.save(disk, "sales")
-        loaded = Table.load(disk, "sales")
+        table.save(path)
+        loaded = Table.load(path)
         assert loaded.num_rows == table.num_rows
         assert loaded.column_names() == table.column_names()
         assert set(loaded.catalog.bitmap_indexes) == {"region", "channel"}
@@ -173,28 +207,131 @@ class TestPersistence:
         restored = loaded.select("region <= 10 and channel = 2")
         assert np.array_equal(original, restored)
 
-    def test_load_bad_manifest(self, table):
-        disk = SimulatedDisk()
+    def test_load_bad_manifest(self, table, path):
         table.create_index("region")
-        table.save(disk, "t")
-        manifest = json.loads(disk.read("t/table"))
+        table.save(path)
+        with open(path, "rb") as handle:
+            head = unframe(_MAGIC, handle.read(), path).partition(b"\n")[0]
+        manifest = json.loads(head)
         assert set(manifest["indexed"]["region"]) == {"base", "encoding"}
-        assert disk.list_files("t/indexes") == []
         base = manifest["indexed"]["region"]["base"]
-        broken = [b"{broken"] + [
-            json.dumps(doc).encode()
-            for doc in (
-                {k: v for k, v in manifest.items() if k != "indexed"},
-                dict(manifest, indexed=["region"]),  # names without designs
-                dict(manifest, indexed={"region": {"encoding": "range"}}),
-                dict(manifest, indexed={"region": {"base": [1], "encoding": "range"}}),
-                dict(manifest, indexed={"region": {"base": base, "encoding": "?"}}),
-            )
+        broken = [
+            {k: v for k, v in manifest.items() if k != "indexed"},
+            dict(manifest, indexed=["region"]),  # names without designs
+            dict(manifest, indexed={"region": {"encoding": "range"}}),
+            dict(manifest, indexed={"region": {"base": [1], "encoding": "range"}}),
+            dict(manifest, indexed={"region": {"base": base, "encoding": "?"}}),
+            dict(manifest, indexed={"nowhere": {"base": base, "encoding": "range"}}),
         ]
-        for raw in broken:
-            disk.write("t/table", raw)
+        for doc in broken:
+            table.save(path)
+            rewrite(path, lambda _, body, doc=doc: (doc, body))
             with pytest.raises(TableError):
-                Table.load(disk, "t")
+                Table.load(path)
+        with open(path, "wb") as handle:
+            handle.write(frame(_MAGIC, b"{broken\n"))
+        with pytest.raises(TableError):
+            Table.load(path)
+
+    @pytest.mark.parametrize(
+        "damage, error, match",
+        [
+            (without("columns"), TableError, "columns"),
+            (without("name"), TableError, "name"),
+            (
+                lambda path: rewrite(
+                    path, lambda manifest, body: (manifest, bytes(len(body)))
+                ),
+                TableError,
+                "pickled",
+            ),
+            (lambda path: cut(path, os.path.getsize(path) // 2), CorruptFileError, "torn"),
+            (lambda path: cut(path, 2), CorruptFileError, "header"),
+            (lambda path: flip(path, 20), CorruptFileError, "checksum mismatch"),
+            (lambda path: flip(path, 0), CorruptFileError, "header"),
+            (os.remove, FileMissingError, "no such table file"),
+        ],
+        ids=[
+            "no-columns",
+            "no-name",
+            "garbage-columns",
+            "truncated",
+            "truncated-header",
+            "flipped-byte",
+            "damaged-header",
+            "missing",
+        ],
+    )
+    def test_damaged_save_is_a_typed_error(self, table, path, damage, error, match):
+        table.create_index("region")
+        table.save(path)
+        damage(path)
+        with pytest.raises(error, match=match) as caught:
+            Table.load(path)
+        assert isinstance(caught.value, ReproError)
+
+    def test_save_writes_one_framed_file(self, table, path, tmp_path):
+        table.create_index("region")
+        table.save(path)
+        assert os.listdir(tmp_path) == ["sales.rbt"]
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        assert raw.startswith(_MAGIC)
+        head = unframe(_MAGIC, raw, path).partition(b"\n")[0]
+        assert json.loads(head)["name"] == "sales"
+        loaded = Table.load(path)
+        for cname in table.column_names():
+            assert np.array_equal(
+                loaded.relation.column(cname).values,
+                table.relation.column(cname).values,
+            )
+
+    def test_save_leaves_no_temp_residue(self, table, path, tmp_path):
+        for _ in range(3):
+            table.save(path)
+        assert os.listdir(tmp_path) == ["sales.rbt"]
+
+    def test_second_save_replaces_the_first(self, table, path, rng):
+        table.save(path)
+        Table("other", {"x": rng.integers(0, 5, 10)}).save(path)
+        loaded = Table.load(path)
+        assert loaded.name == "other"
+        assert loaded.num_rows == 10
+
+    def test_atomic_write_crash_keeps_old_table_file(self, table, path, tmp_path):
+        table.save(path)
+        plan = FaultPlan([FaultSpec("disk.write", "error")])
+        with pytest.raises(InjectedFaultError):
+            atomic_write(path, [frame(_MAGIC, b"{}\n")], plan, path)
+        # The replace never happened and the temp file is cleaned up.
+        assert os.listdir(tmp_path) == ["sales.rbt"]
+        assert Table.load(path).num_rows == table.num_rows
+
+    def test_save_creates_missing_directories(self, table, tmp_path):
+        path = str(tmp_path / "a" / "b" / "sales.rbt")
+        table.save(path)
+        assert Table.load(path).num_rows == table.num_rows
+
+    def test_quarantine_moves_file_aside(self, table, path, tmp_path):
+        table.save(path)
+        flip(path, 20)
+        shelter = to_quarantine(str(tmp_path), path, "sales.rbt")
+        assert not os.path.exists(path)
+        assert os.path.dirname(shelter) == str(tmp_path / ".quarantine")
+        with pytest.raises(CorruptFileError):
+            Table.load(shelter)
+        # The path is free for a rebuild.
+        table.save(path)
+        assert Table.load(path).num_rows == table.num_rows
+
+    def test_quarantine_suffixes_a_taken_name(self, table, path, tmp_path):
+        shelters = []
+        for _ in range(2):
+            table.save(path)
+            shelters.append(to_quarantine(str(tmp_path), path, "sales.rbt"))
+        assert not os.path.exists(path)
+        assert [os.path.basename(s) for s in shelters] == ["sales.rbt", "sales.rbt.1"]
+        assert Table.load(shelters[1]).num_rows == table.num_rows
 
 
 def test_module_doctest():
