@@ -77,9 +77,9 @@ from repro.stats import COUNTERS, PHYSICAL_COUNTERS, ExecutionStats
 from repro.storage.store import (
     StoreBitmapSource,
     _index_attr_spec,
-    _pack_relation_file,
     _payload_start,
     _RelationImage,
+    _relation_chunks,
 )
 
 #: Execution backends the engine can route a batch through.
@@ -274,11 +274,10 @@ class ShardManifest:
 
     Pickled once per task dispatch (~150 bytes whatever the number of
     stored bitmaps); codec, base, encoding and the checksummed payload
-    table are read from the ``.rbix`` image at ``image_offset``.
+    table are read from the ``.rbix`` image the segment holds.
     """
 
     shm_name: str
-    image_offset: int
     row_start: int
     row_stop: int
 
@@ -344,20 +343,12 @@ class ShardExport:
         self._segments: list = []
         try:
             for start, stop in self.bounds:
-                spec = _index_attr_spec(source, codec, rows=(start, stop))
-                image, _ = _pack_relation_file(
-                    _IMAGE_NAME, stop - start, {_IMAGE_NAME: spec}
-                )
-                # Start the image where its payload region lands on an
-                # 8-byte boundary: dense payload lengths are multiples of
-                # 8, so every dense bitmap is then an aligned uint64 view.
-                offset = -_payload_start(image) % 8
-                segment = _create_segment(offset + len(image))
-                segment.buf[offset : offset + len(image)] = image
+                spec = {_IMAGE_NAME: _index_attr_spec(source, codec, rows=(start, stop))}
+                image = b"".join(_relation_chunks(_IMAGE_NAME, stop - start, spec)[0])
+                segment = _create_segment(len(image))
+                segment.buf[: len(image)] = image
                 self._segments.append(segment)
-                self.manifests.append(
-                    ShardManifest(segment.name, offset, start, stop)
-                )
+                self.manifests.append(ShardManifest(segment.name, start, stop))
         except Exception:
             self.close()
             raise
@@ -389,8 +380,7 @@ class ShardExport:
         """
         segment = self._segments[shard]
         if offset is None:
-            image_offset = self.manifests[shard].image_offset
-            offset = image_offset + _payload_start(segment.buf, image_offset)
+            offset = _payload_start(segment.buf)
         segment.buf[offset] ^= 0xFF
         return offset
 
@@ -468,7 +458,7 @@ class _AttachedShard:
         self._image = None
         try:
             self._image = _RelationImage(
-                self._shm.buf[manifest.image_offset :],
+                self._shm.buf,
                 _IMAGE_NAME,
                 f"segment {manifest.shm_name!r}",
             )

@@ -1,9 +1,9 @@
 """File helpers shared by the index store and saved tables.
 
-- :func:`frame` / :func:`unframe` put a payload behind a magic + CRC-32 +
-  length header and verify it on read, so a torn or bit-flipped file is a
-  :class:`~repro.errors.CorruptFileError` instead of garbage handed to a
-  parser.
+- :func:`frame` / :func:`unframe` put a saved table behind a magic +
+  CRC-32 + length header and verify it on read, so a torn or bit-flipped
+  file is a :class:`~repro.errors.CorruptFileError` instead of garbage
+  handed to a parser.
 - :func:`atomic_write` is **crash-atomic**: data lands in a temporary
   file in the same directory, is fsynced, and is moved into place with
   ``os.replace`` — a crash mid-write can leave a stray temp file but
@@ -34,7 +34,7 @@ _QUARANTINE_DIR = ".quarantine"
 
 def frame(magic: bytes, payload: bytes) -> bytes:
     """``payload`` behind a ``magic`` + CRC-32 + length header (saved
-    tables and the index store's delta sidecars)."""
+    tables; the index store's files carry their own checksums)."""
     return _HEADER.pack(magic, zlib.crc32(payload), len(payload)) + payload
 
 

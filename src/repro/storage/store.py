@@ -8,12 +8,14 @@ from an ``mmap`` view the first time a query touches them:
 .. code-block:: text
 
     offset 0   +----------------------------------------------+
-               | header (30 bytes, fixed)                     |
+               | header (32 bytes, fixed)                     |
                |   magic "RBIX" | version | flags             |
                |   dict_offset | dict_length | dict_crc       |
                |   header_crc (CRC-32 of the preceding bytes) |
     dict_off   +----------------------------------------------+
-               | dictionary (JSON, CRC-framed by the header)  |
+               | dictionary (JSON, CRC-framed by the header,  |
+               |   space-padded to a multiple of 8 bytes)     |
+               |   first row, row count, payload length, and  |
                |   per attribute: cardinality, base, encoding,|
                |   codec, value dictionary, and per-slot      |
                |   [offset, length, crc] payload entries      |
@@ -23,31 +25,34 @@ from an ``mmap`` view the first time a query touches them:
                |   wah   -> WAH blob    roaring -> ROAR blob  |
                +----------------------------------------------+
 
-Payload offsets in the dictionary are relative to the payload region and
-validated against the physical file size at open — an entry extending
-past EOF is reported as :class:`~repro.errors.CorruptFileError` before
-anything slices (or page-faults) past the end of the map.  Every region
-is independently checksummed: the header over itself, the dictionary by
-the header, and each payload by its dictionary entry (verified on first
-materialization).
+The payload region starts on an 8-byte boundary of the image, so a dense
+payload in a dense image is an aligned ``uint64`` view.  Payload offsets
+in the dictionary are relative to the payload region and validated
+against the recorded payload length, and that against the buffer, at
+open — an entry extending past EOF is reported as
+:class:`~repro.errors.CorruptFileError` before anything slices (or
+page-faults) past the end of the map.  Every region is independently
+checksummed: the header over itself, the dictionary by the header, and
+each payload by its dictionary entry (verified on first materialization).
 
 The layout does not depend on what holds the bytes: the process backend
 publishes each shard — a row range of the source the engine serves — as
 the same image from the same writer
 (:class:`~repro.engine.sharding.ShardExport`) and serves it with the same
-reader.  A file's image starts at 0; a segment's at the offset (< 8) that
-puts the payload region, and so every dense payload, on an 8-byte boundary.
+reader.
 
-Incremental appends go to a CRC-framed JSON *delta sidecar*
-(``<relation>.rbix.delta``) holding the appended rank rows; reads serve
-base + delta merged, and an explicit :meth:`IndexStore.compact` folds the
-delta into a rewritten base file.  All writes are crash-atomic (temp file
-+ fsync + ``os.replace`` + directory fsync, through
-:func:`~repro.storage.fsdisk.atomic_write`); the delta records the base
-file's row count so a sidecar orphaned by a crash *between* compaction's
-rename and its delta unlink is detected as stale and ignored instead of
-being applied twice.  A rebuild can keep the row count, so
-:meth:`IndexStore.build` unlinks the sidecar *before* its rename instead.
+Incremental appends go to the *delta sidecar* (``<relation>.rbix.delta``):
+each :meth:`IndexStore.append` adds one image of its rows, from the same
+writer and 8-byte aligned, that records the global row it starts at.
+Reads serve each bitmap as the base's followed by every delta image's,
+and :meth:`IndexStore.compact` folds the delta into a rewritten base
+file.  All writes are crash-atomic (temp file + fsync + ``os.replace`` +
+directory fsync, through :func:`~repro.storage.fsdisk.atomic_write`).  A
+delta whose first image does not start where the base file ends was
+orphaned by a crash *between* compaction's rename and its delta unlink,
+and is ignored instead of applied twice.  A rebuild can keep the row
+count, so :meth:`IndexStore.build` unlinks the sidecar *before* its
+rename instead.
 
 A :class:`~repro.engine.QueryEngine` is served from an
 :class:`IndexStore`: ``bitmap_source`` hands out lazy per-attribute
@@ -85,24 +90,23 @@ from repro.faults import FaultPlan, read_fault
 from repro.relation.column import Column
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage.fsdisk import _fsync_dir, atomic_write, frame, to_quarantine, unframe
+from repro.storage.fsdisk import _fsync_dir, atomic_write, to_quarantine
 
 log = logging.getLogger("repro.storage.store")
 
 _MAGIC = b"RBIX"
-_VERSION = 1
+_VERSION = 2
 #: magic, version, flags, dict_offset, dict_length, dict_crc, header_crc.
 _HEADER = struct.Struct("<4sHHQQII")
-_DELTA_MAGIC = b"\x89RBD"
 _SUFFIX = ".rbix"
 _DELTA_SUFFIX = ".rbix.delta"
 #: Page granularity of the ``pages_touched`` counter.
 _PAGE_SIZE = 4096
 
 
-def _payload_start(buf, offset: int = 0) -> int:
-    """Where the payload region of the image at ``buf[offset:]`` starts."""
-    _, _, _, dict_off, dict_len, _, _ = _HEADER.unpack_from(buf, offset)
+def _payload_start(buf) -> int:
+    """Where the payload region of the image at the start of ``buf`` starts."""
+    _, _, _, dict_off, dict_len, _, _ = _HEADER.unpack_from(buf)
     return dict_off + dict_len
 
 
@@ -154,7 +158,6 @@ class StoreStats:
     dict_bytes: int = 0
     payload_bytes_read: int = 0
     bitmaps_materialized: int = 0
-    delta_bitmaps: int = 0
     pages_touched: int = 0
     appends: int = 0
     compactions: int = 0
@@ -191,8 +194,10 @@ class _RelationImage:
     :meth:`close`; ``path`` names it in errors.
     """
 
-    #: What only a store file has, and :class:`_RelationFile` sets: a delta
-    #: sidecar, a store generation, the store's fault plan.
+    #: What only a store file has, and :class:`_RelationFile` sets: the
+    #: delta sidecar's images and rows, a store generation, the store's
+    #: fault plan.
+    deltas: "tuple[_RelationImage, ...]" = ()
     delta_rows = 0
     generation = 0
     fault_plan: FaultPlan | None = None
@@ -251,15 +256,23 @@ class _RelationImage:
                 f"{self.path}: dictionary is not valid JSON: {exc}"
             ) from exc
         self.payload_start = dict_off + dict_len
-        payload_room = self.size - self.payload_start
         try:
+            self.start = int(meta["start"])
             self.nbits = int(meta["nbits"])
+            payload_room = int(meta["payload_length"])
             stored_name = meta["relation"]
             attr_metas = meta["attributes"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptFileError(
                 f"{self.path}: malformed dictionary: {exc}"
             ) from exc
+        #: Where the image ends in its buffer (a delta's next image follows).
+        self.end = self.payload_start + payload_room
+        if payload_room < 0 or self.end > self.size:
+            raise CorruptFileError(
+                f"{self.path}: payload region [{self.payload_start}, "
+                f"{self.end}) extends past EOF at {self.size}"
+            )
         if stored_name != self.relation:
             raise CorruptFileError(
                 f"{self.path}: file claims relation {stored_name!r}"
@@ -409,6 +422,10 @@ class _RelationFile(_RelationImage):
     """One opened ``.rbix`` file: the image over an mmap, plus what only
     a file has — the delta sidecar and the store generation it was read at."""
 
+    #: The live delta sidecar's bytes (empty when there is none, or it is
+    #: stale): what the next append writes its image after.
+    sidecar = b""
+
     def __init__(self, store: "IndexStore", relation: str):
         self.store = store
         self.generation = store.generation(relation)
@@ -435,101 +452,74 @@ class _RelationFile(_RelationImage):
         except BaseException:
             self.close()
             raise
-        self._delta_indexes: dict[str, BitmapIndex] = {}
         store.stats.opens += 1
 
-    # ------------------------------------------------------------------
-    # Delta sidecar
-    # ------------------------------------------------------------------
-
     def _load_delta(self) -> None:
-        self.delta_rows = 0
-        self.delta_values: dict[str, np.ndarray] = {}
-        self.delta_nulls: dict[str, np.ndarray] = {}
-        delta_path = os.path.join(
-            self.store.root, self.relation + _DELTA_SUFFIX
-        )
+        """Open the delta sidecar: one image per append, back to back, each
+        CRC-verified whole here so a damaged delta fails at open."""
+        path = os.path.join(self.store.root, self.relation + _DELTA_SUFFIX)
         try:
-            with open(delta_path, "rb") as fh:
+            with open(path, "rb") as fh:
                 raw = fh.read()
         except FileNotFoundError:
             return
-        payload = unframe(_DELTA_MAGIC, raw, delta_path)
-        try:
-            delta = json.loads(payload)
-            base_nbits = int(delta["base_nbits"])
-            rows = int(delta["rows"])
-            per_attr = delta["attributes"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptFileError(
-                f"{delta_path}: malformed delta sidecar: {exc}"
-            ) from exc
-        if base_nbits != self.nbits:
+        self.deltas = images = []
+        offset = 0
+        while True:
+            image = _RelationImage(memoryview(raw)[offset:], self.relation, path, self.stats)
+            images.append(image)
+            image.fault_plan = self.fault_plan
+            problems = image.verify_payloads()
+            if problems:
+                raise CorruptFileError(problems[0])
+            end = offset + image.end
+            offset = end + -end % 8
+            if any(raw[end:offset]):
+                raise CorruptFileError(
+                    f"{path}: nonzero padding after the image at row {image.start}"
+                )
+            if offset >= len(raw):
+                break
+        if images[0].start != self.nbits:
             # A compact() crash window leaves the *old* delta next to the
-            # *new* (already folded) base file; the recorded base size
+            # *new* (already folded) base file; where the delta starts
             # tells them apart.  Applying it again would double-count.
             log.warning(
                 "%s: stale delta (base had %d rows, file has %d); ignoring",
-                delta_path,
-                base_nbits,
+                path,
+                images[0].start,
                 self.nbits,
             )
+            for image in images:
+                image.close()
+            self.deltas = ()
             return
-        if set(per_attr) != set(self.attrs):
-            raise CorruptFileError(
-                f"{delta_path}: delta attributes {sorted(per_attr)} do not "
-                f"match stored attributes {sorted(self.attrs)}"
-            )
-        values: dict[str, np.ndarray] = {}
-        nulls: dict[str, np.ndarray] = {}
-        for name, cols in per_attr.items():
-            ranks = np.asarray(cols["values"], dtype=np.int64)
-            meta = self.attrs[name]
-            if len(ranks) != rows:
-                raise CorruptFileError(
-                    f"{delta_path}: attribute {name!r} has {len(ranks)} "
-                    f"delta rows; header promises {rows}"
-                )
-            if ranks.size and (
-                ranks.min() < 0 or ranks.max() >= meta.cardinality
-            ):
-                raise CorruptFileError(
-                    f"{delta_path}: attribute {name!r} delta ranks outside "
-                    f"[0, {meta.cardinality})"
-                )
-            values[name] = ranks
-            mask = cols.get("nulls")
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if len(mask) != rows:
-                    raise CorruptFileError(
-                        f"{delta_path}: attribute {name!r} null mask length "
-                        f"mismatch"
-                    )
-                nulls[name] = mask
-        self.delta_rows = rows
-        self.delta_values = values
-        self.delta_nulls = nulls
 
-    def delta_index(self, attribute: str) -> BitmapIndex:
-        """The delta rows of one attribute as an in-memory index (memoized)."""
-        idx = self._delta_indexes.get(attribute)
-        if idx is None:
-            meta = self.attrs[attribute]
-            idx = BitmapIndex(
-                self.delta_values[attribute],
-                meta.cardinality,
-                base=meta.base,
-                encoding=meta.encoding,
-                nulls=self.delta_nulls.get(attribute),
-                keep_values=False,
-            )
-            self._delta_indexes[attribute] = idx
-            self.store.stats.delta_bitmaps += idx.num_bitmaps
-        return idx
+        def layout(image: _RelationImage) -> dict:
+            return {
+                name: (m.cardinality, m.base, m.encoding, m.codec, set(m.slots))
+                for name, m in image.attrs.items()
+            }
+
+        stored, row = layout(self), self.nbits
+        for image in images:
+            if image.start != row:
+                raise CorruptFileError(
+                    f"{path}: the image at row {image.start} follows rows that end at {row}"
+                )
+            if layout(image) != stored:
+                raise CorruptFileError(
+                    f"{path}: the image at row {image.start} does not index the "
+                    f"attributes as the base file does"
+                )
+            row += image.nbits
+        self.delta_rows = row - self.nbits
+        self.sidecar = raw
 
     def close(self) -> None:
         super().close()
+        for image in self.deltas:
+            image.close()
         try:
             self._mm.close()
         except BufferError:  # pragma: no cover - live zero-copy views
@@ -614,36 +604,19 @@ class StoreBitmapSource:
 
     @property
     def nonnull(self):
-        rf = self._rfile
-        meta = self._meta
-        base = None
-        if meta.nonnull is not None:
-            base, _ = rf.materialize(
-                meta, meta.nonnull, f"{self.attribute}/nonnull"
-            )
-        delta = rf.delta_index(self.attribute).nonnull if rf.delta_rows else None
-        return self._with_delta(base, delta)
+        return self._with_delta(lambda meta: meta.nonnull, f"{self.attribute}/nonnull")[0]
 
     def fetch(self, component: int, slot: int, stats):
         """Materialize one stored bitmap, recording the real bytes read."""
-        rf = self._rfile
         if stats.deadline is not None:
             stats.deadline.check("storage")
-        try:
-            entry = self._meta.slots[(component, slot)]
-        except KeyError:
+        if (component, slot) not in self._meta.slots:
             raise StorageError(
                 f"store holds no bitmap for {self.relation}.{self.attribute}"
                 f" component {component} slot {slot}"
-            ) from None
+            )
         ident = f"{self.relation}/{self.attribute}/c{component}_s{slot}"
-        bitmap, length = rf.materialize(self._meta, entry, ident)
-        delta = (
-            rf.delta_index(self.attribute).components[component - 1].bitmap(slot)
-            if rf.delta_rows
-            else None
-        )
-        bitmap = self._with_delta(bitmap, delta)
+        bitmap, length = self._with_delta(lambda meta: meta.slots[(component, slot)], ident)
         stats.record_scan(nbytes=length)
         trace = stats.trace
         if trace is not None:
@@ -656,30 +629,42 @@ class StoreBitmapSource:
                 source=f"store.{self._meta.codec}",
                 relation=self.relation,
                 attribute=self.attribute,
-                delta_rows=rf.delta_rows,
+                delta_rows=self._rfile.delta_rows,
             )
         return bitmap
 
-    def _with_delta(self, base: Bitmap | None, delta: BitVector | None):
-        """A stored bitmap followed by its pending delta rows, as served.
-
-        The one place base + delta are merged (decode, concatenate,
-        re-encode), for slot and existence bitmaps alike.  For an
-        existence bitmap ``None`` means "no NULLs": a missing side counts
-        as all ones, and two missing sides stay ``None``.
+    def _with_delta(self, entry_of, ident: str) -> tuple[Bitmap | None, int]:
+        """One stored bitmap as served, and the payload bytes read for it:
+        the base file's and every delta image's (``entry_of(meta)`` is its
+        entry there), concatenated — the one place base and delta merge.
+        For an existence bitmap ``None`` means "no NULLs": a missing part
+        counts as all ones, and all parts missing stays ``None``.
         """
-        rf, cls = self._rfile, self._cls
-        if base is None and delta is None:
-            return None
-        if rf.delta_rows:
-            head = base.to_bools() if base is not None else np.ones(rf.nbits, bool)
-            tail = (
-                delta.to_bools() if delta is not None else np.ones(rf.delta_rows, bool)
+        images = (self._rfile, *self._rfile.deltas)
+        parts, nbytes = [], 0
+        for image in images:
+            meta = image.attrs[self.attribute]
+            entry = entry_of(meta)
+            bitmap = None
+            if entry is not None:
+                bitmap, length = image.materialize(meta, entry, ident)
+                nbytes += length
+            parts.append(bitmap)
+        if all(part is None for part in parts):
+            return None, nbytes
+        bitmap = parts[0]
+        if len(parts) > 1:
+            bitmap = BitVector.from_bools(
+                np.concatenate(
+                    [
+                        part.to_bools() if part is not None else np.ones(image.nbits, bool)
+                        for part, image in zip(parts, images)
+                    ]
+                )
             )
-            base = BitVector.from_bools(np.concatenate([head, tail]))
-        if type(base) is cls:
-            return base
-        return cls.from_bitvector(base.to_bitvector())
+        if type(bitmap) is not self._cls:
+            bitmap = self._cls.from_bitvector(bitmap.to_bitvector())
+        return bitmap, nbytes
 
     def __repr__(self) -> str:
         return (
@@ -985,8 +970,10 @@ class IndexStore:
         otherwise); ``nulls`` optionally maps attributes to boolean NULL
         masks.  Values must already exist in the stored dictionary — a
         new distinct value changes the attribute's cardinality and
-        therefore needs a rebuild.  The write is crash-atomic: a crash
-        mid-append leaves the previous delta (and the base file) intact.
+        therefore needs a rebuild.  The rows are indexed as the base file
+        indexes them and written, by the build's writer, as one more image
+        of the sidecar.  The write is crash-atomic: a crash mid-append
+        leaves the previous delta (and the base file) intact.
         """
         rfile = self._file(relation)
         if set(rows) != set(rfile.attrs):
@@ -1001,8 +988,7 @@ class IndexStore:
                 "append needs the same nonzero number of rows per attribute"
             )
         (nrows,) = lengths
-        new_values: dict[str, np.ndarray] = {}
-        new_nulls: dict[str, np.ndarray] = {}
+        attrs: dict[str, dict] = {}
         for attr, meta in rfile.attrs.items():
             mask = nulls.get(attr)
             if mask is not None:
@@ -1012,74 +998,36 @@ class IndexStore:
                         f"null mask for {attr!r} has {len(mask)} entries; "
                         f"{nrows} rows appended"
                     )
-            new_values[attr] = _ranks_for(meta, rows[attr], mask)
-            if mask is not None and mask.any():
-                new_nulls[attr] = mask
-        # Merge with the existing delta and rewrite the sidecar whole —
-        # appends are small relative to the base, and a single framed
-        # file keeps recovery trivial.
-        merged_values = {}
-        merged_nulls = {}
-        old_rows = rfile.delta_rows
-        for attr in rfile.attrs:
-            old_vals = (
-                rfile.delta_values.get(attr, np.empty(0, dtype=np.int64))
-                if old_rows
-                else np.empty(0, dtype=np.int64)
+            index = BitmapIndex(
+                _ranks_for(meta, rows[attr], mask),
+                meta.cardinality,
+                base=meta.base,
+                encoding=meta.encoding,
+                nulls=mask if mask is not None and mask.any() else None,
+                keep_values=False,
             )
-            merged_values[attr] = np.concatenate(
-                [old_vals, new_values[attr]]
-            )
-            old_mask = rfile.delta_nulls.get(attr)
-            new_mask = new_nulls.get(attr)
-            if old_mask is not None or new_mask is not None:
-                merged_nulls[attr] = np.concatenate(
-                    [
-                        old_mask
-                        if old_mask is not None
-                        else np.zeros(old_rows, dtype=bool),
-                        new_mask
-                        if new_mask is not None
-                        else np.zeros(nrows, dtype=bool),
-                    ]
-                )
-        total_delta = old_rows + nrows
-        payload = json.dumps(
-            {
-                "relation": relation,
-                "base_nbits": rfile.nbits,
-                "rows": total_delta,
-                "attributes": {
-                    attr: {
-                        "values": [int(v) for v in merged_values[attr]],
-                        "nulls": (
-                            [bool(b) for b in merged_nulls[attr]]
-                            if attr in merged_nulls
-                            else None
-                        ),
-                    }
-                    for attr in rfile.attrs
-                },
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+            attrs[attr] = _index_attr_spec(index, meta.codec, meta.value_size_bytes)
+        # The sidecar is rewritten whole: the images already in it, zeros
+        # to an 8-byte boundary, then this batch's image.
+        start = rfile.nbits + rfile.delta_rows
+        chunks, _ = _relation_chunks(relation, nrows, attrs, start)
+        previous = rfile.sidecar
         self._atomic_write(
             self._delta_path(relation),
-            [frame(_DELTA_MAGIC, payload)],
+            [previous, bytes(-len(previous) % 8), *chunks],
             relation + _DELTA_SUFFIX,
         )
-        total = rfile.nbits + total_delta
         self.invalidate(relation)
         self.stats.appends += 1
-        return total
+        return start + nrows
 
     def compact(self, relation: str | None = None) -> dict:
         """Fold delta rows into the base file(s); returns a summary.
 
         Rewrites each touched ``.rbix`` atomically, then deletes the
         sidecar.  A crash between the two steps leaves a *stale* delta
-        next to the new file; opens detect it via the recorded base row
-        count and ignore it, so compaction is idempotent and never
+        next to the new file; opens detect it by the row its first image
+        starts at and ignore it, so compaction is idempotent and never
         double-applies.
         """
         if relation is None:
@@ -1105,8 +1053,8 @@ class IndexStore:
             self._main_path(relation), chunks, relation + _SUFFIX
         )
         # Crash window: the new base is live but the delta still exists.
-        # Its recorded base_nbits no longer matches, so reopens ignore it
-        # (stale) and this unlink is safely re-runnable.
+        # Its first image no longer starts where the base ends, so reopens
+        # ignore it (stale) and this unlink is safely re-runnable.
         try:
             os.unlink(self._delta_path(relation))
         except FileNotFoundError:  # pragma: no cover - already gone
@@ -1155,7 +1103,7 @@ class IndexStore:
         """Deep-check one relation's files; returns problem descriptions.
 
         Validates the header, dictionary, every payload entry's bounds
-        and checksum, and the delta sidecar's frame.  An empty list means
+        and checksum, and every image of the delta sidecar.  An empty list means
         the files read back intact.
         """
         try:
@@ -1295,8 +1243,8 @@ def _index_attr_spec(
     Every stored bitmap of ``source`` — an in-memory index, or a store's
     source serving base and delta merged — and its existence bitmap, in
     ``codec``; with ``rows=(start, stop)``, only that row range of each.
-    The one way an image attribute is built: a store file, a compaction
-    and a shard publication all come through here.
+    The one way an image attribute is built: a store file, an append, a
+    compaction and a shard publication all come through here.
     """
     cls = bitmap_class(codec)
     stats = ExecutionStats()
@@ -1324,19 +1272,12 @@ def _index_attr_spec(
     }
 
 
-def _pack_relation_file(
-    name: str, nbits: int, attrs: dict[str, dict]
-) -> tuple[bytes, dict[str, int]]:
-    """:func:`_relation_chunks` joined into one buffer, for an image that
-    is copied somewhere whole (a shared-memory segment)."""
-    chunks, payload_bytes = _relation_chunks(name, nbits, attrs)
-    return b"".join(chunks), payload_bytes
-
-
 def _relation_chunks(
-    name: str, nbits: int, attrs: dict[str, dict]
+    name: str, nbits: int, attrs: dict[str, dict], start: int = 0
 ) -> tuple[list[bytes], dict[str, int]]:
-    """Assemble one complete ``.rbix`` file image.
+    """Assemble one complete ``.rbix`` image of ``nbits`` rows, the first
+    of them global row ``start`` (0 for a base file or a shard; for a
+    delta image, the row after those already stored).
 
     ``attrs[attr]`` carries ``cardinality``, ``base`` (:class:`Base`),
     ``encoding`` (:class:`EncodingScheme`), ``codec``,
@@ -1345,7 +1286,8 @@ def _relation_chunks(
     and ``nonnull`` (in the codec's type too, or ``None``).  Returns the
     image as header, dictionary and one chunk per payload — nothing here
     copies a payload — and, per attribute, the bytes its slot payloads
-    take in the image.
+    take in the image.  The dictionary is padded with spaces so that the
+    payload region starts on an 8-byte boundary of the image.
     """
     chunks: list[bytes] = []
     offset = 0
@@ -1365,11 +1307,11 @@ def _relation_chunks(
             {"base": base.component(i), "slots": {}}
             for i in range(1, base.n + 1)
         ]
-        start = offset
+        first = offset
         for (comp, slot), bitmap in sorted(spec["bitmaps"].items()):
             entry = add(bitmap.to_payload())
             components[comp - 1]["slots"][str(slot)] = list(entry)
-        payload_bytes[attr] = offset - start
+        payload_bytes[attr] = offset - first
         nonnull = spec.get("nonnull")
         nonnull_entry = list(add(nonnull.to_payload())) if nonnull is not None else None
         meta_attrs[attr] = {
@@ -1383,9 +1325,16 @@ def _relation_chunks(
             "nonnull": nonnull_entry,
         }
     dictionary = json.dumps(
-        {"relation": name, "nbits": nbits, "attributes": meta_attrs},
+        {
+            "relation": name,
+            "start": start,
+            "nbits": nbits,
+            "payload_length": offset,
+            "attributes": meta_attrs,
+        },
         separators=(",", ":"),
     ).encode("utf-8")
+    dictionary += b" " * (-(_HEADER.size + len(dictionary)) % 8)
     header_wo_crc = _HEADER.pack(
         _MAGIC,
         _VERSION,

@@ -46,8 +46,8 @@ from repro.experiments.disk import SimulatedDisk
 from repro.storage.store import (
     _HEADER,
     _index_attr_spec,
-    _pack_relation_file,
     _payload_start,
+    _relation_chunks,
 )
 from repro.experiments.schemes import open_scheme, write_index
 from repro.workloads.generators import clustered_values, uniform_values, zipf_values
@@ -704,7 +704,7 @@ class TestBitmapConformance:
         values = rng.integers(0, base.capacity, 3000)
         nulls = rng.random(3000) < 0.1 if with_nulls else None
         index = BitmapIndex(values, base.capacity, base, encoding, nulls=nulls)
-        image, _ = _pack_relation_file("t", 3000, {"a": _index_attr_spec(index, codec)})
+        image = b"".join(_relation_chunks("t", 3000, {"a": _index_attr_spec(index, codec)})[0])
         meta = json.loads(image[_HEADER.size : _payload_start(image)])["attributes"]["a"]
 
         def packed(entry):

@@ -59,7 +59,7 @@ from repro.query.expression import (
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
-from repro.storage.store import _HEADER, _index_attr_spec, _pack_relation_file
+from repro.storage.store import _HEADER, _index_attr_spec, _payload_start, _relation_chunks
 
 CODECS = ("dense", "wah", "roaring")
 SHARD_COUNTS = (1, 2, 7)  # 7 does not divide the test row counts
@@ -208,11 +208,10 @@ class TestSegmentImage:
     @staticmethod
     def image_regions(export, shard=0):
         """Offsets into the segment: image start, dictionary start/length, end."""
-        start = export.manifests[shard].image_offset
         _, _, _, dict_offset, dict_length, _, _ = _HEADER.unpack_from(
-            export._segments[shard].buf, start
+            export._segments[shard].buf
         )
-        return start, start + dict_offset, dict_length, export._segments[shard].size
+        return 0, dict_offset, dict_length, export._segments[shard].size
 
     @pytest.mark.parametrize(
         "region", ["magic", "header", "dictionary", "last_payload"]
@@ -254,13 +253,14 @@ class TestSegmentImage:
         # CRC-clean, but the dictionary declares 100 rows over payloads
         # built for 200: only decoding a payload can tell.
         index = BitmapIndex(np.arange(200) % 5, 5)
-        image, _ = _pack_relation_file(
+        chunks, _ = _relation_chunks(
             _IMAGE_NAME, 100, {_IMAGE_NAME: _index_attr_spec(index, codec)}
         )
+        image = b"".join(chunks)
         segment = shared_memory.SharedMemory(create=True, size=len(image))
         try:
             segment.buf[: len(image)] = image
-            shard = _AttachedShard(ShardManifest(segment.name, 0, 0, 100))
+            shard = _AttachedShard(ShardManifest(segment.name, 0, 100))
             try:
                 with pytest.raises(CorruptShardError, match="payload"):
                     shard.fetch(1, 2, ExecutionStats())
@@ -285,9 +285,9 @@ class TestSegmentImage:
 
     def test_dense_bitmaps_are_aligned_zero_copy_views(self, export):
         # <8,8> over C=60 gives a dictionary whose payload region would
-        # start off an 8-byte boundary; the image's offset corrects it.
+        # start off an 8-byte boundary; the writer's padding corrects it.
         manifest = export.manifests[0]
-        assert manifest.image_offset != 0
+        assert _payload_start(export._segments[0].buf) % 8 == 0
         shard = _AttachedShard(manifest)
         try:
             for bitmap in (shard.fetch(1, 0, ExecutionStats()), shard.nonnull):

@@ -10,7 +10,10 @@ detection for every region of the format — a damaged store must raise
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import re
+import shutil
 import time
 
 import numpy as np
@@ -38,7 +41,8 @@ from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.buffer import BufferPool
-from repro.storage.store import _HEADER, _MAGIC, _pack_relation_file
+from repro.storage.fsdisk import frame
+from repro.storage.store import _HEADER, _MAGIC, _relation_chunks
 from repro.workloads import full_query_space
 
 NUM_ROWS = 600
@@ -59,8 +63,7 @@ def make_relation(num_rows: int = NUM_ROWS, seed: int = 11) -> Relation:
 def segment_image(export: ShardExport, shard: int = 0) -> bytes:
     """The ``.rbix`` image one shard was published as, header through last
     payload (the segment is created at exactly the image's end)."""
-    start = export.manifests[shard].image_offset
-    return bytes(export._segments[shard].buf[start:])
+    return bytes(export._segments[shard].buf)
 
 
 @pytest.fixture
@@ -246,6 +249,17 @@ class TestLazyLoading:
         assert store.stats.pages_touched > 0
         engine.close()
 
+    def test_dense_fetch_is_an_aligned_view_of_the_map(self, store_dir, relation):
+        # This relation's dictionary alone would end off an 8-byte boundary.
+        with IndexStore(store_dir) as store:
+            store.build(relation, codec="dense")
+        with IndexStore(store_dir) as store:
+            bitmap = store.bitmap_source("sales", "quantity").fetch(1, 1, ExecutionStats())
+            words = bitmap._words
+            assert not words.flags.owndata
+            assert words.ctypes.data % 8 == 0
+            del words, bitmap
+
     def test_repeat_fetch_rereads_but_verifies_crc_once(self, store_dir, relation):
         with IndexStore(store_dir) as store:
             store.build(relation)
@@ -426,6 +440,115 @@ class TestAppendCompact:
         else:
             assert served == new_base
 
+    def test_a_kill_at_any_step_reopens_to_a_committed_state(self, store_dir, monkeypatch):
+        """Every crash point of build → append → append → compact → append →
+        rebuild (the compacted rows under a new dictionary): each
+        ``os.replace``, ``os.unlink`` and ``disk.write`` step is killed in
+        turn, nothing after it runs, and the store is reopened.  It serves
+        what the last operation that returned left, or what the killed one
+        was writing — never a new base with an old delta, a delta applied
+        twice, or a returned append dropped.  The one other state is the
+        rebuild's own: it unlinks the delta it supersedes before its rename.
+        And the reopened store takes the next append."""
+
+        class Killed(BaseException):
+            pass
+
+        base = np.arange(1000) % 10
+        batches = [np.array([3, 3, 3]), np.array([4, 4]), np.array([3])]
+        compacted = np.concatenate([base, *batches[:2]])
+        operations = [
+            lambda store: store.build(Relation.from_dict("t", {"a": base})),
+            lambda store: store.append("t", {"a": batches[0]}),
+            lambda store: store.append("t", {"a": batches[1]}),
+            lambda store: store.compact("t"),
+            lambda store: store.append("t", {"a": batches[2]}),
+            lambda store: store.build(Relation.from_dict("t", {"a": compacted + 100})),
+        ]
+        states = [
+            None,
+            base,
+            compacted[:-2],
+            compacted,
+            compacted,
+            np.concatenate([compacted, batches[2]]),
+            compacted + 100,
+        ]
+        queries = ("a >= 0", "a = 3", "a = 4", "a = 103")
+
+        def oracle(values):
+            if values is None:
+                return None
+            return (len(values), *(int((values == v).sum()) for v in (3, 4, 103)))
+
+        def served(root):
+            if IndexStore(root).relations() == []:
+                return None
+            engine = repro.open_store(root)
+            try:
+                return tuple(engine.count(query).count for query in queries)
+            finally:
+                engine.close()
+
+        def run(root, kill_at):
+            """The operations, killed at step ``kill_at``: how many returned
+            and how many steps were taken."""
+            steps = 0
+            plan = FaultPlan([])
+
+            def step():
+                nonlocal steps
+                steps += 1
+                if steps == kill_at:
+                    raise Killed
+
+            def counted(real):
+                def call(*args, **kwargs):
+                    if steps >= kill_at:
+                        return None  # killed: not even clean-up runs
+                    step()
+                    return real(*args, **kwargs)
+
+                return call
+
+            def check(seam, ident=""):
+                if seam == "disk.write":
+                    step()
+                return FaultPlan.check(plan, seam, ident)
+
+            returned = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", counted(os.replace))
+                patch.setattr(os, "unlink", counted(os.unlink))
+                patch.setattr(plan, "check", check)
+                store = IndexStore(root, fault_plan=plan)
+                try:
+                    for operation in operations:
+                        operation(store)
+                        returned += 1
+                except Killed:
+                    pass
+            store.close()
+            return returned, steps
+
+        whole = os.path.join(store_dir, "whole")
+        returned, total = run(whole, kill_at=float("inf"))
+        assert returned == len(operations) and total == 14
+        assert served(whole) == oracle(states[-1])
+        for kill_at in range(1, total + 1):
+            root = os.path.join(store_dir, str(kill_at))
+            returned, _ = run(root, kill_at)
+            allowed = {oracle(states[returned]), oracle(states[returned + 1])}
+            if returned == len(operations) - 1:
+                allowed.add(oracle(compacted))
+            got = served(root)
+            assert got in allowed, (kill_at, returned, got)
+            if got is not None:
+                with IndexStore(root) as store:
+                    value = store.relation_view("t").column("a").dictionary[0]
+                    store.append("t", {"a": np.array([value])})
+                assert served(root) == (got[0] + 1, *got[1:])
+
     def test_compact_is_idempotent(self, store_dir, relation):
         with IndexStore(store_dir) as store:
             store.build(relation)
@@ -532,11 +655,71 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptFileError):
             IndexStore(store_dir).bitmap_source("sales", "quantity")
 
-    def test_delta_flip(self, store_dir, relation):
+    @pytest.mark.parametrize("region", ["header", "dictionary", "last_payload"])
+    def test_delta_flip(self, store_dir, relation, region):
+        # Damage anywhere in the second of two delta images fails at open.
         self.build(store_dir, relation, with_delta=True)
         delta = os.path.join(store_dir, "sales.rbix.delta")
-        flip_byte(delta, os.path.getsize(delta) - 1)
+        second = os.path.getsize(delta) + -os.path.getsize(delta) % 8
+        with IndexStore(store_dir) as store:
+            store.append(
+                "sales", {"quantity": np.array([2, 3]), "region": np.array(["west", "east"])}
+            )
+        with open(delta, "rb") as handle:
+            handle.seek(second)
+            _, _, _, dict_offset, dict_length, _, _ = _HEADER.unpack(handle.read(_HEADER.size))
+        flip_byte(
+            delta,
+            {
+                "header": second + 9,  # inside dict_offset
+                "dictionary": second + dict_offset + dict_length // 2,
+                "last_payload": os.path.getsize(delta) - 1,
+            }[region],
+        )
         with pytest.raises(CorruptFileError):
+            IndexStore(store_dir).bitmap_source("sales", "quantity")
+        assert IndexStore(store_dir).scrub() == ["sales"]
+        assert sorted(os.listdir(os.path.join(store_dir, ".quarantine"))) == [
+            "sales.rbix",
+            "sales.rbix.delta",
+        ]
+
+    def test_a_json_delta_sidecar_is_refused(self, store_dir, relation):
+        # The sidecar format before deltas were images: no migration, a
+        # typed error that names the file.
+        self.build(store_dir, relation)
+        delta = os.path.join(store_dir, "sales.rbix.delta")
+        document = {
+            "relation": "sales",
+            "base_nbits": NUM_ROWS,
+            "rows": 1,
+            "attributes": {
+                "quantity": {"values": [1], "nulls": None},
+                "region": {"values": [0], "nulls": None},
+            },
+        }
+        with open(delta, "wb") as handle:
+            handle.write(frame(b"\x89RBD", json.dumps(document).encode()))
+        with pytest.raises(CorruptFileError, match=re.escape(delta)):
+            IndexStore(store_dir).bitmap_source("sales", "quantity")
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"base": {"quantity": Base((8, 5)), "region": None}}, {"codec": "roaring"}],
+        ids=["base", "codec"],
+    )
+    def test_a_delta_indexed_unlike_the_base_file_is_corrupt(
+        self, store_dir, tmp_path, relation, other
+    ):
+        # A sound sidecar, but of a store built another way: beside this
+        # base file it would serve another base's slots, or mix codecs.
+        elsewhere = str(tmp_path / "elsewhere")
+        with IndexStore(elsewhere) as store:
+            store.build(relation, **other)
+            store.append("sales", {"quantity": np.array([1]), "region": np.array(["east"])})
+        self.build(store_dir, relation)
+        shutil.copy(os.path.join(elsewhere, "sales.rbix.delta"), store_dir)
+        with pytest.raises(CorruptFileError, match="does not index"):
             IndexStore(store_dir).bitmap_source("sales", "quantity")
 
     def test_injected_read_corruption_is_typed(self, store_dir, relation):
@@ -598,7 +781,7 @@ class TestCorruptionDetection:
             def to_payload(self):
                 return payload_of(self.bitmap)
 
-        image, _ = _pack_relation_file(
+        chunks, _ = _relation_chunks(
             "sales",
             declared_rows,
             {
@@ -621,7 +804,7 @@ class TestCorruptionDetection:
         )
         os.makedirs(store_dir)
         with open(os.path.join(store_dir, "sales.rbix"), "wb") as handle:
-            handle.write(image)
+            handle.write(b"".join(chunks))
 
     @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
     def test_payload_of_another_bit_length_is_corrupt(self, store_dir, codec):
@@ -819,28 +1002,31 @@ class TestNoInvalidateNeeded:
 
 class TestFormatPin:
     """Stored bytes are part of the contract: SHA-256 of each format, taken
-    at the commit before the bitmap classes grew ``to_payload``.  The
-    ``segment`` pins are of the ``.rbix`` image a shard is published as,
-    taken when segments stopped having a layout of their own."""
+    when the dictionary was padded to put payloads on an 8-byte boundary
+    and a delta became one ``.rbix`` image per append (every payload byte
+    as before).  The ``segment`` pins are of the ``.rbix`` image a shard
+    is published as."""
 
     PINS = {
         "dense": {
-            "rbix": "47db6ffcad94f1cfa86a9569a2030d9931b57a7309aa696f891d83937819190b",
-            "compacted": "eb035837124c1698eddd51199c721da23af040ceb693ffcd68b881bfd3159ad6",
-            "segment": "8ce4d7923046644a09f81894dd3d1caa17839ff7ea90dbc3d6aad192d10ce6fc",
+            "rbix": "1f76abe79a9111eda7c3f1909ac48cb46ccb69533a198eb967dc349d25c9a7b0",
+            "delta": "2b49ab336d54ec95e3fe3c25236620370ffcb91071a507636611b97d98806a7f",
+            "compacted": "9f56b0f05c643fa8bee14b4f7daa742792744977a88ab6bcd0a3daa68c698366",
+            "segment": "29de3fba565f80e9bb2fb7f1dc0e1c0b18888b80111e2ca473484d4eac380c9d",
         },
         "wah": {
-            "rbix": "465c913c0d54f2017f403a4e618a6c3acf313c0af3ddab7314a5da795d154a7a",
-            "compacted": "c7371cc1104535be84f1359accd3fe696e099154a4a0138aa5615043a45f5f55",
-            "segment": "a3034470ac894d46b3174f4a2f34f0d08f02e9b936ca8c04f857f452018ec793",
+            "rbix": "af3a8c7f2bda16d72bf3434d8cd9246e0e269e597e5a43721cf3b9edff20d120",
+            "delta": "c1ad8bf446f8b261f494569b593d58bd02fe388bcb85e7ab766ba17ad6012df4",
+            "compacted": "8bc00f074a47bc241e8aab5a7e0101235fc35040bd080e6c700cc7f8e51ab7bf",
+            "segment": "3038300f7773c2ea63cc1272dc89067bb5d76576bcad2b55c91533aa3f2cc48f",
         },
         "roaring": {
-            "rbix": "b7c99f6db39e26eb21b56de56c1dd4bd3eebd3a50075ffdca351157085e97341",
-            "compacted": "7136cc1261c902bfd6c60d858ab99095a061c019529150556133950d1c9e9054",
-            "segment": "26a6b63783621f19c6110395a5f789b923e815d2424bfacd73a33bb82017f14b",
+            "rbix": "c57a5f12ae4cb34c21f8e7757eb67bf00ea2d0873f7e1503d74eaa750cd4841a",
+            "delta": "13b2bc65501ddc87598161ff8f043edfd4fa2e7e726a2963667941cc35acc7d2",
+            "compacted": "f33ecfaff935e92cc950aadf9ae408cba2d3d823cc6c86658732a760d71247f4",
+            "segment": "77a3b25db2f20797c2b3d82957135cdcceea335d059065e4601c6e2f61a0f94e",
         },
     }
-    DELTA = "a9e1b5935790e877adcd168f85a63d45f8d81623f838e482e8585052c196bb7c"
     TABLE = "8474f4e7101fea508d2aa83c23889630128548c18c67feb9840a5fcfa60393c2"
 
     @staticmethod
@@ -881,7 +1067,7 @@ class TestFormatPin:
                 },
                 nulls={"quantity": nulls_rng.random(50) < 0.1},
             )
-            assert self.sha(main + ".delta") == self.DELTA
+            assert self.sha(main + ".delta") == self.PINS[codec]["delta"]
             store.compact("pins")
             assert self.sha(main) == self.PINS[codec]["compacted"]
         column = relation.column("quantity")
