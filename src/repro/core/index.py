@@ -36,9 +36,10 @@ from repro.stats import ExecutionStats
 class BitmapSource(Protocol):
     """What the evaluation algorithms need from an index-like object.
 
-    Implemented by :class:`BitmapIndex` (in memory), the storage schemes of
-    :mod:`repro.experiments.schemes` (simulated disk), and the buffer pool of
-    :mod:`repro.storage.buffer`.
+    Implemented by :class:`BitmapIndex` (in memory), the index store's
+    source, the storage schemes of :mod:`repro.experiments.schemes`
+    (simulated disk), :class:`CodecView`, and the cache-routed sources of
+    :mod:`repro.engine.cache` (the buffer pool among them).
 
     A source's ``bitmap_codec`` attribute is the one way it names the
     representation it serves — a key of
@@ -48,16 +49,30 @@ class BitmapSource(Protocol):
     virtual all-zero/all-one bitmaps in whichever representation the
     source declares.  Sources that can serve more than one representation
     (:class:`BitmapIndex`, the index store's) re-represent themselves with
-    ``with_codec(name)``, which is the identity for the codec they
-    already serve.
+    ``with_codec(name)``: the identity for the codec they already serve,
+    otherwise a :class:`CodecView`.
+
+    ``version`` moves whenever a fetch could return different bits (a
+    maintained index; a store source's generation) and is a constant for
+    sources whose bitmaps never change; whatever keeps a fetched bitmap
+    keys it by the version it was fetched at.
     """
 
-    nbits: int
-    cardinality: int
-    base: Base
-    encoding: EncodingScheme
-    nonnull: Bitmap | None
-    bitmap_codec: str
+    # Read-only, so a plain attribute and a property both implement them.
+    @property
+    def nbits(self) -> int: ...
+    @property
+    def cardinality(self) -> int: ...
+    @property
+    def base(self) -> Base: ...
+    @property
+    def encoding(self) -> EncodingScheme: ...
+    @property
+    def nonnull(self) -> Bitmap | None: ...
+    @property
+    def bitmap_codec(self) -> str: ...
+    @property
+    def version(self) -> int: ...
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
@@ -173,13 +188,9 @@ class BitmapIndex:
         self._values = values.copy() if keep_values else None
         self._nulls = nulls.copy() if nulls is not None else None
         # Bumped by every maintenance operation; consumers holding derived
-        # artifacts (shared-memory publications, serialized snapshots)
-        # compare versions to detect staleness.
+        # artifacts (cached bitmaps, shared-memory publications) compare
+        # versions to detect staleness.
         self.version = 0
-        # Lazily encoded compressed bitmaps for the compressed execution
-        # modes, keyed by (codec, component, slot); invalidated by
-        # maintenance.
-        self._encoded_bitmaps: dict[tuple[str, int, int], Bitmap] = {}
 
     # ------------------------------------------------------------------
     # Construction from arbitrary (non-consecutive) values
@@ -245,60 +256,30 @@ class BitmapIndex:
     #: The index itself serves dense bitmaps; :meth:`with_codec` gives a
     #: view serving another representation.
     bitmap_codec = "dense"
-    compressed = property(lambda self: self.bitmap_codec != "dense")
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats) -> Bitmap:
         """Return stored bitmap ``slot`` of ``component``, recording one scan."""
-        return self._fetch_as(self.bitmap_codec, component, slot, stats)
-
-    def _fetch_as(
-        self, codec: str, component: int, slot: int, stats: ExecutionStats
-    ) -> Bitmap:
-        """One stored bitmap in representation ``codec``, recording one scan.
-
-        A non-dense representation is encoded lazily on first access and
-        memoized; the scan is charged at the served payload's size — the
-        bytes a codec-aware storage layer would actually move.
-        """
-        dense = self.components[component - 1].bitmap(slot)
-        trace = stats.trace
-        bitmap: Bitmap | None = dense
-        attrs = {"source": "index"}
-        if codec != self.bitmap_codec:
-            key = (codec, component, slot)
-            bitmap = self._encoded_bitmaps.get(key)
-            attrs = {"source": f"index.{codec}", "encoded": bitmap is None}
-            if bitmap is None:
-                with stats.span(
-                    f"{codec}.encode", kind="decode", component=component, slot=slot
-                ):
-                    bitmap = bitmap_class(codec).from_bitvector(dense)
-                self._encoded_bitmaps[key] = bitmap
+        bitmap = self.components[component - 1].bitmap(slot)
         stats.record_scan(nbytes=bitmap.nbytes)
-        if trace is not None:
-            trace.event(
+        if stats.trace is not None:
+            stats.trace.event(
                 "index.fetch",
                 kind="fetch",
                 component=component,
                 slot=slot,
                 nbytes=bitmap.nbytes,
-                **attrs,
+                source="index",
             )
         return bitmap
 
-    def with_codec(self, codec: str) -> "BitmapIndex | CompressedBitmapSource":
-        """This index as a source serving ``codec`` bitmaps.
-
-        The identity for ``"dense"``; otherwise a view sharing this
-        index's storage, whose encoded payloads are memoized on the index
-        until maintenance (:meth:`append`, :meth:`update`,
-        :meth:`delete`) invalidates them.
-        """
+    def with_codec(self, codec: str) -> "BitmapIndex | CodecView":
+        """This index as a source serving ``codec`` bitmaps: the identity
+        for ``"dense"``, otherwise a :class:`CodecView` of it."""
         if codec == self.bitmap_codec:
             return self
-        return CompressedBitmapSource(self, codec)
+        return CodecView(self, codec)
 
-    def as_compressed(self, codec: str = "wah") -> "BitmapIndex | CompressedBitmapSource":
+    def as_compressed(self, codec: str = "wah") -> "BitmapIndex | CodecView":
         """:meth:`with_codec`, defaulting to WAH."""
         return self.with_codec(codec)
 
@@ -365,7 +346,6 @@ class BitmapIndex:
         dictionary of a :meth:`for_column` index is not supported.
         """
         values, nulls, encode_values = _checked_ranks(values, nulls, self.cardinality)
-        self._encoded_bitmaps.clear()
         self.version += 1
 
         if nulls is not None and self.nonnull is None:
@@ -399,7 +379,6 @@ class BitmapIndex:
             raise ValueOutOfRangeError(f"value outside [0, {self.cardinality})")
         digits = self.base.digits(value)
         touched = 0
-        self._encoded_bitmaps.clear()
         self.version += 1
         for i, component in enumerate(self.components):
             touched += component.set_row(rid, digits[i])
@@ -420,7 +399,6 @@ class BitmapIndex:
         """
         self._check_rid(rid)
         touched = 0
-        self._encoded_bitmaps.clear()
         self.version += 1
         if self.nonnull is None:
             self.track_nulls()
@@ -480,62 +458,55 @@ class BitmapIndex:
         )
 
 
-class CompressedBitmapSource:
-    """A :class:`BitmapSource` view of a :class:`BitmapIndex` in another codec.
+class CodecView:
+    """A :class:`BitmapSource` serving another source's bitmaps in ``codec``.
 
-    Serves every bitmap (stored slots and ``nonnull``) in the
-    representation named by ``codec``, so the evaluation algorithms run
-    entirely in that domain.  Encoded payloads live in the wrapped
-    index's memo and survive across queries; the view itself is a thin
-    stateless adapter, cheap to construct per query.
+    Every bitmap (stored slots and ``nonnull``) is fetched through the
+    wrapped source — so a scan is charged at the bytes that source read —
+    and recoded into the representation named by ``codec`` under the
+    ``{codec}.encode`` span, so the evaluation algorithms run entirely in
+    that domain.  Nothing is kept: the engine's
+    :class:`~repro.engine.cache.CachedSource` is the one layer that
+    retains served bitmaps, and a view reads whatever the source holds
+    now, maintenance included.
     """
 
-    compressed = property(lambda self: self.bitmap_codec != "dense")
-
-    def __init__(self, index: BitmapIndex, codec: str = "wah"):
-        bitmap_class(codec)  # an unknown name raises here, not at first fetch
-        self._index = index
+    def __init__(self, source: BitmapSource, codec: str):
+        self._cls = bitmap_class(codec)  # an unknown name raises here
+        self._source = source
         self.bitmap_codec = codec
 
     @property
     def nbits(self) -> int:
-        return self._index.nbits
+        return self._source.nbits
 
     @property
     def cardinality(self) -> int:
-        return self._index.cardinality
+        return self._source.cardinality
 
     @property
     def base(self) -> Base:
-        return self._index.base
+        return self._source.base
 
     @property
     def encoding(self) -> EncodingScheme:
-        return self._index.encoding
+        return self._source.encoding
+
+    @property
+    def version(self) -> int:
+        return self._source.version
 
     @property
     def nonnull(self) -> Bitmap | None:
-        dense = self._index.nonnull
-        if dense is None:
-            return None
-        memo = self._index._encoded_bitmaps
-        # Stored slots use 1-based component numbers, so component 0 can
-        # never collide with a real slot.
-        key = (self.bitmap_codec, 0, 0)
-        cached = memo.get(key)
-        if cached is None:
-            cached = bitmap_class(self.bitmap_codec).from_bitvector(dense)
-            memo[key] = cached
-        return cached
+        nonnull = self._source.nonnull
+        return None if nonnull is None else self._cls.from_bitvector(nonnull.to_bitvector())
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats) -> Bitmap:
-        return self._index._fetch_as(self.bitmap_codec, component, slot, stats)
-
-    def stored_slots(self, component: int) -> tuple[int, ...]:
-        return self._index.stored_slots(component)
+        bitmap = self._source.fetch(component, slot, stats)
+        with stats.span(
+            f"{self.bitmap_codec}.encode", kind="decode", component=component, slot=slot
+        ):
+            return self._cls.from_bitvector(bitmap.to_bitvector())
 
     def __repr__(self) -> str:
-        return (
-            f"CompressedBitmapSource({self._index!r}, "
-            f"codec={self.bitmap_codec!r})"
-        )
+        return f"CodecView({self._source!r}, codec={self.bitmap_codec!r})"

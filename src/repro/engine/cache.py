@@ -1,12 +1,16 @@
-"""A shared, lock-protected LRU cache of decoded bitmaps.
+"""The one layer that keeps served bitmaps: a lock-protected LRU cache and
+the source adapter that fetches through it.
 
-:class:`SharedBitmapCache` is the one LRU of the repo.  In the engine
-setting one cache serves every index the
-:class:`~repro.engine.engine.QueryEngine` holds, so hot bitmaps compete
-for the same ``capacity`` slots regardless of which relation or attribute
-they belong to; a :class:`repro.storage.buffer.BufferPool` holds its own
-for the one index it fronts.  Keys are opaque hashable tuples (the engine
-uses ``(relation, attribute, component, slot)``, a pool ``(component, slot)``).
+:class:`CachedSource` is the only place a served bitmap is retained.  It
+wraps any bitmap source and keys every fetched bitmap by
+``prefix + (source.version, component, slot)``, so a bitmap fetched
+before the source changed is never served after it.  The engine builds
+one per attribute per query over its one :class:`SharedBitmapCache`,
+with prefix ``(relation, attribute)`` (plus the codec when it is not
+dense), so hot bitmaps of every relation compete for the same
+``capacity`` slots; a :class:`repro.storage.buffer.BufferPool` is a
+:class:`CachedSource` over a cache of its own, preloaded with the
+Theorem 10.1 slots and closed to admission.
 
 Capacity is two-dimensional: an entry-count limit (``capacity``) and an
 optional **byte budget** (``byte_budget``).  The byte budget exists for
@@ -217,63 +221,79 @@ class SharedBitmapCache:
 
 
 class CachedSource:
-    """Bitmap-source adapter routing one index's fetches through the cache.
+    """A bitmap source whose fetches go through a :class:`SharedBitmapCache`:
+    the one layer that keeps a served bitmap.
 
-    Implements the :class:`~repro.core.index.BitmapSource` protocol.  A hit
-    costs no scan (it is charged as a ``buffer_hit``); a miss fetches from
-    the wrapped index (which records the scan on the per-query stats) and
-    publishes the bitmap to the shared cache.
+    Implements the :class:`~repro.core.index.BitmapSource` protocol.  A
+    bitmap is cached under ``prefix + (source.version, component, slot)``,
+    so an entry fetched before the source changed (in-place maintenance, a
+    store generation) is never served after it.  A hit costs no scan (it
+    is charged as a ``buffer_hit``); a miss fetches from the wrapped
+    source (which records the scan on the per-query stats) and admits the
+    bitmap to the cache.  The source's ``nonnull`` is read once per
+    version of the source, which on the engine path is once per query.
     """
 
-    __slots__ = ("_index", "_cache", "_prefix", "_faults")
+    __slots__ = ("_source", "_cache", "_prefix", "_faults", "_nonnull")
 
     def __init__(
         self,
-        index,
+        source,
         cache: SharedBitmapCache,
         prefix: tuple,
         faults: FaultPlan | None = None,
     ):
-        self._index = index  # already ``with_codec`` the codec to serve
+        self._source = source  # already ``with_codec`` the codec to serve
         self._cache = cache
         self._prefix = prefix
         self._faults = faults
+        self._nonnull: tuple | None = None  # (version, the source's nonnull)
 
     @property
     def bitmap_codec(self) -> str:
-        return self._index.bitmap_codec
+        return self._source.bitmap_codec
 
     @property
     def nbits(self) -> int:
-        return self._index.nbits
+        return self._source.nbits
 
     @property
     def cardinality(self) -> int:
-        return self._index.cardinality
+        return self._source.cardinality
 
     @property
     def base(self) -> Base:
-        return self._index.base
+        return self._source.base
 
     @property
     def encoding(self) -> EncodingScheme:
-        return self._index.encoding
+        return self._source.encoding
+
+    @property
+    def version(self) -> int:
+        return self._source.version
 
     @property
     def nonnull(self):
-        return self._index.nonnull
+        version = self._source.version
+        if self._nonnull is None or self._nonnull[0] != version:
+            self._nonnull = (version, self._source.nonnull)
+        return self._nonnull[1]
+
+    def _key(self, component: int, slot: int) -> tuple:
+        return self._prefix + (self._source.version, component, slot)
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
         if stats.deadline is not None:
             stats.deadline.check("fetch")
-        key = self._prefix + (component, slot)
+        key = self._key(component, slot)
         bitmap = self._cache.get(key)
         if bitmap is not None and self._faults is not None:
             spec = self._faults.check(
                 "cache.get", ident="/".join(str(part) for part in key)
             )
             if spec is not None:
-                bitmap = None  # forced miss: refetch from the index
+                bitmap = None  # forced miss: refetch from the source
         if bitmap is not None:
             stats.buffer_hits += 1
             if stats.trace is not None:
@@ -282,11 +302,15 @@ class CachedSource:
                     kind="cache",
                     component=component,
                     slot=slot,
-                    relation=self._prefix[0],
-                    attribute=self._prefix[1],
                     codec=self.bitmap_codec,
+                    **dict(zip(("relation", "attribute"), self._prefix)),
                 )
             return bitmap
-        bitmap = self._index.fetch(component, slot, stats)
-        self._cache.put(key, bitmap)
+        bitmap = self._source.fetch(component, slot, stats)
+        self._admit(key, bitmap)
         return bitmap
+
+    def _admit(self, key: tuple, bitmap) -> None:
+        """Cache a missed bitmap (a :class:`~repro.storage.buffer.BufferPool`
+        admits nothing past its preload)."""
+        self._cache.put(key, bitmap)

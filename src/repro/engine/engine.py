@@ -565,16 +565,19 @@ class QueryEngine:
     ) -> None:
         """Drop built indexes, cached bitmaps, and shard publications.
 
-        Call after mutating a registered relation's underlying data so
-        later queries rebuild against the new contents.  ``relation``
-        narrows the drop to one relation (default: all registered);
-        ``attribute`` to one attribute of it.  Cached bitmaps are evicted
-        per relation (the cache groups by relation, not attribute).
+        Call after changing a registered relation's columns so later
+        queries rebuild against the new contents.  ``relation`` narrows
+        the drop to one relation (default: all registered); ``attribute``
+        to one attribute of it.  Cached bitmaps are evicted per relation
+        (the cache groups by relation, not attribute).
 
-        Mutations made *through the index store* (its
-        ``build`` / ``append`` / ``compact`` / ``quarantine``) do not need
-        this call: the store's generation moves and the next query drops
-        the relation's derived state by itself.
+        Nothing else needs this call.  In-place maintenance of a served
+        index (``append`` / ``update`` / ``delete``) moves its
+        ``version``, which keys every cached bitmap and shard
+        publication; mutations made *through the index store* (its
+        ``build`` / ``append`` / ``compact`` / ``quarantine``) move the
+        store's generation, and the next query drops the relation's
+        derived state by itself.
         """
         names = (
             [self._resolve(relation)] if relation is not None else list(self._relations)

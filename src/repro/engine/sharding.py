@@ -471,6 +471,7 @@ class _AttachedShard:
             self.release()
             raise CorruptShardError(str(exc)) from exc
         self._source = source
+        self.version = source.version
         self.nbits = source.nbits
         self.cardinality = source.cardinality
         self.base = source.base

@@ -131,24 +131,16 @@ def execute(
     return QueryResult(rids=rids, access_path=access_path, stats=stats, trace=trace)
 
 
-def bitmap_index_for(
-    relation: Relation,
-    attribute: str,
-    codec: str = "dense",
-    **kwargs,
-) -> BitmapSource:
+def bitmap_index_for(relation: Relation, attribute: str, **kwargs) -> BitmapIndex:
     """Build a bitmap index over a relation column's code domain.
 
     Keyword arguments are forwarded to :class:`BitmapIndex` (``base``,
     ``encoding``, …).  The index is built on the column's integer codes,
-    matching the dictionary translation in :func:`execute`.  With
-    ``codec="wah"``/``"roaring"`` the returned source serves compressed
-    bitmaps (see :meth:`BitmapIndex.with_codec`), so the whole
-    evaluation runs in the compressed domain.
+    matching the dictionary translation in :func:`execute`; serve it in
+    another codec with :meth:`BitmapIndex.with_codec`.
     """
     column = relation.column(attribute)
-    index = BitmapIndex(column.codes, cardinality=column.cardinality, **kwargs)
-    return index.with_codec(codec)
+    return BitmapIndex(column.codes, cardinality=column.cardinality, **kwargs)
 
 
 def conjunctive_select(

@@ -78,7 +78,7 @@ import numpy as np
 from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
-from repro.core.index import BitmapIndex
+from repro.core.index import BitmapIndex, CodecView
 from repro.errors import (
     CorruptFileError,
     EngineConfigError,
@@ -537,26 +537,20 @@ class StoreBitmapSource:
     Handed out by :meth:`IndexStore.bitmap_source`.  ``fetch`` reads the
     touched payload from the mmap (verifying its checksum on first
     materialization), merges any pending delta rows, and serves the
-    bitmap in ``serve_codec`` (defaults to the codec the attribute was
-    stored with, so the zero-copy/compressed-algebra path is the
-    default).  Nothing is memoized here — the engine's shared cache (or
-    a buffer pool) owns retention, so the store's I/O counters reflect
-    bytes actually read.
+    bitmap in the codec the attribute was stored with, so the
+    zero-copy/compressed-algebra path is the default; :meth:`with_codec`
+    serves another.  Nothing is memoized here — the engine's cache (see
+    :class:`~repro.engine.cache.CachedSource`) owns retention, so the
+    store's I/O counters reflect bytes actually read.
     """
 
-    def __init__(
-        self,
-        rfile: _RelationImage,
-        attribute: str,
-        serve_codec: str | None = None,
-    ):
+    def __init__(self, rfile: _RelationImage, attribute: str):
         self._rfile = rfile
         self._meta = rfile.attrs[attribute]
         self.attribute = attribute
         self.relation = rfile.relation
-        codec = serve_codec if serve_codec is not None else self._meta.codec
-        self._cls = bitmap_class(codec)
-        self.bitmap_codec = codec
+        self._cls = bitmap_class(self._meta.codec)
+        self.bitmap_codec = self._meta.codec
 
     # -- BitmapSource surface ------------------------------------------
 
@@ -596,11 +590,12 @@ class StoreBitmapSource:
             sorted(s for (c, s) in self._meta.slots if c == component)
         )
 
-    def with_codec(self, codec: str) -> "StoreBitmapSource":
-        """A view of the same payloads serving ``codec`` bitmaps."""
+    def with_codec(self, codec: str) -> "StoreBitmapSource | CodecView":
+        """This source serving ``codec`` bitmaps: the identity for the
+        stored codec, otherwise a :class:`~repro.core.index.CodecView`."""
         if codec == self.bitmap_codec:
             return self
-        return StoreBitmapSource(self._rfile, self.attribute, codec)
+        return CodecView(self, codec)
 
     @property
     def nonnull(self):

@@ -1,4 +1,6 @@
-"""Tests for the bitmap buffer pool (pinned and LRU policies)."""
+"""Tests for the bitmap buffer pool (the pinned Theorem 10.1 assignment)
+and for LRU buffering, which is the engine's own ``CachedSource`` over a
+``SharedBitmapCache`` of ``m`` bitmaps."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from repro.core import costmodel
 from repro.core.buffering import BufferAssignment, optimal_assignment
 from repro.core.decomposition import Base
 from repro.core.evaluation import Predicate, evaluate
+from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.errors import BufferConfigError
 from repro.stats import ExecutionStats
 from repro.storage.buffer import BufferPool, _pinned_slots
@@ -60,6 +63,15 @@ class TestPinnedPolicy:
             model = costmodel.time_range_buffered(BASE, assignment.counts)
             assert measured == pytest.approx(model, abs=0.35)
 
+    def test_pins_never_outlive_maintenance(self, index):
+        pool = BufferPool(index, capacity=5)
+        index.update(0, 7)  # moves the version the pins were keyed at
+        for predicate in full_query_space(CARDINALITY):
+            stats = ExecutionStats()
+            got = evaluate(pool, predicate, stats=stats)
+            assert got == index.naive_eval(predicate.op, predicate.value)
+            assert stats.buffer_hits == 0
+
     def test_explicit_assignment(self, index):
         assignment = BufferAssignment(BASE, (6, 0))
         pool = BufferPool(index, assignment=assignment)
@@ -94,29 +106,35 @@ class TestPinnedPolicy:
         assert disk.stats.reads == reads_before + 4
 
 
+def lru(index, capacity):
+    """An LRU buffer of ``capacity`` bitmaps, and the cache that counts it."""
+    cache = SharedBitmapCache(capacity)
+    return CachedSource(index, cache, ()), cache
+
+
 class TestLRUPolicy:
     def test_results_unchanged(self, index):
-        pool = BufferPool(index, capacity=4, policy="lru")
+        source, _ = lru(index, 4)
         for predicate in full_query_space(CARDINALITY):
-            got = evaluate(pool, predicate)
+            got = evaluate(source, predicate)
             assert got == index.naive_eval(predicate.op, predicate.value)
 
     def test_eviction(self, index):
-        pool = BufferPool(index, capacity=1, policy="lru")
+        source, cache = lru(index, 1)
         stats = ExecutionStats()
-        pool.fetch(1, 0, stats)
-        pool.fetch(1, 0, stats)  # hit
-        pool.fetch(1, 1, stats)  # evicts (1, 0)
-        pool.fetch(1, 0, stats)  # miss again
-        assert pool.hits == 1
-        assert pool.misses == 3
+        source.fetch(1, 0, stats)
+        source.fetch(1, 0, stats)  # hit
+        source.fetch(1, 1, stats)  # evicts (1, 0)
+        source.fetch(1, 0, stats)  # miss again
+        assert cache.hits == 1
+        assert cache.misses == 3
 
     def test_zero_capacity_never_caches(self, index):
-        pool = BufferPool(index, capacity=0, policy="lru")
+        source, cache = lru(index, 0)
         stats = ExecutionStats()
-        pool.fetch(1, 0, stats)
-        pool.fetch(1, 0, stats)
-        assert pool.hits == 0
+        source.fetch(1, 0, stats)
+        source.fetch(1, 0, stats)
+        assert cache.hits == 0
 
     def test_zero_capacity_is_pure_passthrough(self, index):
         """Regression: capacity == 0 must mean 'no caching', not a 1-ish LRU.
@@ -125,28 +143,28 @@ class TestLRUPolicy:
         ever stored, and results stay correct — the engine's shared cache
         relies on these semantics to disable caching cleanly.
         """
-        pool = BufferPool(index, capacity=0, policy="lru")
+        source, cache = lru(index, 0)
         fetches = 0
         for predicate in full_query_space(CARDINALITY):
             stats = ExecutionStats()
-            got = evaluate(pool, predicate, stats=stats)
+            got = evaluate(source, predicate, stats=stats)
             assert got == index.naive_eval(predicate.op, predicate.value)
             assert stats.buffer_hits == 0
             fetches += stats.scans
-        assert len(pool.cache) == 0
-        assert pool.hits == 0
-        assert pool.misses == fetches
-        assert pool.hit_rate == 0.0
+        assert len(cache) == 0
+        assert cache.hits == 0
+        assert cache.misses == fetches
+        assert cache.hit_rate == 0.0
 
-    def test_capacity_required(self, index):
+    def test_capacity_required(self):
         with pytest.raises(BufferConfigError):
-            BufferPool(index, policy="lru")
+            SharedBitmapCache(None)
 
     def test_concurrent_fetches_keep_counters_consistent(self, index):
-        """The LRU pool is shared by engine workers; counters must not race."""
+        """The LRU cache is shared by engine workers; counters must not race."""
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = BufferPool(index, capacity=3, policy="lru")
+        source, cache = lru(index, 3)
         slots = [(1, s) for s in index.stored_slots(1)]
         slots += [(2, s) for s in index.stored_slots(2)]
         per_thread = 50
@@ -155,27 +173,21 @@ class TestLRUPolicy:
             stats = ExecutionStats()
             for k in range(per_thread):
                 component, slot = slots[(seed + k) % len(slots)]
-                bitmap = pool.fetch(component, slot, stats)
+                bitmap = source.fetch(component, slot, stats)
                 assert bitmap == index.components[component - 1].bitmap(slot)
             return per_thread
 
         with ThreadPoolExecutor(max_workers=8) as executor:
             total = sum(executor.map(storm, range(8)))
-        assert pool.hits + pool.misses == total
-        assert len(pool.cache) <= 3
+        assert cache.hits + cache.misses == total
+        assert len(cache) <= 3
 
     def test_repeated_workload_hits_grow(self, index):
-        pool = BufferPool(index, capacity=20, policy="lru")
+        source, cache = lru(index, 20)
         for _ in range(2):
             for predicate in full_query_space(CARDINALITY):
-                evaluate(pool, predicate)
-        assert pool.hit_rate > 0.4
-
-
-class TestPolicyValidation:
-    def test_unknown_policy(self, index):
-        with pytest.raises(BufferConfigError):
-            BufferPool(index, capacity=1, policy="clock")
+                evaluate(source, predicate)
+        assert cache.hit_rate > 0.4
 
 
 class TestPinnedSlotSelection:

@@ -2,7 +2,7 @@
 
 Covers the wiring the differential suite does not: zero-decode serving of
 WAH-coded storage, the byte-budget shared cache, the engine's compressed
-mode, and memo invalidation on index maintenance.
+mode, and codec views that see index maintenance at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
-from repro.core.index import BitmapIndex, BitmapSource, CompressedBitmapSource
+from repro.core.index import BitmapIndex, BitmapSource, CodecView
 from repro.engine.cache import SharedBitmapCache
 from repro.engine.engine import QueryEngine
 from repro.errors import BufferConfigError
@@ -26,6 +26,7 @@ from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+from repro.storage import IndexStore
 from repro.experiments.disk import SimulatedDisk
 from repro.experiments.schemes import open_scheme, write_index
 
@@ -48,27 +49,39 @@ class TestCompressedBitmapSource:
     def test_satisfies_protocol(self, clustered_index):
         _, index = clustered_index
         source = index.as_compressed()
-        assert isinstance(source, CompressedBitmapSource)
+        assert isinstance(source, CodecView)
         assert isinstance(source, BitmapSource)
-        assert source.compressed and not index.compressed
+        assert (source.bitmap_codec, index.bitmap_codec) == ("wah", "dense")
+        assert index.with_codec("dense") is index
 
-    def test_fetch_serves_wah_and_memoizes(self, clustered_index):
+    def test_fetch_serves_wah(self, clustered_index):
         _, index = clustered_index
         source = index.as_compressed()
         stats = ExecutionStats()
         first = source.fetch(1, 0, stats)
         second = source.fetch(1, 0, stats)
         assert isinstance(first, WahBitVector)
-        assert first is second  # memoized on the index
-        assert stats.scans == 2  # but every fetch still charges a scan
+        assert first == second
+        assert stats.scans == 2  # every fetch charges a scan
 
-    def test_scan_charged_at_compressed_size(self, clustered_index):
-        _, index = clustered_index
-        dense_stats, comp_stats = ExecutionStats(), ExecutionStats()
+    def test_scan_charged_at_the_source_bytes(self, clustered_index, tmp_path):
+        """One charging rule: a view charges what its source read, so a
+        WAH view of a dense index charges the dense bytes, and a dense
+        view of a WAH store charges the stored WAH payload."""
+        values, index = clustered_index
+        dense_stats, view_stats = ExecutionStats(), ExecutionStats()
         dense = index.fetch(1, 0, dense_stats)
-        comp = index.as_compressed().fetch(1, 0, comp_stats)
-        assert comp_stats.bytes_read == comp.nbytes < dense.nbytes
-        assert dense_stats.bytes_read == dense.nbytes
+        comp = index.as_compressed().fetch(1, 0, view_stats)
+        assert view_stats.bytes_read == dense_stats.bytes_read == dense.nbytes > comp.nbytes
+        store = IndexStore(str(tmp_path))
+        store.build(Relation.from_dict("r", {"a": values}), codec="wah")
+        stored = store.bitmap_source("r", "a")
+        stored_stats, view_stats = ExecutionStats(), ExecutionStats()
+        wah = stored.fetch(1, 0, stored_stats)
+        served = stored.with_codec("dense").fetch(1, 0, view_stats)
+        assert isinstance(served, BitVector) and served == wah.to_bitvector()
+        assert view_stats.bytes_read == stored_stats.bytes_read < served.nbytes
+        store.close()
 
     def test_maintenance_invalidates_memo(self, clustered_index):
         values, index = clustered_index
@@ -124,8 +137,7 @@ class TestCompressedBitmapSource:
         rel = Relation.from_dict(
             "r", {"a": rng.integers(0, CARDINALITY, NUM_ROWS)}
         )
-        source = bitmap_index_for(rel, "a", codec="wah")
-        assert source.compressed
+        source = bitmap_index_for(rel, "a").with_codec("wah")
         result = execute(
             rel,
             AttributePredicate("a", "<=", 10),

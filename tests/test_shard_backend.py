@@ -434,6 +434,30 @@ class TestEngineBackendDifferential:
             assert_processes_match_inline(engine, shards)
 
     @pytest.mark.parametrize("codec", CODECS)
+    def test_in_place_maintenance_with_warm_cache(self, relation, codec):
+        # The default shared cache keys a bitmap by its source's version,
+        # so a warm entry never outlives maintenance made behind the
+        # engine's back.
+        with make_engine(relation, codec=codec) as engine:
+            inline, processes = (
+                QueryOptions(backend=backend, shards=2) for backend in ("inline", "processes")
+            )
+            engine.query_batch(QUERIES, options=inline)  # build + warm
+            quantity = engine.registry.peek(("orders", "quantity"))
+            quantity.update(0, (int(relation.column("quantity").codes[0]) + 25) % 50)
+            for attribute in ("quantity", "region"):
+                engine.registry.peek(("orders", attribute)).append(np.array([0]))
+            warm = engine.query_batch(QUERIES, options=inline)
+            assert engine.cache.hits > 0
+            engine.reset_cache()
+            cold = engine.query_batch(QUERIES, options=inline)
+            sharded = engine.query_batch(QUERIES, options=processes)
+            for query, a, b, c in zip(QUERIES, warm, cold, sharded):
+                assert np.array_equal(a.rids, b.rids), query
+                assert np.array_equal(a.rids, c.rids), query
+            assert NUM_ROWS in warm[QUERIES.index("quantity = 0")].rids
+
+    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (2, 4))
     def test_null_tracking_index(self, relation, codec, shards):
         column = relation.column("region")

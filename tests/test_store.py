@@ -24,7 +24,7 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import evaluate
 from repro.core.index import BitmapIndex
-from repro.engine.cache import SharedBitmapCache
+from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.engine.sharding import _IMAGE_NAME, ShardExport, shard_bounds
 from repro.errors import (
     BufferConfigError,
@@ -89,7 +89,7 @@ def all_slot_bools(source, reference: BitmapIndex) -> None:
     stats = ExecutionStats()
     for comp in range(1, reference.base.n + 1):
         for slot in reference.stored_slots(comp):
-            stored = source.with_codec("dense").fetch(comp, slot, stats)
+            stored = source.fetch(comp, slot, stats)
             expected = reference.components[comp - 1].bitmap(slot)
             assert np.array_equal(stored.to_bools(), expected.to_bools()), (
                 f"component {comp} slot {slot} diverged"
@@ -190,18 +190,17 @@ class TestStorageProtocol:
         with IndexStore(store_dir) as store:
             store.build(relation)
         store = IndexStore(store_dir)
-        pool = BufferPool(
-            store.bitmap_source("sales", "quantity"), capacity=4, policy="lru"
-        )
+        cache = SharedBitmapCache(4)
+        source = CachedSource(store.bitmap_source("sales", "quantity"), cache, ())
         stats = ExecutionStats()
-        first = pool.fetch(1, 1, stats)
-        again = pool.fetch(1, 1, stats)
+        first = source.fetch(1, 1, stats)
+        again = source.fetch(1, 1, stats)
         assert np.array_equal(first.to_bools(), again.to_bools())
-        assert pool.hits == 1
+        assert cache.hits == 1
 
     def test_buffer_pool_rejects_a_store(self, store_dir):
         with pytest.raises(BufferConfigError, match=r"store\.bitmap_source\(relation"):
-            BufferPool(IndexStore(store_dir), capacity=4, policy="lru")
+            BufferPool(IndexStore(store_dir), capacity=4)
 
     def test_pinned_pool_is_a_cache_closed_to_admission(self, store_dir, relation):
         with IndexStore(store_dir) as store:
