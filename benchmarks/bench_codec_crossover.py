@@ -125,6 +125,10 @@ def bench_cell(
     assert (ra & rb).to_bitvector() == (da & db)
     assert (wa | wb).to_bitvector() == (da | db)
     assert (ra | rb).to_bitvector() == (da | db)
+    # A chained result seals only when serialized: its bytes must still be
+    # those of the same bits built fresh.
+    chained = RoaringBitmap.from_bitvector(~(da & db) | da)
+    assert (~(ra & rb) | ra).serialize() == chained.serialize()
 
     times = {
         "dense": best_of(lambda: (da & db, da | db)),

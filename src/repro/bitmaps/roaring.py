@@ -22,9 +22,10 @@ parallel arrays describe its containers in key order — ``keys``
 array container, runs of a run container, 1 for a bitmap container) — and
 three *pools* hold every container of one kind back to back, again in key
 order: ``array`` (``uint16[Σ]``), ``runs`` (``uint16[Σ, 2]``, the
-serialized layout) and ``words`` (``uint64[nb, 1024]``).  Nothing is
-cached beside them, so :attr:`RoaringBitmap.nbytes` is the resident size
-and never changes.
+serialized layout) and ``words`` (``uint64[nb, 1024]``).  The six live in
+one :class:`_Containers` tuple, the bitmap's only state.  Nothing is
+cached beside them, so once sealed :attr:`RoaringBitmap.nbytes` is the
+resident size and never changes.
 
 Kernels
 -------
@@ -37,9 +38,9 @@ operands hold it and from their container kinds and sizes:
 - *through*: held by one operand only; its container is sliced out of
   that operand's pools as it is (or dropped, for AND-like operators).
 - *rows*: some operand holds a bitmap container.  Every operand is
-  rendered into an ``(m, 1024)`` word matrix (:meth:`RoaringBitmap._render`:
-  bitmap rows gathered, array rows by one scatter, run rows from toggle
-  bits and a prefix XOR — O(runs + words), never 65,536 wide) and the
+  rendered into an ``(m, 1024)`` word matrix (:meth:`_Containers.render`:
+  bitmap rows gathered, array rows by one scatter, run rows by word
+  arithmetic on their bounds — O(runs + words), never 65,536 wide) and the
   operator is one 2-D ufunc, or the shared bit-sliced ripple adder and
   ``>= k`` comparator for a threshold.
 - *probe*: an array container under AND / ANDNOT stays O(array): its
@@ -54,19 +55,35 @@ operands hold it and from their container kinds and sizes:
   values (more take the *rows* route, as in Chambi et al.'s array union).
   The same sorted pass over the values themselves (:func:`_tally`).
 
+When at least half of every operand's containers are bitmap containers,
+routing is skipped: every chunk that can hold result rows is rendered
+into one word matrix and the operator runs once over it
+(:func:`_fold_rows`); operands that are bitmap containers only, on the
+same keys, are folded as their ``words`` pools themselves.
+
 NOT (one operand) flips the word rows of its array and bitmap containers
 and takes the gaps between the runs of every other chunk.
 
-Container selection is re-evaluated for every result in one batch
-(``seal`` of :class:`_Rows`, :class:`_Spans`, :class:`_Values`):
-cardinality and run count of all result chunks at once, the
-smallest-representation rule (:func:`_pick_kinds`) as one vectorized
-expression, and one conversion per (form, kind) for the chunks whose form
-is not already their kind.  So a chunk crossing the 4096-row boundary
-flips representation automatically, run-structured results collapse to
-run containers without an explicit ``runOptimize`` pass, and a result is
-byte for byte what :meth:`RoaringBitmap.from_bitvector` of the same bits
-would be.
+Container selection is re-evaluated at seal, in one batch (``seal`` of
+:class:`_Rows`, :class:`_Spans`, :class:`_Values`): cardinality and run
+count of all result chunks at once, the smallest-representation rule
+(:func:`_pick_kinds`) as one vectorized expression, and one conversion
+per (form, kind) for the chunks whose form is not already their kind.
+So a chunk crossing the 4096-row boundary flips representation
+automatically, run-structured results collapse to run containers without
+an explicit ``runOptimize`` pass, and a sealed result is byte for byte
+what :meth:`RoaringBitmap.from_bitvector` of the same bits would be.
+
+What the *rows* route leaves is not sealed by the operator: the result
+keeps those word rows as *loose* bitmap containers, of any cardinality
+and possibly empty, which every kernel, ``count``, ``indices`` and
+``to_bitvector`` read as they are — so a chain of operators never
+re-picks the kinds of an intermediate that the next one renders back to
+rows.  A loose bitmap seals once, in place, when its bytes are asked for
+(:meth:`~RoaringBitmap.serialize`, :attr:`~RoaringBitmap.nbytes`,
+:meth:`~RoaringBitmap.container_kinds` and the other introspection).
+Built bitmaps (:meth:`~RoaringBitmap.from_bitvector` and the other
+constructors) and deserialized ones are sealed from the start.
 
 Where WAH's run-length words lose on uniform-random (short-run) data —
 every 31-bit group becomes a literal word and the codec degenerates to a
@@ -125,8 +142,6 @@ _VERSION = 1
 
 _ONE, _SIX3 = np.uint64(1), np.uint64(63)
 _LOW = CHUNK_SIZE - 1
-#: 2^0 .. 2^31 as doubles (see :func:`_bit_rows`).
-_BIT_WEIGHTS = np.ldexp(1.0, np.arange(32))
 
 #: The empty pools (shared: no array of a bitmap is ever written to).
 _NO_ARRAY = np.zeros(0, dtype=np.uint16)
@@ -185,7 +200,9 @@ def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _bit_positions(rows: np.ndarray, sparse: bool) -> np.ndarray:
     """Set bits of contiguous word rows, as ``(row << 16) | low``, ascending.
     ``sparse`` rows (what a seal converts: at most 4096 values, or run
-    heads, to a row) are cut down to their non-zero bytes first."""
+    heads, to a row; any rows one bit in ten or fewer of which are set)
+    are cut down to their non-zero bytes first: at that density numpy's
+    ``nonzero`` scans for each set element in turn, at 2-3x the cost."""
     octets = rows.view(np.uint8).reshape(-1)
     if not sparse:
         return np.unpackbits(octets, bitorder="little").view(bool).nonzero()[0]
@@ -202,27 +219,30 @@ def _bit_rows(row: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
     distinct powers of two, so their sum, exact in a double, is their OR.
     Each row has a 2049th half for what falls off.
     """
-    halves = np.bincount(
-        row * 2049 + (low >> 5), weights=_BIT_WEIGHTS[low & 31], minlength=m * 2049
-    )
+    # ``ldexp`` by an int32 exponent is the fast way to the weights (by a
+    # wider one it is ten times slower; a table gather by uint16, five).
+    weights = np.ldexp(1.0, (low & 31).astype(np.int32))
+    halves = np.bincount(row * 2049 + (low >> 5), weights=weights, minlength=m * 2049)
     halves = halves.reshape(m, 2049)[:, :2048].astype(np.uint32)
     return halves.view(np.uint64)  # little-endian: low half first
 
 
 def _span_rows(row: np.ndarray, low: np.ndarray, high: np.ndarray, m: int):
     """An ``(m, 1024)`` matrix whose row ``row[i]`` has bits ``[low[i], high[i])``
-    set, for spans that are disjoint and not adjacent within a row.
+    set, for spans that are disjoint within a row.
 
-    Each span toggles its first bit and the bit after its last; a prefix
-    XOR over the row then fills the spans in: within a word by six
-    shift-XORs, across words by the parity of the toggles before the word.
+    Word arithmetic modulo 2^64: the bits ``[s, e)`` of one word are
+    ``2^e - 2^s``; a span that starts in a word and runs on is ``-2^s``
+    there, one that ran in and ends is ``2^e - 1``, one that covers the
+    word ``-1``.  So a word is the sum of ``2^e`` over the ends in it, less
+    ``2^s`` over the starts in it, less one if it begins inside a span —
+    which the parity of the starts and ends in the words before it tells.
+    Disjoint spans' bits add up to their OR.
     """
-    rows = _bit_rows(np.concatenate((row, row)), np.concatenate((low, high)), m)
-    parity = np.bitwise_count(rows) & 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        rows ^= rows << np.uint64(shift)
-    carried = np.bitwise_xor.accumulate(parity, axis=1) ^ parity
-    rows ^= carried * np.uint64(0xFFFFFFFFFFFFFFFF)
+    rows, starts = _bit_rows(row, high, m), _bit_rows(row, low, m)
+    parity = (np.bitwise_count(rows) + np.bitwise_count(starts)) & 1
+    rows -= starts
+    rows -= np.bitwise_xor.accumulate(parity, axis=1) ^ parity
     return rows
 
 
@@ -290,12 +310,18 @@ class _Rows(NamedTuple):
     """One 1024-word row per key; all-zero rows vanish when sealed."""
 
     keys: np.ndarray
-    rows: np.ndarray  #: given up by the caller: a sealed bitmap may keep it
+    rows: np.ndarray  #: given up by the caller: a bitmap may keep it
 
     def count(self) -> int:
         return int(_count_bits(self.rows))
 
-    def seal(self, nbits: int) -> "RoaringBitmap":
+    def loose(self) -> "_Containers":
+        """The rows as they are: one loose bitmap container each."""
+        n = len(self.keys)
+        kinds, sizes = np.full(n, BITMAP, dtype=np.uint8), np.ones(n, dtype=np.int32)
+        return _Containers(self.keys, kinds, sizes, _NO_ARRAY, _NO_RUNS, self.rows, True)
+
+    def seal(self) -> "_Containers":
         keys, rows = self
         cardinality = _count_bits(rows, axis=1)
         before = rows << _ONE
@@ -322,7 +348,7 @@ class _Rows(NamedTuple):
         if held[_NOTHING]:
             live = kinds != _NOTHING
             keys, kinds, sizes = keys[live], kinds[live], sizes[live]
-        return RoaringBitmap(nbits, keys, kinds, sizes, array, runs, words)
+        return _Containers(keys, kinds, sizes, array, runs, words)
 
 
 class _Spans(NamedTuple):
@@ -335,7 +361,7 @@ class _Spans(NamedTuple):
     def count(self) -> int:
         return int((self.ends - self.starts).sum())
 
-    def seal(self, nbits: int) -> "RoaringBitmap":
+    def seal(self) -> "_Containers":
         starts, ends = self
         key = starts >> _SPAN
         first, nruns = _groups(key)  # a chunk's first span, and how many it has
@@ -363,7 +389,7 @@ class _Spans(NamedTuple):
             runs = np.empty((len(low[mine]), 2), dtype=np.uint16)
             runs[:, 0], runs[:, 1] = low[mine], lengths[mine] - 1
         sizes = _sizes(kinds, cardinality, nruns)
-        return RoaringBitmap(nbits, key[first].astype(np.uint16), kinds, sizes, array, runs, words)
+        return _Containers(key[first].astype(np.uint16), kinds, sizes, array, runs, words)
 
 
 class _Values(NamedTuple):
@@ -387,7 +413,7 @@ class _Values(NamedTuple):
     def count(self) -> int:
         return len(self.values)
 
-    def seal(self, nbits: int) -> "RoaringBitmap":
+    def seal(self) -> "_Containers":
         keys, sizes, values = self
         if not sizes.all():
             keys, sizes = keys[sizes > 0], sizes[sizes > 0]
@@ -401,12 +427,179 @@ class _Values(NamedTuple):
         nruns[1:] -= nruns[:-1].copy()
         kinds = _pick_kinds(sizes, nruns)
         if not kinds.any():  # array containers all: the values are their pool
-            return RoaringBitmap(
-                nbits, keys, kinds, sizes.astype(np.int32), values, _NO_RUNS, _NO_WORDS
-            )
+            return _Containers(keys, kinds, sizes.astype(np.int32), values, _NO_RUNS, _NO_WORDS)
         # Some chunk is better off as runs or a bitmap: seal them as rows.
         row = np.arange(len(keys)).repeat(sizes)
-        return _Rows(keys, _bit_rows(row, values, len(keys))).seal(nbits)
+        return _Rows(keys, _bit_rows(row, values, len(keys))).seal()
+
+
+# ----------------------------------------------------------------------
+# The containers of one bitmap
+# ----------------------------------------------------------------------
+
+
+class _Containers(NamedTuple):
+    """Every container of one bitmap, in key order (see the module
+    docstring); never written to, so bitmaps may share any of it.
+
+    Sealed, each container is of the kind the smallest-representation rule
+    picks for its chunk and none is empty.  ``loose`` containers are as a
+    kernel's *rows* route left them: the array and run containers are
+    sealed, the bitmap containers may be of any cardinality, zero
+    included.  Every method here reads either form.
+    """
+
+    keys: np.ndarray  #: uint16[n], ascending
+    kinds: np.ndarray  #: uint8[n]
+    sizes: np.ndarray  #: int32[n]: values, runs, or 1
+    array: np.ndarray  #: uint16[Σ]
+    runs: np.ndarray  #: uint16[Σ, 2]: start, length - 1
+    words: np.ndarray  #: uint64[nb, 1024]
+    loose: bool = False
+
+    def seal(self) -> "_Containers":
+        """The sealed form: the bitmap containers through one
+        :meth:`_Rows.seal`, the others as they are."""
+        mine = self.kinds == BITMAP
+        rows = _Rows(self.keys[mine], self.words).seal()
+        if mine.all():
+            return rows
+        return _assemble([self.take((~mine).nonzero()[0]), rows])
+
+    def count(self) -> int:
+        lengths = int(self.runs[:, 1].sum(dtype=np.int64)) + len(self.runs)
+        return len(self.array) + lengths + int(_count_bits(self.words))
+
+    def pool(self, kind: int, index: np.ndarray, ascending: bool = True) -> np.ndarray:
+        """Containers ``index``, all of one ``kind``, as a pool of that
+        kind: a slice of the pool itself when they lie side by side in it."""
+        pool = (self.array, self.words, self.runs)[kind]
+        if not len(index) or (ascending and len(index) == len(self.kinds)):
+            return pool[: len(pool) if len(index) else 0]
+        # Where each of them starts in the pool: after those of its kind before it.
+        sizes = self.sizes[index]
+        at = np.where(self.kinds == kind, self.sizes, 0).cumsum()[index] - sizes
+        first, total = int(at[0]), int(sizes.sum())
+        if int(at[-1] + sizes[-1]) - first == total and (
+            ascending or bool((index[1:] > index[:-1]).all())
+        ):
+            return pool[first : first + total]
+        return pool[at] if kind == BITMAP else pool[_ranges(at, sizes)]
+
+    def take(self, index: np.ndarray, ascending: bool = True) -> "_Containers":
+        """Containers ``index``, in that order."""
+        kinds = self.kinds[index]
+        array, words, runs = (
+            self.pool(kind, index[(kinds == kind).nonzero()[0]], ascending)
+            for kind in (ARRAY, BITMAP, RUN)
+        )
+        loose = self.loose and bool(len(words))
+        return _Containers(self.keys[index], kinds, self.sizes[index], array, runs, words, loose)
+
+    def render(self, mask: np.ndarray, rank: np.ndarray, m: int) -> np.ndarray:
+        """The containers under ``mask`` as rows of an ``(m, 1024)`` word
+        matrix, chunk ``key`` in row ``rank[key]``, other rows zero.  May be
+        the ``words`` pool itself: read-only."""
+        if len(self.words) == len(self.keys) == m and mask.all():
+            return self.words  # bitmap containers only, one per row, in order
+        index = mask.nonzero()[0]
+        kinds, dest = self.kinds[index], rank[self.keys[index]]
+        rows = np.zeros((m, BITMAP_WORDS), dtype=np.uint64)
+        if len(self.array):
+            mine = (kinds == ARRAY).nonzero()[0]
+            row = np.arange(len(mine)).repeat(self.sizes[index[mine]])
+            rows[dest[mine]] = _bit_rows(row, self.pool(ARRAY, index[mine]), len(mine))
+        if len(self.words):
+            mine = (kinds == BITMAP).nonzero()[0]
+            rows[dest[mine]] = self.pool(BITMAP, index[mine])
+        if len(self.runs):
+            mine = (kinds == RUN).nonzero()[0]
+            row = np.arange(len(mine)).repeat(self.sizes[index[mine]])
+            runs = self.pool(RUN, index[mine]).astype(np.int64)
+            rows[dest[mine]] = _span_rows(
+                row, runs[:, 0], runs[:, 0] + runs[:, 1] + 1, len(mine)
+            )
+        return rows
+
+    def values(self, index: np.ndarray, span: int = 16) -> np.ndarray:
+        """Array containers ``index`` as ascending positions
+        ``(key << span) | low``."""
+        base = self.keys[index].astype(np.uint32 if span == 16 else np.int64) << span
+        return base.repeat(self.sizes[index]) | self.pool(ARRAY, index)
+
+    def spans(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The array and run containers under ``mask`` as sweep-space spans
+        (an array value is a unit span), ascending within each kind."""
+        index = mask.nonzero()[0]
+        mine = index[self.kinds[index] == RUN]
+        runs = self.pool(RUN, mine)
+        base = self.keys[mine].astype(np.int64) << _SPAN
+        starts = base.repeat(self.sizes[mine]) + runs[:, 0]
+        ends = starts + runs[:, 1] + 1
+        if len(mine) < len(index):
+            values = self.values(index[self.kinds[index] == ARRAY], _SPAN)
+            starts, ends = np.concatenate((values, starts)), np.concatenate((values + 1, ends))
+        return starts, ends
+
+    def probe(self, mask: np.ndarray, other: "_Containers", other_mask: np.ndarray):
+        """Look the values of the array containers under ``mask`` up in the
+        containers ``other`` holds for the same chunks, under ``other_mask``:
+        the keys, each container's end among the values, the values, and
+        which of them ``other`` holds."""
+        index, held = mask.nonzero()[0], other_mask.nonzero()[0]
+        sizes, array = self.sizes[index], self.pool(ARRAY, index)
+        kinds = other.kinds[held]
+        if (kinds == BITMAP).any():
+            # One gather of a byte per value, and its bit — for every value:
+            # those of the other chunks read row 0 and are looked up again.
+            row = ((other.kinds == BITMAP).cumsum() - 1)[held] * (kinds == BITMAP)
+            octets = other.words.view(np.uint8).reshape(-1)
+            octet = octets.take((row << 13).astype(np.int32).repeat(sizes) | (array >> 3))
+            hit = ((octet >> (array & 7).astype(np.uint8)) & 1).view(bool)
+        else:
+            hit = np.zeros(len(array), dtype=bool)
+        for kind in (ARRAY, RUN):  # one binary search per value of their chunks
+            theirs = kinds == kind
+            if not theirs.any():
+                continue
+            mine = slice(None) if theirs.all() else theirs.repeat(sizes).nonzero()[0]
+            wide = held[theirs]
+            pool = other.pool(kind, wide)
+            # Positions count the chunks of this kind: (n-th chunk, low).
+            nth = np.arange(len(wide), dtype=np.int64) << _SPAN
+            starts = nth.repeat(other.sizes[wide]) + (pool if kind == ARRAY else pool[:, 0])
+            last = starts if kind == ARRAY else starts + pool[:, 1]
+            values = nth.repeat(sizes[theirs]) | array[mine]
+            at = np.searchsorted(starts, values, side="right") - 1
+            hit[mine] = (at >= 0) & (values <= last[at])
+        return self.keys[index], sizes.cumsum(), array, hit
+
+
+#: The containers of an all-zero bitmap.
+_NO_CONTAINERS = _Containers(
+    _NO_ARRAY, _NO_ARRAY.astype(np.uint8), _NO_ARRAY.astype(np.int32),
+    _NO_ARRAY, _NO_RUNS, _NO_WORDS,
+)  # fmt: skip
+
+
+def _assemble(parts: list[_Containers]) -> _Containers:
+    """The containers of parts with disjoint key sets, in key order."""
+    parts = [part for part in parts if len(part.keys)]
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return _NO_CONTAINERS
+    # Concatenate the fields, then reorder the containers by key (a pool
+    # only one part has anything in stays as it is).
+    stacked = _Containers(
+        *(
+            held[0] if len(held) == 1 else np.concatenate(held or field[:1])
+            for field in zip(*(part[:6] for part in parts))
+            for held in [[each for each in field if len(each)]]
+        ),
+        any(part.loose for part in parts),
+    )
+    return stacked.take(stacked.keys.argsort(), ascending=False)
 
 
 # ----------------------------------------------------------------------
@@ -417,24 +610,31 @@ class _Values(NamedTuple):
 class RoaringBitmap:
     """A Roaring-compressed bitmap supporting compressed-domain algebra.
 
-    Instances are immutable: every operator returns a new bitmap and the
-    arrays of an instance are never written to, so bitmaps may share them
-    — the aliasing contract of :class:`BitVector` and :class:`WahBitVector`.
+    Instances are immutable in content: every operator returns a new
+    bitmap and no array of an instance is ever written to, so bitmaps may
+    share them — the aliasing contract of :class:`BitVector` and
+    :class:`WahBitVector`.  The one write is the seal of a loose result
+    (see the module docstring): the first call that needs its bytes
+    replaces its containers by their sealed form, same bits, in one
+    attribute assignment, so a concurrent reader sees one form or the
+    other, each whole.
     """
 
-    __slots__ = ("_nbits", "_keys", "_kinds", "_sizes", "_array", "_runs", "_words")
+    __slots__ = ("_nbits", "_containers")
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "roaring"
 
-    def __init__(self, nbits: int, keys, kinds, sizes, array, runs, words):
+    def __init__(self, nbits: int, containers: _Containers):
         self._nbits = nbits
-        self._keys: np.ndarray = keys  #: uint16[n], ascending
-        self._kinds: np.ndarray = kinds  #: uint8[n]
-        self._sizes: np.ndarray = sizes  #: int32[n]: values, runs, or 1
-        self._array: np.ndarray = array  #: uint16[Σ]
-        self._runs: np.ndarray = runs  #: uint16[Σ, 2]: start, length - 1
-        self._words: np.ndarray = words  #: uint64[nb, 1024]
+        self._containers = containers
+
+    def _sealed(self) -> _Containers:
+        """The containers, sealed first if a kernel left them loose."""
+        held = self._containers
+        if held.loose:
+            held = self._containers = held.seal()
+        return held
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -445,10 +645,7 @@ class RoaringBitmap:
         """The all-zero bitmap of ``nbits`` bits (no containers at all)."""
         if nbits < 0:
             raise ValueError(f"nbits must be non-negative, got {nbits}")
-        none = _NO_ARRAY  # keys; and as kinds, sizes
-        return cls(
-            nbits, none, none.astype(np.uint8), none.astype(np.int32), none, _NO_RUNS, _NO_WORDS
-        )
+        return cls(nbits, _NO_CONTAINERS)
 
     @classmethod
     def ones(cls, nbits: int) -> "RoaringBitmap":
@@ -458,7 +655,7 @@ class RoaringBitmap:
         starts = np.arange(_num_chunks(nbits), dtype=np.int64) << _SPAN
         ends = starts + CHUNK_SIZE
         ends[-1:] -= -nbits % CHUNK_SIZE
-        return _Spans(starts, ends).seal(nbits)
+        return cls(nbits, _Spans(starts, ends).seal())
 
     @classmethod
     def from_indices(cls, nbits: int, indices) -> "RoaringBitmap":
@@ -466,7 +663,7 @@ class RoaringBitmap:
         values = np.unique(np.asarray(indices, dtype=np.int64))
         if values.size and (values[0] < 0 or values[-1] >= nbits):
             raise IndexError("bit index out of range")
-        return _Values.of(values).seal(nbits)
+        return cls(nbits, _Values.of(values).seal())
 
     @classmethod
     def from_bools(cls, bools: np.ndarray) -> "RoaringBitmap":
@@ -481,18 +678,18 @@ class RoaringBitmap:
         words = np.zeros(nchunks * BITMAP_WORDS, dtype=np.uint64)
         words[: len(source)] = source
         keys = np.arange(nchunks, dtype=np.uint16)
-        return _Rows(keys, words.reshape(nchunks, BITMAP_WORDS)).seal(vector.nbits)
+        return cls(vector.nbits, _Rows(keys, words.reshape(nchunks, BITMAP_WORDS)).seal())
 
     def to_bitvector(self) -> BitVector:
         """Materialize back to the uncompressed form."""
-        nchunks = _num_chunks(self._nbits)
-        rows = self._render(np.ones(len(self._keys), dtype=bool), np.arange(nchunks), nchunks)
+        held, nchunks = self._containers, _num_chunks(self._nbits)
+        rows = held.render(np.ones(len(held.keys), dtype=bool), np.arange(nchunks), nchunks)
         nwords = (self._nbits + 63) // 64
         return BitVector(self._nbits, rows.reshape(-1)[:nwords].copy())
 
     def copy(self) -> "RoaringBitmap":
         """An independent handle (the arrays are never mutated)."""
-        return RoaringBitmap(self._nbits, *self._fields())
+        return RoaringBitmap(self._nbits, self._containers)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -505,11 +702,12 @@ class RoaringBitmap:
     @property
     def num_containers(self) -> int:
         """Resident containers (non-empty 2^16-row chunks)."""
-        return len(self._keys)
+        return len(self._sealed().keys)
 
     def container_kinds(self) -> list[tuple[int, str]]:
         """``(chunk_key, kind_name)`` per container — for tests and tuning."""
-        return list(zip(self._keys.tolist(), _KIND_NAMES[self._kinds].tolist()))
+        held = self._sealed()
+        return list(zip(held.keys.tolist(), _KIND_NAMES[held.kinds].tolist()))
 
     @property
     def nbytes(self) -> int:
@@ -519,168 +717,60 @@ class RoaringBitmap:
         (:class:`~repro.engine.cache.SharedBitmapCache`): the three
         container arrays and the three pools, plus the fixed header of the
         stored form as the per-bitmap allowance — which makes it the length
-        of :meth:`serialize`, constant for the object's life.
+        of :meth:`serialize`.  A loose result seals first, so the size is
+        constant once sealed, which a cached bitmap always is.
         """
-        return _HEADER.size + sum(field.nbytes for field in self._fields())
+        return _HEADER.size + sum(field.nbytes for field in self._sealed()[:6])
 
     def count(self) -> int:
         """Population count: array sizes, run lengths and word popcounts."""
-        lengths = int(self._runs[:, 1].sum(dtype=np.int64)) + len(self._runs)
-        return len(self._array) + lengths + int(_count_bits(self._words))
+        return self._containers.count()
 
     def and_count(self, other: "RoaringBitmap") -> int:
-        """``(self & other).count()`` without sealing result containers: the
+        """``(self & other).count()`` without building the result: the
         aggregate-pushdown primitive.  The same routes as ``&``, but what
         they leave is counted in place — nothing is classified or converted.
         """
         self._check(other)
-        return sum(left.count() for left in _evaluate((self, other), _AND)[1])
+        left = _evaluate((self._containers, other._containers), _AND, _num_chunks(self._nbits))
+        return sum(form.count() for form in left[1])
 
     def any(self) -> bool:
-        return bool(len(self._keys))
+        return bool(len(self._sealed().keys))
 
     def to_bools(self) -> np.ndarray:
         """Decode to a boolean numpy array of length ``nbits``."""
         return self.to_bitvector().to_bools()
 
     def indices(self) -> np.ndarray:
-        """Sorted array of set-bit positions (the RID list)."""
-        base = self._keys.astype(np.int64) << 16
-        pieces = []
-        if len(self._array):
-            mine = self._kinds == ARRAY
-            pieces.append(base[mine].repeat(self._sizes[mine]) | self._array)
-        if len(self._words):
-            flat = _bit_positions(self._words, False)
-            # Row r of the pool is chunk key[r], not chunk r.
-            shift = base[self._kinds == BITMAP] - (np.arange(len(self._words)) << 16)
-            if shift.any():
-                flat += shift.repeat(_count_bits(self._words, axis=1))
-            pieces.append(flat)
-        if len(self._runs):
-            mine = self._kinds == RUN
-            starts = base[mine].repeat(self._sizes[mine]) + self._runs[:, 0]
-            pieces.append(_ranges(starts, self._runs[:, 1].astype(np.int64) + 1))
-        if len(pieces) == 1:
-            return pieces[0]
-        out = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-        out.sort(kind="stable")  # a merge of the ascending pieces
-        return out
+        """Sorted array of set-bit positions (the RID list).
+
+        Array or run containers alone are written out in key order; any
+        other bitmap is rendered to one word row per container and
+        unpacked once — never pieces by kind merged by a sort.
+        """
+        held = self._containers
+        base = held.keys.astype(np.int64) << 16
+        if not len(held.words) and not len(held.runs):
+            return base.repeat(held.sizes) | held.array
+        if not len(held.words) and not len(held.array):
+            starts = base.repeat(held.sizes) + held.runs[:, 0]
+            return _ranges(starts, held.runs[:, 1].astype(np.int64) + 1)
+        n = len(held.keys)
+        rank = np.zeros(_num_chunks(self._nbits), dtype=np.intp)
+        rank[held.keys] = np.arange(n)
+        rows = held.render(np.ones(n, dtype=bool), rank, n)
+        counts = _count_bits(rows, axis=1)
+        flat = _bit_positions(rows, 10 * int(counts.sum()) <= 64 * rows.size)
+        # Row r is chunk key[r], not chunk r.
+        shift = base - (np.arange(n) << 16)
+        if shift.any():
+            flat += shift.repeat(counts)
+        return flat
 
     def iter_indices(self) -> Iterator[int]:
         """Iterate over set-bit positions in increasing order."""
         return iter(self.indices().tolist())
-
-    # ------------------------------------------------------------------
-    # Containers by index
-    # ------------------------------------------------------------------
-
-    def _fields(self) -> tuple[np.ndarray, ...]:
-        return self._keys, self._kinds, self._sizes, self._array, self._runs, self._words
-
-    def _pool(self, kind: int, index: np.ndarray, ascending: bool = True) -> np.ndarray:
-        """Containers ``index``, all of one ``kind``, as a pool of that
-        kind: a slice of the pool itself when they lie side by side in it."""
-        pool = (self._array, self._words, self._runs)[kind]
-        if not len(index) or (ascending and len(index) == len(self._kinds)):
-            return pool[: len(pool) if len(index) else 0]
-        # Where each of them starts in the pool: after those of its kind before it.
-        sizes = self._sizes[index]
-        at = np.where(self._kinds == kind, self._sizes, 0).cumsum()[index] - sizes
-        first, total = int(at[0]), int(sizes.sum())
-        if int(at[-1] + sizes[-1]) - first == total and (
-            ascending or bool((index[1:] > index[:-1]).all())
-        ):
-            return pool[first : first + total]
-        return pool[at] if kind == BITMAP else pool[_ranges(at, sizes)]
-
-    def _take(self, index: np.ndarray, ascending: bool = True) -> tuple[np.ndarray, ...]:
-        """The fields of containers ``index``, in that order."""
-        kinds = self._kinds[index]
-        array, words, runs = (
-            self._pool(kind, index[(kinds == kind).nonzero()[0]], ascending)
-            for kind in (ARRAY, BITMAP, RUN)
-        )
-        return self._keys[index], kinds, self._sizes[index], array, runs, words
-
-    def _render(self, mask: np.ndarray, rank: np.ndarray, m: int) -> np.ndarray:
-        """The containers under ``mask`` as rows of an ``(m, 1024)`` word
-        matrix, chunk ``key`` in row ``rank[key]``, other rows zero.  May be
-        the ``words`` pool itself: read-only."""
-        if len(self._words) == len(self._keys) == m and mask.all():
-            return self._words  # bitmap containers only, one per row, in order
-        index = mask.nonzero()[0]
-        kinds, dest = self._kinds[index], rank[self._keys[index]]
-        if len(self._array):
-            mine = (kinds == ARRAY).nonzero()[0]
-            row = dest[mine].repeat(self._sizes[index[mine]])
-            rows = _bit_rows(row, self._pool(ARRAY, index[mine]), m)
-        else:
-            rows = np.zeros((m, BITMAP_WORDS), dtype=np.uint64)
-        if len(self._words):
-            mine = (kinds == BITMAP).nonzero()[0]
-            rows[dest[mine]] = self._pool(BITMAP, index[mine])
-        if len(self._runs):
-            mine = (kinds == RUN).nonzero()[0]
-            row = np.arange(len(mine)).repeat(self._sizes[index[mine]])
-            runs = self._pool(RUN, index[mine]).astype(np.int64)
-            rows[dest[mine]] = _span_rows(
-                row, runs[:, 0], runs[:, 0] + runs[:, 1] + 1, len(mine)
-            )
-        return rows
-
-    def _values(self, index: np.ndarray, span: int = 16) -> np.ndarray:
-        """Array containers ``index`` as ascending positions
-        ``(key << span) | low``."""
-        base = self._keys[index].astype(np.uint32 if span == 16 else np.int64) << span
-        return base.repeat(self._sizes[index]) | self._pool(ARRAY, index)
-
-    def _spans(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The array and run containers under ``mask`` as sweep-space spans
-        (an array value is a unit span), ascending within each kind."""
-        index = mask.nonzero()[0]
-        mine = index[self._kinds[index] == RUN]
-        runs = self._pool(RUN, mine)
-        base = self._keys[mine].astype(np.int64) << _SPAN
-        starts = base.repeat(self._sizes[mine]) + runs[:, 0]
-        ends = starts + runs[:, 1] + 1
-        if len(mine) < len(index):
-            values = self._values(index[self._kinds[index] == ARRAY], _SPAN)
-            starts, ends = np.concatenate((values, starts)), np.concatenate((values + 1, ends))
-        return starts, ends
-
-    def _probe(self, mask: np.ndarray, other: "RoaringBitmap", other_mask: np.ndarray):
-        """Look the values of the array containers under ``mask`` up in the
-        containers ``other`` holds for the same chunks, under ``other_mask``:
-        the keys, each container's end among the values, the values, and
-        which of them ``other`` holds."""
-        index, held = mask.nonzero()[0], other_mask.nonzero()[0]
-        sizes, array = self._sizes[index], self._pool(ARRAY, index)
-        kinds = other._kinds[held]
-        if (kinds == BITMAP).any():
-            # One gather of a byte per value, and its bit — for every value:
-            # those of the other chunks read row 0 and are looked up again.
-            row = ((other._kinds == BITMAP).cumsum() - 1)[held] * (kinds == BITMAP)
-            octets = other._words.view(np.uint8).reshape(-1)
-            octet = octets.take((row << 13).astype(np.int32).repeat(sizes) | (array >> 3))
-            hit = ((octet >> (array & 7).astype(np.uint8)) & 1).view(bool)
-        else:
-            hit = np.zeros(len(array), dtype=bool)
-        for kind in (ARRAY, RUN):  # one binary search per value of their chunks
-            theirs = kinds == kind
-            if not theirs.any():
-                continue
-            mine = slice(None) if theirs.all() else theirs.repeat(sizes).nonzero()[0]
-            wide = held[theirs]
-            pool = other._pool(kind, wide)
-            # Positions count the chunks of this kind: (n-th chunk, low).
-            nth = np.arange(len(wide), dtype=np.int64) << _SPAN
-            starts = nth.repeat(other._sizes[wide]) + (pool if kind == ARRAY else pool[:, 0])
-            last = starts if kind == ARRAY else starts + pool[:, 1]
-            values = nth.repeat(sizes[theirs]) | array[mine]
-            at = np.searchsorted(starts, values, side="right") - 1
-            hit[mine] = (at >= 0) & (values <= last[at])
-        return self._keys[index], sizes.cumsum(), array, hit
 
     # ------------------------------------------------------------------
     # Algebra
@@ -713,35 +803,36 @@ class RoaringBitmap:
 
     def __invert__(self) -> "RoaringBitmap":
         nbits, nchunks = self._nbits, _num_chunks(self._nbits)
+        held = self._containers
         limit = np.full(nchunks, CHUNK_SIZE)
         limit[-1:] -= -nbits % CHUNK_SIZE
         parts = []
-        flat = self._kinds != RUN
+        flat = held.kinds != RUN
         if flat.any():
             # Array and bitmap containers: as word rows, every word flipped.
-            keys = self._keys[flat]
+            keys = held.keys[flat]
             rank = np.zeros(nchunks, dtype=np.intp)
             rank[keys] = np.arange(len(keys))
-            rows = ~self._render(flat, rank, len(keys))
+            rows = ~held.render(flat, rank, len(keys))
             if keys[-1] == nchunks - 1 and limit[-1] < CHUNK_SIZE:
                 full, rest = divmod(int(limit[-1]), 64)
                 rows[-1, full] &= np.uint64((1 << rest) - 1)
                 rows[-1, full + 1 :] = 0
-            parts.append(_Rows(keys, rows).seal(nbits))
+            parts.append(_Rows(keys, rows).loose())
             limit[keys] = 0
         # Every other chunk, held or not: the gaps between its runs.  Two
         # empty spans fence each chunk in, [base, base) and [base + limit,
         # next base), so that one ascending pass finds all the gaps; the
         # first sorts before a run starting at the base (stable).
         base = np.arange(nchunks, dtype=np.int64) << _SPAN
-        starts, ends = self._spans(~flat)
+        starts, ends = held.spans(~flat)
         starts = np.concatenate((base, base + limit, starts))
         ends = np.concatenate((base, base + (1 << _SPAN), ends))
         order = starts.argsort(kind="stable")
         gap_starts, gap_ends = ends[order][:-1], starts[order][1:]
         gaps = (gap_ends > gap_starts).nonzero()[0]
-        parts.append(_Spans(gap_starts[gaps], gap_ends[gaps]).seal(nbits))
-        return _assemble(nbits, parts)
+        parts.append(_Spans(gap_starts[gaps], gap_ends[gaps]).seal())
+        return RoaringBitmap(nbits, _assemble(parts))
 
     @classmethod
     def _k_of_n(cls, vectors: Sequence["RoaringBitmap"], k: int, fold: Callable):
@@ -765,7 +856,7 @@ class RoaringBitmap:
 
         Equivalent to folding ``|`` pairwise, but the operands are aligned
         once and every chunk accumulates all its operands at once: no
-        intermediate containers are sealed and re-opened per operand.
+        intermediate containers are built and re-opened per operand.
         """
         if not vectors:
             raise ValueError("roaring_or_many needs at least one vector")
@@ -803,19 +894,20 @@ class RoaringBitmap:
 
     def serialize(self) -> bytes:
         """The bitmap as a self-describing, validated byte payload."""
-        heads = np.zeros(len(self._keys), dtype=_CONTAINER_DTYPE)
-        heads["key"], heads["kind"], heads["count"] = self._keys, self._kinds, self._sizes
-        heads["count"][self._kinds == BITMAP] = _count_bits(self._words, axis=1)
+        held = self._sealed()
+        heads = np.zeros(len(held.keys), dtype=_CONTAINER_DTYPE)
+        heads["key"], heads["kind"], heads["count"] = held.keys, held.kinds, held.sizes
+        heads["count"][held.kinds == BITMAP] = _count_bits(held.words, axis=1)
         head = memoryview(heads.tobytes())
         pools = [
             memoryview(pool.astype(stored, copy=False).tobytes())
-            for pool, stored in ((self._array, "<u2"), (self._words, "<u8"), (self._runs, "<u2"))
+            for pool, stored in ((held.array, "<u2"), (held.words, "<u8"), (held.runs, "<u2"))
         ]
-        widths = (self._sizes * _UNIT_NBYTES[self._kinds]).tolist()
+        widths = (held.sizes * _UNIT_NBYTES[held.kinds]).tolist()
         parts = [_HEADER.pack(_MAGIC, _VERSION, 0, self._nbits, len(widths))]
         cursor = [0, 0, 0]
         # Records alternate and vary in length: one slice pair per container.
-        for i, (kind, width) in enumerate(zip(self._kinds.tolist(), widths)):
+        for i, (kind, width) in enumerate(zip(held.kinds.tolist(), widths)):
             parts.append(head[i * heads.itemsize : (i + 1) * heads.itemsize])
             parts.append(pools[kind][cursor[kind] : cursor[kind] + width])
             cursor[kind] += width
@@ -878,53 +970,12 @@ class RoaringBitmap:
             )
         )  # fmt: skip
         sizes = np.where(kinds == BITMAP, 1, counts).astype(np.int32)
-        bitmap = cls(
-            nbits, keys.astype(np.uint16), kinds.astype(np.uint8), sizes,
+        held = _Containers(
+            keys.astype(np.uint16), kinds.astype(np.uint8), sizes,
             array, runs.reshape(-1, 2), words.reshape(-1, BITMAP_WORDS),
         )  # fmt: skip
-        bitmap._validate(counts[kinds == BITMAP])
-        return bitmap
-
-    def _validate(self, cardinalities: np.ndarray) -> None:
-        """The per-container invariants of a payload just read, in batch."""
-        keys = self._keys.astype(np.int64)
-        limit = np.minimum(CHUNK_SIZE, self._nbits - (keys << 16))
-        if len(self._array):
-            # Ascending keys: one comparison covers every array at once.
-            mine = self._kinds == ARRAY
-            values = (keys[mine] << _SPAN).repeat(self._sizes[mine]) | self._array
-            _require(
-                not (values[1:] <= values[:-1]).any(),
-                "array container not sorted strictly increasing",
-            )
-            _require(
-                not (self._array >= limit[mine].repeat(self._sizes[mine])).any(),
-                "array container exceeds the bitmap length",
-            )
-        if len(self._words):
-            _require(
-                not (_count_bits(self._words, axis=1) != cardinalities).any(),
-                "bitmap container cardinality mismatch",
-            )
-            # Only the last chunk can be short of 65,536 rows.
-            if self._kinds[-1] == BITMAP and limit[-1] < CHUNK_SIZE:
-                tail = self._words[-1, limit[-1] >> 6 :]
-                _require(
-                    not (tail[0] >> np.uint64(limit[-1] & 63) or tail[1:].any()),
-                    "bitmap container exceeds the bitmap length",
-                )
-        if len(self._runs):
-            mine = self._kinds == RUN
-            starts = (keys[mine] << _SPAN).repeat(self._sizes[mine]) + self._runs[:, 0]
-            ends = starts + self._runs[:, 1] + 1
-            _require(
-                not (starts[1:] <= ends[:-1]).any(),
-                "run container runs overlap or are not coalesced",
-            )
-            _require(
-                not ((ends & _SPAN_LOW) > limit[mine].repeat(self._sizes[mine])).any(),
-                "run container exceeds the bitmap length",
-            )
+        _validate(nbits, held, counts[kinds == BITMAP])
+        return cls(nbits, held)
 
     to_payload = serialize  #: The stored form.
 
@@ -945,7 +996,7 @@ class RoaringBitmap:
         # sealed one would be.
         return (
             self._nbits == other._nbits
-            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self._sealed().keys, other._sealed().keys)
             and np.array_equal(self.indices(), other.indices())
         )
 
@@ -953,11 +1004,54 @@ class RoaringBitmap:
         raise TypeError("RoaringBitmap is unhashable")
 
     def __repr__(self) -> str:
-        held = np.bincount(self._kinds, minlength=3).tolist()
-        parts = ", ".join(f"{n} {name}" for name, n in zip(_KIND_NAMES, held) if n)
+        held = self._sealed()
+        counts = np.bincount(held.kinds, minlength=3).tolist()
+        parts = ", ".join(f"{n} {name}" for name, n in zip(_KIND_NAMES, counts) if n)
         return (
-            f"RoaringBitmap({self._nbits} bits, {self.count()} set, "
+            f"RoaringBitmap({self._nbits} bits, {held.count()} set, "
             f"containers: {parts or 'none'})"
+        )
+
+
+def _validate(nbits: int, held: _Containers, cardinalities: np.ndarray) -> None:
+    """The per-container invariants of a payload just read, in batch."""
+    keys = held.keys.astype(np.int64)
+    limit = np.minimum(CHUNK_SIZE, nbits - (keys << 16))
+    if len(held.array):
+        # Ascending keys: one comparison covers every array at once.
+        mine = held.kinds == ARRAY
+        values = (keys[mine] << _SPAN).repeat(held.sizes[mine]) | held.array
+        _require(
+            not (values[1:] <= values[:-1]).any(),
+            "array container not sorted strictly increasing",
+        )
+        _require(
+            not (held.array >= limit[mine].repeat(held.sizes[mine])).any(),
+            "array container exceeds the bitmap length",
+        )
+    if len(held.words):
+        _require(
+            not (_count_bits(held.words, axis=1) != cardinalities).any(),
+            "bitmap container cardinality mismatch",
+        )
+        # Only the last chunk can be short of 65,536 rows.
+        if held.kinds[-1] == BITMAP and limit[-1] < CHUNK_SIZE:
+            tail = held.words[-1, limit[-1] >> 6 :]
+            _require(
+                not (tail[0] >> np.uint64(limit[-1] & 63) or tail[1:].any()),
+                "bitmap container exceeds the bitmap length",
+            )
+    if len(held.runs):
+        mine = held.kinds == RUN
+        starts = (keys[mine] << _SPAN).repeat(held.sizes[mine]) + held.runs[:, 0]
+        ends = starts + held.runs[:, 1] + 1
+        _require(
+            not (starts[1:] <= ends[:-1]).any(),
+            "run container runs overlap or are not coalesced",
+        )
+        _require(
+            not ((ends & _SPAN_LOW) > limit[mine].repeat(held.sizes[mine])).any(),
+            "run container exceeds the bitmap length",
         )
 
 
@@ -992,35 +1086,52 @@ _ANDNOT = _Operator(
 )
 
 
-def _evaluate(vectors: Sequence[RoaringBitmap], op: _Operator):
+def _fold_rows(vectors: Sequence[_Containers], op: _Operator, nchunks: int) -> _Rows:
+    """Every chunk that can hold result rows, rendered from every operand
+    into one word matrix, and the operator applied to it once."""
+    first = vectors[0]
+    if all(len(v.words) == len(v.keys) and np.array_equal(v.keys, first.keys) for v in vectors):
+        return _Rows(first.keys, op.fold([v.words for v in vectors]))
+    holders = np.zeros(nchunks, dtype=np.intp)
+    passing = np.zeros(nchunks, dtype=bool)
+    for v, solo in zip(vectors, op.solo):
+        holders[v.keys] += 1
+        passing[v.keys] |= solo
+    chosen = op.shared[holders] | (passing & (holders == 1))
+    rank = chosen.cumsum() - 1
+    m = int(rank[-1]) + 1 if nchunks else 0
+    rows = op.fold([v.render(chosen[v.keys], rank, m) for v in vectors])
+    return _Rows(chosen.nonzero()[0].astype(np.uint16), rows)
+
+
+def _evaluate(vectors: Sequence[_Containers], op: _Operator, nchunks: int):
     """Route every chunk of the operands and run each route once.
 
-    Returns the *through* containers (a list of bitmaps, one per operand
-    that has some) and what the other routes left, unsealed (a list of
+    Returns the *through* containers (a list, one entry per operand that
+    has some) and what the other routes left, unsealed (a list of
     :class:`_Rows`, :class:`_Spans` and :class:`_Values`).  The module
     docstring describes the routes.
     """
+    if all(2 * len(v.words) >= len(v.keys) for v in vectors):
+        return [], [_fold_rows(vectors, op, nchunks)]
     # Direct addressing by chunk key: flags[i, key] says what operand i holds.
-    nbits = vectors[0]._nbits
-    flags = np.zeros((len(vectors), _num_chunks(nbits)), dtype=np.uint8)
+    flags = np.zeros((len(vectors), nchunks), dtype=np.uint8)
     for mine, v in zip(flags, vectors):
-        mine[v._keys] = _KIND_FLAGS[v._kinds]
+        mine[v.keys] = _KIND_FLAGS[v.kinds]
     holders = (flags != 0).sum(axis=0)
     route = _ROUTES[np.bitwise_or.reduce(flags, axis=0)] * op.shared[holders]
     left: list = []
     # The operand with more in its array containers probes first: what it
     # takes the other need not look at.
-    for side in sorted(op.probes, key=lambda side: -len(vectors[side]._array)):
+    for side in sorted(op.probes, key=lambda side: -len(vectors[side].array)):
         lean, wide = vectors[side], vectors[1 - side]
-        if len(lean._array):
+        if len(lean.array):
             # Under AND two arrays are tallied: neither is the one to probe.
             theirs = flags[1 - side] > (1 if op.minus is None else 0)
             probing = (flags[side] == 1) & theirs & (route != _DROPPED)
             if probing.any():
                 route[probing] = _DROPPED
-                keys, ends, values, hit = lean._probe(
-                    probing[lean._keys], wide, probing[wide._keys]
-                )
+                keys, ends, values, hit = lean.probe(probing[lean.keys], wide, probing[wide.keys])
                 # Both hold the chunk: AND keeps its hits, ANDNOT its misses.
                 keep = (hit if op.minus is None else ~hit).nonzero()[0]
                 sizes = np.searchsorted(keep, ends)
@@ -1033,17 +1144,15 @@ def _evaluate(vectors: Sequence[RoaringBitmap], op: _Operator):
         # a bitmap and counted there (Chambi et al., array union).
         total = np.zeros(len(route), dtype=np.int64)
         for v in vectors:
-            total[v._keys] += v._sizes
+            total[v.keys] += v.sizes
         route[(route == _TALLY) & (total > ARRAY_MAX * op.truth.argmax())] = _ROWS
         taken = np.bincount(route, minlength=4).tolist()
     if taken[_TALLY]:
         chosen = route == _TALLY
-        left.append(
-            _tally([v._values(chosen[v._keys].nonzero()[0]) for v in vectors], op.truth)
-        )
+        left.append(_tally([v.values(chosen[v.keys].nonzero()[0]) for v in vectors], op.truth))
     if taken[_SWEEP]:
         chosen = route == _SWEEP
-        operands = [v._spans(chosen[v._keys]) for v in vectors]
+        operands = [v.spans(chosen[v.keys]) for v in vectors]
         if op.minus is not None:  # its spans count minus one: ends open, starts close
             starts, ends = operands[op.minus]
             operands[op.minus] = ends, starts
@@ -1051,49 +1160,30 @@ def _evaluate(vectors: Sequence[RoaringBitmap], op: _Operator):
     if taken[_ROWS]:
         chosen = route == _ROWS
         rank = chosen.cumsum() - 1
-        rows = op.fold([v._render(chosen[v._keys], rank, taken[_ROWS]) for v in vectors])
+        rows = op.fold([v.render(chosen[v.keys], rank, taken[_ROWS]) for v in vectors])
         left.append(_Rows(chosen.nonzero()[0].astype(np.uint16), rows))
     passed = []
     alone = holders == 1
     if alone.any():
         for v, solo in zip(vectors, op.solo):
-            mine = alone[v._keys]
+            mine = alone[v.keys]
             if solo and mine.any():
-                fields = v._fields() if mine.all() else v._take(mine.nonzero()[0])
-                passed.append(RoaringBitmap(nbits, *fields))
+                passed.append(v if mine.all() else v.take(mine.nonzero()[0]))
     return passed, left
 
 
 def _combine(vectors: Sequence[RoaringBitmap], op: _Operator) -> RoaringBitmap:
-    """Evaluate, seal what each route left, and put the chunks in key order."""
+    """Evaluate, seal what the sweep, tally and probe routes left, and put
+    the chunks in key order; word rows stay loose."""
     nbits = vectors[0]._nbits
-    passed, left = _evaluate(vectors, op)
+    passed, left = _evaluate([v._containers for v in vectors], op, _num_chunks(nbits))
     values = [form for form in left if isinstance(form, _Values)]
     if len(values) > 1:  # probed and tallied: one list of values, one seal
         merged = np.concatenate([form.positions() for form in values])
         merged.sort()
         left = [f for f in left if not isinstance(f, _Values)] + [_Values.of(merged)]
-    return _assemble(nbits, passed + [form.seal(nbits) for form in left])
-
-
-def _assemble(nbits: int, parts: list[RoaringBitmap]) -> RoaringBitmap:
-    """One bitmap of bitmaps with disjoint key sets."""
-    parts = [part for part in parts if len(part._keys)]
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
-        return RoaringBitmap.zeros(nbits)
-    # Concatenate the fields, then reorder the containers by key (a pool
-    # only one part has anything in stays as it is).
-    stacked = RoaringBitmap(
-        nbits,
-        *(
-            held[0] if len(held) == 1 else np.concatenate(held or field[:1])
-            for field in zip(*(part._fields() for part in parts))
-            for held in [[each for each in field if len(each)]]
-        ),
-    )
-    return RoaringBitmap(nbits, *stacked._take(stacked._keys.argsort(), ascending=False))
+    parts = [form.loose() if isinstance(form, _Rows) else form.seal() for form in left]
+    return RoaringBitmap(nbits, _assemble(passed + parts))
 
 
 #: The k-way kernels by their historical module-level names.

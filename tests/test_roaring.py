@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import struct
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitmaps import roaring
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import (
@@ -338,18 +341,10 @@ class TestAlgebra:
         assert bitmap.container_kinds() == want
         return bitmap, BitVector.from_bools(bools)
 
-    def test_every_kind_pair_in_every_op(self):
-        # Chunk by chunk: all 3 x 3 pairs of container kinds, a chunk only
-        # one side holds (each way round), a full chunk against each kind,
-        # and a partial last chunk.
-        kinds_a = ["array"] * 3 + ["bitmap"] * 3 + ["run"] * 3
-        kinds_b = ["array", "bitmap", "run"] * 3
-        kinds_a += ["none", "array", "full", "full", "full", "none", "bitmap"]
-        kinds_b += ["run", "none", "array", "bitmap", "run", "none", "array"]
-        kinds_c = kinds_b[1:] + kinds_b[:1]
-        a, x = self._operand(kinds_a, 1, tail=40_000)
-        b, y = self._operand(kinds_b, 2, tail=40_000)
-        c, z = self._operand(kinds_c, 3, tail=40_000)
+    @staticmethod
+    def _every_op(a, b, c, x, y, z):
+        """Every operator over ``a, b, c`` against the oracles ``x, y, z``,
+        each result sealed as if built fresh: same kinds, same bytes."""
         cases = {
             "and": (a & b, x & y),
             "or": (a | b, x | y),
@@ -372,11 +367,105 @@ class TestAlgebra:
             assert got.to_bitvector() == want, name
             assert got.count() == want.count(), name
             assert np.array_equal(got.indices(), want.indices()), name
-            # Sealed as if built fresh: same kinds, same bytes.
             assert got.serialize() == RoaringBitmap.from_bitvector(want).serialize(), name
             assert got.nbytes == len(got.serialize()), name
         assert a.and_count(b) == (x & y).count()
         assert b.and_count(c) == (y & z).count()
+
+    def test_every_kind_pair_in_every_op(self):
+        # Chunk by chunk: all 3 x 3 pairs of container kinds, a chunk only
+        # one side holds (each way round), a full chunk against each kind,
+        # and a partial last chunk.
+        kinds_a = ["array"] * 3 + ["bitmap"] * 3 + ["run"] * 3
+        kinds_b = ["array", "bitmap", "run"] * 3
+        kinds_a += ["none", "array", "full", "full", "full", "none", "bitmap"]
+        kinds_b += ["run", "none", "array", "bitmap", "run", "none", "array"]
+        kinds_c = kinds_b[1:] + kinds_b[:1]
+        a, x = self._operand(kinds_a, 1, tail=40_000)
+        b, y = self._operand(kinds_b, 2, tail=40_000)
+        c, z = self._operand(kinds_c, 3, tail=40_000)
+        self._every_op(a, b, c, x, y, z)
+        # The same over kernel results, which hold loose bitmap containers:
+        # of any cardinality, empty ones included, not yet sealed.
+        loose = [(a ^ b, x ^ y), (b | c, y | z), (~c, ~z), (a.andnot(c), x.andnot(z))]
+        assert all(got._containers.loose for got, _ in loose)
+        self._every_op(*(got for got, _ in loose[:3]), *(want for _, want in loose[:3]))
+        self._every_op(*(got for got, _ in loose[1:]), *(want for _, want in loose[1:]))
+        # A result with nothing in it, its rows all empty until it seals.
+        empty = a & ~a
+        assert empty._containers.loose and len(empty._containers.keys)
+        assert empty.count() == 0
+        assert empty.indices().dtype == np.int64 and len(empty.indices()) == 0
+        assert not empty.any()
+        assert empty.num_containers == 0
+        assert empty.serialize() == RoaringBitmap.zeros(a.nbits).serialize()
+
+    @pytest.mark.parametrize(
+        "ask",
+        [lambda r: r.to_payload(), lambda r: r.nbytes, lambda r: r.container_kinds()],
+        ids=["to_payload", "nbytes", "container_kinds"],
+    )
+    def test_a_result_seals_once_and_only_when_its_bytes_are_asked_for(
+        self, ask, monkeypatch
+    ):
+        """The mechanism: a chain of operators over bitmap-heavy operands
+        keeps word rows and picks no container kind; the first call that
+        needs the bytes seals the result, once."""
+        a, x = self._operand(["bitmap", "bitmap", "array", "bitmap", "run"], 4)
+        b, y = self._operand(["bitmap", "array", "bitmap", "bitmap", "none"], 5)
+        c, z = self._operand(["none", "bitmap", "bitmap", "run", "bitmap"], 6)
+        wants = [(x & y) | z, BitVector.threshold_many([x, y, z], 2)]
+        blobs = [RoaringBitmap.from_bitvector(want).serialize() for want in wants]
+        sealed = []
+        seal = roaring._Rows.seal
+
+        def counted(rows):
+            sealed.append(len(rows.keys))
+            return seal(rows)
+
+        monkeypatch.setattr(roaring._Rows, "seal", counted)
+        results = [(a & b) | c, RoaringBitmap.threshold_many([a, b, c], 2)]
+        for got, want, blob in zip(results, wants, blobs):
+            assert got.count() == want.count()
+            assert np.array_equal(got.indices(), want.indices())
+            assert got.to_bitvector() == want
+            assert sealed == []
+            ask(got)
+            assert len(sealed) == 1
+            assert got.serialize() == blob
+            assert got.nbytes == len(blob)
+            assert got.container_kinds() == RoaringBitmap.deserialize(blob).container_kinds()
+            assert len(sealed) == 1
+            sealed.clear()
+
+    def test_concurrent_readers_of_a_loose_result_agree(self):
+        a, x = self._operand(["bitmap", "array", "bitmap", "run"] * 2, 7)
+        b, y = self._operand(["bitmap", "bitmap", "none", "bitmap"] * 2, 8)
+        shared = RoaringBitmap.threshold_many([a, b, a ^ b], 2)
+        assert shared._containers.loose
+        want = RoaringBitmap.from_bitvector(BitVector.threshold_many([x, y, x ^ y], 2))
+        start = threading.Barrier(8)
+
+        def read(turn: int):
+            start.wait()
+            views = [
+                lambda: shared.nbytes,
+                lambda: shared.serialize(),
+                lambda: shared.container_kinds(),
+            ]
+            seen = {}
+            for i in range(3):  # each thread asks in its own order
+                view = (turn + i) % 3
+                seen[view] = views[view]()
+            return seen[0], seen[1], seen[2]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = list(pool.map(read, range(8)))
+        assert all(each == seen[0] for each in seen)
+        nbytes, blob, kinds = seen[0]
+        assert nbytes == len(blob)
+        assert blob == want.serialize()
+        assert kinds == want.container_kinds()
 
     def test_no_python_loop_over_chunks(self):
         """The mechanism: an operator makes as many calls from
