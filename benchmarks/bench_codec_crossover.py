@@ -125,10 +125,12 @@ def bench_cell(
     assert (ra & rb).to_bitvector() == (da & db)
     assert (wa | wb).to_bitvector() == (da | db)
     assert (ra | rb).to_bitvector() == (da | db)
-    # A chained result seals only when serialized: its bytes must still be
-    # those of the same bits built fresh.
+    # A chained result seals only when its bytes are asked for: they must
+    # still be those of the same bits built fresh, on both codecs.
     chained = RoaringBitmap.from_bitvector(~(da & db) | da)
     assert (~(ra & rb) | ra).serialize() == chained.serialize()
+    chained_wah = WahBitVector.from_bitvector(~(da & db) | da)
+    assert (~(wa & wb) | wa).to_payload() == chained_wah.to_payload()
 
     times = {
         "dense": best_of(lambda: (da & db, da | db)),

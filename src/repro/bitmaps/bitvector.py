@@ -38,6 +38,25 @@ def _count_bits(words: np.ndarray, axis: int | None = None):
     return np.bitwise_count(words).sum(axis=axis, dtype=np.int64)
 
 
+def _bit_positions(words: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the set bits of contiguous little-endian unsigned
+    ``words`` (any width, any shape, read as one bitstream), ascending, as
+    ``int64``; ``count`` is their popcount.
+
+    The one set-bit enumeration of the three bitmap classes.  At one set
+    bit in ten or fewer the words are cut down to their non-zero bytes
+    first: at that density numpy's ``nonzero`` scans for each set element
+    in turn, at 2-3x the cost.  Denser words are unpacked once and the
+    bits viewed as ``bool``.
+    """
+    octets = words.view(np.uint8).reshape(-1)
+    if 10 * count > 8 * len(octets):
+        return np.unpackbits(octets, bitorder="little").view(bool).nonzero()[0]
+    used = (octets != 0).nonzero()[0]
+    bits = np.unpackbits(octets[used], bitorder="little").view(bool).nonzero()[0]
+    return (used[bits >> 3] << 3) | (bits & 7)
+
+
 def _ripple_threshold(operands: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Bit ``i`` of element ``j`` is set iff at least ``k`` of the ``N``
     equally shaped unsigned ``operands`` set it, for ``1 <= k <= N``.
@@ -265,7 +284,7 @@ class BitVector:
 
     def indices(self) -> np.ndarray:
         """Sorted array of set-bit positions (the RID list of the bitmap)."""
-        return np.nonzero(self.to_bools())[0]
+        return _bit_positions(self._words, int(_count_bits(self._words)))
 
     def iter_indices(self) -> Iterator[int]:
         """Iterate over set-bit positions in increasing order."""

@@ -17,7 +17,12 @@ The class mirrors enough of the :class:`BitVector` surface — ``zeros`` /
 ``ones`` constructors, ``count``, ``indices``, ``to_bools``, ``copy``,
 ``nbytes`` — that the evaluation algorithms of
 :mod:`repro.core.evaluation` run unmodified over either representation;
-only the final ``indices()``/``to_bools()`` materialization unpacks bits.
+only the final ``indices()``/``to_bools()`` materialization unpacks bits,
+through the set-bit enumeration the three classes share.  An operator's
+result is *loose*: it keeps the aligned form its kernel left, which the
+next operator reads as it is, and is canonicalized (*sealed*) once, when
+its resident size is asked for; built and parsed vectors are sealed from
+the start.
 The two vector types interconvert losslessly; the
 ``ablation_compressed_ops`` experiment and ``bench_compressed_path``
 benchmark quantify when staying compressed wins.
@@ -30,11 +35,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector
+from repro.bitmaps.bitvector import BitVector, _bit_positions
 from repro.bitmaps.wah import (
     Runs,
     _and_popcount,
-    _bits_from_groups,
+    _bytes_from_groups,
     _canonical,
     _combine,
     _encode_runs,
@@ -45,7 +50,6 @@ from repro.bitmaps.wah import (
     _ones_runs,
     _parse_runs,
     _popcount,
-    _set_bits,
     _threshold,
     wah_word_count,
 )
@@ -58,18 +62,45 @@ def _groups_for(nbits: int) -> int:
 
 
 class WahBitVector:
-    """A WAH-compressed bitmap supporting compressed-domain algebra."""
+    """A WAH-compressed bitmap supporting compressed-domain algebra.
 
-    __slots__ = ("_runs", "_nbits")
+    Instances are immutable in content: no array of an instance is ever
+    written to, so vectors may share them.  The one write is the seal of a
+    loose result (see the module docstring): the first ``nbytes`` replaces
+    its run list by the canonical one, same bits, in one attribute
+    assignment, so a concurrent reader sees one form or the other, each
+    whole.
+    """
+
+    __slots__ = ("_runs", "_nbits", "_loose")
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "wah"
 
     def __init__(self, runs: Runs, nbits: int):
-        #: Canonical ``(values, ends)`` from :mod:`repro.bitmaps.wah`; the
-        #: arrays are never written to, so vectors may share them.
+        #: Canonical ``(values, ends)`` from :mod:`repro.bitmaps.wah` unless
+        #: ``_loose``; the arrays are never written to.
         self._runs = runs
         self._nbits = nbits
+        self._loose = False
+
+    @classmethod
+    def _result(cls, runs: Runs, nbits: int) -> "WahBitVector":
+        """A kernel's result: its runs as the kernel left them, loose."""
+        vector = cls(runs, nbits)
+        vector._loose = True
+        return vector
+
+    def _sealed(self) -> Runs:
+        """The run list, canonicalized first if a kernel left it loose.
+
+        The runs are replaced before the mark is cleared, so a reader that
+        still sees the mark canonicalizes canonical runs: the same arrays.
+        """
+        if self._loose:
+            self._runs = _canonical(self._runs, _groups_for(self._nbits))
+            self._loose = False
+        return self._runs
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -78,12 +109,14 @@ class WahBitVector:
     @classmethod
     def zeros(cls, nbits: int) -> "WahBitVector":
         """The all-zero compressed vector of ``nbits`` bits (one fill run)."""
-        return cls(_ones_runs(0, _groups_for(nbits)), nbits)
+        ngroups = _groups_for(nbits)
+        return cls(_canonical(_ones_runs(0, ngroups), ngroups), nbits)
 
     @classmethod
     def ones(cls, nbits: int) -> "WahBitVector":
         """The all-one compressed vector of ``nbits`` bits (at most 3 runs)."""
-        return cls(_ones_runs(nbits, _groups_for(nbits)), nbits)
+        ngroups = _groups_for(nbits)
+        return cls(_canonical(_ones_runs(nbits, ngroups), ngroups), nbits)
 
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "WahBitVector":
@@ -91,9 +124,13 @@ class WahBitVector:
         groups = _groups_from_bytes(vector.to_bytes())
         return cls(_canonical((groups, None), len(groups)), vector.nbits)
 
+    def _octets(self) -> np.ndarray:
+        """The bits as ``(nbits + 7) // 8`` little-endian bytes."""
+        return _bytes_from_groups(_expand(self._runs))[: (self._nbits + 7) // 8]
+
     def to_bitvector(self) -> BitVector:
         """Materialize back to the uncompressed form."""
-        return BitVector.from_bools(self.to_bools())
+        return BitVector.from_bytes(self._octets(), self._nbits)
 
     def to_payload(self) -> bytes:
         """The stored form: the canonical WAH blob (length header + words)."""
@@ -119,7 +156,7 @@ class WahBitVector:
 
     def copy(self) -> "WahBitVector":
         """An independent handle (the run arrays are never mutated)."""
-        return WahBitVector(self._runs, self._nbits)
+        return WahBitVector(self._sealed(), self._nbits)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,11 +175,12 @@ class WahBitVector:
     def nbytes(self) -> int:
         """In-memory footprint: the bytes of the resident run arrays.
 
-        Fixed for the object's life, so byte-budget caches can add it on
+        A loose result seals first, so the size is constant once sealed,
+        which a cached bitmap always is: byte-budget caches add it on
         ``put`` and subtract it on eviction.  4 bytes per group in the
         per-group form, 12 per run otherwise.
         """
-        values, ends = self._runs
+        values, ends = self._sealed()
         return values.nbytes + (0 if ends is None else ends.nbytes)
 
     @property
@@ -168,12 +206,12 @@ class WahBitVector:
 
     def to_bools(self) -> np.ndarray:
         """Decode to a boolean numpy array of length ``nbits``."""
-        bits = _bits_from_groups(_expand(self._runs))
-        return bits[: self._nbits].view(bool)
+        bits = np.unpackbits(self._octets(), count=self._nbits, bitorder="little")
+        return bits.view(bool)
 
     def indices(self) -> np.ndarray:
-        """Sorted array of set-bit positions (unpacks non-zero groups only)."""
-        return _set_bits(self._runs)
+        """Sorted array of set-bit positions (the RID list)."""
+        return _bit_positions(self._octets(), _popcount(self._runs))
 
     # ------------------------------------------------------------------
     # Compressed-domain algebra
@@ -201,7 +239,7 @@ class WahBitVector:
     @classmethod
     def _fold(cls, vectors: Sequence["WahBitVector"], op) -> "WahBitVector":
         operands, ngroups = cls._operands(vectors)
-        return cls(_combine(operands, op, ngroups), vectors[0]._nbits)
+        return cls._result(_combine(operands, op, ngroups), vectors[0]._nbits)
 
     def __and__(self, other: "WahBitVector") -> "WahBitVector":
         return self._fold((self, other), np.bitwise_and)
@@ -214,7 +252,7 @@ class WahBitVector:
 
     def __invert__(self) -> "WahBitVector":
         runs = _not(self._runs, self._nbits, _groups_for(self._nbits))
-        return WahBitVector(runs, self._nbits)
+        return WahBitVector._result(runs, self._nbits)
 
     @classmethod
     def or_many(cls, vectors: Sequence["WahBitVector"]) -> "WahBitVector":
@@ -248,7 +286,7 @@ class WahBitVector:
             return cls.ones(nbits)
         if k > len(vectors):
             return cls.zeros(nbits)
-        return cls(_threshold(operands, k, ngroups), nbits)
+        return cls._result(_threshold(operands, k, ngroups), nbits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WahBitVector):

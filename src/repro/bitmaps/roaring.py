@@ -110,7 +110,12 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector, _count_bits, _ripple_threshold
+from repro.bitmaps.bitvector import (
+    BitVector,
+    _bit_positions,
+    _count_bits,
+    _ripple_threshold,
+)
 from repro.errors import CorruptFileError, LengthMismatchError
 
 #: Rows per chunk (the Roaring partition unit).
@@ -195,20 +200,6 @@ def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(values[1:], values[:-1], out=change[1:])
     first = change.nonzero()[0]
     return first, np.append(first[1:], len(values)) - first
-
-
-def _bit_positions(rows: np.ndarray, sparse: bool) -> np.ndarray:
-    """Set bits of contiguous word rows, as ``(row << 16) | low``, ascending.
-    ``sparse`` rows (what a seal converts: at most 4096 values, or run
-    heads, to a row; any rows one bit in ten or fewer of which are set)
-    are cut down to their non-zero bytes first: at that density numpy's
-    ``nonzero`` scans for each set element in turn, at 2-3x the cost."""
-    octets = rows.view(np.uint8).reshape(-1)
-    if not sparse:
-        return np.unpackbits(octets, bitorder="little").view(bool).nonzero()[0]
-    used = (octets != 0).nonzero()[0]
-    bits = np.unpackbits(octets[used], bitorder="little").view(bool).nonzero()[0]
-    return (used[bits >> 3] << 3) | (bits & 7)
 
 
 def _bit_rows(row: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
@@ -332,16 +323,21 @@ class _Rows(NamedTuple):
         kinds[cardinality == 0] = _NOTHING
         held = np.bincount(kinds, minlength=4).tolist()
         array, runs, words = _NO_ARRAY, _NO_RUNS, _NO_WORDS
+        # What converts is sparse (at most 4096 values, or 2047 run heads, to
+        # a 65,536-bit row), so the positions come from the non-zero bytes.
         if held[ARRAY]:
-            array = (_bit_positions(rows[kinds == ARRAY], True) & _LOW).astype(np.uint16)
+            mine = kinds == ARRAY
+            positions = _bit_positions(rows[mine], int(cardinality[mine].sum()))
+            array = (positions & _LOW).astype(np.uint16)
         if held[BITMAP]:
             words = rows if held[BITMAP] == len(keys) else rows[kinds == BITMAP]
         if held[RUN]:
-            body = rows[kinds == RUN]
+            mine = kinds == RUN
+            body, total = rows[mine], int(nruns[mine].sum())
             after = body >> _ONE
             after[:, :-1] |= body[:, 1:] << _SIX3
-            first = _bit_positions(heads[kinds == RUN], True)
-            last = _bit_positions(body & ~after, True)  # the k-th end pairs the k-th start
+            first = _bit_positions(heads[mine], total)
+            last = _bit_positions(body & ~after, total)  # the k-th end pairs the k-th start
             runs = np.empty((len(first), 2), dtype=np.uint16)
             runs[:, 0], runs[:, 1] = first & _LOW, last - first
         sizes = _sizes(kinds, cardinality, nruns)
@@ -761,7 +757,7 @@ class RoaringBitmap:
         rank[held.keys] = np.arange(n)
         rows = held.render(np.ones(n, dtype=bool), rank, n)
         counts = _count_bits(rows, axis=1)
-        flat = _bit_positions(rows, 10 * int(counts.sum()) <= 64 * rows.size)
+        flat = _bit_positions(rows, int(counts.sum()))
         # Row r is chunk key[r], not chunk r.
         shift = base - (np.arange(n) << 16)
         if shift.any():

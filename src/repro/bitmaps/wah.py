@@ -37,9 +37,17 @@ means one value per group.  :func:`_canonical` picks the form from the run
 count alone — per-group once a bitmap has at least half as many runs as
 groups, so an incompressible bitmap costs 4 bytes a group and its algebra
 is plain word-parallel numpy; otherwise runs with equal adjacent fills
-merged, so a run-structured bitmap stays O(runs).  This is what
-:class:`~repro.bitmaps.compressed.WahBitVector` holds in memory; the byte
-payload exists only at its ``to_payload`` / ``from_payload`` boundary.
+merged, so a run-structured bitmap stays O(runs).  The canonical form is
+what is stored and cached: parsed payloads and built bitmaps are
+canonical.  A kernel result is *loose* — the aligned form its operator
+left, one value per group or runs over the merged boundaries, equal
+adjacent fills not merged — and every kernel, popcount, set-bit
+enumeration and the encoder (which coalesces) read it as it is; alignment
+keeps the invariant that only a fill spans more than one group.  This is
+what :class:`~repro.bitmaps.compressed.WahBitVector` holds in memory,
+canonicalized once when a loose result's resident size is asked for; the
+byte payload exists only at its ``to_payload`` / ``from_payload``
+boundary.
 
 Compressed-domain algebra
 -------------------------
@@ -87,37 +95,51 @@ def _expected_groups(orig_len: int) -> int:
 # ----------------------------------------------------------------------
 
 
+#: 31 bytes of a bitstream hold exactly 8 groups: a *row*, read as four
+#: 64-bit words (the last one a byte short).  Group ``j`` starts at bit
+#: ``31 j``, so it lies in word ``w`` shifted by ``31 j - 64 w``:
+#: ``(w, j, |shift|, shift >= 0)``.  Groups 2, 4 and 6 straddle two words.
+_PLACES = [
+    (word, group, np.uint64(abs(shift)), shift >= 0)
+    for word in range(4)
+    for group in range(8)
+    for shift in [_GROUP_BITS * group - 64 * word]
+    if -_GROUP_BITS < shift < 64
+]
+
+
 def _groups_from_bytes(data) -> np.ndarray:
     """Chunk a little-endian bitstream into ``uint32`` groups of 31 bits."""
-    nrows = -(-len(data) // _GROUP_BITS)  # 31 bytes hold exactly 8 groups
-    flat = np.zeros(nrows * _GROUP_BITS, dtype=np.uint8)
-    flat[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    rows = np.zeros((nrows, 40), dtype=np.uint8)
-    rows[:, :_GROUP_BITS] = flat.reshape(nrows, _GROUP_BITS)
-    words = rows.view(np.uint64)  # 4 words of bits and a zero one per row
-    first_bit = _GROUP_BITS * np.arange(8)
-    word, shift = first_bit >> 6, (first_bit & 63).astype(np.uint64)
-    # A group straddling two words takes its high bits from the next one
-    # (shifted in two steps, as a shift by 64 is undefined).
-    groups = (words[:, word] >> shift) | (
-        (words[:, word + 1] << np.uint64(1)) << (np.uint64(63) - shift)
-    )
-    groups = (groups & np.uint64(_LITERAL_MASK)).astype(np.uint32)
-    return groups.reshape(-1)[: _expected_groups(len(data))]
+    nrows = -(-len(data) // _GROUP_BITS)
+    body = np.frombuffer(data, dtype=np.uint8)
+    rows = np.zeros((nrows, 32), dtype=np.uint8)  # a zero byte ends each row
+    full = len(body) // _GROUP_BITS
+    rows[:full, :_GROUP_BITS] = body[: full * _GROUP_BITS].reshape(full, _GROUP_BITS)
+    if full < nrows:
+        rows[full, : len(body) % _GROUP_BITS] = body[full * _GROUP_BITS :]
+    words = rows.view(np.uint64)
+    groups = np.zeros((nrows, 8), dtype=np.uint64)
+    for word, group, shift, left in _PLACES:
+        column = words[:, word]
+        groups[:, group] |= column >> shift if left else column << shift
+    groups &= np.uint64(_LITERAL_MASK)
+    return groups.astype(np.uint32).reshape(-1)[: _expected_groups(len(data))]
 
 
-def _bits_from_groups(groups: np.ndarray) -> np.ndarray:
-    """Unpack ``uint32`` groups into 31 little-endian 0/1 ``uint8`` each."""
-    octets = groups.view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")
-    return bits[:, :_GROUP_BITS].reshape(-1)
-
-
-def _set_bits(runs: Runs) -> np.ndarray:
-    """Sorted positions of the set bits."""
-    octets = _expand(runs).view(np.uint8)
-    flat = np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
-    return flat - (flat >> 5)  # 32 unpacked bits a group, 31 of them real
+def _bytes_from_groups(groups: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_groups_from_bytes`: ``uint32`` groups of 31
+    bits as a little-endian bitstream, 31 bytes per 8 groups (whatever
+    follows the last group is zero)."""
+    nrows = -(-len(groups) // 8)
+    # Not np.zeros: a large zeroed block is fresh pages, faulted in on write.
+    padded = np.empty((nrows, 8), dtype=np.uint64)
+    padded.reshape(-1)[: len(groups)] = groups
+    padded.reshape(-1)[len(groups) :] = 0
+    words = np.zeros((nrows, 4), dtype=np.uint64)
+    for word, group, shift, left in _PLACES:
+        column = padded[:, group]
+        words[:, word] |= column << shift if left else column >> shift
+    return words.view(np.uint8)[:, :_GROUP_BITS].reshape(-1)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +222,9 @@ def _parse_runs(blob) -> tuple[int, Runs]:
             "WAH payload decodes to more groups than the padded declared "
             "length allows"
         )
-    return orig_len, _canonical((values, np.cumsum(lengths)), expected)
+    # Every word one group: already the per-group form, no run ends needed.
+    ends = None if total == len(values) else np.cumsum(lengths)
+    return orig_len, _canonical((values, ends), expected)
 
 
 def _parse_all(payloads: Sequence[bytes]) -> tuple[int, list[Runs]]:
@@ -245,8 +269,7 @@ def wah_encode(data: bytes) -> bytes:
 def wah_decode(blob: bytes) -> bytes:
     """Inverse of :func:`wah_encode`."""
     orig_len, runs = _parse_runs(blob)
-    bits = _bits_from_groups(_expand(runs))[: orig_len * 8]
-    return np.packbits(bits, bitorder="little").tobytes()
+    return _bytes_from_groups(_expand(runs))[:orig_len].tobytes()
 
 
 def wah_word_count(blob: bytes) -> int:
@@ -281,23 +304,24 @@ def _align(
 
 
 def _combine(operands: Sequence[Runs], op: Callable, ngroups: int) -> Runs:
-    """Fold ``op`` over k run lists."""
+    """Fold ``op`` over k run lists; the result is loose (not canonical)."""
     aligned, ends = _align(operands, ngroups)
     acc = aligned[0]
     for other in aligned[1:]:
         acc = op(acc, other)
-    return _canonical((acc, ends), ngroups)
+    return acc, ends
 
 
 def _threshold(operands: Sequence[Runs], k: int, ngroups: int) -> Runs:
-    """Groups whose bit ``i`` is set in at least ``k`` of ``1 <= k <= N`` operands.
+    """Groups whose bit ``i`` is set in at least ``k`` of ``1 <= k <= N``
+    operands; the result is loose (not canonical).
 
     The aligned values go through the shared bit-sliced counter and
     comparator (:func:`~repro.bitmaps.bitvector._ripple_threshold`); bit 31
     of a group value is set in no operand, so it stays clear.
     """
     aligned, ends = _align(operands, ngroups)
-    return _canonical((_ripple_threshold(aligned, k), ends), ngroups)
+    return _ripple_threshold(aligned, k), ends
 
 
 def _popcount(runs: Runs) -> int:
@@ -315,7 +339,8 @@ def _and_popcount(a: Runs, b: Runs, ngroups: int) -> int:
 
 
 def _ones_runs(valid_bits: int, ngroups: int) -> Runs:
-    """Run list with the first ``valid_bits`` bits set over ``ngroups`` groups."""
+    """Run list with the first ``valid_bits`` bits set over ``ngroups``
+    groups, in the run form (coalesced, not necessarily canonical)."""
     full, tail = divmod(valid_bits, _GROUP_BITS)
     values, ends = [], [0]
     for value, end in (
@@ -326,10 +351,7 @@ def _ones_runs(valid_bits: int, ngroups: int) -> Runs:
         if min(end, ngroups) > ends[-1]:
             values.append(value)
             ends.append(min(end, ngroups))
-    return _canonical(
-        (np.asarray(values, dtype=np.uint32), np.asarray(ends[1:], dtype=np.int64)),
-        ngroups,
-    )
+    return np.asarray(values, dtype=np.uint32), np.asarray(ends[1:], dtype=np.int64)
 
 
 def _not(runs: Runs, valid_bits: int, ngroups: int) -> Runs:

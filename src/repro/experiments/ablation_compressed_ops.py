@@ -13,7 +13,7 @@ Expected shape: on run-structured bitmaps the compressed-domain AND works
 on a handful of runs and beats full decode by a wide margin; on random
 bitmaps every group is a literal, so staying compressed saves no space
 and the AND is a word-parallel pass over 32-bit group values (a few
-times numpy's 64-bit word AND, which carries no canonical-form check).
+times numpy's 64-bit word AND).
 """
 
 from __future__ import annotations
@@ -84,6 +84,6 @@ def run(
     result.note(
         "uniform bitmaps are all literals: staying compressed saves no "
         "space there, and the AND is a word-parallel pass over the group "
-        "values plus a canonical-form check"
+        "values"
     )
     return result

@@ -37,8 +37,14 @@ def shaped_vector(nbits: int, shape: str, seed: int) -> BitVector:
     (one bit in 30 to 1,000) or ``"patchy"`` (each 65,536-row chunk one of
     those, or wholly empty, or wholly full) — the shapes a compressed class
     may hold differently: WAH literal and fill words; Roaring bitmap, run
-    and array containers, and chunks it holds nothing for."""
+    and array containers, and chunks it holds nothing for.  ``"tenth"``
+    sets exactly ``nbits // 10`` random bits: the density at which the
+    set-bit enumeration switches route."""
     generator = np.random.default_rng(seed)
+    if shape == "tenth":
+        bools = np.zeros(nbits, dtype=bool)
+        bools[generator.choice(nbits, nbits // 10, replace=False)] = True
+        return BitVector.from_bools(bools)
     if shape == "patchy":
         chunk = 1 << 16
         pieces = []

@@ -7,9 +7,13 @@ mode, and codec views that see index maintenance at once.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from conftest import shaped_vector
 from repro.bitmaps import compressed, wah
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
@@ -147,6 +151,81 @@ class TestCompressedBitmapSource:
             options=QueryOptions(verify=True),
         )
         assert result.count == int((rel.column("a").values <= 10).sum())
+
+
+# ----------------------------------------------------------------------
+# Kernel results stay loose until their resident size is asked for
+# ----------------------------------------------------------------------
+
+
+class TestLooseWahResults:
+    NBITS = 100_000
+
+    def _operands(self, shape):
+        x, y, z = (shaped_vector(self.NBITS, shape, seed) for seed in (11, 12, 13))
+        a, b, c = (WahBitVector.from_bitvector(v) for v in (x, y, z))
+        return (a, b, c), (x, y, z)
+
+    @pytest.mark.parametrize("shape", ["literal", "fill"])
+    def test_a_result_seals_once_and_only_at_its_first_nbytes(self, shape, monkeypatch):
+        """The mechanism: operators hand the aligned form on, and no result
+        is canonicalized until ``nbytes`` asks for its resident size."""
+        (a, b, c), (x, y, z) = self._operands(shape)
+        wants = [(x & y) | z, ~x, BitVector.threshold_many([x, y, z], 2)]
+        fresh = [WahBitVector.from_bitvector(want) for want in wants]
+        calls = []
+        canonical = wah._canonical
+
+        def counted(*args):
+            calls.append(1)
+            return canonical(*args)
+
+        for module in (wah, compressed):
+            monkeypatch.setattr(module, "_canonical", counted)
+        results = [(a & b) | c, ~a, WahBitVector.threshold_many([a, b, c], 2)]
+        for got, want, built in zip(results, wants, fresh):
+            assert got.count() == want.count()
+            assert np.array_equal(got.indices(), want.indices())
+            assert got.to_bitvector() == want
+            assert got.to_payload() == built.to_payload()
+            assert calls == []
+            assert got.nbytes == built.nbytes
+            assert len(calls) == 1
+            assert got.nbytes == built.nbytes
+            assert got.to_payload() == built.to_payload()
+            assert np.array_equal(got.indices(), want.indices())
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_concurrent_readers_of_a_loose_result_agree(self):
+        (a, b, c), (x, y, z) = self._operands("fill")
+        shared = WahBitVector.threshold_many([a, b ^ c, ~c], 2)
+        want = WahBitVector.from_bitvector(BitVector.threshold_many([x, y ^ z, ~z], 2))
+        assert shared._loose
+        start = threading.Barrier(8)
+
+        def read(turn: int):
+            start.wait()
+            views = [
+                lambda: shared.nbytes,
+                lambda: shared.to_payload(),
+                lambda: shared.compressed_bytes,
+                lambda: shared.indices().tobytes(),
+            ]
+            seen = {}
+            for i in range(4):  # each thread asks in its own order
+                view = (turn + i) % 4
+                seen[view] = views[view]()
+            return tuple(seen[view] for view in range(4))
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = list(pool.map(read, range(8)))
+        assert all(each == seen[0] for each in seen)
+        nbytes, payload, compressed_bytes, rids = seen[0]
+        assert nbytes == want.nbytes
+        assert payload == want.to_payload()
+        assert compressed_bytes == len(payload)
+        assert rids == want.indices().tobytes()
 
 
 # ----------------------------------------------------------------------

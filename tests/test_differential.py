@@ -12,7 +12,9 @@ deterministic.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,9 +650,14 @@ class TestBitmapConformance:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        # Up to four 65,536-row chunks: an exact multiple, a partial tail.
-        nbits=st.sampled_from([0, 1, 30, 31, 32, 62, 1000, 65_537, 131_072, 200_000]),
-        shapes=st.tuples(*[st.sampled_from(["literal", "fill", "sparse", "patchy"])] * 3),
+        # Up to four 65,536-row chunks: an exact multiple, a partial tail;
+        # word edges, and 248 bits: one 8-group row of WAH's group bytes.
+        nbits=st.sampled_from(
+            [0, 1, 30, 31, 32, 62, 63, 64, 65, 248, 249, 1000, 65_537, 131_072, 200_000]
+        ),
+        shapes=st.tuples(
+            *[st.sampled_from(["literal", "fill", "sparse", "tenth", "patchy"])] * 3
+        ),
         seed=st.integers(0, 2**31),
     )
     def test_every_kernel_matches_the_dense_oracle_whatever_the_operand_shape(
@@ -684,11 +691,38 @@ class TestBitmapConformance:
             assert got.to_bitvector() == want
             assert got.count() == want.count()
             assert np.array_equal(got.indices(), want.indices())
+            assert got.indices().dtype == np.int64
             assert np.array_equal(got.to_bools(), want.to_bools())
             # However it was computed, a result is stored as if built fresh.
-            assert got.to_payload() == cls.from_bitvector(want).to_payload()
+            fresh = cls.from_bitvector(want)
+            assert got.to_payload() == fresh.to_payload()
+            assert got.nbytes == fresh.nbytes
         assert a.and_count(b) == (x & y).count()
         assert a.and_count(c) == (x & z).count()
+
+    def test_materialize_calls_no_kernel(self, codec, cls, monkeypatch):
+        # ``indices()`` is timed apart from the kernels, whose calls are
+        # counted per query: materializing must not call one.
+        path = Path(__file__).parents[1] / "benchmarks" / "e2e" / "layers.py"
+        spec = importlib.util.spec_from_file_location("e2e_layers_kernels", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        vectors = list(_conformance_vectors())
+        bitmaps = [cls.from_bitvector(v) for v in vectors]
+        pairs = list(zip(bitmaps, vectors))
+        pairs += [(a & b, x & y) for (a, x), (b, y) in zip(pairs, pairs[1:]) if len(x) == len(y)]
+        pairs += [(~a, ~x) for a, x in pairs[:len(vectors)]]
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        for name in layers.KERNELS:
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, kernel)
+        with pytest.raises(AssertionError):
+            bitmaps[1].count()
+        for got, want in pairs:
+            assert np.array_equal(got.indices(), want.indices())
 
     @pytest.mark.parametrize("with_nulls", [False, True])
     @pytest.mark.parametrize("bases", [(2, 2, 2), (10, 10), (257,)])
