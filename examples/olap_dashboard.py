@@ -1,10 +1,11 @@
-"""An OLAP mini-dashboard: optimizer + bitmap indexes + bit-sliced aggregates.
+"""An OLAP mini-dashboard: plan costs + bitmap indexes + bit-sliced aggregates.
 
 Puts the whole library to work on one fact table:
 
 1. the multi-attribute allocator splits a disk budget across three
    dimension columns (Section 6-8 machinery, per column);
-2. the cost-based optimizer picks P1/P2/P3 per query (the introduction's
+2. the serving engine answers each dashboard query over the designed
+   indexes, priced beside it as plans P1 and P3 (the introduction's
    plan analysis);
 3. bit-sliced aggregation computes SUM/AVG/MIN/MAX of the measure column
    over each query's foundset without touching the relation;
@@ -18,12 +19,14 @@ Run:  python examples/olap_dashboard.py
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import AttributeSpec, BitSlicedAggregator, QueryEngine, allocate_budget
 from repro.bitmaps.bitvector import BitVector
-from repro.query.executor import bitmap_index_for
-from repro.query.optimizer import Catalog, choose_plan, execute_plan
+from repro.engine import IndexSpec
+from repro.query.plans import plan_p1_cost, plan_p3_bitmap_cost, plan_p3_ridlist_cost
 from repro.query.predicate import parse_predicate
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
@@ -63,50 +66,55 @@ def main() -> None:
               f"({design.budgets[name]} bitmaps)")
     print(f"  weighted expected scans/query: {design.expected_scans:.3f}\n")
 
-    catalog = Catalog(
-        bitmap_indexes={
-            name: bitmap_index_for(relation, name, base=design.indexes[name])
-            for name in design.indexes
-        },
-        rid_indexes={
-            name: RIDListIndex(relation.column(name).values)
-            for name in design.indexes
-        },
-    )
+    rid_indexes = {
+        name: RIDListIndex(relation.column(name).values) for name in design.indexes
+    }
     aggregator = BitSlicedAggregator.from_values(
         relation.column("amount").values
     )
 
-    # 2. + 3. Run dashboard queries through the optimizer and aggregate.
     queries = [
         ["store <= 99", "channel = 2"],
         ["product <= 24"],
         ["store = 17"],
         ["product >= 40", "channel <= 1"],
     ]
-    for texts in queries:
-        predicates = [parse_predicate(t) for t in texts]
-        choice = choose_plan(relation, predicates, catalog)
-        result, _ = execute_plan(relation, predicates, catalog, choice=choice)
-        foundset = BitVector.from_indices(relation.num_rows, result.rids)
-        label = " AND ".join(texts)
-        print(f"query: {label}")
-        print(f"  plan: {choice}")
-        if result.count:
-            print(f"  rows: {result.count:,}   "
-                  f"SUM(amount) = {aggregator.sum(foundset):,}   "
-                  f"AVG = {aggregator.average(foundset):,.1f}   "
-                  f"MIN = {aggregator.minimum(foundset)}   "
-                  f"MAX = {aggregator.maximum(foundset)}")
-        else:
-            print("  rows: 0")
-        print()
-
-    # 4. The breakdown panel: per-channel counts of "interesting" sales
-    #    (at least 2 of 3 signals), pushed down to popcounts.
-    breakdown = "atleast(2, store <= 99, product <= 24, channel >= 2)"
     with QueryEngine(codec="wah") as engine:
-        engine.register(relation)
+        engine.register(
+            relation,
+            overrides={name: IndexSpec(base=base) for name, base in design.indexes.items()},
+        )
+        # 2. + 3. Answer the dashboard queries, price their plans, aggregate.
+        for texts in queries:
+            predicates = [parse_predicate(t) for t in texts]
+            result = engine.query(" and ".join(texts))
+            fetched = result.stats.scans + result.stats.buffer_hits
+            costs = [
+                plan_p1_cost(relation),
+                plan_p3_ridlist_cost(
+                    [rid_indexes[p.attribute] for p in predicates],
+                    [(p.op, p.value) for p in predicates],
+                ),
+                plan_p3_bitmap_cost(
+                    relation.num_rows, math.ceil(fetched / len(predicates)), len(predicates)
+                ),
+            ]
+            foundset = BitVector.from_indices(relation.num_rows, result.rids)
+            print(f"query: {' AND '.join(texts)}")
+            print("  plans: " + ", ".join(f"{c.plan}={c.bytes_read:,} B" for c in costs))
+            if result.count:
+                print(f"  rows: {result.count:,}   "
+                      f"SUM(amount) = {aggregator.sum(foundset):,}   "
+                      f"AVG = {aggregator.average(foundset):,.1f}   "
+                      f"MIN = {aggregator.minimum(foundset)}   "
+                      f"MAX = {aggregator.maximum(foundset)}")
+            else:
+                print("  rows: 0")
+            print()
+
+        # 4. The breakdown panel: per-channel counts of "interesting" sales
+        #    (at least 2 of 3 signals), pushed down to popcounts.
+        breakdown = "atleast(2, store <= 99, product <= 24, channel >= 2)"
         per_channel = engine.group_count(breakdown, by="channel")
         print(f"breakdown: {breakdown} by channel")
         print(f"  total rows: {per_channel.count:,} (no RIDs materialized)")

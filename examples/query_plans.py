@@ -1,10 +1,10 @@
 """The introduction's plan analysis, executed.
 
 Reproduces the paper's Section 1 scenario: a high-selectivity conjunctive
-selection over two attributes, evaluated as (P1) a full scan, (P2) one
-index plus a partial scan, and (P3) per-predicate index scans merged —
-with both RID-list and bitmap indexes — and shows the bitmap-vs-RID-list
-byte crossover at selectivity 1/32.
+selection over two attributes, answered by the query engine, then priced
+as (P1) a full scan, (P2) one index plus a partial scan, and (P3)
+per-predicate index scans merged — with both RID-list and bitmap indexes
+— and shows the bitmap-vs-RID-list byte crossover at selectivity 1/32.
 
 Run:  python examples/query_plans.py
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.query.executor import bitmap_index_for, conjunctive_select
+from repro import QueryEngine
 from repro.query.plans import (
     plan_p1_cost,
     plan_p2_cost,
@@ -47,11 +47,9 @@ def main() -> None:
     print(f"relation: N={relation.num_rows:,} rows, "
           f"{relation.row_bytes} bytes/row\n")
 
-    indexes = {
-        "priority": bitmap_index_for(relation, "priority"),
-        "month": bitmap_index_for(relation, "month"),
-    }
-    result = conjunctive_select(relation, [pred_a, pred_b], indexes)
+    with QueryEngine() as engine:
+        engine.register(relation)
+        result = engine.query(f"{pred_a} and {pred_b}")
     selectivity = result.count / relation.num_rows
     print(f"result: {result.count:,} rows (selectivity {selectivity:.1%}) — "
           f"a classic high-selectivity-factor DSS query\n")

@@ -1,8 +1,8 @@
 """The high-level Table API: design, query, aggregate, persist.
 
-Everything the other examples do by hand — index design, plan choice,
-expression evaluation, bit-sliced aggregation, storage — through the one
-object a downstream user would actually hold.
+Everything the other examples do by hand — index design, expression
+evaluation through the query engine, bit-sliced aggregation, storage —
+through the one object a downstream user would actually hold.
 
 Run:  python examples/table_api.py
 """
@@ -41,8 +41,6 @@ def main() -> None:
     )
     for name, base in sorted(bases.items()):
         print(f"index on {name:9s}: base {base}")
-    table.create_rid_index("customer")
-    table.analyze("total")
     print()
 
     queries = [
@@ -54,7 +52,9 @@ def main() -> None:
     for text in queries:
         rids = table.select(text)
         print(f"{text!r}")
-        print(f"  plan: {table.explain(text)}")
+        report = table.engine.explain(text)
+        print(f"  plan: {report.plan}, {report.predicted_scans} bitmap scans "
+              f"predicted, {report.effective_fetches} fetched")
         print(f"  rows: {len(rids):,}")
         if len(rids):
             print(f"  SUM(total) = {table.aggregate('total', 'sum', where=text):,}"

@@ -1,10 +1,14 @@
-"""Query layer: selection predicates, access plans, and a verifying executor.
+"""Query layer: selection predicates, plan costs, and a verifying executor.
 
 Grounds the paper's introduction: the three conventional plans for a
 high-selectivity conjunctive selection — (P1) full relation scan,
 (P2) one index scan plus a partial relation scan, (P3) per-predicate index
-scans merged — with byte-read accounting, so the bitmap-vs-RID-list
-crossover analysis (``N <= 32 n``) is executable.
+scans merged — priced in bytes read (:mod:`repro.query.plans`), so the
+bitmap-vs-RID-list crossover analysis (``N <= 32 n``) is executable.
+Queries themselves run one pipeline, P3 over bitmaps
+(:func:`repro.query.expression.run_query`), which
+:class:`~repro.engine.engine.QueryEngine` and the
+:class:`~repro.table.Table` that queries through it serve.
 """
 
 from repro.query.predicate import AttributePredicate, parse_predicate

@@ -12,7 +12,6 @@ unmodified.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,7 @@ import numpy as np
 from repro.core.evaluation import Predicate, evaluate
 from repro.core.index import BitmapIndex, BitmapSource
 from repro.errors import InvalidPredicateError, VerificationError
-from repro.query.expression import And, run_query
-from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
+from repro.query.options import VERIFYING_OPTIONS, QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.projection import ProjectionIndex
 from repro.relation.relation import Relation
@@ -142,20 +140,3 @@ def bitmap_index_for(relation: Relation, attribute: str, **kwargs) -> BitmapInde
     column = relation.column(attribute)
     return BitmapIndex(column.codes, cardinality=column.cardinality, **kwargs)
 
-
-def conjunctive_select(
-    relation: Relation,
-    predicates: list[AttributePredicate],
-    indexes: dict[str, BitmapSource],
-    verify: bool = True,
-) -> QueryResult:
-    """Plan P3 with bitmap indexes: per-predicate evaluation, AND-merged.
-
-    Every predicate attribute must have a bitmap index in ``indexes``.
-    """
-    if not predicates:
-        raise InvalidPredicateError("need at least one predicate")
-    conjunction = functools.reduce(And, map(normalize_query, predicates))
-    stats = ExecutionStats()
-    rids = run_query(relation, conjunction, indexes, stats, verify=verify)
-    return QueryResult(rids=rids, access_path=AccessPath.BITMAP, stats=stats)

@@ -1,8 +1,8 @@
 """The unified tuning surface of the query layer.
 
-Before this module, each of the four query entry points — the verifying
-executor, the boolean expression tree, the plan optimizer, and the serving
-engine — grew its own keyword sprawl (``verify=``, ``algorithm=``,
+Before this module, each query entry point — the verifying executor, the
+boolean expression tree, and the serving engine — grew its own keyword
+sprawl (``verify=``, ``algorithm=``,
 ``workers=``, …).  :class:`QueryOptions` is the one dataclass they all
 accept; the scattered legacy keywords have been removed after their
 deprecation cycle.
@@ -28,7 +28,7 @@ from repro.trace import QueryTrace
 
 @dataclass(frozen=True)
 class QueryOptions:
-    """Tuning flags shared by executor, optimizer, and engine.
+    """Tuning flags shared by executor, expression tree, and engine.
 
     Attributes
     ----------
@@ -113,8 +113,8 @@ class QueryOptions:
 #: Shared default instance (options are immutable, so one is enough).
 DEFAULT_OPTIONS = QueryOptions()
 
-#: Default for the standalone entry points (executor, select,
-#: execute_plan), which cross-check against a scan unless told otherwise.
+#: Default for the standalone entry points (executor, select), which
+#: cross-check against a scan unless told otherwise.
 VERIFYING_OPTIONS = QueryOptions(verify=True)
 
 

@@ -2,8 +2,9 @@
 
 Provides the relational objects the paper's introduction and Section 9
 reason about: typed columns with dictionaries, relations, the conventional
-RID-list index (the baseline of the paper's plan-cost analysis), and the
-projection index (footnote 5 of Section 9.1).
+RID-list index (the baseline of the paper's plan-cost analysis in
+:mod:`repro.query.plans`), and the projection index (footnote 5 of
+Section 9.1).
 """
 
 from repro.relation.column import Column

@@ -1,18 +1,16 @@
-"""The user-facing table: columns + indexes + statistics + queries.
+"""The user-facing table: columns + indexes + queries.
 
 :class:`Table` is the adoption surface of the library — the object a
-downstream user works with, wrapping the substrates the reproduction is
-built from:
+downstream user works with, and a client of the one query pipeline,
+:class:`~repro.engine.engine.QueryEngine`:
 
 - columns live in a :class:`~repro.relation.relation.Relation`;
 - bitmap indexes are designed by the paper's machinery (knee by default,
-  or any Section 6–8 objective) and built per attribute;
-- equi-depth histograms and RID-list indexes feed the cost-based plan
-  optimizer;
-- ``select`` accepts full boolean expressions (AND/OR/NOT/IN/BETWEEN) and
-  routes them through the best machinery available: conjunctions of
-  comparisons go through the P1/P2/P3 optimizer, general expressions
-  through bitmap algebra;
+  or any Section 6–8 objective); each design is registered with the
+  table's own engine, which builds the index on its first query;
+- ``select`` and ``explain`` accept full boolean expressions
+  (AND/OR/XOR/NOT/IN/BETWEEN/ATLEAST): the engine answers one whose
+  attributes are all indexed, a full scan the rest;
 - ``aggregate`` computes SUM/COUNT/AVG/MIN/MAX through bit slices;
 - ``save``/``load`` persist columns and index designs as one checksummed,
   crash-atomically written file.
@@ -46,18 +44,12 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
 from repro.core.multi import AttributeSpec, allocate_budget
-from repro.errors import FileMissingError, ReproError
-from repro.query.expression import (
-    And,
-    Comparison,
-    Expression,
-    parse_expression,
-)
-from repro.query.optimizer import Catalog, choose_plan, execute_plan
+from repro.engine.engine import QueryEngine
+from repro.engine.registry import IndexSpec
+from repro.errors import FileMissingError, InvalidBaseError, ReproError
+from repro.query.expression import Expression, parse_expression
 from repro.query.options import QueryOptions
-from repro.relation.histogram import EquiDepthHistogram
 from repro.relation.relation import Relation
-from repro.relation.rid_index import RIDListIndex
 from repro.stats import ExecutionStats
 from repro.storage.fsdisk import atomic_write, frame, unframe
 
@@ -71,11 +63,16 @@ class TableError(ReproError):
 
 
 class Table:
-    """A queryable table with paper-designed bitmap indexes."""
+    """A queryable table with paper-designed bitmap indexes.
+
+    ``engine`` is the table's own :class:`~repro.engine.engine.QueryEngine`
+    (engine defaults), serving the indexed attributes of ``relation``.
+    """
 
     def __init__(self, name: str, data: dict[str, np.ndarray]):
         self.relation = Relation.from_dict(name, data)
-        self.catalog = Catalog()
+        self.engine = QueryEngine()
+        self._designs: dict[str, IndexSpec] = {}
         self._aggregators: dict[str, BitSlicedAggregator] = {}
 
     @property
@@ -101,43 +98,42 @@ class Table:
         objective: str = "knee",
         space_budget: int | None = None,
     ) -> BitmapIndex:
-        """Build (and register) a bitmap index over one attribute.
+        """Register a bitmap index over one attribute and build it.
 
         Without an explicit ``base`` the advisor designs one from the
         column's cardinality: the knee by default, or any
         :func:`repro.core.advisor.recommend` objective, optionally under a
-        per-attribute ``space_budget``.
+        per-attribute ``space_budget``.  The design replaces any earlier
+        one of the attribute; the engine builds and serves the index.
         """
-        column = self.relation.column(attribute)
         if base is None:
-            design = recommend(
-                column.cardinality,
+            base = recommend(
+                self.relation.column(attribute).cardinality,
                 space_budget=space_budget,
                 objective=objective,
+            ).base
+        self._register(attribute, IndexSpec(base=base, encoding=encoding))
+        return self.engine._index_for(self.name, attribute)
+
+    def _register(self, attribute: str, spec: IndexSpec) -> None:
+        """Serve ``attribute`` through the engine with design ``spec``.
+
+        Nothing is built here: the engine builds the index on the first
+        query that reads the attribute.  A design the column cannot take
+        is refused now, not at that query.
+        """
+        cardinality = self.relation.column(attribute).cardinality
+        if cardinality < 2 or not spec.base.covers(cardinality):
+            raise InvalidBaseError(
+                f"base {spec.base} cannot index {attribute!r} "
+                f"(cardinality {cardinality})"
             )
-            base = design.base
-        index = BitmapIndex(
-            column.codes,
-            cardinality=column.cardinality,
-            base=base,
-            encoding=encoding,
+        if attribute in self._designs:
+            self.engine.invalidate(self.name, attribute)
+        self._designs[attribute] = spec
+        self.engine.register(
+            self.relation, attributes=sorted(self._designs), overrides=self._designs
         )
-        self.catalog.bitmap_indexes[attribute] = index
-        return index
-
-    def create_rid_index(self, attribute: str) -> RIDListIndex:
-        """Build (and register) the conventional RID-list index."""
-        index = RIDListIndex(self.relation.column(attribute).values)
-        self.catalog.rid_indexes[attribute] = index
-        return index
-
-    def analyze(self, attribute: str, buckets: int = 16) -> EquiDepthHistogram:
-        """Build (and register) an equi-depth histogram for the optimizer."""
-        histogram = EquiDepthHistogram(
-            self.relation.column(attribute).values, buckets
-        )
-        self.catalog.histograms[attribute] = histogram
-        return histogram
 
     def design_indexes(
         self,
@@ -176,58 +172,31 @@ class Table:
         stats: ExecutionStats | None = None,
         verify: bool = True,
     ) -> np.ndarray:
-        """RIDs satisfying a boolean expression, via the best available path.
+        """RIDs satisfying a boolean expression.
 
-        Conjunctions of simple comparisons go through the cost-based
-        P1/P2/P3 optimizer; other expressions evaluate through bitmap
-        algebra when every referenced attribute has a bitmap index, and
-        fall back to a verified full scan otherwise.
+        The table's engine answers an expression whose attributes are all
+        indexed (verified against a scan unless ``verify=False``); any
+        other expression is answered by a full scan.
         """
         if isinstance(expression, str):
             expression = parse_expression(expression)
-
-        predicates = _flatten_conjunction(expression)
-        if predicates is not None:
-            result, _ = execute_plan(
-                self.relation,
-                predicates,
-                self.catalog,
-                options=QueryOptions(verify=verify),
-            )
-            if stats is not None:
-                stats.merge(result.stats)
-            return result.rids
-
-        covered = all(
-            attr in self.catalog.bitmap_indexes
-            for attr in expression.attributes()
-        )
-        if covered:
-            from repro.query.expression import select as expression_select
-
-            return expression_select(
-                self.relation,
-                expression,
-                self.catalog.bitmap_indexes,
-                stats=stats,
-                options=QueryOptions(verify=verify),
-            )
-        return np.nonzero(expression.mask(self.relation))[0]
+        if not self._covers(expression):
+            return np.nonzero(expression.mask(self.relation))[0]
+        result = self.engine.query(expression, options=QueryOptions(verify=verify))
+        if stats is not None:
+            stats.merge(result.stats)
+        return result.rids
 
     def explain(self, expression: Expression | str) -> str:
-        """A one-line description of how ``select`` would run."""
+        """How ``select`` runs: the engine's EXPLAIN report, or the scan note."""
         if isinstance(expression, str):
             expression = parse_expression(expression)
-        predicates = _flatten_conjunction(expression)
-        if predicates is not None:
-            return str(choose_plan(self.relation, predicates, self.catalog))
-        covered = all(
-            attr in self.catalog.bitmap_indexes
-            for attr in expression.attributes()
-        )
-        if covered:
-            return "bitmap expression evaluation"
-        return "full scan (missing bitmap indexes)"
+        if not self._covers(expression):
+            return "full scan (missing bitmap indexes)"
+        return str(self.engine.explain(expression))
+
+    def _covers(self, expression: Expression) -> bool:
+        return expression.attributes() <= self._designs.keys()
 
     def aggregate(
         self,
@@ -281,8 +250,9 @@ class Table:
         magic ``\\x89RBT``) written crash-atomically: a JSON manifest line
         (name, column names, each index's base and encoding), then every
         column as ``.npy`` bytes in manifest order.  Of an index only its
-        design is written: :meth:`load` rebuilds the bitmaps from the
-        columns.  Missing parent directories are created.
+        design is written: the loaded table's engine builds the bitmaps
+        from the columns on first use.  Missing parent directories are
+        created.
         """
         columns = sorted(self.relation.columns)
         manifest = {
@@ -290,10 +260,10 @@ class Table:
             "columns": columns,
             "indexed": {
                 attribute: {
-                    "base": list(index.base.bases),
-                    "encoding": index.encoding.value,
+                    "base": list(spec.base.bases),
+                    "encoding": spec.encoding.value,
                 }
-                for attribute, index in self.catalog.bitmap_indexes.items()
+                for attribute, spec in self._designs.items()
             },
         }
         stream = BytesIO()
@@ -308,8 +278,10 @@ class Table:
     def load(cls, path: str) -> "Table":
         """Inverse of :meth:`save`.
 
-        Bitmap indexes are rebuilt from the persisted columns against the
-        persisted design (base + encoding).  A missing file raises
+        The persisted designs (base + encoding) are registered with the
+        loaded table's engine, and no bitmap is built: each index is built
+        from the columns on the first query that reads it.  A missing file
+        raises
         :class:`~repro.errors.FileMissingError`, a torn or bit-flipped one
         :class:`~repro.errors.CorruptFileError`, and an intact frame
         around a malformed manifest or column :class:`TableError`.
@@ -331,10 +303,12 @@ class Table:
                 raise ValueError(f"{len(body) - stream.tell()} bytes after the last column")
             table = cls(manifest["name"], data)
             for attribute, design in manifest["indexed"].items():
-                table.create_index(
+                table._register(
                     attribute,
-                    base=Base(tuple(design["base"])),
-                    encoding=EncodingScheme(design["encoding"]),
+                    IndexSpec(
+                        base=Base(tuple(design["base"])),
+                        encoding=EncodingScheme(design["encoding"]),
+                    ),
                 )
         except (AttributeError, EOFError, KeyError, TypeError, ValueError) as exc:
             raise TableError(f"{path}: malformed table file: {exc!r}") from exc
@@ -344,17 +318,6 @@ class Table:
         return (
             f"Table({self.name!r}, rows={self.num_rows}, "
             f"columns={self.column_names()}, "
-            f"indexed={sorted(self.catalog.bitmap_indexes)})"
+            f"indexed={sorted(self._designs)})"
         )
 
-
-def _flatten_conjunction(expression: Expression) -> list[Comparison] | None:
-    """The comparisons of a pure AND tree, or ``None`` if it is not one."""
-    if isinstance(expression, Comparison):
-        return [expression]
-    if isinstance(expression, And):
-        left = _flatten_conjunction(expression.left)
-        right = _flatten_conjunction(expression.right)
-        if left is not None and right is not None:
-            return left + right
-    return None

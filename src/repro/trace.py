@@ -23,7 +23,7 @@ Span kinds, by layer:
 ========  ==============================================================
 kind      emitted by
 ========  ==============================================================
-plan      engine mode/access-path selection, optimizer plan choice
+plan      engine mode/access-path selection (``engine.dispatch``)
 phase     pipeline phases (evaluate, materialize or aggregate.pushdown,
           verify; translate in the standalone executor)
 fetch     physical bitmap reads (in-memory index, BS/CS/IS files)

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.bitmaps.bitvector import BitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
+from repro.query.expression import And, Between, Comparison, In, Not, Or, Threshold, Xor
+
+#: ``--hypothesis-profile=ci`` runs tests that leave ``max_examples`` unset
+#: (the model-based oracle) longer than the default profile tier-1 uses.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture
@@ -82,4 +89,39 @@ def make_index(
     null_mask = generator.random(num_rows) < 0.1 if nulls else None
     return BitmapIndex(
         values, cardinality, base=base, encoding=encoding, nulls=null_mask
+    )
+
+
+def expression_leaves(constants: dict[str, tuple]):
+    """Comparison, IN and BETWEEN leaves over ``{attribute: constants}``."""
+    ops = st.sampled_from(("<", "<=", "=", "!=", ">=", ">"))
+    per_attribute = []
+    for attribute, values in constants.items():
+        value = st.sampled_from(values)
+        per_attribute += [
+            st.builds(Comparison, st.just(attribute), ops, value),
+            st.builds(
+                In, st.just(attribute), st.lists(value, min_size=1, max_size=3).map(tuple)
+            ),
+            st.builds(Between, st.just(attribute), value, value),
+        ]
+    return st.one_of(per_attribute)
+
+
+def expression_trees(constants: dict[str, tuple], depth: int):
+    """Expression trees of every node type, at most ``depth`` connectives deep."""
+    if depth == 0:
+        return expression_leaves(constants)
+    sub = expression_trees(constants, depth - 1)
+    return st.one_of(
+        sub,
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Xor, sub, sub),
+        st.builds(Not, sub),
+        st.builds(
+            Threshold,
+            st.integers(0, 4),
+            st.lists(sub, min_size=1, max_size=3).map(tuple),
+        ),
     )

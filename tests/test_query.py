@@ -11,9 +11,10 @@ from repro.query.executor import (
     AccessPath,
     VerificationError,
     bitmap_index_for,
-    conjunctive_select,
     execute,
 )
+from repro.query.expression import And, Comparison, run_query, select
+from repro.query.options import QueryOptions
 from repro.query.plans import (
     plan_p1_cost,
     plan_p2_cost,
@@ -25,6 +26,7 @@ from repro.query.predicate import AttributePredicate, parse_predicate
 from repro.relation.projection import ProjectionIndex
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
+from repro.stats import ExecutionStats
 
 
 @pytest.fixture
@@ -133,36 +135,68 @@ class TestExecutor:
 
 
 class TestConjunctiveSelect:
+    """Plan P3 over bitmaps: one index scan per predicate, AND-merged."""
+
     def test_two_predicates(self, relation):
         indexes = {
             "quantity": bitmap_index_for(relation, "quantity"),
             "price": bitmap_index_for(relation, "price"),
         }
-        predicates = [
-            parse_predicate("quantity <= 25"),
-            parse_predicate("price <= 50.0"),
-        ]
-        result = conjunctive_select(relation, predicates, indexes)
+        rids = select(relation, "quantity <= 25 and price <= 50.0", indexes)
         mask = (relation.column("quantity").values <= 25) & (
             relation.column("price").values <= 50.0
         )
-        assert result.count == int(mask.sum())
+        assert np.array_equal(rids, np.nonzero(mask)[0])
 
     def test_single_predicate(self, relation):
         indexes = {"quantity": bitmap_index_for(relation, "quantity")}
-        result = conjunctive_select(
-            relation, [parse_predicate("quantity = 7")], indexes
-        )
-        assert result.count == len(relation.scan("quantity", "=", 7))
+        rids = select(relation, "quantity = 7", indexes)
+        assert np.array_equal(rids, relation.scan("quantity", "=", 7))
 
     def test_empty_predicates_rejected(self, relation):
         with pytest.raises(InvalidPredicateError):
-            conjunctive_select(relation, [], {})
+            select(relation, "", {})
 
     def test_missing_index_rejected(self, relation):
         with pytest.raises(InvalidPredicateError):
-            conjunctive_select(
-                relation, [parse_predicate("quantity = 7")], {}
+            select(relation, "quantity = 7", {})
+
+    def test_merge_is_charged_and_algorithm_reaches_every_leaf(self, rng):
+        relation = Relation.from_dict(
+            "facts", {"a": rng.integers(0, 50, 2000), "b": rng.integers(0, 8, 2000)}
+        )
+        indexes = {
+            "a": bitmap_index_for(relation, "a", base=Base((8, 7))),
+            "b": bitmap_index_for(relation, "b"),
+        }
+        charged = {}
+        for algorithm in ("auto", "range_eval"):
+            stats = ExecutionStats()
+            options = QueryOptions(algorithm=algorithm, verify=True)
+            select(relation, "a <= 20 and b > 3", indexes, stats, options=options)
+            charged[algorithm] = (stats.scans, stats.ands)
+        assert charged == {"auto": (3, 2), "range_eval": (5, 7)}
+
+    def test_parsed_select_counts_like_a_built_conjunction(self, rng):
+        relation = Relation.from_dict(
+            "facts", {"a": rng.integers(0, 50, 2000), "b": rng.integers(0, 8, 2000)}
+        )
+        indexes = {
+            "a": bitmap_index_for(relation, "a", base=Base((8, 7))),
+            "b": bitmap_index_for(relation, "b"),
+        }
+        conjunction = And(Comparison("a", "<=", 20), Comparison("b", ">", 3))
+        for algorithm in ("auto", "range_eval"):
+            expected = ExecutionStats()
+            rids = run_query(relation, conjunction, indexes, expected, algorithm=algorithm)
+            stats = ExecutionStats()
+            options = QueryOptions(algorithm=algorithm, verify=True)
+            selected = select(relation, "a <= 20 and b > 3", indexes, stats, options=options)
+            assert np.array_equal(selected, rids)
+            assert (stats.scans, stats.ands, stats.ops) == (
+                expected.scans,
+                expected.ands,
+                expected.ops,
             )
 
 

@@ -23,7 +23,6 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.core.decomposition import Base
@@ -45,21 +44,13 @@ from repro.engine.sharding import (
     translate_expression,
 )
 from repro.errors import CorruptShardError, EngineConfigError, ShmAttachError
-from repro.query.expression import (
-    And,
-    Between,
-    Comparison,
-    In,
-    Not,
-    Or,
-    Threshold,
-    Xor,
-    parse_expression,
-)
+from repro.query.expression import parse_expression
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.store import _HEADER, _index_attr_spec, _payload_start, _relation_chunks
+
+from conftest import expression_trees
 
 CODECS = ("dense", "wah", "roaring")
 SHARD_COUNTS = (1, 2, 7)  # 7 does not divide the test row counts
@@ -563,39 +554,8 @@ class TestEngineBackendDifferential:
             assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))
 
 
-def _leaves():
-    """Leaves with constants inside, at the ends of and outside each domain."""
-    constants = {"quantity": (-3, 0, 1, 25, 49, 50, 60), "region": (-1, 0, 3, 7, 8)}
-    ops = st.sampled_from(("<", "<=", "=", "!=", ">=", ">"))
-    per_attribute = []
-    for attribute, values in constants.items():
-        value = st.sampled_from(values)
-        per_attribute += [
-            st.builds(Comparison, st.just(attribute), ops, value),
-            st.builds(
-                In, st.just(attribute), st.lists(value, min_size=1, max_size=3).map(tuple)
-            ),
-            st.builds(Between, st.just(attribute), value, value),
-        ]
-    return st.one_of(per_attribute)
-
-
-def _trees(depth: int):
-    if depth == 0:
-        return _leaves()
-    sub = _trees(depth - 1)
-    return st.one_of(
-        sub,
-        st.builds(And, sub, sub),
-        st.builds(Or, sub, sub),
-        st.builds(Xor, sub, sub),
-        st.builds(Not, sub),
-        st.builds(
-            Threshold,
-            st.integers(0, 4),
-            st.lists(sub, min_size=1, max_size=3).map(tuple),
-        ),
-    )
+#: Constants inside, at the ends of and outside each column's domain.
+CONSTANTS = {"quantity": (-3, 0, 1, 25, 49, 50, 60), "region": (-1, 0, 3, 7, 8)}
 
 
 class TestCodeDomainTranslation:
@@ -610,7 +570,7 @@ class TestCodeDomainTranslation:
         }
 
     @settings(max_examples=40, deadline=None)
-    @given(expr=_trees(3))
+    @given(expr=expression_trees(CONSTANTS, 3))
     @example(
         expr=parse_expression(
             "quantity between 5 and 40 and (region = 1 or not region > 5)"

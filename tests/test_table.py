@@ -11,6 +11,8 @@ import pytest
 
 import repro.table as table_module
 from repro.core.decomposition import Base
+from repro.core.encoding import EncodingScheme
+from repro.core.index import BitmapIndex
 from repro.core.optimize import knee_base
 from repro.errors import (
     CorruptFileError,
@@ -45,7 +47,7 @@ class TestIndexManagement:
     def test_default_index_is_the_knee(self, table):
         index = table.create_index("region")
         assert index.base == knee_base(25)
-        assert "region" in table.catalog.bitmap_indexes
+        assert table.engine.registry.peek(("sales", "region")) is index
 
     def test_explicit_base(self, table):
         index = table.create_index("region", base=Base((5, 5)))
@@ -55,21 +57,13 @@ class TestIndexManagement:
         index = table.create_index("region", objective="space")
         assert index.base == Base.binary(25)
 
-    def test_rid_index(self, table):
-        index = table.create_rid_index("region")
-        assert index.cardinality == 25
-
-    def test_analyze_registers_histogram(self, table):
-        histogram = table.analyze("amount", buckets=8)
-        assert table.catalog.histograms["amount"] is histogram
-
     def test_design_indexes_under_budget(self, table):
         bases = table.design_indexes(
             40, weights={"region": 2.0}, attributes=["region", "channel"]
         )
         assert set(bases) == {"region", "channel"}
         total = sum(
-            table.catalog.bitmap_indexes[a].num_bitmaps for a in bases
+            table.engine.registry.peek(("sales", a)).num_bitmaps for a in bases
         )
         assert total <= 40
 
@@ -77,13 +71,21 @@ class TestIndexManagement:
         with pytest.raises(OptimizationError):
             table.design_indexes(2, attributes=["region", "channel"])
 
+    def test_recreated_index_replaces_the_served_one(self, table):
+        table.create_index("region", base=Base((5, 5)))
+        truth = table.select("region <= 10")
+        index = table.create_index("region", encoding=EncodingScheme.EQUALITY)
+        assert index.encoding is EncodingScheme.EQUALITY
+        assert table.engine.registry.peek(("sales", "region")) is index
+        assert np.array_equal(table.select("region <= 10"), truth)
+
     def test_repr(self, table):
         table.create_index("region")
         assert "region" in repr(table)
 
 
 class TestSelect:
-    def test_conjunction_goes_through_optimizer(self, table):
+    def test_conjunction_goes_through_the_engine(self, table):
         table.create_index("region")
         table.create_index("channel")
         rids = table.select("region <= 10 and channel = 2")
@@ -92,7 +94,7 @@ class TestSelect:
             values.column("channel").values == 2
         )
         assert np.array_equal(rids, _truth(table, mask))
-        assert "P" in table.explain("region <= 10 and channel = 2")
+        assert table.explain("region <= 10 and channel = 2").startswith("EXPLAIN")
 
     def test_general_expression_uses_bitmaps(self, table):
         table.create_index("region")
@@ -103,15 +105,29 @@ class TestSelect:
         c = table.relation.column("channel").values
         mask = np.isin(r, [1, 5, 9]) | ~(c <= 2)
         assert np.array_equal(rids, _truth(table, mask))
-        assert table.explain(text) == "bitmap expression evaluation"
+        assert table.explain(text).startswith("EXPLAIN")
+
+    def test_covered_select_is_recorded_by_the_engine(self, table):
+        table.create_index("region")
+        before = table.engine.snapshot()["queries"]
+        table.select("region <= 10")
+        assert table.engine.snapshot()["queries"] == before + 1
+        table.select("amount <= 10")  # not covered: a scan, not the engine
+        assert table.engine.snapshot()["queries"] == before + 1
+        assert "engine.dispatch" in table.explain("region <= 10")
 
     def test_missing_index_falls_back_to_scan(self, table):
-        # 'amount' has no index; a disjunction referencing it scans.
-        text = "amount <= 100 or amount >= 900"
-        rids = table.select(text)
+        # 'amount' has no index; an expression referencing it scans, even
+        # a conjunction whose other side is indexed.
+        table.create_index("region")
         a = table.relation.column("amount").values
-        assert np.array_equal(rids, _truth(table, (a <= 100) | (a >= 900)))
-        assert "full scan" in table.explain(text)
+        r = table.relation.column("region").values
+        for text, mask in (
+            ("amount <= 100 or amount >= 900", (a <= 100) | (a >= 900)),
+            ("region <= 10 and amount <= 5", (r <= 10) & (a <= 5)),
+        ):
+            assert np.array_equal(table.select(text), _truth(table, mask))
+            assert "full scan" in table.explain(text)
 
     def test_stats_merged(self, table):
         table.create_index("region")
@@ -201,11 +217,29 @@ class TestPersistence:
         loaded = Table.load(path)
         assert loaded.num_rows == table.num_rows
         assert loaded.column_names() == table.column_names()
-        assert set(loaded.catalog.bitmap_indexes) == {"region", "channel"}
-        assert loaded.catalog.bitmap_indexes["channel"].base == Base((4,))
+        assert "indexed=['channel', 'region']" in repr(loaded)
         original = table.select("region <= 10 and channel = 2")
         restored = loaded.select("region <= 10 and channel = 2")
         assert np.array_equal(original, restored)
+        assert loaded.engine.registry.peek(("sales", "channel")).base == Base((4,))
+
+    def test_load_builds_no_index_until_the_first_query(self, table, path, monkeypatch):
+        table.create_index("region")
+        table.create_index("channel", base=Base((4,)))
+        table.save(path)
+        truth = table.select("region <= 10")
+        built = []
+        init = BitmapIndex.__init__
+
+        def counting_init(index, *args, **kwargs):
+            built.append(index)
+            init(index, *args, **kwargs)
+
+        monkeypatch.setattr(BitmapIndex, "__init__", counting_init)
+        loaded = Table.load(path)
+        assert built == []
+        assert np.array_equal(loaded.select("region <= 10"), truth)
+        assert built == [loaded.engine.registry.peek(("sales", "region"))]
 
     def test_load_bad_manifest(self, table, path):
         table.create_index("region")

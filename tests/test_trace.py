@@ -26,12 +26,6 @@ from repro.engine.engine import IndexSpec, QueryEngine
 from repro.errors import QueryTimeoutError
 from repro.query.executor import AccessPath, bitmap_index_for, execute
 from repro.query.expression import Comparison, Expression, parse_expression, select
-from repro.query.optimizer import (
-    PLAN_BITMAP_MERGE,
-    Catalog,
-    PlanChoice,
-    execute_plan,
-)
 from repro.query.options import QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -175,7 +169,7 @@ class TestQueryTrace:
         assert outer.duration >= inner.duration
 
 
-class TestExecutorAndOptimizerTracing:
+class TestStandaloneEntryPointTracing:
     def test_executor_options_trace(self, relation):
         index = bitmap_index_for(relation, "quantity")
         result = execute(
@@ -190,28 +184,8 @@ class TestExecutorAndOptimizerTracing:
         assert "materialize" in names
         assert "verify" in names
 
-    def test_optimizer_records_plan_choice(self, relation):
-        catalog = Catalog(
-            bitmap_indexes={
-                "quantity": bitmap_index_for(relation, "quantity"),
-                "region": bitmap_index_for(relation, "region"),
-            }
-        )
-        predicates = [
-            AttributePredicate("quantity", "<=", 10),
-            AttributePredicate("region", "=", 3),
-        ]
-        result, choice = execute_plan(
-            relation, predicates, catalog, options=QueryOptions(trace=True)
-        )
-        plan_spans = result.trace.spans_of("plan")
-        selected = [s for s in plan_spans if s.name == "plan.selected"]
-        assert len(selected) == 1
-        assert selected[0].attrs["plan"] == choice.plan
-        assert selected[0].attrs["alternatives"] == choice.alternatives
-
     def test_deadline_reaches_every_standalone_entry_point(self, relation):
-        # One per-query record for the four doors (QueryOptions.new_stats):
+        # One per-query record for the standalone doors (QueryOptions.new_stats):
         # a spent budget stops each at the evaluator seam, not just execute.
         indexes = {
             "quantity": bitmap_index_for(relation, "quantity"),
@@ -224,13 +198,6 @@ class TestExecutorAndOptimizerTracing:
                 relation, predicate, AccessPath.BITMAP, indexes["quantity"], options=o
             ),
             "select": lambda o: select(relation, "quantity <= 10", indexes, options=o),
-            "execute_plan": lambda o: execute_plan(
-                relation,
-                [predicate],
-                Catalog(bitmap_indexes=indexes),
-                PlanChoice(PLAN_BITMAP_MERGE, 0, {}),
-                options=o,
-            ),
         }
         for door in doors.values():
             with pytest.raises(QueryTimeoutError, match="evaluate"):
