@@ -14,7 +14,11 @@ Besides the shared algebra every class answers the same five names:
 (through the dense form; the identity on ``BitVector``) and ``to_payload``
 / ``from_payload(buf, nbits)`` (the stored bytes of ``.rbix`` files,
 shared-memory shard segments and BS scheme files; a payload whose own
-length field disagrees with ``nbits`` is rejected).
+length field disagrees with ``nbits`` is rejected).  Two private names
+serve the index store's writer, which builds no bitmap at all:
+``_layout(column)`` lays a column of per-row values out in the class's
+word geometry, and ``_pack(members, nbits)`` packs a comparison over that
+layout straight into the class's words and payload.
 
 The Section 9 *byte-stream* codecs that compress whole scheme files
 (zlib among them) are a different decision and live with that experiment,

@@ -29,6 +29,22 @@ def _words_needed(nbits: int) -> int:
     return (nbits + _WORD_BITS - 1) // _WORD_BITS
 
 
+def _packed(members: np.ndarray, nbytes: int) -> np.ndarray:
+    """Boolean ``members`` packed little-endian into ``nbytes`` bytes (at
+    least ``ceil(len / 8)``), zero past them, as ``uint8``.
+
+    The one bit packer of the three bitmap classes: a column laid out in a
+    codec's word geometry (:meth:`BitVector._layout` and its counterparts)
+    packs straight into that codec's words.  What falls short of whole
+    words grows in place, zero-filled — one allocation, not ``packbits``,
+    a zeroed buffer and a copy.
+    """
+    packed = np.packbits(members, bitorder="little")
+    if len(packed) < nbytes:
+        packed.resize(nbytes, refcheck=False)  # ours alone: nothing else refers to it
+    return packed
+
+
 def _count_bits(words: np.ndarray, axis: int | None = None):
     """Set bits of an unsigned array: of all of it, or summed along ``axis``.
 
@@ -162,12 +178,20 @@ class BitVector:
     def from_bools(cls, bools: np.ndarray) -> "BitVector":
         """Build a vector from a boolean numpy array (bit ``i`` = ``bools[i]``)."""
         bools = np.asarray(bools, dtype=bool)
-        nbits = len(bools)
-        nwords = _words_needed(nbits)
-        packed = np.packbits(bools, bitorder="little")
-        buf = np.zeros(nwords * 8, dtype=np.uint8)
-        buf[: len(packed)] = packed
-        return cls(nbits, buf.view(np.uint64))
+        return cls(len(bools), cls._pack(bools, len(bools)).view(np.uint64))
+
+    @staticmethod
+    def _layout(column: np.ndarray) -> np.ndarray:
+        """A column of per-row values in this codec's word geometry: as it
+        is, since row ``i`` is bit ``i`` of the packed words."""
+        return column
+
+    @staticmethod
+    def _pack(members: np.ndarray, nbits: int) -> np.ndarray:
+        """The payload of the bitmap whose rows are the true cells of
+        ``members``, a comparison over a :meth:`_layout` of ``nbits`` rows:
+        the padded words themselves, as ``uint8``."""
+        return _packed(members, 8 * _words_needed(nbits))
 
     @classmethod
     def from_bitvector(cls, vector: "BitVector") -> "BitVector":

@@ -10,8 +10,14 @@ run-structured bitmaps an AND costs time proportional to the number of
 word-aligned codecs the standard for bitmap indexes after the paper — and
 on incompressible ones it is a word-parallel pass over the groups.  The
 byte payload of the WAH format exists only at the boundary:
-:meth:`WahBitVector.from_payload` parses and validates it once,
+:meth:`WahBitVector.from_payload` parses and validates it once
+(:func:`~repro.bitmaps.wah._parse_runs`, where payload words are read),
 :meth:`WahBitVector.to_payload` encodes it; no kernel touches bytes.
+The index store's writer makes payloads without a vector at all:
+``WahBitVector._layout`` lays a digit column out as one 31-bit group per
+row, and ``WahBitVector._pack`` packs a slot's comparison over it
+straight into ``uint32`` groups and on to the payload words
+(:func:`~repro.bitmaps.wah._payload_words`, where they are made).
 
 The class mirrors enough of the :class:`BitVector` surface — ``zeros`` /
 ``ones`` constructors, ``count``, ``indices``, ``to_bools``, ``copy``,
@@ -35,8 +41,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.bitmaps.bitvector import BitVector, _bit_positions
+from repro.bitmaps.bitvector import BitVector, _bit_positions, _packed
 from repro.bitmaps.wah import (
+    _GROUP_BITS,
+    _LITERAL_MASK,
     Runs,
     _and_popcount,
     _bytes_from_groups,
@@ -45,10 +53,13 @@ from repro.bitmaps.wah import (
     _encode_runs,
     _expand,
     _expected_groups,
+    _group_form,
+    _group_runs,
     _groups_from_bytes,
     _not,
     _ones_runs,
     _parse_runs,
+    _payload_words,
     _popcount,
     _threshold,
     wah_word_count,
@@ -121,8 +132,36 @@ class WahBitVector:
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "WahBitVector":
         """Compress an uncompressed vector."""
-        groups = _groups_from_bytes(vector.to_bytes())
-        return cls(_canonical((groups, None), len(groups)), vector.nbits)
+        return cls(_group_form(_groups_from_bytes(vector.to_bytes())), vector.nbits)
+
+    @staticmethod
+    def _layout(column: np.ndarray) -> np.ndarray:
+        """A column of per-row values in this codec's word geometry: an
+        ``(ngroups, 32)`` grid, one 31-bit group per row and a dead last
+        column.  The dead column and the cells past the column's end are
+        left as they are; :meth:`_pack` clears their bits."""
+        nbits = len(column)
+        grid = np.empty((_groups_for(nbits), _GROUP_BITS + 1), dtype=column.dtype)
+        full, rest = divmod(nbits, _GROUP_BITS)
+        grid[:full, :_GROUP_BITS] = column[: full * _GROUP_BITS].reshape(full, _GROUP_BITS)
+        if rest:
+            grid[full, :rest] = column[full * _GROUP_BITS :]
+        return grid
+
+    @staticmethod
+    def _pack(members: np.ndarray, nbits: int) -> np.ndarray:
+        """The payload of the bitmap whose rows are the true cells of
+        ``members``, a comparison over a :meth:`_layout` of ``nbits`` rows,
+        as ``uint8``: the packed grid is the ``uint32`` groups, bit 31 and
+        the bits past ``nbits`` are masked off, and one scan of the groups
+        emits the fill and literal words."""
+        groups = _packed(members, 0).view("<u4")
+        groups &= np.uint32(_LITERAL_MASK)
+        full, rest = divmod(nbits, _GROUP_BITS)
+        groups[full : full + 1] &= np.uint32((1 << rest) - 1)
+        groups[full + 1 :] = 0
+        values, lengths = _group_runs(groups)
+        return _payload_words(values, lengths, (nbits + 7) // 8).view(np.uint8)
 
     def _octets(self) -> np.ndarray:
         """The bits as ``(nbits + 7) // 8`` little-endian bytes."""

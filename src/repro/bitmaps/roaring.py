@@ -114,6 +114,7 @@ from repro.bitmaps.bitvector import (
     BitVector,
     _bit_positions,
     _count_bits,
+    _packed,
     _ripple_threshold,
 )
 from repro.errors import CorruptFileError, LengthMismatchError
@@ -663,8 +664,26 @@ class RoaringBitmap:
 
     @classmethod
     def from_bools(cls, bools: np.ndarray) -> "RoaringBitmap":
-        """Build from a boolean array (bit ``i`` = ``bools[i]``)."""
-        return cls.from_bitvector(BitVector.from_bools(np.asarray(bools, bool)))
+        """Build from a boolean array (bit ``i`` = ``bools[i]``): packed
+        straight into whole chunks of words, sealed."""
+        bools = np.asarray(bools, dtype=bool)
+        nbits, nchunks = len(bools), _num_chunks(len(bools))
+        rows = _packed(bools, nchunks * BITMAP_NBYTES).view(np.uint64)
+        keys = np.arange(nchunks, dtype=np.uint16)
+        return cls(nbits, _Rows(keys, rows.reshape(nchunks, BITMAP_WORDS)).seal())
+
+    @staticmethod
+    def _layout(column: np.ndarray) -> np.ndarray:
+        """A column of per-row values in this codec's word geometry: as it
+        is, since chunk ``k`` is rows ``65536 k`` on, padded when packed."""
+        return column
+
+    @classmethod
+    def _pack(cls, members: np.ndarray, nbits: int) -> bytes:
+        """The payload of the bitmap whose rows are the true cells of
+        ``members``, a comparison over a :meth:`_layout` of ``nbits`` rows:
+        the word rows sealed into containers, serialized."""
+        return cls.from_bools(members).serialize()
 
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "RoaringBitmap":

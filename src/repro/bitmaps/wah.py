@@ -49,6 +49,19 @@ canonicalized once when a loose result's resident size is asked for; the
 byte payload exists only at its ``to_payload`` / ``from_payload``
 boundary.
 
+Payload words
+-------------
+Payload words are made in one place, :func:`_payload_words`, from
+coalesced runs, into one array that holds the length header too.  Runs
+reach it from a run list through :func:`_encode_runs` (``to_payload``
+and the ``wah_*`` functions), and from one value per group through the
+one scan that coalesces groups, :func:`_group_runs` — which is how the
+index store's writer packs a slot straight from its digit layout
+(``WahBitVector._pack``) and how ``from_bitvector`` finds its canonical
+form.  Payload words are read in one place, :func:`_parse_runs`: a
+payload whose canonical form is one value per group expands straight to
+its groups, with one ``np.repeat`` by the words' group counts.
+
 Compressed-domain algebra
 -------------------------
 AND/OR/XOR/NOT, k-of-N threshold and popcount run on run lists without
@@ -163,10 +176,8 @@ def _fill_joins(values: np.ndarray) -> np.ndarray:
 
 
 def _coalesce(runs: Runs) -> tuple[np.ndarray, np.ndarray]:
-    """The run form with equal adjacent fills merged."""
+    """The run form (``ends`` given) with equal adjacent fills merged."""
     values, ends = runs
-    if ends is None:
-        ends = np.arange(1, len(values) + 1, dtype=np.int64)
     joins = _fill_joins(values)
     if not joins.any():
         return values, ends
@@ -174,13 +185,36 @@ def _coalesce(runs: Runs) -> tuple[np.ndarray, np.ndarray]:
     return values[keep], ends[keep]
 
 
+def _group_runs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One value per group, coalesced in one scan: ``(values, lengths)``
+    of the runs, equal adjacent fills merged, each run's group count in
+    ``lengths`` — ``None`` when no fill spans two groups, so that every
+    run is its one group and ``values`` are ``groups`` themselves."""
+    joins = _fill_joins(groups)
+    if not joins.any():
+        return groups, None
+    starts = np.empty(len(groups), dtype=bool)
+    starts[0] = True
+    np.logical_not(joins, out=starts[1:])
+    first = np.flatnonzero(starts)
+    return groups[first], np.diff(first, append=len(groups))
+
+
+def _group_form(groups: np.ndarray) -> Runs:
+    """The canonical run list of one value per group, by the one scan:
+    the groups themselves while the runs are at least half as many, the
+    coalesced runs otherwise."""
+    values, lengths = _group_runs(groups)
+    if lengths is None or 2 * len(values) >= len(groups):
+        return groups, None
+    return values, lengths.cumsum()
+
+
 def _canonical(runs: Runs, ngroups: int) -> Runs:
     """The one in-memory form of a bitmap; the run count alone decides it."""
     values, ends = runs
     if ends is None:
-        if 2 * (ngroups - np.count_nonzero(_fill_joins(values))) >= ngroups:
-            return values, None
-        return _coalesce(runs)
+        return _group_form(values)
     runs = _coalesce(runs)
     if 2 * len(runs[0]) >= ngroups:
         return _expand(runs), None
@@ -192,8 +226,11 @@ def _parse_runs(blob) -> tuple[int, Runs]:
 
     Zero-length fill words are skipped.  The total group count is checked
     against the declared byte length in both directions: too few groups
-    and too many groups each raise :class:`CorruptFileError`.  The arrays
-    returned never alias ``blob``.
+    and too many groups each raise :class:`CorruptFileError`.  A payload
+    whose canonical form is one value per group expands straight to its
+    groups, one ``np.repeat`` by the words' group counts; otherwise equal
+    adjacent fills merge, as the encoder would have.  The arrays returned
+    never alias ``blob``.
     """
     if len(blob) < _HEADER.size:
         raise CorruptFileError("WAH payload shorter than its header")
@@ -203,8 +240,8 @@ def _parse_runs(blob) -> tuple[int, Runs]:
     words = np.frombuffer(blob, dtype=np.uint32, offset=_HEADER.size)
 
     values = words & np.uint32(_LITERAL_MASK)
-    lengths = np.ones(len(words), dtype=np.int64)
-    fills = np.flatnonzero(words & np.uint32(_FILL_FLAG))
+    lengths = np.ones(len(words), dtype=np.uint32)  # groups per word
+    fills = np.flatnonzero(words >= np.uint32(_FILL_FLAG))
     fill_words = words[fills]
     lengths[fills] = fill_words & np.uint32(_MAX_RUN)
     values[fills] = np.where(
@@ -213,7 +250,7 @@ def _parse_runs(blob) -> tuple[int, Runs]:
     if not lengths.all():
         values, lengths = values[lengths > 0], lengths[lengths > 0]
 
-    total = int(lengths.sum())
+    total = int(lengths.sum(dtype=np.int64))
     expected = _expected_groups(orig_len)
     if total < expected:
         raise CorruptFileError("WAH payload decodes to fewer bits than declared")
@@ -222,9 +259,16 @@ def _parse_runs(blob) -> tuple[int, Runs]:
             "WAH payload decodes to more groups than the padded declared "
             "length allows"
         )
-    # Every word one group: already the per-group form, no run ends needed.
-    ends = None if total == len(values) else np.cumsum(lengths)
-    return orig_len, _canonical((values, ends), expected)
+    joins = _fill_joins(values)
+    if 2 * (len(values) - np.count_nonzero(joins)) >= expected:
+        # Canonically one value per group: each word repeated by its
+        # group count (nothing to repeat when every word is one group).
+        return orig_len, (values if total == len(values) else values.repeat(lengths), None)
+    ends = np.cumsum(lengths, dtype=np.int64)
+    if joins.any():
+        keep = np.append(~joins, True)
+        values, ends = values[keep], ends[keep]
+    return orig_len, (values, ends)
 
 
 def _parse_all(payloads: Sequence[bytes]) -> tuple[int, list[Runs]]:
@@ -242,23 +286,40 @@ def _parse_all(payloads: Sequence[bytes]) -> tuple[int, list[Runs]]:
     return orig_len, [runs for _, runs in parsed]
 
 
-def _encode_runs(runs: Runs, orig_len: int) -> bytes:
-    """The canonical payload of a run list: one word per coalesced run."""
-    values, ends = _coalesce(runs)
-    lengths = np.diff(ends, prepend=0)
-    is_fill = _is_fill(values)
-    flags = np.uint32(_FILL_FLAG) | (values & np.uint32(_FILL_VALUE_FLAG))
-    if len(lengths) and lengths.max() > _MAX_RUN:
+def _payload_words(
+    values: np.ndarray, lengths: np.ndarray | None, orig_len: int
+) -> np.ndarray:
+    """The payload of coalesced runs (``lengths is None``: one group each)
+    as ``<u4`` words, the two words of the length header first: one fill
+    word per fill run, one literal word per other group.  The one place
+    payload words are made."""
+    if lengths is not None and len(lengths) and lengths.max() > _MAX_RUN:
         # A fill longer than 2^30 - 1 groups (> 33 Gbit) spans several
         # words: full-length ones first, the remainder last.
         counts = -(-lengths // _MAX_RUN)
         rest = lengths - (counts - 1) * _MAX_RUN
-        values, flags = np.repeat(values, counts), np.repeat(flags, counts)
-        is_fill = np.repeat(is_fill, counts)
+        values = np.repeat(values, counts)
         lengths = np.full(len(values), _MAX_RUN)
         lengths[np.cumsum(counts) - 1] = rest
-    words = np.where(is_fill, flags | lengths.astype(np.uint32), values)
-    return _HEADER.pack(orig_len) + words.tobytes()
+    out = np.empty(2 + len(values), dtype="<u4")
+    _HEADER.pack_into(out, 0, orig_len)
+    body = out[2:]
+    body[:] = values
+    fills = np.flatnonzero(_is_fill(values))
+    count = 1 if lengths is None else lengths[fills].astype(np.uint32)
+    body[fills] = np.uint32(_FILL_FLAG) | (values[fills] & np.uint32(_FILL_VALUE_FLAG)) | count
+    return out
+
+
+def _encode_runs(runs: Runs, orig_len: int) -> bytes:
+    """The canonical payload of a run list: one word per coalesced run."""
+    values, ends = runs
+    if ends is None:
+        values, lengths = _group_runs(values)
+    else:
+        values, ends = _coalesce(runs)
+        lengths = np.diff(ends, prepend=0)
+    return _payload_words(values, lengths, orig_len).tobytes()
 
 
 def wah_encode(data: bytes) -> bytes:

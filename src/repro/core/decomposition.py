@@ -173,13 +173,18 @@ class Base:
             raise ValueOutOfRangeError(
                 f"values outside [0, {self.capacity}) for base {self}"
             )
+        return self._digit_columns(values)
+
+    def _digit_columns(self, values: np.ndarray) -> list[np.ndarray]:
+        """:meth:`digit_arrays` of ``values`` already known to lie in
+        ``[0, capacity)``: not checked again."""
         out = []
         rest = values.astype(np.min_scalar_type(min(self.capacity, 2**63) - 1))
         for b in self._bases[:0:-1]:
             rest, digit = np.divmod(rest, b)
-            out.append(digit.astype(np.min_scalar_type(b - 1)))
+            out.append(digit.astype(np.min_scalar_type(b - 1), copy=False))
         # values < capacity, so what is left is the most significant digit.
-        out.append(rest.astype(np.min_scalar_type(self._bases[0] - 1)))
+        out.append(rest.astype(np.min_scalar_type(self._bases[0] - 1), copy=False))
         return out
 
     # ------------------------------------------------------------------

@@ -57,16 +57,28 @@ class _Component:
 
     @classmethod
     def build(cls, digits: np.ndarray, base: int) -> "_Component":
-        """Encode a digit column of values in ``[0, base)``: one comparison
-        pass over it per stored slot."""
+        """Encode a digit column of values in ``[0, base)``: the dense case
+        of :meth:`payloads`, whose payloads are the bitmaps' words."""
         digits = np.asarray(digits)
         _check_digits(digits, base)
         component = cls(base, len(digits), {})
         component._bitmaps = {
-            j: BitVector.from_bools(component.membership(digits, j))
-            for j in cls.slots(base)
+            j: BitVector(component.nbits, words.view(np.uint64))
+            for j, words in component.payloads(digits, BitVector).items()
         }
         return component
+
+    def payloads(self, grid: np.ndarray, bitmap_type: type) -> dict:
+        """Every stored slot's payload in ``bitmap_type``, from this
+        component's digit column laid out by ``bitmap_type._layout`` — the
+        one packer: per slot, one :meth:`membership` comparison over the
+        grid and one ``bitmap_type._pack`` of it into that representation's
+        words and payload.  The digits are trusted: callers check them
+        once, up front."""
+        return {
+            j: bitmap_type._pack(self.membership(grid, j), self.nbits)
+            for j in self.slots(self.base)
+        }
 
     @staticmethod
     def slots(base: int) -> Sequence[int]:

@@ -109,6 +109,22 @@ def rank_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dictionary, (np.cumsum(present) - 1)[offsets]
 
 
+def _checked_base(base: Base | None, cardinality: int) -> Base:
+    """``base`` (``<C>`` when ``None``) for an attribute of ``cardinality``
+    values; a cardinality below 2, or a base that cannot cover it, raises
+    :class:`~repro.errors.InvalidBaseError`."""
+    if cardinality < 2:
+        raise InvalidBaseError("attribute cardinality must be at least 2")
+    if base is None:
+        base = Base.single(cardinality)
+    if not base.covers(cardinality):
+        raise InvalidBaseError(
+            f"base {base} (capacity {base.capacity}) cannot represent "
+            f"cardinality {cardinality}"
+        )
+    return base
+
+
 def _checked_ranks(values, nulls, cardinality: int):
     """``values`` as 1-D int64 ranks, ``nulls`` as a mask of their shape (or
     ``None``), and the ranks to encode: NULL rows as 0, all in ``[0, C)``."""
@@ -161,15 +177,7 @@ class BitmapIndex:
         nulls: np.ndarray | None = None,
         keep_values: bool = True,
     ):
-        if cardinality < 2:
-            raise InvalidBaseError("attribute cardinality must be at least 2")
-        if base is None:
-            base = Base.single(cardinality)
-        if not base.covers(cardinality):
-            raise InvalidBaseError(
-                f"base {base} (capacity {base.capacity}) cannot represent "
-                f"cardinality {cardinality}"
-            )
+        base = _checked_base(base, cardinality)
         values, nulls, encode_values = _checked_ranks(values, nulls, cardinality)
         self.nonnull: BitVector | None = (
             BitVector.from_bools(~nulls) if nulls is not None else None
@@ -178,7 +186,8 @@ class BitmapIndex:
         self.cardinality = cardinality
         self.base = base
         self.encoding = encoding
-        digit_columns = base.digit_arrays(encode_values)
+        # Ranks in [0, C) are digits in range: checked once, above.
+        digit_columns = base._digit_columns(encode_values)
         # components[0] is component 1 (least significant), matching the
         # paper's numbering used throughout evaluation and cost model.
         self.components = [
@@ -351,7 +360,7 @@ class BitmapIndex:
         if nulls is not None and self.nonnull is None:
             # Start tracking nulls: existing rows are all valid.
             self.track_nulls()
-        digit_columns = self.base.digit_arrays(encode_values)
+        digit_columns = self.base._digit_columns(encode_values)
         for i, component in enumerate(self.components):
             component.append_rows(digit_columns[i])
         if self.nonnull is not None:

@@ -77,8 +77,8 @@ import numpy as np
 
 from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.core.decomposition import Base
-from repro.core.encoding import EncodingScheme
-from repro.core.index import BitmapIndex, CodecView
+from repro.core.encoding import EncodingScheme, _component_class
+from repro.core.index import BitmapIndex, CodecView, _checked_base, _checked_ranks
 from repro.errors import (
     CorruptFileError,
     EngineConfigError,
@@ -872,9 +872,12 @@ class IndexStore:
         discards a pending delta — the new file supersedes it).  Returns
         a summary dict: per-attribute bitmap counts and payload bytes, and
         under ``"seconds"`` where the call's wall time went — ``dictionary``
-        (ranking the values), ``digits`` (decomposition and the per-digit
-        bitmaps), ``encode`` (conversion to ``codec``), ``pack`` (payloads,
-        CRCs, the file's dictionary) and ``write`` (temp file to rename).
+        (ranking the values), ``digits`` (decomposition into digit columns,
+        each laid out once in ``codec``'s word geometry), ``encode`` (per
+        stored bitmap, one comparison and one bit pack straight into the
+        codec's words, then its payload bytes), ``pack`` (CRCs, the file's
+        dictionary) and ``write`` (temp file to rename).  No dense bitmap
+        is built on the way.
         """
         if attributes is None:
             attributes = list(relation.columns)
@@ -901,21 +904,18 @@ class IndexStore:
         payload_attrs: dict[str, dict] = {}
         for attr in attributes:
             column = relation.column(attr)
-            attr_codec = per_attr(codec, attr, "codec")
             codes, cardinality = column.codes, column.cardinality
             lap("dictionary")
-            index = BitmapIndex(
+            payload_attrs[attr] = _packed_attr_spec(
                 codes,
                 cardinality,
-                base=per_attr(base, attr, "base"),
-                encoding=per_attr(encoding, attr, "encoding"),
-                keep_values=False,
+                per_attr(base, attr, "base"),
+                per_attr(encoding, attr, "encoding"),
+                per_attr(codec, attr, "codec"),
+                column.value_size_bytes,
+                column.dictionary,
+                lap=lap,
             )
-            lap("digits")
-            payload_attrs[attr] = _index_attr_spec(
-                index, attr_codec, column.value_size_bytes, column.dictionary
-            )
-            lap("encode")
         chunks, payload_bytes = _relation_chunks(
             relation.name, relation.num_rows, payload_attrs
         )
@@ -993,15 +993,15 @@ class IndexStore:
                         f"null mask for {attr!r} has {len(mask)} entries; "
                         f"{nrows} rows appended"
                     )
-            index = BitmapIndex(
+            attrs[attr] = _packed_attr_spec(
                 _ranks_for(meta, rows[attr], mask),
                 meta.cardinality,
-                base=meta.base,
-                encoding=meta.encoding,
+                meta.base,
+                meta.encoding,
+                meta.codec,
+                meta.value_size_bytes,
                 nulls=mask if mask is not None and mask.any() else None,
-                keep_values=False,
             )
-            attrs[attr] = _index_attr_spec(index, meta.codec, meta.value_size_bytes)
         # The sidecar is rewritten whole: the images already in it, zeros
         # to an 8-byte boundary, then this batch's image.
         start = rfile.nbits + rfile.delta_rows
@@ -1226,6 +1226,53 @@ def _ranks_for(meta: _AttrMeta, values, mask: np.ndarray | None) -> np.ndarray:
     return ranks
 
 
+def _packed_attr_spec(
+    ranks: np.ndarray,
+    cardinality: int,
+    base: Base | None,
+    encoding: EncodingScheme,
+    codec: str,
+    value_size_bytes: int,
+    dictionary: np.ndarray | None = None,
+    nulls: np.ndarray | None = None,
+    lap=lambda stage: None,
+) -> dict:
+    """One rank column as an attribute of :func:`_relation_chunks`, its
+    payloads cut straight from its digit columns.
+
+    The ranks are checked once, so the digits need no check of their own.
+    Each component's digit column is laid out once in ``codec``'s word
+    geometry (``lap("digits")``); every stored slot is then one membership
+    comparison packed into the codec's words and payload, and the
+    existence bitmap of ``nulls`` (rows whose rank is already 0) is packed
+    the same way (``lap("encode")``).  No index and no dense bitmap is
+    built: build and append come through here, bitmap sources through
+    :func:`_index_attr_spec`.
+    """
+    base = _checked_base(base, cardinality)
+    ranks = _checked_ranks(ranks, None, cardinality)[0]
+    cls, nbits = bitmap_class(codec), len(ranks)
+    grids = [cls._layout(digits) for digits in base._digit_columns(ranks)]
+    lap("digits")
+    bitmaps = {}
+    for i, grid in enumerate(grids, start=1):
+        component = _component_class(encoding)(base.component(i), nbits, {})
+        for slot, payload in component.payloads(grid, cls).items():
+            bitmaps[(i, slot)] = payload
+    nonnull = None if nulls is None else cls._pack(cls._layout(~nulls), nbits)
+    lap("encode")
+    return {
+        "cardinality": int(cardinality),
+        "base": base,
+        "encoding": encoding,
+        "codec": codec,
+        "value_size_bytes": value_size_bytes,
+        "dictionary": dictionary,
+        "bitmaps": bitmaps,
+        "nonnull": nonnull,
+    }
+
+
 def _index_attr_spec(
     source: BitmapIndex | StoreBitmapSource,
     codec: str,
@@ -1238,8 +1285,9 @@ def _index_attr_spec(
     Every stored bitmap of ``source`` — an in-memory index, or a store's
     source serving base and delta merged — and its existence bitmap, in
     ``codec``; with ``rows=(start, stop)``, only that row range of each.
-    The one way an image attribute is built: a store file, an append, a
-    compaction and a shard publication all come through here.
+    The door for what starts from bitmaps: a compaction and a shard
+    publication come through here, a build and an append through
+    :func:`_packed_attr_spec`.
     """
     cls = bitmap_class(codec)
     stats = ExecutionStats()
@@ -1277,8 +1325,9 @@ def _relation_chunks(
     ``attrs[attr]`` carries ``cardinality``, ``base`` (:class:`Base`),
     ``encoding`` (:class:`EncodingScheme`), ``codec``,
     ``value_size_bytes``, ``dictionary`` (array or ``None``),
-    ``bitmaps`` (``{(component, slot): bitmap}`` in the codec's type),
-    and ``nonnull`` (in the codec's type too, or ``None``).  Returns the
+    ``bitmaps`` (``{(component, slot): bitmap}`` in the codec's type, or
+    its payload: ``bytes`` or a ``uint8`` array), and ``nonnull`` (the
+    same, or ``None``).  Returns the
     image as header, dictionary and one chunk per payload — nothing here
     copies a payload — and, per attribute, the bytes its slot payloads
     take in the image.  The dictionary is padded with spaces so that the
@@ -1287,8 +1336,9 @@ def _relation_chunks(
     chunks: list[bytes] = []
     offset = 0
 
-    def add(payload: bytes) -> tuple[int, int, int]:
+    def add(stored) -> tuple[int, int, int]:
         nonlocal offset
+        payload = stored if isinstance(stored, (bytes, np.ndarray)) else stored.to_payload()
         entry = (offset, len(payload), zlib.crc32(payload))
         chunks.append(payload)
         offset += len(payload)
@@ -1304,11 +1354,11 @@ def _relation_chunks(
         ]
         first = offset
         for (comp, slot), bitmap in sorted(spec["bitmaps"].items()):
-            entry = add(bitmap.to_payload())
+            entry = add(bitmap)
             components[comp - 1]["slots"][str(slot)] = list(entry)
         payload_bytes[attr] = offset - first
         nonnull = spec.get("nonnull")
-        nonnull_entry = list(add(nonnull.to_payload())) if nonnull is not None else None
+        nonnull_entry = list(add(nonnull)) if nonnull is not None else None
         meta_attrs[attr] = {
             "cardinality": spec["cardinality"],
             "base": list(base.bases),

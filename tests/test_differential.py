@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shaped_vector
-from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
+from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class, wah
 from repro.bitmaps.compressed import WahBitVector
 from repro.bitmaps.roaring import RoaringBitmap
 from repro.core.decomposition import Base, integer_nth_root_ceil
@@ -48,6 +49,7 @@ from repro.experiments.disk import SimulatedDisk
 from repro.storage.store import (
     _HEADER,
     _index_attr_spec,
+    _packed_attr_spec,
     _payload_start,
     _relation_chunks,
 )
@@ -768,6 +770,129 @@ class TestBitmapConformance:
             assert packed(meta["nonnull"]) == fresh(~nulls)
         else:
             assert meta["nonnull"] is None
+
+
+#: Row counts around every codec's word geometry: WAH's 31-bit groups and
+#: its byte padding, dense's 64-bit words, Roaring's 65,536-row chunks.
+EDGE_NBITS = [1, 30, 31, 32, 63, 64, 65, 1984, 65535, 65536, 65537]
+
+
+@st.composite
+def packed_columns(draw):
+    """A codec, an encoding, a 1-3 component base with one 256-wide
+    component (its digits fill ``uint8``), a rank column over that base
+    (sorted or not) and an optional NULL mask."""
+    others = draw(st.lists(st.sampled_from([2, 3, 5, 10]), max_size=2))
+    bases = list(others)
+    bases.insert(draw(st.integers(0, len(others))), 256)
+    base = Base(tuple(bases))
+    nbits = draw(st.sampled_from(EDGE_NBITS) | st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = rng.integers(0, base.capacity, nbits)
+    if draw(st.booleans()):
+        ranks.sort()  # long runs: fills, run containers
+    nulls = rng.random(nbits) < 0.2 if draw(st.booleans()) else None
+    if nulls is not None:
+        ranks[nulls] = 0
+    codec = draw(st.sampled_from(list(BITMAP_CLASSES)))
+    return codec, draw(st.sampled_from(ENCODINGS)), base, ranks, nulls
+
+
+@settings(max_examples=30, deadline=None)
+@given(packed_columns())
+def test_layout_payloads_match_a_conversion_per_slot(column):
+    # The packer cuts every slot straight from its digit column in the
+    # codec's word geometry; the reference is the definition — int64
+    # digits, one ``from_bools`` and one conversion per stored slot.
+    codec, encoding, base, ranks, nulls = column
+    spec = _packed_attr_spec(ranks, base.capacity, base, encoding, codec, 8, nulls=nulls)
+    cls = bitmap_class(codec)
+
+    def fresh(bools):
+        return cls.from_bitvector(BitVector.from_bools(bools)).to_payload()
+
+    rest, want = ranks.astype(np.int64), {}
+    for i in range(1, base.n + 1):
+        b = base.component(i)
+        digits, rest = rest % b, rest // b
+        window = interval_window(b)
+        slots = {
+            EncodingScheme.RANGE: {j: digits <= j for j in range(b - 1)},
+            EncodingScheme.EQUALITY: {j: digits == j for j in range(1 if b == 2 else 0, b)},
+            EncodingScheme.INTERVAL: {
+                j: (digits >= j) & (digits < j + window) for j in range(window)
+            },
+        }[encoding]
+        want.update({(i, j): bools for j, bools in slots.items()})
+    assert sorted(spec["bitmaps"]) == sorted(want)
+    for key, bools in want.items():
+        assert bytes(spec["bitmaps"][key]) == fresh(bools), key
+    if nulls is None:
+        assert spec["nonnull"] is None
+    else:
+        assert bytes(spec["nonnull"]) == fresh(~nulls)
+
+
+def _reference_parse(blob):
+    """A WAH payload parsed word by word: ``(orig_len, canonical runs)``,
+    the canonical form being :func:`~repro.bitmaps.wah._canonical`'s."""
+    if len(blob) < 8:
+        raise CorruptFileError("shorter than its header")
+    if (len(blob) - 8) % 4:
+        raise CorruptFileError("not word-aligned")
+    (orig_len,) = struct.unpack_from("<Q", blob)
+    values, ends = [], []
+    for word in np.frombuffer(blob, dtype="<u4", offset=8).tolist():
+        count, value = 1, word
+        if word >> 31:
+            count, value = word & wah._MAX_RUN, wah._LITERAL_MASK if word >> 30 & 1 else 0
+        if count:
+            values.append(value)
+            ends.append((ends[-1] if ends else 0) + count)
+    expected = wah._expected_groups(orig_len)
+    total = ends[-1] if ends else 0
+    if total != expected:
+        raise CorruptFileError("fewer bits" if total < expected else "more groups than")
+    runs = (np.array(values, dtype=np.uint32), np.array(ends, dtype=np.int64))
+    return orig_len, wah._canonical(runs, expected)
+
+
+_LITERAL = st.sampled_from([0, 1, 0x55555555, wah._LITERAL_MASK]) | st.integers(
+    0, wah._LITERAL_MASK
+)
+_FILL = st.builds(
+    lambda ones, count: wah._FILL_FLAG | (wah._FILL_VALUE_FLAG if ones else 0) | count,
+    st.booleans(),
+    st.sampled_from([0, 1, 2]) | st.integers(0, 40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_LITERAL | _FILL, max_size=40), st.integers(-2, 2), st.booleans())
+def test_parse_runs_agrees_with_a_word_by_word_parse(words, skew, torn):
+    # Hand-made payloads an encoder never writes — equal adjacent fills,
+    # zero-length fills, literals that are all zeros or all ones, bodies a
+    # group short or over — parse to the reference's run list, or raise
+    # the reference's error.
+    groups = sum(w & wah._MAX_RUN if w >> 31 else 1 for w in words)
+    orig_len = max(0, groups * 31 // 8 + skew)
+    blob = struct.pack("<Q", orig_len) + np.array(words, dtype="<u4").tobytes()
+    if torn:
+        blob = blob[:-1]
+    try:
+        want = _reference_parse(blob)
+    except CorruptFileError as exc:
+        with pytest.raises(CorruptFileError, match=str(exc)):
+            wah._parse_runs(blob)
+        return
+    got_len, (values, ends) = wah._parse_runs(blob)
+    want_len, (want_values, want_ends) = want
+    assert got_len == want_len
+    assert values.dtype == np.uint32 and np.array_equal(values, want_values)
+    if want_ends is None:
+        assert ends is None
+    else:
+        assert ends.dtype == np.int64 and np.array_equal(ends, want_ends)
 
 
 def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):

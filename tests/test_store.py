@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bitmaps import BITMAP_CLASSES, BitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import evaluate
@@ -173,6 +174,60 @@ class TestRoundTrip:
         for name in ("", ".", "..", "a/b", ".tmp-x"):
             with pytest.raises(StorageError):
                 store.has(name)
+
+
+class TestPackedWriter:
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_build_and_append_cut_payloads_straight_from_digits(
+        self, store_dir, relation, codec, monkeypatch
+    ):
+        # The mechanism: every stored slot is packed straight into the
+        # codec's words from its digit column — no index, no dense bitmap,
+        # no conversion — for a build and for an append with NULLs alike.
+        rng = np.random.default_rng(5)
+        rows = {"quantity": rng.integers(0, 40, 70), "region": REGIONS[rng.integers(0, 4, 70)]}
+        nulls = rng.random(70) < 0.2
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(BitmapIndex, "__init__", counted("BitmapIndex", BitmapIndex.__init__))
+        monkeypatch.setattr(BitVector, "__init__", counted("BitVector", BitVector.__init__))
+        from_bools = BitVector.from_bools.__func__
+        monkeypatch.setattr(BitVector, "from_bools", classmethod(counted("from_bools", from_bools)))
+        for cls in BITMAP_CLASSES.values():
+            original = cls.from_bitvector.__func__
+            monkeypatch.setattr(cls, "from_bitvector", classmethod(counted(cls.codec, original)))
+        with IndexStore(store_dir) as store:
+            store.build(relation, codec=codec, base={"quantity": Base((8, 5)), "region": None})
+            store.append("sales", rows, nulls={"quantity": nulls})
+        assert calls == []
+        monkeypatch.undo()
+        # And what they wrote serves the bits an in-memory index holds.
+        with IndexStore(store_dir) as store:
+            for attr, base in (("quantity", Base((8, 5))), ("region", None)):
+                column = relation.column(attr)
+                values = np.concatenate(
+                    [column.codes, np.searchsorted(column.dictionary, rows[attr])]
+                )
+                mask = np.concatenate([np.zeros(NUM_ROWS, bool), nulls])
+                if base is None:
+                    mask[:] = False
+                reference = BitmapIndex(
+                    np.where(mask, 0, values), column.cardinality, base=base, nulls=mask
+                )
+                source = store.bitmap_source("sales", attr)
+                assert source.nbits == NUM_ROWS + 70
+                all_slot_bools(source, reference)
+                if base is None:
+                    assert source.nonnull is None
+                else:
+                    assert np.array_equal(source.nonnull.to_bools(), ~mask)
 
 
 class TestStorageProtocol:
