@@ -1,18 +1,20 @@
-"""An OLAP mini-dashboard: plan costs + bitmap indexes + bit-sliced aggregates.
+"""An OLAP mini-dashboard: plan costs + bitmap indexes + index aggregates.
 
 Puts the whole library to work on one fact table:
 
 1. the multi-attribute allocator splits a disk budget across three
    dimension columns (Section 6-8 machinery, per column);
-2. the serving engine answers each dashboard query over the designed
-   indexes, priced beside it as plans P1 and P3 (the introduction's
-   plan analysis);
-3. bit-sliced aggregation computes SUM/AVG/MIN/MAX of the measure column
-   over each query's foundset without touching the relation;
-4. the serving engine answers the dashboard's breakdown panel with
-   pushed-down aggregates: ``group_count`` over a threshold expression
-   returns per-channel counts from popcounts alone, no RID list ever
-   materialized.
+2. the designed indexes, and the measure column as the paper's
+   Bit-Sliced index (base-2 range encoding), are persisted in an index
+   store and served by ``repro.open_store``, which answers each
+   dashboard query, priced beside it as plans P1 and P3 (the
+   introduction's plan analysis);
+3. ``engine.aggregate`` computes SUM/AVG/MIN/MAX of the measure over
+   each query's selection from the stored bitmaps alone: no raw rows
+   are kept, and no RID list is built;
+4. the engine answers the dashboard's breakdown panel with pushed-down
+   aggregates: ``group_count`` over a threshold expression returns
+   per-channel counts from popcounts alone.
 
 Run:  python examples/olap_dashboard.py
 """
@@ -20,12 +22,12 @@ Run:  python examples/olap_dashboard.py
 from __future__ import annotations
 
 import math
+import tempfile
 
 import numpy as np
 
-from repro import AttributeSpec, BitSlicedAggregator, QueryEngine, allocate_budget
-from repro.bitmaps.bitvector import BitVector
-from repro.engine import IndexSpec
+import repro
+from repro import AttributeSpec, Base, IndexStore, allocate_budget
 from repro.query.plans import plan_p1_cost, plan_p3_bitmap_cost, plan_p3_ridlist_cost
 from repro.query.predicate import parse_predicate
 from repro.relation.relation import Relation
@@ -69,9 +71,7 @@ def main() -> None:
     rid_indexes = {
         name: RIDListIndex(relation.column(name).values) for name in design.indexes
     }
-    aggregator = BitSlicedAggregator.from_values(
-        relation.column("amount").values
-    )
+    bases = dict(design.indexes, amount=Base.binary(relation.column("amount").cardinality))
 
     queries = [
         ["store <= 99", "channel = 2"],
@@ -79,47 +79,54 @@ def main() -> None:
         ["store = 17"],
         ["product >= 40", "channel <= 1"],
     ]
-    with QueryEngine(codec="wah") as engine:
-        engine.register(
-            relation,
-            overrides={name: IndexSpec(base=base) for name, base in design.indexes.items()},
-        )
-        # 2. + 3. Answer the dashboard queries, price their plans, aggregate.
-        for texts in queries:
-            predicates = [parse_predicate(t) for t in texts]
-            result = engine.query(" and ".join(texts))
-            fetched = result.stats.scans + result.stats.buffer_hits
-            costs = [
-                plan_p1_cost(relation),
-                plan_p3_ridlist_cost(
-                    [rid_indexes[p.attribute] for p in predicates],
-                    [(p.op, p.value) for p in predicates],
-                ),
-                plan_p3_bitmap_cost(
-                    relation.num_rows, math.ceil(fetched / len(predicates)), len(predicates)
-                ),
-            ]
-            foundset = BitVector.from_indices(relation.num_rows, result.rids)
-            print(f"query: {' AND '.join(texts)}")
-            print("  plans: " + ", ".join(f"{c.plan}={c.bytes_read:,} B" for c in costs))
-            if result.count:
-                print(f"  rows: {result.count:,}   "
-                      f"SUM(amount) = {aggregator.sum(foundset):,}   "
-                      f"AVG = {aggregator.average(foundset):,.1f}   "
-                      f"MIN = {aggregator.minimum(foundset)}   "
-                      f"MAX = {aggregator.maximum(foundset)}")
-            else:
-                print("  rows: 0")
-            print()
+    with tempfile.TemporaryDirectory() as root:
+        with IndexStore(root) as store:
+            store.build(relation, codec="wah", base=bases)
+        with repro.open_store(root) as engine:
+            dashboard(engine, queries, relation, rid_indexes)
 
-        # 4. The breakdown panel: per-channel counts of "interesting" sales
-        #    (at least 2 of 3 signals), pushed down to popcounts.
-        breakdown = "atleast(2, store <= 99, product <= 24, channel >= 2)"
-        per_channel = engine.group_count(breakdown, by="channel")
-        print(f"breakdown: {breakdown} by channel")
-        print(f"  total rows: {per_channel.count:,} (no RIDs materialized)")
-        for channel, matched in sorted(per_channel.groups.items()):
-            print(f"  channel {channel}: {matched:,}")
+
+def dashboard(engine, queries, relation, rid_indexes) -> None:
+    # 2. + 3. Answer the dashboard queries, price their plans, aggregate.
+    for texts in queries:
+        predicates = [parse_predicate(t) for t in texts]
+        query = " and ".join(texts)
+        result = engine.query(query)
+        fetched = result.stats.scans + result.stats.buffer_hits
+        costs = [
+            plan_p1_cost(relation),
+            plan_p3_ridlist_cost(
+                [rid_indexes[p.attribute] for p in predicates],
+                [(p.op, p.value) for p in predicates],
+            ),
+            plan_p3_bitmap_cost(
+                relation.num_rows, math.ceil(fetched / len(predicates)), len(predicates)
+            ),
+        ]
+        print(f"query: {' AND '.join(texts)}")
+        print("  plans: " + ", ".join(f"{c.plan}={c.bytes_read:,} B" for c in costs))
+        if result.count:
+            panel = {
+                fn: engine.aggregate(query, "amount", fn).value
+                for fn in ("sum", "avg", "min", "max")
+            }
+            print(f"  rows: {result.count:,}   "
+                  f"SUM(amount) = {panel['sum']:,}   "
+                  f"AVG = {panel['avg']:,.1f}   "
+                  f"MIN = {panel['min']}   "
+                  f"MAX = {panel['max']}")
+        else:
+            print("  rows: 0")
+        print()
+
+    # 4. The breakdown panel: per-channel counts of "interesting" sales
+    #    (at least 2 of 3 signals), pushed down to popcounts.
+    breakdown = "atleast(2, store <= 99, product <= 24, channel >= 2)"
+    per_channel = engine.group_count(breakdown, by="channel")
+    print(f"breakdown: {breakdown} by channel")
+    print(f"  total rows: {per_channel.count:,} (no RIDs materialized)")
+    for channel, matched in sorted(per_channel.groups.items()):
+        print(f"  channel {channel}: {matched:,}")
 
 
 if __name__ == "__main__":

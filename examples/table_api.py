@@ -1,7 +1,7 @@
 """The high-level Table API: design, query, aggregate, persist.
 
 Everything the other examples do by hand — index design, expression
-evaluation through the query engine, bit-sliced aggregation, storage —
+evaluation through the query engine, aggregation, storage —
 through the one object a downstream user would actually hold.
 
 Run:  python examples/table_api.py

@@ -42,7 +42,6 @@ from repro.engine import (
     RetryPolicy,
     SharedBitmapCache,
 )
-from repro.core.aggregation import BitSlicedAggregator
 from repro.core.multi import AttributeSpec, TableDesign, allocate_budget
 from repro.errors import QueryTimeoutError, ReproError
 from repro.faults import Deadline, FaultPlan, FaultSpec
@@ -83,7 +82,6 @@ __all__ = [
     "AggregateResult",
     "AttributeSpec",
     "Base",
-    "BitSlicedAggregator",
     "BitVector",
     "BitmapIndex",
     "CircuitBreaker",

@@ -93,6 +93,10 @@ class VerificationError(ReproError):
     """An access path disagreed with the ground-truth scan."""
 
 
+class EmptyFoundsetError(ReproError):
+    """MIN, MAX or AVG was asked for over an empty selection."""
+
+
 class BufferConfigError(ReproError, ValueError):
     """A buffer assignment is not well-defined for the index it targets."""
 

@@ -54,6 +54,8 @@ from repro.core.evaluation import (
     group_counts,
     not_,
     or_,
+    rank_bound,
+    rank_sum,
     threshold_all,
     xor_,
 )
@@ -613,12 +615,16 @@ def parse_expression(text: str) -> Expression:
 def query_mode(expression: Expression, finish: str = "rids") -> str:
     """The shape label of a query, as traces and metrics report it.
 
-    ``'aggregate'`` for a ``count``/``group`` finish, ``'predicate'``
-    for a one-leaf RID query, ``'expression'`` for every other tree.
+    ``'aggregate'`` for every finish but ``rids``, ``'predicate'`` for a
+    one-leaf RID query, ``'expression'`` for every other tree.
     """
     if finish != "rids":
         return "aggregate"
     return "predicate" if isinstance(expression, Comparison) else "expression"
+
+
+#: The aggregates of a measure column ``by`` (finishes of :func:`run_query`).
+AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
 def run_query(
@@ -639,10 +645,13 @@ def run_query(
     step.  ``finish`` names it: ``'rids'`` materializes the sorted RID
     array (``indices()``), ``'count'`` popcounts the bitmap, and
     ``'group'`` returns the per-code count array of
-    :func:`~repro.core.evaluation.group_counts` over ``indexes[by]`` (no
-    RID is ever built for the two aggregates; NULL rows of ``by`` land
-    in no group).  ``algorithm`` reaches every leaf.  With ``verify``
-    the answer is cross-checked against a scan of ``relation``.
+    :func:`~repro.core.evaluation.group_counts` over ``indexes[by]``.
+    The other :data:`AGGREGATES` read the measure ``indexes[by]`` over
+    the selection less ``by``'s NULL rows: ``'count'`` counts it,
+    ``'sum'``/``'avg'`` answer ``[count, Σ rank]`` and ``'min'``/``'max'``
+    ``[count, rank]`` (rank 0 when nothing is selected).  No aggregate
+    ever builds a RID.  ``algorithm`` reaches every leaf.  With
+    ``verify`` the answer is cross-checked against a scan of ``relation``.
 
     Scans and operations are charged to ``stats``; when it carries a
     trace the phases appear as ``evaluate`` plus ``materialize`` or
@@ -660,7 +669,7 @@ def run_query(
             answer = _finish(bitmap, finish, indexes, by, stats, algorithm)
             if span is not None:
                 span.attrs.update(
-                    count=int(np.sum(answer)),
+                    count=answer_count(finish, answer),
                     groups=len(answer) if finish == "group" else 0,
                 )
     if verify:
@@ -672,9 +681,25 @@ def run_query(
 def _finish(bitmap, finish, indexes, by, stats, algorithm):
     if finish == "rids":
         return bitmap.indices()
-    if finish == "count":
+    if by is None:
         return int(bitmap.count())
-    return group_counts(_index_for(indexes, by), bitmap, stats, algorithm)
+    source = _index_for(indexes, by)
+    if finish == "group":
+        return group_counts(source, bitmap, stats, algorithm)
+    if source.nonnull is not None:
+        bitmap = and_(bitmap, source.nonnull, stats)
+    count = int(bitmap.count())
+    if finish == "count":
+        return count
+    if finish in ("sum", "avg"):
+        return np.array([count, rank_sum(source, bitmap, stats)])
+    target = 1 if finish == "min" else count
+    return np.array([count, rank_bound(source, bitmap, target, stats, algorithm) if count else 0])
+
+
+def answer_count(finish: str, answer) -> int:
+    """The selected rows an aggregate answer of :func:`run_query` covers."""
+    return int(np.sum(answer) if finish in ("count", "group") else answer[0])
 
 
 def verify_answer(
@@ -686,7 +711,8 @@ def verify_answer(
 ) -> None:
     """Check an answer of :func:`run_query` against a scan of ``relation``.
 
-    Raises :class:`~repro.errors.VerificationError` on any disagreement.
+    SUM, AVG, MIN and MAX are checked in the rank domain.  Raises
+    :class:`~repro.errors.VerificationError` on any disagreement.
     """
     mask = expression.mask(relation)
     if finish == "rids":
@@ -703,15 +729,22 @@ def verify_answer(
                 f"count pushdown of '{expression}' returned {answer}; "
                 f"the scan found {truth}"
             )
-    else:
+    elif finish == "group":
         column = relation.column(by)
-        for key, counted in zip(column.dictionary, answer):
-            truth = int(np.count_nonzero(mask & (column.values == key)))
-            if counted != truth:
-                raise VerificationError(
-                    f"group_count pushdown of '{expression}' returned "
-                    f"{counted} for {by}={key}; the scan found {truth}"
-                )
+        truth = np.bincount(column.codes[mask], minlength=column.cardinality)
+        if not np.array_equal(answer, truth):
+            raise VerificationError(
+                f"group_count pushdown of '{expression}' by {by} returned "
+                f"{answer.tolist()}; the scan found {truth.tolist()}"
+            )
+    else:
+        ranks = relation.column(by).codes[mask]
+        rank = ranks.sum() if finish in ("sum", "avg") else len(ranks) and getattr(ranks, finish)()
+        if answer.tolist() != [len(ranks), rank]:
+            raise VerificationError(
+                f"{finish}({by}) pushdown of '{expression}' returned {answer.tolist()}; "
+                f"the scan found {[len(ranks), int(rank)]}"
+            )
 
 
 def select(

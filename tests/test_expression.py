@@ -25,14 +25,14 @@ from repro.query.expression import (
     In,
     Not,
     Or,
-    Threshold,
-    Xor,
     parse_expression,
     select,
 )
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
+
+from conftest import kleene
 
 
 @pytest.fixture
@@ -329,33 +329,6 @@ NOT_DUALS = [
     ),
     ("not not a <= 4", "a <= 4"),
 ]
-
-
-def kleene(expr, relation, known) -> tuple[np.ndarray, np.ndarray]:
-    """``(true, false)`` row masks of ``expr`` under three-valued logic.
-
-    ``known[attribute]`` marks the non-NULL rows; a comparison is neither
-    true nor false on the others.
-    """
-    if isinstance(expr, (Comparison, In, Between)):
-        hit = expr.mask(relation)
-        return hit & known[expr.attribute], ~hit & known[expr.attribute]
-    if isinstance(expr, Not):
-        true, false = kleene(expr.inner, relation, known)
-        return false, true
-    if isinstance(expr, Threshold):
-        trues, falses = zip(*(kleene(e, relation, known) for e in expr.operands))
-        return (
-            np.sum(trues, axis=0) >= expr.k,
-            np.sum(falses, axis=0) >= len(expr.operands) - expr.k + 1,
-        )
-    (lt, lf), (rt, rf) = (kleene(e, relation, known) for e in (expr.left, expr.right))
-    if isinstance(expr, And):
-        return lt & rt, lf | rf
-    if isinstance(expr, Xor):
-        return (lt & rf) | (lf & rt), (lt & rt) | (lf & rf)
-    assert isinstance(expr, Or)
-    return lt | rt, lf & rf
 
 
 class TestNotOverNulls:

@@ -3,9 +3,12 @@
 One hypothesis state machine drives a table through index creation
 (explicit bases or advisor objectives, under every encoding), selection,
 aggregation, EXPLAIN and save → load, and holds every answer to a numpy
-evaluation of the same expression over the raw columns.  Tier-1 runs the
-default hypothesis profile; ``--hypothesis-profile=ci`` runs more
-examples.
+evaluation of the same expression over the raw columns.  One rule also
+serves the table's current designs from an
+:class:`~repro.storage.store.IndexStore` at a drawn codec, appends rows
+with NULLs to it and compacts it, holding the store engine's answers to
+a Kleene-logic oracle over the masked columns.  Tier-1 runs the default
+hypothesis profile; ``--hypothesis-profile=ci`` runs more examples.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+import repro
 from repro.core.advisor import OBJECTIVES
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.query.expression import (
+    AGGREGATES,
     And,
     Between,
     Comparison,
@@ -31,9 +36,11 @@ from repro.query.expression import (
     Threshold,
     parse_expression,
 )
+from repro.relation.relation import Relation
+from repro.storage import IndexStore
 from repro.table import Table
 
-from conftest import expression_trees
+from conftest import assert_aggregates, expression_trees, kleene
 
 NUM_ROWS = 300
 _rng = np.random.default_rng(11)
@@ -54,6 +61,7 @@ PROBE = parse_expression("quantity between 10 and 30 or not region >= 3")
 ATTRIBUTES = st.sampled_from(sorted(COLUMNS))
 ENCODINGS = st.sampled_from(list(EncodingScheme))
 TREES = expression_trees(CONSTANTS, 2)
+CODECS = st.sampled_from(("dense", "wah", "roaring"))
 
 COMPARE = {
     "<": np.less,
@@ -114,15 +122,58 @@ class TableMachine(RuleBasedStateMachine):
         rids = self.table.select(expr, verify=False)
         assert np.array_equal(rids, np.nonzero(oracle(expr))[0])
 
-    @rule(
-        measure=ATTRIBUTES,
-        func=st.sampled_from(("count", "sum")),
-        where=st.none() | TREES,
-    )
+    @rule(measure=ATTRIBUTES, func=st.sampled_from(AGGREGATES), where=st.none() | TREES)
     def aggregate(self, measure, func, where):
         mask = oracle(where) if where is not None else np.ones(NUM_ROWS, dtype=bool)
-        expected = int(mask.sum()) if func == "count" else int(COLUMNS[measure][mask].sum())
-        assert self.table.aggregate(measure, func, where=where) == expected
+        assert_aggregates(
+            lambda fn: self.table.aggregate(measure, fn, where=where),
+            COLUMNS[measure][mask],
+            [func],
+        )
+
+    @rule(codec=CODECS, data=st.data())
+    def serve_from_a_store(self, codec, data):
+        """Build → query, append rows with NULLs → query, compact → query,
+        with no ``engine.invalidate``: the store's generation tells."""
+        if not self.indexed:
+            return
+        designs = {name: self.table._designs[name] for name in sorted(self.indexed)}
+        root = tempfile.mkdtemp(dir=self.directory.name)
+        with IndexStore(root) as store:
+            store.build(
+                self.table.relation,
+                list(designs),
+                codec=codec,
+                base={name: spec.base for name, spec in designs.items()},
+                encoding={name: spec.encoding for name, spec in designs.items()},
+            )
+        trees = expression_trees({name: CONSTANTS[name] for name in designs}, 2, xor=False)
+        measures = st.sampled_from(list(designs))
+        columns = {name: COLUMNS[name] for name in designs}
+        known = {name: np.ones(NUM_ROWS, dtype=bool) for name in designs}
+        with repro.open_store(root) as engine:
+            self.check_store(engine, data.draw(trees), data.draw(measures), columns, known)
+            rows = data.draw(st.integers(1, 12))
+            seed = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+            batch = {name: seed.choice(np.unique(COLUMNS[name]), rows) for name in designs}
+            nulls = {name: seed.random(rows) < 0.3 for name in designs}
+            engine.storage.append("orders", batch, nulls=nulls)
+            columns = {name: np.append(columns[name], batch[name]) for name in designs}
+            known = {name: np.append(known[name], ~nulls[name]) for name in designs}
+            self.check_store(engine, data.draw(trees), data.draw(measures), columns, known)
+            engine.storage.compact("orders")
+            self.check_store(engine, data.draw(trees), data.draw(measures), columns, known)
+
+    @staticmethod
+    def check_store(engine, expr, measure, columns, known):
+        """``query``, ``count`` and every aggregate against Kleene logic."""
+        true, _ = kleene(expr, Relation.from_dict("orders", columns), known)
+        assert np.array_equal(engine.query(expr).rids, np.nonzero(true)[0])
+        assert engine.count(expr).count == int(true.sum())
+        assert_aggregates(
+            lambda fn: engine.aggregate(expr, measure, fn).value,
+            columns[measure][true & known[measure]],
+        )
 
     @rule(expr=TREES)
     def explain(self, expr):
