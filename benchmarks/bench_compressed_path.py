@@ -16,7 +16,7 @@ Three measurements, written to
   decoding everything dense.
 - ``query_eval`` + ``cache_capacity`` — end-to-end ``evaluate()`` latency
   on a clustered 1M-row column through a dense index vs. its
-  ``as_compressed()`` view (results verified bit-identical), and how many
+  ``with_codec("wah")`` view (results verified bit-identical), and how many
   of the index's bitmaps one :class:`SharedBitmapCache` byte budget holds
   in each representation.
 

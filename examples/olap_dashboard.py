@@ -28,8 +28,8 @@ import numpy as np
 
 import repro
 from repro import AttributeSpec, Base, IndexStore, allocate_budget
+from repro.query.expression import parse_expression
 from repro.query.plans import plan_p1_cost, plan_p3_bitmap_cost, plan_p3_ridlist_cost
-from repro.query.predicate import parse_predicate
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
 
@@ -89,7 +89,7 @@ def main() -> None:
 def dashboard(engine, queries, relation, rid_indexes) -> None:
     # 2. + 3. Answer the dashboard queries, price their plans, aggregate.
     for texts in queries:
-        predicates = [parse_predicate(t) for t in texts]
+        predicates = [parse_expression(t) for t in texts]
         query = " and ".join(texts)
         result = engine.query(query)
         fetched = result.stats.scans + result.stats.buffer_hits

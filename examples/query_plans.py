@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import QueryEngine
+from repro.query.expression import parse_expression
 from repro.query.plans import (
     plan_p1_cost,
     plan_p2_cost,
@@ -21,7 +22,6 @@ from repro.query.plans import (
     plan_p3_ridlist_cost,
     ridlist_crossover_selectivity,
 )
-from repro.query.predicate import parse_predicate
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
 
@@ -41,8 +41,8 @@ def build_relation() -> Relation:
 
 def main() -> None:
     relation = build_relation()
-    pred_a = parse_predicate("priority <= 2")
-    pred_b = parse_predicate("month <= 7")
+    pred_a = parse_expression("priority <= 2")
+    pred_b = parse_expression("month <= 7")
     print(f"query: SELECT * FROM orders WHERE {pred_a} AND {pred_b}")
     print(f"relation: N={relation.num_rows:,} rows, "
           f"{relation.row_bytes} bytes/row\n")

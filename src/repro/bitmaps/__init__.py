@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.roaring import RoaringBitmap, roaring_and_many, roaring_or_many
+from repro.bitmaps.roaring import RoaringBitmap
 from repro.errors import EngineConfigError
 
 
@@ -104,6 +104,4 @@ __all__ = [
     "RoaringBitmap",
     "WahBitVector",
     "bitmap_class",
-    "roaring_and_many",
-    "roaring_or_many",
 ]

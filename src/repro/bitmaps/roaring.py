@@ -874,7 +874,7 @@ class RoaringBitmap:
         intermediate containers are built and re-opened per operand.
         """
         if not vectors:
-            raise ValueError("roaring_or_many needs at least one vector")
+            raise ValueError("or_many needs at least one vector")
         return cls._k_of_n(vectors, 1, lambda rows: reduce(np.bitwise_or, rows))
 
     @classmethod
@@ -882,7 +882,7 @@ class RoaringBitmap:
         """AND k bitmaps in one k-way evaluation (see :meth:`or_many`); chunks
         missing from any operand vanish without their containers being touched."""
         if not vectors:
-            raise ValueError("roaring_and_many needs at least one vector")
+            raise ValueError("and_many needs at least one vector")
         return cls._k_of_n(vectors, len(vectors), lambda rows: reduce(np.bitwise_and, rows))
 
     @classmethod
@@ -900,7 +900,7 @@ class RoaringBitmap:
         everywhere, decided per chunk by the container kinds.
         """
         if not vectors:
-            raise ValueError("roaring_threshold_many needs at least one vector")
+            raise ValueError("threshold_many needs at least one vector")
         return cls._k_of_n(vectors, k, lambda rows: _ripple_threshold(rows, k))
 
     # ------------------------------------------------------------------
@@ -1199,8 +1199,3 @@ def _combine(vectors: Sequence[RoaringBitmap], op: _Operator) -> RoaringBitmap:
         left = [f for f in left if not isinstance(f, _Values)] + [_Values.of(merged)]
     parts = [form.loose() if isinstance(form, _Rows) else form.seal() for form in left]
     return RoaringBitmap(nbits, _assemble(passed + parts))
-
-
-#: The k-way kernels by their historical module-level names.
-roaring_and_many = RoaringBitmap.and_many
-roaring_or_many = RoaringBitmap.or_many

@@ -9,10 +9,11 @@ stored bitmap and records one scan.
 
 The paper assumes attribute values are consecutive integers ``0 .. C-1``;
 for the general case it prescribes a lookup table mapping actual values to
-ranks (Section 2).  :meth:`BitmapIndex.for_column` implements exactly that:
-it factorizes an arbitrary value column and keeps the sorted-value
-dictionary so predicates on original values can be translated to rank
-predicates (order-preserving, so range predicates survive translation).
+ranks (Section 2).  :func:`rank_values` computes that table, and
+:class:`~repro.relation.column.Column` keeps it: an index is built over a
+column's ranks, and a predicate on actual values is translated to one on
+ranks (:meth:`~repro.relation.column.Column.code_bounds`; order-preserving,
+so range predicates survive translation) before it reaches the index.
 """
 
 from __future__ import annotations
@@ -202,63 +203,6 @@ class BitmapIndex:
         self.version = 0
 
     # ------------------------------------------------------------------
-    # Construction from arbitrary (non-consecutive) values
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def for_column(
-        cls,
-        column: np.ndarray,
-        base: Base | None = None,
-        encoding: EncodingScheme = EncodingScheme.RANGE,
-        nulls: np.ndarray | None = None,
-    ) -> "BitmapIndex":
-        """Build an index over arbitrary orderable values.
-
-        The distinct values are ranked (the paper's lookup-table approach);
-        the sorted dictionary is kept on the returned index as
-        :attr:`value_dictionary` and used by :meth:`rank_of` to translate
-        predicates on original values.
-        """
-        column = np.asarray(column)
-        if nulls is not None:
-            nulls = np.asarray(nulls, dtype=bool)
-            fill = column[~nulls][0] if (~nulls).any() else column[0]
-            effective = np.where(nulls, fill, column)
-        else:
-            effective = column
-        dictionary, ranks = rank_values(effective)
-        if len(dictionary) < 2:
-            raise InvalidBaseError(
-                "column has fewer than 2 distinct values; a bitmap index "
-                "needs attribute cardinality >= 2"
-            )
-        index = cls(
-            ranks,
-            cardinality=len(dictionary),
-            base=base,
-            encoding=encoding,
-            nulls=nulls,
-        )
-        index.value_dictionary = dictionary
-        return index
-
-    value_dictionary: np.ndarray | None = None
-
-    def rank_of(self, value, side: str = "left") -> int:
-        """Translate an original value to a rank for predicate evaluation.
-
-        For a value present in the dictionary this is its rank.  For an
-        absent value, ``side='left'`` returns the rank of the smallest
-        dictionary value ``>= value`` (suitable for ``>=``/``<``
-        predicates) and ``side='right'`` returns that rank minus one is
-        handled by the caller via the usual ``searchsorted`` convention.
-        """
-        if self.value_dictionary is None:
-            return int(value)
-        return int(np.searchsorted(self.value_dictionary, value, side=side))
-
-    # ------------------------------------------------------------------
     # Bitmap source protocol
     # ------------------------------------------------------------------
 
@@ -287,10 +231,6 @@ class BitmapIndex:
         if codec == self.bitmap_codec:
             return self
         return CodecView(self, codec)
-
-    def as_compressed(self, codec: str = "wah") -> "BitmapIndex | CodecView":
-        """:meth:`with_codec`, defaulting to WAH."""
-        return self.with_codec(codec)
 
     def stored_slots(self, component: int) -> tuple[int, ...]:
         """Stored digit slots of a component (1-based component number)."""
@@ -351,8 +291,8 @@ class BitmapIndex:
 
         Every stored bitmap is extended (appends touch all of them — the
         cheap dimension of bitmap maintenance, since it is a sequential
-        rewrite).  Values are ranks in ``[0, C)``; growing the value
-        dictionary of a :meth:`for_column` index is not supported.
+        rewrite).  Values are ranks in ``[0, C)``; growing the
+        cardinality is not supported.
         """
         values, nulls, encode_values = _checked_ranks(values, nulls, self.cardinality)
         self.version += 1

@@ -1,6 +1,6 @@
 """A concurrent batch query engine over bitmap-indexed relations.
 
-:class:`QueryEngine` is the serving layer the single-shot executor of
+:class:`QueryEngine` is the serving layer the engine-free door of
 :mod:`repro.query.executor` lacks: it registers relations once, builds each
 attribute's :class:`~repro.core.index.BitmapIndex` lazily behind a
 thread-safe :class:`~repro.engine.registry.IndexRegistry`, routes every
@@ -62,7 +62,7 @@ from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
 from repro.faults import Deadline, FaultPlan
-from repro.query.executor import AccessPath, QueryResult, bitmap_index_for
+from repro.query.executor import QueryResult, bitmap_index_for
 from repro.query.expression import AGGREGATES, answer_count, query_mode, run_query, verify_answer
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
@@ -299,6 +299,11 @@ class QueryEngine:
         attribute's index (see :class:`IndexSpec`); ``overrides`` replaces
         the spec for individual attributes.  Indexes are built lazily on
         first use — registration itself is cheap.
+
+        Registering a name again replaces its relation and specs: the
+        index and shard exports of every attribute whose relation object
+        or spec changed are dropped, with the relation's cached bitmaps;
+        attributes that did not change keep their indexes.
         """
         if attributes is None:
             attributes = sorted(relation.columns)
@@ -314,11 +319,21 @@ class QueryEngine:
                     f"override for {attribute!r} which is not a served attribute"
                 )
             specs[attribute] = spec
-        self._relations[relation.name] = relation
-        self._specs[relation.name] = specs
-        self._generations[relation.name] = self._generation(relation.name)
+        name = relation.name
+        old_relation, old_specs = self._relations.get(name), self._specs.get(name, {})
+        self._relations[name] = relation
+        self._specs[name] = specs
+        self._generations[name] = self._generation(name)
+        self._drop(
+            name,
+            [
+                attribute
+                for attribute, spec in old_specs.items()
+                if old_relation is not relation or specs.get(attribute) != spec
+            ],
+        )
         if self._default_relation is None:
-            self._default_relation = relation.name
+            self._default_relation = name
 
     def warm(self, relation: str | None = None) -> int:
         """Eagerly build every served index; returns how many are resident."""
@@ -616,38 +631,41 @@ class QueryEngine:
     ) -> None:
         """Drop built indexes, cached bitmaps, and shard publications.
 
-        Call after changing a registered relation's columns so later
-        queries rebuild against the new contents.  ``relation`` narrows
-        the drop to one relation (default: all registered); ``attribute``
-        to one attribute of it.  Cached bitmaps are evicted per relation
-        (the cache groups by relation, not attribute).
+        ``relation`` narrows the drop to one relation (default: all
+        registered); ``attribute`` to one attribute of it.  Cached bitmaps
+        are evicted per relation (the cache groups by relation, not
+        attribute).  The next query rebuilds what it reads.
 
-        Nothing else needs this call.  In-place maintenance of a served
-        index (``append`` / ``update`` / ``delete``) moves its
-        ``version``, which keys every cached bitmap and shard
-        publication; mutations made *through the index store* (its
-        ``build`` / ``append`` / ``compact`` / ``quarantine``) move the
-        store's generation, and the next query drops the relation's
-        derived state by itself.
+        No correctness step needs this call; it only frees memory.
+        Registering a relation again drops what changed with it
+        (:meth:`register`); in-place maintenance of a served index
+        (``append`` / ``update`` / ``delete``) moves its ``version``,
+        which keys every cached bitmap and shard publication; and
+        mutations made *through the index store* (its ``build`` /
+        ``append`` / ``compact`` / ``quarantine``) move the store's
+        generation, so the next query drops the relation's derived state
+        by itself.
         """
         names = (
             [self._resolve(relation)] if relation is not None else list(self._relations)
         )
         for name in names:
-            attributes = (
-                [attribute]
-                if attribute is not None
-                else list(self._specs.get(name, ()))
-            )
-            for attr in attributes:
-                self.registry.pop((name, attr))
-            self._dispatch.drop(name, attribute)
-            self.cache.drop_group(name)
+            self._drop(name, [attribute] if attribute is not None else list(self._specs[name]))
             if attribute is None:
                 self._generations[name] = self._generation(name)
                 view = isinstance(self._relations[name], StoreRelation)
                 if view and self.storage.has(name):
                     self._relations[name] = self.storage.relation_view(name)
+
+    def _drop(self, name: str, attributes: list[str]) -> None:
+        """Forget what was built for ``attributes`` of relation ``name``:
+        their indexes and shard exports, and the relation's cached bitmaps."""
+        if not attributes:
+            return
+        for attribute in attributes:
+            self.registry.pop((name, attribute))
+            self._dispatch.drop(name, attribute)
+        self.cache.drop_group(name)
 
     @property
     def relations(self) -> list[str]:
@@ -945,9 +963,7 @@ class QueryEngine:
             trace.finish()
         result: QueryResult | AggregateResult
         if finish == "rids":
-            result = QueryResult(
-                rids=answer, access_path=AccessPath.BITMAP, stats=stats, trace=trace
-            )
+            result = QueryResult(rids=answer, stats=stats, trace=trace)
         else:
             count, groups, value = answer_count(finish, answer), None, None
             dictionary = relation.column(by).dictionary if by is not None else None

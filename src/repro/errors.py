@@ -90,7 +90,7 @@ class QueryTimeoutError(ReproError):
 
 
 class VerificationError(ReproError):
-    """An access path disagreed with the ground-truth scan."""
+    """An index-answered query disagreed with the ground-truth scan."""
 
 
 class EmptyFoundsetError(ReproError):

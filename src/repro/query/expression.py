@@ -61,7 +61,6 @@ from repro.core.evaluation import (
 )
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError, VerificationError
-from repro.query.options import VERIFYING_OPTIONS, QueryOptions
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 
@@ -162,8 +161,8 @@ COMPLEMENT = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 @dataclass(frozen=True)
 class Comparison(Expression):
-    """A leaf ``attribute op value`` — also the selection predicate of the
-    single-predicate entry points (``AttributePredicate`` is this class).
+    """A leaf ``attribute op value`` — also the single selection predicate
+    (``AttributePredicate`` is this class).
 
     The value may be any orderable type: evaluation translates it to the
     rank domain through the column dictionary before touching an index.
@@ -746,33 +745,3 @@ def verify_answer(
                 f"the scan found {[len(ranks), int(rank)]}"
             )
 
-
-def select(
-    relation: Relation,
-    expression: Expression | str,
-    indexes: dict[str, BitmapSource],
-    stats: ExecutionStats | None = None,
-    *,
-    options: QueryOptions | None = None,
-) -> np.ndarray:
-    """Evaluate an expression through bitmap indexes; returns sorted RIDs.
-
-    Tuning flags live in ``options``; when omitted the standalone entry
-    point verifies against a scan by default.  With ``options.trace`` a
-    fresh :class:`~repro.trace.QueryTrace` is attached to ``stats``
-    (creating the stats object if needed) and left there for the caller
-    to read; with ``options.deadline_ms`` the evaluator and storage seams
-    raise :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
-    """
-    opts = options if options is not None else VERIFYING_OPTIONS
-    stats = opts.new_stats(expression, stats)
-    if isinstance(expression, str):
-        expression = parse_expression(expression)
-    return run_query(
-        relation,
-        expression,
-        indexes,
-        stats,
-        algorithm=opts.algorithm,
-        verify=opts.verify,
-    )

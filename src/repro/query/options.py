@@ -1,11 +1,9 @@
 """The unified tuning surface of the query layer.
 
-Before this module, each query entry point — the verifying executor, the
-boolean expression tree, and the serving engine — grew its own keyword
-sprawl (``verify=``, ``algorithm=``,
-``workers=``, …).  :class:`QueryOptions` is the one dataclass they all
-accept; the scattered legacy keywords have been removed after their
-deprecation cycle.
+:class:`QueryOptions` is the one dataclass every query entry point
+accepts — the engine-free door (:func:`~repro.query.executor.execute`)
+and the serving engine — in place of per-call keywords (``verify=``,
+``algorithm=``, ``workers=``, …).
 
 :func:`normalize_query` is the companion piece of the unified surface: it
 turns any of the accepted query forms — an
@@ -28,14 +26,14 @@ from repro.trace import QueryTrace
 
 @dataclass(frozen=True)
 class QueryOptions:
-    """Tuning flags shared by executor, expression tree, and engine.
+    """Tuning flags shared by the engine-free door and the engine.
 
     Attributes
     ----------
     verify:
         Cross-check the result against a ground-truth scan (default off —
-        the serving default; the standalone entry points that take no
-        ``options`` verify, see :data:`VERIFYING_OPTIONS`).
+        the serving default; the engine-free door verifies when it is
+        given no ``options``, see :data:`VERIFYING_OPTIONS`).
     algorithm:
         Evaluation algorithm every leaf of the query is evaluated with
         by :func:`repro.core.evaluation.evaluate` (``'auto'``,
@@ -88,33 +86,25 @@ class QueryOptions:
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
 
-    def new_stats(
-        self, label: object, stats: ExecutionStats | None = None
-    ) -> ExecutionStats:
+    def new_stats(self, label: object) -> ExecutionStats:
         """The per-query record these options ask for.
 
         Counters, plus a :class:`~repro.trace.QueryTrace` labelled
         ``label`` when ``trace`` is set and a running
         :class:`~repro.faults.Deadline` when ``deadline_ms`` is — built
-        here so no entry point can forget one.  A caller's own ``stats``
-        is completed in place of a fresh object: a trace it already
-        carries is kept, the budget is always this query's (so one left
-        by an earlier query cannot expire a later one).
+        here so no entry point can forget one.
         """
-        stats = stats if stats is not None else ExecutionStats()
-        if self.trace and stats.trace is None:
-            stats.trace = QueryTrace(label=str(label))
-        stats.deadline = (
-            Deadline(self.deadline_ms) if self.deadline_ms is not None else None
+        return ExecutionStats(
+            trace=QueryTrace(label=str(label)) if self.trace else None,
+            deadline=Deadline(self.deadline_ms) if self.deadline_ms is not None else None,
         )
-        return stats
 
 
 #: Shared default instance (options are immutable, so one is enough).
 DEFAULT_OPTIONS = QueryOptions()
 
-#: Default for the standalone entry points (executor, select), which
-#: cross-check against a scan unless told otherwise.
+#: Default for the engine-free door (:func:`~repro.query.executor.execute`),
+#: which cross-checks against a scan unless told otherwise.
 VERIFYING_OPTIONS = QueryOptions(verify=True)
 
 

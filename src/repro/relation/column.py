@@ -27,6 +27,10 @@ class Column:
         Attribute name.
     values:
         The attribute values in RID order (any orderable numpy dtype).
+        The column keeps a read-only view of them, not a copy: writing
+        through :attr:`values` raises, and mutating the caller's original
+        array afterwards leaves the column (and every index built from
+        it) undefined.
     value_size_bytes:
         Logical width of one value on disk, used by the plan-cost model
         (defaults to the dtype's item size).
@@ -38,9 +42,10 @@ class Column:
         values: np.ndarray,
         value_size_bytes: int | None = None,
     ):
-        values = np.asarray(values)
+        values = np.asarray(values).view()
         if values.ndim != 1:
             raise ValueOutOfRangeError("column values must be 1-D")
+        values.flags.writeable = False
         self.name = name
         self.values = values
         self.value_size_bytes = (

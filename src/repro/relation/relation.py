@@ -2,7 +2,7 @@
 
 The relation is deliberately minimal — enough to ground the paper's plan
 cost analysis (full scans read ``N * row_bytes`` bytes) and to serve as
-the source of truth for verifying every index-based access path.
+the source of truth every index-answered query is verified against.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ class Table:
                 f"base {spec.base} cannot index {attribute!r} "
                 f"(cardinality {cardinality})"
             )
-        if attribute in self._designs:
-            self.engine.invalidate(self.name, attribute)
         self._designs[attribute] = spec
         self.engine.register(
             self.relation, attributes=sorted(self._designs), overrides=self._designs

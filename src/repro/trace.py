@@ -25,7 +25,7 @@ kind      emitted by
 ========  ==============================================================
 plan      engine mode/access-path selection (``engine.dispatch``)
 phase     pipeline phases (evaluate, materialize or aggregate.pushdown,
-          verify; translate in the standalone executor)
+          verify)
 fetch     physical bitmap reads (in-memory index, BS/CS/IS files)
 cache     shared engine-cache hits
 buffer    buffer-pool hits
@@ -278,7 +278,6 @@ class ExplainReport:
     query: str
     relation: str
     mode: str  # "predicate" | "expression"
-    access_path: str
     bitmap_codec: str
     rows: int
     predicted_scans: int | None
@@ -308,7 +307,6 @@ class ExplainReport:
             "query": self.query,
             "relation": self.relation,
             "mode": self.mode,
-            "access_path": self.access_path,
             "compressed": self.compressed,
             "rows": self.rows,
             "predicted_scans": self.predicted_scans,
@@ -327,8 +325,7 @@ class ExplainReport:
         """The report as a readable text block (the EXPLAIN output)."""
         lines = [f"EXPLAIN {self.query}  ON {self.relation}"]
         lines.append(
-            f"  mode={self.mode}  access_path={self.access_path}  "
-            f"compressed={'yes' if self.compressed else 'no'}"
+            f"  mode={self.mode}  compressed={'yes' if self.compressed else 'no'}"
             + (f"  plan={self.plan}" if self.plan else "")
         )
         predicted = (
@@ -415,7 +412,6 @@ def build_explain_report(
         query=str(query),
         relation=relation.name,
         mode=mode,
-        access_path=result.access_path.value,
         bitmap_codec=bitmap_codec,
         rows=result.count,
         predicted_scans=predicted,
@@ -439,29 +435,21 @@ def explain(
     """Run ``query`` through ``indexes`` with tracing on and explain it.
 
     The engine-free counterpart of :meth:`QueryEngine.explain
-    <repro.engine.engine.QueryEngine.explain>`: ``query`` is an
-    :class:`~repro.query.predicate.AttributePredicate`, an
-    :class:`~repro.query.expression.Expression`, or a textual expression;
-    ``indexes`` maps attribute names to bitmap sources.
+    <repro.engine.engine.QueryEngine.explain>`: the query runs through
+    :func:`~repro.query.executor.execute`, so ``query`` is any form that
+    door takes and ``indexes`` maps attribute names to bitmap sources.
     """
-    from repro.query.executor import AccessPath, QueryResult
-    from repro.query.expression import query_mode, run_query
+    from repro.query.executor import execute
+    from repro.query.expression import query_mode
     from repro.query.options import QueryOptions, normalize_query
 
     q = normalize_query(query)
-    stats = QueryOptions(trace=True).new_stats(q)
-    trace = stats.trace
-    rids = run_query(
-        relation, q, indexes, stats, algorithm=algorithm, verify=verify
-    )
-    trace.finish()
+    options = QueryOptions(verify=verify, algorithm=algorithm, trace=True)
     return build_explain_report(
         relation,
         q,
         indexes,
-        QueryResult(
-            rids=rids, access_path=AccessPath.BITMAP, stats=stats, trace=trace
-        ),
+        execute(relation, q, indexes, options=options),
         mode=query_mode(q),
         bitmap_codec=indexes[min(q.attributes())].bitmap_codec,
         algorithm=algorithm,

@@ -25,7 +25,7 @@ from repro.core.index import BitmapIndex, BitmapSource, CodecView
 from repro.engine.cache import SharedBitmapCache
 from repro.engine.engine import QueryEngine
 from repro.errors import BufferConfigError
-from repro.query.executor import AccessPath, bitmap_index_for, execute
+from repro.query.executor import bitmap_index_for, execute
 from repro.query.options import QueryOptions
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -52,7 +52,7 @@ def clustered_index(rng):
 class TestCompressedBitmapSource:
     def test_satisfies_protocol(self, clustered_index):
         _, index = clustered_index
-        source = index.as_compressed()
+        source = index.with_codec("wah")
         assert isinstance(source, CodecView)
         assert isinstance(source, BitmapSource)
         assert (source.bitmap_codec, index.bitmap_codec) == ("wah", "dense")
@@ -60,7 +60,7 @@ class TestCompressedBitmapSource:
 
     def test_fetch_serves_wah(self, clustered_index):
         _, index = clustered_index
-        source = index.as_compressed()
+        source = index.with_codec("wah")
         stats = ExecutionStats()
         first = source.fetch(1, 0, stats)
         second = source.fetch(1, 0, stats)
@@ -75,7 +75,7 @@ class TestCompressedBitmapSource:
         values, index = clustered_index
         dense_stats, view_stats = ExecutionStats(), ExecutionStats()
         dense = index.fetch(1, 0, dense_stats)
-        comp = index.as_compressed().fetch(1, 0, view_stats)
+        comp = index.with_codec("wah").fetch(1, 0, view_stats)
         assert view_stats.bytes_read == dense_stats.bytes_read == dense.nbytes > comp.nbytes
         store = IndexStore(str(tmp_path))
         store.build(Relation.from_dict("r", {"a": values}), codec="wah")
@@ -89,7 +89,7 @@ class TestCompressedBitmapSource:
 
     def test_maintenance_invalidates_memo(self, clustered_index):
         values, index = clustered_index
-        source = index.as_compressed()
+        source = index.with_codec("wah")
         pred = Predicate("=", int(values[0]))
         before = evaluate(index, pred)
         assert evaluate(source, pred) == WahBitVector.from_bitvector(before)
@@ -102,7 +102,7 @@ class TestCompressedBitmapSource:
     def test_delete_invalidates_nonnull(self, rng):
         values = rng.integers(0, CARDINALITY, 500)
         index = BitmapIndex(values, CARDINALITY)
-        source = index.as_compressed()
+        source = index.with_codec("wah")
         rid = int(np.flatnonzero(values == values[0])[0])
         pred = Predicate("=", int(values[0]))
         assert rid in evaluate(source, pred).indices()
@@ -114,7 +114,7 @@ class TestCompressedBitmapSource:
         # already-constructed vectors does no byte-level work at all.
         values = rng.integers(0, 1000, NUM_ROWS)
         index = BitmapIndex(values, 1000, base=Base((10, 10, 10)))
-        source = index.as_compressed()
+        source = index.with_codec("wah")
         calls = []
 
         def counted(name, original):
@@ -145,8 +145,7 @@ class TestCompressedBitmapSource:
         result = execute(
             rel,
             AttributePredicate("a", "<=", 10),
-            AccessPath.BITMAP,
-            index=source,
+            {"a": source},
             # cross-checked against the ground-truth scan
             options=QueryOptions(verify=True),
         )

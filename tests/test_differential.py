@@ -146,7 +146,7 @@ def test_compressed_path_matches_dense(cardinality, base, encoding, seed, codec)
     index = BitmapIndex(
         values, cardinality, base=base, encoding=encoding, nulls=nulls
     )
-    compressed = index.as_compressed(codec)
+    compressed = index.with_codec(codec)
     for op in OPERATORS:
         for v in boundary_values(cardinality, rng):
             predicate = Predicate(op, v)
@@ -212,8 +212,8 @@ WORKLOADS = {
 def _three_way_sources(index: BitmapIndex) -> dict:
     return {
         "dense": index,
-        "wah": index.as_compressed("wah"),
-        "roaring": index.as_compressed("roaring"),
+        "wah": index.with_codec("wah"),
+        "roaring": index.with_codec("roaring"),
     }
 
 
@@ -915,7 +915,6 @@ def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):
             relation, codec="lz4"
         ),
         "BitmapIndex.with_codec": lambda: index.with_codec("lz4"),
-        "BitmapIndex.as_compressed": lambda: index.as_compressed("lz4"),
         "open_scheme(compressed=)": lambda: open_scheme(disk, "idx", compressed="lz4"),
         "ShardExport": lambda: ShardExport(index, shard_bounds(index.nbits, 2), "lz4"),
     }

@@ -16,8 +16,8 @@ from repro.engine.sharding import (
     shard_bounds,
     translate_expression,
 )
-from repro.errors import InvalidPredicateError
-from repro.query.executor import VerificationError, bitmap_index_for
+from repro.errors import InvalidPredicateError, VerificationError
+from repro.query.executor import bitmap_index_for, execute
 from repro.query.expression import (
     And,
     Between,
@@ -26,11 +26,9 @@ from repro.query.expression import (
     Not,
     Or,
     parse_expression,
-    select,
 )
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
-from repro.stats import ExecutionStats
 
 from conftest import kleene
 
@@ -174,9 +172,7 @@ class TestParserCorners:
     def test_in_nested_in_parenthesized_disjunction(self, relation, indexes):
         expr = parse_expression("(b in (1, 2) or b in (5)) and a < 10")
         assert isinstance(expr, And)
-        rids = select(
-            relation, expr, indexes, options=QueryOptions(verify=False)
-        )
+        rids = execute(relation, expr, indexes, options=QueryOptions(verify=False)).rids
         truth = np.nonzero(expr.mask(relation))[0]
         assert np.array_equal(rids, truth)
 
@@ -209,7 +205,7 @@ class TestParserCorners:
     def test_unknown_attribute_in_one_branch(self, relation, indexes):
         expr = parse_expression("a <= 5 and typo_column = 1")
         with pytest.raises(KeyError, match="typo_column"):
-            select(relation, expr, indexes, options=QueryOptions(verify=False))
+            execute(relation, expr, indexes, options=QueryOptions(verify=False))
 
 
 class TestEvaluation:
@@ -229,14 +225,13 @@ class TestEvaluation:
         ],
     )
     def test_matches_ground_truth(self, relation, indexes, text):
-        rids = select(relation, text, indexes)
+        rids = execute(relation, text, indexes).rids
         expr = parse_expression(text)
         truth = np.nonzero(expr.mask(relation))[0]
         assert np.array_equal(rids, truth)
 
     def test_stats_counted(self, relation, indexes):
-        stats = ExecutionStats()
-        select(relation, "a <= 12 and b = 3", indexes, stats=stats)
+        stats = execute(relation, "a <= 12 and b = 3", indexes).stats
         assert stats.scans >= 2
         assert stats.ands >= 1
 
@@ -244,7 +239,7 @@ class TestEvaluation:
         expr = (Comparison("a", "<=", 12) & Comparison("b", "=", 3)) | ~Comparison(
             "a", ">", 5
         )
-        rids = select(relation, expr, indexes)
+        rids = execute(relation, expr, indexes).rids
         truth = np.nonzero(expr.mask(relation))[0]
         assert np.array_equal(rids, truth)
 
@@ -254,7 +249,7 @@ class TestEvaluation:
 
     def test_missing_index_rejected(self, relation, indexes):
         with pytest.raises(InvalidPredicateError):
-            select(relation, "a = 1", {})
+            execute(relation, "a = 1", {})
 
     def test_in_empty_rejected(self):
         with pytest.raises(InvalidPredicateError):
@@ -263,10 +258,10 @@ class TestEvaluation:
     def test_verification_catches_wrong_index(self, relation, indexes):
         wrong = {"a": indexes["b"], "b": indexes["b"]}
         with pytest.raises((VerificationError, Exception)):
-            select(relation, "a <= 12", wrong)
+            execute(relation, "a <= 12", wrong)
 
     def test_values_absent_from_domain(self, relation, indexes):
-        rids = select(relation, "a between 28 and 99", indexes)
+        rids = execute(relation, "a between 28 and 99", indexes).rids
         truth = np.nonzero(relation.column("a").values >= 28)[0]
         assert np.array_equal(rids, truth)
 
@@ -306,7 +301,7 @@ def test_random_expressions_match_ground_truth(expr):
         "a": bitmap_index_for(relation, "a", base=Base((6, 5))),
         "b": bitmap_index_for(relation, "b"),
     }
-    rids = select(relation, expr, indexes, options=QueryOptions(verify=False))
+    rids = execute(relation, expr, indexes, options=QueryOptions(verify=False)).rids
     truth = np.nonzero(expr.mask(relation))[0]
     assert np.array_equal(rids, truth)
 
@@ -353,7 +348,7 @@ class TestNotOverNulls:
     def rids(text, relation, indexes, codec):
         sources = {name: index.with_codec(codec) for name, index in indexes.items()}
         # The scan knows no NULLs, so the verifying default would object.
-        return select(relation, text, sources, options=QueryOptions()).tolist()
+        return execute(relation, text, sources, options=QueryOptions()).rids.tolist()
 
     def test_the_rows_a_leaf_masked_out_stay_out(self):
         nulls = np.zeros(10, dtype=bool)
@@ -404,15 +399,13 @@ class TestNotOverNulls:
         for text, dual in NOT_DUALS[:2]:
             charged = []
             for query in (text, dual):
-                stats = ExecutionStats()
-                select(relation, query, indexes, stats, options=QueryOptions())
+                stats = execute(relation, query, indexes, options=QueryOptions()).stats
                 charged.append(stats.as_dict())
             assert charged[0] == charged[1]
 
     def test_without_nulls_not_is_one_counted_complement(self, relation, indexes):
-        stats, inner = ExecutionStats(), ExecutionStats()
-        select(relation, "not a <= 12", indexes, stats)
-        select(relation, "a <= 12", indexes, inner)
+        stats = execute(relation, "not a <= 12", indexes).stats
+        inner = execute(relation, "a <= 12", indexes).stats
         assert stats.nots == inner.nots + 1
         assert (stats.scans, stats.ands) == (inner.scans, inner.ands)
 

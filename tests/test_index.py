@@ -10,6 +10,8 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex, BitmapSource
 from repro.errors import InvalidBaseError, ValueOutOfRangeError
+from repro.query.executor import bitmap_index_for
+from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 
 from conftest import make_index
@@ -122,27 +124,35 @@ class TestNulls:
 
 
 class TestForColumn:
+    """An index for a column of arbitrary values: built over the column's
+    ranks (:func:`bitmap_index_for`), with the lookup table on the column."""
+
+    @staticmethod
+    def _column_and_index(values):
+        relation = Relation.from_dict("r", {"a": np.asarray(values)})
+        return relation.column("a"), bitmap_index_for(relation, "a")
+
     def test_string_column(self):
-        column = np.array(["cherry", "apple", "banana", "apple"])
-        index = BitmapIndex.for_column(column)
+        column, index = self._column_and_index(["cherry", "apple", "banana", "apple"])
         assert index.cardinality == 3
-        assert list(index.value_dictionary) == ["apple", "banana", "cherry"]
+        assert list(column.dictionary) == ["apple", "banana", "cherry"]
         # "apple" has rank 0: equality on rank 0 matches rows 1 and 3.
         assert index.naive_eval("=", 0).indices().tolist() == [1, 3]
 
     def test_float_column_preserves_order(self):
-        column = np.array([2.5, 0.1, 9.75, 0.1])
-        index = BitmapIndex.for_column(column)
+        column, index = self._column_and_index([2.5, 0.1, 9.75, 0.1])
         assert index.cardinality == 3
-        assert index.rank_of(2.5) == 1
+        assert column.code_of(2.5) == 1
 
     def test_requires_two_distinct_values(self):
         with pytest.raises(InvalidBaseError):
-            BitmapIndex.for_column(np.array([7, 7, 7]))
+            self._column_and_index([7, 7, 7])
 
     def test_rank_of_absent_value(self):
-        index = BitmapIndex.for_column(np.array([10, 20, 30]))
-        assert index.rank_of(15) == 1  # first dictionary value >= 15
+        column, _ = self._column_and_index([10, 20, 30])
+        # The first dictionary value >= 15 has rank 1.
+        assert column.code_bounds(">=", 15) == (">=", 1)
+        assert column.code_bounds("<", 15) == ("<", 1)
 
 
 class TestNaiveEval:

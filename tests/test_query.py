@@ -1,4 +1,4 @@
-"""Tests for the query layer: predicates, plans, the verifying executor."""
+"""Tests for the query layer: predicates, plans, the engine-free door."""
 
 from __future__ import annotations
 
@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.decomposition import Base
-from repro.errors import InvalidPredicateError
-from repro.query.executor import (
-    AccessPath,
-    VerificationError,
-    bitmap_index_for,
-    execute,
-)
-from repro.query.expression import And, Comparison, run_query, select
+from repro.engine.engine import QueryEngine
+from repro.errors import InvalidPredicateError, VerificationError
+from repro.query.executor import bitmap_index_for, execute
+from repro.query.expression import And, Comparison, parse_expression, run_query
 from repro.query.options import QueryOptions
 from repro.query.plans import (
     plan_p1_cost,
@@ -22,15 +18,13 @@ from repro.query.plans import (
     plan_p3_ridlist_cost,
     ridlist_crossover_selectivity,
 )
-from repro.query.predicate import AttributePredicate, parse_predicate
-from repro.relation.projection import ProjectionIndex
+from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
 from repro.stats import ExecutionStats
 
 
-@pytest.fixture
-def relation(rng) -> Relation:
+def sales(rng: np.random.Generator) -> Relation:
     return Relation.from_dict(
         "sales",
         {
@@ -40,7 +34,14 @@ def relation(rng) -> Relation:
     )
 
 
+@pytest.fixture
+def relation(rng) -> Relation:
+    return sales(rng)
+
+
 class TestParsePredicate:
+    """A predicate's text parses to the one-leaf expression tree."""
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -52,23 +53,23 @@ class TestParsePredicate:
         ],
     )
     def test_parses(self, text, expected):
-        assert parse_predicate(text) == expected
+        assert parse_expression(text) == expected
 
     def test_longest_operator_wins(self):
-        assert parse_predicate("a <= 1").op == "<="
+        assert parse_expression("a <= 1").op == "<="
 
     def test_unparseable(self):
         with pytest.raises(InvalidPredicateError):
-            parse_predicate("quantity")
+            parse_expression("quantity")
         with pytest.raises(InvalidPredicateError):
-            parse_predicate("<= 25")
+            parse_expression("<= 25")
 
     def test_invalid_operator_in_constructor(self):
         with pytest.raises(InvalidPredicateError):
             AttributePredicate("a", "==", 1)
 
     def test_str(self):
-        assert str(parse_predicate("a > 2")) == "a > 2"
+        assert str(parse_expression("a > 2")) == "a > 2"
 
 
 class TestExecutor:
@@ -79,59 +80,46 @@ class TestExecutor:
          "quantity <= 200", "quantity = 0"],
     )
     def test_all_paths_agree(self, relation, text):
-        predicate = parse_predicate(text)
+        """The bitmap door, the RID-list baseline and a scan agree."""
+        predicate = parse_expression(text)
         column = relation.column("quantity")
         bitmap = bitmap_index_for(relation, "quantity", base=Base((8, 7)))
-        rid = RIDListIndex(column.values)
-        projection = ProjectionIndex(column.codes, column.cardinality)
-        results = [
-            execute(relation, predicate, AccessPath.SCAN),
-            execute(relation, predicate, AccessPath.BITMAP, bitmap),
-            execute(relation, predicate, AccessPath.RID_LIST, rid),
-            execute(relation, predicate, AccessPath.PROJECTION, projection),
+        unverified = QueryOptions(verify=False)
+        answers = [
+            execute(relation, predicate, {"quantity": bitmap}, options=unverified).rids,
+            RIDListIndex(column.values).lookup(predicate.op, predicate.value),
+            relation.scan(predicate.attribute, predicate.op, predicate.value),
         ]
-        counts = {r.count for r in results}
-        assert len(counts) == 1
-        for r in results[1:]:
-            assert np.array_equal(r.rids, results[0].rids)
+        for rids in answers[1:]:
+            assert np.array_equal(rids, answers[0])
 
     def test_float_column_through_bitmap(self, relation):
-        predicate = parse_predicate("price <= 50.0")
         bitmap = bitmap_index_for(relation, "price")
-        result = execute(relation, predicate, AccessPath.BITMAP, bitmap)
+        result = execute(relation, "price <= 50.0", {"price": bitmap})
         assert result.count == len(relation.scan("price", "<=", 50.0))
 
     def test_missing_index_rejected(self, relation):
         with pytest.raises(InvalidPredicateError):
-            execute(relation, parse_predicate("quantity = 1"), AccessPath.BITMAP)
-
-    def test_wrong_index_type_rejected(self, relation):
-        bitmap = bitmap_index_for(relation, "quantity")
-        with pytest.raises(InvalidPredicateError):
-            execute(
-                relation, parse_predicate("quantity = 1"),
-                AccessPath.RID_LIST, bitmap,
-            )
+            execute(relation, "quantity = 1", {})
 
     def test_verification_catches_wrong_index(self, relation):
         """An index built on the wrong column fails verification."""
         wrong = bitmap_index_for(relation, "price")
         with pytest.raises(VerificationError):
-            execute(
-                relation, parse_predicate("quantity <= 10"),
-                AccessPath.BITMAP, wrong,
-            )
+            execute(relation, "quantity <= 10", {"quantity": wrong})
 
     def test_stats_populated(self, relation):
         bitmap = bitmap_index_for(relation, "quantity")
-        result = execute(
-            relation, parse_predicate("quantity <= 10"), AccessPath.BITMAP, bitmap
-        )
+        result = execute(relation, "quantity <= 10", {"quantity": bitmap})
         assert result.stats.scans >= 1
+        assert result.trace is None
 
     def test_scan_bytes_accounting(self, relation):
-        result = execute(relation, parse_predicate("quantity <= 10"))
-        assert result.stats.bytes_read == relation.num_rows * relation.row_bytes
+        """Every bitmap scan charges its N/8 bytes, as plan P3 prices it."""
+        bitmap = bitmap_index_for(relation, "quantity", base=Base((8, 7)))
+        stats = execute(relation, "quantity <= 10", {"quantity": bitmap}).stats
+        priced = plan_p3_bitmap_cost(relation.num_rows, stats.scans, num_predicates=1)
+        assert stats.bytes_read == priced.bytes_read > 0
 
 
 class TestConjunctiveSelect:
@@ -142,7 +130,7 @@ class TestConjunctiveSelect:
             "quantity": bitmap_index_for(relation, "quantity"),
             "price": bitmap_index_for(relation, "price"),
         }
-        rids = select(relation, "quantity <= 25 and price <= 50.0", indexes)
+        rids = execute(relation, "quantity <= 25 and price <= 50.0", indexes).rids
         mask = (relation.column("quantity").values <= 25) & (
             relation.column("price").values <= 50.0
         )
@@ -150,16 +138,16 @@ class TestConjunctiveSelect:
 
     def test_single_predicate(self, relation):
         indexes = {"quantity": bitmap_index_for(relation, "quantity")}
-        rids = select(relation, "quantity = 7", indexes)
+        rids = execute(relation, "quantity = 7", indexes).rids
         assert np.array_equal(rids, relation.scan("quantity", "=", 7))
 
     def test_empty_predicates_rejected(self, relation):
         with pytest.raises(InvalidPredicateError):
-            select(relation, "", {})
+            execute(relation, "", {})
 
     def test_missing_index_rejected(self, relation):
         with pytest.raises(InvalidPredicateError):
-            select(relation, "quantity = 7", {})
+            execute(relation, "quantity = 7 and price <= 50.0", {})
 
     def test_merge_is_charged_and_algorithm_reaches_every_leaf(self, rng):
         relation = Relation.from_dict(
@@ -171,9 +159,8 @@ class TestConjunctiveSelect:
         }
         charged = {}
         for algorithm in ("auto", "range_eval"):
-            stats = ExecutionStats()
             options = QueryOptions(algorithm=algorithm, verify=True)
-            select(relation, "a <= 20 and b > 3", indexes, stats, options=options)
+            stats = execute(relation, "a <= 20 and b > 3", indexes, options=options).stats
             charged[algorithm] = (stats.scans, stats.ands)
         assert charged == {"auto": (3, 2), "range_eval": (5, 7)}
 
@@ -189,15 +176,27 @@ class TestConjunctiveSelect:
         for algorithm in ("auto", "range_eval"):
             expected = ExecutionStats()
             rids = run_query(relation, conjunction, indexes, expected, algorithm=algorithm)
-            stats = ExecutionStats()
             options = QueryOptions(algorithm=algorithm, verify=True)
-            selected = select(relation, "a <= 20 and b > 3", indexes, stats, options=options)
-            assert np.array_equal(selected, rids)
+            result = execute(relation, "a <= 20 and b > 3", indexes, options=options)
+            assert np.array_equal(result.rids, rids)
+            stats = result.stats
             assert (stats.scans, stats.ands, stats.ops) == (
                 expected.scans,
                 expected.ands,
                 expected.ops,
             )
+
+
+class TestReRegistration:
+    """Registering a name again serves the new relation, never the old index."""
+
+    def test_reregistered_relation_answers_from_its_own_columns(self):
+        engine = QueryEngine(backend="inline")
+        engine.register(Relation.from_dict("r", {"x": np.array([0, 1, 2, 3, 0, 1, 2, 3])}))
+        assert engine.query("x <= 1").rids.tolist() == [0, 1, 4, 5]
+        engine.register(Relation.from_dict("r", {"x": np.array([3, 3, 3, 3, 0, 0, 0, 0])}))
+        assert engine.query("x <= 1").rids.tolist() == [4, 5, 6, 7]
+        assert engine.count("x <= 1").count == 4
 
 
 class TestPlanCosts:

@@ -62,6 +62,15 @@ class TestColumn:
     def test_repr(self):
         assert "cardinality=2" in repr(Column("c", np.array([1, 2])))
 
+    def test_values_are_a_read_only_view(self):
+        """Writing through the column raises instead of silently
+        desynchronizing it from the indexes built over it."""
+        source = np.arange(4)
+        col = Column("c", source)
+        assert np.shares_memory(col.values, source) and source.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            col.values[0] = 3
+
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(st.integers(-50, 50), min_size=1, max_size=60),

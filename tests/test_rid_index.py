@@ -1,4 +1,4 @@
-"""Tests for the RID-list baseline and the projection index."""
+"""Tests for the RID-list baseline."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValueOutOfRangeError
-from repro.relation.projection import ProjectionIndex
 from repro.relation.rid_index import RID_BYTES, RIDListIndex
 
 OPERATORS = ("<", "<=", "=", "!=", ">=", ">")
@@ -81,41 +80,3 @@ class TestRIDListIndex:
         idx = RIDListIndex(arr)
         assert np.array_equal(idx.lookup(op, probe), _naive(arr, op, probe))
 
-
-class TestProjectionIndex:
-    def test_lookup(self, rng):
-        values = rng.integers(0, 16, 200)
-        proj = ProjectionIndex(values, 16)
-        for op in OPERATORS:
-            got = proj.lookup(op, 7)
-            assert np.array_equal(got, _naive(values, op, 7))
-
-    def test_size(self):
-        proj = ProjectionIndex(np.arange(100) % 16, 16)
-        assert proj.bits_per_value == 4
-        assert proj.size_bytes == (100 * 4 + 7) // 8
-
-    def test_cardinality_inferred(self):
-        proj = ProjectionIndex(np.array([0, 5, 3]))
-        assert proj.cardinality == 6
-
-    def test_binary_rows_shape(self):
-        proj = ProjectionIndex(np.array([0, 1, 15]), 16)
-        rows = proj.binary_rows()
-        assert rows.shape == (3, 4)
-        assert rows[2].tolist() == [True, True, True, True]
-
-    def test_unknown_operator(self):
-        proj = ProjectionIndex(np.array([1]))
-        with pytest.raises(ValueOutOfRangeError):
-            proj.lookup("~", 1)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueOutOfRangeError):
-            ProjectionIndex(np.zeros((2, 2)))
-
-    def test_values_copied(self):
-        source = np.array([1, 2, 3])
-        proj = ProjectionIndex(source, 4)
-        source[0] = 9
-        assert proj.values[0] == 1

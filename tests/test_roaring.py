@@ -35,8 +35,6 @@ from repro.bitmaps.roaring import (
     CHUNK_SIZE,
     RUN,
     RoaringBitmap,
-    roaring_and_many,
-    roaring_or_many,
 )
 from repro.engine.cache import SharedBitmapCache
 from repro.errors import CorruptFileError, LengthMismatchError
@@ -310,8 +308,6 @@ class TestAlgebra:
         for v in vectors[1:]:
             acc_or = acc_or | v
             acc_and = acc_and & v
-        assert roaring_or_many(vectors) == acc_or
-        assert roaring_and_many(vectors) == acc_and
         assert RoaringBitmap.or_many(vectors) == acc_or
         assert RoaringBitmap.and_many(vectors) == acc_and
 

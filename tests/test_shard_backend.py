@@ -553,6 +553,19 @@ class TestEngineBackendDifferential:
             )
             assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))
 
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_reregistered_relation_answers_from_its_own_columns(self, codec):
+        """Registering a name again drops the old shard exports too."""
+        first = Relation.from_dict("r", {"x": np.tile([0, 1, 2, 3, 0, 1, 2, 3], 1000)})
+        second = Relation.from_dict("r", {"x": np.tile([3, 3, 3, 3, 0, 0, 0, 0], 1000)})
+        options = QueryOptions(backend="processes", shards=2)
+        with QueryEngine(codec=codec, max_workers=2) as engine:
+            for relation in (first, second):
+                engine.register(relation)
+                result = engine.query("x <= 1", options=options)
+                assert np.array_equal(result.rids, relation.scan("x", "<=", 1))
+                assert engine.count("x <= 1", options=options).count == 4000
+
 
 #: Constants inside, at the ends of and outside each column's domain.
 CONSTANTS = {"quantity": (-3, 0, 1, 25, 49, 50, 60), "region": (-1, 0, 3, 7, 8)}

@@ -26,6 +26,7 @@ from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import evaluate
 from repro.core.index import BitmapIndex
 from repro.engine.cache import CachedSource, SharedBitmapCache
+from repro.engine.registry import IndexSpec
 from repro.engine.sharding import _IMAGE_NAME, ShardExport, shard_bounds
 from repro.errors import (
     BufferConfigError,
@@ -972,12 +973,15 @@ class TestEngineIntegration:
 
 
 class TestNoInvalidateNeeded:
-    """A store mutation never needs ``engine.invalidate()`` for correctness.
+    """No mutation needs ``engine.invalidate()`` for correctness: not one
+    made through the store, nor registering a name again.
 
-    The regression: after ``engine.storage.append(...)`` the engine kept
+    The regressions: after ``engine.storage.append(...)`` the engine kept
     answering from the memoized source and the cached bitmaps of the old
     generation — stale RIDs with no error, a ``LengthMismatchError`` on
-    range-encoded columns, ``mmap closed or invalid`` after a compact.
+    range-encoded columns, ``mmap closed or invalid`` after a compact; and
+    a relation registered again under its name was answered from the old
+    relation's indexes.
     """
 
     TEXT = And(Comparison("quantity", "<=", 13), Comparison("region", "=", "west"))
@@ -1041,6 +1045,35 @@ class TestNoInvalidateNeeded:
                 engine.storage.compact("sales")
         assert engine.storage.bitmap_source("sales", "region").version > version
         self.check(engine, after, finish)
+        engine.close()
+
+    @pytest.mark.parametrize("finish", ["query", "count", "group_count"])
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_answers_follow_a_reregistered_relation(self, codec, finish):
+        """Registering a name again is the in-memory mutation: the next
+        query answers from the new columns, not from the old indexes."""
+        engine = repro.QueryEngine(codec=codec, backend="inline")
+        for relation in (make_relation(500, seed=11), make_relation(700, seed=13)):
+            engine.register(relation)
+            self.check(engine, relation, finish)
+        engine.close()
+
+    def test_changed_spec_rebuilds_only_that_attribute(self, relation):
+        engine = repro.QueryEngine(backend="inline")
+        engine.register(relation)
+        self.check(engine, relation, "group_count")
+        region = engine.registry.peek(("sales", "region"))
+        engine.register(
+            relation,
+            overrides={"quantity": IndexSpec(base=Base((5, 8)), encoding=EncodingScheme.EQUALITY)},
+        )
+        assert engine.registry.peek(("sales", "quantity")) is None
+        assert engine.registry.peek(("sales", "region")) is region
+        report = engine.explain(self.TEXT)
+        assert report.matches_prediction
+        quantity = engine.registry.peek(("sales", "quantity"))
+        assert (quantity.base, quantity.encoding) == (Base((5, 8)), EncodingScheme.EQUALITY)
+        self.check(engine, relation, "query")
         engine.close()
 
     def test_explicit_invalidate_still_works(self, store_dir, relation):

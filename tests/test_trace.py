@@ -24,8 +24,8 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine.engine import IndexSpec, QueryEngine
 from repro.errors import QueryTimeoutError
-from repro.query.executor import AccessPath, bitmap_index_for, execute
-from repro.query.expression import Comparison, Expression, parse_expression, select
+from repro.query.executor import bitmap_index_for, execute
+from repro.query.expression import Comparison, Expression, parse_expression
 from repro.query.options import QueryOptions, normalize_query
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -82,7 +82,7 @@ class TestQueryTrace:
         assert trace is not None
         kinds = {span.kind for span in trace.spans}
         assert "plan" in kinds  # engine dispatch
-        assert "phase" in kinds  # translate / evaluate / materialize
+        assert "phase" in kinds  # evaluate / materialize
         assert "fetch" in kinds  # physical index fetch
         assert trace.count("fetch") == result.stats.scans
 
@@ -175,40 +175,31 @@ class TestStandaloneEntryPointTracing:
         result = execute(
             relation,
             AttributePredicate("quantity", "<=", 25),
-            AccessPath.BITMAP,
-            index=index,
+            {"quantity": index},
             options=QueryOptions(trace=True, verify=True),
         )
         names = [span.name for span in result.trace.spans]
-        assert "translate" in names
-        assert "materialize" in names
-        assert "verify" in names
+        assert names.count("index.fetch") == result.stats.scans
+        assert {"evaluate", "materialize", "verify"} <= set(names)
 
     def test_deadline_reaches_every_standalone_entry_point(self, relation):
-        # One per-query record for the standalone doors (QueryOptions.new_stats):
-        # a spent budget stops each at the evaluator seam, not just execute.
+        # One per-query record (QueryOptions.new_stats) for every query
+        # form of the one engine-free door: a spent budget stops each at
+        # the evaluator seam.
         indexes = {
             "quantity": bitmap_index_for(relation, "quantity"),
             "region": bitmap_index_for(relation, "region"),
         }
-        predicate = AttributePredicate("quantity", "<=", 10)
         spent = QueryOptions(deadline_ms=0)
-        doors = {
-            "execute": lambda o: execute(
-                relation, predicate, AccessPath.BITMAP, indexes["quantity"], options=o
-            ),
-            "select": lambda o: select(relation, "quantity <= 10", indexes, options=o),
-        }
-        for door in doors.values():
+        for query in (
+            AttributePredicate("quantity", "<=", 10),
+            "quantity <= 10 and region = 3",
+        ):
             with pytest.raises(QueryTimeoutError, match="evaluate"):
-                door(spent)
-            door(QueryOptions(deadline_ms=60_000.0, trace=True))  # in budget
-        # The budget is each query's own: one left on a caller's stats by
-        # an earlier query does not expire a later one.
-        stats = ExecutionStats()
-        with pytest.raises(QueryTimeoutError):
-            select(relation, "quantity <= 10", indexes, stats, options=spent)
-        select(relation, "quantity <= 10", indexes, stats)
+                execute(relation, query, indexes, options=spent)
+            execute(relation, query, indexes, options=QueryOptions(deadline_ms=60_000.0))
+        # The budget is each query's own: a query without one runs without one.
+        stats = execute(relation, "quantity <= 10", indexes).stats
         assert stats.deadline is None and stats.scans == 1
 
 
@@ -311,8 +302,7 @@ class TestUnifiedQueryAPI:
             execute(
                 relation,
                 AttributePredicate("quantity", "<=", 25),
-                AccessPath.BITMAP,
-                index=index,
+                {"quantity": index},
                 verify=True,
             )
 
@@ -321,8 +311,7 @@ class TestUnifiedQueryAPI:
         result = execute(
             relation,
             AttributePredicate("quantity", "<=", 25),
-            AccessPath.BITMAP,
-            index=index,
+            {"quantity": index},
             options=QueryOptions(verify=True, trace=True),
         )
         truth = np.nonzero(relation.column("quantity").values <= 25)[0]
