@@ -3,17 +3,18 @@
 Three measurements, written to
 ``benchmarks/results/BENCH_compressed_path.json``:
 
-- ``bitmap_ops`` — raw AND/OR on WAH-coded bitmaps across row counts and
-  clustering factors (mean run length in bits).  ``compressed`` operates
-  on the payloads directly (:func:`repro.bitmaps.wah.wah_and`);
+- ``bitmap_ops`` — AND/OR on stored WAH payloads across row counts and
+  clustering factors (mean run length in bits).  ``compressed`` reads the
+  payloads with ``WahBitVector.from_payload``, runs the compressed-domain
+  operator and writes the result with ``to_payload``;
   ``decode_then_operate`` is the old path: decode both payloads to dense
   :class:`BitVector` and run the dense op.  On clustered bitmaps the
   compressed path wins because its cost is proportional to runs, not
   rows; on incompressible bitmaps it loses — which is exactly the
   crossover the ``ablation_compressed_ops`` experiment maps.
-- ``kway_or`` — the k-way :func:`~repro.bitmaps.wah.wah_or_many` run
-  merge (per Kaser & Lemire) vs. folding ``wah_or`` pairwise and vs.
-  decoding everything dense.
+- ``kway_or`` — the k-way ``WahBitVector.or_many`` run merge (per Kaser
+  & Lemire) vs. folding a two-operand OR pairwise, payload to payload,
+  and vs. decoding everything dense.
 - ``query_eval`` + ``cache_capacity`` — end-to-end ``evaluate()`` latency
   on a clustered 1M-row column through a dense index vs. its
   ``with_codec("wah")`` view (results verified bit-identical), and how many
@@ -32,13 +33,14 @@ or through pytest (quick sizes unless ``REPRO_BENCH_FULL=1``)::
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 
 import numpy as np
 
 from repro.bitmaps.bitvector import BitVector
-from repro.bitmaps.wah import wah_and, wah_decode, wah_encode, wah_or, wah_or_many
+from repro.bitmaps.compressed import WahBitVector
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import OPERATORS, Predicate, evaluate
 from repro.core.index import BitmapIndex
@@ -84,6 +86,21 @@ def best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def encode(bits: np.ndarray) -> bytes:
+    """The stored WAH payload of a boolean array."""
+    return WahBitVector.from_bitvector(BitVector.from_bools(bits)).to_payload()
+
+
+def stored_op(op, payloads: list[bytes], nbits: int) -> bytes:
+    """``op`` over stored payloads, as a fetch meets them: each read by
+    ``from_payload``, the result written by ``to_payload``."""
+    return op(*[WahBitVector.from_payload(p, nbits) for p in payloads]).to_payload()
+
+
+def decode(payload: bytes, nbits: int) -> BitVector:
+    return WahBitVector.from_payload(payload, nbits).to_bitvector()
+
+
 def bench_bitmap_ops(row_counts: tuple[int, ...]) -> list[dict]:
     rows = []
     rng = np.random.default_rng(42)
@@ -91,23 +108,25 @@ def bench_bitmap_ops(row_counts: tuple[int, ...]) -> list[dict]:
         for factor in CLUSTER_FACTORS:
             a = clustered_bools(nbits, factor, rng)
             b = clustered_bools(nbits, factor, rng)
-            pa = wah_encode(np.packbits(a, bitorder="little").tobytes())
-            pb = wah_encode(np.packbits(b, bitorder="little").tobytes())
+            pa, pb = encode(a), encode(b)
             da = BitVector.from_bools(a)
             db = BitVector.from_bools(b)
 
-            compressed_s = best_of(lambda: (wah_and(pa, pb), wah_or(pa, pb)))
+            compressed_s = best_of(
+                lambda: (
+                    stored_op(operator.and_, [pa, pb], nbits),
+                    stored_op(operator.or_, [pa, pb], nbits),
+                )
+            )
             decode_s = best_of(
                 lambda: (
-                    BitVector.from_bytes(wah_decode(pa), nbits)
-                    & BitVector.from_bytes(wah_decode(pb), nbits),
-                    BitVector.from_bytes(wah_decode(pa), nbits)
-                    | BitVector.from_bytes(wah_decode(pb), nbits),
+                    decode(pa, nbits) & decode(pb, nbits),
+                    decode(pa, nbits) | decode(pb, nbits),
                 )
             )
             # Sanity: the two paths agree bit-for-bit.
-            assert wah_decode(wah_and(pa, pb)) == (da & db).to_bytes()
-            assert wah_decode(wah_or(pa, pb)) == (da | db).to_bytes()
+            assert decode(stored_op(operator.and_, [pa, pb], nbits), nbits) == da & db
+            assert decode(stored_op(operator.or_, [pa, pb], nbits), nbits) == da | db
             rows.append(
                 {
                     "nbits": nbits,
@@ -128,25 +147,28 @@ def bench_kway_or(nbits: int) -> dict:
     payloads = []
     for _ in range(KWAY):
         bits = clustered_bools(nbits, 4096, rng)
-        payloads.append(wah_encode(np.packbits(bits, bitorder="little").tobytes()))
+        payloads.append(encode(bits))
+
+    def kway():
+        return stored_op(lambda *vectors: WahBitVector.or_many(vectors), payloads, nbits)
 
     def pairwise():
         acc = payloads[0]
         for p in payloads[1:]:
-            acc = wah_or(acc, p)
+            acc = stored_op(operator.or_, [acc, p], nbits)
         return acc
 
     def dense_fold():
-        acc = BitVector.from_bytes(wah_decode(payloads[0]), nbits)
+        acc = decode(payloads[0], nbits)
         for p in payloads[1:]:
-            acc = acc | BitVector.from_bytes(wah_decode(p), nbits)
+            acc = acc | decode(p, nbits)
         return acc
 
-    kway_s = best_of(lambda: wah_or_many(payloads))
+    kway_s = best_of(kway)
     pairwise_s = best_of(pairwise)
     dense_s = best_of(dense_fold)
-    assert wah_decode(wah_or_many(payloads)) == wah_decode(pairwise())
-    assert wah_decode(wah_or_many(payloads)) == dense_fold().to_bytes()
+    assert kway() == pairwise()
+    assert decode(kway(), nbits) == dense_fold()
     return {
         "nbits": nbits,
         "k": KWAY,

@@ -13,8 +13,10 @@ Besides the shared algebra every class answers the same five names:
 ``codec`` (its registry key), ``from_bitvector`` / ``to_bitvector``
 (through the dense form; the identity on ``BitVector``) and ``to_payload``
 / ``from_payload(buf, nbits)`` (the stored bytes of ``.rbix`` files,
-shared-memory shard segments and BS scheme files; a payload whose own
-length field disagrees with ``nbits`` is rejected).  Two private names
+shared-memory shard segments and Section 9 scheme files, and the only
+writer and reader of a class's bytes; a payload whose own length field
+disagrees with ``nbits``, or that sets a bit at or past ``nbits``, is
+rejected).  Two private names
 serve the index store's writer, which builds no bitmap at all:
 ``_layout(column)`` lays a column of per-row values out in the class's
 word geometry, and ``_pack(members, nbits)`` packs a comparison over that
@@ -22,7 +24,8 @@ layout straight into the class's words and payload.
 
 The Section 9 *byte-stream* codecs that compress whole scheme files
 (zlib among them) are a different decision and live with that experiment,
-in :mod:`repro.experiments.compression`.
+in :mod:`repro.experiments.compression`; its ``wah`` and ``roaring``
+entries are these classes' ``to_payload`` / ``from_payload``.
 """
 
 from typing import ClassVar, Protocol, runtime_checkable

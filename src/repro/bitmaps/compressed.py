@@ -9,10 +9,12 @@ run-structured bitmaps an AND costs time proportional to the number of
 *runs* rather than the number of bits — the property that made
 word-aligned codecs the standard for bitmap indexes after the paper — and
 on incompressible ones it is a word-parallel pass over the groups.  The
-byte payload of the WAH format exists only at the boundary:
-:meth:`WahBitVector.from_payload` parses and validates it once
-(:func:`~repro.bitmaps.wah._parse_runs`, where payload words are read),
-:meth:`WahBitVector.to_payload` encodes it; no kernel touches bytes.
+byte payload of the WAH format exists only at the boundary, and this
+class is its one reader and writer: :meth:`WahBitVector.from_payload`
+parses and validates it once (:func:`~repro.bitmaps.wah._parse_runs`,
+where payload words are read, and :func:`~repro.bitmaps.wah._set_past`,
+which holds it to its bit length), :meth:`WahBitVector.to_payload`
+encodes it; no kernel touches bytes.
 The index store's writer makes payloads without a vector at all:
 ``WahBitVector._layout`` lays a digit column out as one 31-bit group per
 row, and ``WahBitVector._pack`` packs a slot's comparison over it
@@ -44,6 +46,7 @@ import numpy as np
 from repro.bitmaps.bitvector import BitVector, _bit_positions, _packed
 from repro.bitmaps.wah import (
     _GROUP_BITS,
+    _HEADER,
     _LITERAL_MASK,
     Runs,
     _and_popcount,
@@ -61,8 +64,8 @@ from repro.bitmaps.wah import (
     _parse_runs,
     _payload_words,
     _popcount,
+    _set_past,
     _threshold,
-    wah_word_count,
 )
 from repro.errors import CorruptFileError, LengthMismatchError
 
@@ -181,9 +184,9 @@ class WahBitVector:
 
         The whole payload is validated here, so corruption surfaces at
         the fetch and never mid-query: a length header that disagrees
-        with ``nbits``, a body that is not word-aligned, or run words
-        that decode to too few or too many groups each raise
-        :class:`~repro.errors.CorruptFileError`.
+        with ``nbits``, a body that is not word-aligned, run words that
+        decode to too few or too many groups, or a set bit at or past
+        ``nbits`` each raise :class:`~repro.errors.CorruptFileError`.
         """
         declared, runs = _parse_runs(buf)
         if declared != (nbits + 7) // 8:
@@ -191,6 +194,8 @@ class WahBitVector:
                 f"WAH payload declares {declared} bytes of bits; "
                 f"{(nbits + 7) // 8} expected for {nbits} bits"
             )
+        if _set_past(runs, nbits):
+            raise CorruptFileError(f"WAH payload sets a bit at or past its {nbits} bits")
         return cls(runs, nbits)
 
     def copy(self) -> "WahBitVector":
@@ -225,7 +230,7 @@ class WahBitVector:
     @property
     def num_words(self) -> int:
         """32-bit WAH words in the encoded payload (the run count bound)."""
-        return wah_word_count(self.to_payload())
+        return (len(self.to_payload()) - _HEADER.size) // 4
 
     def count(self) -> int:
         """Population count, computed on the compressed form."""

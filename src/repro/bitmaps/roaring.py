@@ -80,10 +80,10 @@ and possibly empty, which every kernel, ``count``, ``indices`` and
 ``to_bitvector`` read as they are — so a chain of operators never
 re-picks the kinds of an intermediate that the next one renders back to
 rows.  A loose bitmap seals once, in place, when its bytes are asked for
-(:meth:`~RoaringBitmap.serialize`, :attr:`~RoaringBitmap.nbytes`,
+(:meth:`~RoaringBitmap.to_payload`, :attr:`~RoaringBitmap.nbytes`,
 :meth:`~RoaringBitmap.container_kinds` and the other introspection).
 Built bitmaps (:meth:`~RoaringBitmap.from_bitvector` and the other
-constructors) and deserialized ones are sealed from the start.
+constructors) and ones read by ``from_payload`` are sealed from the start.
 
 Where WAH's run-length words lose on uniform-random (short-run) data —
 every 31-bit group becomes a literal word and the codec degenerates to a
@@ -94,11 +94,12 @@ number of *set bits*, which is exactly the regime the
 
 :class:`RoaringBitmap` mirrors the algebra surface of ``BitVector`` and
 ``WahBitVector``, so the evaluation algorithms, the storage schemes and
-the query engine serve it unchanged as a third backend.  The serialized
-form is self-describing and validated on read: truncated, overlong, or
-internally inconsistent payloads raise
-:class:`~repro.errors.CorruptFileError` rather than crashing or decoding
-to a wrong answer.
+the query engine serve it unchanged as a third backend.  The stored form
+(:meth:`~RoaringBitmap.to_payload`, the one writer of Roaring bytes; read
+only by :meth:`~RoaringBitmap.from_payload`) is self-describing and
+validated on read: truncated, overlong, or internally inconsistent
+payloads raise :class:`~repro.errors.CorruptFileError` rather than
+crashing or decoding to a wrong answer.
 """
 
 from __future__ import annotations
@@ -682,8 +683,8 @@ class RoaringBitmap:
     def _pack(cls, members: np.ndarray, nbits: int) -> bytes:
         """The payload of the bitmap whose rows are the true cells of
         ``members``, a comparison over a :meth:`_layout` of ``nbits`` rows:
-        the word rows sealed into containers, serialized."""
-        return cls.from_bools(members).serialize()
+        the word rows sealed into containers, as the stored form."""
+        return cls.from_bools(members).to_payload()
 
     @classmethod
     def from_bitvector(cls, vector: BitVector) -> "RoaringBitmap":
@@ -732,7 +733,7 @@ class RoaringBitmap:
         (:class:`~repro.engine.cache.SharedBitmapCache`): the three
         container arrays and the three pools, plus the fixed header of the
         stored form as the per-bitmap allowance — which makes it the length
-        of :meth:`serialize`.  A loose result seals first, so the size is
+        of :meth:`to_payload`.  A loose result seals first, so the size is
         constant once sealed, which a cached bitmap always is.
         """
         return _HEADER.size + sum(field.nbytes for field in self._sealed()[:6])
@@ -904,11 +905,11 @@ class RoaringBitmap:
         return cls._k_of_n(vectors, k, lambda rows: _ripple_threshold(rows, k))
 
     # ------------------------------------------------------------------
-    # Serialization
+    # Stored form
     # ------------------------------------------------------------------
 
-    def serialize(self) -> bytes:
-        """The bitmap as a self-describing, validated byte payload."""
+    def to_payload(self) -> bytes:
+        """The stored form: a self-describing byte payload, sealed first."""
         held = self._sealed()
         heads = np.zeros(len(held.keys), dtype=_CONTAINER_DTYPE)
         heads["key"], heads["kind"], heads["count"] = held.keys, held.kinds, held.sizes
@@ -929,20 +930,23 @@ class RoaringBitmap:
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, blob) -> "RoaringBitmap":
-        """Inverse of :meth:`serialize`; validates every structural invariant.
+    def from_payload(cls, buf, nbits: int) -> "RoaringBitmap":
+        """Inverse of :meth:`to_payload`; validates every structural invariant.
 
         Raises :class:`~repro.errors.CorruptFileError` on truncated, overlong,
         or internally inconsistent payloads — a corrupt stored bitmap must
-        never decode to a silently wrong answer.  ``blob`` may be any
+        never decode to a silently wrong answer — and on a payload that
+        declares another length than ``nbits``, here instead of surfacing
+        later as a length mismatch, or never.  ``buf`` may be any
         bytes-like buffer; nothing of it is kept.
         """
-        blob = memoryview(blob)
+        blob = memoryview(buf)
         size = len(blob)
         _require(size >= _HEADER.size, "payload shorter than its header")
-        magic, version, _, nbits, ncontainers = _HEADER.unpack_from(blob)
+        magic, version, _, declared, ncontainers = _HEADER.unpack_from(blob)
         _require(magic == _MAGIC, "payload has bad magic {!r}", magic)
         _require(version == _VERSION, "payload has unsupported version {}", version)
+        _require(declared == nbits, "payload declares {} bits; {} expected", declared, nbits)
         nchunks = _num_chunks(nbits)
         _require(
             ncontainers <= nchunks,
@@ -992,22 +996,10 @@ class RoaringBitmap:
         _validate(nbits, held, counts[kinds == BITMAP])
         return cls(nbits, held)
 
-    to_payload = serialize  #: The stored form.
-
-    @classmethod
-    def from_payload(cls, buf, nbits: int) -> "RoaringBitmap":
-        """:meth:`deserialize` a payload that must declare exactly ``nbits``: a
-        bitmap of another length is a :class:`~repro.errors.CorruptFileError`
-        here instead of surfacing later as a length mismatch, or never."""
-        if len(buf) >= _HEADER.size:
-            declared = _HEADER.unpack_from(buf)[3]
-            _require(declared == nbits, "payload declares {} bits; {} expected", declared, nbits)
-        return cls.deserialize(buf)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoaringBitmap):
             return NotImplemented
-        # By content: a deserialized container need not be of the kind a
+        # By content: a container read by from_payload need not be of the kind a
         # sealed one would be.
         return (
             self._nbits == other._nbits

@@ -51,16 +51,21 @@ boundary.
 
 Payload words
 -------------
-Payload words are made in one place, :func:`_payload_words`, from
-coalesced runs, into one array that holds the length header too.  Runs
-reach it from a run list through :func:`_encode_runs` (``to_payload``
-and the ``wah_*`` functions), and from one value per group through the
-one scan that coalesces groups, :func:`_group_runs` — which is how the
-index store's writer packs a slot straight from its digit layout
+This module has no public byte API: the payload is written by
+``WahBitVector.to_payload`` and read by ``WahBitVector.from_payload``
+only.  Payload words are made in one place, :func:`_payload_words`,
+from coalesced runs, into one array that holds the length header too.
+Runs reach it from a run list through :func:`_encode_runs`
+(``to_payload``), and from one value per group through the one scan
+that coalesces groups, :func:`_group_runs` — which is how the index
+store's writer packs a slot straight from its digit layout
 (``WahBitVector._pack``) and how ``from_bitvector`` finds its canonical
 form.  Payload words are read in one place, :func:`_parse_runs`: a
 payload whose canonical form is one value per group expands straight to
 its groups, with one ``np.repeat`` by the words' group counts.
+``from_payload`` then holds the runs to the bit length it is given:
+:func:`_set_past` rejects a set bit at or past ``nbits``, the bits
+``_pack`` masks off.
 
 Compressed-domain algebra
 -------------------------
@@ -73,8 +78,9 @@ merged in one sorted pass (the array form of Kaser & Lemire's
 heap-of-run-readers — the sorted union of boundary positions is exactly
 the order in which a heap of readers would surface them) and each operand
 is sampled at the merged boundaries.  The operator then applies to aligned
-``uint32`` values in one numpy expression.  The ``wah_*`` functions are the
-same kernels behind a parse and an encode.
+``uint32`` values in one numpy expression.  The kernels take and return
+run lists; :class:`~repro.bitmaps.compressed.WahBitVector` is their one
+caller.
 """
 
 from __future__ import annotations
@@ -271,19 +277,16 @@ def _parse_runs(blob) -> tuple[int, Runs]:
     return orig_len, (values, ends)
 
 
-def _parse_all(payloads: Sequence[bytes]) -> tuple[int, list[Runs]]:
-    """Parse operands of one operation; they must declare one length."""
-    if not payloads:
-        raise ValueError("a WAH operation needs at least one payload")
-    parsed = [_parse_runs(p) for p in payloads]
-    orig_len = parsed[0][0]
-    for other_len, _ in parsed[1:]:
-        if other_len != orig_len:
-            raise CorruptFileError(
-                f"compressed operands differ in length: "
-                f"{orig_len} vs {other_len} bytes"
-            )
-    return orig_len, [runs for _, runs in parsed]
+def _set_past(runs: Runs, nbits: int) -> bool:
+    """Whether a bit at or past ``nbits`` is set: in the group holding bit
+    ``nbits``, above its low ``nbits % 31`` bits, or in any later group —
+    what ``WahBitVector._pack`` masks off.  Only the runs from that group
+    on are read; nothing is expanded."""
+    values, ends = runs
+    full, rest = divmod(nbits, _GROUP_BITS)
+    first = full if ends is None else int(np.searchsorted(ends, full, side="right"))
+    tail = values[first:]
+    return len(tail) > 0 and bool(tail[0] >> np.uint32(rest) or tail[1:].any())
 
 
 def _payload_words(
@@ -320,22 +323,6 @@ def _encode_runs(runs: Runs, orig_len: int) -> bytes:
         values, ends = _coalesce(runs)
         lengths = np.diff(ends, prepend=0)
     return _payload_words(values, lengths, orig_len).tobytes()
-
-
-def wah_encode(data: bytes) -> bytes:
-    """Compress ``data`` into the WAH format described in the module docs."""
-    return _encode_runs((_groups_from_bytes(data), None), len(data))
-
-
-def wah_decode(blob: bytes) -> bytes:
-    """Inverse of :func:`wah_encode`."""
-    orig_len, runs = _parse_runs(blob)
-    return _bytes_from_groups(_expand(runs))[:orig_len].tobytes()
-
-
-def wah_word_count(blob: bytes) -> int:
-    """Number of 32-bit words in an encoded payload (excluding the header)."""
-    return (len(blob) - _HEADER.size) // 4
 
 
 # ----------------------------------------------------------------------
@@ -422,95 +409,3 @@ def _not(runs: Runs, valid_bits: int, ngroups: int) -> Runs:
     return _combine(
         [inverted, _ones_runs(valid_bits, ngroups)], np.bitwise_and, ngroups
     )
-
-
-# ----------------------------------------------------------------------
-# The same kernels on encoded payloads: parse -> kernel -> encode
-# ----------------------------------------------------------------------
-
-
-def _payload_op(payloads: Sequence[bytes], op: Callable) -> bytes:
-    orig_len, operands = _parse_all(payloads)
-    return _encode_runs(
-        _combine(operands, op, _expected_groups(orig_len)), orig_len
-    )
-
-
-def wah_and(a: bytes, b: bytes) -> bytes:
-    """AND two encoded payloads without decompressing."""
-    return _payload_op([a, b], np.bitwise_and)
-
-
-def wah_or(a: bytes, b: bytes) -> bytes:
-    """OR two encoded payloads without decompressing."""
-    return _payload_op([a, b], np.bitwise_or)
-
-
-def wah_xor(a: bytes, b: bytes) -> bytes:
-    """XOR two encoded payloads without decompressing."""
-    return _payload_op([a, b], np.bitwise_xor)
-
-
-def wah_and_many(payloads: list[bytes]) -> bytes:
-    """AND k encoded payloads in one multi-way alignment (no k - 1 intermediates)."""
-    return _payload_op(payloads, np.bitwise_and)
-
-
-def wah_or_many(payloads: list[bytes]) -> bytes:
-    """OR k encoded payloads in one multi-way alignment (see wah_and_many)."""
-    return _payload_op(payloads, np.bitwise_or)
-
-
-def wah_threshold_many(payloads: list[bytes], k: int) -> bytes:
-    """k-of-N threshold over encoded payloads, in the compressed domain.
-
-    Returns the payload whose bit ``i`` is set iff at least ``k`` of the
-    operands have bit ``i`` set — ``k == 1`` is the N-way OR, ``k == N``
-    the N-way AND, and intermediate ``k`` the symmetric threshold that
-    neither fold can express.  ``k <= 0`` yields the all-ones payload over
-    the declared byte length (every row trivially matches at least zero
-    operands; the caller masks padding via its own nbits) and ``k > N``
-    the all-zero payload.
-    """
-    orig_len, operands = _parse_all(payloads)
-    ngroups = _expected_groups(orig_len)
-    if 0 < k <= len(operands):
-        runs = _threshold(operands, k, ngroups)
-    else:
-        runs = _ones_runs(orig_len * 8 if k <= 0 else 0, ngroups)
-    return _encode_runs(runs, orig_len)
-
-
-def wah_and_popcount(a: bytes, b: bytes) -> int:
-    """Popcount of ``a AND b`` without materializing the result payload."""
-    orig_len, (runs_a, runs_b) = _parse_all([a, b])
-    return _and_popcount(runs_a, runs_b, _expected_groups(orig_len))
-
-
-def wah_not(blob: bytes, nbits: int | None = None) -> bytes:
-    """Complement an encoded payload without decompressing.
-
-    ``nbits`` (the true bit length) keeps bits beyond it at zero; without
-    it, complementing is exact to byte granularity (bits past the final
-    byte stay zero either way).
-    """
-    orig_len, runs = _parse_runs(blob)
-    valid_bits = nbits if nbits is not None else orig_len * 8
-    return _encode_runs(_not(runs, valid_bits, _expected_groups(orig_len)), orig_len)
-
-
-def wah_zeros(nbits: int) -> bytes:
-    """The encoded all-zero bitmap of ``nbits`` bits."""
-    orig_len = (nbits + 7) // 8
-    return _encode_runs(_ones_runs(0, _expected_groups(orig_len)), orig_len)
-
-
-def wah_ones(nbits: int) -> bytes:
-    """The encoded bitmap with the first ``nbits`` bits set."""
-    orig_len = (nbits + 7) // 8
-    return _encode_runs(_ones_runs(nbits, _expected_groups(orig_len)), orig_len)
-
-
-def wah_popcount(blob: bytes) -> int:
-    """Set-bit count of an encoded payload, computed run-by-run."""
-    return _popcount(_parse_runs(blob)[1])

@@ -173,7 +173,7 @@ def merge_shard_rids(
     Shard row ranges are disjoint and given in ascending row order, so
     offsetting each shard's (already sorted) local RIDs by its row start
     and concatenating preserves global sort order — the RID-domain
-    counterpart of ``wah_or_many``/``RoaringBitmap.or_many`` over bitmaps of
+    counterpart of ``WahBitVector.or_many``/``RoaringBitmap.or_many`` over bitmaps of
     disjoint ranges, without materializing a global-length bitmap.
     """
     if len(rid_lists) != len(offsets):

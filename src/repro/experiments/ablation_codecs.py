@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core.index import BitmapIndex
 from repro.core.optimize import knee_base
-from repro.experiments.compression import get_codec
 from repro.experiments.disk import SimulatedDisk
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.schemes import _unframe, write_index
@@ -33,11 +32,10 @@ CODECS = ("zlib", "wah")
 
 def _decode_seconds(scheme, disk: SimulatedDisk) -> float:
     """Wall time to decode every bitmap file of a scheme once."""
-    codec = get_codec(scheme.codec.name)
     start = time.perf_counter()
     for path in scheme.data_files():
-        payload, _, _, _ = _unframe(disk.read(path), path)
-        codec.decode(payload)
+        payload, _ = _unframe(disk.read(path), path, scheme.nbits, 1)
+        scheme.codec.decode(payload, scheme.nbits)
     return time.perf_counter() - start
 
 

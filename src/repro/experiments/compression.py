@@ -2,20 +2,24 @@
 
 The paper's Section 9 compresses bitmap files with zlib's deflate.  The
 storage schemes of :mod:`repro.experiments.schemes` treat compression as
-a strategy object so experiments can swap codecs; four are provided:
+a strategy object so experiments can swap codecs; four are registered:
 
-- :class:`ZlibCodec` — the paper's choice (stdlib ``zlib``, deflate).
-- :class:`WahCodec` — a from-scratch Word-Aligned Hybrid codec
-  (:mod:`repro.bitmaps.wah`), the bitmap-specific alternative used as an
-  ablation.
-- :class:`RoaringCodec` — the adaptive array/bitmap/run container codec
-  (:mod:`repro.bitmaps.roaring`), strongest on uniform-random data where
-  run-length codecs degenerate.
-- :class:`NullCodec` — identity, used for the uncompressed BS/CS/IS
-  storage schemes.
+- ``zlib`` (:class:`ZlibCodec`) — the paper's choice (stdlib ``zlib``,
+  deflate).
+- ``wah`` and ``roaring`` (a :class:`BitmapCodec` each) — the stored form
+  of that bitmap class of :mod:`repro.bitmaps`: WAH run-length words, the
+  bitmap-specific alternative used as an ablation, and Roaring's adaptive
+  array/bitmap/run containers, strongest on uniform-random data where
+  run-length codecs degenerate.  The class's ``to_payload`` and
+  ``from_payload`` are the only writer and reader of those bytes, here as
+  everywhere else.
+- ``none`` (:class:`NullCodec`) — identity, used for the uncompressed
+  BS/CS/IS storage schemes.
 
-Codecs are self-describing: ``decode(encode(data)) == data`` without any
-out-of-band length bookkeeping.
+``decode(encode(data), 8 * len(data)) == data``: ``decode`` is given the
+bit length the payload holds, which a scheme reads from its file frame.
+The byte-stream codecs describe their own length and ignore it; a bitmap
+payload must declare exactly that length.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from __future__ import annotations
 import zlib
 from typing import Protocol
 
+from repro.bitmaps import BitVector, bitmap_class
 from repro.errors import CorruptFileError
-from repro.bitmaps.wah import wah_decode, wah_encode
-from repro.bitmaps.roaring import RoaringBitmap
 
 
 class Codec(Protocol):
@@ -37,8 +40,9 @@ class Codec(Protocol):
         """Compress ``data``."""
         ...
 
-    def decode(self, blob: bytes) -> bytes:
-        """Decompress ``blob``; must invert :meth:`encode`."""
+    def decode(self, blob: bytes, nbits: int) -> bytes:
+        """Decompress ``blob``, the encoding of ``nbits`` bits; must invert
+        :meth:`encode`."""
         ...
 
 
@@ -50,7 +54,7 @@ class NullCodec:
     def encode(self, data: bytes) -> bytes:
         return data
 
-    def decode(self, blob: bytes) -> bytes:
+    def decode(self, blob: bytes, nbits: int) -> bytes:
         return blob
 
 
@@ -73,50 +77,39 @@ class ZlibCodec:
     def encode(self, data: bytes) -> bytes:
         return zlib.compress(data, self.level)
 
-    def decode(self, blob: bytes) -> bytes:
+    def decode(self, blob: bytes, nbits: int) -> bytes:
         try:
             return zlib.decompress(blob)
         except zlib.error as exc:
             raise CorruptFileError(f"zlib payload corrupt: {exc}") from exc
 
 
-class WahCodec:
-    """Word-Aligned Hybrid run-length codec (see :mod:`repro.bitmaps.wah`)."""
+class BitmapCodec:
+    """The stored form of the bitmap class registered as ``name``.
 
-    name = "wah"
-
-    def encode(self, data: bytes) -> bytes:
-        return wah_encode(data)
-
-    def decode(self, blob: bytes) -> bytes:
-        return wah_decode(blob)
-
-
-class RoaringCodec:
-    """Roaring container codec (see :mod:`repro.bitmaps.roaring`).
-
-    The byte payload is interpreted as a packed bitmap (bit ``i`` of the
-    input is row ``i``), partitioned into 2^16-row chunks and stored in
-    adaptive array/bitmap/run containers.
+    ``encode`` stores ``data`` as a bitmap of ``8 * len(data)`` bits;
+    ``decode`` reads the payload with ``from_payload`` at the given bit
+    length, so corruption raises :class:`CorruptFileError` as it does on
+    every other read of that class's bytes.
     """
 
-    name = "roaring"
+    def __init__(self, name: str):
+        self.name = name
+        self._cls = bitmap_class(name)
 
     def encode(self, data: bytes) -> bytes:
-        from repro.bitmaps.bitvector import BitVector
-
         vector = BitVector.from_bytes(data, nbits=len(data) * 8)
-        return RoaringBitmap.from_bitvector(vector).serialize()
+        return self._cls.from_bitvector(vector).to_payload()
 
-    def decode(self, blob: bytes) -> bytes:
-        return RoaringBitmap.deserialize(blob).to_bitvector().to_bytes()
+    def decode(self, blob: bytes, nbits: int) -> bytes:
+        return self._cls.from_payload(blob, nbits).to_bitvector().to_bytes()
 
 
 _REGISTRY: dict[str, Codec] = {
     "none": NullCodec(),
     "zlib": ZlibCodec(),
-    "wah": WahCodec(),
-    "roaring": RoaringCodec(),
+    "wah": BitmapCodec("wah"),
+    "roaring": BitmapCodec("roaring"),
 }
 
 

@@ -82,23 +82,29 @@ def _frame(data: bytes, nbits: int, width: int, codec: Codec) -> bytes:
     return header + data
 
 
-def _unframe(blob: bytes, path: str) -> tuple[bytes, int, int, str]:
-    """Verify a file header; return (payload, nbits, width, codec_name)."""
+def _unframe(blob: bytes, path: str, nbits: int, width: int) -> tuple[bytes, str]:
+    """Verify a file header against the manifest's ``nbits x width``
+    geometry; return (payload, codec_name)."""
     if len(blob) < _HEADER.size:
         raise CorruptFileError(f"{path}: shorter than its header")
-    magic, version, _, nbits, width, payload_len, codec_raw = _HEADER.unpack_from(
+    magic, version, _, file_nbits, file_width, payload_len, codec_raw = _HEADER.unpack_from(
         blob
     )
     if magic != _MAGIC:
         raise CorruptFileError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise CorruptFileError(f"{path}: unsupported version {version}")
+    if (file_nbits, file_width) != (nbits, width):
+        raise CorruptFileError(
+            f"{path}: geometry {file_nbits}x{file_width} does not match the "
+            f"manifest ({nbits}x{width})"
+        )
     payload = blob[_HEADER.size :]
     if len(payload) != payload_len:
         raise CorruptFileError(
             f"{path}: payload is {len(payload)} bytes, header says {payload_len}"
         )
-    return payload, nbits, width, codec_raw.rstrip(b"\0").decode("ascii")
+    return payload, codec_raw.rstrip(b"\0").decode("ascii")
 
 
 class StorageScheme(abc.ABC):
@@ -234,12 +240,15 @@ class StorageScheme(abc.ABC):
             return (1,)
         return tuple(range(stored_bitmap_count(b, self.encoding)))
 
-    def _decode(self, codec_name: str, payload: bytes, stats: ExecutionStats) -> bytes:
-        """Inflate a file payload, charging ``decompressed_bytes``."""
+    def _decode(
+        self, codec_name: str, payload: bytes, nbits: int, stats: ExecutionStats
+    ) -> bytes:
+        """Inflate a file payload of ``nbits`` bits, charging
+        ``decompressed_bytes``."""
         with stats.span(
             "decode", kind="decode", codec=codec_name, encoded=len(payload)
         ) as span:
-            raw = get_codec(codec_name).decode(payload)
+            raw = get_codec(codec_name).decode(payload, nbits)
             if span is not None:
                 span.attrs["decoded"] = len(raw)
         stats.decompressed_bytes += len(raw)
@@ -264,14 +273,11 @@ class StorageScheme(abc.ABC):
                 scheme=self.kind,
                 nbytes=len(blob),
             )
-        payload, nbits, file_width, codec_name = _unframe(blob, path)
-        if nbits != self.nbits or file_width != width:
-            raise CorruptFileError(
-                f"{path}: geometry {nbits}x{file_width} does not match the "
-                f"manifest ({self.nbits}x{width})"
-            )
-        raw = self._decode(codec_name, payload, stats)
-        matrix = _unpack_matrix(raw, nbits, width)
+        payload, codec_name = _unframe(blob, path, self.nbits, width)
+        # The matrix was encoded as whole bytes (see _pack_matrix).
+        nbytes = (self.nbits * width + 7) // 8
+        raw = self._decode(codec_name, payload, 8 * nbytes, stats)
+        matrix = _unpack_matrix(raw, self.nbits, width)
         self._cache[path] = matrix
         return matrix
 
@@ -322,9 +328,7 @@ class BitmapLevelStorage(StorageScheme):
                 nbytes=len(blob),
                 codec=self.codec.name,
             )
-        payload, nbits, width, codec_name = _unframe(blob, path)
-        if nbits != self.nbits or width != 1:
-            raise CorruptFileError(f"{path}: unexpected geometry")
+        payload, codec_name = _unframe(blob, path, self.nbits, 1)
         if codec_name == self.bitmap_codec:
             # The stored payload already *is* the serving representation's
             # wire format: serve it as-is.  No decode, so nothing is
@@ -334,7 +338,7 @@ class BitmapLevelStorage(StorageScheme):
                 return bitmap_class(codec_name).from_payload(payload, self.nbits)
             except CorruptFileError as exc:
                 raise CorruptFileError(f"{path}: {exc}") from exc
-        raw = self._decode(codec_name, payload, stats)
+        raw = self._decode(codec_name, payload, self.nbits, stats)
         if len(raw) != (self.nbits + 7) // 8:
             raise CorruptFileError(f"{path}: bitmap payload length mismatch")
         return self._serve(BitVector.from_bytes(raw, self.nbits))
@@ -499,8 +503,10 @@ def open_scheme(
     nonnull = None
     if has_nulls:
         blob = disk.read(f"{name}/nn")
-        payload, file_nbits, _, _ = _unframe(blob, f"{name}/nn")
-        nonnull = BitVector.from_bytes(payload, file_nbits)
+        payload, _ = _unframe(blob, f"{name}/nn", nbits, 1)
+        if len(payload) != (nbits + 7) // 8:
+            raise CorruptFileError(f"{name}/nn: null-bitmap payload length mismatch")
+        nonnull = BitVector.from_bytes(payload, nbits)
     return cls(
         disk, name, base, encoding, nbits, cardinality, codec, nonnull,
         compressed=compressed,

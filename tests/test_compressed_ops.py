@@ -10,18 +10,6 @@ from hypothesis import strategies as st
 from conftest import shaped_vector
 from repro.bitmaps.bitvector import BitVector
 from repro.bitmaps.compressed import WahBitVector
-from repro.bitmaps.wah import (
-    wah_and,
-    wah_and_many,
-    wah_and_popcount,
-    wah_encode,
-    wah_not,
-    wah_or,
-    wah_or_many,
-    wah_popcount,
-    wah_threshold_many,
-    wah_xor,
-)
 from repro.errors import CorruptFileError, LengthMismatchError
 from repro.workloads.generators import clustered_values
 
@@ -35,45 +23,25 @@ def _pair(nbits: int, seed: int) -> tuple[BitVector, BitVector]:
 
 
 class TestRawOperations:
-    def test_and_or_xor_match_uncompressed(self):
-        from repro.bitmaps.wah import wah_decode
-
-        a, b = _pair(1000, 1)
-        ca, cb = wah_encode(a.to_bytes()), wah_encode(b.to_bytes())
-        for compressed_op, plain in (
-            (wah_and, a & b),
-            (wah_or, a | b),
-            (wah_xor, a ^ b),
-        ):
-            got = BitVector.from_bytes(wah_decode(compressed_op(ca, cb)), 1000)
-            assert got == plain
-
-    def test_popcount(self):
-        a, _ = _pair(997, 2)
-        assert wah_popcount(wah_encode(a.to_bytes())) == a.count()
-
-    def test_not_respects_bit_length(self):
-        a, _ = _pair(997, 3)
-        inverted = wah_not(wah_encode(a.to_bytes()), nbits=997)
-        assert wah_popcount(inverted) == 997 - a.count()
+    """Stored payloads through the one byte boundary: ``from_payload``,
+    the ``WahBitVector`` operator, ``to_payload``."""
 
     def test_length_mismatch_rejected(self):
-        a = wah_encode(bytes(10))
-        b = wah_encode(bytes(11))
+        a = WahBitVector.from_bitvector(BitVector.zeros(80))
         with pytest.raises(CorruptFileError):
-            wah_and(a, b)
+            WahBitVector.from_payload(a.to_payload(), 88)
 
     def test_fill_runs_stay_compressed(self):
-        zeros = wah_encode(bytes(100_000))
-        ones = wah_encode(b"\xff" * 100_000)
-        result = wah_or(zeros, ones)
+        nbits = 800_000
+        zeros = WahBitVector.from_payload(WahBitVector.zeros(nbits).to_payload(), nbits)
+        ones = WahBitVector.from_payload(WahBitVector.ones(nbits).to_payload(), nbits)
+        result = (zeros | ones).to_payload()
         # One fill run (plus maybe a padding literal): tiny payload.
         assert len(result) < 32
 
     def test_operand_corruption_detected(self):
-        a = wah_encode(bytes(100))
         with pytest.raises(CorruptFileError):
-            wah_and(a, b"\x00\x01")
+            WahBitVector.from_payload(b"\x00\x01", 800)
 
 
 class TestWahBitVector:
@@ -166,23 +134,11 @@ def test_compressed_algebra_property(nbits, shapes, seed):
     ):
         assert got.to_bitvector() == want
         assert got.count() == want.count()
-        assert got.to_payload() == wah_encode(want.to_bytes())
+        assert got.to_payload() == WahBitVector.from_bitvector(want).to_payload()
         assert got == WahBitVector.from_payload(got.to_payload(), nbits)
     assert ca.count() == a.count()
     assert ca.and_count(cb) == (a & b).count()
-    # The byte-level functions are the same kernels behind a parse/encode.
-    pa, pb, pc = (v.to_payload() for v in (ca, cb, cc))
-    assert wah_and(pa, pb) == (ca & cb).to_payload()
-    assert wah_or(pa, pb) == (ca | cb).to_payload()
-    assert wah_xor(pa, pb) == (ca ^ cb).to_payload()
-    assert wah_not(pa, nbits) == (~ca).to_payload()
-    assert wah_popcount(pa) == a.count()
-    assert wah_and_popcount(pa, pc) == (a & c).count()
-    many = [ca, cb, cc]
-    assert wah_and_many([pa, pb, pc]) == WahBitVector.and_many(many).to_payload()
-    assert wah_or_many([pa, pb, pc]) == WahBitVector.or_many(many).to_payload()
     for k in (0, 1, 2, 3, 4):
-        want = wah_encode(BitVector.threshold_many([a, b, c], k).to_bytes())
-        if k == 0:  # over the byte length: the raw function knows no nbits
-            want = wah_encode(b"\xff" * ((nbits + 7) // 8))
-        assert wah_threshold_many([pa, pb, pc], k) == want
+        want = BitVector.threshold_many([a, b, c], k)
+        got = WahBitVector.threshold_many([ca, cb, cc], k)
+        assert got.to_payload() == WahBitVector.from_bitvector(want).to_payload()

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptFileError
-from repro.experiments.compression import NullCodec, WahCodec, ZlibCodec, get_codec
+from repro.bitmaps import BitVector, WahBitVector
+from repro.experiments.compression import NullCodec, ZlibCodec, get_codec
 
 
 class TestRegistry:
@@ -33,7 +34,7 @@ class TestZlib:
     def test_round_trip(self):
         codec = ZlibCodec()
         data = b"hello bitmap world " * 100
-        assert codec.decode(codec.encode(data)) == data
+        assert codec.decode(codec.encode(data), 8 * len(data)) == data
 
     def test_compresses_runs(self):
         codec = ZlibCodec()
@@ -52,24 +53,32 @@ class TestZlib:
 
     def test_corrupt_payload_raises(self):
         with pytest.raises(CorruptFileError):
-            ZlibCodec().decode(b"not zlib data")
+            ZlibCodec().decode(b"not zlib data", 8)
 
 
 class TestNull:
     def test_identity(self):
         codec = NullCodec()
         assert codec.encode(b"x") == b"x"
-        assert codec.decode(b"x") == b"x"
+        assert codec.decode(b"x", 8) == b"x"
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.binary(max_size=2000), codec_name=st.sampled_from(["zlib", "wah", "none"]))
+@given(
+    data=st.binary(max_size=2000),
+    codec_name=st.sampled_from(["zlib", "wah", "roaring", "none"]),
+)
 def test_all_codecs_round_trip(data, codec_name):
     codec = get_codec(codec_name)
-    assert codec.decode(codec.encode(data)) == data
+    assert codec.decode(codec.encode(data), 8 * len(data)) == data
 
 
 def test_wah_codec_wraps_module():
-    codec = WahCodec()
-    data = bytes(5000)
-    assert codec.decode(codec.encode(data)) == data
+    # The codec writes and reads the class's own stored form.
+    codec = get_codec("wah")
+    data = bytes(5000) + b"\x5a"
+    vector = BitVector.from_bytes(data, 8 * len(data))
+    assert codec.encode(data) == WahBitVector.from_bitvector(vector).to_payload()
+    assert codec.decode(codec.encode(data), 8 * len(data)) == data
+    with pytest.raises(CorruptFileError):
+        codec.decode(codec.encode(data), 8 * len(data) - 8)

@@ -650,6 +650,16 @@ class TestBitmapConformance:
             with pytest.raises(CorruptFileError):
                 cls.from_payload(damaged, 200)
 
+    def test_set_bit_past_the_length_is_corrupt(self, codec, cls):
+        # A payload of ``longer`` bits with ``row`` set, read back as
+        # ``nbits`` rows that fill the same bytes and words: a bit in the
+        # tail group, a later group, or past a long fill.
+        cases = [(100, 101, 100), (61, 64, 63), (31, 32, 31), (199_997, 200_000, 199_999)]
+        for nbits, longer, row in cases:
+            payload = cls.from_bitvector(BitVector.from_indices(longer, [row])).to_payload()
+            with pytest.raises(CorruptFileError):
+                cls.from_payload(payload, nbits)
+
     @settings(max_examples=40, deadline=None)
     @given(
         # Up to four 65,536-row chunks: an exact multiple, a partial tail;

@@ -7,9 +7,10 @@ Three layers, mirroring the WAH suite in ``test_wah.py``:
   invariant after every operation;
 - algebra laws — hypothesis-driven AND/OR/XOR/ANDNOT/NOT against dense
   :class:`BitVector` oracles, including commutativity and De Morgan;
-- serialization — round trips plus hand-assembled and fuzzed corrupt
-  payloads that must all raise :class:`CorruptFileError` (a corrupt
-  stored bitmap must never decode to a silently wrong answer).
+- the stored form — ``to_payload`` / ``from_payload`` round trips plus
+  hand-assembled and fuzzed corrupt payloads that must all raise
+  :class:`CorruptFileError` (a corrupt stored bitmap must never decode
+  to a silently wrong answer).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class TestRoundTrip:
     )
     def test_zeros_and_ones(self, nbits):
         for bitmap in (RoaringBitmap.zeros(nbits), RoaringBitmap.ones(nbits)):
-            back = RoaringBitmap.deserialize(bitmap.serialize())
+            back = RoaringBitmap.from_payload(bitmap.to_payload(), bitmap.nbits)
             assert back == bitmap
             assert back.nbits == nbits
 
@@ -123,7 +124,7 @@ class TestRoundTrip:
         bitmap = RoaringBitmap.from_indices(nbits, indices)
         assert np.array_equal(bitmap.indices(), indices)
         assert bitmap.count() == len(indices)
-        assert RoaringBitmap.deserialize(bitmap.serialize()) == bitmap
+        assert RoaringBitmap.from_payload(bitmap.to_payload(), bitmap.nbits) == bitmap
 
     def test_bitvector_round_trip(self, rng):
         bools = rng.random(150_000) < 0.3
@@ -133,7 +134,7 @@ class TestRoundTrip:
         assert np.array_equal(bitmap.to_bools(), bools)
 
     def test_empty_serializes_to_header_only(self):
-        assert len(RoaringBitmap.zeros(1000).serialize()) == _HEADER.size
+        assert len(RoaringBitmap.zeros(1000).to_payload()) == _HEADER.size
 
     @settings(max_examples=80, deadline=None)
     @given(indices=sparse_chunks)
@@ -141,7 +142,7 @@ class TestRoundTrip:
         nbits = 3 * CHUNK_SIZE
         bitmap = RoaringBitmap.from_indices(nbits, indices)
         assert np.array_equal(bitmap.indices(), np.array(sorted(indices), dtype=np.int64))
-        assert RoaringBitmap.deserialize(bitmap.serialize()) == bitmap
+        assert RoaringBitmap.from_payload(bitmap.to_payload(), bitmap.nbits) == bitmap
 
     @settings(max_examples=40, deadline=None)
     @given(params=dense_chunk)
@@ -151,7 +152,7 @@ class TestRoundTrip:
         indices = rng.choice(CHUNK_SIZE, size=ARRAY_MAX + extra, replace=False)
         bitmap = RoaringBitmap.from_indices(CHUNK_SIZE, indices)
         assert bitmap.count() == ARRAY_MAX + extra
-        assert RoaringBitmap.deserialize(bitmap.serialize()) == bitmap
+        assert RoaringBitmap.from_payload(bitmap.to_payload(), bitmap.nbits) == bitmap
 
     @settings(max_examples=40, deadline=None)
     @given(runs=run_lists)
@@ -160,7 +161,7 @@ class TestRoundTrip:
         bools = _runs_to_bools(nbits, runs)
         bitmap = RoaringBitmap.from_bools(bools)
         assert np.array_equal(bitmap.to_bools(), bools)
-        assert RoaringBitmap.deserialize(bitmap.serialize()) == bitmap
+        assert RoaringBitmap.from_payload(bitmap.to_payload(), bitmap.nbits) == bitmap
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +211,7 @@ class TestContainerSelection:
         merged = a | b
         assert _kinds(merged) == ["run"]
         assert merged.count() == 7000
-        blob = merged.serialize()
+        blob = merged.to_payload()
         # One run container with exactly one (start, length) pair.
         assert len(blob) == _HEADER.size + _CONTAINER.size + 4
 
@@ -363,8 +364,8 @@ class TestAlgebra:
             assert got.to_bitvector() == want, name
             assert got.count() == want.count(), name
             assert np.array_equal(got.indices(), want.indices()), name
-            assert got.serialize() == RoaringBitmap.from_bitvector(want).serialize(), name
-            assert got.nbytes == len(got.serialize()), name
+            assert got.to_payload() == RoaringBitmap.from_bitvector(want).to_payload(), name
+            assert got.nbytes == len(got.to_payload()), name
         assert a.and_count(b) == (x & y).count()
         assert b.and_count(c) == (y & z).count()
 
@@ -394,7 +395,7 @@ class TestAlgebra:
         assert empty.indices().dtype == np.int64 and len(empty.indices()) == 0
         assert not empty.any()
         assert empty.num_containers == 0
-        assert empty.serialize() == RoaringBitmap.zeros(a.nbits).serialize()
+        assert empty.to_payload() == RoaringBitmap.zeros(a.nbits).to_payload()
 
     @pytest.mark.parametrize(
         "ask",
@@ -411,7 +412,7 @@ class TestAlgebra:
         b, y = self._operand(["bitmap", "array", "bitmap", "bitmap", "none"], 5)
         c, z = self._operand(["none", "bitmap", "bitmap", "run", "bitmap"], 6)
         wants = [(x & y) | z, BitVector.threshold_many([x, y, z], 2)]
-        blobs = [RoaringBitmap.from_bitvector(want).serialize() for want in wants]
+        blobs = [RoaringBitmap.from_bitvector(want).to_payload() for want in wants]
         sealed = []
         seal = roaring._Rows.seal
 
@@ -428,9 +429,10 @@ class TestAlgebra:
             assert sealed == []
             ask(got)
             assert len(sealed) == 1
-            assert got.serialize() == blob
+            assert got.to_payload() == blob
             assert got.nbytes == len(blob)
-            assert got.container_kinds() == RoaringBitmap.deserialize(blob).container_kinds()
+            read = RoaringBitmap.from_payload(blob, got.nbits)
+            assert got.container_kinds() == read.container_kinds()
             assert len(sealed) == 1
             sealed.clear()
 
@@ -446,7 +448,7 @@ class TestAlgebra:
             start.wait()
             views = [
                 lambda: shared.nbytes,
-                lambda: shared.serialize(),
+                lambda: shared.to_payload(),
                 lambda: shared.container_kinds(),
             ]
             seen = {}
@@ -460,7 +462,7 @@ class TestAlgebra:
         assert all(each == seen[0] for each in seen)
         nbytes, blob, kinds = seen[0]
         assert nbytes == len(blob)
-        assert blob == want.serialize()
+        assert blob == want.to_payload()
         assert kinds == want.container_kinds()
 
     def test_no_python_loop_over_chunks(self):
@@ -529,34 +531,34 @@ class TestAlgebra:
 class TestCorruption:
     def test_short_header(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(b"ROAR\x01")
+            RoaringBitmap.from_payload(b"ROAR\x01", 100)
 
     def test_bad_magic(self):
-        blob = RoaringBitmap.ones(100).serialize()
+        blob = RoaringBitmap.ones(100).to_payload()
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(b"WAHX" + blob[4:])
+            RoaringBitmap.from_payload(b"WAHX" + blob[4:], 100)
 
     def test_bad_version(self):
-        blob = bytearray(RoaringBitmap.ones(100).serialize())
+        blob = bytearray(RoaringBitmap.ones(100).to_payload())
         blob[4] = 99
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(bytes(blob))
+            RoaringBitmap.from_payload(bytes(blob), 100)
 
     def test_too_many_containers_declared(self):
         # 100 bits = 1 chunk, but the header declares 2 containers.
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(100, [(0, ARRAY, 1, _array_body([0]))] * 2)
+            RoaringBitmap.from_payload(
+                _payload(100, [(0, ARRAY, 1, _array_body([0]))] * 2), 100
             )
 
     def test_truncated_container_header(self):
         blob = _payload(100, [(0, ARRAY, 1, _array_body([0]))])
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(blob[: _HEADER.size + 3])
+            RoaringBitmap.from_payload(blob[: _HEADER.size + 3], 100)
 
     def test_empty_container_rejected(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(_payload(100, [(0, ARRAY, 0, b"")]))
+            RoaringBitmap.from_payload(_payload(100, [(0, ARRAY, 0, b"")]), 100)
 
     def test_non_increasing_keys(self):
         containers = [
@@ -564,68 +566,68 @@ class TestCorruption:
             (0, ARRAY, 1, _array_body([0])),
         ]
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(_payload(3 * CHUNK_SIZE, containers))
+            RoaringBitmap.from_payload(_payload(3 * CHUNK_SIZE, containers), 3 * CHUNK_SIZE)
 
     def test_key_out_of_range(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(_payload(100, [(4, ARRAY, 1, _array_body([0]))]))
+            RoaringBitmap.from_payload(_payload(100, [(4, ARRAY, 1, _array_body([0]))]), 100)
 
     def test_unsorted_array(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(100, [(0, ARRAY, 2, _array_body([5, 3]))])
+            RoaringBitmap.from_payload(
+                _payload(100, [(0, ARRAY, 2, _array_body([5, 3]))]), 100
             )
 
     def test_duplicate_array_values(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(100, [(0, ARRAY, 2, _array_body([5, 5]))])
+            RoaringBitmap.from_payload(
+                _payload(100, [(0, ARRAY, 2, _array_body([5, 5]))]), 100
             )
 
     def test_array_value_beyond_nbits(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(100, [(0, ARRAY, 1, _array_body([100]))])
+            RoaringBitmap.from_payload(
+                _payload(100, [(0, ARRAY, 1, _array_body([100]))]), 100
             )
 
     def test_bitmap_cardinality_mismatch(self):
         count, body = _bitmap_body(list(range(0, 9000, 2)))
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(CHUNK_SIZE, [(0, BITMAP, count + 1, body)])
+            RoaringBitmap.from_payload(
+                _payload(CHUNK_SIZE, [(0, BITMAP, count + 1, body)]), CHUNK_SIZE
             )
 
     def test_bitmap_bits_beyond_nbits(self):
         count, body = _bitmap_body(list(range(4000, 9001, 2)))
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(_payload(9000, [(0, BITMAP, count, body)]))
+            RoaringBitmap.from_payload(_payload(9000, [(0, BITMAP, count, body)]), 9000)
 
     def test_overlapping_runs(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(1000, [(0, RUN, 2, _run_body([(0, 100), (50, 100)]))])
+            RoaringBitmap.from_payload(
+                _payload(1000, [(0, RUN, 2, _run_body([(0, 100), (50, 100)]))]), 1000
             )
 
     def test_uncoalesced_adjacent_runs(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(1000, [(0, RUN, 2, _run_body([(0, 100), (100, 100)]))])
+            RoaringBitmap.from_payload(
+                _payload(1000, [(0, RUN, 2, _run_body([(0, 100), (100, 100)]))]), 1000
             )
 
     def test_run_beyond_nbits(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(
-                _payload(100, [(0, RUN, 1, _run_body([(50, 51)]))])
+            RoaringBitmap.from_payload(
+                _payload(100, [(0, RUN, 1, _run_body([(50, 51)]))]), 100
             )
 
     def test_unknown_container_kind(self):
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(_payload(100, [(0, 3, 1, _array_body([0]))]))
+            RoaringBitmap.from_payload(_payload(100, [(0, 3, 1, _array_body([0]))]), 100)
 
     def test_trailing_bytes(self):
-        blob = RoaringBitmap.from_indices(100, [3, 5]).serialize()
+        blob = RoaringBitmap.from_indices(100, [3, 5]).to_payload()
         with pytest.raises(CorruptFileError):
-            RoaringBitmap.deserialize(blob + b"\x00")
+            RoaringBitmap.from_payload(blob + b"\x00", 100)
 
 
 # A mixed-kind fixture bitmap for the fuzz tests: array + bitmap + run
@@ -643,19 +645,19 @@ def _mixed_bitmap(rng: np.random.Generator) -> RoaringBitmap:
 @given(cut=st.integers(0, 10_000), seed=st.integers(0, 3))
 def test_fuzz_any_truncation_raises(cut, seed):
     """Every strict prefix of a valid payload must be rejected."""
-    blob = _mixed_bitmap(np.random.default_rng(seed)).serialize()
+    blob = _mixed_bitmap(np.random.default_rng(seed)).to_payload()
     truncated = blob[: cut % len(blob)]
     with pytest.raises(CorruptFileError):
-        RoaringBitmap.deserialize(truncated)
+        RoaringBitmap.from_payload(truncated, 3 * CHUNK_SIZE)
 
 
 @settings(max_examples=60, deadline=None)
 @given(extra=st.binary(min_size=1, max_size=64), seed=st.integers(0, 3))
 def test_fuzz_overlong_payload_raises(extra, seed):
     """Any bytes past the declared containers must be rejected."""
-    blob = _mixed_bitmap(np.random.default_rng(seed)).serialize()
+    blob = _mixed_bitmap(np.random.default_rng(seed)).to_payload()
     with pytest.raises(CorruptFileError):
-        RoaringBitmap.deserialize(blob + extra)
+        RoaringBitmap.from_payload(blob + extra, 3 * CHUNK_SIZE)
 
 
 @settings(max_examples=80, deadline=None)
@@ -665,7 +667,7 @@ def test_fuzz_garbage_raises(garbage):
     if garbage[:4] == b"ROAR":  # pragma: no cover - 2^-32 per example
         garbage = b"XXXX" + garbage[4:]
     with pytest.raises(CorruptFileError):
-        RoaringBitmap.deserialize(garbage)
+        RoaringBitmap.from_payload(garbage, 3 * CHUNK_SIZE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -678,15 +680,15 @@ def test_fuzz_bit_flips_never_crash(position, flip, seed):
     escape as IndexError/ValueError or decode to a structurally invalid
     object.
     """
-    blob = bytearray(_mixed_bitmap(np.random.default_rng(seed)).serialize())
+    blob = bytearray(_mixed_bitmap(np.random.default_rng(seed)).to_payload())
     index = _HEADER.size + position % (len(blob) - _HEADER.size)
     blob[index] ^= 1 << flip
     try:
-        decoded = RoaringBitmap.deserialize(bytes(blob))
+        decoded = RoaringBitmap.from_payload(bytes(blob), 3 * CHUNK_SIZE)
     except CorruptFileError:
         return
-    # If it decoded, it must re-serialize cleanly (structural validity).
-    assert RoaringBitmap.deserialize(decoded.serialize()) == decoded
+    # If it decoded, it must re-encode cleanly (structural validity).
+    assert RoaringBitmap.from_payload(decoded.to_payload(), decoded.nbits) == decoded
 
 
 # ----------------------------------------------------------------------
@@ -697,7 +699,7 @@ def test_fuzz_bit_flips_never_crash(position, flip, seed):
 class TestMixedCodecCache:
     def test_nbytes_tracks_serialized_size(self, rng):
         bitmap = RoaringBitmap.from_bools(rng.random(200_000) < 0.01)
-        assert bitmap.nbytes >= len(bitmap.serialize())
+        assert bitmap.nbytes >= len(bitmap.to_payload())
         # and is a real accounting hook, not the dense footprint
         assert bitmap.nbytes < BitVector.from_bools(np.zeros(200_000, bool)).nbytes
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitmaps import BitVector, WahBitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import OPERATORS, Predicate, evaluate
@@ -12,7 +13,8 @@ from repro.core.index import BitmapIndex
 from repro.errors import CorruptFileError, FileMissingError, StorageError
 from repro.stats import ExecutionStats
 from repro.experiments.disk import DiskModel, SimulatedDisk
-from repro.experiments.schemes import open_scheme, write_index
+from repro.experiments.compression import get_codec
+from repro.experiments.schemes import HEADER_SIZE, _frame, open_scheme, write_index
 
 from conftest import make_index
 
@@ -315,6 +317,36 @@ class TestFailureInjection:
         disk.truncate("cs/c1", disk.size_of("cs/c1") - 1)
         with pytest.raises(CorruptFileError):
             cs.fetch(1, 0, ExecutionStats())
+
+
+    @pytest.mark.parametrize("serve", ["wah", "dense"])
+    def test_wah_bit_past_the_length_is_corrupt(self, serve):
+        # Every bitmap file of a 100-row index gets row 100 set in its
+        # last WAH group: the payload still declares 13 bytes of bits.
+        index = make_index(num_rows=100, cardinality=10, base=Base((10,)), seed=2)
+        disk = SimulatedDisk()
+        scheme = write_index(disk, "idx", index, "BS", codec="wah")
+        for path in scheme.data_files():
+            rows = WahBitVector.from_payload(disk.read(path)[HEADER_SIZE:], 100).indices()
+            vector = BitVector.from_indices(101, [*rows, 100])
+            payload = WahBitVector.from_bitvector(vector).to_payload()
+            disk.write(path, _frame(payload, 100, 1, get_codec("wah")))
+        reopened = open_scheme(disk, "idx", compressed=serve)
+        with pytest.raises(CorruptFileError):
+            evaluate(reopened, Predicate("<=", 4))
+
+    @pytest.mark.parametrize("declared, cut", [(199, 0), (50, 0), (200, 1)])
+    def test_null_bitmap_frame_that_disagrees_with_the_manifest(self, declared, cut):
+        # The existence bitmap's frame must hold the manifest's 200 rows:
+        # checked at open, not left to fail mid-query or untyped.
+        index = make_index(num_rows=200, cardinality=30, base=Base((6, 5)), seed=4, nulls=True)
+        disk = SimulatedDisk()
+        write_index(disk, "idx", index, "BS")
+        payload = disk.read("idx/nn")[HEADER_SIZE:]
+        payload = payload[: len(payload) - cut]
+        disk.write("idx/nn", _frame(payload, declared, 1, get_codec(None)))
+        with pytest.raises(CorruptFileError, match="idx/nn"):
+            open_scheme(disk, "idx")
 
 
 class TestProjectionIdentity:

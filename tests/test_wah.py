@@ -1,4 +1,5 @@
-"""Unit and property tests for the WAH codec."""
+"""Unit and property tests for the WAH format, read and written only by
+``WahBitVector.from_payload`` / ``WahBitVector.to_payload``."""
 
 from __future__ import annotations
 
@@ -9,21 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmaps.wah import (
-    wah_and,
-    wah_decode,
-    wah_encode,
-    wah_not,
-    wah_ones,
-    wah_or,
-    wah_popcount,
-    wah_word_count,
-    wah_zeros,
-)
+from repro.bitmaps import BitVector, WahBitVector
 from repro.errors import CorruptFileError
 
 ZERO_FILL = 0x80000000  # a fill word with run length 0 (contributes nothing)
 ONE_FILL_FLAG = 0xC0000000
+
+
+def encode(data: bytes) -> bytes:
+    """The payload of the bitmap whose ``8 * len(data)`` bits are ``data``."""
+    vector = BitVector.from_bytes(data, 8 * len(data))
+    return WahBitVector.from_bitvector(vector).to_payload()
+
+
+def read(blob: bytes, nbytes: int) -> WahBitVector:
+    """Read a payload of ``nbytes`` bytes of bits (``8 * nbytes`` bits)."""
+    return WahBitVector.from_payload(blob, 8 * nbytes)
+
+
+def decode(blob: bytes, nbytes: int) -> bytes:
+    """The ``nbytes`` bytes of bits a payload holds."""
+    return read(blob, nbytes).to_bitvector().to_bytes()
 
 
 def _payload(orig_len: int, words: list[int]) -> bytes:
@@ -41,33 +48,33 @@ def _with_zero_fills(encoded: bytes, positions: list[int]) -> bytes:
 
 class TestRoundTrip:
     def test_empty(self):
-        assert wah_decode(wah_encode(b"")) == b""
+        assert decode(encode(b""), 0) == b""
 
     def test_all_zero_compresses_to_one_fill_word(self):
         data = bytes(10_000)
-        encoded = wah_encode(data)
-        assert wah_word_count(encoded) == 1
-        assert wah_decode(encoded) == data
+        encoded = encode(data)
+        assert read(encoded, len(data)).num_words == 1
+        assert decode(encoded, len(data)) == data
 
     def test_all_one_compresses_to_one_fill_word(self):
         # 31 bytes = 248 bits = 8 groups of 31 bits: no zero padding, so the
         # whole input is one all-ones fill run.
         data = b"\xff" * (31 * 100)
-        encoded = wah_encode(data)
-        assert wah_word_count(encoded) == 1
-        assert wah_decode(encoded) == data
+        encoded = encode(data)
+        assert read(encoded, len(data)).num_words == 1
+        assert decode(encoded, len(data)) == data
 
     def test_all_one_with_padding_tail(self):
         # A non-31-bit-aligned all-ones input ends in a literal group
         # (zero-padded), so exactly two words.
         data = b"\xff" * 10_000
-        encoded = wah_encode(data)
-        assert wah_word_count(encoded) == 2
-        assert wah_decode(encoded) == data
+        encoded = encode(data)
+        assert read(encoded, len(data)).num_words == 2
+        assert decode(encoded, len(data)) == data
 
     def test_random_data_round_trips(self, rng):
         data = rng.integers(0, 256, 5000, dtype=np.uint8).tobytes()
-        assert wah_decode(wah_encode(data)) == data
+        assert decode(encode(data), len(data)) == data
 
     def test_runs_compress_well(self, rng):
         # 0-runs and 1-runs of ~1000 bytes each.
@@ -75,21 +82,21 @@ class TestRoundTrip:
         for i in range(20):
             chunks.append((b"\x00" if i % 2 else b"\xff") * 1000)
         data = b"".join(chunks)
-        encoded = wah_encode(data)
+        encoded = encode(data)
         assert len(encoded) < len(data) // 50
-        assert wah_decode(encoded) == data
+        assert decode(encoded, len(data)) == data
 
     def test_single_byte(self):
         for byte in (b"\x00", b"\x01", b"\xff", b"\xa5"):
-            assert wah_decode(wah_encode(byte)) == byte
+            assert decode(encode(byte), 1) == byte
 
     def test_mixed_literal_and_fill(self):
         data = bytes(100) + b"\x37" * 7 + b"\xff" * 100 + b"\x01"
-        assert wah_decode(wah_encode(data)) == data
+        assert decode(encode(data), len(data)) == data
 
     def test_incompressible_data_overhead_is_bounded(self, rng):
         data = rng.integers(0, 256, 31 * 128, dtype=np.uint8).tobytes()
-        encoded = wah_encode(data)
+        encoded = encode(data)
         # Worst case: one 32-bit word per 31 input bits plus the header.
         assert len(encoded) <= len(data) * 32 // 31 + 16
 
@@ -97,37 +104,38 @@ class TestRoundTrip:
         # 2^31 + 8 groups (66 Gbit): nothing here is ever sized by bits.
         max_run = (1 << 30) - 1
         nbits = 31 * (2 * max_run + 10)
-        zeros, ones = wah_zeros(nbits), wah_ones(nbits)
-        assert zeros == _payload(
+        zeros, ones = WahBitVector.zeros(nbits), WahBitVector.ones(nbits)
+        assert zeros.to_payload() == _payload(
             nbits // 8, [ZERO_FILL | max_run] * 2 + [ZERO_FILL | 10]
         )
-        assert ones == _payload(
+        assert ones.to_payload() == _payload(
             nbits // 8, [ONE_FILL_FLAG | max_run] * 2 + [ONE_FILL_FLAG | 10]
         )
-        assert wah_popcount(ones) == nbits and wah_popcount(zeros) == 0
-        assert wah_and(ones, zeros) == zeros and wah_not(zeros) == ones
+        assert WahBitVector.from_payload(ones.to_payload(), nbits).count() == nbits
+        assert zeros.count() == 0
+        assert (ones & zeros) == zeros and ~zeros == ones
 
 
 class TestCorruption:
     def test_short_payload_raises(self):
         with pytest.raises(CorruptFileError):
-            wah_decode(b"\x01\x02")
+            read(b"\x01\x02", 0)
 
     def test_unaligned_body_raises(self):
-        encoded = wah_encode(b"\x12\x34")
+        encoded = encode(b"\x12\x34")
         with pytest.raises(CorruptFileError):
-            wah_decode(encoded + b"\x00")
+            read(encoded + b"\x00", 2)
 
     def test_truncated_body_raises(self):
-        encoded = wah_encode(bytes(1000))
+        encoded = encode(bytes(1000))
         with pytest.raises(CorruptFileError):
-            wah_decode(encoded[:-4])
+            read(encoded[:-4], 1000)
 
     def test_declared_length_beyond_bits_raises(self):
-        encoded = bytearray(wah_encode(b"\x00"))
+        encoded = bytearray(encode(b"\x00"))
         encoded[0] = 0xFF  # inflate the declared original length
-        with pytest.raises(CorruptFileError):
-            wah_decode(bytes(encoded))
+        with pytest.raises(CorruptFileError, match="fewer bits than declared"):
+            read(bytes(encoded), 0xFF)
 
 
 class TestZeroRunFillAgreement:
@@ -135,9 +143,9 @@ class TestZeroRunFillAgreement:
 
     A zero-length fill (``0x80000000``) contributes no groups.  The
     decoder always skipped it, but the streaming run reader used to treat
-    it as end-of-stream — so ``wah_and``/``wah_or`` raised a spurious
-    CorruptFileError and ``wah_popcount`` silently returned a short count
-    on payloads the decoder considered valid.
+    it as end-of-stream — so AND/OR raised a spurious CorruptFileError and
+    popcount silently returned a short count on payloads the decoder
+    considered valid.
     """
 
     # 31 bytes = 248 bits = exactly 8 groups of ones, so the canonical
@@ -149,35 +157,35 @@ class TestZeroRunFillAgreement:
         return _payload(31, [ZERO_FILL, ONE_FILL_FLAG | 8])
 
     def test_decoder_skips_zero_run_fill(self):
-        assert wah_decode(self.noisy()) == self.DATA
+        assert decode(self.noisy(), 31) == self.DATA
 
     def test_popcount_counts_past_zero_run_fill(self):
-        assert wah_popcount(self.noisy()) == 248
+        assert read(self.noisy(), 31).count() == 248
 
     def test_binary_ops_accept_zero_run_fill(self):
-        clean = wah_encode(self.DATA)
-        assert wah_decode(wah_and(self.noisy(), clean)) == self.DATA
-        assert wah_decode(wah_or(self.noisy(), clean)) == self.DATA
+        noisy, clean = read(self.noisy(), 31), read(encode(self.DATA), 31)
+        assert (noisy & clean).to_bitvector().to_bytes() == self.DATA
+        assert (noisy | clean).to_bitvector().to_bytes() == self.DATA
 
     def test_zero_run_one_fill_also_skipped(self):
         payload = _payload(31, [ONE_FILL_FLAG | 4, ONE_FILL_FLAG, ONE_FILL_FLAG | 4])
-        assert wah_decode(payload) == self.DATA
-        assert wah_popcount(payload) == 248
+        assert decode(payload, 31) == self.DATA
+        assert read(payload, 31).count() == 248
 
     def test_interleaved_zero_fills_everywhere(self, rng):
         data = rng.integers(0, 256, 500, dtype=np.uint8).tobytes()
-        encoded = wah_encode(data)
+        encoded = encode(data)
         positions = [int(p) for p in rng.integers(0, 64, size=6)]
-        noisy = _with_zero_fills(encoded, positions)
-        assert wah_decode(noisy) == data
-        assert wah_popcount(noisy) == wah_popcount(encoded)
-        assert wah_decode(wah_and(noisy, encoded)) == data
+        noisy = read(_with_zero_fills(encoded, positions), len(data))
+        assert noisy.to_bitvector().to_bytes() == data
+        assert noisy.count() == read(encoded, len(data)).count()
+        assert (noisy & read(encoded, len(data))).to_bitvector().to_bytes() == data
 
 
 class TestOverlongPayload:
     """Regression: a body with surplus whole groups must be rejected.
 
-    ``wah_decode`` used to silently drop groups beyond the declared
+    The decoder used to silently drop groups beyond the declared
     ``orig_len`` — mirroring the existing "fewer bits than declared"
     check, surplus groups now raise CorruptFileError too.
     """
@@ -185,43 +193,43 @@ class TestOverlongPayload:
     def test_surplus_fill_groups_raise(self):
         # Header says 4 bytes (2 groups); the body is a 5-group fill.
         with pytest.raises(CorruptFileError):
-            wah_decode(_payload(4, [ZERO_FILL | 5]))
+            read(_payload(4, [ZERO_FILL | 5]), 4)
 
     def test_surplus_literal_word_raises(self):
-        encoded = wah_encode(b"\xa5" * 4)
+        encoded = encode(b"\xa5" * 4)
         extra = encoded + np.array([0x12345], dtype="<u4").tobytes()
         with pytest.raises(CorruptFileError):
-            wah_decode(extra)
+            read(extra, 4)
 
     def test_exact_group_count_still_decodes(self):
         data = b"\xa5" * 4
-        assert wah_decode(wah_encode(data)) == data
+        assert decode(encode(data), 4) == data
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.binary(max_size=4000))
 def test_round_trip_property(data):
-    assert wah_decode(wah_encode(data)) == data
+    assert decode(encode(data), len(data)) == data
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.binary(min_size=1, max_size=2000), extra=st.integers(1, 40))
 def test_fuzz_overlong_body_raises(data, extra):
     """Appending surplus fill groups to any valid payload must raise."""
-    encoded = wah_encode(data)
+    encoded = encode(data)
     surplus = np.array([ZERO_FILL | extra], dtype="<u4").tobytes()
     with pytest.raises(CorruptFileError):
-        wah_decode(encoded + surplus)
+        read(encoded + surplus, len(data))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.binary(max_size=2000), inflate=st.integers(4, 64))
 def test_fuzz_short_body_raises(data, inflate):
     """Inflating the declared length past the body's groups must raise."""
-    encoded = wah_encode(data)
+    encoded = encode(data)
     stretched = struct.pack("<Q", len(data) + inflate) + encoded[8:]
     with pytest.raises(CorruptFileError):
-        wah_decode(stretched)
+        read(stretched, len(data) + inflate)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,11 +239,12 @@ def test_fuzz_short_body_raises(data, inflate):
 )
 def test_fuzz_zero_run_fills_are_transparent(data, positions):
     """Zero-run fills anywhere in the body change nothing, on every path."""
-    encoded = wah_encode(data)
-    noisy = _with_zero_fills(encoded, positions)
-    assert wah_decode(noisy) == data
-    assert wah_popcount(noisy) == wah_popcount(encoded)
-    assert wah_decode(wah_or(noisy, encoded)) == data
+    encoded = read(encode(data), len(data))
+    noisy = read(_with_zero_fills(encode(data), positions), len(data))
+    assert noisy.to_bitvector().to_bytes() == data
+    assert noisy.count() == encoded.count()
+    assert (noisy | encoded).to_bitvector().to_bytes() == data
+    assert noisy.to_payload() == encoded.to_payload()
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,4 +257,4 @@ def test_fuzz_zero_run_fills_are_transparent(data, positions):
 )
 def test_run_structured_round_trip(run_lengths):
     data = b"".join(bytes([value]) * count for value, count in run_lengths)
-    assert wah_decode(wah_encode(data)) == data
+    assert decode(encode(data), len(data)) == data
