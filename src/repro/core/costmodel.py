@@ -6,20 +6,24 @@ Two metrics (paper Section 4):
 - **Time** — expected number of bitmap scans to evaluate one query drawn
   uniformly from ``Q = {A op v : op in {<, <=, =, !=, >=, >}, 0 <= v < C}``.
 
-For each encoding the module provides:
+Every scan count the module predicts reads one rule per evaluation
+algorithm, interval encoding's included: the bitmaps component ``i``
+scans for its digit of ``A <= w`` (:func:`_le_cost`) and of ``A = v``
+(:func:`_eq_cost`), numpy expressions over a digit array of any shape,
+and the reduction of ``A op v`` to one of the two or to nothing
+(:func:`_predicate_scans`, which mirrors
+:func:`repro.core.evaluation._reduce`).  At one constant the rule is
+:func:`scans_for_predicate`; summed over the ``6C`` queries it is the
+exact time :func:`expected_scans` (:func:`expected_scans_weighted` when
+constants are drawn non-uniformly); averaged over uniform digits it is
+:func:`time_equality`.  No bitmap is touched.
 
-- a *closed-form* time (the paper's Theorem 5.1 expressions, which assume
-  the digits of the predicate constant are uniform and independent —
-  exact when the base's capacity equals ``C``), and
-- an *exact* time (:func:`expected_scans`) obtained by enumerating the
-  whole query space arithmetically (no bitmaps are touched), vectorized
-  over the ``6C`` queries.  The exact computation also covers the baseline
-  ``RangeEval`` algorithm and non-tight bases.
-
-The scan-count logic here deliberately mirrors
-:mod:`repro.core.evaluation`; the test suite asserts that, for every
-operator and constant, the arithmetic counts equal the instrumented counts
-of a real evaluation.
+Beside the rule stand the paper's *closed forms* (:func:`time_range`,
+Eq. 4; :func:`time_range_buffered`, Eq. 5), which assume the constant's
+digits uniform and independent — exact when the base's capacity equals
+``C`` — and :func:`expected_scans_simulated`, which runs the real
+evaluator.  The test suite checks the rule against both and against the
+instrumented scans of every operator and constant.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ import numpy as np
 
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme, stored_bitmap_count
+from repro.core.evaluation import OPERATORS, Predicate, evaluate, resolve_algorithm
+from repro.core.index import BitmapIndex
 from repro.errors import BufferConfigError, InvalidPredicateError
+from repro.stats import ExecutionStats
 
 #: Fraction of the query space that uses a range operator (4 of 6).
 _RANGE_WEIGHT = Fraction(4, 6)
@@ -84,21 +91,17 @@ def time_range(base: Base) -> float:
 def time_equality(base: Base) -> float:
     """Expected scans for an equality-encoded index (Theorem 5.1 analogue).
 
-    Uses the evaluator of :func:`repro.core.evaluation.equality_eval`:
-    equality operators cost one scan per component; range operators cost,
-    per component, the cheaper of the direct and complemented bitmap-OR
-    (with the ``=`` bitmap reused from a complement scan).  The expectation
-    is taken over uniform digits, mirroring Eq. (4)'s assumption.
+    The equality evaluator's rule (:func:`_le_cost`, :func:`_eq_cost`)
+    averaged over uniform digits, mirroring Eq. (4)'s assumption: equality
+    operators cost one scan per component; range operators cost, per
+    component, the cheaper of the direct and complemented bitmap-OR.
     """
-    range_cost = Fraction(0)
+    range_cost = equality_cost = Fraction(0)
     for i in range(1, base.n + 1):
         b = base.component(i)
-        total = sum(
-            _equality_range_scans(d, b, is_component_one=(i == 1))
-            for d in range(b)
-        )
-        range_cost += Fraction(total, b)
-    equality_cost = Fraction(base.n)
+        digits = np.arange(b)
+        range_cost += Fraction(int(_le_cost("equality_eval", i, b, digits).sum()), b)
+        equality_cost += Fraction(int(_eq_cost("equality_eval", i, b, digits).sum()), b)
     return float(_RANGE_WEIGHT * range_cost + _EQUALITY_WEIGHT * equality_cost)
 
 
@@ -106,32 +109,14 @@ def time(base: Base, encoding: EncodingScheme = EncodingScheme.RANGE) -> float:
     """Closed-form expected scans for the given encoding.
 
     Interval encoding (the 1999 extension) has no published closed form;
-    its time is computed by exact simulation over the query space with the
+    its time is the exact expectation over the query space with the
     base's full capacity as the cardinality.
     """
     if encoding is EncodingScheme.RANGE:
         return time_range(base)
     if encoding is EncodingScheme.INTERVAL:
-        return expected_scans_simulated(base, base.capacity, encoding)
+        return expected_scans(base, base.capacity, encoding)
     return time_equality(base)
-
-
-def _equality_range_scans(d: int, b: int, is_component_one: bool) -> int:
-    """Scans one equality-encoded component costs toward ``A <= v``.
-
-    ``d`` is the component's digit of the (already ``<=``-normalized)
-    constant.  Component 1 needs ``digit <= d``; other components need both
-    ``digit < d`` and ``digit = d``.
-    """
-    if is_component_one:
-        if d == b - 1:
-            return 0
-        if b == 2:
-            return 1
-        return min(d + 1, b - 1 - d)
-    if b == 2 or d == 0:
-        return 1
-    return min(d + 1, b - d)
 
 
 # ----------------------------------------------------------------------
@@ -169,66 +154,101 @@ def time_range_buffered(base: Base, buffered: tuple[int, ...]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Exact expected scans by query-space enumeration
+# The scan rule: one per algorithm, per component and digit
 # ----------------------------------------------------------------------
 
 
-def _digit_matrix(base: Base, cardinality: int) -> list[np.ndarray]:
-    """Digit arrays of every value in ``[0, cardinality)``, widened: the
-    scan formulas below do arithmetic on them."""
-    digits = base.digit_arrays(np.arange(cardinality, dtype=np.int64))
-    return [d.astype(np.int64) for d in digits]
-
-
-def _le_scans_range_opt(base: Base, digits: list[np.ndarray]) -> np.ndarray:
-    """Per-constant scans of RangeEval-Opt's ``A <= v`` loop."""
-    scans = np.zeros(len(digits[0]), dtype=np.int64)
-    for i in range(1, base.n + 1):
-        d = digits[i - 1]
-        b = base.component(i)
+def _le_cost(algorithm: str, i: int, b: int, d: np.ndarray) -> np.ndarray:
+    """Scans component ``i`` (base number ``b``) costs toward ``A <= w``,
+    for each of ``w``'s ``i``-th digits ``d``."""
+    if algorithm == "range_eval_opt":
+        # B^d unless it is the virtual all-ones top; past component 1
+        # also B^(d-1), unless d = 0.
         if i == 1:
-            scans += (d < b - 1).astype(np.int64)
-        else:
-            scans += (d != b - 1).astype(np.int64)
-            scans += (d != 0).astype(np.int64)
-    return scans
+            return (d < b - 1).astype(np.int64)
+        return (d != b - 1).astype(np.int64) + (d != 0)
+    if algorithm == "equality_eval":
+        # The cheaper side: digit <= d from d + 1 slots, or its complement
+        # from the rest; past component 1 the slot of d is read as
+        # digit = d on the direct side and reused by the complement.
+        return np.minimum(d + 1, b - d - (i == 1))
+    # interval_eval
+    m = (b + 1) // 2
+    if i == 1:  # I^0 and one more window; I^0 alone at d = m - 1
+        return np.where(d == b - 1, 0, np.where(d == m - 1, 1, 2))
+    # digit = d, and digit < d sharing what it can: inside either half
+    # of the windows the two share only I^0, one scan more.
+    r = d % m
+    return _eq_cost(algorithm, i, b, d) + ((0 < r) & (r < m - 1))
 
 
-def _eq_scans_range(base: Base, digits: list[np.ndarray]) -> np.ndarray:
-    """Per-constant scans of the range-encoded ``A = v`` evaluation.
+def _eq_cost(algorithm: str, i: int, b: int, d: np.ndarray) -> np.ndarray:
+    """Scans component ``i`` (base number ``b``) costs toward ``A = v``,
+    for each of ``v``'s ``i``-th digits ``d``."""
+    if algorithm == "equality_eval":
+        return np.ones_like(d)
+    if algorithm == "interval_eval":  # two windows; the one bitmap when b = 2
+        return np.full_like(d, 1 if b == 2 else 2)
+    # Range encoding: B^0 or NOT B^(b-2) at the ends, B^d XOR B^(d-1) inside.
+    return np.where((d == 0) | (d == b - 1), 1, 2)
 
-    Identical for RangeEval and RangeEval-Opt, and — component-wise — also
-    equal to RangeEval's per-component scan count for *range* operators
-    (1 scan for boundary digits, 2 otherwise), which is why RangeEval's
-    expected scans do not depend on the operator.
+
+def _predicate_scans(
+    base: Base, cardinality: int, algorithm: str, op: str, values: np.ndarray
+) -> np.ndarray:
+    """Scans of ``A op v`` for each constant in ``values``.
+
+    The reduction of :func:`repro.core.evaluation._reduce`: a constant
+    outside ``[0, C)`` reads nothing; ``=`` and ``!=`` cost ``A = v``;
+    ``<``/``>=`` cost ``A <= v-1`` and ``<=``/``>`` cost ``A <= v``, with
+    ``A <= -1`` and ``A <= C-1`` reading nothing.  ``range_eval`` costs
+    ``A = v`` under every operator.
     """
-    scans = np.zeros(len(digits[0]), dtype=np.int64)
+    w = values
+    live = (0 <= values) & (values < cardinality)
+    cost = _eq_cost
+    if algorithm != "range_eval" and op not in ("=", "!="):
+        cost = _le_cost
+        w = values - 1 if op in ("<", ">=") else values
+        live &= (0 <= w) & (w < cardinality - 1)
+    scans = np.zeros(len(values), dtype=np.int64)
+    digits = base.digit_arrays(w[live])
     for i in range(1, base.n + 1):
-        d = digits[i - 1]
-        b = base.component(i)
-        boundary = (d == 0) | (d == b - 1)
-        scans += np.where(boundary, 1, 2)
+        scans[live] += cost(algorithm, i, base.component(i), digits[i - 1].astype(np.int64))
     return scans
 
 
-def _le_scans_equality(base: Base, digits: list[np.ndarray]) -> np.ndarray:
-    """Per-constant scans of the equality-encoded ``A <= v`` evaluation."""
-    scans = np.zeros(len(digits[0]), dtype=np.int64)
-    for i in range(1, base.n + 1):
-        d = digits[i - 1]
-        b = base.component(i)
-        if i == 1:
-            if b == 2:
-                cost = np.where(d == b - 1, 0, 1)
-            else:
-                cost = np.where(d == b - 1, 0, np.minimum(d + 1, b - 1 - d))
-        else:
-            if b == 2:
-                cost = np.ones_like(d)
-            else:
-                cost = np.where(d == 0, 1, np.minimum(d + 1, b - d))
-        scans += cost
-    return scans
+def scans_for_predicate(
+    base: Base,
+    cardinality: int,
+    op: str,
+    value: int,
+    encoding: EncodingScheme = EncodingScheme.RANGE,
+    algorithm: str = "auto",
+) -> int:
+    """Scans the evaluator charges for the single predicate ``A op value``
+    (any integer ``value``; out of the domain it reads nothing)."""
+    algorithm = resolve_algorithm(algorithm, encoding)
+    values = np.array([value], dtype=np.int64)
+    return int(_predicate_scans(base, cardinality, algorithm, op, values)[0])
+
+
+# ----------------------------------------------------------------------
+# Exact expected scans over the query space
+# ----------------------------------------------------------------------
+
+
+def _scans_per_constant(
+    base: Base, cardinality: int, encoding: EncodingScheme, algorithm: str
+) -> np.ndarray:
+    """Scans of the six queries ``A op v``, summed, for every ``v`` in
+    ``[0, C)``: integers, so each expectation divides exactly once."""
+    algorithm = resolve_algorithm(algorithm, encoding)
+    values = np.arange(cardinality, dtype=np.int64)
+    return np.sum(
+        [_predicate_scans(base, cardinality, algorithm, op, values) for op in OPERATORS],
+        axis=0,
+    )
 
 
 def expected_scans(
@@ -239,53 +259,13 @@ def expected_scans(
 ) -> float:
     """Exact expected scans over the uniform query space ``Q``.
 
-    Enumerates all ``6 * cardinality`` queries arithmetically — no bitmaps
-    are built.  ``algorithm`` is ``'range_eval'``, ``'range_eval_opt'``,
-    ``'equality_eval'``, or ``'auto'`` (the encoding's recommended
-    algorithm).
+    Sums the rule over all ``6 * cardinality`` queries — no bitmaps are
+    built.  ``algorithm`` is any name
+    :func:`repro.core.evaluation.evaluate` takes (``'auto'`` is the
+    encoding's recommended algorithm).
     """
-    if algorithm == "auto":
-        if encoding is EncodingScheme.RANGE:
-            algorithm = "range_eval_opt"
-        elif encoding is EncodingScheme.INTERVAL:
-            algorithm = "interval_eval"
-        else:
-            algorithm = "equality_eval"
-    if algorithm == "interval_eval":
-        if encoding is not EncodingScheme.INTERVAL:
-            raise InvalidPredicateError("interval_eval needs interval encoding")
-        # No arithmetic mirror for the interval extension; simulate.
-        return expected_scans_simulated(base, cardinality, encoding, algorithm)
-    digits = _digit_matrix(base, cardinality)
-    c = cardinality
-
-    if algorithm == "range_eval":
-        if encoding is not EncodingScheme.RANGE:
-            raise InvalidPredicateError("range_eval needs range encoding")
-        # Same per-query cost for all six operators.
-        return float(_eq_scans_range(base, digits).mean())
-
-    if algorithm == "range_eval_opt":
-        if encoding is not EncodingScheme.RANGE:
-            raise InvalidPredicateError("range_eval_opt needs range encoding")
-        le = _le_scans_range_opt(base, digits)
-        eq = _eq_scans_range(base, digits)
-    elif algorithm == "equality_eval":
-        if encoding is not EncodingScheme.EQUALITY:
-            raise InvalidPredicateError("equality_eval needs equality encoding")
-        le = _le_scans_equality(base, digits)
-        eq = np.full(c, base.n, dtype=np.int64)
-    else:
-        raise InvalidPredicateError(f"unknown algorithm {algorithm!r}")
-
-    # A <= v (and its complement A > v) scan LE(v); LE(C-1) is trivial.
-    le_cost = le.copy()
-    le_cost[c - 1] = 0
-    # A < v and A >= v scan LE(v-1); LE(-1) is trivial.
-    shifted = np.zeros(c, dtype=np.int64)
-    shifted[1:] = le_cost[: c - 1]
-    total = 2 * le_cost.sum() + 2 * shifted.sum() + 2 * eq.sum()
-    return float(total) / (6 * c)
+    totals = _scans_per_constant(base, cardinality, encoding, algorithm)
+    return float(totals.sum()) / (6 * cardinality)
 
 
 def expected_scans_weighted(
@@ -310,35 +290,7 @@ def expected_scans_weighted(
         )
     if weights.min() < 0 or weights.sum() <= 0:
         raise InvalidPredicateError("weights must be non-negative, not all zero")
-    if algorithm == "auto":
-        if encoding is EncodingScheme.RANGE:
-            algorithm = "range_eval_opt"
-        elif encoding is EncodingScheme.EQUALITY:
-            algorithm = "equality_eval"
-        else:
-            raise InvalidPredicateError(
-                "weighted scans support the paper's two encodings"
-            )
-    digits = _digit_matrix(base, cardinality)
-    c = cardinality
-
-    if algorithm == "range_eval":
-        per_value = _eq_scans_range(base, digits).astype(np.float64)
-        return float((per_value * weights).sum() / weights.sum())
-    if algorithm == "range_eval_opt":
-        le = _le_scans_range_opt(base, digits)
-        eq = _eq_scans_range(base, digits)
-    elif algorithm == "equality_eval":
-        le = _le_scans_equality(base, digits)
-        eq = np.full(c, base.n, dtype=np.int64)
-    else:
-        raise InvalidPredicateError(f"unknown algorithm {algorithm!r}")
-
-    le_cost = le.astype(np.float64)
-    le_cost[c - 1] = 0.0
-    shifted = np.zeros(c)
-    shifted[1:] = le_cost[: c - 1]
-    per_value = (2 * le_cost + 2 * shifted + 2 * eq) / 6.0
+    per_value = _scans_per_constant(base, cardinality, encoding, algorithm) / 6.0
     return float((per_value * weights).sum() / weights.sum())
 
 
@@ -353,16 +305,9 @@ def expected_scans_simulated(
     The evaluation algorithms' control flow — and therefore their scan
     count — depends only on the predicate's digits, never on bitmap
     contents, so a single-row index gives exact per-query costs at
-    negligible expense.  This covers encodings without an arithmetic
-    mirror (interval encoding) and doubles as an independent check of
-    :func:`expected_scans` in the test suite.
+    negligible expense.  It is the reference the test suite checks
+    :func:`expected_scans` against.
     """
-    # Imported here: costmodel is a dependency of evaluation's callers,
-    # and this helper is the one place the direction reverses.
-    from repro.core.evaluation import OPERATORS, Predicate, evaluate
-    from repro.core.index import BitmapIndex
-    from repro.stats import ExecutionStats
-
     index = BitmapIndex(
         np.zeros(1, dtype=np.int64), cardinality, base, encoding,
         keep_values=False,
@@ -376,66 +321,3 @@ def expected_scans_simulated(
             total += stats.scans
             count += 1
     return total / count
-
-
-def scans_for_predicate(
-    base: Base,
-    cardinality: int,
-    op: str,
-    value: int,
-    encoding: EncodingScheme = EncodingScheme.RANGE,
-    algorithm: str = "auto",
-) -> int:
-    """Arithmetic scan count for a single predicate (mirrors the evaluators).
-
-    Covers the paper's two encodings; interval encoding has no arithmetic
-    mirror (use :func:`expected_scans_simulated` for aggregates).
-    """
-    if encoding is EncodingScheme.INTERVAL:
-        raise InvalidPredicateError(
-            "interval encoding has no per-predicate arithmetic mirror; "
-            "use expected_scans_simulated"
-        )
-    if algorithm == "auto":
-        algorithm = (
-            "range_eval_opt"
-            if encoding is EncodingScheme.RANGE
-            else "equality_eval"
-        )
-    c = cardinality
-    if value < 0 or value >= c:
-        return 0
-
-    if algorithm == "range_eval":
-        digits = base.digits(value)
-        return sum(
-            1 if d in (0, base.component(i + 1) - 1) else 2
-            for i, d in enumerate(digits)
-        )
-
-    if op in ("=", "!="):
-        digits = base.digits(value)
-        if algorithm == "equality_eval":
-            return base.n
-        return sum(
-            1 if (base.component(i + 1) == 2 or d in (0, base.component(i + 1) - 1))
-            else 2
-            for i, d in enumerate(digits)
-        )
-
-    # Range operators reduce to LE(w).
-    w = value - 1 if op in ("<", ">=") else value
-    if w < 0 or w >= c - 1:
-        return 0
-    digits = base.digits(w)
-    total = 0
-    for i, d in enumerate(digits):
-        b = base.component(i + 1)
-        if algorithm == "range_eval_opt":
-            if i == 0:
-                total += 1 if d < b - 1 else 0
-            else:
-                total += (1 if d != b - 1 else 0) + (1 if d != 0 else 0)
-        else:  # equality_eval
-            total += _equality_range_scans(d, b, is_component_one=(i == 0))
-    return total

@@ -200,8 +200,7 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
     run-aligned counting,
     :meth:`~repro.bitmaps.roaring.RoaringBitmap.threshold_many`
     container-wise counters, :meth:`BitVector.threshold_many` word
-    counting); mixed-representation operands fall back to counting over
-    booleans.  The charged operation count — ``len(vectors) - 1`` ORs,
+    counting).  The charged operation count — ``len(vectors) - 1`` ORs,
     the same as :func:`_or_all` — is identical across codecs and
     independent of the data, so every execution reports the same
     :class:`ExecutionStats`.
@@ -221,12 +220,7 @@ def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
     with stats.span(
         "threshold", kind="op", nbits=vectors[0].nbits, k=k, count=len(vectors) - 1
     ):
-        if all(type(v) is cls for v in vectors):
-            return cls.threshold_many(vectors, k)
-        counts = np.zeros(vectors[0].nbits, dtype=np.int32)
-        for v in vectors:
-            counts += v.to_bools()
-        return cls.from_bitvector(BitVector.from_bools(counts >= k))
+        return cls.threshold_many(vectors, k)
 
 
 def _zeros(source: BitmapSource) -> Bitmap:
@@ -295,7 +289,7 @@ def _reduce(
     the same for all three and lives here.
     """
     stats = stats if stats is not None else ExecutionStats()
-    _require_encoding(source, encoding)
+    _require_encoding(source.encoding, encoding)
     trivial = _clamp_trivial(source, predicate, stats)
     if trivial is not None:
         return trivial
@@ -410,7 +404,7 @@ def range_eval(
     paper's worst case of 2n scans per range predicate.
     """
     stats = stats if stats is not None else ExecutionStats()
-    _require_encoding(source, EncodingScheme.RANGE)
+    _require_encoding(source.encoding, EncodingScheme.RANGE)
     trivial = _clamp_trivial(source, predicate, stats)
     if trivial is not None:
         return trivial
@@ -721,12 +715,39 @@ def _le_bitmap_interval(
 # Dispatcher
 # ----------------------------------------------------------------------
 
+#: Each algorithm's evaluator and the encoding it serves.
 _ALGORITHMS = {
-    "range_eval": range_eval,
-    "range_eval_opt": range_eval_opt,
-    "equality_eval": equality_eval,
-    "interval_eval": interval_eval,
+    "range_eval": (range_eval, EncodingScheme.RANGE),
+    "range_eval_opt": (range_eval_opt, EncodingScheme.RANGE),
+    "equality_eval": (equality_eval, EncodingScheme.EQUALITY),
+    "interval_eval": (interval_eval, EncodingScheme.INTERVAL),
 }
+
+#: What ``'auto'`` names on each encoding: the paper's recommendation.
+_AUTO = {
+    EncodingScheme.RANGE: "range_eval_opt",
+    EncodingScheme.EQUALITY: "equality_eval",
+    EncodingScheme.INTERVAL: "interval_eval",
+}
+
+
+def resolve_algorithm(algorithm: str, encoding: EncodingScheme) -> str:
+    """The algorithm ``algorithm`` names on an ``encoding``-encoded index.
+
+    ``'auto'`` is the paper's recommendation (RangeEval-Opt for range
+    encoding, the encoding's own evaluator otherwise).  An unknown name,
+    or one the encoding cannot serve, raises
+    :class:`~repro.errors.InvalidPredicateError`.
+    """
+    name = _AUTO[encoding] if algorithm == "auto" else algorithm
+    try:
+        _require_encoding(encoding, _ALGORITHMS[name][1])
+    except KeyError:
+        known = ", ".join(sorted(_ALGORITHMS))
+        raise InvalidPredicateError(
+            f"unknown algorithm {algorithm!r}; expected one of: {known}, auto"
+        ) from None
+    return name
 
 
 def evaluate(
@@ -735,10 +756,8 @@ def evaluate(
     algorithm: str = "auto",
     stats: ExecutionStats | None = None,
 ) -> Bitmap:
-    """Evaluate ``predicate`` over ``source`` with the named algorithm.
-
-    ``algorithm='auto'`` picks the paper's recommendation: RangeEval-Opt
-    for range-encoded indexes, the equality evaluator otherwise.
+    """Evaluate ``predicate`` over ``source`` with the named algorithm
+    (:func:`resolve_algorithm`; ``'auto'`` is the paper's recommendation).
 
     This is the evaluator seam of cooperative cancellation: when the
     stats object carries a :class:`~repro.faults.Deadline`, it is checked
@@ -748,20 +767,8 @@ def evaluate(
     """
     if stats is not None and stats.deadline is not None:
         stats.deadline.check("evaluate")
-    if algorithm == "auto":
-        if source.encoding is EncodingScheme.RANGE:
-            algorithm = "range_eval_opt"
-        elif source.encoding is EncodingScheme.INTERVAL:
-            algorithm = "interval_eval"
-        else:
-            algorithm = "equality_eval"
-    try:
-        func = _ALGORITHMS[algorithm]
-    except KeyError:
-        known = ", ".join(sorted(_ALGORITHMS))
-        raise InvalidPredicateError(
-            f"unknown algorithm {algorithm!r}; expected one of: {known}, auto"
-        ) from None
+    algorithm = resolve_algorithm(algorithm, source.encoding)
+    func = _ALGORITHMS[algorithm][0]
     if stats is not None and stats.trace is not None:
         with stats.trace.span(
             algorithm,
@@ -775,11 +782,11 @@ def evaluate(
     return func(source, predicate, stats)
 
 
-def _require_encoding(source: BitmapSource, expected: EncodingScheme) -> None:
-    if source.encoding is not expected:
+def _require_encoding(encoding: EncodingScheme, expected: EncodingScheme) -> None:
+    if encoding is not expected:
         raise InvalidPredicateError(
             f"algorithm requires a {expected.value}-encoded index, got "
-            f"{source.encoding.value}"
+            f"{encoding.value}"
         )
 
 
@@ -812,11 +819,7 @@ def group_counts(
     """
     cardinality = source.cardinality
     counts = np.zeros(cardinality, dtype=np.int64)
-    if (
-        source.encoding is EncodingScheme.RANGE
-        and source.base.n == 1
-        and algorithm in ("auto", "range_eval_opt")
-    ):
+    if source.base.n == 1 and resolve_algorithm(algorithm, source.encoding) == "range_eval_opt":
         masked = bitmap
         if source.nonnull is not None:
             masked = and_(bitmap, source.nonnull, stats)

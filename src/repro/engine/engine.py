@@ -62,7 +62,7 @@ from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
 from repro.faults import Deadline, FaultPlan
-from repro.query.executor import QueryResult, bitmap_index_for
+from repro.query.executor import QueryResult, bitmap_index_for, one_codec
 from repro.query.expression import AGGREGATES, answer_count, query_mode, run_query, verify_answer
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
@@ -86,22 +86,6 @@ def _label(item: tuple) -> str:
 def _attributes(expression, by: str | None) -> list[str]:
     """Every attribute a query reads: its leaves plus the ``by`` column."""
     return sorted(expression.attributes() | ({by} if by is not None else set()))
-
-
-def _one_codec(codecs: set[str], item: tuple) -> str:
-    """The single codec a query runs over.
-
-    Bitmaps of different representations cannot be combined; fail with a
-    configuration error instead of a downstream algebra TypeError.
-    """
-    if len(codecs) > 1:
-        raise EngineConfigError(
-            f"'{_label(item)}' mixes bitmap codecs {sorted(codecs)}; "
-            f"give its attributes one codec (per-query options.codec "
-            f"overrides every spec)"
-        )
-    (codec,) = codecs
-    return codec
 
 
 def affine(dictionary: np.ndarray) -> tuple[int, int] | None:
@@ -464,8 +448,7 @@ class QueryEngine:
         if by is not None:
             self._spec_for(name, by)  # raises if ``by`` is not served
         if self._backend_for(options) == "processes":
-            workers = options.workers or self.max_workers
-            return self._process_batch([item], options, workers)[0]
+            return self._process_batch([item], options, self.max_workers)[0]
         return self._execute(item, options)
 
     def query_batch(
@@ -481,8 +464,8 @@ class QueryEngine:
         Each item is a query in any unified form (against ``relation``,
         defaulting to the first registered one) or an explicit
         ``(relation_name, query)`` pair.  ``workers=1`` runs the batch
-        inline on the calling thread — the sequential baseline;
-        ``options.workers`` supplies the width when ``workers`` is not
+        inline on the calling thread — the sequential baseline; the
+        engine's ``max_workers`` is the width when ``workers`` is not
         passed.  The execution backend comes from ``options.backend``
         (falling back to the engine's configured default): ``threads``
         reuses the engine's persistent pool of the requested width;
@@ -494,8 +477,6 @@ class QueryEngine:
         for item in queries:
             name, q = item if isinstance(item, tuple) else (relation, item)
             resolved.append((self._current(name), normalize_query(q), "rids", None))
-        if workers is None:
-            workers = options.workers
         if workers is None:
             workers = self.max_workers
         if workers < 1:
@@ -554,8 +535,8 @@ class QueryEngine:
         result = self._execute(item, options, record=False)
         mode = query_mode(q)
         # The codec the run was served in, resolved as ``_execute`` does.
-        codec = _one_codec(
-            {self._source_for(name, a, options).bitmap_codec for a in q.attributes()}, item
+        codec = one_codec(
+            {self._source_for(name, a, options).bitmap_codec for a in q.attributes()}, q
         )
         sources = {
             attribute: self._index_for(name, attribute)
@@ -854,9 +835,9 @@ class QueryEngine:
         query's attributes from, and the one codec it serves them in."""
         name, expression, finish, by = item
         sources = {attr: self._index_for(name, attr) for attr in _attributes(expression, by)}
-        codec = _one_codec(
+        codec = one_codec(
             {self._codec_for(name, attr, options, index) for attr, index in sources.items()},
-            item,
+            expression,
         )
         return DispatchItem(self._relations[name], sources, codec, expression, finish, by)
 
@@ -890,7 +871,7 @@ class QueryEngine:
                 attr: self._source_for(name, attr, options)
                 for attr in _attributes(expression, by)
             }
-            codec = _one_codec({source.bitmap_codec for source in sources.values()}, item)
+            codec = one_codec({source.bitmap_codec for source in sources.values()}, expression)
             self._open_trace(item, options, stats, backend, codec)
             answer = run_query(
                 self._relations[name],

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.index import BitmapIndex, BitmapSource
+from repro.errors import EngineConfigError
 from repro.query.expression import run_query
 from repro.query.options import VERIFYING_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
@@ -55,14 +56,18 @@ def execute(
 
     Tuning flags live in ``options``; when omitted the door verifies by
     default, raising :class:`~repro.errors.VerificationError` when the
-    answer disagrees with a scan.  With ``options.trace`` a fresh
-    :class:`~repro.trace.QueryTrace` is recorded and attached to the
-    returned :class:`QueryResult`; with ``options.deadline_ms`` the
-    evaluator and storage seams raise
+    answer disagrees with a scan.  Sources in more than one codec raise
+    :class:`~repro.errors.EngineConfigError` (:func:`one_codec`).  With
+    ``options.trace`` a fresh :class:`~repro.trace.QueryTrace` is
+    recorded and attached to the returned :class:`QueryResult`; with
+    ``options.deadline_ms`` the evaluator and storage seams raise
     :class:`~repro.errors.QueryTimeoutError` once the budget is gone.
     """
     options = options if options is not None else VERIFYING_OPTIONS
     expression = normalize_query(query)
+    served = [indexes[a] for a in expression.attributes() if a in indexes]
+    if served:  # a leaf without a source fails in the walk, with its own error
+        one_codec({source.bitmap_codec for source in served}, expression)
     stats = options.new_stats(expression)
     rids = run_query(
         relation,
@@ -75,6 +80,21 @@ def execute(
     if stats.trace is not None:
         stats.trace.finish()
     return QueryResult(rids=rids, stats=stats, trace=stats.trace)
+
+
+def one_codec(codecs: set[str], query: object) -> str:
+    """The single codec ``query`` runs over, given its sources' ``codecs``.
+
+    Bitmaps of different representations cannot be combined: both doors
+    fail here with :class:`~repro.errors.EngineConfigError` instead of a
+    downstream algebra ``TypeError``.
+    """
+    if len(codecs) > 1:
+        raise EngineConfigError(
+            f"'{query}' mixes bitmap codecs {sorted(codecs)}; give its attributes one codec"
+        )
+    (codec,) = codecs
+    return codec
 
 
 def bitmap_index_for(relation: Relation, attribute: str, **kwargs) -> BitmapIndex:

@@ -3,7 +3,7 @@
 :class:`QueryOptions` is the one dataclass every query entry point
 accepts — the engine-free door (:func:`~repro.query.executor.execute`)
 and the serving engine — in place of per-call keywords (``verify=``,
-``algorithm=``, ``workers=``, …).
+``algorithm=``, ``codec=``, …).
 
 :func:`normalize_query` is the companion piece of the unified surface: it
 turns any of the accepted query forms — an
@@ -45,9 +45,6 @@ class QueryOptions:
     trace:
         Record a :class:`~repro.trace.QueryTrace` of timed spans on the
         result (adds per-operation overhead; leave off on the hot path).
-    workers:
-        Worker-pool width for batch entry points (``None`` = the engine's
-        configured default).
     codec:
         Bitmap representation the query runs over (``'dense'``, ``'wah'``,
         or ``'roaring'``).  ``None`` defers to the per-index spec and then
@@ -76,7 +73,6 @@ class QueryOptions:
     verify: bool = False
     algorithm: str = "auto"
     trace: bool = False
-    workers: int | None = None
     codec: str | None = None
     backend: str | None = None
     shards: int | None = None

@@ -161,9 +161,6 @@ class QueryTrace:
     def count(self, kind: str) -> int:
         return sum(1 for s in self.spans if s.kind == kind)
 
-    def seconds_of(self, kind: str) -> float:
-        return sum(s.duration for s in self.spans if s.kind == kind)
-
     def summary(self) -> dict[str, dict]:
         """Per-kind rollup: span count and summed duration."""
         out: dict[str, dict] = {}
@@ -218,8 +215,7 @@ def predicted_leaf_costs(
     :class:`~repro.core.index.BitmapIndex`, a storage scheme, or the
     engine's cached view).  Each leaf entry carries the translated
     code-domain predicate so the prediction mirrors exactly what the
-    evaluator will run.  Leaves without an arithmetic cost mirror (the
-    interval encoding) report ``scans=None``.
+    evaluator will run.
     """
     from repro.core.costmodel import scans_for_predicate
 
@@ -239,19 +235,15 @@ def predicted_leaf_costs(
             "code": int(code),
             "base": str(source.base),
             "encoding": source.encoding.value,
-            "scans": None,
-        }
-        try:
-            entry["scans"] = scans_for_predicate(
+            "scans": scans_for_predicate(
                 source.base,
                 source.cardinality,
                 code_op,
                 code,
                 source.encoding,
                 algorithm=algorithm,
-            )
-        except InvalidPredicateError:
-            pass  # no arithmetic mirror (interval encoding)
+            ),
+        }
         costs.append(entry)
     return costs
 
@@ -266,8 +258,7 @@ class ExplainReport:
     """Predicted vs. actual cost of one query, plus its trace.
 
     ``predicted_scans`` is the paper's cost-model scan count summed over
-    the query's leaves (``None`` when any leaf lacks an arithmetic
-    mirror).  ``actual`` is the executed query's
+    the query's leaves.  ``actual`` is the executed query's
     :meth:`~repro.stats.ExecutionStats.as_dict`.  On an uncached run
     ``actual["scans"]`` equals ``predicted_scans``; on a warm cache the
     invariant that holds instead is ``scans + buffer_hits ==
@@ -280,7 +271,7 @@ class ExplainReport:
     mode: str  # "predicate" | "expression"
     bitmap_codec: str
     rows: int
-    predicted_scans: int | None
+    predicted_scans: int
     predicted_leaves: list[dict]
     actual: dict
     divergences: list[str]
@@ -328,16 +319,12 @@ class ExplainReport:
             f"  mode={self.mode}  compressed={'yes' if self.compressed else 'no'}"
             + (f"  plan={self.plan}" if self.plan else "")
         )
-        predicted = (
-            str(self.predicted_scans) if self.predicted_scans is not None else "n/a"
-        )
-        lines.append(f"  predicted (cost model): {predicted} bitmap scans")
+        lines.append(f"  predicted (cost model): {self.predicted_scans} bitmap scans")
         for leaf in self.predicted_leaves:
-            scans = leaf["scans"] if leaf["scans"] is not None else "n/a"
             lines.append(
                 f"    {leaf['predicate']}  ->  A {leaf['code_op']} "
                 f"{leaf['code']}  [base {leaf['base']}, {leaf['encoding']}]"
-                f": {scans} scans"
+                f": {leaf['scans']} scans"
             )
         a = self.actual
         lines.append(
@@ -390,19 +377,11 @@ def build_explain_report(
 ) -> ExplainReport:
     """Assemble an :class:`ExplainReport` from an executed, traced query."""
     leaves = predicted_leaf_costs(relation, query, sources, algorithm=algorithm)
-    if any(leaf["scans"] is None for leaf in leaves):
-        predicted: int | None = None
-    else:
-        predicted = sum(leaf["scans"] for leaf in leaves)
+    predicted = sum(leaf["scans"] for leaf in leaves)
     actual = result.stats.as_dict()
     divergences: list[str] = []
     effective = actual["scans"] + actual["buffer_hits"]
-    if predicted is None:
-        divergences.append(
-            "no arithmetic cost mirror for at least one leaf "
-            "(interval encoding); prediction unavailable"
-        )
-    elif effective != predicted:
+    if effective != predicted:
         divergences.append(
             f"cost model predicted {predicted} bitmap scans but the run "
             f"observed {actual['scans']} scans + {actual['buffer_hits']} "

@@ -296,18 +296,24 @@ class TestPaperAccounting:
         assert counters["dense"] == counters["wah"] == counters["roaring"]
 
 
+@contextlib.contextmanager
+def parted_engine():
+    """An engine over three ordered parts; part 0 holds only large
+    measures, so a shard that selects nothing must not lend MIN its rank 0."""
+    rng = np.random.default_rng(3)
+    part = np.repeat(np.arange(3), 200)
+    m = np.where(part == 0, rng.integers(40, 60, 600), rng.integers(0, 60, 600))
+    relation = Relation.from_dict("t", {"part": part, "m": m, "z": m * m - 7})
+    with QueryEngine(max_workers=2) as engine:
+        engine.register(relation, components=2)
+        yield engine, relation
+
+
 class TestBackends:
     @pytest.fixture(scope="class")
     def parted(self):
-        """Three ordered parts; part 0 holds only large measures, so a
-        shard that selects nothing must not lend MIN its rank 0."""
-        rng = np.random.default_rng(3)
-        part = np.repeat(np.arange(3), 200)
-        m = np.where(part == 0, rng.integers(40, 60, 600), rng.integers(0, 60, 600))
-        relation = Relation.from_dict("t", {"part": part, "m": m, "z": m * m - 7})
-        with QueryEngine(max_workers=2) as engine:
-            engine.register(relation, components=2)
-            yield engine, relation
+        with parted_engine() as pair:
+            yield pair
 
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("measure", ["m", "z"])
@@ -338,8 +344,11 @@ class TestBackends:
 
     def test_verify_accepts_every_finish(self, parted):
         engine, relation = parted
-        values = relation.column("z").values[relation.column("part").values == 1]
-        assert_matches(engine, "part = 1", "z", values, options=QueryOptions(verify=True))
+        part = relation.column("part").values == 1
+        # SUM of the affine "m" reads rank_sum; of "z", group counts.
+        for measure in ("m", "z"):
+            values = relation.column(measure).values[part]
+            assert_matches(engine, "part = 1", measure, values, options=QueryOptions(verify=True))
 
     @pytest.mark.parametrize(
         "kernel,fn", [("rank_sum", "sum"), ("rank_sum", "avg"), ("rank_bound", "min")]

@@ -91,6 +91,7 @@ class TestExactVsInstrumented:
             (EncodingScheme.RANGE, "range_eval"),
             (EncodingScheme.RANGE, "range_eval_opt"),
             (EncodingScheme.EQUALITY, "equality_eval"),
+            (EncodingScheme.INTERVAL, "interval_eval"),
         ],
     )
     def test_enumeration_equals_measurement(self, base, encoding, algorithm):

@@ -3,7 +3,7 @@
 The central property: for every base, encoding, operator, and constant —
 including out-of-range constants — each algorithm returns exactly the
 rows a naive scan returns, and its physical scan count equals the
-arithmetic mirror in :mod:`repro.core.costmodel`.
+scan rule in :mod:`repro.core.costmodel`.
 """
 
 from __future__ import annotations

@@ -15,22 +15,32 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
+from hypothesis.stateful import run_state_machine_as_test
 
+import test_aggregation
+import test_cost_properties
+import test_costmodel
 import test_differential
+import test_oracle
 import test_query
 import test_roaring
 from repro.bitmaps import WahBitVector, bitvector, compressed, roaring, wah
+from repro.core import costmodel, evaluation
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
+from repro.engine import sharding
 from repro.engine.engine import QueryEngine
+from repro.errors import VerificationError
 from repro.query import expression
 
 
 def assert_killed(target, *args) -> None:
-    """Run ``target`` (a test body) on ``args`` and demand that it fails."""
+    """Run ``target`` (a test body) on ``args`` and demand that it fails:
+    an assertion, or the library's own verification refusing an answer."""
     try:
         target(*args)
-    except (AssertionError, pytest.fail.Exception):
+    except (AssertionError, pytest.fail.Exception, VerificationError):
         return
     pytest.fail(f"mutant survived: {target.__qualname__} passed")
 
@@ -54,8 +64,26 @@ def packed_column(codec: str, encoding: EncodingScheme, nbits: int):
     return codec, encoding, Base((256,)), ranks, None
 
 
+def oracle_machine() -> None:
+    """The Table oracle machine, derandomized and without shrinking, so
+    that a mutant it kills fails on the first sequence that shows it."""
+    run_state_machine_as_test(
+        test_oracle.TableMachine,
+        settings=settings(
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+            deadline=None,
+            max_examples=100,
+            stateful_step_count=10,
+            report_multiple_bugs=False,
+        ),
+    )
+
+
 layout_payloads = test_differential.test_layout_payloads_match_a_conversion_per_slot
 parse_runs_agrees = test_differential.test_parse_runs_agrees_with_a_word_by_word_parse
+cold_scans = test_cost_properties.test_cold_scans_are_the_rule_on_every_codec
 
 
 def test_m1_register_without_its_drop(monkeypatch):
@@ -138,3 +166,64 @@ def test_m9_roaring_payload_of_loose_containers(monkeypatch):
     )
     monkeypatch.setattr(roaring.RoaringBitmap, "to_payload", unsealed)
     assert_killed(test_roaring.TestAlgebra().test_every_kind_pair_in_every_op)
+
+
+def test_m10_range_opt_rule_without_its_lower_bitmap(monkeypatch):
+    """Past component 1, RangeEval-Opt also reads ``B^(d-1)`` unless
+    ``d = 0``: ``A <= 7`` on ``<5, 4>`` (digits 3, 1) scans two bitmaps."""
+    rule = mutant(costmodel._le_cost, " + (d != 0)", "")
+    monkeypatch.setattr(costmodel, "_le_cost", rule)
+    case = (Base((5, 4)), 20, EncodingScheme.RANGE, "range_eval_opt", "<=", 7)
+    assert_killed(cold_scans.hypothesis.inner_test, case)
+
+
+def test_m11_interval_rule_window_off_by_one(monkeypatch):
+    """An interval component's third scan is for digits strictly inside a
+    half window: digit 2 of base 5 (``m = 3``) is its edge, two scans."""
+    rule = mutant(costmodel._le_cost, "(r < m - 1)", "(r < m)")
+    monkeypatch.setattr(costmodel, "_le_cost", rule)
+    case = (Base((5, 4)), 20, EncodingScheme.INTERVAL, "interval_eval", "<=", 8)
+    assert_killed(cold_scans.hypothesis.inner_test, case)
+
+
+def test_m12_auto_is_range_eval_on_range_encoding(monkeypatch):
+    """``'auto'`` is the paper's RangeEval-Opt, not the baseline."""
+    monkeypatch.setitem(evaluation._AUTO, EncodingScheme.RANGE, "range_eval")
+    validation = test_costmodel.TestExpectedScansValidation()
+    assert_killed(validation.test_auto_algorithm)
+
+
+def test_m13_xor_computes_or(monkeypatch):
+    """An ``Xor`` node is the symmetric difference of its sides."""
+    as_or = mutant(expression.Xor.bitmap, "return xor_(a, b, stats)", "return or_(a, b, stats)")
+    monkeypatch.setattr(expression.Xor, "bitmap", as_or)
+    assert_killed(oracle_machine)
+
+
+def test_m14_aggregate_without_the_measure_nonnull(monkeypatch):
+    """An aggregate reads only the rows whose measure is known."""
+    loose = mutant(expression._finish, "bitmap = and_(bitmap, source.nonnull, stats)", "pass")
+    monkeypatch.setattr(expression, "_finish", loose)
+    assert_killed(oracle_machine)
+
+
+def test_m15_empty_shards_vote_in_min_max(monkeypatch):
+    """A shard that selects nothing has no rank to lend MIN or MAX."""
+    voting = mutant(sharding.merge_shard_extremes, " if count > 0]", "]")
+    monkeypatch.setattr(sharding, "merge_shard_extremes", voting)
+    backends = test_aggregation.TestBackends()
+    with test_aggregation.parted_engine() as parted:
+        assert_killed(backends.test_processes_answer_what_inline_answers, parted, 3, "m")
+
+
+@pytest.mark.parametrize(
+    "kernel,answer", [("rank_sum", "return total"), ("rank_bound", "return lo")]
+)
+def test_m16_m17_rank_kernel_off_by_one_under_verify(monkeypatch, kernel, answer):
+    """``verify=True`` checks SUM/AVG (``rank_sum``) and MIN/MAX
+    (``rank_bound``) against a scan."""
+    off = mutant(getattr(evaluation, kernel), answer, f"{answer} + 1")
+    monkeypatch.setattr(expression, kernel, off)
+    backends = test_aggregation.TestBackends()
+    with test_aggregation.parted_engine() as parted:
+        assert_killed(backends.test_verify_accepts_every_finish, parted)

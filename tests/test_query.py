@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.decomposition import Base
-from repro.engine.engine import QueryEngine
-from repro.errors import InvalidPredicateError, VerificationError
+from repro.engine.engine import IndexSpec, QueryEngine
+from repro.errors import EngineConfigError, InvalidPredicateError, VerificationError
 from repro.query.executor import bitmap_index_for, execute
 from repro.query.expression import And, Comparison, parse_expression, run_query
 from repro.query.options import QueryOptions
@@ -120,6 +120,39 @@ class TestExecutor:
         stats = execute(relation, "quantity <= 10", {"quantity": bitmap}).stats
         priced = plan_p3_bitmap_cost(relation.num_rows, stats.scans, num_predicates=1)
         assert stats.bytes_read == priced.bytes_read > 0
+
+
+class TestMixedCodecs:
+    """Sources in two codecs are one typed error at both doors, under
+    every connective: no algebra ``TypeError``, no answer."""
+
+    @pytest.fixture
+    def relation(self, rng) -> Relation:
+        return Relation.from_dict(
+            "r", {"a": rng.integers(0, 8, 100), "b": rng.integers(0, 3, 100)}
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a <= 3 and b = 1",
+            "a <= 3 or b = 1",
+            "a <= 3 xor b = 1",
+            "not (a <= 3 and b = 1)",
+            "atleast(1, a <= 3, b = 1)",
+        ],
+    )
+    def test_both_doors_refuse(self, relation, text):
+        indexes = {
+            "a": bitmap_index_for(relation, "a").with_codec("wah"),
+            "b": bitmap_index_for(relation, "b"),
+        }
+        with pytest.raises(EngineConfigError, match="mixes bitmap codecs"):
+            execute(relation, text, indexes)
+        engine = QueryEngine()
+        engine.register(relation, overrides={"a": IndexSpec(codec="wah"), "b": IndexSpec()})
+        with pytest.raises(EngineConfigError, match="mixes bitmap codecs"):
+            engine.query(text)
 
 
 class TestConjunctiveSelect:

@@ -8,8 +8,11 @@ import pytest
 from repro.core import costmodel
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
+from repro.core.evaluation import OPERATORS, Predicate, evaluate
+from repro.core.index import BitmapIndex
 from repro.errors import InvalidPredicateError
 from repro.experiments import ablation_query_skew
+from repro.stats import ExecutionStats
 
 
 class TestWeightedScans:
@@ -57,12 +60,22 @@ class TestWeightedScans:
         with pytest.raises(InvalidPredicateError):
             costmodel.expected_scans_weighted(base, 24, np.zeros(24))
 
-    def test_interval_not_supported(self):
-        base = Base((6, 4))
-        with pytest.raises(InvalidPredicateError):
-            costmodel.expected_scans_weighted(
-                base, 24, np.ones(24), EncodingScheme.INTERVAL
-            )
+    def test_interval_weights_each_constant_by_its_evaluation(self):
+        # One weight per constant: the expectation is the evaluator's own
+        # scans of the six queries on that constant, weighted.
+        base, c = Base((6, 4)), 24
+        index = BitmapIndex(np.arange(c), c, base, EncodingScheme.INTERVAL)
+        per_value = np.zeros(c)
+        for v in range(c):
+            for op in OPERATORS:
+                stats = ExecutionStats()
+                evaluate(index, Predicate(op, v), stats=stats)
+                per_value[v] += stats.scans / len(OPERATORS)
+        weights = np.random.default_rng(5).random(c)
+        weighted = costmodel.expected_scans_weighted(
+            base, c, weights, EncodingScheme.INTERVAL
+        )
+        assert weighted == pytest.approx((per_value * weights).sum() / weights.sum())
 
     def test_skew_toward_boundary_values_lowers_cost(self):
         # Constants at digit boundaries scan fewer bitmaps; loading the

@@ -163,15 +163,16 @@ class TestThresholdKernels:
         threshold_all(list(vectors), 2, charged)
         assert charged.ors == len(vectors) - 1
 
-    def test_mixed_codecs_fall_back_to_counting(self):
+    def test_mixed_codecs_raise_type_error(self):
+        # Like AND and OR, the kernel combines one representation only;
+        # both query doors refuse a mixed query before it gets here.
         columns = _operands(500, 3, 21)
-        vectors = [
-            _encode(codec, bools)
-            for codec, bools in zip(("dense", "wah", "roaring"), columns)
-        ]
-        result = threshold_all(vectors, 2, ExecutionStats())
-        oracle = np.sum(columns, axis=0) >= 2
-        np.testing.assert_array_equal(result.indices(), np.nonzero(oracle)[0])
+        codecs = ["dense", "wah", "roaring"]
+        for shift in range(3):
+            order = codecs[shift:] + codecs[:shift]
+            vectors = [_encode(codec, bools) for codec, bools in zip(order, columns)]
+            with pytest.raises(TypeError):
+                threshold_all(vectors, 2, ExecutionStats())
 
     def test_threshold_node_rejects_bad_shapes(self):
         leaf = parse_expression("a = 1")

@@ -459,16 +459,16 @@ class TestExplain:
         )[0]
         assert report.rows == len(truth)
 
-    def test_interval_encoding_reports_no_prediction(self, rng):
-        from repro.core.encoding import EncodingScheme
-
+    def test_interval_encoding_predicts_its_scans(self, rng):
         relation = Relation.from_dict("t", {"a": rng.integers(0, 20, 500)})
         engine = QueryEngine(cache_capacity=0)
-        engine.register(relation, encoding=EncodingScheme.INTERVAL)
-        report = engine.explain("a <= 7")
-        assert report.predicted_scans is None
-        assert not report.matches_prediction
-        assert any("interval" in d for d in report.divergences)
+        engine.register(relation, base=Base((5, 4)), encoding=EncodingScheme.INTERVAL)
+        for query in ("a <= 7", "a > 12", "a = 3", "a != 19", "a >= 0 and a < 11"):
+            report = engine.explain(query)
+            assert report.predicted_scans > 0, query
+            assert report.actual["scans"] == report.predicted_scans, query
+            assert report.matches_prediction, query
+            assert "n/a" not in report.format()
 
 
 # ----------------------------------------------------------------------
