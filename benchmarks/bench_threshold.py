@@ -45,7 +45,6 @@ import numpy as np
 from repro.bitmaps.bitvector import BitVector
 from repro.core.evaluation import Predicate, evaluate, threshold_all
 from repro.engine import QueryEngine
-from repro.query.options import DEFAULT_OPTIONS
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 
@@ -100,10 +99,7 @@ def make_relation(num_rows: int) -> Relation:
 
 def bench_threshold_kernel(engine: QueryEngine, relation: Relation) -> dict:
     """Native k-of-N kernel vs. the decode-count-reencode fallback."""
-    sources = {
-        attr: engine._source_for("facts", attr, DEFAULT_OPTIONS)
-        for attr in ("a", "b", "c")
-    }
+    sources = {attr: engine._source_for("facts", attr) for attr in ("a", "b", "c")}
     operands = [
         evaluate(sources["a"], Predicate("<=", 6)),
         evaluate(sources["b"], Predicate("<=", 6)),

@@ -57,7 +57,7 @@ def main() -> None:
     print(f"registered {relation.name!r} ({relation.num_rows} rows), "
           f"prebuilt {built} indexes")
 
-    sequential = engine.query_batch(batch, workers=1)
+    sequential = [engine.query(q) for q in batch]
     engine.reset_metrics()
     engine.reset_cache()
     concurrent = engine.query_batch(batch)  # uses the engine's pool

@@ -70,17 +70,19 @@ class DispatchItem(NamedTuple):
 
 class DispatchKnobs(Protocol):
     """The engine's public attributes the dispatch reads, live on each use
-    (so reassigning one on the engine takes effect on this backend too)."""
+    (so reassigning one on the engine takes effect on this backend too;
+    the pool keeps the ``max_workers`` it was built with)."""
 
     metrics: EngineMetrics
     retry_policy: RetryPolicy
     breaker: CircuitBreaker
     fault_plan: FaultPlan | None
+    max_workers: int
     shards: int | None
 
 
 class ProcessDispatch:
-    """Owns the process backend's pools, publications and failure policy.
+    """Owns the process backend's pool, publications and failure policy.
 
     The engine calls :meth:`run`, :meth:`drop` and :meth:`close` (and
     :meth:`replay`, to show a finished dispatch on a trace); everything
@@ -90,8 +92,8 @@ class ProcessDispatch:
     def __init__(self, knobs: DispatchKnobs):
         self._knobs = knobs
         self._lock = threading.Lock()
-        self._executors: dict[int, ProcessShardExecutor] = {}
-        #: (relation, attribute, codec, shards) -> the live publication.
+        self._pool: ProcessShardExecutor | None = None
+        #: (relation, attribute) -> the live publication.
         self.exports: dict[tuple, ShardExport] = {}
         self._closed = False
 
@@ -100,7 +102,7 @@ class ProcessDispatch:
     # ------------------------------------------------------------------
 
     def run(
-        self, items: list[DispatchItem], options: QueryOptions, workers: int
+        self, items: list[DispatchItem], options: QueryOptions
     ) -> list[ShardQueryOutcome] | None:
         """Evaluate a resolved batch across shards on the process pool.
 
@@ -113,7 +115,6 @@ class ProcessDispatch:
         retries ride on the outcomes for :meth:`replay`.  Anything else —
         a deadline miss included — propagates.
         """
-        shards = options.shards or self._knobs.shards or workers
         relations = sorted({item.relation.name for item in items})
         breaker = self._knobs.breaker
         blocked = [name for name in relations if not breaker.allow(f"relation:{name}")]
@@ -129,14 +130,14 @@ class ProcessDispatch:
         delays = self._knobs.retry_policy.delays()
         while True:
             try:
-                outcomes = self._once(items, options, workers, shards, deadline)
+                outcomes = self._once(items, options, deadline)
                 break
             except tuple(RECOVERY) as exc:
                 reason, repair = next(
                     entry for kind, entry in RECOVERY.items() if isinstance(exc, kind)
                 )
                 if repair is not None:
-                    repair(self, workers, relations)
+                    repair(self, relations)
                 delay = next(delays, None)
                 if delay is None:
                     for name in relations:
@@ -182,13 +183,12 @@ class ProcessDispatch:
         )
 
     def close(self, wait: bool = True) -> None:
-        """Shut the pools down and unlink every publication (idempotent)."""
+        """Shut the pool down and unlink every publication (idempotent)."""
         with self._lock:
             self._closed = True
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for executor in executors:
-            executor.shutdown(wait=wait)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
         self._unpublish(lambda key: True)
 
     @staticmethod
@@ -224,13 +224,13 @@ class ProcessDispatch:
     # Internals
     # ------------------------------------------------------------------
 
-    def _rebuild_pool(self, workers: int, relations: list[str]) -> None:
-        """Tear a broken executor down (the next attempt builds a fresh
-        one) and sweep the segments its dead workers may have orphaned."""
+    def _rebuild_pool(self, relations: list[str]) -> None:
+        """Tear a broken pool down (the next attempt builds a fresh one)
+        and sweep the segments its dead workers may have orphaned."""
         with self._lock:
-            executor = self._executors.pop(workers, None)
-        if executor is not None:
-            executor.shutdown(wait=False)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
         sweep_orphan_segments()
 
     def _unpublish(self, doomed: Callable[[tuple], bool]) -> None:
@@ -242,44 +242,47 @@ class ProcessDispatch:
         for export in closing:
             export.close()
 
-    def _republish(self, workers: int, relations: list[str]) -> None:
+    def _republish(self, relations: list[str]) -> None:
         """Unlink a torn publication; the next attempt re-exports it."""
         self._unpublish(lambda key: key[0] in relations)
 
-    def _republish_corrupt(self, workers: int, relations: list[str]) -> None:
+    def _republish_corrupt(self, relations: list[str]) -> None:
         self._knobs.metrics.record_corruption("shm")
-        self._republish(workers, relations)
+        self._republish(relations)
 
-    def _executor(self, workers: int) -> ProcessShardExecutor:
-        """The persistent process executor of the requested width (lazy)."""
+    def _executor(self) -> ProcessShardExecutor:
+        """The persistent process pool, ``max_workers`` wide (lazy)."""
         with self._lock:
             if self._closed:
                 raise EngineConfigError("engine is closed")
-            executor = self._executors.get(workers)
-            if executor is None:
+            if self._pool is None:
                 # Reclaim segments a previous (crashed) publisher left in
                 # /dev/shm before committing new ones of our own.
                 sweep_orphan_segments()
-                executor = self._executors[workers] = ProcessShardExecutor(workers)
-            return executor
+                self._pool = ProcessShardExecutor(self._knobs.max_workers)
+            return self._pool
 
-    def _export_for(self, item: DispatchItem, attribute: str, shards: int) -> ShardExport:
+    def _export_for(self, item: DispatchItem, attribute: str) -> ShardExport:
         """The current shared-memory publication of one attribute's shards.
 
-        Cut from the source the inline path serves, and cut again (the
-        stale blocks unlinked) once that source is replaced or its
-        version has moved since the last publication.
+        Cut from the source the inline path serves, into the engine's
+        ``shards`` row ranges (else ``max_workers`` of them), and cut again
+        (the stale blocks unlinked) once that source is replaced, its
+        version has moved, or the engine's codec or shard count has.
         """
         source = item.sources[attribute]
-        key = (item.relation.name, attribute, item.codec, shards)
+        key = (item.relation.name, attribute)
+        bounds = shard_bounds(source.nbits, self._knobs.shards or self._knobs.max_workers)
         with self._lock:
             export = self.exports.get(key)
-            if export is not None and export.serves(source):
+            if (
+                export is not None
+                and export.serves(source)
+                and (export.codec, export.bounds) == (item.codec, bounds)
+            ):
                 return export
             stale = export
-            export = self.exports[key] = ShardExport(
-                source, shard_bounds(source.nbits, shards), item.codec
-            )
+            export = self.exports[key] = ShardExport(source, bounds, item.codec)
         if stale is not None:
             stale.close()
         return export
@@ -288,12 +291,10 @@ class ProcessDispatch:
         self,
         items: list[DispatchItem],
         options: QueryOptions,
-        workers: int,
-        shards: int,
         deadline: Deadline | None,
     ) -> list[ShardQueryOutcome]:
         """One dispatch attempt of a resolved batch on the process pool."""
-        executor = self._executor(workers)
+        executor = self._executor()
         # Translate every query to the code domain and publish the shards
         # its attributes need.  Relations of different sizes split into
         # different row ranges (and may clamp to different shard counts),
@@ -306,7 +307,7 @@ class ProcessDispatch:
             attributes = sorted(item.sources)
             for attribute in attributes:
                 if (name, attribute) not in exports:
-                    exports[(name, attribute)] = self._export_for(item, attribute, shards)
+                    exports[(name, attribute)] = self._export_for(item, attribute)
             code_expression = translate_expression(item.expression, item.relation)
             payload = (item.finish, tuple(attributes), code_expression, item.by)
             bounds = exports[(name, attributes[0])].bounds

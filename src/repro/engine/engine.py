@@ -26,14 +26,14 @@ pay a ground-truth scan per query; correctness is pinned by the
 differential and concurrency test suites instead.  Pass
 ``QueryOptions(verify=True)`` to opt in.
 
-Execution backends: batches run on one of three pluggable backends
-(``QueryEngine(backend=...)`` or per call via
-:attr:`~repro.query.options.QueryOptions.backend`).  ``inline`` evaluates
-sequentially on the calling thread; ``threads`` uses a persistent
+Execution backends: an engine runs its batches on one of three pluggable
+backends, chosen where it is built (``QueryEngine(backend=...)``) — a query
+says what to answer, the engine how to run it.  ``inline`` evaluates
+sequentially on the calling thread; ``threads`` uses one persistent
 thread pool — enough when numpy releases the GIL, but CPU-bound batches
 serialize on the interpreter;
 ``processes`` escapes the GIL by evaluating every batch across row-range
-shards on a process pool.  Everything that exists only for that backend —
+shards on one process pool.  Everything that exists only for that backend —
 publication, retry, repair, degradation — is
 :class:`~repro.engine.dispatch.ProcessDispatch`'s
 (:mod:`repro.engine.dispatch`); this module hands it resolved queries and
@@ -89,9 +89,12 @@ def _attributes(expression, by: str | None) -> list[str]:
 
 
 def affine(dictionary: np.ndarray) -> tuple[int, int] | None:
-    """``(lo, step)`` when an integer ``dictionary`` is ``lo + step·rank``."""
+    """``(lo, step)`` when an integer ``dictionary`` is ``lo + step·rank``
+    (an empty one is, with any pair)."""
     if dictionary.dtype.kind not in "iu":
         return None
+    if not len(dictionary):
+        return 0, 1
     lo = int(dictionary[0])
     step = (int(dictionary[-1]) - lo) // max(len(dictionary) - 1, 1)
     if np.array_equal(dictionary, lo + step * np.arange(len(dictionary))):
@@ -126,7 +129,7 @@ class QueryEngine:
     cache_capacity:
         Bitmaps held by the shared LRU cache (0 disables caching).
     max_workers:
-        Default thread-pool width for :meth:`query_batch`.
+        Width of the engine's thread pool and of its process pool.
     storage:
         An :class:`~repro.storage.store.IndexStore` to serve persisted
         indexes straight off its mmap-backed files — register the store's
@@ -140,19 +143,18 @@ class QueryEngine:
         return that representation, the evaluators run in the compressed
         domain, and the shared cache holds compressed payloads (pair
         with ``cache_bytes`` — compressed entries are far smaller, so a
-        byte budget is the honest capacity).  Overridable per attribute
-        via :attr:`IndexSpec.codec` and per query via
-        :attr:`~repro.query.options.QueryOptions.codec`.
+        byte budget is the honest capacity).  An attribute is served in
+        its :attr:`IndexSpec.codec`, else the codec its bitmaps are stored
+        in, else this one.
     cache_bytes:
         Optional byte budget for the shared cache (see
         :class:`~repro.engine.cache.SharedBitmapCache`).
     backend:
-        Default execution backend for queries: ``'inline'``,
-        ``'threads'`` (default), or ``'processes'``.  Overridable per
-        query via :attr:`~repro.query.options.QueryOptions.backend`.
+        Execution backend for queries: ``'inline'``, ``'threads'``
+        (default), or ``'processes'``.
     shards:
-        Default row-range shard count for the process backend (``None``
-        = match the worker count of each batch).
+        Row-range shard count for the process backend (``None`` =
+        ``max_workers``).
     retry:
         :class:`~repro.engine.resilience.RetryPolicy` governing process-
         backend recovery (``None`` = the default policy: 2 retries,
@@ -167,10 +169,10 @@ class QueryEngine:
         injection seams (cache lookups, worker dispatch, shm attach) —
         the deterministic chaos harness.  Leave ``None`` in production.
 
-    Worker pools (thread and process) are created lazily and persist for
-    the engine's lifetime; call :meth:`close` — or use the engine as a
-    context manager — to shut them down and unlink shared-memory
-    publications.  The process backend evaluates bitmaps in worker
+    The engine holds at most one thread pool and one process pool, each
+    ``max_workers`` wide, created lazily and kept for its lifetime; call
+    :meth:`close` — or use the engine as a context manager — to shut them
+    down and unlink shared-memory publications.  The process backend evaluates bitmaps in worker
     processes, so the shared cache does not apply to it (shard payloads
     are memory-resident by construction).
     """
@@ -220,7 +222,7 @@ class QueryEngine:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.fault_plan = fault_plan
         self._pool_lock = threading.Lock()
-        self._thread_pools: dict[int, ThreadPoolExecutor] = {}
+        self._threads: ThreadPoolExecutor | None = None
         self._dispatch = ProcessDispatch(self)
         self._closed = False
 
@@ -238,9 +240,8 @@ class QueryEngine:
         with self._pool_lock:
             already = self._closed
             self._closed = True
-            thread_pools = list(self._thread_pools.values())
-            self._thread_pools.clear()
-        for pool in thread_pools:
+            pool, self._threads = self._threads, None
+        if pool is not None:
             pool.shutdown(wait=wait)
         self._dispatch.close(wait)
         if already:
@@ -337,7 +338,6 @@ class QueryEngine:
         relation: str | None = None,
         *,
         options: QueryOptions | None = None,
-        trace: bool = False,
     ) -> QueryResult:
         """Evaluate one query through the cached bitmap path.
 
@@ -347,11 +347,10 @@ class QueryEngine:
         expression string (parsed with the recursive-descent parser).
         All three normalize to an expression tree — a predicate is a
         one-leaf tree — whose leaf fetches all go through the shared
-        cache.  ``trace=True`` is shorthand for
-        ``options=QueryOptions(trace=True)``; the recorded
+        cache.  With ``options=QueryOptions(trace=True)`` the recorded
         :class:`~repro.trace.QueryTrace` rides on ``result.trace``.
         """
-        return self._run(query, "rids", None, relation, options, trace)
+        return self._run(query, "rids", None, relation, options)
 
     def count(
         self,
@@ -359,7 +358,6 @@ class QueryEngine:
         relation: str | None = None,
         *,
         options: QueryOptions | None = None,
-        trace: bool = False,
     ) -> AggregateResult:
         """COUNT(*) of a selection, answered from popcounts alone.
 
@@ -370,7 +368,7 @@ class QueryEngine:
         On the process backend each shard returns its local popcount and
         the merge is a summation.  Returns an :class:`AggregateResult`.
         """
-        return self._run(query, "count", None, relation, options, trace)
+        return self._run(query, "count", None, relation, options)
 
     def group_count(
         self,
@@ -379,7 +377,6 @@ class QueryEngine:
         relation: str | None = None,
         *,
         options: QueryOptions | None = None,
-        trace: bool = False,
     ) -> AggregateResult:
         """Per-group COUNT(*) of a selection, grouped by column ``by``.
 
@@ -392,7 +389,7 @@ class QueryEngine:
         maps each dictionary value (including zero-count ones) to its
         count; ``result.count`` is the sum over groups.
         """
-        return self._run(query, "group", by, relation, options, trace)
+        return self._run(query, "group", by, relation, options)
 
     def aggregate(
         self,
@@ -402,7 +399,6 @@ class QueryEngine:
         relation: str | None = None,
         *,
         options: QueryOptions | None = None,
-        trace: bool = False,
     ) -> AggregateResult:
         """COUNT/SUM/AVG/MIN/MAX (``fn``) of column ``measure`` over a selection.
 
@@ -420,10 +416,10 @@ class QueryEngine:
         if fn in ("sum", "avg") and affine(dictionary) is None:
             if not np.issubdtype(dictionary.dtype, np.number):
                 raise EngineConfigError(f"{fn} of {measure!r} needs numbers: {dictionary.dtype}")
-            result = self._run(query, "group", measure, name, options, trace)
+            result = self._run(query, "group", measure, name, options)
             result.groups, result.value = None, sum(k * n for k, n in result.groups.items())
         else:
-            result = self._run(query, fn, measure, name, options, trace)
+            result = self._run(query, fn, measure, name, options)
         if result.count == 0 and fn in ("avg", "min", "max"):
             raise EmptyFoundsetError(f"{fn.upper()} over an empty selection")
         if fn == "avg":
@@ -437,25 +433,21 @@ class QueryEngine:
         by: str | None,
         relation: str | None,
         options: QueryOptions | None,
-        trace: bool,
     ) -> QueryResult | AggregateResult:
-        """One query, one finish, on the backend the options select."""
+        """One query, one finish, on the engine's backend."""
         options = options if options is not None else DEFAULT_OPTIONS
-        if trace and not options.trace:
-            options = options.with_(trace=True)
         name = self._current(relation)
         item = (name, normalize_query(query), finish, by)
         if by is not None:
             self._spec_for(name, by)  # raises if ``by`` is not served
-        if self._backend_for(options) == "processes":
-            return self._process_batch([item], options, self.max_workers)[0]
+        if self.backend == "processes":
+            return self._process_batch([item], options)[0]
         return self._execute(item, options)
 
     def query_batch(
         self,
         queries: list,
         *,
-        workers: int | None = None,
         relation: str | None = None,
         options: QueryOptions | None = None,
     ) -> list[QueryResult]:
@@ -463,46 +455,33 @@ class QueryEngine:
 
         Each item is a query in any unified form (against ``relation``,
         defaulting to the first registered one) or an explicit
-        ``(relation_name, query)`` pair.  ``workers=1`` runs the batch
-        inline on the calling thread — the sequential baseline; the
-        engine's ``max_workers`` is the width when ``workers`` is not
-        passed.  The execution backend comes from ``options.backend``
-        (falling back to the engine's configured default): ``threads``
-        reuses the engine's persistent pool of the requested width;
-        ``processes`` fans each query out across the relation's shards on
-        the process pool.
+        ``(relation_name, query)`` pair.  The engine's backend runs it:
+        ``inline`` on the calling thread, one query after another (the
+        sequential baseline); ``threads`` on the engine's persistent pool,
+        ``max_workers`` wide; ``processes`` fans each query out across the
+        relation's shards on the process pool.
         """
         options = options if options is not None else DEFAULT_OPTIONS
         resolved: list[tuple] = []
         for item in queries:
             name, q = item if isinstance(item, tuple) else (relation, item)
             resolved.append((self._current(name), normalize_query(q), "rids", None))
-        if workers is None:
-            workers = self.max_workers
-        if workers < 1:
-            raise EngineConfigError(f"workers must be >= 1, got {workers}")
-        backend = self._backend_for(options)
-
-        if backend == "processes":
-            return self._process_batch(resolved, options, workers)
-        if backend == "inline":
-            workers = 1
-        return self._local_batch(resolved, options, workers)
+        if self.backend == "processes":
+            return self._process_batch(resolved, options)
+        return self._local_batch(resolved, options)
 
     def _local_batch(
-        self,
-        resolved: list[tuple],
-        options: QueryOptions,
-        workers: int,
+        self, resolved: list[tuple], options: QueryOptions
     ) -> list[QueryResult | AggregateResult]:
         """Evaluate a resolved batch on the thread pool (or inline).
 
         The thread/inline execution shared by :meth:`query_batch` and
-        the process backend's degradation ladder.  ``resolved`` holds
+        the process backend's degradation ladder (which lands on the
+        thread pool).  ``resolved`` holds
         ``(relation_name, expression, finish, by)`` items.
         """
-        if workers > 1 and len(resolved) > 1:
-            pool = self._thread_pool(workers)
+        if self.backend != "inline" and self.max_workers > 1 and len(resolved) > 1:
+            pool = self._thread_pool()
             futures = [
                 pool.submit(self._execute, item, options, backend="threads")
                 for item in resolved
@@ -534,14 +513,9 @@ class QueryEngine:
         item = (name, q, "rids", None)
         result = self._execute(item, options, record=False)
         mode = query_mode(q)
+        sources = {attribute: self._index_for(name, attribute) for attribute in q.attributes()}
         # The codec the run was served in, resolved as ``_execute`` does.
-        codec = one_codec(
-            {self._source_for(name, a, options).bitmap_codec for a in q.attributes()}, q
-        )
-        sources = {
-            attribute: self._index_for(name, attribute)
-            for attribute in q.attributes()
-        }
+        codec = one_codec({self._codec_for(name, a, s) for a, s in sources.items()}, q)
         # The store's cumulative counters (bytes actually read, bitmaps
         # materialized, page touches) next to the cost model's predictions.
         storage_io = self.storage.io_snapshot() if self.storage is not None else None
@@ -727,44 +701,21 @@ class QueryEngine:
 
         return self.registry.get_or_build((relation_name, attribute), build)
 
-    def _codec_for(
-        self, relation_name: str, attribute: str, options: QueryOptions, index
-    ) -> str:
-        """Resolve the codec ``index``, the attribute's source, is served in.
+    def _codec_for(self, relation_name: str, attribute: str, index) -> str:
+        """The codec ``index``, the attribute's source, is served in: its
+        spec's, else the one its bitmaps are stored in (serving the stored
+        representation keeps fetches zero-copy), else the engine's."""
+        codec = self._specs[relation_name][attribute].codec
+        return bitmap_class(codec or getattr(index, "stored_codec", None) or self.codec).codec
 
-        Precedence: query override > index spec > the codec the bitmaps
-        are persisted in (store-backed sources only — serving the stored
-        representation keeps fetches zero-copy/zero-recode) > engine
-        default.
-        """
-        codec = options.codec
-        if codec is None:
-            spec = self._specs.get(relation_name, {}).get(attribute)
-            codec = spec.codec if spec is not None else None
-        if codec is None:
-            codec = getattr(index, "stored_codec", None)
-        if codec is None:
-            codec = self.codec
-        return bitmap_class(codec).codec
-
-    def _source_for(
-        self,
-        relation_name: str,
-        attribute: str,
-        options: QueryOptions = DEFAULT_OPTIONS,
-    ) -> CachedSource:
+    def _source_for(self, relation_name: str, attribute: str) -> CachedSource:
         """The cache-routed bitmap source of one served attribute."""
         index = self._index_for(relation_name, attribute)
-        codec = self._codec_for(relation_name, attribute, options, index)
-        prefix = (relation_name, attribute)
-        if codec != "dense":
-            # Entries of different representations for the same slot must
-            # not collide in the shared cache.
-            prefix += (codec,)
+        codec = self._codec_for(relation_name, attribute, index)
         return CachedSource(
             index.with_codec(codec),
             self.cache,
-            prefix,
+            (relation_name, attribute, codec),
             faults=self.fault_plan,
         )
 
@@ -772,30 +723,19 @@ class QueryEngine:
     # Backends
     # ------------------------------------------------------------------
 
-    def _backend_for(self, options: QueryOptions) -> str:
-        backend = options.backend if options.backend is not None else self.backend
-        if backend not in BACKENDS:
-            raise EngineConfigError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        return backend
-
-    def _thread_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent thread pool of the requested width (lazy)."""
+    def _thread_pool(self) -> ThreadPoolExecutor:
+        """The persistent thread pool, ``max_workers`` wide (lazy)."""
         with self._pool_lock:
             if self._closed:
                 raise EngineConfigError("engine is closed")
-            pool = self._thread_pools.get(workers)
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix=f"repro-engine-{workers}",
+            if self._threads is None:
+                self._threads = ThreadPoolExecutor(
+                    max_workers=self.max_workers, thread_name_prefix="repro-engine"
                 )
-                self._thread_pools[workers] = pool
-            return pool
+            return self._threads
 
     def _process_batch(
-        self, resolved: list[tuple], options: QueryOptions, workers: int
+        self, resolved: list[tuple], options: QueryOptions
     ) -> list[QueryResult | AggregateResult]:
         """Evaluate a resolved batch on the sharded process backend.
 
@@ -805,14 +745,12 @@ class QueryEngine:
         spent).  A deadline miss is not retried: it surfaces as
         :class:`~repro.errors.QueryTimeoutError` immediately.
         """
-        if options.shards is not None and options.shards < 1:
-            raise EngineConfigError(f"shards must be >= 1, got {options.shards}")
         trace = QueryTrace(label="; ".join(map(_label, resolved))) if options.trace else None
         with self._accounted(lambda: trace):
-            items = [self._dispatch_item(item, options) for item in resolved]
-            outcomes = self._dispatch.run(items, options, workers)
+            items = [self._dispatch_item(item) for item in resolved]
+            outcomes = self._dispatch.run(items, options)
         if outcomes is None:
-            return self._local_batch(resolved, options, workers)
+            return self._local_batch(resolved, options)
         results = []
         for item, shipped, outcome in zip(resolved, items, outcomes):
             # A merged shard outcome enters the shared tail directly; its
@@ -829,14 +767,14 @@ class QueryEngine:
                 )
         return results
 
-    def _dispatch_item(self, item: tuple, options: QueryOptions) -> DispatchItem:
+    def _dispatch_item(self, item: tuple) -> DispatchItem:
         """What the process dispatch needs of one query, resolved here so it
         never reaches back into the engine: the sources inline serves the
         query's attributes from, and the one codec it serves them in."""
         name, expression, finish, by = item
         sources = {attr: self._index_for(name, attr) for attr in _attributes(expression, by)}
         codec = one_codec(
-            {self._codec_for(name, attr, options, index) for attr, index in sources.items()},
+            {self._codec_for(name, attr, index) for attr, index in sources.items()},
             expression,
         )
         return DispatchItem(self._relations[name], sources, codec, expression, finish, by)
@@ -867,10 +805,7 @@ class QueryEngine:
         with self._accounted(lambda: stats.trace, record):
             if options.deadline_ms is not None:
                 stats.deadline = Deadline(options.deadline_ms)
-            sources = {
-                attr: self._source_for(name, attr, options)
-                for attr in _attributes(expression, by)
-            }
+            sources = {attr: self._source_for(name, attr) for attr in _attributes(expression, by)}
             codec = one_codec({source.bitmap_codec for source in sources.values()}, expression)
             self._open_trace(item, options, stats, backend, codec)
             answer = run_query(
@@ -905,14 +840,12 @@ class QueryEngine:
         if not options.trace:
             return
         name, expression, finish, by = item
-        mode = query_mode(expression, finish)
         stats.trace = QueryTrace(label=_label(item))
         stats.trace.event(
             "engine.dispatch",
             kind="plan",
             relation=name,
-            mode=mode,
-            access_path="bitmap" if mode == "predicate" else mode,
+            mode=query_mode(expression, finish),
             backend=backend,
             codec=codec,
             attributes=_attributes(expression, by),
@@ -961,12 +894,11 @@ class QueryEngine:
                 count=count, groups=groups, stats=stats, trace=trace, value=value
             )
         if record:
-            mode = query_mode(expression, finish)
             self.metrics.record(
                 elapsed(),
                 stats,
                 relation=name,
-                access_path="bitmap" if mode == "predicate" else mode,
+                mode=query_mode(expression, finish),
                 codec=codec,
                 backend=backend,
             )

@@ -6,7 +6,7 @@ latency and :class:`~repro.stats.ExecutionStats` to one
 always self-consistent.  ``snapshot()`` computes the serving-side numbers
 an operator watches: query count, p50/p95/p99 latency, and the summed
 bitmap-level counters (scans, ops, bytes read, buffer hits) — globally and
-broken down per relation, per access path, and per bitmap codec.
+broken down per relation, per query mode, per bitmap codec and per backend.
 ``snapshot_text()`` renders
 the same numbers in the Prometheus text exposition format for scraping.
 
@@ -97,7 +97,7 @@ class LatencyReservoir:
 
 #: The labels a query is broken down by (``snapshot()["by_<label>"]``)
 #: and the counters each breakdown and the global totals publish.
-BREAKDOWNS = ("relation", "access_path", "codec", "backend")
+BREAKDOWNS = ("relation", "mode", "codec", "backend")
 _PUBLISHED = {
     "scans": "Bitmap scans (the paper's I/O cost metric).",
     "ops": "Bitmap boolean operations (the paper's CPU cost metric).",
@@ -107,7 +107,7 @@ _PUBLISHED = {
 
 
 class _GroupAggregate:
-    """Per-label aggregate (one relation, or one access path)."""
+    """Per-label aggregate (one relation, or one query mode)."""
 
     __slots__ = ("queries", "latency_total", "stats")
 
@@ -173,22 +173,22 @@ class EngineMetrics:
         latency_seconds: float,
         stats: ExecutionStats,
         relation: str | None = None,
-        access_path: str | None = None,
+        mode: str | None = None,
         codec: str | None = None,
         backend: str | None = None,
     ) -> None:
         """Fold one completed query into the aggregate.
 
-        ``relation``, ``access_path``, ``codec``, and ``backend`` label
-        the query for the per-relation / per-access-path / per-codec /
-        per-backend breakdowns; omitted labels simply skip the
+        ``relation``, ``mode``, ``codec``, and ``backend`` label the
+        query for the per-relation / per-mode / per-codec / per-backend
+        breakdowns; omitted labels simply skip the
         corresponding breakdown.
         """
         with self._lock:
             self.queries += 1
             self._latencies.add(latency_seconds)
             self._stats.merge(stats)
-            for label, value in zip(BREAKDOWNS, (relation, access_path, codec, backend)):
+            for label, value in zip(BREAKDOWNS, (relation, mode, codec, backend)):
                 if value is not None:
                     groups = self._by[label]
                     group = groups.get(value)
@@ -293,8 +293,8 @@ class EngineMetrics:
         """The aggregate in the Prometheus text exposition format.
 
         Global totals are unlabeled families (``repro_queries_total``, …);
-        the per-relation and per-access-path breakdowns are separate
-        families with a ``relation=`` / ``access_path=`` label so no
+        the per-relation and per-mode breakdowns are separate
+        families with a ``relation=`` / ``mode=`` label so no
         family mixes labeled and unlabeled samples.
         """
         snap = self.snapshot()

@@ -30,7 +30,7 @@ class IndexSpec:
     cardinalities.  With neither, the single-component base ``<C>`` is
     used (the index default).  ``codec`` selects this attribute's bitmap
     representation (``'dense'``/``'wah'``/``'roaring'``); ``None`` defers
-    to the engine's default.
+    to the codec a store holds the bitmaps in, then the engine's.
     """
 
     base: Base | None = None

@@ -2,8 +2,10 @@
 
 :class:`QueryOptions` is the one dataclass every query entry point
 accepts — the engine-free door (:func:`~repro.query.executor.execute`)
-and the serving engine — in place of per-call keywords (``verify=``,
-``algorithm=``, ``codec=``, …).
+and the serving engine — in place of per-call keywords.  It carries only
+what changes a query's answer, its accounting or its time budget; how a
+query runs (codec, backend, shard count) is the engine's, fixed where the
+engine and its indexes are built.
 
 :func:`normalize_query` is the companion piece of the unified surface: it
 turns any of the accepted query forms — an
@@ -45,20 +47,6 @@ class QueryOptions:
     trace:
         Record a :class:`~repro.trace.QueryTrace` of timed spans on the
         result (adds per-operation overhead; leave off on the hot path).
-    codec:
-        Bitmap representation the query runs over (``'dense'``, ``'wah'``,
-        or ``'roaring'``).  ``None`` defers to the per-index spec and then
-        the engine's configured default codec.
-    backend:
-        Execution backend for engine queries: ``'inline'`` (sequential on
-        the calling thread), ``'threads'`` (the engine's persistent
-        thread pool), or ``'processes'`` (sharded, GIL-free execution on
-        a process pool over shared-memory bitmap payloads).  ``None``
-        defers to the engine's configured default backend.
-    shards:
-        Row-range shard count for the process backend (``None`` = the
-        engine's configured default, which itself defaults to the worker
-        count).  Ignored by the inline and thread backends.
     deadline_ms:
         Cooperative wall-clock budget in milliseconds (``None`` = no
         deadline).  The budget is checked at the evaluator, storage, and
@@ -73,9 +61,6 @@ class QueryOptions:
     verify: bool = False
     algorithm: str = "auto"
     trace: bool = False
-    codec: str | None = None
-    backend: str | None = None
-    shards: int | None = None
     deadline_ms: float | None = None
 
     def with_(self, **overrides) -> "QueryOptions":

@@ -15,8 +15,7 @@ Tracing is threaded through the existing ``ExecutionStats`` object that
 every layer already receives: ``stats.trace`` is ``None`` on the untraced
 hot path (a single attribute read gates all instrumentation, so serving
 overhead stays within noise) and a :class:`QueryTrace` when the caller
-asked for one (``QueryEngine.query(..., trace=True)``,
-``QueryOptions(trace=True)``, or :func:`explain`).
+asked for one (``options=QueryOptions(trace=True)``, or :func:`explain`).
 
 Span kinds, by layer:
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +13,7 @@ from repro.bitmaps.bitvector import BitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapIndex
+from repro.engine import QueryEngine
 from repro.errors import EmptyFoundsetError
 from repro.query.expression import (
     AGGREGATES,
@@ -32,6 +35,39 @@ settings.register_profile("ci", max_examples=1000)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@contextlib.contextmanager
+def backend_engines(
+    relation=None, backends=("inline", "processes"), register=None, **engine_opts
+):
+    """One :class:`QueryEngine` per backend of ``backends``, in that order.
+
+    Each is built with ``engine_opts`` (the codec, shard count, cache, …:
+    how a query runs is the engine's) and serves ``relation``, registered
+    with the ``register`` keywords; a shared ``storage=`` store is served
+    whole, each engine registering every relation the store holds.  The
+    engines close on exit.
+    """
+    with contextlib.ExitStack() as stack:
+        engines = []
+        for backend in backends:
+            engine = stack.enter_context(QueryEngine(backend=backend, **engine_opts))
+            if engine.storage is not None:
+                for name in engine.storage.relations():
+                    engine.register(engine.storage.relation_view(name))
+            if relation is not None:
+                engine.register(relation, **(register or {}))
+            engines.append(engine)
+        yield tuple(engines)
+
+
+@pytest.fixture
+def engines():
+    """:func:`backend_engines` as a fixture: ``engines(relation, backends, …)``
+    returns the engines, and teardown closes them."""
+    with contextlib.ExitStack() as stack:
+        yield lambda *args, **kwargs: stack.enter_context(backend_engines(*args, **kwargs))
 
 
 #: The paper's Figure 1 example column (10 records, values 0..8).

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import QueryEngine, Table, open_store
+from repro import QueryEngine, Table
 from repro.core.costmodel import space
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
@@ -39,7 +39,7 @@ from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
 from repro.storage import IndexStore
 
-from conftest import assert_aggregates
+from conftest import assert_aggregates, backend_engines
 
 CODECS = ("dense", "wah", "roaring")
 #: The evaluators' trace spans; the binary search of MIN/MAX asks ``<=``.
@@ -233,23 +233,32 @@ class TestPaperAccounting:
 
     @staticmethod
     def served(stack, relation, base, encoding, nulls, rng):
-        """An uncached engine over ``relation`` — from a compacted store
-        whose appended rows hold NULL measures when ``nulls`` — and the
-        relation's rows with each row's measure known or not."""
+        """One uncached engine per codec over ``relation`` — from a
+        compacted store whose appended rows hold NULL measures when
+        ``nulls`` — and the relation's rows with each row's measure known
+        or not.  Every engine serves both columns in its codec."""
         values, selected = (relation.column(c).values for c in ("v", "s"))
-        if not nulls:
-            engine = stack.enter_context(QueryEngine(cache_capacity=0))
-            engine.register(relation, overrides={"v": IndexSpec(base, encoding)})
-            return engine, values, selected == 1, np.ones(len(values), dtype=bool)
-        root = stack.enter_context(tempfile.TemporaryDirectory())
-        batch, null = rng.choice(values, 20), rng.random(20) < 0.5
-        with IndexStore(root) as store:
-            store.build(relation, codec="wah", base={"v": base, "s": None}, encoding=encoding)
-            store.append("t", {"v": batch, "s": np.ones(20, dtype=int)}, nulls={"v": null})
-            store.compact("t")
-        engine = stack.enter_context(open_store(root, cache_capacity=0))
-        known = np.append(np.ones(len(values), dtype=bool), ~null)
-        return engine, np.append(values, batch), np.append(selected == 1, [True] * 20), known
+        known = np.ones(len(values), dtype=bool)
+        storage = None
+        if nulls:
+            root = stack.enter_context(tempfile.TemporaryDirectory())
+            batch, null = rng.choice(values, 20), rng.random(20) < 0.5
+            with IndexStore(root) as store:
+                store.build(relation, codec="wah", base={"v": base, "s": None}, encoding=encoding)
+                store.append("t", {"v": batch, "s": np.ones(20, dtype=int)}, nulls={"v": null})
+                store.compact("t")
+            storage = stack.enter_context(IndexStore(root))
+            relation = storage.relation_view("t")
+            values, selected = np.append(values, batch), np.append(selected, [1] * 20)
+            known = np.append(known, ~null)
+        engines = {}
+        for codec in CODECS:
+            engine = engines[codec] = stack.enter_context(
+                QueryEngine(cache_capacity=0, storage=storage)
+            )
+            specs = {"v": IndexSpec(base, encoding, codec=codec), "s": IndexSpec(codec=codec)}
+            engine.register(relation, overrides=specs)
+        return engines, values, selected == 1, known
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -270,11 +279,11 @@ class TestPaperAccounting:
         relation = Relation.from_dict("t", {"v": values, "s": selected})
         counters = {}
         with contextlib.ExitStack() as stack:
-            engine, values, selected, known = self.served(
+            engines, values, selected, known = self.served(
                 stack, relation, base, encoding, nulls, rng
             )
-            for codec in CODECS:
-                options = QueryOptions(codec=codec, trace=True)
+            options = QueryOptions(trace=True)
+            for codec, engine in engines.items():
                 assert_matches(engine, "s = 1", "v", values[selected & known], options=options)
                 where = engine.count("s = 1", options=options).stats.scans
                 total = engine.aggregate("s = 1", "v", "sum", options=options).stats
@@ -297,15 +306,16 @@ class TestPaperAccounting:
 
 
 @contextlib.contextmanager
-def parted_engine():
-    """An engine over three ordered parts; part 0 holds only large
-    measures, so a shard that selects nothing must not lend MIN its rank 0."""
+def parted_engine(backend="inline", **engine_opts):
+    """A ``backend`` engine over three ordered parts; part 0 holds only
+    large measures, so a shard that selects nothing must not lend MIN its
+    rank 0."""
     rng = np.random.default_rng(3)
     part = np.repeat(np.arange(3), 200)
     m = np.where(part == 0, rng.integers(40, 60, 600), rng.integers(0, 60, 600))
     relation = Relation.from_dict("t", {"part": part, "m": m, "z": m * m - 7})
-    with QueryEngine(max_workers=2) as engine:
-        engine.register(relation, components=2)
+    served = backend_engines(relation, (backend,), {"components": 2}, max_workers=2, **engine_opts)
+    with served as (engine,):
         yield engine, relation
 
 
@@ -318,26 +328,26 @@ class TestBackends:
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("measure", ["m", "z"])
     def test_processes_answer_what_inline_answers(self, parted, shards, measure):
-        engine, relation = parted
-        processes = QueryOptions(backend="processes", shards=shards)
-        for where in ("part = 0", "part >= 1 and m < 30", "part = 2 and m > 99"):
-            mask = parse_expression(where).mask(relation)
-            values = relation.column(measure).values[mask]
-            assert_matches(engine, where, measure, values)
-            assert_matches(engine, where, measure, values, options=processes)
+        inline, relation = parted
+        with parted_engine("processes", shards=shards) as (processes, _):
+            for where in ("part = 0", "part >= 1 and m < 30", "part = 2 and m > 99"):
+                mask = parse_expression(where).mask(relation)
+                values = relation.column(measure).values[mask]
+                assert_matches(inline, where, measure, values)
+                assert_matches(processes, where, measure, values)
 
     @pytest.mark.parametrize("shards", [2, 3])
-    def test_processes_charge_what_inline_charges(self, parted, shards):
+    def test_processes_charge_what_inline_charges(self, shards):
         """The search of MIN/MAX is charged once, as the unsharded query
         makes it, even when shard 0 selects nothing or finds another rank."""
-        _, relation = parted
-        processes = QueryOptions(backend="processes", shards=shards)
-        with QueryEngine(max_workers=2, cache_capacity=0) as engine:
-            engine.register(relation, components=2)
+        with (
+            parted_engine(cache_capacity=0) as (engine, _),
+            parted_engine("processes", shards=shards, cache_capacity=0) as (processes, _),
+        ):
             for where in ("part >= 1 and m < 30", "part <= 1", "m > 20"):
                 for fn in ("min", "max"):
                     inline = engine.aggregate(where, "m", fn)
-                    sharded = engine.aggregate(where, "m", fn, options=processes)
+                    sharded = processes.aggregate(where, "m", fn)
                     assert sharded.value == inline.value, (where, fn)
                     charged = [(r.stats.scans, r.stats.ops) for r in (inline, sharded)]
                     assert charged[0] == charged[1], (where, fn)
@@ -377,8 +387,8 @@ def test_store_backed_aggregates_with_nulls(tmp_path, codec):
         "quantity": (np.append(quantity, [3, 49, 10, 0]), np.append(quantity >= 0, ~nulls)),
         "weight": (np.append(weight, [100, 7, -4, 1]), np.append(weight < 1000, nulls)),
     }
-    processes = QueryOptions(backend="processes", shards=2)
-    with open_store(str(tmp_path), max_workers=2) as engine:
+    with backend_engines(storage=IndexStore(str(tmp_path)), max_workers=2) as engines:
+        engine, processes = engines
         engine.storage.append(
             "sales",
             {name: values[-4:] for name, (values, _) in columns.items()},
@@ -392,6 +402,6 @@ def test_store_backed_aggregates_with_nulls(tmp_path, codec):
                 selected = known & leaf.matches(values)
                 measured, present = columns[measure]
                 expected = measured[selected & present]
-                assert_matches(engine, where, measure, expected)
-                assert_matches(engine, where, measure, expected, options=processes)
+                for served in engines:
+                    assert_matches(served, where, measure, expected)
             engine.storage.compact("sales")

@@ -419,23 +419,23 @@ class TestEngineCompressedMode:
         ]
 
     def test_compressed_engine_matches_dense(self, relation):
-        dense = QueryEngine(cache_capacity=64)
+        dense = QueryEngine(cache_capacity=64, max_workers=2)
         comp = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah", max_workers=2
         )
         for engine in (dense, comp):
             engine.register(relation)
-        dense_results = dense.query_batch(self.queries(), workers=2)
-        comp_results = comp.query_batch(self.queries(), workers=2)
+        dense_results = dense.query_batch(self.queries())
+        comp_results = comp.query_batch(self.queries())
         for d, c in zip(dense_results, comp_results):
             assert np.array_equal(d.rids, c.rids)
 
     def test_cache_holds_compressed_payloads(self, relation):
         engine = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah", backend="inline"
         )
         engine.register(relation)
-        engine.query_batch(self.queries(), workers=1)
+        engine.query_batch(self.queries())
         snap = engine.cache.snapshot()
         assert snap["size"] > 0
         # Dense entries would be nbits/8 = 1000 bytes each; compressed
@@ -444,11 +444,11 @@ class TestEngineCompressedMode:
 
     def test_cache_hits_on_repeat(self, relation):
         engine = QueryEngine(
-            cache_capacity=None, cache_bytes=1 << 20, codec="wah"
+            cache_capacity=None, cache_bytes=1 << 20, codec="wah", backend="inline"
         )
         engine.register(relation)
-        engine.query_batch(self.queries(), workers=1)
+        engine.query_batch(self.queries())
         misses_before = engine.cache.misses
-        engine.query_batch(self.queries(), workers=1)
+        engine.query_batch(self.queries())
         assert engine.cache.misses == misses_before
         assert engine.cache.hits > 0

@@ -911,15 +911,10 @@ def test_unknown_codec_is_one_typed_error_at_every_door(tmp_path):
     index = BitmapIndex(relation.column("a").codes, 9)
     disk = SimulatedDisk()
     write_index(disk, "idx", index, scheme="BS")
-    engine = QueryEngine(backend="inline")
-    engine.register(relation)
     spec_engine = QueryEngine(backend="inline")
     spec_engine.register(relation, overrides={"a": IndexSpec(codec="lz4")})
     doors = {
         "QueryEngine(codec=)": lambda: QueryEngine(codec="lz4"),
-        "QueryOptions(codec=)": lambda: engine.query(
-            "a = 3", options=QueryOptions(codec="lz4")
-        ),
         "IndexSpec(codec=)": lambda: spec_engine.count("a = 3"),
         "IndexStore.build(codec=)": lambda: IndexStore(str(tmp_path)).build(
             relation, codec="lz4"

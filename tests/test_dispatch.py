@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import QueryEngine, QueryOptions, RetryPolicy
+from repro.engine import RetryPolicy
 from repro.faults import FaultPlan, FaultSpec
 from repro.relation.relation import Relation
 
 NUM_ROWS = 2_003
 QUERIES = ("quantity < 10", "quantity >= 40 or region = 3")
-PROCESSES = QueryOptions(backend="processes", shards=2)
-INLINE = QueryOptions(backend="inline")
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +35,24 @@ def relation() -> Relation:
 @pytest.mark.parametrize(
     "kind, reason", [("error", "shm-attach"), ("corrupt", "shard-corrupt")]
 )
-def test_shm_fault_after_maintenance_matches_inline(relation, kind, reason):
+def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, reason):
     retry = RetryPolicy(max_retries=2, base_delay_seconds=0.0)
-    with QueryEngine(max_workers=2, cache_capacity=0, retry=retry) as engine:
-        engine.register(relation)
-        engine.query_batch(QUERIES, options=PROCESSES)  # build + publish
-        index = engine.registry.peek(("orders", "quantity"))
+    inline, processes = engines(relation, max_workers=2, shards=2, cache_capacity=0, retry=retry)
+    processes.query_batch(QUERIES)  # build + publish
+    index = processes.registry.peek(("orders", "quantity"))
+    for engine in (inline, processes):
+        maintained = engine._index_for("orders", "quantity")
         for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 3)):
-            index.update(rid, value)
-        index.delete(5)
-        # Arm the fault only now, so it hits the post-maintenance
-        # publication (the dispatch reads the engine's knobs live).
-        plan = engine.fault_plan = FaultPlan([FaultSpec("shm.attach", kind, nth=1)])
-        process = engine.query_batch(QUERIES, options=PROCESSES)
-        assert plan.injections, "the fault never fired"
-        engine.fault_plan = None
-        inline = engine.query_batch(QUERIES, options=INLINE)
-        for query, a, b in zip(QUERIES, inline, process):
-            assert np.array_equal(a.rids, b.rids), query
-        assert engine.registry.peek(("orders", "quantity")) is index  # repaired, not rebuilt
-        resilience = engine.snapshot()["resilience"]
-        assert resilience["retries"].get(reason, 0) >= 1, resilience
-        assert resilience["degradations"] == []
+            maintained.update(rid, value)
+        maintained.delete(5)
+    # Arm the fault only now, so it hits the post-maintenance
+    # publication (the dispatch reads the engine's knobs live).
+    plan = processes.fault_plan = FaultPlan([FaultSpec("shm.attach", kind, nth=1)])
+    process = processes.query_batch(QUERIES)
+    assert plan.injections, "the fault never fired"
+    for query, a, b in zip(QUERIES, inline.query_batch(QUERIES), process):
+        assert np.array_equal(a.rids, b.rids), query
+    assert processes.registry.peek(("orders", "quantity")) is index  # repaired, not rebuilt
+    resilience = processes.snapshot()["resilience"]
+    assert resilience["retries"].get(reason, 0) >= 1, resilience
+    assert resilience["degradations"] == []

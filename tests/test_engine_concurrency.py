@@ -73,8 +73,8 @@ def assert_counters_consistent(engine: QueryEngine) -> None:
 class TestBatchCorrectness:
     def test_concurrent_equals_sequential_baseline(self, relation):
         batch = mixed_batch(relation, 60, seed=1)
-        sequential = make_engine(relation).query_batch(batch, workers=1)
-        concurrent = make_engine(relation).query_batch(batch, workers=8)
+        sequential = make_engine(relation, backend="inline").query_batch(batch)
+        concurrent = make_engine(relation, max_workers=8).query_batch(batch)
         assert len(sequential) == len(concurrent) == len(batch)
         for pred, seq, conc in zip(batch, sequential, concurrent):
             assert np.array_equal(seq.rids, conc.rids), str(pred)
@@ -84,24 +84,24 @@ class TestBatchCorrectness:
     def test_batch_preserves_input_order(self, relation):
         batch = mixed_batch(relation, 40, seed=2)
         engine = make_engine(relation)
-        results = engine.query_batch(batch, workers=4)
+        results = engine.query_batch(batch)
         for pred, result in zip(batch, results):
             assert np.array_equal(
                 result.rids, relation.scan(pred.attribute, pred.op, pred.value)
             )
 
     def test_explicit_relation_pairs(self, relation):
-        engine = make_engine(relation)
+        engine = make_engine(relation, max_workers=2)
         pred = AttributePredicate("quantity", "<=", 10)
-        results = engine.query_batch([("lineitem", pred), pred], workers=2)
+        results = engine.query_batch([("lineitem", pred), pred])
         assert np.array_equal(results[0].rids, results[1].rids)
 
 
 class TestContention:
     def test_counters_consistent_under_contention(self, relation):
-        engine = make_engine(relation, cache_capacity=32)
+        engine = make_engine(relation, cache_capacity=32, max_workers=8)
         batch = mixed_batch(relation, 120, seed=3)
-        engine.query_batch(batch, workers=8)
+        engine.query_batch(batch)
         snap = engine.snapshot()
         assert snap["queries"] == len(batch)
         assert snap["failures"] == 0
@@ -134,7 +134,7 @@ class TestContention:
     def test_zero_capacity_cache_disables_caching(self, relation):
         engine = make_engine(relation, cache_capacity=0)
         batch = mixed_batch(relation, 30, seed=5)
-        results = engine.query_batch(batch, workers=4)
+        results = engine.query_batch(batch)
         for pred, result in zip(batch, results):
             assert np.array_equal(
                 result.rids, relation.scan(pred.attribute, pred.op, pred.value)
@@ -148,7 +148,7 @@ class TestContention:
     def test_small_cache_evicts_but_stays_correct(self, relation):
         engine = make_engine(relation, cache_capacity=2)
         batch = mixed_batch(relation, 50, seed=6)
-        results = engine.query_batch(batch, workers=4)
+        results = engine.query_batch(batch)
         for pred, result in zip(batch, results):
             assert np.array_equal(
                 result.rids, relation.scan(pred.attribute, pred.op, pred.value)
@@ -161,7 +161,7 @@ class TestContention:
 class TestMetricsAndWarm:
     def test_snapshot_shape_and_percentiles(self, relation):
         engine = make_engine(relation)
-        engine.query_batch(mixed_batch(relation, 25, seed=7), workers=4)
+        engine.query_batch(mixed_batch(relation, 25, seed=7))
         snap = engine.snapshot()
         latency = snap["latency_ms"]
         assert snap["queries"] == 25
@@ -171,15 +171,15 @@ class TestMetricsAndWarm:
         assert snap["registry"]["indexes"] == 3
 
     def test_warm_prebuilds_all_indexes(self, relation):
-        engine = make_engine(relation)
+        engine = make_engine(relation, max_workers=2)
         assert engine.warm() == 3
         assert engine.registry.snapshot()["builds"] == 3
-        engine.query_batch(mixed_batch(relation, 10, seed=8), workers=2)
+        engine.query_batch(mixed_batch(relation, 10, seed=8))
         assert engine.registry.snapshot()["builds"] == 3  # no rebuilds
 
     def test_reset_cache_and_metrics(self, relation):
-        engine = make_engine(relation)
-        engine.query_batch(mixed_batch(relation, 10, seed=9), workers=2)
+        engine = make_engine(relation, max_workers=2)
+        engine.query_batch(mixed_batch(relation, 10, seed=9))
         engine.reset_cache()
         engine.reset_metrics()
         assert engine.cache.fetches == 0
@@ -207,12 +207,11 @@ class TestConfigErrors:
         with pytest.raises(EngineConfigError):
             engine.query(AttributePredicate("supplier", "=", 1))
 
-    def test_bad_worker_counts_rejected(self, relation):
+    def test_bad_worker_counts_rejected(self):
         with pytest.raises(EngineConfigError):
             QueryEngine(max_workers=0)
-        engine = make_engine(relation)
         with pytest.raises(EngineConfigError):
-            engine.query_batch([AttributePredicate("quantity", "=", 1)] * 2, workers=0)
+            QueryEngine(shards=0)
 
     def test_override_must_target_served_attribute(self, relation):
         engine = QueryEngine()

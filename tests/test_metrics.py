@@ -125,23 +125,23 @@ class TestEngineMetrics:
             0.001,
             ExecutionStats(scans=2, bytes_read=10),
             relation="a",
-            access_path="bitmap",
+            mode="predicate",
         )
         metrics.record(
             0.003,
             ExecutionStats(scans=1, ands=1, buffer_hits=4),
             relation="b",
-            access_path="expression",
+            mode="expression",
         )
         metrics.record(
-            0.002, ExecutionStats(scans=5), relation="a", access_path="expression"
+            0.002, ExecutionStats(scans=5), relation="a", mode="expression"
         )
         snap = metrics.snapshot()
         assert snap["by_relation"]["a"]["queries"] == 2
         assert snap["by_relation"]["a"]["scans"] == 7
         assert snap["by_relation"]["b"]["buffer_hits"] == 4
-        assert snap["by_access_path"]["bitmap"]["queries"] == 1
-        assert snap["by_access_path"]["expression"]["queries"] == 2
+        assert snap["by_mode"]["predicate"]["queries"] == 1
+        assert snap["by_mode"]["expression"]["queries"] == 2
         # unlabeled records still fold into the global aggregate only
         metrics.record(0.001, ExecutionStats(scans=1))
         snap = metrics.snapshot()
@@ -165,7 +165,7 @@ class TestEngineMetrics:
             0.002,
             ExecutionStats(scans=3, ands=1, bytes_read=64, buffer_hits=2),
             relation='with"quote',
-            access_path="bitmap",
+            mode="predicate",
         )
         text = metrics.snapshot_text()
         assert "# TYPE repro_queries_total counter" in text

@@ -25,11 +25,13 @@ import test_differential
 import test_oracle
 import test_query
 import test_roaring
+import test_shard_backend
 from repro.bitmaps import WahBitVector, bitvector, compressed, roaring, wah
 from repro.core import costmodel, evaluation
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine import sharding
+from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
 from repro.errors import VerificationError
 from repro.query import expression
@@ -227,3 +229,22 @@ def test_m16_m17_rank_kernel_off_by_one_under_verify(monkeypatch, kernel, answer
     backends = test_aggregation.TestBackends()
     with test_aggregation.parted_engine() as parted:
         assert_killed(backends.test_verify_accepts_every_finish, parted)
+
+
+def test_m18_cache_key_without_the_version(monkeypatch, engines):
+    """A cached bitmap is keyed by its source's version, so maintenance
+    made behind the engine's back never serves a stale entry."""
+    unversioned = mutant(CachedSource._key, "self._source.version, ", "")
+    monkeypatch.setattr(CachedSource, "_key", unversioned)
+    differential = test_shard_backend.TestEngineBackendDifferential()
+    relation = test_shard_backend.orders()
+    assert_killed(differential.test_in_place_maintenance_with_warm_cache, engines, relation, "wah")
+
+
+def test_m19_shard_export_serves_a_stale_version(monkeypatch, engines):
+    """A shard publication is re-cut once its source's version moves."""
+    stale = mutant(sharding.ShardExport.serves, " and self.version == source.version", "")
+    monkeypatch.setattr(sharding.ShardExport, "serves", stale)
+    differential = test_shard_backend.TestEngineBackendDifferential()
+    relation = test_shard_backend.orders()
+    assert_killed(differential.test_in_place_maintenance, engines, relation, "wah", 2)

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import Predicate, evaluate
@@ -50,7 +49,7 @@ from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.store import _HEADER, _index_attr_spec, _payload_start, _relation_chunks
 
-from conftest import expression_trees
+from conftest import backend_engines, expression_trees
 
 CODECS = ("dense", "wah", "roaring")
 SHARD_COUNTS = (1, 2, 7)  # 7 does not divide the test row counts
@@ -309,8 +308,7 @@ QUERIES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def relation() -> Relation:
+def orders() -> Relation:
     rng = np.random.default_rng(99)
     return Relation.from_dict(
         "orders",
@@ -321,25 +319,29 @@ def relation() -> Relation:
     )
 
 
-def make_engine(relation: Relation, **kwargs) -> QueryEngine:
-    engine = QueryEngine(**kwargs)
-    engine.register(relation, components=2)
-    return engine
+@pytest.fixture(scope="module")
+def relation() -> Relation:
+    return orders()
 
 
-def assert_processes_match_inline(engine: QueryEngine, shards: int) -> None:
-    """Every query of :data:`QUERIES`, answered on both backends, agrees:
+def make_engines(engines, relation: Relation, backends=("inline", "processes"), **kwargs):
+    """The engines of ``backends`` over ``relation``, two components a column."""
+    return engines(relation, backends, register={"components": 2}, **kwargs)
+
+
+def assert_processes_match_inline(inline: QueryEngine, processes: QueryEngine) -> None:
+    """Every query of :data:`QUERIES`, answered by both engines, agrees:
     RIDs, ``count``, ``group_count`` groups, and the scans and operations
     charged.  Scan parity is exact only with the shared cache off."""
-    answers = {}
-    for backend in ("inline", "processes"):
-        options = QueryOptions(backend=backend, shards=shards)
-        answers[backend] = [
-            *engine.query_batch(QUERIES, options=options),
-            *(engine.count(query, options=options) for query in QUERIES),
-            *(engine.group_count(query, "region", options=options) for query in QUERIES),
+    answers = [
+        [
+            *engine.query_batch(QUERIES),
+            *(engine.count(query) for query in QUERIES),
+            *(engine.group_count(query, "region") for query in QUERIES),
         ]
-    for label, a, b in zip(QUERIES * 3, answers["inline"], answers["processes"]):
+        for engine in (inline, processes)
+    ]
+    for label, a, b in zip(QUERIES * 3, *answers):
         if hasattr(a, "rids"):
             assert np.array_equal(a.rids, b.rids), label
         assert a.count == b.count, label
@@ -347,113 +349,124 @@ def assert_processes_match_inline(engine: QueryEngine, shards: int) -> None:
         assert (a.stats.scans, a.stats.ops) == (b.stats.scans, b.stats.ops), label
 
 
+def maintain(pair, edit) -> None:
+    """Apply ``edit(quantity_index, region_index)`` to each engine's built
+    indexes, behind the engines' backs."""
+    for engine in pair:
+        edit(*(engine._index_for("orders", name) for name in ("quantity", "region")))
+
+
 class TestEngineBackendDifferential:
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_process_backend_matches_inline(self, relation, codec, shards):
+    def test_process_backend_matches_inline(self, engines, relation, codec, shards):
         # capacity=0 disables the shared cache, so inline scan counts are
         # the raw per-query fetch counts the workers also charge.
-        with make_engine(relation, codec=codec, cache_capacity=0) as engine:
-            inline = engine.query_batch(QUERIES, options=QueryOptions(backend="inline"))
-            process = engine.query_batch(
-                QUERIES,
-                options=QueryOptions(backend="processes", shards=shards, verify=True),
-            )
-            for query, a, b in zip(QUERIES, inline, process):
-                assert np.array_equal(a.rids, b.rids), query
-                assert a.count == b.count, query
-                assert a.stats.scans == b.stats.scans, query
-                assert a.stats.ops == b.stats.ops, query
+        inline, processes = make_engines(
+            engines, relation, codec=codec, shards=shards, cache_capacity=0
+        )
+        expected = inline.query_batch(QUERIES)
+        process = processes.query_batch(QUERIES, options=QueryOptions(verify=True))
+        for query, a, b in zip(QUERIES, expected, process):
+            assert np.array_equal(a.rids, b.rids), query
+            assert a.count == b.count, query
+            assert a.stats.scans == b.stats.scans, query
+            assert a.stats.ops == b.stats.ops, query
 
-    def test_effective_fetches_match_with_warm_cache(self, relation):
+    def test_effective_fetches_match_with_warm_cache(self, engines, relation):
         # With a warm shared cache the inline path trades scans for
         # buffer hits one-for-one; scans + buffer_hits stays invariant.
-        with make_engine(relation) as engine:
-            inline = engine.query_batch(QUERIES, options=QueryOptions(backend="inline"))
-            process = engine.query_batch(
-                QUERIES, options=QueryOptions(backend="processes", shards=4)
-            )
-            for query, a, b in zip(QUERIES, inline, process):
-                assert np.array_equal(a.rids, b.rids), query
-                effective_inline = a.stats.scans + a.stats.buffer_hits
-                effective_process = b.stats.scans + b.stats.buffer_hits
-                assert effective_inline == effective_process, query
+        inline, processes = make_engines(engines, relation, shards=4)
+        answers = inline.query_batch(QUERIES), processes.query_batch(QUERIES)
+        for query, a, b in zip(QUERIES, *answers):
+            assert np.array_equal(a.rids, b.rids), query
+            effective_inline = a.stats.scans + a.stats.buffer_hits
+            effective_process = b.stats.scans + b.stats.buffer_hits
+            assert effective_inline == effective_process, query
 
-    def test_single_query_routes_through_processes(self, relation):
-        with make_engine(relation) as engine:
-            options = QueryOptions(backend="processes", shards=3, trace=True)
-            result = engine.query("quantity <= 25", options=options)
-            truth = relation.scan("quantity", "<=", 25)
-            assert np.array_equal(result.rids, truth)
-            shard_spans = result.trace.spans_of("shard")
-            assert len(shard_spans) == 3
-            assert sum(s.attrs["rows"] for s in shard_spans) == NUM_ROWS
-            snap = engine.metrics.snapshot()
-            assert snap["by_backend"]["processes"]["queries"] == 1
+    def test_single_query_routes_through_processes(self, engines, relation):
+        (engine,) = make_engines(engines, relation, ("processes",), shards=3)
+        result = engine.query("quantity <= 25", options=QueryOptions(trace=True))
+        truth = relation.scan("quantity", "<=", 25)
+        assert np.array_equal(result.rids, truth)
+        shard_spans = result.trace.spans_of("shard")
+        assert len(shard_spans) == 3
+        assert sum(s.attrs["rows"] for s in shard_spans) == NUM_ROWS
+        snap = engine.metrics.snapshot()
+        assert snap["by_backend"]["processes"]["queries"] == 1
 
-    def test_process_backend_matches_after_maintenance(self, relation):
-        with make_engine(relation, cache_capacity=0) as engine:
-            options = QueryOptions(backend="processes", shards=4)
-            engine.query_batch(QUERIES, options=options)  # build + publish
-            indexes = [engine._index_for("orders", name) for name in ("quantity", "region")]
-            for index in indexes:
+    def test_process_backend_matches_after_maintenance(self, engines, relation):
+        pair = inline, processes = make_engines(engines, relation, shards=4, cache_capacity=0)
+        processes.query_batch(QUERIES)  # build + publish
+
+        def edit(quantity, region):
+            for index in (quantity, region):
                 index.append(np.array([0, 7, 3]))  # the re-cut shards cover these too
             for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 17)):
-                indexes[0].update(rid, value)
-            indexes[0].delete(5)
-            # The version bump must invalidate the shared-memory
-            # publication, so the next batch re-exports and agrees.
-            inline = engine.query_batch(QUERIES, options=QueryOptions(backend="inline"))
-            process = engine.query_batch(QUERIES, options=options)
-            for query, a, b in zip(QUERIES, inline, process):
-                assert np.array_equal(a.rids, b.rids), query
-                assert a.stats.scans == b.stats.scans, query
-                assert a.stats.ops == b.stats.ops, query
+                quantity.update(rid, value)
+            quantity.delete(5)
+
+        maintain(pair, edit)
+        # The version bump must invalidate the shared-memory
+        # publication, so the next batch re-exports and agrees.
+        answers = inline.query_batch(QUERIES), processes.query_batch(QUERIES)
+        for query, a, b in zip(QUERIES, *answers):
+            assert np.array_equal(a.rids, b.rids), query
+            assert a.stats.scans == b.stats.scans, query
+            assert a.stats.ops == b.stats.ops, query
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (2, 4))
-    def test_in_place_maintenance(self, relation, codec, shards):
-        # No invalidate(): the shards are cut from the index inline serves,
-        # and its version bump alone makes the next batch re-export.
-        with make_engine(relation, codec=codec, cache_capacity=0) as engine:
-            assert_processes_match_inline(engine, shards)  # build + publish
-            for attribute, cardinality in (("quantity", 50), ("region", 8)):
-                index = engine.registry.peek(("orders", attribute))
+    def test_in_place_maintenance(self, engines, relation, codec, shards):
+        # No invalidate(): the shards are cut from the index the process
+        # engine serves, and its version bump alone makes the next batch
+        # re-export.
+        pair = make_engines(engines, relation, codec=codec, shards=shards, cache_capacity=0)
+        assert_processes_match_inline(*pair)  # build + publish
+
+        def edit(*indexes):
+            for index, cardinality in zip(indexes, (50, 8)):
                 for rid in (0, 17, NUM_ROWS // 2, NUM_ROWS - 1):
                     index.update(rid, (rid + 3) % cardinality)
                 index.delete(5)
-            assert_processes_match_inline(engine, shards)
+
+        maintain(pair, edit)
+        assert_processes_match_inline(*pair)
 
     @pytest.mark.parametrize("codec", CODECS)
-    def test_in_place_maintenance_with_warm_cache(self, relation, codec):
+    def test_in_place_maintenance_with_warm_cache(self, engines, relation, codec):
         # The default shared cache keys a bitmap by its source's version,
         # so a warm entry never outlives maintenance made behind the
         # engine's back.
-        with make_engine(relation, codec=codec) as engine:
-            inline, processes = (
-                QueryOptions(backend=backend, shards=2) for backend in ("inline", "processes")
-            )
-            engine.query_batch(QUERIES, options=inline)  # build + warm
-            quantity = engine.registry.peek(("orders", "quantity"))
-            quantity.update(0, (int(relation.column("quantity").codes[0]) + 25) % 50)
-            for attribute in ("quantity", "region"):
-                engine.registry.peek(("orders", attribute)).append(np.array([0]))
-            warm = engine.query_batch(QUERIES, options=inline)
-            assert engine.cache.hits > 0
-            engine.reset_cache()
-            cold = engine.query_batch(QUERIES, options=inline)
-            sharded = engine.query_batch(QUERIES, options=processes)
-            for query, a, b, c in zip(QUERIES, warm, cold, sharded):
-                assert np.array_equal(a.rids, b.rids), query
-                assert np.array_equal(a.rids, c.rids), query
-            assert NUM_ROWS in warm[QUERIES.index("quantity = 0")].rids
+        pair = inline, processes = make_engines(engines, relation, codec=codec, shards=2)
+        inline.query_batch(QUERIES)  # build + warm
+        shifted = (int(relation.column("quantity").codes[0]) + 25) % 50
+
+        def edit(quantity, region):
+            quantity.update(0, shifted)
+            for index in (quantity, region):
+                index.append(np.array([0]))
+
+        maintain(pair, edit)
+        warm = inline.query_batch(QUERIES)
+        assert inline.cache.hits > 0
+        inline.reset_cache()
+        cold = inline.query_batch(QUERIES)
+        sharded = processes.query_batch(QUERIES)
+        for query, a, b, c in zip(QUERIES, warm, cold, sharded):
+            assert np.array_equal(a.rids, b.rids), query
+            assert np.array_equal(a.rids, c.rids), query
+        assert NUM_ROWS in warm[QUERIES.index("quantity = 0")].rids
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (2, 4))
-    def test_null_tracking_index(self, relation, codec, shards):
+    def test_null_tracking_index(self, engines, relation, codec, shards):
         column = relation.column("region")
         nulls = np.random.default_rng(4).random(NUM_ROWS) < 0.15
-        with make_engine(relation, codec=codec, cache_capacity=0) as engine:
+        pair = inline, _ = make_engines(
+            engines, relation, codec=codec, shards=shards, cache_capacity=0
+        )
+        for engine in pair:
             engine.registry.get_or_build(
                 ("orders", "region"),
                 lambda: BitmapIndex(
@@ -464,13 +477,12 @@ class TestEngineBackendDifferential:
                     keep_values=False,
                 ),
             )
-            inline = engine.count("region != 2", options=QueryOptions(backend="inline"))
-            assert inline.count == int(((column.values != 2) & ~nulls).sum())
-            assert_processes_match_inline(engine, shards)
+        assert inline.count("region != 2").count == int(((column.values != 2) & ~nulls).sum())
+        assert_processes_match_inline(*pair)
 
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (2, 4))
-    def test_store_append_and_compact(self, relation, tmp_path, codec, shards):
+    def test_store_append_and_compact(self, engines, relation, tmp_path, codec, shards):
         root = str(tmp_path / "indexes")
         with IndexStore(root) as store:
             store.build(
@@ -482,89 +494,86 @@ class TestEngineBackendDifferential:
                 },
             )
         rng = np.random.default_rng(8)
-        with repro.open_store(root, cache_capacity=0) as engine:
-            assert_processes_match_inline(engine, shards)
-            # No invalidate() after either: the store's generation moves.
-            engine.storage.append(
-                "orders",
-                {"quantity": rng.integers(0, 50, 40), "region": rng.integers(0, 8, 40)},
-                nulls={"quantity": rng.random(40) < 0.2},
-            )
-            assert_processes_match_inline(engine, shards)
-            engine.storage.compact("orders")
-            assert_processes_match_inline(engine, shards)
+        # Both engines serve the one store, so both see its generation move.
+        pair = engines(storage=IndexStore(root), shards=shards, cache_capacity=0)
+        store = pair[0].storage
+        assert_processes_match_inline(*pair)
+        # No invalidate() after either: the store's generation moves.
+        store.append(
+            "orders",
+            {"quantity": rng.integers(0, 50, 40), "region": rng.integers(0, 8, 40)},
+            nulls={"quantity": rng.random(40) < 0.2},
+        )
+        assert_processes_match_inline(*pair)
+        store.compact("orders")
+        assert_processes_match_inline(*pair)
 
-    def test_relations_of_two_sizes_in_a_batch(self, relation):
+    def test_relations_of_two_sizes_in_a_batch(self, engines, relation):
         # Same shard count, different row ranges: each relation's shard
         # RIDs must be offset by its own ranges, not the other's.
         rng = np.random.default_rng(3)
         small = Relation.from_dict("small", {"quantity": rng.integers(0, 50, NUM_ROWS // 3)})
-        with make_engine(relation, cache_capacity=0) as engine:
+        pair = inline, processes = make_engines(engines, relation, shards=2, cache_capacity=0)
+        for engine in pair:
             engine.register(small)
-            batch = [("orders", "quantity <= 20"), ("small", "quantity <= 20")]
-            inline = engine.query_batch(batch, options=QueryOptions(backend="inline"))
-            process = engine.query_batch(
-                batch, options=QueryOptions(backend="processes", shards=2, verify=True)
-            )
-            for (name, query), a, b in zip(batch, inline, process):
-                assert np.array_equal(a.rids, b.rids), name
+        batch = [("orders", "quantity <= 20"), ("small", "quantity <= 20")]
+        expected = inline.query_batch(batch)
+        process = processes.query_batch(batch, options=QueryOptions(verify=True))
+        for (name, query), a, b in zip(batch, expected, process):
+            assert np.array_equal(a.rids, b.rids), name
 
-    def test_worker_counts_do_not_change_results(self, relation):
-        with make_engine(relation, cache_capacity=0) as engine:
-            baseline = engine.query_batch(
-                QUERIES, workers=1, options=QueryOptions(backend="processes", shards=5)
-            )
-            wide = engine.query_batch(
-                QUERIES, workers=4, options=QueryOptions(backend="processes", shards=5)
-            )
-            for a, b in zip(baseline, wide):
-                assert np.array_equal(a.rids, b.rids)
+    def test_worker_counts_do_not_change_results(self, engines, relation):
+        narrow, wide = (
+            make_engines(
+                engines, relation, ("processes",), max_workers=workers, shards=5, cache_capacity=0
+            )[0]
+            for workers in (1, 4)
+        )
+        for a, b in zip(narrow.query_batch(QUERIES), wide.query_batch(QUERIES)):
+            assert np.array_equal(a.rids, b.rids)
 
     def test_threads_backend_reuses_one_pool(self, relation):
-        with make_engine(relation) as engine:
+        with backend_engines(relation, ("threads",)) as (engine,):
             batch = QUERIES * 3
-            engine.query_batch(batch, workers=4)
-            pool = engine._thread_pools.get(4)
+            engine.query_batch(batch)
+            pool = engine._threads
             assert pool is not None
-            engine.query_batch(batch, workers=4)
-            assert engine._thread_pools.get(4) is pool
-        assert engine._thread_pools == {}  # close() shut it down
+            engine.query_batch(batch)
+            assert engine._threads is pool
+        assert engine._threads is None  # close() shut it down
 
-    def test_closed_engine_rejects_pooled_batches(self, relation):
-        engine = make_engine(relation)
+    def test_closed_engine_rejects_pooled_batches(self, engines, relation):
+        (engine,) = make_engines(engines, relation, ("threads",))
         engine.close()
         with pytest.raises(EngineConfigError):
-            engine.query_batch(QUERIES, workers=4)
-        # Inline evaluation needs no pool and keeps working.
-        result = engine.query("quantity <= 25", options=QueryOptions(backend="inline"))
+            engine.query_batch(QUERIES)
+        # A single query needs no pool and keeps working.
+        result = engine.query("quantity <= 25")
         assert result.count > 0
 
-    def test_invalidate_drops_publications_and_indexes(self, relation):
-        with make_engine(relation) as engine:
-            engine.query_batch(QUERIES, options=QueryOptions(backend="processes", shards=2))
-            assert engine._dispatch.exports
-            assert ("orders", "quantity") in engine.registry
-            engine.invalidate("orders")
-            assert not engine._dispatch.exports
-            assert ("orders", "quantity") not in engine.registry
-            # And the engine still answers afterwards (rebuild path).
-            result = engine.query(
-                "quantity <= 25", options=QueryOptions(backend="processes", shards=2)
-            )
-            assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))
+    def test_invalidate_drops_publications_and_indexes(self, engines, relation):
+        (engine,) = make_engines(engines, relation, ("processes",), shards=2)
+        engine.query_batch(QUERIES)
+        assert engine._dispatch.exports
+        assert ("orders", "quantity") in engine.registry
+        engine.invalidate("orders")
+        assert not engine._dispatch.exports
+        assert ("orders", "quantity") not in engine.registry
+        # And the engine still answers afterwards (rebuild path).
+        result = engine.query("quantity <= 25")
+        assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))
 
     @pytest.mark.parametrize("codec", CODECS)
-    def test_reregistered_relation_answers_from_its_own_columns(self, codec):
+    def test_reregistered_relation_answers_from_its_own_columns(self, engines, codec):
         """Registering a name again drops the old shard exports too."""
         first = Relation.from_dict("r", {"x": np.tile([0, 1, 2, 3, 0, 1, 2, 3], 1000)})
         second = Relation.from_dict("r", {"x": np.tile([3, 3, 3, 3, 0, 0, 0, 0], 1000)})
-        options = QueryOptions(backend="processes", shards=2)
-        with QueryEngine(codec=codec, max_workers=2) as engine:
-            for relation in (first, second):
-                engine.register(relation)
-                result = engine.query("x <= 1", options=options)
-                assert np.array_equal(result.rids, relation.scan("x", "<=", 1))
-                assert engine.count("x <= 1", options=options).count == 4000
+        (engine,) = engines(None, ("processes",), codec=codec, max_workers=2, shards=2)
+        for relation in (first, second):
+            engine.register(relation)
+            result = engine.query("x <= 1")
+            assert np.array_equal(result.rids, relation.scan("x", "<=", 1))
+            assert engine.count("x <= 1").count == 4000
 
 
 #: Constants inside, at the ends of and outside each column's domain.

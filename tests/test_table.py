@@ -27,6 +27,8 @@ from repro.stats import ExecutionStats
 from repro.storage.fsdisk import atomic_write, frame, to_quarantine, unframe
 from repro.table import _MAGIC, _REDUCE, Table, TableError
 
+from conftest import assert_aggregates
+
 
 @pytest.fixture
 def table(rng) -> Table:
@@ -223,6 +225,12 @@ class TestAggregate:
         table = Table("t", {"x": rng.random(10)})
         with pytest.raises(TableError):
             table.aggregate("x", "sum")
+
+    def test_empty_integer_column(self):
+        """No rows: SUM is 0, COUNT 0, and MIN, MAX and AVG raise, as they
+        do for a ``where`` that selects nothing."""
+        table = Table("t", {"a": np.array([], dtype=np.int64)})
+        assert_aggregates(lambda fn: table.aggregate("a", fn), np.array([], dtype=np.int64))
 
 
 def rewrite(path: str, edit) -> None:

@@ -29,6 +29,7 @@ from repro.core.evaluation import threshold_all
 from repro.engine import QueryEngine
 from repro.errors import InvalidPredicateError
 from repro.query.expression import Threshold, Xor, parse_expression
+from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 
@@ -60,6 +61,7 @@ def _operands(nbits: int, n: int, seed: int) -> list[np.ndarray]:
 
 
 CODECS = ["dense", "wah", "roaring"]
+TRACED = QueryOptions(trace=True)
 
 # Lengths probing word/group/container boundaries: WAH groups are 31
 # bits, dense words 64, Roaring chunks 65536.
@@ -268,10 +270,10 @@ class TestAggregatePushdown:
             codec=codec, backend=backend, shards=3, max_workers=3
         ) as engine:
             engine.register(relation)
-            result = engine.count(self.EXPR, trace=True)
+            result = engine.count(self.EXPR, options=TRACED)
             rids = engine.query(self.EXPR).rids
             assert result.count == len(rids)
-            groups = engine.group_count(self.EXPR, "region", trace=True)
+            groups = engine.group_count(self.EXPR, "region", options=TRACED)
         values = relation.column("region").values
         for value, counted in groups.groups.items():
             assert counted == int(np.isin(rids, np.nonzero(values == value)[0]).sum())
@@ -285,8 +287,8 @@ class TestAggregatePushdown:
         """The op-count contract: counts come from popcounts alone."""
         with QueryEngine(codec="wah") as engine:
             engine.register(relation)
-            query_result = engine.query(self.EXPR, trace=True)
-            count_result = engine.count(self.EXPR, trace=True)
+            query_result = engine.query(self.EXPR, options=TRACED)
+            count_result = engine.count(self.EXPR, options=TRACED)
         query_spans = [s.name for s in query_result.trace.spans]
         count_spans = [s.name for s in count_result.trace.spans]
         assert "materialize" in query_spans  # the RID path does build RIDs

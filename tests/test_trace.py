@@ -34,6 +34,7 @@ from repro.storage.store import IndexStore
 from repro.trace import QueryTrace, explain
 
 NUM_ROWS = 2000
+TRACED = QueryOptions(trace=True)
 
 EIGHT_LEAF_QUERY = (
     "quantity between 10 and 30 and region in (1, 2, 5) "
@@ -77,7 +78,7 @@ class TestQueryTrace:
 
     def test_traced_predicate_has_spans_of_each_layer(self, relation):
         engine = make_engine(relation, cache_capacity=0)
-        result = engine.query("quantity <= 25", trace=True)
+        result = engine.query("quantity <= 25", options=TRACED)
         trace = result.trace
         assert trace is not None
         kinds = {span.kind for span in trace.spans}
@@ -89,7 +90,7 @@ class TestQueryTrace:
     def test_traced_expression_has_op_spans(self, relation):
         engine = make_engine(relation, cache_capacity=0)
         result = engine.query(
-            "quantity <= 25 and (region = 3 or region = 7)", trace=True
+            "quantity <= 25 and (region = 3 or region = 7)", options=TRACED
         )
         trace = result.trace
         assert trace is not None
@@ -103,7 +104,7 @@ class TestQueryTrace:
         # so the op spans account for every charged operation (a k-way
         # merge is one span charging ``count``) and none is a marker event.
         engine = make_engine(relation, cache_capacity=0, codec=codec)
-        result = engine.query(EIGHT_LEAF_QUERY, trace=True)
+        result = engine.query(EIGHT_LEAF_QUERY, options=TRACED)
         ops = result.trace.spans_of("op")
         assert sum(s.attrs.get("count", 1) for s in ops) == result.stats.ops
         assert result.trace.count("op") == result.stats.ops - 1  # atleast: 2 ORs
@@ -118,7 +119,7 @@ class TestQueryTrace:
         # and one for every other shape; each charges one AND per popcount.
         engine = QueryEngine(cache_capacity=0)
         engine.register(relation, overrides={"region": IndexSpec(encoding=encoding)})
-        result = engine.group_count("quantity <= 25", "region", trace=True)
+        result = engine.group_count("quantity <= 25", "region", options=TRACED)
         ands = [s for s in result.trace.spans_of("op") if s.name == "and"]
         assert len(ands) == result.stats.ands >= 7
         assert result.trace.count("op") == result.stats.ops
@@ -136,21 +137,21 @@ class TestQueryTrace:
         traced = make_engine(relation, cache_capacity=0)
         text = "quantity between 10 and 30 and region in (1, 2, 5)"
         a = plain.query(text)
-        b = traced.query(text, trace=True)
+        b = traced.query(text, options=TRACED)
         assert np.array_equal(a.rids, b.rids)
         assert a.stats.as_dict() == b.stats.as_dict()
 
     def test_cache_hits_emit_cache_spans(self, relation):
         engine = make_engine(relation, cache_capacity=64)
         engine.query("quantity <= 25")  # warm the cache
-        result = engine.query("quantity <= 25", trace=True)
+        result = engine.query("quantity <= 25", options=TRACED)
         assert result.stats.buffer_hits > 0
         assert result.trace.count("cache") == result.stats.buffer_hits
         assert result.stats.scans == 0
 
     def test_format_and_as_dict(self, relation):
         engine = make_engine(relation, cache_capacity=0)
-        trace = engine.query("quantity <= 25", trace=True).trace
+        trace = engine.query("quantity <= 25", options=TRACED).trace
         text = trace.format()
         assert "trace:" in text and "fetch" in text
         payload = trace.as_dict()
@@ -222,8 +223,8 @@ class TestUnifiedQueryAPI:
             results = []
             for form in forms:
                 engine = make_engine(relation, codec=codec)
-                results.append(engine.query(form, trace=True))
-                assert list(engine.snapshot()["by_access_path"]) == ["bitmap"]
+                results.append(engine.query(form, options=TRACED))
+                assert list(engine.snapshot()["by_mode"]) == ["predicate"]
             for result in results:
                 assert np.array_equal(result.rids, truth)
                 assert result.stats.as_dict() == results[0].stats.as_dict()
@@ -266,14 +267,13 @@ class TestUnifiedQueryAPI:
         assert np.array_equal(cold.rids, warm.rids)
 
     def test_query_batch_mixes_forms(self, relation):
-        engine = make_engine(relation)
+        engine = make_engine(relation, max_workers=2)
         results = engine.query_batch(
             [
                 "quantity <= 25",
                 AttributePredicate("region", "=", 3),
                 ("sales", "quantity > 40 or region = 0"),
-            ],
-            workers=2,
+            ]
         )
         assert len(results) == 3
         truth = np.nonzero(relation.column("region").values == 3)[0]
@@ -288,12 +288,12 @@ class TestUnifiedQueryAPI:
         assert result.count > 0
 
     def test_submit_aliases_are_gone(self, relation):
-        engine = make_engine(relation)
+        engine = make_engine(relation, backend="inline")
         assert not hasattr(engine, "submit")
         assert not hasattr(engine, "submit_batch")
         predicate = AttributePredicate("quantity", "<=", 25)
         one = engine.query(predicate)
-        batch = engine.query_batch([predicate, predicate], workers=1)
+        batch = engine.query_batch([predicate, predicate])
         assert np.array_equal(one.rids, batch[0].rids)
 
     def test_legacy_verify_keyword_is_rejected(self, relation):
@@ -360,16 +360,15 @@ class TestExplain:
 
     def test_report_names_the_codec_the_query_ran_over(self, relation, tmp_path):
         # Not the engine default ("dense" in both engines below): the
-        # codec the run resolved, as its dispatch span and metrics say.
+        # codec the run resolved — the stored one, or the attribute's
+        # spec's — as its dispatch span and metrics say.
         store = IndexStore(str(tmp_path))
         store.build(relation, codec="wah")
         store.close()
-        with repro.open_store(str(tmp_path)) as served, make_engine(relation) as memory:
-            for engine, options, codec in (
-                (served, None, "wah"),
-                (memory, QueryOptions(codec="roaring"), "roaring"),
-            ):
-                report = engine.explain("quantity <= 25", options=options)
+        with repro.open_store(str(tmp_path)) as served, QueryEngine() as memory:
+            memory.register(relation, overrides={"quantity": IndexSpec(codec="roaring")})
+            for engine, codec in ((served, "wah"), (memory, "roaring")):
+                report = engine.explain("quantity <= 25")
                 (dispatch,) = report.trace.spans_of("plan")
                 assert dispatch.attrs["codec"] == codec
                 assert report.bitmap_codec == codec
@@ -484,8 +483,8 @@ class TestEngineMetricsExport:
         snap = engine.snapshot()
         assert snap["queries"] == 2
         assert snap["by_relation"]["sales"]["queries"] == 2
-        assert snap["by_access_path"]["bitmap"]["queries"] == 1
-        assert snap["by_access_path"]["expression"]["queries"] == 1
+        assert snap["by_mode"]["predicate"]["queries"] == 1
+        assert snap["by_mode"]["expression"]["queries"] == 1
 
     def test_snapshot_text_exposition(self, relation):
         engine = make_engine(relation)
@@ -495,10 +494,8 @@ class TestEngineMetricsExport:
         assert text.endswith("\n")
         assert "repro_queries_total 2" in text
         assert 'repro_relation_queries_total{relation="sales"} 2' in text
-        assert 'repro_access_path_queries_total{access_path="bitmap"} 1' in text
-        assert (
-            'repro_access_path_queries_total{access_path="expression"} 1' in text
-        )
+        assert 'repro_mode_queries_total{mode="predicate"} 1' in text
+        assert 'repro_mode_queries_total{mode="expression"} 1' in text
         assert "repro_scans_total" in text
         assert "repro_cache_entries" in text
         assert 'repro_relation_cache_misses_total{relation="sales"}' in text
