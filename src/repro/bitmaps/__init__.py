@@ -44,8 +44,8 @@ class Bitmap(Protocol):
 
     A structural protocol, not a base class: each class defines its own
     kernels, and operands of one operation are always of one class.
-    ``and_many`` / ``or_many`` exist on the compressed classes only;
-    dense operands fold pairwise.
+    ``or_many`` is every class's k-way OR; ``and_many`` exists on the
+    compressed classes only.
     """
 
     codec: ClassVar[str]
@@ -63,6 +63,8 @@ class Bitmap(Protocol):
     def from_bitvector(cls, vector: BitVector) -> "Bitmap": ...
     @classmethod
     def from_payload(cls, buf, nbits: int) -> "Bitmap": ...
+    @classmethod
+    def or_many(cls, vectors) -> "Bitmap": ...
     @classmethod
     def threshold_many(cls, vectors, k: int) -> "Bitmap": ...
 

@@ -348,6 +348,17 @@ class BitVector:
         return BitVector(self._nbits, self._words & ~other._words)
 
     @classmethod
+    def or_many(cls, vectors: "Sequence[BitVector]") -> "BitVector":
+        """OR k vectors into one new word array, ORed in place: no k - 1
+        intermediate vectors."""
+        first = vectors[0]
+        words = first._words.copy()
+        for other in vectors[1:]:
+            first._check_compatible(other)
+            np.bitwise_or(words, other._words, out=words)
+        return cls(first._nbits, words)
+
+    @classmethod
     def threshold_many(
         cls, vectors: "Iterable[BitVector]", k: int
     ) -> "BitVector":

@@ -21,11 +21,16 @@ Three algorithms from the paper (Section 3 and Figure 6):
 Figure 6 gives every predicate one shape, so the reduction is written
 once (:func:`_reduce`): clamp constants outside the domain, rewrite the
 six operators to ``A <= v`` or ``A = v`` plus at most one ``NOT``, mask
-with ``B_nn``.  :func:`range_eval_opt`, :func:`equality_eval` and
-:func:`interval_eval` differ only in the two builders they hand it —
-how their encoding assembles ``A <= v`` and ``A = v`` from stored
-bitmaps.  :func:`range_eval` keeps its own body: it is the baseline the
-paper improves on.
+with ``B_nn``.  Each encoding states its per-digit rules once
+(:class:`_RangeDigits`, :class:`_EqualityDigits`,
+:class:`_IntervalDigits`) — ``digit = d``, ``digit <= d`` and the pair
+``(digit < d, digit = d)`` sharing its reads — the execution-side twin
+of :mod:`repro.core.costmodel`'s per-digit scan rule.  ``A = v`` is then
+one AND over the components (:func:`_equal`) for every encoding, and
+``A <= v`` one Horner loop ``LE_i = LT_i OR (EQ_i AND LE_{i-1})``
+(:func:`_horner`) for equality and interval encoding.  RangeEval-Opt's
+``A <= v`` and :func:`range_eval` keep their own loops: their operation
+counts are what the paper studies.
 
 Every algorithm takes any object implementing the
 :class:`~repro.core.index.BitmapSource` protocol and an
@@ -60,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bitmaps import Bitmap, BitVector, bitmap_class
+from repro.bitmaps import Bitmap, bitmap_class
 from repro.core.encoding import EncodingScheme
 from repro.core.index import BitmapSource
 from repro.errors import InvalidPredicateError
@@ -168,12 +173,12 @@ def not_(a: Bitmap, stats: ExecutionStats) -> Bitmap:
 def _or_all(vectors: list, stats: ExecutionStats) -> Bitmap:
     """OR a non-empty list of bitmaps, charging ``len - 1`` operations.
 
-    Compressed operands go through their codec's k-way kernel
+    Every codec runs its k-way kernel
     (:meth:`~repro.bitmaps.compressed.WahBitVector.or_many` run merge,
-    :meth:`~repro.bitmaps.roaring.RoaringBitmap.or_many` container merge —
-    one pass over the operands instead of ``k - 1`` intermediate
-    payloads); dense operands fold pairwise.  Either way the charged
-    operation count is identical, so all executions report the same
+    :meth:`~repro.bitmaps.roaring.RoaringBitmap.or_many` container merge,
+    :meth:`BitVector.or_many` in-place word OR) — one pass over the
+    operands instead of ``k - 1`` intermediates — and the charged count
+    is the pairwise fold's, so all executions report the same
     :class:`ExecutionStats`.
     """
     if len(vectors) == 1:
@@ -182,13 +187,7 @@ def _or_all(vectors: list, stats: ExecutionStats) -> Bitmap:
     with stats.span(
         "or_many", kind="op", nbits=vectors[0].nbits, count=len(vectors) - 1
     ):
-        cls = type(vectors[0])
-        if cls is not BitVector and all(type(v) is cls for v in vectors):
-            return cls.or_many(vectors)
-        acc = vectors[0]
-        for v in vectors[1:]:
-            acc = acc | v
-        return acc
+        return type(vectors[0]).or_many(vectors)
 
 
 def threshold_all(vectors: list, k: int, stats: ExecutionStats) -> Bitmap:
@@ -277,16 +276,15 @@ def _reduce(
     stats: ExecutionStats | None,
     encoding: EncodingScheme,
     le_bitmap: Callable[[BitmapSource, int, ExecutionStats], Bitmap],
-    eq_bitmap: Callable[[BitmapSource, int, ExecutionStats], Bitmap],
 ) -> Bitmap:
     """Evaluate ``predicate`` as ``A <= v`` or ``A = v`` plus at most one NOT.
 
     ``le_bitmap(source, v, stats)`` builds ``A <= v`` for ``0 <= v < C-1``
-    and ``eq_bitmap(source, v, stats)`` builds ``A = v`` for ``0 <= v < C``
-    on an ``encoding``-encoded source; everything else an evaluator does
-    — the out-of-domain clamp, ``<``/``>=`` to ``v-1``, the two
-    whole-domain short-circuits, the complement, the ``B_nn`` mask — is
-    the same for all three and lives here.
+    on an ``encoding``-encoded source, and :func:`_equal` builds ``A = v``;
+    everything else an evaluator does — the out-of-domain clamp,
+    ``<``/``>=`` to ``v-1``, the two whole-domain short-circuits, the
+    complement, the ``B_nn`` mask — is the same for all three and lives
+    here.
     """
     stats = stats if stats is not None else ExecutionStats()
     _require_encoding(source.encoding, encoding)
@@ -307,11 +305,187 @@ def _reduce(
             return _zeros(source) if complement else _all_rows(source, stats)
         result = le_bitmap(source, v, stats)
     else:
-        result = eq_bitmap(source, v, stats)
+        result = _equal(source, v, stats)
 
     if complement:
         result = not_(result, stats)
     return _mask_nn(result, source, stats)
+
+
+# ----------------------------------------------------------------------
+# Per-digit rules: one per encoding, and the two loops that combine them
+# ----------------------------------------------------------------------
+
+
+class _ComponentFetcher:
+    """One component's stored bitmaps, each scanned at most once: what
+    the rules of one digit (``digit < d`` and ``digit = d``) share."""
+
+    def __init__(self, source: BitmapSource, component: int, stats: ExecutionStats):
+        self._source = source
+        self._component = component
+        self._stats = stats
+        self._cache: dict[int, Bitmap] = {}
+
+    def __call__(self, slot: int) -> Bitmap:
+        if slot not in self._cache:
+            self._cache[slot] = self._source.fetch(
+                self._component, slot, self._stats
+            )
+        return self._cache[slot]
+
+
+class _DigitRules:
+    """How one encoding tests one digit ``d`` of a component of base
+    ``b``, reading its bitmaps through ``fetch``: ``eq`` builds
+    ``digit = d``, ``le`` builds ``digit <= d`` (``None``: every row), and
+    ``lt_eq`` the pair ``(digit < d, digit = d)`` for ``0 < d``.  The scan
+    counts they imply are :mod:`repro.core.costmodel`'s per-digit rule."""
+
+    @staticmethod
+    def eq(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap:
+        raise NotImplementedError
+
+    @staticmethod
+    def le(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap | None:
+        raise NotImplementedError
+
+    @classmethod
+    def lt_eq(
+        cls, b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats
+    ) -> tuple[Bitmap, Bitmap]:
+        """``digit = d`` first, then ``digit <= d - 1`` over the same reads."""
+        eq = cls.eq(b, d, fetch, stats)
+        return cls.le(b, d - 1, fetch, stats), eq
+
+
+class _RangeDigits(_DigitRules):
+    """Range encoding: the stored ``B^d`` is ``digit <= d`` itself; the
+    top ``B^(b-1)`` is virtual (all ones)."""
+
+    @staticmethod
+    def eq(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap:
+        """``B^0`` or ``NOT B^(b-2)`` at the ends, ``B^d XOR B^(d-1)`` inside."""
+        if d == 0:
+            return fetch(0)
+        if d == b - 1:
+            return not_(fetch(b - 2), stats)
+        return xor_(fetch(d), fetch(d - 1), stats)
+
+    @staticmethod
+    def le(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap | None:
+        return fetch(d) if d < b - 1 else None
+
+
+class _EqualityDigits(_DigitRules):
+    """Equality encoding: the stored ``E^d`` is ``digit = d``, except that
+    a base-2 component stores ``E^1`` alone.  ``digit <= d`` and
+    ``digit < d`` OR the slots of whichever side of the component needs
+    fewer reads (the complement optimization)."""
+
+    @staticmethod
+    def eq(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap:
+        if b == 2 and d == 0:
+            return not_(fetch(1), stats)
+        return fetch(d)
+
+    @staticmethod
+    def le(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap | None:
+        """``E^0 OR .. OR E^d`` (``d + 1`` reads) or ``NOT (E^(d+1) OR ..
+        OR E^(b-1))`` (``b - 1 - d`` reads)."""
+        if d >= b - 1:
+            return None
+        if b == 2:
+            return _EqualityDigits.eq(b, 0, fetch, stats)
+        if d + 1 <= b - 1 - d:
+            return _or_all([fetch(j) for j in range(d + 1)], stats)
+        return not_(_or_all([fetch(j) for j in range(d + 1, b)], stats), stats)
+
+    @classmethod
+    def lt_eq(
+        cls, b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats
+    ) -> tuple[Bitmap, Bitmap]:
+        """``E^0 OR .. OR E^(d-1)`` and then ``E^d`` (``d + 1`` reads), or
+        ``NOT (E^d OR .. OR E^(b-1))`` reusing ``E^d`` (``b - d`` reads)."""
+        if d + 1 <= b - d:
+            lt = _or_all([fetch(j) for j in range(d)], stats)
+        else:
+            lt = not_(_or_all([fetch(j) for j in range(d, b)], stats), stats)
+        return lt, fetch(d)
+
+
+class _IntervalDigits(_DigitRules):
+    """Interval encoding (Chan & Ioannidis, SIGMOD 1999): ``I^j`` holds
+    the digits ``j .. j+m-1``, ``m = ceil(b / 2)``, and every per-digit
+    test combines at most two windows."""
+
+    @staticmethod
+    def eq(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap:
+        """The set difference of two adjacent windows, or the window
+        intersection ``I^0 AND I^(m-1)`` exactly at ``d = m - 1``."""
+        m = (b + 1) // 2
+        if m == 1:  # b == 2: I^0 marks digit 0
+            return fetch(0) if d == 0 else not_(fetch(0), stats)
+        if d <= m - 2:
+            return and_(fetch(d), not_(fetch(d + 1), stats), stats)
+        if d == m - 1:
+            return and_(fetch(0), fetch(m - 1), stats)
+        if d <= 2 * m - 2:
+            return and_(fetch(d - m + 1), not_(fetch(d - m), stats), stats)
+        # d == 2m - 1 == b - 1 (even b): the complement of digit <= b - 2.
+        return not_(_IntervalDigits.le(b, b - 2, fetch, stats), stats)
+
+    @staticmethod
+    def le(b: int, d: int, fetch: _ComponentFetcher, stats: ExecutionStats) -> Bitmap | None:
+        """``I^0 AND NOT I^(d+1)`` below the window, ``I^0`` at
+        ``d = m - 1``, ``I^0 OR I^(d-m+1)`` above it."""
+        m = (b + 1) // 2
+        if d >= b - 1:
+            return None
+        if d <= m - 2:
+            return and_(fetch(0), not_(fetch(d + 1), stats), stats)
+        if d == m - 1:
+            return fetch(0)
+        return or_(fetch(0), fetch(d - m + 1), stats)
+
+
+#: Each encoding's per-digit rules.
+_RULES: dict[EncodingScheme, type[_DigitRules]] = {
+    EncodingScheme.RANGE: _RangeDigits,
+    EncodingScheme.EQUALITY: _EqualityDigits,
+    EncodingScheme.INTERVAL: _IntervalDigits,
+}
+
+
+def _equal(source: BitmapSource, v: int, stats: ExecutionStats) -> Bitmap:
+    """``A = v`` on any encoding: the AND of every component's ``digit = v_i``."""
+    rules, base = _RULES[source.encoding], source.base
+    acc: Bitmap | None = None
+    for i, d in enumerate(base.digits(v), 1):
+        term = rules.eq(base.component(i), d, _ComponentFetcher(source, i, stats), stats)
+        acc = term if acc is None else and_(acc, term, stats)
+    assert acc is not None
+    return acc
+
+
+def _horner(source: BitmapSource, v: int, stats: ExecutionStats) -> Bitmap:
+    """``A <= v`` (``0 <= v < C-1``) on equality or interval encoding:
+    component 1's ``digit <= v_1``, then ``LE_i = LT_i OR (EQ_i AND
+    LE_{i-1})``, which a zero digit cuts to ``EQ_i AND LE_{i-1}``."""
+    rules, base = _RULES[source.encoding], source.base
+    digits = base.digits(v)
+    acc = rules.le(base.component(1), digits[0], _ComponentFetcher(source, 1, stats), stats)
+    if acc is None:
+        acc = _ones(source)
+    for i in range(2, base.n + 1):
+        b, d = base.component(i), digits[i - 1]
+        fetch = _ComponentFetcher(source, i, stats)
+        if d == 0:
+            acc = and_(rules.eq(b, 0, fetch, stats), acc, stats)
+        else:
+            lt, eq = rules.lt_eq(b, d, fetch, stats)
+            acc = or_(lt, and_(eq, acc, stats), stats)
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -328,14 +502,7 @@ def range_eval_opt(
 
     Returns the result bitmap; scans/ops are recorded on ``stats``.
     """
-    return _reduce(
-        source,
-        predicate,
-        stats,
-        EncodingScheme.RANGE,
-        _le_bitmap_opt,
-        _eq_bitmap_range_encoded,
-    )
+    return _reduce(source, predicate, stats, EncodingScheme.RANGE, _le_bitmap_opt)
 
 
 def _le_bitmap_opt(
@@ -356,31 +523,6 @@ def _le_bitmap_opt(
             acc = and_(acc, source.fetch(i, vi, stats), stats)
         if vi != 0:
             acc = or_(acc, source.fetch(i, vi - 1, stats), stats)
-    return acc
-
-
-def _eq_bitmap_range_encoded(
-    source: BitmapSource, v: int, stats: ExecutionStats
-) -> Bitmap:
-    """``A = v`` on a range-encoded index (shared by both algorithms)."""
-    base = source.base
-    digits = base.digits(v)
-    acc: Bitmap | None = None
-    for i in range(1, base.n + 1):
-        vi = digits[i - 1]
-        bi = base.component(i)
-        if vi == 0:
-            term = source.fetch(i, 0, stats)
-        elif vi == bi - 1:
-            term = not_(source.fetch(i, bi - 2, stats), stats)
-        else:
-            term = xor_(
-                source.fetch(i, vi, stats),
-                source.fetch(i, vi - 1, stats),
-                stats,
-            )
-        acc = term if acc is None else and_(acc, term, stats)
-    assert acc is not None
     return acc
 
 
@@ -415,14 +557,6 @@ def range_eval(
     base = source.base
     digits = base.digits(v)
 
-    cache: dict[tuple[int, int], Bitmap] = {}
-
-    def fetch(i: int, slot: int) -> Bitmap:
-        key = (i, slot)
-        if key not in cache:
-            cache[key] = source.fetch(i, slot, stats)
-        return cache[key]
-
     b_eq = _all_rows(source, stats)
     b_lt = _zeros(source)
     b_gt = _zeros(source)
@@ -430,26 +564,26 @@ def range_eval(
     for i in range(base.n, 0, -1):
         vi = digits[i - 1]
         bi = base.component(i)
-        cache.clear()
+        fetch = _ComponentFetcher(source, i, stats)
         if vi > 0:
             if need_lt:
-                b_lt = or_(b_lt, and_(b_eq, fetch(i, vi - 1), stats), stats)
+                b_lt = or_(b_lt, and_(b_eq, fetch(vi - 1), stats), stats)
             if vi < bi - 1:
                 if need_gt:
                     b_gt = or_(
-                        b_gt, and_(b_eq, not_(fetch(i, vi), stats), stats), stats
+                        b_gt, and_(b_eq, not_(fetch(vi), stats), stats), stats
                     )
                 b_eq = and_(
-                    b_eq, xor_(fetch(i, vi), fetch(i, vi - 1), stats), stats
+                    b_eq, xor_(fetch(vi), fetch(vi - 1), stats), stats
                 )
             else:
-                b_eq = and_(b_eq, not_(fetch(i, bi - 2), stats), stats)
+                b_eq = and_(b_eq, not_(fetch(bi - 2), stats), stats)
         else:
             if need_gt:
                 b_gt = or_(
-                    b_gt, and_(b_eq, not_(fetch(i, 0), stats), stats), stats
+                    b_gt, and_(b_eq, not_(fetch(0), stats), stats), stats
                 )
-            b_eq = and_(b_eq, fetch(i, 0), stats)
+            b_eq = and_(b_eq, fetch(0), stats)
 
     if op == "<":
         return b_lt
@@ -466,7 +600,7 @@ def range_eval(
 
 
 # ----------------------------------------------------------------------
-# Equality-encoded evaluation
+# Equality- and interval-encoded evaluation
 # ----------------------------------------------------------------------
 
 
@@ -485,112 +619,7 @@ def equality_eval(
     "between two and half the number of bitmaps in that component" cost
     statement presumes).
     """
-    return _reduce(
-        source,
-        predicate,
-        stats,
-        EncodingScheme.EQUALITY,
-        _le_bitmap_equality,
-        _eq_bitmap_equality,
-    )
-
-
-def _fetch_eq(
-    source: BitmapSource, i: int, j: int, stats: ExecutionStats
-) -> Bitmap:
-    """``digit_i == j`` on an equality-encoded component (complement trick)."""
-    bi = source.base.component(i)
-    if bi == 2 and j == 0:
-        return not_(source.fetch(i, 1, stats), stats)
-    return source.fetch(i, j, stats)
-
-
-def _eq_bitmap_equality(
-    source: BitmapSource, v: int, stats: ExecutionStats
-) -> Bitmap:
-    base = source.base
-    digits = base.digits(v)
-    acc: Bitmap | None = None
-    for i in range(1, base.n + 1):
-        term = _fetch_eq(source, i, digits[i - 1], stats)
-        acc = term if acc is None else and_(acc, term, stats)
-    assert acc is not None
-    return acc
-
-
-def _or_slots(
-    source: BitmapSource,
-    i: int,
-    slots: range,
-    stats: ExecutionStats,
-) -> Bitmap:
-    """OR together the stored bitmaps of ``slots`` (must be non-empty).
-
-    On a compressed source the whole set is aggregated in one k-way run
-    merge (:func:`_or_all`); the charged operation count matches the
-    pairwise dense fold.
-    """
-    assert len(slots) > 0
-    return _or_all([source.fetch(i, j, stats) for j in slots], stats)
-
-
-def _le_bitmap_equality(
-    source: BitmapSource, v: int, stats: ExecutionStats
-) -> Bitmap:
-    """``A <= v`` on an equality-encoded index (0 <= v < C-1)."""
-    base = source.base
-    digits = base.digits(v)
-
-    # Component 1: LE_1 = (digit_1 <= v_1).
-    b1 = base.component(1)
-    v1 = digits[0]
-    if v1 == b1 - 1:
-        acc = _ones(source)
-    elif b1 == 2:
-        # v1 == 0: digit <= 0 is digit == 0 = NOT stored-slot-1.
-        acc = _fetch_eq(source, 1, 0, stats)
-    elif v1 + 1 <= b1 - 1 - v1:
-        acc = _or_slots(source, 1, range(0, v1 + 1), stats)
-    else:
-        acc = not_(_or_slots(source, 1, range(v1 + 1, b1), stats), stats)
-
-    # Components 2..n: LE_i = LT_i OR (EQ_i AND LE_{i-1}).
-    for i in range(2, base.n + 1):
-        vi = digits[i - 1]
-        bi = base.component(i)
-        if bi == 2:
-            stored = source.fetch(i, 1, stats)
-            if vi == 0:
-                eq = not_(stored, stats)
-                acc = and_(eq, acc, stats)
-            else:
-                lt = not_(stored, stats)
-                acc = or_(lt, and_(stored, acc, stats), stats)
-            continue
-        if vi == 0:
-            eq = source.fetch(i, 0, stats)
-            acc = and_(eq, acc, stats)
-        elif vi + 1 <= bi - vi:
-            # Direct side: LT from slots [0, vi), EQ scanned separately.
-            lt = _or_slots(source, i, range(0, vi), stats)
-            eq = source.fetch(i, vi, stats)
-            acc = or_(lt, and_(eq, acc, stats), stats)
-        else:
-            # Complement side: GE from slots [vi, bi); the slot-vi scan is
-            # reused as EQ, saving one read.
-            eq = source.fetch(i, vi, stats)
-            ge = _or_all(
-                [eq] + [source.fetch(i, j, stats) for j in range(vi + 1, bi)],
-                stats,
-            )
-            lt = not_(ge, stats)
-            acc = or_(lt, and_(eq, acc, stats), stats)
-    return acc
-
-
-# ----------------------------------------------------------------------
-# Interval-encoded evaluation (extension: Chan & Ioannidis, SIGMOD 1999)
-# ----------------------------------------------------------------------
+    return _reduce(source, predicate, stats, EncodingScheme.EQUALITY, _horner)
 
 
 def interval_eval(
@@ -600,115 +629,13 @@ def interval_eval(
 ) -> Bitmap:
     """Evaluate a predicate on an *interval-encoded* index.
 
-    With window length ``m = ceil(b_i / 2)``, every per-digit predicate is
-    a combination of at most two interval bitmaps:
-
-    - ``digit <= v``: ``I^0 AND NOT I^(v+1)`` below the window, ``I^0`` at
-      ``v = m - 1``, and ``I^0 OR I^(v-m+1)`` above it;
-    - ``digit = v``: the set difference of two adjacent windows (or the
-      window intersection ``I^0 AND I^(m-1)`` exactly at ``v = m - 1``).
-
-    Range predicates combine components with the same Horner recurrence as
-    the equality evaluator; bitmaps a component needs for both its ``<``
-    and ``=`` parts are fetched once.
+    Every per-digit predicate is a combination of at most two interval
+    bitmaps (:class:`_IntervalDigits`).  Range predicates combine
+    components with the same Horner recurrence as the equality evaluator;
+    bitmaps a component needs for both its ``<`` and ``=`` parts are
+    fetched once.
     """
-    return _reduce(
-        source,
-        predicate,
-        stats,
-        EncodingScheme.INTERVAL,
-        _le_bitmap_interval,
-        _eq_bitmap_interval,
-    )
-
-
-class _ComponentFetcher:
-    """Per-component fetch cache so shared interval bitmaps scan once."""
-
-    def __init__(self, source: BitmapSource, component: int, stats: ExecutionStats):
-        self._source = source
-        self._component = component
-        self._stats = stats
-        self._cache: dict[int, Bitmap] = {}
-
-    def __call__(self, slot: int) -> Bitmap:
-        if slot not in self._cache:
-            self._cache[slot] = self._source.fetch(
-                self._component, slot, self._stats
-            )
-        return self._cache[slot]
-
-
-def _interval_le(
-    b: int, v: int, fetch: _ComponentFetcher, stats: ExecutionStats
-) -> Bitmap | None:
-    """``digit <= v`` on one interval-encoded component (None = all rows)."""
-    m = (b + 1) // 2
-    if v >= b - 1:
-        return None
-    if v <= m - 2:
-        return and_(fetch(0), not_(fetch(v + 1), stats), stats)
-    if v == m - 1:
-        return fetch(0)
-    return or_(fetch(0), fetch(v - m + 1), stats)
-
-
-def _interval_eq(
-    b: int, v: int, fetch: _ComponentFetcher, stats: ExecutionStats
-) -> Bitmap:
-    """``digit = v`` on one interval-encoded component."""
-    m = (b + 1) // 2
-    if m == 1:  # b == 2: I^0 marks digit 0
-        return fetch(0) if v == 0 else not_(fetch(0), stats)
-    if v <= m - 2:
-        return and_(fetch(v), not_(fetch(v + 1), stats), stats)
-    if v == m - 1:
-        return and_(fetch(0), fetch(m - 1), stats)
-    if v <= 2 * m - 2:
-        return and_(fetch(v - m + 1), not_(fetch(v - m), stats), stats)
-    # v == 2m - 1 == b - 1 (even b): the complement of digit <= b - 2.
-    below = _interval_le(b, b - 2, fetch, stats)
-    assert below is not None
-    return not_(below, stats)
-
-
-def _eq_bitmap_interval(
-    source: BitmapSource, v: int, stats: ExecutionStats
-) -> Bitmap:
-    base = source.base
-    digits = base.digits(v)
-    acc: Bitmap | None = None
-    for i in range(1, base.n + 1):
-        fetch = _ComponentFetcher(source, i, stats)
-        term = _interval_eq(base.component(i), digits[i - 1], fetch, stats)
-        acc = term if acc is None else and_(acc, term, stats)
-    assert acc is not None
-    return acc
-
-
-def _le_bitmap_interval(
-    source: BitmapSource, v: int, stats: ExecutionStats
-) -> Bitmap:
-    """``A <= v`` on an interval-encoded index (0 <= v < C-1)."""
-    base = source.base
-    digits = base.digits(v)
-
-    fetch = _ComponentFetcher(source, 1, stats)
-    le = _interval_le(base.component(1), digits[0], fetch, stats)
-    acc = le if le is not None else _ones(source)
-
-    for i in range(2, base.n + 1):
-        vi = digits[i - 1]
-        bi = base.component(i)
-        fetch = _ComponentFetcher(source, i, stats)
-        eq = _interval_eq(bi, vi, fetch, stats)
-        if vi == 0:
-            acc = and_(eq, acc, stats)
-        else:
-            lt = _interval_le(bi, vi - 1, fetch, stats)
-            assert lt is not None  # vi - 1 < b - 1
-            acc = or_(lt, and_(eq, acc, stats), stats)
-    return acc
+    return _reduce(source, predicate, stats, EncodingScheme.INTERVAL, _horner)
 
 
 # ----------------------------------------------------------------------
@@ -810,10 +737,10 @@ def group_counts(
         count(A = v AND B) = count(R_v AND B) - count(R_{v-1} AND B)
 
     — no equality bitmap is ever XOR-materialized, which matters because
-    ``R_v XOR R_{v-1}`` is exactly the expensive step of
-    :func:`_eq_bitmap_range_encoded`.  Every other shape (equality or
-    interval encoding, multi-component bases, non-default algorithms)
-    falls back to per-value equality evaluation plus a fused
+    ``R_v XOR R_{v-1}`` is exactly the expensive step of range encoding's
+    ``digit = d`` rule (:meth:`_RangeDigits.eq`).  Every other shape
+    (equality or interval encoding, multi-component bases, non-default
+    algorithms) falls back to per-value equality evaluation plus a fused
     ``and_count``.  Both paths mask NULL rows of the grouping attribute
     into no group.
     """
@@ -847,16 +774,14 @@ def rank_sum(source: BitmapSource, bitmap: Bitmap, stats: ExecutionStats) -> int
     Each stored bitmap is read at most once: at most Space(I) scans, and
     exactly Space(I) under range encoding.
     """
-    rows, total, weight = int(bitmap.count()), 0, 1
+    rules, rows, total, weight = _RULES[source.encoding], int(bitmap.count()), 0, 1
     for i in range(1, source.base.n + 1):
-        b = source.base.component(i)
+        b, fetch = source.base.component(i), _ComponentFetcher(source, i, stats)
         if source.encoding is EncodingScheme.EQUALITY:
-            eqs = ((j, _fetch_eq(source, i, j, stats)) for j in range(1, b))
+            eqs = ((j, rules.eq(b, j, fetch, stats)) for j in range(1, b))
             terms = (j * and_count(bitmap, eq, stats) for j, eq in eqs)
         else:
-            fetch = _ComponentFetcher(source, i, stats)
-            stored = source.encoding is EncodingScheme.RANGE
-            les = (fetch(j) if stored else _interval_le(b, j, fetch, stats) for j in range(b - 1))
+            les = (rules.le(b, j, fetch, stats) for j in range(b - 1))
             terms = (rows - and_count(bitmap, le, stats) for le in les)
         total += weight * sum(terms)
         weight *= b

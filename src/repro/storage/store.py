@@ -420,7 +420,8 @@ class _RelationImage:
 
 class _RelationFile(_RelationImage):
     """One opened ``.rbix`` file: the image over an mmap, plus what only
-    a file has — the delta sidecar and the store generation it was read at."""
+    a file has — the delta sidecar, the store generation it was read at,
+    and the stamp of the files it read (see :meth:`IndexStore.generation`)."""
 
     #: The live delta sidecar's bytes (empty when there is none, or it is
     #: stale): what the next append writes its image after.
@@ -429,6 +430,8 @@ class _RelationFile(_RelationImage):
     def __init__(self, store: "IndexStore", relation: str):
         self.store = store
         self.generation = store.generation(relation)
+        # Stamped before the reads: a write racing them shows as a change.
+        self.on_disk = store._on_disk(relation)
         self.fault_plan = store.fault_plan
         path = os.path.join(store.root, relation + _SUFFIX)
         try:
@@ -765,7 +768,7 @@ class IndexStore:
         closed), so this is where :meth:`generation` moves.
         """
         for name in [relation] if relation is not None else list(self._files):
-            self._generations[name] = self.generation(name) + 1
+            self._generations[name] = self._generations.get(name, 0) + 1
             rfile = self._files.pop(name, None)
             if rfile is not None:
                 rfile.close()
@@ -773,10 +776,17 @@ class IndexStore:
     def generation(self, relation: str) -> int:
         """A counter bumped by everything that can change the relation's
         files: :meth:`build`, :meth:`append`, :meth:`compact`,
-        :meth:`quarantine`.  Sources carry the one they read as
-        ``version``; the engine drops what it derived from an older one
-        before each query, so nobody has to remember ``engine.invalidate()``.
+        :meth:`quarantine` — and by a change another store or process made
+        on disk: a relation whose ``.rbix`` file or delta sidecar no longer
+        has the inode, size and mtime it had when this store opened it is
+        dropped here, so the next access re-reads it.  Sources carry the
+        generation they read as ``version``; the engine drops what it
+        derived from an older one before each query, so nobody has to
+        remember ``engine.invalidate()``.
         """
+        rfile = self._files.get(relation)
+        if rfile is not None and rfile.on_disk != self._on_disk(relation):
+            self.invalidate(relation)
         return self._generations.get(relation, 0)
 
     def __enter__(self) -> "IndexStore":
@@ -1169,8 +1179,22 @@ class IndexStore:
             self.root, self._check_name(relation) + _DELTA_SUFFIX
         )
 
+    def _on_disk(self, relation: str) -> tuple:
+        """``(inode, size, mtime)`` of the relation's file and sidecar
+        (``None`` for one that does not exist)."""
+        stamps = []
+        for path in (self._main_path(relation), self._delta_path(relation)):
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                stamps.append(None)
+            else:
+                stamps.append((st.st_ino, st.st_size, st.st_mtime_ns))
+        return tuple(stamps)
+
     def _file(self, relation: str) -> _RelationFile:
         self._check_name(relation)
+        self.generation(relation)  # drops files another store changed
         rfile = self._files.get(relation)
         if rfile is None:
             rfile = _RelationFile(self, relation)

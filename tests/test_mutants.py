@@ -25,7 +25,9 @@ import test_differential
 import test_oracle
 import test_query
 import test_roaring
+import test_evaluation
 import test_shard_backend
+import test_store
 from repro.bitmaps import WahBitVector, bitvector, compressed, roaring, wah
 from repro.core import costmodel, evaluation
 from repro.core.decomposition import Base
@@ -35,6 +37,7 @@ from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
 from repro.errors import VerificationError
 from repro.query import expression
+from repro.storage import IndexStore
 
 
 def assert_killed(target, *args) -> None:
@@ -248,3 +251,40 @@ def test_m19_shard_export_serves_a_stale_version(monkeypatch, engines):
     differential = test_shard_backend.TestEngineBackendDifferential()
     relation = test_shard_backend.orders()
     assert_killed(differential.test_in_place_maintenance, engines, relation, "wah", 2)
+
+
+def test_m20_equality_lt_eq_side_choice_off_by_one(monkeypatch):
+    """Past component 1, equality encoding's ``digit < d`` takes the
+    direct side on a tie of ``d + 1`` against ``b - d`` reads: digit 1 of
+    a base-3 component ORs nothing where the complement ORs and NOTs."""
+    off = mutant(evaluation._EqualityDigits.lt_eq, "if d + 1 <= b - d:", "if d + 1 < b - d:")
+    monkeypatch.setattr(evaluation._EqualityDigits, "lt_eq", off)
+    pinned = test_evaluation.TestPinnedCounts()
+    assert_killed(pinned.test_every_operator_charges_what_it_always_has, EncodingScheme.EQUALITY)
+
+
+def test_m21_horner_with_or_and_and_swapped(monkeypatch):
+    """``LE_i = LT_i OR (EQ_i AND LE_{i-1})``, not the dual."""
+    swapped = mutant(
+        evaluation._horner,
+        "acc = or_(lt, and_(eq, acc, stats), stats)",
+        "acc = and_(lt, or_(eq, acc, stats), stats)",
+    )
+    monkeypatch.setattr(evaluation, "_horner", swapped)
+    answers = test_differential.test_evaluate_matches_naive_scan
+    for encoding in (EncodingScheme.EQUALITY, EncodingScheme.INTERVAL):
+        assert_killed(answers, 20, Base((5, 4)), encoding, 1)
+
+
+def test_m22_store_without_its_on_disk_check(monkeypatch, tmp_path):
+    """A store re-reads a relation whose files another store changed."""
+    blind = mutant(
+        IndexStore.generation,
+        "if rfile is not None and rfile.on_disk != self._on_disk(relation):",
+        "if False:",
+    )
+    monkeypatch.setattr(IndexStore, "generation", blind)
+    follow = test_store.TestNoInvalidateNeeded()
+    assert_killed(
+        follow.test_answers_follow_another_store_on_the_directory, str(tmp_path), "inline", "wah"
+    )

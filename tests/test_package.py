@@ -90,7 +90,6 @@ class TestBenchmarkLayerWrappers:
     #: Not in their owner's own ``__dict__`` today, so not wrapped today.
     INHERITED = {
         ("BitVector", "and_many"),
-        ("BitVector", "or_many"),
         ("WahBitVector", "andnot"),
     }
 

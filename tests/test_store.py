@@ -1076,6 +1076,31 @@ class TestNoInvalidateNeeded:
         self.check(engine, relation, "query")
         engine.close()
 
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    @pytest.mark.parametrize("backend", ["inline", "processes"])
+    def test_answers_follow_another_store_on_the_directory(self, store_dir, backend, codec):
+        """Two stores over one directory: the reader re-reads a relation
+        whose files the writer changed on disk, after an append and after
+        a compact, and its own append follows them.  The regression: the
+        reader kept serving the files it had opened, and missed the
+        appended row 8."""
+        column = {"x": np.array([0, 1, 2, 3, 0, 1, 2, 3])}
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("r", column), codec=codec)
+        writer = repro.open_store(store_dir)
+        reader = repro.open_store(store_dir, backend=backend)
+        try:
+            assert reader.query("x <= 1").rids.tolist() == [0, 1, 4, 5]
+            writer.storage.append("r", {"x": np.array([1, 3])})
+            assert reader.query("x <= 1").rids.tolist() == [0, 1, 4, 5, 8]
+            writer.storage.compact("r")
+            assert reader.query("x <= 1").rids.tolist() == [0, 1, 4, 5, 8]
+            reader.storage.append("r", {"x": np.array([0])})
+            assert writer.query("x <= 1").rids.tolist() == [0, 1, 4, 5, 8, 10]
+        finally:
+            reader.close()
+            writer.close()
+
     def test_explicit_invalidate_still_works(self, store_dir, relation):
         with IndexStore(store_dir) as store:
             store.build(relation)
