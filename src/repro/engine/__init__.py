@@ -11,7 +11,6 @@ from repro.engine.registry import IndexRegistry
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
     BACKENDS,
-    ProcessShardExecutor,
     ShardExport,
     merge_shard_rids,
     shard_bounds,
@@ -29,7 +28,6 @@ __all__ = [
     "IndexRegistry",
     "IndexSpec",
     "LatencyReservoir",
-    "ProcessShardExecutor",
     "QueryEngine",
     "QueryOptions",
     "QueryTrace",

@@ -1,9 +1,13 @@
 """The process backend's dispatch policy: publish, retry, repair, degrade.
 
-:class:`~repro.engine.sharding.ProcessShardExecutor` runs one batch on one
-pool; everything around that call which exists only because of
+:func:`~repro.engine.sharding.run_shards` runs one batch on one pool;
+everything around that call which exists only because of
 ``backend="processes"`` lives here, behind one object the engine owns:
 
+- **the process pool** — one ``ProcessPoolExecutor``, ``max_workers``
+  wide, started on first use (``fork`` where available — cheap, and it
+  inherits the parent's imports — else ``spawn``), dropped when a
+  dispatch finds it broken, and shut down with the engine;
 - **what is published of a relation** — each attribute's shared-memory
   :class:`~repro.engine.sharding.ShardExport`, the row-range cut of the
   very bitmap source the inline path serves (so nothing is rebuilt for
@@ -18,9 +22,11 @@ pool; everything around that call which exists only because of
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import threading
 import time
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple, Protocol
 
@@ -28,9 +34,9 @@ from repro.core.index import BitmapIndex
 from repro.engine.metrics import EngineMetrics
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
-    ProcessShardExecutor,
     ShardExport,
     ShardQueryOutcome,
+    run_shards,
     shard_bounds,
     sweep_orphan_segments,
     translate_expression,
@@ -92,7 +98,7 @@ class ProcessDispatch:
     def __init__(self, knobs: DispatchKnobs):
         self._knobs = knobs
         self._lock = threading.Lock()
-        self._pool: ProcessShardExecutor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         #: (relation, attribute) -> the live publication.
         self.exports: dict[tuple, ShardExport] = {}
         self._closed = False
@@ -250,7 +256,7 @@ class ProcessDispatch:
         self._knobs.metrics.record_corruption("shm")
         self._republish(relations)
 
-    def _executor(self) -> ProcessShardExecutor:
+    def _executor(self) -> ProcessPoolExecutor:
         """The persistent process pool, ``max_workers`` wide (lazy)."""
         with self._lock:
             if self._closed:
@@ -259,7 +265,13 @@ class ProcessDispatch:
                 # Reclaim segments a previous (crashed) publisher left in
                 # /dev/shm before committing new ones of our own.
                 sweep_orphan_segments()
-                self._pool = ProcessShardExecutor(self._knobs.max_workers)
+                methods = multiprocessing.get_all_start_methods()
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._knobs.max_workers,
+                    mp_context=multiprocessing.get_context(
+                        "fork" if "fork" in methods else "spawn"
+                    ),
+                )
             return self._pool
 
     def _export_for(self, item: DispatchItem, attribute: str) -> ShardExport:
@@ -294,7 +306,7 @@ class ProcessDispatch:
         deadline: Deadline | None,
     ) -> list[ShardQueryOutcome]:
         """One dispatch attempt of a resolved batch on the process pool."""
-        executor = self._executor()
+        pool = self._executor()
         # Translate every query to the code domain and publish the shards
         # its attributes need.  Relations of different sizes split into
         # different row ranges (and may clamp to different shard counts),
@@ -315,10 +327,11 @@ class ProcessDispatch:
         outcomes: list = [None] * len(items)
         for bounds, group_items in groups.items():
             needed = {key: exp for key, exp in exports.items() if exp.bounds == bounds}
-            group_outcomes = executor.run_batch(
+            group_outcomes = run_shards(
+                pool,
                 needed,
                 group_items,
-                algorithm=options.algorithm,
+                options.algorithm,
                 fault_plan=self._knobs.fault_plan,
                 deadline=deadline,
             )

@@ -3,12 +3,14 @@
 Worker threads finish queries in arbitrary order; each reports its
 latency and :class:`~repro.stats.ExecutionStats` to one
 :class:`EngineMetrics`, which merges them under a lock so the aggregate is
-always self-consistent.  ``snapshot()`` computes the serving-side numbers
-an operator watches: query count, p50/p95/p99 latency, and the summed
+always self-consistent.  A query is merged once, into the aggregate of its
+``(relation, mode, codec, backend)`` labels — the one table the metrics
+keep.  ``snapshot()`` computes from it the serving-side numbers an
+operator watches: query count, p50/p95/p99 latency, and the summed
 bitmap-level counters (scans, ops, bytes read, buffer hits) — globally and
-broken down per relation, per query mode, per bitmap codec and per backend.
-``snapshot_text()`` renders
-the same numbers in the Prometheus text exposition format for scraping.
+broken down per relation, per query mode, per bitmap codec and per backend,
+each a sum over the table.  ``snapshot_text()`` renders the same numbers
+in the Prometheus text exposition format for scraping.
 
 Latencies are held in a bounded :class:`LatencyReservoir` (Algorithm R
 uniform sampling), not an ever-growing list: a long-lived serving engine
@@ -107,7 +109,7 @@ _PUBLISHED = {
 
 
 class _GroupAggregate:
-    """Per-label aggregate (one relation, or one query mode)."""
+    """The queries of one group: one label tuple, or a sum of several."""
 
     __slots__ = ("queries", "latency_total", "stats")
 
@@ -116,8 +118,8 @@ class _GroupAggregate:
         self.latency_total = 0.0
         self.stats = ExecutionStats()
 
-    def record(self, latency_seconds: float, stats: ExecutionStats) -> None:
-        self.queries += 1
+    def add(self, queries: int, latency_seconds: float, stats: ExecutionStats) -> None:
+        self.queries += queries
         self.latency_total += latency_seconds
         self.stats.merge(stats)
 
@@ -157,11 +159,9 @@ class EngineMetrics:
     def __init__(self, reservoir_size: int = 2048):
         self._lock = threading.Lock()
         self._latencies = LatencyReservoir(reservoir_size)
-        self._stats = ExecutionStats()
-        self._by: dict[str, dict[str, _GroupAggregate]] = {
-            label: {} for label in BREAKDOWNS
-        }
-        self.queries = 0
+        #: (relation, mode, codec, backend) -> the aggregate of the queries
+        #: recorded with those labels (``None`` for a label not given).
+        self._groups: dict[tuple, _GroupAggregate] = {}
         self.failures = 0
         self.timeouts = 0
         self._retries: dict[str, int] = {}
@@ -184,17 +184,13 @@ class EngineMetrics:
         breakdowns; omitted labels simply skip the
         corresponding breakdown.
         """
+        key = (relation, mode, codec, backend)
         with self._lock:
-            self.queries += 1
             self._latencies.add(latency_seconds)
-            self._stats.merge(stats)
-            for label, value in zip(BREAKDOWNS, (relation, mode, codec, backend)):
-                if value is not None:
-                    groups = self._by[label]
-                    group = groups.get(value)
-                    if group is None:
-                        group = groups[value] = _GroupAggregate()
-                    group.record(latency_seconds, stats)
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = _GroupAggregate()
+            group.add(1, latency_seconds, stats)
 
     def record_failure(self) -> None:
         """Count a query that raised instead of completing."""
@@ -232,10 +228,7 @@ class EngineMetrics:
         """Zero every counter (for benchmarking phases)."""
         with self._lock:
             self._latencies.clear()
-            self._stats = ExecutionStats()
-            for groups in self._by.values():
-                groups.clear()
-            self.queries = 0
+            self._groups.clear()
             self.failures = 0
             self.timeouts = 0
             self._retries.clear()
@@ -243,14 +236,34 @@ class EngineMetrics:
             self._corruptions.clear()
 
     @property
+    def queries(self) -> int:
+        """Queries recorded (the latency reservoir counts every one)."""
+        return self._latencies.count
+
+    @property
     def stats(self) -> ExecutionStats:
         """An independent copy of the merged execution stats."""
         with self._lock:
-            return self._stats.copy()
+            return self._rollup()[0].stats
+
+    def _rollup(self) -> tuple[_GroupAggregate, dict[str, dict[str, _GroupAggregate]]]:
+        """The table summed: every query's total, and per breakdown label
+        each value's (a label not given stays out of its breakdown).
+        Called under the lock."""
+        total = _GroupAggregate()
+        by: dict[str, dict[str, _GroupAggregate]] = {label: {} for label in BREAKDOWNS}
+        for key, group in self._groups.items():
+            parts = (group.queries, group.latency_total, group.stats)
+            total.add(*parts)
+            for label, value in zip(BREAKDOWNS, key):
+                if value is not None:
+                    by[label].setdefault(value, _GroupAggregate()).add(*parts)
+        return total, by
 
     def snapshot(self) -> dict:
         """Aggregate metrics as a plain dict (stable keys, JSON-friendly)."""
         with self._lock:
+            total, by = self._rollup()
             p50, p95, p99 = self._latencies.percentiles((0.50, 0.95, 0.99))
             latency = {
                 "mean": 1e3 * self._latencies.mean,
@@ -279,12 +292,12 @@ class EngineMetrics:
                     ],
                     "corruptions": dict(sorted(self._corruptions.items())),
                 },
-                "stats": self._stats.copy().as_dict(),
+                "stats": total.stats.as_dict(),
                 **{
                     f"by_{label}": {
                         name: group.as_dict() for name, group in sorted(groups.items())
                     }
-                    for label, groups in self._by.items()
+                    for label, groups in by.items()
                 },
             }
         return out

@@ -41,13 +41,19 @@ ranges are disjoint and ordered, so remapping each shard's local RIDs by
 its row offset and concatenating in shard order *is* the k-way
 disjoint-range union (:func:`merge_shard_rids`), with no bitmap
 materialization at global length.
+
+Each fact has one home.  A shard's rows are ``ShardExport.bounds``, which
+only the parent reads (to offset RIDs); a worker gets the segment's name
+and nothing else, and serves it with the index store's own source
+(:class:`_AttachedShard`).  The process pool belongs to
+:class:`~repro.engine.dispatch.ProcessDispatch`; :func:`run_shards` fans
+one batch out over it, collects the shards' answers and merges them.
 """
 
 from __future__ import annotations
 
 import atexit
 import logging
-import multiprocessing
 import os
 import secrets
 import time
@@ -276,22 +282,8 @@ def translate_expression(expression: Expression, relation: Relation) -> Expressi
 
 #: The relation and attribute name every image is published under: a
 #: segment holds one shard of one attribute, and which one is up to
-#: whoever keys the manifests.
+#: whoever keys the segment names.
 _IMAGE_NAME = "shard"
-
-
-@dataclass(frozen=True)
-class ShardManifest:
-    """What a worker needs to find one published shard.
-
-    Pickled once per task dispatch (~150 bytes whatever the number of
-    stored bitmaps); codec, base, encoding and the checksummed payload
-    table are read from the ``.rbix`` image the segment holds.
-    """
-
-    shm_name: str
-    row_start: int
-    row_stop: int
 
 
 #: Live exports, swept at interpreter exit so a crashing parent leaves
@@ -330,14 +322,17 @@ class ShardExport:
     ``(start, stop)`` of ``bounds``, holding that row range of every
     stored bitmap of ``source`` (and of its existence bitmap, when it has
     one) in ``codec`` — cut once, here, so workers only ever read their
-    own rows.  Segments carry recognizable names
-    (``repro-shm-<pid>-<nonce>``) so :func:`sweep_orphan_segments` can
-    reclaim them if this process dies without cleanup; live exports are
-    also swept by an ``atexit`` hook.  The export pins the source and its
-    ``version``; the publisher re-exports once :meth:`serves` turns false
-    (in-place maintenance, or a store append or compaction, moved it).
-    Call :meth:`close` (or let the engine's ``close()``) to unlink the
-    blocks.
+    own rows.  ``manifests[i]`` is the name of shard ``i``'s segment, all
+    a worker needs to attach it (codec, base, encoding and the checksummed
+    payload table are read from the image); its rows are ``bounds[i]``,
+    which only the parent needs, to offset RIDs.  Segments carry
+    recognizable names (``repro-shm-<pid>-<nonce>``) so
+    :func:`sweep_orphan_segments` can reclaim them if this process dies
+    without cleanup; live exports are also swept by an ``atexit`` hook.
+    The export pins the source and its ``version``; the publisher
+    re-exports once :meth:`serves` turns false (in-place maintenance, or a
+    store append or compaction, moved it).  Call :meth:`close` (or let the
+    engine's ``close()``) to unlink the blocks.
     """
 
     def __init__(
@@ -351,7 +346,7 @@ class ShardExport:
         self.bounds = tuple(bounds)
         self._source = source
         self.version = source.version
-        self.manifests: list[ShardManifest] = []
+        self.manifests: list[str] = []
         self._segments: list = []
         try:
             for start, stop in self.bounds:
@@ -360,7 +355,7 @@ class ShardExport:
                 segment = _create_segment(len(image))
                 segment.buf[: len(image)] = image
                 self._segments.append(segment)
-                self.manifests.append(ShardManifest(segment.name, start, stop))
+                self.manifests.append(segment.name)
         except Exception:
             self.close()
             raise
@@ -368,10 +363,6 @@ class ShardExport:
         if not _EXPORT_SWEEP_REGISTERED:
             atexit.register(_close_live_exports)
             _EXPORT_SWEEP_REGISTERED = True
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.manifests)
 
     def serves(self, source) -> bool:
         """Whether this publication is still a cut of ``source`` as it is."""
@@ -434,15 +425,14 @@ _ATTACHED: dict[str, "_AttachedShard"] = {}
 _CLEANUP_REGISTERED = False
 
 
-class _AttachedShard:
+class _AttachedShard(StoreBitmapSource):
     """A worker-side bitmap source over one published shard.
 
-    Implements the :class:`~repro.core.index.BitmapSource` protocol by
-    serving the segment's image through the index store's reader and
-    memoizing what it decodes: dense bitmaps are zero-copy ``uint64``
-    views into the shared block, WAH/Roaring payloads are decoded on
-    first fetch.  Every fetch charges one scan, mirroring
-    :meth:`BitmapIndex.fetch`.
+    The index store's source over the segment's image, memoizing what it
+    decodes: dense bitmaps are zero-copy ``uint64`` views into the shared
+    block, WAH/Roaring payloads are decoded on first fetch.  Every fetch
+    charges one scan, mirroring :meth:`BitmapIndex.fetch`, and the
+    existence bitmap is read once, at attach.
 
     A failed attach (the segment vanished — publisher died or was swept)
     raises :class:`~repro.errors.ShmAttachError`.  The reader checks the
@@ -453,42 +443,36 @@ class _AttachedShard:
     answer.
     """
 
-    def __init__(self, manifest: ShardManifest):
+    # Unset until the image parses (``release`` may run before that); and
+    # a plain attribute over the base class's property, so the existence
+    # bitmap is read once, at attach, not on every access.
+    _rfile: _RelationImage | None = None
+    nonnull = None
+
+    def __init__(self, name: str):
         # Attaching re-registers the name with the resource tracker
         # (bpo-39959), but pool workers share the parent's tracker
         # process, so the second register is a set no-op and the owner's
         # unlink unregisters exactly once.  Do NOT unregister here: that
         # would strip the owner's registration from the shared tracker.
         try:
-            self._shm = shared_memory.SharedMemory(name=manifest.shm_name)
+            self._shm = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
             raise ShmAttachError(
-                f"shared-memory segment {manifest.shm_name!r} is gone; "
+                f"shared-memory segment {name!r} is gone; "
                 f"the publication must be rebuilt"
             ) from None
         self._bitmaps: dict = {}
-        self._image = None
         try:
-            self._image = _RelationImage(
-                self._shm.buf,
-                _IMAGE_NAME,
-                f"segment {manifest.shm_name!r}",
-            )
-            problems = self._image.verify_payloads()
+            image = _RelationImage(self._shm.buf, _IMAGE_NAME, f"segment {name!r}")
+            super().__init__(image, _IMAGE_NAME)
+            problems = image.verify_payloads()
             if problems:
                 raise CorruptFileError(problems[0])
-            source = StoreBitmapSource(self._image, _IMAGE_NAME)
-            self.nonnull = source.nonnull
+            self.nonnull = super().nonnull
         except CorruptFileError as exc:
             self.release()
             raise CorruptShardError(str(exc)) from exc
-        self._source = source
-        self.version = source.version
-        self.nbits = source.nbits
-        self.cardinality = source.cardinality
-        self.base = source.base
-        self.encoding = source.encoding
-        self.bitmap_codec = source.bitmap_codec
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
         key = (component, slot)
@@ -496,7 +480,7 @@ class _AttachedShard:
         if bitmap is None:
             # The store's source charges the scan of a first fetch.
             try:
-                bitmap = self._source.fetch(component, slot, stats)
+                bitmap = super().fetch(component, slot, stats)
             except CorruptFileError as exc:
                 raise CorruptShardError(str(exc)) from exc
             self._bitmaps[key] = bitmap
@@ -511,8 +495,8 @@ class _AttachedShard:
         close cleanly (it raises ``BufferError`` while a slice is alive)."""
         self._bitmaps.clear()
         self.nonnull = None
-        if self._image is not None:
-            self._image.close()
+        if self._rfile is not None:
+            self._rfile.close()
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - stray external views
@@ -528,12 +512,11 @@ def _worker_cleanup() -> None:  # pragma: no cover - exercised at worker exit
     _ATTACHED.clear()
 
 
-def _attach(manifest: ShardManifest) -> _AttachedShard:
+def _attach(name: str) -> _AttachedShard:
     global _CLEANUP_REGISTERED
-    shard = _ATTACHED.get(manifest.shm_name)
+    shard = _ATTACHED.get(name)
     if shard is None:
-        shard = _AttachedShard(manifest)
-        _ATTACHED[manifest.shm_name] = shard
+        shard = _ATTACHED[name] = _AttachedShard(name)
         if not _CLEANUP_REGISTERED:
             atexit.register(_worker_cleanup)
             _CLEANUP_REGISTERED = True
@@ -541,7 +524,7 @@ def _attach(manifest: ShardManifest) -> _AttachedShard:
 
 
 def _run_shard_task(
-    manifests: dict,
+    segments: dict,
     items: list,
     algorithm: str,
     faults: tuple = (),
@@ -549,8 +532,8 @@ def _run_shard_task(
 ) -> list:
     """Evaluate a batch of code-domain queries against one shard.
 
-    ``manifests`` maps ``(relation, attribute)`` to the shard's
-    :class:`ShardManifest`; ``items`` is a list of
+    ``segments`` maps ``(relation, attribute)`` to the name of the
+    shard's segment; ``items`` is a list of
     ``(qid, relation, payload)`` where every ``payload`` has the one
     shape ``(finish, attributes, code_expression, by)`` — the arguments
     of :func:`~repro.query.expression.run_query` (``attributes`` names
@@ -579,7 +562,7 @@ def _run_shard_task(
     if "worker-error" in faults:
         raise InjectedFaultError("injected worker execution failure")
     budget = Deadline(deadline[0], expires_at=deadline[1]) if deadline else None
-    sources = {key: _attach(manifest) for key, manifest in manifests.items()}
+    sources = {key: _attach(name) for key, name in segments.items()}
     out = []
     for qid, relation_name, payload in items:
         if budget is not None:
@@ -602,7 +585,7 @@ def _run_shard_task(
 
 
 # ----------------------------------------------------------------------
-# The process executor
+# Fan-out, collect, merge
 # ----------------------------------------------------------------------
 
 
@@ -634,159 +617,91 @@ class ShardQueryOutcome:
         return max(self.shard_seconds) if self.shard_seconds else 0.0
 
 
-class ProcessShardExecutor:
-    """A persistent process pool running shard tasks.
+def run_shards(
+    pool: ProcessPoolExecutor,
+    exports: dict,
+    items: list,
+    algorithm: str,
+    *,
+    fault_plan: FaultPlan | None,
+    deadline: Deadline | None,
+) -> list[ShardQueryOutcome]:
+    """Run a batch of code-domain queries on ``pool``, across every shard.
 
-    Workers are spawned once (``fork`` where available — cheap and
-    inherits the parent's imports — else ``spawn``) and reused across
-    batches; shard payloads reach them through shared memory, never
-    through the task pickles.
+    ``exports`` maps ``(relation, attribute)`` to a :class:`ShardExport`,
+    all cut at the same row ``bounds``; ``items`` is the
+    ``(qid, relation, payload)`` list of :func:`_run_shard_task`.  Each
+    shard is one task over the whole batch; the answers are merged per
+    query, in item order, into one :class:`ShardQueryOutcome` each.
+
+    ``fault_plan`` injects at the ``worker.execute`` and ``shm.attach``
+    seams (ident ``"shard:<n>"``): the plan's counters advance *here*, in
+    the parent, and only string directives ship to workers — so a
+    ``count=1`` crash fires once even though the worker that received it
+    died.  ``deadline`` bounds the dispatch: the remaining budget ships to
+    workers for cooperative checks and also caps the parent-side
+    ``future.result`` wait, so even a wedged worker cannot hang the caller
+    past the budget (plus a small collection grace).
     """
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise EngineConfigError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers = max_workers
-        self.start_method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    if deadline is not None:
+        deadline.check("dispatch")
+    any_export = next(iter(exports.values()))
+    bounds = any_export.bounds
+    budget = (deadline.deadline_ms, deadline.expires_at) if deadline is not None else None
+    futures = []
+    for shard in range(len(bounds)):
+        faults = []
+        if fault_plan is not None:
+            ident = f"shard:{shard}"
+            spec = fault_plan.check("worker.execute", ident=ident)
+            if spec is not None:
+                faults.append(f"worker-{spec.kind}")
+            spec = fault_plan.check("shm.attach", ident=ident)
+            if spec is not None:
+                if spec.kind == "corrupt":
+                    # Flip a payload byte in the real segment: the
+                    # worker's CRC checks must catch it at attach.
+                    any_export.corrupt_byte(shard)
+                else:
+                    faults.append("attach-error")
+        segments = {key: export.manifests[shard] for key, export in exports.items()}
+        futures.append(
+            pool.submit(_run_shard_task, segments, items, algorithm, tuple(faults), budget)
         )
-        self._pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(self.start_method),
-        )
-
-    def run_batch(
-        self,
-        exports: dict,
-        items: list,
-        algorithm: str = "auto",
-        *,
-        fault_plan: FaultPlan | None = None,
-        deadline: Deadline | None = None,
-    ) -> list[ShardQueryOutcome]:
-        """Run a batch of code-domain queries across every shard.
-
-        ``exports`` maps ``(relation, attribute)`` to a
-        :class:`ShardExport` (all exports must agree on shard count and
-        row bounds — they derive from the same relation partitioning);
-        ``items`` is the ``(qid, relation, payload)`` list of
-        :func:`_run_shard_task`.  Returns one
-        :class:`ShardQueryOutcome` per item, in item order.
-
-        ``fault_plan`` injects at the ``worker.execute`` and
-        ``shm.attach`` seams (ident ``"shard:<n>"``): the plan's
-        counters advance *here*, in the parent, and only string
-        directives ship to workers — so a ``count=1`` crash fires once
-        even though the worker that received it died.  ``deadline``
-        bounds the dispatch: the remaining budget ships to workers for
-        cooperative checks and also caps the parent-side
-        ``future.result`` wait, so even a wedged worker cannot hang the
-        caller past the budget (plus a small collection grace).
-        """
-        if not items:
-            return []
-        if deadline is not None:
-            deadline.check("dispatch")
-        num_shards = {export.num_shards for export in exports.values()}
-        if len(num_shards) != 1:
-            raise EngineConfigError(
-                f"exports disagree on shard count: {sorted(num_shards)}"
+    # per_query[qid] = (answer, stats, seconds) per shard, in shard order
+    per_query: dict[int, list] = {qid: [] for qid, _, _ in items}
+    for shard, future in enumerate(futures):
+        try:
+            # +0.25 s grace: give a worker that noticed the deadline
+            # itself time to deliver its QueryTimeoutError.
+            rows = future.result(
+                timeout=None if deadline is None else deadline.remaining_seconds + 0.25
             )
-        (shards,) = num_shards
-        budget = (
-            (deadline.deadline_ms, deadline.expires_at)
-            if deadline is not None
-            else None
-        )
-        futures = []
-        for shard in range(shards):
-            faults = []
-            if fault_plan is not None:
-                ident = f"shard:{shard}"
-                spec = fault_plan.check("worker.execute", ident=ident)
-                if spec is not None:
-                    faults.append(f"worker-{spec.kind}")
-                spec = fault_plan.check("shm.attach", ident=ident)
-                if spec is not None:
-                    if spec.kind == "corrupt":
-                        # Flip a payload byte in the real segment: the
-                        # worker's CRC checks must catch it at attach.
-                        next(iter(exports.values())).corrupt_byte(shard)
-                    else:
-                        faults.append("attach-error")
-            manifests = {
-                key: export.manifests[shard] for key, export in exports.items()
-            }
-            futures.append(
-                self._pool.submit(
-                    _run_shard_task,
-                    manifests,
-                    items,
-                    algorithm,
-                    tuple(faults),
-                    budget,
-                )
+        except FuturesTimeoutError:
+            future.cancel()
+            raise QueryTimeoutError(
+                f"shard {shard} missed the {deadline.deadline_ms:g} ms deadline"
+            ) from None
+        for qid, answer, counters, elapsed in rows:
+            stats = ExecutionStats(**dict(zip(COUNTERS, counters)))
+            per_query[qid].append((answer, stats, elapsed))
+    outcomes = []
+    for qid, _, (finish, *_) in items:
+        answers, shard_stats, seconds = (list(column) for column in zip(*per_query[qid]))
+        lead = 0
+        if finish == "rids":
+            answer = merge_shard_rids(answers, [start for start, _ in bounds])
+        elif finish in ("min", "max"):
+            answer, lead = merge_shard_extremes(finish, answers)
+        else:
+            answer = np.sum(answers, axis=0)
+        outcomes.append(
+            ShardQueryOutcome(
+                answer=answer,
+                stats=merge_shard_stats(shard_stats, lead),
+                shard_stats=shard_stats,
+                shard_seconds=seconds,
+                shard_rows=list(bounds),
             )
-        # per_query[qid] = list of (shard, answer, stats, seconds)
-        per_query: dict[int, list] = {qid: [] for qid, _, _ in items}
-        for shard, future in enumerate(futures):
-            if deadline is None:
-                rows = future.result()
-            else:
-                # +0.25 s grace: give a worker that noticed the deadline
-                # itself time to deliver its QueryTimeoutError.
-                try:
-                    rows = future.result(
-                        timeout=deadline.remaining_seconds + 0.25
-                    )
-                except FuturesTimeoutError:
-                    future.cancel()
-                    raise QueryTimeoutError(
-                        f"shard {shard} missed the "
-                        f"{deadline.deadline_ms:g} ms deadline"
-                    ) from None
-            for qid, answer, stat_tuple, seconds in rows:
-                per_query[qid].append((shard, answer, stat_tuple, seconds))
-        any_export = next(iter(exports.values()))
-        bounds = [
-            (manifest.row_start, manifest.row_stop)
-            for manifest in any_export.manifests
-        ]
-        outcomes = []
-        for qid, _, payload in items:
-            results = sorted(per_query[qid], key=lambda row: row[0])
-            shard_stats = [
-                ExecutionStats(**dict(zip(COUNTERS, counters)))
-                for _, _, counters, _ in results
-            ]
-            answers = [answer for _, answer, _, _ in results]
-            lead = 0
-            if payload[0] == "rids":
-                answer = merge_shard_rids(
-                    answers, [bounds[shard][0] for shard, _, _, _ in results]
-                )
-            elif payload[0] in ("min", "max"):
-                answer, lead = merge_shard_extremes(payload[0], answers)
-            else:
-                answer = np.sum(answers, axis=0)
-            outcomes.append(
-                ShardQueryOutcome(
-                    answer=answer,
-                    stats=merge_shard_stats(shard_stats, lead),
-                    shard_stats=shard_stats,
-                    shard_seconds=[seconds for _, _, _, seconds in results],
-                    shard_rows=bounds,
-                )
-            )
-        return outcomes
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessShardExecutor(max_workers={self.max_workers}, "
-            f"start_method={self.start_method!r})"
         )
+    return outcomes

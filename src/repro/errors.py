@@ -53,6 +53,15 @@ class CorruptShardError(CorruptFileError):
     """
 
 
+class StoreBusyError(StorageError):
+    """Another writer held a relation's write lock past the wait ceiling.
+
+    Raised by an index store's ``build``, ``append``, ``compact`` or
+    ``quarantine`` before it wrote anything: the relation's files are as
+    the other writer left them, and the call can be retried.
+    """
+
+
 class ShmAttachError(StorageError):
     """A worker could not attach a published shared-memory shard.
 

@@ -54,6 +54,16 @@ and is ignored instead of applied twice.  A rebuild can keep the row
 count, so :meth:`IndexStore.build` unlinks the sidecar *before* its
 rename instead.
 
+Writers serialize per relation on an exclusive ``flock`` of
+``<relation>.lock``, a file nothing is written to: ``build``, ``append``,
+``compact`` and ``quarantine`` hold it from re-reading what is on disk to
+their last rename or unlink, so two stores — in one process or in two —
+never both extend the sidecar they read, and the loser of the race does
+not lose its rows.  The lock dies with its descriptor (a killed writer
+frees it); a writer that waits past :data:`_LOCK_WAIT_SECONDS` raises
+:class:`~repro.errors.StoreBusyError` before writing anything.  Readers
+take no lock: ``os.replace`` already hands them whole files.
+
 A :class:`~repro.engine.QueryEngine` is served from an
 :class:`IndexStore`: ``bitmap_source`` hands out lazy per-attribute
 :class:`StoreBitmapSource` views, and ``io_snapshot`` exposes the real
@@ -64,6 +74,7 @@ alongside the cost model's predictions.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import mmap
@@ -71,6 +82,8 @@ import os
 import struct
 import time
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -84,6 +97,7 @@ from repro.errors import (
     EngineConfigError,
     FileMissingError,
     StorageError,
+    StoreBusyError,
     ValueOutOfRangeError,
 )
 from repro.faults import FaultPlan, read_fault
@@ -100,6 +114,10 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sHHQQII")
 _SUFFIX = ".rbix"
 _DELTA_SUFFIX = ".rbix.delta"
+_LOCK_SUFFIX = ".lock"
+#: How long a writer waits for another writer's lock on a relation before
+#: it raises :class:`~repro.errors.StoreBusyError`.
+_LOCK_WAIT_SECONDS = 30.0
 #: Page granularity of the ``pages_touched`` counter.
 _PAGE_SIZE = 4096
 
@@ -941,13 +959,14 @@ class IndexStore:
         # A pending delta must never meet the new file: a rebuild of the
         # same rows keeps the row count, which is all that tells a stale
         # sidecar from a live one.
-        file_bytes = self._atomic_write(
-            self._main_path(relation.name),
-            chunks,
-            relation.name + _SUFFIX,
-            superseded=self._delta_path(relation.name),
-        )
-        self.invalidate(relation.name)
+        with self._writing(relation.name):
+            file_bytes = self._atomic_write(
+                self._main_path(relation.name),
+                chunks,
+                relation.name + _SUFFIX,
+                superseded=self._delta_path(relation.name),
+            )
+            self.invalidate(relation.name)
         lap("write")
         return {
             "relation": relation.name,
@@ -980,50 +999,51 @@ class IndexStore:
         of the sidecar.  The write is crash-atomic: a crash mid-append
         leaves the previous delta (and the base file) intact.
         """
-        rfile = self._file(relation)
-        if set(rows) != set(rfile.attrs):
-            raise ValueOutOfRangeError(
-                f"append must cover every stored attribute; expected "
-                f"{sorted(rfile.attrs)}, got {sorted(rows)}"
+        with self._writing(relation):
+            rfile = self._file(relation)
+            if set(rows) != set(rfile.attrs):
+                raise ValueOutOfRangeError(
+                    f"append must cover every stored attribute; expected "
+                    f"{sorted(rfile.attrs)}, got {sorted(rows)}"
+                )
+            nulls = nulls or {}
+            lengths = {len(np.asarray(v)) for v in rows.values()}
+            if len(lengths) != 1 or 0 in lengths:
+                raise ValueOutOfRangeError(
+                    "append needs the same nonzero number of rows per attribute"
+                )
+            (nrows,) = lengths
+            attrs: dict[str, dict] = {}
+            for attr, meta in rfile.attrs.items():
+                mask = nulls.get(attr)
+                if mask is not None:
+                    mask = np.asarray(mask, dtype=bool)
+                    if len(mask) != nrows:
+                        raise ValueOutOfRangeError(
+                            f"null mask for {attr!r} has {len(mask)} entries; "
+                            f"{nrows} rows appended"
+                        )
+                attrs[attr] = _packed_attr_spec(
+                    _ranks_for(meta, rows[attr], mask),
+                    meta.cardinality,
+                    meta.base,
+                    meta.encoding,
+                    meta.codec,
+                    meta.value_size_bytes,
+                    nulls=mask if mask is not None and mask.any() else None,
+                )
+            # The sidecar is rewritten whole: the images already in it, zeros
+            # to an 8-byte boundary, then this batch's image.
+            start = rfile.nbits + rfile.delta_rows
+            chunks, _ = _relation_chunks(relation, nrows, attrs, start)
+            previous = rfile.sidecar
+            self._atomic_write(
+                self._delta_path(relation),
+                [previous, bytes(-len(previous) % 8), *chunks],
+                relation + _DELTA_SUFFIX,
             )
-        nulls = nulls or {}
-        lengths = {len(np.asarray(v)) for v in rows.values()}
-        if len(lengths) != 1 or 0 in lengths:
-            raise ValueOutOfRangeError(
-                "append needs the same nonzero number of rows per attribute"
-            )
-        (nrows,) = lengths
-        attrs: dict[str, dict] = {}
-        for attr, meta in rfile.attrs.items():
-            mask = nulls.get(attr)
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if len(mask) != nrows:
-                    raise ValueOutOfRangeError(
-                        f"null mask for {attr!r} has {len(mask)} entries; "
-                        f"{nrows} rows appended"
-                    )
-            attrs[attr] = _packed_attr_spec(
-                _ranks_for(meta, rows[attr], mask),
-                meta.cardinality,
-                meta.base,
-                meta.encoding,
-                meta.codec,
-                meta.value_size_bytes,
-                nulls=mask if mask is not None and mask.any() else None,
-            )
-        # The sidecar is rewritten whole: the images already in it, zeros
-        # to an 8-byte boundary, then this batch's image.
-        start = rfile.nbits + rfile.delta_rows
-        chunks, _ = _relation_chunks(relation, nrows, attrs, start)
-        previous = rfile.sidecar
-        self._atomic_write(
-            self._delta_path(relation),
-            [previous, bytes(-len(previous) % 8), *chunks],
-            relation + _DELTA_SUFFIX,
-        )
-        self.invalidate(relation)
-        self.stats.appends += 1
+            self.invalidate(relation)
+            self.stats.appends += 1
         return start + nrows
 
     def compact(self, relation: str | None = None) -> dict:
@@ -1040,33 +1060,37 @@ class IndexStore:
                 name: self.compact(name)
                 for name in self.relations()
             }
-        rfile = self._file(relation)
-        if rfile.delta_rows == 0:
-            return {"relation": relation, "compacted": False, "rows": rfile.nbits}
-        new_nbits = rfile.nbits + rfile.delta_rows
-        # What a reader is served while the delta is pending — base and
-        # delta merged, in the stored codec — is what gets written.
-        payload_attrs = {
-            attr: _index_attr_spec(
-                StoreBitmapSource(rfile, attr), meta.codec, meta.value_size_bytes, meta.dictionary
+        with self._writing(relation):
+            rfile = self._file(relation)
+            if rfile.delta_rows == 0:
+                return {"relation": relation, "compacted": False, "rows": rfile.nbits}
+            new_nbits = rfile.nbits + rfile.delta_rows
+            # What a reader is served while the delta is pending — base and
+            # delta merged, in the stored codec — is what gets written.
+            payload_attrs = {
+                attr: _index_attr_spec(
+                    StoreBitmapSource(rfile, attr),
+                    meta.codec,
+                    meta.value_size_bytes,
+                    meta.dictionary,
+                )
+                for attr, meta in rfile.attrs.items()
+            }
+            folded = rfile.delta_rows
+            chunks, _ = _relation_chunks(relation, new_nbits, payload_attrs)
+            file_bytes = self._atomic_write(
+                self._main_path(relation), chunks, relation + _SUFFIX
             )
-            for attr, meta in rfile.attrs.items()
-        }
-        folded = rfile.delta_rows
-        chunks, _ = _relation_chunks(relation, new_nbits, payload_attrs)
-        file_bytes = self._atomic_write(
-            self._main_path(relation), chunks, relation + _SUFFIX
-        )
-        # Crash window: the new base is live but the delta still exists.
-        # Its first image no longer starts where the base ends, so reopens
-        # ignore it (stale) and this unlink is safely re-runnable.
-        try:
-            os.unlink(self._delta_path(relation))
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        _fsync_dir(self.root)
-        self.invalidate(relation)
-        self.stats.compactions += 1
+            # Crash window: the new base is live but the delta still exists.
+            # Its first image no longer starts where the base ends, so reopens
+            # ignore it (stale) and this unlink is safely re-runnable.
+            try:
+                os.unlink(self._delta_path(relation))
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+            _fsync_dir(self.root)
+            self.invalidate(relation)
+            self.stats.compactions += 1
         return {
             "relation": relation,
             "compacted": True,
@@ -1126,12 +1150,13 @@ class IndexStore:
         The live paths stop existing — a rebuild can rewrite them — while
         the bad bytes survive.  Returns the sheltered filesystem paths.
         """
-        self.invalidate(relation)
-        moved = [
-            to_quarantine(self.root, path, os.path.basename(path))
-            for path in (self._main_path(relation), self._delta_path(relation))
-            if os.path.isfile(path)
-        ]
+        with self._writing(relation):
+            self.invalidate(relation)
+            moved = [
+                to_quarantine(self.root, path, os.path.basename(path))
+                for path in (self._main_path(relation), self._delta_path(relation))
+                if os.path.isfile(path)
+            ]
         if not moved:
             raise FileMissingError(
                 f"no stored index for relation {relation!r}"
@@ -1191,6 +1216,31 @@ class IndexStore:
             else:
                 stamps.append((st.st_ino, st.st_size, st.st_mtime_ns))
         return tuple(stamps)
+
+    @contextmanager
+    def _writing(self, relation: str) -> Iterator[None]:
+        """Hold the relation's write lock (see the module docstring); wait
+        for another writer up to :data:`_LOCK_WAIT_SECONDS`, then raise
+        :class:`~repro.errors.StoreBusyError`."""
+        path = os.path.join(self.root, self._check_name(relation) + _LOCK_SUFFIX)
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            give_up, pause = time.monotonic() + _LOCK_WAIT_SECONDS, 0.001
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() >= give_up:
+                        raise StoreBusyError(
+                            f"{path}: another writer held the lock for "
+                            f"{_LOCK_WAIT_SECONDS:g} s"
+                        ) from None
+                    time.sleep(pause)
+                    pause = min(2 * pause, 0.05)
+            yield
+        finally:
+            os.close(fd)  # and with it the lock
 
     def _file(self, relation: str) -> _RelationFile:
         self._check_name(relation)

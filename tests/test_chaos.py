@@ -15,7 +15,9 @@ the same plan against the same call sequence fires at the same places.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ import pytest
 from repro.engine import QueryEngine, QueryOptions, RetryPolicy
 from repro.engine.resilience import CircuitBreaker
 from repro.engine.sharding import _SHM_PREFIX, sweep_orphan_segments
-from repro.errors import QueryTimeoutError
+from repro.errors import QueryTimeoutError, StoreBusyError
 from repro.faults import FaultPlan, FaultSpec
 from repro.relation.relation import Relation
+from repro.storage import IndexStore
+from repro.storage import store as store_module
 
 NUM_ROWS = 5_003
 QUERIES = (
@@ -335,3 +339,65 @@ class TestOrphanSweep:
         engine.query(QUERIES[0])
         engine.close()
         assert leaked_segments() == []
+
+
+# ----------------------------------------------------------------------
+# The store's write lock: a dead holder frees it, a live one times out typed
+# ----------------------------------------------------------------------
+
+
+def hold_write_lock(root: str, held, release, die: bool) -> None:
+    """Take relation ``r``'s write lock in a child process, say so, then
+    die holding it (``die``) or hold it until ``release`` is set."""
+    with IndexStore(root)._writing("r"):
+        held.set()
+        if die:
+            os._exit(0)
+        release.wait(timeout=60)
+
+
+class TestWriterLock:
+    @pytest.fixture
+    def root(self, tmp_path) -> str:
+        root = str(tmp_path / "indexes")
+        with IndexStore(root) as store:
+            store.build(Relation.from_dict("r", {"x": np.arange(16) % 4}))
+            store.append("r", {"x": np.array([1, 2])})
+        return root
+
+    @staticmethod
+    def holder(root: str, die: bool):
+        context = multiprocessing.get_context("fork")
+        held, release = context.Event(), context.Event()
+        child = context.Process(target=hold_write_lock, args=(root, held, release, die))
+        child.start()
+        assert held.wait(timeout=60)
+        return child, release
+
+    def test_a_writer_killed_holding_the_lock_frees_it(self, root):
+        child, _ = self.holder(root, die=True)
+        child.join(timeout=60)
+        with IndexStore(root) as store:
+            started = time.monotonic()
+            assert store.append("r", {"x": np.array([3])}) == 19
+            assert time.monotonic() - started < store_module._LOCK_WAIT_SECONDS / 10
+            assert store.delta_rows("r") == 3
+
+    def test_a_live_holder_past_the_ceiling_is_a_typed_error(self, root, monkeypatch):
+        monkeypatch.setattr(store_module, "_LOCK_WAIT_SECONDS", 0.2)
+        paths = [os.path.join(root, name) for name in ("r.rbix", "r.rbix.delta")]
+
+        def contents() -> list[bytes]:
+            return [open(path, "rb").read() for path in paths]
+
+        before = contents()
+        child, release = self.holder(root, die=False)
+        try:
+            with IndexStore(root) as store:
+                with pytest.raises(StoreBusyError):
+                    store.append("r", {"x": np.array([3])})
+                assert contents() == before
+        finally:
+            release.set()
+            child.join(timeout=60)
+        assert child.exitcode == 0

@@ -12,8 +12,16 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine.metrics import EngineMetrics, LatencyReservoir, percentile
+from repro.engine.metrics import (
+    _PUBLISHED,
+    BREAKDOWNS,
+    EngineMetrics,
+    LatencyReservoir,
+    percentile,
+)
 from repro.stats import ExecutionStats
 
 
@@ -194,3 +202,55 @@ class TestEngineMetrics:
         assert snap["stats"]["scans"] == 16_000
         assert snap["by_relation"]["r"]["queries"] == 16_000
         assert len(metrics._latencies) == 32
+
+
+#: One recorded query: latency, counters, and its four labels (``None``
+#: for a label not given).
+_records = st.lists(
+    st.tuples(
+        st.floats(0.0, 0.05, allow_nan=False),
+        st.fixed_dictionaries(
+            {name: st.integers(0, 50) for name in ("scans", "ands", "ors", "bytes_read")}
+        ),
+        *(st.sampled_from(["a", "b", "c", None]) for _ in BREAKDOWNS),
+    ),
+    max_size=40,
+)
+
+
+class TestRollup:
+    @given(_records)
+    @settings(max_examples=150, deadline=None)
+    def test_snapshot_is_the_five_aggregate_arithmetic(self, records):
+        """``snapshot()``'s totals and breakdowns are sums over one table
+        keyed by all four labels; they equal what merging every query into
+        a global aggregate and into one aggregate per label gives."""
+        metrics = EngineMetrics()
+        total = ExecutionStats()
+        by = {label: {} for label in BREAKDOWNS}
+        for latency, counters, *labels in records:
+            stats = ExecutionStats(**counters)
+            metrics.record(latency, stats, *labels)
+            total.merge(stats)
+            for label, value in zip(BREAKDOWNS, labels):
+                if value is not None:
+                    queries, seconds, merged = by[label].get(value, (0, 0.0, ExecutionStats()))
+                    merged.merge(stats)
+                    by[label][value] = (queries + 1, seconds + latency, merged)
+        snap = metrics.snapshot()
+        assert snap["queries"] == metrics.queries == len(records)
+        assert snap["stats"] == total.as_dict() == metrics.stats.as_dict()
+        for label in BREAKDOWNS:
+            published = snap[f"by_{label}"]
+            assert list(published) == sorted(by[label])
+            for value, (queries, seconds, merged) in by[label].items():
+                group = published[value]
+                assert group["queries"] == queries
+                assert {name: group[name] for name in _PUBLISHED} == {
+                    name: merged.as_dict()[name] for name in _PUBLISHED
+                }
+                # The one float: a label's latency is summed group by group,
+                # not record by record, so only the order of float64
+                # additions differs, by a few ulps.
+                expected = 1e3 * seconds / queries
+                assert group["latency_ms_mean"] == pytest.approx(expected, rel=1e-12)

@@ -288,3 +288,11 @@ def test_m22_store_without_its_on_disk_check(monkeypatch, tmp_path):
     assert_killed(
         follow.test_answers_follow_another_store_on_the_directory, str(tmp_path), "inline", "wah"
     )
+
+
+def test_m23_append_without_the_write_lock(monkeypatch, tmp_path):
+    """Two writers' appends to one relation serialize on its lock file."""
+    unlocked = mutant(IndexStore.append, "with self._writing(relation):", "if True:")
+    monkeypatch.setattr(IndexStore, "append", unlocked)
+    race = test_store.TestConcurrentWriters()
+    assert_killed(race.test_appends_racing_appends_all_land, str(tmp_path / "indexes"))

@@ -36,7 +36,6 @@ from repro.engine import (
 )
 from repro.engine.sharding import (
     _IMAGE_NAME,
-    ShardManifest,
     _AttachedShard,
     merge_shard_rids,
     merge_shard_stats,
@@ -250,7 +249,7 @@ class TestSegmentImage:
         segment = shared_memory.SharedMemory(create=True, size=len(image))
         try:
             segment.buf[: len(image)] = image
-            shard = _AttachedShard(ShardManifest(segment.name, 0, 100))
+            shard = _AttachedShard(segment.name)
             try:
                 with pytest.raises(CorruptShardError, match="payload"):
                     shard.fetch(1, 2, ExecutionStats())

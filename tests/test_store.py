@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -1110,6 +1111,90 @@ class TestNoInvalidateNeeded:
         engine.invalidate()
         self.check(engine, relation, "query")
         engine.close()
+
+
+def race_writer(root: str, barrier, done, job: str, value: int, rounds: int) -> None:
+    """One writer process of :class:`TestConcurrentWriters`: its own store
+    over ``root``, released with the others by ``barrier``.  An appender
+    makes ``rounds`` two-row appends of ``value`` and then sets ``done``;
+    a compactor compacts over and over until an appender is done."""
+    store = IndexStore(root)
+    barrier.wait(timeout=60)
+    if job == "append":
+        for _ in range(rounds):
+            store.append("r", {"x": np.array([value, value])})
+        done.set()
+    else:
+        while not done.is_set():
+            store.compact("r")
+    store.close()
+
+
+class TestConcurrentWriters:
+    """Writers in separate processes on one directory serialize: every
+    append a writer made is on disk afterwards, whatever ran beside it.
+
+    The regression: each writer read the sidecar, added its image and
+    replaced the file, so the last replace won and the other writer's
+    rows were gone — with both processes exiting 0.  A compaction racing
+    an append lost the append the same way.
+    """
+
+    BASE_ROWS = 40
+    ROUNDS = 5
+
+    def race(self, store_dir: str, jobs: list[tuple[str, int]]) -> IndexStore:
+        """Build ``r`` — values 0-5, then one 6 and one 7 so both are in its
+        dictionary — and run one writer process per ``(job, value)`` at once."""
+        values = np.append(np.arange(self.BASE_ROWS - 2) % 6, [6, 7])
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("r", {"x": values}), codec="wah")
+        context = multiprocessing.get_context("fork")
+        barrier, done = context.Barrier(len(jobs)), context.Event()
+        writers = [
+            context.Process(
+                target=race_writer, args=(store_dir, barrier, done, job, value, self.ROUNDS)
+            )
+            for job, value in jobs
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0] * len(writers)
+        return IndexStore(store_dir)
+
+    def assert_every_append_answers(self, store_dir: str, appenders: int) -> None:
+        """The appended rows are the ones past the base holding 6 or 7, and
+        each appending writer's ``2 * ROUNDS`` rows are there."""
+        appended = 2 * self.ROUNDS * appenders
+        engine = repro.open_store(store_dir)
+        try:
+            rids = engine.query("x >= 6").rids.tolist()
+            assert rids == [self.BASE_ROWS - 2, self.BASE_ROWS - 1] + list(
+                range(self.BASE_ROWS, self.BASE_ROWS + appended)
+            )
+            counts = engine.group_count("x >= 6", "x").groups
+            assert counts[6] + counts[7] == 2 + appended
+        finally:
+            engine.close()
+
+    def test_appends_racing_appends_all_land(self, store_dir):
+        store = self.race(store_dir, [("append", 6), ("append", 7)])
+        try:
+            assert store.delta_rows("r") == 4 * self.ROUNDS
+        finally:
+            store.close()
+        self.assert_every_append_answers(store_dir, appenders=2)
+
+    def test_compactions_racing_appends_lose_none(self, store_dir):
+        store = self.race(store_dir, [("compact", 0), ("append", 6)])
+        try:
+            view = store.relation_view("r")
+            assert view.num_rows == self.BASE_ROWS + 2 * self.ROUNDS
+        finally:
+            store.close()
+        self.assert_every_append_answers(store_dir, appenders=1)
 
 
 class TestFormatPin:
