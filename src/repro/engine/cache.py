@@ -4,11 +4,11 @@ the source adapter that fetches through it.
 :class:`CachedSource` is the only place a served bitmap is retained.  It
 wraps any bitmap source and keys every fetched bitmap by
 ``prefix + (source.version, component, slot)``, so a bitmap fetched
-before the source changed is never served after it.  The engine builds
-one per attribute per query over its one :class:`SharedBitmapCache`,
-with prefix ``(relation, attribute)`` (plus the codec when it is not
-dense), so hot bitmaps of every relation compete for the same
-``capacity`` slots; a :class:`repro.storage.buffer.BufferPool` is a
+before the source changed is never served after it.  The engine keeps
+one per served attribute, until its index is dropped, over its one
+:class:`SharedBitmapCache`, with prefix ``(relation, attribute, codec)``,
+so hot bitmaps of every relation compete for the same ``capacity``
+slots; a :class:`repro.storage.buffer.BufferPool` is a
 :class:`CachedSource` over a cache of its own, preloaded with the
 Theorem 10.1 slots and closed to admission.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
@@ -231,7 +231,9 @@ class CachedSource:
     is charged as a ``buffer_hit``); a miss fetches from the wrapped
     source (which records the scan on the per-query stats) and admits the
     bitmap to the cache.  The source's ``nonnull`` is read once per
-    version of the source, which on the engine path is once per query.
+    version of the source, which on the engine path (one served source
+    per attribute) is once per version, not per query.  ``faults``
+    returns the :class:`~repro.faults.FaultPlan` to check on a hit.
     """
 
     __slots__ = ("_source", "_cache", "_prefix", "_faults", "_nonnull")
@@ -241,7 +243,7 @@ class CachedSource:
         source,
         cache: SharedBitmapCache,
         prefix: tuple,
-        faults: FaultPlan | None = None,
+        faults: Callable[[], FaultPlan | None] | None = None,
     ):
         self._source = source  # already ``with_codec`` the codec to serve
         self._cache = cache
@@ -275,10 +277,10 @@ class CachedSource:
 
     @property
     def nonnull(self):
-        version = self._source.version
-        if self._nonnull is None or self._nonnull[0] != version:
-            self._nonnull = (version, self._source.nonnull)
-        return self._nonnull[1]
+        version, memo = self._source.version, self._nonnull  # one read of each
+        if memo is None or memo[0] != version:
+            memo = self._nonnull = (version, self._source.nonnull)
+        return memo[1]
 
     def _key(self, component: int, slot: int) -> tuple:
         return self._prefix + (self._source.version, component, slot)
@@ -289,10 +291,8 @@ class CachedSource:
         key = self._key(component, slot)
         bitmap = self._cache.get(key)
         if bitmap is not None and self._faults is not None:
-            spec = self._faults.check(
-                "cache.get", ident="/".join(str(part) for part in key)
-            )
-            if spec is not None:
+            plan = self._faults()  # the plan armed now, not at construction
+            if plan is not None and plan.check("cache.get", ident="/".join(map(str, key))):
                 bitmap = None  # forced miss: refetch from the source
         if bitmap is not None:
             stats.buffer_hits += 1

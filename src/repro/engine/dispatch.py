@@ -10,9 +10,9 @@ everything around that call which exists only because of
   dispatch finds it broken, and shut down with the engine;
 - **what is published of a relation** — each attribute's shared-memory
   :class:`~repro.engine.sharding.ShardExport`, the row-range cut of the
-  very bitmap source the inline path serves (so nothing is rebuilt for
-  this backend, and maintenance, NULL tracking and a store's pending delta
-  reach it unchanged) — and the one way to drop it
+  very bitmap source the inline path serves, uncached (so nothing is
+  rebuilt for this backend, and maintenance, NULL tracking and a store's
+  pending delta reach it unchanged) — and the one way to drop it
   (:meth:`ProcessDispatch.drop`);
 - **how a failed dispatch is retried, repaired and degraded** — the
   breaker gate, the backoff loop, and :data:`RECOVERY`, the one table from
@@ -31,6 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple, Protocol
 
 from repro.core.index import BitmapIndex
+from repro.engine.cache import CachedSource
 from repro.engine.metrics import EngineMetrics
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
@@ -59,15 +60,18 @@ log = logging.getLogger("repro.engine")
 
 
 class DispatchItem(NamedTuple):
-    """One resolved query as the engine hands it to the dispatch.
+    """One query as the engine resolves it, for every backend and EXPLAIN.
 
     ``sources`` maps exactly the attributes the query reads (its leaves
-    plus the grouping column) to the bitmap sources the inline path serves
-    them from; ``codec`` is the one bitmap codec all of them are served in.
+    plus the grouping column) to their uncached bitmap sources, which
+    shard exports are cut from; ``served`` maps them to the cache-routed
+    sources the inline path evaluates on; ``codec`` is the one bitmap
+    codec all of them are served in.
     """
 
     relation: Relation
     sources: dict[str, BitmapIndex | StoreBitmapSource]
+    served: dict[str, CachedSource]
     codec: str
     expression: Expression
     finish: str
@@ -277,8 +281,8 @@ class ProcessDispatch:
     def _export_for(self, item: DispatchItem, attribute: str) -> ShardExport:
         """The current shared-memory publication of one attribute's shards.
 
-        Cut from the source the inline path serves, into the engine's
-        ``shards`` row ranges (else ``max_workers`` of them), and cut again
+        Cut from the uncached source the inline path serves, into the
+        engine's ``shards`` row ranges (else ``max_workers`` of them), and cut again
         (the stale blocks unlinked) once that source is replaced, its
         version has moved, or the engine's codec or shard count has.
         """

@@ -3,16 +3,19 @@
 :class:`QueryEngine` is the serving layer the engine-free door of
 :mod:`repro.query.executor` lacks: it registers relations once, builds each
 attribute's :class:`~repro.core.index.BitmapIndex` lazily behind a
-thread-safe :class:`~repro.engine.registry.IndexRegistry`, routes every
-bitmap fetch through one shared :class:`~repro.engine.cache.SharedBitmapCache`,
-and evaluates queries — single or batched — on a thread pool.
+thread-safe :class:`~repro.engine.registry.IndexRegistry`, serves each
+attribute through one :class:`~repro.engine.cache.CachedSource` kept until
+the index is dropped, which routes every bitmap fetch through one shared
+:class:`~repro.engine.cache.SharedBitmapCache`, and evaluates queries —
+single or batched — on a thread pool.
 
 :meth:`QueryEngine.query` is the unified entry point: it accepts an
 :class:`~repro.query.predicate.AttributePredicate`, a boolean
 :class:`~repro.query.expression.Expression` tree, or a textual expression
 string, and always returns a :class:`~repro.query.executor.QueryResult`.
 Whatever its form, a query is normalized to an expression tree (a
-predicate is a one-leaf tree) and runs the one pipeline of
+predicate is a one-leaf tree), resolved once by
+:meth:`QueryEngine._dispatch_item` and run by the one pipeline of
 :meth:`QueryEngine._execute`, every leaf's bitmap fetches routed through
 the shared cache; :meth:`QueryEngine.count`,
 :meth:`QueryEngine.group_count` and :meth:`QueryEngine.aggregate` are
@@ -48,6 +51,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +65,10 @@ from repro.engine.registry import IndexRegistry, IndexSpec
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
-from repro.faults import Deadline, FaultPlan
+from repro.faults import FaultPlan
 from repro.query.executor import QueryResult, bitmap_index_for, one_codec
 from repro.query.expression import AGGREGATES, answer_count, query_mode, run_query, verify_answer
+from repro.query.expression import Expression
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
@@ -71,21 +76,24 @@ from repro.storage.store import IndexStore, StoreRelation
 from repro.trace import ExplainReport, QueryTrace, build_explain_report
 
 
-def _label(item: tuple) -> str:
-    """How a resolved query names itself in traces and error messages."""
-    _, expression, finish, by = item
-    if finish == "rids":
-        return str(expression)
-    if by is None:
-        return f"count({expression})"
-    if finish == "group":
-        return f"group_count({expression} by {by})"
-    return f"{finish}({by} where {expression})"
+class _Query(NamedTuple):
+    """A query as an entry point hands it on: what to answer, over which
+    registered relation; :meth:`QueryEngine._dispatch_item` resolves it."""
 
+    relation: str
+    expression: Expression
+    finish: str
+    by: str | None
 
-def _attributes(expression, by: str | None) -> list[str]:
-    """Every attribute a query reads: its leaves plus the ``by`` column."""
-    return sorted(expression.attributes() | ({by} if by is not None else set()))
+    def __str__(self) -> str:
+        """How the query names itself in traces."""
+        if self.finish == "rids":
+            return str(self.expression)
+        if self.by is None:
+            return f"count({self.expression})"
+        if self.finish == "group":
+            return f"group_count({self.expression} by {self.by})"
+        return f"{self.finish}({self.by} where {self.expression})"
 
 
 def affine(dictionary: np.ndarray) -> tuple[int, int] | None:
@@ -210,6 +218,8 @@ class QueryEngine:
         self.shards = shards
         self.cache = SharedBitmapCache(cache_capacity, byte_budget=cache_bytes)
         self.registry = IndexRegistry()
+        self._served: dict[tuple, CachedSource] = {}  # see ``_source_for``
+        self._served_lock = threading.Lock()
         self.metrics = EngineMetrics()
         self._relations: dict[str, Relation] = {}
         self._specs: dict[str, dict[str, IndexSpec]] = {}
@@ -437,12 +447,12 @@ class QueryEngine:
         """One query, one finish, on the engine's backend."""
         options = options if options is not None else DEFAULT_OPTIONS
         name = self._current(relation)
-        item = (name, normalize_query(query), finish, by)
+        query = _Query(name, normalize_query(query), finish, by)
         if by is not None:
             self._spec_for(name, by)  # raises if ``by`` is not served
         if self.backend == "processes":
-            return self._process_batch([item], options)[0]
-        return self._execute(item, options)
+            return self._process_batch([query], options)[0]
+        return self._execute(query, options)
 
     def query_batch(
         self,
@@ -462,32 +472,30 @@ class QueryEngine:
         relation's shards on the process pool.
         """
         options = options if options is not None else DEFAULT_OPTIONS
-        resolved: list[tuple] = []
+        batch: list[_Query] = []
         for item in queries:
             name, q = item if isinstance(item, tuple) else (relation, item)
-            resolved.append((self._current(name), normalize_query(q), "rids", None))
+            batch.append(_Query(self._current(name), normalize_query(q), "rids", None))
         if self.backend == "processes":
-            return self._process_batch(resolved, options)
-        return self._local_batch(resolved, options)
+            return self._process_batch(batch, options)
+        return self._local_batch(batch, options)
 
     def _local_batch(
-        self, resolved: list[tuple], options: QueryOptions
+        self, batch: list[_Query], options: QueryOptions
     ) -> list[QueryResult | AggregateResult]:
-        """Evaluate a resolved batch on the thread pool (or inline).
+        """Evaluate a batch on the thread pool (or inline).
 
         The thread/inline execution shared by :meth:`query_batch` and
         the process backend's degradation ladder (which lands on the
-        thread pool).  ``resolved`` holds
-        ``(relation_name, expression, finish, by)`` items.
+        thread pool).
         """
-        if self.backend != "inline" and self.max_workers > 1 and len(resolved) > 1:
+        if self.backend != "inline" and self.max_workers > 1 and len(batch) > 1:
             pool = self._thread_pool()
             futures = [
-                pool.submit(self._execute, item, options, backend="threads")
-                for item in resolved
+                pool.submit(self._execute, query, options, backend="threads") for query in batch
             ]
             return [future.result() for future in futures]
-        return [self._execute(item, options) for item in resolved]
+        return [self._execute(query, options) for query in batch]
 
     def explain(
         self,
@@ -508,24 +516,20 @@ class QueryEngine:
         """
         options = options if options is not None else DEFAULT_OPTIONS
         options = options.with_(trace=True)
-        name = self._current(relation)
-        q = normalize_query(query)
-        item = (name, q, "rids", None)
-        result = self._execute(item, options, record=False)
-        mode = query_mode(q)
-        sources = {attribute: self._index_for(name, attribute) for attribute in q.attributes()}
-        # The codec the run was served in, resolved as ``_execute`` does.
-        codec = one_codec({self._codec_for(name, a, s) for a, s in sources.items()}, q)
+        query = _Query(self._current(relation), normalize_query(query), "rids", None)
+        result = self._execute(query, options, record=False)
+        item = self._dispatch_item(query)  # what the run was served from, and in
+        mode = query_mode(item.expression)
         # The store's cumulative counters (bytes actually read, bitmaps
         # materialized, page touches) next to the cost model's predictions.
         storage_io = self.storage.io_snapshot() if self.storage is not None else None
         return build_explain_report(
-            self._relations[name],
-            q,
-            sources,
+            item.relation,
+            item.expression,
+            item.sources,
             result,
             mode=mode,
-            bitmap_codec=codec,
+            bitmap_codec=item.codec,
             algorithm=options.algorithm,
             storage_io=storage_io,
             plan=f"cached-bitmap/{mode}",
@@ -614,11 +618,14 @@ class QueryEngine:
 
     def _drop(self, name: str, attributes: list[str]) -> None:
         """Forget what was built for ``attributes`` of relation ``name``:
-        their indexes and shard exports, and the relation's cached bitmaps."""
+        their indexes, served sources and shard exports, and the relation's
+        cached bitmaps."""
         if not attributes:
             return
         for attribute in attributes:
-            self.registry.pop((name, attribute))
+            with self._served_lock:
+                self.registry.pop((name, attribute))
+                self._served.pop((name, attribute), None)
             self._dispatch.drop(name, attribute)
         self.cache.drop_group(name)
 
@@ -708,16 +715,25 @@ class QueryEngine:
         codec = self._specs[relation_name][attribute].codec
         return bitmap_class(codec or getattr(index, "stored_codec", None) or self.codec).codec
 
-    def _source_for(self, relation_name: str, attribute: str) -> CachedSource:
-        """The cache-routed bitmap source of one served attribute."""
+    def _source_for(self, relation_name: str, attribute: str) -> tuple:
+        """``(index, served)``: the attribute's source as the registry holds
+        it (one lookup a query), and its cache-routed source, built on first
+        use in the codec :meth:`_codec_for` gives and kept until
+        :meth:`_drop` retires it — so ``B_nn`` is read once per version."""
+        key = (relation_name, attribute)
         index = self._index_for(relation_name, attribute)
-        codec = self._codec_for(relation_name, attribute, index)
-        return CachedSource(
-            index.with_codec(codec),
-            self.cache,
-            (relation_name, attribute, codec),
-            faults=self.fault_plan,
-        )
+        served = self._served.get(key)
+        if served is None:
+            codec = self._codec_for(relation_name, attribute, index)
+            served = CachedSource(
+                index.with_codec(codec), self.cache, key + (codec,), lambda: self.fault_plan
+            )
+            with self._served_lock:
+                # Kept only while ``index`` is still the registry's: a
+                # ``_drop`` that raced this build must not be undone.
+                if self.registry.peek(key) is index:
+                    served = self._served.setdefault(key, served)
+        return index, served
 
     # ------------------------------------------------------------------
     # Backends
@@ -735,9 +751,9 @@ class QueryEngine:
             return self._threads
 
     def _process_batch(
-        self, resolved: list[tuple], options: QueryOptions
+        self, batch: list[_Query], options: QueryOptions
     ) -> list[QueryResult | AggregateResult]:
-        """Evaluate a resolved batch on the sharded process backend.
+        """Evaluate a batch on the sharded process backend.
 
         :meth:`ProcessDispatch.run <repro.engine.dispatch.ProcessDispatch.run>`
         owns publication and the retry / repair / degrade ladder; ``None``
@@ -745,52 +761,49 @@ class QueryEngine:
         spent).  A deadline miss is not retried: it surfaces as
         :class:`~repro.errors.QueryTimeoutError` immediately.
         """
-        trace = QueryTrace(label="; ".join(map(_label, resolved))) if options.trace else None
+        trace = QueryTrace(label="; ".join(map(str, batch))) if options.trace else None
         with self._accounted(lambda: trace):
-            items = [self._dispatch_item(item) for item in resolved]
+            items = [self._dispatch_item(query) for query in batch]
             outcomes = self._dispatch.run(items, options)
         if outcomes is None:
-            return self._local_batch(resolved, options)
+            return self._local_batch(batch, options)
         results = []
-        for item, shipped, outcome in zip(resolved, items, outcomes):
+        for query, item, outcome in zip(batch, items, outcomes):
             # A merged shard outcome enters the shared tail directly; its
             # trace opens here and replays what the dispatch did.
-            stats, codec, seconds = outcome.stats, shipped.codec, outcome.latency_seconds
+            stats, seconds = outcome.stats, outcome.latency_seconds
             with self._accounted(lambda: stats.trace):
-                self._open_trace(item, options, stats, "processes", codec)
                 if options.trace:
-                    self._dispatch.replay(stats.trace, outcome, shipped)
+                    stats.trace = QueryTrace(label=str(query))
+                    self._dispatched(stats, item, "processes")
+                    self._dispatch.replay(stats.trace, outcome, item)
                 results.append(
-                    self._finish(
-                        item, options, stats, outcome.answer, lambda: seconds, "processes", codec
-                    )
+                    self._finish(item, options, stats, outcome.answer, lambda: seconds, "processes")
                 )
         return results
 
-    def _dispatch_item(self, item: tuple) -> DispatchItem:
-        """What the process dispatch needs of one query, resolved here so it
-        never reaches back into the engine: the sources inline serves the
-        query's attributes from, and the one codec it serves them in."""
-        name, expression, finish, by = item
-        sources = {attr: self._index_for(name, attr) for attr in _attributes(expression, by)}
-        codec = one_codec(
-            {self._codec_for(name, attr, index) for attr, index in sources.items()},
-            expression,
-        )
-        return DispatchItem(self._relations[name], sources, codec, expression, finish, by)
+    def _dispatch_item(self, query: _Query) -> DispatchItem:
+        """The one resolution of a query, for every backend and EXPLAIN (the
+        process dispatch never reaches back into the engine)."""
+        name, expression, finish, by = query
+        sources, served = {}, {}
+        for attribute in sorted(expression.attributes() | ({by} if by else set())):
+            sources[attribute], served[attribute] = self._source_for(name, attribute)
+        codec = one_codec({source.bitmap_codec for source in served.values()}, expression)
+        return DispatchItem(self._relations[name], sources, served, codec, expression, finish, by)
 
     # ------------------------------------------------------------------
     # The one execution pipeline
     # ------------------------------------------------------------------
 
     def _execute(
-        self, item: tuple, options: QueryOptions, *, backend: str = "inline", record: bool = True
+        self, query: _Query, options: QueryOptions, *, backend: str = "inline", record: bool = True
     ) -> QueryResult | AggregateResult:
         """Evaluate one query here — inline or on a pool thread.
 
-        ``item`` is ``(relation_name, expression, finish, by)``.  Resolve
-        the cache-routed sources and their one codec → ``engine.dispatch``
-        trace event → evaluate and finish
+        The record the options ask for (:meth:`QueryOptions.new_stats`) →
+        resolve the query (:meth:`_dispatch_item`) → ``engine.dispatch``
+        trace event → evaluate and finish on the served sources
         (:func:`~repro.query.expression.run_query`: ``rids`` materializes,
         ``count``/``group`` answer from popcounts under an
         ``aggregate.pushdown`` phase) → the shared tail, :meth:`_finish`.
@@ -799,67 +812,48 @@ class QueryEngine:
         merged outcome enters :meth:`_finish` directly.  ``record=False``
         keeps the run out of the serving metrics (EXPLAIN).
         """
-        name, expression, finish, by = item
         start = time.perf_counter()
-        stats = ExecutionStats()
+        stats = options.new_stats(query)  # labelled only when traced
         with self._accounted(lambda: stats.trace, record):
-            if options.deadline_ms is not None:
-                stats.deadline = Deadline(options.deadline_ms)
-            sources = {attr: self._source_for(name, attr) for attr in _attributes(expression, by)}
-            codec = one_codec({source.bitmap_codec for source in sources.values()}, expression)
-            self._open_trace(item, options, stats, backend, codec)
+            item = self._dispatch_item(query)
+            self._dispatched(stats, item, backend)
             answer = run_query(
-                self._relations[name],
-                expression,
-                sources,
+                item.relation,
+                item.expression,
+                item.served,
                 stats,
-                finish,
-                by,
+                item.finish,
+                item.by,
                 algorithm=options.algorithm,
             )
             return self._finish(
-                item,
-                options,
-                stats,
-                answer,
-                lambda: time.perf_counter() - start,
-                backend,
-                codec,
-                record,
+                item, options, stats, answer, lambda: time.perf_counter() - start, backend, record
             )
 
     @staticmethod
-    def _open_trace(
-        item: tuple, options: QueryOptions, stats: ExecutionStats, backend: str, codec: str
-    ) -> None:
-        """Start the query's trace (when asked for) with ``engine.dispatch``.
-
-        Its labels derive from the query's shape
-        (:func:`~repro.query.expression.query_mode`), not the entry point.
-        """
-        if not options.trace:
-            return
-        name, expression, finish, by = item
-        stats.trace = QueryTrace(label=_label(item))
-        stats.trace.event(
-            "engine.dispatch",
-            kind="plan",
-            relation=name,
-            mode=query_mode(expression, finish),
-            backend=backend,
-            codec=codec,
-            attributes=_attributes(expression, by),
-        )
+    def _dispatched(stats: ExecutionStats, item: DispatchItem, backend: str) -> None:
+        """Open a traced query with ``engine.dispatch``, labelled by the
+        query's shape (:func:`~repro.query.expression.query_mode`), not
+        the entry point."""
+        if stats.trace is not None:
+            stats.trace.event(
+                "engine.dispatch",
+                kind="plan",
+                relation=item.relation.name,
+                mode=query_mode(item.expression, item.finish),
+                backend=backend,
+                codec=item.codec,
+                attributes=list(item.sources),
+            )
 
     def _finish(
         self,
-        item: tuple,
+        item: DispatchItem,
         options: QueryOptions,
         stats: ExecutionStats,
         answer,
         elapsed: Callable[[], float],
         backend: str,
-        codec: str,
         record: bool = True,
     ) -> QueryResult | AggregateResult:
         """The shared tail of every backend: verify → result → record.
@@ -868,8 +862,7 @@ class QueryEngine:
         here, or merged across shard workers; ``elapsed`` reads the
         latency to record once the answer is verified and wrapped.
         """
-        name, expression, finish, by = item
-        relation = self._relations[name]
+        relation, expression, finish, by = item.relation, item.expression, item.finish, item.by
         if options.verify:
             verify_answer(relation, expression, finish, by, answer)
         trace = stats.trace
@@ -897,9 +890,9 @@ class QueryEngine:
             self.metrics.record(
                 elapsed(),
                 stats,
-                relation=name,
+                relation=relation.name,
                 mode=query_mode(expression, finish),
-                codec=codec,
+                codec=item.codec,
                 backend=backend,
             )
         return result

@@ -31,9 +31,9 @@ written over that, so EXPLAIN's per-leaf prediction and the process
 backend's code-domain translation are callers, not copies of the walk.
 Connectives run through the counted operations of
 :mod:`repro.core.evaluation` — the one place an operation is charged,
-timed and run.  ``NOT`` over an index that tracks NULLs evaluates the De
-Morgan dual (:meth:`Expression.negated`): a NULL satisfies no predicate,
-negated or not.
+timed and run.  ``NOT`` and ``XOR`` over an index that tracks NULLs
+evaluate through the De Morgan dual (:meth:`Expression.negated`): a NULL
+satisfies no predicate, negated or not, so both follow Kleene logic.
 """
 
 from __future__ import annotations
@@ -153,6 +153,13 @@ def _index_for(indexes: dict[str, BitmapSource], attribute: str) -> BitmapSource
         raise InvalidPredicateError(
             f"no bitmap index for attribute {attribute!r}"
         ) from None
+
+
+def _tracks_nulls(expression: Expression, indexes: dict[str, BitmapSource]) -> bool:
+    """Whether an index under ``expression`` tracks NULLs, so that its
+    ``NOT`` and ``XOR`` must go through :meth:`Expression.negated`."""
+    sources = (indexes.get(name) for name in expression.attributes())
+    return any(source is not None and source.nonnull is not None for source in sources)
 
 
 #: ``NOT (A op v)`` is ``A COMPLEMENT[op] v`` on every row where A is known.
@@ -331,10 +338,19 @@ class Xor(_Binary):
 
     Evaluates as one compressed-domain XOR per codec — equivalent to
     ``(left OR right) ANDNOT (left AND right)`` but a single operation.
+    Over an index that tracks NULLs it evaluates
+    ``(left AND NOT right) OR (NOT left AND right)``, each ``NOT`` by
+    :meth:`Expression.negated`: a row is known true only when both sides
+    are known (Kleene logic), at two leaf walks per nesting level.
     """
 
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         stats = stats if stats is not None else ExecutionStats()
+        if _tracks_nulls(self, indexes):
+            exactly_one = Or(
+                And(self.left, self.right.negated()), And(self.left.negated(), self.right)
+            )
+            return exactly_one.bitmap(relation, indexes, stats, algorithm)
         a = self.left.bitmap(relation, indexes, stats, algorithm)
         b = self.right.bitmap(relation, indexes, stats, algorithm)
         return xor_(a, b, stats)
@@ -343,7 +359,8 @@ class Xor(_Binary):
         return self.left.mask(relation) ^ self.right.mask(relation)
 
     def negated(self):
-        return Xor(self.left.negated(), self.right)
+        both = And(self.left, self.right)
+        return Or(both, And(self.left.negated(), self.right.negated()))
 
     def __str__(self):
         return f"({self.left} xor {self.right})"
@@ -416,8 +433,7 @@ class Not(Expression):
 
     def bitmap(self, relation, indexes, stats=None, algorithm="auto"):
         stats = stats if stats is not None else ExecutionStats()
-        sources = (indexes.get(name) for name in self.attributes())
-        if any(s is not None and s.nonnull is not None for s in sources):
+        if _tracks_nulls(self, indexes):
             # A NULL satisfies no predicate, negated or not, and the
             # complement would bring back the rows the leaves masked out.
             return self.inner.negated().bitmap(relation, indexes, stats, algorithm)

@@ -155,18 +155,17 @@ def expression_leaves(constants: dict[str, tuple]):
     return st.one_of(per_attribute)
 
 
-def expression_trees(constants: dict[str, tuple], depth: int, xor: bool = True):
+def expression_trees(constants: dict[str, tuple], depth: int):
     """Expression trees of every node type, at most ``depth`` connectives
-    deep; ``xor=False`` leaves out ``Xor``, whose answer over NULLs is
-    known wrong (``test_expression.py`` pins it with a strict xfail)."""
+    deep."""
     if depth == 0:
         return expression_leaves(constants)
-    sub = expression_trees(constants, depth - 1, xor)
+    sub = expression_trees(constants, depth - 1)
     return st.one_of(
         sub,
         st.builds(And, sub, sub),
         st.builds(Or, sub, sub),
-        *([st.builds(Xor, sub, sub)] if xor else []),
+        st.builds(Xor, sub, sub),
         st.builds(Not, sub),
         st.builds(
             Threshold,

@@ -29,8 +29,9 @@ from repro.query.expression import (
 )
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
+from repro.storage import IndexStore
 
-from conftest import kleene
+from conftest import backend_engines, kleene
 
 
 @pytest.fixture
@@ -326,23 +327,29 @@ NOT_DUALS = [
 ]
 
 
+def nullable_relation():
+    """``t(a, b)`` with NULLs in both attributes: the relation, its known-row
+    masks, and NULL-tracking indexes over it."""
+    rng = np.random.default_rng(5)
+    relation = Relation.from_dict(
+        "t", {"a": rng.integers(0, 10, 400), "b": rng.integers(0, 4, 400)}
+    )
+    known = {"a": rng.random(400) >= 0.15, "b": rng.random(400) >= 0.15}
+    indexes = {
+        name: BitmapIndex(
+            relation.column(name).codes,
+            relation.column(name).cardinality,
+            nulls=~known[name],
+        )
+        for name in known
+    }
+    return relation, known, indexes
+
+
 class TestNotOverNulls:
     @pytest.fixture
     def nullable(self):
-        rng = np.random.default_rng(5)
-        relation = Relation.from_dict(
-            "t", {"a": rng.integers(0, 10, 400), "b": rng.integers(0, 4, 400)}
-        )
-        known = {"a": rng.random(400) >= 0.15, "b": rng.random(400) >= 0.15}
-        indexes = {
-            name: BitmapIndex(
-                relation.column(name).codes,
-                relation.column(name).cardinality,
-                nulls=~known[name],
-            )
-            for name in known
-        }
-        return relation, known, indexes
+        return nullable_relation()
 
     @staticmethod
     def rids(text, relation, indexes, codec):
@@ -383,11 +390,6 @@ class TestNotOverNulls:
         assert answer == np.nonzero(true)[0].tolist()
         assert answer == self.rids(dual, relation, indexes, codec)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="xor counts a NULL side as false: a row with one side NULL and "
-        "the other true is selected, where Kleene logic leaves it unknown",
-    )
     def test_xor_of_two_nullable_attributes_follows_kleene_logic(self, nullable):
         relation, known, indexes = nullable
         text = "a <= 4 xor b = 1"
@@ -434,3 +436,50 @@ class TestNotOverNulls:
                     shard.release()
             for export in exports.values():
                 export.close()
+
+
+class TestXorOverNullsOnEveryBackend:
+    """``xor`` and its ``not`` follow Kleene logic on every backend and codec,
+    over in-memory NULL-tracking indexes and over a store whose append put
+    a NULL in each attribute."""
+
+    TEXTS = ("a <= 4 xor b = 1", "not (a <= 4 xor b = 1)")
+
+    @classmethod
+    def check(cls, engine, relation, known):
+        truths = [
+            np.nonzero(kleene(parse_expression(text), relation, known)[0])[0]
+            for text in cls.TEXTS
+        ]
+        for result, truth in zip(engine.query_batch(list(cls.TEXTS)), truths):
+            assert np.array_equal(result.rids, truth)
+        for text, truth in zip(cls.TEXTS, truths):
+            assert engine.count(text).count == len(truth), text
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("backend", ("inline", "threads", "processes"))
+    def test_in_memory(self, backend, codec):
+        relation, known, indexes = nullable_relation()
+        with backend_engines(relation, (backend,), codec=codec, max_workers=2) as (engine,):
+            for name, index in indexes.items():
+                engine.registry.get_or_build(("t", name), lambda index=index: index)
+            self.check(engine, relation, known)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    @pytest.mark.parametrize("backend", ("inline", "threads", "processes"))
+    def test_store_backed(self, tmp_path, backend, codec):
+        relation, _, _ = nullable_relation()
+        tail = {"a": np.array([2, 7, 1, 4]), "b": np.array([1, 1, 0, 3])}
+        nulls = {
+            "a": np.array([True, False, False, True]),
+            "b": np.array([False, True, False, True]),
+        }
+        with IndexStore(str(tmp_path)) as store:
+            store.build(relation, codec=codec)
+            store.append("t", tail, nulls=nulls)
+        grown = {name: np.append(relation.column(name).values, tail[name]) for name in tail}
+        known = {name: np.append(np.ones(relation.num_rows, bool), ~nulls[name]) for name in tail}
+        with backend_engines(
+            backends=(backend,), storage=IndexStore(str(tmp_path)), max_workers=2
+        ) as (engine,):
+            self.check(engine, Relation.from_dict("t", grown), known)

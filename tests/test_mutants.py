@@ -22,6 +22,7 @@ import test_aggregation
 import test_cost_properties
 import test_costmodel
 import test_differential
+import test_expression
 import test_oracle
 import test_query
 import test_roaring
@@ -205,11 +206,11 @@ def test_m13_xor_computes_or(monkeypatch):
     assert_killed(oracle_machine)
 
 
-def test_m14_aggregate_without_the_measure_nonnull(monkeypatch):
+def test_m14_aggregate_without_the_measure_nonnull(monkeypatch, tmp_path):
     """An aggregate reads only the rows whose measure is known."""
     loose = mutant(expression._finish, "bitmap = and_(bitmap, source.nonnull, stats)", "pass")
     monkeypatch.setattr(expression, "_finish", loose)
-    assert_killed(oracle_machine)
+    assert_killed(test_aggregation.test_store_backed_aggregates_with_nulls, tmp_path, "wah")
 
 
 def test_m15_empty_shards_vote_in_min_max(monkeypatch):
@@ -296,3 +297,21 @@ def test_m23_append_without_the_write_lock(monkeypatch, tmp_path):
     monkeypatch.setattr(IndexStore, "append", unlocked)
     race = test_store.TestConcurrentWriters()
     assert_killed(race.test_appends_racing_appends_all_land, str(tmp_path / "indexes"))
+
+
+def test_m24_drop_leaves_the_served_source(monkeypatch):
+    """Dropping an attribute's index retires its served source with it."""
+    kept = mutant(QueryEngine._drop, "self._served.pop((name, attribute), None)", "pass")
+    monkeypatch.setattr(QueryEngine, "_drop", kept)
+    reregistration = test_query.TestReRegistration()
+    assert_killed(reregistration.test_reregistered_relation_answers_from_its_own_columns)
+
+
+def test_m25_xor_ignores_nulls(monkeypatch):
+    """``xor`` over NULL-tracking indexes is known true only where both
+    sides are known."""
+    blind = mutant(expression.Xor.bitmap, "if _tracks_nulls(self, indexes):", "if False:")
+    monkeypatch.setattr(expression.Xor, "bitmap", blind)
+    nulls = test_expression.TestNotOverNulls()
+    kleene = nulls.test_xor_of_two_nullable_attributes_follows_kleene_logic
+    assert_killed(kleene, test_expression.nullable_relation())

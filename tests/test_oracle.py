@@ -147,7 +147,7 @@ class TableMachine(RuleBasedStateMachine):
                 base={name: spec.base for name, spec in designs.items()},
                 encoding={name: spec.encoding for name, spec in designs.items()},
             )
-        trees = expression_trees({name: CONSTANTS[name] for name in designs}, 2, xor=False)
+        trees = expression_trees({name: CONSTANTS[name] for name in designs}, 2)
         measures = st.sampled_from(list(designs))
         columns = {name: COLUMNS[name] for name in designs}
         known = {name: np.ones(NUM_ROWS, dtype=bool) for name in designs}
