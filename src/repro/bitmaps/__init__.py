@@ -9,14 +9,15 @@ protocol and looks a representation up by name in the one registry,
 words) and ``"roaring"`` (:class:`~repro.bitmaps.roaring.RoaringBitmap`,
 adaptive containers per 2^16-row chunk).
 
-Besides the shared algebra every class answers the same five names:
+Besides the shared algebra every class answers the same six names:
 ``codec`` (its registry key), ``from_bitvector`` / ``to_bitvector``
-(through the dense form; the identity on ``BitVector``) and ``to_payload``
+(through the dense form; the identity on ``BitVector``), ``to_payload``
 / ``from_payload(buf, nbits)`` (the stored bytes of ``.rbix`` files,
 shared-memory shard segments and Section 9 scheme files, and the only
 writer and reader of a class's bytes; a payload whose own length field
 disagrees with ``nbits``, or that sets a bit at or past ``nbits``, is
-rejected).  Two private names
+rejected) and ``payload_version`` (the revision of that format, which
+``.rbix`` files record per attribute when it is past 1).  Two private names
 serve the index store's writer, which builds no bitmap at all:
 ``_layout(column)`` lays a column of per-row values out in the class's
 word geometry, and ``_pack(members, nbits)`` packs a comparison over that
@@ -49,6 +50,7 @@ class Bitmap(Protocol):
     """
 
     codec: ClassVar[str]
+    payload_version: ClassVar[int]
 
     @property
     def nbits(self) -> int: ...

@@ -125,6 +125,8 @@ class BitVector:
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "dense"
+    #: Revision of the :meth:`to_payload` format this class reads and writes.
+    payload_version: ClassVar[int] = 1
 
     def __init__(self, nbits: int, words: np.ndarray | None = None):
         if nbits < 0:

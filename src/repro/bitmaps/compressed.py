@@ -90,6 +90,8 @@ class WahBitVector:
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "wah"
+    #: Revision of the :meth:`to_payload` format this class reads and writes.
+    payload_version: ClassVar[int] = 1
 
     def __init__(self, runs: Runs, nbits: int):
         #: Canonical ``(values, ends)`` from :mod:`repro.bitmaps.wah` unless

@@ -95,9 +95,13 @@ number of *set bits*, which is exactly the regime the
 :class:`RoaringBitmap` mirrors the algebra surface of ``BitVector`` and
 ``WahBitVector``, so the evaluation algorithms, the storage schemes and
 the query engine serve it unchanged as a third backend.  The stored form
-(:meth:`~RoaringBitmap.to_payload`, the one writer of Roaring bytes; read
-only by :meth:`~RoaringBitmap.from_payload`) is self-describing and
-validated on read: truncated, overlong, or internally inconsistent
+(:meth:`~RoaringBitmap.to_payload`, the one writer of Roaring bytes) is
+the six arrays back to back, little-endian, in three parts each padded
+with zeros to a multiple of 8 bytes: an 18-byte header; ``keys`` (u2),
+``kinds`` (u1) and ``counts`` (u4: ``sizes``, but a bitmap container's
+cardinality); the ``words``, ``array`` and ``runs`` pools.
+:meth:`~RoaringBitmap.from_payload` takes all six as views of its buffer,
+validated in batch: truncated, overlong, or internally inconsistent
 payloads raise :class:`~repro.errors.CorruptFileError` rather than
 crashing or decoding to a wrong answer.
 """
@@ -134,18 +138,15 @@ BITMAP_NBYTES = BITMAP_WORDS * 8
 ARRAY, BITMAP, RUN = 0, 1, 2
 
 _KIND_NAMES = np.array(["array", "bitmap", "run"])
-#: Pool bytes per unit of ``sizes``, by kind.
-_UNIT_NBYTES = np.array([2, BITMAP_NBYTES, 4])
 #: In place of a kind: a sealed row that turned out empty.
 _NOTHING = 3
 
-# header: magic(4) version(B) reserved(B) nbits(Q) ncontainers(I)
-_HEADER = struct.Struct("<4sBBQI")
-# per container: key(H) kind(B) count(I)
-_CONTAINER_HEADER = struct.Struct("<HBI")
-_CONTAINER_DTYPE = np.dtype([("key", "<u2"), ("kind", "u1"), ("count", "<u4")])
+# header: magic(4) version(B) reserved(B) nbits(Q) ncontainers(I) padding(6s)
+_HEADER = struct.Struct("<4sBBQI6s")
 _MAGIC = b"ROAR"
-_VERSION = 1
+_VERSION = 2
+#: Stored bytes per container: key (u2), kind (u1) and count (u4).
+_ENTRY_NBYTES = 7
 
 _ONE, _SIX3 = np.uint64(1), np.uint64(63)
 _LOW = CHUNK_SIZE - 1
@@ -182,10 +183,25 @@ def _require(holds, problem: str, *args) -> None:
     """An invariant of a payload being read: corrupt unless it ``holds``.
 
     ``problem`` is formatted with ``args`` only when the check fails, so a
-    passing check pays for no message (reads run these per container).
+    passing check pays for no message.
     """
     if not holds:
         raise CorruptFileError("roaring " + problem.format(*args))
+
+
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of 8."""
+    return nbytes + -nbytes % 8
+
+
+def _offsets(ncontainers: int, nrows: int = 0, nvalues: int = 0, nruns: int = 0) -> tuple:
+    """Offsets in the stored form: the directory's end, the ``words``,
+    ``array`` and ``runs`` pools' starts, and the pools' end."""
+    directory = _HEADER.size + _ENTRY_NBYTES * ncontainers
+    words_at = _aligned(directory)
+    array_at = words_at + BITMAP_NBYTES * nrows
+    runs_at = array_at + 2 * nvalues
+    return directory, words_at, array_at, runs_at, runs_at + 4 * nruns
 
 
 def _ranges(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -622,6 +638,8 @@ class RoaringBitmap:
 
     #: Name of this representation in :data:`repro.bitmaps.BITMAP_CLASSES`.
     codec: ClassVar[str] = "roaring"
+    #: Revision of the :meth:`to_payload` format this class reads and writes.
+    payload_version: ClassVar[int] = _VERSION
 
     def __init__(self, nbits: int, containers: _Containers):
         self._nbits = nbits
@@ -731,12 +749,14 @@ class RoaringBitmap:
 
         The accounting hook of byte-budget caches
         (:class:`~repro.engine.cache.SharedBitmapCache`): the three
-        container arrays and the three pools, plus the fixed header of the
-        stored form as the per-bitmap allowance — which makes it the length
-        of :meth:`to_payload`.  A loose result seals first, so the size is
-        constant once sealed, which a cached bitmap always is.
+        container arrays and the three pools, plus the fixed header and
+        the padding of the stored form as the per-bitmap allowance — which
+        makes it the length of :meth:`to_payload`.  A loose result seals
+        first, so the size is constant once sealed, which a cached bitmap
+        always is.
         """
-        return _HEADER.size + sum(field.nbytes for field in self._sealed()[:6])
+        keys, _, _, array, runs, words, _ = self._sealed()
+        return _aligned(_offsets(len(keys), len(words), len(array), len(runs))[-1])
 
     def count(self) -> int:
         """Population count: array sizes, run lengths and word popcounts."""
@@ -909,89 +929,68 @@ class RoaringBitmap:
     # ------------------------------------------------------------------
 
     def to_payload(self) -> bytes:
-        """The stored form: a self-describing byte payload, sealed first."""
+        """The stored form, sealed first: the six arrays back to back."""
         held = self._sealed()
-        heads = np.zeros(len(held.keys), dtype=_CONTAINER_DTYPE)
-        heads["key"], heads["kind"], heads["count"] = held.keys, held.kinds, held.sizes
-        heads["count"][held.kinds == BITMAP] = _count_bits(held.words, axis=1)
-        head = memoryview(heads.tobytes())
-        pools = [
-            memoryview(pool.astype(stored, copy=False).tobytes())
-            for pool, stored in ((held.array, "<u2"), (held.words, "<u8"), (held.runs, "<u2"))
-        ]
-        widths = (held.sizes * _UNIT_NBYTES[held.kinds]).tolist()
-        parts = [_HEADER.pack(_MAGIC, _VERSION, 0, self._nbits, len(widths))]
-        cursor = [0, 0, 0]
-        # Records alternate and vary in length: one slice pair per container.
-        for i, (kind, width) in enumerate(zip(held.kinds.tolist(), widths)):
-            parts.append(head[i * heads.itemsize : (i + 1) * heads.itemsize])
-            parts.append(pools[kind][cursor[kind] : cursor[kind] + width])
-            cursor[kind] += width
-        return b"".join(parts)
+        keys, kinds, sizes, array, runs, words, _ = held
+        counts = sizes.astype("<u4")
+        counts[kinds == BITMAP] = _count_bits(words, axis=1)
+        directory, words_at, *_, end = _offsets(len(keys), len(words), len(array), len(runs))
+        return b"".join(
+            (
+                _HEADER.pack(_MAGIC, _VERSION, 0, self._nbits, len(keys), b""),
+                keys.astype("<u2", copy=False), kinds, counts, bytes(words_at - directory),
+                words.astype("<u8", copy=False), array.astype("<u2", copy=False),
+                runs.astype("<u2", copy=False), bytes(_aligned(end) - end),
+            )
+        )  # fmt: skip
 
     @classmethod
     def from_payload(cls, buf, nbits: int) -> "RoaringBitmap":
-        """Inverse of :meth:`to_payload`; validates every structural invariant.
+        """Inverse of :meth:`to_payload`: the six arrays as uncopied views of
+        ``buf`` — any bytes-like buffer, an mmap'd file region or a
+        shared-memory segment included — which the bitmap keeps alive and
+        never writes to.
 
         Raises :class:`~repro.errors.CorruptFileError` on truncated, overlong,
         or internally inconsistent payloads — a corrupt stored bitmap must
         never decode to a silently wrong answer — and on a payload that
         declares another length than ``nbits``, here instead of surfacing
-        later as a length mismatch, or never.  ``buf`` may be any
-        bytes-like buffer; nothing of it is kept.
+        later as a length mismatch, or never.
         """
         blob = memoryview(buf)
         size = len(blob)
-        _require(size >= _HEADER.size, "payload shorter than its header")
-        magic, version, _, declared, ncontainers = _HEADER.unpack_from(blob)
+        magic = bytes(blob[:4])
         _require(magic == _MAGIC, "payload has bad magic {!r}", magic)
+        version = blob[4] if size > 4 else None
         _require(version == _VERSION, "payload has unsupported version {}", version)
+        _require(size >= _HEADER.size, "payload shorter than its header")
+        _, _, _, declared, ncontainers, padding = _HEADER.unpack_from(blob)
         _require(declared == nbits, "payload declares {} bits; {} expected", declared, nbits)
-        nchunks = _num_chunks(nbits)
-        _require(
-            ncontainers <= nchunks,
-            "payload declares {} containers for {} bits ({} chunks)",
-            ncontainers,
-            nbits,
-            nchunks,
+        _require(size >= _offsets(ncontainers)[1], "payload truncated in its container directory")
+        keys, kinds, counts = (
+            np.frombuffer(blob, stored, ncontainers, _HEADER.size + at * ncontainers)
+            for stored, at in (("<u2", 0), ("u1", 2), ("<u4", 3))
         )
-        # The one walk: container headers sit at data-dependent offsets.
-        # Each body is sliced, uncopied, onto the list of its kind.
-        heads = []
-        bodies: tuple[list, list, list] = ([], [], [])
-        offset = _HEADER.size
-        for _ in range(ncontainers):
-            _require(size >= offset + _CONTAINER_HEADER.size, "container header truncated")
-            key, kind, count = _CONTAINER_HEADER.unpack_from(blob, offset)
-            offset += _CONTAINER_HEADER.size
-            _require(kind <= RUN, "payload has unknown container kind {}", kind)
-            _require(count > 0, "payload contains an empty container")
-            width = BITMAP_NBYTES if kind == BITMAP else int(_UNIT_NBYTES[kind]) * count
-            if size < offset + width:  # naming the kind costs a numpy lookup
-                _require(False, "{} container truncated", _KIND_NAMES[kind])
-            heads.append((key, kind, count))
-            bodies[kind].append(blob[offset : offset + width])
-            offset += width
-        _require(offset == size, "payload has {} trailing bytes", size - offset)
-        keys, kinds, counts = np.array(heads, dtype=np.int64).reshape(-1, 3).T
+        kind = kinds.max(initial=ARRAY)
+        _require(kind <= RUN, "payload has unknown container kind {}", kind)
+        _require(counts.all(), "payload contains an empty container")
+        # Each pool's length follows from the directory, and so does the
+        # payload's: nothing may be missing or left over.
+        sizes = np.where(kinds == BITMAP, 1, counts)
+        nvalues, nrows, nruns = np.bincount(kinds, sizes, 3).astype(np.int64).tolist()
+        directory, words_at, array_at, runs_at, end = _offsets(ncontainers, nrows, nvalues, nruns)
+        _require(size == _aligned(end), "payload holds {} bytes; {} expected", size, _aligned(end))
+        padding += bytes(blob[directory:words_at]) + bytes(blob[end:])
+        _require(not any(padding), "payload has nonzero padding")
+        # Strictly increasing keys below the chunk count: no more
+        # containers than chunks.
         _require(not (keys[1:] <= keys[:-1]).any(), "container keys not strictly increasing")
-        _require(
-            not (keys[-1:] >= nchunks).any(),
-            "container key {} out of range for {} bits",
-            keys[-1:],
-            nbits,
-        )
-        # One copy: each kind's bodies, joined, are that kind's pool.
-        array, words, runs = (
-            np.frombuffer(b"".join(bodies[kind]), dtype=stored).astype(native, copy=False)
-            for kind, stored, native in (
-                (ARRAY, "<u2", np.uint16), (BITMAP, "<u8", np.uint64), (RUN, "<u2", np.uint16),
-            )
-        )  # fmt: skip
-        sizes = np.where(kinds == BITMAP, 1, counts).astype(np.int32)
+        _require(not (keys[-1:] >= _num_chunks(nbits)).any(), "container key past {} bits", nbits)
         held = _Containers(
-            keys.astype(np.uint16), kinds.astype(np.uint8), sizes,
-            array, runs.reshape(-1, 2), words.reshape(-1, BITMAP_WORDS),
+            keys, kinds, sizes.astype(np.int32),
+            np.frombuffer(blob, "<u2", nvalues, array_at),
+            np.frombuffer(blob, "<u2", 2 * nruns, runs_at).reshape(-1, 2),
+            np.frombuffer(blob, "<u8", nrows * BITMAP_WORDS, words_at).reshape(-1, BITMAP_WORDS),
         )  # fmt: skip
         _validate(nbits, held, counts[kinds == BITMAP])
         return cls(nbits, held)

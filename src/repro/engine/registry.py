@@ -67,7 +67,10 @@ class IndexRegistry:
 
         Concurrent callers with the same key block on a per-key lock while
         one of them runs ``builder``; the rest then observe the memoized
-        result (classic double-checked locking, but with real locks).
+        result (classic double-checked locking, but with real locks).  A
+        build is kept only while its build lock is still the key's: one
+        that a :meth:`pop` overtook is returned to its caller but not
+        memoized, so it cannot outlive the invalidation.
         """
         with self._lock:
             value = self._indexes.get(key)
@@ -83,7 +86,8 @@ class IndexRegistry:
                     return value
             built = builder()
             with self._lock:
-                self._indexes[key] = built
+                if self._build_locks.get(key) is build_lock:
+                    self._indexes[key] = built
                 self.builds += 1
             return built
 

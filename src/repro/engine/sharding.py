@@ -23,10 +23,11 @@ The design rests on three invariants:
    :class:`multiprocessing.shared_memory.SharedMemory` block as an
    ``.rbix`` image — written by the index store's writer and served by
    its reader (:mod:`repro.storage.store`), so a segment and a store
-   file share one layout and one set of integrity checks.  Dense bitmaps
-   are zero-copy views of the block; WAH/Roaring blobs are decoded once
-   per worker and memoized.  Per query, only the tiny code-domain
-   payload and the result RIDs cross the process boundary.
+   file share one layout and one set of integrity checks.  Dense and
+   Roaring bitmaps are zero-copy views of the block, WAH blobs are
+   decoded, and each is read once per worker and memoized.  Per query,
+   only the tiny code-domain payload and the result RIDs cross the
+   process boundary.
 3. **Per-shard evaluation is the same algorithm on the same fetch
    pattern.**  The evaluation algorithms' fetch sequences depend only on
    the predicate, base, and encoding — never on the data — and every
@@ -420,7 +421,7 @@ class ShardExport:
 
 #: Process-local cache of attached shards, keyed by shared-memory name.
 #: Lives in each worker for the lifetime of the pool, so a shard is
-#: attached (and a compressed payload decoded) at most once per worker.
+#: attached (and each payload read) at most once per worker.
 _ATTACHED: dict[str, "_AttachedShard"] = {}
 _CLEANUP_REGISTERED = False
 
@@ -429,8 +430,8 @@ class _AttachedShard(StoreBitmapSource):
     """A worker-side bitmap source over one published shard.
 
     The index store's source over the segment's image, memoizing what it
-    decodes: dense bitmaps are zero-copy ``uint64`` views into the shared
-    block, WAH/Roaring payloads are decoded on first fetch.  Every fetch
+    reads: dense and Roaring bitmaps are zero-copy views into the shared
+    block, WAH payloads are decoded on first fetch.  Every fetch
     charges one scan, mirroring :meth:`BitmapIndex.fetch`, and the
     existence bitmap is read once, at attach.
 

@@ -17,7 +17,8 @@ from an ``mmap`` view the first time a query touches them:
                |   space-padded to a multiple of 8 bytes)     |
                |   first row, row count, payload length, and  |
                |   per attribute: cardinality, base, encoding,|
-               |   codec, value dictionary, and per-slot      |
+               |   codec, its payload version (past 1 only),  |
+               |   value dictionary, and per-slot             |
                |   [offset, length, crc] payload entries      |
     payload    +----------------------------------------------+
                | bitmap payloads, one per stored slot         |
@@ -336,6 +337,13 @@ class _RelationImage:
                 f"{self.path}: attribute {name!r} stored with unknown "
                 f"codec {codec!r}"
             )
+        # A missing key is version 1: files written before the key existed.
+        version, expected = m.get("payload_version", 1), bitmap_class(codec).payload_version
+        if version != expected:
+            raise CorruptFileError(
+                f"{self.path}: attribute {name!r} holds {codec} payloads of "
+                f"version {version}; this reader reads version {expected}"
+            )
         if len(components) != base.n:
             raise CorruptFileError(
                 f"{self.path}: attribute {name!r} has {len(components)} "
@@ -379,11 +387,11 @@ class _RelationImage:
     ):
         """Decode one payload entry in its stored codec, verifying its CRC.
 
-        A dense payload stays a zero-copy view of the buffer (mmap pages
-        or segment); the compressed codecs copy their (already small)
-        blobs out of it.  A payload whose own length field disagrees with
-        the image's row count is corrupt.  Returns the bitmap and the payload length
-        actually read.
+        A dense or Roaring payload stays a zero-copy view of the buffer
+        (mmap pages or segment); WAH copies its (already small) runs out
+        of it.  A payload whose own length field disagrees with the
+        image's row count is corrupt.  Returns the bitmap and the payload
+        length actually read.
         """
         off, length, crc = entry
         start = self.payload_start + off
@@ -1443,6 +1451,9 @@ def _relation_chunks(
             "components": components,
             "nonnull": nonnull_entry,
         }
+        version = bitmap_class(spec["codec"]).payload_version
+        if version > 1:  # version 1 is the missing key: dense and WAH files keep their bytes
+            meta_attrs[attr]["payload_version"] = version
     dictionary = json.dumps(
         {
             "relation": name,

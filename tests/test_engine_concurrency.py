@@ -9,6 +9,7 @@ queries must build each attribute's index exactly once.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine import IndexSpec, QueryEngine
+from repro.engine.registry import IndexRegistry
 from repro.errors import EngineConfigError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -156,6 +158,63 @@ class TestContention:
         assert engine.cache.evictions > 0
         assert len(engine.cache) <= 2
         assert_counters_consistent(engine)
+
+
+def blocked_build(registry: IndexRegistry):
+    """Make the next build of ``registry`` wait, once it has run, until
+    the returned ``release`` is set; ``built`` is set when it waits."""
+    built, release = threading.Event(), threading.Event()
+    original = registry.get_or_build
+
+    def get_or_build(key, builder):
+        def build():
+            value = builder()
+            registry.get_or_build = original  # only this one build waits
+            built.set()
+            assert release.wait(timeout=30)
+            return value
+
+        return original(key, build)
+
+    registry.get_or_build = get_or_build
+    return built, release
+
+
+class TestRacingDrop:
+    """A build that a drop overtakes is its caller's alone: the registry
+    forgets it, so the next query builds from what is registered now."""
+
+    def test_registry_keeps_no_build_its_key_lost_meanwhile(self):
+        registry = IndexRegistry()
+        built, release = blocked_build(registry)
+        got = []
+        builder = threading.Thread(target=lambda: got.append(registry.get_or_build("k", list)))
+        builder.start()
+        assert built.wait(timeout=30)
+        registry.pop("k")
+        release.set()
+        builder.join(timeout=30)
+        assert got == [[]]
+        assert "k" not in registry
+        assert registry.get_or_build("k", lambda: "new") == "new"
+
+    def test_reregistered_relation_answers_after_a_racing_build(self):
+        old = Relation.from_dict("t", {"a": np.arange(100) % 10})
+        new = Relation.from_dict("t", {"a": np.arange(100) % 5 + 5})
+        engine = QueryEngine(backend="inline")
+        engine.register(old)
+        built, release = blocked_build(engine.registry)
+        got = []
+        racer = threading.Thread(target=lambda: got.append(engine.count("a <= 4").count))
+        racer.start()
+        assert built.wait(timeout=30)
+        engine.register(new)
+        release.set()
+        racer.join(timeout=30)
+        assert len(got) == 1  # the query that started before the drop answered
+        assert ("t", "a") not in engine.registry
+        assert engine.count("a <= 4").count == 0
+        assert engine.count("a >= 5").count == 100
 
 
 class TestMetricsAndWarm:

@@ -22,6 +22,7 @@ import test_aggregation
 import test_cost_properties
 import test_costmodel
 import test_differential
+import test_engine_concurrency
 import test_expression
 import test_oracle
 import test_query
@@ -36,6 +37,7 @@ from repro.core.encoding import EncodingScheme
 from repro.engine import sharding
 from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
+from repro.engine.registry import IndexRegistry
 from repro.errors import VerificationError
 from repro.query import expression
 from repro.storage import IndexStore
@@ -315,3 +317,13 @@ def test_m25_xor_ignores_nulls(monkeypatch):
     nulls = test_expression.TestNotOverNulls()
     kleene = nulls.test_xor_of_two_nullable_attributes_follows_kleene_logic
     assert_killed(kleene, test_expression.nullable_relation())
+
+
+def test_m26_registry_keeps_a_build_a_drop_overtook(monkeypatch):
+    """A build whose key was popped while it ran is not memoized."""
+    unconditional = mutant(
+        IndexRegistry.get_or_build, "if self._build_locks.get(key) is build_lock:", "if True:"
+    )
+    monkeypatch.setattr(IndexRegistry, "get_or_build", unconditional)
+    race = test_engine_concurrency.TestRacingDrop()
+    assert_killed(race.test_reregistered_relation_answers_after_a_racing_build)

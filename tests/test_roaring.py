@@ -40,17 +40,27 @@ from repro.bitmaps.roaring import (
 from repro.engine.cache import SharedBitmapCache
 from repro.errors import CorruptFileError, LengthMismatchError
 
-_HEADER = struct.Struct("<4sBBQI")
-_CONTAINER = struct.Struct("<HBI")
+_HEADER = struct.Struct("<4sBBQI6s")
 
 
 def _payload(nbits: int, containers: list[tuple[int, int, int, bytes]]) -> bytes:
-    """Hand-assemble a roaring payload from (key, kind, count, body) tuples."""
-    parts = [_HEADER.pack(b"ROAR", 1, 0, nbits, len(containers))]
-    for key, kind, count, body in containers:
-        parts.append(_CONTAINER.pack(key, kind, count))
-        parts.append(body)
-    return b"".join(parts)
+    """Hand-assemble a roaring payload from (key, kind, count, body) tuples:
+    the header, every key, kind and count, then the bodies of the bitmap,
+    the array and the run containers (any other kind's last), each part
+    padded to 8 bytes."""
+    keys, kinds, counts, bodies = zip(*containers) if containers else ((), (), (), ())
+    directory = b"".join(
+        np.array(field, dtype=stored).tobytes()
+        for field, stored in ((keys, "<u2"), (kinds, "u1"), (counts, "<u4"))
+    )
+    pools = b"".join(
+        body
+        for rank in (BITMAP, ARRAY, RUN, 3)
+        for kind, body in zip(kinds, bodies)
+        if kind == rank
+    )
+    head = _HEADER.pack(b"ROAR", 2, 0, nbits, len(containers), b"") + directory
+    return b"".join(part + bytes(-len(part) % 8) for part in (head, pools))
 
 
 def _array_body(values: list[int]) -> bytes:
@@ -133,6 +143,14 @@ class TestRoundTrip:
         assert bitmap.to_bitvector() == vector
         assert np.array_equal(bitmap.to_bools(), bools)
 
+    def test_read_arrays_are_views_of_the_payload(self):
+        bitmap = _mixed_bitmap(np.random.default_rng(0))
+        buf = np.frombuffer(bitmap.to_payload(), dtype=np.uint8)
+        held = RoaringBitmap.from_payload(buf, bitmap.nbits)._containers
+        assert _kinds(bitmap) == ["array", "bitmap", "run"]
+        for name in ("keys", "kinds", "array", "runs", "words"):
+            assert np.shares_memory(buf, getattr(held, name)), name
+
     def test_empty_serializes_to_header_only(self):
         assert len(RoaringBitmap.zeros(1000).to_payload()) == _HEADER.size
 
@@ -213,7 +231,7 @@ class TestContainerSelection:
         assert merged.count() == 7000
         blob = merged.to_payload()
         # One run container with exactly one (start, length) pair.
-        assert len(blob) == _HEADER.size + _CONTAINER.size + 4
+        assert blob == _payload(CHUNK_SIZE, [(0, RUN, 1, _run_body([(0, 7000)]))])
 
     def test_run_count_decides_against_arrays(self):
         # 3000 runs of 2 bits: 6000 elements fit an array (12000 bytes
@@ -505,6 +523,8 @@ class TestAlgebra:
             "not": lambda a, b, c: ~a,
             "threshold": lambda a, b, c: RoaringBitmap.threshold_many([a, b, c], 2),
             "indices": lambda a, b, c: a.indices(),
+            "to_payload": lambda a, b, c: a.to_payload(),
+            "from_payload": lambda a, b, c: RoaringBitmap.from_payload(a.to_payload(), a.nbits),
         }
         few, many = operands(2), operands(16)
         assert many[0].num_containers == 8 * few[0].num_containers == 48
@@ -628,6 +648,28 @@ class TestCorruption:
         blob = RoaringBitmap.from_indices(100, [3, 5]).to_payload()
         with pytest.raises(CorruptFileError):
             RoaringBitmap.from_payload(blob + b"\x00", 100)
+
+    def test_nonzero_padding(self):
+        # 18 header bytes, 7 directory bytes, 2 pool bytes: each padded to 8.
+        blob = _payload(100, [(0, ARRAY, 1, _array_body([7]))])
+        assert RoaringBitmap.from_payload(blob, 100).indices().tolist() == [7]
+        for at in (18, 23, 31, 34, 39):
+            bad = bytearray(blob)
+            bad[at] = 1
+            with pytest.raises(CorruptFileError, match="padding"):
+                RoaringBitmap.from_payload(bytes(bad), 100)
+
+    @pytest.mark.parametrize("kind, count", [(ARRAY, 1000), (RUN, 2**32 - 1)])
+    def test_counts_imply_more_pool_bytes_than_held(self, kind, count):
+        blob = _payload(100, [(0, kind, count, _array_body([0, 1]))])
+        with pytest.raises(CorruptFileError, match="bytes"):
+            RoaringBitmap.from_payload(blob, 100)
+
+    def test_version_1_payload_names_its_version(self):
+        # Version 1 stored each container's key, kind and count before its body.
+        blob = struct.pack("<4sBBQIHBIH", b"ROAR", 1, 0, 100, 1, 0, ARRAY, 1, 7)
+        with pytest.raises(CorruptFileError, match="version 1"):
+            RoaringBitmap.from_payload(blob, 100)
 
 
 # A mixed-kind fixture bitmap for the fuzz tests: array + bitmap + run

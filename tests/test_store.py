@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import struct
 import time
 
 import numpy as np
@@ -901,6 +902,43 @@ class TestCorruptionDetection:
             with pytest.raises(CorruptFileError, match="payload"):
                 source.fetch(1, 2, ExecutionStats())
 
+    @staticmethod
+    def version_1(bitmap):
+        """A version-1 Roaring payload: each container's key, kind and
+        count before its body (here one array container)."""
+        values = bitmap.indices().astype("<u2")
+        head = struct.pack("<4sBBQIHBI", b"ROAR", 1, 0, bitmap.nbits, 1, 0, 0, len(values))
+        return head + values.tobytes()
+
+    def test_roaring_file_from_before_payload_version_2_is_refused_at_open(
+        self, store_dir, monkeypatch
+    ):
+        # Such a file records no payload version for its Roaring attribute,
+        # and its checksums hold.
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.bitmaps.RoaringBitmap, "payload_version", 1)
+            self.write_equality_file(store_dir, 200, "roaring", self.version_1)
+        with IndexStore(store_dir) as store:
+            with pytest.raises(CorruptFileError, match="payloads of version 1"):
+                store.bitmap_source("sales", "a")
+            (problem,) = store.verify("sales")
+            assert "payloads of version 1; this reader reads version 2" in problem
+            assert store.scrub() == ["sales"]
+            assert store.relations() == []
+        assert os.listdir(os.path.join(store_dir, ".quarantine")) == ["sales.rbix"]
+
+    def test_version_1_roaring_payload_is_corrupt_at_the_fetch(self, store_dir):
+        # The file records payload version 2, but a payload is version 1.
+        # Its checksum holds; the fetch refuses it.
+        self.write_equality_file(store_dir, 200, "roaring", self.version_1)
+        with IndexStore(store_dir) as store:
+            source = store.bitmap_source("sales", "a")
+            with pytest.raises(CorruptFileError, match="unsupported version 1"):
+                source.fetch(1, 2, ExecutionStats())
+        with repro.open_store(store_dir) as engine:
+            with pytest.raises(CorruptFileError, match="version 1"):
+                engine.query("a = 2")
+
     def test_zero_length_fill_words_are_still_accepted_at_the_fetch(self, store_dir):
         def with_empty_fills(bitmap):
             payload = bitmap.to_payload()
@@ -1218,10 +1256,10 @@ class TestFormatPin:
             "segment": "3038300f7773c2ea63cc1272dc89067bb5d76576bcad2b55c91533aa3f2cc48f",
         },
         "roaring": {
-            "rbix": "c57a5f12ae4cb34c21f8e7757eb67bf00ea2d0873f7e1503d74eaa750cd4841a",
-            "delta": "13b2bc65501ddc87598161ff8f043edfd4fa2e7e726a2963667941cc35acc7d2",
-            "compacted": "f33ecfaff935e92cc950aadf9ae408cba2d3d823cc6c86658732a760d71247f4",
-            "segment": "77a3b25db2f20797c2b3d82957135cdcceea335d059065e4601c6e2f61a0f94e",
+            "rbix": "6175234fcfe46ec71be2aea5544242ecde00c20d0ff623406c10f3b6f0251bbe",
+            "delta": "150a67b1b90a6017f91073892f8382614a77f2154903a6bd51628d1cdb3b46aa",
+            "compacted": "931113192978f905407e1380d3c42f72df1e7991675c053c2854a8a62fbecd1e",
+            "segment": "513a68f9c965970fa67e7c4ad0fbd7d6b4a404094809cfc01e98ad937ab8cabb",
         },
     }
     TABLE = "8474f4e7101fea508d2aa83c23889630128548c18c67feb9840a5fcfa60393c2"
