@@ -99,7 +99,8 @@ def make_relation(num_rows: int) -> Relation:
 
 def bench_threshold_kernel(engine: QueryEngine, relation: Relation) -> dict:
     """Native k-of-N kernel vs. the decode-count-reencode fallback."""
-    sources = {attr: engine._source_for("facts", attr)[1] for attr in ("a", "b", "c")}
+    record = engine.registration("facts")
+    sources = {attr: engine._source_for(record, attr)[1] for attr in ("a", "b", "c")}
     operands = [
         evaluate(sources["a"], Predicate("<=", 6)),
         evaluate(sources["b"], Predicate("<=", 6)),

@@ -5,10 +5,10 @@ the source adapter that fetches through it.
 wraps any bitmap source and keys every fetched bitmap by
 ``prefix + (source.version, component, slot)``, so a bitmap fetched
 before the source changed is never served after it.  The engine keeps
-one per served attribute, until its index is dropped, over its one
-:class:`SharedBitmapCache`, with prefix ``(relation, attribute, codec)``,
-so hot bitmaps of every relation compete for the same ``capacity``
-slots; a :class:`repro.storage.buffer.BufferPool` is a
+one per served attribute of a registration record, over its one
+:class:`SharedBitmapCache`, with prefix ``(relation, serial, attribute,
+codec)``, so hot bitmaps of every relation compete for the same
+``capacity`` slots; a :class:`repro.storage.buffer.BufferPool` is a
 :class:`CachedSource` over a cache of its own, preloaded with the
 Theorem 10.1 slots and closed to admission.
 
@@ -142,9 +142,10 @@ class SharedBitmapCache:
     def drop_group(self, group: str) -> int:
         """Evict every entry of one group (relation); returns how many.
 
-        The engine's invalidation path: after a registered relation's
-        data changes, its cached bitmaps are stale and must go, while
-        entries of other relations stay resident.  Dropped entries count
+        The engine calls it when a new registration record replaces
+        attributes of a relation, to free the old record's entries; no
+        answer depends on it, since every key carries the record's serial.
+        Entries of other relations stay resident.  Dropped entries count
         as evictions; the group's hit/miss history is preserved.
         """
         with self._lock:

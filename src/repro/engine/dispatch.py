@@ -185,8 +185,10 @@ class ProcessDispatch:
     def drop(self, relation: str, attribute: str | None = None) -> None:
         """Unlink a relation's publications (or one attribute's).
 
-        Called when the data changed (``invalidate``); the next dispatch
-        cuts them again from whatever source the engine then serves.
+        Called for the attributes a new registration record does not
+        carry, to free memory: a publication is reused only while it
+        :meth:`~repro.engine.sharding.ShardExport.serves` the source a
+        query resolved, so the next dispatch cuts it again regardless.
         """
         self._unpublish(
             lambda key: key[0] == relation and (attribute is None or key[1] == attribute)

@@ -1,13 +1,15 @@
 """A concurrent batch query engine over bitmap-indexed relations.
 
 :class:`QueryEngine` is the serving layer the engine-free door of
-:mod:`repro.query.executor` lacks: it registers relations once, builds each
-attribute's :class:`~repro.core.index.BitmapIndex` lazily behind a
-thread-safe :class:`~repro.engine.registry.IndexRegistry`, serves each
-attribute through one :class:`~repro.engine.cache.CachedSource` kept until
-the index is dropped, which routes every bitmap fetch through one shared
+:mod:`repro.query.executor` lacks: it keeps each registered relation as one
+:class:`~repro.engine.registry.Registration` record, builds each
+attribute's :class:`~repro.core.index.BitmapIndex` lazily behind the
+record's thread-safe :class:`~repro.engine.registry.IndexRegistry`, serves
+each attribute through one :class:`~repro.engine.cache.CachedSource` kept
+with it, which routes every bitmap fetch through one shared
 :class:`~repro.engine.cache.SharedBitmapCache`, and evaluates queries —
-single or batched — on a thread pool.
+single or batched — on a thread pool.  A query holds the record it
+resolved to the end, so it answers wholly from one registration.
 
 :meth:`QueryEngine.query` is the unified entry point: it accepts an
 :class:`~repro.query.predicate.AttributePredicate`, a boolean
@@ -61,7 +63,7 @@ from repro.core.encoding import EncodingScheme
 from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.engine.dispatch import DispatchItem, ProcessDispatch
 from repro.engine.metrics import EngineMetrics, prom_family
-from repro.engine.registry import IndexRegistry, IndexSpec
+from repro.engine.registry import IndexRegistry, IndexSpec, Registration
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
@@ -78,9 +80,9 @@ from repro.trace import ExplainReport, QueryTrace, build_explain_report
 
 class _Query(NamedTuple):
     """A query as an entry point hands it on: what to answer, over which
-    registered relation; :meth:`QueryEngine._dispatch_item` resolves it."""
+    registration of a relation; :meth:`QueryEngine._dispatch_item` resolves it."""
 
-    relation: str
+    registration: Registration
     expression: Expression
     finish: str
     by: str | None
@@ -166,7 +168,7 @@ class QueryEngine:
     retry:
         :class:`~repro.engine.resilience.RetryPolicy` governing process-
         backend recovery (``None`` = the default policy: 2 retries,
-        exponential backoff with seeded jitter).
+        exponential backoff on a fixed, seeded jitter schedule).
     breaker:
         :class:`~repro.engine.resilience.CircuitBreaker` keyed by
         relation; an open circuit routes that relation's process-backend
@@ -217,17 +219,11 @@ class QueryEngine:
         self.backend = backend
         self.shards = shards
         self.cache = SharedBitmapCache(cache_capacity, byte_budget=cache_bytes)
-        self.registry = IndexRegistry()
-        self._served: dict[tuple, CachedSource] = {}  # see ``_source_for``
-        self._served_lock = threading.Lock()
         self.metrics = EngineMetrics()
-        self._relations: dict[str, Relation] = {}
-        self._specs: dict[str, dict[str, IndexSpec]] = {}
-        self._default_relation: str | None = None
+        # name -> current record (the first is the default); ``_writing`` serializes writers.
+        self._registrations: dict[str, Registration] = {}
+        self._writing = threading.Lock()
         self.storage = storage
-        # relation -> the store generation its derived state was built at
-        # (None throughout when serving from memory).
-        self._generations: dict[str, int | None] = {}
         self.retry_policy = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.fault_plan = fault_plan
@@ -295,10 +291,10 @@ class QueryEngine:
         the spec for individual attributes.  Indexes are built lazily on
         first use — registration itself is cheap.
 
-        Registering a name again replaces its relation and specs: the
-        index and shard exports of every attribute whose relation object
-        or spec changed are dropped, with the relation's cached bitmaps;
-        attributes that did not change keep their indexes.
+        Registering a name again writes a new record of it: attributes
+        whose relation object and spec did not change keep their indexes
+        and served sources; queries already running answer from the
+        record they resolved.
         """
         if attributes is None:
             attributes = sorted(relation.columns)
@@ -314,29 +310,16 @@ class QueryEngine:
                     f"override for {attribute!r} which is not a served attribute"
                 )
             specs[attribute] = spec
-        name = relation.name
-        old_relation, old_specs = self._relations.get(name), self._specs.get(name, {})
-        self._relations[name] = relation
-        self._specs[name] = specs
-        self._generations[name] = self._generation(name)
-        self._drop(
-            name,
-            [
-                attribute
-                for attribute, spec in old_specs.items()
-                if old_relation is not relation or specs.get(attribute) != spec
-            ],
-        )
-        if self._default_relation is None:
-            self._default_relation = name
+        with self._writing:
+            self._write(relation, specs, self._generation(relation.name))
 
     def warm(self, relation: str | None = None) -> int:
         """Eagerly build every served index; returns how many are resident."""
-        names = list(self._relations) if relation is None else [relation]
-        for name in map(self._current, names):
-            for attribute in self._specs[name]:
-                self._index_for(name, attribute)
-        return len(self.registry)
+        names = list(self._registrations) if relation is None else [relation]
+        for record in map(self.registration, names):
+            for attribute in record.specs:
+                self._index_for(record, attribute)
+        return self._registry_snapshot()["indexes"]
 
     # ------------------------------------------------------------------
     # The unified query API
@@ -360,7 +343,7 @@ class QueryEngine:
         cache.  With ``options=QueryOptions(trace=True)`` the recorded
         :class:`~repro.trace.QueryTrace` rides on ``result.trace``.
         """
-        return self._run(query, "rids", None, relation, options)
+        return self._run(query, "rids", None, self.registration(relation), options)
 
     def count(
         self,
@@ -378,7 +361,7 @@ class QueryEngine:
         On the process backend each shard returns its local popcount and
         the merge is a summation.  Returns an :class:`AggregateResult`.
         """
-        return self._run(query, "count", None, relation, options)
+        return self._run(query, "count", None, self.registration(relation), options)
 
     def group_count(
         self,
@@ -399,7 +382,7 @@ class QueryEngine:
         maps each dictionary value (including zero-count ones) to its
         count; ``result.count`` is the sum over groups.
         """
-        return self._run(query, "group", by, relation, options)
+        return self._run(query, "group", by, self.registration(relation), options)
 
     def aggregate(
         self,
@@ -420,16 +403,16 @@ class QueryEngine:
         """
         if fn not in AGGREGATES:
             raise EngineConfigError(f"unknown aggregate {fn!r}; expected one of {AGGREGATES}")
-        name = self._current(relation)
-        self._spec_for(name, measure)  # raises if ``measure`` is not served
-        dictionary = self._relations[name].column(measure).dictionary
+        record = self.registration(relation)
+        self._spec_for(record, measure)  # raises if ``measure`` is not served
+        dictionary = record.relation.column(measure).dictionary
         if fn in ("sum", "avg") and affine(dictionary) is None:
             if not np.issubdtype(dictionary.dtype, np.number):
                 raise EngineConfigError(f"{fn} of {measure!r} needs numbers: {dictionary.dtype}")
-            result = self._run(query, "group", measure, name, options)
+            result = self._run(query, "group", measure, record, options)
             result.groups, result.value = None, sum(k * n for k, n in result.groups.items())
         else:
-            result = self._run(query, fn, measure, name, options)
+            result = self._run(query, fn, measure, record, options)
         if result.count == 0 and fn in ("avg", "min", "max"):
             raise EmptyFoundsetError(f"{fn.upper()} over an empty selection")
         if fn == "avg":
@@ -441,15 +424,14 @@ class QueryEngine:
         query,
         finish: str,
         by: str | None,
-        relation: str | None,
+        record: Registration,
         options: QueryOptions | None,
     ) -> QueryResult | AggregateResult:
-        """One query, one finish, on the engine's backend."""
+        """One query, one finish, over one registration, on the engine's backend."""
         options = options if options is not None else DEFAULT_OPTIONS
-        name = self._current(relation)
-        query = _Query(name, normalize_query(query), finish, by)
+        query = _Query(record, normalize_query(query), finish, by)
         if by is not None:
-            self._spec_for(name, by)  # raises if ``by`` is not served
+            self._spec_for(record, by)  # raises if ``by`` is not served
         if self.backend == "processes":
             return self._process_batch([query], options)[0]
         return self._execute(query, options)
@@ -475,7 +457,7 @@ class QueryEngine:
         batch: list[_Query] = []
         for item in queries:
             name, q = item if isinstance(item, tuple) else (relation, item)
-            batch.append(_Query(self._current(name), normalize_query(q), "rids", None))
+            batch.append(_Query(self.registration(name), normalize_query(q), "rids", None))
         if self.backend == "processes":
             return self._process_batch(batch, options)
         return self._local_batch(batch, options)
@@ -516,7 +498,7 @@ class QueryEngine:
         """
         options = options if options is not None else DEFAULT_OPTIONS
         options = options.with_(trace=True)
-        query = _Query(self._current(relation), normalize_query(query), "rids", None)
+        query = _Query(self.registration(relation), normalize_query(query), "rids", None)
         result = self._execute(query, options, record=False)
         item = self._dispatch_item(query)  # what the run was served from, and in
         mode = query_mode(item.expression)
@@ -543,7 +525,7 @@ class QueryEngine:
         """Engine-level metrics: queries, latency percentiles, cache, registry."""
         out = self.metrics.snapshot()
         out["cache"] = self.cache.snapshot()
-        out["registry"] = self.registry.snapshot()
+        out["registry"] = self._registry_snapshot()
         out["breaker"] = self.breaker.snapshot()
         return out
 
@@ -554,7 +536,7 @@ class QueryEngine:
         registry gauges (including the per-relation cache hit breakdown).
         """
         cache = self.cache.snapshot()
-        registry = self.registry.snapshot()
+        registry = self._registry_snapshot()
         lines = [self.metrics.snapshot_text().rstrip("\n")]
         for name, help_text, value in (
             ("cache_entries", "Bitmaps resident in the shared cache.", cache["size"]),
@@ -585,53 +567,70 @@ class QueryEngine:
         """Drop cached bitmaps and cache counters (indexes survive)."""
         self.cache.clear()
 
-    def invalidate(
-        self, relation: str | None = None, attribute: str | None = None
-    ) -> None:
+    def invalidate(self, relation: str | None = None, attribute: str | None = None) -> None:
         """Drop built indexes, cached bitmaps, and shard publications.
 
         ``relation`` narrows the drop to one relation (default: all
-        registered); ``attribute`` to one attribute of it.  Cached bitmaps
-        are evicted per relation (the cache groups by relation, not
+        registered); ``attribute`` to one attribute of it.  Each relation
+        gets a new record that carries nothing of what is dropped, and
+        its cached bitmaps are evicted (the cache groups by relation, not
         attribute).  The next query rebuilds what it reads.
 
         No correctness step needs this call; it only frees memory.
-        Registering a relation again drops what changed with it
-        (:meth:`register`); in-place maintenance of a served index
-        (``append`` / ``update`` / ``delete``) moves its ``version``,
-        which keys every cached bitmap and shard publication; and
-        mutations made *through the index store* (its ``build`` /
-        ``append`` / ``compact`` / ``quarantine``) move the store's
-        generation, so the next query drops the relation's derived state
-        by itself.
+        :meth:`register` drops what changed; in-place maintenance of a
+        served index (``append`` / ``update`` / ``delete``) moves its
+        ``version``, which keys every cached bitmap and shard publication;
+        and a mutation *through the index store* (``build`` / ``append`` /
+        ``compact`` / ``quarantine``) moves its generation, which the next
+        query catches up with (:meth:`registration`).
         """
-        names = (
-            [self._resolve(relation)] if relation is not None else list(self._relations)
-        )
+        names = [self._resolve(relation)] if relation is not None else list(self._registrations)
         for name in names:
-            self._drop(name, [attribute] if attribute is not None else list(self._specs[name]))
-            if attribute is None:
-                self._generations[name] = self._generation(name)
-                view = isinstance(self._relations[name], StoreRelation)
-                if view and self.storage.has(name):
-                    self._relations[name] = self.storage.relation_view(name)
+            self._renew(name, [attribute] if attribute is not None else None)
 
-    def _drop(self, name: str, attributes: list[str]) -> None:
-        """Forget what was built for ``attributes`` of relation ``name``:
-        their indexes, served sources and shard exports, and the relation's
-        cached bitmaps."""
-        if not attributes:
-            return
-        for attribute in attributes:
-            with self._served_lock:
-                self.registry.pop((name, attribute))
-                self._served.pop((name, attribute), None)
+    def _renew(self, name: str, dropped: list[str] | None = None, moved: bool = False) -> None:
+        """Write ``name``'s next record, carrying nothing of ``dropped`` (``None``:
+        all), nor anything if the store moved.  The generation is read before the
+        view, so a write between them leaves the record marked older and the next
+        query catches up again; ``moved`` skips a catch-up another caller made."""
+        with self._writing:
+            generation = self._generation(name)
+            old = self._registrations[name]
+            if moved and old.generation == generation:
+                return
+            new = old.relation
+            if dropped is None or generation != old.generation:
+                if isinstance(new, StoreRelation) and self.storage.has(name):
+                    new = self.storage.relation_view(name)
+            self._write(new, old.specs, generation, old.specs if dropped is None else dropped)
+
+    def _write(self, relation: Relation, specs: dict, generation: int | None, dropped=()) -> None:
+        """Swap in a record of ``relation`` at store ``generation``, carrying the
+        entries of each attribute not ``dropped`` whose relation object, spec and
+        generation did not change, then release the rest (for memory only: no
+        query reads another record).  The caller holds ``_writing``."""
+        name = relation.name
+        old = self._registrations.get(name)
+        same = old is not None and old.relation is relation and old.generation == generation
+        keep = [a for a in specs if same and a not in dropped and old.specs.get(a) == specs[a]]
+        # ``served`` first: an attribute served by then has its index memoized.
+        served = {a: old.served[a] for a in keep if a in old.served}
+        indexes = old.indexes.carry(keep) if old is not None else IndexRegistry()
+        self._registrations[name] = Registration(relation, specs, generation, indexes, served)
+        released = [attribute for attribute in (old.specs if old else ()) if attribute not in keep]
+        for attribute in released:
             self._dispatch.drop(name, attribute)
-        self.cache.drop_group(name)
+        if released:
+            self.cache.drop_group(name)
+
+    def _registry_snapshot(self) -> dict:
+        """:meth:`IndexRegistry.snapshot`'s counters, summed over the records."""
+        snapshots = [record.indexes.snapshot() for record in list(self._registrations.values())]
+        return {key: sum(s[key] for s in snapshots) for key in ("indexes", "builds", "reuses")}
 
     @property
     def relations(self) -> list[str]:
-        return list(self._relations)
+        return list(self._registrations)
 
     # ------------------------------------------------------------------
     # Internals
@@ -639,11 +638,11 @@ class QueryEngine:
 
     def _resolve(self, relation: str | None) -> str:
         if relation is None:
-            if self._default_relation is None:
+            if not self._registrations:
                 raise EngineConfigError("no relation registered with the engine")
-            return self._default_relation
-        if relation not in self._relations:
-            known = ", ".join(sorted(self._relations)) or "<none>"
+            return list(self._registrations)[0]
+        if relation not in self._registrations:
+            known = ", ".join(sorted(self._registrations)) or "<none>"
             raise EngineConfigError(
                 f"relation {relation!r} is not registered; registered: {known}"
             )
@@ -652,39 +651,38 @@ class QueryEngine:
     def _generation(self, name: str) -> int | None:
         return self.storage.generation(name) if self.storage is not None else None
 
-    def _current(self, relation: str | None) -> str:
-        """:meth:`_resolve`, then catch up with the index store.
+    def registration(self, relation: str | None = None) -> Registration:
+        """The current record of ``relation`` (default: the first registered).
 
         A store mutated since this engine last looked has moved to a new
-        generation; everything derived from the old one — memoized
-        sources, cached bitmaps, shard exports, the relation view — is
-        dropped here, before the query resolves any of it.
-        """
+        generation; a new record, carrying nothing derived from the old one,
+        is written here, before a query resolves any of it."""
         name = self._resolve(relation)
-        if self._generation(name) != self._generations[name]:
-            self.invalidate(name)
-        return name
+        if self._generation(name) != self._registrations[name].generation:
+            self._renew(name, moved=True)
+        return self._registrations[name]
 
-    def _spec_for(self, relation_name: str, attribute: str) -> IndexSpec:
+    @staticmethod
+    def _spec_for(record: Registration, attribute: str) -> IndexSpec:
         try:
-            return self._specs[relation_name][attribute]
+            return record.specs[attribute]
         except KeyError:
-            served = ", ".join(sorted(self._specs.get(relation_name, ())))
             raise EngineConfigError(
-                f"attribute {attribute!r} of relation {relation_name!r} is not "
-                f"served by the engine; served attributes: {served}"
+                f"attribute {attribute!r} of relation {record.relation.name!r} is not "
+                f"served by the engine; served attributes: {', '.join(sorted(record.specs))}"
             ) from None
 
-    def _index_for(self, relation_name: str, attribute: str):
-        """The bitmap source of one attribute: persisted or built in memory.
+    def _index_for(self, record: Registration, attribute: str):
+        """The bitmap source of one attribute of ``record``: persisted or
+        built in memory, once per record.
 
         A store that holds the attribute wins — its lazy source is
         registered in place of an in-memory index, so only touched
         payloads are ever read.  Otherwise the index is built from the
         relation's raw column codes.
         """
-        spec = self._spec_for(relation_name, attribute)
-        relation = self._relations[relation_name]
+        spec = self._spec_for(record, attribute)
+        relation, relation_name = record.relation, record.relation.name
         storage = self.storage
 
         def build():
@@ -706,33 +704,29 @@ class QueryEngine:
                 keep_values=False,
             )
 
-        return self.registry.get_or_build((relation_name, attribute), build)
+        return record.indexes.get_or_build(attribute, build)
 
-    def _codec_for(self, relation_name: str, attribute: str, index) -> str:
+    def _codec_for(self, record: Registration, attribute: str, index) -> str:
         """The codec ``index``, the attribute's source, is served in: its
         spec's, else the one its bitmaps are stored in (serving the stored
         representation keeps fetches zero-copy), else the engine's."""
-        codec = self._specs[relation_name][attribute].codec
+        codec = record.specs[attribute].codec
         return bitmap_class(codec or getattr(index, "stored_codec", None) or self.codec).codec
 
-    def _source_for(self, relation_name: str, attribute: str) -> tuple:
-        """``(index, served)``: the attribute's source as the registry holds
+    def _source_for(self, record: Registration, attribute: str) -> tuple:
+        """``(index, served)``: the attribute's source as ``record`` holds
         it (one lookup a query), and its cache-routed source, built on first
-        use in the codec :meth:`_codec_for` gives and kept until
-        :meth:`_drop` retires it — so ``B_nn`` is read once per version."""
-        key = (relation_name, attribute)
-        index = self._index_for(relation_name, attribute)
-        served = self._served.get(key)
+        use in the codec :meth:`_codec_for` gives and kept with the record —
+        so ``B_nn`` is read once per version.  Its cache keys start with the
+        record's serial, so no two registrations share one."""
+        index = self._index_for(record, attribute)
+        served = record.served.get(attribute)
         if served is None:
-            codec = self._codec_for(relation_name, attribute, index)
-            served = CachedSource(
-                index.with_codec(codec), self.cache, key + (codec,), lambda: self.fault_plan
-            )
-            with self._served_lock:
-                # Kept only while ``index`` is still the registry's: a
-                # ``_drop`` that raced this build must not be undone.
-                if self.registry.peek(key) is index:
-                    served = self._served.setdefault(key, served)
+            codec = self._codec_for(record, attribute, index)
+            prefix = (record.relation.name, record.serial, attribute, codec)
+            fetched = index.with_codec(codec)
+            source = CachedSource(fetched, self.cache, prefix, lambda: self.fault_plan)
+            served = record.served.setdefault(attribute, source)
         return index, served
 
     # ------------------------------------------------------------------
@@ -785,12 +779,12 @@ class QueryEngine:
     def _dispatch_item(self, query: _Query) -> DispatchItem:
         """The one resolution of a query, for every backend and EXPLAIN (the
         process dispatch never reaches back into the engine)."""
-        name, expression, finish, by = query
+        record, expression, finish, by = query
         sources, served = {}, {}
         for attribute in sorted(expression.attributes() | ({by} if by else set())):
-            sources[attribute], served[attribute] = self._source_for(name, attribute)
+            sources[attribute], served[attribute] = self._source_for(record, attribute)
         codec = one_codec({source.bitmap_codec for source in served.values()}, expression)
-        return DispatchItem(self._relations[name], sources, served, codec, expression, finish, by)
+        return DispatchItem(record.relation, sources, served, codec, expression, finish, by)
 
     # ------------------------------------------------------------------
     # The one execution pipeline

@@ -1,22 +1,25 @@
-"""A thread-safe, build-once registry of bitmap indexes.
+"""A registration record and its thread-safe, build-once registry of indexes.
 
 The engine builds each attribute's :class:`~repro.core.index.BitmapIndex`
-lazily, on the first query that touches the attribute, and memoizes it for
-every later query.  Building an index over a large column is expensive
-(seconds at warehouse scale), so the registry guarantees that concurrent
-first queries on the same attribute trigger exactly one build: a per-key
-build lock serializes builders for the same key while builds for
-*different* keys proceed in parallel.
+lazily, on the first query that touches the attribute, and memoizes it in
+its :class:`Registration`'s registry for every later query.  Building an
+index over a large column is expensive (seconds at warehouse scale), so the
+registry guarantees that concurrent first queries on the same attribute
+trigger exactly one build: a per-key build lock serializes builders for the
+same key while builds for *different* keys proceed in parallel.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.decomposition import Base, integer_nth_root_ceil
 from repro.core.encoding import EncodingScheme
+from repro.engine.cache import CachedSource
+from repro.relation.relation import Relation
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,7 @@ class IndexRegistry:
 
         Concurrent callers with the same key block on a per-key lock while
         one of them runs ``builder``; the rest then observe the memoized
-        result (classic double-checked locking, but with real locks).  A
-        build is kept only while its build lock is still the key's: one
-        that a :meth:`pop` overtook is returned to its caller but not
-        memoized, so it cannot outlive the invalidation.
+        result (classic double-checked locking, but with real locks).
         """
         with self._lock:
             value = self._indexes.get(key)
@@ -86,35 +86,23 @@ class IndexRegistry:
                     return value
             built = builder()
             with self._lock:
-                if self._build_locks.get(key) is build_lock:
-                    self._indexes[key] = built
+                self._indexes[key] = built
                 self.builds += 1
             return built
 
-    def pop(self, key: Hashable) -> object | None:
-        """Forget the memoized value for ``key`` (``None`` if absent).
-
-        The next :meth:`get_or_build` for the key runs its builder again —
-        the invalidation half of the memoization contract, used by the
-        engine when a registered relation's data changes.
-        """
+    def carry(self, keys: list[Hashable]) -> IndexRegistry:
+        """A new registry holding this one's memoized values for ``keys``
+        (those built) and its build/reuse counters."""
+        carried = IndexRegistry()
         with self._lock:
-            self._build_locks.pop(key, None)
-            return self._indexes.pop(key, None)
+            carried._indexes = {key: self._indexes[key] for key in keys if key in self._indexes}
+            carried.builds, carried.reuses = self.builds, self.reuses
+        return carried
 
     def peek(self, key: Hashable) -> object | None:
         """The memoized value for ``key`` without building (``None`` if absent)."""
         with self._lock:
             return self._indexes.get(key)
-
-    def keys(self) -> list[Hashable]:
-        """Keys with a memoized value, in insertion order."""
-        with self._lock:
-            return list(self._indexes)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._indexes)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -128,3 +116,21 @@ class IndexRegistry:
                 "builds": self.builds,
                 "reuses": self.reuses,
             }
+
+
+_serials = itertools.count()
+
+
+@dataclass(eq=False)
+class Registration:
+    """One registration of a relation, which every query that resolves it
+    reads whole: the relation, specs and store ``generation`` (``None`` from
+    memory), a process-unique ``serial`` for cache keys, and the build-once
+    memo of each attribute's ``indexes`` entry and ``served`` source."""
+
+    relation: Relation
+    specs: dict[str, IndexSpec]
+    generation: int | None
+    indexes: IndexRegistry = field(default_factory=IndexRegistry)
+    served: dict[str, CachedSource] = field(default_factory=dict)
+    serial: int = field(default_factory=_serials.__next__)

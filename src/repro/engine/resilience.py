@@ -7,9 +7,11 @@ publications can be torn, the pool itself can break.  Recovery must be
 module holds the two policy objects the engine consults:
 
 - :class:`RetryPolicy` — how many times to retry a failed dispatch and
-  how long to wait between attempts: exponential backoff with seeded
-  jitter, so concurrent engines do not retry in lockstep while tests
-  stay deterministic.
+  how long to wait between attempts: exponential backoff scaled by a
+  fixed, seeded schedule of jitter factors.  Every recovery episode of
+  every engine with the same ``seed`` sleeps the same schedule, so tests
+  stay deterministic; the jitter does not spread concurrent engines'
+  retries apart (give each engine its own ``seed`` for that).
 - :class:`CircuitBreaker` — per-key (the engine keys by relation)
   failure accounting.  After ``failure_threshold`` consecutive failures
   the circuit *opens*: the engine stops sending that relation's queries
@@ -37,13 +39,15 @@ HALF_OPEN = "half-open"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic (seeded) jitter.
+    """Bounded exponential backoff on a fixed, seeded jitter schedule.
 
     Attempt ``k`` (0-based) sleeps
     ``min(base_delay_seconds * multiplier**k, max_delay_seconds)``
     scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]``.  ``max_retries=0`` disables retries —
-    the first failure goes straight to degradation.
+    ``[1 - jitter, 1 + jitter]`` by ``random.Random(seed)``, reseeded for
+    each episode: every episode, of every policy with the same ``seed``,
+    sleeps the same schedule.  ``max_retries=0`` disables retries — the
+    first failure goes straight to degradation.
     """
 
     max_retries: int = 2
@@ -70,7 +74,8 @@ class RetryPolicy:
             )
 
     def delays(self) -> Iterator[float]:
-        """The backoff schedule for one recovery episode (fresh each call)."""
+        """The backoff schedule for one recovery episode: the same one on
+        every call, as the generator is reseeded with ``seed`` each time."""
         rng = random.Random(self.seed)
         for attempt in range(self.max_retries):
             base = min(

@@ -115,7 +115,7 @@ class Table:
                 objective=objective,
             ).base
         self._register(attribute, IndexSpec(base=base, encoding=encoding))
-        return self.engine._index_for(self.name, attribute)
+        return self.engine._index_for(self.engine.registration(self.name), attribute)
 
     def _register(self, attribute: str, spec: IndexSpec) -> None:
         """Serve ``attribute`` through the engine with design ``spec``.

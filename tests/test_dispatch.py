@@ -39,9 +39,9 @@ def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, rea
     retry = RetryPolicy(max_retries=2, base_delay_seconds=0.0)
     inline, processes = engines(relation, max_workers=2, shards=2, cache_capacity=0, retry=retry)
     processes.query_batch(QUERIES)  # build + publish
-    index = processes.registry.peek(("orders", "quantity"))
+    index = processes.registration("orders").indexes.peek("quantity")
     for engine in (inline, processes):
-        maintained = engine._index_for("orders", "quantity")
+        maintained = engine._index_for(engine.registration("orders"), "quantity")
         for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 3)):
             maintained.update(rid, value)
         maintained.delete(5)
@@ -52,7 +52,8 @@ def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, rea
     assert plan.injections, "the fault never fired"
     for query, a, b in zip(QUERIES, inline.query_batch(QUERIES), process):
         assert np.array_equal(a.rids, b.rids), query
-    assert processes.registry.peek(("orders", "quantity")) is index  # repaired, not rebuilt
+    # Repaired, not rebuilt.
+    assert processes.registration("orders").indexes.peek("quantity") is index
     resilience = processes.snapshot()["resilience"]
     assert resilience["retries"].get(reason, 0) >= 1, resilience
     assert resilience["degradations"] == []

@@ -10,18 +10,22 @@ queries must build each attribute's index exactly once.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine import IndexSpec, QueryEngine
-from repro.engine.registry import IndexRegistry
+from repro.engine import engine as engine_module
+from repro.engine.cache import SharedBitmapCache
 from repro.errors import EngineConfigError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
+from repro.storage import IndexStore
 
 NUM_ROWS = 8_000
 OPS = ("<", "<=", "=", "!=", ">=", ">")
@@ -130,8 +134,8 @@ class TestContention:
             futures = [pool.submit(engine.query, pred) for _ in range(16)]
             for f in futures:
                 f.result()
-        assert engine.registry.snapshot()["builds"] == 1
-        assert engine.registry.snapshot()["reuses"] == 15
+        assert engine.snapshot()["registry"]["builds"] == 1
+        assert engine.snapshot()["registry"]["reuses"] == 15
 
     def test_zero_capacity_cache_disables_caching(self, relation):
         engine = make_engine(relation, cache_capacity=0)
@@ -160,61 +164,134 @@ class TestContention:
         assert_counters_consistent(engine)
 
 
-def blocked_build(registry: IndexRegistry):
-    """Make the next build of ``registry`` wait, once it has run, until
-    the returned ``release`` is set; ``built`` is set when it waits."""
-    built, release = threading.Event(), threading.Event()
-    original = registry.get_or_build
+def held_once(monkeypatch, owner, name: str):
+    """Make the next call of ``owner.name`` wait, before it runs, until the
+    returned ``release`` is set; ``reached`` is set when it waits."""
+    reached, release = threading.Event(), threading.Event()
+    original = getattr(owner, name)
 
-    def get_or_build(key, builder):
-        def build():
-            value = builder()
-            registry.get_or_build = original  # only this one build waits
-            built.set()
-            assert release.wait(timeout=30)
-            return value
+    def held(*args, **kwargs):
+        monkeypatch.setattr(owner, name, original)  # only this one call waits
+        reached.set()
+        assert release.wait(timeout=30)
+        return original(*args, **kwargs)
 
-        return original(key, build)
+    monkeypatch.setattr(owner, name, held)
+    return reached, release
 
-    registry.get_or_build = get_or_build
-    return built, release
+
+def race(call, reached: threading.Event, release: threading.Event, meanwhile) -> list:
+    """Run ``call`` on a thread until it is held at ``reached``, run
+    ``meanwhile()`` here, then release it; returns ``[call()]``."""
+    got = []
+    racer = threading.Thread(target=lambda: got.append(call()))
+    racer.start()
+    assert reached.wait(timeout=30)
+    meanwhile()
+    release.set()
+    racer.join(timeout=30)
+    return got
 
 
 class TestRacingDrop:
-    """A build that a drop overtakes is its caller's alone: the registry
-    forgets it, so the next query builds from what is registered now."""
+    """A query in flight across ``register`` answers wholly from the
+    registration it resolved, and leaves nothing the next query serves."""
 
-    def test_registry_keeps_no_build_its_key_lost_meanwhile(self):
-        registry = IndexRegistry()
-        built, release = blocked_build(registry)
-        got = []
-        builder = threading.Thread(target=lambda: got.append(registry.get_or_build("k", list)))
-        builder.start()
-        assert built.wait(timeout=30)
-        registry.pop("k")
-        release.set()
-        builder.join(timeout=30)
-        assert got == [[]]
-        assert "k" not in registry
-        assert registry.get_or_build("k", lambda: "new") == "new"
-
-    def test_reregistered_relation_answers_after_a_racing_build(self):
+    def test_reregistered_relation_answers_after_a_racing_build(self, monkeypatch):
+        """Held after its index build, before its served source is made,
+        across ``register``: the query answers the old relation's 50, and
+        what it memoizes stays with the old record."""
         old = Relation.from_dict("t", {"a": np.arange(100) % 10})
         new = Relation.from_dict("t", {"a": np.arange(100) % 5 + 5})
         engine = QueryEngine(backend="inline")
         engine.register(old)
-        built, release = blocked_build(engine.registry)
-        got = []
-        racer = threading.Thread(target=lambda: got.append(engine.count("a <= 4").count))
-        racer.start()
-        assert built.wait(timeout=30)
-        engine.register(new)
-        release.set()
-        racer.join(timeout=30)
-        assert len(got) == 1  # the query that started before the drop answered
-        assert ("t", "a") not in engine.registry
-        assert engine.count("a <= 4").count == 0
+        reached, release = held_once(monkeypatch, engine_module, "CachedSource")
+        count = lambda: engine.count("a <= 4").count  # noqa: E731
+        assert race(count, reached, release, lambda: engine.register(new)) == [50]
+        assert count() == 0
         assert engine.count("a >= 5").count == 100
+
+    def test_a_query_racing_register_answers_from_one_relation(self, monkeypatch):
+        """Held in its index build across ``register``: the old relation's
+        70, not the 20 of new ranks read on old bitmaps; then the new 40."""
+        old = Relation.from_dict("t", {"a": np.arange(100) % 10})
+        new = Relation.from_dict("t", {"a": np.arange(100) % 5 + 5})
+        engine = QueryEngine(backend="inline")
+        engine.register(old)
+        reached, release = held_once(monkeypatch, engine_module, "bitmap_index_for")
+        count = lambda: engine.count("a <= 6").count  # noqa: E731
+        assert race(count, reached, release, lambda: engine.register(new)) == [70]
+        assert count() == 40
+
+    def test_a_late_cache_put_is_not_served_to_the_next_registration(self, monkeypatch):
+        """Held in its first cache ``put`` across ``register``: the racing
+        query's bitmaps land under its own registration's keys, so the
+        next queries answer from the new relation."""
+        old = Relation.from_dict("t", {"a": np.arange(100) % 10})
+        new = Relation.from_dict("t", {"a": np.arange(100) // 10})
+        engine = QueryEngine(backend="inline")
+        engine.register(old)
+        reached, release = held_once(monkeypatch, SharedBitmapCache, "put")
+        rids = lambda: engine.query("a <= 6").rids.tolist()  # noqa: E731
+        racing = race(rids, reached, release, lambda: engine.register(new))
+        assert racing == [[rid for rid in range(100) if rid % 10 <= 6]]
+        for _ in range(3):
+            assert rids() == list(range(70))
+
+    def test_a_store_catch_up_racing_register_keeps_the_registration(
+        self, tmp_path, monkeypatch
+    ):
+        """A query's catch-up with a moved store generation, held while it
+        writes the relation's new record, does not overwrite a
+        ``register`` that lands meanwhile: writers take turns."""
+        root = str(tmp_path)
+        with IndexStore(root) as store:
+            store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
+        engine = repro.open_store(root, backend="inline")
+        engine.storage.append("t", {"a": np.array([1])})  # the generation moves
+        reached, release = held_once(monkeypatch, engine.storage, "relation_view")
+        new = Relation.from_dict("t", {"a": np.arange(50)})
+        registering = threading.Thread(target=engine.register, args=(new,))
+
+        def meanwhile():
+            registering.start()
+            registering.join(timeout=0.5)  # done, or waiting for its turn
+
+        race(lambda: engine.count("a <= 6").count, reached, release, meanwhile)
+        registering.join(timeout=30)
+        assert engine.registration("t").relation is new
+        engine.close()
+
+    def test_answers_stay_whole_while_a_relation_is_re_registered(self):
+        """Four threads query while ``t`` is registered 60 times between
+        two relations: each answer is one relation's, and the answer after
+        the last ``register`` is the last relation's."""
+        columns = (np.arange(2000) % 10, np.arange(2000) // 200)
+        relations = [Relation.from_dict("t", {"a": column}) for column in columns]
+        truths = [np.flatnonzero(column <= 6).tolist() for column in columns]
+        engine = QueryEngine(max_workers=4)
+        engine.register(relations[0])
+        done, wrong = threading.Event(), []
+
+        def reader():
+            while not done.is_set():
+                rids = engine.query("a <= 6").rids.tolist()
+                count = engine.count("a <= 6").count
+                if rids not in truths or count not in map(len, truths):
+                    wrong.append((len(rids), count))
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for i in range(60):
+            engine.register(relations[i % 2])
+            time.sleep(0.001)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        assert wrong == []
+        assert engine.query("a <= 6").rids.tolist() == truths[59 % 2]
+        assert engine.count("a <= 6").count == len(truths[59 % 2])
 
 
 class TestMetricsAndWarm:
@@ -232,9 +309,9 @@ class TestMetricsAndWarm:
     def test_warm_prebuilds_all_indexes(self, relation):
         engine = make_engine(relation, max_workers=2)
         assert engine.warm() == 3
-        assert engine.registry.snapshot()["builds"] == 3
+        assert engine.snapshot()["registry"]["builds"] == 3
         engine.query_batch(mixed_batch(relation, 10, seed=8))
-        assert engine.registry.snapshot()["builds"] == 3  # no rebuilds
+        assert engine.snapshot()["registry"]["builds"] == 3  # no rebuilds
 
     def test_reset_cache_and_metrics(self, relation):
         engine = make_engine(relation, max_workers=2)
@@ -296,5 +373,5 @@ class TestConfigErrors:
         pred = AttributePredicate("quantity", "=", 7)
         result = engine.query(pred)
         assert np.array_equal(result.rids, relation.scan("quantity", "=", 7))
-        index = engine.registry.peek(("lineitem", "quantity"))
+        index = engine.registration("lineitem").indexes.peek("quantity")
         assert index.encoding is EncodingScheme.EQUALITY

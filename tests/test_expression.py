@@ -462,7 +462,7 @@ class TestXorOverNullsOnEveryBackend:
         relation, known, indexes = nullable_relation()
         with backend_engines(relation, (backend,), codec=codec, max_workers=2) as (engine,):
             for name, index in indexes.items():
-                engine.registry.get_or_build(("t", name), lambda index=index: index)
+                engine.registration("t").indexes.get_or_build(name, lambda index=index: index)
             self.check(engine, relation, known)
 
     @pytest.mark.parametrize("codec", CODECS)

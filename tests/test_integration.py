@@ -65,7 +65,7 @@ def test_warehouse_lifecycle(tmp_path):
         assert np.array_equal(restored.select(text), before[text]), text
 
     # --- maintain a served index in place and keep it exact -------------
-    index = restored.engine.registry.peek(("warehouse", "region"))
+    index = restored.engine.registration("warehouse").indexes.peek("region")
     assert isinstance(index, BitmapIndex)
     codes = np.append(restored.relation.column("region").codes, [0, 39, 17])
     index.append(np.array([0, 39, 17]))

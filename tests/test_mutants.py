@@ -37,7 +37,6 @@ from repro.core.encoding import EncodingScheme
 from repro.engine import sharding
 from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
-from repro.engine.registry import IndexRegistry
 from repro.errors import VerificationError
 from repro.query import expression
 from repro.storage import IndexStore
@@ -95,10 +94,12 @@ cold_scans = test_cost_properties.test_cold_scans_are_the_rule_on_every_codec
 
 
 def test_m1_register_without_its_drop(monkeypatch):
-    """Registering a name again must drop the old relation's indexes."""
-    monkeypatch.setattr(QueryEngine, "_drop", lambda self, name, attributes: None)
-    reregistration = test_query.TestReRegistration()
-    assert_killed(reregistration.test_reregistered_relation_answers_from_its_own_columns)
+    """Registering a name again with a changed spec must not carry that
+    attribute's index into the new record."""
+    carrying = mutant(QueryEngine._write, "old.specs.get(a) == specs[a]", "True")
+    monkeypatch.setattr(QueryEngine, "_write", carrying)
+    follow = test_store.TestNoInvalidateNeeded()
+    assert_killed(follow.test_changed_spec_rebuilds_only_that_attribute, test_store.make_relation())
 
 
 def test_m2_run_query_without_verification(monkeypatch, rng):
@@ -301,14 +302,6 @@ def test_m23_append_without_the_write_lock(monkeypatch, tmp_path):
     assert_killed(race.test_appends_racing_appends_all_land, str(tmp_path / "indexes"))
 
 
-def test_m24_drop_leaves_the_served_source(monkeypatch):
-    """Dropping an attribute's index retires its served source with it."""
-    kept = mutant(QueryEngine._drop, "self._served.pop((name, attribute), None)", "pass")
-    monkeypatch.setattr(QueryEngine, "_drop", kept)
-    reregistration = test_query.TestReRegistration()
-    assert_killed(reregistration.test_reregistered_relation_answers_from_its_own_columns)
-
-
 def test_m25_xor_ignores_nulls(monkeypatch):
     """``xor`` over NULL-tracking indexes is known true only where both
     sides are known."""
@@ -319,11 +312,21 @@ def test_m25_xor_ignores_nulls(monkeypatch):
     assert_killed(kleene, test_expression.nullable_relation())
 
 
-def test_m26_registry_keeps_a_build_a_drop_overtook(monkeypatch):
-    """A build whose key was popped while it ran is not memoized."""
-    unconditional = mutant(
-        IndexRegistry.get_or_build, "if self._build_locks.get(key) is build_lock:", "if True:"
-    )
-    monkeypatch.setattr(IndexRegistry, "get_or_build", unconditional)
+def test_m27_cache_key_without_the_registration(monkeypatch):
+    """A served source keys its bitmaps by its registration's serial, so a
+    query's late ``put`` never lands where the next registration reads."""
+    shared = mutant(QueryEngine._source_for, "record.serial, ", "")
+    monkeypatch.setattr(QueryEngine, "_source_for", shared)
     race = test_engine_concurrency.TestRacingDrop()
-    assert_killed(race.test_reregistered_relation_answers_after_a_racing_build)
+    assert_killed(race.test_a_late_cache_put_is_not_served_to_the_next_registration, monkeypatch)
+
+
+def test_m28_register_carries_a_changed_relation(monkeypatch):
+    """Registering a name again with a new relation object carries none
+    of the old record's indexes or served sources."""
+    carrying = mutant(QueryEngine._write, "old.relation is relation and ", "")
+    monkeypatch.setattr(QueryEngine, "_write", carrying)
+    reregistration = test_query.TestReRegistration()
+    assert_killed(
+        reregistration.test_reregistered_relation_answers_from_its_own_columns, "inline", "dense"
+    )

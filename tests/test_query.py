@@ -23,6 +23,8 @@ from repro.relation.relation import Relation
 from repro.relation.rid_index import RIDListIndex
 from repro.stats import ExecutionStats
 
+from conftest import backend_engines
+
 
 def sales(rng: np.random.Generator) -> Relation:
     return Relation.from_dict(
@@ -223,13 +225,22 @@ class TestConjunctiveSelect:
 class TestReRegistration:
     """Registering a name again serves the new relation, never the old index."""
 
-    def test_reregistered_relation_answers_from_its_own_columns(self):
-        engine = QueryEngine(backend="inline")
-        engine.register(Relation.from_dict("r", {"x": np.array([0, 1, 2, 3, 0, 1, 2, 3])}))
-        assert engine.query("x <= 1").rids.tolist() == [0, 1, 4, 5]
-        engine.register(Relation.from_dict("r", {"x": np.array([3, 3, 3, 3, 0, 0, 0, 0])}))
-        assert engine.query("x <= 1").rids.tolist() == [4, 5, 6, 7]
-        assert engine.count("x <= 1").count == 4
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
+    def test_reregistered_relation_answers_from_its_own_columns(self, backend, codec):
+        first = Relation.from_dict("r", {"x": np.array([0, 1, 2, 3, 0, 1, 2, 3])})
+        with backend_engines(first, (backend,), codec=codec, max_workers=2) as (engine,):
+            assert engine.query("x <= 1").rids.tolist() == [0, 1, 4, 5]
+            before = dict(engine._dispatch.exports)
+            assert bool(before) == (backend == "processes")
+            engine.register(Relation.from_dict("r", {"x": np.array([3, 3, 3, 3, 0, 0, 0, 0])}))
+            assert engine.query("x <= 1").rids.tolist() == [4, 5, 6, 7]
+            assert engine.count("x <= 1").count == 4
+            # The shard exports are cut again, from the new record's index.
+            indexes = engine.registration("r").indexes
+            for key, export in engine._dispatch.exports.items():
+                assert export is not before.get(key)
+                assert export.serves(indexes.peek(key[1]))
 
 
 class TestPlanCosts:

@@ -2,8 +2,8 @@
 not per query.
 
 The engine keeps one :class:`~repro.engine.cache.CachedSource` per
-``(relation, attribute)``, built on the attribute's first query and retired
-with its index.  So its version-keyed ``nonnull`` memo holds across
+attribute of a registration record, built on the attribute's first query
+and kept with the record.  So its version-keyed ``nonnull`` memo holds across
 queries (``B_nn`` is read once per version), while everything that moves
 what an attribute serves still reaches the next query: in-place
 maintenance, a store append or compaction, a fault plan armed later.
@@ -65,7 +65,7 @@ def test_warm_counts_read_b_nn_once_per_version(tmp_path, codec):
 
 def test_warm_queries_build_no_served_source(monkeypatch):
     """A warm query resolves no codec and builds no ``CachedSource``, and
-    still looks its attributes up in the registry once each."""
+    still looks its attributes up in its record's registry once each."""
     rng = np.random.default_rng(2)
     columns = {"a": rng.integers(0, 10, 500), "b": rng.integers(0, 4, 500)}
     relation = Relation.from_dict("t", columns)
@@ -84,11 +84,11 @@ def test_warm_queries_build_no_served_source(monkeypatch):
             init(self, *args)
 
         monkeypatch.setattr(CachedSource, "__init__", counted)
-        reuses = engine.registry.snapshot()["reuses"]
+        reuses = engine.snapshot()["registry"]["reuses"]
         for _ in range(20):
             engine.query("a <= 4 and b = 1")
         assert built == []
-        assert engine.registry.snapshot()["reuses"] == reuses + 40
+        assert engine.snapshot()["registry"]["reuses"] == reuses + 40
 
 
 @pytest.mark.parametrize("codec", CODECS)

@@ -352,7 +352,8 @@ def maintain(pair, edit) -> None:
     """Apply ``edit(quantity_index, region_index)`` to each engine's built
     indexes, behind the engines' backs."""
     for engine in pair:
-        edit(*(engine._index_for("orders", name) for name in ("quantity", "region")))
+        record = engine.registration("orders")
+        edit(*(engine._index_for(record, name) for name in ("quantity", "region")))
 
 
 class TestEngineBackendDifferential:
@@ -466,8 +467,8 @@ class TestEngineBackendDifferential:
             engines, relation, codec=codec, shards=shards, cache_capacity=0
         )
         for engine in pair:
-            engine.registry.get_or_build(
-                ("orders", "region"),
+            engine.registration("orders").indexes.get_or_build(
+                "region",
                 lambda: BitmapIndex(
                     column.codes,
                     cardinality=column.cardinality,
@@ -554,10 +555,10 @@ class TestEngineBackendDifferential:
         (engine,) = make_engines(engines, relation, ("processes",), shards=2)
         engine.query_batch(QUERIES)
         assert engine._dispatch.exports
-        assert ("orders", "quantity") in engine.registry
+        assert "quantity" in engine.registration("orders").indexes
         engine.invalidate("orders")
         assert not engine._dispatch.exports
-        assert ("orders", "quantity") not in engine.registry
+        assert "quantity" not in engine.registration("orders").indexes
         # And the engine still answers afterwards (rebuild path).
         result = engine.query("quantity <= 25")
         assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))

@@ -1097,20 +1097,35 @@ class TestNoInvalidateNeeded:
             self.check(engine, relation, finish)
         engine.close()
 
+    def test_invalidating_an_attribute_after_the_store_moved_reads_it(self, store_dir):
+        """``invalidate(name, attribute)`` after a rebuild of the store does
+        not keep the old relation view under the new generation.  The
+        regression: constants translated through the old dictionary were
+        evaluated on the new bitmaps (100 rows, not 40), query after query."""
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
+        engine = repro.open_store(store_dir, backend="inline")
+        assert engine.count("a <= 6").count == 70
+        engine.storage.build(Relation.from_dict("t", {"a": np.arange(100) % 5 + 5}))
+        engine.invalidate("t", "a")
+        assert engine.count("a <= 6").count == 40
+        assert engine.query("a <= 6").rids.tolist() == [r for r in range(100) if r % 5 <= 1]
+        engine.close()
+
     def test_changed_spec_rebuilds_only_that_attribute(self, relation):
         engine = repro.QueryEngine(backend="inline")
         engine.register(relation)
         self.check(engine, relation, "group_count")
-        region = engine.registry.peek(("sales", "region"))
+        region = engine.registration("sales").indexes.peek("region")
         engine.register(
             relation,
             overrides={"quantity": IndexSpec(base=Base((5, 8)), encoding=EncodingScheme.EQUALITY)},
         )
-        assert engine.registry.peek(("sales", "quantity")) is None
-        assert engine.registry.peek(("sales", "region")) is region
+        assert engine.registration("sales").indexes.peek("quantity") is None
+        assert engine.registration("sales").indexes.peek("region") is region
         report = engine.explain(self.TEXT)
         assert report.matches_prediction
-        quantity = engine.registry.peek(("sales", "quantity"))
+        quantity = engine.registration("sales").indexes.peek("quantity")
         assert (quantity.base, quantity.encoding) == (Base((5, 8)), EncodingScheme.EQUALITY)
         self.check(engine, relation, "query")
         engine.close()

@@ -348,8 +348,8 @@ class TestGroupCountNulls:
             column = relation.column("region")
             # Pre-seed the registry with a nulls-tracking index for the
             # grouping column; the engine serves whatever is registered.
-            engine.registry.get_or_build(
-                ("t", "region"),
+            engine.registration("t").indexes.get_or_build(
+                "region",
                 lambda: BitmapIndex(
                     column.codes,
                     cardinality=column.cardinality,
