@@ -141,12 +141,11 @@ class QueryEngine:
     max_workers:
         Width of the engine's thread pool and of its process pool.
     storage:
-        An :class:`~repro.storage.store.IndexStore` to serve persisted
-        indexes straight off its mmap-backed files — register the store's
-        :meth:`~repro.storage.store.IndexStore.relation_view` (or use
-        :func:`repro.open_store`) and queries read only the bitmaps they
-        touch.  ``None`` (the default) builds every index in memory from
-        the registered relations' columns.
+        An :class:`~repro.storage.store.IndexStore` the engine closes with
+        itself; no query reads it.  A registered store
+        :meth:`~repro.storage.store.IndexStore.relation_view` serves its own
+        image's bitmaps (:func:`repro.open_store` registers every one), and
+        any other relation's indexes are built in memory from its columns.
     codec:
         The engine's default bitmap representation: ``'dense'``,
         ``'wah'``, or ``'roaring'``.  With a compressed codec fetches
@@ -311,7 +310,7 @@ class QueryEngine:
                 )
             specs[attribute] = spec
         with self._writing:
-            self._write(relation, specs, self._generation(relation.name))
+            self._write(relation, specs)
 
     def warm(self, relation: str | None = None) -> int:
         """Eagerly build every served index; returns how many are resident."""
@@ -502,9 +501,10 @@ class QueryEngine:
         result = self._execute(query, options, record=False)
         item = self._dispatch_item(query)  # what the run was served from, and in
         mode = query_mode(item.expression)
-        # The store's cumulative counters (bytes actually read, bitmaps
+        # The counters of the relation's store (bytes actually read, bitmaps
         # materialized, page touches) next to the cost model's predictions.
-        storage_io = self.storage.io_snapshot() if self.storage is not None else None
+        relation = item.relation
+        storage_io = relation.store.io_snapshot() if isinstance(relation, StoreRelation) else None
         return build_explain_report(
             item.relation,
             item.expression,
@@ -581,42 +581,30 @@ class QueryEngine:
         served index (``append`` / ``update`` / ``delete``) moves its
         ``version``, which keys every cached bitmap and shard publication;
         and a mutation *through the index store* (``build`` / ``append`` /
-        ``compact`` / ``quarantine``) moves its generation, which the next
-        query catches up with (:meth:`registration`).
+        ``compact`` / ``quarantine``) moves its generation, past the image
+        a registered view holds, which the next query catches up with
+        (:meth:`registration`).
         """
         names = [self._resolve(relation)] if relation is not None else list(self._registrations)
         for name in names:
-            self._renew(name, [attribute] if attribute is not None else None)
+            with self._writing:
+                old = self._registrations[name]
+                dropped = old.specs if attribute is None else [attribute]
+                self._write(old.relation.latest(), old.specs, dropped)
 
-    def _renew(self, name: str, dropped: list[str] | None = None, moved: bool = False) -> None:
-        """Write ``name``'s next record, carrying nothing of ``dropped`` (``None``:
-        all), nor anything if the store moved.  The generation is read before the
-        view, so a write between them leaves the record marked older and the next
-        query catches up again; ``moved`` skips a catch-up another caller made."""
-        with self._writing:
-            generation = self._generation(name)
-            old = self._registrations[name]
-            if moved and old.generation == generation:
-                return
-            new = old.relation
-            if dropped is None or generation != old.generation:
-                if isinstance(new, StoreRelation) and self.storage.has(name):
-                    new = self.storage.relation_view(name)
-            self._write(new, old.specs, generation, old.specs if dropped is None else dropped)
-
-    def _write(self, relation: Relation, specs: dict, generation: int | None, dropped=()) -> None:
-        """Swap in a record of ``relation`` at store ``generation``, carrying the
-        entries of each attribute not ``dropped`` whose relation object, spec and
-        generation did not change, then release the rest (for memory only: no
-        query reads another record).  The caller holds ``_writing``."""
+    def _write(self, relation: Relation, specs: dict, dropped=()) -> None:
+        """Swap in a record of ``relation``, carrying the entries of each
+        attribute not ``dropped`` whose relation object and spec did not
+        change, then release the rest (for memory only: no query reads
+        another record).  The caller holds ``_writing``."""
         name = relation.name
         old = self._registrations.get(name)
-        same = old is not None and old.relation is relation and old.generation == generation
-        keep = [a for a in specs if same and a not in dropped and old.specs.get(a) == specs[a]]
+        keep = [a for a in specs if a not in dropped and old is not None
+                and old.relation is relation and old.specs.get(a) == specs[a]]
         # ``served`` first: an attribute served by then has its index memoized.
         served = {a: old.served[a] for a in keep if a in old.served}
         indexes = old.indexes.carry(keep) if old is not None else IndexRegistry()
-        self._registrations[name] = Registration(relation, specs, generation, indexes, served)
+        self._registrations[name] = Registration(relation, specs, indexes, served)
         released = [attribute for attribute in (old.specs if old else ()) if attribute not in keep]
         for attribute in released:
             self._dispatch.drop(name, attribute)
@@ -648,18 +636,20 @@ class QueryEngine:
             )
         return relation
 
-    def _generation(self, name: str) -> int | None:
-        return self.storage.generation(name) if self.storage is not None else None
-
     def registration(self, relation: str | None = None) -> Registration:
         """The current record of ``relation`` (default: the first registered).
 
-        A store mutated since this engine last looked has moved to a new
-        generation; a new record, carrying nothing derived from the old one,
-        is written here, before a query resolves any of it."""
+        Once a store moved past the image its relation view holds, a record
+        of its ``latest()`` view, carrying nothing of the old one, is written
+        here before a query resolves any of it, unless another writer
+        replaced the record meanwhile."""
         name = self._resolve(relation)
-        if self._generation(name) != self._registrations[name].generation:
-            self._renew(name, moved=True)
+        record = self._registrations[name]
+        latest = record.relation.latest()
+        if latest is not record.relation:
+            with self._writing:
+                if self._registrations[name] is record:
+                    self._write(latest, record.specs, record.specs)
         return self._registrations[name]
 
     @staticmethod
@@ -673,29 +663,18 @@ class QueryEngine:
             ) from None
 
     def _index_for(self, record: Registration, attribute: str):
-        """The bitmap source of one attribute of ``record``: persisted or
-        built in memory, once per record.
+        """The bitmap source of one attribute of ``record``, once per record.
 
-        A store that holds the attribute wins — its lazy source is
-        registered in place of an in-memory index, so only touched
-        payloads are ever read.  Otherwise the index is built from the
-        relation's raw column codes.
+        A store's view serves the lazy source of the image it was read
+        from, so only touched payloads are ever read; any other relation's
+        index is built from its column codes.
         """
         spec = self._spec_for(record, attribute)
-        relation, relation_name = record.relation, record.relation.name
-        storage = self.storage
+        relation = record.relation
 
         def build():
-            if storage is not None:
-                source = storage.bitmap_source(relation_name, attribute)
-                if source is not None:
-                    return source
             if isinstance(relation, StoreRelation):
-                raise EngineConfigError(
-                    f"attribute {attribute!r} of relation {relation_name!r} "
-                    f"has no raw values to index and the store holds no "
-                    f"persisted bitmaps for it"
-                )
+                return relation.bitmap_source(attribute)
             return bitmap_index_for(
                 relation,
                 attribute,

@@ -124,13 +124,17 @@ _serials = itertools.count()
 @dataclass(eq=False)
 class Registration:
     """One registration of a relation, which every query that resolves it
-    reads whole: the relation, specs and store ``generation`` (``None`` from
-    memory), a process-unique ``serial`` for cache keys, and the build-once
-    memo of each attribute's ``indexes`` entry and ``served`` source."""
+    reads whole: the relation and specs, a process-unique ``serial`` for
+    cache keys, and the build-once memo of each attribute's ``indexes``
+    entry and ``served`` source."""
 
     relation: Relation
     specs: dict[str, IndexSpec]
-    generation: int | None
     indexes: IndexRegistry = field(default_factory=IndexRegistry)
     served: dict[str, CachedSource] = field(default_factory=dict)
     serial: int = field(default_factory=_serials.__next__)
+
+    @property
+    def generation(self) -> int | None:
+        """The relation's store generation (``None`` in memory)."""
+        return self.relation.generation

@@ -17,6 +17,10 @@ from repro.relation.column import Column
 class Relation:
     """A named relation of columns in RID order."""
 
+    #: The store generation of the image a relation was read from
+    #: (:class:`~repro.storage.store.StoreRelation`); ``None`` in memory.
+    generation: int | None = None
+
     def __init__(self, name: str, columns: list[Column]):
         if not columns:
             raise ValueOutOfRangeError("a relation needs at least one column")
@@ -57,6 +61,10 @@ class Relation:
                 f"relation {self.name!r} has no column {name!r}; "
                 f"columns: {known}"
             ) from None
+
+    def latest(self) -> "Relation":
+        """This relation as its source now holds it: itself, in memory."""
+        return self
 
     def scan(self, attribute: str, op: str, value) -> np.ndarray:
         """Full-scan evaluation of ``attribute op value``: matching RIDs."""

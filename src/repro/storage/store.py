@@ -65,12 +65,11 @@ frees it); a writer that waits past :data:`_LOCK_WAIT_SECONDS` raises
 :class:`~repro.errors.StoreBusyError` before writing anything.  Readers
 take no lock: ``os.replace`` already hands them whole files.
 
-A :class:`~repro.engine.QueryEngine` is served from an
-:class:`IndexStore`: ``bitmap_source`` hands out lazy per-attribute
-:class:`StoreBitmapSource` views, and ``io_snapshot`` exposes the real
-counters (dictionary bytes parsed, payload bytes read, bitmaps
-materialized, a page-touch proxy for mmap faults) that EXPLAIN reports
-alongside the cost model's predictions.
+A :class:`~repro.engine.QueryEngine` serves a :class:`StoreRelation`, one
+image's dictionaries and lazy per-attribute :class:`StoreBitmapSource`;
+``io_snapshot`` exposes the real counters (dictionary bytes parsed,
+payload bytes read, bitmaps materialized, a page-touch proxy for mmap
+faults) that EXPLAIN reports alongside the cost model's predictions.
 """
 
 from __future__ import annotations
@@ -447,7 +446,9 @@ class _RelationImage:
 class _RelationFile(_RelationImage):
     """One opened ``.rbix`` file: the image over an mmap, plus what only
     a file has — the delta sidecar, the store generation it was read at,
-    and the stamp of the files it read (see :meth:`IndexStore.generation`)."""
+    and the stamp of the files it read (see :meth:`IndexStore.generation`).
+    A store forgets it once the files move; it is released with the last
+    view or source read from it."""
 
     #: The live delta sidecar's bytes (empty when there is none, or it is
     #: stale): what the next append writes its image after.
@@ -461,20 +462,17 @@ class _RelationFile(_RelationImage):
         self.fault_plan = store.fault_plan
         path = os.path.join(store.root, relation + _SUFFIX)
         try:
-            self._fh = open(path, "rb")
+            with open(path, "rb") as fh:
+                if not os.fstat(fh.fileno()).st_size:  # and mmap refuses it
+                    raise CorruptFileError(
+                        f"{path}: an empty file is too small to hold an index header"
+                    )
+                # The map keeps a descriptor of its own.
+                self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except FileNotFoundError:
             raise FileMissingError(
                 f"no stored index for relation {relation!r}"
             ) from None
-        try:
-            if not os.fstat(self._fh.fileno()).st_size:  # and mmap refuses it
-                raise CorruptFileError(
-                    f"{path}: an empty file is too small to hold an index header"
-                )
-            self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except BaseException:
-            self._fh.close()
-            raise
         try:
             super().__init__(memoryview(self._mm), relation, path, store.stats)
             self._load_delta()
@@ -551,19 +549,17 @@ class _RelationFile(_RelationImage):
             image.close()
         try:
             self._mm.close()
-        except BufferError:  # pragma: no cover - live zero-copy views
+        except (BufferError, ValueError):  # pragma: no cover - live zero-copy views
             # A zero-copy BitVector still references the map; the OS
             # keeps the pages alive until the arrays are released.
             pass
-        except ValueError:
-            pass
-        self._fh.close()
 
 
 class StoreBitmapSource:
     """A lazy :class:`~repro.core.index.BitmapSource` over one attribute.
 
-    Handed out by :meth:`IndexStore.bitmap_source`.  ``fetch`` reads the
+    Handed out by :meth:`StoreRelation.bitmap_source` and
+    :meth:`IndexStore.bitmap_source`.  ``fetch`` reads the
     touched payload from the mmap (verifying its checksum on first
     materialization), merges any pending delta rows, and serves the
     bitmap in the codec the attribute was stored with, so the
@@ -731,19 +727,36 @@ class StoredColumn(Column):
 
 
 class StoreRelation(Relation):
-    """A relation view reconstructed from a store's dictionaries.
-
-    Enough surface for the engine to register and translate predicates
-    against a persisted index without the original data: column
-    dictionaries, row counts, and value widths.  :meth:`scan` raises —
-    there are no raw rows to scan, so verification and scan-based plans
-    are unavailable on store-backed relations.
+    """A view of one image of a stored relation, without the original data:
+    the image's dictionaries as columns, its bitmaps as sources — so what
+    a query translates and what it evaluates are one snapshot.  :meth:`scan`
+    raises — there are no raw rows to scan, so verification and scan-based
+    plans are unavailable on store-backed relations.
     """
 
-    def __init__(self, name: str, columns: list[StoredColumn], num_rows: int):
-        self.name = name
-        self.columns = {col.name: col for col in columns}
-        self._rows = num_rows
+    def __init__(self, image: _RelationFile):
+        self._image, self.name = image, image.relation
+        #: The store the image was read from, and the generation it read.
+        self.store, self.generation = image.store, image.generation
+        self._rows = nbits = image.nbits + image.delta_rows
+        self.columns = {}
+        for name, meta in image.attrs.items():
+            dictionary = meta.dictionary
+            if dictionary is None:
+                dictionary = np.arange(meta.cardinality, dtype=np.int64)
+            self.columns[name] = StoredColumn(name, dictionary, nbits, meta.value_size_bytes)
+
+    def bitmap_source(self, attribute: str) -> StoreBitmapSource:
+        """The lazy source of one stored attribute, over this view's image."""
+        return StoreBitmapSource(self._image, attribute)
+
+    def latest(self) -> "StoreRelation":
+        """This view while its store has not moved past its image; else a
+        view of the store's current image (:class:`~repro.errors.FileMissingError`
+        once the store holds none)."""
+        if self.store.generation(self.name) == self.generation:
+            return self
+        return self.store.relation_view(self.name)
 
     def scan(self, attribute: str, op: str, value) -> np.ndarray:
         raise StorageError(
@@ -757,8 +770,8 @@ class IndexStore:
     """A directory of persistent, mmap-backed bitmap index files.
 
     One ``.rbix`` file per relation; see the module docstring for the
-    format.  A :class:`~repro.engine.QueryEngine` constructed with
-    ``storage=IndexStore(...)`` serves queries straight off the files.
+    format.  A :class:`~repro.engine.QueryEngine` that registers a
+    :meth:`relation_view` serves queries straight off the files.
 
     Parameters
     ----------
@@ -784,20 +797,19 @@ class IndexStore:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every open mmap and file handle."""
+        """Forget every open image (see :meth:`invalidate`)."""
         self.invalidate()
 
     def invalidate(self, relation: str | None = None) -> None:
-        """Drop open file state; the next access reopens from disk.
+        """Forget the open image; the next access reopens from disk.
 
-        Sources handed out so far are stale from here on (their file is
-        closed), so this is where :meth:`generation` moves.
+        Views and sources handed out so far keep their image (released
+        with the last of them) and are stale from here on, so this is
+        where :meth:`generation` moves.
         """
         for name in [relation] if relation is not None else list(self._files):
             self._generations[name] = self._generations.get(name, 0) + 1
-            rfile = self._files.pop(name, None)
-            if rfile is not None:
-                rfile.close()
+            self._files.pop(name, None)
 
     def generation(self, relation: str) -> int:
         """A counter bumped by everything that can change the relation's
@@ -805,10 +817,11 @@ class IndexStore:
         :meth:`quarantine` — and by a change another store or process made
         on disk: a relation whose ``.rbix`` file or delta sidecar no longer
         has the inode, size and mtime it had when this store opened it is
-        dropped here, so the next access re-reads it.  Sources carry the
-        generation they read as ``version``; the engine drops what it
-        derived from an older one before each query, so nobody has to
-        remember ``engine.invalidate()``.
+        dropped here, so the next access re-reads it.  A view carries the
+        generation it read as ``generation``, a source as ``version``; the
+        engine reads a view again once its store moved past it
+        (:meth:`StoreRelation.latest`), before each query, so nobody has
+        to remember ``engine.invalidate()``.
         """
         rfile = self._files.get(relation)
         if rfile is not None and rfile.on_disk != self._on_disk(relation):
@@ -867,19 +880,16 @@ class IndexStore:
     def bitmap_source(
         self, relation: str, attribute: str
     ) -> StoreBitmapSource | None:
-        """A lazy source for one attribute, or ``None`` if not stored.
+        """A lazy source for one attribute of the current image, or
+        ``None`` if not stored.
 
-        A missing file or attribute returns ``None`` (the caller builds
-        in memory); a *corrupt* file raises
+        A missing file or attribute returns ``None``; a *corrupt* file raises
         :class:`~repro.errors.CorruptFileError` — silently falling back
         would mask data loss.
         """
-        if not os.path.isfile(self._main_path(relation)):
+        if not self.has(relation, attribute):
             return None
-        rfile = self._file(relation)
-        if attribute not in rfile.attrs:
-            return None
-        return StoreBitmapSource(rfile, attribute)
+        return StoreBitmapSource(self._file(relation), attribute)
 
     def io_snapshot(self) -> dict:
         out = self.stats.as_dict()
@@ -1112,25 +1122,11 @@ class IndexStore:
     # ------------------------------------------------------------------
 
     def relation_view(self, relation: str) -> StoreRelation:
-        """A :class:`StoreRelation` for registering with a query engine.
-
-        Columns carry the persisted value dictionaries, so predicate
-        translation works without the original data; raw-row paths
-        (scans, verification) raise.
+        """A :class:`StoreRelation` of the current image, for registering
+        with a query engine: persisted value dictionaries and the bitmaps
+        of one image; raw-row paths (scans, verification) raise.
         """
-        rfile = self._file(relation)
-        nbits = rfile.nbits + rfile.delta_rows
-        columns = []
-        for name, meta in rfile.attrs.items():
-            dictionary = meta.dictionary
-            if dictionary is None:
-                dictionary = np.arange(meta.cardinality, dtype=np.int64)
-            columns.append(
-                StoredColumn(
-                    name, dictionary, nbits, meta.value_size_bytes
-                )
-            )
-        return StoreRelation(relation, columns, nbits)
+        return StoreRelation(self._file(relation))
 
     # ------------------------------------------------------------------
     # Integrity: verify / quarantine / scrub

@@ -39,7 +39,7 @@ from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
 from repro.errors import VerificationError
 from repro.query import expression
-from repro.storage import IndexStore
+from repro.storage import IndexStore, StoreRelation
 
 
 def assert_killed(target, *args) -> None:
@@ -330,3 +330,33 @@ def test_m28_register_carries_a_changed_relation(monkeypatch):
     assert_killed(
         reregistration.test_reregistered_relation_answers_from_its_own_columns, "inline", "dense"
     )
+
+
+def test_m29_engine_store_serves_any_relation_under_its_name(monkeypatch, engines, tmp_path):
+    """An in-memory relation answers from its own columns, not from the
+    bitmaps the engine's store holds under its name."""
+    by_name = mutant(
+        QueryEngine._index_for,
+        "isinstance(relation, StoreRelation):\n"
+        "            return relation.bitmap_source(attribute)",
+        "self.storage is not None and self.storage.has(relation.name, attribute):\n"
+        "            return self.storage.bitmap_source(relation.name, attribute)",
+    )
+    monkeypatch.setattr(QueryEngine, "_index_for", by_name)
+    views = test_store.TestAViewServesItsOwnImage()
+    in_memory = views.test_an_in_memory_relation_under_a_stored_name_reads_its_columns
+    assert_killed(in_memory, str(tmp_path / "indexes"), engines, "wah")
+
+
+def test_m30_view_reads_its_stores_current_image(monkeypatch, tmp_path):
+    """A view serves the image it was read from, so a rebuild racing a
+    query cannot pair its constants with another image's bitmaps."""
+    current = mutant(
+        StoreRelation.bitmap_source,
+        "StoreBitmapSource(self._image, attribute)",
+        "StoreBitmapSource(self.store._file(self.name), attribute)",
+    )
+    monkeypatch.setattr(StoreRelation, "bitmap_source", current)
+    views = test_store.TestAViewServesItsOwnImage()
+    racing = views.test_a_build_racing_a_query_leaves_it_on_its_view
+    assert_killed(racing, str(tmp_path / "indexes"), monkeypatch)

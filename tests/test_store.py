@@ -16,6 +16,8 @@ import os
 import re
 import shutil
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import evaluate
 from repro.core.index import BitmapIndex
 from repro.engine.cache import CachedSource, SharedBitmapCache
+from repro.engine.engine import QueryEngine
 from repro.engine.registry import IndexSpec
 from repro.engine.sharding import _IMAGE_NAME, ShardExport, shard_bounds
 from repro.errors import (
@@ -35,6 +38,7 @@ from repro.errors import (
     CorruptFileError,
     FileMissingError,
     InjectedFaultError,
+    ReproError,
     StorageError,
     ValueOutOfRangeError,
 )
@@ -1009,6 +1013,155 @@ class TestEngineIntegration:
         engine.query(AttributePredicate("quantity", "<=", 3))
         engine.close()
         assert engine.storage._files == {}
+
+    def test_explain_reports_the_io_of_the_relations_own_store(self, store_dir, relation):
+        """An in-memory relation reads no store, so its EXPLAIN reports no
+        store I/O, even in an engine built with ``storage=``."""
+        with IndexStore(store_dir) as store:
+            store.build(relation)
+        engine = repro.open_store(store_dir)
+        engine.register(Relation.from_dict("t", {"a": np.arange(50)}))
+        report = engine.explain("a <= 6", "t")
+        assert report.storage_io is None
+        assert report.rows == 7
+        report = engine.explain(AttributePredicate("quantity", "<=", 3), "sales")
+        assert report.storage_io["backend"] == "store"
+        engine.close()
+
+
+class TestAViewServesItsOwnImage:
+    """A relation read from a store answers from the image it was read
+    from, and an in-memory relation from its own columns, whatever the
+    engine's ``storage=`` holds under its name.
+
+    The regressions: the engine fetched bitmaps from its store by relation
+    name, so constants translated through the registered relation's
+    dictionary were evaluated on the store's bitmaps — an in-memory ``t``
+    answered 71 rows for 7, and a query racing a rebuild answered 100
+    where the old relation says 70 and the new one 20; a query racing an
+    append read an image the append had closed (an untyped ``ValueError``).
+    """
+
+    STORED = Relation.from_dict("t", {"a": np.arange(100) % 10})
+
+    def stored(self, store_dir: str) -> None:
+        with IndexStore(store_dir) as store:
+            store.build(self.STORED)
+
+    @staticmethod
+    def racing(monkeypatch, meanwhile) -> None:
+        """Run ``meanwhile()`` once, in the next query after it resolved its
+        registration and before it resolves its sources."""
+        original = QueryEngine._dispatch_item
+
+        def racing(self, query):
+            monkeypatch.setattr(QueryEngine, "_dispatch_item", original)
+            meanwhile()
+            return original(self, query)
+
+        monkeypatch.setattr(QueryEngine, "_dispatch_item", racing)
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_an_in_memory_relation_under_a_stored_name_reads_its_columns(
+        self, store_dir, engines, codec
+    ):
+        self.stored(store_dir)
+        with IndexStore(store_dir) as store:
+            store.append("t", {"a": np.array([1])})
+        in_memory = Relation.from_dict("t", {"a": np.arange(50)})
+        storage = IndexStore(store_dir)
+        backends = ("inline", "threads", "processes")
+        for engine in engines(in_memory, backends, codec=codec, storage=storage):
+            assert engine.count("a <= 6").count == 7, engine.backend
+            assert engine.query("a <= 6").rids.tolist() == list(range(7)), engine.backend
+
+    def test_an_in_memory_relation_ignores_a_build_of_its_name(self, store_dir):
+        engine = repro.open_store(store_dir, backend="inline")
+        engine.register(Relation.from_dict("u", {"a": np.arange(50)}))
+        assert engine.count("a <= 6").count == 7
+        engine.storage.build(Relation.from_dict("u", {"a": np.arange(100) % 10}))
+        assert engine.count("a <= 6").count == 7
+        engine.close()
+
+    def test_a_build_racing_a_query_leaves_it_on_its_view(self, store_dir, monkeypatch):
+        """The rebuild lands after the query resolved its registration: the
+        query answers the old image's 70, the next one the new image's 20."""
+        self.stored(store_dir)
+        engine = repro.open_store(store_dir, backend="inline")
+        rebuilt = Relation.from_dict("t", {"a": np.arange(100) % 5 + 6})
+        self.racing(monkeypatch, lambda: engine.storage.build(rebuilt))
+        assert engine.count("a <= 6").count == 70
+        assert engine.count("a <= 6").count == 20
+        engine.close()
+
+    def test_an_append_racing_a_query_leaves_it_on_its_view(self, store_dir, monkeypatch):
+        """Its source already served, uncached: the append lands after the
+        query resolved its registration, and the query still reads its image."""
+        self.stored(store_dir)
+        engine = repro.open_store(store_dir, backend="inline", cache_capacity=0)
+        assert engine.count("a <= 6").count == 70
+        self.racing(monkeypatch, lambda: engine.storage.append("t", {"a": np.array([1, 2, 9])}))
+        assert engine.count("a <= 6").count == 70
+        assert engine.count("a <= 6").count == 72
+        engine.close()
+
+    def test_a_quarantined_relation_is_not_served(self, store_dir):
+        self.stored(store_dir)
+        engine = repro.open_store(store_dir, backend="inline")
+        assert engine.count("a <= 6").count == 70
+        engine.storage.quarantine("t")
+        for _ in range(2):
+            with pytest.raises(ReproError):
+                engine.count("a <= 6")
+        engine.close()
+
+    def test_queries_racing_appends_each_answer_one_image(self, store_dir):
+        """Four threads query while this one appends 30 rows, one at a time,
+        under a short switch interval: no answer raises, each counts the
+        rows of one image, and the answer after the last append counts all."""
+        self.stored(store_dir)
+        engine = repro.open_store(store_dir, max_workers=4)
+        done, answers, errors = threading.Event(), [], []
+
+        def reader():
+            while not done.is_set():
+                try:
+                    answers.append(engine.count("a <= 6").count)
+                except Exception as exc:  # collected: the assertion names it
+                    errors.append(exc)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for _ in range(30):
+                engine.storage.append("t", {"a": np.array([1])})
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert answers and set(answers) <= set(range(70, 101))
+        assert engine.count("a <= 6").count == 100
+        engine.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_images_a_query_no_longer_holds_are_released(self, store_dir):
+        """Each append leaves the image before it to the records that hold
+        it; the descriptors open stay level."""
+        self.stored(store_dir)
+        engine = repro.open_store(store_dir, backend="inline", cache_capacity=0)
+        assert engine.count("a <= 6").count == 70
+        start = len(os.listdir("/proc/self/fd"))
+        for i in range(200):
+            engine.storage.append("t", {"a": np.array([1])})
+            assert engine.count("a <= 6").count == 71 + i
+        assert len(os.listdir("/proc/self/fd")) <= start + 4
+        engine.close()
 
 
 class TestNoInvalidateNeeded:
