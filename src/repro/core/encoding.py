@@ -63,7 +63,7 @@ class _Component:
         _check_digits(digits, base)
         component = cls(base, len(digits), {})
         component._bitmaps = {
-            j: BitVector(component.nbits, words.view(np.uint64))
+            j: sealed(BitVector(component.nbits, words.view(np.uint64)))
             for j, words in component.payloads(digits, BitVector).items()
         }
         return component
@@ -94,28 +94,29 @@ class _Component:
         (elementwise for a digit column)."""
         raise NotImplementedError
 
+    def edited(self) -> "_Component":
+        """A copy to edit, sharing each bitmap until it replaces it."""
+        return type(self)(self.base, self.nbits, dict(self._bitmaps))
+
     def set_row(self, rid: int, digit: int) -> int:
-        """Re-encode one row's digit in place; returns bitmaps modified."""
-        if not 0 <= digit < self.base:
-            raise ValueOutOfRangeError(
-                f"digit {digit} out of range [0, {self.base})"
-            )
+        """Re-encode one row's digit, replacing each bitmap it changes by
+        an edited copy (a shared bitmap is never written); returns how many.
+        The digit is trusted, as :meth:`append_rows`' are: the index checks
+        its ranks once."""
         touched = 0
-        for slot, bitmap in self._bitmaps.items():
+        for slot, bitmap in list(self._bitmaps.items()):
             want = self.membership(digit, slot)
             if bitmap.get(rid) != want:
-                bitmap.set(rid, want)
+                self._bitmaps[slot] = with_bit(bitmap, rid, want)
                 touched += 1
         return touched
 
     def append_rows(self, digits: np.ndarray) -> None:
-        """Extend every stored bitmap with newly appended rows' digits."""
-        digits = np.asarray(digits)
-        _check_digits(digits, self.base)
+        """Replace every stored bitmap by one extended with new rows' digits."""
         for slot, bitmap in list(self._bitmaps.items()):
             new_bits = self.membership(digits, slot)
             combined = np.concatenate((bitmap.to_bools(), new_bits))
-            self._bitmaps[slot] = BitVector.from_bools(combined)
+            self._bitmaps[slot] = sealed(BitVector.from_bools(combined))
         self.nbits += len(digits)
 
     @property
@@ -210,6 +211,20 @@ def build_component(
 def stored_bitmap_count(base: int, encoding: EncodingScheme) -> int:
     """Stored bitmaps of one component (Theorem 5.1's per-component space)."""
     return len(_component_class(encoding).slots(base))
+
+
+def sealed(bitmap: BitVector) -> BitVector:
+    """``bitmap`` with read-only words: a built bitmap never changes (an
+    edit replaces it), so a write into one raises instead of tearing a query."""
+    bitmap._words.flags.writeable = False
+    return bitmap
+
+
+def with_bit(bitmap: BitVector, rid: int, value: bool) -> BitVector:
+    """A sealed copy of ``bitmap`` with bit ``rid`` set to ``value``."""
+    edited = bitmap.copy()
+    edited.set(rid, value)
+    return sealed(edited)
 
 
 def _check_digits(digits: np.ndarray, base: int) -> None:

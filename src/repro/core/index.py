@@ -18,6 +18,7 @@ so range predicates survive translation) before it reaches the index.
 
 from __future__ import annotations
 
+import copy
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -27,7 +28,9 @@ from repro.core.decomposition import Base
 from repro.core.encoding import (
     EncodingScheme,
     build_component,
+    sealed,
     stored_bitmap_count,
+    with_bit,
 )
 from repro.errors import InvalidBaseError, ValueOutOfRangeError
 from repro.stats import ExecutionStats
@@ -53,10 +56,10 @@ class BitmapSource(Protocol):
     ``with_codec(name)``: the identity for the codec they already serve,
     otherwise a :class:`CodecView`.
 
-    ``version`` moves whenever a fetch could return different bits (a
-    maintained index; a store source's generation) and is a constant for
-    sources whose bitmaps never change; whatever keeps a fetched bitmap
-    keys it by the version it was fetched at.
+    A source's bitmaps never change: maintenance returns a successor index
+    and leaves its predecessor as it was, and a store source reads one
+    image.  Whatever keeps a fetched bitmap keys it by the source it came
+    from (the engine: by the registration record that serves it).
     """
 
     # Read-only, so a plain attribute and a property both implement them.
@@ -72,8 +75,6 @@ class BitmapSource(Protocol):
     def nonnull(self) -> Bitmap | None: ...
     @property
     def bitmap_codec(self) -> str: ...
-    @property
-    def version(self) -> int: ...
 
     def fetch(
         self, component: int, slot: int, stats: ExecutionStats
@@ -181,7 +182,7 @@ class BitmapIndex:
         base = _checked_base(base, cardinality)
         values, nulls, encode_values = _checked_ranks(values, nulls, cardinality)
         self.nonnull: BitVector | None = (
-            BitVector.from_bools(~nulls) if nulls is not None else None
+            sealed(BitVector.from_bools(~nulls)) if nulls is not None else None
         )
         self.nbits = len(values)
         self.cardinality = cardinality
@@ -196,11 +197,6 @@ class BitmapIndex:
             for i in range(base.n)
         ]
         self._values = values.copy() if keep_values else None
-        self._nulls = nulls.copy() if nulls is not None else None
-        # Bumped by every maintenance operation; consumers holding derived
-        # artifacts (cached bitmaps, shared-memory publications) compare
-        # versions to detect staleness.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Bitmap source protocol
@@ -282,12 +278,13 @@ class BitmapIndex:
     # maintenance is expensive; these methods implement it anyway — and
     # return how many bitmaps each operation touched, which is the
     # quantity behind that motivation (see the `ablation_updates`
-    # experiment).
+    # experiment).  Each returns ``(successor, touched)`` and leaves this
+    # index as it was: the successor shares every untouched bitmap.
 
     def append(
         self, values: np.ndarray, nulls: np.ndarray | None = None
-    ) -> int:
-        """Append new records; returns the number of bitmaps rewritten.
+    ) -> tuple["BitmapIndex", int]:
+        """Append new records.
 
         Every stored bitmap is extended (appends touch all of them — the
         cheap dimension of bitmap maintenance, since it is a sequential
@@ -295,29 +292,22 @@ class BitmapIndex:
         cardinality is not supported.
         """
         values, nulls, encode_values = _checked_ranks(values, nulls, self.cardinality)
-        self.version += 1
-
-        if nulls is not None and self.nonnull is None:
-            # Start tracking nulls: existing rows are all valid.
-            self.track_nulls()
+        successor = self._successor()
         digit_columns = self.base._digit_columns(encode_values)
-        for i, component in enumerate(self.components):
+        for i, component in enumerate(successor.components):
             component.append_rows(digit_columns[i])
-        if self.nonnull is not None:
-            new_valid = ~nulls if nulls is not None else np.ones(len(values), bool)
-            self.nonnull = BitVector.from_bools(
-                np.concatenate((self.nonnull.to_bools(), new_valid))
-            )
-            if self._nulls is not None:
-                appended = nulls if nulls is not None else np.zeros(len(values), bool)
-                self._nulls = np.concatenate((self._nulls, appended))
+        if nulls is not None or self.nonnull is not None:
+            # The first NULL starts tracking them: existing rows are all valid.
+            old = self.nonnull if self.nonnull is not None else BitVector.ones(self.nbits)
+            new = ~nulls if nulls is not None else np.ones(len(values), bool)
+            successor.nonnull = sealed(BitVector.from_bools(np.concatenate((old.to_bools(), new))))
         if self._values is not None:
-            self._values = np.concatenate((self._values, values))
-        self.nbits += len(values)
-        return self.num_bitmaps
+            successor._values = np.concatenate((self._values, values))
+        successor.nbits += len(values)
+        return successor, successor.num_bitmaps
 
-    def update(self, rid: int, value: int) -> int:
-        """Change one record's value; returns the number of bitmaps touched.
+    def update(self, rid: int, value: int) -> tuple["BitmapIndex", int]:
+        """Change one record's value.
 
         This is the expensive dimension: a range-encoded component flips
         the record's bit in every bitmap between the old and new digit,
@@ -326,52 +316,35 @@ class BitmapIndex:
         self._check_rid(rid)
         if not 0 <= value < self.cardinality:
             raise ValueOutOfRangeError(f"value outside [0, {self.cardinality})")
-        digits = self.base.digits(value)
+        successor = self._successor()
         touched = 0
-        self.version += 1
-        for i, component in enumerate(self.components):
-            touched += component.set_row(rid, digits[i])
+        for component, digit in zip(successor.components, self.base.digits(value)):
+            touched += component.set_row(rid, digit)
         if self.nonnull is not None and not self.nonnull.get(rid):
-            self.nonnull.set(rid, True)  # updating a deleted row revives it
+            successor.nonnull = with_bit(self.nonnull, rid, True)  # revives a deleted row
             touched += 1
-            if self._nulls is not None:
-                self._nulls[rid] = False
         if self._values is not None:
-            self._values[rid] = value
-        return touched
+            successor._values = self._values.copy()
+            successor._values[rid] = value
+        return successor, touched
 
-    def delete(self, rid: int) -> int:
+    def delete(self, rid: int) -> tuple["BitmapIndex", int]:
         """Logically delete one record via the non-null (existence) bitmap.
 
-        Returns the number of bitmaps touched (1, or 2 on the first delete
-        when the existence bitmap is materialized).
+        ``touched`` is 1, or 2 on the first delete, which materializes the
+        existence bitmap (or 0 for a row already deleted).
         """
         self._check_rid(rid)
-        touched = 0
-        self.version += 1
-        if self.nonnull is None:
-            self.track_nulls()
-            touched += 1
-        if self.nonnull.get(rid):
-            self.nonnull.set(rid, False)
-            touched += 1
-        if self._nulls is not None:
-            self._nulls[rid] = True
-        return touched
+        nonnull = self.nonnull if self.nonnull is not None else BitVector.ones(self.nbits)
+        successor = self._successor()
+        successor.nonnull = with_bit(nonnull, rid, False)
+        return successor, (self.nonnull is None) + nonnull.get(rid)
 
-    def track_nulls(self) -> bool:
-        """Materialize the existence bitmap ``B_nn`` (all rows valid).
-
-        A no-op when the index already tracks nulls (the first NULL
-        append and the first delete call it).  Returns ``True`` when the
-        bitmap was materialized by this call.
-        """
-        if self.nonnull is not None:
-            return False
-        self.nonnull = BitVector.ones(self.nbits)
-        self._nulls = np.zeros(self.nbits, dtype=bool)
-        self.version += 1
-        return True
+    def _successor(self) -> "BitmapIndex":
+        """A copy to edit, sharing each bitmap until it replaces it."""
+        successor = copy.copy(self)
+        successor.components = [component.edited() for component in self.components]
+        return successor
 
     def _check_rid(self, rid: int) -> None:
         if not 0 <= rid < self.nbits:
@@ -395,8 +368,8 @@ class BitmapIndex:
         if op not in COMPARE:
             raise ValueOutOfRangeError(f"unknown operator {op!r}")
         mask = COMPARE[op](self._values, value)
-        if self._nulls is not None:
-            mask = mask & ~self._nulls
+        if self.nonnull is not None:
+            mask = mask & self.nonnull.to_bools()
         return BitVector.from_bools(mask)
 
     def __repr__(self) -> str:
@@ -416,8 +389,7 @@ class CodecView:
     ``{codec}.encode`` span, so the evaluation algorithms run entirely in
     that domain.  Nothing is kept: the engine's
     :class:`~repro.engine.cache.CachedSource` is the one layer that
-    retains served bitmaps, and a view reads whatever the source holds
-    now, maintenance included.
+    retains served bitmaps.
     """
 
     def __init__(self, source: BitmapSource, codec: str):
@@ -440,10 +412,6 @@ class CodecView:
     @property
     def encoding(self) -> EncodingScheme:
         return self._source.encoding
-
-    @property
-    def version(self) -> int:
-        return self._source.version
 
     @property
     def nonnull(self) -> Bitmap | None:

@@ -2,10 +2,9 @@
 the source adapter that fetches through it.
 
 :class:`CachedSource` is the only place a served bitmap is retained.  It
-wraps any bitmap source and keys every fetched bitmap by
-``prefix + (source.version, component, slot)``, so a bitmap fetched
-before the source changed is never served after it.  The engine keeps
-one per served attribute of a registration record, over its one
+wraps any bitmap source, whose bitmaps never change, and keys every
+fetched bitmap by ``prefix + (component, slot)``.  The engine keeps one
+per served attribute of a registration record, over its one
 :class:`SharedBitmapCache`, with prefix ``(relation, serial, attribute,
 codec)``, so hot bitmaps of every relation compete for the same
 ``capacity`` slots; a :class:`repro.storage.buffer.BufferPool` is a
@@ -226,15 +225,15 @@ class CachedSource:
     the one layer that keeps a served bitmap.
 
     Implements the :class:`~repro.core.index.BitmapSource` protocol.  A
-    bitmap is cached under ``prefix + (source.version, component, slot)``,
-    so an entry fetched before the source changed (in-place maintenance, a
-    store generation) is never served after it.  A hit costs no scan (it
+    bitmap is cached under ``prefix + (component, slot)``: a source's
+    bitmaps never change, and the prefix names the source (on the engine
+    path, by its registration record's serial).  A hit costs no scan (it
     is charged as a ``buffer_hit``); a miss fetches from the wrapped
     source (which records the scan on the per-query stats) and admits the
-    bitmap to the cache.  The source's ``nonnull`` is read once per
-    version of the source, which on the engine path (one served source
-    per attribute) is once per version, not per query.  ``faults``
-    returns the :class:`~repro.faults.FaultPlan` to check on a hit.
+    bitmap to the cache.  The source's ``nonnull`` is read once, which on
+    the engine path (one served source per attribute of a record) is once
+    per record, not per query.  ``faults`` returns the
+    :class:`~repro.faults.FaultPlan` to check on a hit.
     """
 
     __slots__ = ("_source", "_cache", "_prefix", "_faults", "_nonnull")
@@ -250,7 +249,7 @@ class CachedSource:
         self._cache = cache
         self._prefix = prefix
         self._faults = faults
-        self._nonnull: tuple | None = None  # (version, the source's nonnull)
+        self._nonnull: tuple | None = None  # (the source's nonnull,) once read
 
     @property
     def bitmap_codec(self) -> str:
@@ -273,18 +272,14 @@ class CachedSource:
         return self._source.encoding
 
     @property
-    def version(self) -> int:
-        return self._source.version
-
-    @property
     def nonnull(self):
-        version, memo = self._source.version, self._nonnull  # one read of each
-        if memo is None or memo[0] != version:
-            memo = self._nonnull = (version, self._source.nonnull)
-        return memo[1]
+        memo = self._nonnull
+        if memo is None:
+            memo = self._nonnull = (self._source.nonnull,)
+        return memo[0]
 
     def _key(self, component: int, slot: int) -> tuple:
-        return self._prefix + (self._source.version, component, slot)
+        return self._prefix + (component, slot)
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats):
         if stats.deadline is not None:

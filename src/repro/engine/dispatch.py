@@ -248,7 +248,7 @@ class ProcessDispatch:
     def _unpublish(self, doomed: Callable[[tuple], bool]) -> None:
         """Unlink the publications whose key ``doomed`` selects; the next
         dispatch re-cuts them from the engine's sources, which a repair
-        never touches — in-place maintenance survives it."""
+        never touches — maintenance survives it."""
         with self._lock:
             closing = [self.exports.pop(key) for key in list(self.exports) if doomed(key)]
         for export in closing:
@@ -285,8 +285,8 @@ class ProcessDispatch:
 
         Cut from the uncached source the inline path serves, into the
         engine's ``shards`` row ranges (else ``max_workers`` of them), and cut again
-        (the stale blocks unlinked) once that source is replaced, its
-        version has moved, or the engine's codec or shard count has.
+        (the stale blocks unlinked) once that source is replaced, or the
+        engine's codec or shard count has changed.
         """
         source = item.sources[attribute]
         key = (item.relation.name, attribute)

@@ -577,13 +577,11 @@ class QueryEngine:
         attribute).  The next query rebuilds what it reads.
 
         No correctness step needs this call; it only frees memory.
-        :meth:`register` drops what changed; in-place maintenance of a
-        served index (``append`` / ``update`` / ``delete``) moves its
-        ``version``, which keys every cached bitmap and shard publication;
-        and a mutation *through the index store* (``build`` / ``append`` /
-        ``compact`` / ``quarantine``) moves its generation, past the image
-        a registered view holds, which the next query catches up with
-        (:meth:`registration`).
+        :meth:`register` and :meth:`maintain` write a record of what
+        changed, and a mutation *through the index store* (``build`` /
+        ``append`` / ``compact`` / ``quarantine``) moves its generation,
+        past the image a registered view holds, which the next query
+        catches up with (:meth:`registration`).
         """
         names = [self._resolve(relation)] if relation is not None else list(self._registrations)
         for name in names:
@@ -592,18 +590,45 @@ class QueryEngine:
                 dropped = old.specs if attribute is None else [attribute]
                 self._write(old.relation.latest(), old.specs, dropped)
 
-    def _write(self, relation: Relation, specs: dict, dropped=()) -> None:
-        """Swap in a record of ``relation``, carrying the entries of each
-        attribute not ``dropped`` whose relation object and spec did not
-        change, then release the rest (for memory only: no query reads
+    def maintain(self, attribute: str, edit: Callable, relation: str | None = None) -> int:
+        """Serve the successor ``edit(index)`` makes of one attribute's
+        in-memory index; returns the bitmaps it touched.
+
+        ``edit`` returns ``(successor, touched)``, as the index's
+        ``append`` / ``update`` / ``delete`` do.  A new record serves the
+        successor and carries every other attribute's entries, so a query
+        already running sees all of the edit or none of it.  The relation's
+        columns are not maintained: ``QueryOptions(verify=True)`` raises
+        :class:`~repro.errors.VerificationError` where the edit changed an
+        answer.  A store's view raises :class:`~repro.errors.EngineConfigError`
+        (maintain it with :meth:`~repro.storage.store.IndexStore.append`).
+        """
+        with self._writing:
+            record = self._registrations[self._resolve(relation)]
+            if isinstance(record.relation, StoreRelation):
+                raise EngineConfigError(
+                    f"relation {record.relation.name!r} is served from an index store; "
+                    f"maintain it through the store (IndexStore.append)"
+                )
+            successor, touched = edit(self._index_for(record, attribute))
+            self._write(record.relation, record.specs, successors={attribute: successor})
+        return touched
+
+    def _write(self, relation: Relation, specs: dict, dropped=(), successors=None) -> None:
+        """Swap in a record of ``relation`` serving the indexes
+        ``successors`` maps attributes to, carrying the entries of each
+        other attribute not ``dropped`` whose relation object and spec did
+        not change, then release the rest (for memory only: no query reads
         another record).  The caller holds ``_writing``."""
         name = relation.name
         old = self._registrations.get(name)
-        keep = [a for a in specs if a not in dropped and old is not None
+        successors = successors or {}
+        replaced = {*dropped, *successors}
+        keep = [a for a in specs if a not in replaced and old is not None
                 and old.relation is relation and old.specs.get(a) == specs[a]]
         # ``served`` first: an attribute served by then has its index memoized.
         served = {a: old.served[a] for a in keep if a in old.served}
-        indexes = old.indexes.carry(keep) if old is not None else IndexRegistry()
+        indexes = old.indexes.carry(keep, successors) if old is not None else IndexRegistry()
         self._registrations[name] = Registration(relation, specs, indexes, served)
         released = [attribute for attribute in (old.specs if old else ()) if attribute not in keep]
         for attribute in released:
@@ -696,7 +721,7 @@ class QueryEngine:
         """``(index, served)``: the attribute's source as ``record`` holds
         it (one lookup a query), and its cache-routed source, built on first
         use in the codec :meth:`_codec_for` gives and kept with the record —
-        so ``B_nn`` is read once per version.  Its cache keys start with the
+        so ``B_nn`` is read once per record.  Its cache keys start with the
         record's serial, so no two registrations share one."""
         index = self._index_for(record, attribute)
         served = record.served.get(attribute)

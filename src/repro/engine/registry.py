@@ -90,13 +90,15 @@ class IndexRegistry:
                 self.builds += 1
             return built
 
-    def carry(self, keys: list[Hashable]) -> IndexRegistry:
+    def carry(self, keys: list[Hashable], successors: dict | None = None) -> IndexRegistry:
         """A new registry holding this one's memoized values for ``keys``
-        (those built) and its build/reuse counters."""
+        (those built), the values ``successors`` maps a key to, and this
+        one's build/reuse counters."""
         carried = IndexRegistry()
         with self._lock:
             carried._indexes = {key: self._indexes[key] for key in keys if key in self._indexes}
             carried.builds, carried.reuses = self.builds, self.reuses
+        carried._indexes.update(successors or {})
         return carried
 
     def peek(self, key: Hashable) -> object | None:

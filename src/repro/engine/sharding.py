@@ -330,10 +330,9 @@ class ShardExport:
     recognizable names (``repro-shm-<pid>-<nonce>``) so
     :func:`sweep_orphan_segments` can reclaim them if this process dies
     without cleanup; live exports are also swept by an ``atexit`` hook.
-    The export pins the source and its ``version``; the publisher
-    re-exports once :meth:`serves` turns false (in-place maintenance, or a
-    store append or compaction, moved it).  Call :meth:`close` (or let the
-    engine's ``close()``) to unlink the blocks.
+    The export pins the source, whose bitmaps never change; the publisher
+    re-exports once a query resolves another (:meth:`serves`).  Call
+    :meth:`close` (or let the engine's ``close()``) to unlink the blocks.
     """
 
     def __init__(
@@ -346,7 +345,6 @@ class ShardExport:
         self.codec = codec
         self.bounds = tuple(bounds)
         self._source = source
-        self.version = source.version
         self.manifests: list[str] = []
         self._segments: list = []
         try:
@@ -366,8 +364,8 @@ class ShardExport:
             _EXPORT_SWEEP_REGISTERED = True
 
     def serves(self, source) -> bool:
-        """Whether this publication is still a cut of ``source`` as it is."""
-        return self._source is source and self.version == source.version
+        """Whether this publication is a cut of ``source``."""
+        return self._source is source
 
     @property
     def nbytes(self) -> int:

@@ -39,7 +39,8 @@ def average_update_touches(
     for _ in range(updates):
         rid = int(rng.integers(0, index.nbits))
         value = int(rng.integers(0, index.cardinality))
-        total += index.update(rid, value)
+        index, touched = index.update(rid, value)
+        total += touched
     return total / updates
 
 

@@ -121,8 +121,6 @@ class StorageScheme(abc.ABC):
     """
 
     kind: str
-    #: Written once and never maintained: every fetch returns the same bits.
-    version = 0
 
     def __init__(
         self,

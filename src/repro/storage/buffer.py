@@ -47,10 +47,9 @@ class BufferPool(CachedSource):
     capacity:
         Total buffered bitmaps ``m``, for the default assignment.
 
-    The pinned bitmaps are keyed by the source's ``version`` at preload,
-    so once the source changes every fetch is a miss served by the source.
-    Thread-safe: the hit/miss counters mutate under the lock of
-    :attr:`cache`.
+    A pool over an index keeps answering it after maintenance, which
+    returns a successor.  Thread-safe: the hit/miss counters mutate under
+    the lock of :attr:`cache`.
     """
 
     __slots__ = ("assignment",)

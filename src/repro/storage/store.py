@@ -596,12 +596,6 @@ class StoreBitmapSource:
         return self._meta.encoding
 
     @property
-    def version(self) -> int:
-        """The store generation this source reads (see
-        :meth:`IndexStore.generation`); stale once the store moved on."""
-        return self._rfile.generation
-
-    @property
     def stored_codec(self) -> str:
         """The codec the payloads are persisted in."""
         return self._meta.codec
@@ -818,10 +812,10 @@ class IndexStore:
         on disk: a relation whose ``.rbix`` file or delta sidecar no longer
         has the inode, size and mtime it had when this store opened it is
         dropped here, so the next access re-reads it.  A view carries the
-        generation it read as ``generation``, a source as ``version``; the
-        engine reads a view again once its store moved past it
-        (:meth:`StoreRelation.latest`), before each query, so nobody has
-        to remember ``engine.invalidate()``.
+        generation it read as ``generation``; the engine reads a view
+        again once its store moved past it (:meth:`StoreRelation.latest`),
+        before each query, so nobody has to remember
+        ``engine.invalidate()``.
         """
         rfile = self._files.get(relation)
         if rfile is not None and rfile.on_disk != self._on_disk(relation):

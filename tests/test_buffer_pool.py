@@ -63,14 +63,18 @@ class TestPinnedPolicy:
             model = costmodel.time_range_buffered(BASE, assignment.counts)
             assert measured == pytest.approx(model, abs=0.35)
 
-    def test_pins_never_outlive_maintenance(self, index):
+    def test_a_pool_over_the_predecessor_keeps_answering_it(self, index):
         pool = BufferPool(index, capacity=5)
-        index.update(0, 7)  # moves the version the pins were keyed at
+        old = int(index._values[0])
+        successor, _ = index.update(0, (old + 7) % CARDINALITY)
+        assert successor.naive_eval("=", old) != index.naive_eval("=", old)
+        hits = 0
         for predicate in full_query_space(CARDINALITY):
             stats = ExecutionStats()
             got = evaluate(pool, predicate, stats=stats)
             assert got == index.naive_eval(predicate.op, predicate.value)
-            assert stats.buffer_hits == 0
+            hits += stats.buffer_hits
+        assert hits > 0
 
     def test_explicit_assignment(self, index):
         assignment = BufferAssignment(BASE, (6, 0))

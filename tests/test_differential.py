@@ -359,11 +359,11 @@ def test_three_way_over_storage_schemes(scheme, file_codec):
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
 def test_three_way_after_maintenance(encoding):
-    """Insert/update/delete invalidate every codec's memo identically.
+    """Every codec serves the successor of an insert/update/delete alike.
 
-    The compressed views memoize encoded bitmaps; a maintenance write that
-    failed to clear one codec's memo would silently serve stale results —
-    exactly the divergence a three-way re-query catches.
+    A successor shares the bitmaps an edit did not touch and copies the
+    rest; a shared bitmap written in place, or a copy left unedited, would
+    show as exactly the divergence a three-way re-query catches.
     """
     cardinality = 24
     values = uniform_values(NUM_ROWS, cardinality, seed=23)
@@ -377,15 +377,15 @@ def test_three_way_after_maintenance(encoding):
     # Query once through every codec to populate the encoded memos.
     _assert_three_way_agree(index, predicates, f"pre-maintenance/{encoding.value}")
 
-    index.append(rng.integers(0, cardinality, 50))
+    index, _ = index.append(rng.integers(0, cardinality, 50))
     _assert_three_way_agree(index, predicates, f"post-append/{encoding.value}")
 
     for rid in (0, 5, NUM_ROWS + 10):
-        index.update(rid, int(rng.integers(0, cardinality)))
+        index, _ = index.update(rid, int(rng.integers(0, cardinality)))
     _assert_three_way_agree(index, predicates, f"post-update/{encoding.value}")
 
     for rid in (1, 17, NUM_ROWS + 3):
-        index.delete(rid)
+        index, _ = index.delete(rid)
     _assert_three_way_agree(index, predicates, f"post-delete/{encoding.value}")
 
 
@@ -475,10 +475,9 @@ def _assert_connectives_three_way(index: BitmapIndex, label: str) -> None:
 def test_threshold_xor_three_way_after_maintenance(encoding):
     """XOR/threshold kernels survive append/update/delete identically.
 
-    Maintenance invalidates each codec's memoized bitmaps; the k-way
-    threshold kernels then re-encode from the maintained truth — any
-    stale or mis-merged container diverges from the dense counting
-    oracle here.
+    Each codec's view of the successor re-encodes the maintained truth,
+    and the k-way threshold kernels run over it — any stale or
+    mis-merged container diverges from the dense counting oracle here.
     """
     cardinality = 24
     values = uniform_values(NUM_ROWS, cardinality, seed=47)
@@ -488,15 +487,15 @@ def test_threshold_xor_three_way_after_maintenance(encoding):
     rng = np.random.default_rng(53)
     _assert_connectives_three_way(index, f"pre-maintenance/{encoding.value}")
 
-    index.append(rng.integers(0, cardinality, 50))
+    index, _ = index.append(rng.integers(0, cardinality, 50))
     _assert_connectives_three_way(index, f"post-append/{encoding.value}")
 
     for rid in (0, 5, NUM_ROWS + 10):
-        index.update(rid, int(rng.integers(0, cardinality)))
+        index, _ = index.update(rid, int(rng.integers(0, cardinality)))
     _assert_connectives_three_way(index, f"post-update/{encoding.value}")
 
     for rid in (1, 17, NUM_ROWS + 3):
-        index.delete(rid)
+        index, _ = index.delete(rid)
     _assert_connectives_three_way(index, f"post-delete/{encoding.value}")
 
 

@@ -39,12 +39,15 @@ def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, rea
     retry = RetryPolicy(max_retries=2, base_delay_seconds=0.0)
     inline, processes = engines(relation, max_workers=2, shards=2, cache_capacity=0, retry=retry)
     processes.query_batch(QUERIES)  # build + publish
-    index = processes.registration("orders").indexes.peek("quantity")
-    for engine in (inline, processes):
-        maintained = engine._index_for(engine.registration("orders"), "quantity")
+
+    def edit(quantity):
         for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 3)):
-            maintained.update(rid, value)
-        maintained.delete(5)
+            quantity, _ = quantity.update(rid, value)
+        return quantity.delete(5)
+
+    for engine in (inline, processes):
+        engine.maintain("quantity", edit)
+    index = processes.registration("orders").indexes.peek("quantity")
     # Arm the fault only now, so it hits the post-maintenance
     # publication (the dispatch reads the engine's knobs live).
     plan = processes.fault_plan = FaultPlan([FaultSpec("shm.attach", kind, nth=1)])

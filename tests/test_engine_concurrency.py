@@ -4,11 +4,15 @@ A mixed batch of predicates runs from many threads against one engine;
 every result must be bit-identical to the sequential ground truth, the
 shared cache's counters must stay consistent under contention
 (``hits + misses == fetches == scans + buffer_hits``), and racing first
-queries must build each attribute's index exactly once.
+queries must build each attribute's index exactly once.  A query held
+across ``register`` or maintenance answers wholly from the registration
+record it resolved.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,11 +21,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.bitmaps import BitVector
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine import IndexSpec, QueryEngine
 from repro.engine import engine as engine_module
-from repro.engine.cache import SharedBitmapCache
+from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.errors import EngineConfigError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
@@ -164,13 +169,16 @@ class TestContention:
         assert_counters_consistent(engine)
 
 
-def held_once(monkeypatch, owner, name: str):
-    """Make the next call of ``owner.name`` wait, before it runs, until the
-    returned ``release`` is set; ``reached`` is set when it waits."""
+def held_once(monkeypatch, owner, name: str, nth: int = 1):
+    """Make the ``nth`` next call of ``owner.name`` wait, before it runs,
+    until the returned ``release`` is set; ``reached`` is set when it waits."""
     reached, release = threading.Event(), threading.Event()
     original = getattr(owner, name)
+    calls = itertools.count(1)
 
     def held(*args, **kwargs):
+        if next(calls) < nth:
+            return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, original)  # only this one call waits
         reached.set()
         assert release.wait(timeout=30)
@@ -292,6 +300,106 @@ class TestRacingDrop:
         assert wrong == []
         assert engine.query("a <= 6").rids.tolist() == truths[59 % 2]
         assert engine.count("a <= 6").count == len(truths[59 % 2])
+
+
+def set_row_0(engine: QueryEngine, value: int) -> int:
+    """Set row 0 of ``t.a`` to ``value`` through the engine's maintenance door."""
+    return engine.maintain("a", lambda index: index.update(0, value), "t")
+
+
+class TestMaintenanceUnderAQuery:
+    """A query in flight across maintenance answers wholly from the index
+    it resolved, and leaves nothing torn in the cache.
+
+    ``t.a`` is ``arange(1000) % 100`` on base ``<10, 10>``, range encoded.
+    ``a = 50`` holds 10 rows whether row 0 is 0 or 90, and reads component
+    1's ``B^0``, then component 2's ``B^5`` and ``B^4``: row 0 is in both
+    of those at 0 and in neither at 90, so ``B^5`` of one state XOR ``B^4``
+    of the other answers 11.
+    """
+
+    @staticmethod
+    def engine(codec: str, cache_capacity: int) -> QueryEngine:
+        engine = QueryEngine(codec=codec, cache_capacity=cache_capacity, backend="inline")
+        engine.register(Relation.from_dict("t", {"a": np.arange(1000) % 100}), base=Base((10, 10)))
+        return engine
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_a_query_during_an_edit_answers_one_state(self, monkeypatch, codec):
+        """Row 0 moves from 0 to 90 by an edit held between its writes of
+        ``B^4`` and ``B^5``; a query run meanwhile answers 10."""
+        engine = self.engine(codec, 0)
+        count = lambda: engine.count("a = 50").count  # noqa: E731
+        assert count() == 10
+        writing, write = held_once(monkeypatch, BitVector, "set", nth=6)
+        edit = threading.Thread(target=set_row_0, args=(engine, 90))
+        edit.start()
+        assert writing.wait(timeout=30)
+        try:
+            meanwhile = count()
+        finally:
+            write.set()
+            edit.join(timeout=30)
+        assert meanwhile == 10
+        assert count() == 10
+        assert engine.count("a = 90").count == 11
+
+    @pytest.mark.parametrize("codec", ["wah", "roaring"])
+    def test_no_torn_conversion_is_cached(self, monkeypatch, codec):
+        """Row 0 is restored from 90 to 0 by an edit held before its first
+        bitmap write; a query that fetches ``B^5`` meanwhile is held before
+        ``B^4`` until the restore is done.  It answers 10, and so does
+        every query after it, from a warm cache."""
+        engine = self.engine(codec, 64)
+        count = lambda: engine.count("a = 50").count  # noqa: E731
+        set_row_0(engine, 90)
+        assert count() == 10
+        writing, write = held_once(monkeypatch, BitVector, "set")
+        restore = threading.Thread(target=set_row_0, args=(engine, 0))
+        restore.start()
+        assert writing.wait(timeout=30)
+        reached, release = held_once(monkeypatch, CachedSource, "fetch", nth=3)
+
+        def meanwhile():
+            write.set()
+            restore.join(timeout=30)
+
+        assert race(count, reached, release, meanwhile) == [10]
+        hits = engine.cache.hits
+        assert [count() for _ in range(3)] == [10, 10, 10]
+        assert engine.cache.hits > hits
+        assert engine.count("a = 0").count == 10
+
+    @pytest.mark.parametrize("codec", ["dense", "wah", "roaring"])
+    def test_answers_stay_whole_while_row_0_flips(self, codec):
+        """Four threads count while row 0 flips between 0 and 90, on a
+        short switch interval, until they have answered 1,000 times (or
+        for 10 s): every answer is 10."""
+        engine = self.engine(codec, 64)
+        done, answers, flips = threading.Event(), [], 0
+
+        def reader():
+            while not done.is_set():
+                answers.append(engine.count("a = 50").count)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while len(answers) < 1000 and time.monotonic() < deadline:
+                flips += 1
+                set_row_0(engine, 90 if flips % 2 else 0)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert flips > 1 and answers and set(answers) == {10}
+        assert engine.count("a = 90").count == 10 + flips % 2
 
 
 class TestMetricsAndWarm:

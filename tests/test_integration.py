@@ -64,15 +64,19 @@ def test_warehouse_lifecycle(tmp_path):
     for text in queries:
         assert np.array_equal(restored.select(text), before[text]), text
 
-    # --- maintain a served index in place and keep it exact -------------
+    # --- maintain a served index through the engine and keep it exact --
+    codes = np.append(restored.relation.column("region").codes, [0, 39, 17])
+    codes[0] = 39
+    live = np.arange(len(codes)) != 1
+
+    def edit(index):
+        index, _ = index.append(np.array([0, 39, 17]))
+        index, _ = index.update(0, 39)
+        return index.delete(1)
+
+    restored.engine.maintain("region", edit, "warehouse")
     index = restored.engine.registration("warehouse").indexes.peek("region")
     assert isinstance(index, BitmapIndex)
-    codes = np.append(restored.relation.column("region").codes, [0, 39, 17])
-    index.append(np.array([0, 39, 17]))
-    index.update(0, 39)
-    codes[0] = 39
-    index.delete(1)
-    live = np.arange(len(codes)) != 1
     for op in ("<=", "=", "!="):
         for v in (0, 17, 39):
             truth = np.nonzero(COMPARE[op](codes, v) & live)[0]

@@ -28,14 +28,12 @@ import test_oracle
 import test_query
 import test_roaring
 import test_evaluation
-import test_shard_backend
 import test_store
 from repro.bitmaps import WahBitVector, bitvector, compressed, roaring, wah
-from repro.core import costmodel, evaluation
+from repro.core import costmodel, encoding, evaluation
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.engine import sharding
-from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
 from repro.errors import VerificationError
 from repro.query import expression
@@ -238,25 +236,6 @@ def test_m16_m17_rank_kernel_off_by_one_under_verify(monkeypatch, kernel, answer
         assert_killed(backends.test_verify_accepts_every_finish, parted)
 
 
-def test_m18_cache_key_without_the_version(monkeypatch, engines):
-    """A cached bitmap is keyed by its source's version, so maintenance
-    made behind the engine's back never serves a stale entry."""
-    unversioned = mutant(CachedSource._key, "self._source.version, ", "")
-    monkeypatch.setattr(CachedSource, "_key", unversioned)
-    differential = test_shard_backend.TestEngineBackendDifferential()
-    relation = test_shard_backend.orders()
-    assert_killed(differential.test_in_place_maintenance_with_warm_cache, engines, relation, "wah")
-
-
-def test_m19_shard_export_serves_a_stale_version(monkeypatch, engines):
-    """A shard publication is re-cut once its source's version moves."""
-    stale = mutant(sharding.ShardExport.serves, " and self.version == source.version", "")
-    monkeypatch.setattr(sharding.ShardExport, "serves", stale)
-    differential = test_shard_backend.TestEngineBackendDifferential()
-    relation = test_shard_backend.orders()
-    assert_killed(differential.test_in_place_maintenance, engines, relation, "wah", 2)
-
-
 def test_m20_equality_lt_eq_side_choice_off_by_one(monkeypatch):
     """Past component 1, equality encoding's ``digit < d`` takes the
     direct side on a tie of ``d + 1`` against ``b - d`` reads: digit 1 of
@@ -360,3 +339,16 @@ def test_m30_view_reads_its_stores_current_image(monkeypatch, tmp_path):
     views = test_store.TestAViewServesItsOwnImage()
     racing = views.test_a_build_racing_a_query_leaves_it_on_its_view
     assert_killed(racing, str(tmp_path / "indexes"), monkeypatch)
+
+
+def test_m31_update_writes_into_the_published_bitmap(monkeypatch):
+    """An edit replaces each bitmap it touches in its successor's slots, so
+    a query reading the published index meanwhile sees none of it."""
+    in_place = mutant(
+        encoding._Component.set_row,
+        "self._bitmaps[slot] = with_bit(bitmap, rid, want)",
+        "bitmap._words.flags.writeable = True; bitmap.set(rid, want)",
+    )
+    monkeypatch.setattr(encoding._Component, "set_row", in_place)
+    edits = test_engine_concurrency.TestMaintenanceUnderAQuery()
+    assert_killed(edits.test_a_query_during_an_edit_answers_one_state, monkeypatch, "dense")

@@ -163,14 +163,14 @@ class TestShardedIndexDifferential:
         single = BitmapIndex(values, cardinality=60, base=Base((8, 8)))
         export = ShardExport(single, shard_bounds(single.nbits, shards), codec)
         export.close()
-        single.append(np.array([0, 17, 59, 30, 5]))
+        maintained, _ = single.append(np.array([0, 17, 59, 30, 5]))
         for rid, value in ((0, 59), (NUM_ROWS - 1, 0), (NUM_ROWS // 2, 7)):
-            single.update(rid, value)
+            maintained, _ = maintained.update(rid, value)
         for rid in (3, NUM_ROWS - 2, NUM_ROWS + 2):
-            single.delete(rid)
-        assert not export.serves(single)  # the publisher must re-cut
-        assert single.nbits == NUM_ROWS + 5
-        self._assert_equivalent(single, codec, shards)
+            maintained, _ = maintained.delete(rid)
+        assert export.serves(single) and not export.serves(maintained)  # re-cut the successor
+        assert maintained.nbits == NUM_ROWS + 5
+        self._assert_equivalent(maintained, codec, shards)
 
     def test_nulls_at_construction(self, values):
         rng = np.random.default_rng(5)
@@ -188,8 +188,8 @@ class TestSegmentImage:
     @pytest.fixture
     def export(self):
         rng = np.random.default_rng(23)
-        index = BitmapIndex(rng.integers(0, 60, 900), 60, base=Base((8, 8)))
-        index.delete(3)  # publishes an existence bitmap too
+        # The delete publishes an existence bitmap too.
+        index, _ = BitmapIndex(rng.integers(0, 60, 900), 60, base=Base((8, 8))).delete(3)
         export = ShardExport(index, shard_bounds(index.nbits, 2), "dense")
         yield export
         export.close()
@@ -348,12 +348,16 @@ def assert_processes_match_inline(inline: QueryEngine, processes: QueryEngine) -
         assert (a.stats.scans, a.stats.ops) == (b.stats.scans, b.stats.ops), label
 
 
-def maintain(pair, edit) -> None:
-    """Apply ``edit(quantity_index, region_index)`` to each engine's built
-    indexes, behind the engines' backs."""
+def maintain(pair, attribute: str, edit) -> None:
+    """Maintain ``attribute`` of ``orders`` on each engine with ``edit``
+    (see :meth:`QueryEngine.maintain`)."""
     for engine in pair:
-        record = engine.registration("orders")
-        edit(*(engine._index_for(record, name) for name in ("quantity", "region")))
+        engine.maintain(attribute, edit, "orders")
+
+
+def append_rows(*values):
+    """An edit appending rows of ``values``."""
+    return lambda index: index.append(np.array(values))
 
 
 class TestEngineBackendDifferential:
@@ -399,16 +403,16 @@ class TestEngineBackendDifferential:
         pair = inline, processes = make_engines(engines, relation, shards=4, cache_capacity=0)
         processes.query_batch(QUERIES)  # build + publish
 
-        def edit(quantity, region):
-            for index in (quantity, region):
-                index.append(np.array([0, 7, 3]))  # the re-cut shards cover these too
+        def edit(quantity):
+            quantity, _ = quantity.append(np.array([0, 7, 3]))  # the re-cut shards cover these too
             for rid, value in ((0, 49), (NUM_ROWS - 1, 0), (17, 17)):
-                quantity.update(rid, value)
-            quantity.delete(5)
+                quantity, _ = quantity.update(rid, value)
+            return quantity.delete(5)
 
-        maintain(pair, edit)
-        # The version bump must invalidate the shared-memory
-        # publication, so the next batch re-exports and agrees.
+        maintain(pair, "quantity", edit)
+        maintain(pair, "region", append_rows(0, 7, 3))
+        # The successor is another source than the one published, so the
+        # next batch re-exports and agrees.
         answers = inline.query_batch(QUERIES), processes.query_batch(QUERIES)
         for query, a, b in zip(QUERIES, *answers):
             assert np.array_equal(a.rids, b.rids), query
@@ -418,36 +422,39 @@ class TestEngineBackendDifferential:
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (2, 4))
     def test_in_place_maintenance(self, engines, relation, codec, shards):
-        # No invalidate(): the shards are cut from the index the process
-        # engine serves, and its version bump alone makes the next batch
-        # re-export.
+        # No invalidate(): the shards are cut from the index a record
+        # serves, and maintenance serves a successor from a new record, so
+        # the next batch re-exports.
         pair = make_engines(engines, relation, codec=codec, shards=shards, cache_capacity=0)
         assert_processes_match_inline(*pair)  # build + publish
 
-        def edit(*indexes):
-            for index, cardinality in zip(indexes, (50, 8)):
+        def edit(cardinality):
+            def apply(index):
                 for rid in (0, 17, NUM_ROWS // 2, NUM_ROWS - 1):
-                    index.update(rid, (rid + 3) % cardinality)
-                index.delete(5)
+                    index, _ = index.update(rid, (rid + 3) % cardinality)
+                return index.delete(5)
 
-        maintain(pair, edit)
+            return apply
+
+        maintain(pair, "quantity", edit(50))
+        maintain(pair, "region", edit(8))
         assert_processes_match_inline(*pair)
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_in_place_maintenance_with_warm_cache(self, engines, relation, codec):
-        # The default shared cache keys a bitmap by its source's version,
-        # so a warm entry never outlives maintenance made behind the
-        # engine's back.
+        # The default shared cache keys a bitmap by its record's serial,
+        # so a warm entry is never served to the record maintenance
+        # writes.
         pair = inline, processes = make_engines(engines, relation, codec=codec, shards=2)
         inline.query_batch(QUERIES)  # build + warm
         shifted = (int(relation.column("quantity").codes[0]) + 25) % 50
 
-        def edit(quantity, region):
-            quantity.update(0, shifted)
-            for index in (quantity, region):
-                index.append(np.array([0]))
+        def edit(quantity):
+            quantity, _ = quantity.update(0, shifted)
+            return quantity.append(np.array([0]))
 
-        maintain(pair, edit)
+        maintain(pair, "quantity", edit)
+        maintain(pair, "region", append_rows(0))
         warm = inline.query_batch(QUERIES)
         assert inline.cache.hits > 0
         inline.reset_cache()

@@ -1215,7 +1215,7 @@ class TestNoInvalidateNeeded:
             )
         engine = repro.open_store(store_dir)
         self.check(engine, before, finish)  # memoize sources, fill the cache
-        version = engine.storage.bitmap_source("sales", "region").version
+        version = engine.storage.generation("sales")
         if mutation == "rebuild":
             after = make_relation(700, seed=13)
             engine.storage.build(after, codec=codec)
@@ -1235,7 +1235,7 @@ class TestNoInvalidateNeeded:
             if mutation == "compact":
                 self.check(engine, after, finish)  # serve base + delta first
                 engine.storage.compact("sales")
-        assert engine.storage.bitmap_source("sales", "region").version > version
+        assert engine.storage.generation("sales") > version
         self.check(engine, after, finish)
         engine.close()
 
@@ -1481,7 +1481,7 @@ class TestFormatPin:
             encoding=EncodingScheme.RANGE,
             keep_values=False,
         )
-        index.delete(3)  # publishes an existence bitmap too
+        index, _ = index.delete(3)  # publishes an existence bitmap too
         # Shard 0 of the cut, byte-identical to the per-shard build it
         # replaced: an index over rows [0, 500) alone.
         export = ShardExport(index, shard_bounds(index.nbits, 2), codec)
