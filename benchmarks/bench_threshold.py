@@ -100,7 +100,7 @@ def make_relation(num_rows: int) -> Relation:
 def bench_threshold_kernel(engine: QueryEngine, relation: Relation) -> dict:
     """Native k-of-N kernel vs. the decode-count-reencode fallback."""
     record = engine.registration("facts")
-    sources = {attr: engine._source_for(record, attr)[1] for attr in ("a", "b", "c")}
+    sources = {attr: engine._source_for(record, attr) for attr in ("a", "b", "c")}
     operands = [
         evaluate(sources["a"], Predicate("<=", 6)),
         evaluate(sources["b"], Predicate("<=", 6)),

@@ -7,7 +7,7 @@ See :mod:`repro.engine.engine` for the architecture overview and
 from repro.engine.cache import SharedBitmapCache
 from repro.engine.engine import AggregateResult, IndexSpec, QueryEngine
 from repro.engine.metrics import EngineMetrics, LatencyReservoir, percentile
-from repro.engine.registry import IndexRegistry, Registration
+from repro.engine.registry import Registration
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import (
     BACKENDS,
@@ -25,7 +25,6 @@ __all__ = [
     "CircuitBreaker",
     "EngineMetrics",
     "ExplainReport",
-    "IndexRegistry",
     "IndexSpec",
     "LatencyReservoir",
     "QueryEngine",

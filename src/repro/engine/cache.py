@@ -5,7 +5,7 @@ the source adapter that fetches through it.
 wraps any bitmap source, whose bitmaps never change, and keys every
 fetched bitmap by ``prefix + (component, slot)``.  The engine keeps one
 per served attribute of a registration record, over its one
-:class:`SharedBitmapCache`, with prefix ``(relation, serial, attribute,
+:class:`SharedBitmapCache`, with prefix ``(relation, attribute, serial,
 codec)``, so hot bitmaps of every relation compete for the same
 ``capacity`` slots; a :class:`repro.storage.buffer.BufferPool` is a
 :class:`CachedSource` over a cache of its own, preloaded with the
@@ -141,20 +141,31 @@ class SharedBitmapCache:
     def drop_group(self, group: str) -> int:
         """Evict every entry of one group (relation); returns how many.
 
-        The engine calls it when a new registration record replaces
-        attributes of a relation, to free the old record's entries; no
-        answer depends on it, since every key carries the record's serial.
         Entries of other relations stay resident.  Dropped entries count
         as evictions; the group's hit/miss history is preserved.
         """
+        return self._drop(lambda key: self._group_of(key) == group)
+
+    def drop_prefixes(self, prefixes: list[tuple]) -> int:
+        """Evict every entry whose tuple key starts with one of ``prefixes``;
+        returns how many.
+
+        The engine calls it with the prefixes of the entries a new
+        registration record does not carry, to free their bitmaps; no
+        answer depends on it, since every key carries its record's serial.
+        Dropped entries count as evictions; hit/miss history is preserved.
+        """
+        return self._drop(
+            lambda key: isinstance(key, tuple) and any(key[: len(p)] == p for p in prefixes)
+        )
+
+    def _drop(self, doomed: Callable[[Hashable], bool]) -> int:
         with self._lock:
-            doomed = [
-                key for key in self._entries if self._group_of(key) == group
-            ]
-            for key in doomed:
+            keys = [key for key in self._entries if doomed(key)]
+            for key in keys:
                 self.bytes_cached -= self._entries.pop(key).nbytes
                 self.evictions += 1
-            return len(doomed)
+            return len(keys)
 
     def clear(self) -> None:
         """Drop every cached bitmap and reset the counters."""
@@ -224,19 +235,21 @@ class CachedSource:
     """A bitmap source whose fetches go through a :class:`SharedBitmapCache`:
     the one layer that keeps a served bitmap.
 
-    Implements the :class:`~repro.core.index.BitmapSource` protocol.  A
+    Implements the :class:`~repro.core.index.BitmapSource` protocol over
+    ``source``, the uncached source, serving its bitmaps in ``codec``
+    (``None``: the source's own) through ``source.with_codec(codec)``.  A
     bitmap is cached under ``prefix + (component, slot)``: a source's
     bitmaps never change, and the prefix names the source (on the engine
     path, by its registration record's serial).  A hit costs no scan (it
-    is charged as a ``buffer_hit``); a miss fetches from the wrapped
-    source (which records the scan on the per-query stats) and admits the
-    bitmap to the cache.  The source's ``nonnull`` is read once, which on
-    the engine path (one served source per attribute of a record) is once
-    per record, not per query.  ``faults`` returns the
-    :class:`~repro.faults.FaultPlan` to check on a hit.
+    is charged as a ``buffer_hit``); a miss fetches from the source (which
+    records the scan on the per-query stats) and admits the bitmap to the
+    cache.  The source's ``nonnull`` is read once, which on the engine path
+    (one entry per attribute of a record) is once per record, not per
+    query.  ``faults`` returns the :class:`~repro.faults.FaultPlan` to
+    check on a hit.
     """
 
-    __slots__ = ("_source", "_cache", "_prefix", "_faults", "_nonnull")
+    __slots__ = ("_source", "_served", "_cache", "_prefix", "_faults", "_nonnull")
 
     def __init__(
         self,
@@ -244,16 +257,28 @@ class CachedSource:
         cache: SharedBitmapCache,
         prefix: tuple,
         faults: Callable[[], FaultPlan | None] | None = None,
+        codec: str | None = None,
     ):
-        self._source = source  # already ``with_codec`` the codec to serve
+        self._source = source
+        self._served = source if codec is None else source.with_codec(codec)
         self._cache = cache
         self._prefix = prefix
         self._faults = faults
         self._nonnull: tuple | None = None  # (the source's nonnull,) once read
 
     @property
+    def source(self):
+        """The uncached source, as built (before any codec conversion)."""
+        return self._source
+
+    @property
+    def prefix(self) -> tuple:
+        """What every cache key of this source starts with."""
+        return self._prefix
+
+    @property
     def bitmap_codec(self) -> str:
-        return self._source.bitmap_codec
+        return self._served.bitmap_codec
 
     @property
     def nbits(self) -> int:
@@ -275,7 +300,7 @@ class CachedSource:
     def nonnull(self):
         memo = self._nonnull
         if memo is None:
-            memo = self._nonnull = (self._source.nonnull,)
+            memo = self._nonnull = (self._served.nonnull,)
         return memo[0]
 
     def _key(self, component: int, slot: int) -> tuple:
@@ -302,7 +327,7 @@ class CachedSource:
                     **dict(zip(("relation", "attribute"), self._prefix)),
                 )
             return bitmap
-        bitmap = self._source.fetch(component, slot, stats)
+        bitmap = self._served.fetch(component, slot, stats)
         self._admit(key, bitmap)
         return bitmap
 

@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple, Protocol
 
-from repro.core.index import BitmapIndex
 from repro.engine.cache import CachedSource
 from repro.engine.metrics import EngineMetrics
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
@@ -52,7 +51,6 @@ from repro.faults import Deadline, FaultPlan
 from repro.query.expression import Expression
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
-from repro.storage.store import StoreBitmapSource
 from repro.trace import QueryTrace
 
 # The ladder logs where it always has: under the engine's logger.
@@ -62,15 +60,14 @@ log = logging.getLogger("repro.engine")
 class DispatchItem(NamedTuple):
     """One query as the engine resolves it, for every backend and EXPLAIN.
 
-    ``sources`` maps exactly the attributes the query reads (its leaves
-    plus the grouping column) to their uncached bitmap sources, which
-    shard exports are cut from; ``served`` maps them to the cache-routed
-    sources the inline path evaluates on; ``codec`` is the one bitmap
-    codec all of them are served in.
+    ``served`` maps exactly the attributes the query reads (its leaves
+    plus the grouping column) to their entries: the cache-routed sources
+    the inline path evaluates on, whose uncached ``source`` shard exports
+    are cut from; ``codec`` is the one bitmap codec all of them are served
+    in.
     """
 
     relation: Relation
-    sources: dict[str, BitmapIndex | StoreBitmapSource]
     served: dict[str, CachedSource]
     codec: str
     expression: Expression
@@ -288,7 +285,7 @@ class ProcessDispatch:
         (the stale blocks unlinked) once that source is replaced, or the
         engine's codec or shard count has changed.
         """
-        source = item.sources[attribute]
+        source = item.served[attribute].source
         key = (item.relation.name, attribute)
         bounds = shard_bounds(source.nbits, self._knobs.shards or self._knobs.max_workers)
         with self._lock:
@@ -322,7 +319,7 @@ class ProcessDispatch:
         groups: dict[tuple, list] = {}
         for qid, item in enumerate(items):
             name = item.relation.name
-            attributes = sorted(item.sources)
+            attributes = sorted(item.served)
             for attribute in attributes:
                 if (name, attribute) not in exports:
                     exports[(name, attribute)] = self._export_for(item, attribute)

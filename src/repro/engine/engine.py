@@ -2,13 +2,11 @@
 
 :class:`QueryEngine` is the serving layer the engine-free door of
 :mod:`repro.query.executor` lacks: it keeps each registered relation as one
-:class:`~repro.engine.registry.Registration` record, builds each
-attribute's :class:`~repro.core.index.BitmapIndex` lazily behind the
-record's thread-safe :class:`~repro.engine.registry.IndexRegistry`, serves
-each attribute through one :class:`~repro.engine.cache.CachedSource` kept
-with it, which routes every bitmap fetch through one shared
-:class:`~repro.engine.cache.SharedBitmapCache`, and evaluates queries —
-single or batched — on a thread pool.  A query holds the record it
+:class:`~repro.engine.registry.Registration` record with one entry per
+served attribute (a :class:`~repro.engine.cache.CachedSource` over the
+attribute's index, built once on first use, which routes every bitmap
+fetch through one shared :class:`~repro.engine.cache.SharedBitmapCache`),
+and evaluates queries — single or batched — on a thread pool.  A query holds the record it
 resolved to the end, so it answers wholly from one registration.
 
 :meth:`QueryEngine.query` is the unified entry point: it accepts an
@@ -63,7 +61,7 @@ from repro.core.encoding import EncodingScheme
 from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.engine.dispatch import DispatchItem, ProcessDispatch
 from repro.engine.metrics import EngineMetrics, prom_family
-from repro.engine.registry import IndexRegistry, IndexSpec, Registration
+from repro.engine.registry import IndexSpec, Registration
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
@@ -291,8 +289,8 @@ class QueryEngine:
         first use — registration itself is cheap.
 
         Registering a name again writes a new record of it: attributes
-        whose relation object and spec did not change keep their indexes
-        and served sources; queries already running answer from the
+        whose relation object and spec did not change keep their entries
+        (and cached bitmaps); queries already running answer from the
         record they resolved.
         """
         if attributes is None:
@@ -310,14 +308,14 @@ class QueryEngine:
                 )
             specs[attribute] = spec
         with self._writing:
-            self._write(relation, specs)
+            self._write(Registration(relation, specs))
 
     def warm(self, relation: str | None = None) -> int:
-        """Eagerly build every served index; returns how many are resident."""
+        """Eagerly build every served entry; returns how many are resident."""
         names = list(self._registrations) if relation is None else [relation]
         for record in map(self.registration, names):
             for attribute in record.specs:
-                self._index_for(record, attribute)
+                self._source_for(record, attribute)
         return self._registry_snapshot()["indexes"]
 
     # ------------------------------------------------------------------
@@ -508,7 +506,7 @@ class QueryEngine:
         return build_explain_report(
             item.relation,
             item.expression,
-            item.sources,
+            item.served,
             result,
             mode=mode,
             bitmap_codec=item.codec,
@@ -572,9 +570,9 @@ class QueryEngine:
 
         ``relation`` narrows the drop to one relation (default: all
         registered); ``attribute`` to one attribute of it.  Each relation
-        gets a new record that carries nothing of what is dropped, and
-        its cached bitmaps are evicted (the cache groups by relation, not
-        attribute).  The next query rebuilds what it reads.
+        gets a new record that carries nothing of what is dropped, and the
+        dropped entries' cached bitmaps are evicted.  The next query
+        rebuilds what it reads.
 
         No correctness step needs this call; it only frees memory.
         :meth:`register` and :meth:`maintain` write a record of what
@@ -588,7 +586,7 @@ class QueryEngine:
             with self._writing:
                 old = self._registrations[name]
                 dropped = old.specs if attribute is None else [attribute]
-                self._write(old.relation.latest(), old.specs, dropped)
+                self._write(Registration(old.relation.latest(), old.specs), dropped)
 
     def maintain(self, attribute: str, edit: Callable, relation: str | None = None) -> int:
         """Serve the successor ``edit(index)`` makes of one attribute's
@@ -596,9 +594,10 @@ class QueryEngine:
 
         ``edit`` returns ``(successor, touched)``, as the index's
         ``append`` / ``update`` / ``delete`` do.  A new record serves the
-        successor and carries every other attribute's entries, so a query
-        already running sees all of the edit or none of it.  The relation's
-        columns are not maintained: ``QueryOptions(verify=True)`` raises
+        successor from a fresh entry and carries every other attribute's
+        entry (and cached bitmaps), so a query already running sees all of
+        the edit or none of it.  The relation's columns are not
+        maintained: ``QueryOptions(verify=True)`` raises
         :class:`~repro.errors.VerificationError` where the edit changed an
         answer.  A store's view raises :class:`~repro.errors.EngineConfigError`
         (maintain it with :meth:`~repro.storage.store.IndexStore.append`).
@@ -610,36 +609,50 @@ class QueryEngine:
                     f"relation {record.relation.name!r} is served from an index store; "
                     f"maintain it through the store (IndexStore.append)"
                 )
-            successor, touched = edit(self._index_for(record, attribute))
-            self._write(record.relation, record.specs, successors={attribute: successor})
+            successor, touched = edit(self._source_for(record, attribute).source)
+            new = Registration(record.relation, record.specs)
+            new.entries[attribute] = self._serve(new, attribute, successor)
+            self._write(new)
         return touched
 
-    def _write(self, relation: Relation, specs: dict, dropped=(), successors=None) -> None:
-        """Swap in a record of ``relation`` serving the indexes
-        ``successors`` maps attributes to, carrying the entries of each
-        other attribute not ``dropped`` whose relation object and spec did
-        not change, then release the rest (for memory only: no query reads
-        another record).  The caller holds ``_writing``."""
-        name = relation.name
+    def _write(self, record: Registration, dropped=()) -> None:
+        """Swap in ``record`` as its relation's current one, carrying the old
+        record's counts and, as they are, its entries of the attributes
+        ``record`` has none of, not ``dropped``, whose relation object and
+        spec did not change.  The old record's other attributes are
+        released: their shard exports and their entries' cached bitmaps are
+        dropped, for memory only (no query reads another record).  The
+        caller holds ``_writing``."""
+        name = record.relation.name
         old = self._registrations.get(name)
-        successors = successors or {}
-        replaced = {*dropped, *successors}
-        keep = [a for a in specs if a not in replaced and old is not None
-                and old.relation is relation and old.specs.get(a) == specs[a]]
-        # ``served`` first: an attribute served by then has its index memoized.
-        served = {a: old.served[a] for a in keep if a in old.served}
-        indexes = old.indexes.carry(keep, successors) if old is not None else IndexRegistry()
-        self._registrations[name] = Registration(relation, specs, indexes, served)
-        released = [attribute for attribute in (old.specs if old else ()) if attribute not in keep]
+        released = []
+        if old is not None:
+            record.builds, record.reuses = old.builds, old.reuses
+            for attribute, spec in old.specs.items():
+                if (
+                    attribute in dropped
+                    or attribute in record.entries
+                    or record.specs.get(attribute) != spec
+                    or old.relation is not record.relation
+                ):
+                    released.append(attribute)
+                elif attribute in old.entries:
+                    record.entries[attribute] = old.entries[attribute]
+        self._registrations[name] = record
         for attribute in released:
             self._dispatch.drop(name, attribute)
-        if released:
-            self.cache.drop_group(name)
+        prefixes = [old.entries[a].prefix for a in released if a in old.entries]
+        if prefixes:
+            self.cache.drop_prefixes(prefixes)
 
     def _registry_snapshot(self) -> dict:
-        """:meth:`IndexRegistry.snapshot`'s counters, summed over the records."""
-        snapshots = [record.indexes.snapshot() for record in list(self._registrations.values())]
-        return {key: sum(s[key] for s in snapshots) for key in ("indexes", "builds", "reuses")}
+        """The current records' entries, builds and reuses."""
+        records = list(self._registrations.values())
+        return {
+            "indexes": sum(len(record.entries) for record in records),
+            "builds": sum(record.builds for record in records),
+            "reuses": sum(record.reuses for record in records),
+        }
 
     @property
     def relations(self) -> list[str]:
@@ -674,7 +687,7 @@ class QueryEngine:
         if latest is not record.relation:
             with self._writing:
                 if self._registrations[name] is record:
-                    self._write(latest, record.specs, record.specs)
+                    self._write(Registration(latest, record.specs))
         return self._registrations[name]
 
     @staticmethod
@@ -687,8 +700,10 @@ class QueryEngine:
                 f"served by the engine; served attributes: {', '.join(sorted(record.specs))}"
             ) from None
 
-    def _index_for(self, record: Registration, attribute: str):
-        """The bitmap source of one attribute of ``record``, once per record.
+    def _source_for(self, record: Registration, attribute: str) -> CachedSource:
+        """The entry of one attribute of ``record`` (one lookup a query),
+        built on first use and kept with the record, so ``B_nn`` is read
+        once per record.
 
         A store's view serves the lazy source of the image it was read
         from, so only touched payloads are ever read; any other relation's
@@ -697,41 +712,35 @@ class QueryEngine:
         spec = self._spec_for(record, attribute)
         relation = record.relation
 
-        def build():
+        def build() -> CachedSource:
             if isinstance(relation, StoreRelation):
-                return relation.bitmap_source(attribute)
-            return bitmap_index_for(
-                relation,
-                attribute,
-                base=spec.resolve_base(relation.column(attribute).cardinality),
-                encoding=spec.encoding,
-                keep_values=False,
-            )
+                source = relation.bitmap_source(attribute)
+            else:
+                source = bitmap_index_for(
+                    relation,
+                    attribute,
+                    base=spec.resolve_base(relation.column(attribute).cardinality),
+                    encoding=spec.encoding,
+                    keep_values=False,
+                )
+            return self._serve(record, attribute, source)
 
-        return record.indexes.get_or_build(attribute, build)
+        return record.entry(attribute, build)
 
-    def _codec_for(self, record: Registration, attribute: str, index) -> str:
-        """The codec ``index``, the attribute's source, is served in: its
-        spec's, else the one its bitmaps are stored in (serving the stored
+    def _serve(self, record: Registration, attribute: str, source) -> CachedSource:
+        """An entry of ``record`` over ``source``: served in the codec
+        :meth:`_codec_for` gives, through the shared cache, under keys that
+        carry the record's serial, so no two registrations share one."""
+        codec = self._codec_for(record, attribute, source)
+        prefix = (record.relation.name, attribute, record.serial, codec)
+        return CachedSource(source, self.cache, prefix, lambda: self.fault_plan, codec)
+
+    def _codec_for(self, record: Registration, attribute: str, source) -> str:
+        """The codec ``source``, the attribute's, is served in: its spec's,
+        else the one its bitmaps are stored in (serving the stored
         representation keeps fetches zero-copy), else the engine's."""
         codec = record.specs[attribute].codec
-        return bitmap_class(codec or getattr(index, "stored_codec", None) or self.codec).codec
-
-    def _source_for(self, record: Registration, attribute: str) -> tuple:
-        """``(index, served)``: the attribute's source as ``record`` holds
-        it (one lookup a query), and its cache-routed source, built on first
-        use in the codec :meth:`_codec_for` gives and kept with the record —
-        so ``B_nn`` is read once per record.  Its cache keys start with the
-        record's serial, so no two registrations share one."""
-        index = self._index_for(record, attribute)
-        served = record.served.get(attribute)
-        if served is None:
-            codec = self._codec_for(record, attribute, index)
-            prefix = (record.relation.name, record.serial, attribute, codec)
-            fetched = index.with_codec(codec)
-            source = CachedSource(fetched, self.cache, prefix, lambda: self.fault_plan)
-            served = record.served.setdefault(attribute, source)
-        return index, served
+        return bitmap_class(codec or getattr(source, "stored_codec", None) or self.codec).codec
 
     # ------------------------------------------------------------------
     # Backends
@@ -784,11 +793,12 @@ class QueryEngine:
         """The one resolution of a query, for every backend and EXPLAIN (the
         process dispatch never reaches back into the engine)."""
         record, expression, finish, by = query
-        sources, served = {}, {}
-        for attribute in sorted(expression.attributes() | ({by} if by else set())):
-            sources[attribute], served[attribute] = self._source_for(record, attribute)
+        served = {
+            attribute: self._source_for(record, attribute)
+            for attribute in sorted(expression.attributes() | ({by} if by else set()))
+        }
         codec = one_codec({source.bitmap_codec for source in served.values()}, expression)
-        return DispatchItem(record.relation, sources, served, codec, expression, finish, by)
+        return DispatchItem(record.relation, served, codec, expression, finish, by)
 
     # ------------------------------------------------------------------
     # The one execution pipeline
@@ -841,7 +851,7 @@ class QueryEngine:
                 mode=query_mode(item.expression, item.finish),
                 backend=backend,
                 codec=item.codec,
-                attributes=list(item.sources),
+                attributes=list(item.served),
             )
 
     def _finish(

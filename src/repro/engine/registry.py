@@ -1,19 +1,20 @@
-"""A registration record and its thread-safe, build-once registry of indexes.
+"""A registration record: a relation, its index specs, and one build-once
+entry per served attribute.
 
-The engine builds each attribute's :class:`~repro.core.index.BitmapIndex`
-lazily, on the first query that touches the attribute, and memoizes it in
-its :class:`Registration`'s registry for every later query.  Building an
-index over a large column is expensive (seconds at warehouse scale), so the
-registry guarantees that concurrent first queries on the same attribute
-trigger exactly one build: a per-key build lock serializes builders for the
-same key while builds for *different* keys proceed in parallel.
+The engine builds each attribute's entry lazily, on the first query that
+touches the attribute, and memoizes it in its :class:`Registration` for
+every later query.  Building an index over a large column is expensive
+(seconds at warehouse scale), so the record guarantees that concurrent
+first queries on the same attribute trigger exactly one build: a
+per-attribute build lock serializes builders of the same attribute while
+builds of *different* attributes proceed in parallel.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.decomposition import Base, integer_nth_root_ceil
@@ -50,76 +51,6 @@ class IndexSpec:
         return None
 
 
-class IndexRegistry:
-    """Memoizes expensive index builds behind per-key locks.
-
-    The stored values are opaque to the registry (the engine stores
-    :class:`~repro.core.index.BitmapIndex` instances); the registry only
-    promises each key's builder runs at most once.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._indexes: dict[Hashable, object] = {}
-        self._build_locks: dict[Hashable, threading.Lock] = {}
-        self.builds = 0
-        self.reuses = 0
-
-    def get_or_build(self, key: Hashable, builder: Callable[[], object]) -> object:
-        """Return the memoized value for ``key``, building it if absent.
-
-        Concurrent callers with the same key block on a per-key lock while
-        one of them runs ``builder``; the rest then observe the memoized
-        result (classic double-checked locking, but with real locks).
-        """
-        with self._lock:
-            value = self._indexes.get(key)
-            if value is not None:
-                self.reuses += 1
-                return value
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                value = self._indexes.get(key)
-                if value is not None:
-                    self.reuses += 1
-                    return value
-            built = builder()
-            with self._lock:
-                self._indexes[key] = built
-                self.builds += 1
-            return built
-
-    def carry(self, keys: list[Hashable], successors: dict | None = None) -> IndexRegistry:
-        """A new registry holding this one's memoized values for ``keys``
-        (those built), the values ``successors`` maps a key to, and this
-        one's build/reuse counters."""
-        carried = IndexRegistry()
-        with self._lock:
-            carried._indexes = {key: self._indexes[key] for key in keys if key in self._indexes}
-            carried.builds, carried.reuses = self.builds, self.reuses
-        carried._indexes.update(successors or {})
-        return carried
-
-    def peek(self, key: Hashable) -> object | None:
-        """The memoized value for ``key`` without building (``None`` if absent)."""
-        with self._lock:
-            return self._indexes.get(key)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._indexes
-
-    def snapshot(self) -> dict:
-        """Build/reuse counters plus the number of resident indexes."""
-        with self._lock:
-            return {
-                "indexes": len(self._indexes),
-                "builds": self.builds,
-                "reuses": self.reuses,
-            }
-
-
 _serials = itertools.count()
 
 
@@ -127,16 +58,51 @@ _serials = itertools.count()
 class Registration:
     """One registration of a relation, which every query that resolves it
     reads whole: the relation and specs, a process-unique ``serial`` for
-    cache keys, and the build-once memo of each attribute's ``indexes``
-    entry and ``served`` source."""
+    cache keys, and ``entries``, each served attribute's one
+    :class:`~repro.engine.cache.CachedSource` once built.
+
+    ``builds`` and ``reuses`` count :meth:`entry`'s builds and lookups; a
+    record the engine writes over another starts from its predecessor's
+    counts.
+    """
 
     relation: Relation
     specs: dict[str, IndexSpec]
-    indexes: IndexRegistry = field(default_factory=IndexRegistry)
-    served: dict[str, CachedSource] = field(default_factory=dict)
     serial: int = field(default_factory=_serials.__next__)
+    entries: dict[str, CachedSource] = field(default_factory=dict, init=False)
+    builds: int = field(default=0, init=False)
+    reuses: int = field(default=0, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _building: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def generation(self) -> int | None:
         """The relation's store generation (``None`` in memory)."""
         return self.relation.generation
+
+    def entry(self, attribute: str, build: Callable[[], CachedSource]) -> CachedSource:
+        """The attribute's entry, built by ``build`` if absent.
+
+        Concurrent first callers block on the attribute's build lock while
+        one of them runs ``build``; the rest then count a reuse of its
+        entry (double-checked locking, with real locks).  ``entries`` is
+        written only here, under ``_lock``, and by the engine before it
+        publishes the record.
+        """
+        with self._lock:
+            entry = self.entries.get(attribute)
+            if entry is not None:
+                self.reuses += 1
+                return entry
+            building = self._building.setdefault(attribute, threading.Lock())
+        with building:
+            with self._lock:
+                entry = self.entries.get(attribute)
+                if entry is not None:
+                    self.reuses += 1
+                    return entry
+            entry = build()
+            with self._lock:
+                self.entries[attribute] = entry
+                self.builds += 1
+            return entry

@@ -47,7 +47,7 @@ def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, rea
 
     for engine in (inline, processes):
         engine.maintain("quantity", edit)
-    index = processes.registration("orders").indexes.peek("quantity")
+    index = processes.registration("orders").entries["quantity"].source
     # Arm the fault only now, so it hits the post-maintenance
     # publication (the dispatch reads the engine's knobs live).
     plan = processes.fault_plan = FaultPlan([FaultSpec("shm.attach", kind, nth=1)])
@@ -56,7 +56,7 @@ def test_shm_fault_after_maintenance_matches_inline(engines, relation, kind, rea
     for query, a, b in zip(QUERIES, inline.query_batch(QUERIES), process):
         assert np.array_equal(a.rids, b.rids), query
     # Repaired, not rebuilt.
-    assert processes.registration("orders").indexes.peek("quantity") is index
+    assert processes.registration("orders").entries["quantity"].source is index
     resilience = processes.snapshot()["resilience"]
     assert resilience["retries"].get(reason, 0) >= 1, resilience
     assert resilience["degradations"] == []

@@ -481,5 +481,5 @@ class TestConfigErrors:
         pred = AttributePredicate("quantity", "=", 7)
         result = engine.query(pred)
         assert np.array_equal(result.rids, relation.scan("quantity", "=", 7))
-        index = engine.registration("lineitem").indexes.peek("quantity")
+        index = engine.registration("lineitem").entries["quantity"].source
         assert index.encoding is EncodingScheme.EQUALITY

@@ -461,8 +461,9 @@ class TestXorOverNullsOnEveryBackend:
     def test_in_memory(self, backend, codec):
         relation, known, indexes = nullable_relation()
         with backend_engines(relation, (backend,), codec=codec, max_workers=2) as (engine,):
+            record = engine.registration("t")
             for name, index in indexes.items():
-                engine.registration("t").indexes.get_or_build(name, lambda index=index: index)
+                record.entry(name, lambda: engine._serve(record, name, index))
             self.check(engine, relation, known)
 
     @pytest.mark.parametrize("codec", CODECS)

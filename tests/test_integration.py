@@ -75,7 +75,7 @@ def test_warehouse_lifecycle(tmp_path):
         return index.delete(1)
 
     restored.engine.maintain("region", edit, "warehouse")
-    index = restored.engine.registration("warehouse").indexes.peek("region")
+    index = restored.engine.registration("warehouse").entries["region"].source
     assert isinstance(index, BitmapIndex)
     for op in ("<=", "=", "!="):
         for v in (0, 17, 39):

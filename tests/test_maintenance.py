@@ -15,7 +15,7 @@ from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import OPERATORS, Predicate, evaluate
 from repro.core.index import BitmapIndex
-from repro.engine import QueryEngine
+from repro.engine import IndexSpec, QueryEngine
 from repro.errors import EngineConfigError, ValueOutOfRangeError, VerificationError
 from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
@@ -240,11 +240,11 @@ class TestEngineDoor:
         assert engine.maintain("a", lambda index: index.update(0, 9)) == 9
         new = engine.registration("t")
         assert new is not old
-        assert new.indexes.peek("a") is not old.indexes.peek("a")
-        assert new.indexes.peek("b") is old.indexes.peek("b")
+        assert new.entries["a"].source is not old.entries["a"].source
+        assert new.entries["b"].source is old.entries["b"].source
         assert engine.count("a = 0").count == 9
         assert engine.count("a = 9").count == 11
-        assert evaluate(old.indexes.peek("a"), Predicate("=", 0)).count() == 10
+        assert evaluate(old.entries["a"].source, Predicate("=", 0)).count() == 10
 
     def test_verify_refuses_an_answer_the_edit_changed(self):
         # The relation's columns are not maintained, only the index.
@@ -268,3 +268,35 @@ class TestEngineDoor:
         with repro.open_store(str(tmp_path), backend="inline") as engine:
             with pytest.raises(EngineConfigError, match="index store"):
                 engine.maintain("a", lambda index: index.update(0, 5))
+
+
+class TestAReleaseEvictsOnlyItsAttribute:
+    """A new record evicts the cached bitmaps of the entries it does not
+    carry, and only those: a ``maintain`` of ``a``, or a ``register`` that
+    changes only ``a``'s spec, leaves ``b``'s bitmaps resident."""
+
+    def test_the_other_attributes_stay_cached(self):
+        relation = Relation.from_dict("t", {"a": np.arange(1000) % 100, "b": np.arange(1000) % 7})
+        engine = QueryEngine(cache_capacity=64, backend="inline")
+        engine.register(relation)
+        cache = engine.cache
+
+        def counted(text: str) -> tuple[int, int]:
+            """``count(text)``'s cache hits and misses."""
+            hits, misses = cache.hits, cache.misses
+            engine.count(text)
+            return cache.hits - hits, cache.misses - misses
+
+        # Range encoding on <7>: ``b = 3`` reads B^3 and B^2; ``a = 50``
+        # reads two bitmaps of a's.
+        assert counted("b = 3") == (0, 2)
+        assert counted("b = 3") == (2, 0)
+        for write in (
+            lambda: engine.maintain("a", lambda index: index.update(0, 90)),
+            lambda: engine.register(relation, overrides={"a": IndexSpec(components=2)}),
+        ):
+            assert counted("a = 50") == (0, 2)
+            evictions = cache.evictions
+            write()
+            assert cache.evictions - evictions == 2  # a's, not b's
+            assert counted("b = 3") == (2, 0)

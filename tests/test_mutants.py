@@ -24,6 +24,7 @@ import test_costmodel
 import test_differential
 import test_engine_concurrency
 import test_expression
+import test_maintenance
 import test_oracle
 import test_query
 import test_roaring
@@ -94,7 +95,7 @@ cold_scans = test_cost_properties.test_cold_scans_are_the_rule_on_every_codec
 def test_m1_register_without_its_drop(monkeypatch):
     """Registering a name again with a changed spec must not carry that
     attribute's index into the new record."""
-    carrying = mutant(QueryEngine._write, "old.specs.get(a) == specs[a]", "True")
+    carrying = mutant(QueryEngine._write, "record.specs.get(attribute) != spec", "False")
     monkeypatch.setattr(QueryEngine, "_write", carrying)
     follow = test_store.TestNoInvalidateNeeded()
     assert_killed(follow.test_changed_spec_rebuilds_only_that_attribute, test_store.make_relation())
@@ -294,16 +295,16 @@ def test_m25_xor_ignores_nulls(monkeypatch):
 def test_m27_cache_key_without_the_registration(monkeypatch):
     """A served source keys its bitmaps by its registration's serial, so a
     query's late ``put`` never lands where the next registration reads."""
-    shared = mutant(QueryEngine._source_for, "record.serial, ", "")
-    monkeypatch.setattr(QueryEngine, "_source_for", shared)
+    shared = mutant(QueryEngine._serve, "record.serial, ", "")
+    monkeypatch.setattr(QueryEngine, "_serve", shared)
     race = test_engine_concurrency.TestRacingDrop()
     assert_killed(race.test_a_late_cache_put_is_not_served_to_the_next_registration, monkeypatch)
 
 
 def test_m28_register_carries_a_changed_relation(monkeypatch):
     """Registering a name again with a new relation object carries none
-    of the old record's indexes or served sources."""
-    carrying = mutant(QueryEngine._write, "old.relation is relation and ", "")
+    of the old record's entries."""
+    carrying = mutant(QueryEngine._write, "old.relation is not record.relation", "False")
     monkeypatch.setattr(QueryEngine, "_write", carrying)
     reregistration = test_query.TestReRegistration()
     assert_killed(
@@ -315,13 +316,13 @@ def test_m29_engine_store_serves_any_relation_under_its_name(monkeypatch, engine
     """An in-memory relation answers from its own columns, not from the
     bitmaps the engine's store holds under its name."""
     by_name = mutant(
-        QueryEngine._index_for,
+        QueryEngine._source_for,
         "isinstance(relation, StoreRelation):\n"
-        "            return relation.bitmap_source(attribute)",
+        "            source = relation.bitmap_source(attribute)",
         "self.storage is not None and self.storage.has(relation.name, attribute):\n"
-        "            return self.storage.bitmap_source(relation.name, attribute)",
+        "            source = self.storage.bitmap_source(relation.name, attribute)",
     )
-    monkeypatch.setattr(QueryEngine, "_index_for", by_name)
+    monkeypatch.setattr(QueryEngine, "_source_for", by_name)
     views = test_store.TestAViewServesItsOwnImage()
     in_memory = views.test_an_in_memory_relation_under_a_stored_name_reads_its_columns
     assert_killed(in_memory, str(tmp_path / "indexes"), engines, "wah")
@@ -352,3 +353,14 @@ def test_m31_update_writes_into_the_published_bitmap(monkeypatch):
     monkeypatch.setattr(encoding._Component, "set_row", in_place)
     edits = test_engine_concurrency.TestMaintenanceUnderAQuery()
     assert_killed(edits.test_a_query_during_an_edit_answers_one_state, monkeypatch, "dense")
+
+
+def test_m32_a_release_evicts_every_attribute_of_the_relation(monkeypatch):
+    """A new record evicts only the cached bitmaps of the entries it
+    releases, not those of the attributes it carries."""
+    by_relation = mutant(
+        QueryEngine._write, "self.cache.drop_prefixes(prefixes)", "self.cache.drop_group(name)"
+    )
+    monkeypatch.setattr(QueryEngine, "_write", by_relation)
+    releases = test_maintenance.TestAReleaseEvictsOnlyItsAttribute()
+    assert_killed(releases.test_the_other_attributes_stay_cached)

@@ -237,10 +237,10 @@ class TestReRegistration:
             assert engine.query("x <= 1").rids.tolist() == [4, 5, 6, 7]
             assert engine.count("x <= 1").count == 4
             # The shard exports are cut again, from the new record's index.
-            indexes = engine.registration("r").indexes
+            entries = engine.registration("r").entries
             for key, export in engine._dispatch.exports.items():
                 assert export is not before.get(key)
-                assert export.serves(indexes.peek(key[1]))
+                assert export.serves(entries[key[1]].source)
 
 
 class TestPlanCosts:

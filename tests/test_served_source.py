@@ -19,6 +19,7 @@ from repro.engine.cache import CachedSource
 from repro.engine.engine import QueryEngine
 from repro.faults import FaultPlan, FaultSpec
 from repro.query.expression import parse_expression
+from repro.query.options import QueryOptions
 from repro.relation.relation import Relation
 from repro.storage import IndexStore
 
@@ -65,7 +66,7 @@ def test_warm_counts_read_b_nn_once_per_version(tmp_path, codec):
 
 def test_warm_queries_build_no_served_source(monkeypatch):
     """A warm query resolves no codec and builds no ``CachedSource``, and
-    still looks its attributes up in its record's registry once each."""
+    still looks each of its attributes' entries up in its record once."""
     rng = np.random.default_rng(2)
     columns = {"a": rng.integers(0, 10, 500), "b": rng.integers(0, 4, 500)}
     relation = Relation.from_dict("t", columns)
@@ -117,6 +118,16 @@ def test_a_fault_plan_armed_after_warm_up_reaches_the_cache_seam():
         assert (forced.stats.buffer_hits, forced.stats.scans) == (0, cold.stats.scans)
         assert plan.injections
         assert np.array_equal(forced.rids, cold.rids)
+
+
+def test_a_traced_cache_hit_names_its_relation_and_attribute():
+    relation = Relation.from_dict("t", {"a": np.arange(200) % 10})
+    with QueryEngine(backend="inline") as engine:
+        engine.register(relation)
+        engine.count("a <= 4")
+        trace = engine.count("a <= 4", options=QueryOptions(trace=True)).trace
+        hits = [span.attrs for span in trace.spans if span.name == "cache.hit"]
+        assert hits and {(hit["relation"], hit["attribute"]) for hit in hits} == {("t", "a")}
 
 
 def test_a_process_dispatch_leaves_the_cache_alone(engines):

@@ -474,16 +474,15 @@ class TestEngineBackendDifferential:
             engines, relation, codec=codec, shards=shards, cache_capacity=0
         )
         for engine in pair:
-            engine.registration("orders").indexes.get_or_build(
-                "region",
-                lambda: BitmapIndex(
-                    column.codes,
-                    cardinality=column.cardinality,
-                    encoding=EncodingScheme.EQUALITY,
-                    nulls=nulls,
-                    keep_values=False,
-                ),
+            index = BitmapIndex(
+                column.codes,
+                cardinality=column.cardinality,
+                encoding=EncodingScheme.EQUALITY,
+                nulls=nulls,
+                keep_values=False,
             )
+            record = engine.registration("orders")
+            record.entry("region", lambda: engine._serve(record, "region", index))
         assert inline.count("region != 2").count == int(((column.values != 2) & ~nulls).sum())
         assert_processes_match_inline(*pair)
 
@@ -562,10 +561,10 @@ class TestEngineBackendDifferential:
         (engine,) = make_engines(engines, relation, ("processes",), shards=2)
         engine.query_batch(QUERIES)
         assert engine._dispatch.exports
-        assert "quantity" in engine.registration("orders").indexes
+        assert "quantity" in engine.registration("orders").entries
         engine.invalidate("orders")
         assert not engine._dispatch.exports
-        assert "quantity" not in engine.registration("orders").indexes
+        assert "quantity" not in engine.registration("orders").entries
         # And the engine still answers afterwards (rebuild path).
         result = engine.query("quantity <= 25")
         assert np.array_equal(result.rids, relation.scan("quantity", "<=", 25))

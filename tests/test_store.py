@@ -1269,16 +1269,16 @@ class TestNoInvalidateNeeded:
         engine = repro.QueryEngine(backend="inline")
         engine.register(relation)
         self.check(engine, relation, "group_count")
-        region = engine.registration("sales").indexes.peek("region")
+        region = engine.registration("sales").entries["region"].source
         engine.register(
             relation,
             overrides={"quantity": IndexSpec(base=Base((5, 8)), encoding=EncodingScheme.EQUALITY)},
         )
-        assert engine.registration("sales").indexes.peek("quantity") is None
-        assert engine.registration("sales").indexes.peek("region") is region
+        assert engine.registration("sales").entries.get("quantity") is None
+        assert engine.registration("sales").entries["region"].source is region
         report = engine.explain(self.TEXT)
         assert report.matches_prediction
-        quantity = engine.registration("sales").indexes.peek("quantity")
+        quantity = engine.registration("sales").entries["quantity"].source
         assert (quantity.base, quantity.encoding) == (Base((5, 8)), EncodingScheme.EQUALITY)
         self.check(engine, relation, "query")
         engine.close()

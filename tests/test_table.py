@@ -50,7 +50,7 @@ class TestIndexManagement:
     def test_default_index_is_the_knee(self, table):
         index = table.create_index("region")
         assert index.base == knee_base(25)
-        assert table.engine.registration("sales").indexes.peek("region") is index
+        assert table.engine.registration("sales").entries["region"].source is index
 
     def test_explicit_base(self, table):
         index = table.create_index("region", base=Base((5, 5)))
@@ -66,7 +66,7 @@ class TestIndexManagement:
         )
         assert set(bases) == {"region", "channel"}
         total = sum(
-            table.engine.registration("sales").indexes.peek(a).num_bitmaps for a in bases
+            table.engine.registration("sales").entries[a].source.num_bitmaps for a in bases
         )
         assert total <= 40
 
@@ -79,7 +79,7 @@ class TestIndexManagement:
         truth = table.select("region <= 10")
         index = table.create_index("region", encoding=EncodingScheme.EQUALITY)
         assert index.encoding is EncodingScheme.EQUALITY
-        assert table.engine.registration("sales").indexes.peek("region") is index
+        assert table.engine.registration("sales").entries["region"].source is index
         assert np.array_equal(table.select("region <= 10"), truth)
 
     def test_repr(self, table):
@@ -278,7 +278,7 @@ class TestPersistence:
         original = table.select("region <= 10 and channel = 2")
         restored = loaded.select("region <= 10 and channel = 2")
         assert np.array_equal(original, restored)
-        assert loaded.engine.registration("sales").indexes.peek("channel").base == Base((4,))
+        assert loaded.engine.registration("sales").entries["channel"].source.base == Base((4,))
 
     def test_load_builds_no_index_until_the_first_query(self, table, path, monkeypatch):
         table.create_index("region")
@@ -296,7 +296,7 @@ class TestPersistence:
         loaded = Table.load(path)
         assert built == []
         assert np.array_equal(loaded.select("region <= 10"), truth)
-        assert built == [loaded.engine.registration("sales").indexes.peek("region")]
+        assert built == [loaded.engine.registration("sales").entries["region"].source]
 
     def test_load_bad_manifest(self, table, path):
         table.create_index("region")

@@ -346,17 +346,16 @@ class TestGroupCountNulls:
         with QueryEngine(codec=codec) as engine:
             engine.register(relation)
             column = relation.column("region")
-            # Pre-seed the registry with a nulls-tracking index for the
+            # Pre-seed the record with a nulls-tracking index for the
             # grouping column; the engine serves whatever is registered.
-            engine.registration("t").indexes.get_or_build(
-                "region",
-                lambda: BitmapIndex(
-                    column.codes,
-                    cardinality=column.cardinality,
-                    nulls=nulls,
-                    keep_values=False,
-                ),
+            index = BitmapIndex(
+                column.codes,
+                cardinality=column.cardinality,
+                nulls=nulls,
+                keep_values=False,
             )
+            record = engine.registration("t")
+            record.entry("region", lambda: engine._serve(record, "region", index))
             text = "atleast(1, qty <= 10, qty >= 28)"
             result = engine.group_count(text, "region")
         mask = (qty <= 10) | (qty >= 28)
