@@ -19,12 +19,13 @@ so range predicates survive translation) before it reaches the index.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.bitmaps import Bitmap, BitVector, bitmap_class
-from repro.core.decomposition import Base
+from repro.core.decomposition import Base, integer_nth_root_ceil
 from repro.core.encoding import (
     EncodingScheme,
     build_component,
@@ -43,7 +44,11 @@ class BitmapSource(Protocol):
     Implemented by :class:`BitmapIndex` (in memory), the index store's
     source, the storage schemes of :mod:`repro.experiments.schemes`
     (simulated disk), :class:`CodecView`, and the cache-routed sources of
-    :mod:`repro.engine.cache` (the buffer pool among them).
+    :mod:`repro.engine.cache` (the buffer pool among them).  A relation
+    hands out its attributes' sources (``Relation.bitmap_source``): an
+    index it builds, or its store image's source.  Such a source also
+    names ``stored_codec``, the representation its bitmaps are persisted
+    in (``None`` for an index: nothing is stored).
 
     A source's ``bitmap_codec`` attribute is the one way it names the
     representation it serves — a key of
@@ -54,7 +59,7 @@ class BitmapSource(Protocol):
     source declares.  Sources that can serve more than one representation
     (:class:`BitmapIndex`, the index store's) re-represent themselves with
     ``with_codec(name)``: the identity for the codec they already serve,
-    otherwise a :class:`CodecView`.
+    otherwise a source converting each bitmap it serves.
 
     A source's bitmaps never change: maintenance returns a successor index
     and leaves its predecessor as it was, and a store source reads one
@@ -81,6 +86,36 @@ class BitmapSource(Protocol):
     ) -> Bitmap:
         """Read stored bitmap ``slot`` of ``component`` (1-based), recording a scan."""
         ...
+
+
+@dataclass(frozen=True)
+class IndexSpec:
+    """The design of one attribute's bitmap index, as a query engine serves it.
+
+    ``base`` pins an exact decomposition (it must cover the attribute's
+    cardinality).  ``components`` instead asks for the smallest uniform
+    ``n``-component base for whatever the cardinality turns out to be —
+    the right knob when one registration covers attributes of different
+    cardinalities.  With neither, the single-component base ``<C>`` is
+    used (the index default).  ``encoding`` ``None`` is range encoding in
+    memory and the stored encoding for a store's view.  ``codec`` selects
+    this attribute's bitmap representation (``'dense'``/``'wah'``/
+    ``'roaring'``); ``None`` defers to the codec a store holds the bitmaps
+    in, then the engine's.
+    """
+
+    base: Base | None = None
+    encoding: EncodingScheme | None = None
+    components: int | None = None
+    codec: str | None = None
+
+    def resolve_base(self, cardinality: int) -> Base | None:
+        if self.base is not None:
+            return self.base
+        if self.components is not None:
+            b = integer_nth_root_ceil(cardinality, self.components)
+            return Base.uniform(max(b, 2), cardinality)
+        return None
 
 
 def rank_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +238,9 @@ class BitmapIndex:
     # ------------------------------------------------------------------
 
     #: The index itself serves dense bitmaps; :meth:`with_codec` gives a
-    #: view serving another representation.
+    #: view serving another representation.  Nothing is stored.
     bitmap_codec = "dense"
+    stored_codec = None
 
     def fetch(self, component: int, slot: int, stats: ExecutionStats) -> Bitmap:
         """Return stored bitmap ``slot`` of ``component``, recording one scan."""
@@ -387,9 +423,9 @@ class CodecView:
     wrapped source — so a scan is charged at the bytes that source read —
     and recoded into the representation named by ``codec`` under the
     ``{codec}.encode`` span, so the evaluation algorithms run entirely in
-    that domain.  Nothing is kept: the engine's
-    :class:`~repro.engine.cache.CachedSource` is the one layer that
-    retains served bitmaps.
+    that domain.  It is :meth:`BitmapIndex.with_codec`'s view.  Nothing is
+    kept: the engine's :class:`~repro.engine.cache.CachedSource` is the
+    one layer that retains served bitmaps.
     """
 
     def __init__(self, source: BitmapSource, codec: str):
@@ -397,21 +433,10 @@ class CodecView:
         self._source = source
         self.bitmap_codec = codec
 
-    @property
-    def nbits(self) -> int:
-        return self._source.nbits
-
-    @property
-    def cardinality(self) -> int:
-        return self._source.cardinality
-
-    @property
-    def base(self) -> Base:
-        return self._source.base
-
-    @property
-    def encoding(self) -> EncodingScheme:
-        return self._source.encoding
+    nbits = property(lambda self: self._source.nbits)
+    cardinality = property(lambda self: self._source.cardinality)
+    base = property(lambda self: self._source.base)
+    encoding = property(lambda self: self._source.encoding)
 
     @property
     def nonnull(self) -> Bitmap | None:

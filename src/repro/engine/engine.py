@@ -58,21 +58,22 @@ import numpy as np
 from repro.bitmaps import bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
+from repro.core.index import IndexSpec
 from repro.engine.cache import CachedSource, SharedBitmapCache
 from repro.engine.dispatch import DispatchItem, ProcessDispatch
 from repro.engine.metrics import EngineMetrics, prom_family
-from repro.engine.registry import IndexSpec, Registration
+from repro.engine.registry import Registration
 from repro.engine.resilience import CircuitBreaker, RetryPolicy
 from repro.engine.sharding import BACKENDS
 from repro.errors import EmptyFoundsetError, EngineConfigError, QueryTimeoutError
 from repro.faults import FaultPlan
-from repro.query.executor import QueryResult, bitmap_index_for, one_codec
+from repro.query.executor import QueryResult, one_codec
 from repro.query.expression import AGGREGATES, answer_count, query_mode, run_query, verify_answer
 from repro.query.expression import Expression
 from repro.query.options import DEFAULT_OPTIONS, QueryOptions, normalize_query
 from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
-from repro.storage.store import IndexStore, StoreRelation
+from repro.storage.store import IndexStore
 from repro.trace import ExplainReport, QueryTrace, build_explain_report
 
 
@@ -276,7 +277,7 @@ class QueryEngine:
         *,
         attributes: list[str] | None = None,
         base: Base | None = None,
-        encoding: EncodingScheme = EncodingScheme.RANGE,
+        encoding: EncodingScheme | None = None,
         components: int | None = None,
         overrides: dict[str, IndexSpec] | None = None,
     ) -> None:
@@ -286,7 +287,9 @@ class QueryEngine:
         ``base``/``encoding``/``components`` configure every served
         attribute's index (see :class:`IndexSpec`); ``overrides`` replaces
         the spec for individual attributes.  Indexes are built lazily on
-        first use — registration itself is cheap.
+        first use — registration itself is cheap.  A store's view serves
+        the design its image holds: asking for another raises
+        :class:`~repro.errors.EngineConfigError` and registers nothing.
 
         Registering a name again writes a new record of it: attributes
         whose relation object and spec did not change keep their entries
@@ -307,6 +310,8 @@ class QueryEngine:
                     f"override for {attribute!r} which is not a served attribute"
                 )
             specs[attribute] = spec
+        for attribute, spec in specs.items():
+            relation.check_spec(attribute, spec)
         with self._writing:
             self._write(Registration(relation, specs))
 
@@ -501,8 +506,8 @@ class QueryEngine:
         mode = query_mode(item.expression)
         # The counters of the relation's store (bytes actually read, bitmaps
         # materialized, page touches) next to the cost model's predictions.
-        relation = item.relation
-        storage_io = relation.store.io_snapshot() if isinstance(relation, StoreRelation) else None
+        store = item.relation.store
+        storage_io = store.io_snapshot() if store is not None else None
         return build_explain_report(
             item.relation,
             item.expression,
@@ -604,7 +609,7 @@ class QueryEngine:
         """
         with self._writing:
             record = self._registrations[self._resolve(relation)]
-            if isinstance(record.relation, StoreRelation):
+            if record.relation.store is not None:
                 raise EngineConfigError(
                     f"relation {record.relation.name!r} is served from an index store; "
                     f"maintain it through the store (IndexStore.append)"
@@ -705,24 +710,14 @@ class QueryEngine:
         built on first use and kept with the record, so ``B_nn`` is read
         once per record.
 
-        A store's view serves the lazy source of the image it was read
-        from, so only touched payloads are ever read; any other relation's
-        index is built from its column codes.
+        The record's relation hands out the source: a store's view the lazy
+        source of its image, so only touched payloads are ever read; any
+        other relation an index built from its column codes.
         """
         spec = self._spec_for(record, attribute)
-        relation = record.relation
 
         def build() -> CachedSource:
-            if isinstance(relation, StoreRelation):
-                source = relation.bitmap_source(attribute)
-            else:
-                source = bitmap_index_for(
-                    relation,
-                    attribute,
-                    base=spec.resolve_base(relation.column(attribute).cardinality),
-                    encoding=spec.encoding,
-                    keep_values=False,
-                )
+            source = record.relation.bitmap_source(attribute, spec)
             return self._serve(record, attribute, source)
 
         return record.entry(attribute, build)
@@ -740,7 +735,7 @@ class QueryEngine:
         else the one its bitmaps are stored in (serving the stored
         representation keeps fetches zero-copy), else the engine's."""
         codec = record.specs[attribute].codec
-        return bitmap_class(codec or getattr(source, "stored_codec", None) or self.codec).codec
+        return bitmap_class(codec or source.stored_codec or self.codec).codec
 
     # ------------------------------------------------------------------
     # Backends

@@ -1,5 +1,6 @@
-"""A registration record: a relation, its index specs, and one build-once
-entry per served attribute.
+"""A registration record: a relation, its index specs
+(:class:`~repro.core.index.IndexSpec`), and one build-once entry per
+served attribute.
 
 The engine builds each attribute's entry lazily, on the first query that
 touches the attribute, and memoizes it in its :class:`Registration` for
@@ -17,38 +18,9 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.decomposition import Base, integer_nth_root_ceil
-from repro.core.encoding import EncodingScheme
+from repro.core.index import IndexSpec
 from repro.engine.cache import CachedSource
 from repro.relation.relation import Relation
-
-
-@dataclass(frozen=True)
-class IndexSpec:
-    """How to build the bitmap index of one registered attribute.
-
-    ``base`` pins an exact decomposition (it must cover the attribute's
-    cardinality).  ``components`` instead asks for the smallest uniform
-    ``n``-component base for whatever the cardinality turns out to be —
-    the right knob when one registration covers attributes of different
-    cardinalities.  With neither, the single-component base ``<C>`` is
-    used (the index default).  ``codec`` selects this attribute's bitmap
-    representation (``'dense'``/``'wah'``/``'roaring'``); ``None`` defers
-    to the codec a store holds the bitmaps in, then the engine's.
-    """
-
-    base: Base | None = None
-    encoding: EncodingScheme = EncodingScheme.RANGE
-    components: int | None = None
-    codec: str | None = None
-
-    def resolve_base(self, cardinality: int) -> Base | None:
-        if self.base is not None:
-            return self.base
-        if self.components is not None:
-            b = integer_nth_root_ceil(cardinality, self.components)
-            return Base.uniform(max(b, 2), cardinality)
-        return None
 
 
 _serials = itertools.count()
@@ -74,11 +46,6 @@ class Registration:
     reuses: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
     _building: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def generation(self) -> int | None:
-        """The relation's store generation (``None`` in memory)."""
-        return self.relation.generation
 
     def entry(self, attribute: str, build: Callable[[], CachedSource]) -> CachedSource:
         """The attribute's entry, built by ``build`` if absent.

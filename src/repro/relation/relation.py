@@ -1,25 +1,33 @@
 """Relations: named collections of equal-length columns.
 
 The relation is deliberately minimal — enough to ground the paper's plan
-cost analysis (full scans read ``N * row_bytes`` bytes) and to serve as
-the source of truth every index-answered query is verified against.
+cost analysis (full scans read ``N * row_bytes`` bytes), to serve as
+the source of truth every index-answered query is verified against, and
+to hand out its attributes' bitmap sources (:meth:`Relation.bitmap_source`).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+from repro.core.encoding import EncodingScheme
 from repro.core.evaluation import COMPARE
+from repro.core.index import BitmapIndex, IndexSpec
 from repro.errors import ValueOutOfRangeError
 from repro.relation.column import Column
+
+if TYPE_CHECKING:
+    from repro.storage.store import IndexStore
 
 
 class Relation:
     """A named relation of columns in RID order."""
 
-    #: The store generation of the image a relation was read from
+    #: The index store a relation's image was read from
     #: (:class:`~repro.storage.store.StoreRelation`); ``None`` in memory.
-    generation: int | None = None
+    store: IndexStore | None = None
 
     def __init__(self, name: str, columns: list[Column]):
         if not columns:
@@ -61,6 +69,17 @@ class Relation:
                 f"relation {self.name!r} has no column {name!r}; "
                 f"columns: {known}"
             ) from None
+
+    def bitmap_source(self, attribute: str, spec: IndexSpec) -> BitmapIndex:
+        """The paper's index of one attribute in ``spec``'s design, built
+        over the column codes (the ranks of its lookup table, Section 2)."""
+        column, encoding = self.column(attribute), spec.encoding or EncodingScheme.RANGE
+        base = spec.resolve_base(column.cardinality)
+        return BitmapIndex(column.codes, column.cardinality, base, encoding, keep_values=False)
+
+    def check_spec(self, attribute: str, spec: IndexSpec) -> None:
+        """Raise where this relation cannot serve ``attribute`` in ``spec``'s
+        design: never in memory, where the index is built to it."""
 
     def latest(self) -> "Relation":
         """This relation as its source now holds it: itself, in memory."""

@@ -62,8 +62,10 @@ their last rename or unlink, so two stores — in one process or in two —
 never both extend the sidecar they read, and the loser of the race does
 not lose its rows.  The lock dies with its descriptor (a killed writer
 frees it); a writer that waits past :data:`_LOCK_WAIT_SECONDS` raises
-:class:`~repro.errors.StoreBusyError` before writing anything.  Readers
-take no lock: ``os.replace`` already hands them whole files.
+:class:`~repro.errors.StoreBusyError` before writing anything.  A reader
+opening the files holds the lock shared: ``os.replace`` hands it whole
+files, but a base file and a sidecar are two, and ``build`` (unlink, then
+rename) and ``compact`` (rename, then unlink) change both.
 
 A :class:`~repro.engine.QueryEngine` serves a :class:`StoreRelation`, one
 image's dictionaries and lazy per-attribute :class:`StoreBitmapSource`;
@@ -74,16 +76,18 @@ faults) that EXPLAIN reports alongside the cost model's predictions.
 
 from __future__ import annotations
 
+import copy
 import fcntl
 import json
 import logging
 import mmap
 import os
 import struct
+import threading
 import time
 import zlib
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -91,7 +95,7 @@ import numpy as np
 from repro.bitmaps import BITMAP_CLASSES, Bitmap, BitVector, bitmap_class
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme, _component_class
-from repro.core.index import BitmapIndex, CodecView, _checked_base, _checked_ranks
+from repro.core.index import BitmapIndex, IndexSpec, _checked_base, _checked_ranks
 from repro.errors import (
     CorruptFileError,
     EngineConfigError,
@@ -564,9 +568,9 @@ class StoreBitmapSource:
     materialization), merges any pending delta rows, and serves the
     bitmap in the codec the attribute was stored with, so the
     zero-copy/compressed-algebra path is the default; :meth:`with_codec`
-    serves another.  Nothing is memoized here — the engine's cache (see
-    :class:`~repro.engine.cache.CachedSource`) owns retention, so the
-    store's I/O counters reflect bytes actually read.
+    serves another, converting each bitmap it reads.  Nothing is memoized
+    here — the engine's cache (see :class:`~repro.engine.cache.CachedSource`)
+    owns retention, so the store's I/O counters reflect bytes actually read.
     """
 
     def __init__(self, rfile: _RelationImage, attribute: str):
@@ -579,42 +583,27 @@ class StoreBitmapSource:
 
     # -- BitmapSource surface ------------------------------------------
 
-    @property
-    def nbits(self) -> int:
-        return self._rfile.nbits + self._rfile.delta_rows
-
-    @property
-    def cardinality(self) -> int:
-        return self._meta.cardinality
-
-    @property
-    def base(self) -> Base:
-        return self._meta.base
-
-    @property
-    def encoding(self) -> EncodingScheme:
-        return self._meta.encoding
-
-    @property
-    def stored_codec(self) -> str:
-        """The codec the payloads are persisted in."""
-        return self._meta.codec
-
-    @property
-    def num_bitmaps(self) -> int:
-        return len(self._meta.slots)
+    nbits = property(lambda self: self._rfile.nbits + self._rfile.delta_rows)
+    cardinality = property(lambda self: self._meta.cardinality)
+    base = property(lambda self: self._meta.base)
+    encoding = property(lambda self: self._meta.encoding)
+    stored_codec = property(lambda self: self._meta.codec, doc="The codec payloads are stored in.")
 
     def stored_slots(self, component: int) -> tuple[int, ...]:
         return tuple(
             sorted(s for (c, s) in self._meta.slots if c == component)
         )
 
-    def with_codec(self, codec: str) -> "StoreBitmapSource | CodecView":
-        """This source serving ``codec`` bitmaps: the identity for the
-        stored codec, otherwise a :class:`~repro.core.index.CodecView`."""
+    def with_codec(self, codec: str) -> "StoreBitmapSource":
+        """This source serving ``codec`` bitmaps: itself for the codec it
+        serves, otherwise a source over the same image that converts each
+        bitmap it reads into ``codec``."""
         if codec == self.bitmap_codec:
             return self
-        return CodecView(self, codec)
+        served = copy.copy(self)
+        served._cls = bitmap_class(codec)  # an unknown name raises here
+        served.bitmap_codec = served._cls.codec
+        return served
 
     @property
     def nonnull(self):
@@ -740,9 +729,26 @@ class StoreRelation(Relation):
                 dictionary = np.arange(meta.cardinality, dtype=np.int64)
             self.columns[name] = StoredColumn(name, dictionary, nbits, meta.value_size_bytes)
 
-    def bitmap_source(self, attribute: str) -> StoreBitmapSource:
-        """The lazy source of one stored attribute, over this view's image."""
+    def bitmap_source(self, attribute: str, spec: IndexSpec) -> StoreBitmapSource:
+        """The lazy source of one stored attribute, over this view's image:
+        the stored design, which ``spec`` may not ask to change
+        (:meth:`check_spec`)."""
+        self.check_spec(attribute, spec)
         return StoreBitmapSource(self._image, attribute)
+
+    def check_spec(self, attribute: str, spec: IndexSpec) -> None:
+        """Raise :class:`~repro.errors.EngineConfigError` where ``spec`` asks
+        for a base or an encoding of ``attribute`` other than the stored
+        one: a view serves the design its image holds (in any codec)."""
+        meta = self._image.attrs[attribute]
+        base = spec.resolve_base(meta.cardinality) or meta.base
+        encoding = spec.encoding or meta.encoding
+        if (base, encoding) != (meta.base, meta.encoding):
+            raise EngineConfigError(
+                f"{self.name}.{attribute} is stored as {meta.base}, {meta.encoding.value} "
+                f"encoded; a view of it cannot serve {base}, {encoding.value} encoded "
+                f"(build the store in that design, or register the relation in memory)"
+            )
 
     def latest(self) -> "StoreRelation":
         """This view while its store has not moved past its image; else a
@@ -785,6 +791,7 @@ class IndexStore:
         self.stats = StoreStats()
         self._files: dict[str, _RelationFile] = {}
         self._generations: dict[str, int] = {}
+        self._images_lock = threading.Lock()  # over both maps
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -801,9 +808,10 @@ class IndexStore:
         with the last of them) and are stale from here on, so this is
         where :meth:`generation` moves.
         """
-        for name in [relation] if relation is not None else list(self._files):
-            self._generations[name] = self._generations.get(name, 0) + 1
-            self._files.pop(name, None)
+        with self._images_lock:
+            for name in [relation] if relation is not None else list(self._files):
+                self._generations[name] = self._generations.get(name, 0) + 1
+                self._files.pop(name, None)
 
     def generation(self, relation: str) -> int:
         """A counter bumped by everything that can change the relation's
@@ -1012,7 +1020,7 @@ class IndexStore:
         leaves the previous delta (and the base file) intact.
         """
         with self._writing(relation):
-            rfile = self._file(relation)
+            rfile = self._file(relation, writing=True)
             if set(rows) != set(rfile.attrs):
                 raise ValueOutOfRangeError(
                     f"append must cover every stored attribute; expected "
@@ -1073,7 +1081,7 @@ class IndexStore:
                 for name in self.relations()
             }
         with self._writing(relation):
-            rfile = self._file(relation)
+            rfile = self._file(relation, writing=True)
             if rfile.delta_rows == 0:
                 return {"relation": relation, "compacted": False, "rows": rfile.nbits}
             new_nbits = rfile.nbits + rfile.delta_rows
@@ -1216,17 +1224,17 @@ class IndexStore:
         return tuple(stamps)
 
     @contextmanager
-    def _writing(self, relation: str) -> Iterator[None]:
-        """Hold the relation's write lock (see the module docstring); wait
-        for another writer up to :data:`_LOCK_WAIT_SECONDS`, then raise
-        :class:`~repro.errors.StoreBusyError`."""
+    def _writing(self, relation: str, shared: bool = False) -> Iterator[None]:
+        """Hold the relation's write lock (see the module docstring), or
+        ``shared`` to read its files; wait for another writer up to
+        :data:`_LOCK_WAIT_SECONDS`, then raise :class:`~repro.errors.StoreBusyError`."""
         path = os.path.join(self.root, self._check_name(relation) + _LOCK_SUFFIX)
         fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             give_up, pause = time.monotonic() + _LOCK_WAIT_SECONDS, 0.001
             while True:
                 try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    fcntl.flock(fd, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
                     break
                 except BlockingIOError:
                     if time.monotonic() >= give_up:
@@ -1240,13 +1248,20 @@ class IndexStore:
         finally:
             os.close(fd)  # and with it the lock
 
-    def _file(self, relation: str) -> _RelationFile:
+    def _file(self, relation: str, writing: bool = False) -> _RelationFile:
+        """The relation's open image, read under its lock shared unless the
+        caller is ``writing`` it (and holds it)."""
         self._check_name(relation)
         self.generation(relation)  # drops files another store changed
         rfile = self._files.get(relation)
         if rfile is None:
-            rfile = _RelationFile(self, relation)
-            self._files[relation] = rfile
+            with nullcontext() if writing else self._writing(relation, shared=True):
+                rfile = _RelationFile(self, relation)
+            with self._images_lock:
+                # Kept only if nothing moved the generation while it was read:
+                # an image kept past a writer's check would be what it writes after.
+                if rfile.generation == self._generations.get(relation, 0):
+                    rfile = self._files.setdefault(relation, rfile)
         return rfile
 
     def _atomic_write(

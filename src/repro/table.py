@@ -43,10 +43,9 @@ import numpy as np
 from repro.core.advisor import recommend
 from repro.core.decomposition import Base
 from repro.core.encoding import EncodingScheme
-from repro.core.index import BitmapIndex
+from repro.core.index import BitmapIndex, IndexSpec
 from repro.core.multi import AttributeSpec, allocate_budget
 from repro.engine.engine import QueryEngine, affine
-from repro.engine.registry import IndexSpec
 from repro.errors import EmptyFoundsetError, FileMissingError, InvalidBaseError, ReproError
 from repro.query.expression import AGGREGATES, Comparison, Expression, parse_expression
 from repro.query.options import QueryOptions

@@ -12,13 +12,17 @@ record it resolved.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, seed, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.bitmaps import BitVector
@@ -27,10 +31,12 @@ from repro.core.encoding import EncodingScheme
 from repro.engine import IndexSpec, QueryEngine
 from repro.engine import engine as engine_module
 from repro.engine.cache import CachedSource, SharedBitmapCache
-from repro.errors import EngineConfigError
+from repro.errors import EngineConfigError, ReproError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.storage import IndexStore
+
+from conftest import expression_trees, kleene
 
 NUM_ROWS = 8_000
 OPS = ("<", "<=", "=", "!=", ">=", ">")
@@ -226,7 +232,7 @@ class TestRacingDrop:
         new = Relation.from_dict("t", {"a": np.arange(100) % 5 + 5})
         engine = QueryEngine(backend="inline")
         engine.register(old)
-        reached, release = held_once(monkeypatch, engine_module, "bitmap_index_for")
+        reached, release = held_once(monkeypatch, Relation, "bitmap_source")
         count = lambda: engine.count("a <= 6").count  # noqa: E731
         assert race(count, reached, release, lambda: engine.register(new)) == [70]
         assert count() == 40
@@ -400,6 +406,242 @@ class TestMaintenanceUnderAQuery:
         assert not any(thread.is_alive() for thread in readers)
         assert flips > 1 and answers and set(answers) == {10}
         assert engine.count("a = 90").count == 10 + flips % 2
+
+
+#: Rows of each relation a history starts from, and each attribute's
+#: values: ``m``'s hold every value ``0 .. C-1`` (a rank is its value),
+#: ``s``'s a random subset of them (a rebuild changes the dictionary).
+HISTORY_ROWS = 256
+HISTORY_CARDINALITY = {"a": 12, "b": 4}
+HISTORY_TREES = expression_trees(
+    {name: tuple(range(-1, c + 1)) for name, c in HISTORY_CARDINALITY.items()}, 2
+)
+CODECS = ("dense", "wah", "roaring")
+ENCODINGS = tuple(EncodingScheme)
+#: Writer changes by weight: ``m``'s edits most, so edits overlap queries.
+CHANGES = ("update",) * 5 + ("delete", "relation", "spec", "append", "append")
+CHANGES += ("compact", "build", "codec")
+
+
+def drawn_trees(number: int) -> list:
+    """32 expression trees: four seeded examples of eight (hypothesis's
+    first example is its simplest, so all four are kept)."""
+    trees: list = []
+
+    @seed(number)
+    @settings(max_examples=4, database=None, deadline=None, phases=[Phase.generate])
+    @given(st.lists(HISTORY_TREES, min_size=8, max_size=8))
+    def draw(example):
+        trees.extend(example)
+
+    draw()
+    return trees
+
+
+def history_columns(rng: np.random.Generator, stored: bool) -> dict[str, np.ndarray]:
+    columns = {}
+    for name, c in HISTORY_CARDINALITY.items():
+        if stored:
+            domain = rng.choice(c, int(rng.integers(2, c + 1)), replace=False)
+            columns[name] = rng.choice(domain, HISTORY_ROWS)
+        else:
+            columns[name] = rng.integers(0, c, HISTORY_ROWS)
+            columns[name][:c] = rng.permutation(c)
+    return columns
+
+
+class State:
+    """What a relation answers from: each attribute's values and the rows
+    not deleted from its index, and the answer of each tree asked."""
+
+    def __init__(self, values: dict[str, np.ndarray], known: dict | None = None):
+        self.values = values
+        self.known = known or {a: np.ones(len(v), bool) for a, v in values.items()}
+        self.answers: dict[str, list[int]] = {}
+
+    @classmethod
+    def of(cls, relation: Relation) -> "State":
+        return cls({name: column.values for name, column in relation.columns.items()})
+
+    def edited(self, attribute: str, changes: list[tuple[int, int | None]]) -> "State":
+        """This state with each ``(rid, value)`` set, or deleted (``None``)."""
+        values, known = dict(self.values), dict(self.known)
+        values[attribute], known[attribute] = values[attribute].copy(), known[attribute].copy()
+        for rid, value in changes:
+            known[attribute][rid] = value is not None
+            if value is not None:
+                values[attribute][rid] = value
+        return State(values, known)
+
+    def answer(self, tree) -> list[int]:
+        key = str(tree)
+        if key not in self.answers:
+            true, _ = kleene(tree, Relation.from_dict("model", self.values), self.known)
+            self.answers[key] = np.flatnonzero(true).tolist()
+        return self.answers[key]
+
+
+def edit_rows(changes: list[tuple[int, int]]):
+    """A ``maintain`` edit updating each ``(rid, value)`` in turn."""
+
+    def edit(index):
+        touched = 0
+        for rid, value in changes:
+            index, count = index.update(rid, value)
+            touched += count
+        return index, touched
+
+    return edit
+
+
+def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -> None:
+    """One seeded history: ``readers`` threads query ``m``, an in-memory
+    relation, and ``s``, a store's view, while one writer makes ``changes``
+    changes to what the engine serves, all on a 1 µs switch interval.
+
+    The writer logs each state before the change that makes it and marks
+    it committed after.  A query's answer must be the answer of a state
+    logged by its end and no older than the one committed at its start;
+    a typed error passes, an untyped one fails, and so does any answer
+    after the last change that is not the last state's.
+    """
+    rng = np.random.default_rng(number)
+    trees = drawn_trees(number)
+    store = IndexStore(root)
+    stored = history_columns(rng, stored=True)
+    store.build(Relation.from_dict("s", stored), codec=str(rng.choice(CODECS)))
+    engine = QueryEngine(storage=store, codec=str(rng.choice(CODECS)), backend="inline")
+    relation = Relation.from_dict("m", history_columns(rng, stored=False))
+    spec = IndexSpec()
+    engine.register(relation)
+    engine.register(store.relation_view("s"))
+    states = {"m": [State.of(relation)], "s": [State(stored)]}
+    committed = {"m": 0, "s": 0}
+
+    def commit(name: str, state: State, change: Callable) -> None:
+        states[name].append(state)
+        change()
+        committed[name] = len(states[name]) - 1
+
+    def change(kind: str) -> None:
+        nonlocal relation, spec
+        m, s = states["m"][-1], states["s"][-1]
+        attribute = str(rng.choice(list(HISTORY_CARDINALITY)))
+        c = HISTORY_CARDINALITY[attribute]
+        rids = rng.choice(HISTORY_ROWS, int(rng.integers(1, 33)), replace=False).tolist()
+        if kind in ("update", "delete"):  # 1 to 32 rows to other values, or one deleted
+            values = (m.values[attribute][rids] + rng.integers(1, c, len(rids))) % c
+            rows = list(zip(rids, values.tolist()))
+            edit = edit_rows(rows)
+            if kind == "delete":
+                rows = [(rids[0], None)]
+                edit = lambda index: index.delete(rids[0])  # noqa: E731
+            commit("m", m.edited(attribute, rows), lambda: engine.maintain(attribute, edit, "m"))
+        elif kind in ("relation", "spec"):
+            if kind == "relation":
+                relation = Relation.from_dict("m", history_columns(rng, stored=False))
+                state = State.of(relation)
+            else:
+                new = IndexSpec(
+                    components=(None, 2)[int(rng.integers(2))],
+                    encoding=ENCODINGS[int(rng.integers(len(ENCODINGS)))],
+                    codec=str(rng.choice(CODECS)),
+                )
+                # A changed spec rebuilds the indexes from the columns; an
+                # unchanged one keeps them, and every edit made to them.
+                state, spec = (m if new == spec else State.of(relation)), new
+            overrides = dict.fromkeys(HISTORY_CARDINALITY, spec)
+            commit("m", state, lambda: engine.register(relation, overrides=overrides))
+        elif kind == "append":
+            rows = {a: rng.choice(np.unique(s.values[a]), len(rids)) for a in s.values}
+            state = State({a: np.append(s.values[a], rows[a]) for a in s.values})
+            commit("s", state, lambda: store.append("s", rows))
+        elif kind == "compact":
+            commit("s", s, lambda: store.compact("s"))
+        elif kind == "build":
+            fresh = Relation.from_dict("s", history_columns(rng, stored=True))
+            codec, encoding = str(rng.choice(CODECS)), ENCODINGS[int(rng.integers(2))]
+            commit("s", State.of(fresh), lambda: store.build(fresh, codec=codec, encoding=encoding))
+        else:  # a view served in another codec
+            overrides = dict.fromkeys(HISTORY_CARDINALITY, IndexSpec(codec=str(rng.choice(CODECS))))
+            commit("s", s, lambda: engine.register(store.relation_view("s"), overrides=overrides))
+
+    done, seen, untyped = threading.Event(), [], []
+
+    def writer() -> None:
+        try:
+            for _ in range(changes):
+                change(str(rng.choice(CHANGES)))
+        except Exception as exc:  # collected: the assertion names it
+            untyped.append(("writer", repr(exc)))
+        finally:
+            done.set()
+
+    def reader(k: int) -> None:
+        local = np.random.default_rng([number, k])
+        while not done.is_set():
+            name = ("m", "m", "m", "m", "s")[int(local.integers(5))]
+            tree = trees[int(local.integers(len(trees)))]
+            finish = ("rids", "count")[int(local.integers(2))]
+            start = committed[name]
+            try:
+                if finish == "rids":
+                    got = engine.query(tree, name).rids.tolist()
+                else:
+                    got = engine.count(tree, name).count
+            except ReproError:
+                continue
+            except Exception as exc:  # collected: the assertion names it
+                untyped.append((name, str(tree), repr(exc)))
+                continue
+            seen.append((name, tree, finish, start, len(states[name]), got))
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(readers)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert untyped == []
+    wrong = []
+    for name, tree, finish, start, end, got in seen:
+        answers = [state.answer(tree) for state in states[name][start:end]]
+        if got not in (answers if finish == "rids" else list(map(len, answers))):
+            wrong.append((name, str(tree), finish, start, end))
+    for name in states:
+        for tree in trees:
+            try:
+                got = engine.query(tree, name).rids.tolist()
+            except ReproError as exc:
+                got = repr(exc)
+            if got != states[name][-1].answer(tree):
+                wrong.append((name, str(tree), "after the last change", got))
+    engine.close()
+    assert seen and wrong == []
+
+
+def check_histories(root: str, numbers) -> None:
+    """:func:`check_history` of each seed in ``numbers``, in turn."""
+    for number in numbers:
+        check_history(number, os.path.join(root, str(number)))
+
+
+class TestHistory:
+    """Every answer is the answer of a state committed while it ran, under
+    ``register`` of a changed relation or spec, ``maintain`` of an
+    in-memory relation, and ``append`` / ``compact`` / ``build`` of a
+    store's view (:func:`check_history`; CI runs 20 more seeds)."""
+
+    @pytest.mark.parametrize("number", range(4))
+    def test_answers_are_committed_states(self, tmp_path, number):
+        check_history(number, str(tmp_path))
 
 
 class TestMetricsAndWarm:

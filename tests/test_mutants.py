@@ -38,6 +38,7 @@ from repro.engine import sharding
 from repro.engine.engine import QueryEngine
 from repro.errors import VerificationError
 from repro.query import expression
+from repro.relation.relation import Relation
 from repro.storage import IndexStore, StoreRelation
 
 
@@ -301,11 +302,12 @@ def test_m27_cache_key_without_the_registration(monkeypatch):
     assert_killed(race.test_a_late_cache_put_is_not_served_to_the_next_registration, monkeypatch)
 
 
-def test_m28_register_carries_a_changed_relation(monkeypatch):
+def test_m28_register_carries_a_changed_relation(monkeypatch, tmp_path):
     """Registering a name again with a new relation object carries none
     of the old record's entries."""
     carrying = mutant(QueryEngine._write, "old.relation is not record.relation", "False")
     monkeypatch.setattr(QueryEngine, "_write", carrying)
+    assert_killed(test_engine_concurrency.check_histories, str(tmp_path), range(3))
     reregistration = test_query.TestReRegistration()
     assert_killed(
         reregistration.test_reregistered_relation_answers_from_its_own_columns, "inline", "dense"
@@ -317,10 +319,13 @@ def test_m29_engine_store_serves_any_relation_under_its_name(monkeypatch, engine
     bitmaps the engine's store holds under its name."""
     by_name = mutant(
         QueryEngine._source_for,
-        "isinstance(relation, StoreRelation):\n"
-        "            source = relation.bitmap_source(attribute)",
-        "self.storage is not None and self.storage.has(relation.name, attribute):\n"
-        "            source = self.storage.bitmap_source(relation.name, attribute)",
+        "source = record.relation.bitmap_source(attribute, spec)",
+        "name = record.relation.name\n"
+        "        source = (\n"
+        "            self.storage.bitmap_source(name, attribute)\n"
+        "            if self.storage is not None and self.storage.has(name, attribute)\n"
+        "            else record.relation.bitmap_source(attribute, spec)\n"
+        "        )",
     )
     monkeypatch.setattr(QueryEngine, "_source_for", by_name)
     views = test_store.TestAViewServesItsOwnImage()
@@ -342,7 +347,7 @@ def test_m30_view_reads_its_stores_current_image(monkeypatch, tmp_path):
     assert_killed(racing, str(tmp_path / "indexes"), monkeypatch)
 
 
-def test_m31_update_writes_into_the_published_bitmap(monkeypatch):
+def test_m31_update_writes_into_the_published_bitmap(monkeypatch, tmp_path):
     """An edit replaces each bitmap it touches in its successor's slots, so
     a query reading the published index meanwhile sees none of it."""
     in_place = mutant(
@@ -351,6 +356,7 @@ def test_m31_update_writes_into_the_published_bitmap(monkeypatch):
         "bitmap._words.flags.writeable = True; bitmap.set(rid, want)",
     )
     monkeypatch.setattr(encoding._Component, "set_row", in_place)
+    assert_killed(test_engine_concurrency.check_histories, str(tmp_path), range(3))
     edits = test_engine_concurrency.TestMaintenanceUnderAQuery()
     assert_killed(edits.test_a_query_during_an_edit_answers_one_state, monkeypatch, "dense")
 
@@ -364,3 +370,12 @@ def test_m32_a_release_evicts_every_attribute_of_the_relation(monkeypatch):
     monkeypatch.setattr(QueryEngine, "_write", by_relation)
     releases = test_maintenance.TestAReleaseEvictsOnlyItsAttribute()
     assert_killed(releases.test_the_other_attributes_stay_cached)
+
+
+def test_m33_a_view_serves_its_image_whatever_the_spec(monkeypatch, tmp_path):
+    """``register`` refuses a store's view a base or an encoding its image
+    does not hold, instead of recording the spec and serving the image."""
+    monkeypatch.setattr(StoreRelation, "check_spec", Relation.check_spec)
+    views = test_store.TestAViewRefusesADesignItDoesNotHold()
+    asked = {"base": Base((5, 5)), "encoding": EncodingScheme.EQUALITY}
+    assert_killed(views.test_an_unheld_design_is_refused_before_a_record, str(tmp_path), asked)

@@ -36,6 +36,7 @@ from repro.engine.sharding import _IMAGE_NAME, ShardExport, shard_bounds
 from repro.errors import (
     BufferConfigError,
     CorruptFileError,
+    EngineConfigError,
     FileMissingError,
     InjectedFaultError,
     ReproError,
@@ -49,6 +50,7 @@ from repro.relation.relation import Relation
 from repro.stats import ExecutionStats
 from repro.storage import IndexStore
 from repro.storage.buffer import BufferPool
+from repro.storage import store as store_module
 from repro.storage.fsdisk import frame
 from repro.storage.store import _HEADER, _MAGIC, _relation_chunks
 from repro.workloads import full_query_space
@@ -1401,6 +1403,148 @@ class TestConcurrentWriters:
         finally:
             store.close()
         self.assert_every_append_answers(store_dir, appenders=1)
+
+
+class TestAnOpenRacingAWrite:
+    """A reader's open of a relation's files reads one committed state, and
+    an image it read before a write is not kept once the write moved the
+    store's generation, so the next append writes after every one before.
+
+    The regressions: an open racing ``compact`` or ``build`` read the old
+    base file and found its sidecar gone, so it served the base without
+    its appended rows; and a query thread's open, kept after an append,
+    was what the next append, between its staleness check and its lookup,
+    read the sidecar from, so that append dropped the one before (a count
+    of 99 rows for 100 after 30 one-row appends, in 1 run of 30)."""
+
+    def test_an_open_racing_a_compaction_reads_one_state(self, store_dir, monkeypatch):
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
+            store.append("t", {"a": np.array([1, 2])})
+        store = IndexStore(store_dir)
+        reached, release = threading.Event(), threading.Event()
+        original = store_module._RelationFile._load_delta
+
+        def held(image):
+            """Between the base file's read and the sidecar's, once."""
+            monkeypatch.setattr(store_module._RelationFile, "_load_delta", original)
+            reached.set()
+            assert release.wait(timeout=30)
+            original(image)
+
+        monkeypatch.setattr(store_module._RelationFile, "_load_delta", held)
+        rows = []
+        reader = threading.Thread(target=lambda: rows.append(store.relation_view("t").num_rows))
+        compacting = threading.Thread(target=store.compact, args=("t",))
+        reader.start()
+        assert reached.wait(timeout=30)
+        compacting.start()
+        compacting.join(timeout=0.5)  # done, or waiting for the reader
+        release.set()
+        reader.join(timeout=30)
+        compacting.join(timeout=30)
+        assert rows == [102]
+        assert (store.relation_view("t").num_rows, store.delta_rows("t")) == (102, 0)
+        store.close()
+
+    def test_the_next_append_writes_after_the_last(self, store_dir, monkeypatch):
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
+        store = IndexStore(store_dir)
+        opened, stored = threading.Event(), threading.Event()
+        reader = threading.Thread(target=store.delta_rows, args=("t",))
+
+        class HeldLock:
+            """The store's image lock; the reader, about to keep the image
+            it read, waits for ``stored`` first."""
+
+            def __init__(self, lock):
+                self.lock = lock
+
+            def __enter__(self):
+                if threading.current_thread() is reader and not opened.is_set():
+                    opened.set()
+                    assert stored.wait(timeout=30)
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        monkeypatch.setattr(store, "_images_lock", HeldLock(store._images_lock))
+        reader.start()
+        assert opened.wait(timeout=30)
+        store.append("t", {"a": np.array([1])})
+        original = store.generation
+
+        def checked(relation):
+            """The next append's staleness check, then the reader's keep."""
+            generation = original(relation)
+            if not stored.is_set():
+                stored.set()
+                reader.join(timeout=30)
+            return generation
+
+        monkeypatch.setattr(store, "generation", checked)
+        store.append("t", {"a": np.array([2])})
+        assert store.delta_rows("t") == 2
+        store.close()
+
+
+class TestAViewRefusesADesignItDoesNotHold:
+    """A store's view serves the base and encoding its image holds, so
+    ``register`` refuses another before it writes a record; a codec is
+    still served by conversion.
+
+    The regression: a WAH store of ``t(a = arange(100) % 25)``, registered
+    with ``base=Base((5, 5)), encoding=EQUALITY``, recorded that spec and
+    served the stored ``<25>`` range index, as EXPLAIN showed."""
+
+    STORED = Relation.from_dict("t", {"a": np.arange(100) % 25})
+
+    def engine(self, store_dir: str, **build) -> QueryEngine:
+        with IndexStore(store_dir) as store:
+            store.build(self.STORED, codec="wah", **build)
+        return repro.open_store(store_dir, backend="inline")
+
+    @pytest.mark.parametrize(
+        "asked",
+        [
+            {"base": Base((5, 5)), "encoding": EncodingScheme.EQUALITY},
+            {"base": Base((5, 5))},
+            {"components": 2},
+            {"encoding": EncodingScheme.EQUALITY},
+            {"overrides": {"a": IndexSpec(encoding=EncodingScheme.INTERVAL, codec="roaring")}},
+        ],
+        ids=["base-and-encoding", "base", "components", "encoding", "override"],
+    )
+    def test_an_unheld_design_is_refused_before_a_record(self, store_dir, asked):
+        engine = self.engine(store_dir)
+        record = engine.registration("t")
+        with pytest.raises(EngineConfigError, match=r"t\.a is stored as Base\(<25>\), range"):
+            engine.register(engine.storage.relation_view("t"), **asked)
+        assert engine.registration("t") is record
+        assert engine.count("a <= 6").count == 28
+        engine.close()
+
+    def test_the_held_design_and_a_codec_override_are_served(self, store_dir):
+        engine = self.engine(store_dir)
+        engine.register(
+            engine.storage.relation_view("t"),
+            base=Base((25,)),
+            encoding=EncodingScheme.RANGE,
+            overrides={"a": IndexSpec(base=Base((25,)), codec="roaring")},
+        )
+        report = engine.explain("a <= 6")
+        assert (report.bitmap_codec, report.rows) == ("roaring", 28)
+        assert engine.query("a <= 6").rids.tolist() == [r for r in range(100) if r % 25 <= 6]
+        engine.close()
+
+    def test_an_equality_encoded_store_registers_and_answers(self, store_dir):
+        engine = self.engine(store_dir, encoding=EncodingScheme.EQUALITY)
+        engine.register(engine.storage.relation_view("t"), encoding=EncodingScheme.EQUALITY)
+        assert engine.count("a <= 6").count == 28
+        assert engine.registration("t").entries["a"].source.encoding is EncodingScheme.EQUALITY
+        engine.close()
 
 
 class TestFormatPin:
