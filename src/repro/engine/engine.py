@@ -581,10 +581,9 @@ class QueryEngine:
 
         No correctness step needs this call; it only frees memory.
         :meth:`register` and :meth:`maintain` write a record of what
-        changed, and a mutation *through the index store* (``build`` /
-        ``append`` / ``compact`` / ``quarantine``) moves its generation,
-        past the image a registered view holds, which the next query
-        catches up with (:meth:`registration`).
+        changed, and a mutation of an index store's files, by any store or
+        process, leaves a registered view's image behind the files on disk,
+        which the next query catches up with (:meth:`registration`).
         """
         names = [self._resolve(relation)] if relation is not None else list(self._registrations)
         for name in names:

@@ -65,7 +65,9 @@ frees it); a writer that waits past :data:`_LOCK_WAIT_SECONDS` raises
 :class:`~repro.errors.StoreBusyError` before writing anything.  A reader
 opening the files holds the lock shared: ``os.replace`` hands it whole
 files, but a base file and a sidecar are two, and ``build`` (unlink, then
-rename) and ``compact`` (rename, then unlink) change both.
+rename) and ``compact`` (rename, then unlink) change both.  An image is
+served while the files' ``(inode, size, mtime)`` stamp is the one it read
+(:meth:`IndexStore._file`), whoever wrote them.
 
 A :class:`~repro.engine.QueryEngine` serves a :class:`StoreRelation`, one
 image's dictionaries and lazy per-attribute :class:`StoreBitmapSource`;
@@ -83,7 +85,6 @@ import logging
 import mmap
 import os
 import struct
-import threading
 import time
 import zlib
 from collections.abc import Iterator
@@ -217,11 +218,9 @@ class _RelationImage:
     """
 
     #: What only a store file has, and :class:`_RelationFile` sets: the
-    #: delta sidecar's images and rows, a store generation, the store's
-    #: fault plan.
+    #: delta sidecar's images and rows, the store's fault plan.
     deltas: "tuple[_RelationImage, ...]" = ()
     delta_rows = 0
-    generation = 0
     fault_plan: FaultPlan | None = None
 
     def __init__(
@@ -449,10 +448,9 @@ class _RelationImage:
 
 class _RelationFile(_RelationImage):
     """One opened ``.rbix`` file: the image over an mmap, plus what only
-    a file has — the delta sidecar, the store generation it was read at,
-    and the stamp of the files it read (see :meth:`IndexStore.generation`).
-    A store forgets it once the files move; it is released with the last
-    view or source read from it."""
+    a file has — the delta sidecar and the stamp of the files it read
+    (see :meth:`IndexStore._file`).  A store forgets it once the files
+    move; it is released with the last view or source read from it."""
 
     #: The live delta sidecar's bytes (empty when there is none, or it is
     #: stale): what the next append writes its image after.
@@ -460,7 +458,6 @@ class _RelationFile(_RelationImage):
 
     def __init__(self, store: "IndexStore", relation: str):
         self.store = store
-        self.generation = store.generation(relation)
         # Stamped before the reads: a write racing them shows as a change.
         self.on_disk = store._on_disk(relation)
         self.fault_plan = store.fault_plan
@@ -719,8 +716,8 @@ class StoreRelation(Relation):
 
     def __init__(self, image: _RelationFile):
         self._image, self.name = image, image.relation
-        #: The store the image was read from, and the generation it read.
-        self.store, self.generation = image.store, image.generation
+        #: The store the image was read from.
+        self.store = image.store
         self._rows = nbits = image.nbits + image.delta_rows
         self.columns = {}
         for name, meta in image.attrs.items():
@@ -751,12 +748,11 @@ class StoreRelation(Relation):
             )
 
     def latest(self) -> "StoreRelation":
-        """This view while its store has not moved past its image; else a
-        view of the store's current image (:class:`~repro.errors.FileMissingError`
-        once the store holds none)."""
-        if self.store.generation(self.name) == self.generation:
-            return self
-        return self.store.relation_view(self.name)
+        """This view while its image is its store's current one, the image
+        of the files on disk; else a view of that image
+        (:class:`~repro.errors.FileMissingError` once the store holds none)."""
+        image = self.store._file(self.name)
+        return self if image is self._image else StoreRelation(image)
 
     def scan(self, attribute: str, op: str, value) -> np.ndarray:
         raise StorageError(
@@ -790,8 +786,6 @@ class IndexStore:
         self.fault_plan = fault_plan
         self.stats = StoreStats()
         self._files: dict[str, _RelationFile] = {}
-        self._generations: dict[str, int] = {}
-        self._images_lock = threading.Lock()  # over both maps
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -802,33 +796,11 @@ class IndexStore:
         self.invalidate()
 
     def invalidate(self, relation: str | None = None) -> None:
-        """Forget the open image; the next access reopens from disk.
-
-        Views and sources handed out so far keep their image (released
-        with the last of them) and are stale from here on, so this is
-        where :meth:`generation` moves.
-        """
-        with self._images_lock:
-            for name in [relation] if relation is not None else list(self._files):
-                self._generations[name] = self._generations.get(name, 0) + 1
-                self._files.pop(name, None)
-
-    def generation(self, relation: str) -> int:
-        """A counter bumped by everything that can change the relation's
-        files: :meth:`build`, :meth:`append`, :meth:`compact`,
-        :meth:`quarantine` — and by a change another store or process made
-        on disk: a relation whose ``.rbix`` file or delta sidecar no longer
-        has the inode, size and mtime it had when this store opened it is
-        dropped here, so the next access re-reads it.  A view carries the
-        generation it read as ``generation``; the engine reads a view
-        again once its store moved past it (:meth:`StoreRelation.latest`),
-        before each query, so nobody has to remember
-        ``engine.invalidate()``.
-        """
-        rfile = self._files.get(relation)
-        if rfile is not None and rfile.on_disk != self._on_disk(relation):
-            self.invalidate(relation)
-        return self._generations.get(relation, 0)
+        """Forget the relation's open image (default: every one), as each
+        writer does after it writes; the next access reads the files again.
+        Views and sources handed out keep theirs, released with the last."""
+        for name in [relation] if relation is not None else list(self._files):
+            self._files.pop(name, None)
 
     def __enter__(self) -> "IndexStore":
         return self
@@ -1157,12 +1129,12 @@ class IndexStore:
         the bad bytes survive.  Returns the sheltered filesystem paths.
         """
         with self._writing(relation):
-            self.invalidate(relation)
             moved = [
                 to_quarantine(self.root, path, os.path.basename(path))
                 for path in (self._main_path(relation), self._delta_path(relation))
                 if os.path.isfile(path)
             ]
+            self.invalidate(relation)
         if not moved:
             raise FileMissingError(
                 f"no stored index for relation {relation!r}"
@@ -1249,19 +1221,22 @@ class IndexStore:
             os.close(fd)  # and with it the lock
 
     def _file(self, relation: str, writing: bool = False) -> _RelationFile:
-        """The relation's open image, read under its lock shared unless the
-        caller is ``writing`` it (and holds it)."""
-        self._check_name(relation)
-        self.generation(relation)  # drops files another store changed
+        """The relation's current image: the cached one while its stamp
+        (:meth:`_on_disk`) is the files' on disk, else one read now — under
+        the relation's lock shared unless the caller is ``writing`` (and
+        holds it) — and cached.  One rule covers this store's writes (which
+        also drop the cached image) and every other store's or process's.
+
+        Equal stamps mean the same files: an image is stamped under the lock
+        its files are read under, so stamp and contents are one committed
+        state; a live image maps its base file, so no later base file reuses
+        that inode; and between builds and compactions the sidecar only grows.
+        """
         rfile = self._files.get(relation)
-        if rfile is None:
+        if rfile is None or rfile.on_disk != self._on_disk(relation):
             with nullcontext() if writing else self._writing(relation, shared=True):
                 rfile = _RelationFile(self, relation)
-            with self._images_lock:
-                # Kept only if nothing moved the generation while it was read:
-                # an image kept past a writer's check would be what it writes after.
-                if rfile.generation == self._generations.get(relation, 0):
-                    rfile = self._files.setdefault(relation, rfile)
+            self._files[relation] = rfile
         return rfile
 
     def _atomic_write(

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import QueryEngine, QueryOptions, RetryPolicy
 from repro.engine.resilience import CircuitBreaker
 from repro.engine.sharding import _SHM_PREFIX, sweep_orphan_segments
@@ -401,3 +402,25 @@ class TestWriterLock:
             release.set()
             child.join(timeout=60)
         assert child.exitcode == 0
+
+    def test_a_query_behind_a_writer_past_the_ceiling_is_a_typed_error(self, root, monkeypatch):
+        """A query whose view another store's append left stale opens the
+        files under their lock, so it waits for a writer in progress: past
+        the ceiling it raises with the engine's record unchanged, and once
+        the lock is free the next query answers the appended rows."""
+        monkeypatch.setattr(store_module, "_LOCK_WAIT_SECONDS", 0.2)
+        with repro.open_store(root, backend="inline") as engine:
+            assert engine.count("x <= 1").count == 9
+            record = engine.registration("r")
+            with IndexStore(root) as other:
+                other.append("r", {"x": np.array([1])})
+            child, release = self.holder(root, die=False)
+            try:
+                with pytest.raises(StoreBusyError):
+                    engine.count("x <= 1")
+                assert engine._registrations["r"] is record
+            finally:
+                release.set()
+                child.join(timeout=60)
+            assert child.exitcode == 0
+            assert engine.count("x <= 1").count == 10

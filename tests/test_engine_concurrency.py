@@ -31,7 +31,7 @@ from repro.core.encoding import EncodingScheme
 from repro.engine import IndexSpec, QueryEngine
 from repro.engine import engine as engine_module
 from repro.engine.cache import CachedSource, SharedBitmapCache
-from repro.errors import EngineConfigError, ReproError
+from repro.errors import EngineConfigError, FileMissingError, ReproError
 from repro.query.predicate import AttributePredicate
 from repro.relation.relation import Relation
 from repro.storage import IndexStore
@@ -255,15 +255,15 @@ class TestRacingDrop:
     def test_a_store_catch_up_racing_register_keeps_the_registration(
         self, tmp_path, monkeypatch
     ):
-        """A query's catch-up with a moved store generation, held while it
-        writes the relation's new record, does not overwrite a
-        ``register`` that lands meanwhile: writers take turns."""
+        """A query's catch-up with files a store write moved, held while it
+        reads them, does not overwrite a ``register`` that lands meanwhile:
+        writers take turns."""
         root = str(tmp_path)
         with IndexStore(root) as store:
             store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
         engine = repro.open_store(root, backend="inline")
-        engine.storage.append("t", {"a": np.array([1])})  # the generation moves
-        reached, release = held_once(monkeypatch, engine.storage, "relation_view")
+        engine.storage.append("t", {"a": np.array([1])})  # the files move
+        reached, release = held_once(monkeypatch, engine.storage, "_file")
         new = Relation.from_dict("t", {"a": np.arange(50)})
         registering = threading.Thread(target=engine.register, args=(new,))
 
@@ -420,7 +420,9 @@ CODECS = ("dense", "wah", "roaring")
 ENCODINGS = tuple(EncodingScheme)
 #: Writer changes by weight: ``m``'s edits most, so edits overlap queries.
 CHANGES = ("update",) * 5 + ("delete", "relation", "spec", "append", "append")
-CHANGES += ("compact", "build", "codec")
+CHANGES += ("compact", "build", "codec", "quarantine", "invalidate")
+#: What a query answers from a state whose files are quarantined.
+MISSING = "FileMissingError"
 
 
 def drawn_trees(number: int) -> list:
@@ -452,12 +454,14 @@ def history_columns(rng: np.random.Generator, stored: bool) -> dict[str, np.ndar
 
 class State:
     """What a relation answers from: each attribute's values and the rows
-    not deleted from its index, and the answer of each tree asked."""
+    not deleted from its index, and the answer of each tree asked; no
+    values is a store's relation whose files are quarantined, which
+    answers :data:`MISSING`."""
 
-    def __init__(self, values: dict[str, np.ndarray], known: dict | None = None):
+    def __init__(self, values: dict[str, np.ndarray] | None, known: dict | None = None):
         self.values = values
-        self.known = known or {a: np.ones(len(v), bool) for a, v in values.items()}
-        self.answers: dict[str, list[int]] = {}
+        self.known = known or {a: np.ones(len(v), bool) for a, v in (values or {}).items()}
+        self.answers: dict[str, list[int] | str] = {}
 
     @classmethod
     def of(cls, relation: Relation) -> "State":
@@ -473,12 +477,17 @@ class State:
                 values[attribute][rid] = value
         return State(values, known)
 
-    def answer(self, tree) -> list[int]:
+    def answer(self, tree, finish: str = "rids") -> list[int] | int | str:
+        """The rids of ``tree`` over this state, their number (``finish`` is
+        ``"count"``), or :data:`MISSING`."""
+        if self.values is None:
+            return MISSING
         key = str(tree)
         if key not in self.answers:
             true, _ = kleene(tree, Relation.from_dict("model", self.values), self.known)
             self.answers[key] = np.flatnonzero(true).tolist()
-        return self.answers[key]
+        rids = self.answers[key]
+        return rids if finish == "rids" else len(rids)
 
 
 def edit_rows(changes: list[tuple[int, int]]):
@@ -498,16 +507,20 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
     """One seeded history: ``readers`` threads query ``m``, an in-memory
     relation, and ``s``, a store's view, while one writer makes ``changes``
     changes to what the engine serves, all on a 1 µs switch interval.
+    ``s``'s files are written through the engine's store or through a
+    second store on the same directory.
 
     The writer logs each state before the change that makes it and marks
     it committed after.  A query's answer must be the answer of a state
     logged by its end and no older than the one committed at its start;
-    a typed error passes, an untyped one fails, and so does any answer
-    after the last change that is not the last state's.
+    a :class:`~repro.errors.FileMissingError` is the answer of a
+    quarantined state, another typed error passes, an untyped one fails,
+    and so does any answer after the last change that is not the last
+    state's.
     """
     rng = np.random.default_rng(number)
     trees = drawn_trees(number)
-    store = IndexStore(root)
+    store, other = IndexStore(root), IndexStore(root)
     stored = history_columns(rng, stored=True)
     store.build(Relation.from_dict("s", stored), codec=str(rng.choice(CODECS)))
     engine = QueryEngine(storage=store, codec=str(rng.choice(CODECS)), backend="inline")
@@ -529,6 +542,7 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
         attribute = str(rng.choice(list(HISTORY_CARDINALITY)))
         c = HISTORY_CARDINALITY[attribute]
         rids = rng.choice(HISTORY_ROWS, int(rng.integers(1, 33)), replace=False).tolist()
+        via = (store, other)[int(rng.integers(2))]  # the store that writes ``s``
         if kind in ("update", "delete"):  # 1 to 32 rows to other values, or one deleted
             values = (m.values[attribute][rids] + rng.integers(1, c, len(rids))) % c
             rows = list(zip(rids, values.tolist()))
@@ -555,13 +569,17 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
         elif kind == "append":
             rows = {a: rng.choice(np.unique(s.values[a]), len(rids)) for a in s.values}
             state = State({a: np.append(s.values[a], rows[a]) for a in s.values})
-            commit("s", state, lambda: store.append("s", rows))
+            commit("s", state, lambda: via.append("s", rows))
         elif kind == "compact":
-            commit("s", s, lambda: store.compact("s"))
-        elif kind == "build":
+            commit("s", s, lambda: via.compact("s"))
+        elif kind in ("build", "quarantine"):  # a quarantine, then a build
+            if kind == "quarantine":
+                commit("s", State(None), lambda: via.quarantine("s"))
             fresh = Relation.from_dict("s", history_columns(rng, stored=True))
             codec, encoding = str(rng.choice(CODECS)), ENCODINGS[int(rng.integers(2))]
-            commit("s", State.of(fresh), lambda: store.build(fresh, codec=codec, encoding=encoding))
+            commit("s", State.of(fresh), lambda: via.build(fresh, codec=codec, encoding=encoding))
+        elif kind == "invalidate":
+            commit("s", s, lambda: engine.invalidate("s"))
         else:  # a view served in another codec
             overrides = dict.fromkeys(HISTORY_CARDINALITY, IndexSpec(codec=str(rng.choice(CODECS))))
             commit("s", s, lambda: engine.register(store.relation_view("s"), overrides=overrides))
@@ -589,6 +607,8 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
                     got = engine.query(tree, name).rids.tolist()
                 else:
                     got = engine.count(tree, name).count
+            except FileMissingError:
+                got = MISSING
             except ReproError:
                 continue
             except Exception as exc:  # collected: the assertion names it
@@ -612,8 +632,7 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
     assert untyped == []
     wrong = []
     for name, tree, finish, start, end, got in seen:
-        answers = [state.answer(tree) for state in states[name][start:end]]
-        if got not in (answers if finish == "rids" else list(map(len, answers))):
+        if got not in [state.answer(tree, finish) for state in states[name][start:end]]:
             wrong.append((name, str(tree), finish, start, end))
     for name in states:
         for tree in trees:
@@ -624,6 +643,7 @@ def check_history(number: int, root: str, changes: int = 60, readers: int = 4) -
             if got != states[name][-1].answer(tree):
                 wrong.append((name, str(tree), "after the last change", got))
     engine.close()
+    other.close()
     assert seen and wrong == []
 
 
@@ -636,8 +656,10 @@ def check_histories(root: str, numbers) -> None:
 class TestHistory:
     """Every answer is the answer of a state committed while it ran, under
     ``register`` of a changed relation or spec, ``maintain`` of an
-    in-memory relation, and ``append`` / ``compact`` / ``build`` of a
-    store's view (:func:`check_history`; CI runs 20 more seeds)."""
+    in-memory relation, ``append`` / ``compact`` / ``build`` /
+    ``quarantine`` of a store's view's files, through its store or
+    another, and ``invalidate`` (:func:`check_history`; CI runs 20 more
+    seeds)."""
 
     @pytest.mark.parametrize("number", range(4))
     def test_answers_are_committed_states(self, tmp_path, number):

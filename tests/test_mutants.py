@@ -264,14 +264,22 @@ def test_m21_horner_with_or_and_and_swapped(monkeypatch):
 def test_m22_store_without_its_on_disk_check(monkeypatch, tmp_path):
     """A store re-reads a relation whose files another store changed."""
     blind = mutant(
-        IndexStore.generation,
-        "if rfile is not None and rfile.on_disk != self._on_disk(relation):",
-        "if False:",
+        IndexStore._file,
+        "if rfile is None or rfile.on_disk != self._on_disk(relation):",
+        "if rfile is None:",
     )
-    monkeypatch.setattr(IndexStore, "generation", blind)
+    monkeypatch.setattr(IndexStore, "_file", blind)
+    assert_killed(test_engine_concurrency.check_histories, str(tmp_path / "histories"), range(3))
     follow = test_store.TestNoInvalidateNeeded()
     assert_killed(
-        follow.test_answers_follow_another_store_on_the_directory, str(tmp_path), "inline", "wah"
+        follow.test_answers_follow_another_store_on_the_directory,
+        str(tmp_path / "indexes"),
+        "inline",
+        "wah",
+    )
+    racing = test_store.TestAnOpenRacingAWrite()
+    assert_killed(
+        racing.test_the_next_append_writes_after_the_last, str(tmp_path / "racing"), monkeypatch
     )
 
 
@@ -379,3 +387,11 @@ def test_m33_a_view_serves_its_image_whatever_the_spec(monkeypatch, tmp_path):
     views = test_store.TestAViewRefusesADesignItDoesNotHold()
     asked = {"base": Base((5, 5)), "encoding": EncodingScheme.EQUALITY}
     assert_killed(views.test_an_unheld_design_is_refused_before_a_record, str(tmp_path), asked)
+
+
+def test_m34_a_view_is_always_latest(monkeypatch, tmp_path):
+    """A view is current only while its image is its store's current one,
+    so the engine catches up with a write to the store's files."""
+    monkeypatch.setattr(StoreRelation, "latest", lambda self: self)
+    follow = test_store.TestNoInvalidateNeeded()
+    assert_killed(follow.test_answers_follow_the_store, str(tmp_path), "append", "wah", "count")

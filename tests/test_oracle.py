@@ -134,7 +134,7 @@ class TableMachine(RuleBasedStateMachine):
     @rule(codec=CODECS, data=st.data())
     def serve_from_a_store(self, codec, data):
         """Build → query, append rows with NULLs → query, compact → query,
-        with no ``engine.invalidate``: the store's generation tells."""
+        with no ``engine.invalidate``: the files on disk tell."""
         if not self.indexed:
             return
         designs = {name: self.table._designs[name] for name in sorted(self.indexed)}

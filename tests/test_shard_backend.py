@@ -500,11 +500,11 @@ class TestEngineBackendDifferential:
                 },
             )
         rng = np.random.default_rng(8)
-        # Both engines serve the one store, so both see its generation move.
+        # Both engines serve the one store, so both see its files move.
         pair = engines(storage=IndexStore(root), shards=shards, cache_capacity=0)
         store = pair[0].storage
         assert_processes_match_inline(*pair)
-        # No invalidate() after either: the store's generation moves.
+        # No invalidate() after either: the store's files move.
         store.append(
             "orders",
             {"quantity": rng.integers(0, 50, 40), "region": rng.integers(0, 8, 40)},

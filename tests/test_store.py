@@ -1217,7 +1217,7 @@ class TestNoInvalidateNeeded:
             )
         engine = repro.open_store(store_dir)
         self.check(engine, before, finish)  # memoize sources, fill the cache
-        version = engine.storage.generation("sales")
+        serial = engine.registration("sales").serial
         if mutation == "rebuild":
             after = make_relation(700, seed=13)
             engine.storage.build(after, codec=codec)
@@ -1237,7 +1237,7 @@ class TestNoInvalidateNeeded:
             if mutation == "compact":
                 self.check(engine, after, finish)  # serve base + delta first
                 engine.storage.compact("sales")
-        assert engine.storage.generation("sales") > version
+        assert engine.registration("sales").serial > serial
         self.check(engine, after, finish)
         engine.close()
 
@@ -1254,7 +1254,7 @@ class TestNoInvalidateNeeded:
 
     def test_invalidating_an_attribute_after_the_store_moved_reads_it(self, store_dir):
         """``invalidate(name, attribute)`` after a rebuild of the store does
-        not keep the old relation view under the new generation.  The
+        not keep the old relation view over the new files.  The
         regression: constants translated through the old dictionary were
         evaluated on the new bitmaps (100 rows, not 40), query after query."""
         with IndexStore(store_dir) as store:
@@ -1407,8 +1407,8 @@ class TestConcurrentWriters:
 
 class TestAnOpenRacingAWrite:
     """A reader's open of a relation's files reads one committed state, and
-    an image it read before a write is not kept once the write moved the
-    store's generation, so the next append writes after every one before.
+    an image it read before a write is not served once the files moved, so
+    the next append writes after every one before.
 
     The regressions: an open racing ``compact`` or ``build`` read the old
     base file and found its sidecar gone, so it served the base without
@@ -1447,47 +1447,61 @@ class TestAnOpenRacingAWrite:
         assert (store.relation_view("t").num_rows, store.delta_rows("t")) == (102, 0)
         store.close()
 
+    @staticmethod
+    def hold_keep(monkeypatch, store, thread, appended) -> threading.Event:
+        """Make ``thread``'s first keep of an image it read in ``store`` wait
+        until ``appended`` is set; returns the event set when it waits."""
+        opened = threading.Event()
+
+        class HeldFiles(dict):
+            def __setitem__(self, relation, image):
+                if threading.current_thread() is thread and not opened.is_set():
+                    opened.set()
+                    assert appended.wait(timeout=30)
+                super().__setitem__(relation, image)
+
+        monkeypatch.setattr(store, "_files", HeldFiles())
+        return opened
+
     def test_the_next_append_writes_after_the_last(self, store_dir, monkeypatch):
         with IndexStore(store_dir) as store:
             store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
         store = IndexStore(store_dir)
-        opened, stored = threading.Event(), threading.Event()
         reader = threading.Thread(target=store.delta_rows, args=("t",))
-
-        class HeldLock:
-            """The store's image lock; the reader, about to keep the image
-            it read, waits for ``stored`` first."""
-
-            def __init__(self, lock):
-                self.lock = lock
-
-            def __enter__(self):
-                if threading.current_thread() is reader and not opened.is_set():
-                    opened.set()
-                    assert stored.wait(timeout=30)
-                return self.lock.__enter__()
-
-            def __exit__(self, *exc):
-                return self.lock.__exit__(*exc)
-
-        monkeypatch.setattr(store, "_images_lock", HeldLock(store._images_lock))
+        appended = threading.Event()
+        opened = self.hold_keep(monkeypatch, store, reader, appended)
         reader.start()
         assert opened.wait(timeout=30)
         store.append("t", {"a": np.array([1])})
-        original = store.generation
-
-        def checked(relation):
-            """The next append's staleness check, then the reader's keep."""
-            generation = original(relation)
-            if not stored.is_set():
-                stored.set()
-                reader.join(timeout=30)
-            return generation
-
-        monkeypatch.setattr(store, "generation", checked)
+        appended.set()
+        reader.join(timeout=30)
         store.append("t", {"a": np.array([2])})
         assert store.delta_rows("t") == 2
         store.close()
+
+    def test_an_open_racing_an_append_costs_one_catch_up(self, store_dir, monkeypatch):
+        """A query's open, kept after an append it raced, leaves the engine
+        one record behind the files, not one per query: the racing query
+        answers the state it read, and 20 queries after it, with no write
+        between them, move the record's serial at most once."""
+        with IndexStore(store_dir) as store:
+            store.build(Relation.from_dict("t", {"a": np.arange(100) % 10}))
+        engine = repro.open_store(store_dir, backend="inline")
+        engine.storage.append("t", {"a": np.array([1])})  # the next query opens the files
+        counts: list[int] = []
+        query = threading.Thread(target=lambda: counts.append(engine.count("a <= 1").count))
+        appended = threading.Event()
+        opened = self.hold_keep(monkeypatch, engine.storage, query, appended)
+        query.start()
+        assert opened.wait(timeout=30)
+        engine.storage.append("t", {"a": np.array([2])})
+        appended.set()
+        query.join(timeout=30)
+        assert counts == [21]
+        serial = engine.registration("t").serial
+        assert [engine.count("a <= 2").count for _ in range(20)] == [32] * 20
+        assert engine.registration("t").serial - serial <= 1
+        engine.close()
 
 
 class TestAViewRefusesADesignItDoesNotHold:
